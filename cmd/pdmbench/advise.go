@@ -2,18 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"pdmtune"
 )
-
-// The advisor benchmark: three canonical workload shapes are driven
-// under the untuned baseline (plain late evaluation), the advisor
-// classifies each observed window and picks a configuration, and the
-// pick is measured against the baseline by re-running the same workload
-// under it.
 
 // adviseProduct matches the advisor acceptance tests: deep enough that
 // the knobs matter, small enough to simulate per shape.
@@ -60,40 +53,23 @@ func driveWriteStorm(sess *pdmtune.Session, prod *pdmtune.Product) error {
 	return nil
 }
 
-// adviseRecord is one shape's outcome in the -advise -json output.
-type adviseRecord struct {
-	Shape          string  `json:"shape"`
-	Classified     string  `json:"classified"`
-	WriteFrac      float64 `json:"write_frac"`
-	RepeatFrac     float64 `json:"repeat_frac"`
-	Pick           string  `json:"pick"`
-	PredictedSec   float64 `json:"predicted_sec"`
-	CurrentSec     float64 `json:"current_sec"`
-	PredictedGain  float64 `json:"predicted_gain_pct"`
-	BaselineSimSec float64 `json:"baseline_sim_sec"`
-	PickSimSec     float64 `json:"pick_sim_sec"`
-	SpeedupX       float64 `json:"speedup_x"`
-}
-
 // adviseOne observes one shape, asks the advisor, and measures the pick.
-func adviseOne(sys *pdmtune.System, prod *pdmtune.Product, name string, drive adviseDriver) adviseRecord {
+func adviseOne(sys *pdmtune.System, prod *pdmtune.Product, shape string, drive adviseDriver) (record, error) {
 	// Observation run under the untuned baseline.
 	obs, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval))
 	if err != nil {
-		fail(err)
+		return record{}, err
 	}
+	defer obs.Close()
 	if err := drive(obs, prod); err != nil {
-		fail(err)
+		return record{}, err
 	}
 	window := obs.Metrics()
 	adv := pdmtune.Advisor{Product: prod.Config, Users: 1}
 	profile := pdmtune.Classify(adv.Observe(obs, window))
 	recs := adv.Recommend(obs, window)
-	if err := obs.Close(); err != nil {
-		fail(err)
-	}
 	if len(recs) == 0 {
-		fail(fmt.Errorf("advisor returned no recommendations for shape %s", name))
+		return record{}, fmt.Errorf("advisor returned no recommendations for shape %s", shape)
 	}
 	best := recs[0]
 
@@ -101,80 +77,74 @@ func adviseOne(sys *pdmtune.System, prod *pdmtune.Product, name string, drive ad
 	// reset so only the workload is charged.
 	sess, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval))
 	if err != nil {
-		fail(err)
+		return record{}, err
 	}
+	defer sess.Close()
 	if err := sess.ApplyConfig(context.Background(), best.Config); err != nil {
-		fail(err)
+		return record{}, err
 	}
 	sess.ResetMetrics()
 	if err := drive(sess, prod); err != nil {
-		fail(err)
+		return record{}, err
 	}
-	pickSec := sess.Metrics().TotalSec()
-	if err := sess.Close(); err != nil {
-		fail(err)
-	}
-
-	baselineSec := window.TotalSec()
+	picked := sess.Metrics()
 	speedup := 0.0
-	if pickSec > 0 {
-		speedup = baselineSec / pickSec
+	if picked.TotalSec() > 0 {
+		speedup = window.TotalSec() / picked.TotalSec()
 	}
-	return adviseRecord{
-		Shape:          name,
-		Classified:     profile.Shape.String(),
-		WriteFrac:      profile.WriteFrac,
-		RepeatFrac:     profile.RepeatFrac,
-		Pick:           best.Config.String(),
-		PredictedSec:   best.PredictedSec,
-		CurrentSec:     best.CurrentSec,
-		PredictedGain:  best.DeltaPct,
-		BaselineSimSec: baselineSec,
-		PickSimSec:     pickSec,
-		SpeedupX:       speedup,
-	}
+	return record{
+		Mode:     "advise",
+		Scenario: treeName(adviseProduct),
+		Config:   best.Config.String(), Metrics: picked, PredictedSec: best.PredictedSec,
+		Extra: kv{
+			"shape": shape, "classified": profile.Shape.String(),
+			"write_frac": profile.WriteFrac, "repeat_frac": profile.RepeatFrac,
+			"current_sec": best.CurrentSec, "predicted_gain_pct": best.DeltaPct,
+			"baseline_sim_sec": window.TotalSec(), "speedup_x": speedup,
+		},
+	}, nil
 }
 
-// runAdvise drives the three shapes and reports — as prose, or as one
-// JSON array for benchmark trajectory tracking (BENCH_advisor.json).
-func runAdvise(jsonOut bool) {
+// runAdvise drives three canonical workload shapes under the untuned
+// baseline (plain late evaluation), lets the advisor classify each
+// observed window and pick a configuration, and re-runs the shape under
+// the pick. Each record carries the pick as its config and the pick's
+// measured traffic as its metrics.
+func runAdvise(*env) ([]record, error) {
 	sys := pdmtune.NewSystem(nil)
 	prod, err := sys.LoadProduct(adviseProduct)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	shapes := []struct {
+	var recs []record
+	for _, s := range []struct {
 		name  string
 		drive adviseDriver
 	}{
 		{"cold-scan", driveColdScan},
 		{"warm-repeat", driveWarmRepeat},
 		{"write-storm", driveWriteStorm},
-	}
-	var records []adviseRecord
-	for _, s := range shapes {
-		records = append(records, adviseOne(sys, prod, s.name, s.drive))
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
-			fail(err)
+	} {
+		r, err := adviseOne(sys, prod, s.name, s.drive)
+		if err != nil {
+			return nil, err
 		}
-		return
+		recs = append(recs, r)
 	}
-	fmt.Println("Auto-tuning advisor — three workload shapes observed under the untuned")
-	fmt.Println("baseline (plain late evaluation), classified, and re-run under the advisor's")
-	fmt.Printf("pick (δ=%d, β=%d, σ=%g, 256 kbit/s / 150 ms).\n",
-		adviseProduct.Depth, adviseProduct.Branch, adviseProduct.Sigma)
-	fmt.Println()
-	for _, r := range records {
-		fmt.Printf("  %-12s classified %-12s (writes %4.0f%%, repeats %4.0f%%)\n",
-			r.Shape, r.Classified, r.WriteFrac*100, r.RepeatFrac*100)
-		fmt.Printf("    pick: %s\n", r.Pick)
-		fmt.Printf("    simulated: %8.2fs -> %7.2fs (%.1fx; model predicted %.1f%% gain)\n",
-			r.BaselineSimSec, r.PickSimSec, r.SpeedupX, r.PredictedGain)
+	return recs, nil
+}
+
+func textAdvise(w io.Writer, recs []record) {
+	fmt.Fprintln(w, "Auto-tuning advisor — three workload shapes observed under the untuned")
+	fmt.Fprintln(w, "baseline (plain late evaluation), classified, and re-run under the advisor's")
+	fmt.Fprintf(w, "pick (%s, 256 kbit/s / 150 ms).\n", recs[0].Scenario)
+	fmt.Fprintln(w)
+	for _, r := range recs {
+		fmt.Fprintf(w, "  %-12s classified %-12s (writes %4.0f%%, repeats %4.0f%%)\n",
+			r.str("shape"), r.str("classified"), r.num("write_frac")*100, r.num("repeat_frac")*100)
+		fmt.Fprintf(w, "    pick: %s\n", r.Config)
+		fmt.Fprintf(w, "    simulated: %8.2fs -> %7.2fs (%.1fx; model predicted %.1f%% gain)\n",
+			r.num("baseline_sim_sec"), r.Metrics.TotalSec(), r.num("speedup_x"), r.num("predicted_gain_pct"))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

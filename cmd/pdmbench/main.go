@@ -5,1480 +5,216 @@
 //
 // Usage:
 //
-//	pdmbench                  # tables 2-4 and figures 4-5 (analytic, vs paper)
-//	pdmbench -table 3         # one table
-//	pdmbench -figure 5        # one figure (ASCII bars)
-//	pdmbench -simulate        # wire-level simulation vs model, all scenarios
-//	pdmbench -batch           # batched vs unbatched wire protocol (round trips saved)
-//	pdmbench -prepared        # prepared statements vs SQL text (request bytes saved)
-//	pdmbench -cache           # structure cache: cold vs warm vs post-write MLE
-//	pdmbench -compress        # columnar v2 results + deflate vs the v1 row-major wire
-//	pdmbench -checkout        # Section 6: check-out round-trip comparison
-//	pdmbench -sites 3         # multi-site topology: replica reads at LAN cost vs the
-//	                          # primary's WAN cost, per-site sync volume (combine with
-//	                          # -staleness for bounded-staleness sessions, or with
-//	                          # -subscribe 0.5 for partial replication: each site
-//	                          # subscribes to half the root's subtrees, syncs only the
-//	                          # closure, and out-of-subscription reads fall through)
-//	pdmbench -whereused       # where-used inverse traversal vs the model prediction
-//	pdmbench -eco             # ECO propagation (incl. check-out conflicts) vs the model
-//	pdmbench -report          # bulk reporting scan vs the model prediction
-//	pdmbench -ablate          # packet-size / σ / accounting-mode ablations
-//	pdmbench -advise          # auto-tuning advisor: observe three workload shapes,
-//	                          # classify, pick knobs, and re-measure under the pick
-//	                          # (combine with -json for BENCH_advisor.json records)
-//	pdmbench -parse           # SQL front end: tokenizer/parser MB/s and allocs per
-//	                          # statement, warm and cold (combine with -json for
-//	                          # BENCH_parse.json records)
-//	pdmbench -failover        # kill the primary under write traffic: time to a
-//	                          # health-checked promotion, writes refused while
-//	                          # primary-less, lost acknowledged writes (none), and
-//	                          # post-rejoin convergence (combine with -json for
-//	                          # BENCH_failover.json records)
-//	pdmbench -json            # machine-readable metrics for all scenarios (stdout;
-//	                          # display modes are ignored so the output stays pure
-//	                          # JSON; combine with -compress to add the negotiated
-//	                          # columnar+deflate configurations, or with -sites N
-//	                          # for the per-site topology records instead)
-//	pdmbench -all             # everything
+//	pdmbench <mode> [flags]
+//
+// Exactly one mode is named per run ("all" runs every mode in registry
+// order). Every mode produces records of one schema — mode, scenario,
+// config, metrics (netsim.Metrics as charged by the meters),
+// predicted_sec (the cost model's estimate, where there is one) and
+// extra (the mode's own numbers) — which the dispatcher renders as text
+// or, with -json, as one JSON array. `pdmbench` without a mode lists the
+// modes and the flags each one reads; a flag the named mode does not
+// read is a usage error, not a silent no-op.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"pdmtune"
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/netsim"
 )
 
-func main() {
-	table := flag.Int("table", 0, "print one paper table (2, 3 or 4)")
-	figure := flag.Int("figure", 0, "print one paper figure (4 or 5)")
-	simulate := flag.Bool("simulate", false, "run the wire-level simulation against the model")
-	batch := flag.Bool("batch", false, "compare batched vs unbatched statement execution")
-	prepared := flag.Bool("prepared", false, "compare prepared statements vs SQL text")
-	cacheCmp := flag.Bool("cache", false, "compare cold vs warm structure-cache runs")
-	compress := flag.Bool("compress", false, "compare columnar+deflate vs v1 row-major results")
-	checkout := flag.Bool("checkout", false, "compare check-out implementations (Section 6)")
-	sites := flag.Int("sites", 0, "simulate N replica sites (reads at LAN cost, sync across the WAN)")
-	staleness := flag.Duration("staleness", -1, "staleness bound of the per-site sessions (-1: read your own site)")
-	subscribe := flag.Float64("subscribe", 0, "with -sites: subscribe each site to this fraction of the root's subtrees (0: full replication)")
-	whereused := flag.Bool("whereused", false, "run the where-used inverse traversal against the model prediction")
-	eco := flag.Bool("eco", false, "run the ECO propagation workload against the model prediction")
-	report := flag.Bool("report", false, "run the bulk reporting scan against the model prediction")
-	ablate := flag.Bool("ablate", false, "run the ablation sweeps")
-	advise := flag.Bool("advise", false, "run the auto-tuning advisor over three workload shapes")
-	parse := flag.Bool("parse", false, "benchmark the SQL tokenizer and parser (throughput and allocs)")
-	failover := flag.Bool("failover", false, "kill the primary under write traffic and measure the health-checked failover")
-	users := flag.Int("users", 0, "run the concurrent-users benchmark with N sessions")
-	poolSize := flag.Int("pool", 32, "connection-pool size for -users sessions")
-	userOps := flag.Int("ops", 20, "operations per user for -users")
-	coarse := flag.Bool("coarse", false, "ablation: run -users on the old single database-wide RWMutex")
-	cores := flag.Int("cores", 8, "server cores for the modeled fine-vs-coarse comparison of -users")
-	jsonOut := flag.Bool("json", false, "emit machine-readable simulation metrics as JSON")
-	all := flag.Bool("all", false, "run everything")
-	flag.Parse()
-
-	// The workload modes own the whole run — two of them in one
-	// invocation would interleave their output (and their JSON arrays),
-	// so an ambiguous combination is a usage error, not a silent pick.
-	var picked []string
-	for _, m := range []struct {
-		name string
-		set  bool
-	}{
-		{"-users", *users > 0}, {"-parse", *parse}, {"-failover", *failover},
-		{"-whereused", *whereused}, {"-eco", *eco}, {"-report", *report},
-	} {
-		if m.set {
-			picked = append(picked, m.name)
-		}
-	}
-	if len(picked) > 1 {
-		fmt.Fprintf(os.Stderr, "pdmbench: %s are mutually exclusive modes; pass exactly one\n", strings.Join(picked, ", "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *subscribe < 0 || *subscribe > 1 {
-		fmt.Fprintln(os.Stderr, "pdmbench: -subscribe must be in [0, 1]")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	// -users and -parse are their own modes (other selectors, e.g.
-	// -simulate, are compatible no-ops so CI can pass one flag set
-	// everywhere).
-	if *users > 0 {
-		runUsers(*users, *poolSize, *userOps, *coarse, *cores, *jsonOut)
-		return
-	}
-	if *parse {
-		runParse(*jsonOut)
-		return
-	}
-	if *failover {
-		runFailover(*jsonOut)
-		return
-	}
-	if *whereused {
-		runWhereUsed(*jsonOut)
-		return
-	}
-	if *eco {
-		runECO(*jsonOut)
-		return
-	}
-	if *report {
-		runReport(*jsonOut)
-		return
-	}
-
-	if *jsonOut {
-		if *sites > 0 {
-			runSitesJSON(*sites, *staleness, *subscribe)
-			return
-		}
-		if *advise {
-			runAdvise(true)
-			return
-		}
-		runJSON(*compress)
-		return
-	}
-	any := *table != 0 || *figure != 0 || *simulate || *batch || *prepared || *cacheCmp || *compress || *checkout || *sites > 0 || *ablate || *advise
-	if *all || !any {
-		printTable(2)
-		printTable(3)
-		printTable(4)
-		printFigure(4)
-		printFigure(5)
-	}
-	if *table != 0 {
-		printTable(*table)
-	}
-	if *figure != 0 {
-		printFigure(*figure)
-	}
-	if *simulate || *all {
-		runSimulation()
-	}
-	if *batch || *all {
-		runBatchComparison()
-	}
-	if *prepared || *all {
-		runPreparedComparison()
-	}
-	if *cacheCmp || *all {
-		runCacheComparison()
-	}
-	if *compress || *all {
-		runCompressComparison()
-	}
-	if *checkout || *all {
-		runCheckout()
-	}
-	if *sites > 0 {
-		runSitesComparison(*sites, *staleness, *subscribe)
-	} else if *all {
-		runSitesComparison(2, *staleness, *subscribe)
-	}
-	if *ablate || *all {
-		runAblation()
-	}
-	if *advise || *all {
-		runAdvise(false)
-	}
+// record is the one schema every mode emits. Extra holds only float64,
+// string and bool values, so a record survives a JSON round trip
+// unchanged and the text renderers can read decoded records too.
+type record struct {
+	Mode         string         `json:"mode"`
+	Scenario     string         `json:"scenario"`
+	Config       string         `json:"config"`
+	Metrics      netsim.Metrics `json:"metrics"`
+	PredictedSec float64        `json:"predicted_sec"`
+	Extra        kv             `json:"extra,omitempty"`
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pdmbench:", err)
-	os.Exit(1)
+type kv = map[string]any
+
+func (r record) num(key string) float64 { v, _ := r.Extra[key].(float64); return v }
+func (r record) str(key string) string  { v, _ := r.Extra[key].(string); return v }
+
+// cut splits recs after the leading run of records that share the first
+// record's key — how the text renderers recover the grouping (per
+// table, per scenario, per site) of a flat record list.
+func cut(recs []record, key func(record) any) (run, rest []record) {
+	n := 1
+	for n < len(recs) && key(recs[n]) == key(recs[0]) {
+		n++
+	}
+	return recs[:n], recs[n:]
 }
 
-// ---------------------------------------------------------------------------
-// Analytic tables
+func byScenario(r record) any { return r.Scenario }
 
-func printTable(n int) {
-	var strat costmodel.Strategy
-	switch n {
-	case 2:
-		strat = costmodel.LateEval
-		fmt.Println("Table 2 — response times, late evaluation (model vs paper)")
-	case 3:
-		strat = costmodel.EarlyEval
-		fmt.Println("Table 3 — response times, early rule evaluation (model vs paper)")
-	case 4:
-		strat = costmodel.Recursive
-		fmt.Println("Table 4 — multi-level expands with recursive queries (model vs paper)")
-	default:
-		fail(fmt.Errorf("no table %d in the paper's evaluation", n))
+func byExtra(key string) func(record) any {
+	return func(r record) any { return r.Extra[key] }
+}
+
+// env is what a mode runs against: the scenario list (the paper's three
+// trees; the tests substitute a small one) and the values of the flags
+// it declares in mode.params.
+type env struct {
+	scenarios []costmodel.Tree
+
+	sites                   int
+	staleness               time.Duration
+	subscribe               float64
+	users, pool, ops, cores int
+}
+
+func (e *env) validate() error {
+	switch {
+	case e.subscribe < 0 || e.subscribe > 1:
+		return fmt.Errorf("-subscribe must be in [0, 1]")
+	case e.sites < 1 || e.users < 1 || e.ops < 1 || e.pool < 1 || e.cores < 1:
+		return fmt.Errorf("-sites, -users, -ops, -pool and -cores must be positive")
 	}
-	cells := costmodel.TableCells(strat)
-	late := costmodel.TableCells(costmodel.LateEval)
-	nets := costmodel.PaperNetworks()
-	scens := costmodel.PaperScenarios()
+	return nil
+}
 
-	header := fmt.Sprintf("%-28s", "")
-	for _, scen := range scens {
-		if n == 4 {
-			header += fmt.Sprintf("%-16s", scen.Name)
+// mode is one experiment: run measures and returns records, text renders
+// them for a terminal. Neither decides about JSON — the dispatcher does.
+type mode struct {
+	name   string
+	about  string
+	params []string // the flags run reads
+	run    func(e *env) ([]record, error)
+	text   func(w io.Writer, recs []record)
+}
+
+var modes = []mode{
+	{"tables", "Tables 2-4, analytic model vs the paper's printed numbers", nil, runTables, textTables},
+	{"figure", "Figures 4-5 as ASCII bars (analytic)", nil, runFigures, textFigures},
+	{"simulate", "wire-level simulation of every action and strategy vs the model", nil, runSimulate, textSimulate},
+	{"levers", "batch / prepared / compress / cache: an MLE with the lever off and on", nil, runLevers, textLevers},
+	{"checkout", "Section 6: check-out implementations compared", nil, runCheckout, textCheckout},
+	{"sites", "replica sites: LAN reads vs WAN sync volume, optionally partial", []string{"sites", "staleness", "subscribe"}, runSites, textSites},
+	{"whereused", "where-used inverse traversal vs the model", nil, runWhereUsed, textWhereUsed},
+	{"eco", "ECO propagation, incl. check-out conflicts, vs the model", nil, runECO, textECO},
+	{"report", "bulk reporting scan vs the model", nil, runReport, textReport},
+	{"users", "N concurrent sessions on the real engine + modeled fine-vs-coarse locking", []string{"users", "pool", "ops", "cores"}, runUsers, textUsers},
+	{"ablate", "packet-size / σ / accounting-mode ablations", nil, runAblate, textAblate},
+	{"advise", "auto-tuning advisor: observe, classify, pick, re-measure", nil, runAdvise, textAdvise},
+	{"failover", "kill the primary under write traffic, measure the promotion", nil, runFailover, textFailover},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole tool: parse, pick exactly one mode, run it, render.
+// It returns the exit code — 2 for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	e := &env{scenarios: costmodel.PaperScenarios()}
+	fs := flag.NewFlagSet("pdmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit the records as one JSON array instead of text")
+	fs.IntVar(&e.sites, "sites", 2, "replica sites per scenario")
+	fs.DurationVar(&e.staleness, "staleness", -1, "staleness bound of the per-site sessions (-1: read your own site)")
+	fs.Float64Var(&e.subscribe, "subscribe", 0, "subscribe each site to this fraction of the root's subtrees (0: full replication)")
+	fs.IntVar(&e.users, "users", 20, "concurrent sessions")
+	fs.IntVar(&e.pool, "pool", 32, "connection-pool size shared by the sessions")
+	fs.IntVar(&e.ops, "ops", 20, "operations per user")
+	fs.IntVar(&e.cores, "cores", 8, "server cores of the modeled fine-vs-coarse comparison")
+	fs.Usage = func() { usage(stderr, fs) }
+
+	// Flags may stand before or after the mode; every non-flag argument
+	// is a mode name, and there must be exactly one.
+	var names []string
+	for len(args) > 0 {
+		if err := fs.Parse(args); err != nil {
+			return 2
+		}
+		if args = fs.Args(); len(args) > 0 {
+			names, args = append(names, args[0]), args[1:]
+		}
+	}
+	usageErr := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pdmbench: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if len(names) != 1 {
+		return usageErr("want exactly one mode, got %d %v", len(names), names)
+	}
+	selected := modes
+	if names[0] != "all" {
+		selected = nil
+		for _, m := range modes {
+			if m.name == names[0] {
+				selected = []mode{m}
+			}
+		}
+		if selected == nil {
+			return usageErr("unknown mode %q", names[0])
+		}
+	}
+	reads := map[string]bool{"json": true}
+	for _, m := range selected {
+		for _, p := range m.params {
+			reads[p] = true
+		}
+	}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return usageErr("mode %s does not read %s", names[0], strings.Join(stray, ", "))
+	}
+	if err := e.validate(); err != nil {
+		return usageErr("%v", err)
+	}
+
+	var all []record
+	for _, m := range selected {
+		recs, err := m.run(e)
+		if err != nil {
+			fmt.Fprintf(stderr, "pdmbench: %s: %v\n", m.name, err)
+			return 1
+		}
+		if *jsonOut {
+			all = append(all, recs...)
 		} else {
-			for _, a := range costmodel.Actions {
-				header += fmt.Sprintf("%-16s", scen.Name+" "+a.String())
-			}
+			m.text(stdout, recs)
 		}
 	}
-	fmt.Println(header)
-
-	cellStr := func(model, paper float64) string {
-		return fmt.Sprintf("%.2f (%.2f)", model, paper)
-	}
-	for ni, net := range nets {
-		rows := map[string][]string{"latency": {}, "transfer": {}, "total": {}, "saving %": {}}
-		for si := range scens {
-			actions := costmodel.Actions
-			if n == 4 {
-				actions = []costmodel.Action{costmodel.MLE}
-			}
-			for _, a := range actions {
-				est := cells[ni][si][int(a)]
-				switch n {
-				case 2:
-					rows["latency"] = append(rows["latency"], cellStr(est.LatencySec, costmodel.PaperTable2Latency[ni][si][a]))
-					rows["transfer"] = append(rows["transfer"], cellStr(est.TransferSec, costmodel.PaperTable2Transfer[ni][si][a]))
-					rows["total"] = append(rows["total"], cellStr(est.TotalSec, costmodel.PaperTable2Total[ni][si][a]))
-				case 3:
-					rows["latency"] = append(rows["latency"], cellStr(est.LatencySec, costmodel.PaperTable2Latency[ni][si][a]))
-					rows["transfer"] = append(rows["transfer"], cellStr(est.TransferSec, costmodel.PaperTable3Transfer[ni][si][a]))
-					rows["total"] = append(rows["total"], cellStr(est.TotalSec, costmodel.PaperTable3Total[ni][si][a]))
-					s := costmodel.SavingPct(late[ni][si][int(a)], est)
-					rows["saving %"] = append(rows["saving %"], cellStr(s, costmodel.PaperTable3Saving[ni][si][a]))
-				case 4:
-					rows["latency"] = append(rows["latency"], cellStr(est.LatencySec, costmodel.PaperTable4Latency[ni][si]))
-					rows["transfer"] = append(rows["transfer"], cellStr(est.TransferSec, costmodel.PaperTable4Transfer[ni][si]))
-					rows["total"] = append(rows["total"], cellStr(est.TotalSec, costmodel.PaperTable4Total[ni][si]))
-					s := costmodel.SavingPct(late[ni][si][int(a)], est)
-					rows["saving %"] = append(rows["saving %"], cellStr(s, costmodel.PaperTable4Saving[ni][si]))
-				}
-			}
-		}
-		order := []string{"latency", "transfer", "total"}
-		if n != 2 {
-			order = append(order, "saving %")
-		}
-		for _, kind := range order {
-			line := fmt.Sprintf("%-28s", net.Name+" "+kind)
-			for _, c := range rows[kind] {
-				line += fmt.Sprintf("%-16s", c)
-			}
-			fmt.Println(line)
-		}
-		fmt.Println()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures (ASCII bar charts)
-
-func printFigure(n int) {
-	var totals [3][3]float64
-	switch n {
-	case 4:
-		totals = costmodel.Figure4()
-		fmt.Println("Figure 4 — response times for δ=9, β=3, σ=0.6, T_Lat=150ms, dtr=512 kbit/s")
-	case 5:
-		totals = costmodel.Figure5()
-		fmt.Println("Figure 5 — response times for δ=7, β=5, σ=0.6, T_Lat=150ms, dtr=256 kbit/s")
-	default:
-		fail(fmt.Errorf("no figure %d in the paper's evaluation", n))
-	}
-	maxVal := 0.0
-	for _, row := range totals {
-		for _, v := range row {
-			if v > maxVal {
-				maxVal = v
-			}
-		}
-	}
-	const width = 48
-	for si, strat := range costmodel.Strategies {
-		fmt.Printf("  %s\n", strat)
-		for ai, a := range costmodel.Actions {
-			v := totals[si][ai]
-			bar := strings.Repeat("#", int(v/maxVal*width+0.5))
-			fmt.Printf("    %-7s %9.2fs |%s\n", a.String(), v, bar)
-		}
-	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Wire-level simulation
-
-// simOutcome captures the link-independent traffic of one action so the
-// response time can be derived for every network profile.
-type simOutcome struct {
-	roundTrips int
-	comms      int
-	volumeB    float64
-	visible    int
-}
-
-// loadScenario generates the product for one paper scenario into a
-// fresh system; scenarios with fractional σβ use random visibility.
-func loadScenario(sys *pdmtune.System, scen costmodel.Tree, seed int64) (*pdmtune.Product, error) {
-	sigmaBeta := scen.Sigma * float64(scen.Branch)
-	return sys.LoadProduct(pdmtune.ProductConfig{
-		Depth: scen.Depth, Branch: scen.Branch, Sigma: scen.Sigma,
-		Seed:             seed,
-		RandomVisibility: sigmaBeta != float64(int(sigmaBeta)),
-	})
-}
-
-func runSimulation() {
-	fmt.Println("Wire-level simulation — full PDM system (SQL over the simulated WAN)")
-	fmt.Println("Response times derived for each network from measured round trips and volumes;")
-	fmt.Println("model values in parentheses. Scenarios with fractional σβ use random visibility,")
-	fmt.Println("so simulated node counts vary around the model's expectation.")
-	fmt.Println()
-	nets := costmodel.PaperNetworks()
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		fmt.Printf("Scenario %s\n", scen.Name)
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  generated: %d nodes, %d visible (model n_v = %.0f)\n",
-			prod.AllNodes(), prod.VisibleNodes(), scen.VisibleNodes())
-		for _, action := range costmodel.Actions {
-			for _, strat := range costmodel.Strategies {
-				if action != costmodel.MLE && strat == costmodel.Recursive {
-					continue
-				}
-				target := prod.RootID
-				if action == costmodel.Query {
-					target = prod.Config.ProdID
-				}
-				sess, err := sys.Open(
-					pdmtune.WithLink(pdmtune.LinkOf(nets[0])),
-					pdmtune.WithUser(pdmtune.DefaultUser("sim")),
-					pdmtune.WithStrategy(pdmtune.Strategy(strat)),
-				)
-				if err != nil {
-					fail(err)
-				}
-				res, err := sess.Run(context.Background(), pdmtune.Action(action), target)
-				if err != nil {
-					fail(err)
-				}
-				if err := sess.Close(); err != nil {
-					fail(err)
-				}
-				out := simOutcome{
-					roundTrips: res.Metrics.RoundTrips,
-					comms:      res.Metrics.Communications,
-					volumeB:    res.Metrics.VolumeBytes(),
-					visible:    res.Visible,
-				}
-				line := fmt.Sprintf("  %-7s %-10s rt=%-6d vol=%8.0f KiB  ",
-					action.String(), strat.String(), out.roundTrips, out.volumeB/1024)
-				for ni, net := range nets {
-					simT := float64(out.comms)*net.LatencySec + out.volumeB*8/(net.RateKbps*1024)
-					model := costmodel.Model{Net: net, Tree: scen}.Predict(action, strat)
-					line += fmt.Sprintf("T%d=%8.2fs (%8.2fs)  ", ni+1, simT, model.TotalSec)
-				}
-				fmt.Println(line)
-			}
-		}
-		fmt.Println()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Batched vs unbatched wire protocol
-
-func runBatchComparison() {
-	fmt.Println("Batched statement execution — one wire batch per BFS level vs one round trip")
-	fmt.Println("per statement (MLE on the paper's scenarios, 256 kbit/s / 150 ms). Result sets")
-	fmt.Println("are identical by construction; the batched model estimate is in parentheses.")
-	fmt.Println()
-	net := costmodel.PaperNetworks()[0]
-	link := pdmtune.LinkOf(net)
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		fmt.Printf("Scenario %s\n", scen.Name)
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		for _, strat := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval} {
-			plain, err := runMLE(sys, prod.RootID, link, strat, false, false)
-			if err != nil {
-				fail(err)
-			}
-			batched, err := runMLE(sys, prod.RootID, link, strat, true, false)
-			if err != nil {
-				fail(err)
-			}
-			if batched.Visible != plain.Visible {
-				fail(fmt.Errorf("batched client sees %d nodes, unbatched %d", batched.Visible, plain.Visible))
-			}
-			model := costmodel.Model{Net: net, Tree: scen}.PredictBatched(costmodel.MLE, costmodel.Strategy(strat))
-			fmt.Printf("  %-10s rt %5d -> %-4d (saved %5d)  T %8.2fs -> %7.2fs (%7.2fs)\n",
-				strat.String(), plain.Metrics.RoundTrips, batched.Metrics.RoundTrips,
-				batched.Metrics.SavedRoundTrips,
-				plain.Metrics.TotalSec(), batched.Metrics.TotalSec(), model.TotalSec)
-		}
-	}
-	fmt.Println()
-}
-
-// runMLE opens a session in the given wire configuration (plus any
-// extra options) and runs one multi-level expand.
-func runMLE(sys *pdmtune.System, root int64, link pdmtune.Link, strat pdmtune.Strategy, batched, prepared bool, extra ...pdmtune.Option) (*pdmtune.ActionResult, error) {
-	opts := []pdmtune.Option{
-		pdmtune.WithLink(link),
-		pdmtune.WithUser(pdmtune.DefaultUser("sim")),
-		pdmtune.WithStrategy(strat),
-		pdmtune.WithBatching(batched),
-		pdmtune.WithPreparedStatements(prepared),
-	}
-	sess, err := sys.Open(append(opts, extra...)...)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	return sess.MultiLevelExpand(context.Background(), root)
-}
-
-// ---------------------------------------------------------------------------
-// Columnar + compressed results vs the v1 row-major wire
-
-func runCompressComparison() {
-	fmt.Println("Columnar v2 results + negotiated deflate — the cold-path response volume")
-	fmt.Println("lever: each column is encoded once (dictionary strings, delta-varint ids,")
-	fmt.Println("null bitmaps) and bodies above the adaptive threshold are deflated. Decoded")
-	fmt.Println("trees are identical by construction; the compressed model estimate (measured")
-	fmt.Println("ratio) is in parentheses. (Batched early eval and recursive, 256 kbit/s / 150 ms.)")
-	fmt.Println()
-	net := costmodel.PaperNetworks()[0]
-	link := pdmtune.LinkOf(net)
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		fmt.Printf("Scenario %s\n", scen.Name)
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		for _, strat := range []pdmtune.Strategy{pdmtune.EarlyEval, pdmtune.Recursive} {
-			batched := strat != pdmtune.Recursive
-			plain, err := runMLE(sys, prod.RootID, link, strat, batched, false)
-			if err != nil {
-				fail(err)
-			}
-			z, err := runMLE(sys, prod.RootID, link, strat, batched, false,
-				pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true))
-			if err != nil {
-				fail(err)
-			}
-			if z.Visible != plain.Visible {
-				fail(fmt.Errorf("compressed client sees %d nodes, plain %d", z.Visible, plain.Visible))
-			}
-			// The model's ratio parameter is the total v1-to-wire shrink
-			// (columnar + deflate), which is exactly the measured charged
-			// response-volume ratio.
-			ratio := 0.0
-			if z.Metrics.ResponseBytes > 0 {
-				ratio = plain.Metrics.ResponseBytes / z.Metrics.ResponseBytes
-			}
-			model := costmodel.Model{Net: net, Tree: scen}.PredictCompressed(
-				costmodel.MLE, costmodel.Strategy(strat), ratio)
-			fmt.Printf("  %-10s resp %8.0f KiB -> %6.0f KiB (%5.1fx, %d frames deflated)  T %8.2fs -> %7.2fs (%7.2fs)\n",
-				strat.String(), plain.Metrics.ResponseBytes/1024, z.Metrics.ResponseBytes/1024,
-				ratio, z.Metrics.CompressedFrames,
-				plain.Metrics.TotalSec(), z.Metrics.TotalSec(), model.TotalSec)
-		}
-	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Prepared statements vs SQL text
-
-func runPreparedComparison() {
-	fmt.Println("Prepared statements — the per-node expand is prepared once per session and")
-	fmt.Println("executed by handle + parameters; with level batching the request volume of a")
-	fmt.Println("navigational MLE collapses. (δ=9/β=3 and δ=3/β=9, 256 kbit/s / 150 ms, early eval.)")
-	fmt.Println()
-	link := pdmtune.LinkOf(costmodel.PaperNetworks()[0])
-	for scenIdx, scen := range costmodel.PaperScenarios()[:2] {
-		fmt.Printf("Scenario %s\n", scen.Name)
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		text, err := runMLE(sys, prod.RootID, link, pdmtune.EarlyEval, true, false)
-		if err != nil {
-			fail(err)
-		}
-		prep, err := runMLE(sys, prod.RootID, link, pdmtune.EarlyEval, true, true)
-		if err != nil {
-			fail(err)
-		}
-		if prep.Visible != text.Visible {
-			fail(fmt.Errorf("prepared client sees %d nodes, text client %d", prep.Visible, text.Visible))
-		}
-		fmt.Printf("  text:     rt=%-5d req=%8.0f KiB                          T=%8.2fs\n",
-			text.Metrics.RoundTrips, text.Metrics.RequestBytes/1024, text.Metrics.TotalSec())
-		fmt.Printf("  prepared: rt=%-5d req=%8.0f KiB (saved %7.0f KiB SQL)  T=%8.2fs  execs=%d\n",
-			prep.Metrics.RoundTrips, prep.Metrics.RequestBytes/1024,
-			prep.Metrics.SavedRequestBytes/1024, prep.Metrics.TotalSec(), prep.Metrics.PreparedExecs)
-	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Structure cache: cold vs warm vs post-write
-
-func runCacheComparison() {
-	fmt.Println("Structure cache — the client keeps validated expand pages keyed by (parent,")
-	fmt.Println("action) with server version stamps. A repeated MLE revalidates the whole")
-	fmt.Println("cached tree in ONE TypeValidate round trip; a check-in bumps the touched")
-	fmt.Println("objects' versions, so the next MLE re-fetches only then. (Batched early eval,")
-	fmt.Println("256 kbit/s / 150 ms; warm model estimate in parentheses.)")
-	fmt.Println()
-	net := costmodel.PaperNetworks()[0]
-	link := pdmtune.LinkOf(net)
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		fmt.Printf("Scenario %s\n", scen.Name)
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		sess, err := sys.Open(
-			pdmtune.WithLink(link),
-			pdmtune.WithUser(pdmtune.DefaultUser("sim")),
-			pdmtune.WithStrategy(pdmtune.EarlyEval),
-			pdmtune.WithBatching(true),
-			pdmtune.WithCache(1<<20),
-		)
-		if err != nil {
-			fail(err)
-		}
-		ctx := context.Background()
-		cold, err := sess.MultiLevelExpand(ctx, prod.RootID)
-		if err != nil {
-			fail(err)
-		}
-		warm, err := sess.MultiLevelExpand(ctx, prod.RootID)
-		if err != nil {
-			fail(err)
-		}
-		if warm.Visible != cold.Visible {
-			fail(fmt.Errorf("warm MLE sees %d nodes, cold %d", warm.Visible, cold.Visible))
-		}
-		// A write from another session stales the cached subtree: the
-		// next MLE detects it through the validate exchange and re-fetches.
-		writer, err := sys.Open(pdmtune.WithLink(link), pdmtune.WithUser(pdmtune.DefaultUser("writer")))
-		if err != nil {
-			fail(err)
-		}
-		if _, err := writer.CheckOutViaProcedure(ctx, prod.RootID); err != nil {
-			fail(err)
-		}
-		stale, err := sess.MultiLevelExpand(ctx, prod.RootID)
-		if err != nil {
-			fail(err)
-		}
-		if _, err := writer.CheckInViaProcedure(ctx, prod.RootID); err != nil {
-			fail(err)
-		}
-		if err := writer.Close(); err != nil {
-			fail(err)
-		}
-		if err := sess.Close(); err != nil {
-			fail(err)
-		}
-		model := costmodel.Model{Net: net, Tree: scen}.PredictCached(costmodel.MLE, costmodel.EarlyEval, true)
-		fmt.Printf("  cold:       rt=%-5d vol=%8.0f KiB  T=%8.2fs\n",
-			cold.Metrics.RoundTrips, cold.Metrics.VolumeBytes()/1024, cold.Metrics.TotalSec())
-		fmt.Printf("  warm:       rt=%-5d vol=%8.0f KiB  T=%8.2fs (%5.2fs)  hits=%d validate_rt=%d saved_rt=%d\n",
-			warm.Metrics.RoundTrips, warm.Metrics.VolumeBytes()/1024, warm.Metrics.TotalSec(),
-			model.TotalSec, warm.Metrics.CacheHits, warm.Metrics.ValidateRoundTrips, warm.Metrics.SavedRoundTrips)
-		fmt.Printf("  post-write: rt=%-5d vol=%8.0f KiB  T=%8.2fs  (staleness detected, re-fetched)\n",
-			stale.Metrics.RoundTrips, stale.Metrics.VolumeBytes()/1024, stale.Metrics.TotalSec())
-	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable metrics (-json)
-
-// jsonRecord is one measured configuration in the -json output, stable
-// field names for benchmark trajectory tracking.
-type jsonRecord struct {
-	Scenario           string  `json:"scenario"`
-	Action             string  `json:"action"`
-	Strategy           string  `json:"strategy"`
-	Batched            bool    `json:"batched"`
-	Prepared           bool    `json:"prepared"`
-	Cached             bool    `json:"cached"`
-	Warm               bool    `json:"warm"`
-	Columnar           bool    `json:"columnar"`
-	Compressed         bool    `json:"compressed"`
-	Visible            int     `json:"visible"`
-	RoundTrips         int     `json:"round_trips"`
-	Statements         int     `json:"statements"`
-	PreparedExecs      int     `json:"prepared_execs"`
-	CacheHits          int     `json:"cache_hits"`
-	CacheMisses        int     `json:"cache_misses"`
-	ValidateRoundTrips int     `json:"validate_round_trips"`
-	SavedRoundTrips    int     `json:"saved_round_trips"`
-	CompressedFrames   int     `json:"compressed_frames"`
-	RequestBytes       float64 `json:"request_bytes"`
-	ResponseBytes      float64 `json:"response_bytes"`
-	SavedRequestBytes  float64 `json:"saved_request_bytes"`
-	ResponseBytesSaved float64 `json:"response_bytes_saved"`
-	SimulatedSec       float64 `json:"simulated_sec"`
-}
-
-// record converts one measured action result into a jsonRecord.
-func record(scen costmodel.Tree, strat pdmtune.Strategy, res *pdmtune.ActionResult,
-	batched, prepared, cached, warm, columnar, compressed bool) jsonRecord {
-	return jsonRecord{
-		Scenario:           scen.Name,
-		Action:             pdmtune.MLE.String(),
-		Strategy:           strat.String(),
-		Batched:            batched,
-		Prepared:           prepared,
-		Cached:             cached,
-		Warm:               warm,
-		Columnar:           columnar,
-		Compressed:         compressed,
-		CompressedFrames:   res.Metrics.CompressedFrames,
-		ResponseBytesSaved: res.Metrics.ResponseBytesSaved,
-		Visible:            res.Visible,
-		RoundTrips:         res.Metrics.RoundTrips,
-		Statements:         res.Metrics.Statements,
-		PreparedExecs:      res.Metrics.PreparedExecs,
-		CacheHits:          res.Metrics.CacheHits,
-		CacheMisses:        res.Metrics.CacheMisses,
-		ValidateRoundTrips: res.Metrics.ValidateRoundTrips,
-		SavedRoundTrips:    res.Metrics.SavedRoundTrips,
-		RequestBytes:       res.Metrics.RequestBytes,
-		ResponseBytes:      res.Metrics.ResponseBytes,
-		SavedRequestBytes:  res.Metrics.SavedRequestBytes,
-		SimulatedSec:       res.Metrics.TotalSec(),
-	}
-}
-
-// runJSON measures every strategy and wire mode on the paper's MLE
-// workload (first network profile) and emits one JSON array on stdout.
-// withCompressed additionally measures each strategy through the
-// negotiated columnar+deflate encodings.
-func runJSON(withCompressed bool) {
-	link := pdmtune.LinkOf(costmodel.PaperNetworks()[0])
-	var records []jsonRecord
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		sys := pdmtune.NewSystem(nil)
-		prod, err := loadScenario(sys, scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		for _, strat := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
-			modes := [][2]bool{{false, false}}
-			if strat != pdmtune.Recursive {
-				modes = append(modes, [2]bool{true, false}, [2]bool{true, true})
-			}
-			for _, m := range modes {
-				res, err := runMLE(sys, prod.RootID, link, strat, m[0], m[1])
-				if err != nil {
-					fail(err)
-				}
-				records = append(records, record(scen, strat, res, m[0], m[1], false, false, false, false))
-			}
-			if withCompressed {
-				batched := strat != pdmtune.Recursive
-				res, err := runMLE(sys, prod.RootID, link, strat, batched, false,
-					pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true))
-				if err != nil {
-					fail(err)
-				}
-				records = append(records, record(scen, strat, res, batched, false, false, false, true, true))
-			}
-			// Cached pair: the same session runs the MLE cold (fills the
-			// cache) and warm (one validate round trip).
-			batched := strat != pdmtune.Recursive
-			sess, err := sys.Open(
-				pdmtune.WithLink(link),
-				pdmtune.WithUser(pdmtune.DefaultUser("sim")),
-				pdmtune.WithStrategy(strat),
-				pdmtune.WithBatching(batched),
-				pdmtune.WithCache(1<<20),
-			)
-			if err != nil {
-				fail(err)
-			}
-			cold, err := sess.MultiLevelExpand(context.Background(), prod.RootID)
-			if err != nil {
-				fail(err)
-			}
-			warm, err := sess.MultiLevelExpand(context.Background(), prod.RootID)
-			if err != nil {
-				fail(err)
-			}
-			if err := sess.Close(); err != nil {
-				fail(err)
-			}
-			records = append(records,
-				record(scen, strat, cold, batched, false, true, false, false, false),
-				record(scen, strat, warm, batched, false, true, true, false, false))
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		fail(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Multi-site topology: replica reads vs primary reads
-
-// siteOutcome is one site's measured traffic in a topology run.
-type siteOutcome struct {
-	scen      costmodel.Tree
-	site      string
-	link      string
-	syncStats pdmtune.SyncStats
-	syncM     pdmtune.Metrics // the site meter: replication pulls on the WAN
-	cold      *pdmtune.ActionResult
-	repeat    *pdmtune.ActionResult
-	wan       pdmtune.Metrics // the sessions' write-path traffic
-	// Partial replication (-subscribe): the effective coverage fraction,
-	// one MLE outside the subscription (which falls through to the
-	// primary) and its charged fall-through round trips.
-	coverage    float64
-	outProbe    *pdmtune.ActionResult
-	fallThrough int
-}
-
-// runSites builds one cluster per paper scenario with n replica sites
-// (WAN links rotating over the paper's network profiles), syncs each
-// site once, and measures a recursive MLE at every site — cold and
-// repeated — plus the per-site sync volume. With subscribe > 0 each
-// site subscribes to ceil(subscribe·β) of the root's subtrees before
-// its first sync: the pull ships only the subscription closure (stamps
-// stay full), the measured MLEs target a subscribed subtree, and one
-// extra MLE targets an unsubscribed subtree to exercise fall-through.
-func runSites(n int, staleness time.Duration, subscribe float64) []siteOutcome {
-	ctx := context.Background()
-	var out []siteOutcome
-	for scenIdx, scen := range costmodel.PaperScenarios() {
-		nets := costmodel.PaperNetworks()
-		var cfgs []pdmtune.SiteConfig
-		for i := 0; i < n; i++ {
-			cfgs = append(cfgs, pdmtune.SiteConfig{
-				Name: fmt.Sprintf("site%d", i+1),
-				Link: pdmtune.LinkOf(nets[i%len(nets)]),
-			})
-		}
-		cl, err := pdmtune.NewCluster(nil, cfgs...)
-		if err != nil {
-			fail(err)
-		}
-		prod, err := loadScenario(cl.Primary(), scen, int64(scenIdx+1))
-		if err != nil {
-			fail(err)
-		}
-		children := prod.Nodes[prod.RootID].Children
-		subscribed, coverage := 0, 0.0
-		target := prod.RootID
-		if subscribe > 0 && len(children) > 1 {
-			subscribed = int(math.Ceil(subscribe * float64(len(children))))
-			if subscribed >= len(children) {
-				subscribed = len(children) - 1 // keep one subtree out for the probe
-			}
-			coverage = float64(subscribed) / float64(len(children))
-			target = children[0]
-			for _, cfg := range cfgs {
-				if err := cl.Subscribe(cfg.Name, children[:subscribed]...); err != nil {
-					fail(err)
-				}
-			}
-		}
-		for _, cfg := range cfgs {
-			stats, err := cl.SyncSite(ctx, cfg.Name)
-			if err != nil {
-				fail(err)
-			}
-			opts := []pdmtune.Option{
-				pdmtune.WithUser(pdmtune.DefaultUser("sim")),
-				pdmtune.WithStrategy(pdmtune.Recursive),
-			}
-			if staleness >= 0 {
-				opts = append(opts, pdmtune.WithMaxStaleness(staleness))
-			}
-			sess, err := cl.OpenAt(ctx, cfg.Name, opts...)
-			if err != nil {
-				fail(err)
-			}
-			cold, err := sess.MultiLevelExpand(ctx, target)
-			if err != nil {
-				fail(err)
-			}
-			repeat, err := sess.MultiLevelExpand(ctx, target)
-			if err != nil {
-				fail(err)
-			}
-			o := siteOutcome{
-				scen: scen, site: cfg.Name, link: cfg.Link.Name,
-				syncStats: stats,
-				cold:      cold, repeat: repeat,
-				coverage: coverage,
-				// wan is captured before the out-of-subscription probe, so
-				// it shows the in-subscription reads' WAN cost: zero.
-				wan: sess.WANMetrics(),
-			}
-			if subscribed > 0 {
-				probe, err := sess.MultiLevelExpand(ctx, children[len(children)-1])
-				if err != nil {
-					fail(err)
-				}
-				o.outProbe = probe
-				o.fallThrough = sess.WANMetrics().FallThroughRoundTrips
-			}
-			site, _ := cl.Site(cfg.Name)
-			o.syncM = site.Metrics()
-			out = append(out, o)
-			if err := sess.Close(); err != nil {
-				fail(err)
-			}
-		}
-	}
-	return out
-}
-
-func runSitesComparison(n int, staleness time.Duration, subscribe float64) {
-	fmt.Printf("Multi-site topology — %d replica sites per scenario, recursive MLE read at\n", n)
-	fmt.Println("each site over the LAN after one sync across the site's WAN link. The read")
-	fmt.Println("costs zero WAN bytes; the sync pays the row volume once per change, not once")
-	fmt.Println("per read. (PredictReplicated steady-state estimate in parentheses.)")
-	if subscribe > 0 {
-		fmt.Printf("Partial replication: each site subscribes to %.0f%% of the root's subtrees;\n", subscribe*100)
-		fmt.Println("the sync ships only the closure, and the out-of-subscription MLE falls")
-		fmt.Println("through to the primary at WAN cost.")
-	}
-	fmt.Println()
-	lanNet := costmodel.Network{Name: "LAN", PacketBytes: 4096, LatencySec: 0.0005, RateKbps: 100 * 1024}
-	var last string
-	for _, o := range runSites(n, staleness, subscribe) {
-		if o.scen.Name != last {
-			fmt.Printf("Scenario %s\n", o.scen.Name)
-			wan := costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: o.scen}.
-				Predict(costmodel.MLE, costmodel.Recursive)
-			fmt.Printf("  (primary read across the 256 kbit/s WAN: model %.2fs)\n", wan.TotalSec)
-			last = o.scen.Name
-		}
-		model := costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: o.scen}.
-			PredictReplicated(costmodel.MLE, costmodel.Recursive, lanNet, 0)
-		fmt.Printf("  %-7s sync %8.0f KiB (%6d rows) across %-22s  cold MLE %6.3fs (%6.3fs)  repeat %6.3fs  WAN read bytes: %.0f\n",
-			o.site, o.syncM.VolumeBytes()/1024, o.syncStats.Rows, o.link,
-			o.cold.Metrics.TotalSec(), model.TotalSec, o.repeat.Metrics.TotalSec(),
-			o.wan.VolumeBytes())
-		if o.outProbe != nil {
-			fmt.Printf("          coverage %.2f  shipped %d rows, skipped %d  out-of-sub MLE %6.3fs (%d fall-through rt)\n",
-				o.coverage, o.syncM.SubscribedRows, o.syncM.SkippedRows,
-				o.outProbe.Metrics.TotalSec(), o.fallThrough)
-		}
-	}
-	fmt.Println()
-}
-
-// sitesJSONRecord is one site's record in the -sites -json output.
-type sitesJSONRecord struct {
-	Scenario        string  `json:"scenario"`
-	Site            string  `json:"site"`
-	Link            string  `json:"link"`
-	SyncRoundTrips  int     `json:"sync_round_trips"`
-	SyncRows        int     `json:"sync_rows"`
-	SyncKeys        int     `json:"sync_keys"`
-	SyncBytes       float64 `json:"sync_bytes"`
-	SyncSec         float64 `json:"sync_sec"`
-	ColdRoundTrips  int     `json:"cold_round_trips"`
-	ColdSec         float64 `json:"cold_sec"`
-	WarmRoundTrips  int     `json:"warm_round_trips"`
-	WarmSec         float64 `json:"warm_sec"`
-	WANReadBytes    float64 `json:"wan_read_bytes"`
-	WANReadTrips    int     `json:"wan_read_round_trips"`
-	Visible         int     `json:"visible"`
-	EndToEndSeconds float64 `json:"end_to_end_sec"`
-	// Partial replication (-subscribe > 0).
-	Coverage              float64 `json:"coverage"`
-	SubscribedRows        int     `json:"subscribed_rows"`
-	SkippedRows           int     `json:"skipped_rows"`
-	FallThroughRoundTrips int     `json:"fall_through_round_trips"`
-	OutOfSubSec           float64 `json:"out_of_sub_sec"`
-}
-
-func runSitesJSON(n int, staleness time.Duration, subscribe float64) {
-	var records []sitesJSONRecord
-	for _, o := range runSites(n, staleness, subscribe) {
-		r := sitesJSONRecord{
-			Scenario:       o.scen.Name,
-			Site:           o.site,
-			Link:           o.link,
-			SyncRoundTrips: o.syncM.SyncRoundTrips,
-			SyncRows:       o.syncStats.Rows,
-			SyncKeys:       o.syncStats.Keys,
-			SyncBytes:      o.syncM.VolumeBytes(),
-			SyncSec:        o.syncM.TotalSec(),
-			ColdRoundTrips: o.cold.Metrics.RoundTrips,
-			ColdSec:        o.cold.Metrics.TotalSec(),
-			WarmRoundTrips: o.repeat.Metrics.RoundTrips,
-			WarmSec:        o.repeat.Metrics.TotalSec(),
-			WANReadBytes:   o.wan.VolumeBytes(),
-			WANReadTrips:   o.wan.RoundTrips,
-			Visible:        o.cold.Visible,
-			EndToEndSeconds: o.syncM.TotalSec() +
-				o.cold.Metrics.TotalSec() + o.repeat.Metrics.TotalSec(),
-			Coverage:              o.coverage,
-			SubscribedRows:        o.syncM.SubscribedRows,
-			SkippedRows:           o.syncM.SkippedRows,
-			FallThroughRoundTrips: o.fallThrough,
-		}
-		if o.outProbe != nil {
-			r.OutOfSubSec = o.outProbe.Metrics.TotalSec()
-		}
-		records = append(records, r)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		fail(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Engineering-change workloads (-whereused, -eco, -report)
-
-// modeJSONRecord is one measured workload-mode run (BENCH_whereused /
-// BENCH_eco / BENCH_report records): the simulation against the model's
-// prediction, which must land within 25%.
-type modeJSONRecord struct {
-	Mode         string  `json:"mode"`
-	Scenario     string  `json:"scenario"`
-	Chain        int     `json:"chain,omitempty"`
-	Rows         int     `json:"rows,omitempty"`
-	Affected     int     `json:"affected,omitempty"`
-	Updated      int     `json:"updated,omitempty"`
-	Conflicts    int     `json:"conflicts,omitempty"`
-	RoundTrips   int     `json:"round_trips"`
-	MeasuredSec  float64 `json:"measured_sec"`
-	PredictedSec float64 `json:"predicted_sec"`
-	ErrorPct     float64 `json:"error_pct"`
-}
-
-// ecWorkload generates the engineering-change benchmark product (δ=5,
-// β=4 — deterministic visibility so chain lengths are exact) and returns
-// the system, its ground truth and the deepest visible component.
-func ecWorkload() (*pdmtune.System, *pdmtune.Product, int64) {
-	sys := pdmtune.NewSystem(nil)
-	prod, err := sys.LoadProduct(pdmtune.ProductConfig{Depth: 5, Branch: 4, Sigma: 0.75, Seed: 11})
-	if err != nil {
-		fail(err)
-	}
-	part := int64(0)
-	for id, n := range prod.Nodes {
-		if n.Type == "comp" && n.Visible && n.Level == prod.Config.Depth && (part == 0 || id < part) {
-			part = id
-		}
-	}
-	if part == 0 {
-		fail(fmt.Errorf("no visible leaf component in the generated product"))
-	}
-	return sys, prod, part
-}
-
-// checkAccuracy verifies the model prediction is within 25% of the
-// simulation and returns the signed error percentage.
-func checkAccuracy(mode string, measured, predicted float64) float64 {
-	errPct := (measured - predicted) / predicted * 100
-	if errPct > 25 || errPct < -25 {
-		fail(fmt.Errorf("%s: model %.2fs vs simulated %.2fs (%.1f%% off, bar is 25%%)", mode, predicted, measured, errPct))
-	}
-	return errPct
-}
-
-func emitMode(jsonOut bool, rec modeJSONRecord, lines func()) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode([]modeJSONRecord{rec}); err != nil {
-			fail(err)
+		if err := enc.Encode(all); err != nil {
+			fmt.Fprintln(stderr, "pdmbench:", err)
+			return 1
 		}
-		return
 	}
-	lines()
+	return 0
 }
 
-func runWhereUsed(jsonOut bool) {
-	net := costmodel.PaperNetworks()[0]
-	sys, prod, part := ecWorkload()
-	sess, err := sys.Open(
-		pdmtune.WithLink(pdmtune.LinkOf(net)),
-		pdmtune.WithUser(pdmtune.DefaultUser("ec")),
-	)
-	if err != nil {
-		fail(err)
-	}
-	defer sess.Close()
-	res, err := sess.WhereUsed(context.Background(), part)
-	if err != nil {
-		fail(err)
-	}
-	chain := prod.Nodes[part].Level // one ancestor per level above the part
-	if res.Visible != chain {
-		fail(fmt.Errorf("where-used found %d ancestors, ground truth has %d", res.Visible, chain))
-	}
-	scen := costmodel.Tree{Depth: prod.Config.Depth, Branch: prod.Config.Branch, Sigma: prod.Config.Sigma}
-	predicted := costmodel.Model{Net: net, Tree: scen}.PredictWhereUsed(chain).TotalSec
-	measured := res.Metrics.TotalSec()
-	errPct := checkAccuracy("where-used", measured, predicted)
-	emitMode(jsonOut, modeJSONRecord{
-		Mode: "where-used", Scenario: scen.Name, Chain: chain,
-		RoundTrips: res.Metrics.RoundTrips, MeasuredSec: measured,
-		PredictedSec: predicted, ErrorPct: errPct,
-	}, func() {
-		fmt.Println("Where-used — inverse traversal from the deepest component (δ=5, β=4,")
-		fmt.Println("256 kbit/s / 150 ms): one upward level query per ancestor level plus one")
-		fmt.Println("set-oriented record fetch; model prediction in parentheses.")
-		fmt.Printf("  chain=%d ancestors  rt=%d  T=%.2fs (%.2fs, %+.1f%%)\n\n",
-			chain, res.Metrics.RoundTrips, measured, predicted, errPct)
-	})
-}
-
-func runECO(jsonOut bool) {
-	net := costmodel.PaperNetworks()[0]
-	sys, prod, part := ecWorkload()
-	ctx := context.Background()
-	sess, err := sys.Open(
-		pdmtune.WithLink(pdmtune.LinkOf(net)),
-		pdmtune.WithUser(pdmtune.DefaultUser("ec")),
-	)
-	if err != nil {
-		fail(err)
-	}
-	defer sess.Close()
-	res, err := sess.ECOPropagate(ctx, part, "revised")
-	if err != nil {
-		fail(err)
-	}
-	chain := prod.Nodes[part].Level
-	if len(res.Affected) != chain || res.Conflicts != 0 || res.Updated != chain+1 {
-		fail(fmt.Errorf("ECO touched %d of %d affected assemblies (%d conflicts), expected a clean %d",
-			res.Updated, len(res.Affected), res.Conflicts, chain+1))
-	}
-	// The conflict interaction: an ancestor checked out by another user
-	// keeps its state, and the ECO reports it instead of updating it.
-	holder, err := sys.Open(pdmtune.WithLink(pdmtune.LinkOf(net)), pdmtune.WithUser(pdmtune.DefaultUser("holder")))
-	if err != nil {
-		fail(err)
-	}
-	defer holder.Close()
-	if _, err := holder.CheckOutViaProcedure(ctx, res.Affected[0]); err != nil {
-		fail(err)
-	}
-	contested, err := sess.ECOPropagate(ctx, part, "frozen")
-	if err != nil {
-		fail(err)
-	}
-	if contested.Conflicts == 0 {
-		fail(fmt.Errorf("ECO against a checked-out ancestor reported no conflicts"))
-	}
-	scen := costmodel.Tree{Depth: prod.Config.Depth, Branch: prod.Config.Branch, Sigma: prod.Config.Sigma}
-	predicted := costmodel.Model{Net: net, Tree: scen}.PredictECO(chain).TotalSec
-	measured := res.Metrics.TotalSec()
-	errPct := checkAccuracy("eco", measured, predicted)
-	emitMode(jsonOut, modeJSONRecord{
-		Mode: "eco", Scenario: scen.Name, Chain: chain,
-		Affected: len(res.Affected), Updated: res.Updated, Conflicts: contested.Conflicts,
-		RoundTrips: res.Metrics.RoundTrips, MeasuredSec: measured,
-		PredictedSec: predicted, ErrorPct: errPct,
-	}, func() {
-		fmt.Println("ECO propagation — touch the deepest component, revalidate its where-used")
-		fmt.Println("closure with check-out-conditional updates (δ=5, β=4, 256 kbit/s / 150 ms);")
-		fmt.Println("model prediction in parentheses.")
-		fmt.Printf("  chain=%d  updated=%d  rt=%d  T=%.2fs (%.2fs, %+.1f%%)\n", chain, res.Updated,
-			res.Metrics.RoundTrips, measured, predicted, errPct)
-		fmt.Printf("  with a checked-out ancestor: %d conflict(s) reported, state kept\n\n", contested.Conflicts)
-	})
-}
-
-func runReport(jsonOut bool) {
-	net := costmodel.PaperNetworks()[0]
-	sys, prod, _ := ecWorkload()
-	sess, err := sys.Open(
-		pdmtune.WithLink(pdmtune.LinkOf(net)),
-		pdmtune.WithUser(pdmtune.DefaultUser("ec")),
-	)
-	if err != nil {
-		fail(err)
-	}
-	defer sess.Close()
-	res, err := sess.Report(context.Background(), prod.Config.ProdID)
-	if err != nil {
-		fail(err)
-	}
-	rows := prod.AllNodes() + 1
-	if res.Assemblies+res.Components != rows {
-		fail(fmt.Errorf("report scanned %d nodes, product has %d", res.Assemblies+res.Components, rows))
-	}
-	scen := costmodel.Tree{Depth: prod.Config.Depth, Branch: prod.Config.Branch, Sigma: prod.Config.Sigma}
-	predicted := costmodel.Model{Net: net, Tree: scen}.PredictReport(rows).TotalSec
-	measured := res.Metrics.TotalSec()
-	errPct := checkAccuracy("report", measured, predicted)
-	emitMode(jsonOut, modeJSONRecord{
-		Mode: "report", Scenario: scen.Name, Rows: rows,
-		RoundTrips: res.Metrics.RoundTrips, MeasuredSec: measured,
-		PredictedSec: predicted, ErrorPct: errPct,
-	}, func() {
-		fmt.Println("Bulk reporting scan — per-product aggregates from two set-oriented scans")
-		fmt.Println("(δ=5, β=4, 256 kbit/s / 150 ms); model prediction in parentheses.")
-		fmt.Printf("  %d nodes (%d assy + %d comp, %d checked out, weight %.1f)  rt=%d  T=%.2fs (%.2fs, %+.1f%%)\n\n",
-			rows, res.Assemblies, res.Components, res.CheckedOut, res.TotalWeight,
-			res.Metrics.RoundTrips, measured, predicted, errPct)
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Check-out comparison (Section 6)
-
-func runCheckout() {
-	fmt.Println("Check-out comparison (Section 6) — δ=4, β=4, σ=0.5, 256 kbit/s / 150 ms")
-	sys := pdmtune.NewSystem(nil)
-	prod, err := sys.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 4, Sigma: 0.5, Seed: 3})
-	if err != nil {
-		fail(err)
-	}
-	link := pdmtune.Intercontinental()
-	ctx := context.Background()
-	type mode struct {
-		name string
-		run  func(s *pdmtune.Session) (*pdmtune.CheckOutResult, error)
-		str  pdmtune.Strategy
-	}
-	modes := []mode{
-		{"navigational (early eval)", func(s *pdmtune.Session) (*pdmtune.CheckOutResult, error) {
-			return s.CheckOut(ctx, prod.RootID)
-		}, pdmtune.EarlyEval},
-		{"recursive + updates", func(s *pdmtune.Session) (*pdmtune.CheckOutResult, error) {
-			return s.CheckOut(ctx, prod.RootID)
-		}, pdmtune.Recursive},
-		{"stored procedure", func(s *pdmtune.Session) (*pdmtune.CheckOutResult, error) {
-			return s.CheckOutViaProcedure(ctx, prod.RootID)
-		}, pdmtune.Recursive},
-	}
-	for i, m := range modes {
-		sess, err := sys.Open(
-			pdmtune.WithLink(link),
-			pdmtune.WithUser(pdmtune.DefaultUser(fmt.Sprintf("user%d", i))),
-			pdmtune.WithStrategy(m.str),
-		)
-		if err != nil {
-			fail(err)
+func usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintln(w, "usage: pdmbench <mode> [flags]")
+	fmt.Fprintln(w, "\nmodes:")
+	for _, m := range modes {
+		line := fmt.Sprintf("  %-10s %s", m.name, m.about)
+		if len(m.params) > 0 {
+			line += " [-" + strings.Join(m.params, " -") + "]"
 		}
-		res, err := m.run(sess)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  %-28s granted=%-5v updated=%-5d rt=%-5d T=%8.2fs\n",
-			m.name, res.Granted, res.Updated, res.Metrics.RoundTrips, res.Metrics.TotalSec())
-		if _, err := sess.CheckInViaProcedure(ctx, prod.RootID); err != nil {
-			fail(err)
-		}
-		if err := sess.Close(); err != nil {
-			fail(err)
-		}
+		fmt.Fprintln(w, line)
 	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Ablations
-
-func runAblation() {
-	fmt.Println("Ablation 1 — packet size sweep (δ=9, β=3, σ=0.6, 256 kbit/s / 150 ms, MLE)")
-	tree := costmodel.PaperScenarios()[1]
-	for _, packet := range []float64{512, 1024, 4096, 16384} {
-		net := costmodel.Network{PacketBytes: packet, LatencySec: 0.15, RateKbps: 256}
-		late := costmodel.Model{Net: net, Tree: tree}.Predict(costmodel.MLE, costmodel.LateEval)
-		rec := costmodel.Model{Net: net, Tree: tree}.Predict(costmodel.MLE, costmodel.Recursive)
-		fmt.Printf("  packet=%6.0fB  late=%8.2fs  recursive=%6.2fs  saving=%.2f%%\n",
-			packet, late.TotalSec, rec.TotalSec, costmodel.SavingPct(late, rec))
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation 2 — σ sweep (δ=9, β=3, 256 kbit/s / 150 ms, MLE savings)")
-	for _, sigma := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		t := costmodel.Tree{Depth: 9, Branch: 3, Sigma: sigma}
-		net := costmodel.PaperNetworks()[0]
-		late := costmodel.Model{Net: net, Tree: t}.Predict(costmodel.MLE, costmodel.LateEval)
-		early := costmodel.Model{Net: net, Tree: t}.Predict(costmodel.MLE, costmodel.EarlyEval)
-		rec := costmodel.Model{Net: net, Tree: t}.Predict(costmodel.MLE, costmodel.Recursive)
-		fmt.Printf("  σ=%.1f  late=%9.2fs  early=%9.2fs (%5.2f%%)  recursive=%7.2fs (%5.2f%%)\n",
-			sigma, late.TotalSec, early.TotalSec, costmodel.SavingPct(late, early),
-			rec.TotalSec, costmodel.SavingPct(late, rec))
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation 3 — paper packet accounting vs exact bytes (simulated, δ=3, β=9, MLE)")
-	sys := pdmtune.NewSystem(nil)
-	prod, err := sys.LoadProduct(pdmtune.ProductConfig{
-		Depth: 3, Branch: 9, Sigma: 0.6, Seed: 1, RandomVisibility: true,
-	})
-	if err != nil {
-		fail(err)
-	}
-	for _, exact := range []bool{false, true} {
-		link := pdmtune.Intercontinental()
-		link.ExactBytes = exact
-		for _, strat := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.Recursive} {
-			sess, err := sys.Open(
-				pdmtune.WithLink(link),
-				pdmtune.WithUser(pdmtune.DefaultUser("abl")),
-				pdmtune.WithStrategy(strat),
-			)
-			if err != nil {
-				fail(err)
-			}
-			res, err := sess.Run(context.Background(), pdmtune.MLE, prod.RootID)
-			if err != nil {
-				fail(err)
-			}
-			if err := sess.Close(); err != nil {
-				fail(err)
-			}
-			name := "paper-packets"
-			if exact {
-				name = "exact-bytes"
-			}
-			fmt.Printf("  %-14s %-10s T=%8.2fs vol=%8.0f KiB\n",
-				name, strat.String(), res.Metrics.TotalSec(), res.Metrics.VolumeBytes()/1024)
-		}
-	}
-	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// Failover (-failover)
-
-// failoverJSONRecord is the BENCH_failover.json record: one measured
-// kill-the-primary run.
-type failoverJSONRecord struct {
-	Scenario         string  `json:"scenario"`
-	Sites            int     `json:"sites"`
-	WritesAcked      int     `json:"writes_acked"`
-	WritesRefused    int     `json:"writes_refused_primaryless"`
-	TimeToRecoverSec float64 `json:"time_to_recover_sec"`
-	LostAckedWrites  int     `json:"lost_acked_writes"`
-	DumpsConverged   bool    `json:"dumps_converged"`
-	FencingTerm      uint64  `json:"fencing_term"`
-	HealthProbes     int     `json:"health_probes"`
-	ProbeFailures    int     `json:"probe_failures"`
-}
-
-// runFailover builds a two-replica cluster, drives check-out/check-in
-// traffic from a replica session, kills the primary's transport, and
-// measures the health-checked failover: how long until a write commits
-// again, how many writes were structurally refused while the cluster
-// was primary-less, and — after the old primary rejoins — that no
-// acknowledged write was lost anywhere.
-func runFailover(jsonOut bool) {
-	cl, err := pdmtune.NewCluster(nil,
-		pdmtune.SiteConfig{Name: "munich"}, pdmtune.SiteConfig{Name: "tokyo"})
-	if err != nil {
-		fail(err)
-	}
-	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 3, Sigma: 0.7, Seed: 42})
-	if err != nil {
-		fail(err)
-	}
-	ctx := context.Background()
-	if err := cl.SyncAll(ctx); err != nil {
-		fail(err)
-	}
-	plan := &netsim.FaultPlan{}
-	cl.SetTransportWrapper(func(target string, tr pdmtune.Transport) pdmtune.Transport {
-		if target == pdmtune.PrimarySite {
-			return netsim.NewFaultInjector(tr, plan)
-		}
-		return tr
-	})
-	sess, err := cl.OpenAt(ctx, "munich")
-	if err != nil {
-		fail(err)
-	}
-	defer sess.Close()
-	ck := cl.WatchPrimary(pdmtune.HealthConfig{Threshold: 3})
-
-	acked := 0
-	// cycle runs one check-out/check-in pair, counting each granted op
-	// as one acknowledged write. A pair left half-done by an outage is
-	// completed by the next call: the re-checkout is denied (the user
-	// still holds the subtree) and the check-in releases it.
-	cycle := func() error {
-		res, err := sess.CheckOut(ctx, prod.RootID)
-		if err != nil {
-			return err
-		}
-		if res.Granted {
-			acked++
-		}
-		res, err = sess.CheckIn(ctx, prod.RootID)
-		if err != nil {
-			return err
-		}
-		if res.Granted {
-			acked++
-		}
-		return nil
-	}
-	for i := 0; i < 5; i++ {
-		if err := cycle(); err != nil {
-			fail(err)
-		}
-	}
-
-	// Kill the primary's transport and keep writing. Every refusal is a
-	// structured error (never a silent drop); each one drives a health
-	// probe, so after Threshold failed probes the checker auto-promotes
-	// the best replica and the next write lands on the new primary.
-	plan.Kill()
-	killedAt := time.Now()
-	refused := 0
-	recoverSec := float64(0)
-	for {
-		if err := cycle(); err != nil {
-			refused++
-			ck.CheckNow(ctx)
-			if refused > 1000 {
-				fail(fmt.Errorf("no recovery after %d refused writes: %w", refused, err))
-			}
-			continue
-		}
-		recoverSec = time.Since(killedAt).Seconds()
-		break
-	}
-	for i := 0; i < 5; i++ {
-		if err := cycle(); err != nil {
-			fail(err)
-		}
-	}
-
-	// The dead primary comes back and rejoins as a replica; after one
-	// full sync round every database must agree, and every acknowledged
-	// check-in must have survived (no subtree left checked out).
-	plan.Revive()
-	if _, err := cl.Rejoin(ctx); err != nil {
-		fail(err)
-	}
-	if err := cl.SyncAll(ctx); err != nil {
-		fail(err)
-	}
-	dump := func(site string) string {
-		s, err := cl.OpenAt(ctx, site)
-		if err != nil {
-			fail(err)
-		}
-		defer s.Close()
-		var b strings.Builder
-		for _, table := range []string{"assy", "comp", "link"} {
-			resp, err := s.Exec(ctx, "SELECT * FROM "+table)
-			if err != nil {
-				fail(err)
-			}
-			lines := make([]string, 0, len(resp.Rows))
-			for _, row := range resp.Rows {
-				parts := make([]string, len(row))
-				for j, v := range row {
-					parts[j] = v.String()
-				}
-				lines = append(lines, table+"|"+strings.Join(parts, "|"))
-			}
-			sort.Strings(lines)
-			b.WriteString(strings.Join(lines, "\n"))
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	primaryName := cl.PrimaryName()
-	want := dump(primaryName)
-	converged := true
-	for _, site := range cl.SiteNames() {
-		if site != primaryName && dump(site) != want {
-			converged = false
-		}
-	}
-	lost := 0
-	{
-		s, err := cl.OpenAt(ctx, primaryName)
-		if err != nil {
-			fail(err)
-		}
-		defer s.Close()
-		for _, table := range []string{"assy", "comp"} {
-			resp, err := s.Exec(ctx, "SELECT obid FROM "+table+" WHERE checkedout = TRUE")
-			if err != nil {
-				fail(err)
-			}
-			lost += len(resp.Rows)
-		}
-	}
-	hm := cl.HealthMetrics()
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode([]failoverJSONRecord{{
-			Scenario:         "kill-primary",
-			Sites:            len(cl.SiteNames()),
-			WritesAcked:      acked,
-			WritesRefused:    refused,
-			TimeToRecoverSec: recoverSec,
-			LostAckedWrites:  lost,
-			DumpsConverged:   converged,
-			FencingTerm:      cl.Term(),
-			HealthProbes:     hm.HealthProbes,
-			ProbeFailures:    hm.ProbeFailures,
-		}}); err != nil {
-			fail(err)
-		}
-		if lost != 0 || !converged {
-			fail(fmt.Errorf("failover lost %d acknowledged writes (converged=%v)", lost, converged))
-		}
-		return
-	}
-	fmt.Println("Failover — primary killed under check-out/check-in traffic (δ=4, β=3, 2 sites)")
-	fmt.Printf("  new primary %q at fencing term %d after %d health probes (%d failed)\n",
-		primaryName, cl.Term(), hm.HealthProbes, hm.ProbeFailures)
-	fmt.Printf("  writes acknowledged: %d   refused while primary-less: %d   lost: %d\n",
-		acked, refused, lost)
-	fmt.Printf("  time to recover (kill -> first committed write): %.3fs\n", recoverSec)
-	fmt.Printf("  databases converged after rejoin: %v\n", converged)
-	fmt.Println()
-	if lost != 0 || !converged {
-		fail(fmt.Errorf("failover lost %d acknowledged writes (converged=%v)", lost, converged))
-	}
+	fmt.Fprintf(w, "  %-10s every mode above, in that order\n", "all")
+	fmt.Fprintln(w, "\nflags:")
+	fs.PrintDefaults()
 }

@@ -2,73 +2,31 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"pdmtune"
-	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/netsim"
 )
 
-// The -users mode drives N concurrent sessions through a mixed PDM
-// workload — multi-level expands, first-wins check-out/check-in races,
-// and small part updates — over a shared connection pool, against the
-// real engine. The run proves correctness under concurrency: every
-// op's wall latency is measured, contention counters flow up from the
-// engine, the final database must equal a serial replay of the same
-// mutations on a freshly seeded system, and no row may be left checked
-// out. The headline fine-vs-coarse locking comparison comes from the
-// deterministic netsim contention model at a configurable core count
-// (the host running the bench — often a one-core CI box — cannot
-// demonstrate an 8-core server's convoy), while -coarse reruns the
-// real workload on the single database-wide RWMutex for the ablation.
-
-// usersModel is the DES side of the report.
-type usersModel struct {
-	Cores            int     `json:"cores"`
-	FineMakespanMs   float64 `json:"fine_makespan_ms"`
-	CoarseMakespanMs float64 `json:"coarse_makespan_ms"`
-	FineP50Ms        float64 `json:"fine_p50_ms"`
-	FineP99Ms        float64 `json:"fine_p99_ms"`
-	CoarseP50Ms      float64 `json:"coarse_p50_ms"`
-	CoarseP99Ms      float64 `json:"coarse_p99_ms"`
-	FineLockWaitMs   float64 `json:"fine_lock_wait_ms"`
-	CoarseLockWaitMs float64 `json:"coarse_lock_wait_ms"`
-	ModeledSpeedup   float64 `json:"modeled_speedup"`
-}
-
-// usersReport is the JSON record of one -users run.
-type usersReport struct {
-	Users             int        `json:"users"`
-	PoolSize          int        `json:"pool_size"`
-	OpsPerUser        int        `json:"ops_per_user"`
-	Coarse            bool       `json:"coarse"`
-	Ops               int        `json:"ops"`
-	CheckOutWins      int64      `json:"checkout_wins"`
-	CheckOutConflicts int64      `json:"checkout_conflicts"`
-	WallMs            float64    `json:"wall_ms"`
-	P50Ms             float64    `json:"p50_ms"`
-	P99Ms             float64    `json:"p99_ms"`
-	ThroughputPerSec  float64    `json:"throughput_ops_per_sec"`
-	LockWaitMs        float64    `json:"lock_wait_ms"`
-	SnapshotsStarted  int64      `json:"snapshots_started"`
-	WriteConflicts    int64      `json:"write_conflicts"`
-	DumpEqualSerial   bool       `json:"dump_equals_serial_replay"`
-	AllFlagsClear     bool       `json:"all_checkout_flags_clear"`
-	Model             usersModel `json:"model"`
-}
+// The users mode drives N concurrent sessions through a mixed workload
+// — multi-level expands, first-wins check-out/check-in races, small part
+// updates — over a shared connection pool against the real engine, and
+// checks the outcome: the final database must equal a serial replay of
+// the same mutations and no row may be left checked out. The
+// fine-vs-coarse locking comparison comes from the deterministic netsim
+// contention model at a configurable core count (a one-core CI box
+// cannot demonstrate an 8-core server's convoy).
 
 // userOp is one step of a user's scripted workload.
 type userOp struct {
 	kind  int // 0 = check-out/check-in pair, 1 = MLE, 2 = update
-	table int // update target (index into usersTables)
+	table int // update target (index into userUpdates)
 	row   int // update row selector
 }
 
@@ -78,7 +36,17 @@ const (
 	opUpdate
 )
 
-var usersTables = []string{"assy", "comp", "link", "spec", "comp2"}
+// userUpdates are the targets update ops rotate over: commutative
+// single-row writes (increments and constant sets) on four tables plus a
+// second comp column, so any interleaving — including the serial
+// replay — reaches the same final state.
+var userUpdates = []struct{ table, sql string }{
+	{"assy", "UPDATE assy SET weight = weight + 1 WHERE obid = ?"},
+	{"comp", "UPDATE comp SET weight = weight + 1 WHERE obid = ?"},
+	{"link", "UPDATE link SET eff_to = eff_to + 1 WHERE obid = ?"},
+	{"spec", "UPDATE spec SET doc = 'touched' WHERE obid = ?"},
+	{"comp", "UPDATE comp SET data = 'bench' WHERE obid = ?"},
+}
 
 // userScript returns user u's deterministic op sequence. Phases are
 // staggered by user index — real users are not lock-step — which is
@@ -92,7 +60,7 @@ func userScript(u, per int) []userOp {
 		case p%2 == 1:
 			ops = append(ops, userOp{kind: opMLE})
 		default:
-			ops = append(ops, userOp{kind: opUpdate, table: (u + i) % len(usersTables), row: u + i})
+			ops = append(ops, userOp{kind: opUpdate, table: (u + i) % len(userUpdates), row: u + i})
 		}
 	}
 	return ops
@@ -118,250 +86,207 @@ func modelOps(script []userOp) []netsim.ContendOp {
 	return ops
 }
 
-// updateSQL returns the mutation for an update op: commutative
-// single-row writes (increments and constant sets), so any
-// interleaving — including the serial replay — reaches the same final
-// state. Targets rotate over four tables plus a second comp column.
+// updateSQL returns the statement and target row of an update op.
 func updateSQL(op userOp, ids map[string][]int64) (string, int64) {
-	pick := func(table string) int64 {
-		list := ids[table]
-		return list[op.row%len(list)]
-	}
-	switch usersTables[op.table] {
-	case "assy":
-		return "UPDATE assy SET weight = weight + 1 WHERE obid = ?", pick("assy")
-	case "comp":
-		return "UPDATE comp SET weight = weight + 1 WHERE obid = ?", pick("comp")
-	case "link":
-		return "UPDATE link SET eff_to = eff_to + 1 WHERE obid = ?", pick("link")
-	case "spec":
-		return "UPDATE spec SET doc = 'touched' WHERE obid = ?", pick("spec")
-	default: // comp2
-		return "UPDATE comp SET data = 'bench' WHERE obid = ?", pick("comp")
-	}
+	up := userUpdates[op.table]
+	list := ids[up.table]
+	return up.sql, list[op.row%len(list)]
 }
+
+var usersProduct = pdmtune.ProductConfig{Depth: 3, Branch: 3, Sigma: 1.0, Seed: 42}
 
 // usersSystem seeds the bench database (one fixed product structure)
 // and collects the update-target ids.
-func usersSystem(coarse bool) (*pdmtune.System, *pdmtune.Product, map[string][]int64) {
+func usersSystem() (*pdmtune.System, *pdmtune.Product, map[string][]int64, error) {
 	sys := pdmtune.NewSystem(nil)
-	if coarse {
-		sys.DB.SetOptions(minisql.Options{CoarseLocking: true})
-	}
-	prod, err := sys.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 3, Sigma: 1.0, Seed: 42})
+	prod, err := sys.LoadProduct(usersProduct)
 	if err != nil {
-		fail(err)
+		return nil, nil, nil, err
 	}
 	ids := map[string][]int64{}
 	s := sys.DB.NewSession()
 	for _, table := range []string{"assy", "comp", "link", "spec"} {
 		res, err := s.Query("SELECT obid FROM " + table + " ORDER BY obid")
 		if err != nil {
-			fail(err)
+			return nil, nil, nil, err
 		}
 		for _, row := range res.Rows {
 			ids[table] = append(ids[table], row[0].Int())
 		}
 		if len(ids[table]) == 0 {
-			fail(fmt.Errorf("bench product has no %s rows", table))
+			return nil, nil, nil, fmt.Errorf("bench product has no %s rows", table)
 		}
 	}
-	return sys, prod, ids
+	return sys, prod, ids, nil
 }
 
-// usersDump serializes the PDM tables to one canonical string.
-func usersDump(sys *pdmtune.System) string {
-	s := sys.DB.NewSession()
-	var lines []string
-	for _, table := range []string{"assy", "comp", "link", "spec", "specified_by"} {
-		res, err := s.Query("SELECT * FROM " + table)
-		if err != nil {
-			fail(err)
-		}
-		for _, row := range res.Rows {
-			parts := []string{table}
-			for _, v := range row {
-				parts = append(parts, v.String())
-			}
-			lines = append(lines, strings.Join(parts, "|"))
-		}
+// usersState is tableState of every table the workload touches.
+func usersState(ctx context.Context, sys *pdmtune.System) (dump string, checkedOut int, err error) {
+	s, err := open(sys, pdmtune.LAN(), "audit")
+	if err != nil {
+		return "", 0, err
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	defer s.Close()
+	return tableState(ctx, s, "assy", "comp", "link", "spec", "specified_by")
+}
+
+// driveUser runs user u's script on its own session and returns the
+// session's metrics, the per-op wall latencies and the outcome of its
+// check-out races.
+func driveUser(ctx context.Context, e *env, sys *pdmtune.System, prod *pdmtune.Product, ids map[string][]int64, u int) (m pdmtune.Metrics, lat []time.Duration, wins, conflicts int, err error) {
+	sess, err := open(sys, pdmtune.LAN(), fmt.Sprintf("u%d", u),
+		pdmtune.WithPool(e.pool), pdmtune.WithStrategy(pdmtune.Recursive))
+	if err != nil {
+		return m, nil, 0, 0, err
+	}
+	defer sess.Close()
+	for _, op := range userScript(u, e.ops) {
+		t0 := time.Now()
+		switch op.kind {
+		case opCheckPair:
+			var res *pdmtune.CheckOutResult
+			res, err = sess.CheckOutViaProcedure(ctx, prod.RootID)
+			var conflict *pdmtune.ConflictError
+			switch {
+			case errors.As(err, &conflict):
+				conflicts, err = conflicts+1, nil
+			case err != nil:
+			case res.Granted:
+				wins++
+				_, err = sess.CheckInViaProcedure(ctx, prod.RootID)
+			default:
+				conflicts++ // denied by rule: the winner's flags were visible
+			}
+		case opMLE:
+			_, err = sess.MultiLevelExpand(ctx, prod.RootID)
+		default:
+			sql, obid := updateSQL(op, ids)
+			_, err = sess.Exec(ctx, sql, types.NewInt(obid))
+		}
+		if err != nil {
+			return m, nil, 0, 0, err
+		}
+		lat = append(lat, time.Since(t0))
+	}
+	return sess.Metrics(), lat, wins, conflicts, nil
 }
 
 // runUsers executes the concurrent run, the serial replay, and the
-// contention model, and prints the report (JSON with -json).
-func runUsers(users, poolSize, per int, coarse bool, cores int, jsonOut bool) {
-	if users < 1 || per < 1 {
-		fail(fmt.Errorf("-users and -ops must be positive"))
-	}
-	if poolSize < 1 {
-		poolSize = 1
-	}
+// contention model.
+func runUsers(e *env) ([]record, error) {
 	ctx := context.Background()
-	sys, prod, ids := usersSystem(coarse)
+	sys, prod, ids, err := usersSystem()
+	if err != nil {
+		return nil, err
+	}
 
-	rep := usersReport{Users: users, PoolSize: poolSize, OpsPerUser: per, Coarse: coarse}
 	var mu sync.Mutex
 	var latencies []time.Duration
 	var agg pdmtune.Metrics
+	var totalWins, totalConflicts int
+	var firstErr error
 	var wg sync.WaitGroup
-	errs := make(chan error, users)
 	begin := time.Now()
-	for u := 0; u < users; u++ {
+	for u := 0; u < e.users; u++ {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			sess, err := sys.Open(
-				pdmtune.WithLink(pdmtune.LAN()),
-				pdmtune.WithPool(poolSize),
-				pdmtune.WithUser(pdmtune.DefaultUser(fmt.Sprintf("u%d", u))),
-				pdmtune.WithStrategy(pdmtune.Recursive),
-			)
+			m, lat, wins, conflicts, err := driveUser(ctx, e, sys, prod, ids, u)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				errs <- err
+				firstErr = err
 				return
 			}
-			var lat []time.Duration
-			var wins, conflicts int64
-			for _, op := range userScript(u, per) {
-				t0 := time.Now()
-				switch op.kind {
-				case opCheckPair:
-					res, err := sess.CheckOutViaProcedure(ctx, prod.RootID)
-					var conflict *pdmtune.ConflictError
-					switch {
-					case errors.As(err, &conflict):
-						conflicts++
-					case err != nil:
-						errs <- err
-						return
-					case res.Granted:
-						wins++
-						if _, err := sess.CheckInViaProcedure(ctx, prod.RootID); err != nil {
-							errs <- err
-							return
-						}
-					default:
-						conflicts++ // denied by rule: the winner's flags were visible
-					}
-				case opMLE:
-					if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
-						errs <- err
-						return
-					}
-				default:
-					sql, obid := updateSQL(op, ids)
-					if _, err := sess.Exec(ctx, sql, types.NewInt(obid)); err != nil {
-						errs <- err
-						return
-					}
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			m := sess.Metrics()
-			mu.Lock()
 			latencies = append(latencies, lat...)
 			agg = agg.Add(m)
-			rep.CheckOutWins += wins
-			rep.CheckOutConflicts += conflicts
-			mu.Unlock()
+			totalWins += wins
+			totalConflicts += conflicts
 		}(u)
 	}
 	wg.Wait()
-	select {
-	case err := <-errs:
-		fail(err)
-	default:
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	wall := time.Since(begin)
-
-	rep.Ops = len(latencies)
-	rep.WallMs = float64(wall.Nanoseconds()) / 1e6
-	rep.ThroughputPerSec = float64(rep.Ops) / wall.Seconds()
+	ms := func(nanos int64) float64 { return float64(nanos) / 1e6 }
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		rep.P50Ms = float64(latencies[n/2].Nanoseconds()) / 1e6
-		rep.P99Ms = float64(latencies[min(n-1, n*99/100)].Nanoseconds()) / 1e6
+	n := len(latencies)
+	extra := kv{
+		"users": float64(e.users), "pool_size": float64(e.pool), "ops_per_user": float64(e.ops), "ops": float64(n),
+		"checkout_wins": float64(totalWins), "checkout_conflicts": float64(totalConflicts),
+		"wall_ms": ms(wall.Nanoseconds()), "throughput_ops_per_sec": float64(n) / wall.Seconds(),
+		"p50_ms": ms(latencies[n/2].Nanoseconds()), "p99_ms": ms(latencies[min(n-1, n*99/100)].Nanoseconds()),
 	}
-	rep.LockWaitMs = float64(agg.LockWaitNanos) / 1e6
-	rep.SnapshotsStarted = agg.SnapshotsStarted
-	rep.WriteConflicts = agg.WriteConflicts
 
 	// Invariants: every first-wins race was resolved (no row left
 	// checked out) and the committed state equals a serial replay of
 	// the same mutations on a freshly seeded system. MLEs read nothing
 	// into the dump and check-out/check-in pairs net to zero, so the
 	// replay applies just the update ops, in script order.
-	rep.AllFlagsClear = true
-	s := sys.DB.NewSession()
-	for _, table := range []string{"assy", "comp"} {
-		res, err := s.Query("SELECT COUNT(*) FROM " + table + " WHERE checkedout = TRUE")
-		if err != nil {
-			fail(err)
-		}
-		if res.Rows[0][0].Int() != 0 {
-			rep.AllFlagsClear = false
-		}
+	serial, _, serialIDs, err := usersSystem()
+	if err != nil {
+		return nil, err
 	}
-	serial, _, serialIDs := usersSystem(false)
 	ss := serial.DB.NewSession()
-	for u := 0; u < users; u++ {
-		for _, op := range userScript(u, per) {
+	for u := 0; u < e.users; u++ {
+		for _, op := range userScript(u, e.ops) {
 			if op.kind != opUpdate {
 				continue
 			}
 			sql, obid := updateSQL(op, serialIDs)
 			if _, err := ss.Exec(sql, types.NewInt(obid)); err != nil {
-				fail(err)
+				return nil, err
 			}
 		}
 	}
-	rep.DumpEqualSerial = usersDump(sys) == usersDump(serial)
+	got, checkedOut, err := usersState(ctx, sys)
+	if err != nil {
+		return nil, err
+	}
+	want, _, err := usersState(ctx, serial)
+	if err != nil {
+		return nil, err
+	}
+	extra["all_checkout_flags_clear"], extra["dump_equals_serial_replay"] = checkedOut == 0, got == want
 
 	// The modeled fine-vs-coarse comparison at the requested core count.
-	workloads := make([][]netsim.ContendOp, users)
+	workloads := make([][]netsim.ContendOp, e.users)
 	for u := range workloads {
-		workloads[u] = modelOps(userScript(u, per))
+		workloads[u] = modelOps(userScript(u, e.ops))
 	}
-	const thinkNanos = 2_000_000
-	fine := netsim.SimulateContention(netsim.ContendConfig{Cores: cores, ThinkNanos: thinkNanos, Workloads: workloads})
-	coarseRun := netsim.SimulateContention(netsim.ContendConfig{Cores: cores, Coarse: true, ThinkNanos: thinkNanos, Workloads: workloads})
-	rep.Model = usersModel{
-		Cores:            cores,
-		FineMakespanMs:   float64(fine.MakespanNanos) / 1e6,
-		CoarseMakespanMs: float64(coarseRun.MakespanNanos) / 1e6,
-		FineP50Ms:        float64(fine.P50Nanos) / 1e6,
-		FineP99Ms:        float64(fine.P99Nanos) / 1e6,
-		CoarseP50Ms:      float64(coarseRun.P50Nanos) / 1e6,
-		CoarseP99Ms:      float64(coarseRun.P99Nanos) / 1e6,
-		FineLockWaitMs:   float64(fine.LockWaitNanos) / 1e6,
-		CoarseLockWaitMs: float64(coarseRun.LockWaitNanos) / 1e6,
-		ModeledSpeedup:   float64(coarseRun.MakespanNanos) / float64(fine.MakespanNanos),
+	cfg := netsim.ContendConfig{Cores: e.cores, ThinkNanos: 2_000_000, Workloads: workloads}
+	fine := netsim.SimulateContention(cfg)
+	cfg.Coarse = true
+	coarse := netsim.SimulateContention(cfg)
+	for name, r := range map[string]netsim.ContendResult{"fine": fine, "coarse": coarse} {
+		extra["model_"+name+"_makespan_ms"] = ms(r.MakespanNanos)
+		extra["model_"+name+"_p50_ms"] = ms(r.P50Nanos)
+		extra["model_"+name+"_p99_ms"] = ms(r.P99Nanos)
+		extra["model_"+name+"_lock_wait_ms"] = ms(r.LockWaitNanos)
 	}
+	extra["model_cores"] = float64(e.cores)
+	extra["model_speedup"] = float64(coarse.MakespanNanos) / float64(fine.MakespanNanos)
+	return []record{{
+		Mode: "users", Scenario: treeName(usersProduct),
+		Config:       fmt.Sprintf("%d sessions over a %d-connection pool, %d ops each", e.users, e.pool, e.ops),
+		Metrics:      agg,
+		PredictedSec: float64(fine.MakespanNanos) / 1e9,
+		Extra:        extra,
+	}}, nil
+}
 
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fail(err)
-		}
-		return
-	}
-	lockMode := "mvcc (per-table latches, lock-free snapshot reads)"
-	if coarse {
-		lockMode = "coarse (single database-wide RWMutex)"
-	}
-	fmt.Printf("Concurrent users — %d sessions over a %d-connection pool, %s\n", users, poolSize, lockMode)
-	fmt.Printf("  ops %d  wall %.0f ms  throughput %.0f ops/s  p50 %.2f ms  p99 %.2f ms\n",
-		rep.Ops, rep.WallMs, rep.ThroughputPerSec, rep.P50Ms, rep.P99Ms)
-	fmt.Printf("  check-outs: %d won, %d lost the first-wins race\n", rep.CheckOutWins, rep.CheckOutConflicts)
-	fmt.Printf("  contention: lock wait %.1f ms, %d snapshots, %d write conflicts\n",
-		rep.LockWaitMs, rep.SnapshotsStarted, rep.WriteConflicts)
-	fmt.Printf("  dump equals serial replay: %v   all check-out flags clear: %v\n",
-		rep.DumpEqualSerial, rep.AllFlagsClear)
-	fmt.Printf("Modeled at %d cores: fine %.0f ms vs coarse %.0f ms — %.1fx speedup (p99 %.1f vs %.1f ms)\n",
-		cores, rep.Model.FineMakespanMs, rep.Model.CoarseMakespanMs, rep.Model.ModeledSpeedup,
-		rep.Model.FineP99Ms, rep.Model.CoarseP99Ms)
+func textUsers(w io.Writer, recs []record) {
+	r := recs[0]
+	fmt.Fprintf(w, "Concurrent users — %s (per-table latches, lock-free snapshot reads)\n", r.Config)
+	fmt.Fprintf(w, "  ops %.0f  wall %.0f ms  throughput %.0f ops/s  p50 %.2f ms  p99 %.2f ms\n",
+		r.num("ops"), r.num("wall_ms"), r.num("throughput_ops_per_sec"), r.num("p50_ms"), r.num("p99_ms"))
+	fmt.Fprintf(w, "  check-outs: %.0f won, %.0f lost the first-wins race\n", r.num("checkout_wins"), r.num("checkout_conflicts"))
+	fmt.Fprintf(w, "  contention: lock wait %.1f ms, %d snapshots, %d write conflicts\n",
+		float64(r.Metrics.LockWaitNanos)/1e6, r.Metrics.SnapshotsStarted, r.Metrics.WriteConflicts)
+	fmt.Fprintf(w, "  dump equals serial replay: %v   all check-out flags clear: %v\n",
+		r.Extra["dump_equals_serial_replay"], r.Extra["all_checkout_flags_clear"])
+	fmt.Fprintf(w, "Modeled at %.0f cores: fine %.0f ms vs coarse %.0f ms — %.1fx speedup (p99 %.1f vs %.1f ms)\n\n",
+		r.num("model_cores"), r.num("model_fine_makespan_ms"), r.num("model_coarse_makespan_ms"), r.num("model_speedup"),
+		r.num("model_fine_p99_ms"), r.num("model_coarse_p99_ms"))
 }

@@ -82,7 +82,7 @@ func (c *Client) CheckOut(ctx context.Context, root int64) (*CheckOutResult, err
 			return nil, fmt.Errorf("pdm: compensating lost check-out race: %w", err)
 		}
 		if m := c.conflictMeter(); m != nil {
-			m.CountContention(0, 0, 1)
+			m.Add(netsim.Metrics{WriteConflicts: 1})
 		}
 		out.Granted = false
 		out.Updated = 0

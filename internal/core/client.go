@@ -650,7 +650,15 @@ func (c *Client) countAction(action string, target int64, write bool) {
 		}
 		c.writeMu.RUnlock()
 	}
-	if m != nil {
-		m.CountAction(write, repeat)
+	if m == nil {
+		return
 	}
+	done := netsim.Metrics{ReadActions: 1}
+	if write {
+		done = netsim.Metrics{WriteActions: 1}
+	}
+	if repeat {
+		done.RepeatActions = 1
+	}
+	m.Add(done)
 }

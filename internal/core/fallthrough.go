@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pdmtune/internal/cache"
+	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
 )
 
@@ -204,6 +205,6 @@ func (c *Client) countFallThrough(n int) {
 		m = c.meter
 	}
 	if m != nil {
-		m.CountFallThrough(n)
+		m.Add(netsim.Metrics{FallThroughRoundTrips: n})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"pdmtune/internal/cache"
+	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
 )
 
@@ -254,7 +255,7 @@ func (f *cachedFetcher) countCache(hits, misses int) {
 			saved = 1
 		}
 	}
-	f.c.meter.CountCache(hits, misses, saved)
+	f.c.meter.Add(netsim.Metrics{CacheHits: hits, CacheMisses: misses, SavedRoundTrips: saved})
 }
 
 // ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 	}
 	if out.Conflicts > 0 {
 		if m := c.conflictMeter(); m != nil {
-			m.CountContention(0, 0, int64(out.Conflicts))
+			m.Add(netsim.Metrics{WriteConflicts: int64(out.Conflicts)})
 		}
 	}
 	// The states just changed under every cached entry covering these

@@ -96,7 +96,11 @@ func (c *Checker) CheckNow(ctx context.Context) (ok, down bool) {
 	cancel()
 	ok = err == nil
 	if c.meter != nil {
-		c.meter.CountProbe(ok)
+		probe := netsim.Metrics{HealthProbes: 1}
+		if !ok {
+			probe.ProbeFailures = 1
+		}
+		c.meter.Add(probe)
 	}
 	var fire func()
 	c.mu.Lock()

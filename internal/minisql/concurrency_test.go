@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-func newConcurrencyDB(t *testing.T, opts Options) *DB {
+func newConcurrencyDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	db.SetOptions(opts)
 	s := db.NewSession()
 	script := `
 CREATE TABLE kv (id INTEGER PRIMARY KEY, val INTEGER NOT NULL);
@@ -28,56 +27,52 @@ INSERT INTO other VALUES (1, 0);`
 // SELECT sees either all three rows flipped or none — never a mix.
 // Run with -race.
 func TestSnapshotStatementAtomicity(t *testing.T) {
-	for _, coarse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("coarse=%v", coarse), func(t *testing.T) {
-			db := newConcurrencyDB(t, Options{CoarseLocking: coarse})
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			fail := make(chan string, 4)
-			for r := 0; r < 3; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := db.NewSession()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						res, err := s.Query("SELECT DISTINCT val FROM kv")
-						if err != nil {
-							fail <- err.Error()
-							return
-						}
-						if len(res.Rows) != 1 {
-							fail <- fmt.Sprintf("torn statement: saw %d distinct values", len(res.Rows))
-							return
-						}
-					}
-				}()
-			}
-			w := db.NewSession()
-			for i := 1; i <= 150; i++ {
-				if _, err := w.Exec("UPDATE kv SET val = ?", types.NewInt(int64(i))); err != nil {
-					t.Fatal(err)
+	db := newConcurrencyDB(t)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	fail := make(chan string, 4)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := s.Query("SELECT DISTINCT val FROM kv")
+				if err != nil {
+					fail <- err.Error()
+					return
+				}
+				if len(res.Rows) != 1 {
+					fail <- fmt.Sprintf("torn statement: saw %d distinct values", len(res.Rows))
+					return
 				}
 			}
-			close(stop)
-			wg.Wait()
-			select {
-			case msg := <-fail:
-				t.Fatal(msg)
-			default:
-			}
-		})
+		}()
+	}
+	w := db.NewSession()
+	for i := 1; i <= 150; i++ {
+		if _, err := w.Exec("UPDATE kv SET val = ?", types.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
 	}
 }
 
 // Writers on different tables do not serialize against each other under
 // MVCC, and every session's counters add up. Run with -race.
 func TestConcurrentWritersDifferentTables(t *testing.T) {
-	db := newConcurrencyDB(t, Options{})
+	db := newConcurrencyDB(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	run := func(table string) {
@@ -114,39 +109,35 @@ func TestConcurrentWritersDifferentTables(t *testing.T) {
 // Same-table writers serialize on the table latch: no lost updates.
 // Run with -race.
 func TestConcurrentWritersSameTable(t *testing.T) {
-	for _, coarse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("coarse=%v", coarse), func(t *testing.T) {
-			db := newConcurrencyDB(t, Options{CoarseLocking: coarse})
-			var wg sync.WaitGroup
-			const workers, per = 4, 50
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := db.NewSession()
-					for i := 0; i < per; i++ {
-						if _, err := s.Exec("UPDATE kv SET val = val + 1 WHERE id = 2"); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}()
+	db := newConcurrencyDB(t)
+	var wg sync.WaitGroup
+	const workers, per = 4, 50
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			for i := 0; i < per; i++ {
+				if _, err := s.Exec("UPDATE kv SET val = val + 1 WHERE id = 2"); err != nil {
+					errs <- err
+					return
+				}
 			}
-			wg.Wait()
-			select {
-			case err := <-errs:
-				t.Fatal(err)
-			default:
-			}
-			res, err := db.NewSession().Query("SELECT val FROM kv WHERE id = 2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Rows[0][0].Int(); got != workers*per {
-				t.Errorf("val = %d, want %d (lost update)", got, workers*per)
-			}
-		})
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	res, err := db.NewSession().Query("SELECT val FROM kv WHERE id = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Int(); got != workers*per {
+		t.Errorf("val = %d, want %d (lost update)", got, workers*per)
 	}
 }
 
@@ -154,7 +145,7 @@ func TestConcurrentWritersSameTable(t *testing.T) {
 // sessions incrementing via explicit latches never lose an update, and
 // the loser of each race accumulates lock-wait time.
 func TestLockTablesAtomicSequence(t *testing.T) {
-	db := newConcurrencyDB(t, Options{})
+	db := newConcurrencyDB(t)
 	var wg sync.WaitGroup
 	const workers, per = 4, 25
 	var waitNanos int64
@@ -206,7 +197,7 @@ func TestLockTablesAtomicSequence(t *testing.T) {
 // Contention counters: snapshots are counted per read statement and
 // TakeContention drains.
 func TestContentionStats(t *testing.T) {
-	db := newConcurrencyDB(t, Options{})
+	db := newConcurrencyDB(t)
 	s := db.NewSession()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Query("SELECT val FROM kv WHERE id = 1"); err != nil {
@@ -223,33 +214,5 @@ func TestContentionStats(t *testing.T) {
 	s.CountWriteConflict()
 	if got := s.TakeContention().WriteConflicts; got != 1 {
 		t.Errorf("WriteConflicts = %d, want 1", got)
-	}
-}
-
-// Coarse mode and MVCC agree on results: the ablation flag changes the
-// locking story, not the semantics.
-func TestCoarseEquivalence(t *testing.T) {
-	run := func(coarse bool) []string {
-		db := newConcurrencyDB(t, Options{CoarseLocking: coarse})
-		s := db.NewSession()
-		if _, err := s.Exec("UPDATE kv SET val = id * 10"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Exec("DELETE FROM kv WHERE id = 2"); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Query("SELECT id, val FROM kv ORDER BY id")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []string
-		for _, r := range res.Rows {
-			rows = append(rows, fmt.Sprintf("%d:%d", r[0].Int(), r[1].Int()))
-		}
-		return rows
-	}
-	fine, coarse := run(false), run(true)
-	if fmt.Sprint(fine) != fmt.Sprint(coarse) {
-		t.Errorf("fine = %v, coarse = %v", fine, coarse)
 	}
 }

@@ -62,13 +62,6 @@ type Options struct {
 	DisableSubqueryCache bool
 	// MaxRecursion bounds recursive CTE iterations (0 = default 100000).
 	MaxRecursion int
-	// CoarseLocking restores the pre-MVCC concurrency story — every
-	// statement under one database-wide reader/writer lock, the paper's
-	// "more or less simple record manager" — as an ablation knob for
-	// contention benchmarks (pdmbench -coarse). The default is snapshot
-	// isolation: reads run lock-free against a version-log snapshot and
-	// writers serialize per table only.
-	CoarseLocking bool
 }
 
 // DB is an in-memory database instance, safe for concurrent use by any
@@ -79,15 +72,9 @@ type Options struct {
 // evaluates entirely against that snapshot — it takes no locks and is
 // never blocked by writers. A write statement takes only its target
 // table's write latch, stages its mutations as pending row versions,
-// and publishes them atomically under one fresh epoch. The old
-// database-wide RWMutex survives solely behind Options.CoarseLocking
-// as an ablation path.
+// and publishes them atomically under one fresh epoch.
 type DB struct {
 	store *storage.DB
-
-	// coarse is the database-wide reader/writer lock of the ablation
-	// mode (Options.CoarseLocking); unused otherwise.
-	coarse sync.RWMutex
 
 	// regMu guards the registries and options. The function/procedure
 	// maps are copy-on-write so statements can read them lock-free
@@ -157,10 +144,6 @@ func (db *DB) ExtractDelta(since uint64) *storage.Delta {
 // non-nil keep decides per (table, version key) whether a modified row
 // ships. Stamps always ship in full (see storage.DB.ExtractDeltaFiltered).
 func (db *DB) ExtractDeltaFiltered(since uint64, keep func(table string, key int64) bool) *storage.Delta {
-	if db.options().CoarseLocking {
-		db.coarse.RLock()
-		defer db.coarse.RUnlock()
-	}
 	return db.store.ExtractDeltaFiltered(since, keep)
 }
 
@@ -186,10 +169,6 @@ func (db *DB) ApplyDelta(d *storage.Delta) error {
 // between tables and a cancelled apply rolls back completely, leaving
 // no partial state (see storage.DB.ApplyDeltaCtx).
 func (db *DB) ApplyDeltaCtx(ctx context.Context, d *storage.Delta) error {
-	if db.options().CoarseLocking {
-		db.coarse.Lock()
-		defer db.coarse.Unlock()
-	}
 	return db.store.ApplyDeltaCtx(ctx, d)
 }
 
@@ -198,10 +177,6 @@ func (db *DB) ApplyDeltaCtx(ctx context.Context, d *storage.Delta) error {
 // reports whether anything was discarded (see storage.DB.DiscardSince
 // for why that forces the next pull to be a full one).
 func (db *DB) DiscardSince(since uint64) (bool, error) {
-	if db.options().CoarseLocking {
-		db.coarse.Lock()
-		defer db.coarse.Unlock()
-	}
 	return db.store.DiscardSince(since)
 }
 
@@ -256,14 +231,14 @@ func (db *DB) TableNames() []string {
 }
 
 // ContentionStats counts a session's brushes with the engine's
-// concurrency machinery: time spent waiting for write latches (or the
-// coarse lock, or a pooled connection), snapshots opened for read
+// concurrency machinery: time spent waiting for write latches (or a
+// pooled connection), snapshots opened for read
 // statements, and first-wins write conflicts lost. The wire layer
 // drains them per round trip into the netsim meters, which is how
 // contention becomes observable per session and per site.
 type ContentionStats struct {
 	// LockWaitNanos is the total time spent blocked acquiring write
-	// latches (and, in coarse mode, the database-wide lock).
+	// latches.
 	LockWaitNanos int64
 	// SnapshotsStarted counts read statements that opened a snapshot.
 	SnapshotsStarted int64
@@ -300,14 +275,9 @@ type Session struct {
 	// held tracks latches acquired by an enclosing LockTables, so the
 	// statements of a multi-table procedure do not re-acquire (and
 	// deadlock on) latches the procedure already holds.
-	held *heldLocks
+	held map[*storage.Table]bool
 
 	stats ContentionStats
-}
-
-type heldLocks struct {
-	coarse bool
-	tables map[*storage.Table]bool
 }
 
 // NewSession opens a session.
@@ -329,21 +299,11 @@ func (s *Session) CountWriteConflict() { s.stats.WriteConflicts++ }
 // pool's connection-acquire wait) into the session's counters.
 func (c *ContentionStats) AddLockWait(d time.Duration) { c.LockWaitNanos += int64(d) }
 
-// lockWrite acquires the write path for one table — the table's latch,
-// or the database-wide lock in coarse mode — measuring the time spent
+// lockWrite acquires one table's write latch, measuring the time spent
 // blocked. The returned func releases it. A latch already held by an
 // enclosing LockTables is not re-acquired.
 func (s *Session) lockWrite(t *storage.Table) func() {
-	if s.db.options().CoarseLocking {
-		if s.held != nil && s.held.coarse {
-			return func() {}
-		}
-		start := time.Now()
-		s.db.coarse.Lock()
-		s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
-		return s.db.coarse.Unlock
-	}
-	if t == nil || (s.held != nil && s.held.tables[t]) {
+	if s.held[t] {
 		return func() {}
 	}
 	if t.TryLock() {
@@ -353,21 +313,6 @@ func (s *Session) lockWrite(t *storage.Table) func() {
 	t.Lock()
 	s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
 	return t.Unlock
-}
-
-// lockRead acquires the read path: nothing at all under snapshot
-// isolation, the shared side of the database-wide lock in coarse mode.
-func (s *Session) lockRead() func() {
-	if s.db.options().CoarseLocking {
-		if s.held != nil && s.held.coarse {
-			return func() {}
-		}
-		start := time.Now()
-		s.db.coarse.RLock()
-		s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
-		return s.db.coarse.RUnlock
-	}
-	return func() {}
 }
 
 // snapshotEpoch opens a read snapshot: the statement evaluates as of
@@ -384,21 +329,10 @@ func (s *Session) snapshotEpoch() uint64 {
 // unit: statements the session executes in between skip re-acquiring
 // the held latches, which is what lets a stored procedure make a
 // read-check-update sequence atomic against other writers (first-wins
-// check-out). Missing tables are skipped. In coarse mode the database
-// lock is taken instead.
+// check-out). Missing tables are skipped.
 func (s *Session) LockTables(names ...string) (func(), error) {
 	if s.held != nil {
 		return nil, fmt.Errorf("minisql: LockTables while table locks are already held")
-	}
-	if s.db.options().CoarseLocking {
-		start := time.Now()
-		s.db.coarse.Lock()
-		s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
-		s.held = &heldLocks{coarse: true}
-		return func() {
-			s.held = nil
-			s.db.coarse.Unlock()
-		}, nil
 	}
 	sorted := make([]string, len(names))
 	for i, n := range names {
@@ -421,7 +355,7 @@ func (s *Session) LockTables(names ...string) (func(), error) {
 		t.Lock()
 		s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
 	}
-	s.held = &heldLocks{tables: seen}
+	s.held = seen
 	return func() {
 		s.held = nil
 		for i := len(tabs) - 1; i >= 0; i-- {
@@ -500,8 +434,6 @@ func (s *Session) Query(sql string, params ...Value) (*Result, error) {
 func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error) {
 	switch st := stmt.(type) {
 	case *ast.Select:
-		unlock := s.lockRead()
-		defer unlock()
 		ctx := s.newContext(params, s.snapshotEpoch())
 		rel, err := ctx.EvalSelect(st, nil)
 		if err != nil {
@@ -510,8 +442,6 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		return &Result{Cols: rel.ColNames(), Rows: rel.Rows}, nil
 
 	case *ast.Explain:
-		unlock := s.lockRead()
-		defer unlock()
 		return s.explain(st.Stmt, params)
 
 	case *ast.Insert:
@@ -524,8 +454,6 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		return s.execDelete(st, params)
 
 	case *ast.CreateTable:
-		unlock := s.lockWrite(nil) // catalog ops self-synchronize; coarse mode still serializes
-		defer unlock()
 		res, err := s.execCreateTable(st)
 		if err == nil {
 			s.db.plans.invalidateAll()
@@ -549,8 +477,6 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		return &Result{}, nil
 
 	case *ast.DropTable:
-		unlock := s.lockWrite(nil)
-		defer unlock()
 		if err := s.db.store.DropTable(st.Name, st.IfExists); err != nil {
 			return nil, err
 		}

@@ -2,11 +2,11 @@ package netsim
 
 import "testing"
 
-func TestRoundTripStatementsAccounting(t *testing.T) {
+func TestChargeStatementsAccounting(t *testing.T) {
 	m := NewMeter(Intercontinental())
-	m.RoundTrip(100, 200)                 // 1 statement
-	m.RoundTripStatements(1000, 4000, 25) // one batch of 25
-	m.RoundTripStatements(100, 100, 1)    // plain again
+	m.Charge(100, 200, Metrics{Statements: 1})    // 1 statement
+	m.Charge(1000, 4000, Metrics{Statements: 25}) // one batch of 25
+	m.Charge(100, 100, Metrics{Statements: 1})    // plain again
 	if m.Metrics.RoundTrips != 3 {
 		t.Errorf("round trips = %d, want 3", m.Metrics.RoundTrips)
 	}
@@ -27,17 +27,17 @@ func TestRoundTripStatementsAccounting(t *testing.T) {
 
 	// Sub carries the new fields.
 	before := m.Metrics
-	m.RoundTripStatements(10, 10, 5)
+	m.Charge(10, 10, Metrics{Statements: 5})
 	d := m.Metrics.Sub(before)
 	if d.RoundTrips != 1 || d.Statements != 5 || d.Batches != 1 {
 		t.Errorf("delta = %+v, want 1 round trip / 5 statements / 1 batch", d)
 	}
 }
 
-func TestRoundTripFramesPreparedAccounting(t *testing.T) {
+func TestChargePreparedAccounting(t *testing.T) {
 	m := NewMeter(Link{LatencySec: 0.1, RateKbps: 256, PacketBytes: 4096})
-	m.RoundTripFrames(1000, 2000, 5, 3, 450)
-	m.RoundTripFrames(100, 100, 1, 1, 120)
+	m.Charge(1000, 2000, Metrics{Statements: 5, PreparedExecs: 3, SavedRequestBytes: 450})
+	m.Charge(100, 100, Metrics{Statements: 1, PreparedExecs: 1, SavedRequestBytes: 120})
 	if m.Metrics.PreparedExecs != 4 {
 		t.Errorf("PreparedExecs = %d, want 4", m.Metrics.PreparedExecs)
 	}
@@ -55,11 +55,11 @@ func TestRoundTripFramesPreparedAccounting(t *testing.T) {
 	}
 }
 
-func TestCountCompressionAccounting(t *testing.T) {
+func TestChargeCompressionAccounting(t *testing.T) {
 	m := NewMeter(Intercontinental())
-	m.RoundTrip(100, 400) // charged post-compression by the transport
-	m.CountCompression(1, 3600)
-	m.RoundTrip(100, 50) // below threshold: no compression
+	// Charged post-compression by the transport.
+	m.Charge(100, 400, Metrics{Statements: 1, CompressedFrames: 1, ResponseBytesSaved: 3600})
+	m.Charge(100, 50, Metrics{Statements: 1}) // below threshold: no compression
 	if m.Metrics.CompressedFrames != 1 {
 		t.Errorf("CompressedFrames = %d, want 1", m.Metrics.CompressedFrames)
 	}

@@ -90,11 +90,11 @@ func TestFaultPlanKillsEveryInjector(t *testing.T) {
 
 func TestHealthProbeCounters(t *testing.T) {
 	m := NewMeter(LAN())
-	m.CountProbe(true)
-	m.CountProbe(false)
-	m.CountProbe(false)
-	m.CountRetry(3)
-	m.CountRetryGiveUp(1)
+	m.Add(Metrics{HealthProbes: 1})
+	m.Add(Metrics{HealthProbes: 1, ProbeFailures: 1})
+	m.Add(Metrics{HealthProbes: 1, ProbeFailures: 1})
+	m.Add(Metrics{Retries: 3})
+	m.Add(Metrics{RetryGiveUps: 1})
 	got := m.Snapshot()
 	if got.HealthProbes != 3 || got.ProbeFailures != 2 {
 		t.Errorf("probes = %d/%d, want 3/2", got.HealthProbes, got.ProbeFailures)

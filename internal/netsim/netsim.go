@@ -91,103 +91,103 @@ func (l Link) TransferSec(volumeBytes float64) float64 {
 // Metrics accumulates the traffic of a sequence of round trips under a
 // virtual clock.
 type Metrics struct {
-	RoundTrips     int
-	Communications int
+	RoundTrips     int `json:"round_trips"`
+	Communications int `json:"communications"`
 	// Statements counts the SQL statements shipped; batch frames carry
 	// several per round trip, so Statements - RoundTrips is the number
 	// of WAN round trips that batching saved.
-	Statements int
+	Statements int `json:"statements"`
 	// Batches counts round trips that carried a multi-statement batch.
-	Batches int
+	Batches int `json:"batches"`
 	// PreparedExecs counts statements shipped as prepared executions
 	// (handle + parameters) instead of SQL text.
-	PreparedExecs int
+	PreparedExecs int `json:"prepared_execs"`
 	// SavedRoundTrips counts the WAN round trips the tuning levers
 	// avoided: batching contributes statements-per-batch minus one for
 	// every batch frame, the structure cache one per fetch round trip
 	// it answered locally.
-	SavedRoundTrips int
+	SavedRoundTrips int `json:"saved_round_trips"`
 	// CacheHits / CacheMisses count structure-cache lookups during
 	// read actions: hits were served from validated local entries
 	// without touching the wire, misses went to the server.
-	CacheHits   int
-	CacheMisses int
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// ValidateRoundTrips counts the cache's revalidation exchanges —
 	// the one small round trip a warm action pays instead of its
 	// fetches.
-	ValidateRoundTrips int
+	ValidateRoundTrips int `json:"validate_round_trips"`
 	// SyncRoundTrips counts replication pulls (TypeSync exchanges): a
 	// replica site's delta downloads from the primary. Their volume is
 	// charged to Request/ResponseBytes like any exchange; this counter
 	// is what separates replication traffic from user actions in a
 	// site's report.
-	SyncRoundTrips int
+	SyncRoundTrips int `json:"sync_round_trips"`
 	// SavedRequestBytes is the SQL text volume prepared executions
 	// avoided re-shipping — the payload reduction before packetization,
 	// reported by the transport alongside the charged request bytes.
-	SavedRequestBytes float64
+	SavedRequestBytes float64 `json:"saved_request_bytes"`
 	// CompressedFrames counts response frames that arrived in the
 	// negotiated deflate wrapper (bodies below the adaptive threshold
 	// travel uncompressed and are not counted).
-	CompressedFrames int
+	CompressedFrames int `json:"compressed_frames"`
 	// ResponseBytesSaved is the payload volume response compression
 	// avoided shipping: the sum over compressed frames of original
 	// body size minus compressed body size, before packetization. The
 	// charged ResponseBytes are already post-compression.
-	ResponseBytesSaved float64
-	RequestBytes       float64 // charged volume client→server
-	ResponseBytes      float64 // charged volume server→client
-	LatencySec         float64
-	TransferSec        float64
+	ResponseBytesSaved float64 `json:"response_bytes_saved"`
+	RequestBytes       float64 `json:"request_bytes"`  // charged volume client→server
+	ResponseBytes      float64 `json:"response_bytes"` // charged volume server→client
+	LatencySec         float64 `json:"latency_sec"`
+	TransferSec        float64 `json:"transfer_sec"`
 	// LockWaitNanos is server-side contention observed by this client's
 	// statements: time its sessions spent blocked on write latches (or
-	// the coarse database lock, or waiting for a pooled connection).
-	// Reported by the wire server per round trip and drained into the
-	// meter, so contention is attributable per session and per site.
-	LockWaitNanos int64
+	// waiting for a pooled connection). Reported by the wire server per
+	// round trip and drained into the meter, so contention is
+	// attributable per session and per site.
+	LockWaitNanos int64 `json:"lock_wait_nanos"`
 	// SnapshotsStarted counts read statements that opened an MVCC
 	// snapshot on behalf of this client.
-	SnapshotsStarted int64
+	SnapshotsStarted int64 `json:"snapshots_started"`
 	// WriteConflicts counts first-wins write races this client lost
 	// (e.g. a check-out that found rows already checked out).
-	WriteConflicts int64
+	WriteConflicts int64 `json:"write_conflicts"`
 	// PlanHits / PlanMisses count server plan-cache outcomes for this
 	// client's statements: hits executed a cached AST with zero parser
 	// work, misses paid a full parse. Drained from the engine sessions
 	// per round trip like the contention counters above.
-	PlanHits   int64
-	PlanMisses int64
+	PlanHits   int64 `json:"plan_hits"`
+	PlanMisses int64 `json:"plan_misses"`
 	// ReadActions / WriteActions count completed user actions by kind:
 	// Query/Expand/MLE are reads, check-out/check-in (client-driven or
 	// via procedure) are writes. The advisor classifies workload shape
 	// from these, so they are part of the metered window like any other
 	// counter.
-	ReadActions  int
-	WriteActions int
+	ReadActions  int `json:"read_actions"`
+	WriteActions int `json:"write_actions"`
 	// RepeatActions counts actions whose (action, target) pair the
 	// session had already executed — the signal that separates a
 	// repeat-heavy workload (a structure cache would pay off) from a
 	// cold scan, visible even on sessions without a cache.
-	RepeatActions int
+	RepeatActions int `json:"repeat_actions"`
 	// FallThroughRoundTrips counts reads a partial replica could not
 	// answer from its subscription and transparently re-issued against
 	// the primary at WAN cost.
-	FallThroughRoundTrips int
+	FallThroughRoundTrips int `json:"fall_through_round_trips"`
 	// SubscribedRows / SkippedRows split each replication pull's row
 	// universe at the subscription filter: rows shipped because the
 	// site's subscription covers them vs. rows the primary skipped. A
 	// full replica reports zero for both.
-	SubscribedRows int
-	SkippedRows    int
+	SubscribedRows int `json:"subscribed_rows"`
+	SkippedRows    int `json:"skipped_rows"`
 	// Retries counts idempotent exchanges re-sent after connection
 	// loss; RetryGiveUps counts exchanges abandoned after the retry
 	// budget was exhausted.
-	Retries      int
-	RetryGiveUps int
+	Retries      int `json:"retries"`
+	RetryGiveUps int `json:"retry_give_ups"`
 	// HealthProbes counts primary health checks issued by the failover
 	// monitor; ProbeFailures is the subset that timed out or errored.
-	HealthProbes  int
-	ProbeFailures int
+	HealthProbes  int `json:"health_probes"`
+	ProbeFailures int `json:"probe_failures"`
 }
 
 // Actions is the total number of user actions in the window.
@@ -199,43 +199,52 @@ func (m Metrics) TotalSec() float64 { return m.LatencySec + m.TransferSec }
 // VolumeBytes is the total charged wire volume.
 func (m Metrics) VolumeBytes() float64 { return m.RequestBytes + m.ResponseBytes }
 
+// combine folds sign·b into m field by field. It is the one enumeration
+// of Metrics' numeric fields: Add, Sub and both Meter mutators go
+// through it, and TestMetricsArithmeticCoversEveryField fails when a
+// counter is added to the struct but not here. Deliberately
+// reflection-free — Sub runs once per user action.
+func (m *Metrics) combine(b *Metrics, sign int) {
+	n, f := int64(sign), float64(sign)
+	m.RoundTrips += sign * b.RoundTrips
+	m.Communications += sign * b.Communications
+	m.Statements += sign * b.Statements
+	m.Batches += sign * b.Batches
+	m.PreparedExecs += sign * b.PreparedExecs
+	m.SavedRoundTrips += sign * b.SavedRoundTrips
+	m.CacheHits += sign * b.CacheHits
+	m.CacheMisses += sign * b.CacheMisses
+	m.ValidateRoundTrips += sign * b.ValidateRoundTrips
+	m.SyncRoundTrips += sign * b.SyncRoundTrips
+	m.SavedRequestBytes += f * b.SavedRequestBytes
+	m.CompressedFrames += sign * b.CompressedFrames
+	m.ResponseBytesSaved += f * b.ResponseBytesSaved
+	m.RequestBytes += f * b.RequestBytes
+	m.ResponseBytes += f * b.ResponseBytes
+	m.LatencySec += f * b.LatencySec
+	m.TransferSec += f * b.TransferSec
+	m.LockWaitNanos += n * b.LockWaitNanos
+	m.SnapshotsStarted += n * b.SnapshotsStarted
+	m.WriteConflicts += n * b.WriteConflicts
+	m.PlanHits += n * b.PlanHits
+	m.PlanMisses += n * b.PlanMisses
+	m.ReadActions += sign * b.ReadActions
+	m.WriteActions += sign * b.WriteActions
+	m.RepeatActions += sign * b.RepeatActions
+	m.FallThroughRoundTrips += sign * b.FallThroughRoundTrips
+	m.SubscribedRows += sign * b.SubscribedRows
+	m.SkippedRows += sign * b.SkippedRows
+	m.Retries += sign * b.Retries
+	m.RetryGiveUps += sign * b.RetryGiveUps
+	m.HealthProbes += sign * b.HealthProbes
+	m.ProbeFailures += sign * b.ProbeFailures
+}
+
 // Sub returns the field-wise difference m - b, for per-action deltas of
 // a shared meter.
 func (m Metrics) Sub(b Metrics) Metrics {
-	return Metrics{
-		RoundTrips:            m.RoundTrips - b.RoundTrips,
-		Communications:        m.Communications - b.Communications,
-		Statements:            m.Statements - b.Statements,
-		Batches:               m.Batches - b.Batches,
-		PreparedExecs:         m.PreparedExecs - b.PreparedExecs,
-		SavedRoundTrips:       m.SavedRoundTrips - b.SavedRoundTrips,
-		CompressedFrames:      m.CompressedFrames - b.CompressedFrames,
-		ResponseBytesSaved:    m.ResponseBytesSaved - b.ResponseBytesSaved,
-		CacheHits:             m.CacheHits - b.CacheHits,
-		CacheMisses:           m.CacheMisses - b.CacheMisses,
-		ValidateRoundTrips:    m.ValidateRoundTrips - b.ValidateRoundTrips,
-		SyncRoundTrips:        m.SyncRoundTrips - b.SyncRoundTrips,
-		SavedRequestBytes:     m.SavedRequestBytes - b.SavedRequestBytes,
-		RequestBytes:          m.RequestBytes - b.RequestBytes,
-		ResponseBytes:         m.ResponseBytes - b.ResponseBytes,
-		LatencySec:            m.LatencySec - b.LatencySec,
-		TransferSec:           m.TransferSec - b.TransferSec,
-		LockWaitNanos:         m.LockWaitNanos - b.LockWaitNanos,
-		SnapshotsStarted:      m.SnapshotsStarted - b.SnapshotsStarted,
-		WriteConflicts:        m.WriteConflicts - b.WriteConflicts,
-		PlanHits:              m.PlanHits - b.PlanHits,
-		PlanMisses:            m.PlanMisses - b.PlanMisses,
-		ReadActions:           m.ReadActions - b.ReadActions,
-		WriteActions:          m.WriteActions - b.WriteActions,
-		RepeatActions:         m.RepeatActions - b.RepeatActions,
-		FallThroughRoundTrips: m.FallThroughRoundTrips - b.FallThroughRoundTrips,
-		SubscribedRows:        m.SubscribedRows - b.SubscribedRows,
-		SkippedRows:           m.SkippedRows - b.SkippedRows,
-		Retries:               m.Retries - b.Retries,
-		RetryGiveUps:          m.RetryGiveUps - b.RetryGiveUps,
-		HealthProbes:          m.HealthProbes - b.HealthProbes,
-		ProbeFailures:         m.ProbeFailures - b.ProbeFailures,
-	}
+	m.combine(&b, -1)
+	return m
 }
 
 // Delta returns the traffic of the observation window that starts at a
@@ -251,40 +260,8 @@ func (m Metrics) Delta(prev Metrics) Metrics { return m.Sub(prev) }
 // charged to different links (e.g. a session's site-local reads plus
 // its WAN writes, or all sites of a cluster).
 func (m Metrics) Add(b Metrics) Metrics {
-	return Metrics{
-		RoundTrips:            m.RoundTrips + b.RoundTrips,
-		Communications:        m.Communications + b.Communications,
-		Statements:            m.Statements + b.Statements,
-		Batches:               m.Batches + b.Batches,
-		PreparedExecs:         m.PreparedExecs + b.PreparedExecs,
-		SavedRoundTrips:       m.SavedRoundTrips + b.SavedRoundTrips,
-		CompressedFrames:      m.CompressedFrames + b.CompressedFrames,
-		ResponseBytesSaved:    m.ResponseBytesSaved + b.ResponseBytesSaved,
-		CacheHits:             m.CacheHits + b.CacheHits,
-		CacheMisses:           m.CacheMisses + b.CacheMisses,
-		ValidateRoundTrips:    m.ValidateRoundTrips + b.ValidateRoundTrips,
-		SyncRoundTrips:        m.SyncRoundTrips + b.SyncRoundTrips,
-		SavedRequestBytes:     m.SavedRequestBytes + b.SavedRequestBytes,
-		RequestBytes:          m.RequestBytes + b.RequestBytes,
-		ResponseBytes:         m.ResponseBytes + b.ResponseBytes,
-		LatencySec:            m.LatencySec + b.LatencySec,
-		TransferSec:           m.TransferSec + b.TransferSec,
-		LockWaitNanos:         m.LockWaitNanos + b.LockWaitNanos,
-		SnapshotsStarted:      m.SnapshotsStarted + b.SnapshotsStarted,
-		WriteConflicts:        m.WriteConflicts + b.WriteConflicts,
-		PlanHits:              m.PlanHits + b.PlanHits,
-		PlanMisses:            m.PlanMisses + b.PlanMisses,
-		ReadActions:           m.ReadActions + b.ReadActions,
-		WriteActions:          m.WriteActions + b.WriteActions,
-		RepeatActions:         m.RepeatActions + b.RepeatActions,
-		FallThroughRoundTrips: m.FallThroughRoundTrips + b.FallThroughRoundTrips,
-		SubscribedRows:        m.SubscribedRows + b.SubscribedRows,
-		SkippedRows:           m.SkippedRows + b.SkippedRows,
-		Retries:               m.Retries + b.Retries,
-		RetryGiveUps:          m.RetryGiveUps + b.RetryGiveUps,
-		HealthProbes:          m.HealthProbes + b.HealthProbes,
-		ProbeFailures:         m.ProbeFailures + b.ProbeFailures,
-	}
+	m.combine(&b, 1)
+	return m
 }
 
 // SiteMetrics labels one site's accumulated traffic in a cluster-wide
@@ -315,7 +292,7 @@ func (m Metrics) String() string {
 
 // Meter charges request/response pairs against a link and accumulates
 // Metrics. It is the virtual-clock counterpart of a real connection.
-// All charging methods and Snapshot are safe for concurrent use; the
+// Charge, Add, Reset and Snapshot are safe for concurrent use; the
 // exported Metrics field is the single-goroutine view — an observer
 // watching a meter another goroutine is still charging must read it
 // through Snapshot.
@@ -338,180 +315,40 @@ func (m *Meter) Snapshot() Metrics {
 	return m.Metrics
 }
 
-// RoundTrip charges one request/response exchange: two latencies (paper
+// Charge accounts one request/response exchange: two latencies (paper
 // formula (2): "every query causes an answer") plus the transfer times
-// of both messages.
-func (m *Meter) RoundTrip(requestPayload, responsePayload int) {
-	m.RoundTripStatements(requestPayload, responsePayload, 1)
-}
-
-// RoundTripStatements charges one exchange that carries the given number
-// of SQL statements — 1 for a plain request, N for a batch frame. The
-// latency cost is identical either way; that is the whole point of
-// batching.
-func (m *Meter) RoundTripStatements(requestPayload, responsePayload, statements int) {
-	m.RoundTripFrames(requestPayload, responsePayload, statements, 0, 0)
-}
-
-// RoundTripFrames charges one exchange with full frame accounting:
-// statements carried, how many of them were prepared executions, and
-// the SQL text bytes those executions avoided re-shipping (the
-// request-volume lever of prepared statements, before packetization).
-func (m *Meter) RoundTripFrames(requestPayload, responsePayload, statements, preparedExecs int, savedRequestBytes float64) {
+// of both messages, and folds in what the exchange carried — extra names
+// the statements shipped (1 for a plain request, N for a batch frame, 0
+// for a handshake), prepared executions and the SQL bytes they saved, a
+// validate or sync round trip, compression savings, server contention.
+// An exchange of more than one statement is a batch: its latency cost is
+// the same as one statement's, so it saved Statements-1 round trips.
+func (m *Meter) Charge(requestPayload, responsePayload int, extra Metrics) {
 	up := m.Link.RequestVolume(requestPayload)
 	down := m.Link.ResponseVolume(responsePayload)
+	if extra.Statements > 1 {
+		extra.Batches++
+		extra.SavedRoundTrips += extra.Statements - 1
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Metrics.RoundTrips++
 	m.Metrics.Communications += 2
-	m.Metrics.Statements += statements
-	if statements > 1 {
-		m.Metrics.Batches++
-		m.Metrics.SavedRoundTrips += statements - 1
-	}
-	m.Metrics.PreparedExecs += preparedExecs
-	m.Metrics.SavedRequestBytes += savedRequestBytes
 	m.Metrics.RequestBytes += up
 	m.Metrics.ResponseBytes += down
 	m.Metrics.LatencySec += 2 * m.Link.LatencySec
 	m.Metrics.TransferSec += m.Link.TransferSec(up) + m.Link.TransferSec(down)
+	m.Metrics.combine(&extra, 1)
 }
 
-// RoundTripValidate charges one cache-revalidation exchange: a round
-// trip that carries version checks instead of SQL statements.
-func (m *Meter) RoundTripValidate(requestPayload, responsePayload int) {
-	up := m.Link.RequestVolume(requestPayload)
-	down := m.Link.ResponseVolume(responsePayload)
+// Add folds counters that are not themselves an exchange into the
+// meter: cache hits and misses, completed actions, fall-through reads,
+// subscription splits, retries, health probes. The round trips behind
+// them, if any, are charged separately by the transport.
+func (m *Meter) Add(delta Metrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.Metrics.RoundTrips++
-	m.Metrics.Communications += 2
-	m.Metrics.ValidateRoundTrips++
-	m.Metrics.RequestBytes += up
-	m.Metrics.ResponseBytes += down
-	m.Metrics.LatencySec += 2 * m.Link.LatencySec
-	m.Metrics.TransferSec += m.Link.TransferSec(up) + m.Link.TransferSec(down)
-}
-
-// RoundTripSync charges one replication pull: a round trip that
-// carries a delta instead of SQL statements.
-func (m *Meter) RoundTripSync(requestPayload, responsePayload int) {
-	up := m.Link.RequestVolume(requestPayload)
-	down := m.Link.ResponseVolume(responsePayload)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.RoundTrips++
-	m.Metrics.Communications += 2
-	m.Metrics.SyncRoundTrips++
-	m.Metrics.RequestBytes += up
-	m.Metrics.ResponseBytes += down
-	m.Metrics.LatencySec += 2 * m.Link.LatencySec
-	m.Metrics.TransferSec += m.Link.TransferSec(up) + m.Link.TransferSec(down)
-}
-
-// CountCompression records response frames that arrived deflated and
-// the payload bytes the compression saved. The round trip itself is
-// charged separately (with its post-compression sizes); this only
-// tracks the saving for reporting.
-func (m *Meter) CountCompression(frames int, savedBytes float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.CompressedFrames += frames
-	m.Metrics.ResponseBytesSaved += savedBytes
-}
-
-// CountCache records structure-cache outcomes: hits served locally,
-// misses that went to the wire, and the fetch round trips the hits
-// avoided.
-func (m *Meter) CountCache(hits, misses, savedRoundTrips int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.CacheHits += hits
-	m.Metrics.CacheMisses += misses
-	m.Metrics.SavedRoundTrips += savedRoundTrips
-}
-
-// CountContention folds server-reported contention counters into the
-// meter: lock-wait time, snapshots opened, and write conflicts lost by
-// the sessions this meter's client drove.
-func (m *Meter) CountContention(lockWaitNanos, snapshotsStarted, writeConflicts int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.LockWaitNanos += lockWaitNanos
-	m.Metrics.SnapshotsStarted += snapshotsStarted
-	m.Metrics.WriteConflicts += writeConflicts
-}
-
-// CountPlans folds server-reported plan-cache outcomes into the meter:
-// statements that executed a cached AST (zero parser work) vs. ones
-// that paid a full parse.
-func (m *Meter) CountPlans(hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.PlanHits += hits
-	m.Metrics.PlanMisses += misses
-}
-
-// CountAction records one completed user action: a read (Query, Expand,
-// MLE) or a write (check-out/check-in), and whether the session had run
-// the same action on the same target before (a repeat).
-func (m *Meter) CountAction(write, repeat bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if write {
-		m.Metrics.WriteActions++
-	} else {
-		m.Metrics.ReadActions++
-	}
-	if repeat {
-		m.Metrics.RepeatActions++
-	}
-}
-
-// CountFallThrough records reads that fell through a partial replica
-// to the primary (the round trips themselves are charged to the WAN
-// meter by the transport; this counter is what attributes them to the
-// subscription miss).
-func (m *Meter) CountFallThrough(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.FallThroughRoundTrips += n
-}
-
-// CountSubscription records one replication pull's subscription split:
-// rows shipped under the site's subscription vs. rows the primary's
-// filter skipped.
-func (m *Meter) CountSubscription(subscribed, skipped int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.SubscribedRows += subscribed
-	m.Metrics.SkippedRows += skipped
-}
-
-// CountRetry records idempotent exchanges re-sent after connection
-// loss.
-func (m *Meter) CountRetry(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.Retries += n
-}
-
-// CountRetryGiveUp records exchanges abandoned with their retry budget
-// exhausted.
-func (m *Meter) CountRetryGiveUp(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.RetryGiveUps += n
-}
-
-// CountProbe records one primary health probe and whether it failed.
-func (m *Meter) CountProbe(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Metrics.HealthProbes++
-	if !ok {
-		m.Metrics.ProbeFailures++
-	}
+	m.Metrics.combine(&delta, 1)
 }
 
 // Reset clears the accumulated metrics (e.g. between user actions).

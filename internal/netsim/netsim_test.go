@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -54,7 +55,7 @@ func TestTransferSecUsesKibibits(t *testing.T) {
 func TestMeterMatchesPaperFormula(t *testing.T) {
 	m := NewMeter(paperLink())
 	// One query (one full packet up), β = 9 nodes of 512 B down.
-	m.RoundTrip(1, 9*512)
+	m.Charge(1, 9*512, Metrics{Statements: 1})
 	got := m.Metrics.TotalSec()
 	want := 2*0.15 + (4096+9*512+2048)*8/(256*1024.0)
 	if math.Abs(got-want) > 1e-9 {
@@ -70,8 +71,8 @@ func TestMeterMatchesPaperFormula(t *testing.T) {
 
 func TestMeterAccumulatesAndResets(t *testing.T) {
 	m := NewMeter(paperLink())
-	m.RoundTrip(100, 100)
-	m.RoundTrip(100, 100)
+	m.Charge(100, 100, Metrics{Statements: 1})
+	m.Charge(100, 100, Metrics{Statements: 1})
 	if m.Metrics.RoundTrips != 2 {
 		t.Errorf("RoundTrips = %d", m.Metrics.RoundTrips)
 	}
@@ -83,9 +84,9 @@ func TestMeterAccumulatesAndResets(t *testing.T) {
 
 func TestMetricsSub(t *testing.T) {
 	m := NewMeter(paperLink())
-	m.RoundTrip(10, 10)
+	m.Charge(10, 10, Metrics{Statements: 1})
 	before := m.Metrics
-	m.RoundTrip(10, 10)
+	m.Charge(10, 10, Metrics{Statements: 1})
 	d := m.Metrics.Sub(before)
 	if d.RoundTrips != 1 || d.Communications != 2 {
 		t.Errorf("delta = %+v", d)
@@ -99,16 +100,16 @@ func TestMeterMonotonicityProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		small, large := int(a), int(a)+int(b)
 		m1 := NewMeter(l)
-		m1.RoundTrip(64, small)
+		m1.Charge(64, small, Metrics{Statements: 1})
 		m2 := NewMeter(l)
-		m2.RoundTrip(64, large)
+		m2.Charge(64, large, Metrics{Statements: 1})
 		if m2.Metrics.TotalSec() < m1.Metrics.TotalSec() {
 			return false
 		}
 		// Additivity.
 		m3 := NewMeter(l)
-		m3.RoundTrip(64, small)
-		m3.RoundTrip(64, large)
+		m3.Charge(64, small, Metrics{Statements: 1})
+		m3.Charge(64, large, Metrics{Statements: 1})
 		sum := m1.Metrics.TotalSec() + m2.Metrics.TotalSec()
 		return math.Abs(m3.Metrics.TotalSec()-sum) < 1e-9
 	}
@@ -128,5 +129,46 @@ func TestProfileConstructors(t *testing.T) {
 	}
 	if wan.String() == "" || lan.String() == "" {
 		t.Error("profiles must describe themselves")
+	}
+}
+
+// TestMetricsArithmeticCoversEveryField guards the one hand-written
+// field list (Metrics.combine): a counter added to the struct but
+// forgotten there would silently vanish from every Sub delta and every
+// AggregateSites total. Every numeric field gets a distinct non-zero
+// value; Add must move each of them and Sub must move each back.
+func TestMetricsArithmeticCoversEveryField(t *testing.T) {
+	fill := func(base int64) Metrics {
+		var m Metrics
+		v := reflect.ValueOf(&m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(base + int64(i))
+			case reflect.Float64:
+				f.SetFloat(float64(base + int64(i)))
+			default:
+				t.Fatalf("Metrics.%s has kind %s: teach combine and this test about it",
+					v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return m
+	}
+	a, b := fill(1000), fill(1)
+	sum := a.Add(b)
+	if back := sum.Sub(b); back != a {
+		t.Errorf("a.Add(b).Sub(b) = %+v, want %+v", back, a)
+	}
+	va, vs := reflect.ValueOf(a), reflect.ValueOf(sum)
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Interface() == vs.Field(i).Interface() {
+			t.Errorf("Metrics.%s is not summed by Add: missing from combine", va.Type().Field(i).Name)
+		}
+	}
+	// The meter's mutators go through the same list.
+	m := NewMeter(Link{})
+	m.Add(b)
+	if got := m.Snapshot(); got != b {
+		t.Errorf("Meter.Add: %+v, want %+v", got, b)
 	}
 }

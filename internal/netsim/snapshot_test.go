@@ -9,17 +9,17 @@ import (
 // that Snapshot/Delta windows see exactly the traffic between them.
 func TestSnapshotDeltaWindow(t *testing.T) {
 	m := NewMeter(LAN())
-	m.RoundTrip(100, 1000)
-	m.RoundTrip(100, 1000)
+	m.Charge(100, 1000, Metrics{Statements: 1})
+	m.Charge(100, 1000, Metrics{Statements: 1})
 	w0 := m.Snapshot()
 	if w0.RoundTrips != 2 {
 		t.Fatalf("first window: %d round trips, want 2", w0.RoundTrips)
 	}
 
-	m.RoundTrip(50, 500)
-	m.CountCache(3, 1, 2)
-	m.CountAction(false, true)
-	m.CountAction(true, false)
+	m.Charge(50, 500, Metrics{Statements: 1})
+	m.Add(Metrics{CacheHits: 3, CacheMisses: 1, SavedRoundTrips: 2})
+	m.Add(Metrics{ReadActions: 1, RepeatActions: 1})
+	m.Add(Metrics{WriteActions: 1})
 	d := m.Snapshot().Delta(w0)
 	if d.RoundTrips != 1 {
 		t.Errorf("window delta: %d round trips, want 1", d.RoundTrips)
@@ -77,12 +77,15 @@ func TestSnapshotConcurrent(t *testing.T) {
 		go func() {
 			defer chargersWG.Done()
 			for i := 0; i < perG; i++ {
-				m.RoundTrip(64, 512)
-				m.RoundTripValidate(16, 16)
-				m.CountCache(1, 0, 0)
-				m.CountCompression(1, 10)
-				m.CountContention(5, 1, 0)
-				m.CountAction(i%3 == 0, i%2 == 0)
+				m.Charge(64, 512, Metrics{Statements: 1, CompressedFrames: 1, ResponseBytesSaved: 10,
+					LockWaitNanos: 5, SnapshotsStarted: 1})
+				m.Charge(16, 16, Metrics{ValidateRoundTrips: 1})
+				m.Add(Metrics{CacheHits: 1})
+				if i%3 == 0 {
+					m.Add(Metrics{WriteActions: 1})
+				} else {
+					m.Add(Metrics{ReadActions: 1})
+				}
 			}
 		}()
 	}

@@ -259,7 +259,7 @@ func (s *Site) syncLocked(ctx context.Context) (SyncStats, error) {
 		s.holds = nil
 	}
 	if s.meter != nil && (d.Partial || d.Skipped > 0) {
-		s.meter.CountSubscription(d.RowCount(), d.Skipped)
+		s.meter.Add(netsim.Metrics{SubscribedRows: d.RowCount(), SkippedRows: d.Skipped})
 	}
 	stats := SyncStats{Since: d.Since, Epoch: d.Epoch, Keys: len(d.Stamps), Rows: d.RowCount()}
 	s.lastEpoch = d.Epoch

@@ -26,11 +26,6 @@ type Transport interface {
 	RoundTrip(ctx context.Context, request []byte) (response []byte, err error)
 }
 
-// Channel is the transport's former name.
-//
-// Deprecated: use Transport.
-type Channel = Transport
-
 // Client issues SQL over a transport.
 type Client struct {
 	tr Transport
@@ -152,6 +147,27 @@ func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool) ([
 	return plain, nil
 }
 
+// call is roundTrip for the exchanges whose failure answer is a plain
+// error frame (a server that could not decode or serve the request at
+// all): the frame's diagnostic comes back as *ServerError instead of a
+// frame-type mismatch in the caller's decoder. On success the caller
+// owns the body and recycles it with putFrame.
+func (c *Client) call(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
+	respBody, err := c.roundTrip(ctx, body, idempotent)
+	if err != nil {
+		return nil, err
+	}
+	if len(respBody) > 0 && respBody[0] == TypeError {
+		defer putFrame(respBody)
+		resp, err := DecodeResponse(respBody)
+		if err != nil {
+			return nil, err
+		}
+		return nil, &ServerError{Msg: resp.Err}
+	}
+	return respBody, nil
+}
+
 // send performs the transport round trip, wraps raw transport failures
 // in *ConnClosedError, and — for idempotent exchanges under a retry
 // policy — re-sends on connection loss with capped backoff.
@@ -163,7 +179,7 @@ func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte
 	}
 	p := c.retry
 	for attempt := 1; attempt < p.maxAttempts(); attempt++ {
-		p.countRetry()
+		p.count(netsim.Metrics{Retries: 1})
 		p.sleep(p.backoff(attempt))
 		if ctx != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -176,7 +192,7 @@ func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte
 			return respBody, err
 		}
 	}
-	p.countGiveUp()
+	p.count(netsim.Metrics{RetryGiveUps: 1})
 	return nil, err
 }
 
@@ -292,18 +308,11 @@ func (c *Client) exec(ctx context.Context, req *Request) (*Response, error) {
 // Prepare ships a statement's SQL text once and returns the server-side
 // handle for later ExecPrepared calls on this connection.
 func (c *Client) Prepare(ctx context.Context, sql string) (uint32, error) {
-	respBody, err := c.roundTrip(ctx, EncodePrepare(sql), true)
+	respBody, err := c.call(ctx, EncodePrepare(sql), true)
 	if err != nil {
 		return 0, err
 	}
 	defer putFrame(respBody)
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return 0, err
-		}
-		return 0, &ServerError{Msg: resp.Err}
-	}
 	h, err := DecodePrepareResp(respBody)
 	if err != nil {
 		return 0, err
@@ -320,18 +329,11 @@ func (c *Client) Validate(ctx context.Context, checks []StaleCheck) ([]int64, er
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	respBody, err := c.roundTrip(ctx, EncodeValidate(checks), true)
+	respBody, err := c.call(ctx, EncodeValidate(checks), true)
 	if err != nil {
 		return nil, err
 	}
 	defer putFrame(respBody)
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return nil, err
-		}
-		return nil, &ServerError{Msg: resp.Err}
-	}
 	return DecodeValidateResp(respBody)
 }
 
@@ -350,18 +352,11 @@ func (c *Client) Sync(ctx context.Context, since uint64) (*storage.Delta, error)
 func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*storage.Delta, error) {
 	// A sync is fenced like a write — only the current primary may
 	// serve it — but re-pulling a delta is idempotent, so it retries.
-	respBody, err := c.roundTrip(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true)
+	respBody, err := c.call(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true)
 	if err != nil {
 		return nil, err
 	}
 	defer putFrame(respBody)
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return nil, err
-		}
-		return nil, &ServerError{Msg: resp.Err}
-	}
 	return DecodeSyncResp(respBody)
 }
 
@@ -404,21 +399,11 @@ func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, e
 	if !readOnly {
 		body = c.fenceWrite(body)
 	}
-	respBody, err := c.roundTrip(ctx, body, readOnly)
+	respBody, err := c.call(ctx, body, readOnly)
 	if err != nil {
 		return nil, err
 	}
 	defer putFrame(respBody)
-	// A server that could not decode the batch at all answers with a
-	// plain error frame; surface its diagnostic instead of a frame-type
-	// mismatch.
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return nil, err
-		}
-		return nil, &ServerError{Msg: resp.Err}
-	}
 	resps, err := DecodeBatchResponse(respBody)
 	if err != nil {
 		return nil, err
@@ -433,18 +418,11 @@ func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, e
 // its fencing term, role and database epoch. The probe is idempotent
 // and retried like any read.
 func (c *Client) Status(ctx context.Context) (Status, error) {
-	respBody, err := c.roundTrip(ctx, EncodeStatus(), true)
+	respBody, err := c.call(ctx, EncodeStatus(), true)
 	if err != nil {
 		return Status{}, err
 	}
 	defer putFrame(respBody)
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return Status{}, err
-		}
-		return Status{}, &ServerError{Msg: resp.Err}
-	}
 	return DecodeStatusResp(respBody)
 }
 
@@ -467,7 +445,8 @@ func (e *BatchError) Error() string {
 // ---------------------------------------------------------------------------
 // transport implementations
 
-// frameAccountant charges completed exchanges to a meter and learns the
+// frameAccountant charges completed exchanges — with the server
+// contention they drained — to a meter in one Charge, and learns the
 // SQL text length behind each prepared handle from the prepare
 // exchanges it sees go by — metering needs no cooperation from the
 // client. It is shared by every metered transport so the accounting
@@ -477,8 +456,15 @@ type frameAccountant struct {
 	sqlLen map[uint32]int
 }
 
-func (fa *frameAccountant) account(request, response []byte) {
+func (fa *frameAccountant) account(request, response []byte, st minisql.ContentionStats) {
 	if fa.meter != nil {
+		extra := netsim.Metrics{
+			LockWaitNanos:    st.LockWaitNanos,
+			SnapshotsStarted: st.SnapshotsStarted,
+			WriteConflicts:   st.WriteConflicts,
+			PlanHits:         st.PlanHits,
+			PlanMisses:       st.PlanMisses,
+		}
 		// Classification looks through the fencing envelope — a fenced
 		// batch is still a batch — while the charged lengths stay the
 		// full on-wire frame, envelope included.
@@ -487,25 +473,27 @@ func (fa *frameAccountant) account(request, response []byte) {
 		case len(inner) > 0 && inner[0] == TypeValidate:
 			// A validate exchange is a round trip but not a statement:
 			// it is the cache's revalidation cost, accounted apart.
-			fa.meter.RoundTripValidate(len(request)+frameOverhead, len(response)+frameOverhead)
+			extra.ValidateRoundTrips = 1
 		case len(inner) > 0 && inner[0] == TypeSync:
 			// A replication pull: one round trip, no statements — the
 			// delta volume is the replication cost the site meter reports.
-			fa.meter.RoundTripSync(len(request)+frameOverhead, len(response)+frameOverhead)
+			extra.SyncRoundTrips = 1
 		case len(inner) > 0 && (inner[0] == TypeHello || inner[0] == TypeClose || inner[0] == TypeStatus):
 			// The capability handshake, session teardown and health
 			// probes are round trips carrying zero statements.
-			fa.meter.RoundTripFrames(len(request)+frameOverhead, len(response)+frameOverhead, 0, 0, 0)
 		default:
 			stats := ScanFrame(inner, fa.sqlLen)
-			fa.meter.RoundTripFrames(len(request)+frameOverhead, len(response)+frameOverhead,
-				stats.Statements, stats.PreparedExecs, stats.SavedRequestBytes)
+			extra.Statements = stats.Statements
+			extra.PreparedExecs = stats.PreparedExecs
+			extra.SavedRequestBytes = stats.SavedRequestBytes
 		}
 		// The response arrives (and is charged) post-compression; the
 		// recorded original size is what the deflate wrapper saved.
 		if orig, ok := CompressedOriginalSize(response); ok {
-			fa.meter.CountCompression(1, float64(orig-len(response)))
+			extra.CompressedFrames = 1
+			extra.ResponseBytesSaved = float64(orig - len(response))
 		}
+		fa.meter.Charge(len(request)+frameOverhead, len(response)+frameOverhead, extra)
 	}
 	if len(request) > 0 && request[0] == TypePrepare {
 		if resp, err := MaybeDecompress(response); err == nil {
@@ -533,17 +521,6 @@ type ContentionSource interface {
 	TakeContention() minisql.ContentionStats
 }
 
-// countContention folds drained contention stats into a meter.
-func countContention(meter *netsim.Meter, st minisql.ContentionStats) {
-	if meter == nil || st.IsZero() {
-		return
-	}
-	meter.CountContention(st.LockWaitNanos, st.SnapshotsStarted, st.WriteConflicts)
-	if st.PlanHits != 0 || st.PlanMisses != 0 {
-		meter.CountPlans(st.PlanHits, st.PlanMisses)
-	}
-}
-
 // MeteredChannel executes requests against an in-process server
 // connection while charging every round trip to a WAN meter — the
 // deterministic simulation path used by all experiments.
@@ -568,8 +545,7 @@ func (mc *MeteredChannel) RoundTrip(ctx context.Context, request []byte) ([]byte
 	}
 	response := mc.Conn.Handle(request)
 	mc.fa.meter = mc.Meter
-	mc.fa.account(request, response)
-	countContention(mc.Meter, mc.Conn.TakeContention())
+	mc.fa.account(request, response, mc.Conn.TakeContention())
 	return response, nil
 }
 
@@ -635,9 +611,10 @@ func (m *meteredTransport) RoundTrip(ctx context.Context, request []byte) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	m.fa.account(request, response)
+	var st minisql.ContentionStats
 	if cs, ok := m.inner.(ContentionSource); ok {
-		countContention(m.fa.meter, cs.TakeContention())
+		st = cs.TakeContention()
 	}
+	m.fa.account(request, response, st)
 	return response, nil
 }

@@ -88,14 +88,9 @@ func (p *RetryPolicy) next() uint64 {
 	return x
 }
 
-func (p *RetryPolicy) countRetry() {
+// count folds retry counters into the policy's meter, if it has one.
+func (p *RetryPolicy) count(delta netsim.Metrics) {
 	if p.Meter != nil {
-		p.Meter.CountRetry(1)
-	}
-}
-
-func (p *RetryPolicy) countGiveUp() {
-	if p.Meter != nil {
-		p.Meter.CountRetryGiveUp(1)
+		p.Meter.Add(delta)
 	}
 }

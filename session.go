@@ -33,26 +33,25 @@ func MeteredTransport(inner Transport, meter *Meter) Transport { return wire.Met
 // so an invalid combination fails at Open with an *OptionError instead
 // of one option silently shadowing the other.
 type sessionConfig struct {
-	link              Link
-	user              UserContext
-	strategy          Strategy
-	batching          bool
-	prepared          bool
-	transport         Transport
-	meter             *Meter
-	rules             *RuleTable
-	cache             *Cache
-	cacheOn           bool
-	cacheSize         int
-	columnar          bool
-	compress          bool
-	compressThreshold int
-	openCtx           context.Context
-	site              string
-	maxStaleness      time.Duration
-	poolMax           int
-	advisor           *Advisor
-	autoTuneEvery     int
+	link          Link
+	user          UserContext
+	strategy      Strategy
+	batching      bool
+	prepared      bool
+	transport     Transport
+	meter         *Meter
+	rules         *RuleTable
+	cache         *Cache
+	cacheOn       bool
+	cacheSize     int
+	columnar      bool
+	compress      bool
+	openCtx       context.Context
+	site          string
+	maxStaleness  time.Duration
+	poolMax       int
+	advisor       *Advisor
+	autoTuneEvery int
 
 	linkSet         bool
 	transportSet    bool
@@ -253,14 +252,6 @@ func WithColumnarResults(on bool) Option {
 // cold-path reduction. Off by default.
 func WithCompression(on bool) Option {
 	return func(c *sessionConfig) error { c.compress = on; return nil }
-}
-
-// WithCompressionThreshold sets the minimum response body size (bytes)
-// the server compresses for this session; n <= 0 keeps the wire
-// default. Implies nothing by itself — compression still needs
-// WithCompression(true).
-func WithCompressionThreshold(n int) Option {
-	return func(c *sessionConfig) error { c.compressThreshold = n; return nil }
 }
 
 // WithOpenContext bounds the wire exchanges Open itself performs (the
@@ -607,7 +598,7 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		// One negotiation round trip at session open (charged to the
 		// meter like any exchange, bounded by WithOpenContext); the
 		// server answers every later request in the accepted encodings.
-		caps, err := client.NegotiateWire(openCtx, cfg.columnar, cfg.compress, cfg.compressThreshold)
+		caps, err := client.NegotiateWire(openCtx, cfg.columnar, cfg.compress, 0) // 0: the wire's default threshold
 		if err != nil {
 			return nil, fmt.Errorf("pdmtune: capability negotiation: %w", err)
 		}
@@ -619,7 +610,6 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	}
 	sess.columnar = cfg.columnar
 	sess.compress = cfg.compress
-	sess.compressThreshold = cfg.compressThreshold
 	sess.advisor = cfg.advisor
 	if cfg.autoTuneSet {
 		adv := cfg.advisor
