@@ -90,7 +90,7 @@ func main() {
 
 	// The modified SQL that actually went to the server:
 	fmt.Println("\nThe recursive query after modification for example 1 (excerpt):")
-	q := core.BuildRecursiveQuery(1)
+	q := core.BuildRecursiveQuery()
 	m := &core.Modifier{Rules: r1, User: pdmtune.DefaultUser("scott")}
 	if err := m.ModifyRecursive(q, core.ActionMLE); err != nil {
 		log.Fatal(err)

@@ -95,10 +95,6 @@ func (cs *ChangeSet) Apply(ctx context.Context, t Tunable) error {
 	return nil
 }
 
-// Applied reports whether the set is currently applied (and not rolled
-// back).
-func (cs *ChangeSet) Applied() bool { return cs.applied }
-
 // Rollback restores the configuration captured at Apply time. It
 // verifies the session still runs the set's target (no second tuner
 // interfered), applies the pre-apply configuration and re-arms the set.

@@ -136,15 +136,6 @@ func (s *Store) Put(key Key, e Entry) {
 	}
 }
 
-// Drop removes the entry under the key, if present.
-func (s *Store) Drop(key Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.removeElement(el)
-	}
-}
-
 // Invalidate drops every entry (across all actions and profiles)
 // whose InvalidateIDs contain any of the given object ids, returning
 // the number of entries dropped. This is the no-round-trip path a

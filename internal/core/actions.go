@@ -47,13 +47,11 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
 		return nil, err
 	}
-	q := BuildQueryAll(prod)
-	if c.strategy != costmodel.LateEval {
-		if err := c.modifier().ModifyNavigational(q, ActionQuery); err != nil {
-			return nil, err
-		}
+	st, err := c.statement(stmtKey{kind: stmtQuery, action: ActionQuery})
+	if err != nil {
+		return nil, err
 	}
-	resp, err := c.sql.Exec(ctx, q.String())
+	resp, err := c.sql.Do(ctx, c.request(st, prod))
 	if err != nil {
 		return nil, err
 	}

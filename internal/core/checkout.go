@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/types"
@@ -151,103 +150,72 @@ func checkedOutUpdateSQL(table string, out bool) string {
 		"UPDATE %s SET checkedout = FALSE, checkedout_by = NULL WHERE obid = ? AND checkedout_by = ?", table)
 }
 
+// checkedOutListSQL is the flag update of one object table over an id
+// list. Both directions are conditional — a check-out flips only
+// still-checked-in rows, a check-in only the user's own — which is what
+// makes concurrent check-outs first-wins.
+func checkedOutListSQL(table, user string, ids []int64, out bool) string {
+	if out {
+		return fmt.Sprintf(
+			"UPDATE %s SET checkedout = TRUE, checkedout_by = %s WHERE obid IN (%s) AND checkedout <> TRUE",
+			table, sqlText(user), idList(ids))
+	}
+	return fmt.Sprintf(
+		"UPDATE %s SET checkedout = FALSE, checkedout_by = NULL WHERE obid IN (%s) AND checkedout_by = %s",
+		table, idList(ids), sqlText(user))
+}
+
 // setCheckedOut ships the UPDATE statements flipping the flag for every
 // node in the tree — one WAN round trip per object table, or a single
 // batch round trip for the whole modify when batching is enabled. With
 // prepared statements AND batching, the modify becomes one batch of
-// per-node prepared executions: two prepares per session, then handle +
-// (user, obid) pairs on the wire.
+// per-node prepared executions: two prepares per connection, then
+// handle + (user, obid) pairs on the wire. Node types without an object
+// table are skipped.
 func (c *Client) setCheckedOut(ctx context.Context, tree *Tree, out bool) (int, error) {
-	if c.prepared && c.batching {
-		return c.setCheckedOutPrepared(ctx, tree, out)
-	}
-	ids := map[string][]string{}
+	ids := map[string][]int64{}
 	tree.Walk(func(n *Node) {
-		ids[n.Type] = append(ids[n.Type], fmt.Sprintf("%d", n.ObID))
+		ids[n.Type] = append(ids[n.Type], n.ObID)
 	})
-	var stmts []string
+	perNode := c.prepared && c.batching
+	var reqs []*wire.Request
 	for _, table := range []string{"assy", "comp"} {
-		list := ids[table]
-		if len(list) == 0 {
+		if len(ids[table]) == 0 {
 			continue
 		}
-		if out {
-			stmts = append(stmts, fmt.Sprintf(
-				"UPDATE %s SET checkedout = TRUE, checkedout_by = %s WHERE obid IN (%s) AND checkedout <> TRUE",
-				table, sqlText(c.user.Name), strings.Join(list, ", ")))
-		} else {
-			stmts = append(stmts, fmt.Sprintf(
-				"UPDATE %s SET checkedout = FALSE, checkedout_by = NULL WHERE obid IN (%s) AND checkedout_by = %s",
-				table, strings.Join(list, ", "), sqlText(c.user.Name)))
+		if !perNode {
+			reqs = append(reqs, &wire.Request{SQL: checkedOutListSQL(table, c.user.Name, ids[table], out)})
+			continue
+		}
+		sql := checkedOutUpdateSQL(table, out)
+		for _, obid := range ids[table] {
+			params := []types.Value{types.NewText(c.user.Name), types.NewInt(obid)}
+			if !out {
+				params = []types.Value{types.NewInt(obid), types.NewText(c.user.Name)}
+			}
+			reqs = append(reqs, &wire.Request{SQL: sql, Params: params, Prepared: true})
 		}
 	}
 	updated := 0
-	if c.batching && len(stmts) > 1 {
-		reqs := make([]*wire.Request, len(stmts))
-		for i, sql := range stmts {
-			reqs[i] = &wire.Request{SQL: sql}
-		}
-		err := c.withWrite(func(w *wire.Client, _ map[string]uint32) error {
-			updated = 0
+	// A fenced re-issue after failover runs the whole op again on the
+	// new primary (whose wire client re-prepares there).
+	err := c.withWrite(func(w *wire.Client) error {
+		updated = 0
+		if perNode || (c.batching && len(reqs) > 1) {
 			resps, err := w.ExecBatch(ctx, reqs)
 			for _, resp := range resps {
 				updated += resp.RowsAffected
 			}
 			return err
-		})
-		return updated, err
-	}
-	err := c.withWrite(func(w *wire.Client, _ map[string]uint32) error {
-		updated = 0
-		for _, sql := range stmts {
-			resp, err := w.Exec(ctx, sql)
+		}
+		for _, req := range reqs {
+			resp, err := w.Do(ctx, req)
 			if err != nil {
 				return err
 			}
 			updated += resp.RowsAffected
 		}
 		return nil
-	})
-	return updated, err
-}
-
-// setCheckedOutPrepared flips the flag with one batch of per-node
-// prepared executions (prepared+batched mode). Statements are prepared
-// only for the object tables the tree actually contains, and — like the
-// text path, which iterates the known object tables — node types
-// without an object table are skipped.
-func (c *Client) setCheckedOutPrepared(ctx context.Context, tree *Tree, out bool) (int, error) {
-	ids := map[string][]int64{}
-	tree.Walk(func(n *Node) {
-		ids[n.Type] = append(ids[n.Type], n.ObID)
-	})
-	updated := 0
-	// Prepare and execute against one snapshot of the write path: a
-	// fenced re-issue after failover re-prepares on the new primary.
-	err := c.withWrite(func(w *wire.Client, handles map[string]uint32) error {
-		updated = 0
-		var reqs []*wire.Request
-		for _, table := range []string{"assy", "comp"} {
-			if len(ids[table]) == 0 {
-				continue
-			}
-			h, err := c.ensurePreparedWrite(ctx, w, handles, checkedOutUpdateSQL(table, out))
-			if err != nil {
-				return err
-			}
-			for _, obid := range ids[table] {
-				params := []types.Value{types.NewText(c.user.Name), types.NewInt(obid)}
-				if !out {
-					params = []types.Value{types.NewInt(obid), types.NewText(c.user.Name)}
-				}
-				reqs = append(reqs, &wire.Request{Prepared: true, Handle: h, Params: params})
-			}
-		}
-		resps, err := w.ExecBatch(ctx, reqs)
-		for _, resp := range resps {
-			updated += resp.RowsAffected
-		}
-		return err
 	})
 	return updated, err
 }
@@ -271,7 +239,7 @@ func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*C
 	call := fmt.Sprintf("CALL %s(%d, %s, %s, %d, %d)",
 		proc, root, sqlText(c.user.Name), sqlText(c.user.Options), c.user.EffFrom, c.user.EffTo)
 	var resp *wire.Response
-	err := c.withWrite(func(w *wire.Client, _ map[string]uint32) error {
+	err := c.withWrite(func(w *wire.Client) error {
 		var err error
 		resp, err = w.Exec(ctx, call)
 		return err
@@ -333,7 +301,7 @@ func checkProc(rules *RuleTable, out bool) minisql.Procedure {
 		}
 		// Fetch the permitted subtree with the same machinery the client
 		// would use — but locally, without WAN round trips.
-		q := BuildRecursiveQuery(root)
+		q := BuildRecursiveQuery()
 		m := &Modifier{Rules: rules, User: user}
 		action := ActionCheck
 		if !out {
@@ -342,7 +310,7 @@ func checkProc(rules *RuleTable, out bool) minisql.Procedure {
 		if err := m.ModifyRecursive(q, action); err != nil {
 			return nil, err
 		}
-		res, err := s.ExecStmt(q)
+		res, err := s.ExecStmt(q, types.NewInt(root))
 		if err != nil {
 			return nil, err
 		}
@@ -354,14 +322,11 @@ func checkProc(rules *RuleTable, out bool) minisql.Procedure {
 		updated := 0
 		conflict := false
 		if granted {
-			ids := map[string][]string{}
-			expected := 0
+			ids := map[string][]int64{}
 			tree.Walk(func(n *Node) {
-				if n.Type == "assy" || n.Type == "comp" {
-					ids[n.Type] = append(ids[n.Type], fmt.Sprintf("%d", n.ObID))
-					expected++
-				}
+				ids[n.Type] = append(ids[n.Type], n.ObID)
 			})
+			expected := len(ids["assy"]) + len(ids["comp"])
 			// The rule check above ran against a lock-free snapshot; the
 			// updates below re-verify row by row (conditional WHERE) while
 			// holding both object tables' write latches, so between two
@@ -380,17 +345,7 @@ func checkProc(rules *RuleTable, out bool) minisql.Procedure {
 				if len(ids[table]) == 0 {
 					continue
 				}
-				var sql string
-				if out {
-					sql = fmt.Sprintf(
-						"UPDATE %s SET checkedout = TRUE, checkedout_by = %s WHERE obid IN (%s) AND checkedout <> TRUE",
-						table, sqlText(user.Name), strings.Join(ids[table], ", "))
-				} else {
-					sql = fmt.Sprintf(
-						"UPDATE %s SET checkedout = FALSE, checkedout_by = NULL WHERE obid IN (%s) AND checkedout_by = %s",
-						table, strings.Join(ids[table], ", "), sqlText(user.Name))
-				}
-				r, err := s.Exec(sql)
+				r, err := s.Exec(checkedOutListSQL(table, user.Name, ids[table], out))
 				if err != nil {
 					_, _ = s.Exec("ROLLBACK")
 					return nil, err

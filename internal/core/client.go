@@ -37,9 +37,8 @@ type Client struct {
 
 	// writeMu guards the write path's identity: a failover re-points
 	// writeSQL at the new primary from the cluster's goroutine while the
-	// session's own goroutine may be mid-action. Ops snapshot the
-	// (client, handle registry) pair under the read lock, so a handle is
-	// only ever executed on the connection that prepared it.
+	// session's own goroutine may be mid-action. Ops snapshot the write
+	// client under the read lock.
 	writeMu sync.RWMutex
 	// writeSQL is the write path: check-out/check-in updates, CALLs and
 	// raw DML. It equals sql for a single-server client; a client at a
@@ -50,11 +49,6 @@ type Client struct {
 	// its own link (nil when writeSQL == sql and everything is charged
 	// to meter).
 	writeMeter *netsim.Meter
-	// writeHandles caches prepared-statement handles of the write
-	// connection (handles are connection-scoped, so the read and write
-	// paths each keep their own registry; SetPrimary swaps the map
-	// wholesale rather than mutating it).
-	writeHandles map[string]uint32
 	// term is the cluster fencing-term source, re-applied to every
 	// write client SetPrimary creates.
 	term wire.TermSource
@@ -87,38 +81,29 @@ type Client struct {
 	// a structure expand, the probes of that level, the updates of a
 	// modify) into single wire batches, collapsing WAN round trips.
 	batching bool
-	// prepared ships the parameterized per-node statements (expand,
-	// probes, modify) as prepared executions: the SQL text travels once
-	// per session, every repetition is handle + parameters.
+	// prepared ships the per-node statements (expand, probes, type
+	// lookup, modify) as prepared executions: the SQL text travels once
+	// per connection, every repetition is handle + parameters.
 	prepared bool
-	// handleMu guards handles: Reroute clears the cache from the
-	// cluster's goroutine while the session's own goroutine may be
-	// preparing (the cleared entries simply re-prepare at the new
-	// server).
-	handleMu sync.Mutex
-	// handles caches the server-side handle of each prepared SQL text.
-	handles map[string]uint32
-	// preparedSQL caches the parameterized (and rule-modified) statement
-	// texts, keyed by action resp. probe identity.
-	preparedSQL map[string]preparedStmt
-	// seenActions records every (action, target) pair the client has
-	// completed, so countAction can flag repeats — the workload-shape
-	// signal that separates a repeat-heavy session (a structure cache
-	// would pay off) from a cold scan, visible even without a cache.
-	seenActions map[string]bool
-}
-
-// preparedStmt is a parameterized statement text and the number of
-// parameter slots it expects.
-type preparedStmt struct {
-	sql     string
-	nparams int
+	// preparedSQL holds the `?`-form (and rule-modified) text of every
+	// statement the client repeats; see statement.go.
+	preparedSQL map[stmtKey]preparedStmt
+	// seen remembers the (action, target) pairs the client completed
+	// most recently, so countAction can flag repeats — the
+	// workload-shape signal that separates a repeat-heavy session (a
+	// structure cache would pay off) from a cold scan, visible even
+	// without a cache.
+	seen *cache.Store
 }
 
 // typeCacheSize bounds the private object-type cache of a client
 // without a configured structure cache. The old implementation kept an
 // unbounded id→type map — a silent memory leak over a long session.
 const typeCacheSize = 4096
+
+// seenActionsSize bounds the repeat detector the same way: a pair not
+// repeated within this many distinct actions counts as new again.
+const seenActionsSize = 4096
 
 // NewClient connects a PDM client to a transport. meter may be nil (no
 // accounting); rules may be empty.
@@ -127,17 +112,16 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		rules = NewRuleTable()
 	}
 	c := &Client{
-		sql:          wire.NewClient(tr),
-		meter:        meter,
-		rules:        rules,
-		user:         user,
-		strategy:     strategy,
-		local:        &exec.Context{Funcs: minisql.BuiltinFuncs()},
-		scratch:      minisql.NewDB(),
-		handles:      map[string]uint32{},
-		writeHandles: map[string]uint32{},
-		preparedSQL:  map[string]preparedStmt{},
-		types:        cache.New(typeCacheSize),
+		sql:         wire.NewClient(tr),
+		meter:       meter,
+		rules:       rules,
+		user:        user,
+		strategy:    strategy,
+		local:       &exec.Context{Funcs: minisql.BuiltinFuncs()},
+		scratch:     minisql.NewDB(),
+		preparedSQL: map[stmtKey]preparedStmt{},
+		types:       cache.New(typeCacheSize),
+		seen:        cache.New(seenActionsSize),
 	}
 	c.writeSQL = c.sql
 	c.rebuildFetch()
@@ -162,7 +146,7 @@ func (c *Client) rebuildFetch() {
 			// (the staleness sync also refreshes the holds set) and above
 			// the cache (a fallen-through page must not be validated
 			// against the replica, which does not hold it).
-			f = &fallThroughFetcher{inner: f, c: c, holds: c.site.holds}
+			f = &fallThroughFetcher{inner: f, primary: &wireFetcher{c: c, primary: true}, holds: c.site.holds}
 		}
 		f = &routedFetcher{inner: f, site: c.site}
 	}
@@ -173,17 +157,17 @@ func (c *Client) rebuildFetch() {
 func (c *Client) Strategy() costmodel.Strategy { return c.strategy }
 
 // SetStrategy switches the client's access strategy at runtime (the
-// advisor's lever). The cached parameterized statement texts embed the
-// strategy's rule modification, so they are dropped — already-prepared
-// server-side handles stay valid and are simply not reused — and the
-// read path is rebuilt because the structure cache keys its profile by
+// advisor's lever). The cached statement texts embed the strategy's
+// rule modification, so they are dropped — already-prepared server-side
+// handles stay valid and are simply not reused — and the read path is
+// rebuilt because the structure cache keys its profile by
 // strategy.
 func (c *Client) SetStrategy(s costmodel.Strategy) {
 	if s == c.strategy {
 		return
 	}
 	c.strategy = s
-	c.preparedSQL = map[string]preparedStmt{}
+	c.preparedSQL = map[stmtKey]preparedStmt{}
 	c.rebuildFetch()
 }
 
@@ -196,38 +180,25 @@ func (c *Client) SetBatching(on bool) { c.batching = on }
 // Batching reports whether statement batching is enabled.
 func (c *Client) Batching() bool { return c.batching }
 
-// SetPrepared switches prepared-statement execution on or off. Off (the
-// default) ships full SQL text per statement, as the paper's system
-// does; on, the navigational per-node statements are prepared once per
-// session and executed by handle, shrinking every repeated request to a
-// few dozen bytes.
+// SetPrepared selects the frame encoding of the per-node statements.
+// Off (the default) ships the `?`-form SQL text plus parameters per
+// statement, as the paper's system ships text; on, each text is
+// prepared once per connection and executed by handle, shrinking every
+// repeated request to a few dozen bytes.
 func (c *Client) SetPrepared(on bool) { c.prepared = on }
 
 // Prepared reports whether prepared-statement execution is enabled.
 func (c *Client) Prepared() bool { return c.prepared }
 
-// NegotiateWire performs the connection's capability handshake:
-// columnar v2 result frames and/or whole-body response compression
-// (threshold <= 0 selects the wire default). One round trip at session
-// open; the decoded trees of every action are identical either way —
+// RenegotiateWire runs the connection's capability handshake: columnar
+// v2 result frames and/or whole-body response compression (threshold
+// <= 0 selects the wire default). One round trip, at session open or
+// mid-session — the advisor's lever for flipping the negotiated
+// encodings on a live connection; an all-false renegotiation is how an
+// applied change set (or its rollback) turns the capabilities off
+// again. The decoded trees of every action are identical either way —
 // the negotiated encodings change only what crosses the WAN, which is
-// what the meter reports. A no-capability call is free.
-func (c *Client) NegotiateWire(ctx context.Context, columnar, compress bool, threshold int) (wire.Caps, error) {
-	if !columnar && !compress {
-		return wire.Caps{}, nil
-	}
-	return c.sql.Negotiate(ctx, wire.Caps{
-		Columnar:          columnar,
-		Compress:          compress,
-		CompressThreshold: threshold,
-	})
-}
-
-// RenegotiateWire re-runs the capability handshake mid-session — the
-// advisor's lever for flipping the negotiated encodings on a live
-// connection. Unlike NegotiateWire it always performs the round trip:
-// an all-false renegotiation is how an applied change set (or its
-// rollback) turns the capabilities off again.
+// what the meter reports.
 func (c *Client) RenegotiateWire(ctx context.Context, columnar, compress bool, threshold int) (wire.Caps, error) {
 	return c.sql.Negotiate(ctx, wire.Caps{
 		Columnar:          columnar,
@@ -274,7 +245,6 @@ func (c *Client) SetPrimary(tr wire.Transport, meter *netsim.Meter) {
 	if tr == nil {
 		c.writeSQL = c.sql
 		c.writeMeter = nil
-		c.writeHandles = map[string]uint32{}
 		return
 	}
 	w := wire.NewClient(tr)
@@ -283,7 +253,6 @@ func (c *Client) SetPrimary(tr wire.Transport, meter *netsim.Meter) {
 	}
 	c.writeSQL = w
 	c.writeMeter = meter
-	c.writeHandles = map[string]uint32{}
 }
 
 // SetTermSource installs the cluster fencing-term source: write frames
@@ -307,12 +276,11 @@ func (c *Client) SetRetry(p *wire.RetryPolicy) {
 	c.sql.SetRetry(p)
 }
 
-// writePath snapshots the write path under the lock: the client and
-// the handle registry that belongs to it.
-func (c *Client) writePath() (*wire.Client, map[string]uint32) {
+// writePath snapshots the write client under the lock.
+func (c *Client) writePath() *wire.Client {
 	c.writeMu.RLock()
 	defer c.writeMu.RUnlock()
-	return c.writeSQL, c.writeHandles
+	return c.writeSQL
 }
 
 // withWrite runs one write operation against the current write path.
@@ -322,19 +290,19 @@ func (c *Client) writePath() (*wire.Client, map[string]uint32) {
 // the same client re-routed onto a new transport) the op is re-issued
 // once against the new primary; a fenced error with nowhere new to go
 // is returned to the caller.
-func (c *Client) withWrite(op func(w *wire.Client, handles map[string]uint32) error) error {
-	w, h := c.writePath()
+func (c *Client) withWrite(op func(w *wire.Client) error) error {
+	w := c.writePath()
 	gen := w.TransportGen()
-	err := op(w, h)
+	err := op(w)
 	var fe *wire.FencedError
 	if err == nil || !errors.As(err, &fe) {
 		return err
 	}
-	w2, h2 := c.writePath()
+	w2 := c.writePath()
 	if w2 == w && w2.TransportGen() == gen {
 		return err
 	}
-	return op(w2, h2)
+	return op(w2)
 }
 
 // Reroute swaps the client's entire path — reads and writes — onto tr.
@@ -342,19 +310,14 @@ func (c *Client) withWrite(op func(w *wire.Client, handles map[string]uint32) er
 // deposed primary's own server: unlike a replica-site session there is
 // no local database behind such a session, so after the promotion its
 // reads would be frozen at the fencing instant forever. The installed
-// term source and retry policy carry over; prepared handles are
-// connection-scoped, so both handle caches are dropped and statements
-// re-prepare on first use at the new server.
+// term source and retry policy carry over; the wire client drops the
+// old connection's prepared handles with its transport.
 func (c *Client) Reroute(tr wire.Transport) {
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	c.sql.SetTransport(tr)
 	c.writeSQL = c.sql
 	c.writeMeter = nil
-	c.writeHandles = map[string]uint32{}
-	c.writeMu.Unlock()
-	c.handleMu.Lock()
-	c.handles = map[string]uint32{}
-	c.handleMu.Unlock()
 }
 
 // Syncer pulls a replica site forward from its primary. It is
@@ -415,44 +378,18 @@ func (c *Client) SetStalenessBound(bound time.Duration) {
 	}
 }
 
-// StalenessBound reports the client's replica staleness bound and
-// whether the client reads from a replica at all.
-func (c *Client) StalenessBound() (time.Duration, bool) {
-	if c.site == nil {
-		return 0, false
-	}
-	return c.site.bound, true
-}
-
 // Close releases the client's server-side session state: connections
 // that prepared statements get a teardown round trip clearing their
 // registries (connections that never prepared cost nothing). The
 // client remains usable — later prepared executions re-prepare.
 func (c *Client) Close(ctx context.Context) error {
-	var firstErr error
-	c.handleMu.Lock()
-	prepared := len(c.handles) > 0
-	if prepared {
-		c.handles = map[string]uint32{}
-	}
-	c.handleMu.Unlock()
-	if prepared {
-		if err := c.sql.Close(ctx); err != nil && firstErr == nil {
-			firstErr = err
+	err := c.sql.Close(ctx)
+	if w := c.writePath(); w != c.sql {
+		if werr := w.Close(ctx); err == nil {
+			err = werr
 		}
 	}
-	w, handles := c.writePath()
-	if w != c.sql && len(handles) > 0 {
-		if err := w.Close(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.writeMu.Lock()
-		if c.writeSQL == w {
-			c.writeHandles = map[string]uint32{}
-		}
-		c.writeMu.Unlock()
-	}
-	return firstErr
+	return err
 }
 
 // ruleTableIDs assigns every rule table a process-unique id the first
@@ -535,7 +472,7 @@ func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) 
 		return c.sql.Exec(ctx, sql, params...)
 	}
 	var resp *wire.Response
-	err := c.withWrite(func(w *wire.Client, _ map[string]uint32) error {
+	err := c.withWrite(func(w *wire.Client) error {
 		var err error
 		resp, err = w.Exec(ctx, sql, params...)
 		return err
@@ -563,57 +500,6 @@ func isReadOnlySQL(sql string) bool {
 
 func (c *Client) modifier() *Modifier { return &Modifier{Rules: c.rules, User: c.user} }
 
-// ---------------------------------------------------------------------------
-// prepared-statement plumbing
-
-// ensurePrepared returns the read connection's server-side handle for
-// a statement text, preparing it on first use (one extra round trip
-// per session and text).
-func (c *Client) ensurePrepared(ctx context.Context, sql string) (uint32, error) {
-	c.handleMu.Lock()
-	h, ok := c.handles[sql]
-	c.handleMu.Unlock()
-	if ok {
-		return h, nil
-	}
-	h, err := c.sql.Prepare(ctx, sql)
-	if err != nil {
-		return 0, err
-	}
-	c.handleMu.Lock()
-	c.handles[sql] = h
-	c.handleMu.Unlock()
-	return h, nil
-}
-
-// ensurePreparedWrite is ensurePrepared for a snapshotted write path —
-// handles are connection-scoped, so a statement prepared at a replica
-// is useless at the primary and vice versa, and a handle must only
-// ever execute on the (w, handles) pair it was prepared against.
-func (c *Client) ensurePreparedWrite(ctx context.Context, w *wire.Client, handles map[string]uint32, sql string) (uint32, error) {
-	if w == c.sql {
-		return c.ensurePrepared(ctx, sql)
-	}
-	if h, ok := handles[sql]; ok {
-		return h, nil
-	}
-	h, err := w.Prepare(ctx, sql)
-	if err != nil {
-		return 0, err
-	}
-	handles[sql] = h
-	return h, nil
-}
-
-// execRequest ships one request built by a *Request constructor — a
-// prepared execution or plain text.
-func (c *Client) execRequest(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if req.Prepared {
-		return c.sql.ExecPrepared(ctx, req.Handle, req.Params...)
-	}
-	return c.sql.Exec(ctx, req.SQL, req.Params...)
-}
-
 func (c *Client) snapshot() netsim.Metrics {
 	var m netsim.Metrics
 	if c.meter != nil {
@@ -636,12 +522,9 @@ func (c *Client) delta(before netsim.Metrics) netsim.Metrics {
 // carried it, flagging repeats of the same (action, target) pair —
 // the per-kind counters the advisor classifies workload shape from.
 func (c *Client) countAction(action string, target int64, write bool) {
-	key := fmt.Sprintf("%s\x00%d", action, target)
-	repeat := c.seenActions[key]
-	if c.seenActions == nil {
-		c.seenActions = map[string]bool{}
-	}
-	c.seenActions[key] = true
+	key := cache.Key{ID: target, Action: action}
+	_, repeat := c.seen.Get(key)
+	c.seen.Put(key, cache.Entry{})
 	m := c.meter
 	if write {
 		c.writeMu.RLock()

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"strconv"
-	"strings"
 
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql/storage"
-	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/wire"
 )
 
@@ -15,80 +12,13 @@ import (
 // the children of one parent (or one whole BFS level) are pulled
 // across the WAN under the client's configured statement mode.
 
-// expandParentSentinel is the parent id the cached expand template is
-// rendered with. Generated object ids are nonnegative and rule text
-// cannot contain this literal, so substituting its decimal form with
-// the real parent id touches exactly the two injected id positions.
-const expandParentSentinel = -(1<<62 + 20010615)
-
-var expandSentinelText = strconv.FormatInt(expandParentSentinel, 10)
-
-// buildExpandSQL returns the (strategy-modified) single-level expand
-// query text for one parent. A multi-level expand ships this statement
-// once per visited node with only the parent id changing, so the
-// built, rule-modified and rendered text is cached per action as a
-// template (invalidated with the rest of preparedSQL on strategy
-// switches) and each node costs two integer substitutions instead of a
-// parse + modify + render of the whole statement.
-func (c *Client) buildExpandSQL(parent int64, action string) (string, error) {
-	key := "expandsql\x00" + action
-	st, ok := c.preparedSQL[key]
-	if !ok {
-		q := BuildExpandQuery(expandParentSentinel)
-		if c.strategy != costmodel.LateEval {
-			if err := c.modifier().ModifyNavigational(q, action); err != nil {
-				return "", err
-			}
-		}
-		st = preparedStmt{sql: q.String()}
-		c.preparedSQL[key] = st
-	}
-	return strings.ReplaceAll(st.sql, expandSentinelText, strconv.FormatInt(parent, 10)), nil
-}
-
-// expandStmtPrepared returns the parameterized expand statement for an
-// action: built and rule-modified once per session, then reused for
-// every node. The two UNION branches each bind the parent id.
-func (c *Client) expandStmtPrepared(action string) (preparedStmt, error) {
-	key := "expand\x00" + action
-	if st, ok := c.preparedSQL[key]; ok {
-		return st, nil
-	}
-	q := BuildExpandQueryParam()
-	if c.strategy != costmodel.LateEval {
-		if err := c.modifier().ModifyNavigational(q, action); err != nil {
-			return preparedStmt{}, err
-		}
-	}
-	st := preparedStmt{sql: q.String(), nparams: 2}
-	c.preparedSQL[key] = st
-	return st, nil
-}
-
-// expandRequest builds the wire request expanding one parent: a
-// prepared execution (handle + parent id) in prepared mode, the full
-// statement text otherwise.
-func (c *Client) expandRequest(ctx context.Context, parent int64, action string) (*wire.Request, error) {
-	if c.prepared {
-		st, err := c.expandStmtPrepared(action)
-		if err != nil {
-			return nil, err
-		}
-		h, err := c.ensurePrepared(ctx, st.sql)
-		if err != nil {
-			return nil, err
-		}
-		params := make([]types.Value, st.nparams)
-		for i := range params {
-			params[i] = types.NewInt(parent)
-		}
-		return &wire.Request{Prepared: true, Handle: h, Params: params}, nil
-	}
-	sql, err := c.buildExpandSQL(parent, action)
+// expandRequest builds the wire request expanding one parent.
+func (c *Client) expandRequest(parent int64, action string) (*wire.Request, error) {
+	st, err := c.statement(stmtKey{kind: stmtExpand, action: action})
 	if err != nil {
 		return nil, err
 	}
-	return &wire.Request{SQL: sql}, nil
+	return c.request(st, parent), nil
 }
 
 // filterExpandRows applies the client-side rule filters to the rows of
@@ -138,11 +68,11 @@ func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, [
 // database.
 func (w *wireFetcher) expandOnce(ctx context.Context, parent int64, action string) (expandPage, error) {
 	c := w.c
-	req, err := c.expandRequest(ctx, parent, action)
+	req, err := c.expandRequest(parent, action)
 	if err != nil {
 		return expandPage{}, err
 	}
-	resp, err := c.execRequest(ctx, req)
+	resp, err := w.exec(ctx, req)
 	if err != nil {
 		return expandPage{}, err
 	}
@@ -171,7 +101,7 @@ func (w *wireFetcher) expandLevelBatched(ctx context.Context, parents []*Node, a
 	c := w.c
 	reqs := make([]*wire.Request, len(parents))
 	for i, p := range parents {
-		req, err := c.expandRequest(ctx, p.ObID, action)
+		req, err := c.expandRequest(p.ObID, action)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+
+	"pdmtune/internal/wire"
 )
 
 // fetcher is the unified read path of the PDM client. Every byte a
@@ -13,8 +15,10 @@ import (
 // what keeps the wire strategies (batching, prepared statements) in
 // one file each instead of threaded through every action.
 //
-// Implementations: wireFetcher (the real WAN paths) and cachedFetcher
-// (the version-validated structure cache decorating a wireFetcher).
+// Implementations: wireFetcher (the real WAN paths), cachedFetcher
+// (the version-validated structure cache decorating a wireFetcher),
+// fallThroughFetcher (partial replicas) and routedFetcher (replica
+// staleness).
 type fetcher interface {
 	// BeginAction resets per-action state; every user action calls it
 	// once before its first fetch. The cached fetcher uses it to scope
@@ -61,12 +65,24 @@ type expandPage struct {
 	Epoch uint64
 }
 
-// wireFetcher is the real read path: every call crosses the transport
-// under the client's configured wire strategy (plain statements,
-// batched levels, prepared executions). Its method bodies live in
-// expand.go, probe.go and recursive.go.
+// wireFetcher is the real read path, bound to the connection it
+// executes on: the client's read connection under the configured wire
+// strategy (batched levels, prepared executions), or — primary set —
+// the fall-through lane of a partial replica, where every statement
+// crosses to the primary one round trip at a time, as text, counted as
+// fall-through. Its method bodies live in expand.go, probe.go,
+// typelookup.go and recursive.go.
 type wireFetcher struct {
-	c *Client
+	c       *Client
+	primary bool
+}
+
+// exec ships one statement on the fetcher's connection.
+func (w *wireFetcher) exec(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	if w.primary {
+		return w.c.execFallThrough(ctx, req)
+	}
+	return w.c.sql.Do(ctx, req)
 }
 
 // BeginAction is a no-op: the wire fetcher keeps no per-action state.
@@ -80,7 +96,7 @@ func (w *wireFetcher) EnsureFresh(ctx context.Context) error { return nil }
 // level when batching is enabled, one round trip per parent (the
 // paper's behavior) otherwise.
 func (w *wireFetcher) ExpandLevel(ctx context.Context, parents []*Node, action string) ([]expandPage, int, error) {
-	if w.c.batching {
+	if w.c.batching && !w.primary {
 		return w.expandLevelBatched(ctx, parents, action)
 	}
 	pages := make([]expandPage, len(parents))

@@ -251,33 +251,18 @@ func clone(e ast.Expr) ast.Expr {
 	}
 }
 
-// substituteColumn replaces references to table.column with a literal —
-// used to turn a correlated ∃structure condition into a standalone probe.
-func substituteColumn(e ast.Expr, table, column string, val int64) ast.Expr {
-	return substituteColumnWith(e, table, column, func() ast.Expr {
-		return &ast.Literal{Value: intValue(val)}
-	})
-}
-
-// substituteColumnParam replaces references to table.column with `?`
-// placeholders, counting them in *count — the parameterized probe the
-// prepared-statement mode prepares once per rule.
+// substituteColumnParam replaces every reference to table.column with a
+// `?` placeholder, counting them in *count — what turns a correlated
+// ∃structure condition into a standalone probe that one text serves
+// for every probed object.
 func substituteColumnParam(e ast.Expr, table, column string, count *int) ast.Expr {
-	return substituteColumnWith(e, table, column, func() ast.Expr {
-		p := &ast.Param{Index: *count}
-		*count++
-		return p
-	})
-}
-
-// substituteColumnWith rewrites every reference to table.column using
-// the given replacement constructor.
-func substituteColumnWith(e ast.Expr, table, column string, repl func() ast.Expr) ast.Expr {
-	replace := func(x ast.Expr) ast.Expr { return substituteColumnWith(x, table, column, repl) }
+	replace := func(x ast.Expr) ast.Expr { return substituteColumnParam(x, table, column, count) }
 	switch e := e.(type) {
 	case *ast.ColumnRef:
 		if strings.EqualFold(e.Table, table) && strings.EqualFold(e.Column, column) {
-			return repl()
+			p := &ast.Param{Index: *count}
+			*count++
+			return p
 		}
 		return e
 	case *ast.Binary:
@@ -305,23 +290,23 @@ func substituteColumnWith(e ast.Expr, table, column string, repl func() ast.Expr
 		}
 		return &ast.FuncCall{Name: e.Name, Args: args}
 	case *ast.Exists:
-		return &ast.Exists{Not: e.Not, Select: substituteInSelect(e.Select, table, column, repl)}
+		return &ast.Exists{Not: e.Not, Select: substituteInSelect(e.Select, table, column, count)}
 	case *ast.InSubquery:
-		return &ast.InSubquery{Expr: replace(e.Expr), Not: e.Not, Select: substituteInSelect(e.Select, table, column, repl)}
+		return &ast.InSubquery{Expr: replace(e.Expr), Not: e.Not, Select: substituteInSelect(e.Select, table, column, count)}
 	case *ast.ScalarSubquery:
-		return &ast.ScalarSubquery{Select: substituteInSelect(e.Select, table, column, repl)}
+		return &ast.ScalarSubquery{Select: substituteInSelect(e.Select, table, column, count)}
 	}
 	return e
 }
 
 // substituteInSelect rewrites WHERE clauses of a (sub)query — sufficient
 // for probe generation, where the correlation always sits in a WHERE.
-func substituteInSelect(sel *ast.Select, table, column string, repl func() ast.Expr) *ast.Select {
+func substituteInSelect(sel *ast.Select, table, column string, count *int) *ast.Select {
 	out := *sel
 	cores := collectCores(out.Body)
 	for _, c := range cores {
 		if c.Where != nil {
-			c.Where = substituteColumnWith(c.Where, table, column, repl)
+			c.Where = substituteColumnParam(c.Where, table, column, count)
 		}
 	}
 	return &out

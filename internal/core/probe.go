@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/wire"
 )
 
@@ -12,46 +11,14 @@ import (
 // extra round trips a navigational client must pay per candidate node
 // because the related objects live only in the server's database.
 
-// probeStmtPrepared returns the parameterized ∃structure probe for one
-// rule and object type, cached per session. Every reference to
-// <objType>.obid becomes a parameter bound to the probed id.
-func (c *Client) probeStmtPrepared(cond, objType string) (preparedStmt, error) {
-	key := "probe\x00" + objType + "\x00" + cond
-	if st, ok := c.preparedSQL[key]; ok {
-		return st, nil
-	}
-	q, nparams, err := BuildProbeExistsParam(cond, c.user, objType)
-	if err != nil {
-		return preparedStmt{}, err
-	}
-	st := preparedStmt{sql: q.String(), nparams: nparams}
-	c.preparedSQL[key] = st
-	return st, nil
-}
-
 // probeRequest builds the wire request probing one ∃structure rule for
 // one candidate node.
-func (c *Client) probeRequest(ctx context.Context, r Rule, n *Node) (*wire.Request, error) {
-	if c.prepared {
-		st, err := c.probeStmtPrepared(r.Cond, n.Type)
-		if err != nil {
-			return nil, err
-		}
-		h, err := c.ensurePrepared(ctx, st.sql)
-		if err != nil {
-			return nil, err
-		}
-		params := make([]types.Value, st.nparams)
-		for i := range params {
-			params[i] = types.NewInt(n.ObID)
-		}
-		return &wire.Request{Prepared: true, Handle: h, Params: params}, nil
-	}
-	probe, err := BuildProbeExists(r.Cond, c.user, n.Type, n.ObID)
+func (c *Client) probeRequest(r Rule, n *Node) (*wire.Request, error) {
+	st, err := c.statement(stmtKey{kind: stmtProbe, objType: n.Type, cond: r.Cond})
 	if err != nil {
 		return nil, err
 	}
-	return &wire.Request{SQL: probe.String()}, nil
+	return c.request(st, n.ObID), nil
 }
 
 // probeExistsStructure checks ∃structure rules for one candidate object
@@ -64,11 +31,11 @@ func (w *wireFetcher) probeExistsStructure(ctx context.Context, n *Node, action 
 		return true, nil
 	}
 	for _, r := range rules {
-		req, err := c.probeRequest(ctx, r, n)
+		req, err := c.probeRequest(r, n)
 		if err != nil {
 			return false, err
 		}
-		resp, err := c.execRequest(ctx, req)
+		resp, err := w.exec(ctx, req)
 		if err != nil {
 			return false, err
 		}
@@ -100,7 +67,7 @@ func (w *wireFetcher) probeExistsStructureBatched(ctx context.Context, children 
 		for j, n := range ns {
 			rules := c.rules.Relevant(c.user.Name, []string{action, ActionAccess}, n.Type, KindExistsStructure)
 			for _, r := range rules {
-				req, err := c.probeRequest(ctx, r, n)
+				req, err := c.probeRequest(r, n)
 				if err != nil {
 					return nil, err
 				}

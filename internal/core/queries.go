@@ -35,36 +35,18 @@ func mustParseSelect(sql string) *ast.Select {
 	return sel
 }
 
-// BuildExpandQuery returns the navigational single-level-expand query
-// for one parent object: a single SQL statement fetching all direct
-// children (assemblies and components) together with the connecting
-// links, homogenized into one result type. The paper's navigational
-// access translates tree traversal "nearly one-to-one into single,
-// isolated SQL queries" of this shape — one per visited node.
-func BuildExpandQuery(parent int64) *ast.Select {
-	sql := fmt.Sprintf(`
-SELECT assy.type, assy.obid, assy.name, assy.dec, assy.make_or_buy, assy.state,
-       '' AS "material", assy.weight, assy.checkedout, assy.data, assy.path_opt,
-       link.left, link.right, link.eff_from, link.eff_to, link.strc_opt
-  FROM link JOIN assy ON link.right = assy.obid
-  WHERE link.left = %d
-UNION ALL
-SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.state,
-       comp.material, comp.weight, comp.checkedout, comp.data, comp.path_opt,
-       link.left, link.right, link.eff_from, link.eff_to, link.strc_opt
-  FROM link JOIN comp ON link.right = comp.obid
-  WHERE link.left = %d`, parent, parent)
-	return mustParseSelect(sql)
-}
-
-// BuildExpandQueryParam returns the single-level-expand query in its
-// parameterized form: the parent id is a `?` placeholder (once per UNION
-// branch), so the statement text is identical for every visited node.
-// This is what the prepared-statement mode prepares once per session —
-// the server parses one statement and every subsequent node costs only
-// a handle and two integer parameters on the wire.
-func BuildExpandQueryParam() *ast.Select {
-	sql := `
+// BuildExpandQuery returns the navigational single-level-expand query:
+// a single SQL statement fetching all direct children (assemblies and
+// components) of one parent together with the connecting links,
+// homogenized into one result type. The paper's navigational access
+// translates tree traversal "nearly one-to-one into single, isolated
+// SQL queries" of this shape — one per visited node. The parent id is a
+// `?` placeholder (once per UNION branch), so the statement text is
+// identical for every visited node: the server parses it once, and a
+// node costs the text (or, prepared, a handle) plus two integer
+// parameters on the wire.
+func BuildExpandQuery() *ast.Select {
+	return mustParseSelect(`
 SELECT assy.type, assy.obid, assy.name, assy.dec, assy.make_or_buy, assy.state,
        '' AS "material", assy.weight, assy.checkedout, assy.data, assy.path_opt,
        link.left, link.right, link.eff_from, link.eff_to, link.strc_opt
@@ -75,22 +57,22 @@ SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.s
        comp.material, comp.weight, comp.checkedout, comp.data, comp.path_opt,
        link.left, link.right, link.eff_from, link.eff_to, link.strc_opt
   FROM link JOIN comp ON link.right = comp.obid
-  WHERE link.left = ?`
-	return mustParseSelect(sql)
+  WHERE link.left = ?`)
 }
 
 // BuildQueryAll returns the set-oriented "Query" action of Table 2: all
 // nodes of a product in one statement, without structure information.
-// (PDM node rows carry the product id, so no recursion is needed.)
-func BuildQueryAll(prod int64) *ast.Select {
-	sql := fmt.Sprintf(`
+// (PDM node rows carry the product id, so no recursion is needed.) The
+// product id is a `?` placeholder, once per UNION branch.
+func BuildQueryAll() *ast.Select {
+	return mustParseSelect(`
 SELECT assy.type, assy.obid, assy.name, assy.dec, assy.make_or_buy, assy.state,
        '' AS "material", assy.weight, assy.checkedout, assy.data, assy.path_opt,
        CAST(NULL AS INTEGER) AS "left", CAST(NULL AS INTEGER) AS "right",
        CAST(NULL AS INTEGER) AS "eff_from", CAST(NULL AS INTEGER) AS "eff_to",
        CAST(NULL AS TEXT) AS "strc_opt"
   FROM assy
-  WHERE assy.prod = %d
+  WHERE assy.prod = ?
 UNION ALL
 SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.state,
        comp.material, comp.weight, comp.checkedout, comp.data, comp.path_opt,
@@ -98,21 +80,21 @@ SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.s
        CAST(NULL AS INTEGER) AS "eff_from", CAST(NULL AS INTEGER) AS "eff_to",
        CAST(NULL AS TEXT) AS "strc_opt"
   FROM comp
-  WHERE comp.prod = %d`, prod, prod)
-	return mustParseSelect(sql)
+  WHERE comp.prod = ?`)
 }
 
 // BuildRecursiveQuery returns the Section 5.2 recursive query: one
-// statement collecting the whole object tree under root into the unified
-// result type — node rows from the recursion table plus the link rows
-// needed to reconstruct the structure. Rule predicates are injected
-// afterwards by the Modifier (Section 5.5).
-func BuildRecursiveQuery(root int64) *ast.Select {
-	sql := fmt.Sprintf(`
+// statement collecting the whole object tree under the root (the one `?`
+// placeholder) into the unified result type — node rows from the
+// recursion table plus the link rows needed to reconstruct the
+// structure. Rule predicates are injected afterwards by the Modifier
+// (Section 5.5).
+func BuildRecursiveQuery() *ast.Select {
+	return mustParseSelect(`
 WITH RECURSIVE rtbl (type, obid, name, dec, make_or_buy, state, material, weight, checkedout, data, path_opt) AS
  (SELECT type, obid, name, dec, make_or_buy, state, '', weight, checkedout, data, path_opt
     FROM assy
-    WHERE assy.obid = %d
+    WHERE assy.obid = ?
   UNION
   SELECT assy.type, assy.obid, assy.name, assy.dec, assy.make_or_buy, assy.state, '',
          assy.weight, assy.checkedout, assy.data, assy.path_opt
@@ -137,8 +119,7 @@ SELECT type, obid, '' AS "name", '' AS "dec", '' AS "make_or_buy", '' AS "state"
   FROM link
   WHERE (left IN (SELECT obid FROM rtbl)
      AND right IN (SELECT obid FROM rtbl))
-ORDER BY 1, 2`, root)
-	return mustParseSelect(sql)
+ORDER BY 1, 2`)
 }
 
 // BuildWhereUsedLevelSQL returns one upward BFS level of a where-used
@@ -185,30 +166,14 @@ func idList(ids []int64) string {
 }
 
 // BuildProbeExists turns an ∃structure condition into a standalone probe
-// query for one concrete object — what a navigational client must ship
-// per candidate node because it cannot evaluate the condition locally
-// (the related objects live on the server). References to
-// <objType>.obid in the condition are replaced by the object id.
-func BuildProbeExists(cond string, u UserContext, objType string, obid int64) (*ast.Select, error) {
-	e, err := parser.ParseExpr(u.Expand(cond))
-	if err != nil {
-		return nil, err
-	}
-	e = substituteColumn(e, objType, "obid", obid)
-	core := &ast.SelectCore{
-		Items: []ast.SelectItem{{Expr: &ast.Literal{Value: intValue(1)}, Alias: "ok"}},
-		Where: e,
-	}
-	return &ast.Select{Body: core}, nil
-}
-
-// BuildProbeExistsParam is the parameterized form of BuildProbeExists:
-// every reference to <objType>.obid becomes a `?` placeholder, so one
-// prepared probe serves all candidate nodes of a rule. It returns the
-// number of placeholders; the caller binds the probed object id to each
-// (all placeholders carry the same value, so binding order is
-// immaterial).
-func BuildProbeExistsParam(cond string, u UserContext, objType string) (*ast.Select, int, error) {
+// query — what a navigational client must ship per candidate node
+// because it cannot evaluate the condition locally (the related objects
+// live on the server). Every reference to <objType>.obid becomes a `?`
+// placeholder, so one probe text serves all candidate nodes of a rule.
+// It returns the number of placeholders; the caller binds the probed
+// object id to each (all placeholders carry the same value, so binding
+// order is immaterial).
+func BuildProbeExists(cond string, u UserContext, objType string) (*ast.Select, int, error) {
 	e, err := parser.ParseExpr(u.Expand(cond))
 	if err != nil {
 		return nil, 0, err

@@ -9,11 +9,11 @@ import (
 // result itself, so no lookup statement is needed.
 func (w *wireFetcher) FetchRecursive(ctx context.Context, root int64, action string) (*Tree, int, uint64, error) {
 	c := w.c
-	q := BuildRecursiveQuery(root)
-	if err := c.modifier().ModifyRecursive(q, action); err != nil {
+	st, err := c.statement(stmtKey{kind: stmtRecursive, action: action})
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	resp, err := c.sql.Exec(ctx, q.String())
+	resp, err := w.exec(ctx, c.request(st, root))
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"pdmtune/internal/cache"
-	"pdmtune/internal/minisql/types"
-	"pdmtune/internal/wire"
 )
 
 // Object type resolution. Looked-up and received types are remembered
@@ -28,10 +26,6 @@ func (c *Client) typeKey(obid int64) cache.Key {
 	return cache.Key{ID: obid, Action: typeAction, Profile: c.cacheNS}
 }
 
-// typeLookupParamSQL resolves an object id to its type across the node
-// tables — the object model's discriminator query.
-const typeLookupParamSQL = "SELECT type FROM assy WHERE obid = ? UNION ALL SELECT type FROM comp WHERE obid = ?"
-
 // LookupType resolves the actual type of an object (the paper's
 // object tables assy and comp). Cached results cost nothing; the
 // first lookup of an unknown id is one WAN statement. An id found in
@@ -41,19 +35,7 @@ func (w *wireFetcher) LookupType(ctx context.Context, obid int64) (string, error
 	if e, ok := c.types.Get(c.typeKey(obid)); ok {
 		return e.Value.(string), nil
 	}
-	var resp *wire.Response
-	var err error
-	if c.prepared {
-		var h uint32
-		h, err = c.ensurePrepared(ctx, typeLookupParamSQL)
-		if err != nil {
-			return "", err
-		}
-		resp, err = c.sql.ExecPrepared(ctx, h, types.NewInt(obid), types.NewInt(obid))
-	} else {
-		resp, err = c.sql.Exec(ctx, fmt.Sprintf(
-			"SELECT type FROM assy WHERE obid = %d UNION ALL SELECT type FROM comp WHERE obid = %d", obid, obid))
-	}
+	resp, err := w.exec(ctx, c.request(typeLookupStmt, obid))
 	if err != nil {
 		return "", err
 	}

@@ -24,7 +24,9 @@ import (
 // traversal runs where the full structure lives.
 func (c *Client) whereUsedExec() func(ctx context.Context, sql string) (*wire.Response, error) {
 	if c.partialReplica() {
-		return c.execFallThrough
+		return func(ctx context.Context, sql string) (*wire.Response, error) {
+			return c.execFallThrough(ctx, &wire.Request{SQL: sql})
+		}
 	}
 	return func(ctx context.Context, sql string) (*wire.Response, error) {
 		return c.sql.Exec(ctx, sql)
@@ -159,7 +161,7 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 			sqlText(newState), idList(affected)))
 	}
 	updated := 0
-	err = c.withWrite(func(w *wire.Client, _ map[string]uint32) error {
+	err = c.withWrite(func(w *wire.Client) error {
 		updated = 0
 		for _, sql := range stmts {
 			resp, err := w.Exec(ctx, sql)

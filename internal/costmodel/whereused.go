@@ -1,7 +1,5 @@
 package costmodel
 
-import "math"
-
 // Predictors for the engineering-change workloads (where-used, ECO
 // propagation, bulk reporting). They follow the same packet conventions
 // as formulas (1)-(3): every request is rounded up to whole packets
@@ -75,17 +73,4 @@ func (m Model) PredictReport(rows int) Estimate {
 	est.TransmittedNodes = float64(rows)
 	est.VolumeBytes = 2*sizeP + float64(rows)*m.reportRowBytes() + 2*sizeP/2
 	return m.finish(est)
-}
-
-// PredictWhereUsedFor derives the ancestor-chain depth from the model's
-// tree scenario — a part at the deepest level has δ ancestors — and
-// returns PredictWhereUsed for it.
-func (m Model) PredictWhereUsedFor() Estimate {
-	return m.PredictWhereUsed(m.Tree.Depth)
-}
-
-// PredictReportFor derives the product's node count (root included)
-// from the model's tree scenario and returns PredictReport for it.
-func (m Model) PredictReportFor() Estimate {
-	return m.PredictReport(int(math.Round(m.Tree.AllNodes())) + 1)
 }

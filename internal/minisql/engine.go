@@ -95,7 +95,7 @@ func NewDB() *DB {
 		store: storage.NewDB(),
 		funcs: map[string]ScalarFunc{},
 		procs: map[string]Procedure{},
-		plans: newPlanCache(defaultPlanCacheSize),
+		plans: newPlanCache(planCacheBytes),
 	}
 	registerBuiltins(db)
 	return db
@@ -294,10 +294,6 @@ func (s *Session) TakeContention() ContentionStats {
 // CountWriteConflict records a lost first-wins write race (called by
 // stored procedures that detect conflicts, e.g. pdm_check_out).
 func (s *Session) CountWriteConflict() { s.stats.WriteConflicts++ }
-
-// AddLockWait folds externally measured lock-wait time (e.g. the wire
-// pool's connection-acquire wait) into the session's counters.
-func (c *ContentionStats) AddLockWait(d time.Duration) { c.LockWaitNanos += int64(d) }
 
 // lockWrite acquires one table's write latch, measuring the time spent
 // blocked. The returned func releases it. A latch already held by an

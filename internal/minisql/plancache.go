@@ -7,27 +7,27 @@ import (
 	"pdmtune/internal/minisql/ast"
 )
 
-// defaultPlanCacheSize bounds the shared plan cache. Navigational PDM
-// access emits one literal-id expand statement per visited node, so a
-// repeated multi-level expand replays the exact same statement texts —
-// the paper's δ=7/β=5 product visits ~3,300 nodes. LRU thrashes when a
-// repeated scan exceeds the capacity (every entry is evicted moments
-// before its reuse), so the default leaves headroom above that working
-// set; parameterized and prepared statements need only one entry per
-// shape.
-const defaultPlanCacheSize = 4096
+// planCacheBytes bounds the SQL text the shared plan cache pins. PDM
+// clients ship every repeated statement in its parameterized form, so
+// the hot set is one entry per statement shape (a few dozen texts,
+// under 30 KiB for the paper's workloads); what does not repeat — a
+// bulk load's multi-row INSERTs, a check-out's id-list UPDATE — must
+// not accumulate. An entry cap cannot tell the two apart: a cached
+// one-shot INSERT pins its text and an AST several times that size.
+const planCacheBytes = 256 << 10
 
-// planCache is a bounded, concurrency-safe LRU of parsed statements
-// keyed by SQL text. Cached ASTs come from the package-level
-// parser.Parse (fresh arena per call), so they never expire, and the
-// executor treats ASTs as read-only, so one cached statement may run on
-// any number of sessions concurrently. DDL execution invalidates the
-// whole cache.
+// planCache is a concurrency-safe LRU of parsed statements keyed by SQL
+// text and bounded by the bytes of text it holds. Cached ASTs come from
+// the package-level parser.Parse (fresh arena per call), so they never
+// expire, and the executor treats ASTs as read-only, so one cached
+// statement may run on any number of sessions concurrently. DDL
+// execution invalidates the whole cache.
 type planCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // front = most recently used
+	mu     sync.Mutex
+	budget int
+	bytes  int // sum of len(sql) over the entries
+	m      map[string]*list.Element
+	lru    *list.List // front = most recently used
 }
 
 type planEntry struct {
@@ -35,11 +35,11 @@ type planEntry struct {
 	stmt ast.Statement
 }
 
-func newPlanCache(capacity int) *planCache {
+func newPlanCache(budget int) *planCache {
 	return &planCache{
-		cap: capacity,
-		m:   make(map[string]*list.Element, capacity),
-		lru: list.New(),
+		budget: budget,
+		m:      map[string]*list.Element{},
+		lru:    list.New(),
 	}
 }
 
@@ -54,7 +54,13 @@ func (c *planCache) get(sql string) (ast.Statement, bool) {
 	return el.Value.(*planEntry).stmt, true
 }
 
+// put caches a parsed statement, evicting least recently used entries
+// beyond the byte budget. A statement larger than the whole budget is
+// not admitted: it would evict the entire hot set to pin one text.
 func (c *planCache) put(sql string, stmt ast.Statement) {
+	if len(sql) > c.budget {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[sql]; ok {
@@ -63,10 +69,11 @@ func (c *planCache) put(sql string, stmt ast.Statement) {
 		return
 	}
 	c.m[sql] = c.lru.PushFront(&planEntry{sql: sql, stmt: stmt})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.m, oldest.Value.(*planEntry).sql)
+	c.bytes += len(sql)
+	for c.bytes > c.budget {
+		oldest := c.lru.Remove(c.lru.Back()).(*planEntry)
+		delete(c.m, oldest.sql)
+		c.bytes -= len(oldest.sql)
 	}
 }
 
@@ -76,12 +83,14 @@ func (c *planCache) invalidateAll() {
 	defer c.mu.Unlock()
 	clear(c.m)
 	c.lru.Init()
+	c.bytes = 0
 }
 
-func (c *planCache) size() int {
+// pinned reports the bytes of SQL text the cache currently holds.
+func (c *planCache) pinned() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.bytes
 }
 
 // cacheablePlan excludes DDL from the cache: executing DDL invalidates

@@ -3,6 +3,7 @@ package minisql
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,13 +83,13 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 		if _, err := s.Query(q); err != nil {
 			t.Fatal(err)
 		}
-		if db.plans.size() == 0 {
+		if db.plans.pinned() == 0 {
 			t.Fatalf("query %q did not populate the cache", q)
 		}
 		if _, err := s.Exec(stmt); err != nil {
 			t.Fatal(err)
 		}
-		if n := db.plans.size(); n != 0 {
+		if n := db.plans.pinned(); n != 0 {
 			t.Fatalf("%d cached plans survived %q, want 0", n, stmt)
 		}
 	}
@@ -102,32 +103,74 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBoundedUnderChurn churns far more distinct statements
-// through the cache than its capacity and checks the LRU bound holds,
-// with the hottest statement surviving the churn.
-func TestPlanCacheBoundedUnderChurn(t *testing.T) {
+// bulkInsert renders a one-shot multi-row INSERT of about 40 KB — the
+// shape of a bulk loader's flush — with ids starting at base.
+func bulkInsert(base, rows int) string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO obj VALUES ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, 'part', '%s')", base+i, strings.Repeat("x", 380))
+	}
+	return b.String()
+}
+
+// TestPlanCacheBoundedByBytes churns a hundred distinct one-shot 40 KB
+// statements through the cache: it pins no more than its byte budget,
+// a statement larger than the whole budget executes uncached without
+// evicting anything, and the hot parameterized statement stays a hit.
+func TestPlanCacheBoundedByBytes(t *testing.T) {
 	db := planTestDB(t)
 	s := db.NewSession()
-	const hot = "SELECT id FROM obj WHERE id = 1"
-
-	for i := 0; i < 3*defaultPlanCacheSize; i++ {
-		if _, err := s.Query(fmt.Sprintf("SELECT id FROM obj WHERE id = %d", i)); err != nil {
-			t.Fatal(err)
-		}
-		// Re-run the hot statement so the LRU keeps it young.
-		if _, err := s.Query(hot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := db.plans.size(); n > defaultPlanCacheSize {
-		t.Fatalf("cache grew to %d entries, cap is %d", n, defaultPlanCacheSize)
-	}
-	s.TakeContention()
-	if _, err := s.Query(hot); err != nil {
+	const hot = "SELECT typ FROM obj WHERE id = ?"
+	if _, err := s.Query(hot, types.NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.TakeContention(); st.PlanHits != 1 {
-		t.Fatal("hot statement was evicted despite being the most recently used")
+	for i := 0; i < 100; i++ {
+		sql := bulkInsert(1000+100*i, 100)
+		if len(sql) < 40_000 {
+			t.Fatalf("bulk statement is only %d bytes", len(sql))
+		}
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		// The hot statement runs beside the load, so the LRU keeps it young.
+		if _, err := s.Query(hot, types.NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+		if n := db.plans.pinned(); n > planCacheBytes {
+			t.Fatalf("cache pins %d bytes of SQL text, budget is %d", n, planCacheBytes)
+		}
+	}
+
+	before := db.plans.pinned()
+	huge := bulkInsert(100_000, 700)
+	if len(huge) <= planCacheBytes {
+		t.Fatalf("over-budget statement is only %d bytes", len(huge))
+	}
+	res, err := s.Exec(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAffected != 700 {
+		t.Fatalf("over-budget INSERT affected %d rows, want 700", res.RowsAffected)
+	}
+	if _, ok := db.plans.get(huge); ok || db.plans.pinned() != before {
+		t.Fatalf("over-budget statement was admitted (pinned %d -> %d)", before, db.plans.pinned())
+	}
+
+	s.TakeContention()
+	got, err := s.Query(hot, types.NewInt(100_699))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 1 {
+		t.Fatalf("row of the over-budget INSERT not found: %v", got.Rows)
+	}
+	if st := s.TakeContention(); st.PlanHits != 1 || st.PlanMisses != 0 {
+		t.Fatalf("hot statement after the churn: hits=%d misses=%d, want 1/0", st.PlanHits, st.PlanMisses)
 	}
 }
 

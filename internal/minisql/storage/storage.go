@@ -72,19 +72,6 @@ func NewVersionLog() *VersionLog {
 	return &VersionLog{modified: map[int64]uint64{}}
 }
 
-// Bump advances the epoch and stamps every given key with it.
-func (v *VersionLog) Bump(keys ...int64) {
-	if v == nil || len(keys) == 0 {
-		return
-	}
-	v.mu.Lock()
-	v.epoch++
-	for _, k := range keys {
-		v.modified[k] = v.epoch
-	}
-	v.mu.Unlock()
-}
-
 // commit advances the epoch (when keys were touched), stamps the keys,
 // and runs publish inside the log's critical section. Publishing under
 // the lock is what makes a statement atomic to snapshots: Epoch() can

@@ -27,10 +27,6 @@ var structureTables = map[string]bool{
 	"assy": true, "comp": true, "link": true, "spec": true, "specified_by": true,
 }
 
-// IsStructureTable reports whether a subscription filter applies to
-// the named table.
-func IsStructureTable(name string) bool { return structureTables[name] }
-
 // Registry resolves per-site subscriptions against one primary
 // database. It is safe for concurrent use (the wire server resolves
 // filters from connection goroutines while the control plane
@@ -84,18 +80,6 @@ func (r *Registry) Roots(site string) []int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]int64(nil), r.roots[site]...)
-}
-
-// Sites lists every subscribed site, sorted.
-func (r *Registry) Sites() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.roots))
-	for s := range r.roots {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Retarget re-points the registry at a new primary database (the

@@ -109,18 +109,6 @@ type staticChannel struct{ resp []byte }
 
 func (c staticChannel) RoundTrip(context.Context, []byte) ([]byte, error) { return c.resp, nil }
 
-// TestBatchStatements: the meter helper reads the statement count off an
-// encoded frame without decoding it.
-func TestBatchStatements(t *testing.T) {
-	if n := BatchStatements(EncodeRequest(&Request{SQL: "SELECT 1"})); n != 1 {
-		t.Errorf("plain request = %d statements, want 1", n)
-	}
-	reqs := []*Request{{SQL: "SELECT 1"}, {SQL: "SELECT 2"}, {SQL: "SELECT 3"}}
-	if n := BatchStatements(EncodeBatch(reqs)); n != 3 {
-		t.Errorf("batch = %d statements, want 3", n)
-	}
-}
-
 func TestExecBatchAgainstServer(t *testing.T) {
 	db := minisql.NewDB()
 	srv := NewServer(db)

@@ -26,13 +26,11 @@ type Transport interface {
 	RoundTrip(ctx context.Context, request []byte) (response []byte, err error)
 }
 
-// Client issues SQL over a transport.
+// Client issues SQL over a transport. It is 1:1 with a server
+// connection, so it also owns the connection's prepared-statement
+// handles: a Request marked Prepared names its statement by SQL text
+// and the client resolves it (see bind).
 type Client struct {
-	tr Transport
-	// trGen counts SetTransport swaps, so a caller that snapshotted the
-	// client before a failover can tell "same client, new destination".
-	trGen uint64
-
 	// term stamps write and sync frames with the cluster fencing term
 	// (nil/ok=false: no envelope — the site-less wire format is
 	// byte-identical to the pre-failover protocol).
@@ -41,17 +39,28 @@ type Client struct {
 	// loss (nil: no retries).
 	retry *RetryPolicy
 
-	// mu guards the transport pointer and the read-only handle registry
-	// below (a client is normally single-goroutine, but site pull
-	// clients are shared by every session syncing through the site, and
-	// a failover swaps transports from the cluster's goroutine).
+	// mu guards the transport, its generation and the handle registry
+	// (a client is normally single-goroutine, but site pull clients are
+	// shared by every session syncing through the site, and a failover
+	// swaps transports from the cluster's goroutine).
 	mu sync.Mutex
-	// readOnlyHandles records, per prepared handle, whether the
-	// statement is a pure read — the client-side classification that
-	// decides fencing envelopes and retry eligibility for prepared
-	// executions.
-	readOnlyHandles map[uint32]bool
+	tr Transport
+	// trGen counts SetTransport swaps, so a caller that snapshotted the
+	// client before a failover can tell "same client, new destination".
+	trGen uint64
+	// handles is the connection's prepared-statement registry: SQL text
+	// → server handle. Handles are connection-scoped, so the registry
+	// lives and dies with the transport generation that prepared it.
+	handles map[string]uint32
 }
+
+// unpinned is the pin of an exchange that carries no handles and may
+// therefore go out on whatever transport is current.
+const unpinned = ^uint64(0)
+
+// errTransportSwapped aborts an exchange pinned to a transport
+// generation that is gone; exchange re-binds and re-sends.
+var errTransportSwapped = errors.New("wire: transport swapped under a pinned exchange")
 
 // NewClient wraps a transport.
 func NewClient(tr Transport) *Client { return &Client{tr: tr} }
@@ -68,12 +77,13 @@ func (c *Client) SetRetry(p *RetryPolicy) { c.retry = p }
 // re-routes a deposed primary's sessions this way. Safe to call from
 // another goroutine: in-flight round trips finish on the transport
 // they started with; the next exchange uses the new one. Prepared
-// handles are connection-scoped, so callers that swap servers must
-// drop their handle caches and re-prepare.
+// handles are connection-scoped, so the registry is dropped here and
+// statements re-prepare on first use at the new server.
 func (c *Client) SetTransport(tr Transport) {
 	c.mu.Lock()
 	c.tr = tr
 	c.trGen++
+	c.handles = nil
 	c.mu.Unlock()
 }
 
@@ -86,23 +96,18 @@ func (c *Client) TransportGen() uint64 {
 	return c.trGen
 }
 
-// transport snapshots the current transport for one round-trip attempt.
-func (c *Client) transport() Transport {
+// transport snapshots the current transport and its generation for one
+// round-trip attempt.
+func (c *Client) transport() (Transport, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.tr
+	return c.tr, c.trGen
 }
 
-// Exec ships one statement and decodes the server's answer. Server-side
-// SQL errors come back as *ServerError.
+// Exec ships one statement as text and decodes the server's answer.
+// Server-side SQL errors come back as *ServerError.
 func (c *Client) Exec(ctx context.Context, sql string, params ...types.Value) (*Response, error) {
-	return c.exec(ctx, &Request{SQL: sql, Params: params})
-}
-
-// ExecPrepared ships one execution of a previously prepared statement:
-// handle plus parameters, no SQL text.
-func (c *Client) ExecPrepared(ctx context.Context, handle uint32, params ...types.Value) (*Response, error) {
-	return c.exec(ctx, &Request{Prepared: true, Handle: handle, Params: params})
+	return c.Do(ctx, &Request{SQL: sql, Params: params})
 }
 
 // roundTrip ships one encoded request and returns the response body
@@ -114,13 +119,15 @@ func (c *Client) ExecPrepared(ctx context.Context, handle uint32, params ...type
 // connection loss (reads, validates, syncs, prepares, handshakes);
 // with a retry policy installed those are retried with capped backoff.
 // Transport failures surface as *ConnClosedError, fence refusals as
-// *FencedError.
-func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
+// *FencedError. pin is the transport generation the frame's handles
+// were prepared on (unpinned when it carries none): a pinned frame is
+// never sent on another generation, it fails with errTransportSwapped.
+func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
 	if err := CheckFrameSize(body); err != nil {
 		putFrame(body)
 		return nil, err
 	}
-	respBody, err := c.send(ctx, body, idempotent)
+	respBody, err := c.send(ctx, body, idempotent, pin)
 	// The request frame is dead once the round trip returns: every
 	// transport in this package hands it off synchronously (in-process
 	// dispatch copies what it keeps; streams write it out).
@@ -149,31 +156,44 @@ func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool) ([
 
 // call is roundTrip for the exchanges whose failure answer is a plain
 // error frame (a server that could not decode or serve the request at
-// all): the frame's diagnostic comes back as *ServerError instead of a
-// frame-type mismatch in the caller's decoder. On success the caller
-// owns the body and recycles it with putFrame.
-func (c *Client) call(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
-	respBody, err := c.roundTrip(ctx, body, idempotent)
+// all). On success the caller owns the body and recycles it with
+// putFrame.
+func (c *Client) call(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
+	respBody, err := c.roundTrip(ctx, body, idempotent, pin)
 	if err != nil {
 		return nil, err
 	}
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		defer putFrame(respBody)
-		resp, err := DecodeResponse(respBody)
-		if err != nil {
-			return nil, err
-		}
-		return nil, &ServerError{Msg: resp.Err}
+	return errorFrame(respBody)
+}
+
+// errorFrame passes a response body through unless it is a plain error
+// frame: that frame's diagnostic comes back as *ServerError instead of
+// a frame-type mismatch in the caller's decoder.
+func errorFrame(respBody []byte) ([]byte, error) {
+	if len(respBody) == 0 || respBody[0] != TypeError {
+		return respBody, nil
 	}
-	return respBody, nil
+	defer putFrame(respBody)
+	resp, err := DecodeResponse(respBody)
+	if err != nil {
+		return nil, err
+	}
+	return nil, &ServerError{Msg: resp.Err}
 }
 
 // send performs the transport round trip, wraps raw transport failures
 // in *ConnClosedError, and — for idempotent exchanges under a retry
 // policy — re-sends on connection loss with capped backoff.
-func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
-	respBody, err := c.transport().RoundTrip(ctx, body)
-	err = wrapTransportErr(ctx, err)
+func (c *Client) send(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
+	try := func() ([]byte, error) {
+		tr, gen := c.transport()
+		if pin != unpinned && gen != pin {
+			return nil, errTransportSwapped
+		}
+		respBody, err := tr.RoundTrip(ctx, body)
+		return respBody, wrapTransportErr(ctx, err)
+	}
+	respBody, err := try()
 	if err == nil || !idempotent || c.retry == nil || !isConnClosed(err) {
 		return respBody, err
 	}
@@ -186,8 +206,7 @@ func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte
 				return nil, ctxErr
 			}
 		}
-		respBody, err = c.transport().RoundTrip(ctx, body)
-		err = wrapTransportErr(ctx, err)
+		respBody, err = try()
 		if err == nil || !isConnClosed(err) {
 			return respBody, err
 		}
@@ -240,38 +259,13 @@ func (c *Client) fenceWrite(body []byte) []byte {
 	return EncodeFenced(term, body)
 }
 
-// readOnlyHandle reports the read/write class recorded for a prepared
-// handle (unknown handles classify as writes, the safe direction).
-func (c *Client) readOnlyHandle(h uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readOnlyHandles[h]
-}
-
-func (c *Client) recordHandle(h uint32, readOnly bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readOnlyHandles == nil {
-		c.readOnlyHandles = map[uint32]bool{}
-	}
-	c.readOnlyHandles[h] = readOnly
-}
-
-// readOnlyRequest classifies one request as a pure read.
-func (c *Client) readOnlyRequest(req *Request) bool {
-	if req.Prepared {
-		return c.readOnlyHandle(req.Handle)
-	}
-	return ReadOnlySQL(req.SQL)
-}
-
 // Negotiate performs the session-open capability handshake: the wanted
 // capabilities travel up, the server's accepted set comes back. A
 // server that predates the hello frame answers with an error frame;
 // that degrades gracefully to the zero capability set (v1 results,
 // no compression) instead of failing the session.
 func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
-	respBody, err := c.roundTrip(ctx, EncodeHello(want), true)
+	respBody, err := c.roundTrip(ctx, EncodeHello(want), true, unpinned)
 	if err != nil {
 		return Caps{}, err
 	}
@@ -284,13 +278,10 @@ func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
 	return DecodeHelloResp(respBody)
 }
 
-func (c *Client) exec(ctx context.Context, req *Request) (*Response, error) {
-	readOnly := c.readOnlyRequest(req)
-	body := EncodeExec(req)
-	if !readOnly {
-		body = c.fenceWrite(body)
-	}
-	respBody, err := c.roundTrip(ctx, body, readOnly)
+// Do ships one request — text, or a prepared execution when the
+// request is marked Prepared — and decodes the server's answer.
+func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
+	respBody, err := c.exchange(ctx, []*Request{req}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -305,10 +296,80 @@ func (c *Client) exec(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Prepare ships a statement's SQL text once and returns the server-side
-// handle for later ExecPrepared calls on this connection.
-func (c *Client) Prepare(ctx context.Context, sql string) (uint32, error) {
-	respBody, err := c.call(ctx, EncodePrepare(sql), true)
+// exchange ships the requests of one round trip — a single statement,
+// or a batch frame — with every Prepared request bound to this
+// connection's handles. The frame is pinned to the transport generation
+// that prepared them; when a failover swaps the transport in between,
+// the handles are gone with it, so the requests are re-bound (and
+// re-prepared) on the new connection instead of executing a stale
+// handle there. Writes carry the fencing envelope and are never
+// retried; pure reads are.
+func (c *Client) exchange(ctx context.Context, reqs []*Request, batch bool) ([]byte, error) {
+	readOnly := true
+	for _, req := range reqs {
+		// A raw handle without text classifies as a write, the safe
+		// direction.
+		if !ReadOnlySQL(req.SQL) {
+			readOnly = false
+			break
+		}
+	}
+	for {
+		gen, err := c.bind(ctx, reqs)
+		if err == nil {
+			var body []byte
+			if batch {
+				body = EncodeBatch(reqs)
+			} else {
+				body = EncodeExec(reqs[0])
+			}
+			if !readOnly {
+				body = c.fenceWrite(body)
+			}
+			var respBody []byte
+			if respBody, err = c.roundTrip(ctx, body, readOnly, gen); err == nil {
+				return respBody, nil
+			}
+		}
+		if err != errTransportSwapped {
+			return nil, err
+		}
+	}
+}
+
+// bind resolves every Prepared request that names its statement by SQL
+// text to the connection's handle, preparing on first use (one extra
+// round trip per connection and text), and returns the transport
+// generation the handles belong to. A Prepared request without text
+// carries a caller-supplied handle and is shipped as is.
+func (c *Client) bind(ctx context.Context, reqs []*Request) (uint64, error) {
+	_, gen := c.transport()
+	for _, req := range reqs {
+		if !req.Prepared || req.SQL == "" {
+			continue
+		}
+		c.mu.Lock()
+		h, ok := c.handles[req.SQL]
+		swapped := c.trGen != gen
+		c.mu.Unlock()
+		if swapped {
+			return 0, errTransportSwapped
+		}
+		if !ok {
+			var err error
+			if h, err = c.prepare(ctx, req.SQL, gen); err != nil {
+				return 0, err
+			}
+		}
+		req.Handle = h
+	}
+	return gen, nil
+}
+
+// prepare ships a statement's SQL text once on transport generation gen
+// and records the server-side handle in the connection's registry.
+func (c *Client) prepare(ctx context.Context, sql string, gen uint64) (uint32, error) {
+	respBody, err := c.call(ctx, EncodePrepare(sql), true, gen)
 	if err != nil {
 		return 0, err
 	}
@@ -317,7 +378,15 @@ func (c *Client) Prepare(ctx context.Context, sql string) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.recordHandle(h, ReadOnlySQL(sql))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.trGen != gen {
+		return 0, errTransportSwapped
+	}
+	if c.handles == nil {
+		c.handles = map[string]uint32{}
+	}
+	c.handles[sql] = h
 	return h, nil
 }
 
@@ -329,7 +398,7 @@ func (c *Client) Validate(ctx context.Context, checks []StaleCheck) ([]int64, er
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	respBody, err := c.call(ctx, EncodeValidate(checks), true)
+	respBody, err := c.call(ctx, EncodeValidate(checks), true, unpinned)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +421,7 @@ func (c *Client) Sync(ctx context.Context, since uint64) (*storage.Delta, error)
 func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*storage.Delta, error) {
 	// A sync is fenced like a write — only the current primary may
 	// serve it — but re-pulling a delta is idempotent, so it retries.
-	respBody, err := c.call(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true)
+	respBody, err := c.call(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true, unpinned)
 	if err != nil {
 		return nil, err
 	}
@@ -361,9 +430,18 @@ func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*stor
 }
 
 // Close releases the connection's server-side session state (the
-// prepared-statement registry) in one teardown round trip.
+// prepared-statement registry) in one teardown round trip; a
+// connection that never prepared costs nothing. The client remains
+// usable — later prepared executions re-prepare.
 func (c *Client) Close(ctx context.Context) error {
-	respBody, err := c.roundTrip(ctx, EncodeClose(), true)
+	c.mu.Lock()
+	prepared := len(c.handles) > 0
+	c.handles = nil
+	c.mu.Unlock()
+	if !prepared {
+		return nil
+	}
+	respBody, err := c.roundTrip(ctx, EncodeClose(), true, unpinned)
 	if err != nil {
 		return err
 	}
@@ -380,7 +458,7 @@ func (c *Client) Close(ctx context.Context) error {
 
 // ExecBatch ships N statements in one round trip and returns one
 // response per executed statement. Requests may mix SQL text and
-// prepared executions. The server executes in order and stops at the
+// prepared executions (bound to handles as in Do). The server executes in order and stops at the
 // first failing statement; in that case the responses of the statements
 // that did execute are returned together with a *BatchError naming the
 // failed index. An empty batch is a no-op that costs nothing.
@@ -388,18 +466,10 @@ func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, e
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	readOnly := true
-	for _, req := range reqs {
-		if !c.readOnlyRequest(req) {
-			readOnly = false
-			break
-		}
+	respBody, err := c.exchange(ctx, reqs, true)
+	if err == nil {
+		respBody, err = errorFrame(respBody)
 	}
-	body := EncodeBatch(reqs)
-	if !readOnly {
-		body = c.fenceWrite(body)
-	}
-	respBody, err := c.call(ctx, body, readOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +488,7 @@ func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, e
 // its fencing term, role and database epoch. The probe is idempotent
 // and retried like any read.
 func (c *Client) Status(ctx context.Context) (Status, error) {
-	respBody, err := c.call(ctx, EncodeStatus(), true)
+	respBody, err := c.call(ctx, EncodeStatus(), true, unpinned)
 	if err != nil {
 		return Status{}, err
 	}

@@ -195,12 +195,11 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 
 // EncodeResponseV2 serializes a response frame body in the columnar v2
 // layout. Error responses keep the v1 TypeError frame — there is
-// nothing columnar about a message string — and the degenerate
-// rows-without-columns shape (unreachable through SQL, but legal in a
-// Response) keeps the v1 row-major frame, which represents it; the
-// columnar layout cannot, and the decoder rejects it.
+// nothing columnar about a message string. (Rows without columns,
+// unreachable through SQL, are representable in neither encoding: both
+// decoders reject the frame.)
 func EncodeResponseV2(resp *Response) []byte {
-	if resp.Err != "" || (len(resp.Rows) > 0 && len(resp.Cols) == 0) {
+	if resp.Err != "" {
 		return EncodeResponse(resp)
 	}
 	b := append(getFrame(), TypeResultV2)

@@ -76,9 +76,6 @@ func TestColumnarRoundTripEdgeCases(t *testing.T) {
 		"no cols no rows": {
 			RowsAffected: 42, Epoch: 1,
 		},
-		"rows without columns fall back to v1": {
-			Rows: []storage.Row{{}, {}},
-		},
 		"single row": {
 			Cols: []string{"ob_id", "name"},
 			Rows: []storage.Row{{types.NewInt(-9), types.NewText("root")}},
@@ -266,21 +263,47 @@ func TestColumnarDecodeCorrupt(t *testing.T) {
 	if _, err := DecodeResponse(huge); err == nil {
 		t.Fatal("absurd row count decoded without error")
 	}
-	// Rows without columns cannot be represented.
-	noCols := []byte{TypeResultV2}
-	noCols = appendUint64(noCols, 0)
-	noCols = appendUint32(noCols, 0)
-	noCols = appendUint32(noCols, 0)
-	noCols = appendUint32(noCols, 5)
-	if _, err := DecodeResponse(noCols); err == nil {
-		t.Fatal("rows-without-columns frame decoded without error")
+	// Rows without columns cannot be represented, in either encoding: a
+	// v1 frame like this once decoded into as many empty rows as it
+	// claimed (50 M of them from 21 bytes).
+	for _, typ := range []byte{TypeResultV2, TypeResult} {
+		if _, err := DecodeResponse(hostileResult(typ, 0, nil, 50_000_000)); err == nil {
+			t.Fatalf("rows-without-columns frame (type %#x) decoded without error", typ)
+		}
+	}
+	// v1 trusts neither count: a column count or a rows x cols product
+	// beyond the bytes present is rejected before it sizes an allocation.
+	for _, frame := range [][]byte{
+		hostileResult(TypeResult, 1<<30, nil, 0),
+		append(hostileResult(TypeResult, 1, []string{"a"}, 1<<31-1), 0),
+	} {
+		if _, err := DecodeResponse(frame); err == nil {
+			t.Fatalf("hostile v1 frame % x decoded without error", frame)
+		}
 	}
 }
 
-// FuzzColumnarDecode throws arbitrary bytes at the full response decode
+// hostileResult is a result frame header claiming ncols columns (only
+// the named ones follow) and nrows rows (none follow).
+func hostileResult(typ byte, ncols uint32, names []string, nrows uint32) []byte {
+	b := []byte{typ}
+	b = appendUint64(b, 0)
+	b = appendUint32(b, 0)
+	b = appendUint32(b, ncols)
+	for _, name := range names {
+		b = appendString(b, name)
+	}
+	return appendUint32(b, nrows)
+}
+
+// FuzzDecodeResponse throws arbitrary bytes at the full response decode
 // path (deflate wrapper included): it must never panic, and whenever it
 // succeeds, re-encoding and re-decoding must be stable.
-func FuzzColumnarDecode(f *testing.F) {
+func FuzzDecodeResponse(f *testing.F) {
+	f.Add(EncodeResponse(nodeShapedResult(5)))
+	f.Add(CompressBody(EncodeResponse(nodeShapedResult(64)), 1))
+	f.Add(EncodeResponse(&Response{Err: "no such table"}))
+	f.Add(hostileResult(TypeResult, 0, nil, 50_000_000))
 	f.Add(EncodeResponseV2(nodeShapedResult(5)))
 	f.Add(CompressBody(EncodeResponseV2(nodeShapedResult(64)), 1))
 	f.Add([]byte{TypeResultV2, 0, 0, 0})

@@ -182,14 +182,14 @@ func TestNegotiatedBatchAndPrepared(t *testing.T) {
 	if _, err := client.Negotiate(ctx, Caps{Columnar: true, Compress: true}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := client.Prepare(ctx, "SELECT id, typ FROM obj WHERE id >= ? ORDER BY id")
-	if err != nil {
+	const from = "SELECT id, typ FROM obj WHERE id >= ? ORDER BY id"
+	if _, err := client.Do(ctx, prep(from, types.NewInt(1299))); err != nil {
 		t.Fatal(err)
 	}
 	meter.Reset()
 	resps, err := client.ExecBatch(ctx, []*Request{
 		{SQL: "SELECT id, typ, state FROM obj ORDER BY id"},
-		{Prepared: true, Handle: h, Params: []types.Value{types.NewInt(1000)}},
+		prep(from, types.NewInt(1000)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestNegotiatedBatchAndPrepared(t *testing.T) {
 		t.Fatalf("CompressedFrames = %d, want 1 (the batch response)", meter.Metrics.CompressedFrames)
 	}
 	// And a prepared exec outside the batch.
-	resp, err := client.ExecPrepared(ctx, h, types.NewInt(1100))
+	resp, err := client.Do(ctx, prep(from, types.NewInt(1100)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,19 +68,16 @@ func TestPoolPreparedHandleRemap(t *testing.T) {
 	pool := NewPool(NewServer(db), 3)
 	client := NewClient(pool)
 	ctx := context.Background()
-	h, err := client.Prepare(ctx, "UPDATE kv SET val = val + ? WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const update = "UPDATE kv SET val = val + ? WHERE id = 1"
 	// Enough executions to cycle through several member connections.
 	for i := 0; i < 10; i++ {
-		if _, err := client.ExecPrepared(ctx, h, types.NewInt(1)); err != nil {
+		if _, err := client.Do(ctx, prep(update, types.NewInt(1))); err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
 	// The same handle inside a batch frame.
 	if _, err := client.ExecBatch(ctx, []*Request{
-		{Prepared: true, Handle: h, Params: []types.Value{types.NewInt(5)}},
+		prep(update, types.NewInt(5)),
 		{SQL: "SELECT val FROM kv WHERE id = 1"},
 	}); err != nil {
 		t.Fatal(err)
@@ -93,11 +90,11 @@ func TestPoolPreparedHandleRemap(t *testing.T) {
 		t.Errorf("val = %d, want 15", got)
 	}
 	// A syntax error still surfaces at prepare time.
-	if _, err := client.Prepare(ctx, "SELEC nope"); err == nil {
+	if _, err := client.Do(ctx, prep("SELEC nope")); err == nil {
 		t.Error("pool prepare accepted invalid SQL")
 	}
 	// Unknown handles fail cleanly.
-	if _, err := client.ExecPrepared(ctx, 9999); err == nil {
+	if _, err := client.Do(ctx, &Request{Prepared: true, Handle: 9999}); err == nil {
 		t.Error("unknown pool handle executed")
 	}
 }

@@ -3,6 +3,9 @@ package wire
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pdmtune/internal/minisql"
@@ -79,16 +82,18 @@ func preparedTestClient(t *testing.T) (*Client, *netsim.Meter) {
 	return client, meter
 }
 
+// prep is a Prepared request naming its statement by text: the client
+// binds it to the connection's handle, preparing on first use.
+func prep(sql string, params ...types.Value) *Request {
+	return &Request{SQL: sql, Params: params, Prepared: true}
+}
+
 func TestPrepareAndExecAgainstServer(t *testing.T) {
 	client, meter := preparedTestClient(t)
 	ctx := context.Background()
 	const sql = "SELECT b FROM t WHERE a = ?"
-	h, err := client.Prepare(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, want := range []string{"one", "two", "three"} {
-		resp, err := client.ExecPrepared(ctx, h, types.NewInt(int64(i+1)))
+		resp, err := client.Do(ctx, prep(sql, types.NewInt(int64(i+1))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +109,7 @@ func TestPrepareAndExecAgainstServer(t *testing.T) {
 	if want := float64(3 * len(sql)); m.SavedRequestBytes != want {
 		t.Errorf("SavedRequestBytes = %.0f, want %.0f", m.SavedRequestBytes, want)
 	}
-	// 1 create + 1 insert + 1 prepare + 3 execs.
+	// 1 create + 1 insert + 1 prepare (on first use only) + 3 execs.
 	if m.RoundTrips != 6 || m.Statements != 6 {
 		t.Errorf("round trips/statements = %d/%d, want 6/6", m.RoundTrips, m.Statements)
 	}
@@ -112,7 +117,7 @@ func TestPrepareAndExecAgainstServer(t *testing.T) {
 
 func TestExecPreparedUnknownHandle(t *testing.T) {
 	client, _ := preparedTestClient(t)
-	_, err := client.ExecPrepared(context.Background(), 99, types.NewInt(1))
+	_, err := client.Do(context.Background(), &Request{Prepared: true, Handle: 99, Params: []types.Value{types.NewInt(1)}})
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *ServerError for unknown handle, got %v", err)
@@ -121,7 +126,7 @@ func TestExecPreparedUnknownHandle(t *testing.T) {
 
 func TestPrepareParseErrorSurfacesAtPrepareTime(t *testing.T) {
 	client, _ := preparedTestClient(t)
-	_, err := client.Prepare(context.Background(), "SELECT FROM WHERE")
+	_, err := client.Do(context.Background(), prep("SELECT FROM WHERE"))
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *ServerError for bad SQL, got %v", err)
@@ -137,11 +142,11 @@ func TestPreparedHandlesAreConnectionScoped(t *testing.T) {
 	if _, err := c1.Exec(ctx, "CREATE TABLE t (a INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c1.Prepare(ctx, "SELECT a FROM t")
-	if err != nil {
+	req := prep("SELECT a FROM t")
+	if _, err := c1.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.ExecPrepared(ctx, h); err == nil {
+	if _, err := c2.Do(ctx, &Request{Prepared: true, Handle: req.Handle}); err == nil {
 		t.Error("handle prepared on one connection executed on another")
 	}
 }
@@ -150,15 +155,14 @@ func TestBatchedPreparedExecsAgainstServer(t *testing.T) {
 	client, meter := preparedTestClient(t)
 	ctx := context.Background()
 	const sql = "SELECT b FROM t WHERE a = ?"
-	h, err := client.Prepare(ctx, sql)
-	if err != nil {
+	if _, err := client.Do(ctx, prep(sql, types.NewInt(2))); err != nil {
 		t.Fatal(err)
 	}
 	before := meter.Metrics
 	reqs := []*Request{
-		{Prepared: true, Handle: h, Params: []types.Value{types.NewInt(1)}},
+		prep(sql, types.NewInt(1)),
 		{SQL: "SELECT COUNT(*) FROM t"},
-		{Prepared: true, Handle: h, Params: []types.Value{types.NewInt(3)}},
+		prep(sql, types.NewInt(3)),
 	}
 	resps, err := client.ExecBatch(ctx, reqs)
 	if err != nil {
@@ -212,4 +216,135 @@ func TestMeteredChannelHonorsContext(t *testing.T) {
 	if d := meter.Metrics.Sub(before); d.RoundTrips != 0 {
 		t.Errorf("cancelled round trip was charged: %+v", d)
 	}
+}
+
+// genConn is one transport generation of the re-prepare test: a fresh
+// server connection that records which handles were prepared through it
+// and flags the execution of any other.
+type genConn struct {
+	t    *testing.T
+	conn *ServerConn
+
+	mu       sync.Mutex
+	prepared map[uint32]bool
+	prepares int
+}
+
+// newGenConn opens a connection whose registry already holds decoys
+// decoy statements, so the handle numbers of successive generations
+// differ and a stale handle would name the wrong statement, not none.
+func newGenConn(t *testing.T, srv *Server, decoys int) *genConn {
+	g := &genConn{t: t, conn: srv.NewConn(), prepared: map[uint32]bool{}}
+	for i := 0; i < decoys; i++ {
+		g.conn.Handle(EncodePrepare("SELECT 'decoy' FROM t WHERE a = ?"))
+	}
+	return g
+}
+
+func (g *genConn) RoundTrip(_ context.Context, request []byte) ([]byte, error) {
+	reqs := []*Request{}
+	switch request[0] {
+	case TypeExecPrepared:
+		req, err := DecodeExecPrepared(request)
+		if err != nil {
+			g.t.Error(err)
+		}
+		reqs = append(reqs, req)
+	case TypeBatch:
+		var err error
+		if reqs, err = DecodeBatch(request); err != nil {
+			g.t.Error(err)
+		}
+	}
+	g.mu.Lock()
+	for _, req := range reqs {
+		if req.Prepared && !g.prepared[req.Handle] {
+			g.t.Errorf("handle %d executed on a connection that did not prepare it", req.Handle)
+		}
+	}
+	g.mu.Unlock()
+	response := g.conn.Handle(request)
+	if request[0] == TypePrepare {
+		if h, err := DecodePrepareResp(response); err == nil {
+			g.mu.Lock()
+			g.prepared[h] = true
+			g.prepares++
+			g.mu.Unlock()
+		}
+	}
+	return response, nil
+}
+
+// TestPreparedRebindsAcrossSetTransport: the client owns the handles of
+// its connection, so a transport swap drops them — the next Prepared
+// request re-prepares on the new connection — and a request in flight
+// across the swap never executes a handle on a transport generation
+// that did not prepare it. Run under -race: the swaps come from another
+// goroutine, as a failover's do.
+func TestPreparedRebindsAcrossSetTransport(t *testing.T) {
+	db := minisql.NewDB()
+	mustExec(t, db.NewSession(), "CREATE TABLE t (a INTEGER, b TEXT)")
+	mustExec(t, db.NewSession(), "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+	srv := NewServer(db)
+	ctx := context.Background()
+	const sql = "SELECT b FROM t WHERE a = ?"
+	check := func(resp *Response, err error, want string) {
+		t.Helper()
+		if err != nil {
+			t.Error(err)
+		} else if len(resp.Rows) != 1 || resp.Rows[0][0].Text() != want {
+			t.Errorf("prepared exec answered %v, want %q", resp.Rows, want)
+		}
+	}
+
+	first := newGenConn(t, srv, 0)
+	client := NewClient(first)
+	for i := 0; i < 3; i++ {
+		resp, err := client.Do(ctx, prep(sql, types.NewInt(2)))
+		check(resp, err, "two")
+	}
+	second := newGenConn(t, srv, 2)
+	client.SetTransport(second)
+	resp, err := client.Do(ctx, prep(sql, types.NewInt(3)))
+	check(resp, err, "three")
+	if first.prepares != 1 || second.prepares != 1 {
+		t.Fatalf("prepares per generation = %d, %d; want 1 each (on first use, again after the swap)",
+			first.prepares, second.prepares)
+	}
+
+	// Swap under a running client: every generation serves at least one
+	// exchange before the next swap.
+	var ops atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := client.Do(ctx, prep(sql, types.NewInt(1)))
+			check(resp, err, "one")
+			resps, err := client.ExecBatch(ctx, []*Request{prep(sql, types.NewInt(2)), prep(sql, types.NewInt(3))})
+			if err != nil || len(resps) != 2 {
+				t.Errorf("batch: %d responses, %v", len(resps), err)
+			} else {
+				check(resps[0], nil, "two")
+				check(resps[1], nil, "three")
+			}
+			ops.Add(1)
+		}
+	}()
+	for swap := 0; swap < 200; swap++ {
+		seen := ops.Load()
+		client.SetTransport(newGenConn(t, srv, swap%3))
+		for ops.Load() == seen {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

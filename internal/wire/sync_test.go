@@ -138,24 +138,21 @@ func TestCloseReleasesPreparedStatements(t *testing.T) {
 	mustExec(t, db.NewSession(), "CREATE TABLE obj (obid INTEGER PRIMARY KEY)")
 	client := NewClient(&MeteredChannel{Conn: NewServer(db).NewConn(), Meter: netsim.NewMeter(netsim.LAN())})
 	ctx := context.Background()
-	h, err := client.Prepare(ctx, "SELECT obid FROM obj WHERE obid = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.ExecPrepared(ctx, h, types.NewInt(1)); err != nil {
+	req := prep("SELECT obid FROM obj WHERE obid = ?", types.NewInt(1))
+	if _, err := client.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.ExecPrepared(ctx, h, types.NewInt(1)); err == nil {
+	if _, err := client.Do(ctx, &Request{Prepared: true, Handle: req.Handle, Params: req.Params}); err == nil {
 		t.Error("handle survived Close")
 	}
 	// The connection still answers plain statements and new prepares.
 	if _, err := client.Exec(ctx, "SELECT obid FROM obj"); err != nil {
 		t.Errorf("plain exec after Close: %v", err)
 	}
-	if _, err := client.Prepare(ctx, "SELECT obid FROM obj"); err != nil {
-		t.Errorf("prepare after Close: %v", err)
+	if _, err := client.Do(ctx, req); err != nil {
+		t.Errorf("prepared exec after Close (must re-prepare): %v", err)
 	}
 }

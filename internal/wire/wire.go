@@ -310,6 +310,12 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The counts come from the peer: bound them by the bytes that are
+	// actually there before allocating anything sized by them. Every
+	// column name carries a 4-byte length prefix.
+	if ncols > uint32(len(b))/4 {
+		return nil, fmt.Errorf("wire: result frame of %d columns exceeds frame size", ncols)
+	}
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
 	for i := uint32(0); i < ncols; i++ {
 		var c string
@@ -322,6 +328,13 @@ func DecodeResponse(b []byte) (*Response, error) {
 	nrows, b, err := readUint32(b)
 	if err != nil {
 		return nil, err
+	}
+	if nrows > 0 && ncols == 0 {
+		return nil, fmt.Errorf("wire: result frame carries %d rows but no columns", nrows)
+	}
+	// Every value is at least its one-byte tag.
+	if uint64(nrows)*uint64(ncols) > uint64(len(b)) {
+		return nil, fmt.Errorf("wire: result frame of %d rows x %d cols exceeds frame size", nrows, ncols)
 	}
 	for i := uint32(0); i < nrows; i++ {
 		row := make(storage.Row, ncols)
@@ -617,14 +630,6 @@ func DecodeBatchResponse(b []byte) ([]*Response, error) {
 		b = b[size:]
 	}
 	return resps, nil
-}
-
-// BatchStatements reports how many SQL statements an encoded request
-// frame carries: the batch count for TypeBatch frames, 1 otherwise. The
-// metered channel uses it to account statements per round trip.
-func BatchStatements(body []byte) int {
-	s := ScanFrame(body, nil)
-	return s.Statements
 }
 
 // FrameStats summarizes an encoded request frame for metering.

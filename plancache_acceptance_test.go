@@ -25,9 +25,10 @@ func flattenTree(tr *pdmtune.Tree) []byte {
 
 // TestPlanCacheByteIdenticalD7B5 runs the paper's δ=7, β=5 acceptance
 // MLE twice on one session (no structure cache, so every level's SQL
-// really executes both times). The first run parses and populates the
-// server's plan cache; the second runs entirely on cached ASTs — the
-// metrics prove it — and must produce a byte-identical tree.
+// really executes both times). The client ships every node's expand in
+// its parameterized form, so the first run parses a handful of texts —
+// not one per visited node — and the second runs entirely on cached
+// ASTs; the metrics prove both, and the trees must be byte-identical.
 func TestPlanCacheByteIdenticalD7B5(t *testing.T) {
 	sys := pdmtune.NewSystem(nil)
 	prod, err := sys.LoadProduct(pdmtune.ProductConfig{
@@ -67,7 +68,9 @@ func TestPlanCacheByteIdenticalD7B5(t *testing.T) {
 		t.Fatalf("warm MLE: plan hits=%d misses=%d, want all statements served from the cache",
 			warm.Metrics.PlanHits, warm.Metrics.PlanMisses)
 	}
-	if cold.Metrics.PlanMisses == 0 {
-		t.Fatalf("cold MLE reported no plan misses — counter plumbing broken")
+	// The type lookup and the expand text; headroom for one probe and
+	// one more statement kind, none for a per-node text.
+	if n := cold.Metrics.PlanMisses; n == 0 || n > 4 {
+		t.Fatalf("cold MLE: %d plan misses, want 1..4 (one per statement shape, not per node)", n)
 	}
 }

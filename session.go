@@ -598,7 +598,7 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		// One negotiation round trip at session open (charged to the
 		// meter like any exchange, bounded by WithOpenContext); the
 		// server answers every later request in the accepted encodings.
-		caps, err := client.NegotiateWire(openCtx, cfg.columnar, cfg.compress, 0) // 0: the wire's default threshold
+		caps, err := client.RenegotiateWire(openCtx, cfg.columnar, cfg.compress, 0) // 0: the wire's default threshold
 		if err != nil {
 			return nil, fmt.Errorf("pdmtune: capability negotiation: %w", err)
 		}
