@@ -12,9 +12,10 @@ import (
 
 // Re-exported advisor types: the auto-tuning API of the reproduction.
 type (
-	// TuneConfig is the complete runtime-tunable configuration of one
-	// session — what a ChangeSet flips and a rollback restores.
-	TuneConfig = advisor.Config
+	// TuneConfig is the complete tunable configuration of one session:
+	// what the With… options set, what a ChangeSet flips and a rollback
+	// restores, and what the cost model prices — one knob set.
+	TuneConfig = costmodel.Knobs
 	// Observation is one windowed look at a live session or fleet.
 	Observation = advisor.Observation
 	// WorkloadProfile is the classified shape of an observation.
@@ -156,76 +157,62 @@ func (s *Session) PlanTune() *ChangeSet {
 // ---------------------------------------------------------------------------
 // Session as a Tunable
 
-// TuneConfig returns the session's current runtime-tunable
-// configuration: the knobs a ChangeSet can flip on the live connection.
-// Wire encodings report what the session requested (WireCaps holds what
-// the server accepted).
-func (s *Session) TuneConfig() TuneConfig {
-	return TuneConfig{
-		Strategy:          s.client.Strategy(),
-		Batching:          s.client.Batching(),
-		Prepared:          s.client.Prepared(),
-		CacheEntries:      s.cacheEntries,
-		Columnar:          s.columnar,
-		Compress:          s.compress,
-		CompressThreshold: s.compressThreshold,
-		StalenessSec:      s.stalenessSec,
-		Coverage:          s.coverage,
-	}
-}
+// TuneConfig returns the session's tunable configuration: the knob set
+// the last ApplyConfig (open's included) brought it to. Wire encodings
+// report what the session requested (WireCaps holds what the server
+// accepted); Replica reports whether the session reads at a site.
+func (s *Session) TuneConfig() TuneConfig { return s.knobs }
 
-// ApplyConfig reconfigures the live session: strategy, batching,
-// prepared statements and the cache flip locally; changed wire
+// ApplyConfig reconfigures the live session to k: strategy, batching,
+// prepared statements and a private cache flip locally; changed wire
 // encodings cost one renegotiation round trip; the staleness bound
-// applies to replica sessions (it is ignored at the primary — there is
-// no replica to bound). A shared cache cannot be resized or dropped by
-// a per-session change (the session does not own it) — such a change
-// fails before anything is modified.
-func (s *Session) ApplyConfig(ctx context.Context, cfg TuneConfig) error {
-	cur := s.TuneConfig()
-	if cfg.CacheEntries != cur.CacheEntries && (cur.CacheEntries < 0 || cfg.CacheEntries < 0) {
+// re-times a replica session's read-time syncs. The knobs a session
+// cannot act on are recorded so that TuneConfig echoes k and a change
+// set rolls back wherever it was applied: Coverage is cluster-level
+// advice (Cluster.Subscribe), and at the primary there is no replica to
+// bound. Two changes are refused before anything is modified: a shared
+// cache is not the session's to resize or drop, and a session reads
+// where it was opened.
+func (s *Session) ApplyConfig(ctx context.Context, k TuneConfig) error {
+	cur := s.knobs
+	if k.Replica != cur.Replica {
+		return fmt.Errorf("pdmtune: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
+	}
+	if k.CacheEntries != cur.CacheEntries && (cur.CacheEntries < 0 || k.CacheEntries < 0) {
 		return fmt.Errorf("pdmtune: a shared structure cache is not owned by the session; open a new session to change it")
 	}
-	if cfg.Columnar != cur.Columnar || cfg.Compress != cur.Compress || cfg.CompressThreshold != cur.CompressThreshold {
-		caps, err := s.client.RenegotiateWire(ctx, cfg.Columnar, cfg.Compress, cfg.CompressThreshold)
+	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
+		caps, err := s.client.RenegotiateWire(ctx, k.Columnar, k.Compress)
 		if err != nil {
-			return fmt.Errorf("pdmtune: renegotiating wire encodings: %w", err)
+			return fmt.Errorf("pdmtune: negotiating wire encodings: %w", err)
 		}
 		s.caps = WireCaps{
 			ColumnarResults:   caps.Columnar,
 			Compression:       caps.Compress,
 			CompressThreshold: caps.CompressThreshold,
 		}
-		s.columnar = cfg.Columnar
-		s.compress = cfg.Compress
-		s.compressThreshold = cfg.CompressThreshold
 	}
-	s.client.SetStrategy(cfg.Strategy)
-	s.client.SetBatching(cfg.Batching)
-	s.client.SetPrepared(cfg.Prepared)
-	if cfg.CacheEntries != cur.CacheEntries {
-		if cfg.CacheEntries == 0 {
+	s.client.SetStrategy(k.Strategy)
+	s.client.SetBatching(k.Batching)
+	s.client.SetPrepared(k.Prepared)
+	if k.CacheEntries != cur.CacheEntries {
+		if k.CacheEntries == 0 {
 			s.client.SetCache(nil, "")
 		} else {
-			s.client.SetCache(cache.New(cfg.CacheEntries), s.sys.id)
+			// Replica reads validate against the site's mirrored version
+			// log, so entries are interchangeable across the cluster's
+			// sites — one namespace per system, not per site.
+			s.client.SetCache(cache.New(k.CacheEntries), s.sys.id)
 		}
-		s.cacheEntries = cfg.CacheEntries
 	}
-	if s.site != PrimarySite && cfg.StalenessSec != cur.StalenessSec {
+	if k.StalenessSec != cur.StalenessSec {
 		bound := time.Duration(-1)
-		if cfg.StalenessSec >= 0 {
-			bound = time.Duration(cfg.StalenessSec * float64(time.Second))
+		if k.StalenessSec >= 0 {
+			bound = time.Duration(k.StalenessSec * float64(time.Second))
 		}
-		s.client.SetStalenessBound(bound)
-		s.stalenessSec = cfg.StalenessSec
+		s.client.SetStalenessBound(bound) // a no-op without a replica to bound
 	}
-	if s.site != PrimarySite {
-		// Subscription coverage is cluster-level advice (changing it means
-		// Cluster.Subscribe, which a session cannot call); record it so
-		// TuneConfig echoes the applied configuration and change-set
-		// fingerprints round-trip.
-		s.coverage = cfg.Coverage
-	}
+	s.knobs = k
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdmtune"
+	"pdmtune/internal/advisor"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
 )
@@ -295,5 +296,77 @@ func TestAutoTuneClosedLoop(t *testing.T) {
 	}
 	if res.Visible != prod.VisibleNodes() {
 		t.Fatalf("auto-tuned session sees %d nodes, want %d", res.Visible, prod.VisibleNodes())
+	}
+}
+
+// TestChangeSetRollbackAtPrimaryWithReplicaKnob: a change set carrying a
+// replica-only knob applies at the primary and rolls back again — the
+// session records what it cannot act on, so TuneConfig echoes the
+// applied target instead of drifting from it.
+func TestChangeSetRollbackAtPrimaryWithReplicaKnob(t *testing.T) {
+	sys, _ := newAdvisorSystem(t)
+	ctx := context.Background()
+	sess, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	cur := sess.TuneConfig()
+	target := cur
+	target.Batching, target.StalenessSec = true, 5
+	cs := advisor.NewChangeSet(cur, target, 0, 0)
+	if err := cs.Apply(ctx, sess); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if err := cs.Rollback(ctx, sess); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	if got := sess.TuneConfig(); got != cur {
+		t.Fatalf("after rollback the session runs %s, want %s", got, cur)
+	}
+}
+
+// TestAutoTuneOnSharedCacheSession: a session on a shared cache store is
+// tunable like any other — plans keep the store as it is instead of
+// proposing a cache change ApplyConfig must refuse.
+func TestAutoTuneOnSharedCacheSession(t *testing.T) {
+	sys, prod := newAdvisorSystem(t)
+	ctx := context.Background()
+	open := func(extra ...pdmtune.Option) *pdmtune.Session {
+		sess, err := sys.Open(append([]pdmtune.Option{pdmtune.WithStrategy(pdmtune.LateEval),
+			pdmtune.WithSharedCache(pdmtune.NewCache(256)),
+			pdmtune.WithAdvisor(&pdmtune.Advisor{Product: prod.Config})}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	threeMLEs := func(sess *pdmtune.Session) {
+		for i := 0; i < 3; i++ {
+			if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	manual := open()
+	defer manual.Close()
+	threeMLEs(manual)
+	cs := manual.PlanTune()
+	if cs == nil {
+		t.Fatal("no plan for an untuned shared-cache session")
+	}
+	if err := cs.Apply(ctx, manual); err != nil {
+		t.Fatalf("applying %v: %v", cs.Changes, err)
+	}
+	if got := manual.TuneConfig(); got.CacheEntries != -1 || got != cs.Target {
+		t.Fatalf("session runs %s after applying %s", got, cs.Target)
+	}
+
+	auto := open(pdmtune.WithAutoTune(1))
+	defer auto.Close()
+	threeMLEs(auto)
+	if auto.LastAutoTune() == nil {
+		t.Fatal("auto-tune never applied on a shared-cache session")
 	}
 }

@@ -242,7 +242,7 @@ func simulatedBatchedBench(b *testing.B, scenIdx, netIdx int, strat pdmtune.Stra
 	model := costmodel.Model{
 		Net:  costmodel.PaperNetworks()[netIdx],
 		Tree: costmodel.PaperScenarios()[scenIdx],
-	}.PredictBatched(costmodel.MLE, costmodel.Strategy(strat))
+	}.Price(costmodel.Knobs{Strategy: strat, Batching: true}, costmodel.MLE)
 	b.ReportMetric(model.TotalSec, "model_s")
 }
 

@@ -88,21 +88,21 @@ func textSimulate(w io.Writer, recs []record) {
 // levers: one MLE with a tuning lever off (base) and on (tuned)
 
 // lever is one row of the comparison table: which strategies it applies
-// to, the session options of both sides, the model of the tuned side,
-// and what the tuned side's own counters say about the saving.
+// to, the knob set of either side (the row's strategy is filled in when
+// it runs), and what the tuned side's own counters say about the
+// saving. Both sides are applied with Session.ApplyConfig and the tuned
+// one is priced by Model.Price — the same value does both.
 type lever struct {
 	name   string
 	about  string
 	strats []pdmtune.Strategy
 	// Both sides run with level batching (the navigational strategies'
-	// wire mode; the one-statement recursive strategy has no use for it)
-	// unless the lever is batching itself; on is what the tuned side adds.
-	unbatched bool
-	on        []pdmtune.Option
+	// wire mode; the one-statement recursive strategy has nothing to
+	// batch) unless the lever is batching itself.
+	base, tuned costmodel.Knobs
 	// warm measures the tuned session's second MLE: the first fills its cache.
-	warm    bool
-	predict func(m costmodel.Model, s costmodel.Strategy, base, tuned pdmtune.Metrics) costmodel.Estimate
-	detail  func(base, tuned pdmtune.Metrics) string
+	warm   bool
+	detail func(base, tuned pdmtune.Metrics) string
 }
 
 func responseRatio(base, tuned pdmtune.Metrics) float64 {
@@ -114,38 +114,30 @@ func responseRatio(base, tuned pdmtune.Metrics) float64 {
 
 var levers = []lever{
 	{
-		name:      "batch",
-		about:     "one wire batch per BFS level instead of one round trip per statement",
-		strats:    []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval},
-		unbatched: true,
-		on:        []pdmtune.Option{pdmtune.WithBatching(true)},
-		predict: func(m costmodel.Model, s costmodel.Strategy, _, _ pdmtune.Metrics) costmodel.Estimate {
-			return m.PredictBatched(costmodel.MLE, s)
-		},
+		name:   "batch",
+		about:  "one wire batch per BFS level instead of one round trip per statement",
+		strats: []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval},
+		tuned:  costmodel.Knobs{Batching: true},
 		detail: func(_, t pdmtune.Metrics) string { return fmt.Sprintf("saved %d rt", t.SavedRoundTrips) },
 	},
 	{
 		name:   "prepared",
 		about:  "the per-node expand prepared once, executed by handle + parameters",
 		strats: []pdmtune.Strategy{pdmtune.EarlyEval},
-		on:     []pdmtune.Option{pdmtune.WithPreparedStatements(true)},
-		predict: func(m costmodel.Model, s costmodel.Strategy, _, _ pdmtune.Metrics) costmodel.Estimate {
-			return m.PredictBatchedPrepared(costmodel.MLE, s)
-		},
+		base:   costmodel.Knobs{Batching: true},
+		tuned:  costmodel.Knobs{Batching: true, Prepared: true},
 		detail: func(_, t pdmtune.Metrics) string {
 			return fmt.Sprintf("saved %.0f KiB SQL, execs=%d", t.SavedRequestBytes/1024, t.PreparedExecs)
 		},
 	},
 	{
+		// The model's ratio is the total v1-to-wire shrink (columnar +
+		// deflate): exactly the charged response-volume ratio.
 		name:   "compress",
 		about:  "columnar v2 results + negotiated deflate (model at the measured ratio)",
 		strats: []pdmtune.Strategy{pdmtune.EarlyEval, pdmtune.Recursive},
-		on:     []pdmtune.Option{pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true)},
-		// The model's ratio parameter is the total v1-to-wire shrink
-		// (columnar + deflate): exactly the charged response-volume ratio.
-		predict: func(m costmodel.Model, s costmodel.Strategy, b, t pdmtune.Metrics) costmodel.Estimate {
-			return m.PredictCompressed(costmodel.MLE, s, responseRatio(b, t))
-		},
+		base:   costmodel.Knobs{Batching: true},
+		tuned:  costmodel.Knobs{Batching: true, Columnar: true, Compress: true},
 		detail: func(b, t pdmtune.Metrics) string {
 			return fmt.Sprintf("%.1fx, %d frames deflated", responseRatio(b, t), t.CompressedFrames)
 		},
@@ -154,11 +146,9 @@ var levers = []lever{
 		name:   "cache",
 		about:  "structure cache: a repeated MLE revalidates its tree in one round trip",
 		strats: []pdmtune.Strategy{pdmtune.EarlyEval},
-		on:     []pdmtune.Option{pdmtune.WithCache(1 << 20)},
+		base:   costmodel.Knobs{Batching: true},
+		tuned:  costmodel.Knobs{Batching: true, CacheEntries: 1 << 20},
 		warm:   true,
-		predict: func(m costmodel.Model, s costmodel.Strategy, _, _ pdmtune.Metrics) costmodel.Estimate {
-			return m.PredictCached(costmodel.MLE, s, true)
-		},
 		detail: func(_, t pdmtune.Metrics) string {
 			return fmt.Sprintf("hits=%d validate_rt=%d saved_rt=%d", t.CacheHits, t.ValidateRoundTrips, t.SavedRoundTrips)
 		},
@@ -198,37 +188,44 @@ func runLevers(e *env) ([]record, error) {
 // record.
 func (lv lever) measure(sys *pdmtune.System, root int64, scen costmodel.Tree, strat pdmtune.Strategy) ([]record, error) {
 	ctx := context.Background()
-	net, link := costmodel.PaperNetworks()[0], pdmtune.Intercontinental()
-	rec := func(side string, res *pdmtune.ActionResult) record {
+	baseK, tunedK := lv.base, lv.tuned
+	baseK.Strategy, tunedK.Strategy = strat, strat
+	run := func(side string, k costmodel.Knobs, warm bool) (record, error) {
+		sess, err := open(sys, pdmtune.Intercontinental(), "sim", pdmtune.WithStrategy(strat))
+		if err != nil {
+			return record{}, err
+		}
+		defer sess.Close()
+		if err := sess.ApplyConfig(ctx, k); err != nil {
+			return record{}, err
+		}
+		res, err := sess.MultiLevelExpand(ctx, root)
+		if err == nil && warm {
+			res, err = sess.MultiLevelExpand(ctx, root)
+		}
+		if err != nil {
+			return record{}, err
+		}
 		return record{
 			Mode: "levers", Scenario: scen.Name, Config: lv.name + " " + side + ", " + strat.String(),
 			Metrics: res.Metrics,
 			Extra:   kv{"lever": lv.name, "side": side, "strategy": strat.String(), "visible": float64(res.Visible)},
-		}
+		}, nil
 	}
-	opts := []pdmtune.Option{pdmtune.WithStrategy(strat), pdmtune.WithBatching(!lv.unbatched && strat != pdmtune.Recursive)}
-	base, err := runAction(sys, link, pdmtune.MLE, root, opts...)
+	base, err := run("base", baseK, false)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := open(sys, link, "sim", append(opts, lv.on...)...)
+	tuned, err := run("tuned", tunedK, lv.warm)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	tuned, err := sess.MultiLevelExpand(ctx, root)
-	if err == nil && lv.warm {
-		tuned, err = sess.MultiLevelExpand(ctx, root)
+	if tuned.num("visible") != base.num("visible") {
+		return nil, fmt.Errorf("tuned client sees %.0f nodes, base client %.0f", tuned.num("visible"), base.num("visible"))
 	}
-	if err != nil {
-		return nil, err
-	}
-	if tuned.Visible != base.Visible {
-		return nil, fmt.Errorf("tuned client sees %d nodes, base client %d", tuned.Visible, base.Visible)
-	}
-	recs := []record{rec("base", base), rec("tuned", tuned)}
-	recs[1].PredictedSec = lv.predict(costmodel.Model{Net: net, Tree: scen}, costmodel.Strategy(strat), base.Metrics, tuned.Metrics).TotalSec
-	return recs, nil
+	tuned.PredictedSec = costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: scen, Warm: lv.warm,
+		CompressionRatio: responseRatio(base.Metrics, tuned.Metrics)}.Price(tunedK, costmodel.MLE).TotalSec
+	return []record{base, tuned}, nil
 }
 
 func textLevers(w io.Writer, recs []record) {
@@ -402,7 +399,7 @@ func measureSite(e *env, cl *pdmtune.Cluster, cfg pdmtune.SiteConfig, scen costm
 	wanRead := sess.WANMetrics()
 	model := costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: scen}
 	coldRec := rec("cold", cold.Metrics, kv{"visible": float64(cold.Visible)})
-	coldRec.PredictedSec = model.PredictReplicated(costmodel.MLE, costmodel.Recursive, costmodel.LANNetwork(), 0).TotalSec
+	coldRec.PredictedSec = model.Price(sess.TuneConfig(), costmodel.MLE).TotalSec // Replica: priced on the LAN, nothing left to pull
 	reads := []record{coldRec, rec("repeat", repeat.Metrics, kv{
 		"wan_read_bytes": wanRead.VolumeBytes(), "wan_read_round_trips": float64(wanRead.RoundTrips),
 	})}
@@ -427,7 +424,7 @@ func textSites(w io.Writer, recs []record) {
 	fmt.Fprintf(w, "Multi-site topology — %.0f replica sites per scenario, recursive MLE read at\n", recs[0].num("sites"))
 	fmt.Fprintln(w, "each site over the LAN after one sync across the site's WAN link. The read")
 	fmt.Fprintln(w, "costs zero WAN bytes; the sync pays the row volume once per change, not once")
-	fmt.Fprintln(w, "per read. (PredictReplicated steady-state estimate in parentheses.)")
+	fmt.Fprintln(w, "per read. (Model.Price steady-state estimate of the replica session in parentheses.)")
 	if f := recs[0].num("subscribe"); f > 0 {
 		fmt.Fprintf(w, "Partial replication: each site subscribes to %.0f%% of the root's subtrees;\n", f*100)
 		fmt.Fprintln(w, "the sync ships only the closure, and the out-of-subscription MLE falls")
@@ -490,7 +487,7 @@ func newECWorkload() (*ecWorkload, error) {
 	w.chain = w.prod.Nodes[w.part].Level // one ancestor per level above the part
 	w.model = costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: costmodel.Tree{
 		Name: treeName(cfg), Depth: cfg.Depth, Branch: cfg.Branch, Sigma: cfg.Sigma,
-	}}
+	}, Chain: w.chain, ReportRows: w.prod.AllNodes() + 1}
 	w.sess, err = open(w.sys, pdmtune.Intercontinental(), "ec")
 	return w, err
 }
@@ -537,7 +534,7 @@ func runWhereUsed(*env) ([]record, error) {
 	if res.Visible != w.chain {
 		return nil, fmt.Errorf("found %d ancestors, ground truth has %d", res.Visible, w.chain)
 	}
-	return w.record("whereused", res.Metrics, w.model.PredictWhereUsed(w.chain), kv{"chain": float64(w.chain)})
+	return w.record("whereused", res.Metrics, w.model.Price(w.sess.TuneConfig(), costmodel.WhereUsed), kv{"chain": float64(w.chain)})
 }
 
 var textWhereUsed = textEC(
@@ -577,7 +574,7 @@ func runECO(*env) ([]record, error) {
 	if contested.Conflicts == 0 {
 		return nil, fmt.Errorf("ECO against a checked-out ancestor reported no conflicts")
 	}
-	return w.record("eco", res.Metrics, w.model.PredictECO(w.chain), kv{
+	return w.record("eco", res.Metrics, w.model.Price(w.sess.TuneConfig(), costmodel.ECO), kv{
 		"chain": float64(w.chain), "affected": float64(len(res.Affected)), "updated": float64(res.Updated),
 		"contested_conflicts": float64(contested.Conflicts),
 	})
@@ -602,11 +599,11 @@ func runReport(*env) ([]record, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := w.prod.AllNodes() + 1
+	rows := w.model.ReportRows
 	if res.Assemblies+res.Components != rows {
 		return nil, fmt.Errorf("scanned %d nodes, product has %d", res.Assemblies+res.Components, rows)
 	}
-	return w.record("report", res.Metrics, w.model.PredictReport(rows), kv{
+	return w.record("report", res.Metrics, w.model.Price(w.sess.TuneConfig(), costmodel.Report), kv{
 		"rows": float64(rows), "assemblies": float64(res.Assemblies), "components": float64(res.Components),
 		"checked_out": float64(res.CheckedOut), "total_weight": res.TotalWeight,
 	})

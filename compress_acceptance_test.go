@@ -115,8 +115,9 @@ func TestCompressedAcceptanceD7B5(t *testing.T) {
 	// or below the batched prediction by the same order.
 	ratio := mP.ResponseBytes / mZ.ResponseBytes
 	model := costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: costmodel.PaperScenarios()[2]}
-	batched := model.PredictBatched(costmodel.MLE, costmodel.EarlyEval)
-	compressed := model.PredictCompressed(costmodel.MLE, costmodel.EarlyEval, ratio)
+	batched := model.Price(plainSess.TuneConfig(), costmodel.MLE)
+	model.CompressionRatio = ratio
+	compressed := model.Price(zSess.TuneConfig(), costmodel.MLE)
 	if compressed.TotalSec >= batched.TotalSec {
 		t.Errorf("model: compressed %.2fs not below batched %.2fs", compressed.TotalSec, batched.TotalSec)
 	}

@@ -77,23 +77,6 @@ type Observation struct {
 	// SyncBytes is the observed row-delta volume of one replication
 	// pull (replica sessions only).
 	SyncBytes float64
-	// Action is the dominant read action. The zero value selects MLE —
-	// the paper's expensive case and the structural default; a workload
-	// truly dominated by the set-oriented Query sets QueryDominant
-	// instead (Query is the cost model's zero Action and would be
-	// indistinguishable from "unset").
-	Action        costmodel.Action
-	QueryDominant bool
-}
-
-func (o Observation) action() costmodel.Action {
-	if o.QueryDominant {
-		return costmodel.Query
-	}
-	if o.Action == costmodel.Query {
-		return costmodel.MLE
-	}
-	return o.Action
 }
 
 func (o Observation) replica() bool { return o.Site != "" && o.Site != "primary" }
@@ -102,13 +85,8 @@ func (o Observation) replica() bool { return o.Site != "" && o.Site != "primary"
 // costmodel workload distilled from it — the input the ranking prices
 // every candidate against.
 type WorkloadProfile struct {
-	Shape    Shape
-	Workload costmodel.Workload
-	// WriteFrac/RepeatFrac are the observed fractions the
-	// classification derives from (duplicated out of Workload for
-	// reporting).
-	WriteFrac  float64
-	RepeatFrac float64
+	Shape Shape
+	costmodel.Workload
 }
 
 // networkOf converts a simulator link into an analytic profile.
@@ -161,25 +139,26 @@ func Classify(o Observation) WorkloadProfile {
 		shape = RepeatRead
 	}
 
-	action := o.action()
 	w := costmodel.Workload{
-		Net:           networkOf(o.Link),
-		LocalNet:      networkOf(o.LocalLink),
-		Tree:          o.Tree,
-		Action:        action,
+		Model: costmodel.Model{
+			Net:       networkOf(o.Link),
+			LocalNet:  networkOf(o.LocalLink),
+			Tree:      o.Tree,
+			SyncBytes: o.SyncBytes,
+		},
+		Action:        costmodel.MLE, // the one action the knobs disagree on
 		WriteFrac:     writeFrac,
 		RepeatFrac:    repeatFrac,
 		Users:         o.Users,
 		LockWaitSec:   lockWaitSec,
-		SyncBytes:     o.SyncBytes,
 		ActionsPerSec: actionsPerSec,
 	}
-	return WorkloadProfile{Shape: shape, Workload: w, WriteFrac: writeFrac, RepeatFrac: repeatFrac}
+	return WorkloadProfile{Shape: shape, Workload: w}
 }
 
 // Recommendation is one ranked candidate configuration.
 type Recommendation struct {
-	Config Config
+	Config costmodel.Knobs
 	// PredictedSec is the expected simulated seconds of one action
 	// under the candidate.
 	PredictedSec float64
@@ -214,15 +193,17 @@ func (a Advisor) cacheEntries() int {
 	return 256
 }
 
-// candidates enumerates the knob lattice for a profile: every strategy,
-// batching, prepared and cache choice, the negotiated wire encodings,
-// and — at a replica — a spread of staleness bounds. Site and pool are
-// open-time decisions and not enumerated: the advisor tunes what a
-// running session can change.
-func (a Advisor) candidates(p WorkloadProfile, replica bool) []Config {
-	stalenesses := []float64{0}
-	coverages := []float64{0}
-	if replica {
+// candidates enumerates the knob lattice around the current
+// configuration: every strategy, batching, prepared and cache choice,
+// the negotiated wire encodings, and — at a replica — a spread of
+// staleness bounds. What a running session cannot change, or does not
+// read, is kept as it is: the location (Replica), a shared cache store,
+// the replica knobs at the primary. Pooling and transport are open-time
+// decisions and no knobs at all.
+func (a Advisor) candidates(current costmodel.Knobs) []costmodel.Knobs {
+	stalenesses := []float64{current.StalenessSec}
+	coverages := []float64{current.Coverage}
+	if current.Replica {
 		stalenesses = []float64{0, 5, 30, 300}
 		// Subscription coverage spans its own lattice dimension at a
 		// replica: full replication (0 ⇒ 1) vs a half-tree subscription
@@ -230,7 +211,11 @@ func (a Advisor) candidates(p WorkloadProfile, replica bool) []Config {
 		// reads fall through to the primary.
 		coverages = []float64{0, 0.5}
 	}
-	var out []Config
+	caches := []int{0, a.cacheEntries()}
+	if current.CacheEntries < 0 {
+		caches = []int{current.CacheEntries}
+	}
+	var out []costmodel.Knobs
 	for _, strat := range costmodel.Strategies {
 		for _, batching := range []bool{false, true} {
 			for _, prepared := range []bool{false, true} {
@@ -240,17 +225,18 @@ func (a Advisor) candidates(p WorkloadProfile, replica bool) []Config {
 					// adds the prepare round trip.
 					continue
 				}
-				for _, cacheEntries := range []int{0, a.cacheEntries()} {
+				for _, cacheEntries := range caches {
 					for _, compress := range []bool{false, true} {
 						for _, st := range stalenesses {
 							for _, cov := range coverages {
-								out = append(out, Config{
+								out = append(out, costmodel.Knobs{
 									Strategy:     strat,
 									Batching:     batching,
 									Prepared:     prepared,
 									CacheEntries: cacheEntries,
 									Columnar:     compress,
 									Compress:     compress,
+									Replica:      current.Replica,
 									StalenessSec: st,
 									Coverage:     cov,
 								})
@@ -264,35 +250,19 @@ func (a Advisor) candidates(p WorkloadProfile, replica bool) []Config {
 	return out
 }
 
-// knobsOf maps a candidate configuration onto the cost model's knob
-// set for a session at the observed location.
-func knobsOf(c Config, replica bool) costmodel.Knobs {
-	return costmodel.Knobs{
-		Strategy:     c.Strategy,
-		Batching:     c.Batching,
-		Prepared:     c.Prepared,
-		CacheEntries: c.CacheEntries,
-		Compress:     c.Compress,
-		Replica:      replica,
-		StalenessSec: c.StalenessSec,
-		Coverage:     c.Coverage,
-	}
-}
-
 // Recommend ranks every candidate configuration for the observed
 // workload and returns the top-k, each with its predicted per-action
 // cost and the predicted saving against the current configuration.
-func (a Advisor) Recommend(o Observation, current Config) []Recommendation {
-	p := Classify(o)
-	return a.recommend(p, o.replica(), current)
+func (a Advisor) Recommend(o Observation, current costmodel.Knobs) []Recommendation {
+	return a.recommend(Classify(o), current)
 }
 
-func (a Advisor) recommend(p WorkloadProfile, replica bool, current Config) []Recommendation {
-	currentSec := costmodel.PredictWorkload(knobsOf(current, replica), p.Workload).PerActionSec
-	cands := a.candidates(p, replica)
+func (a Advisor) recommend(p WorkloadProfile, current costmodel.Knobs) []Recommendation {
+	currentSec := costmodel.PredictWorkload(current, p.Workload).PerActionSec
+	cands := a.candidates(current)
 	recs := make([]Recommendation, 0, len(cands))
 	for _, c := range cands {
-		sec := costmodel.PredictWorkload(knobsOf(c, replica), p.Workload).PerActionSec
+		sec := costmodel.PredictWorkload(c, p.Workload).PerActionSec
 		var delta float64
 		if currentSec > 0 {
 			delta = (1 - sec/currentSec) * 100

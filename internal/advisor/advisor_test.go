@@ -9,6 +9,10 @@ import (
 	"pdmtune/internal/netsim"
 )
 
+// Config keeps the tests short: the advisor's configuration type is the
+// cost model's knob set.
+type Config = costmodel.Knobs
+
 func paperTree() costmodel.Tree { return costmodel.Tree{Depth: 7, Branch: 5, Sigma: 0.6} }
 
 // window builds an observation window with the given action mix.
@@ -124,7 +128,10 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	replica.Site = "tokyo"
 	replica.Window = window(30, 10, 1, 0)
 	replica.SyncBytes = 64 * 1024
-	best = Advisor{}.Recommend(replica, Config{})[0].Config
+	best = Advisor{}.Recommend(replica, Config{Replica: true})[0].Config
+	if !best.Replica {
+		t.Errorf("replica winner moved the session off its site: %s", best)
+	}
 	if best.StalenessSec <= 0 {
 		t.Errorf("replica winner syncs before every action: %s", best)
 	}
@@ -157,6 +164,30 @@ func TestConfigFingerprint(t *testing.T) {
 	b.CacheEntries = 128
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("different configs share a fingerprint")
+	}
+}
+
+// TestCandidatesKeepWhatTheSessionCannotChange: a shared cache store
+// and the read location are not the session's to flip, and the replica
+// knobs mean nothing at the primary — every candidate carries them
+// unchanged, so a plan never contains a change ApplyConfig must refuse.
+func TestCandidatesKeepWhatTheSessionCannotChange(t *testing.T) {
+	for _, current := range []Config{
+		{CacheEntries: -1, StalenessSec: -1},
+		{Replica: true, CacheEntries: -1},
+	} {
+		cands := Advisor{}.candidates(current)
+		if len(cands) == 0 {
+			t.Fatalf("%s: no candidates", current)
+		}
+		for _, c := range cands {
+			if c.CacheEntries != current.CacheEntries || c.Replica != current.Replica {
+				t.Fatalf("from %s: candidate %s changes the shared cache or the location", current, c)
+			}
+			if !current.Replica && (c.StalenessSec != current.StalenessSec || c.Coverage != current.Coverage) {
+				t.Fatalf("from %s: candidate %s enumerates replica knobs at the primary", current, c)
+			}
+		}
 	}
 }
 

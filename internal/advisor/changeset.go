@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+
+	"pdmtune/internal/costmodel"
 )
 
 // ParamChange is one knob flip inside a ChangeSet, recorded as strings
@@ -26,12 +28,12 @@ func (p ParamChange) String() string { return fmt.Sprintf("%s: %s -> %s", p.Para
 type ChangeSet struct {
 	// ID identifies the set (derived from the plan's fingerprints).
 	ID string
-	// Fingerprint is the Config.Fingerprint of the configuration the
+	// Fingerprint is the Knobs.Fingerprint of the configuration the
 	// set was planned against; Apply verifies it before touching the
 	// session.
 	Fingerprint string
 	// Target is the complete configuration the set applies.
-	Target Config
+	Target costmodel.Knobs
 	// Changes lists the individual knob flips, for reporting.
 	Changes []ParamChange
 	// PredictedSec/CurrentSec carry the plan's cost prediction.
@@ -39,21 +41,20 @@ type ChangeSet struct {
 	CurrentSec   float64
 
 	// pre is the configuration captured at Apply time, for Rollback.
-	pre     *Config
+	pre     *costmodel.Knobs
 	applied bool
 }
 
 // Plan builds the change set turning `current` into the advisor's top
 // recommendation for the observation. It returns nil when the best
 // candidate is the current configuration itself — nothing to change.
-func (a Advisor) Plan(o Observation, current Config) *ChangeSet {
+func (a Advisor) Plan(o Observation, current costmodel.Knobs) *ChangeSet {
 	recs := a.Recommend(o, current)
 	if len(recs) == 0 {
 		return nil
 	}
 	best := recs[0]
-	changes := Diff(current, best.Config)
-	if len(changes) == 0 {
+	if best.Config == current {
 		return nil
 	}
 	return NewChangeSet(current, best.Config, best.PredictedSec, best.CurrentSec)
@@ -61,7 +62,7 @@ func (a Advisor) Plan(o Observation, current Config) *ChangeSet {
 
 // NewChangeSet builds a fingerprinted change set from an explicit
 // current/target pair (Plan is the ranked front end).
-func NewChangeSet(current, target Config, predictedSec, currentSec float64) *ChangeSet {
+func NewChangeSet(current, target costmodel.Knobs, predictedSec, currentSec float64) *ChangeSet {
 	from, to := current.Fingerprint(), target.Fingerprint()
 	sum := sha256.Sum256([]byte(from + ">" + to))
 	return &ChangeSet{
@@ -112,4 +113,31 @@ func (cs *ChangeSet) Rollback(ctx context.Context, t Tunable) error {
 	cs.applied = false
 	cs.pre = nil
 	return nil
+}
+
+// Diff lists the parameter changes turning `from` into `to`, in
+// canonical field order. An empty diff means the configurations are
+// identical.
+func Diff(from, to costmodel.Knobs) []ParamChange {
+	var out []ParamChange
+	a, b := from.Fields(), to.Fields()
+	for i := range a {
+		if a[i].Value != b[i].Value {
+			out = append(out, ParamChange{Param: a[i].Name, From: fmt.Sprint(a[i].Value), To: fmt.Sprint(b[i].Value)})
+		}
+	}
+	return out
+}
+
+// Tunable is the advisor's handle on a running session: read the live
+// configuration, apply a new one. *pdmtune.Session implements it; the
+// indirection keeps the advisor free of the facade package (which
+// imports it back).
+type Tunable interface {
+	// TuneConfig returns the session's current runtime configuration.
+	TuneConfig() costmodel.Knobs
+	// ApplyConfig reconfigures the live session to k. Implementations
+	// must be all-or-nothing as far as their knobs allow and must make
+	// a follow-up TuneConfig return k.
+	ApplyConfig(ctx context.Context, k costmodel.Knobs) error
 }

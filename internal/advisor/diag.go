@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pdmtune/internal/costmodel"
 )
 
 // Section is one degradable part of a DiagSnapshot: either its data or
@@ -31,7 +33,7 @@ func section(data map[string]string) Section { return Section{Available: true, D
 // the window's traffic, the classified profile, and the ranked
 // recommendations against the current configuration. Sections degrade
 // independently — an empty window still yields a config section.
-func (a Advisor) Diagnose(o Observation, current Config) *DiagSnapshot {
+func (a Advisor) Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot {
 	d := &DiagSnapshot{Sections: map[string]Section{}}
 
 	d.Sections["config"] = section(map[string]string{
@@ -67,7 +69,7 @@ func (a Advisor) Diagnose(o Observation, current Config) *DiagSnapshot {
 		"users":       fmt.Sprint(p.Workload.Users),
 	})
 
-	recs := a.recommend(p, o.replica(), current)
+	recs := a.recommend(p, current)
 	if len(recs) == 0 {
 		d.Sections["recommendations"] = failed("no candidates enumerated")
 		return d

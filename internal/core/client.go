@@ -191,20 +191,16 @@ func (c *Client) SetPrepared(on bool) { c.prepared = on }
 func (c *Client) Prepared() bool { return c.prepared }
 
 // RenegotiateWire runs the connection's capability handshake: columnar
-// v2 result frames and/or whole-body response compression (threshold
-// <= 0 selects the wire default). One round trip, at session open or
+// v2 result frames and/or whole-body response compression (above the
+// wire's default size threshold). One round trip, at session open or
 // mid-session — the advisor's lever for flipping the negotiated
 // encodings on a live connection; an all-false renegotiation is how an
 // applied change set (or its rollback) turns the capabilities off
 // again. The decoded trees of every action are identical either way —
 // the negotiated encodings change only what crosses the WAN, which is
 // what the meter reports.
-func (c *Client) RenegotiateWire(ctx context.Context, columnar, compress bool, threshold int) (wire.Caps, error) {
-	return c.sql.Negotiate(ctx, wire.Caps{
-		Columnar:          columnar,
-		Compress:          compress,
-		CompressThreshold: threshold,
-	})
+func (c *Client) RenegotiateWire(ctx context.Context, columnar, compress bool) (wire.Caps, error) {
+	return c.sql.Negotiate(ctx, wire.Caps{Columnar: columnar, Compress: compress})
 }
 
 // SetCache layers the structure cache over the client's read path:

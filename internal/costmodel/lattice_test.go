@@ -45,45 +45,20 @@ func latticePoints() []latticePoint {
 	return out
 }
 
-// pricePoint prices one lattice point from the parent's ten entry
-// points: the wire knobs through coldRead (Predict / PredictBatched /
-// PredictBatchedPrepared + the compression shrink), a warm repeat
-// through PredictCached, a replica read on the LAN profile with
-// PredictReplicated's sync exchange on top.
+// pricePoint prices one lattice point through Price: the point's knobs
+// plus the situational Model fields (warm repeat, pending pull) its
+// cache and replica dimensions stand for.
 func pricePoint(net Network, tree Tree, p latticePoint, a Action) Estimate {
-	readNet := net
-	if p.replica != "no" {
-		readNet = LANNetwork()
+	m := Model{Net: net, Tree: tree, Warm: p.cache == "warm"}
+	if p.replica == "sync64k" {
+		m.SyncBytes = 64 * 1024
 	}
-	k := Knobs{Strategy: p.strategy, Batching: p.batching, Prepared: p.prepared, Compress: p.compress}
+	k := Knobs{Strategy: p.strategy, Batching: p.batching, Prepared: p.prepared,
+		Columnar: p.compress, Compress: p.compress, Replica: p.replica != "no"}
 	if p.cache != "off" {
 		k.CacheEntries = 256
 	}
-	var est Estimate
-	if p.cache == "warm" && a != Query {
-		est = Model{Net: readNet, Tree: tree}.PredictCached(a, p.strategy, true)
-	} else {
-		est = coldRead(readNet, k, Workload{Tree: tree, Action: a})
-	}
-	if p.replica == "sync64k" {
-		vol := net.PacketBytes + 64*1024 + net.PacketBytes/2
-		est.Communications += 2
-		est.VolumeBytes += vol
-		est.LatencySec += 2 * net.LatencySec
-		est.TransferSec += vol * 8 / (net.RateKbps * 1024)
-		est.TotalSec = est.LatencySec + est.TransferSec
-	}
-	return est
-}
-
-func priceEC(m Model, a Action, chain, rows int) Estimate {
-	switch a {
-	case WhereUsed:
-		return m.PredictWhereUsed(chain)
-	case ECO:
-		return m.PredictECO(chain)
-	}
-	return m.PredictReport(rows)
+	return m.Price(k, a)
 }
 
 func latticeLine(b *strings.Builder, label string, e Estimate) {
@@ -93,8 +68,9 @@ func latticeLine(b *strings.Builder, label string, e Estimate) {
 // TestLatticeGolden pins every predicted number of the knob lattice on
 // the paper's three scenarios (slowest WAN) — Queries, Communications,
 // VolumeBytes, TotalSec at nine significant digits. The file was
-// generated from the ten pre-refactor entry points; a change to the
-// model that moves any of them shows up as a diff here.
+// generated from the ten entry points Price replaced (the commit that
+// added it carries that generator); a change to the model that moves
+// any number shows up as a diff here.
 func TestLatticeGolden(t *testing.T) {
 	net := PaperNetworks()[0]
 	var b strings.Builder
@@ -107,7 +83,7 @@ func TestLatticeGolden(t *testing.T) {
 		chain, rows := tree.Depth, int(tree.AllNodes())+1
 		for _, a := range []Action{WhereUsed, ECO, Report} {
 			latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d rows=%d", tree.Name, a, chain, rows),
-				priceEC(Model{Net: net, Tree: tree}, a, chain, rows))
+				Model{Net: net, Tree: tree, Chain: chain, ReportRows: rows}.Price(Knobs{}, a))
 		}
 	}
 	const path = "testdata/lattice.golden"
@@ -130,43 +106,6 @@ func TestLatticeGolden(t *testing.T) {
 	for i := range got {
 		if got[i] != wantLines[i] {
 			t.Fatalf("line %d:\n got  %s\n want %s", i+1, got[i], wantLines[i])
-		}
-	}
-}
-
-// TestLatticePointsMatchEntryPoints ties the lattice's composition back
-// to the public entry points where one exists for the point.
-func TestLatticePointsMatchEntryPoints(t *testing.T) {
-	net := PaperNetworks()[0]
-	for _, tree := range PaperScenarios() {
-		m := Model{Net: net, Tree: tree}
-		for _, a := range Actions {
-			for _, s := range Strategies {
-				plain := latticePoint{strategy: s, cache: "off", replica: "no"}
-				check := func(name string, p latticePoint, want Estimate) {
-					t.Helper()
-					if got := pricePoint(net, tree, p, a); got != want {
-						t.Errorf("%s %v/%v %s: lattice %+v != entry point %+v", tree.Name, a, s, name, got, want)
-					}
-				}
-				check("Predict", plain, m.Predict(a, s))
-				p := plain
-				p.batching = true
-				check("PredictBatched", p, m.PredictBatched(a, s))
-				p.compress = true
-				check("PredictCompressed", p, m.PredictCompressed(a, s, DefaultCompressionRatio))
-				p.compress, p.prepared = false, true
-				check("PredictBatchedPrepared", p, m.PredictBatchedPrepared(a, s))
-				p.prepared, p.cache = false, "cold"
-				check("PredictCached cold", p, m.PredictCached(a, s, false))
-				p.cache = "warm"
-				check("PredictCached warm", p, m.PredictCached(a, s, true))
-				p = plain
-				p.replica = "sync0"
-				check("PredictReplicated 0", p, m.PredictReplicated(a, s, LANNetwork(), 0))
-				p.replica = "sync64k"
-				check("PredictReplicated 64k", p, m.PredictReplicated(a, s, LANNetwork(), 64*1024))
-			}
 		}
 	}
 }

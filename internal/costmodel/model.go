@@ -9,6 +9,18 @@
 // 1 kbit = 1024 bits, and the root object "is considered to be already
 // at the client", so a multi-level expand issues one query for the root
 // plus one per visible descendant.
+//
+// The package has one description of a client configuration, Knobs
+// (the session facade and the advisor use the same type), and one
+// pricing function over it, Model.Price(Knobs, Action): the zero Knobs
+// are the paper's formulas, every later lever of the reproduction
+// (batching, prepared statements, compression, the structure cache,
+// replica reads, the engineering-change actions) is a knob or action
+// case of that function, and what is measured rather than chosen is a
+// field of the Model. PredictWorkload blends Price calls over an
+// observed workload mix for the advisor; Predict, PredictCompressed,
+// PredictCached and PredictReplicated are thin compatibility wrappers
+// around single lattice points.
 package costmodel
 
 import (
@@ -185,7 +197,6 @@ func (t Tree) Queries(a Action) float64 {
 type Estimate struct {
 	Queries          float64 // q (or query packets q_r for Recursive)
 	Communications   float64 // c
-	Batches          float64 // round trips actually paid (= q without batching)
 	TransmittedNodes float64 // n_t
 	VolumeBytes      float64 // vol
 	LatencySec       float64 // c · T_Lat
@@ -193,257 +204,250 @@ type Estimate struct {
 	TotalSec         float64 // T
 }
 
-// Model combines a network profile with a tree scenario.
+// Model is what Price is called on: the network and tree scenario of
+// formulas (1)-(6) plus every situational input that is measured or
+// observed rather than chosen — sizes, the compression ratio, whether
+// the action repeats a cached one, the replica site's network and
+// pending pull, the shape of an engineering-change action. What the
+// client *chooses* is the Knobs argument.
 type Model struct {
 	Net  Network
 	Tree Tree
 	// NodeBytes is the average node size (DefaultNodeBytes when 0).
 	NodeBytes float64
+	// CompressionRatio is the measured response shrink factor of the
+	// columnar v2 encoding plus deflate (DefaultCompressionRatio when
+	// 0; <= 1 prices a session that negotiated nothing). Only read
+	// under Knobs.Compress.
+	CompressionRatio float64
 	// RecursiveQueryPackets is q_r, the packets needed to ship the
 	// recursive query text to the server (1 when 0, as in the paper).
 	RecursiveQueryPackets float64
 	// StatementBytes is the assumed per-statement size inside a batch
-	// frame (DefaultStatementBytes when 0); only PredictBatched uses it.
+	// frame (DefaultStatementBytes when 0); only read under
+	// Knobs.Batching.
 	StatementBytes float64
 	// PreparedStatementBytes is the assumed size of one prepared
-	// execution inside a batch frame (DefaultPreparedStatementBytes when
-	// 0); only PredictBatchedPrepared uses it.
+	// execution inside a batch frame (DefaultPreparedStatementBytes
+	// when 0); only read under Knobs.Batching + Knobs.Prepared.
 	PreparedStatementBytes float64
+	// Warm prices the repeat of an action whose structure is already in
+	// the client cache; only read when the knobs run a cache.
+	Warm bool
+	// LocalNet is the site-local profile a Knobs.Replica read runs on
+	// (LANNetwork when zero); SyncBytes is the row-delta volume of the
+	// replication pull that precedes it across Net (0: the replica is
+	// already synced and the WAN contributes nothing).
+	LocalNet  Network
+	SyncBytes float64
+	// Chain is the ancestor-chain depth a WhereUsed or ECO action
+	// walks; ReportRows the node count a Report scans.
+	Chain      int
+	ReportRows int
 }
 
-func (m Model) nodeBytes() float64 {
-	if m.NodeBytes > 0 {
-		return m.NodeBytes
+// orDefault returns v when it was configured (> 0), else def.
+func orDefault(v, def float64) float64 {
+	if v > 0 {
+		return v
 	}
-	return DefaultNodeBytes
+	return def
 }
 
-// Predict computes the response-time estimate for an action under a
-// strategy, following formulas (1)-(6).
-func (m Model) Predict(a Action, s Strategy) Estimate {
-	sizeP := m.Net.PacketBytes
-	rateBitsPerSec := m.Net.RateKbps * 1024
+func (m Model) nodeBytes() float64 { return orDefault(m.NodeBytes, DefaultNodeBytes) }
 
-	var est Estimate
-	if s == Recursive && a != Expand {
-		// One combined query, one result set: c = 2 (formula (6)).
-		qr := m.RecursiveQueryPackets
-		if qr <= 0 {
-			qr = 1
+// Assumed sizes of the exchanges the paper's model does not itemize.
+const (
+	// DefaultStatementBytes is one statement inside a batch frame — a
+	// navigational expand query with injected rule predicates is a few
+	// hundred bytes of SQL text.
+	DefaultStatementBytes = 512
+	// DefaultPreparedStatementBytes is one prepared execution inside a
+	// batch frame: a 1-byte tag, a 4-byte handle, a parameter count and
+	// two integer parameters plus sub-frame framing — a few dozen
+	// bytes, independent of the SQL text length.
+	DefaultPreparedStatementBytes = 32
+	// DefaultCompressionRatio is the response-volume ratio measured for
+	// the columnar v2 encoding plus deflate on the paper's node rows
+	// (repeating type/state strings, near-monotone ids): the cold-path
+	// node records shrink by roughly an order of magnitude.
+	DefaultCompressionRatio = 10
+	// DefaultValidateEntryBytes is one cache-validate entry: an 8-byte
+	// object id plus its 8-byte fetch-time version stamp.
+	DefaultValidateEntryBytes = 16
+	// DefaultReportRowBytes is one reporting-scan row: a tagged 8-byte
+	// object id, a tagged 8-byte weight and a 1-byte checked-out flag,
+	// plus value framing. NodeBytes does not apply — the scan projects
+	// three columns instead of shipping whole node records.
+	DefaultReportRowBytes = 20
+)
+
+// packets rounds a request of the given size up to whole packets (at
+// least one — an empty request still costs its packet).
+func packets(bytes, sizeP float64) float64 {
+	return math.Max(1, math.Ceil(bytes/sizeP))
+}
+
+// Price is the model's one pricing function: the response-time
+// estimate of action a under the client configuration k, following
+// formulas (1)-(6) at the zero Knobs and extending them knob by knob.
+// Every request is rounded up to whole packets, every response pays the
+// model's half-filled last packet, and each exchange costs two
+// communications.
+//
+//   - Strategy picks n_t and, for Recursive tree actions, formula (6):
+//     one combined query, one result set.
+//   - Batching ships each BFS level of a navigational MLE as one
+//     exchange: two communications per tree level instead of two per
+//     statement, the statements packetized together. Single-statement
+//     actions and the recursive strategy have nothing to batch.
+//   - Prepared (with Batching) shrinks each batched statement from SQL
+//     text to handle + parameters, at the cost of one prepare exchange.
+//     Under packet accounting the saving only materializes once a
+//     level's statements span multiple packets, as on the real wire.
+//   - Compress (with or without Columnar — the model prices their joint
+//     measured ratio) shrinks the response node records to
+//     1/CompressionRatio; requests and latency are untouched.
+//   - A cache (CacheEntries != 0) costs nothing cold; on a Warm repeat a
+//     structure action collapses to one validate exchange carrying the
+//     (id, version) pairs of every cached object and no node records.
+//     The set-oriented Query is not cached.
+//   - Replica runs the read on LocalNet and charges the pull of
+//     SyncBytes that preceded it to Net. Writes are not priced here: a
+//     write crosses the WAN exactly as at the primary.
+//
+// StalenessSec and Coverage describe how a replica's pulls amortize
+// over a stream of actions; PredictWorkload blends them.
+//
+// WhereUsed, ECO and Report are priced navigationally under every
+// strategy — the client walks them level by level whatever the knobs
+// say: where-used is one upward level query per ancestor level, the
+// empty level that ends the walk and one record fetch of the Chain
+// ancestors; ECO is the walk, the part's type lookup and two
+// conditional UPDATEs, ids and counts only; Report is two set-oriented
+// scans carrying one three-column row per node.
+func (m Model) Price(k Knobs, a Action) Estimate {
+	net := m.Net
+	if k.Replica {
+		if net = m.LocalNet; net.RateKbps <= 0 {
+			net = LANNetwork()
 		}
-		est.Queries = qr
-		est.Communications = 2
-		est.TransmittedNodes = m.Tree.TransmittedNodes(a, s)
-		est.VolumeBytes = qr*sizeP + est.TransmittedNodes*m.nodeBytes() + qr*sizeP/2
-	} else {
-		// Navigational access (formulas (1)-(3)). A single-level expand
-		// is a single query under every strategy.
-		eff := s
-		if s == Recursive {
-			eff = EarlyEval
-		}
-		q := m.Tree.Queries(a)
-		est.Queries = q
-		est.Communications = 2 * q
-		est.TransmittedNodes = m.Tree.TransmittedNodes(a, eff)
-		est.VolumeBytes = q*sizeP + est.TransmittedNodes*m.nodeBytes() + q*sizeP/2
 	}
-	if est.Batches == 0 {
-		est.Batches = est.Queries
-	}
-	est.LatencySec = est.Communications * m.Net.LatencySec
-	est.TransferSec = est.VolumeBytes * 8 / rateBitsPerSec
-	est.TotalSec = est.LatencySec + est.TransferSec
-	return est
-}
-
-// DefaultStatementBytes is the assumed size of one statement inside a
-// batch frame — a navigational expand query with injected rule
-// predicates is a few hundred bytes of SQL text.
-const DefaultStatementBytes = 512
-
-// PredictBatched computes the estimate for an action when the client
-// ships each BFS level of a multi-level expand as one wire batch: the
-// per-statement latency of formulas (1)-(3) collapses to two
-// communications per tree level, while the transferred node volume is
-// unchanged. Actions that are a single statement anyway (Query, Expand)
-// and the Recursive strategy are unaffected by batching.
-func (m Model) PredictBatched(a Action, s Strategy) Estimate {
-	if a != MLE || s == Recursive {
-		return m.Predict(a, s)
-	}
-	sizeP := m.Net.PacketBytes
-	rateBitsPerSec := m.Net.RateKbps * 1024
-	stmtBytes := m.StatementBytes
-	if stmtBytes <= 0 {
-		stmtBytes = DefaultStatementBytes
-	}
-
-	// Parents expanded per BFS level: 1 root at depth 0, then the visible
-	// (σβ)^i nodes of depths 1..δ (leaves included — the empty answer is
-	// how the client learns they are leaves).
+	sizeP := net.PacketBytes
 	sigmaBeta := m.Tree.Sigma * float64(m.Tree.Branch)
+	treeAction := a == Query || a == Expand || a == MLE
+
 	var est Estimate
-	levelParents := 1.0
-	for lvl := 0; lvl <= m.Tree.Depth; lvl++ {
-		est.Batches++
-		est.Queries += levelParents
-		packets := math.Ceil(levelParents * stmtBytes / sizeP)
-		if packets < 1 {
-			packets = 1
+	switch {
+	case treeAction && a != Query && k.Cached() && m.Warm:
+		// Entries validated: the root plus every visible node for a
+		// tree, the root plus its visible children for a single expand.
+		entries := 1 + m.Tree.VisibleNodes()
+		if a == Expand {
+			entries = 1 + sigmaBeta
 		}
-		// One batch request (packetized statements) and one batch answer
-		// whose half-filled last packet the paper's model charges.
-		est.VolumeBytes += packets*sizeP + sizeP/2
-		levelParents *= sigmaBeta
-	}
-	est.Communications = 2 * est.Batches
-	est.TransmittedNodes = m.Tree.TransmittedNodes(a, s)
-	est.VolumeBytes += est.TransmittedNodes * m.nodeBytes()
-	est.LatencySec = est.Communications * m.Net.LatencySec
-	est.TransferSec = est.VolumeBytes * 8 / rateBitsPerSec
-	est.TotalSec = est.LatencySec + est.TransferSec
-	return est
-}
+		est.Communications = 2
+		est.VolumeBytes = packets(entries*DefaultValidateEntryBytes, sizeP)*sizeP + sizeP/2
 
-// DefaultPreparedStatementBytes is the assumed wire size of one
-// prepared execution inside a batch frame: a 1-byte tag, a 4-byte
-// handle, a parameter count and two integer parameters plus sub-frame
-// framing — a few dozen bytes, independent of the SQL text length.
-const DefaultPreparedStatementBytes = 32
+	case a == MLE && k.Batching && k.Strategy != Recursive:
+		// The prepared execution size replaces the SQL text size
+		// outright — a configured StatementBytes describes text mode.
+		stmtBytes := orDefault(m.StatementBytes, DefaultStatementBytes)
+		if k.Prepared {
+			stmtBytes = orDefault(m.PreparedStatementBytes, DefaultPreparedStatementBytes)
+		}
+		// Parents expanded per BFS level: 1 root at depth 0, then the
+		// visible (σβ)^i nodes of depths 1..δ (leaves included — the
+		// empty answer is how the client learns they are leaves).
+		levelParents := 1.0
+		for lvl := 0; lvl <= m.Tree.Depth; lvl++ {
+			est.Communications += 2
+			est.Queries += levelParents
+			est.VolumeBytes += packets(levelParents*stmtBytes, sizeP)*sizeP + sizeP/2
+			levelParents *= sigmaBeta
+		}
+		est.TransmittedNodes = m.Tree.TransmittedNodes(a, k.Strategy)
+		est.VolumeBytes += est.TransmittedNodes * m.nodeBytes()
+		if k.Prepared {
+			// The prepare exchange: the statement text up (one packet),
+			// the handle back (the half-filled response packet).
+			est.Queries++
+			est.Communications += 2
+			est.VolumeBytes += sizeP * 1.5
+		}
 
-// PredictBatchedPrepared computes the estimate for a batched
-// multi-level expand executed with prepared statements: the request
-// volume per statement shrinks from the full SQL text
-// (DefaultStatementBytes) to handle + parameters
-// (DefaultPreparedStatementBytes), at the cost of one extra round trip
-// that ships the statement text once. The response volume — the node
-// records — is unchanged; so is everything batching already fixed.
-// Under the paper's packet accounting the saving only materializes once
-// a level's statements span multiple packets, exactly as on the real
-// wire.
-func (m Model) PredictBatchedPrepared(a Action, s Strategy) Estimate {
-	if a != MLE || s == Recursive {
-		return m.Predict(a, s)
+	default:
+		// One exchange per statement (formulas (1)-(3)), or formula (6):
+		// q_r query packets, one result set, c = 2.
+		q, n, rowBytes := 0.0, 0.0, m.nodeBytes()
+		recursive := k.Strategy == Recursive && treeAction && a != Expand
+		switch {
+		case recursive:
+			q, n = orDefault(m.RecursiveQueryPackets, 1), m.Tree.TransmittedNodes(a, Recursive)
+		case treeAction:
+			// A single-level expand is a single early-evaluated query
+			// under the recursive strategy too.
+			q, n = m.Tree.Queries(a), m.Tree.TransmittedNodes(a, min(k.Strategy, EarlyEval))
+		case a == WhereUsed:
+			q, n = float64(m.Chain)+2, float64(m.Chain)
+		case a == ECO:
+			q = float64(m.Chain) + 4
+		case a == Report:
+			q, n, rowBytes = 2, float64(m.ReportRows), DefaultReportRowBytes
+		}
+		est.Queries, est.TransmittedNodes = q, n
+		est.Communications = 2 * q
+		if recursive {
+			est.Communications = 2
+		}
+		est.VolumeBytes = q*sizeP + n*rowBytes + q*sizeP/2
 	}
-	// The prepared execution size replaces the SQL text size outright —
-	// an explicitly configured StatementBytes describes the text mode
-	// and must not leak into the prepared prediction.
-	mp := m
-	mp.StatementBytes = m.PreparedStatementBytes
-	if mp.StatementBytes <= 0 {
-		mp.StatementBytes = DefaultPreparedStatementBytes
+	if ratio := orDefault(m.CompressionRatio, DefaultCompressionRatio); k.Compress && treeAction && ratio > 1 {
+		est.VolumeBytes -= est.TransmittedNodes * m.nodeBytes() * (1 - 1/ratio)
 	}
-	est := mp.PredictBatched(a, s)
-	// One prepare exchange: the statement text up (one packet), the
-	// handle back (the model's half-filled response packet).
-	rateBitsPerSec := m.Net.RateKbps * 1024
-	est.Batches++
-	est.Queries++
-	est.Communications += 2
-	est.VolumeBytes += m.Net.PacketBytes * 1.5
-	est.LatencySec = est.Communications * m.Net.LatencySec
-	est.TransferSec = est.VolumeBytes * 8 / rateBitsPerSec
-	est.TotalSec = est.LatencySec + est.TransferSec
-	return est
-}
 
-// DefaultCompressionRatio is the response-volume ratio measured for the
-// columnar v2 encoding plus deflate on the paper's node rows (repeating
-// type/state strings, near-monotone ids): the cold-path node records
-// shrink by roughly an order of magnitude.
-const DefaultCompressionRatio = 10
-
-// PredictCompressed computes the estimate for an action whose response
-// node volume is compressed by the given ratio — the columnar v2
-// encoding plus negotiated deflate of the wire layer. It rides on
-// PredictBatched: request traffic (statement text, packetized exactly
-// as before) and latency are untouched; only the transferred node
-// records shrink to 1/ratio of their row-major size. A ratio <= 1
-// models a session that did not negotiate compression and returns the
-// batched estimate unchanged.
-func (m Model) PredictCompressed(a Action, s Strategy, ratio float64) Estimate {
-	est := m.PredictBatched(a, s)
-	if ratio <= 1 {
-		return est
-	}
-	nodeVolume := est.TransmittedNodes * m.nodeBytes()
-	est.VolumeBytes -= nodeVolume * (1 - 1/ratio)
-	est.TransferSec = est.VolumeBytes * 8 / (m.Net.RateKbps * 1024)
-	est.TotalSec = est.LatencySec + est.TransferSec
-	return est
-}
-
-// DefaultValidateEntryBytes is the wire size of one validate entry:
-// an 8-byte object id plus its 8-byte fetch-time version stamp.
-const DefaultValidateEntryBytes = 16
-
-// PredictCached computes the estimate for an action executed through
-// the client-side structure cache. Cold (warm=false) the cache adds
-// nothing: the estimate equals the batched prediction, which is what
-// the cache rides on. Warm, a structure action collapses to a single
-// validate exchange — the (id, version) pairs of every cached object
-// travel up (packetized like any request) and the stale-id answer
-// comes back — with no node records transferred at all: the repeat
-// cost of a worldwide structure traversal becomes independent of the
-// node volume and linear only in the id list. The set-oriented Query
-// is not cached and keeps its plain estimate.
-func (m Model) PredictCached(a Action, s Strategy, warm bool) Estimate {
-	if a == Query {
-		return m.Predict(a, s)
-	}
-	if !warm {
-		return m.PredictBatched(a, s)
-	}
-	sizeP := m.Net.PacketBytes
-	rateBitsPerSec := m.Net.RateKbps * 1024
-
-	// Entries validated: the root plus every visible node for tree
-	// actions, the root plus its visible children for a single expand.
-	entries := 1 + m.Tree.VisibleNodes()
-	if a == Expand {
-		entries = 1 + m.Tree.Sigma*float64(m.Tree.Branch)
-	}
-	var est Estimate
-	est.Communications = 2 // one validate round trip
-	packets := math.Ceil(entries * DefaultValidateEntryBytes / sizeP)
-	if packets < 1 {
-		packets = 1
-	}
-	est.VolumeBytes = packets*sizeP + sizeP/2
-	est.LatencySec = est.Communications * m.Net.LatencySec
-	est.TransferSec = est.VolumeBytes * 8 / rateBitsPerSec
-	est.TotalSec = est.LatencySec + est.TransferSec
-	return est
-}
-
-// PredictReplicated computes the estimate for an action issued at a
-// replica site of a multi-site topology: the read itself runs against
-// the site-local network `local` (typically a LAN — that is the point
-// of placing a replica at the site), while the replication pull that
-// preceded it ships syncBytes of row deltas across the WAN the model
-// was built with (m.Net). syncBytes 0 models a read from an
-// already-synced replica — the steady state in which the WAN
-// contributes nothing to the response time; a full bootstrap passes
-// the product's total row volume and amortizes it over every read
-// until the next change. Writes are not modeled here: a write crosses
-// the WAN exactly as in the single-server Predict.
-func (m Model) PredictReplicated(a Action, s Strategy, local Network, syncBytes float64) Estimate {
-	lm := m
-	lm.Net = local
-	est := lm.Predict(a, s)
-	if syncBytes > 0 {
+	est.LatencySec = est.Communications * net.LatencySec
+	est.TransferSec = est.VolumeBytes * 8 / (net.RateKbps * 1024)
+	if k.Replica && m.SyncBytes > 0 {
 		// One sync round trip on the WAN: a one-packet request up, the
-		// delta volume (plus the model's half-filled last packet) down.
+		// delta volume (plus the half-filled last packet) down.
 		wan := m.Net
-		vol := wan.PacketBytes + syncBytes + wan.PacketBytes/2
+		vol := wan.PacketBytes + m.SyncBytes + wan.PacketBytes/2
 		est.Communications += 2
 		est.VolumeBytes += vol
 		est.LatencySec += 2 * wan.LatencySec
 		est.TransferSec += vol * 8 / (wan.RateKbps * 1024)
-		est.TotalSec = est.LatencySec + est.TransferSec
 	}
+	est.TotalSec = est.LatencySec + est.TransferSec
 	return est
+}
+
+// The four signatures below predate Price and are kept for callers
+// pinned to them (the frozen benchmark module); each names one lattice
+// point.
+
+// Predict prices the paper's own configuration: strategy s, no lever.
+func (m Model) Predict(a Action, s Strategy) Estimate { return m.Price(Knobs{Strategy: s}, a) }
+
+// PredictCompressed prices a batched action at a measured response
+// compression ratio (<= 1: nothing negotiated).
+func (m Model) PredictCompressed(a Action, s Strategy, ratio float64) Estimate {
+	m.CompressionRatio = ratio
+	return m.Price(Knobs{Strategy: s, Batching: true, Compress: ratio > 1}, a)
+}
+
+// PredictCached prices a batched action through the structure cache,
+// cold or as a warm repeat.
+func (m Model) PredictCached(a Action, s Strategy, warm bool) Estimate {
+	m.Warm = warm
+	return m.Price(Knobs{Strategy: s, Batching: true, CacheEntries: 1}, a)
+}
+
+// PredictReplicated prices a read at a replica site on the local
+// network after a pull of syncBytes across m.Net.
+func (m Model) PredictReplicated(a Action, s Strategy, local Network, syncBytes float64) Estimate {
+	m.LocalNet, m.SyncBytes = local, syncBytes
+	return m.Price(Knobs{Strategy: s, Replica: true}, a)
 }
 
 // SavingPct returns the percentage saving of opt relative to base.

@@ -1,19 +1,29 @@
 package costmodel
 
-import "math"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"strings"
+)
 
-// This file is the advisor's entry point into the model: Predict and
-// its variants price one action under one optimization at a time, while
-// an advisor must price a *configuration* under a *workload* — a mix of
-// reads and writes, repeats and cold traversals, possibly at a replica
-// site, possibly contended. PredictWorkload composes the per-action
-// formulas into one expected-seconds-per-action score that is
-// comparable across arbitrary knob combinations.
+// This file is the advisor's entry point into the model: Price prices
+// one action at one point of the knob lattice, while an advisor must
+// price a *configuration* under a *workload* — a mix of reads and
+// writes, repeats and cold traversals, possibly at a replica site,
+// possibly contended. PredictWorkload blends Price calls into one
+// expected-seconds-per-action score that is comparable across arbitrary
+// knob combinations.
 
-// Knobs is one candidate client configuration over the runtime tuning
-// levers — the advisor enumerates these and ranks them by
-// PredictWorkload. The zero value is the paper's unoptimized baseline
-// (late evaluation, text statements, no cache, v1 wire, primary reads).
+// Knobs is the one description of a session's tunable configuration:
+// what the With… options set at open, what Session.TuneConfig reports
+// and ApplyConfig changes on the live connection, what the advisor
+// enumerates and a ChangeSet fingerprints, and what Model.Price prices.
+// The zero value is the paper's unoptimized baseline (late evaluation,
+// text statements, no cache, v1 wire, primary reads). Open-time
+// decisions a running session cannot change (pooling, transport) are
+// deliberately not here.
 type Knobs struct {
 	// Strategy selects late/early evaluation or the recursive query.
 	Strategy Strategy
@@ -23,16 +33,16 @@ type Knobs struct {
 	// Prepared ships per-node statements as handle + parameters.
 	Prepared bool
 	// CacheEntries sizes the client structure cache: 0 none, > 0 a
-	// private bound, -1 a shared store (priced like a private one).
+	// private bound, -1 a shared store — priced like a private one, and
+	// not the session's to resize or drop.
 	CacheEntries int
-	// Compress negotiates the columnar v2 encoding plus response
-	// compression.
+	// Columnar negotiates the v2 columnar result encoding.
+	Columnar bool
+	// Compress negotiates whole-body response compression.
 	Compress bool
-	// CompressionRatio is the expected response shrink factor
-	// (DefaultCompressionRatio when 0); only read when Compress is set.
-	CompressionRatio float64
 	// Replica reads from a site-local replica (writes keep crossing
-	// the WAN to the primary).
+	// the WAN to the primary). A session reports where it was opened;
+	// the location cannot be changed on a live session.
 	Replica bool
 	// StalenessSec bounds how stale replica reads may be: 0 syncs
 	// before every action, larger bounds amortize the sync, negative
@@ -42,42 +52,67 @@ type Knobs struct {
 	// fraction of the product structure the replica holds. Reads inside
 	// the coverage run site-local; the rest fall through to the primary
 	// at cold WAN cost, while replication pulls shrink proportionally.
-	// 0 means full replication (coverage 1). Only read when Replica is
-	// set.
+	// 0 means full replication (coverage 1). It is cluster-level
+	// advice — changing it means Cluster.Subscribe, which a single
+	// session cannot do — so a session only records it. Only read when
+	// Replica is set.
 	Coverage float64
 }
 
-// Cached reports whether the candidate runs a structure cache.
+// Field is one knob under its canonical name.
+type Field struct {
+	Name  string
+	Value any
+}
+
+// Fields lists every knob in declaration order — the one field list the
+// rendering, the fingerprint and advisor.Diff walk, so a knob added to
+// the struct and to this list is covered by all three.
+func (k Knobs) Fields() []Field {
+	return []Field{
+		{"strategy", k.Strategy},
+		{"batching", k.Batching},
+		{"prepared", k.Prepared},
+		{"cache_entries", k.CacheEntries},
+		{"columnar", k.Columnar},
+		{"compress", k.Compress},
+		{"replica", k.Replica},
+		{"staleness_sec", k.StalenessSec},
+		{"coverage", k.Coverage},
+	}
+}
+
+// String renders every knob as name=value in canonical order.
+func (k Knobs) String() string {
+	var b strings.Builder
+	for i, f := range k.Fields() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", f.Name, f.Value)
+	}
+	return b.String()
+}
+
+// Fingerprint returns a stable content hash of the knob set. A
+// ChangeSet records the fingerprint of the configuration it was planned
+// against and refuses to apply to anything else.
+func (k Knobs) Fingerprint() string {
+	sum := sha256.Sum256([]byte(k.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// Cached reports whether the configuration runs a structure cache.
 func (k Knobs) Cached() bool { return k.CacheEntries != 0 }
 
-func (k Knobs) ratio() float64 {
-	if k.CompressionRatio > 0 {
-		return k.CompressionRatio
-	}
-	return DefaultCompressionRatio
-}
-
-// coverage returns the effective subscription coverage: 1 (everything
-// held locally) unless the candidate is a partial replica.
-func (k Knobs) coverage() float64 {
-	if !k.Replica || k.Coverage <= 0 || k.Coverage > 1 {
-		return 1
-	}
-	return k.Coverage
-}
-
 // Workload is the observed shape of a live session or fleet — what the
-// advisor distills out of a windowed metrics delta. All fields describe
-// the environment, none of them a tuning decision.
+// advisor distills out of a windowed metrics delta: the Model of the
+// environment (networks, tree, pull volume, compression ratio; a zero
+// Net defaults to the paper's slowest WAN) plus the mix of actions that
+// ran in it. All fields describe the environment, none of them a tuning
+// decision.
 type Workload struct {
-	// Net is the WAN profile between client (or replica site) and the
-	// primary. A zero profile defaults to the paper's slowest WAN.
-	Net Network
-	// LocalNet is the site-local profile replica reads run on
-	// (LANNetwork when zero). Only read for Replica candidates.
-	LocalNet Network
-	// Tree is the product shape the actions traverse.
-	Tree Tree
+	Model
 	// Action is the dominant read action of the window (typically MLE).
 	Action Action
 	// WriteFrac is the fraction of actions that are writes
@@ -92,9 +127,6 @@ type Workload struct {
 	// LockWaitSec is the observed lock wait per write action, the PR 6
 	// contention counter distilled to seconds.
 	LockWaitSec float64
-	// SyncBytes is the observed row-delta volume of one replication
-	// pull; only read for Replica candidates.
-	SyncBytes float64
 	// ActionsPerSec is the observed action rate (simulated time). It
 	// amortizes replica syncs over the actions between two bounds.
 	ActionsPerSec float64
@@ -126,59 +158,6 @@ type WorkloadEstimate struct {
 	PerActionSec float64
 }
 
-func (w Workload) net() Network {
-	if w.Net.RateKbps > 0 {
-		return w.Net
-	}
-	return PaperNetworks()[0]
-}
-
-func (w Workload) localNet() Network {
-	if w.LocalNet.RateKbps > 0 {
-		return w.LocalNet
-	}
-	return LANNetwork()
-}
-
-func (w Workload) users() float64 {
-	if w.Users > 1 {
-		return float64(w.Users)
-	}
-	return 1
-}
-
-// coldRead prices one cold read action of the workload under the
-// candidate's wire knobs on the given network.
-func coldRead(net Network, k Knobs, w Workload) Estimate {
-	m := Model{Net: net, Tree: w.Tree}
-	var est Estimate
-	switch {
-	case k.Batching && k.Prepared:
-		est = m.PredictBatchedPrepared(w.Action, k.Strategy)
-	case k.Batching:
-		est = m.PredictBatched(w.Action, k.Strategy)
-	default:
-		est = m.Predict(w.Action, k.Strategy)
-	}
-	if k.Compress && k.ratio() > 1 {
-		// The negotiated encodings shrink the response node records to
-		// 1/ratio of their row-major size, exactly as PredictCompressed
-		// does on top of the batched estimate.
-		nodeVolume := est.TransmittedNodes * m.nodeBytes()
-		est.VolumeBytes -= nodeVolume * (1 - 1/k.ratio())
-		est.TransferSec = est.VolumeBytes * 8 / (net.RateKbps * 1024)
-		est.TotalSec = est.LatencySec + est.TransferSec
-	}
-	return est
-}
-
-// scaled is the users-aware total of an estimate: latency is per
-// connection, but the link's bandwidth is shared by every concurrent
-// user, so the transfer share stretches with the fleet.
-func scaled(est Estimate, users float64) float64 {
-	return est.LatencySec + est.TransferSec*users
-}
-
 // PredictWorkload prices one candidate configuration under an observed
 // workload: the expected simulated seconds of one user action, blended
 // over the workload's read/write and cold/repeat mix, with replica
@@ -188,28 +167,42 @@ func scaled(est Estimate, users float64) float64 {
 // cheaper; a larger compression ratio and a larger staleness bound
 // never get more expensive.
 func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
-	users := w.users()
-	wan := w.net()
-	readNet := wan
-	if k.Replica {
-		readNet = w.localNet()
+	users := math.Max(float64(w.Users), 1)
+	// The pull is amortized over the staleness window below, not
+	// charged to every read.
+	m := w.Model
+	m.SyncBytes = 0
+	if m.Net.RateKbps <= 0 {
+		m.Net = PaperNetworks()[0]
 	}
+	wan := m.Net
+	// Latency is per connection, but the link's bandwidth is shared by
+	// every concurrent user: the transfer share stretches with the fleet.
+	price := func(m Model, k Knobs) float64 {
+		est := m.Price(k, w.Action)
+		return est.LatencySec + est.TransferSec*users
+	}
+	// The same wire knobs priced across the WAN: what a fall-through
+	// read and every write's fetch phase pay, wherever the session sits.
+	atPrimary := k
+	atPrimary.Replica = false
+	wanCold := price(m, atPrimary)
 
-	// ---- reads: cold/warm blend on the read network
-	cold := scaled(coldRead(readNet, k, w), users)
-	readSec := cold
+	// ---- reads: cold/warm blend where the session reads
+	readSec := price(m, k)
 	if k.Cached() && w.Action != Query {
-		warm := scaled(Model{Net: readNet, Tree: w.Tree}.PredictCached(w.Action, k.Strategy, true), users)
+		warm := m
+		warm.Warm = true
 		rf := math.Min(math.Max(w.RepeatFrac, 0), 1)
-		readSec = (1-rf)*cold + rf*warm
+		readSec = (1-rf)*readSec + rf*price(warm, k)
 	}
 
 	// ---- partial replication: reads outside the subscription fall
 	// through to the primary at cold WAN cost (never cached — the
 	// replica does not hold them to validate against).
-	cov := k.coverage()
-	if cov < 1 {
-		wanCold := scaled(coldRead(wan, k, w), users)
+	cov := 1.0 // everything held locally, unless the candidate is a partial replica
+	if k.Replica && k.Coverage > 0 && k.Coverage < 1 {
+		cov = k.Coverage
 		readSec = cov*readSec + (1-cov)*wanCold
 	}
 
@@ -228,7 +221,6 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	// ---- writes: the check actions always cross the WAN to the
 	// primary — a fetch phase (the rule check walks the subtree) plus
 	// the flag updates, plus the observed contention.
-	fetch := scaled(coldRead(wan, k, w), users)
 	nodes := 1 + w.Tree.VisibleNodes()
 	stmtBytes := float64(DefaultStatementBytes)
 	updateRTs := 2.0 // one UPDATE ... WHERE obid IN (...) per object table
@@ -238,10 +230,10 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	if k.Batching && k.Prepared {
 		stmtBytes = DefaultPreparedStatementBytes * nodes // per-node handle + params
 	}
-	updVol := math.Max(1, math.Ceil(stmtBytes/wan.PacketBytes))*wan.PacketBytes + wan.PacketBytes/2
+	updVol := packets(stmtBytes, wan.PacketBytes)*wan.PacketBytes + wan.PacketBytes/2
 	update := 2*updateRTs*wan.LatencySec + updVol*8/(wan.RateKbps*1024)*users
 	lockWait := w.LockWaitSec * users
-	writeSec := fetch + update + lockWait
+	writeSec := wanCold + update + lockWait
 
 	wf := math.Min(math.Max(w.WriteFrac, 0), 1)
 	return WorkloadEstimate{

@@ -30,14 +30,12 @@ func knobGrid() []Knobs {
 
 func baseWorkload() Workload {
 	return Workload{
-		Net:           PaperNetworks()[0],
-		Tree:          Tree{Depth: 5, Branch: 4, Sigma: 0.6},
+		Model:         Model{Net: PaperNetworks()[0], Tree: Tree{Depth: 5, Branch: 4, Sigma: 0.6}, SyncBytes: 32 * 1024},
 		Action:        MLE,
 		WriteFrac:     0.2,
 		RepeatFrac:    0.5,
 		Users:         4,
 		LockWaitSec:   0.01,
-		SyncBytes:     32 * 1024,
 		ActionsPerSec: 0.5,
 	}
 }
@@ -99,8 +97,9 @@ func TestPredictWorkloadMonotoneInUsers(t *testing.T) {
 func TestPredictWorkloadMonotoneInCompressionRatio(t *testing.T) {
 	k := Knobs{Strategy: Recursive, Batching: true, Compress: true}
 	assertMonotone(t, "ratio", []float64{1, 2, 5, 10, 20, 100}, func(x float64) float64 {
-		k.CompressionRatio = x
-		return PredictWorkload(k, baseWorkload()).PerActionSec
+		w := baseWorkload()
+		w.CompressionRatio = x
+		return PredictWorkload(k, w).PerActionSec
 	}, false)
 }
 

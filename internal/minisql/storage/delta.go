@@ -232,7 +232,7 @@ func (t *Table) insertAt(row Row, epoch uint64) (func(), error) {
 	s.head.Store(v)
 	id := t.appendSlot(s)
 	for _, ix := range idxs {
-		ix.add(r[ix.colPos], id)
+		ix.add(r[ix.colPos], id, true)
 	}
 	t.liveN.Add(1)
 	return func() {

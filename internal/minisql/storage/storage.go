@@ -31,6 +31,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -286,15 +287,16 @@ type Index struct {
 }
 
 // add registers a slot id under the value's key (idempotent: a slot
-// re-acquiring a value it already had keeps one entry).
-func (ix *Index) add(v types.Value, id int) {
+// re-acquiring a value it already had keeps one entry). fresh says the
+// slot cannot be in the index yet — it was just appended, or the index
+// is being built — which spares a bulk load the scan of its
+// low-cardinality buckets, quadratic in the rows loaded.
+func (ix *Index) add(v types.Value, id int, fresh bool) {
 	k := v.Key()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, x := range ix.buckets[k] {
-		if x == id {
-			return
-		}
+	if !fresh && slices.Contains(ix.buckets[k], id) {
+		return
 	}
 	ix.buckets[k] = append(ix.buckets[k], id)
 }
@@ -480,7 +482,7 @@ func (t *Table) CreateIndex(name, column string, unique bool) error {
 		if err := idx.checkUnique(row[pos], id); err != nil {
 			return err
 		}
-		idx.add(row[pos], id)
+		idx.add(row[pos], id, true)
 	}
 	t.metaMu.Lock()
 	t.indexes = append(t.indexes, idx)
@@ -599,7 +601,7 @@ func (t *Table) InsertC(c *Commit, row Row) (int, error) {
 	s.head.Store(v)
 	id := t.appendSlot(s)
 	for _, ix := range idxs {
-		ix.add(r[ix.colPos], id)
+		ix.add(r[ix.colPos], id, true)
 	}
 	t.liveN.Add(1)
 	c.add(v, versionKeys(verPos, r), func() {
@@ -642,7 +644,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 	s.head.Store(v)
 	for _, ix := range idxs {
 		if !old[ix.colPos].Equal(r[ix.colPos]) {
-			ix.add(r[ix.colPos], id)
+			ix.add(r[ix.colPos], id, false)
 		}
 	}
 	c.add(v, versionKeys(verPos, old, r), func() { s.head.Store(prev) })
@@ -739,7 +741,7 @@ func (t *Table) undelete(id int) error {
 	v.begin.Store(pendingEpoch)
 	s.head.Store(v)
 	for _, ix := range idxs {
-		ix.add(row[ix.colPos], id)
+		ix.add(row[ix.colPos], id, false)
 	}
 	t.liveN.Add(1)
 	c.add(v, versionKeys(verPos, row), func() {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pdmtune"
-	"pdmtune/internal/costmodel"
 )
 
 // renderTree flattens a reassembled structure into a canonical string,
@@ -279,71 +278,4 @@ func TestPromoteRefusesPartialReplica(t *testing.T) {
 	if err := cl.Promote(ctx, "munich"); err != nil {
 		t.Fatalf("promoting after unsubscribe+sync: %v", err)
 	}
-}
-
-// TestWorkloadPredictorsWithin25Pct runs the three engineering-change
-// workloads through the simulation and pins the cost model's prediction
-// to within 25% of the measured time.
-func TestWorkloadPredictorsWithin25Pct(t *testing.T) {
-	ctx := context.Background()
-	net := costmodel.PaperNetworks()[0]
-	sys := pdmtune.NewSystem(nil)
-	cfg := pdmtune.ProductConfig{Depth: 4, Branch: 3, Sigma: 1, Seed: 13}
-	prod, err := sys.LoadProduct(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := int64(0)
-	for id, n := range prod.Nodes {
-		if n.Type == "comp" && n.Visible && n.Level == cfg.Depth && (part == 0 || id < part) {
-			part = id
-		}
-	}
-	if part == 0 {
-		t.Fatal("no visible leaf component in the generated product")
-	}
-	sess, err := sys.Open(pdmtune.WithLink(pdmtune.LinkOf(net)), pdmtune.WithUser(pdmtune.DefaultUser("ec")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	model := costmodel.Model{Net: net, Tree: costmodel.Tree{Depth: cfg.Depth, Branch: cfg.Branch, Sigma: cfg.Sigma}}
-	chain := prod.Nodes[part].Level
-	within := func(name string, measured, predicted float64) {
-		t.Helper()
-		if predicted <= 0 {
-			t.Fatalf("%s: non-positive prediction %g", name, predicted)
-		}
-		if diff := (measured - predicted) / predicted; diff > 0.25 || diff < -0.25 {
-			t.Errorf("%s: measured %.3fs vs predicted %.3fs (%.0f%% off)", name, measured, predicted, diff*100)
-		}
-	}
-
-	wu, err := sess.WhereUsed(ctx, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wu.Visible != chain {
-		t.Errorf("where-used found %d ancestors, want %d", wu.Visible, chain)
-	}
-	within("where-used", wu.Metrics.TotalSec(), model.PredictWhereUsed(chain).TotalSec)
-
-	eco, err := sess.ECOPropagate(ctx, part, "revised")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eco.Conflicts != 0 || eco.Updated != chain+1 {
-		t.Errorf("ECO updated %d with %d conflicts, want a clean %d", eco.Updated, eco.Conflicts, chain+1)
-	}
-	within("eco", eco.Metrics.TotalSec(), model.PredictECO(chain).TotalSec)
-
-	rep, err := sess.Report(ctx, prod.Config.ProdID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := prod.AllNodes() + 1
-	if rep.Assemblies+rep.Components != rows {
-		t.Errorf("report scanned %d nodes, want %d", rep.Assemblies+rep.Components, rows)
-	}
-	within("report", rep.Metrics.TotalSec(), model.PredictReport(rows).TotalSec)
 }

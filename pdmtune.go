@@ -33,6 +33,10 @@
 // Cluster.OpenAt opens sessions that read from a site-local replica
 // (kept current by epoch-based delta syncs) and write to the primary,
 // with WithMaxStaleness selecting bounded-staleness reads.
+// Everything tunable about a session is one value, TuneConfig (the cost
+// model's Knobs): the options below write into it, Session.TuneConfig
+// reports it, Session.ApplyConfig re-tunes the live session to it, the
+// Advisor enumerates and ranks it, and costmodel.Model.Price prices it.
 // The wire-level tuning levers compose as
 // options: WithBatching(true) collapses each BFS level into one round
 // trip, WithPreparedStatements(true) ships the per-node SQL text once

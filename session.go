@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"pdmtune/internal/cache"
 	"pdmtune/internal/core"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/topology"
@@ -28,39 +29,30 @@ func StreamTransport(stream io.ReadWriter) Transport { return &wire.StreamChanne
 func MeteredTransport(inner Transport, meter *Meter) Transport { return wire.Metered(inner, meter) }
 
 // sessionConfig collects the functional options of System.Open and
-// Cluster.OpenAt. The *Set flags record which options the caller gave
-// explicitly — that is what the up-front conflict validation checks,
-// so an invalid combination fails at Open with an *OptionError instead
-// of one option silently shadowing the other.
+// Cluster.OpenAt. The up-front conflict validation checks which options
+// the caller gave explicitly, so an invalid combination fails at Open
+// with an *OptionError instead of one option silently shadowing the
+// other; an option whose value cannot be its zero needs no flag for
+// that (a transport, a shared cache, an advisor are non-nil, a private
+// cache size, a pool size and an auto-tune window are >= 1).
 type sessionConfig struct {
-	link          Link
-	user          UserContext
-	strategy      Strategy
-	batching      bool
-	prepared      bool
-	transport     Transport
-	meter         *Meter
-	rules         *RuleTable
+	link Link
+	user UserContext
+	// knobs is the tunable configuration the options ask for; open
+	// brings the fresh client to it through Session.ApplyConfig.
+	knobs     TuneConfig
+	transport Transport
+	meter     *Meter
+	rules     *RuleTable
+	// cache is the store of WithSharedCache.
 	cache         *Cache
-	cacheOn       bool
-	cacheSize     int
-	columnar      bool
-	compress      bool
 	openCtx       context.Context
 	site          string
-	maxStaleness  time.Duration
 	poolMax       int
 	advisor       *Advisor
 	autoTuneEvery int
 
-	linkSet         bool
-	transportSet    bool
-	cacheSet        bool
-	sharedCacheSet  bool
-	maxStalenessSet bool
-	poolSet         bool
-	advisorSet      bool
-	autoTuneSet     bool
+	linkSet bool
 }
 
 // Option configures a Session opened with System.Open or
@@ -92,36 +84,36 @@ func (e *OptionError) Error() string {
 // options applied, so the check sees the full configuration regardless
 // of option order.
 func (c *sessionConfig) validate() error {
-	if c.cacheSet && c.sharedCacheSet {
+	if c.knobs.CacheEntries > 0 && c.cache != nil {
 		return &OptionError{Option: "WithSharedCache", Conflict: "WithCache",
 			Reason: "a session has exactly one structure cache; pass either a private size or a shared store"}
 	}
-	if c.transportSet && c.linkSet {
+	if c.transport != nil && c.linkSet {
 		return &OptionError{Option: "WithLink", Conflict: "WithTransport",
 			Reason: "a custom transport carries its own network; meter it with MeteredTransport/WithMeter instead"}
 	}
 	replica := c.site != "" && c.site != PrimarySite
-	if c.maxStalenessSet && !replica {
+	if c.knobs.StalenessSec >= 0 && !replica {
 		return &OptionError{Option: "WithMaxStaleness",
 			Reason: "a staleness bound applies to replica reads; open the session at a site (Cluster.OpenAt / WithSite)"}
 	}
-	if c.transportSet && replica {
+	if c.transport != nil && replica {
 		return &OptionError{Option: "WithTransport", Conflict: "WithSite",
 			Reason: "a custom transport would bypass the site's replica; sessions at a site use the site's server"}
 	}
-	if c.poolSet && c.transportSet {
+	if c.poolMax > 0 && c.transport != nil {
 		return &OptionError{Option: "WithPool", Conflict: "WithTransport",
 			Reason: "pooling multiplexes the default in-process transport; a custom transport manages its own connections"}
 	}
-	if c.autoTuneSet && c.transportSet {
+	if c.autoTuneEvery > 0 && c.transport != nil {
 		return &OptionError{Option: "WithAutoTune", Conflict: "WithTransport",
 			Reason: "auto-applied change sets renegotiate the wire encodings mid-session; a custom transport owns its connection and cannot be reconfigured behind the caller's back"}
 	}
-	if c.autoTuneSet && c.poolSet {
+	if c.autoTuneEvery > 0 && c.poolMax > 0 {
 		return &OptionError{Option: "WithAutoTune", Conflict: "WithPool",
 			Reason: "pooled sessions share one first-hello-wins capability set; a per-session renegotiation would flip the encodings for every session of the pool"}
 	}
-	if c.advisorSet && c.transportSet && c.meter == nil {
+	if c.advisor != nil && c.transport != nil && c.meter == nil {
 		return &OptionError{Option: "WithAdvisor", Conflict: "WithTransport",
 			Reason: "the advisor observes the session's meter and a bare custom transport has none; meter it with MeteredTransport + WithMeter"}
 	}
@@ -168,8 +160,7 @@ func WithMaxStaleness(d time.Duration) Option {
 		if d < 0 {
 			return &OptionError{Option: "WithMaxStaleness", Reason: "the bound must be >= 0"}
 		}
-		c.maxStaleness = d
-		c.maxStalenessSet = true
+		c.knobs.StalenessSec = d.Seconds()
 		return nil
 	}
 }
@@ -192,7 +183,6 @@ func WithPool(max int) Option {
 			max = 1
 		}
 		c.poolMax = max
-		c.poolSet = true
 		return nil
 	}
 }
@@ -209,7 +199,7 @@ func WithStrategy(s Strategy) Option {
 	return func(c *sessionConfig) error {
 		switch s {
 		case LateEval, EarlyEval, Recursive:
-			c.strategy = s
+			c.knobs.Strategy = s
 			return nil
 		}
 		return fmt.Errorf("pdmtune: unknown strategy %v", s)
@@ -220,7 +210,7 @@ func WithStrategy(s Strategy) Option {
 // multi-statement modify as one wire batch instead of one round trip
 // per statement.
 func WithBatching(on bool) Option {
-	return func(c *sessionConfig) error { c.batching = on; return nil }
+	return func(c *sessionConfig) error { c.knobs.Batching = on; return nil }
 }
 
 // WithPreparedStatements prepares the parameterized per-node statements
@@ -228,7 +218,7 @@ func WithBatching(on bool) Option {
 // executes them by handle: the SQL text crosses the WAN once, every
 // repetition ships a few dozen bytes of handle + parameters.
 func WithPreparedStatements(on bool) Option {
-	return func(c *sessionConfig) error { c.prepared = on; return nil }
+	return func(c *sessionConfig) error { c.knobs.Prepared = on; return nil }
 }
 
 // WithColumnarResults negotiates the columnar v2 result encoding at
@@ -240,7 +230,7 @@ func WithPreparedStatements(on bool) Option {
 // shrinks. Off by default: an un-negotiated session costs exactly what
 // it did before.
 func WithColumnarResults(on bool) Option {
-	return func(c *sessionConfig) error { c.columnar = on; return nil }
+	return func(c *sessionConfig) error { c.knobs.Columnar = on; return nil }
 }
 
 // WithCompression negotiates whole-body deflate of response frames at
@@ -251,7 +241,7 @@ func WithColumnarResults(on bool) Option {
 // its row volume. Combine with WithColumnarResults for the full
 // cold-path reduction. Off by default.
 func WithCompression(on bool) Option {
-	return func(c *sessionConfig) error { c.compress = on; return nil }
+	return func(c *sessionConfig) error { c.knobs.Compress = on; return nil }
 }
 
 // WithOpenContext bounds the wire exchanges Open itself performs (the
@@ -283,10 +273,10 @@ func WithOpenContext(ctx context.Context) Option {
 // with an *OptionError.
 func WithCache(size int) Option {
 	return func(c *sessionConfig) error {
-		c.cacheOn = true
-		c.cacheSize = size
-		c.cache = nil
-		c.cacheSet = true
+		if size <= 0 {
+			size = cache.DefaultSize
+		}
+		c.knobs.CacheEntries = size
 		return nil
 	}
 }
@@ -298,14 +288,12 @@ func WithCache(size int) Option {
 // see results their own rules (or another system's database) would
 // not produce. Mutually exclusive with WithCache: passing both fails
 // Open with an *OptionError.
-func WithSharedCache(cache *Cache) Option {
+func WithSharedCache(store *Cache) Option {
 	return func(c *sessionConfig) error {
-		if cache == nil {
+		if store == nil {
 			return fmt.Errorf("pdmtune: WithSharedCache requires a non-nil cache")
 		}
-		c.cache = cache
-		c.cacheOn = false
-		c.sharedCacheSet = true
+		c.cache = store
 		return nil
 	}
 }
@@ -322,7 +310,6 @@ func WithTransport(t Transport) Option {
 			return fmt.Errorf("pdmtune: WithTransport requires a non-nil transport")
 		}
 		c.transport = t
-		c.transportSet = true
 		return nil
 	}
 }
@@ -353,7 +340,6 @@ func WithAdvisor(a *Advisor) Option {
 			return fmt.Errorf("pdmtune: WithAdvisor requires a non-nil advisor")
 		}
 		c.advisor = a
-		c.advisorSet = true
 		return nil
 	}
 }
@@ -372,7 +358,6 @@ func WithAutoTune(every int) Option {
 			every = 1
 		}
 		c.autoTuneEvery = every
-		c.autoTuneSet = true
 		return nil
 	}
 }
@@ -407,21 +392,10 @@ type Session struct {
 	// sys is the system the session was opened against — the cache
 	// namespace and replica topology ApplyConfig needs.
 	sys *System
-	// Tunable state the advisor reads (TuneConfig) and writes
-	// (ApplyConfig): the requested wire encodings (caps holds what the
-	// server accepted), the cache sizing (-1 shared, 0 none, > 0 a
-	// private bound) and the replica staleness bound in seconds
-	// (negative: never sync at read time).
-	columnar          bool
-	compress          bool
-	compressThreshold int
-	cacheEntries      int
-	stalenessSec      float64
-	// coverage records the last subscription-coverage advice applied to
-	// this session (TuneConfig echoes it so ChangeSet fingerprints
-	// round-trip); the subscription itself is cluster state
-	// (Cluster.Subscribe), not a session knob.
-	coverage float64
+	// knobs is the configuration ApplyConfig last brought the client to
+	// and TuneConfig reports. The wire encodings are the requested ones
+	// (caps holds what the server accepted).
+	knobs TuneConfig
 	// advisor/auto close the tuning loop (WithAdvisor / WithAutoTune).
 	advisor *Advisor
 	auto    *autoTuner
@@ -460,10 +434,10 @@ func (s *System) Open(opts ...Option) (*Session, error) {
 // overrides it.
 func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	cfg := sessionConfig{
-		link:     Intercontinental(),
-		user:     DefaultUser("user"),
-		strategy: Recursive,
-		rules:    s.Rules,
+		link:  Intercontinental(),
+		user:  DefaultUser("user"),
+		knobs: TuneConfig{Strategy: Recursive, StalenessSec: -1}, // -1: read your own site
+		rules: s.Rules,
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -499,6 +473,17 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		}
 	}
 
+	// dial builds the default transport to one of the cluster's servers:
+	// the in-process metered simulation — on the server's shared
+	// connection pool instead of an own connection with WithPool —
+	// routed through the cluster's transport wrapper (the fault
+	// injection seam, a no-op unless one is installed).
+	dial := func(server *wire.Server, name string, meter *Meter) Transport {
+		if cfg.poolMax > 0 {
+			return s.cluster.wrapTransport(name, wire.Metered(s.pool(server, cfg.poolMax), meter))
+		}
+		return s.cluster.wrapTransport(name, &wire.MeteredChannel{Conn: server.NewConn(), Meter: meter})
+	}
 	meter := cfg.meter
 	transport := cfg.transport
 	// dialedPrimary records which primary the cluster-built transports
@@ -506,31 +491,19 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	// slipped in while it was opening.
 	dialedPrimary := ""
 	if transport == nil {
-		// Default transport: the in-process metered simulation, against
-		// the site's replica server for replica sessions and the current
-		// primary otherwise. With WithPool the session shares the
-		// server's connection pool instead of owning a connection.
+		// Reads go to the site's replica server for replica sessions and
+		// to the current primary otherwise.
 		if meter == nil {
 			meter = netsim.NewMeter(cfg.link)
 		}
 		server, target := s.cluster.primaryServer()
 		dialedPrimary = target
 		if site != nil {
-			server = site.Server()
-			target = cfg.site
+			server, target = site.Server(), cfg.site
 		}
-		if cfg.poolSet {
-			transport = wire.Metered(s.pool(server, cfg.poolMax), meter)
-		} else {
-			transport = &wire.MeteredChannel{Conn: server.NewConn(), Meter: meter}
-		}
-		// Route through the cluster's transport wrapper (the fault
-		// injection seam) — a no-op unless one is installed.
-		transport = s.cluster.wrapTransport(target, transport)
+		transport = dial(server, target, meter)
 	}
-	client := core.NewClient(transport, meter, cfg.rules, cfg.user, cfg.strategy)
-	client.SetBatching(cfg.batching)
-	client.SetPrepared(cfg.prepared)
+	client := core.NewClient(transport, meter, cfg.rules, cfg.user, cfg.knobs.Strategy)
 	if s.cluster.fencingEnabled() {
 		// Fenced cluster: stamp write/sync frames with the cluster term
 		// so a deposed primary refuses them, and retry idempotent reads
@@ -540,31 +513,26 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	if cfg.transport == nil {
 		client.SetRetry(&wire.RetryPolicy{Meter: meter})
 	}
-	sess := &Session{client: client, meter: meter, site: PrimarySite, sys: s}
+	// The fresh client runs the zero configuration of its strategy and
+	// location; everything else the options asked for is applied below.
+	cfg.knobs.Replica = site != nil
+	sess := &Session{client: client, meter: meter, site: PrimarySite, sys: s,
+		knobs: TuneConfig{Strategy: cfg.knobs.Strategy, Replica: cfg.knobs.Replica, StalenessSec: -1}}
 	if site != nil {
 		// Write path: a connection to the cluster's current primary,
-		// metered on the site's WAN link — pooled on the primary's pool
-		// when the session is pooled. A session at the promoted site
+		// metered on the site's WAN link. A session at the promoted site
 		// skips this: its default transport already is the primary.
 		wan := netsim.NewMeter(site.Link())
 		if !site.IsPrimary() {
 			pserver, pname := s.cluster.primaryServer()
 			dialedPrimary = pname
-			if cfg.poolSet {
-				client.SetPrimary(s.cluster.wrapTransport(pname, wire.Metered(s.pool(pserver, cfg.poolMax), wan)), wan)
-			} else {
-				client.SetPrimary(s.cluster.wrapTransport(pname, &wire.MeteredChannel{Conn: pserver.NewConn(), Meter: wan}), wan)
-			}
+			client.SetPrimary(dial(pserver, pname, wan), wan)
 		} else {
 			// The session's own site is the primary: if it gets deposed
 			// while the session is opening, registration must re-route.
 			dialedPrimary = cfg.site
 		}
-		bound := time.Duration(-1) // read your own site
-		if cfg.maxStalenessSet {
-			bound = cfg.maxStaleness
-		}
-		client.SetSiteSync(site, bound)
+		client.SetSiteSync(site, -1)
 		// A never-synced site has no catalog to read from yet:
 		// bootstrap it once, charged to the site's own meter.
 		if !site.Synced() {
@@ -574,44 +542,22 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		}
 		sess.site = cfg.site
 		sess.wan = wan
-		if cfg.maxStalenessSet {
-			sess.stalenessSec = cfg.maxStaleness.Seconds()
-		} else {
-			sess.stalenessSec = -1
-		}
-	}
-	if cfg.cache == nil && cfg.cacheOn {
-		cfg.cache = NewCache(cfg.cacheSize)
 	}
 	if cfg.cache != nil {
-		// Replica reads validate against the site's mirrored version
-		// log, so entries are interchangeable across the cluster's
-		// sites — one namespace per system, not per site.
+		// A shared store is attached, not applied: the session does not
+		// own it, so no later ApplyConfig may resize or drop it.
 		client.SetCache(cfg.cache, s.id)
-		if cfg.sharedCacheSet {
-			sess.cacheEntries = -1 // a shared store the session does not own
-		} else {
-			sess.cacheEntries = cfg.cache.Cap()
-		}
+		sess.knobs.CacheEntries, cfg.knobs.CacheEntries = -1, -1
 	}
-	if cfg.columnar || cfg.compress {
-		// One negotiation round trip at session open (charged to the
-		// meter like any exchange, bounded by WithOpenContext); the
-		// server answers every later request in the accepted encodings.
-		caps, err := client.RenegotiateWire(openCtx, cfg.columnar, cfg.compress, 0) // 0: the wire's default threshold
-		if err != nil {
-			return nil, fmt.Errorf("pdmtune: capability negotiation: %w", err)
-		}
-		sess.caps = WireCaps{
-			ColumnarResults:   caps.Columnar,
-			Compression:       caps.Compress,
-			CompressThreshold: caps.CompressThreshold,
-		}
+	// The one path that wires batching, prepared statements, a private
+	// cache, the staleness bound and the wire encodings — the latter
+	// costing one negotiation round trip, charged to the meter like any
+	// exchange and bounded by WithOpenContext.
+	if err := sess.ApplyConfig(openCtx, cfg.knobs); err != nil {
+		return nil, err
 	}
-	sess.columnar = cfg.columnar
-	sess.compress = cfg.compress
 	sess.advisor = cfg.advisor
-	if cfg.autoTuneSet {
+	if cfg.autoTuneEvery > 0 {
 		adv := cfg.advisor
 		if adv == nil {
 			adv = &Advisor{}
