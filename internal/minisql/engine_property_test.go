@@ -70,55 +70,6 @@ func TestRecursiveCTEMatchesGoClosure(t *testing.T) {
 	}
 }
 
-// TestIndexTransparency: query results are identical with and without a
-// secondary index — the planner's index path is an optimization only.
-func TestIndexTransparency(t *testing.T) {
-	build := func(indexed bool, rows [][2]int64) *Session {
-		s := NewDB().NewSession()
-		mustExec(t, s, "CREATE TABLE t (a INTEGER, b INTEGER)")
-		mustExec(t, s, "CREATE TABLE u (a INTEGER, c INTEGER)")
-		if indexed {
-			mustExec(t, s, "CREATE INDEX t_a ON t (a)")
-			mustExec(t, s, "CREATE INDEX u_a ON u (a)")
-		}
-		for _, r := range rows {
-			mustExec(t, s, "INSERT INTO t VALUES (?, ?)", types.NewInt(r[0]), types.NewInt(r[1]))
-			mustExec(t, s, "INSERT INTO u VALUES (?, ?)", types.NewInt(r[1]%7), types.NewInt(r[0]))
-		}
-		return s
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var rows [][2]int64
-		for i := 0; i < 30; i++ {
-			rows = append(rows, [2]int64{int64(rng.Intn(10)), int64(rng.Intn(10))})
-		}
-		withIdx := build(true, rows)
-		without := build(false, rows)
-		queries := []string{
-			"SELECT COUNT(*) FROM t WHERE a = 3",
-			"SELECT COUNT(*) FROM t WHERE a = 3 AND b = 2",
-			"SELECT COUNT(*) FROM t JOIN u ON t.a = u.a",
-			"SELECT COUNT(*) FROM t JOIN u ON t.a = u.a WHERE t.b = 1",
-			"SELECT COUNT(*) FROM t LEFT JOIN u ON t.a = u.a AND t.b = u.c",
-		}
-		for _, q := range queries {
-			r1, err1 := withIdx.Exec(q)
-			r2, err2 := without.Exec(q)
-			if err1 != nil || err2 != nil {
-				return false
-			}
-			if r1.Rows[0][0].Int() != r2.Rows[0][0].Int() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSubqueryCacheTransparency: disabling the uncorrelated-subquery
 // cache never changes results.
 func TestSubqueryCacheTransparency(t *testing.T) {
