@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
 	"pdmtune/internal/workload"
@@ -458,5 +460,53 @@ func TestGeneratorGroundTruth(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("total nodes = %d, want %d", total, want)
+	}
+}
+
+// TestExplainPDMStatements: the server's EXPLAIN of the statements this
+// package ships shows the access paths the paper's tuning rests on — the
+// recursive branches probe link_left_idx per delta row, every IN
+// (id-list) statement is a key-set lookup — and the one full scan still
+// in the Section 5.2 query: its link branch, whose IN (SELECT obid FROM
+// rtbl) conjuncts are filters, not probes.
+func TestExplainPDMStatements(t *testing.T) {
+	s := minisql.NewDB().NewSession()
+	if err := workload.LoadPaperExample(s); err != nil {
+		t.Fatal(err)
+	}
+	plan := func(sql string, params ...minisql.Value) string {
+		t.Helper()
+		res, err := s.Exec("EXPLAIN "+sql, params...)
+		if err != nil {
+			t.Fatalf("EXPLAIN %s: %v", sql, err)
+		}
+		out := ""
+		for _, r := range res.Rows {
+			out += r[0].Text() + "\n"
+		}
+		return out
+	}
+	one := types.NewInt(1)
+	recursive := plan(core.BuildRecursiveQuery().String(), one)
+	for _, want := range []string{
+		"RECURSIVE CTE (semi-naive fixpoint) rtbl:\n",
+		"INDEX assy_pk ON assy (obid): 1 key(s)\n",
+		"INNER INDEX JOIN link USING link_left_idx ON (rtbl.obid = link.left)\n    INNER INDEX JOIN assy USING assy_pk ON (link.right = assy.obid)\n",
+		"INNER INDEX JOIN link USING link_left_idx ON (rtbl.obid = link.left)\n    INNER INDEX JOIN comp USING comp_pk ON (link.right = comp.obid)\n",
+		"SCAN link (8 rows)\n  FILTER (left IN (SELECT obid FROM rtbl)) AND (right IN (SELECT obid FROM rtbl))\n",
+	} {
+		if !strings.Contains(recursive, want) {
+			t.Errorf("recursive query: plan lacks %q:\n%s", want, recursive)
+		}
+	}
+	for sql, want := range map[string]string{
+		core.BuildExpandQuery().String():                                          "INDEX link_left_idx ON link (left): 1 key(s)\n  INNER INDEX JOIN assy USING assy_pk",
+		core.BuildWhereUsedLevelSQL([]int64{3, 4, 5}):                             "INDEX link_right_idx ON link (right): 3 key(s)\n",
+		core.BuildFetchNodesSQL([]int64{1, 2}):                                    "INDEX comp_pk ON comp (obid): 2 key(s)\n",
+		"UPDATE assy SET state = 'x' WHERE obid IN (1, 2) AND checkedout <> TRUE": "INDEX assy_pk ON assy (obid): 2 key(s)\n  FILTER (checkedout <> TRUE)\n",
+	} {
+		if got := plan(sql, one, one); !strings.Contains(got, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", sql, want, got)
+		}
 	}
 }

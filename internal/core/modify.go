@@ -25,7 +25,7 @@ const TreeObjType = "tree(assy)"
 // conditions cannot be evaluated within navigational queries
 // (Section 4.1) and remain the client's burden.
 func (m *Modifier) ModifyNavigational(sel *ast.Select, action string) error {
-	return m.applyRowConditions(collectCores(sel.Body), action)
+	return m.applyRowConditions(ast.Cores(sel.Body), action)
 }
 
 // ModifyRecursive applies the full algorithm of Section 5.5 to a
@@ -35,10 +35,10 @@ func (m *Modifier) ModifyRecursive(sel *ast.Select, action string) error {
 	if sel.With == nil {
 		return fmt.Errorf("core: recursive modification requires a WITH query")
 	}
-	outer := collectCores(sel.Body)
+	outer := ast.Cores(sel.Body)
 	var inner []*ast.SelectCore
 	for i := range sel.With.CTEs {
-		inner = append(inner, collectCores(sel.With.CTEs[i].Select.Body)...)
+		inner = append(inner, ast.Cores(sel.With.CTEs[i].Select.Body)...)
 	}
 	actions := []string{action, ActionAccess}
 
@@ -122,194 +122,65 @@ func (m *Modifier) applyRowConditions(cores []*ast.SelectCore, action string) er
 	return nil
 }
 
-// collectCores flattens a set-operation tree into its SELECT cores.
-func collectCores(body ast.SelectBody) []*ast.SelectCore {
-	switch b := body.(type) {
-	case *ast.SelectCore:
-		return []*ast.SelectCore{b}
-	case *ast.SetOp:
-		return append(collectCores(b.Left), collectCores(b.Right)...)
-	}
-	return nil
+// fromTables calls fn for every base table in a FROM tree, derived
+// tables' FROM trees included; expressions (ON conditions, the
+// predicates of a derived table) are not FROM entries.
+func fromTables(ref ast.TableRef, fn func(*ast.BaseTable)) {
+	ast.Inspect(ref, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BaseTable:
+			fn(n)
+		case ast.Expr:
+			return false
+		}
+		return true
+	})
 }
 
 // coreObjectTypes lists the base tables referenced by the cores' FROM
 // clauses (excluding the recursion table), in first-seen order.
 func coreObjectTypes(cores []*ast.SelectCore) []string {
-	seen := map[string]bool{}
+	seen := map[string]bool{RecTable: true}
 	var out []string
-	var walk func(ref ast.TableRef)
-	walk = func(ref ast.TableRef) {
-		switch r := ref.(type) {
-		case *ast.BaseTable:
-			name := strings.ToLower(r.Name)
-			if name == RecTable || seen[name] {
-				return
-			}
-			seen[name] = true
-			out = append(out, name)
-		case *ast.Join:
-			walk(r.Left)
-			walk(r.Right)
-		case *ast.CrossList:
-			for _, it := range r.Items {
-				walk(it)
-			}
-		case *ast.SubqueryTable:
-			for _, c := range collectCores(r.Select.Body) {
-				if c.From != nil {
-					walk(c.From)
-				}
-			}
-		}
-	}
 	for _, c := range cores {
-		if c.From != nil {
-			walk(c.From)
-		}
+		fromTables(c.From, func(bt *ast.BaseTable) {
+			if name := strings.ToLower(bt.Name); !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		})
 	}
 	return out
 }
 
-// fromReferencesTable reports whether a FROM tree references the table.
+// fromReferencesTable reports whether a FROM tree references the table,
+// by name or by alias.
 func fromReferencesTable(ref ast.TableRef, table string) bool {
-	switch r := ref.(type) {
-	case *ast.BaseTable:
-		return strings.EqualFold(r.Name, table) ||
-			(r.Alias != "" && strings.EqualFold(r.Alias, table))
-	case *ast.Join:
-		return fromReferencesTable(r.Left, table) || fromReferencesTable(r.Right, table)
-	case *ast.CrossList:
-		for _, it := range r.Items {
-			if fromReferencesTable(it, table) {
-				return true
-			}
-		}
-	case *ast.SubqueryTable:
-		for _, c := range collectCores(r.Select.Body) {
-			if c.From != nil && fromReferencesTable(c.From, table) {
-				return true
-			}
-		}
-	}
-	return false
+	found := false
+	fromTables(ref, func(bt *ast.BaseTable) {
+		found = found || strings.EqualFold(bt.Name, table) || strings.EqualFold(bt.Alias, table)
+	})
+	return found
 }
 
 // clone deep-copies an expression so the same rule predicate can be
 // appended to several SELECT cores without sharing mutable nodes.
 func clone(e ast.Expr) ast.Expr {
-	switch e := e.(type) {
-	case *ast.Literal:
-		c := *e
-		return &c
-	case *ast.Param:
-		c := *e
-		return &c
-	case *ast.ColumnRef:
-		c := *e
-		return &c
-	case *ast.Binary:
-		return &ast.Binary{Op: e.Op, Left: clone(e.Left), Right: clone(e.Right)}
-	case *ast.Unary:
-		return &ast.Unary{Op: e.Op, Expr: clone(e.Expr)}
-	case *ast.IsNull:
-		return &ast.IsNull{Expr: clone(e.Expr), Not: e.Not}
-	case *ast.Between:
-		return &ast.Between{Expr: clone(e.Expr), Lo: clone(e.Lo), Hi: clone(e.Hi), Not: e.Not}
-	case *ast.Like:
-		return &ast.Like{Expr: clone(e.Expr), Pattern: clone(e.Pattern), Not: e.Not}
-	case *ast.InList:
-		items := make([]ast.Expr, len(e.Items))
-		for i, it := range e.Items {
-			items[i] = clone(it)
-		}
-		return &ast.InList{Expr: clone(e.Expr), Items: items, Not: e.Not}
-	case *ast.Cast:
-		return &ast.Cast{Expr: clone(e.Expr), Type: e.Type}
-	case *ast.FuncCall:
-		args := make([]ast.Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = clone(a)
-		}
-		return &ast.FuncCall{Name: e.Name, Args: args}
-	case *ast.Case:
-		c := &ast.Case{}
-		if e.Operand != nil {
-			c.Operand = clone(e.Operand)
-		}
-		for _, w := range e.Whens {
-			c.Whens = append(c.Whens, ast.When{Cond: clone(w.Cond), Result: clone(w.Result)})
-		}
-		if e.Else != nil {
-			c.Else = clone(e.Else)
-		}
-		return c
-	default:
-		// Subquery-bearing expressions (Exists, InSubquery, ScalarSubquery,
-		// Aggregate) are shared read-only: the executor never mutates them.
-		return e
-	}
+	return ast.Rewrite(e, func(x ast.Expr) ast.Expr { return x })
 }
 
-// substituteColumnParam replaces every reference to table.column with a
-// `?` placeholder, counting them in *count — what turns a correlated
-// ∃structure condition into a standalone probe that one text serves
-// for every probed object.
+// substituteColumnParam replaces every reference to table.column,
+// subqueries included, with a `?` placeholder, counting them in *count —
+// what turns a correlated ∃structure condition into a standalone probe
+// that one text serves for every probed object.
 func substituteColumnParam(e ast.Expr, table, column string, count *int) ast.Expr {
-	replace := func(x ast.Expr) ast.Expr { return substituteColumnParam(x, table, column, count) }
-	switch e := e.(type) {
-	case *ast.ColumnRef:
-		if strings.EqualFold(e.Table, table) && strings.EqualFold(e.Column, column) {
-			p := &ast.Param{Index: *count}
+	return ast.Rewrite(e, func(x ast.Expr) ast.Expr {
+		if ref, ok := x.(*ast.ColumnRef); ok && strings.EqualFold(ref.Table, table) && strings.EqualFold(ref.Column, column) {
 			*count++
-			return p
+			return &ast.Param{Index: *count - 1}
 		}
-		return e
-	case *ast.Binary:
-		return &ast.Binary{Op: e.Op, Left: replace(e.Left), Right: replace(e.Right)}
-	case *ast.Unary:
-		return &ast.Unary{Op: e.Op, Expr: replace(e.Expr)}
-	case *ast.IsNull:
-		return &ast.IsNull{Expr: replace(e.Expr), Not: e.Not}
-	case *ast.Between:
-		return &ast.Between{Expr: replace(e.Expr), Lo: replace(e.Lo), Hi: replace(e.Hi), Not: e.Not}
-	case *ast.Like:
-		return &ast.Like{Expr: replace(e.Expr), Pattern: replace(e.Pattern), Not: e.Not}
-	case *ast.InList:
-		items := make([]ast.Expr, len(e.Items))
-		for i, it := range e.Items {
-			items[i] = replace(it)
-		}
-		return &ast.InList{Expr: replace(e.Expr), Items: items, Not: e.Not}
-	case *ast.Cast:
-		return &ast.Cast{Expr: replace(e.Expr), Type: e.Type}
-	case *ast.FuncCall:
-		args := make([]ast.Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = replace(a)
-		}
-		return &ast.FuncCall{Name: e.Name, Args: args}
-	case *ast.Exists:
-		return &ast.Exists{Not: e.Not, Select: substituteInSelect(e.Select, table, column, count)}
-	case *ast.InSubquery:
-		return &ast.InSubquery{Expr: replace(e.Expr), Not: e.Not, Select: substituteInSelect(e.Select, table, column, count)}
-	case *ast.ScalarSubquery:
-		return &ast.ScalarSubquery{Select: substituteInSelect(e.Select, table, column, count)}
-	}
-	return e
-}
-
-// substituteInSelect rewrites WHERE clauses of a (sub)query — sufficient
-// for probe generation, where the correlation always sits in a WHERE.
-func substituteInSelect(sel *ast.Select, table, column string, count *int) *ast.Select {
-	out := *sel
-	cores := collectCores(out.Body)
-	for _, c := range cores {
-		if c.Where != nil {
-			c.Where = substituteColumnParam(c.Where, table, column, count)
-		}
-	}
-	return &out
+		return x
+	})
 }
 
 func intValue(v int64) types.Value { return types.NewInt(v) }

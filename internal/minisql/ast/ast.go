@@ -6,6 +6,7 @@
 package ast
 
 import (
+	"strconv"
 	"strings"
 
 	"pdmtune/internal/minisql/types"
@@ -359,7 +360,7 @@ func (s *Select) String() string {
 				sb.WriteString(", ")
 			}
 			if o.Position > 0 {
-				sb.WriteString(itoa(o.Position))
+				sb.WriteString(strconv.Itoa(o.Position))
 			} else {
 				sb.WriteString(o.Expr.String())
 			}
@@ -718,26 +719,4 @@ func OrAll(preds []Expr) Expr {
 		}
 	}
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

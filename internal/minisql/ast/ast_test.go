@@ -1,6 +1,9 @@
 package ast
 
 import (
+	goast "go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 
 	"pdmtune/internal/minisql/types"
@@ -141,5 +144,89 @@ func TestSubqueryTablePrinter(t *testing.T) {
 	}
 	if got := st.String(); got != `(SELECT 1 AS "x") AS v` {
 		t.Errorf("subquery table = %s", got)
+	}
+}
+
+// TestTraversalsCoverEveryNodeType: every type ast.go marks as an Expr,
+// TableRef or SelectBody must have an instance below, and Inspect and
+// Rewrite must both have a case for it (their default cases panic) — so
+// a node type cannot be added, or dropped from an enumeration, without
+// this test failing. The marker methods are read from the source because
+// Go cannot list an interface's implementers.
+func TestTraversalsCoverEveryNodeType(t *testing.T) {
+	sel := &Select{Body: &SelectCore{Items: []SelectItem{{Star: true}}}}
+	instances := map[string]Node{
+		"Literal": lit(1), "Param": &Param{}, "ColumnRef": col("t", "a"),
+		"Binary": &Binary{Op: "+", Left: lit(1), Right: lit(2)}, "Unary": &Unary{Op: "-", Expr: lit(1)},
+		"IsNull": &IsNull{Expr: lit(1)}, "Between": &Between{Expr: lit(1), Lo: lit(0), Hi: lit(2)},
+		"Like": &Like{Expr: text("a"), Pattern: text("%")}, "InList": &InList{Expr: lit(1), Items: []Expr{lit(1)}},
+		"InSubquery": &InSubquery{Expr: lit(1), Select: sel}, "Exists": &Exists{Select: sel},
+		"ScalarSubquery": &ScalarSubquery{Select: sel}, "Cast": &Cast{Expr: lit(1)},
+		"FuncCall": &FuncCall{Name: "f", Args: []Expr{lit(1)}}, "Aggregate": &Aggregate{Func: "COUNT", Star: true},
+		"Case":      &Case{Whens: []When{{Cond: lit(1), Result: lit(2)}}},
+		"BaseTable": &BaseTable{Name: "t"}, "Join": &Join{Type: "INNER", Left: &BaseTable{Name: "t"}, Right: &BaseTable{Name: "u"}, On: lit(1)},
+		"CrossList": &CrossList{Items: []TableRef{&BaseTable{Name: "t"}}}, "SubqueryTable": &SubqueryTable{Select: sel, Alias: "s"},
+		"SetOp": &SetOp{Op: "UNION", Left: sel.Body, Right: sel.Body}, "SelectCore": sel.Body,
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "ast.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := 0
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*goast.FuncDecl)
+		if !ok || fd.Recv == nil || (fd.Name.Name != "expr" && fd.Name.Name != "tableRef" && fd.Name.Name != "selectBody") {
+			continue
+		}
+		marked++
+		name := fd.Recv.List[0].Type.(*goast.StarExpr).X.(*goast.Ident).Name
+		n, ok := instances[name]
+		if !ok {
+			t.Errorf("node type %s has no instance in this test: add one, and a case to Inspect and Rewrite", name)
+			continue
+		}
+		// Wrapped so that Rewrite reaches table references and select
+		// bodies too, which it only meets inside a subquery.
+		wrapped := n
+		switch x := n.(type) {
+		case TableRef:
+			wrapped = &Exists{Select: &Select{Body: &SelectCore{From: x}}}
+		case SelectBody:
+			wrapped = &Exists{Select: &Select{Body: x}}
+		}
+		seen := false
+		Inspect(wrapped, func(m Node) bool { seen = seen || m == n; return true })
+		if !seen {
+			t.Errorf("Inspect does not reach %s", name)
+		}
+		if got := Rewrite(wrapped.(Expr), func(e Expr) Expr { return e }); got.String() != wrapped.String() || got == wrapped {
+			t.Errorf("Rewrite(%s) = %s, want a copy of %s", name, got, wrapped)
+		}
+	}
+	if marked != len(instances) {
+		t.Errorf("%d marker methods in ast.go, %d instances here", marked, len(instances))
+	}
+}
+
+func TestRewriteReplacesWithoutDescending(t *testing.T) {
+	e := &Binary{Op: "AND", Left: col("t", "a"), Right: &Exists{Select: &Select{Body: &SelectCore{
+		Items: []SelectItem{{Star: true}}, From: &BaseTable{Name: "u"},
+		Where: &Binary{Op: "=", Left: col("u", "x"), Right: col("t", "a")}}}}}
+	n := 0
+	got := Rewrite(e, func(x Expr) Expr {
+		if c, ok := x.(*ColumnRef); ok && c.Table == "t" {
+			n++
+			return &Param{}
+		}
+		return x
+	})
+	if want := "(? AND (EXISTS (SELECT * FROM u WHERE (u.x = ?))))"; got.String() != want || n != 2 {
+		t.Errorf("got %s with %d replacements, want %s with 2", got, n, want)
+	}
+	if e.String() != "(t.a AND (EXISTS (SELECT * FROM u WHERE (u.x = t.a))))" {
+		t.Errorf("Rewrite changed its input: %s", e)
+	}
+	if cores := Cores(&SetOp{Op: "UNION", Left: &SetOp{Op: "UNION ALL", Left: &SelectCore{}, Right: &SelectCore{}}, Right: &SelectCore{}}); len(cores) != 3 {
+		t.Errorf("Cores found %d cores, want 3", len(cores))
 	}
 }

@@ -717,74 +717,25 @@ func (s *Session) execUpdate(st *ast.Update, params []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: no such table %s", st.Table)
 	}
-	schema := table.Schema
-	ctx := s.newContext(params, 0)
-	unlock := s.lockWrite(table)
-	defer unlock()
-
 	setPos := make([]int, len(st.Set))
 	for i, a := range st.Set {
-		p := schema.ColIndex(a.Column)
-		if p < 0 {
+		if setPos[i] = table.Schema.ColIndex(a.Column); setPos[i] < 0 {
 			return nil, fmt.Errorf("sql: table %s has no column %s", st.Table, a.Column)
 		}
-		setPos[i] = p
 	}
-
-	cols := make([]exec.ColMeta, len(schema.Cols))
-	for i := range schema.Cols {
-		cols[i] = exec.ColMeta{Table: strings.ToLower(st.Table), Name: schema.Cols[i].Name}
-	}
-
-	// Two-phase: gather matching row ids first, then mutate, so the scan
-	// is not disturbed by the staged versions.
-	var ids []int
-	var evalErr error
-	table.Scan(func(id int, row storage.Row) bool {
-		env := exec.NewEnv(cols, row, nil)
-		if st.Where != nil {
-			t, err := ctx.EvalPredicate(st.Where, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if t != types.True {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-
-	c := storage.NewCommit(s.db.store.Versions())
-	var undos []storage.Undo
-	for _, id := range ids {
-		old, _ := table.Get(id)
-		before := append(storage.Row{}, old...)
+	cols := exec.TableCols(table, st.Table)
+	return s.execWrite(table, st.Where, params, storage.UndoUpdate, func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error {
 		newRow := append(storage.Row{}, old...)
 		env := exec.NewEnv(cols, old, nil)
 		for i, a := range st.Set {
 			v, err := ctx.EvalExpr(a.Value, env)
 			if err != nil {
-				c.Abort()
-				return nil, err
+				return err
 			}
 			newRow[setPos[i]] = v
 		}
-		if err := table.UpdateC(c, id, newRow); err != nil {
-			c.Abort()
-			return nil, err
-		}
-		undos = append(undos, storage.Undo{Kind: storage.UndoUpdate, Table: table, RowID: id, Before: before})
-	}
-	c.Commit()
-	for _, u := range undos {
-		s.record(u)
-	}
-	return &Result{RowsAffected: len(ids)}, nil
+		return table.UpdateC(c, id, newRow)
+	})
 }
 
 func (s *Session) execDelete(st *ast.Delete, params []Value) (*Result, error) {
@@ -792,44 +743,38 @@ func (s *Session) execDelete(st *ast.Delete, params []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: no such table %s", st.Table)
 	}
-	schema := table.Schema
+	return s.execWrite(table, st.Where, params, storage.UndoDelete, func(_ *exec.Context, c *storage.Commit, id int, _ storage.Row) error {
+		return table.DeleteC(c, id)
+	})
+}
+
+// execWrite is the skeleton UPDATE and DELETE share. Under the table's
+// write latch it is two-phase: first gather the ids of the rows WHERE
+// accepts — through the executor's access path, so a keyed write reads
+// only the rows its key selects — and only then mutate them, so the read
+// is never disturbed by the statement's own staged versions. The
+// mutations publish under one Commit; each leaves an undo record.
+func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value, kind storage.UndoKind,
+	mutate func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error) (*Result, error) {
 	ctx := s.newContext(params, 0)
 	unlock := s.lockWrite(table)
 	defer unlock()
-	cols := make([]exec.ColMeta, len(schema.Cols))
-	for i := range schema.Cols {
-		cols[i] = exec.ColMeta{Table: strings.ToLower(st.Table), Name: schema.Cols[i].Name}
-	}
-	var ids []int
-	var evalErr error
-	table.Scan(func(id int, row storage.Row) bool {
-		if st.Where != nil {
-			env := exec.NewEnv(cols, row, nil)
-			t, err := ctx.EvalPredicate(st.Where, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if t != types.True {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+
+	ids, err := ctx.MatchIDs(table, where)
+	if err != nil {
+		return nil, err
 	}
 	c := storage.NewCommit(s.db.store.Versions())
-	var undos []storage.Undo
+	var undos []storage.Undo // kept only inside a transaction, like every undo record
 	for _, id := range ids {
 		old, _ := table.Get(id)
-		before := append(storage.Row{}, old...)
-		if err := table.DeleteC(c, id); err != nil {
+		if s.inTx {
+			undos = append(undos, storage.Undo{Kind: kind, Table: table, RowID: id, Before: append(storage.Row{}, old...)})
+		}
+		if err := mutate(ctx, c, id, old); err != nil {
 			c.Abort()
 			return nil, err
 		}
-		undos = append(undos, storage.Undo{Kind: storage.UndoDelete, Table: table, RowID: id, Before: before})
 	}
 	c.Commit()
 	for _, u := range undos {

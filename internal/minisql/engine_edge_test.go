@@ -125,6 +125,57 @@ func TestErrorTypeMismatches(t *testing.T) {
 	}
 }
 
+// TestOnePredicateOneOutcome: whether a comparison between incomparable
+// kinds is an error must not depend on the path the planner picks for
+// it. An index or a join hash answers a key only when it can answer it
+// exactly; otherwise the predicate is evaluated, and raises what the
+// unoptimized form raises — on empty tables, nothing.
+func TestOnePredicateOneOutcome(t *testing.T) {
+	statements := []string{
+		"SELECT * FROM t WHERE id + 0 = 'abc'", // never optimized: the reference outcome
+		"SELECT * FROM t WHERE id = 'abc'",
+		"SELECT * FROM t WHERE 'abc' = id",
+		"SELECT * FROM t WHERE name = 'a' AND id = 'abc'",
+		"SELECT * FROM t JOIN u ON t.id = u.label", // hash
+		"SELECT * FROM u JOIN t ON u.label = t.id", // index on t.id
+		"SELECT * FROM u LEFT JOIN t ON u.label = t.id",
+		"SELECT * FROM t, u WHERE t.id = u.label",
+		"SELECT * FROM t JOIN u ON t.id + 0 = u.label", // nested loop
+		"UPDATE t SET name = 'z' WHERE id = 'abc'",
+		"DELETE FROM t WHERE id = 'abc'",
+	}
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "CREATE TABLE u (k INTEGER, label TEXT)")
+	for _, sql := range statements {
+		res, err := s.Exec(sql)
+		if err != nil || len(res.Rows) != 0 || res.RowsAffected != 0 {
+			t.Errorf("empty tables: %s: %v, want no rows and no error", sql, err)
+		}
+	}
+	mustExec(t, s, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+	mustExec(t, s, "INSERT INTO u VALUES (1, 'a'), (2, NULL)")
+	for _, sql := range statements {
+		if _, err := s.Exec(sql); err == nil || !strings.Contains(err.Error(), "types: cannot compare") {
+			t.Errorf("%s: error %v, want the comparison error", sql, err)
+		}
+	}
+	// IN never matches an item it cannot compare, by any path, and NULL
+	// join keys meet no comparison at all.
+	for sql, want := range map[string]int{
+		"SELECT * FROM t WHERE id IN ('abc', 2)":     1,
+		"SELECT * FROM t WHERE id + 0 IN ('abc', 2)": 1,
+		"SELECT * FROM u JOIN t ON u.k = t.id":       2,
+	} {
+		if res, err := s.Exec(sql); err != nil || len(res.Rows) != want {
+			t.Errorf("%s: %v, want %d rows", sql, err, want)
+		}
+	}
+	if n := mustExec(t, s, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 2 {
+		t.Errorf("a failed write changed the table: %d rows", n)
+	}
+}
+
 func TestNestedCTEs(t *testing.T) {
 	s := newTestSession(t)
 	res := mustExec(t, s, `WITH a AS (SELECT 1 AS x), b AS (SELECT x + 1 AS y FROM a)

@@ -566,19 +566,61 @@ func TestPaperTreeAggregate(t *testing.T) {
 	}
 }
 
+// planOf returns the EXPLAIN output of a statement as one string.
+func planOf(t *testing.T, s *Session, sql string, params ...Value) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range mustExec(t, s, "EXPLAIN "+sql, params...).Rows {
+		sb.WriteString(r[0].Text() + "\n")
+	}
+	return sb.String()
+}
+
+// TestExplain: the plan names the access path and the join method that
+// run — the same access line for a SELECT, an UPDATE and a DELETE of the
+// same key, a scan where no index covers the column.
 func TestExplain(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-	res := mustExec(t, s, "EXPLAIN SELECT * FROM t WHERE id = 1")
-	if len(res.Rows) == 0 {
-		t.Fatal("EXPLAIN returned no plan rows")
+	mustExec(t, s, "CREATE TABLE assy (obid INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "CREATE TABLE link (left INTEGER, right INTEGER)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+
+	const keyed = "INDEX t_pk ON t (id): 1 key(s)\n"
+	for _, stmt := range []string{
+		"SELECT * FROM t WHERE id = 1",
+		"UPDATE t SET v = 'x' WHERE id = 1",
+		"DELETE FROM t WHERE id = 1",
+		"SELECT * FROM t WHERE id = ?",
+	} {
+		if plan := planOf(t, s, stmt, types.NewInt(1)); !strings.Contains(plan, keyed) {
+			t.Errorf("%s: plan lacks %q:\n%s", stmt, keyed, plan)
+		}
 	}
-	joined := ""
-	for _, r := range res.Rows {
-		joined += r[0].Text() + "\n"
+	if n := mustExec(t, s, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 2 {
+		t.Fatalf("EXPLAIN UPDATE / DELETE changed the table: %d rows, want 2", n)
 	}
-	if !strings.Contains(joined, "SCAN t") {
-		t.Fatalf("plan does not mention table scan:\n%s", joined)
+	for stmt, want := range map[string]string{
+		"SELECT * FROM t WHERE v = 'a'":                               "SCAN t (2 rows), v among 1 key(s)\n",
+		"SELECT * FROM t WHERE id IN (1, 2, 2, NULL)":                 "INDEX t_pk ON t (id): 3 key(s)\n",
+		"SELECT * FROM t WHERE id = 'abc'":                            "SCAN t (2 rows), id among 1 key(s)\n",
+		"SELECT * FROM t WHERE id + 0 = 1":                            "SCAN t (2 rows)\n  FILTER ((id + 0) = 1)\n",
+		"DELETE FROM t WHERE id > 1":                                  "SCAN t (2 rows)\n  FILTER (id > 1)\n",
+		"SELECT * FROM link JOIN assy ON link.right = assy.obid":      "INNER INDEX JOIN assy USING assy_pk ON (link.right = assy.obid)\n",
+		"SELECT * FROM assy JOIN link ON link.right = assy.obid":      "INNER HASH JOIN ON (link.right = assy.obid)\n    SCAN link (0 rows)\n",
+		"SELECT * FROM assy LEFT JOIN link ON link.right > assy.obid": "LEFT NESTED LOOP ON (link.right > assy.obid)\n",
+		"SELECT * FROM link, assy WHERE link.right = assy.obid":       "INNER INDEX JOIN assy USING assy_pk ON (link.right = assy.obid)\n",
+	} {
+		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)
+		}
+	}
+	mustExec(t, s, "CREATE INDEX link_right_idx ON link (right)")
+	if plan := planOf(t, s, "SELECT * FROM assy JOIN link ON link.right = assy.obid"); !strings.Contains(plan, "INNER INDEX JOIN link USING link_right_idx") {
+		t.Errorf("a new index must show in the next plan:\n%s", plan)
+	}
+	if _, err := s.Exec("EXPLAIN SELECT * FROM nosuch"); err == nil {
+		t.Error("EXPLAIN of a statement that cannot run must fail like the statement")
 	}
 }
 

@@ -1,0 +1,495 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"pdmtune/internal/minisql/ast"
+	"pdmtune/internal/minisql/storage"
+	"pdmtune/internal/minisql/types"
+)
+
+// conjunct is one ANDed term of a WHERE or ON clause. used marks a term
+// that an access path or a join has taken over; whoever evaluates the
+// clause's remainder skips it.
+type conjunct struct {
+	expr ast.Expr
+	used bool
+}
+
+func splitAnd(e ast.Expr, into []conjunct) []conjunct {
+	if e == nil {
+		return into
+	}
+	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
+		return splitAnd(b.Right, splitAnd(b.Left, into))
+	}
+	return append(into, conjunct{expr: e})
+}
+
+// allTrue is the one residual evaluation: whether every conjunct not yet
+// taken over holds for the row in env. skip, when >= 0, is the position
+// of a conjunct the caller has answered by other means.
+func (ctx *Context) allTrue(conjs []conjunct, skip int, env *Env) (bool, error) {
+	for i := range conjs {
+		if conjs[i].used || i == skip {
+			continue
+		}
+		t, err := ctx.EvalPredicate(conjs[i].expr, env)
+		if err != nil || t != types.True {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// ---------------------------------------------------------------------------
+// the access path of a stored table
+
+// access is the decision how one stored table is read for a set of
+// conjuncts: through index for the key set it answers exactly, or by a
+// snapshot scan; filters are the key conjuncts left to check per row.
+// chooseAccess takes the decision, read runs it.
+type access struct {
+	table   *storage.Table
+	index   *storage.Index // nil: snapshot scan
+	keys    []types.Value  // the key set looked up in index
+	filters []keyFilter
+}
+
+// keyFilter keeps the rows whose column at pos equals one of keys.
+type keyFilter struct {
+	pos  int
+	keys []types.Value
+}
+
+// keyConjunct matches `col = k` (either way round), returning key, and
+// `col IN (k1 … kn)`, returning list, where every k is known before the
+// table is read. NOT IN is not a key: its truth depends on every item at
+// once.
+func keyConjunct(e ast.Expr) (col *ast.ColumnRef, key ast.Expr, list []ast.Expr) {
+	switch e := e.(type) {
+	case *ast.Binary:
+		if e.Op != "=" {
+			return nil, nil, nil
+		}
+		if c, ok := e.Left.(*ast.ColumnRef); ok && isConstExpr(e.Right) {
+			return c, e.Right, nil
+		}
+		if c, ok := e.Right.(*ast.ColumnRef); ok && isConstExpr(e.Left) {
+			return c, e.Left, nil
+		}
+	case *ast.InList:
+		if c, ok := e.Expr.(*ast.ColumnRef); ok && !e.Not && !slices.ContainsFunc(e.Items, func(it ast.Expr) bool { return !isConstExpr(it) }) {
+			return c, nil, e.Items
+		}
+	}
+	return nil, nil, nil
+}
+
+// isConstExpr reports whether an expression reads no column and runs no
+// subquery or aggregate, so it can be evaluated once before the read.
+func isConstExpr(e ast.Expr) bool {
+	constant := true
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.ColumnRef, *ast.Select, *ast.Aggregate:
+			constant = false
+		}
+		return constant
+	})
+	return constant
+}
+
+// chooseAccess decides how table, bound as alias, is read for conjs. It
+// takes over every key conjunct on one of the table's columns
+// (unqualified column names count only when the table is alone in its
+// FROM clause): the first whose column has an index and whose keys that
+// index answers exactly becomes the lookup, the others become per-row
+// filters. Everything else stays with the caller as residual.
+//
+// "Exactly" is what keeps the choice of path out of a statement's
+// outcome. NULL keys are dropped — `col = NULL` and a NULL item of an IN
+// list can never make WHERE true. An IN item of a kind the column cannot
+// be compared with is dropped too, as IN itself never matches it. But
+// `col = k` with such a k is an error on the first non-NULL row, so that
+// k goes to no index; the filter raises the error if a row gets there.
+func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified bool, conjs []conjunct, outer *Env) (*access, error) {
+	acc := &access{table: table}
+	for i := range conjs {
+		c := &conjs[i]
+		if c.used {
+			continue
+		}
+		col, key, list := keyConjunct(c.expr)
+		if col == nil || (col.Table == "" && !unqualified) || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
+			continue
+		}
+		pos := table.Schema.ColIndex(col.Column)
+		if pos < 0 {
+			continue
+		}
+		in, one := list != nil, [1]ast.Expr{key}
+		if !in {
+			list = one[:]
+		}
+		kind := table.Schema.Cols[pos].Type.Kind
+		keys, exact := make([]types.Value, 0, len(list)), true
+		for _, ke := range list {
+			k, err := ctx.EvalExpr(ke, outer)
+			if err != nil {
+				return nil, err
+			}
+			fits := types.Comparable(kind, k.Kind())
+			if k.IsNull() || (in && !fits) {
+				continue
+			}
+			exact = exact && fits
+			keys = append(keys, k)
+		}
+		c.used = true
+		if idx := table.IndexOn(col.Column); idx != nil && exact && acc.index == nil {
+			acc.index, acc.keys = idx, keys
+		} else {
+			acc.filters = append(acc.filters, keyFilter{pos: pos, keys: keys})
+		}
+	}
+	return acc, nil
+}
+
+// String is the access path's line in an EXPLAIN plan.
+func (a *access) String() string {
+	name := a.table.Schema.Name
+	s := fmt.Sprintf("SCAN %s (%d rows)", name, a.table.NumRows())
+	if a.index != nil {
+		s = fmt.Sprintf("INDEX %s ON %s (%s): %d key(s)", a.index.Name, name, a.index.Column, len(a.keys))
+	}
+	for _, f := range a.filters {
+		s += fmt.Sprintf(", %s among %d key(s)", a.table.Schema.Cols[f.pos].Name, len(f.keys))
+	}
+	return s
+}
+
+// lookup returns the ids of the rows whose indexed column equals one of
+// the keys, ascending. Ascending row id is scan order, so an index
+// returns exactly what the scan would, in the same order.
+func (a *access) lookup(snap uint64) []int {
+	var ids []int
+	for i, k := range a.keys {
+		if found := a.index.LookupAt(snap, k); i == 0 {
+			ids = found
+		} else {
+			ids = append(ids, found...)
+		}
+	}
+	slices.Sort(ids)
+	if len(a.keys) > 1 {
+		ids = slices.Compact(ids) // a key written twice
+	}
+	return ids
+}
+
+// read runs the decision: fn sees every row the access path selects, in
+// ascending row-id order, until it returns an error. Under EXPLAIN the
+// decision has been recorded and nothing is read.
+func (ctx *Context) read(a *access, fn func(id int, row storage.Row) error) error {
+	if ctx.Plan != nil {
+		return nil
+	}
+	visit := func(id int, row storage.Row) error {
+		for _, f := range a.filters {
+			match := false
+			for _, k := range f.keys {
+				t, err := types.CompareOp("=", row[f.pos], k)
+				if err != nil {
+					return err
+				}
+				if match = t == types.True; match {
+					break
+				}
+			}
+			if !match {
+				return nil
+			}
+		}
+		return fn(id, row)
+	}
+	snap := ctx.snap()
+	var err error
+	if a.index == nil {
+		a.table.ScanAt(snap, func(id int, row storage.Row) bool {
+			err = visit(id, row)
+			return err == nil
+		})
+		return err
+	}
+	for _, id := range a.lookup(snap) {
+		if row, ok := a.table.GetAt(snap, id); ok {
+			if err = visit(id, row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// MatchIDs gathers the ids of the rows of table that WHERE accepts — the
+// read half of UPDATE and DELETE, through the same access path a SELECT
+// of the table would take. It finishes before it returns, so the caller
+// mutates rows only after the last one has been read.
+func (ctx *Context) MatchIDs(table *storage.Table, where ast.Expr) ([]int, error) {
+	conjs := splitAnd(where, nil)
+	acc, err := ctx.chooseAccess(table, table.Schema.Name, true, conjs, nil)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Plan != nil {
+		ctx.note("%s", acc)
+	}
+	ctx.noteFilter(conjs)
+	env := &Env{cols: TableCols(table, table.Schema.Name)}
+	var ids []int
+	err = ctx.read(acc, func(id int, row storage.Row) error {
+		env.row = row
+		ok, err := ctx.allTrue(conjs, -1, env)
+		if ok {
+			ids = append(ids, id)
+		}
+		return err
+	})
+	return ids, err
+}
+
+// noteFilter records, under EXPLAIN, the conjuncts left for a per-row
+// filter after the access paths and joins have taken theirs.
+func (ctx *Context) noteFilter(conjs []conjunct) {
+	if ctx.Plan == nil {
+		return
+	}
+	if rest := conjString(conjs); rest != "" {
+		ctx.note("FILTER %s", rest)
+	}
+}
+
+// conjString renders the conjuncts not yet taken over.
+func conjString(conjs []conjunct) string {
+	var terms []string
+	for _, c := range conjs {
+		if !c.used {
+			terms = append(terms, c.expr.String())
+		}
+	}
+	return strings.Join(terms, " AND ")
+}
+
+// ---------------------------------------------------------------------------
+// the join loop
+
+// probe yields the right-hand rows that can match a non-NULL join key.
+// exact says the equi-conjunct holds for every one of them; otherwise
+// the loop still has to evaluate it. The rows are valid until the next
+// call.
+type probe func(key types.Value) (rows []storage.Row, exact bool)
+
+// indexProbe draws candidates from a stored table's index on the join
+// column: per key, a one-key read of the table. A key of a kind the
+// column cannot be compared with is not the index's to answer: the read
+// is a scan then, every row a candidate, and the equi-conjunct raises the
+// error a nested loop would.
+func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe {
+	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
+	keyed := &access{table: table, index: index, keys: make([]types.Value, 1)}
+	scan := &access{table: table}
+	var buf []storage.Row
+	collect := func(_ int, row storage.Row) error {
+		buf = append(buf, row)
+		return nil
+	}
+	return func(key types.Value) ([]storage.Row, bool) {
+		buf = buf[:0]
+		path, exact := scan, types.Comparable(kind, key.Kind())
+		if exact {
+			path, keyed.keys[0] = keyed, key
+		}
+		_ = ctx.read(path, collect) // read only fails through its filters and its callback; neither can here
+		return buf, exact
+	}
+}
+
+// hashProbe draws candidates from a hash of a materialized relation on
+// its join column. The hash answers a key exactly only when every value
+// it holds can be compared with the key; otherwise all rows are
+// candidates.
+func hashProbe(rows []storage.Row, pos int) probe {
+	buckets := make(map[string][]storage.Row, len(rows))
+	var kinds []types.Kind
+	for _, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			continue
+		}
+		if !slices.Contains(kinds, v.Kind()) {
+			kinds = append(kinds, v.Kind())
+		}
+		k := v.Key()
+		buckets[k] = append(buckets[k], row)
+	}
+	return func(key types.Value) ([]storage.Row, bool) {
+		for _, k := range kinds {
+			if !types.Comparable(k, key.Kind()) {
+				return rows, false
+			}
+		}
+		return buckets[key.Key()], true
+	}
+}
+
+// equiPair finds the first conjunct in pool not yet taken over that
+// equates a column of left with a column of right — each reference
+// resolving to exactly one column of the two sides together, as it will
+// on the joined row — and that accept (when non-nil) agrees to for the
+// right-hand position. It returns the conjunct's position in pool and
+// the two column positions, or -1.
+func equiPair(pool []conjunct, left, right []ColMeta, accept func(rightPos int) bool) (at, leftPos, rightPos int) {
+	side := func(ref *ast.ColumnRef) (l, r int) {
+		l, lerr := findCol(left, ref.Table, ref.Column)
+		r, rerr := findCol(right, ref.Table, ref.Column)
+		if lerr != nil || rerr != nil || (l >= 0 && r >= 0) {
+			return -1, -1 // ambiguous on the joined row
+		}
+		return l, r
+	}
+	for i := range pool {
+		b, ok := pool[i].expr.(*ast.Binary)
+		if !ok || b.Op != "=" || pool[i].used {
+			continue
+		}
+		x, xok := b.Left.(*ast.ColumnRef)
+		y, yok := b.Right.(*ast.ColumnRef)
+		if !xok || !yok {
+			continue
+		}
+		xl, xr := side(x)
+		yl, yr := side(y)
+		switch {
+		case xl >= 0 && yr >= 0 && (accept == nil || accept(yr)):
+			return i, xl, yr
+		case yl >= 0 && xr >= 0 && (accept == nil || accept(xr)):
+			return i, yl, xr
+		}
+	}
+	return -1, -1, -1
+}
+
+// join joins left with the table reference ref in the one probe loop.
+// pool holds the conjuncts an equi-pair may come from: for JOIN … ON the
+// ON clause, all of which every emitted row must satisfy (whole); for a
+// comma list the WHERE clause, of which the join takes over only the
+// equi-conjunct it finds. conjs and pushable are the WHERE pushdown
+// context for evaluating ref.
+//
+// The loop is parameterized only by where the right-hand candidates for
+// a key come from: an index of a stored table on the join column, a hash
+// of the materialized right side, or — without an equi-pair — all its
+// rows. Output order is the same for all three: left rows in order, each
+// with its matches in the right side's order.
+//
+// Under EXPLAIN the join's line follows the left side's, with the right
+// side nested under it when the join had to materialize it.
+func (ctx *Context) join(left *Relation, ref ast.TableRef, joinType string, pool []conjunct, whole bool,
+	outer *Env, conjs []conjunct, pushable bool) (*Relation, error) {
+	if ctx.Plan != nil {
+		defer ctx.under(ctx.note(""))()
+	}
+	var candidates probe
+	var all []storage.Row
+	var rightCols []ColMeta
+	at, leftPos, method := -1, -1, "NESTED LOOP"
+
+	if bt, ok := ref.(*ast.BaseTable); ok {
+		if _, isCTE := ctx.CTEs[strings.ToLower(bt.Name)]; !isCTE {
+			if table, ok := ctx.DB.Table(bt.Name); ok {
+				cols := TableCols(table, aliasOf(bt))
+				indexed := func(rp int) bool { return table.IndexOn(cols[rp].Name) != nil }
+				if i, lp, rp := equiPair(pool, left.Cols, cols, indexed); i >= 0 {
+					index := table.IndexOn(cols[rp].Name)
+					at, leftPos, rightCols, candidates = i, lp, cols, ctx.indexProbe(table, index)
+					if ctx.Plan != nil {
+						method = "INDEX JOIN " + bt.String() + " USING " + index.Name
+					}
+				}
+			}
+		}
+	}
+	if candidates == nil {
+		right, err := ctx.evalFrom(ref, outer, conjs, false, pushable)
+		if err != nil {
+			return nil, err
+		}
+		rightCols, all = right.Cols, right.Rows
+		if i, lp, rp := equiPair(pool, left.Cols, right.Cols, nil); i >= 0 {
+			at, leftPos, candidates, method = i, lp, hashProbe(right.Rows, rp), "HASH JOIN"
+		}
+	}
+	// on is what every emitted row must satisfy; on[skipAt] is the
+	// equi-conjunct, which a probe that answers exactly has settled.
+	on, skipAt := pool, at
+	if !whole {
+		on, skipAt = nil, 0
+		if at >= 0 {
+			on = pool[at : at+1]
+		}
+	}
+	if ctx.Plan != nil {
+		ctx.Plan.Text = joinType + " " + method
+		if terms := conjString(on); terms != "" {
+			ctx.Plan.Text += " ON " + terms
+		}
+	}
+
+	out := &Relation{Cols: append(append(make([]ColMeta, 0, len(left.Cols)+len(rightCols)), left.Cols...), rightCols...)}
+	env := &Env{cols: out.Cols, parent: outer}
+	combine := func(lrow, rrow storage.Row) storage.Row {
+		return append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
+	}
+	nullRight := make(storage.Row, len(rightCols))
+	for _, lrow := range left.Rows {
+		rows, skip := all, -1
+		if candidates != nil {
+			rows = nil
+			if key := lrow[leftPos]; !key.IsNull() {
+				var exact bool
+				if rows, exact = candidates(key); exact {
+					skip = skipAt
+				}
+			}
+		}
+		matched := false
+		for _, rrow := range rows {
+			env.row = combine(lrow, rrow)
+			ok, err := ctx.allTrue(on, skip, env)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out.Rows = append(out.Rows, env.row)
+				matched = true
+			}
+		}
+		if !matched && joinType == "LEFT" {
+			out.Rows = append(out.Rows, combine(lrow, nullRight))
+		}
+	}
+	if !whole && at >= 0 {
+		pool[at].used = true // only now: the loop above still evaluated it where a probe was inexact
+	}
+	return out, nil
+}
+
+func aliasOf(bt *ast.BaseTable) string {
+	if bt.Alias != "" {
+		return bt.Alias
+	}
+	return bt.Name
+}

@@ -21,10 +21,7 @@ func (ctx *Context) EvalExpr(e ast.Expr, env *Env) (types.Value, error) {
 		return ctx.Params[e.Index], nil
 
 	case *ast.ColumnRef:
-		if env == nil {
-			return types.Null, errNoColumn{table: e.Table, name: e.Column}
-		}
-		return env.lookup(e.Table, e.Column)
+		return env.lookup(e.Table, e.Column) // a nil scope resolves nothing
 
 	case *ast.Binary:
 		return ctx.evalBinary(e, env)
@@ -357,11 +354,9 @@ func (ctx *Context) evalCase(e *ast.Case, env *Env) (types.Value, error) {
 func (ctx *Context) evalSubquery(sel *ast.Select, outer *Env) (*Relation, error) {
 	if !ctx.DisableSubqueryCache {
 		if rel, ok := ctx.SubqueryCache[sel]; ok {
-			ctx.Stats.SubqueryCached++
 			return rel, nil
 		}
 	}
-	ctx.Stats.SubqueryEvals++
 	touched := false
 	barrier := &Env{parent: outer, touched: &touched}
 	rel, err := ctx.EvalSelect(sel, barrier)

@@ -610,96 +610,75 @@ func (r *reference) eval(e ast.Expr, env *exec.Env, agg aggFunc) (types.Value, e
 
 func lit(v types.Value) ast.Expr { return &ast.Literal{Value: v} }
 
-// flatten covers the node kinds the generator emits.
+// flatten replaces every subquery (run in env's scope) and aggregate by
+// its value; ast.Rewrite does not descend into what it replaced, so a
+// nested subquery is only ever run by the select that contains it.
 func (r *reference) flatten(e ast.Expr, env *exec.Env, agg aggFunc) (ast.Expr, error) {
-	sub := func(x ast.Expr) (ast.Expr, error) { return r.flatten(x, env, agg) }
-	column := func(sel *ast.Select) ([]ast.Expr, error) {
+	var failed error
+	column := func(sel *ast.Select) []ast.Expr {
 		got, err := r.selectStmt(sel, env)
-		if err != nil {
-			return nil, err
+		if err == nil && len(got.cols) != 1 {
+			err = fmt.Errorf("reference: subquery returns %d columns", len(got.cols))
 		}
-		if len(got.cols) != 1 {
-			return nil, fmt.Errorf("reference: subquery returns %d columns", len(got.cols))
+		if err != nil {
+			failed = err
+			return nil
 		}
 		items := make([]ast.Expr, len(got.rows))
 		for i, row := range got.rows {
 			items[i] = lit(row[0])
 		}
-		return items, nil
+		return items
 	}
-	switch e := e.(type) {
-	case *ast.Literal, *ast.Param, *ast.ColumnRef:
-		return e, nil
-	case *ast.Aggregate:
-		if agg == nil {
-			return nil, fmt.Errorf("reference: aggregate outside a grouped query")
+	out := ast.Rewrite(e, func(x ast.Expr) ast.Expr {
+		if failed != nil {
+			return x
 		}
-		v, err := agg(e)
-		return lit(v), err
-	case *ast.Exists:
-		got, err := r.selectStmt(e.Select, env)
-		if err != nil {
-			return nil, err
+		switch x := x.(type) {
+		case *ast.Aggregate:
+			if agg == nil {
+				failed = fmt.Errorf("reference: aggregate outside a grouped query")
+				return x
+			}
+			v, err := agg(x)
+			failed = err
+			return lit(v)
+		case *ast.Exists:
+			got, err := r.selectStmt(x.Select, env)
+			if failed = err; err != nil {
+				return x
+			}
+			return lit(types.NewBool((len(got.rows) > 0) != x.Not))
+		case *ast.ScalarSubquery:
+			switch items := column(x.Select); {
+			case len(items) == 1:
+				return items[0]
+			case len(items) > 1:
+				failed = fmt.Errorf("reference: scalar subquery returned %d rows", len(items))
+			}
+			return lit(types.Null)
+		case *ast.InSubquery:
+			lhs, err := r.flatten(x.Expr, env, agg)
+			if err != nil {
+				failed = err
+				return x
+			}
+			return &ast.InList{Expr: lhs, Items: column(x.Select), Not: x.Not}
 		}
-		return lit(types.NewBool((len(got.rows) > 0) != e.Not)), nil
-	case *ast.ScalarSubquery:
-		items, err := column(e.Select)
-		if err != nil {
-			return nil, err
-		}
-		switch len(items) {
-		case 0:
-			return lit(types.Null), nil
-		case 1:
-			return items[0], nil
-		}
-		return nil, fmt.Errorf("reference: scalar subquery returned %d rows", len(items))
-	case *ast.InSubquery:
-		x, err := sub(e.Expr)
-		if err != nil {
-			return nil, err
-		}
-		items, err := column(e.Select)
-		return &ast.InList{Expr: x, Items: items, Not: e.Not}, err
-	case *ast.Binary:
-		l, err := sub(e.Left)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := sub(e.Right)
-		return &ast.Binary{Op: e.Op, Left: l, Right: rr}, err
-	case *ast.Unary:
-		x, err := sub(e.Expr)
-		return &ast.Unary{Op: e.Op, Expr: x}, err
-	case *ast.IsNull:
-		x, err := sub(e.Expr)
-		return &ast.IsNull{Expr: x, Not: e.Not}, err
-	case *ast.Cast:
-		x, err := sub(e.Expr)
-		return &ast.Cast{Expr: x, Type: e.Type}, err
-	case *ast.Like:
-		x, err := sub(e.Expr)
-		return &ast.Like{Expr: x, Pattern: e.Pattern, Not: e.Not}, err
-	case *ast.Between:
-		x, err := sub(e.Expr)
-		return &ast.Between{Expr: x, Lo: e.Lo, Hi: e.Hi, Not: e.Not}, err
-	case *ast.InList:
-		x, err := sub(e.Expr)
-		return &ast.InList{Expr: x, Items: e.Items, Not: e.Not}, err
-	}
-	return nil, fmt.Errorf("reference: expression %T is outside the generated grammar", e)
+		return x
+	})
+	return out, failed
 }
 
 func hasAggregate(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Aggregate:
-		return true
-	case *ast.Binary:
-		return hasAggregate(e.Left) || hasAggregate(e.Right)
-	case *ast.Unary:
-		return hasAggregate(e.Expr)
-	}
-	return false
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		_, isAgg := n.(*ast.Aggregate)
+		_, isSub := n.(*ast.Select)
+		found = found || isAgg
+		return !found && !isSub
+	})
+	return found
 }
 
 // write applies an UPDATE or DELETE to the reference's copy of the table
@@ -1021,8 +1000,11 @@ func (g *gen) statement() (sql string, ordered bool) {
 		table := g.oneOf("t", "u", "e")
 		cols := colsOf(table, "")
 		body, arity = "SELECT * FROM "+table+g.where(cols), len(cols)
-	case 2: // projection and DISTINCT over an aliased table
-		body, arity = "SELECT "+g.oneOf("", "DISTINCT ")+"x.grp, x.name FROM t AS x"+g.where(colsOf("t", "x")), 2
+	case 2: // projection, scalar expressions and DISTINCT over an aliased table
+		x := colsOf("t", "x")
+		expr := g.oneOf("x.name", "COALESCE(x.name, 'none')", "UPPER(x.name)", "x.id * 2 - x.grp",
+			"CASE WHEN "+g.pred(x, 0)+" THEN x.val ELSE 0.0 END", "CASE x.grp WHEN 1 THEN 'one' WHEN 2 THEN 'two' END")
+		body, arity = "SELECT "+g.oneOf("", "DISTINCT ")+"x.grp, "+expr+" FROM t AS x"+g.where(x), 2
 	case 3: // inner and left joins with residual ON terms
 		on := "t.id = u.tid"
 		if g.pick(2) == 0 {

@@ -1,9 +1,16 @@
-// Package exec evaluates parsed SQL statements against storage. It
-// implements scans with index-backed predicate pushdown, hash and
-// nested-loop joins, set operations, grouping and aggregation, ordering,
-// correlated subqueries with automatic caching of uncorrelated ones, and
-// SQL:1999 recursive common table expressions (semi-naive evaluation) —
-// everything the paper's PDM queries require.
+// Package exec evaluates parsed SQL statements against storage. One
+// function decides how a stored table is read for a set of conjuncts —
+// a key set looked up in a hash index, or a snapshot scan — and one
+// iterator runs the decision for SELECT, for the indexed side of a join,
+// for the row gathering of UPDATE and DELETE, and (deciding without
+// reading) for EXPLAIN. One probe loop joins, drawing the right-hand
+// candidates for a key from an index, from a hash of a materialized
+// relation, or from all its rows. Around them: set operations, grouping
+// and aggregation, ordering, correlated subqueries with automatic caching
+// of uncorrelated ones, and SQL:1999 recursive common table expressions
+// (semi-naive evaluation) — everything the paper's PDM queries require.
+// Searches over the syntax tree are visitors over ast.Inspect; EvalExpr
+// is the package's only switch over the expression node kinds.
 package exec
 
 import (
@@ -22,6 +29,47 @@ type ColMeta struct {
 	Name  string
 }
 
+// TableCols names a stored table's columns under a binding alias.
+func TableCols(t *storage.Table, alias string) []ColMeta {
+	alias = strings.ToLower(alias)
+	cols := make([]ColMeta, len(t.Schema.Cols))
+	for i := range cols {
+		cols[i] = ColMeta{Table: alias, Name: t.Schema.Cols[i].Name}
+	}
+	return cols
+}
+
+// rebind returns the columns under another binding alias (a CTE or a
+// derived table referenced in a FROM clause).
+func rebind(cols []ColMeta, alias string) []ColMeta {
+	alias = strings.ToLower(alias)
+	out := make([]ColMeta, len(cols))
+	for i, c := range cols {
+		out[i] = ColMeta{Table: alias, Name: c.Name}
+	}
+	return out
+}
+
+// findCol resolves a possibly table-qualified column among cols: its
+// position, -1 when absent, an error when ambiguous. Every name
+// resolution in the executor goes through it.
+func findCol(cols []ColMeta, table, name string) (int, error) {
+	found := -1
+	for i, c := range cols {
+		if !strings.EqualFold(c.Name, name) {
+			continue
+		}
+		if table != "" && !strings.EqualFold(c.Table, table) {
+			continue
+		}
+		if found >= 0 {
+			return -1, fmt.Errorf("sql: ambiguous column reference %s", refString(table, name))
+		}
+		found = i
+	}
+	return found, nil
+}
+
 // Relation is a materialized intermediate result.
 type Relation struct {
 	Cols []ColMeta
@@ -35,28 +83,6 @@ func (r *Relation) ColNames() []string {
 		out[i] = c.Name
 	}
 	return out
-}
-
-// colIndex resolves a possibly table-qualified column within the relation.
-// It returns the position, or an error when absent or ambiguous.
-func (r *Relation) colIndex(table, name string) (int, error) {
-	found := -1
-	for i, c := range r.Cols {
-		if !strings.EqualFold(c.Name, name) {
-			continue
-		}
-		if table != "" && !strings.EqualFold(c.Table, table) {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("sql: ambiguous column reference %s", refString(table, name))
-		}
-		found = i
-	}
-	if found < 0 {
-		return 0, errNoColumn{table: table, name: name}
-	}
-	return found, nil
 }
 
 type errNoColumn struct{ table, name string }
@@ -96,21 +122,12 @@ func (e *Env) lookup(table, name string) (types.Value, error) {
 			*env.touched = true
 			continue
 		}
-		found := -1
-		for i, c := range env.cols {
-			if !strings.EqualFold(c.Name, name) {
-				continue
-			}
-			if table != "" && !strings.EqualFold(c.Table, table) {
-				continue
-			}
-			if found >= 0 {
-				return types.Null, fmt.Errorf("sql: ambiguous column reference %s", refString(table, name))
-			}
-			found = i
+		pos, err := findCol(env.cols, table, name)
+		if err != nil {
+			return types.Null, err
 		}
-		if found >= 0 {
-			return env.row[found], nil
+		if pos >= 0 {
+			return env.row[pos], nil
 		}
 	}
 	return types.Null, errNoColumn{table: table, name: name}
@@ -136,8 +153,8 @@ type Context struct {
 	CTEs map[string]*Relation
 
 	// SubqueryCache memoizes results of subqueries that did not read any
-	// outer column. DisableSubqueryCache turns the optimization off (an
-	// ablation knob; see DESIGN.md).
+	// outer column. DisableSubqueryCache turns the optimization off — the
+	// reference path its transparency tests compare against.
 	SubqueryCache        map[*ast.Select]*Relation
 	DisableSubqueryCache bool
 
@@ -149,23 +166,38 @@ type Context struct {
 	// recursive CTE; 0 means the default (100000).
 	MaxRecursion int
 
-	// Stats accumulates counters for EXPLAIN/diagnostics.
-	Stats ExecStats
+	// Plan, when non-nil, makes the evaluation an EXPLAIN: every operator
+	// takes its decisions exactly as it would and records them under this
+	// node, and stored tables yield no rows — so the plan printed is the
+	// plan that runs, by construction. A recursive CTE's recursive
+	// branches are planned once; subqueries that only a row would reach
+	// appear in their FILTER line, unplanned.
+	Plan *PlanNode
 
 	// aggValues holds precomputed aggregate results for the group whose
 	// projection/HAVING is currently being evaluated; keyed by AST node.
 	aggValues map[*ast.Aggregate]types.Value
 }
 
-// ExecStats counts physical operations during a statement.
-type ExecStats struct {
-	RowsScanned    int
-	IndexLookups   int
-	HashJoins      int
-	NestedLoops    int
-	SubqueryEvals  int
-	SubqueryCached int
-	RecursionSteps int
+// PlanNode is one line of an EXPLAIN plan and the lines nested under it.
+type PlanNode struct {
+	Text string
+	Kids []*PlanNode
+}
+
+// note adds a line under the current plan node. Call sites guard with
+// ctx.Plan != nil, which keeps the formatting off the execution path.
+func (ctx *Context) note(format string, args ...any) *PlanNode {
+	n := &PlanNode{Text: fmt.Sprintf(format, args...)}
+	ctx.Plan.Kids = append(ctx.Plan.Kids, n)
+	return n
+}
+
+// under makes n the current plan node until the returned func runs.
+func (ctx *Context) under(n *PlanNode) func() {
+	saved := ctx.Plan
+	ctx.Plan = n
+	return func() { ctx.Plan = saved }
 }
 
 // ScalarFunc is a registered scalar function (a "stored function" in the
@@ -179,14 +211,4 @@ func (ctx *Context) snap() uint64 {
 		return storage.Latest
 	}
 	return ctx.Epoch
-}
-
-// clone returns a context sharing DB/Funcs/Params but with an isolated
-// CTE binding map (used when a CTE must be rebound during recursion).
-func (ctx *Context) cloneCTEs() map[string]*Relation {
-	m := make(map[string]*Relation, len(ctx.CTEs)+1)
-	for k, v := range ctx.CTEs {
-		m[k] = v
-	}
-	return m
 }

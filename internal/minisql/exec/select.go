@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,6 +28,9 @@ func (ctx *Context) EvalSelect(sel *ast.Select, outer *Env) (*Relation, error) {
 		return nil, err
 	}
 	if len(sel.OrderBy) > 0 {
+		if ctx.Plan != nil {
+			ctx.note("SORT (%d key(s))", len(sel.OrderBy))
+		}
 		if err := ctx.orderRelation(rel, sel.OrderBy, outer); err != nil {
 			return nil, err
 		}
@@ -38,54 +43,49 @@ func (ctx *Context) EvalSelect(sel *ast.Select, outer *Env) (*Relation, error) {
 	return rel, nil
 }
 
-// bindCTEs evaluates WITH clauses and binds them in the context. The
-// returned function restores the previous bindings.
+// bindCTEs evaluates WITH clauses and binds them in the context, in a
+// copy of the binding map: the returned function drops the copy, and
+// with it every binding this clause made or shadowed.
 func (ctx *Context) bindCTEs(w *ast.With, outer *Env) (func(), error) {
 	if w == nil {
 		return func() {}, nil
 	}
-	if ctx.CTEs == nil {
-		ctx.CTEs = map[string]*Relation{}
-	}
-	saved := map[string]*Relation{}
-	savedExists := map[string]bool{}
-	var bound []string
+	enclosing := ctx.CTEs
 	restore := func() {
-		for _, name := range bound {
-			if savedExists[name] {
-				ctx.CTEs[name] = saved[name]
-			} else {
-				delete(ctx.CTEs, name)
-			}
-		}
+		ctx.CTEs = enclosing
 		ctx.SubqueryCache = nil
 		ctx.inSetCache = nil
 	}
+	ctx.CTEs = make(map[string]*Relation, len(enclosing)+len(w.CTEs))
+	maps.Copy(ctx.CTEs, enclosing)
 	for i := range w.CTEs {
 		cte := &w.CTEs[i]
-		key := strings.ToLower(cte.Name)
-		prev, existed := ctx.CTEs[key]
-		saved[key] = prev
-		savedExists[key] = existed
-		bound = append(bound, key)
-
-		var rel *Relation
-		var err error
-		if w.Recursive && selectReferencesTable(cte.Select, cte.Name) {
-			rel, err = ctx.evalRecursiveCTE(cte, outer)
-		} else {
-			rel, err = ctx.EvalSelect(cte.Select, outer)
-			if err == nil {
-				rel, err = renameCTE(rel, cte)
-			}
-		}
+		rel, err := ctx.evalCTE(cte, w.Recursive && references(cte.Select, cte.Name), outer)
 		if err != nil {
 			restore()
 			return nil, err
 		}
-		ctx.setCTE(key, rel)
+		ctx.setCTE(strings.ToLower(cte.Name), rel)
 	}
 	return restore, nil
+}
+
+func (ctx *Context) evalCTE(cte *ast.CTE, recursive bool, outer *Env) (*Relation, error) {
+	if ctx.Plan != nil {
+		kind := "CTE"
+		if recursive {
+			kind = "RECURSIVE CTE (semi-naive fixpoint)"
+		}
+		defer ctx.under(ctx.note("%s %s:", kind, cte.Name))()
+	}
+	if recursive {
+		return ctx.evalRecursiveCTE(cte, outer)
+	}
+	rel, err := ctx.EvalSelect(cte.Select, outer)
+	if err != nil {
+		return nil, err
+	}
+	return renameCTE(rel, cte)
 }
 
 // setCTE binds (or rebinds) a CTE materialization. Rebinding invalidates
@@ -98,18 +98,14 @@ func (ctx *Context) setCTE(key string, rel *Relation) {
 }
 
 func renameCTE(rel *Relation, cte *ast.CTE) (*Relation, error) {
-	cols := make([]ColMeta, len(rel.Cols))
+	cols := rebind(rel.Cols, cte.Name)
 	if len(cte.Cols) > 0 {
 		if len(cte.Cols) != len(rel.Cols) {
 			return nil, fmt.Errorf("sql: CTE %s declares %d columns but its query returns %d",
 				cte.Name, len(cte.Cols), len(rel.Cols))
 		}
 		for i, c := range cte.Cols {
-			cols[i] = ColMeta{Table: strings.ToLower(cte.Name), Name: c}
-		}
-	} else {
-		for i, c := range rel.Cols {
-			cols[i] = ColMeta{Table: strings.ToLower(cte.Name), Name: c.Name}
+			cols[i].Name = c
 		}
 	}
 	return &Relation{Cols: cols, Rows: rel.Rows}, nil
@@ -126,20 +122,20 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	if len(inner.OrderBy) > 0 || inner.Limit != nil {
 		return nil, fmt.Errorf("sql: ORDER BY/LIMIT inside recursive CTE %s is not supported", cte.Name)
 	}
-	branches, ops := flattenSetOps(inner.Body)
-	dedup := false
-	for _, op := range ops {
-		if op == "UNION" {
-			dedup = true
-		}
-	}
-	if len(ops) == 0 {
-		dedup = true // single branch that references itself: treat as UNION
-	}
+	// UNION anywhere in the definition (or a single self-referencing
+	// branch) makes the fixpoint a set; only UNION ALL throughout keeps
+	// duplicates.
+	branches := ast.Cores(inner.Body)
+	dedup := len(branches) == 1
+	ast.Inspect(inner.Body, func(n ast.Node) bool {
+		op, ok := n.(*ast.SetOp)
+		dedup = dedup || (ok && op.Op == "UNION")
+		return ok
+	})
 
 	var seeds, recs []*ast.SelectCore
 	for _, b := range branches {
-		if coreReferencesTable(b, cte.Name) {
+		if references(b, cte.Name) {
 			recs = append(recs, b)
 		} else {
 			seeds = append(seeds, b)
@@ -152,77 +148,66 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 		return nil, fmt.Errorf("sql: recursive CTE %s has no seed branch", cte.Name)
 	}
 
-	key := strings.ToLower(cte.Name)
-	makeRel := func(rows []storage.Row, template *Relation) (*Relation, error) {
-		return renameCTE(&Relation{Cols: template.Cols, Rows: rows}, cte)
-	}
-
+	// round evaluates a set of branches against the current binding and
+	// returns the rows they add to the fixpoint.
+	var cols []ColMeta // of the first branch, which every other must match in number
 	seen := map[string]bool{}
-	var all []storage.Row
-	var template *Relation
-	addRows := func(rel *Relation, into *[]storage.Row) error {
-		if template == nil {
-			template = rel
-		} else if len(rel.Cols) != len(template.Cols) {
-			return fmt.Errorf("sql: recursive CTE %s branches disagree on column count (%d vs %d)",
-				cte.Name, len(rel.Cols), len(template.Cols))
-		}
-		for _, row := range rel.Rows {
-			if dedup {
-				k := rowKey(row)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
+	round := func(branches []*ast.SelectCore) ([]storage.Row, error) {
+		var added []storage.Row
+		for _, b := range branches {
+			rel, err := ctx.evalCore(b, outer)
+			if err != nil {
+				return nil, err
 			}
-			*into = append(*into, row)
+			if cols == nil {
+				cols = rel.Cols
+			} else if len(rel.Cols) != len(cols) {
+				return nil, fmt.Errorf("sql: recursive CTE %s branches disagree on column count (%d vs %d)",
+					cte.Name, len(rel.Cols), len(cols))
+			}
+			for _, row := range rel.Rows {
+				if dedup {
+					k := rowKey(row)
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+				}
+				added = append(added, row)
+			}
 		}
-		return nil
+		return added, nil
+	}
+	bound := func(rows []storage.Row) (*Relation, error) {
+		return renameCTE(&Relation{Cols: cols, Rows: rows}, cte)
 	}
 
-	var delta []storage.Row
-	for _, s := range seeds {
-		rel, err := ctx.evalCore(s, outer)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRows(rel, &delta); err != nil {
-			return nil, err
-		}
+	delta, err := round(seeds)
+	if err != nil {
+		return nil, err
 	}
-	all = append(all, delta...)
-
+	all := append([]storage.Row(nil), delta...)
 	maxIter := ctx.MaxRecursion
 	if maxIter <= 0 {
 		maxIter = defaultMaxRecursion
 	}
-	for iter := 0; len(delta) > 0; iter++ {
+	// Under EXPLAIN no table yields a row, so the seed is empty; the
+	// recursive branches are still planned, once.
+	for iter := 0; len(delta) > 0 || (ctx.Plan != nil && iter == 0); iter++ {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("sql: recursive CTE %s exceeded %d iterations", cte.Name, maxIter)
 		}
-		ctx.Stats.RecursionSteps++
-		deltaRel, err := makeRel(delta, template)
+		deltaRel, err := bound(delta)
 		if err != nil {
 			return nil, err
 		}
-		ctx.setCTE(key, deltaRel)
-		var next []storage.Row
-		for _, r := range recs {
-			rel, err := ctx.evalCore(r, outer)
-			if err != nil {
-				return nil, err
-			}
-			if err := addRows(rel, &next); err != nil {
-				return nil, err
-			}
+		ctx.setCTE(strings.ToLower(cte.Name), deltaRel)
+		if delta, err = round(recs); err != nil {
+			return nil, err
 		}
-		all = append(all, next...)
-		delta = next
+		all = append(all, delta...)
 	}
-	if template == nil {
-		return nil, fmt.Errorf("sql: recursive CTE %s produced no template relation", cte.Name)
-	}
-	return makeRel(all, template)
+	return bound(all)
 }
 
 // evalBody evaluates a set-operation tree.
@@ -235,6 +220,9 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 		if err != nil {
 			return nil, err
 		}
+		if ctx.Plan != nil {
+			ctx.note("%s", b.Op)
+		}
 		right, err := ctx.evalBody(b.Right, outer)
 		if err != nil {
 			return nil, err
@@ -242,65 +230,34 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 		if len(left.Cols) != len(right.Cols) {
 			return nil, fmt.Errorf("sql: UNION operands have %d and %d columns", len(left.Cols), len(right.Cols))
 		}
-		out := &Relation{Cols: left.Cols}
 		if b.Op == "UNION ALL" {
-			out.Rows = append(append([]storage.Row{}, left.Rows...), right.Rows...)
-			return out, nil
+			return &Relation{Cols: left.Cols, Rows: append(append([]storage.Row{}, left.Rows...), right.Rows...)}, nil
 		}
-		seen := map[string]bool{}
-		for _, rows := range [][]storage.Row{left.Rows, right.Rows} {
-			for _, row := range rows {
-				k := rowKey(row)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		return out, nil
+		return &Relation{Cols: left.Cols, Rows: distinctRows(left.Rows, right.Rows)}, nil
 	}
 	return nil, fmt.Errorf("sql: unknown select body %T", body)
 }
 
-// conjunct is one ANDed WHERE term; base-table scans may consume it
-// during predicate pushdown.
-type conjunct struct {
-	expr ast.Expr
-	used bool
-}
-
-func splitAnd(e ast.Expr, into []*conjunct) []*conjunct {
-	if e == nil {
-		return into
-	}
-	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
-		into = splitAnd(b.Left, into)
-		return splitAnd(b.Right, into)
-	}
-	return append(into, &conjunct{expr: e})
-}
-
 // evalCore evaluates one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING.
 func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error) {
-	var src *Relation
+	if ctx.Plan != nil {
+		line := "SELECT"
+		if len(core.GroupBy) > 0 {
+			line += fmt.Sprintf(" GROUP BY %d expr(s)", len(core.GroupBy))
+		}
+		defer ctx.under(ctx.note(line))()
+	}
+	src := &Relation{Rows: []storage.Row{{}}} // constant SELECT: one empty row
 	conjs := splitAnd(core.Where, nil)
 	if core.From != nil {
-		single := ""
-		if bt, ok := core.From.(*ast.BaseTable); ok {
-			single = bt.Name
-			if bt.Alias != "" {
-				single = bt.Alias
-			}
-		}
+		_, single := core.From.(*ast.BaseTable)
 		rel, err := ctx.evalFrom(core.From, outer, conjs, single, true)
 		if err != nil {
 			return nil, err
 		}
 		src = rel
-	} else {
-		src = &Relation{Rows: []storage.Row{{}}} // constant SELECT: one empty row
 	}
+	ctx.noteFilter(conjs)
 
 	// Static reference check: even when the relation is empty, direct
 	// column references must resolve (row-driven evaluation alone would
@@ -309,25 +266,16 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		return nil, err
 	}
 
-	// Apply remaining WHERE conjuncts.
-	var filtered []storage.Row
-	remaining := unusedConjuncts(conjs)
-	if len(remaining) == 0 {
-		filtered = src.Rows
-	} else {
+	// Apply the WHERE conjuncts the FROM clause has not taken over.
+	filtered := src.Rows
+	if slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used }) {
+		filtered = nil
 		env := &Env{cols: src.Cols, parent: outer}
 		for _, row := range src.Rows {
 			env.row = row
-			ok := true
-			for _, c := range remaining {
-				t, err := ctx.EvalPredicate(c.expr, env)
-				if err != nil {
-					return nil, err
-				}
-				if t != types.True {
-					ok = false
-					break
-				}
+			ok, err := ctx.allTrue(conjs, -1, env)
+			if err != nil {
+				return nil, err
 			}
 			if ok {
 				filtered = append(filtered, row)
@@ -336,534 +284,93 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	}
 	work := &Relation{Cols: src.Cols, Rows: filtered}
 
-	// Aggregation?
-	aggs := collectAggregates(core)
-	if len(aggs) > 0 || len(core.GroupBy) > 0 {
-		rel, err := ctx.evalGrouped(core, work, aggs, outer)
-		if err != nil {
-			return nil, err
-		}
-		work = rel
+	var err error
+	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
+		work, err = ctx.evalGrouped(core, work, aggs, outer)
 	} else {
-		rel, err := ctx.project(core.Items, work, outer)
-		if err != nil {
-			return nil, err
-		}
-		work = rel
+		work, err = ctx.project(core.Items, work, outer)
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	if core.Distinct {
-		seen := map[string]bool{}
-		var rows []storage.Row
-		for _, row := range work.Rows {
-			k := rowKey(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			rows = append(rows, row)
-		}
-		work.Rows = rows
+		work.Rows = distinctRows(work.Rows)
 	}
 	return work, nil
-}
-
-func unusedConjuncts(conjs []*conjunct) []*conjunct {
-	var out []*conjunct
-	for _, c := range conjs {
-		if !c.used {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // FROM evaluation
 
 // evalFrom materializes a table reference. conjs are WHERE conjuncts
-// available for pushdown; singleTable names the only FROM table (for
-// unqualified pushdown) or is empty; pushable disables pushdown under the
-// right side of LEFT JOINs where it would change semantics.
-func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []*conjunct, singleTable string, pushable bool) (*Relation, error) {
+// available for pushdown; unqualified says ref is the only FROM table, so
+// unqualified column names are its own; pushable disables pushdown under
+// the right side of LEFT JOINs where it would change semantics.
+func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable bool) (*Relation, error) {
 	switch r := ref.(type) {
 	case *ast.BaseTable:
-		return ctx.evalBaseTable(r, outer, conjs, singleTable, pushable)
+		// CTE binding takes precedence over stored tables.
+		if rel, ok := ctx.CTEs[strings.ToLower(r.Name)]; ok {
+			if ctx.Plan != nil {
+				ctx.note("CTE SCAN %s", r)
+			}
+			return &Relation{Cols: rebind(rel.Cols, aliasOf(r)), Rows: rel.Rows}, nil
+		}
+		table, ok := ctx.DB.Table(r.Name)
+		if !ok {
+			return nil, fmt.Errorf("sql: no such table %s", r.Name)
+		}
+		if !pushable {
+			conjs = nil
+		}
+		acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
+		if err != nil {
+			return nil, err
+		}
+		if ctx.Plan != nil {
+			ctx.note("%s", acc)
+		}
+		rel := &Relation{Cols: TableCols(table, aliasOf(r))}
+		err = ctx.read(acc, func(_ int, row storage.Row) error {
+			rel.Rows = append(rel.Rows, row)
+			return nil
+		})
+		return rel, err
 	case *ast.SubqueryTable:
+		if ctx.Plan != nil {
+			defer ctx.under(ctx.note("DERIVED TABLE %s:", r.Alias))()
+		}
 		rel, err := ctx.evalSubquery(r.Select, outer)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]ColMeta, len(rel.Cols))
-		for i, c := range rel.Cols {
-			cols[i] = ColMeta{Table: strings.ToLower(r.Alias), Name: c.Name}
-		}
-		return &Relation{Cols: cols, Rows: rel.Rows}, nil
+		return &Relation{Cols: rebind(rel.Cols, r.Alias), Rows: rel.Rows}, nil
 	case *ast.Join:
-		return ctx.evalJoin(r, outer, conjs, pushable)
-	case *ast.CrossList:
-		return ctx.evalCrossList(r, outer, conjs, pushable)
-	}
-	return nil, fmt.Errorf("sql: unknown table reference %T", ref)
-}
-
-func (ctx *Context) evalBaseTable(bt *ast.BaseTable, outer *Env, conjs []*conjunct, singleTable string, pushable bool) (*Relation, error) {
-	alias := bt.Name
-	if bt.Alias != "" {
-		alias = bt.Alias
-	}
-	lower := strings.ToLower(alias)
-
-	// CTE binding takes precedence over stored tables.
-	if rel, ok := ctx.CTEs[strings.ToLower(bt.Name)]; ok {
-		cols := make([]ColMeta, len(rel.Cols))
-		for i, c := range rel.Cols {
-			cols[i] = ColMeta{Table: lower, Name: c.Name}
+		left, err := ctx.evalFrom(r.Left, outer, conjs, false, pushable)
+		if err != nil {
+			return nil, err
 		}
-		return &Relation{Cols: cols, Rows: rel.Rows}, nil
-	}
-
-	table, ok := ctx.DB.Table(bt.Name)
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", bt.Name)
-	}
-	schema := table.Schema
-	cols := make([]ColMeta, len(schema.Cols))
-	for i := range schema.Cols {
-		cols[i] = ColMeta{Table: lower, Name: schema.Cols[i].Name}
-	}
-	rel := &Relation{Cols: cols}
-
-	// Predicate pushdown: collect `col = const` conjuncts for this table.
-	type pushed struct {
-		colPos int
-		val    types.Value
-	}
-	var eqs []pushed
-	if pushable {
-		for _, c := range conjs {
-			if c.used {
-				continue
-			}
-			col, valExpr, ok := eqColConst(c.expr)
-			if !ok {
-				continue
-			}
-			if col.Table != "" {
-				if !strings.EqualFold(col.Table, alias) {
-					continue
-				}
-			} else if !strings.EqualFold(singleTable, alias) {
-				continue // unqualified column in a multi-table FROM: not safe here
-			}
-			pos := schema.ColIndex(col.Column)
-			if pos < 0 {
-				continue
-			}
-			v, err := ctx.EvalExpr(valExpr, outer)
+		return ctx.join(left, r.Right, r.Type, splitAnd(r.On, nil), true, outer, conjs, pushable && r.Type != "LEFT")
+	case *ast.CrossList:
+		// FROM a, b WHERE a.x = b.y: each further item joins on a WHERE
+		// equi-conjunct when there is one, and is a cross product otherwise.
+		acc, err := ctx.evalFrom(r.Items[0], outer, conjs, false, pushable)
+		for _, item := range r.Items[1:] {
 			if err != nil {
 				return nil, err
 			}
-			eqs = append(eqs, pushed{colPos: pos, val: v})
-			c.used = true
+			acc, err = ctx.join(acc, item, "INNER", conjs, false, outer, conjs, pushable)
 		}
+		return acc, err
 	}
-
-	match := func(row storage.Row) bool {
-		for _, p := range eqs {
-			t, err := types.CompareOp("=", row[p.colPos], p.val)
-			if err != nil || t != types.True {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Prefer an index lookup for the first indexed equality. All reads
-	// resolve at the statement's snapshot epoch.
-	snap := ctx.snap()
-	for _, p := range eqs {
-		idx := table.IndexOn(schema.Cols[p.colPos].Name)
-		if idx == nil {
-			continue
-		}
-		ctx.Stats.IndexLookups++
-		for _, id := range idx.LookupAt(snap, p.val) {
-			row, ok := table.GetAt(snap, id)
-			if !ok {
-				continue
-			}
-			if match(row) {
-				rel.Rows = append(rel.Rows, row)
-			}
-		}
-		return rel, nil
-	}
-
-	table.ScanAt(snap, func(_ int, row storage.Row) bool {
-		ctx.Stats.RowsScanned++
-		if match(row) {
-			rel.Rows = append(rel.Rows, row)
-		}
-		return true
-	})
-	return rel, nil
-}
-
-// eqColConst matches `col = constexpr` or `constexpr = col`.
-func eqColConst(e ast.Expr) (*ast.ColumnRef, ast.Expr, bool) {
-	b, ok := e.(*ast.Binary)
-	if !ok || b.Op != "=" {
-		return nil, nil, false
-	}
-	if col, ok := b.Left.(*ast.ColumnRef); ok && isConstExpr(b.Right) {
-		return col, b.Right, true
-	}
-	if col, ok := b.Right.(*ast.ColumnRef); ok && isConstExpr(b.Left) {
-		return col, b.Left, true
-	}
-	return nil, nil, false
-}
-
-// isConstExpr reports whether an expression references no columns or
-// subqueries and can thus be evaluated once before a scan.
-func isConstExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Literal, *ast.Param:
-		return true
-	case *ast.Unary:
-		return isConstExpr(e.Expr)
-	case *ast.Binary:
-		return isConstExpr(e.Left) && isConstExpr(e.Right)
-	case *ast.Cast:
-		return isConstExpr(e.Expr)
-	case *ast.FuncCall:
-		for _, a := range e.Args {
-			if !isConstExpr(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func (ctx *Context) evalJoin(j *ast.Join, outer *Env, conjs []*conjunct, pushable bool) (*Relation, error) {
-	left, err := ctx.evalFrom(j.Left, outer, conjs, "", pushable)
-	if err != nil {
-		return nil, err
-	}
-	if rel, ok, err := ctx.tryIndexJoin(left, j, outer); err != nil {
-		return nil, err
-	} else if ok {
-		return rel, nil
-	}
-	rightPushable := pushable && j.Type != "LEFT"
-	right, err := ctx.evalFrom(j.Right, outer, conjs, "", rightPushable)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.joinRelations(left, right, j.On, j.Type, outer)
-}
-
-// tryIndexJoin runs an indexed nested-loop join when the right side is a
-// stored base table with a hash index on its equi-join column — the plan
-// that makes navigational expands (WHERE link.left = ? JOIN assy ON
-// link.right = assy.obid) and the recursive join (rtbl JOIN link ON
-// rtbl.obid = link.left) cheap instead of hashing the whole table.
-func (ctx *Context) tryIndexJoin(left *Relation, j *ast.Join, outer *Env) (*Relation, bool, error) {
-	bt, ok := j.Right.(*ast.BaseTable)
-	if !ok {
-		return nil, false, nil
-	}
-	if _, isCTE := ctx.CTEs[strings.ToLower(bt.Name)]; isCTE {
-		return nil, false, nil
-	}
-	table, ok := ctx.DB.Table(bt.Name)
-	if !ok {
-		return nil, false, nil
-	}
-	alias := bt.Name
-	if bt.Alias != "" {
-		alias = bt.Alias
-	}
-	schema := table.Schema
-
-	onConjs := splitAnd(j.On, nil)
-	var hashConj *conjunct
-	leftPos := -1
-	var idx *storage.Index
-	for _, c := range onConjs {
-		b, ok := c.expr.(*ast.Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		lc, lok := b.Left.(*ast.ColumnRef)
-		rc, rok := b.Right.(*ast.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		try := func(lref, rref *ast.ColumnRef) bool {
-			lp, err := left.colIndex(lref.Table, lref.Column)
-			if err != nil {
-				return false
-			}
-			if rref.Table != "" && !strings.EqualFold(rref.Table, alias) {
-				return false
-			}
-			if schema.ColIndex(rref.Column) < 0 {
-				return false
-			}
-			ix := table.IndexOn(rref.Column)
-			if ix == nil {
-				return false
-			}
-			leftPos, idx = lp, ix
-			return true
-		}
-		if try(lc, rc) || try(rc, lc) {
-			hashConj = c
-			break
-		}
-	}
-	if hashConj == nil {
-		return nil, false, nil
-	}
-
-	lowerAlias := strings.ToLower(alias)
-	rightCols := make([]ColMeta, len(schema.Cols))
-	for i := range schema.Cols {
-		rightCols[i] = ColMeta{Table: lowerAlias, Name: schema.Cols[i].Name}
-	}
-	out := &Relation{Cols: append(append([]ColMeta{}, left.Cols...), rightCols...)}
-	env := &Env{cols: out.Cols, parent: outer}
-	nullRight := make(storage.Row, len(rightCols))
-	for i := range nullRight {
-		nullRight[i] = types.Null
-	}
-
-	snap := ctx.snap()
-	for _, lrow := range left.Rows {
-		v := lrow[leftPos]
-		matched := false
-		if !v.IsNull() {
-			ctx.Stats.IndexLookups++
-			for _, id := range idx.LookupAt(snap, v) {
-				rrow, ok := table.GetAt(snap, id)
-				if !ok {
-					continue
-				}
-				combined := append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
-				env.row = combined
-				pass := true
-				for _, c := range onConjs {
-					if c == hashConj {
-						continue
-					}
-					t, err := ctx.EvalPredicate(c.expr, env)
-					if err != nil {
-						return nil, false, err
-					}
-					if t != types.True {
-						pass = false
-						break
-					}
-				}
-				if pass {
-					out.Rows = append(out.Rows, combined)
-					matched = true
-				}
-			}
-		}
-		if !matched && j.Type == "LEFT" {
-			combined := append(append(make(storage.Row, 0, len(lrow)+len(nullRight)), lrow...), nullRight...)
-			out.Rows = append(out.Rows, combined)
-		}
-	}
-	return out, true, nil
-}
-
-// joinRelations joins two materialized relations with the given ON
-// condition, using a hash join when an equi-pair is found.
-func (ctx *Context) joinRelations(left, right *Relation, on ast.Expr, joinType string, outer *Env) (*Relation, error) {
-	out := &Relation{Cols: append(append([]ColMeta{}, left.Cols...), right.Cols...)}
-	onConjs := splitAnd(on, nil)
-
-	// Look for left.col = right.col among the ON conjuncts.
-	var leftPos, rightPos = -1, -1
-	var hashConj *conjunct
-	for _, c := range onConjs {
-		b, ok := c.expr.(*ast.Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		lc, lok := b.Left.(*ast.ColumnRef)
-		rc, rok := b.Right.(*ast.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		if lp, err := left.colIndex(lc.Table, lc.Column); err == nil {
-			if rp, err2 := right.colIndex(rc.Table, rc.Column); err2 == nil {
-				leftPos, rightPos, hashConj = lp, rp, c
-				break
-			}
-		}
-		if lp, err := left.colIndex(rc.Table, rc.Column); err == nil {
-			if rp, err2 := right.colIndex(lc.Table, lc.Column); err2 == nil {
-				leftPos, rightPos, hashConj = lp, rp, c
-				break
-			}
-		}
-	}
-
-	env := &Env{cols: out.Cols, parent: outer}
-	residual := func(lrow, rrow storage.Row) (bool, error) {
-		combined := append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
-		env.row = combined
-		for _, c := range onConjs {
-			if c == hashConj {
-				continue
-			}
-			t, err := ctx.EvalPredicate(c.expr, env)
-			if err != nil {
-				return false, err
-			}
-			if t != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	emit := func(lrow, rrow storage.Row) {
-		combined := append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
-		out.Rows = append(out.Rows, combined)
-	}
-	nullRight := make(storage.Row, len(right.Cols))
-	for i := range nullRight {
-		nullRight[i] = types.Null
-	}
-
-	if hashConj != nil {
-		ctx.Stats.HashJoins++
-		buckets := make(map[string][]storage.Row, len(right.Rows))
-		for _, rrow := range right.Rows {
-			v := rrow[rightPos]
-			if v.IsNull() {
-				continue
-			}
-			k := v.Key()
-			buckets[k] = append(buckets[k], rrow)
-		}
-		for _, lrow := range left.Rows {
-			v := lrow[leftPos]
-			matched := false
-			if !v.IsNull() {
-				for _, rrow := range buckets[v.Key()] {
-					ok, err := residual(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						emit(lrow, rrow)
-						matched = true
-					}
-				}
-			}
-			if !matched && joinType == "LEFT" {
-				emit(lrow, nullRight)
-			}
-		}
-		return out, nil
-	}
-
-	ctx.Stats.NestedLoops++
-	for _, lrow := range left.Rows {
-		matched := false
-		for _, rrow := range right.Rows {
-			combined := append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
-			env.row = combined
-			ok := true
-			for _, c := range onConjs {
-				t, err := ctx.EvalPredicate(c.expr, env)
-				if err != nil {
-					return nil, err
-				}
-				if t != types.True {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out.Rows = append(out.Rows, combined)
-				matched = true
-			}
-		}
-		if !matched && joinType == "LEFT" {
-			emit(lrow, nullRight)
-		}
-	}
-	return out, nil
-}
-
-func (ctx *Context) evalCrossList(cl *ast.CrossList, outer *Env, conjs []*conjunct, pushable bool) (*Relation, error) {
-	acc, err := ctx.evalFrom(cl.Items[0], outer, conjs, "", pushable)
-	if err != nil {
-		return nil, err
-	}
-	for _, item := range cl.Items[1:] {
-		next, err := ctx.evalFrom(item, outer, conjs, "", pushable)
-		if err != nil {
-			return nil, err
-		}
-		// Try to find an unused WHERE equi-conjunct linking acc and next,
-		// so FROM a, b WHERE a.x = b.y becomes a hash join.
-		var linking ast.Expr
-		var linkConj *conjunct
-		for _, c := range conjs {
-			if c.used {
-				continue
-			}
-			b, ok := c.expr.(*ast.Binary)
-			if !ok || b.Op != "=" {
-				continue
-			}
-			lc, lok := b.Left.(*ast.ColumnRef)
-			rc, rok := b.Right.(*ast.ColumnRef)
-			if !lok || !rok {
-				continue
-			}
-			link := func(a, b *ast.ColumnRef) bool {
-				if _, err := acc.colIndex(a.Table, a.Column); err != nil {
-					return false
-				}
-				if _, err := next.colIndex(b.Table, b.Column); err != nil {
-					return false
-				}
-				return true
-			}
-			if link(lc, rc) || link(rc, lc) {
-				linking = c.expr
-				linkConj = c
-				break
-			}
-		}
-		if linkConj != nil {
-			linkConj.used = true
-		}
-		joined, err := ctx.joinRelations(acc, next, linking, "INNER", outer)
-		if err != nil {
-			return nil, err
-		}
-		acc = joined
-	}
-	return acc, nil
+	return nil, fmt.Errorf("sql: unknown table reference %T", ref)
 }
 
 // ---------------------------------------------------------------------------
 // projection
 
 func (ctx *Context) project(items []ast.SelectItem, src *Relation, outer *Env) (*Relation, error) {
-	cols, evals, err := ctx.projectionPlan(items, src)
+	cols, plan, err := projectionPlan(items, src)
 	if err != nil {
 		return nil, err
 	}
@@ -871,150 +378,97 @@ func (ctx *Context) project(items []ast.SelectItem, src *Relation, outer *Env) (
 	env := &Env{cols: src.Cols, parent: outer}
 	for _, row := range src.Rows {
 		env.row = row
-		outRow := make(storage.Row, 0, len(cols))
-		for _, ev := range evals {
-			vals, err := ev(env, row)
-			if err != nil {
-				return nil, err
-			}
-			outRow = append(outRow, vals...)
+		outRow, err := ctx.projectRow(plan, env)
+		if err != nil {
+			return nil, err
 		}
 		out.Rows = append(out.Rows, outRow)
 	}
 	return out, nil
 }
 
-// projEval produces one or more output values for a select item.
-type projEval func(env *Env, row storage.Row) ([]types.Value, error)
-
-func (ctx *Context) projectionPlan(items []ast.SelectItem, src *Relation) ([]ColMeta, []projEval, error) {
-	var cols []ColMeta
-	var evals []projEval
-	for _, item := range items {
-		switch {
-		case item.Star && item.StarTable == "":
-			positions := make([]int, len(src.Cols))
-			for i := range src.Cols {
-				cols = append(cols, src.Cols[i])
-				positions[i] = i
-			}
-			evals = append(evals, starEval(positions))
-		case item.Star:
-			var positions []int
-			for i, c := range src.Cols {
-				if strings.EqualFold(c.Table, item.StarTable) {
-					cols = append(cols, c)
-					positions = append(positions, i)
-				}
-			}
-			if len(positions) == 0 {
-				return nil, nil, fmt.Errorf("sql: %s.* matches no columns", item.StarTable)
-			}
-			evals = append(evals, starEval(positions))
-		default:
-			name := item.Alias
-			if name == "" {
-				if cr, ok := item.Expr.(*ast.ColumnRef); ok {
-					name = cr.Column
-				} else {
-					name = item.Expr.String()
-				}
-			}
-			cols = append(cols, ColMeta{Name: name})
-			expr := item.Expr
-			evals = append(evals, func(env *Env, _ storage.Row) ([]types.Value, error) {
-				v, err := ctx.EvalExpr(expr, env)
-				if err != nil {
-					return nil, err
-				}
-				return []types.Value{v}, nil
-			})
-		}
-	}
-	return cols, evals, nil
+// projCol is one output column: the source column at pos or, with pos
+// negative, the value of expr.
+type projCol struct {
+	pos  int
+	expr ast.Expr
 }
 
-func starEval(positions []int) projEval {
-	return func(_ *Env, row storage.Row) ([]types.Value, error) {
-		out := make([]types.Value, len(positions))
-		for i, p := range positions {
-			out[i] = row[p]
+func projectionPlan(items []ast.SelectItem, src *Relation) ([]ColMeta, []projCol, error) {
+	var cols []ColMeta
+	var plan []projCol
+	for _, item := range items {
+		if !item.Star {
+			name := item.Alias
+			if cr, ok := item.Expr.(*ast.ColumnRef); ok && name == "" {
+				name = cr.Column
+			} else if name == "" {
+				name = item.Expr.String()
+			}
+			cols = append(cols, ColMeta{Name: name})
+			plan = append(plan, projCol{pos: -1, expr: item.Expr})
+			continue
 		}
-		return out, nil
+		before := len(cols)
+		for i, c := range src.Cols {
+			if item.StarTable == "" || strings.EqualFold(c.Table, item.StarTable) {
+				cols = append(cols, c)
+				plan = append(plan, projCol{pos: i})
+			}
+		}
+		if item.StarTable != "" && len(cols) == before {
+			return nil, nil, fmt.Errorf("sql: %s.* matches no columns", item.StarTable)
+		}
 	}
+	return cols, plan, nil
+}
+
+func (ctx *Context) projectRow(plan []projCol, env *Env) (storage.Row, error) {
+	out := make(storage.Row, len(plan))
+	for i, p := range plan {
+		if p.pos >= 0 {
+			out[i] = env.row[p.pos]
+			continue
+		}
+		v, err := ctx.EvalExpr(p.expr, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
 // grouping and aggregation
 
+// collectAggregates gathers the aggregate nodes of the core's own query
+// level; subqueries aggregate independently.
 func collectAggregates(core *ast.SelectCore) []*ast.Aggregate {
 	var aggs []*ast.Aggregate
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Aggregate:
+			aggs = append(aggs, n)
+			return false
+		case *ast.Select:
+			return false
+		}
+		return true
+	}
 	for _, item := range core.Items {
-		if item.Expr != nil {
-			aggs = collectAggsExpr(item.Expr, aggs)
-		}
+		ast.Inspect(item.Expr, visit)
 	}
-	if core.Having != nil {
-		aggs = collectAggsExpr(core.Having, aggs)
-	}
+	ast.Inspect(core.Having, visit)
 	return aggs
-}
-
-// collectAggsExpr gathers aggregate nodes of the *current* query level; it
-// does not descend into subqueries (they aggregate independently).
-func collectAggsExpr(e ast.Expr, into []*ast.Aggregate) []*ast.Aggregate {
-	switch e := e.(type) {
-	case *ast.Aggregate:
-		return append(into, e)
-	case *ast.Binary:
-		return collectAggsExpr(e.Right, collectAggsExpr(e.Left, into))
-	case *ast.Unary:
-		return collectAggsExpr(e.Expr, into)
-	case *ast.IsNull:
-		return collectAggsExpr(e.Expr, into)
-	case *ast.Between:
-		return collectAggsExpr(e.Hi, collectAggsExpr(e.Lo, collectAggsExpr(e.Expr, into)))
-	case *ast.Like:
-		return collectAggsExpr(e.Pattern, collectAggsExpr(e.Expr, into))
-	case *ast.InList:
-		into = collectAggsExpr(e.Expr, into)
-		for _, it := range e.Items {
-			into = collectAggsExpr(it, into)
-		}
-		return into
-	case *ast.Cast:
-		return collectAggsExpr(e.Expr, into)
-	case *ast.FuncCall:
-		for _, a := range e.Args {
-			into = collectAggsExpr(a, into)
-		}
-		return into
-	case *ast.Case:
-		if e.Operand != nil {
-			into = collectAggsExpr(e.Operand, into)
-		}
-		for _, w := range e.Whens {
-			into = collectAggsExpr(w.Result, collectAggsExpr(w.Cond, into))
-		}
-		if e.Else != nil {
-			into = collectAggsExpr(e.Else, into)
-		}
-		return into
-	}
-	return into
-}
-
-type group struct {
-	rep  storage.Row // representative row (first of group)
-	rows []storage.Row
 }
 
 func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast.Aggregate, outer *Env) (*Relation, error) {
 	env := &Env{cols: src.Cols, parent: outer}
 
-	// Partition rows into groups.
-	groups := map[string]*group{}
-	var order []string
+	// Partition rows into groups, kept in first-seen order.
+	var groups [][]storage.Row
+	index := map[string]int{}
 	for _, row := range src.Rows {
 		env.row = row
 		key := ""
@@ -1025,62 +479,59 @@ func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast
 			}
 			key += v.Key() + "\x1f"
 		}
-		g, ok := groups[key]
+		i, ok := index[key]
 		if !ok {
-			g = &group{rep: row}
-			groups[key] = g
-			order = append(order, key)
+			i, index[key] = len(groups), len(groups)
+			groups = append(groups, nil)
 		}
-		g.rows = append(g.rows, row)
+		groups[i] = append(groups[i], row)
 	}
 	// Aggregates without GROUP BY always produce exactly one group.
 	if len(core.GroupBy) == 0 && len(groups) == 0 {
-		nullRow := make(storage.Row, len(src.Cols))
-		for i := range nullRow {
-			nullRow[i] = types.Null
-		}
-		groups[""] = &group{rep: nullRow}
-		order = append(order, "")
+		groups = append(groups, nil)
 	}
 
-	cols, evals, err := ctx.projectionPlan(core.Items, src)
+	cols, plan, err := projectionPlan(core.Items, src)
 	if err != nil {
 		return nil, err
 	}
 	out := &Relation{Cols: cols}
-	for _, key := range order {
-		g := groups[key]
-		aggVals, err := ctx.computeAggregates(aggs, g.rows, src.Cols, outer)
+	for _, rows := range groups {
+		row, err := ctx.projectGroup(core.Having, plan, aggs, rows, src.Cols, outer)
 		if err != nil {
 			return nil, err
 		}
-		savedAggs := ctx.aggValues
-		ctx.aggValues = aggVals
-		genv := &Env{cols: src.Cols, row: g.rep, parent: outer}
-		if core.Having != nil {
-			t, err := ctx.EvalPredicate(core.Having, genv)
-			if err != nil {
-				ctx.aggValues = savedAggs
-				return nil, err
-			}
-			if t != types.True {
-				ctx.aggValues = savedAggs
-				continue
-			}
+		if row != nil {
+			out.Rows = append(out.Rows, row)
 		}
-		outRow := make(storage.Row, 0, len(cols))
-		for _, ev := range evals {
-			vals, err := ev(genv, g.rep)
-			if err != nil {
-				ctx.aggValues = savedAggs
-				return nil, err
-			}
-			outRow = append(outRow, vals...)
-		}
-		ctx.aggValues = savedAggs
-		out.Rows = append(out.Rows, outRow)
 	}
 	return out, nil
+}
+
+// projectGroup evaluates HAVING and the projection for one group, with
+// the group's aggregate values in scope; nil when HAVING rejects it.
+// Columns outside aggregates read the group's first row, or NULLs when
+// the group is the empty input of an ungrouped aggregate.
+func (ctx *Context) projectGroup(having ast.Expr, plan []projCol, aggs []*ast.Aggregate, rows []storage.Row, cols []ColMeta, outer *Env) (storage.Row, error) {
+	aggVals, err := ctx.computeAggregates(aggs, rows, cols, outer)
+	if err != nil {
+		return nil, err
+	}
+	saved := ctx.aggValues
+	ctx.aggValues = aggVals
+	defer func() { ctx.aggValues = saved }()
+	env := &Env{cols: cols, parent: outer}
+	if len(rows) > 0 {
+		env.row = rows[0]
+	} else {
+		env.row = make(storage.Row, len(cols))
+	}
+	if having != nil {
+		if t, err := ctx.EvalPredicate(having, env); err != nil || t != types.True {
+			return nil, err
+		}
+	}
+	return ctx.projectRow(plan, env)
 }
 
 func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row, cols []ColMeta, outer *Env) (map[*ast.Aggregate]types.Value, error) {
@@ -1090,7 +541,6 @@ func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row,
 		if _, done := result[agg]; done {
 			continue
 		}
-		var count int64
 		var sumF float64
 		var sumI int64
 		anyFloat := false
@@ -1098,14 +548,11 @@ func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row,
 		var minV, maxV types.Value
 		seen := map[string]bool{}
 		for _, row := range rows {
-			var v types.Value
 			if agg.Star {
-				count++
 				continue
 			}
 			env.row = row
-			var err error
-			v, err = ctx.EvalExpr(agg.Arg, env)
+			v, err := ctx.EvalExpr(agg.Arg, env)
 			if err != nil {
 				return nil, err
 			}
@@ -1120,7 +567,6 @@ func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row,
 				seen[k] = true
 			}
 			nonNull++
-			count++
 			switch agg.Func {
 			case "SUM", "AVG":
 				f, ok := v.AsFloat()
@@ -1230,34 +676,29 @@ func (ctx *Context) orderRelation(rel *Relation, items []ast.OrderItem, outer *E
 }
 
 func (ctx *Context) applyLimit(rel *Relation, limit, offset ast.Expr, outer *Env) error {
-	start := 0
-	if offset != nil {
-		v, err := ctx.EvalExpr(offset, outer)
+	count := func(e ast.Expr, clause string, absent int) (int, error) {
+		if e == nil {
+			return absent, nil
+		}
+		v, err := ctx.EvalExpr(e, outer)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if v.Kind() != types.KindInt || v.Int() < 0 {
-			return fmt.Errorf("sql: OFFSET must be a non-negative integer")
+			return 0, fmt.Errorf("sql: %s must be a non-negative integer", clause)
 		}
-		start = int(v.Int())
+		return int(v.Int()), nil
 	}
-	end := len(rel.Rows)
-	if limit != nil {
-		v, err := ctx.EvalExpr(limit, outer)
-		if err != nil {
-			return err
-		}
-		if v.Kind() != types.KindInt || v.Int() < 0 {
-			return fmt.Errorf("sql: LIMIT must be a non-negative integer")
-		}
-		if start+int(v.Int()) < end {
-			end = start + int(v.Int())
-		}
+	start, err := count(offset, "OFFSET", 0)
+	if err != nil {
+		return err
 	}
-	if start > len(rel.Rows) {
-		start = len(rel.Rows)
+	n, err := count(limit, "LIMIT", len(rel.Rows))
+	if err != nil {
+		return err
 	}
-	rel.Rows = rel.Rows[start:end]
+	start = min(start, len(rel.Rows))
+	rel.Rows = rel.Rows[start : start+min(n, len(rel.Rows)-start)]
 	return nil
 }
 
@@ -1269,127 +710,48 @@ func (ctx *Context) applyLimit(rel *Relation, limit, offset ast.Expr, outer *Env
 // relation or an outer scope. Subqueries are skipped — they validate in
 // their own scope when (and if) they run.
 func validateColumnRefs(core *ast.SelectCore, cols []ColMeta, outer *Env) error {
-	rel := &Relation{Cols: cols}
-	check := func(ref *ast.ColumnRef) error {
-		_, err := rel.colIndex(ref.Table, ref.Column)
-		if err == nil {
-			return nil
+	var failed error
+	ast.Inspect(core, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Select, ast.TableRef:
+			return false
+		case *ast.ColumnRef:
+			failed = resolvable(n, cols, outer)
 		}
-		if _, isMissing := err.(errNoColumn); !isMissing {
-			return err // ambiguous
-		}
-		for env := outer; env != nil; env = env.parent {
-			for _, c := range env.cols {
-				if strings.EqualFold(c.Name, ref.Column) &&
-					(ref.Table == "" || strings.EqualFold(c.Table, ref.Table)) {
-					return nil
-				}
-			}
-		}
+		return failed == nil
+	})
+	return failed
+}
+
+// resolvable returns nil when ref names exactly one column of cols or,
+// failing any there, a column of some outer scope (which one, and
+// whether uniquely, the row-time lookup settles).
+func resolvable(ref *ast.ColumnRef, cols []ColMeta, outer *Env) error {
+	pos, err := findCol(cols, ref.Table, ref.Column)
+	if err != nil || pos >= 0 {
 		return err
 	}
-	var exprs []ast.Expr
-	for _, it := range core.Items {
-		if it.Expr != nil {
-			exprs = append(exprs, it.Expr)
+	for env := outer; env != nil; env = env.parent {
+		if at, err := findCol(env.cols, ref.Table, ref.Column); at >= 0 || err != nil {
+			return nil
 		}
 	}
-	exprs = append(exprs, core.Where, core.Having)
-	exprs = append(exprs, core.GroupBy...)
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if err := walkDirectColumnRefs(e, check); err != nil {
-			return err
-		}
-	}
-	return nil
+	return errNoColumn{table: ref.Table, name: ref.Column}
 }
 
-// walkDirectColumnRefs visits column references of the current scope,
-// not descending into subqueries.
-func walkDirectColumnRefs(e ast.Expr, fn func(*ast.ColumnRef) error) error {
-	switch e := e.(type) {
-	case *ast.ColumnRef:
-		return fn(e)
-	case *ast.Binary:
-		if err := walkDirectColumnRefs(e.Left, fn); err != nil {
-			return err
-		}
-		return walkDirectColumnRefs(e.Right, fn)
-	case *ast.Unary:
-		return walkDirectColumnRefs(e.Expr, fn)
-	case *ast.IsNull:
-		return walkDirectColumnRefs(e.Expr, fn)
-	case *ast.Between:
-		for _, x := range []ast.Expr{e.Expr, e.Lo, e.Hi} {
-			if err := walkDirectColumnRefs(x, fn); err != nil {
-				return err
+// distinctRows keeps the first of every set of equal rows, in order.
+func distinctRows(lists ...[]storage.Row) []storage.Row {
+	seen := map[string]bool{}
+	var out []storage.Row
+	for _, rows := range lists {
+		for _, row := range rows {
+			if k := rowKey(row); !seen[k] {
+				seen[k] = true
+				out = append(out, row)
 			}
-		}
-	case *ast.Like:
-		if err := walkDirectColumnRefs(e.Expr, fn); err != nil {
-			return err
-		}
-		return walkDirectColumnRefs(e.Pattern, fn)
-	case *ast.InList:
-		if err := walkDirectColumnRefs(e.Expr, fn); err != nil {
-			return err
-		}
-		for _, it := range e.Items {
-			if err := walkDirectColumnRefs(it, fn); err != nil {
-				return err
-			}
-		}
-	case *ast.InSubquery:
-		return walkDirectColumnRefs(e.Expr, fn)
-	case *ast.Cast:
-		return walkDirectColumnRefs(e.Expr, fn)
-	case *ast.FuncCall:
-		for _, a := range e.Args {
-			if err := walkDirectColumnRefs(a, fn); err != nil {
-				return err
-			}
-		}
-	case *ast.Aggregate:
-		if e.Arg != nil {
-			return walkDirectColumnRefs(e.Arg, fn)
-		}
-	case *ast.Case:
-		if e.Operand != nil {
-			if err := walkDirectColumnRefs(e.Operand, fn); err != nil {
-				return err
-			}
-		}
-		for _, w := range e.Whens {
-			if err := walkDirectColumnRefs(w.Cond, fn); err != nil {
-				return err
-			}
-			if err := walkDirectColumnRefs(w.Result, fn); err != nil {
-				return err
-			}
-		}
-		if e.Else != nil {
-			return walkDirectColumnRefs(e.Else, fn)
 		}
 	}
-	return nil
-}
-
-// flattenSetOps linearizes a left-deep UNION tree into its SELECT cores
-// and the list of operators between them.
-func flattenSetOps(body ast.SelectBody) ([]*ast.SelectCore, []string) {
-	switch b := body.(type) {
-	case *ast.SelectCore:
-		return []*ast.SelectCore{b}, nil
-	case *ast.SetOp:
-		lc, lo := flattenSetOps(b.Left)
-		rc, ro := flattenSetOps(b.Right)
-		ops := append(append(lo, b.Op), ro...)
-		return append(lc, rc...), ops
-	}
-	return nil, nil
+	return out
 }
 
 func rowKey(row storage.Row) string {
@@ -1401,126 +763,15 @@ func rowKey(row storage.Row) string {
 	return sb.String()
 }
 
-// selectReferencesTable reports whether a select (including nested
-// subqueries and FROM trees) references the named table.
-func selectReferencesTable(sel *ast.Select, name string) bool {
-	if sel == nil {
-		return false
-	}
-	if sel.With != nil {
-		for _, cte := range sel.With.CTEs {
-			if selectReferencesTable(cte.Select, name) {
-				return true
-			}
+// references reports whether the tree below n — FROM clauses, nested
+// subqueries and CTE definitions included — names the table.
+func references(n ast.Node, table string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if bt, ok := n.(*ast.BaseTable); ok && strings.EqualFold(bt.Name, table) {
+			found = true
 		}
-	}
-	return bodyReferencesTable(sel.Body, name) || exprListReferences(nil, name, sel.Limit, sel.Offset)
-}
-
-func bodyReferencesTable(body ast.SelectBody, name string) bool {
-	switch b := body.(type) {
-	case *ast.SelectCore:
-		return coreReferencesTable(b, name)
-	case *ast.SetOp:
-		return bodyReferencesTable(b.Left, name) || bodyReferencesTable(b.Right, name)
-	}
-	return false
-}
-
-func coreReferencesTable(core *ast.SelectCore, name string) bool {
-	if core.From != nil && tableRefReferences(core.From, name) {
-		return true
-	}
-	var exprs []ast.Expr
-	for _, it := range core.Items {
-		if it.Expr != nil {
-			exprs = append(exprs, it.Expr)
-		}
-	}
-	exprs = append(exprs, core.Where, core.Having)
-	exprs = append(exprs, core.GroupBy...)
-	return exprListReferences(exprs, name)
-}
-
-func exprListReferences(exprs []ast.Expr, name string, more ...ast.Expr) bool {
-	for _, e := range append(exprs, more...) {
-		if e != nil && exprReferencesTable(e, name) {
-			return true
-		}
-	}
-	return false
-}
-
-func tableRefReferences(ref ast.TableRef, name string) bool {
-	switch r := ref.(type) {
-	case *ast.BaseTable:
-		return strings.EqualFold(r.Name, name)
-	case *ast.Join:
-		return tableRefReferences(r.Left, name) || tableRefReferences(r.Right, name) ||
-			(r.On != nil && exprReferencesTable(r.On, name))
-	case *ast.CrossList:
-		for _, it := range r.Items {
-			if tableRefReferences(it, name) {
-				return true
-			}
-		}
-	case *ast.SubqueryTable:
-		return selectReferencesTable(r.Select, name)
-	}
-	return false
-}
-
-func exprReferencesTable(e ast.Expr, name string) bool {
-	switch e := e.(type) {
-	case *ast.Binary:
-		return exprReferencesTable(e.Left, name) || exprReferencesTable(e.Right, name)
-	case *ast.Unary:
-		return exprReferencesTable(e.Expr, name)
-	case *ast.IsNull:
-		return exprReferencesTable(e.Expr, name)
-	case *ast.Between:
-		return exprReferencesTable(e.Expr, name) || exprReferencesTable(e.Lo, name) || exprReferencesTable(e.Hi, name)
-	case *ast.Like:
-		return exprReferencesTable(e.Expr, name) || exprReferencesTable(e.Pattern, name)
-	case *ast.InList:
-		if exprReferencesTable(e.Expr, name) {
-			return true
-		}
-		for _, it := range e.Items {
-			if exprReferencesTable(it, name) {
-				return true
-			}
-		}
-	case *ast.InSubquery:
-		return exprReferencesTable(e.Expr, name) || selectReferencesTable(e.Select, name)
-	case *ast.Exists:
-		return selectReferencesTable(e.Select, name)
-	case *ast.ScalarSubquery:
-		return selectReferencesTable(e.Select, name)
-	case *ast.Cast:
-		return exprReferencesTable(e.Expr, name)
-	case *ast.FuncCall:
-		for _, a := range e.Args {
-			if exprReferencesTable(a, name) {
-				return true
-			}
-		}
-	case *ast.Aggregate:
-		if e.Arg != nil {
-			return exprReferencesTable(e.Arg, name)
-		}
-	case *ast.Case:
-		if e.Operand != nil && exprReferencesTable(e.Operand, name) {
-			return true
-		}
-		for _, w := range e.Whens {
-			if exprReferencesTable(w.Cond, name) || exprReferencesTable(w.Result, name) {
-				return true
-			}
-		}
-		if e.Else != nil {
-			return exprReferencesTable(e.Else, name)
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }

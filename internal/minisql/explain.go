@@ -5,118 +5,60 @@ import (
 	"strings"
 
 	"pdmtune/internal/minisql/ast"
+	"pdmtune/internal/minisql/exec"
 	"pdmtune/internal/minisql/types"
 )
 
-// explain produces a textual access plan without executing the statement.
-// The planner in this engine is rule-based, so the plan can be described
-// statically: which tables are scanned, which equality predicates are
-// served by hash indexes, and which joins hash versus nest.
+// explain returns the plan of a statement without executing it. The plan
+// is not described here: the executor itself evaluates the statement
+// with Context.Plan set — taking every access-path and join decision as
+// it would, reading no row — and this file only lays the recorded tree
+// out as indented lines. A write is planned by the gathering half of
+// UPDATE / DELETE; no latch is taken and nothing is mutated.
 func (s *Session) explain(stmt ast.Statement, params []Value) (*Result, error) {
-	var lines []string
-	add := func(depth int, format string, args ...any) {
-		lines = append(lines, strings.Repeat("  ", depth)+fmt.Sprintf(format, args...))
+	root := &exec.PlanNode{}
+	ctx := s.newContext(params, 0)
+	ctx.Plan = root
+	write := func(name string, where ast.Expr) error {
+		table, ok := s.db.store.Table(name)
+		if !ok {
+			return fmt.Errorf("sql: no such table %s", name)
+		}
+		_, err := ctx.MatchIDs(table, where)
+		return err
 	}
+	var err error
 	switch st := stmt.(type) {
 	case *ast.Select:
-		s.explainSelect(st, 0, add)
+		_, err = ctx.EvalSelect(st, nil)
 	case *ast.Insert:
-		add(0, "INSERT INTO %s (%d row literals)", st.Table, len(st.Rows))
+		root.Text = fmt.Sprintf("INSERT INTO %s (%d row literals)", st.Table, len(st.Rows))
 		if st.Select != nil {
-			s.explainSelect(st.Select, 1, add)
+			_, err = ctx.EvalSelect(st.Select, nil)
 		}
 	case *ast.Update:
-		add(0, "UPDATE %s: full scan + predicate", st.Table)
+		root.Text = "UPDATE " + st.Table
+		err = write(st.Table, st.Where)
 	case *ast.Delete:
-		add(0, "DELETE FROM %s: full scan + predicate", st.Table)
+		root.Text = "DELETE FROM " + st.Table
+		err = write(st.Table, st.Where)
 	default:
-		add(0, "%s", stmt.String())
+		root.Text = stmt.String()
+	}
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{Cols: []string{"plan"}}
-	for _, l := range lines {
-		res.Rows = append(res.Rows, []Value{types.NewText(l)})
+	var layout func(n *exec.PlanNode, depth int)
+	layout = func(n *exec.PlanNode, depth int) {
+		if n.Text != "" {
+			res.Rows = append(res.Rows, []Value{types.NewText(strings.Repeat("  ", depth) + n.Text)})
+			depth++
+		}
+		for _, kid := range n.Kids {
+			layout(kid, depth)
+		}
 	}
+	layout(root, 0)
 	return res, nil
-}
-
-func (s *Session) explainSelect(sel *ast.Select, depth int, add func(int, string, ...any)) {
-	if sel.With != nil {
-		for _, cte := range sel.With.CTEs {
-			kind := "CTE"
-			if sel.With.Recursive {
-				kind = "RECURSIVE CTE (semi-naive fixpoint)"
-			}
-			add(depth, "%s %s:", kind, cte.Name)
-			s.explainSelect(cte.Select, depth+1, add)
-		}
-	}
-	cores, ops := flattenBody(sel.Body)
-	for i, core := range cores {
-		if i > 0 {
-			add(depth, "%s", ops[i-1])
-		}
-		s.explainCore(core, depth, add)
-	}
-	if len(sel.OrderBy) > 0 {
-		add(depth, "SORT (%d key(s))", len(sel.OrderBy))
-	}
-}
-
-func (s *Session) explainCore(core *ast.SelectCore, depth int, add func(int, string, ...any)) {
-	agg := ""
-	if len(core.GroupBy) > 0 {
-		agg = fmt.Sprintf(" GROUP BY %d expr(s)", len(core.GroupBy))
-	}
-	add(depth, "SELECT%s", agg)
-	if core.From != nil {
-		s.explainFrom(core.From, depth+1, add)
-	}
-	if core.Where != nil {
-		add(depth+1, "FILTER %s", core.Where.String())
-	}
-}
-
-func (s *Session) explainFrom(ref ast.TableRef, depth int, add func(int, string, ...any)) {
-	switch r := ref.(type) {
-	case *ast.BaseTable:
-		t, ok := s.db.store.Table(r.Name)
-		if !ok {
-			add(depth, "SCAN %s (CTE or unknown)", r.Name)
-			return
-		}
-		idx := ""
-		if n := len(t.Indexes()); n > 0 {
-			names := make([]string, 0, n)
-			for _, ix := range t.Indexes() {
-				names = append(names, ix.Name+"("+ix.Column+")")
-			}
-			idx = " indexes: " + strings.Join(names, ", ")
-		}
-		add(depth, "SCAN %s (%d rows)%s", r.Name, t.NumRows(), idx)
-	case *ast.Join:
-		kind := "HASH JOIN (if equi-pair found) / NESTED LOOP"
-		add(depth, "%s %s ON %s", r.Type, kind, r.On.String())
-		s.explainFrom(r.Left, depth+1, add)
-		s.explainFrom(r.Right, depth+1, add)
-	case *ast.CrossList:
-		add(depth, "CROSS LIST (%d items, WHERE equi-conjuncts become hash joins)", len(r.Items))
-		for _, it := range r.Items {
-			s.explainFrom(it, depth+1, add)
-		}
-	case *ast.SubqueryTable:
-		add(depth, "DERIVED TABLE %s:", r.Alias)
-		s.explainSelect(r.Select, depth+1, add)
-	}
-}
-
-func flattenBody(body ast.SelectBody) ([]*ast.SelectCore, []string) {
-	switch b := body.(type) {
-	case *ast.SelectCore:
-		return []*ast.SelectCore{b}, nil
-	case *ast.SetOp:
-		lc, lo := flattenBody(b.Left)
-		rc, ro := flattenBody(b.Right)
-		return append(lc, rc...), append(append(lo, b.Op), ro...)
-	}
-	return nil, nil
 }

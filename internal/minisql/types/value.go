@@ -247,6 +247,16 @@ func Compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("types: cannot compare %s with %s", a.kind, b.kind)
 }
 
+// Comparable reports whether Compare accepts non-NULL values of the two
+// kinds together: the numeric kinds with each other, every other kind
+// only with itself. A hash of value keys (an index, a join's hash table)
+// answers an equality exactly only between comparable kinds; between the
+// others the comparison is an error, which no key lookup can raise.
+func Comparable(a, b Kind) bool {
+	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
+	return a != KindNull && (a == b || (numeric(a) && numeric(b)))
+}
+
 // CompareForSort orders values for ORDER BY and index keys: NULL sorts
 // first, then bools, ints/floats numerically, then text. Unlike Compare
 // it never fails; incompatible kinds order by kind rank.

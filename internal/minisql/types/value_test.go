@@ -110,6 +110,26 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	}
 }
 
+// Comparable must say exactly when Compare succeeds, and comparable
+// values must be equal exactly when their keys are.
+func TestComparableMirrorsCompare(t *testing.T) {
+	vals := []Value{NewInt(1), NewFloat(1), NewFloat(1.5), NewText("1"), NewText("x"), NewBool(true), NewBool(false)}
+	for _, a := range vals {
+		for _, b := range vals {
+			c, err := Compare(a, b)
+			if Comparable(a.Kind(), b.Kind()) != (err == nil) {
+				t.Errorf("Comparable(%s, %s) = %v, Compare error %v", a.Kind(), b.Kind(), Comparable(a.Kind(), b.Kind()), err)
+			}
+			if err == nil && (c == 0) != (a.Key() == b.Key()) {
+				t.Errorf("%s vs %s: compare %d, keys %q %q", a, b, c, a.Key(), b.Key())
+			}
+		}
+		if Comparable(KindNull, a.Kind()) || Comparable(a.Kind(), KindNull) {
+			t.Errorf("NULL must not be comparable with %s", a.Kind())
+		}
+	}
+}
+
 // Property: Compare is antisymmetric and total for same-kind non-null ints.
 func TestCompareAntisymmetry(t *testing.T) {
 	f := func(a, b int64) bool {
