@@ -10,6 +10,7 @@ import (
 	"pdmtune/internal/subscribe"
 	"pdmtune/internal/topology"
 	"pdmtune/internal/wire"
+	"pdmtune/internal/workload"
 )
 
 // PrimarySite is the reserved site name of the cluster's primary:
@@ -127,13 +128,18 @@ func NewCluster(rules *RuleTable, sites ...SiteConfig) (*Cluster, error) {
 // every write lands in.
 func (c *Cluster) Primary() *System { return c.sys }
 
-// LoadProduct generates a product structure into the primary and
-// returns its ground truth. Replicas receive it on their next sync.
-func (c *Cluster) LoadProduct(cfg ProductConfig) (*Product, error) { return c.sys.LoadProduct(cfg) }
+// LoadProduct generates a product structure into the current primary
+// (after a promotion, the promoted site) and returns its ground truth.
+// Replicas receive it on their next sync.
+func (c *Cluster) LoadProduct(cfg ProductConfig) (*Product, error) {
+	return workload.Generate(c.primaryDB().NewSession(), cfg)
+}
 
 // LoadPaperExample loads the paper's Figure 2 example data into the
-// primary.
-func (c *Cluster) LoadPaperExample() error { return c.sys.LoadPaperExample() }
+// current primary.
+func (c *Cluster) LoadPaperExample() error {
+	return workload.LoadPaperExample(c.primaryDB().NewSession())
+}
 
 // SiteNames lists the replica sites in declaration order (the primary
 // is not listed; it is always addressable as PrimarySite).
@@ -167,8 +173,8 @@ func (c *Cluster) SyncAll(ctx context.Context) error {
 }
 
 // Metrics reports the per-site replication traffic (each site's WAN
-// meter) — aggregate with netsim.AggregateSites or Metrics.Add. The
-// sessions' own traffic is on the sessions' meters.
+// meter) — aggregate with Metrics.Add. The sessions' own traffic is on
+// the sessions' meters.
 func (c *Cluster) Metrics() []SiteMetrics {
 	out := make([]SiteMetrics, 0, len(c.order))
 	for _, name := range c.order {
@@ -235,6 +241,14 @@ func (c *Cluster) registryLocked() *subscribe.Registry {
 		c.installSyncFilterLocked()
 	}
 	return c.sub
+}
+
+// primaryDB is primaryDBLocked for callers outside the control plane's
+// critical sections.
+func (c *Cluster) primaryDB() *minisql.DB {
+	c.ha.mu.Lock()
+	defer c.ha.mu.Unlock()
+	return c.primaryDBLocked()
 }
 
 // primaryDBLocked resolves the current primary's database.

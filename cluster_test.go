@@ -368,63 +368,42 @@ func TestOpenAtRejectsEmptySite(t *testing.T) {
 	}
 }
 
-// TestSessionCloseReleasesStatements: Close costs one teardown round
-// trip per connection that prepared statements, nothing otherwise, and
-// the session stays usable.
-func TestSessionCloseReleasesStatements(t *testing.T) {
+// TestSessionCloseCostsNoRoundTrip: sessions hold no server-side state,
+// so Close never touches the wire — prepared statements or not — and the
+// session stays usable.
+func TestSessionCloseCostsNoRoundTrip(t *testing.T) {
 	sys := pdmtune.NewSystem(nil)
 	prod, err := sys.LoadProduct(pdmtune.ProductConfig{Depth: 2, Branch: 3, Sigma: 1.0, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-
-	plain, err := sys.Open(pdmtune.WithStrategy(pdmtune.EarlyEval))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.MultiLevelExpand(ctx, prod.RootID); err != nil {
-		t.Fatal(err)
-	}
-	before := plain.Metrics().RoundTrips
-	if err := plain.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := plain.Metrics().RoundTrips; got != before {
-		t.Errorf("Close of an unprepared session cost %d round trips", got-before)
-	}
-
-	prep, err := sys.Open(pdmtune.WithStrategy(pdmtune.EarlyEval),
-		pdmtune.WithBatching(true), pdmtune.WithPreparedStatements(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := prep.MultiLevelExpand(ctx, prod.RootID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = prep.Metrics().RoundTrips
-	if err := prep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := prep.Metrics().RoundTrips - before; got != 1 {
-		t.Errorf("Close of a prepared session cost %d round trips, want 1", got)
-	}
-	// Idempotent: the registry is empty now, a second Close is free.
-	before = prep.Metrics().RoundTrips
-	if err := prep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := prep.Metrics().RoundTrips; got != before {
-		t.Error("second Close touched the wire")
-	}
-	// Still usable: statements re-prepare transparently.
-	res2, err := prep.MultiLevelExpand(ctx, prod.RootID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Visible != res2.Visible {
-		t.Errorf("post-Close MLE sees %d nodes, pre-Close %d", res2.Visible, res1.Visible)
+	for _, opts := range [][]pdmtune.Option{
+		{pdmtune.WithStrategy(pdmtune.EarlyEval)},
+		{pdmtune.WithStrategy(pdmtune.EarlyEval), pdmtune.WithBatching(true), pdmtune.WithPreparedStatements(true)},
+	} {
+		sess, err := sys.Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res1, err := sess.MultiLevelExpand(ctx, prod.RootID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sess.Metrics()
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Metrics().RoundTrips - before.RoundTrips; got != 0 {
+			t.Errorf("Close cost %d round trips (%d prepared execs before it)", got, before.PreparedExecs)
+		}
+		res2, err := sess.MultiLevelExpand(ctx, prod.RootID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res1.Visible != res2.Visible {
+			t.Errorf("post-Close MLE sees %d nodes, pre-Close %d", res2.Visible, res1.Visible)
+		}
 	}
 }
 

@@ -72,8 +72,6 @@ func main() {
 	meter := netsim.NewMeter(link)
 	client := core.NewClient(wire.Metered(transport, meter), meter,
 		pdmtune.StandardRules(), pdmtune.DefaultUser(*user), costmodel.Strategy(strat))
-	// Release the server-side prepared-statement registry on exit.
-	defer client.Close(context.Background())
 
 	fmt.Printf("connected to %s as %s (strategy: %s)\n", *addr, *user, strat)
 	sc := bufio.NewScanner(os.Stdin)

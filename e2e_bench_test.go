@@ -11,8 +11,8 @@ import (
 // full in-process multi-level expand (client → wire → engine → back):
 // the end-to-end view of the zero-allocation hot path. The PR-8 seed
 // measured 169,814 allocs/op on this workload; the byte-scan lexer,
-// arena parser, plan cache, pooled wire buffers and cached expand
-// template together hold it under a third of that.
+// plan cache, pooled wire buffers and cached expand template together
+// hold it under a third of that.
 func BenchmarkMLEEndToEndAllocs(b *testing.B) {
 	f := getFixture(b, 0) // δ=3, β=9
 	sess, err := f.sys.Open(pdmtune.WithLink(pdmtune.LAN()),

@@ -448,6 +448,45 @@ func TestNeverSyncedSiteBootstrapsFromNewPrimary(t *testing.T) {
 	}
 }
 
+// TestLoadAfterPromotionLandsOnNewPrimary: Cluster.LoadProduct follows
+// the promotion. The product is readable at the new primary and, after
+// a sync, at a replica — loaded into the deposed primary's database it
+// would be visible nowhere.
+func TestLoadAfterPromotionLandsOnNewPrimary(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"}, pdmtune.SiteConfig{Name: "osaka"})
+	if _, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 2, Branch: 2, Sigma: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 3, Sigma: 1, Seed: 2, ProdID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SyncSite(ctx, "osaka"); err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{"munich", "osaka"} {
+		sess, err := cl.OpenAt(ctx, site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.MultiLevelExpand(ctx, prod.RootID)
+		if err != nil {
+			t.Fatalf("%s: MLE of the product loaded after the promotion: %v", site, err)
+		}
+		if want := prod.VisibleNodes(); res.Visible != want {
+			t.Errorf("%s: %d visible nodes of the product loaded after the promotion, want %d", site, res.Visible, want)
+		}
+		sess.Close()
+	}
+}
+
 // TestConcurrentSyncAndPromote: replication pulls race a promotion
 // (run with -race). Pulls may fail with structured errors during the
 // window, but nothing corrupts: afterwards every site converges.

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"pdmtune/internal/cache"
 	"pdmtune/internal/costmodel"
@@ -307,7 +305,7 @@ func (c *Client) withWrite(op func(w *wire.Client) error) error {
 // no local database behind such a session, so after the promotion its
 // reads would be frozen at the fencing instant forever. The installed
 // term source and retry policy carry over; the wire client drops the
-// old connection's prepared handles with its transport.
+// old server's prepared handles with its transport.
 func (c *Client) Reroute(tr wire.Transport) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -372,20 +370,6 @@ func (c *Client) SetStalenessBound(bound time.Duration) {
 	if c.site != nil {
 		c.site.bound = bound
 	}
-}
-
-// Close releases the client's server-side session state: connections
-// that prepared statements get a teardown round trip clearing their
-// registries (connections that never prepared cost nothing). The
-// client remains usable — later prepared executions re-prepare.
-func (c *Client) Close(ctx context.Context) error {
-	err := c.sql.Close(ctx)
-	if w := c.writePath(); w != c.sql {
-		if werr := w.Close(ctx); err == nil {
-			err = werr
-		}
-	}
-	return err
 }
 
 // ruleTableIDs assigns every rule table a process-unique id the first
@@ -464,7 +448,7 @@ func (c *Client) ResetMetrics() {
 // queries run against the local replica, everything else (DML, DDL,
 // CALL, transaction control) goes to the primary.
 func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) (*wire.Response, error) {
-	if isReadOnlySQL(sql) {
+	if wire.ReadOnlySQL(sql) {
 		return c.sql.Exec(ctx, sql, params...)
 	}
 	var resp *wire.Response
@@ -474,24 +458,6 @@ func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) 
 		return err
 	})
 	return resp, err
-}
-
-// isReadOnlySQL reports whether a raw statement is a pure read — one a
-// replica can answer. Classification is by leading keyword; anything
-// unrecognized is treated as a write, the safe direction.
-func isReadOnlySQL(sql string) bool {
-	s := strings.TrimSpace(sql)
-	for i, r := range s {
-		if !unicode.IsLetter(r) {
-			s = s[:i]
-			break
-		}
-	}
-	switch strings.ToUpper(s) {
-	case "SELECT", "WITH", "EXPLAIN":
-		return true
-	}
-	return false
 }
 
 func (c *Client) modifier() *Modifier { return &Modifier{Rules: c.rules, User: c.user} }

@@ -176,32 +176,6 @@ func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
 	return tree, nil
 }
 
-// pruneSubtree removes a node and its descendants from the tree index
-// (client-side equivalent of a node failing an ∃structure condition
-// inside the recursion: its subtree is never reached).
-func (t *Tree) pruneSubtree(n *Node) {
-	var rec func(*Node)
-	rec = func(x *Node) {
-		delete(t.Index, x.ObID)
-		for _, c := range x.Children {
-			rec(c)
-		}
-	}
-	rec(n)
-	if parent, ok := t.Index[n.Parent]; ok {
-		kept := parent.Children[:0]
-		for _, c := range parent.Children {
-			if c != n {
-				kept = append(kept, c)
-			}
-		}
-		parent.Children = kept
-	}
-	if t.Root == n {
-		t.Root = nil
-	}
-}
-
 // nodeToUnifiedRow re-projects a Node into the unified layout so rule
 // conditions can be evaluated client-side against received objects.
 func nodeToUnifiedRow(n *Node) storage.Row {

@@ -54,16 +54,6 @@ type ScalarFunc = exec.ScalarFunc
 // "function shipping" remedy for check-out style actions.
 type Procedure func(s *Session, args []Value) (*Result, error)
 
-// Options tune engine behaviour; the zero value is the default.
-type Options struct {
-	// DisableSubqueryCache turns off memoization of uncorrelated
-	// subqueries (ablation knob; the paper assumes an "intelligent query
-	// optimizer" evaluates them once).
-	DisableSubqueryCache bool
-	// MaxRecursion bounds recursive CTE iterations (0 = default 100000).
-	MaxRecursion int
-}
-
 // DB is an in-memory database instance, safe for concurrent use by any
 // number of sessions.
 //
@@ -76,13 +66,12 @@ type Options struct {
 type DB struct {
 	store *storage.DB
 
-	// regMu guards the registries and options. The function/procedure
-	// maps are copy-on-write so statements can read them lock-free
-	// after grabbing the reference.
+	// regMu guards the registries. The function/procedure maps are
+	// copy-on-write so statements can read them lock-free after grabbing
+	// the reference.
 	regMu sync.RWMutex
 	funcs map[string]ScalarFunc
 	procs map[string]Procedure
-	opts  Options
 
 	// plans caches parsed statements by SQL text so repeated Execs skip
 	// lexing and parsing entirely (see plancache.go). Invalidated by DDL.
@@ -99,20 +88,6 @@ func NewDB() *DB {
 	}
 	registerBuiltins(db)
 	return db
-}
-
-// SetOptions replaces the engine options.
-func (db *DB) SetOptions(o Options) {
-	db.regMu.Lock()
-	defer db.regMu.Unlock()
-	db.opts = o
-}
-
-// options returns the current engine options.
-func (db *DB) options() Options {
-	db.regMu.RLock()
-	defer db.regMu.RUnlock()
-	return db.opts
 }
 
 // SetVersionKey overrides the version-key column of a table (see
@@ -372,10 +347,10 @@ func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
 }
 
 // Parse returns the AST for sql, consulting the DB's shared plan cache.
-// A hit performs no lexing or parsing; a miss parses with a fresh arena
-// (so the AST is safe to share and retain) and populates the cache for
-// cacheable (non-DDL) statements. Hit/miss counts land in the session's
-// contention stats, which the wire layer drains into netsim metrics.
+// A hit performs no lexing or parsing; a miss parses and populates the
+// cache for cacheable (non-DDL) statements. Hit/miss counts land in the
+// session's contention stats, which the wire layer drains into netsim
+// metrics.
 func (s *Session) Parse(sql string) (ast.Statement, error) {
 	if stmt, ok := s.db.plans.get(sql); ok {
 		s.stats.PlanHits++
@@ -560,16 +535,13 @@ func (s *Session) execRollback() (*Result, error) {
 // epoch (0 = latest committed state, the write statements' view).
 func (s *Session) newContext(params []Value, epoch uint64) *exec.Context {
 	funcs, _ := s.db.registry()
-	opts := s.db.options()
 	return &exec.Context{
-		DB:                   s.db.store,
-		Epoch:                epoch,
-		Params:               params,
-		Funcs:                funcs,
-		CTEs:                 map[string]*exec.Relation{},
-		SubqueryCache:        map[*ast.Select]*exec.Relation{},
-		DisableSubqueryCache: opts.DisableSubqueryCache,
-		MaxRecursion:         opts.MaxRecursion,
+		DB:            s.db.store,
+		Epoch:         epoch,
+		Params:        params,
+		Funcs:         funcs,
+		CTEs:          map[string]*exec.Relation{},
+		SubqueryCache: map[*ast.Select]*exec.Relation{},
 	}
 }
 

@@ -70,50 +70,70 @@ func TestRecursiveCTEMatchesGoClosure(t *testing.T) {
 	}
 }
 
-// TestSubqueryCacheTransparency: disabling the uncorrelated-subquery
-// cache never changes results.
-func TestSubqueryCacheTransparency(t *testing.T) {
-	queries := []string{
-		"SELECT COUNT(*) FROM t WHERE b = (SELECT MAX(b) FROM t)",
-		"SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM t AS x WHERE x.a = t.a AND x.b > t.b)",
-		"SELECT COUNT(*) FROM t WHERE a IN (SELECT b FROM t)",
-		"SELECT (SELECT COUNT(*) FROM t) + COUNT(*) FROM t",
+// TestSubqueryCountsProperty: counts filtered through uncorrelated and
+// correlated subqueries (the former memoized per statement) equal the
+// same counts computed directly from the rows.
+func TestSubqueryCountsProperty(t *testing.T) {
+	type row struct{ a, b int }
+	queries := []struct {
+		sql  string
+		want func(rows []row) int64
+	}{
+		{"SELECT COUNT(*) FROM t WHERE b = (SELECT MAX(b) FROM t)", func(rows []row) (n int64) {
+			max := rows[0].b
+			for _, r := range rows {
+				if r.b > max {
+					max = r.b
+				}
+			}
+			for _, r := range rows {
+				if r.b == max {
+					n++
+				}
+			}
+			return n
+		}},
+		{"SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM t AS x WHERE x.a = t.a AND x.b > t.b)", func(rows []row) (n int64) {
+			for _, r := range rows {
+				for _, x := range rows {
+					if x.a == r.a && x.b > r.b {
+						n++
+						break
+					}
+				}
+			}
+			return n
+		}},
+		{"SELECT COUNT(*) FROM t WHERE a IN (SELECT b FROM t)", func(rows []row) (n int64) {
+			bs := map[int]bool{}
+			for _, r := range rows {
+				bs[r.b] = true
+			}
+			for _, r := range rows {
+				if bs[r.a] {
+					n++
+				}
+			}
+			return n
+		}},
+		{"SELECT (SELECT COUNT(*) FROM t) + COUNT(*) FROM t", func(rows []row) int64 { return 2 * int64(len(rows)) }},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var stmts []string
-		for i := 0; i < 25; i++ {
-			stmts = append(stmts, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", rng.Intn(6), rng.Intn(6)))
-		}
-		run := func(disable bool) ([]int64, bool) {
-			db := NewDB()
-			db.SetOptions(Options{DisableSubqueryCache: disable})
-			s := db.NewSession()
-			if _, err := s.Exec("CREATE TABLE t (a INTEGER, b INTEGER)"); err != nil {
-				return nil, false
-			}
-			for _, st := range stmts {
-				if _, err := s.Exec(st); err != nil {
-					return nil, false
-				}
-			}
-			var out []int64
-			for _, q := range queries {
-				res, err := s.Exec(q)
-				if err != nil {
-					return nil, false
-				}
-				out = append(out, res.Rows[0][0].Int())
-			}
-			return out, true
-		}
-		a, ok1 := run(false)
-		b, ok2 := run(true)
-		if !ok1 || !ok2 {
+		s := NewDB().NewSession()
+		if _, err := s.Exec("CREATE TABLE t (a INTEGER, b INTEGER)"); err != nil {
 			return false
 		}
-		for i := range a {
-			if a[i] != b[i] {
+		rows := make([]row, 25)
+		for i := range rows {
+			rows[i] = row{rng.Intn(6), rng.Intn(6)}
+			if _, err := s.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", rows[i].a, rows[i].b)); err != nil {
+				return false
+			}
+		}
+		for _, q := range queries {
+			res, err := s.Exec(q.sql)
+			if err != nil || res.Rows[0][0].Int() != q.want(rows) {
 				return false
 			}
 		}

@@ -291,7 +291,7 @@ func (ctx *Context) evalInSubquery(e *ast.InSubquery, env *Env) (types.Value, er
 		}
 		// The set may be reused only when the underlying relation was
 		// cacheable (uncorrelated); evalSubquery tracked that for us.
-		if _, ok := ctx.SubqueryCache[e.Select]; ok && !ctx.DisableSubqueryCache {
+		if _, ok := ctx.SubqueryCache[e.Select]; ok {
 			if ctx.inSetCache == nil {
 				ctx.inSetCache = map[*ast.Select]*inSet{}
 			}
@@ -352,10 +352,8 @@ func (ctx *Context) evalCase(e *ast.Case, env *Env) (types.Value, error) {
 // evalSubquery evaluates a nested select with outer-scope correlation,
 // consulting and maintaining the uncorrelated-subquery cache.
 func (ctx *Context) evalSubquery(sel *ast.Select, outer *Env) (*Relation, error) {
-	if !ctx.DisableSubqueryCache {
-		if rel, ok := ctx.SubqueryCache[sel]; ok {
-			return rel, nil
-		}
+	if rel, ok := ctx.SubqueryCache[sel]; ok {
+		return rel, nil
 	}
 	touched := false
 	barrier := &Env{parent: outer, touched: &touched}
@@ -363,7 +361,7 @@ func (ctx *Context) evalSubquery(sel *ast.Select, outer *Env) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	if !touched && !ctx.DisableSubqueryCache {
+	if !touched {
 		if ctx.SubqueryCache == nil {
 			ctx.SubqueryCache = map[*ast.Select]*Relation{}
 		}

@@ -153,10 +153,8 @@ type Context struct {
 	CTEs map[string]*Relation
 
 	// SubqueryCache memoizes results of subqueries that did not read any
-	// outer column. DisableSubqueryCache turns the optimization off — the
-	// reference path its transparency tests compare against.
-	SubqueryCache        map[*ast.Select]*Relation
-	DisableSubqueryCache bool
+	// outer column.
+	SubqueryCache map[*ast.Select]*Relation
 
 	// inSetCache memoizes hash sets for cached IN-subqueries so that
 	// `x IN (SELECT ...)` probes are O(1) per outer row instead of a scan.

@@ -30,22 +30,8 @@ SELECT type, obid, '' AS "NAME", '' AS "DEC", left, right, eff_from, eff_to
   WHERE (left IN (SELECT obid FROM rtbl) AND right IN (SELECT obid FROM rtbl))
 ORDER BY 1, 2`
 
-// BenchmarkParseSelect measures the warm path: a reused parser whose
-// arena and token buffer survive across statements.
+// BenchmarkParseSelect measures Parse as a plan-cache miss pays it.
 func BenchmarkParseSelect(b *testing.B) {
-	b.SetBytes(int64(len(benchSelect)))
-	b.ReportAllocs()
-	p := New()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Statement(benchSelect); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParseSelectCold measures the one-shot package-level Parse used
-// on plan-cache misses (fresh arena, immortal AST).
-func BenchmarkParseSelectCold(b *testing.B) {
 	b.SetBytes(int64(len(benchSelect)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -58,9 +44,8 @@ func BenchmarkParseSelectCold(b *testing.B) {
 func BenchmarkParseRecursiveMLE(b *testing.B) {
 	b.SetBytes(int64(len(benchRecursiveMLE)))
 	b.ReportAllocs()
-	p := New()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Statement(benchRecursiveMLE); err != nil {
+		if _, err := Parse(benchRecursiveMLE); err != nil {
 			b.Fatal(err)
 		}
 	}

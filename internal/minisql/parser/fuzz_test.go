@@ -20,7 +20,7 @@ var fuzzScripts = []string{
 	"SELECT * FROM (SELECT x FROM t UNION ALL SELECT y FROM u) sub /* block */ WHERE EXISTS (SELECT 1 FROM v);",
 }
 
-// FuzzParseScript asserts the byte-scan lexer + arena parser never panic
+// FuzzParseScript asserts the byte-scan lexer and the parser never panic
 // or read out of bounds, whatever bytes arrive.
 func FuzzParseScript(f *testing.F) {
 	for _, s := range fuzzScripts {
@@ -72,33 +72,5 @@ func TestParseScriptRandomMutations(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-// TestReusableParserMatchesOneShot pins the arena-reuse contract: a warm
-// parser must produce the same rendered AST as the package-level Parse.
-func TestReusableParserMatchesOneShot(t *testing.T) {
-	p := New()
-	for _, src := range fuzzScripts {
-		warm, warmErr := p.Script(src)
-		cold, coldErr := ParseScript(src)
-		if (warmErr != nil) != (coldErr != nil) {
-			t.Fatalf("warm/cold error mismatch on %q: %v vs %v", src, warmErr, coldErr)
-		}
-		if warmErr != nil {
-			continue
-		}
-		if len(warm) != len(cold) {
-			t.Fatalf("warm/cold statement count mismatch on %q", src)
-		}
-		for i := range warm {
-			if warm[i].String() != cold[i].String() {
-				t.Fatalf("warm/cold AST mismatch on %q:\n  warm: %s\n  cold: %s", src, warm[i], cold[i])
-			}
-		}
-	}
-	// After all of that churn the same parser must still parse correctly.
-	if _, err := p.Statement(benchSelect); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,11 +4,9 @@
 // WITH RECURSIVE, multi-branch UNION bodies, joins, EXISTS / IN / scalar
 // subqueries, aggregates, CAST, CASE, DDL, DML, transactions and CALL.
 //
-// AST nodes come from a per-parser slab arena (see arena.go). The
-// package-level Parse/ParseScript/ParseExpr functions use a fresh arena
-// per call, so their results never expire. A reusable Parser obtained
-// from New amortizes the arena and token buffer across statements; its
-// ASTs are valid only until the next call on that parser.
+// AST nodes are ordinary heap values: a parsed statement stays valid for
+// as long as something references it (the engine's plan cache does) and
+// is never written after Parse returns.
 package parser
 
 import (
@@ -21,14 +19,13 @@ import (
 	"pdmtune/internal/minisql/types"
 )
 
-// Parser consumes a token stream. The zero value is ready to use.
+// Parser consumes the token stream of one source text.
 type Parser struct {
 	toks   []token.Token
 	pos    int
 	params int // number of ? parameters seen so far
 	depth  int // recursion depth, bounded to keep adversarial input from overflowing the stack
 	src    string
-	arena  nodeArena
 }
 
 // maxDepth bounds recursive-descent depth. Real PDM statements nest a
@@ -46,87 +43,18 @@ func (p *Parser) enter() error {
 
 func (p *Parser) leave() { p.depth-- }
 
-// New returns a reusable Parser. Each Statement/Script/Expr call resets
-// the arena, invalidating ASTs returned by previous calls on the same
-// parser; use the package-level functions when the AST must outlive the
-// next parse (e.g. to store it in a cache).
-func New() *Parser { return &Parser{} }
-
-// Reset recycles the parser's node arena. Any AST previously returned by
-// this parser must not be used afterwards.
-func (p *Parser) Reset() { p.arena.reset() }
-
-// init tokenizes src into the reused token buffer and rewinds the parser.
-func (p *Parser) init(src string) error {
-	toks, err := token.Tokenize(src, p.toks[:0])
-	p.toks = toks // keep capacity even on error
-	if err != nil {
-		return err
-	}
-	p.pos, p.params, p.depth, p.src = 0, 0, 0, src
-	return nil
+// tokenize starts a parser over src.
+func tokenize(src string) (Parser, error) {
+	toks, err := token.Tokenize(src, nil)
+	return Parser{toks: toks, src: src}, err
 }
 
-// Statement parses a single statement (a trailing semicolon is allowed),
-// reusing the parser's buffers. The result is valid until the next call.
-func (p *Parser) Statement(src string) (ast.Statement, error) {
-	p.Reset()
-	if err := p.init(src); err != nil {
-		return nil, err
-	}
-	return p.finishStatement()
-}
-
-// Script parses a semicolon-separated list of statements, reusing the
-// parser's buffers. The results are valid until the next call.
-func (p *Parser) Script(src string) ([]ast.Statement, error) {
-	p.Reset()
-	if err := p.init(src); err != nil {
-		return nil, err
-	}
-	return p.finishScript()
-}
-
-// Expr parses a standalone expression, reusing the parser's buffers. The
-// result is valid until the next call.
-func (p *Parser) Expr(src string) (ast.Expr, error) {
-	p.Reset()
-	if err := p.init(src); err != nil {
-		return nil, err
-	}
-	return p.finishExpr()
-}
-
-// Parse parses a single statement (a trailing semicolon is allowed). The
-// returned AST owns a fresh arena and never expires.
+// Parse parses a single statement (a trailing semicolon is allowed).
 func Parse(src string) (ast.Statement, error) {
-	var p Parser
-	if err := p.init(src); err != nil {
+	p, err := tokenize(src)
+	if err != nil {
 		return nil, err
 	}
-	return p.finishStatement()
-}
-
-// ParseScript parses a semicolon-separated list of statements.
-func ParseScript(src string) ([]ast.Statement, error) {
-	var p Parser
-	if err := p.init(src); err != nil {
-		return nil, err
-	}
-	return p.finishScript()
-}
-
-// ParseExpr parses a standalone expression — used by the rule compiler to
-// validate condition predicates entered by administrators.
-func ParseExpr(src string) (ast.Expr, error) {
-	var p Parser
-	if err := p.init(src); err != nil {
-		return nil, err
-	}
-	return p.finishExpr()
-}
-
-func (p *Parser) finishStatement() (ast.Statement, error) {
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -138,7 +66,12 @@ func (p *Parser) finishStatement() (ast.Statement, error) {
 	return st, nil
 }
 
-func (p *Parser) finishScript() ([]ast.Statement, error) {
+// ParseScript parses a semicolon-separated list of statements.
+func ParseScript(src string) ([]ast.Statement, error) {
+	p, err := tokenize(src)
+	if err != nil {
+		return nil, err
+	}
 	var out []ast.Statement
 	for {
 		for p.accept(token.Semicolon) {
@@ -157,7 +90,13 @@ func (p *Parser) finishScript() ([]ast.Statement, error) {
 	}
 }
 
-func (p *Parser) finishExpr() (ast.Expr, error) {
+// ParseExpr parses a standalone expression — used by the rule compiler to
+// validate condition predicates entered by administrators.
+func ParseExpr(src string) (ast.Expr, error) {
+	p, err := tokenize(src)
+	if err != nil {
+		return nil, err
+	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -350,9 +289,7 @@ func (p *Parser) parseStatement() (ast.Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := p.arena.explain.get()
-		n.Stmt = inner
-		return n, nil
+		return &ast.Explain{Stmt: inner}, nil
 	}
 	return nil, p.errorf("expected a statement, got %s", p.peek())
 }
@@ -382,9 +319,7 @@ func (p *Parser) parseCall() (ast.Statement, error) {
 	if _, err := p.expect(token.RParen, "')'"); err != nil {
 		return nil, err
 	}
-	n := p.arena.call.get()
-	n.Proc, n.Args = name, args
-	return n, nil
+	return &ast.Call{Proc: name, Args: args}, nil
 }
 
 func (p *Parser) parseCreate() (ast.Statement, error) {
@@ -403,7 +338,7 @@ func (p *Parser) parseCreate() (ast.Statement, error) {
 }
 
 func (p *Parser) parseCreateTable() (ast.Statement, error) {
-	st := p.arena.create.get()
+	st := &ast.CreateTable{}
 	if p.atKeyword("IF") {
 		p.next()
 		if err := p.expectKeyword("NOT"); err != nil {
@@ -528,9 +463,7 @@ func (p *Parser) parseCreateIndex(unique bool) (ast.Statement, error) {
 	if _, err := p.expect(token.RParen, "')'"); err != nil {
 		return nil, err
 	}
-	n := p.arena.createIdx.get()
-	*n = ast.CreateIndex{Name: name, Table: table, Column: col, Unique: unique, IfNotExists: ifNotExists}
-	return n, nil
+	return &ast.CreateIndex{Name: name, Table: table, Column: col, Unique: unique, IfNotExists: ifNotExists}, nil
 }
 
 func (p *Parser) parseDrop() (ast.Statement, error) {
@@ -538,7 +471,7 @@ func (p *Parser) parseDrop() (ast.Statement, error) {
 	if !p.acceptKeyword("TABLE") {
 		return nil, p.errorf("expected TABLE after DROP, got %s", p.peek())
 	}
-	st := p.arena.dropTable.get()
+	st := &ast.DropTable{}
 	if p.atKeyword("IF") {
 		p.next()
 		if !p.acceptKeyword("EXISTS") {
@@ -563,8 +496,7 @@ func (p *Parser) parseInsert() (ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := p.arena.insert.get()
-	st.Table = table
+	st := &ast.Insert{Table: table}
 	if p.accept(token.LParen) {
 		for {
 			col, err := p.identLike("column name")
@@ -626,8 +558,7 @@ func (p *Parser) parseUpdate() (ast.Statement, error) {
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	st := p.arena.update.get()
-	st.Table = table
+	st := &ast.Update{Table: table}
 	for {
 		col, err := p.identLike("column name")
 		if err != nil {
@@ -664,8 +595,7 @@ func (p *Parser) parseDelete() (ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := p.arena.delete.get()
-	st.Table = table
+	st := &ast.Delete{Table: table}
 	if p.acceptKeyword("WHERE") {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -684,7 +614,7 @@ func (p *Parser) parseSelect() (*ast.Select, error) {
 		return nil, err
 	}
 	defer p.leave()
-	sel := p.arena.sel.get()
+	sel := &ast.Select{}
 	if p.atKeyword("WITH") {
 		w, err := p.parseWith()
 		if err != nil {
@@ -748,8 +678,7 @@ func (p *Parser) parseSelect() (*ast.Select, error) {
 
 func (p *Parser) parseWith() (*ast.With, error) {
 	p.next() // WITH
-	w := p.arena.with.get()
-	w.Recursive = p.acceptKeyword("RECURSIVE")
+	w := &ast.With{Recursive: p.acceptKeyword("RECURSIVE")}
 	for {
 		name, err := p.identLike("CTE name")
 		if err != nil {
@@ -808,9 +737,7 @@ func (p *Parser) parseSelectBody() (ast.SelectBody, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := p.arena.setOp.get()
-		*n = ast.SetOp{Op: op, Left: left, Right: right}
-		left = n
+		left = &ast.SetOp{Op: op, Left: left, Right: right}
 	}
 	return left, nil
 }
@@ -839,7 +766,7 @@ func (p *Parser) parseSelectCore() (*ast.SelectCore, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	core := p.arena.core.get()
+	core := &ast.SelectCore{}
 	if p.acceptKeyword("DISTINCT") {
 		core.Distinct = true
 	} else {
@@ -933,8 +860,7 @@ func (p *Parser) parseFrom() (ast.TableRef, error) {
 	if !p.at(token.Comma) {
 		return first, nil
 	}
-	list := p.arena.crossList.get()
-	list.Items = append(list.Items, first)
+	list := &ast.CrossList{Items: []ast.TableRef{first}}
 	for p.accept(token.Comma) {
 		next, err := p.parseJoinChain()
 		if err != nil {
@@ -983,9 +909,7 @@ func (p *Parser) parseJoinChain() (ast.TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := p.arena.join.get()
-		*n = ast.Join{Type: jt, Left: left, Right: right, On: on}
-		left = n
+		left = &ast.Join{Type: jt, Left: left, Right: right, On: on}
 	}
 }
 
@@ -1004,16 +928,13 @@ func (p *Parser) parseTableFactor() (ast.TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := p.arena.subqTable.get()
-		n.Select, n.Alias = sel, alias
-		return n, nil
+		return &ast.SubqueryTable{Select: sel, Alias: alias}, nil
 	}
 	name, err := p.identLike("table name")
 	if err != nil {
 		return nil, err
 	}
-	t := p.arena.baseTable.get()
-	t.Name = name
+	t := &ast.BaseTable{Name: name}
 	if p.acceptKeyword("AS") {
 		alias, err := p.identLike("table alias")
 		if err != nil {
@@ -1047,7 +968,7 @@ func (p *Parser) parseOr() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = p.newBinary("OR", left, right)
+		left = &ast.Binary{Op: "OR", Left: left, Right: right}
 	}
 	return left, nil
 }
@@ -1063,7 +984,7 @@ func (p *Parser) parseAnd() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = p.newBinary("AND", left, right)
+		left = &ast.Binary{Op: "AND", Left: left, Right: right}
 	}
 	return left, nil
 }
@@ -1079,9 +1000,7 @@ func (p *Parser) parseNot() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := p.arena.unary.get()
-		n.Op, n.Expr = "NOT", inner
-		return n, nil
+		return &ast.Unary{Op: "NOT", Expr: inner}, nil
 	}
 	return p.parsePredicate()
 }
@@ -1119,16 +1038,14 @@ func (p *Parser) parsePredicate() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = p.newBinary(op, left, right)
+			left = &ast.Binary{Op: op, Left: left, Right: right}
 		case p.atKeyword("IS"):
 			p.next()
 			not := p.acceptKeyword("NOT")
 			if !p.acceptKeyword("NULL") {
 				return nil, p.errorf("expected NULL after IS, got %s", p.peek())
 			}
-			n := p.arena.isNull.get()
-			n.Expr, n.Not = left, not
-			left = n
+			left = &ast.IsNull{Expr: left, Not: not}
 		case p.atKeyword("BETWEEN"):
 			p.next()
 			lo, err := p.parseAdditive()
@@ -1142,18 +1059,14 @@ func (p *Parser) parsePredicate() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			n := p.arena.between.get()
-			*n = ast.Between{Expr: left, Lo: lo, Hi: hi}
-			left = n
+			left = &ast.Between{Expr: left, Lo: lo, Hi: hi}
 		case p.atKeyword("LIKE"):
 			p.next()
 			pat, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
-			n := p.arena.like.get()
-			n.Expr, n.Pattern = left, pat
-			left = n
+			left = &ast.Like{Expr: left, Pattern: pat}
 		case p.atKeyword("IN"):
 			p.next()
 			in, err := p.parseInTail(left, false)
@@ -1178,17 +1091,13 @@ func (p *Parser) parsePredicate() (ast.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				n := p.arena.between.get()
-				*n = ast.Between{Expr: left, Lo: lo, Hi: hi, Not: true}
-				left = n
+				left = &ast.Between{Expr: left, Lo: lo, Hi: hi, Not: true}
 			case p.acceptKeyword("LIKE"):
 				pat, err := p.parseAdditive()
 				if err != nil {
 					return nil, err
 				}
-				n := p.arena.like.get()
-				*n = ast.Like{Expr: left, Pattern: pat, Not: true}
-				left = n
+				left = &ast.Like{Expr: left, Pattern: pat, Not: true}
 			case p.acceptKeyword("IN"):
 				in, err := p.parseInTail(left, true)
 				if err != nil {
@@ -1217,9 +1126,7 @@ func (p *Parser) parseExists(not bool) (ast.Expr, error) {
 	if _, err := p.expect(token.RParen, "')'"); err != nil {
 		return nil, err
 	}
-	n := p.arena.exists.get()
-	n.Select, n.Not = sel, not
-	return n, nil
+	return &ast.Exists{Select: sel, Not: not}, nil
 }
 
 func (p *Parser) parseInTail(left ast.Expr, not bool) (ast.Expr, error) {
@@ -1234,9 +1141,7 @@ func (p *Parser) parseInTail(left ast.Expr, not bool) (ast.Expr, error) {
 		if _, err := p.expect(token.RParen, "')'"); err != nil {
 			return nil, err
 		}
-		n := p.arena.inSubq.get()
-		*n = ast.InSubquery{Expr: left, Select: sel, Not: not}
-		return n, nil
+		return &ast.InSubquery{Expr: left, Select: sel, Not: not}, nil
 	}
 	var items []ast.Expr
 	for {
@@ -1252,9 +1157,7 @@ func (p *Parser) parseInTail(left ast.Expr, not bool) (ast.Expr, error) {
 	if _, err := p.expect(token.RParen, "')'"); err != nil {
 		return nil, err
 	}
-	n := p.arena.inList.get()
-	*n = ast.InList{Expr: left, Items: items, Not: not}
-	return n, nil
+	return &ast.InList{Expr: left, Items: items, Not: not}, nil
 }
 
 func (p *Parser) parseAdditive() (ast.Expr, error) {
@@ -1279,7 +1182,7 @@ func (p *Parser) parseAdditive() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = p.newBinary(op, left, right)
+		left = &ast.Binary{Op: op, Left: left, Right: right}
 	}
 }
 
@@ -1305,7 +1208,7 @@ func (p *Parser) parseMultiplicative() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = p.newBinary(op, left, right)
+		left = &ast.Binary{Op: op, Left: left, Right: right}
 	}
 }
 
@@ -1322,14 +1225,12 @@ func (p *Parser) parseUnary() (ast.Expr, error) {
 		if lit, ok := inner.(*ast.Literal); ok {
 			switch lit.Value.Kind() {
 			case types.KindInt:
-				return p.newLiteral(types.NewInt(-lit.Value.Int())), nil
+				return &ast.Literal{Value: types.NewInt(-lit.Value.Int())}, nil
 			case types.KindFloat:
-				return p.newLiteral(types.NewFloat(-lit.Value.Float())), nil
+				return &ast.Literal{Value: types.NewFloat(-lit.Value.Float())}, nil
 			}
 		}
-		n := p.arena.unary.get()
-		n.Op, n.Expr = "-", inner
-		return n, nil
+		return &ast.Unary{Op: "-", Expr: inner}, nil
 	}
 	p.accept(token.Plus)
 	return p.parsePrimary()
@@ -1345,7 +1246,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.Text)
 			}
-			return p.newLiteral(types.NewFloat(f)), nil
+			return &ast.Literal{Value: types.NewFloat(f)}, nil
 		}
 		i, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
@@ -1353,16 +1254,15 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 			if ferr != nil {
 				return nil, p.errorf("bad number %q", t.Text)
 			}
-			return p.newLiteral(types.NewFloat(f)), nil
+			return &ast.Literal{Value: types.NewFloat(f)}, nil
 		}
-		return p.newLiteral(types.NewInt(i)), nil
+		return &ast.Literal{Value: types.NewInt(i)}, nil
 	case token.String:
 		p.next()
-		return p.newLiteral(types.NewText(t.Text)), nil
+		return &ast.Literal{Value: types.NewText(t.Text)}, nil
 	case token.Param:
 		p.next()
-		e := p.arena.param.get()
-		e.Index = p.params
+		e := &ast.Param{Index: p.params}
 		p.params++
 		return e, nil
 	case token.LParen:
@@ -1375,9 +1275,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 			if _, err := p.expect(token.RParen, "')'"); err != nil {
 				return nil, err
 			}
-			n := p.arena.scalarSub.get()
-			n.Select = sel
-			return n, nil
+			return &ast.ScalarSubquery{Select: sel}, nil
 		}
 		e, err := p.parseExpr()
 		if err != nil {
@@ -1391,13 +1289,13 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 		switch t.Text {
 		case "NULL":
 			p.next()
-			return p.newLiteral(types.Null), nil
+			return &ast.Literal{Value: types.Null}, nil
 		case "TRUE":
 			p.next()
-			return p.newLiteral(types.NewBool(true)), nil
+			return &ast.Literal{Value: types.NewBool(true)}, nil
 		case "FALSE":
 			p.next()
-			return p.newLiteral(types.NewBool(false)), nil
+			return &ast.Literal{Value: types.NewBool(false)}, nil
 		case "CAST":
 			return p.parseCast()
 		case "CASE":
@@ -1436,9 +1334,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 			if _, err := p.expect(token.RParen, "')'"); err != nil {
 				return nil, err
 			}
-			n := p.arena.funcCall.get()
-			n.Name, n.Args = strings.ToLower(t.Text), args
-			return n, nil
+			return &ast.FuncCall{Name: strings.ToLower(t.Text), Args: args}, nil
 		}
 		return p.maybeQualified(t.Text)
 	}
@@ -1450,18 +1346,18 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 // schema, so they are accepted after a dot and as bare refs via callers.
 func (p *Parser) maybeQualified(first string) (ast.Expr, error) {
 	if !p.at(token.Dot) {
-		return p.newColumnRef("", first), nil
+		return &ast.ColumnRef{Column: first}, nil
 	}
 	p.next()
 	t := p.peek()
 	switch {
 	case t.Type == token.Ident || t.Type == token.QuotedIdent:
 		p.next()
-		return p.newColumnRef(first, t.Text), nil
+		return &ast.ColumnRef{Table: first, Column: t.Text}, nil
 	case t.Type == token.Keyword && (t.Text == "LEFT" || t.Text == "DEFAULT" || t.Text == "KEY" || t.Text == "ALL"):
 		// Allow a few keywords as column names when qualified.
 		p.next()
-		return p.newColumnRef(first, lowerKeyword(t.Text)), nil
+		return &ast.ColumnRef{Table: first, Column: lowerKeyword(t.Text)}, nil
 	}
 	return nil, p.errorf("expected column name after '.', got %s", t)
 }
@@ -1500,14 +1396,12 @@ func (p *Parser) parseCast() (ast.Expr, error) {
 	if _, err := p.expect(token.RParen, "')'"); err != nil {
 		return nil, err
 	}
-	n := p.arena.cast.get()
-	n.Expr, n.Type = e, ct
-	return n, nil
+	return &ast.Cast{Expr: e, Type: ct}, nil
 }
 
 func (p *Parser) parseCase() (ast.Expr, error) {
 	p.next() // CASE
-	c := p.arena.caseExpr.get()
+	c := &ast.Case{}
 	if !p.atKeyword("WHEN") {
 		op, err := p.parseExpr()
 		if err != nil {
@@ -1550,8 +1444,7 @@ func (p *Parser) parseAggregate() (ast.Expr, error) {
 	if _, err := p.expect(token.LParen, "'('"); err != nil {
 		return nil, err
 	}
-	agg := p.arena.aggregate.get()
-	agg.Func = t.Text
+	agg := &ast.Aggregate{Func: t.Text}
 	if p.at(token.Star) {
 		if t.Text != "COUNT" {
 			return nil, p.errorf("%s(*) is not valid", t.Text)

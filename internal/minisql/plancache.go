@@ -17,11 +17,9 @@ import (
 const planCacheBytes = 256 << 10
 
 // planCache is a concurrency-safe LRU of parsed statements keyed by SQL
-// text and bounded by the bytes of text it holds. Cached ASTs come from
-// the package-level parser.Parse (fresh arena per call), so they never
-// expire, and the executor treats ASTs as read-only, so one cached
-// statement may run on any number of sessions concurrently. DDL
-// execution invalidates the whole cache.
+// text and bounded by the bytes of text it holds. The executor treats
+// ASTs as read-only, so one cached statement may run on any number of
+// sessions concurrently. DDL execution invalidates the whole cache.
 type planCache struct {
 	mu     sync.Mutex
 	budget int

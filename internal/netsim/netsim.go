@@ -275,16 +275,6 @@ type SiteMetrics struct {
 	Metrics Metrics
 }
 
-// AggregateSites sums the per-site metrics of a cluster into one
-// cluster-wide total.
-func AggregateSites(sites []SiteMetrics) Metrics {
-	var total Metrics
-	for _, s := range sites {
-		total = total.Add(s.Metrics)
-	}
-	return total
-}
-
 func (m Metrics) String() string {
 	return fmt.Sprintf("%d round trips, %.0f B up, %.0f B down, %.2fs latency + %.2fs transfer = %.2fs",
 		m.RoundTrips, m.RequestBytes, m.ResponseBytes, m.LatencySec, m.TransferSec, m.TotalSec())

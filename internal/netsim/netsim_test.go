@@ -135,7 +135,7 @@ func TestProfileConstructors(t *testing.T) {
 // TestMetricsArithmeticCoversEveryField guards the one hand-written
 // field list (Metrics.combine): a counter added to the struct but
 // forgotten there would silently vanish from every Sub delta and every
-// AggregateSites total. Every numeric field gets a distinct non-zero
+// Add total. Every numeric field gets a distinct non-zero
 // value; Add must move each of them and Sub must move each back.
 func TestMetricsArithmeticCoversEveryField(t *testing.T) {
 	fill := func(base int64) Metrics {

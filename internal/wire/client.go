@@ -26,10 +26,9 @@ type Transport interface {
 	RoundTrip(ctx context.Context, request []byte) (response []byte, err error)
 }
 
-// Client issues SQL over a transport. It is 1:1 with a server
-// connection, so it also owns the connection's prepared-statement
-// handles: a Request marked Prepared names its statement by SQL text
-// and the client resolves it (see bind).
+// Client issues SQL over a transport. A Request marked Prepared names
+// its statement by SQL text and the client resolves it to the handle of
+// the server its current transport reaches (see bind).
 type Client struct {
 	// term stamps write and sync frames with the cluster fencing term
 	// (nil/ok=false: no envelope — the site-less wire format is
@@ -48,11 +47,18 @@ type Client struct {
 	// trGen counts SetTransport swaps, so a caller that snapshotted the
 	// client before a failover can tell "same client, new destination".
 	trGen uint64
-	// handles is the connection's prepared-statement registry: SQL text
-	// → server handle. Handles are connection-scoped, so the registry
-	// lives and dies with the transport generation that prepared it.
+	// handles is the prepared-statement registry: SQL text → server
+	// handle, or textOnly for a statement the server's table refused. A
+	// handle means something only at the server that issued it, and a
+	// failover lands on a different server, so the registry lives and
+	// dies with the transport generation that prepared it.
 	handles map[string]uint32
 }
+
+// textOnly is the registry entry of a statement the server refused to
+// prepare (ErrStatementTableFull): it ships as text. Server handles
+// start at 1.
+const textOnly = 0
 
 // unpinned is the pin of an exchange that carries no handles and may
 // therefore go out on whatever transport is current.
@@ -77,7 +83,7 @@ func (c *Client) SetRetry(p *RetryPolicy) { c.retry = p }
 // re-routes a deposed primary's sessions this way. Safe to call from
 // another goroutine: in-flight round trips finish on the transport
 // they started with; the next exchange uses the new one. Prepared
-// handles are connection-scoped, so the registry is dropped here and
+// handles are server-scoped, so the registry is dropped here and
 // statements re-prepare on first use at the new server.
 func (c *Client) SetTransport(tr Transport) {
 	c.mu.Lock()
@@ -297,8 +303,8 @@ func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 }
 
 // exchange ships the requests of one round trip — a single statement,
-// or a batch frame — with every Prepared request bound to this
-// connection's handles. The frame is pinned to the transport generation
+// or a batch frame — with every Prepared request bound to the server's
+// handles. The frame is pinned to the transport generation
 // that prepared them; when a failover swaps the transport in between,
 // the handles are gone with it, so the requests are re-bound (and
 // re-prepared) on the new connection instead of executing a stale
@@ -338,10 +344,11 @@ func (c *Client) exchange(ctx context.Context, reqs []*Request, batch bool) ([]b
 }
 
 // bind resolves every Prepared request that names its statement by SQL
-// text to the connection's handle, preparing on first use (one extra
-// round trip per connection and text), and returns the transport
-// generation the handles belong to. A Prepared request without text
-// carries a caller-supplied handle and is shipped as is.
+// text to the server's handle, preparing on first use (one extra round
+// trip per transport generation and text), and returns the transport
+// generation the handles belong to. A statement the server's table
+// refused loses its Prepared mark and ships as text. A Prepared request
+// without text carries a caller-supplied handle and is shipped as is.
 func (c *Client) bind(ctx context.Context, reqs []*Request) (uint64, error) {
 	_, gen := c.transport()
 	for _, req := range reqs {
@@ -361,22 +368,28 @@ func (c *Client) bind(ctx context.Context, reqs []*Request) (uint64, error) {
 				return 0, err
 			}
 		}
-		req.Handle = h
+		req.Handle, req.Prepared = h, h != textOnly
 	}
 	return gen, nil
 }
 
 // prepare ships a statement's SQL text once on transport generation gen
-// and records the server-side handle in the connection's registry.
+// and records the server's handle — or, when the server's statement
+// table is full, textOnly — in the registry.
 func (c *Client) prepare(ctx context.Context, sql string, gen uint64) (uint32, error) {
+	var h uint32
 	respBody, err := c.call(ctx, EncodePrepare(sql), true, gen)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrStatementTableFull):
+		h = textOnly
+	case err != nil:
 		return 0, err
-	}
-	defer putFrame(respBody)
-	h, err := DecodePrepareResp(respBody)
-	if err != nil {
-		return 0, err
+	default:
+		h, err = DecodePrepareResp(respBody)
+		putFrame(respBody)
+		if err != nil {
+			return 0, err
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -429,39 +442,13 @@ func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*stor
 	return DecodeSyncResp(respBody)
 }
 
-// Close releases the connection's server-side session state (the
-// prepared-statement registry) in one teardown round trip; a
-// connection that never prepared costs nothing. The client remains
-// usable — later prepared executions re-prepare.
-func (c *Client) Close(ctx context.Context) error {
-	c.mu.Lock()
-	prepared := len(c.handles) > 0
-	c.handles = nil
-	c.mu.Unlock()
-	if !prepared {
-		return nil
-	}
-	respBody, err := c.roundTrip(ctx, EncodeClose(), true, unpinned)
-	if err != nil {
-		return err
-	}
-	defer putFrame(respBody)
-	resp, err := DecodeResponse(respBody)
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return &ServerError{Msg: resp.Err}
-	}
-	return nil
-}
-
 // ExecBatch ships N statements in one round trip and returns one
 // response per executed statement. Requests may mix SQL text and
-// prepared executions (bound to handles as in Do). The server executes in order and stops at the
-// first failing statement; in that case the responses of the statements
-// that did execute are returned together with a *BatchError naming the
-// failed index. An empty batch is a no-op that costs nothing.
+// prepared executions (bound to handles as in Do). The server executes
+// in order and stops at the first failing statement; in that case the
+// responses of the statements that did execute are returned together
+// with a *BatchError naming the failed index. An empty batch is a no-op
+// that costs nothing.
 func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -500,6 +487,12 @@ func (c *Client) Status(ctx context.Context) (Status, error) {
 type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "server: " + e.Msg }
+
+// Is matches the one refusal that crosses the wire as a plain error
+// frame and that clients must recognise: ErrStatementTableFull.
+func (e *ServerError) Is(target error) bool {
+	return target == ErrStatementTableFull && e.Msg == ErrStatementTableFull.Error()
+}
 
 // BatchError is an SQL error that stopped a batch: statement Index
 // failed, statements before it executed, statements after it never ran.
@@ -548,9 +541,9 @@ func (fa *frameAccountant) account(request, response []byte, st minisql.Contenti
 			// A replication pull: one round trip, no statements — the
 			// delta volume is the replication cost the site meter reports.
 			extra.SyncRoundTrips = 1
-		case len(inner) > 0 && (inner[0] == TypeHello || inner[0] == TypeClose || inner[0] == TypeStatus):
-			// The capability handshake, session teardown and health
-			// probes are round trips carrying zero statements.
+		case len(inner) > 0 && (inner[0] == TypeHello || inner[0] == TypeStatus):
+			// The capability handshake and health probes are round trips
+			// carrying zero statements.
 		default:
 			stats := ScanFrame(inner, fa.sqlLen)
 			extra.Statements = stats.Statements

@@ -268,15 +268,14 @@ func (c *ServerConn) isWriteFrame(b []byte) bool {
 		if len(b) < 5 {
 			return true
 		}
-		handle := binary.BigEndian.Uint32(b[1:5])
-		st, ok := c.stmts[handle]
+		sql, ok := c.server.stmts.text(binary.BigEndian.Uint32(b[1:5]))
 		// An unknown handle is not a write — dispatch answers the usual
 		// "no prepared statement" error.
-		return ok && !st.readOnly
+		return ok && !ReadOnlySQL(sql)
 	case TypeBatch:
 		return c.batchHasWrite(b)
 	}
-	// Prepare, Validate, Hello, Close, Status: session plumbing and
+	// Prepare, Validate, Hello, Status: session plumbing and
 	// reads, always allowed.
 	return false
 }

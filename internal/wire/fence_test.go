@@ -27,7 +27,7 @@ func staticTerm(term uint64) TermSource {
 }
 
 func TestFencedEnvelopeRoundTrip(t *testing.T) {
-	inner := EncodeSync(9)
+	inner := EncodeSyncFrom(9, "")
 	wrapped := EncodeFenced(17, inner)
 	term, got, err := DecodeFenced(wrapped)
 	if err != nil || term != 17 {
@@ -285,5 +285,40 @@ func TestPoolEvictsDeadConns(t *testing.T) {
 	}
 	if pool.Size() != 1 {
 		t.Fatalf("pool size after revive = %d, want 1 fresh member", pool.Size())
+	}
+}
+
+// TestReadOnlySQL: the one read/write classifier — the client routes
+// raw statements by it and the server's fence refuses by it. Anything
+// it does not recognise is a write, the safe direction.
+func TestReadOnlySQL(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		read bool
+	}{
+		{"SELECT 1", true},
+		{" \t\r\n select 1", true},
+		{"SeLeCt 1", true},
+		{"WITH RECURSIVE r (n) AS (SELECT 1) SELECT n FROM r", true},
+		{"with r (n) AS (SELECT 1) SELECT n FROM r", true},
+		{"EXPLAIN UPDATE kv SET val = 1", true},
+		{"explain SELECT 1", true},
+		{"SELECT", true},
+		{"(SELECT 1)", false},
+		{"", false},
+		{"   ", false},
+		{"SELECTED 1", false},
+		{"WITHOUT", false},
+		{"UPDATE kv SET val = 1", false},
+		{"INSERT INTO kv SELECT 1, 2", false},
+		{"CALL pdm_check_out(1)", false},
+		{"-- SELECT\nDELETE FROM kv", false},
+		{"éSELECT 1", false},
+		{"\u00a0SELECT 1", false},
+		{"ＳＥＬＥＣＴ 1", false},
+	} {
+		if got := ReadOnlySQL(tc.sql); got != tc.read {
+			t.Errorf("ReadOnlySQL(%q) = %v, want %v", tc.sql, got, tc.read)
+		}
 	}
 }

@@ -2,12 +2,10 @@ package wire
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"pdmtune/internal/minisql"
-	"pdmtune/internal/minisql/parser"
 )
 
 // Pool multiplexes many client sessions over at most max server
@@ -20,19 +18,12 @@ import (
 // Pool implements Transport and is safe for any number of concurrent
 // RoundTrip callers. Per call it acquires an idle member connection
 // (creating one while under the cap, blocking otherwise), forwards the
-// request, and releases the connection. Three frame types never reach a
-// member connection:
-//
-//   - Hello: the first hello negotiates the pool-wide capability set on
-//     a member connection; every later hello is answered locally with
-//     that same set, so all members encode responses identically.
-//   - Prepare: the SQL is parsed (surfacing syntax errors at prepare
-//     time) and registered under a pool-level handle. Member
-//     connections prepare lazily, the first time the handle executes on
-//     them; the pool remaps pool handles to per-connection handles on
-//     TypeExecPrepared and TypeBatch frames.
-//   - Close: answered locally — pool-level handles outlive any one
-//     client session, and member registries are shared state.
+// request untouched, and releases the connection. Prepared handles
+// belong to the server (see stmtTable), so a prepare on one member is
+// executable on every other. The one frame the pool answers itself is a
+// repeated hello: the first hello negotiates the pool-wide capability
+// set on a member; every later hello is answered locally with that same
+// set, so all members encode responses identically.
 //
 // Because statements from one client may execute on different member
 // connections, sessions multiplexed through a pool must not rely on
@@ -47,8 +38,6 @@ type Pool struct {
 	created int
 	caps    Caps
 	capsSet bool
-	stmts   map[uint32]string // pool handle → SQL text
-	next    uint32
 	pending minisql.ContentionStats
 
 	idle chan *poolConn
@@ -59,12 +48,9 @@ type Pool struct {
 	wrapMember func(Transport) Transport
 }
 
-// poolConn is one member connection plus its lazy view of the pool's
-// prepared statements. handles is touched only while the member is
-// checked out, so it needs no lock of its own.
+// poolConn is one member connection.
 type poolConn struct {
-	conn    *ServerConn
-	handles map[uint32]uint32 // pool handle → this connection's handle
+	conn *ServerConn
 	// tr, when set, carries the member's round trips instead of the
 	// direct in-process dispatch — the seam SetMemberWrapper installs
 	// (fault injection, future stream-backed members). A member whose
@@ -87,7 +73,6 @@ func NewPool(server *Server, max int) *Pool {
 	}
 	return &Pool{
 		server: server,
-		stmts:  map[uint32]string{},
 		idle:   make(chan *poolConn, max),
 		max:    max,
 	}
@@ -175,7 +160,7 @@ func (p *Pool) acquire(ctx context.Context) (*poolConn, error) {
 	p.mu.Lock()
 	if p.created < p.max {
 		p.created++
-		pc := &poolConn{conn: p.server.NewConn(), handles: map[uint32]uint32{}}
+		pc := &poolConn{conn: p.server.NewConn()}
 		if p.wrapMember != nil {
 			pc.tr = p.wrapMember(connTransport{conn: pc.conn})
 		}
@@ -220,39 +205,8 @@ func (p *Pool) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if len(request) > 0 {
-		switch request[0] {
-		case TypeHello:
-			return p.handleHello(ctx, request)
-		case TypePrepare:
-			return p.handlePrepare(request), nil
-		case TypeClose:
-			// Session teardown: pool handles are shared, nothing to drop.
-			if err := DecodeClose(request); err != nil {
-				return EncodeResponse(&Response{Err: fmt.Sprintf("bad close: %v", err)}), nil
-			}
-			return EncodeResponse(&Response{}), nil
-		case TypeExecPrepared:
-			req, err := DecodeExecPrepared(request)
-			if err != nil {
-				return EncodeResponse(&Response{Err: fmt.Sprintf("bad request: %v", err)}), nil
-			}
-			return p.execRemapped(ctx, []*Request{req}, func(pc *poolConn) ([]byte, error) {
-				body := EncodeExec(req)
-				defer putFrame(body)
-				return p.send(ctx, pc, body)
-			})
-		case TypeBatch:
-			reqs, err := DecodeBatch(request)
-			if err != nil {
-				return EncodeResponse(&Response{Err: fmt.Sprintf("bad batch: %v", err)}), nil
-			}
-			return p.execRemapped(ctx, reqs, func(pc *poolConn) ([]byte, error) {
-				body := EncodeBatch(reqs)
-				defer putFrame(body)
-				return p.send(ctx, pc, body)
-			})
-		}
+	if len(request) > 0 && request[0] == TypeHello {
+		return p.handleHello(ctx, request)
 	}
 	pc, err := p.acquire(ctx)
 	if err != nil {
@@ -296,95 +250,4 @@ func (p *Pool) handleHello(ctx context.Context, request []byte) ([]byte, error) 
 		p.mu.Unlock()
 	}
 	return resp, nil
-}
-
-// handlePrepare registers the SQL under a fresh pool-level handle.
-// Parsing here keeps the contract that syntax errors surface at prepare
-// time even though no member connection has seen the statement yet.
-func (p *Pool) handlePrepare(request []byte) []byte {
-	sql, err := DecodePrepare(request)
-	if err != nil {
-		return EncodeResponse(&Response{Err: fmt.Sprintf("bad prepare: %v", err)})
-	}
-	if _, err := parser.Parse(sql); err != nil {
-		return EncodeResponse(&Response{Err: err.Error()})
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.next++
-	p.stmts[p.next] = sql
-	return EncodePrepareResp(p.next)
-}
-
-// execRemapped checks out a member, makes sure it has prepared every
-// pool handle the requests reference (rewriting them to the member's
-// handles in place), and forwards via send.
-func (p *Pool) execRemapped(ctx context.Context, reqs []*Request, send func(*poolConn) ([]byte, error)) ([]byte, error) {
-	pc, err := p.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for _, req := range reqs {
-		if !req.Prepared {
-			continue
-		}
-		h, err := p.connHandle(ctx, pc, req.Handle)
-		if err != nil {
-			p.finish(pc, err)
-			if isConnClosed(err) {
-				// The member died mid-prepare: it was evicted; surface
-				// the connection loss instead of a server error frame.
-				return nil, err
-			}
-			return EncodeResponse(&Response{Err: err.Error()}), nil
-		}
-		req.Handle = h
-	}
-	resp, err := send(pc)
-	p.finish(pc, err)
-	return resp, err
-}
-
-// connHandle resolves a pool handle to the member's own handle,
-// preparing the statement on the member the first time (the lazy,
-// pool-internal prepare costs no client round trip — the pool lives
-// next to the server).
-func (p *Pool) connHandle(ctx context.Context, pc *poolConn, poolHandle uint32) (uint32, error) {
-	if h, ok := pc.handles[poolHandle]; ok {
-		return h, nil
-	}
-	p.mu.Lock()
-	sql, ok := p.stmts[poolHandle]
-	p.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("no prepared statement with handle %d", poolHandle)
-	}
-	prep := EncodePrepare(sql)
-	raw, err := p.send(ctx, pc, prep)
-	putFrame(prep)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := MaybeDecompress(raw)
-	if err != nil {
-		return 0, err
-	}
-	if !sameBuf(resp, raw) {
-		putFrame(raw)
-	}
-	// The decoded handle (or error message) is all this exchange keeps.
-	defer putFrame(resp)
-	if len(resp) > 0 && resp[0] == TypeError {
-		r, err := DecodeResponse(resp)
-		if err != nil {
-			return 0, err
-		}
-		return 0, &ServerError{Msg: r.Err}
-	}
-	h, err := DecodePrepareResp(resp)
-	if err != nil {
-		return 0, err
-	}
-	pc.handles[poolHandle] = h
-	return h, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -61,41 +62,93 @@ func TestPoolConcurrentClients(t *testing.T) {
 	}
 }
 
-// Pool-level prepared handles work on whichever member connection a
-// later execution lands on, including inside batches.
-func TestPoolPreparedHandleRemap(t *testing.T) {
-	db := newPoolDB(t)
-	pool := NewPool(NewServer(db), 3)
-	client := NewClient(pool)
-	ctx := context.Background()
-	const update = "UPDATE kv SET val = val + ? WHERE id = 1"
-	// Enough executions to cycle through several member connections.
-	for i := 0; i < 10; i++ {
-		if _, err := client.Do(ctx, prep(update, types.NewInt(1))); err != nil {
-			t.Fatalf("exec %d: %v", i, err)
+// frameRecorder keeps a copy of every response frame its inner transport
+// answers, in order.
+type frameRecorder struct {
+	inner  Transport
+	frames [][]byte
+}
+
+func (r *frameRecorder) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
+	resp, err := r.inner.RoundTrip(ctx, request)
+	r.frames = append(r.frames, append([]byte(nil), resp...))
+	return resp, err
+}
+
+// TestPoolIsTransparent: the pool forwards frames untouched, so N
+// sessions sharing M < N member connections read exactly the response
+// bytes they would read on N connections of their own — prepare answers,
+// prepared executions alone and inside batches landing on whichever
+// member is free, a prepare-time syntax error and an unknown handle
+// included. Run with -race.
+func TestPoolIsTransparent(t *testing.T) {
+	const sessions, members, rounds = 8, 3, 20
+	const (
+		byID  = "SELECT val FROM kv WHERE id = ?"
+		above = "SELECT id, val FROM kv WHERE id > ? ORDER BY id"
+	)
+	script := func(tr Transport) [][]byte {
+		rec := &frameRecorder{inner: tr}
+		client := NewClient(rec)
+		ctx := context.Background()
+		for i := int64(0); i < rounds; i++ {
+			if _, err := client.Do(ctx, prep(byID, types.NewInt(i%4))); err != nil {
+				t.Error(err)
+			}
+			if _, err := client.ExecBatch(ctx, []*Request{
+				prep(above, types.NewInt(i%3)),
+				{SQL: "SELECT COUNT(*) FROM kv"},
+				prep(byID, types.NewInt(1)),
+			}); err != nil {
+				t.Error(err)
+			}
 		}
+		if _, err := client.Do(ctx, prep("SELEC nope")); err == nil {
+			t.Error("prepare accepted invalid SQL")
+		}
+		if _, err := client.Do(ctx, &Request{Prepared: true, Handle: 9999}); err == nil {
+			t.Error("unknown handle executed")
+		}
+		return rec.frames
 	}
-	// The same handle inside a batch frame.
-	if _, err := client.ExecBatch(ctx, []*Request{
-		prep(update, types.NewInt(5)),
-		{SQL: "SELECT val FROM kv WHERE id = 1"},
-	}); err != nil {
-		t.Fatal(err)
+	run := func(transport func(*Server) Transport) [][][]byte {
+		db := newPoolDB(t)
+		mustExec(t, db.NewSession(), "INSERT INTO kv VALUES (2, 20), (3, 30)")
+		srv := NewServer(db)
+		frames := make([][][]byte, sessions)
+		var wg sync.WaitGroup
+		for i := range frames {
+			i, tr := i, transport(srv)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				frames[i] = script(tr)
+			}()
+		}
+		wg.Wait()
+		return frames
 	}
-	resp, err := client.Exec(ctx, "SELECT val FROM kv WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
+	var pool *Pool
+	pooled := run(func(srv *Server) Transport {
+		if pool == nil {
+			pool = NewPool(srv, members)
+		}
+		return pool
+	})
+	direct := run(func(srv *Server) Transport { return connTransport{conn: srv.NewConn()} })
+	if pool.Size() > members {
+		t.Errorf("pool created %d members, cap %d", pool.Size(), members)
 	}
-	if got := resp.Rows[0][0].Int(); got != 15 {
-		t.Errorf("val = %d, want 15", got)
-	}
-	// A syntax error still surfaces at prepare time.
-	if _, err := client.Do(ctx, prep("SELEC nope")); err == nil {
-		t.Error("pool prepare accepted invalid SQL")
-	}
-	// Unknown handles fail cleanly.
-	if _, err := client.Do(ctx, &Request{Prepared: true, Handle: 9999}); err == nil {
-		t.Error("unknown pool handle executed")
+	for i := range direct {
+		if len(pooled[i]) != len(direct[i]) {
+			t.Fatalf("session %d: %d round trips pooled, %d direct", i, len(pooled[i]), len(direct[i]))
+		}
+		for j := range direct[i] {
+			if !bytes.Equal(pooled[i][j], direct[i][j]) {
+				t.Fatalf("session %d, round trip %d: pooled response\n%x\ndirect response\n%x",
+					i, j, pooled[i][j], direct[i][j])
+			}
+		}
 	}
 }
 
@@ -118,14 +171,6 @@ func TestPoolCapsNegotiatedOnce(t *testing.T) {
 	}
 	if caps2.Columnar != caps1.Columnar {
 		t.Errorf("second hello got %+v, want the pool set %+v", caps2, caps1)
-	}
-	// Close is answered locally and the pool stays usable.
-	client := NewClient(pool)
-	if err := client.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); err != nil {
-		t.Fatalf("pool unusable after close: %v", err)
 	}
 }
 

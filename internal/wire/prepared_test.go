@@ -3,7 +3,9 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,7 +85,7 @@ func preparedTestClient(t *testing.T) (*Client, *netsim.Meter) {
 }
 
 // prep is a Prepared request naming its statement by text: the client
-// binds it to the connection's handle, preparing on first use.
+// binds it to the server's handle, preparing on first use.
 func prep(sql string, params ...types.Value) *Request {
 	return &Request{SQL: sql, Params: params, Prepared: true}
 }
@@ -133,21 +135,99 @@ func TestPrepareParseErrorSurfacesAtPrepareTime(t *testing.T) {
 	}
 }
 
-func TestPreparedHandlesAreConnectionScoped(t *testing.T) {
-	db := minisql.NewDB()
-	srv := NewServer(db)
+// TestPreparedHandlesAreServerScoped: a handle prepared on one
+// connection executes on another connection of the same server, and
+// means nothing at a different server.
+func TestPreparedHandlesAreServerScoped(t *testing.T) {
 	ctx := context.Background()
+	newServer := func() *Server {
+		db := minisql.NewDB()
+		mustExec(t, db.NewSession(), "CREATE TABLE t (a INTEGER)")
+		mustExec(t, db.NewSession(), "INSERT INTO t VALUES (7)")
+		return NewServer(db)
+	}
+	srv, other := newServer(), newServer()
 	c1 := NewClient(&MeteredChannel{Conn: srv.NewConn()})
 	c2 := NewClient(&MeteredChannel{Conn: srv.NewConn()})
-	if _, err := c1.Exec(ctx, "CREATE TABLE t (a INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
+	c3 := NewClient(&MeteredChannel{Conn: other.NewConn()})
 	req := prep("SELECT a FROM t")
 	if _, err := c1.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Do(ctx, &Request{Prepared: true, Handle: req.Handle}); err == nil {
-		t.Error("handle prepared on one connection executed on another")
+	resp, err := c2.Do(ctx, &Request{Prepared: true, Handle: req.Handle})
+	if err != nil || len(resp.Rows) != 1 || resp.Rows[0][0].Int() != 7 {
+		t.Errorf("handle prepared on one connection, executed on another of the same server: %+v, %v", resp, err)
+	}
+	// The same text prepared again, on any connection, is the same handle.
+	again := prep("SELECT a FROM t")
+	if _, err := c2.Do(ctx, again); err != nil || again.Handle != req.Handle {
+		t.Errorf("second prepare of one text: handle %d, %v; want %d", again.Handle, err, req.Handle)
+	}
+	var se *ServerError
+	if _, err := c3.Do(ctx, &Request{Prepared: true, Handle: req.Handle}); !errors.As(err, &se) {
+		t.Errorf("handle executed at a server that never prepared it: %v", err)
+	}
+}
+
+// TestPrepareFloodIsBounded: distinct texts past the table's budget are
+// refused with ErrStatementTableFull, the table never holds more than
+// its budget, and a client answers the refusal by shipping the statement
+// as text, with the same result as everything prepared before.
+func TestPrepareFloodIsBounded(t *testing.T) {
+	client, meter := preparedTestClient(t)
+	ctx := context.Background()
+	conn := client.tr.(*MeteredChannel).Conn
+	table := &conn.server.stmts
+
+	// ~4 KiB per text: the budget fills after some 64 of them.
+	pad := strings.Repeat("x", 4<<10)
+	flood := func(i int) string {
+		return fmt.Sprintf("SELECT b, '%s', %d FROM t WHERE a = ?", pad, i)
+	}
+	refusedAt := -1
+	for i := 0; i < 100; i++ {
+		resp, err := DecodeResponse(conn.Handle(EncodePrepare(flood(i))))
+		if err == nil && resp.Err != "" {
+			if !errors.Is(&ServerError{Msg: resp.Err}, ErrStatementTableFull) {
+				t.Fatalf("prepare %d refused with %q, want ErrStatementTableFull", i, resp.Err)
+			}
+			if refusedAt < 0 {
+				refusedAt = i
+			}
+		} else if refusedAt >= 0 {
+			t.Fatalf("prepare %d accepted after prepare %d was refused", i, refusedAt)
+		}
+		if table.bytes > stmtTableBytes {
+			t.Fatalf("after %d prepares the table pins %d bytes, budget %d", i+1, table.bytes, stmtTableBytes)
+		}
+	}
+	if refusedAt < 0 {
+		t.Fatalf("100 prepares of %d bytes each were all accepted (table: %d bytes)", len(flood(0)), table.bytes)
+	}
+	// A text already in the table still answers its handle.
+	if _, err := DecodePrepareResp(conn.Handle(EncodePrepare(flood(0)))); err != nil {
+		t.Errorf("re-prepare of a registered text on a full table: %v", err)
+	}
+
+	// The client: one refused prepare, then text — and the right rows.
+	const sql = "SELECT b FROM t WHERE a = ? AND 'past the budget' <> ''"
+	before := meter.Metrics
+	for i, want := range []string{"one", "two", "three"} {
+		req := prep(sql+strings.Repeat(" ", 4<<10), types.NewInt(int64(i+1)))
+		resp, err := client.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Prepared || len(resp.Rows) != 1 || resp.Rows[0][0].Text() != want {
+			t.Fatalf("exec %d after the refusal: prepared=%v rows=%v", i+1, req.Prepared, resp.Rows)
+		}
+	}
+	if d := meter.Metrics.Sub(before); d.RoundTrips != 4 || d.PreparedExecs != 0 {
+		t.Errorf("round trips/prepared execs = %d/%d, want 4/0 (one refused prepare, three text executions)",
+			d.RoundTrips, d.PreparedExecs)
+	}
+	if table.bytes > stmtTableBytes {
+		t.Errorf("the table pins %d bytes, budget %d", table.bytes, stmtTableBytes)
 	}
 }
 
@@ -275,8 +355,8 @@ func (g *genConn) RoundTrip(_ context.Context, request []byte) ([]byte, error) {
 	return response, nil
 }
 
-// TestPreparedRebindsAcrossSetTransport: the client owns the handles of
-// its connection, so a transport swap drops them — the next Prepared
+// TestPreparedRebindsAcrossSetTransport: the client's handles belong to
+// the server its transport reaches, so a transport swap drops them — the next Prepared
 // request re-prepares on the new connection — and a request in flight
 // across the swap never executes a handle on a transport generation
 // that did not prepare it. Run under -race: the swaps come from another

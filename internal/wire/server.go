@@ -1,19 +1,21 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 
 	"pdmtune/internal/minisql"
-	"pdmtune/internal/minisql/ast"
 )
 
 // Server fronts a minisql database with the wire protocol. One Server
 // serves many connections; each connection owns a database session (and
-// thus its own transaction state).
+// thus its own transaction state). Prepared statements belong to the
+// server, not to a connection: see stmtTable.
 type Server struct {
-	db *minisql.DB
+	db    *minisql.DB
+	stmts stmtTable
 
 	// fence is the server's cluster fencing state (nil for a server
 	// outside any fenced cluster — the fence-free fast path behaves
@@ -84,14 +86,67 @@ func (s *Server) currentSyncFilter(site string) *SyncFilter {
 	return f(site)
 }
 
+// stmtTableBytes bounds the SQL text one server's statement table pins:
+// the same 256 KiB the engine's plan cache holds. The PDM clients'
+// parameterized statement shapes total under 30 KiB, so only a prepare
+// flood reaches it.
+const stmtTableBytes = 256 << 10
+
+// ErrStatementTableFull is the refusal of a prepare that would take the
+// server's statement table past its budget. It crosses the wire as an
+// error frame; the client matches it with errors.Is and ships that
+// statement as text from then on.
+var ErrStatementTableFull = errors.New("wire: statement table full")
+
+// stmtTable is a server's one registry of prepared statements: SQL
+// text to handle and back, de-duplicated by text, so a handle means the
+// same statement on every connection of the server. Entries are pinned
+// for the server's life; the byte budget is what bounds them.
+type stmtTable struct {
+	mu      sync.RWMutex
+	handles map[string]uint32 // SQL text → handle
+	texts   []string          // texts[h-1] is the text of handle h
+	bytes   int               // sum of len over texts
+}
+
+// register returns the handle of sql, assigning the next one on first
+// sight.
+func (t *stmtTable) register(sql string) (uint32, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h, ok := t.handles[sql]; ok {
+		return h, nil
+	}
+	if t.bytes+len(sql) > stmtTableBytes {
+		return 0, ErrStatementTableFull
+	}
+	if t.handles == nil {
+		t.handles = map[string]uint32{}
+	}
+	t.texts = append(t.texts, sql)
+	t.bytes += len(sql)
+	h := uint32(len(t.texts))
+	t.handles[sql] = h
+	return h, nil
+}
+
+// text resolves a handle to its SQL text.
+func (t *stmtTable) text(h uint32) (string, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if h == 0 || uint64(h) > uint64(len(t.texts)) {
+		return "", false
+	}
+	return t.texts[h-1], true
+}
+
 // NewConn opens a server-side connection with a fresh session.
 func (s *Server) NewConn() *ServerConn {
 	return &ServerConn{server: s, session: s.db.NewSession()}
 }
 
-// ServerConn is the server side of one client connection. Prepared
-// statements live here: a handle is valid only on the connection that
-// prepared it (like the session-scoped statement cache of a real RDBMS).
+// ServerConn is the server side of one client connection. It holds no
+// statement state: prepared handles resolve through the server's table.
 //
 // Handle is safe for concurrent callers: requests racing onto one
 // connection serialize on an internal mutex (the engine session it owns
@@ -103,9 +158,6 @@ type ServerConn struct {
 
 	// mu serializes Handle and guards the per-connection state below.
 	mu sync.Mutex
-
-	stmts      map[uint32]serverStmt
-	nextHandle uint32
 
 	// caps are the capabilities negotiated by the connection's hello
 	// exchange; the zero value — no columnar results, no compression —
@@ -165,14 +217,6 @@ func (c *ServerConn) Handle(reqBody []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.finish(c.dispatch(reqBody))
-}
-
-// serverStmt is one prepared statement plus its read/write class —
-// classified once at prepare time so the fence check on later
-// executions is a map lookup, not an AST walk.
-type serverStmt struct {
-	stmt     ast.Statement
-	readOnly bool
 }
 
 // dispatch enforces the server's fence, unwraps fencing envelopes and
@@ -240,8 +284,6 @@ func (c *ServerConn) dispatchFrame(reqBody []byte) []byte {
 			return c.handleHello(reqBody)
 		case TypeSync:
 			return c.handleSync(reqBody)
-		case TypeClose:
-			return c.handleClose(reqBody)
 		case TypeStatus:
 			return c.handleStatus(reqBody)
 		}
@@ -300,26 +342,24 @@ func (c *ServerConn) handleHello(reqBody []byte) []byte {
 	return EncodeHelloResp(caps)
 }
 
-// handlePrepare parses the statement once and stores it under a fresh
-// handle. Parse errors surface at prepare time, not at execution. The
-// parse goes through the session's plan cache, so many connections
-// preparing the same statement share one AST.
+// handlePrepare registers the statement in the server's table and
+// answers its handle. Parse errors surface at prepare time, not at
+// execution; the parse goes through the plan cache, so the first
+// execution is already a hit. A table at its budget refuses with
+// ErrStatementTableFull.
 func (c *ServerConn) handlePrepare(reqBody []byte) []byte {
 	sql, err := DecodePrepare(reqBody)
 	if err != nil {
 		return EncodeResponse(&Response{Err: fmt.Sprintf("bad prepare: %v", err)})
 	}
-	stmt, err := c.session.Parse(sql)
+	if _, err := c.session.Parse(sql); err != nil {
+		return EncodeResponse(&Response{Err: err.Error()})
+	}
+	h, err := c.server.stmts.register(sql)
 	if err != nil {
 		return EncodeResponse(&Response{Err: err.Error()})
 	}
-	if c.stmts == nil {
-		c.stmts = map[uint32]serverStmt{}
-	}
-	_, readOnly := stmt.(*ast.Select)
-	c.nextHandle++
-	c.stmts[c.nextHandle] = serverStmt{stmt: stmt, readOnly: readOnly}
-	return EncodePrepareResp(c.nextHandle)
+	return EncodePrepareResp(h)
 }
 
 // handleValidate answers a stale-check exchange against the database's
@@ -375,18 +415,6 @@ func (c *ServerConn) handleStatus(reqBody []byte) []byte {
 	return EncodeStatusResp(st)
 }
 
-// handleClose releases the connection's server-side session state —
-// today that is the prepared-statement registry. The connection stays
-// usable (a later Prepare starts a fresh registry); Close is the
-// client's promise that the old handles are dead.
-func (c *ServerConn) handleClose(reqBody []byte) []byte {
-	if err := DecodeClose(reqBody); err != nil {
-		return EncodeResponse(&Response{Err: fmt.Sprintf("bad close: %v", err)})
-	}
-	c.stmts = nil
-	return EncodeResponse(&Response{})
-}
-
 // handleBatch executes a batch frame: per-statement results in order,
 // stopping at the first failing statement (its error response is the
 // last element of the batch response).
@@ -406,9 +434,10 @@ func (c *ServerConn) handleBatch(reqBody []byte) []byte {
 	return EncodeBatchResponseWith(resps, c.caps.Columnar)
 }
 
-// execOne runs a single statement — SQL text or a prepared handle — in
-// the connection's session, converting execution errors (and panics)
-// into error responses.
+// execOne runs a single statement in the connection's session,
+// converting execution errors (and panics) into error responses. A
+// prepared handle is resolved to its SQL text and then takes the path a
+// text frame takes, plan-cache hit included.
 func (c *ServerConn) execOne(req *Request) (resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -419,17 +448,14 @@ func (c *ServerConn) execOne(req *Request) (resp *Response) {
 	// after this point has a later LastModified stamp, so a cache entry
 	// stamped with this epoch can only err on the side of staleness.
 	epoch := c.server.db.Epoch()
-	var res *minisql.Result
-	var err error
+	sql := req.SQL
 	if req.Prepared {
-		st, ok := c.stmts[req.Handle]
-		if !ok {
+		var ok bool
+		if sql, ok = c.server.stmts.text(req.Handle); !ok {
 			return &Response{Err: fmt.Sprintf("no prepared statement with handle %d", req.Handle)}
 		}
-		res, err = c.session.ExecStmt(st.stmt, req.Params...)
-	} else {
-		res, err = c.session.Exec(req.SQL, req.Params...)
 	}
+	res, err := c.session.Exec(sql, req.Params...)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}

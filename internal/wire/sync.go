@@ -6,8 +6,7 @@ package wire
 // stamps plus, per table, schema, indexes and the full current rows of
 // every modified key. Applying the delta is delete-then-insert per
 // key, so one frame pair moves a replica from any epoch to the
-// primary's current one. TypeClose is the session-teardown frame: it
-// releases every statement the connection prepared server-side.
+// primary's current one.
 
 import (
 	"fmt"
@@ -17,27 +16,12 @@ import (
 	"pdmtune/internal/minisql/types"
 )
 
-// EncodeSync serializes a replica's delta pull: the epoch it last
-// synced to (0 for a full bootstrap).
-func EncodeSync(since uint64) []byte {
-	b := append(getFrame(), TypeSync)
-	return appendUint64(b, since)
-}
-
-// DecodeSync parses a sync request frame body.
-func DecodeSync(b []byte) (uint64, error) {
-	if len(b) < 1 || b[0] != TypeSync {
-		return 0, fmt.Errorf("wire: not a sync frame")
-	}
-	since, _, err := readUint64(b[1:])
-	return since, err
-}
-
-// EncodeSyncFrom serializes a delta pull that identifies the pulling
+// EncodeSyncFrom serializes a replica's delta pull: the epoch it last
+// synced to (0 for a full bootstrap) and, when not empty, the pulling
 // site, so the primary can apply that site's subscription filter. The
-// site travels as a trailing length-prefixed string; an old server's
-// DecodeSync ignores trailing bytes, so the frame degrades to a full
-// sync against a server that predates subscriptions.
+// site travels as a trailing length-prefixed string, which a decoder
+// that predates subscriptions ignores: the frame degrades to a full
+// sync there.
 func EncodeSyncFrom(since uint64, site string) []byte {
 	b := append(getFrame(), TypeSync)
 	b = appendUint64(b, since)
@@ -291,16 +275,4 @@ func DecodeSyncResp(b []byte) (*storage.Delta, error) {
 		d.Skipped = int(skipped)
 	}
 	return d, nil
-}
-
-// EncodeClose serializes a connection-teardown frame: the server
-// releases every statement this connection prepared.
-func EncodeClose() []byte { return append(getFrame(), TypeClose) }
-
-// DecodeClose validates a close frame body.
-func DecodeClose(b []byte) error {
-	if len(b) < 1 || b[0] != TypeClose {
-		return fmt.Errorf("wire: not a close frame")
-	}
-	return nil
 }

@@ -63,12 +63,12 @@ func TestSyncRespRoundTrip(t *testing.T) {
 // TestSyncReqRoundTrip: the since epoch survives, and truncated or
 // corrupt frames are rejected instead of over-allocating.
 func TestSyncReqRoundTrip(t *testing.T) {
-	since, err := DecodeSync(EncodeSync(42))
-	if err != nil || since != 42 {
-		t.Fatalf("DecodeSync = %d, %v", since, err)
+	since, site, err := DecodeSyncSite(EncodeSyncFrom(42, ""))
+	if err != nil || since != 42 || site != "" {
+		t.Fatalf("DecodeSyncSite = %d, %q, %v", since, site, err)
 	}
-	if _, err := DecodeSync([]byte{TypeSyncResp}); err == nil {
-		t.Error("DecodeSync accepted a wrong tag")
+	if _, _, err := DecodeSyncSite([]byte{TypeSyncResp}); err == nil {
+		t.Error("DecodeSyncSite accepted a wrong tag")
 	}
 	// A sync response claiming 2^31 stamps in a 32-byte frame must be
 	// rejected before allocating.
@@ -128,31 +128,5 @@ func TestServerSyncAndApply(t *testing.T) {
 	if empty.RowCount() != 0 || len(empty.Stamps) != 0 {
 		t.Fatalf("delta above the current epoch not empty: %d rows, %d stamps",
 			empty.RowCount(), len(empty.Stamps))
-	}
-}
-
-// TestCloseReleasesPreparedStatements: after Close, the old handles
-// are gone server-side; the connection itself stays usable.
-func TestCloseReleasesPreparedStatements(t *testing.T) {
-	db := minisql.NewDB()
-	mustExec(t, db.NewSession(), "CREATE TABLE obj (obid INTEGER PRIMARY KEY)")
-	client := NewClient(&MeteredChannel{Conn: NewServer(db).NewConn(), Meter: netsim.NewMeter(netsim.LAN())})
-	ctx := context.Background()
-	req := prep("SELECT obid FROM obj WHERE obid = ?", types.NewInt(1))
-	if _, err := client.Do(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Do(ctx, &Request{Prepared: true, Handle: req.Handle, Params: req.Params}); err == nil {
-		t.Error("handle survived Close")
-	}
-	// The connection still answers plain statements and new prepares.
-	if _, err := client.Exec(ctx, "SELECT obid FROM obj"); err != nil {
-		t.Errorf("plain exec after Close: %v", err)
-	}
-	if _, err := client.Do(ctx, req); err != nil {
-		t.Errorf("prepared exec after Close (must re-prepare): %v", err)
 	}
 }

@@ -41,9 +41,9 @@ const (
 	// pulls the row deltas above its last-seen epoch (see sync.go).
 	TypeSync     = 0x0f
 	TypeSyncResp = 0x10
-	// TypeClose tears a connection's session state down, releasing the
-	// statements it prepared server-side.
-	TypeClose = 0x11
+	// 0x11 is retired and stays unassigned: an old client's statement
+	// teardown frame must draw "bad request", not be read as something new.
+	//
 	// TypeFenced wraps a write or sync frame in a fencing-term envelope;
 	// TypeFencedResp is the server's refusal when its fence does not
 	// match (see fence.go).
@@ -84,7 +84,7 @@ func CheckFrameSize(body []byte) error {
 }
 
 // Request is one statement execution request: either SQL text or a
-// reference to a statement previously prepared on the connection.
+// reference to a statement previously prepared at the server.
 type Request struct {
 	SQL    string
 	Params []types.Value
@@ -373,7 +373,7 @@ func DecodePrepare(b []byte) (string, error) {
 }
 
 // EncodePrepareResp serializes the server's answer to a prepare: the
-// statement handle valid for this connection.
+// statement handle, valid on every connection of this server.
 func EncodePrepareResp(handle uint32) []byte {
 	b := append(getFrame(), TypePrepareResp)
 	return appendUint32(b, handle)

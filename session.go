@@ -171,12 +171,12 @@ func WithMaxStaleness(d time.Duration) Option {
 // sessions": engine sessions are the scarce resource, so N client
 // sessions multiplex over M = max of them, pgbouncer-style. All pooled
 // sessions of one System (per server — the primary and each replica
-// site have their own pool) share prepared-statement handles and one
-// negotiated capability set; the first WithPool size wins, later sizes
-// are ignored. Time spent waiting for a free connection is reported in
-// the session's Metrics.LockWaitNanos. Pooled sessions must not rely
-// on server session state across round trips (the client's actions do
-// not). Conflicts with WithTransport.
+// site have their own pool) share one negotiated capability set; the
+// first WithPool size wins, later sizes are ignored. Time spent waiting
+// for a free connection is reported in the session's
+// Metrics.LockWaitNanos. Pooled sessions must not rely on server
+// session state across round trips (the client's actions do not).
+// Conflicts with WithTransport.
 func WithPool(max int) Option {
 	return func(c *sessionConfig) error {
 		if max < 1 {
@@ -624,16 +624,14 @@ func (s *Session) WANMetrics() Metrics {
 // ResetMetrics clears the session's meters (between actions).
 func (s *Session) ResetMetrics() { s.client.ResetMetrics() }
 
-// Close releases the session's server-side state: every connection
-// that prepared statements gets one teardown round trip clearing its
-// registry (a session that never prepared closes for free). Without
-// Close, the statements a session prepared live on the server for the
-// life of the connection. The session remains usable afterwards —
-// later prepared executions re-prepare — so Close is safe to defer
-// right after Open.
+// Close takes the session out of the cluster's control plane: a later
+// promotion no longer re-routes it. It costs no round trip — sessions
+// hold no server-side state; the statements they prepared belong to
+// the server. The session remains usable afterwards, so Close is safe
+// to defer right after Open.
 func (s *Session) Close() error {
 	s.sys.cluster.deregisterSession(s)
-	return s.client.Close(context.Background())
+	return nil
 }
 
 // Query performs the set-oriented Query action: all nodes of a product
