@@ -901,7 +901,9 @@ func (g *gen) pred(cols []gcol, depth int) string {
 		}
 		return "(" + l + op + g.pred(cols, depth-1) + ")"
 	}
-	switch g.pick(10) {
+	switch g.pick(11) {
+	case 10:
+		return g.keySetPred(cols, c)
 	case 0, 1, 2:
 		return c.ref + " = " + g.constant(c)
 	case 3:
@@ -947,6 +949,47 @@ func (g *gen) where(cols []gcol) string {
 		return ""
 	}
 	return " WHERE " + g.pred(cols, 2)
+}
+
+// keySources are the subqueries a computed key set is drawn from: one
+// with NULLs and duplicates, an empty one, one of text and one of floats
+// (so every column meets a kind it cannot and one it can be compared
+// with), one of mixed kinds, one over the DAG, a single aggregate. Their
+// aliases occur nowhere else, so they nest under any statement.
+var keySources = []string{
+	"SELECT ku.tid FROM u AS ku",
+	"SELECT ku.tid FROM u AS ku WHERE ku.id < 0",
+	"SELECT ku.label FROM u AS ku",
+	"SELECT kt.val FROM t AS kt",
+	"SELECT kt.grp FROM t AS kt WHERE kt.id > 6 UNION ALL SELECT ku.label FROM u AS ku",
+	"SELECT ke.dst FROM e AS ke WHERE ke.src < 4",
+	"SELECT MAX(kt.id) FROM t AS kt",
+}
+
+// keySetPred is `col [NOT] IN (SELECT …)`: mostly uncorrelated — the key
+// set an access path may be built on —, now and then correlated with a
+// column of the statement it stands in.
+func (g *gen) keySetPred(cols []gcol, c gcol) string {
+	src := keySources[g.pick(len(keySources))]
+	if g.pick(5) == 0 {
+		o := cols[g.pick(len(cols))]
+		src = "SELECT ku.tid FROM u AS ku WHERE " + map[types.Kind]string{
+			types.KindInt: "ku.id", types.KindText: "ku.label", types.KindFloat: "ku.id * 0.5",
+		}[o.kind] + g.oneOf(" = ", " <> ", " > ") + o.ref
+	}
+	return c.ref + g.oneOf(" IN (", " IN (", " IN (", " NOT IN (") + src + ")"
+}
+
+// failingKeySet is a table read whose only condition is an IN over a
+// subquery that cannot be evaluated: the statement fails if and only if
+// a row reaches the condition. It stands alone in its WHERE clause,
+// because which of two conjuncts a row reaches first is the engine's
+// choice.
+func (g *gen) failingKeySet() (body string, arity int) {
+	table := g.oneOf("t", "u", "e")
+	cols := colsOf(table, "")
+	bad := g.oneOf("SELECT ku.id, ku.tid FROM u AS ku", "SELECT ku.id / 0 FROM u AS ku", "SELECT kt.id / (kt.id - 3) FROM t AS kt")
+	return "SELECT * FROM " + table + " WHERE " + cols[g.pick(len(cols))].ref + g.oneOf(" IN (", " NOT IN (") + bad + ")", len(cols)
 }
 
 // subqueryPred is a predicate on outer alias o of table t that needs a
@@ -995,7 +1038,28 @@ func (g *gen) statement() (sql string, ordered bool) {
 	tu := append(append([]gcol{}, t...), u...)
 	var body string
 	arity := 0
-	switch g.pick(14) {
+	switch g.pick(16) {
+	case 14: // two computed key sets on one table, indexed or not
+		table := g.oneOf("t", "u", "e")
+		cols := colsOf(table, "")
+		a, b := cols[g.pick(len(cols))], cols[g.pick(len(cols))]
+		body, arity = "SELECT * FROM "+table+" WHERE "+g.keySetPred(cols, a)+" AND "+g.keySetPred(cols, b), len(cols)
+		if g.pick(3) == 0 {
+			body += " AND " + g.pred(cols, 1)
+		}
+	case 15:
+		if g.pick(3) == 0 {
+			body, arity = g.failingKeySet()
+			break
+		}
+		// key sets drawn from a recursive CTE, one of them on each side of an edge
+		seed := fmt.Sprint(1 + g.pick(numT))
+		body = "WITH RECURSIVE r (n) AS (SELECT " + seed + " UNION SELECT e.dst FROM r JOIN e ON r.n = e.src) " +
+			g.oneOf("SELECT src, dst FROM e WHERE dst IN (SELECT n FROM r) AND src IN (SELECT n FROM r)",
+				"SELECT src, dst FROM e WHERE src IN (SELECT n FROM r) AND dst NOT IN (SELECT n FROM r)",
+				"SELECT u.id, u.tid FROM u WHERE u.tid IN (SELECT n + 0.0 FROM r)",
+				"SELECT t.id, u.id FROM t JOIN u ON t.id = u.tid WHERE t.id IN (SELECT n FROM r) AND u.label IN (SELECT kt.name FROM t AS kt WHERE kt.id IN (SELECT n FROM r))")
+		arity = 2
 	case 0, 1: // single-table filters, unqualified: the single-table pushdown
 		table := g.oneOf("t", "u", "e")
 		cols := colsOf(table, "")
@@ -1003,7 +1067,10 @@ func (g *gen) statement() (sql string, ordered bool) {
 	case 2: // projection, scalar expressions and DISTINCT over an aliased table
 		x := colsOf("t", "x")
 		expr := g.oneOf("x.name", "COALESCE(x.name, 'none')", "UPPER(x.name)", "x.id * 2 - x.grp",
-			"CASE WHEN "+g.pred(x, 0)+" THEN x.val ELSE 0.0 END", "CASE x.grp WHEN 1 THEN 'one' WHEN 2 THEN 'two' END")
+			"CASE WHEN", "CASE x.grp WHEN 1 THEN 'one' WHEN 2 THEN 'two' END")
+		if expr == "CASE WHEN" { // built only when chosen: a predicate may bind parameters
+			expr += " " + g.pred(x, 0) + " THEN x.val ELSE 0.0 END"
+		}
 		body, arity = "SELECT "+g.oneOf("", "DISTINCT ")+"x.grp, "+expr+" FROM t AS x"+g.where(x), 2
 	case 3: // inner and left joins with residual ON terms
 		on := "t.id = u.tid"
@@ -1091,7 +1158,14 @@ func (g *gen) statement() (sql string, ordered bool) {
 // mutation generates an UPDATE or DELETE. Ids and edges are never
 // rewritten, so keys stay unique and e stays a DAG.
 func (g *gen) mutation() string {
-	switch g.pick(4) {
+	switch g.pick(6) {
+	case 4: // a key set read from the table being written
+		return "UPDATE u SET " + g.oneOf("tid = tid + 1", "label = 'b'", "tid = NULL") + " WHERE " +
+			g.oneOf("tid", "id", "label") + g.oneOf(" IN (", " NOT IN (") +
+			g.oneOf("SELECT ku.tid FROM u AS ku WHERE ku.id > 8", "SELECT ku.id FROM u AS ku WHERE ku.label = 'a'", "SELECT ku.label FROM u AS ku WHERE ku.tid < 5") + ")"
+	case 5:
+		return "DELETE FROM u WHERE " + g.oneOf("tid", "id") + " IN (SELECT ku.tid FROM u AS ku WHERE " + g.pred(colsOf("u", "ku"), 0) + ")" +
+			g.oneOf("", " AND label IN (SELECT kt.name FROM t AS kt)")
 	case 0:
 		t := colsOf("t", "")
 		set := g.oneOf("grp = grp + 1", "grp = NULL", "name = 'ab'", "val = val + 0.5", "grp = 2, name = 'c'", "val = 1")
@@ -1151,6 +1225,43 @@ func TestExecMatchesReference(t *testing.T) {
 			"SELECT * FROM u WHERE tid IN (4, 5)",
 			"DELETE FROM t WHERE id = 6",
 			"SELECT t.id, u.id FROM u LEFT JOIN t ON u.tid = t.id",
+			// A key set computed by a subquery: with NULLs and duplicates,
+			// empty, of a kind the column cannot be compared with, of mixed
+			// kinds; on indexed (id, tid, src, dst, name) and unindexed (val,
+			// label) columns; two on one table; NOT IN; correlated.
+			"SELECT * FROM t WHERE id IN (SELECT tid FROM u)",
+			"SELECT * FROM t WHERE id IN (SELECT tid FROM u WHERE id < 0)",
+			"SELECT * FROM t WHERE id IN (SELECT label FROM u)",
+			"SELECT * FROM t WHERE id IN (SELECT val FROM t AS t2)",
+			"SELECT * FROM t WHERE val IN (SELECT tid FROM u)",
+			"SELECT * FROM t WHERE name IN (SELECT label FROM u) AND val IN (SELECT grp + 0.5 FROM t AS t2)",
+			"SELECT * FROM t WHERE name IN (SELECT grp FROM t AS t2 UNION ALL SELECT label FROM u)",
+			"SELECT * FROM u WHERE label IN (SELECT name FROM t) AND tid IN (SELECT id FROM t WHERE grp = 1)",
+			"SELECT * FROM e WHERE src IN (SELECT tid FROM u) AND dst IN (SELECT tid FROM u)",
+			"SELECT * FROM e WHERE dst IN (SELECT tid FROM u) AND src IN (1, 2, 3) AND dst IN (SELECT id FROM t)",
+			"SELECT * FROM t WHERE id NOT IN (SELECT tid FROM u)",
+			"SELECT * FROM t WHERE id NOT IN (SELECT tid FROM u WHERE tid IS NOT NULL)",
+			"SELECT * FROM t WHERE id IN (SELECT tid FROM u WHERE label = name)",
+			"SELECT * FROM t WHERE id IN (SELECT u.tid FROM u WHERE u.label = t.name) AND grp IN (SELECT tid FROM u)",
+			"SELECT t.id, u.id FROM t JOIN u ON t.id = u.tid WHERE t.id IN (SELECT dst FROM e) AND u.label IN (SELECT name FROM t AS t2)",
+			"SELECT t.id, (SELECT COUNT(*) FROM u WHERE u.tid IN (SELECT dst FROM e WHERE src = t.id)) FROM t",
+			"SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM e WHERE src = t.id AND dst IN (SELECT tid FROM u))",
+			"WITH RECURSIVE r (n) AS (SELECT 1 UNION SELECT e.dst FROM r JOIN e ON r.n = e.src) SELECT src, dst FROM e WHERE src IN (SELECT n FROM r) AND dst IN (SELECT n FROM r)",
+			"WITH RECURSIVE r (n) AS (SELECT 2 UNION SELECT e.dst FROM r JOIN e ON r.n = e.src WHERE e.dst IN (SELECT tid FROM u)) SELECT n FROM r",
+			// ... and under a write, read from the table being written.
+			"UPDATE u SET label = 'ab' WHERE tid IN (SELECT u2.tid FROM u AS u2 WHERE u2.id > 9)",
+			"UPDATE t SET grp = 3 WHERE id IN (SELECT grp FROM t AS t2) AND name IN (SELECT label FROM u)",
+			"DELETE FROM u WHERE id IN (SELECT tid FROM u AS u2) AND label NOT IN (SELECT name FROM t WHERE name IS NOT NULL)",
+			// A key subquery that cannot be evaluated fails the statement
+			// if and only if a row reaches it: e is not empty, then it is.
+			"SELECT * FROM e WHERE src IN (SELECT id, tid FROM u)",
+			"SELECT * FROM e WHERE src IN (SELECT id / 0 FROM u)",
+			"UPDATE t SET grp = 0 WHERE id IN (SELECT id, tid FROM u)",
+			"DELETE FROM e WHERE dst IN (SELECT id / 0 FROM u)",
+			"DELETE FROM e WHERE src > 0",
+			"SELECT * FROM e WHERE src IN (SELECT id, tid FROM u)",
+			"SELECT * FROM e WHERE dst IN (SELECT id / 0 FROM u)",
+			"DELETE FROM e WHERE dst IN (SELECT id, tid FROM u)",
 		} {
 			f.check(t, fmt.Sprintf("fixed row %d", i), sql, false)
 		}
