@@ -336,19 +336,86 @@ func BenchmarkCheckOut(b *testing.B) {
 
 // BenchmarkEngineRecursiveQuery measures the local (server-side) cost of
 // the Section 5.2 recursive query — the paper ignores local evaluation
-// cost; this bench quantifies it for our engine.
+// cost; this bench quantifies it for our engine: for the whole δ=3, β=9
+// tree, and on the δ=7, β=5 tree (97,656 objects) for subtrees rooted at
+// levels 0 to 4, whose cost must follow the subtree, not the database.
 func BenchmarkEngineRecursiveQuery(b *testing.B) {
-	f := getFixture(b, 0) // δ=3, β=9
-	sess, err := f.sys.Open(pdmtune.WithLink(pdmtune.LAN()),
-		pdmtune.WithUser(pdmtune.DefaultUser("bench")), pdmtune.WithStrategy(pdmtune.Recursive))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.MultiLevelExpand(context.Background(), f.prod.RootID); err != nil {
-			b.Fatal(err)
+	run := func(f *fixture, root int64) func(*testing.B) {
+		return func(b *testing.B) {
+			sess, err := f.sys.Open(pdmtune.WithLink(pdmtune.LAN()),
+				pdmtune.WithUser(pdmtune.DefaultUser("bench")), pdmtune.WithStrategy(pdmtune.Recursive))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.MultiLevelExpand(context.Background(), root); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
+	}
+	f := getFixture(b, 0) // δ=3, β=9
+	b.Run("d3_b9/root", run(f, f.prod.RootID))
+	if testing.Short() {
+		return
+	}
+	f = getFixture(b, 2) // δ=7, β=5
+	for level := 0; level <= 4; level++ {
+		root := int64(0)
+		for id, n := range f.prod.Nodes { // the first visible assembly of the level
+			if n.Level == level && n.Visible && n.Type == "assy" && (root == 0 || id < root) {
+				root = id
+			}
+		}
+		b.Run(fmt.Sprintf("d7_b5/level%d", level), run(f, root))
+	}
+}
+
+// TestRecursiveMLECostFollowsSubtree states what the index probe of the
+// Section 5.2 statement's link branch is for: a recursive MLE of a small
+// product allocates the same — within 5 % — whether the product is alone
+// in the database or stands beside one over a hundred times its size.
+// With the link branch a scan, the count grew with every link row stored.
+func TestRecursiveMLECostFollowsSubtree(t *testing.T) {
+	allocs := func(beside bool) float64 {
+		sys := pdmtune.NewSystem(nil)
+		small, err := sys.LoadProduct(pdmtune.ProductConfig{ProdID: 1, Depth: 3, Branch: 3, Sigma: 0.8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if beside {
+			big, err := sys.LoadProduct(pdmtune.ProductConfig{ProdID: 2, Depth: 6, Branch: 4, Sigma: 0.8, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if big.AllNodes() < 20*small.AllNodes() {
+				t.Fatalf("the other product has %d nodes, want at least 20 × %d", big.AllNodes(), small.AllNodes())
+			}
+		}
+		sess, err := sys.Open(pdmtune.WithLink(pdmtune.LAN()),
+			pdmtune.WithUser(pdmtune.DefaultUser("scale")), pdmtune.WithStrategy(pdmtune.Recursive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := 0
+		n := testing.AllocsPerRun(20, func() {
+			res, err := sess.MultiLevelExpand(context.Background(), small.RootID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = res.Visible
+		})
+		if nodes != small.VisibleNodes() {
+			t.Fatalf("MLE returned %d nodes, ground truth %d", nodes, small.VisibleNodes())
+		}
+		return n
+	}
+	alone, beside := allocs(false), allocs(true)
+	t.Logf("allocations per recursive MLE: %.0f alone, %.0f beside the large product", alone, beside)
+	if diff := beside - alone; diff > 0.05*alone || diff < -0.05*alone {
+		t.Errorf("recursive MLE of the small product: %.0f allocations alone, %.0f beside a large product (want within 5 %%)", alone, beside)
 	}
 }
 

@@ -466,9 +466,9 @@ func TestGeneratorGroundTruth(t *testing.T) {
 // TestExplainPDMStatements: the server's EXPLAIN of the statements this
 // package ships shows the access paths the paper's tuning rests on — the
 // recursive branches probe link_left_idx per delta row, every IN
-// (id-list) statement is a key-set lookup — and the one full scan still
-// in the Section 5.2 query: its link branch, whose IN (SELECT obid FROM
-// rtbl) conjuncts are filters, not probes.
+// (id-list) statement is a key-set lookup, and the link branch of the
+// Section 5.2 query probes link_left_idx with the recursion table as its
+// key set and hashes it again for `right`: no statement scans link.
 func TestExplainPDMStatements(t *testing.T) {
 	s := minisql.NewDB().NewSession()
 	if err := workload.LoadPaperExample(s); err != nil {
@@ -493,11 +493,15 @@ func TestExplainPDMStatements(t *testing.T) {
 		"INDEX assy_pk ON assy (obid): 1 key(s)\n",
 		"INNER INDEX JOIN link USING link_left_idx ON (rtbl.obid = link.left)\n    INNER INDEX JOIN assy USING assy_pk ON (link.right = assy.obid)\n",
 		"INNER INDEX JOIN link USING link_left_idx ON (rtbl.obid = link.left)\n    INNER INDEX JOIN comp USING comp_pk ON (link.right = comp.obid)\n",
-		"SCAN link (8 rows)\n  FILTER (left IN (SELECT obid FROM rtbl)) AND (right IN (SELECT obid FROM rtbl))\n",
+		"  INDEX link_left_idx ON link (left): keys from (SELECT obid FROM rtbl), right among keys from (SELECT obid FROM rtbl)\n" +
+			"    SELECT\n      CTE SCAN rtbl\n    SELECT\n      CTE SCAN rtbl\nSORT (2 key(s))\n",
 	} {
 		if !strings.Contains(recursive, want) {
 			t.Errorf("recursive query: plan lacks %q:\n%s", want, recursive)
 		}
+	}
+	if strings.Contains(recursive, "SCAN link") || strings.Contains(recursive, "FILTER") {
+		t.Errorf("recursive query: link is scanned or filtered row by row:\n%s", recursive)
 	}
 	for sql, want := range map[string]string{
 		core.BuildExpandQuery().String():                                          "INDEX link_left_idx ON link (left): 1 key(s)\n  INNER INDEX JOIN assy USING assy_pk",

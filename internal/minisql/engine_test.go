@@ -595,6 +595,15 @@ func TestExplain(t *testing.T) {
 		"SELECT * FROM assy JOIN link ON link.right = assy.obid":      "INNER HASH JOIN ON (link.right = assy.obid)\n    SCAN link (0 rows)\n",
 		"SELECT * FROM assy LEFT JOIN link ON link.right > assy.obid": "LEFT NESTED LOOP ON (link.right > assy.obid)\n",
 		"SELECT * FROM link, assy WHERE link.right = assy.obid":       "INNER INDEX JOIN assy USING assy_pk ON (link.right = assy.obid)\n",
+		// A subquery that reads nothing from outside itself is a key set,
+		// planned under the access it keys; a correlated one, a failing
+		// one and NOT IN stay a per-row filter.
+		"SELECT * FROM t WHERE id IN (SELECT right FROM link)":                               "INDEX t_pk ON t (id): keys from (SELECT right FROM link)\n    SELECT\n      SCAN link (0 rows)\n",
+		"SELECT * FROM t WHERE v IN (SELECT name FROM assy WHERE obid = 7) AND id > 0":       "SCAN t (2 rows), v among keys from (SELECT name FROM assy WHERE (obid = 7))\n    SELECT\n      INDEX assy_pk ON assy (obid): 1 key(s)\n  FILTER (id > 0)\n",
+		"DELETE FROM t WHERE v IN (SELECT name FROM assy) AND id IN (SELECT left FROM link)": "INDEX t_pk ON t (id): keys from (SELECT left FROM link), v among keys from (SELECT name FROM assy)\n    SELECT\n      SCAN assy (0 rows)\n    SELECT\n      SCAN link (0 rows)\n",
+		"SELECT * FROM t WHERE id IN (SELECT left FROM link WHERE link.right = t.id)":        "SCAN t (2 rows)\n  FILTER (id IN (SELECT left FROM link WHERE (link.right = t.id)))\n",
+		"SELECT * FROM t WHERE id IN (SELECT left, right FROM link)":                         "SCAN t (2 rows)\n  FILTER (id IN (SELECT left, right FROM link))\n",
+		"SELECT * FROM t WHERE id NOT IN (SELECT left FROM link)":                            "SCAN t (2 rows)\n  FILTER (id NOT IN (SELECT left FROM link))\n",
 	} {
 		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
 			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)

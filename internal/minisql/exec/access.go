@@ -54,38 +54,80 @@ func (ctx *Context) allTrue(conjs []conjunct, skip int, env *Env) (bool, error) 
 type access struct {
 	table   *storage.Table
 	index   *storage.Index // nil: snapshot scan
-	keys    []types.Value  // the key set looked up in index
+	keys    keySet         // looked up in index
 	filters []keyFilter
+	sub     []*PlanNode // under EXPLAIN: the plans of the subqueries key sets come from
+	ids     []int       // lookup's scratch, reused from read to read
 }
 
-// keyFilter keeps the rows whose column at pos equals one of keys.
+// keySet is the values a key conjunct admits for its column, NULLs
+// dropped. A handful of literal keys are compared one by one; more, or
+// the result of a subquery, are hashed.
+type keySet struct {
+	vals []types.Value
+	set  *inSet      // nil: compare with vals
+	from *ast.Select // the subquery a computed set comes from
+}
+
+// linearKeys is the handful: up to here a comparison per key is cheaper
+// than hashing the row's value.
+const linearKeys = 8
+
+// admits reports whether v equals one of the keys. Only `col = k` can
+// leave a key here that v cannot be compared with, and one key is never
+// hashed, so that comparison's error is raised.
+func (k keySet) admits(v types.Value) (bool, error) {
+	if k.set != nil {
+		return k.set.has(v), nil
+	}
+	for _, key := range k.vals {
+		if t, err := types.CompareOp("=", v, key); err != nil || t == types.True {
+			return err == nil, err
+		}
+	}
+	return false, nil
+}
+
+func (k keySet) String() string {
+	if k.from != nil {
+		return "keys from (" + k.from.String() + ")"
+	}
+	return fmt.Sprintf("%d key(s)", len(k.vals))
+}
+
+// keyFilter keeps the rows whose column at pos is among the keys.
 type keyFilter struct {
-	pos  int
-	keys []types.Value
+	pos int
+	keySet
 }
 
-// keyConjunct matches `col = k` (either way round), returning key, and
-// `col IN (k1 … kn)`, returning list, where every k is known before the
-// table is read. NOT IN is not a key: its truth depends on every item at
+// keyConjunct matches the conjuncts that say which values a column may
+// have before the table is read: `col = k` (either way round), returning
+// key, `col IN (k1 … kn)`, returning list, and `col IN (SELECT …)`,
+// returning sub. NOT IN is not a key: its truth depends on every item at
 // once.
-func keyConjunct(e ast.Expr) (col *ast.ColumnRef, key ast.Expr, list []ast.Expr) {
+func keyConjunct(e ast.Expr) (col *ast.ColumnRef, key ast.Expr, list []ast.Expr, sub *ast.Select) {
 	switch e := e.(type) {
 	case *ast.Binary:
 		if e.Op != "=" {
-			return nil, nil, nil
+			break
 		}
 		if c, ok := e.Left.(*ast.ColumnRef); ok && isConstExpr(e.Right) {
-			return c, e.Right, nil
+			return c, e.Right, nil, nil
 		}
 		if c, ok := e.Right.(*ast.ColumnRef); ok && isConstExpr(e.Left) {
-			return c, e.Left, nil
+			return c, e.Left, nil, nil
 		}
 	case *ast.InList:
 		if c, ok := e.Expr.(*ast.ColumnRef); ok && !e.Not && !slices.ContainsFunc(e.Items, func(it ast.Expr) bool { return !isConstExpr(it) }) {
-			return c, nil, e.Items
+			return c, nil, e.Items, nil
+		}
+	case *ast.InSubquery:
+		if c, ok := e.Expr.(*ast.ColumnRef); ok && !e.Not {
+			return c, nil, nil, e.Select
 		}
 	}
-	return nil, nil, nil
+	return nil, nil, nil, nil
 }
 
 // isConstExpr reports whether an expression reads no column and runs no
@@ -112,9 +154,11 @@ func isConstExpr(e ast.Expr) bool {
 // "Exactly" is what keeps the choice of path out of a statement's
 // outcome. NULL keys are dropped — `col = NULL` and a NULL item of an IN
 // list can never make WHERE true. An IN item of a kind the column cannot
-// be compared with is dropped too, as IN itself never matches it. But
-// `col = k` with such a k is an error on the first non-NULL row, so that
-// k goes to no index; the filter raises the error if a row gets there.
+// be compared with is dropped too, as IN itself never matches it (a
+// subquery's stay in its set, where no value of the column finds them).
+// But `col = k` with such a k is an error on the first non-NULL row, so
+// that k goes to no index; the filter raises the error if a row gets
+// there. And a subquery is a key set only if keySubquery says so.
 func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified bool, conjs []conjunct, outer *Env) (*access, error) {
 	acc := &access{table: table}
 	for i := range conjs {
@@ -122,7 +166,7 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 		if c.used {
 			continue
 		}
-		col, key, list := keyConjunct(c.expr)
+		col, key, list, sub := keyConjunct(c.expr)
 		if col == nil || (col.Table == "" && !unqualified) || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
 			continue
 		}
@@ -130,32 +174,65 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 		if pos < 0 {
 			continue
 		}
-		in, one := list != nil, [1]ast.Expr{key}
-		if !in {
-			list = one[:]
-		}
-		kind := table.Schema.Cols[pos].Type.Kind
-		keys, exact := make([]types.Value, 0, len(list)), true
-		for _, ke := range list {
-			k, err := ctx.EvalExpr(ke, outer)
-			if err != nil {
-				return nil, err
-			}
-			fits := types.Comparable(kind, k.Kind())
-			if k.IsNull() || (in && !fits) {
+		var keys keySet
+		exact := true
+		if sub != nil {
+			set, plan, ok := ctx.keySubquery(sub)
+			if !ok {
 				continue
 			}
-			exact = exact && fits
-			keys = append(keys, k)
+			keys = keySet{vals: set.vals, set: set, from: sub}
+			acc.sub = append(acc.sub, plan...)
+		} else {
+			in, one := list != nil, [1]ast.Expr{key}
+			if !in {
+				list = one[:]
+			}
+			kind := table.Schema.Cols[pos].Type.Kind
+			keys.vals = make([]types.Value, 0, len(list))
+			for _, ke := range list {
+				k, err := ctx.EvalExpr(ke, outer)
+				if err != nil {
+					return nil, err
+				}
+				fits := types.Comparable(kind, k.Kind())
+				if k.IsNull() || (in && !fits) {
+					continue
+				}
+				exact = exact && fits
+				keys.vals = append(keys.vals, k)
+			}
+			if len(keys.vals) > linearKeys {
+				keys.set = newInSet(len(keys.vals))
+				for _, k := range keys.vals {
+					keys.set.add(k)
+				}
+			}
 		}
 		c.used = true
 		if idx := table.IndexOn(col.Column); idx != nil && exact && acc.index == nil {
 			acc.index, acc.keys = idx, keys
 		} else {
-			acc.filters = append(acc.filters, keyFilter{pos: pos, keys: keys})
+			acc.filters = append(acc.filters, keyFilter{pos: pos, keySet: keys})
 		}
 	}
 	return acc, nil
+}
+
+// keySubquery evaluates an IN subquery before the table is read and
+// outside every scope, so that its set can be a key set. ok says it is
+// one: the subquery could be evaluated, which one that reads a column
+// from outside itself — whose result differs from row to row — cannot
+// here. Whatever fails is left to fail when, and only if, a row reaches
+// it. Under EXPLAIN nothing is read and the subquery's plan is returned
+// for the access line to carry.
+func (ctx *Context) keySubquery(sel *ast.Select) (set *inSet, plan []*PlanNode, ok bool) {
+	node := &PlanNode{}
+	if ctx.Plan != nil {
+		defer ctx.under(node)()
+	}
+	set, err := ctx.subquerySet(sel, nil)
+	return set, node.Kids, err == nil && ctx.inSetCache[sel] == set // cached: it touched no scope
 }
 
 // String is the access path's line in an EXPLAIN plan.
@@ -163,10 +240,10 @@ func (a *access) String() string {
 	name := a.table.Schema.Name
 	s := fmt.Sprintf("SCAN %s (%d rows)", name, a.table.NumRows())
 	if a.index != nil {
-		s = fmt.Sprintf("INDEX %s ON %s (%s): %d key(s)", a.index.Name, name, a.index.Column, len(a.keys))
+		s = fmt.Sprintf("INDEX %s ON %s (%s): %s", a.index.Name, name, a.index.Column, a.keys)
 	}
 	for _, f := range a.filters {
-		s += fmt.Sprintf(", %s among %d key(s)", a.table.Schema.Cols[f.pos].Name, len(f.keys))
+		s += fmt.Sprintf(", %s among %s", a.table.Schema.Cols[f.pos].Name, f.keySet)
 	}
 	return s
 }
@@ -175,19 +252,13 @@ func (a *access) String() string {
 // the keys, ascending. Ascending row id is scan order, so an index
 // returns exactly what the scan would, in the same order.
 func (a *access) lookup(snap uint64) []int {
-	var ids []int
-	for i, k := range a.keys {
-		if found := a.index.LookupAt(snap, k); i == 0 {
-			ids = found
-		} else {
-			ids = append(ids, found...)
-		}
+	ids := a.ids[:0]
+	for _, k := range a.keys.vals {
+		ids = a.index.LookupAt(ids, snap, k)
 	}
 	slices.Sort(ids)
-	if len(a.keys) > 1 {
-		ids = slices.Compact(ids) // a key written twice
-	}
-	return ids
+	a.ids = slices.Compact(ids) // a key written twice
+	return a.ids
 }
 
 // read runs the decision: fn sees every row the access path selects, in
@@ -199,18 +270,8 @@ func (ctx *Context) read(a *access, fn func(id int, row storage.Row) error) erro
 	}
 	visit := func(id int, row storage.Row) error {
 		for _, f := range a.filters {
-			match := false
-			for _, k := range f.keys {
-				t, err := types.CompareOp("=", row[f.pos], k)
-				if err != nil {
-					return err
-				}
-				if match = t == types.True; match {
-					break
-				}
-			}
-			if !match {
-				return nil
+			if ok, err := f.admits(row[f.pos]); !ok {
+				return err
 			}
 		}
 		return fn(id, row)
@@ -245,7 +306,7 @@ func (ctx *Context) MatchIDs(table *storage.Table, where ast.Expr) ([]int, error
 		return nil, err
 	}
 	if ctx.Plan != nil {
-		ctx.note("%s", acc)
+		ctx.note("%s", acc).Kids = acc.sub
 	}
 	ctx.noteFilter(conjs)
 	env := &Env{cols: TableCols(table, table.Schema.Name)}
@@ -299,7 +360,7 @@ type probe func(key types.Value) (rows []storage.Row, exact bool)
 // error a nested loop would.
 func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe {
 	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
-	keyed := &access{table: table, index: index, keys: make([]types.Value, 1)}
+	keyed := &access{table: table, index: index, keys: keySet{vals: make([]types.Value, 1)}}
 	scan := &access{table: table}
 	var buf []storage.Row
 	collect := func(_ int, row storage.Row) error {
@@ -310,7 +371,7 @@ func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe
 		buf = buf[:0]
 		path, exact := scan, types.Comparable(kind, key.Kind())
 		if exact {
-			path, keyed.keys[0] = keyed, key
+			path, keyed.keys.vals[0] = keyed, key
 		}
 		_ = ctx.read(path, collect) // read only fails through its filters and its callback; neither can here
 		return buf, exact
@@ -324,6 +385,7 @@ func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe
 func hashProbe(rows []storage.Row, pos int) probe {
 	buckets := make(map[string][]storage.Row, len(rows))
 	var kinds []types.Kind
+	var buf types.KeyBuf
 	for _, row := range rows {
 		v := row[pos]
 		if v.IsNull() {
@@ -332,8 +394,8 @@ func hashProbe(rows []storage.Row, pos int) probe {
 		if !slices.Contains(kinds, v.Kind()) {
 			kinds = append(kinds, v.Kind())
 		}
-		k := v.Key()
-		buckets[k] = append(buckets[k], row)
+		key := v.AppendKey(buf[:0])
+		buckets[string(key)] = append(buckets[string(key)], row)
 	}
 	return func(key types.Value) ([]storage.Row, bool) {
 		for _, k := range kinds {
@@ -341,7 +403,7 @@ func hashProbe(rows []storage.Row, pos int) probe {
 				return rows, false
 			}
 		}
-		return buckets[key.Key()], true
+		return buckets[string(key.AppendKey(buf[:0]))], true
 	}
 }
 

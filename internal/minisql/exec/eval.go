@@ -261,10 +261,71 @@ func (ctx *Context) evalInList(e *ast.InList, env *Env) (types.Value, error) {
 	return types.NewBool(e.Not), nil
 }
 
-// inSet is a materialized IN-subquery result for O(1) membership probes.
+// inSet is a set of values hashed by key, for O(1) membership probes:
+// the result of an IN subquery — the one structure behind the per-row
+// test and a key set of chooseAccess — or a long literal key list.
 type inSet struct {
-	keys    map[string]bool
+	keys    map[string]struct{}
+	vals    []types.Value // the distinct non-NULL members, in first-seen order
 	sawNull bool
+}
+
+func newInSet(room int) *inSet {
+	return &inSet{keys: make(map[string]struct{}, room), vals: make([]types.Value, 0, room)}
+}
+
+// add puts v into the set and reports whether it is a new member, which
+// a NULL never is.
+func (s *inSet) add(v types.Value) bool {
+	if v.IsNull() {
+		s.sawNull = true
+		return false
+	}
+	var buf types.KeyBuf
+	key := v.AppendKey(buf[:0])
+	if _, ok := s.keys[string(key)]; ok {
+		return false
+	}
+	s.keys[string(key)] = struct{}{}
+	s.vals = append(s.vals, v)
+	return true
+}
+
+// has reports whether a member equals v; a NULL and a value no member can
+// be compared with find nothing.
+func (s *inSet) has(v types.Value) bool {
+	var buf types.KeyBuf
+	_, ok := s.keys[string(v.AppendKey(buf[:0]))]
+	return ok
+}
+
+// subquerySet evaluates an IN subquery to the set of its values. The set
+// of a subquery that read no outer column holds for every row and is
+// cached until a CTE is rebound.
+func (ctx *Context) subquerySet(sel *ast.Select, env *Env) (*inSet, error) {
+	if set, ok := ctx.inSetCache[sel]; ok {
+		return set, nil
+	}
+	rel, err := ctx.evalSubquery(sel, env)
+	if err != nil {
+		return nil, err
+	}
+	if len(rel.Cols) != 1 {
+		return nil, fmt.Errorf("sql: IN subquery must return one column, got %d", len(rel.Cols))
+	}
+	set := newInSet(len(rel.Rows))
+	for _, row := range rel.Rows {
+		set.add(row[0])
+	}
+	// evalSubquery has cached the relation if and only if it was
+	// uncorrelated.
+	if _, ok := ctx.SubqueryCache[sel]; ok {
+		if ctx.inSetCache == nil {
+			ctx.inSetCache = map[*ast.Select]*inSet{}
+		}
+		ctx.inSetCache[sel] = set
+	}
+	return set, nil
 }
 
 func (ctx *Context) evalInSubquery(e *ast.InSubquery, env *Env) (types.Value, error) {
@@ -272,36 +333,14 @@ func (ctx *Context) evalInSubquery(e *ast.InSubquery, env *Env) (types.Value, er
 	if err != nil {
 		return types.Null, err
 	}
-	set, cached := ctx.inSetCache[e.Select]
-	if !cached {
-		rel, err := ctx.evalSubquery(e.Select, env)
-		if err != nil {
-			return types.Null, err
-		}
-		if len(rel.Cols) != 1 {
-			return types.Null, fmt.Errorf("sql: IN subquery must return one column, got %d", len(rel.Cols))
-		}
-		set = &inSet{keys: make(map[string]bool, len(rel.Rows))}
-		for _, row := range rel.Rows {
-			if row[0].IsNull() {
-				set.sawNull = true
-				continue
-			}
-			set.keys[row[0].Key()] = true
-		}
-		// The set may be reused only when the underlying relation was
-		// cacheable (uncorrelated); evalSubquery tracked that for us.
-		if _, ok := ctx.SubqueryCache[e.Select]; ok {
-			if ctx.inSetCache == nil {
-				ctx.inSetCache = map[*ast.Select]*inSet{}
-			}
-			ctx.inSetCache[e.Select] = set
-		}
+	set, err := ctx.subquerySet(e.Select, env)
+	if err != nil {
+		return types.Null, err
 	}
 	if v.IsNull() {
 		return types.Null, nil
 	}
-	if set.keys[v.Key()] {
+	if set.has(v) {
 		return types.NewBool(!e.Not), nil
 	}
 	if set.sawNull {

@@ -314,7 +314,7 @@ func (r *reference) body(b ast.SelectBody, outer *exec.Env) (*rel, error) {
 func rowKey(row storage.Row) string {
 	var sb strings.Builder
 	for _, v := range row {
-		sb.WriteString(v.Key())
+		sb.Write(v.AppendKey(nil))
 		sb.WriteByte(0x1e)
 	}
 	return sb.String()
@@ -418,7 +418,7 @@ func (r *reference) core(c *ast.SelectCore, outer *exec.Env) (*rel, error) {
 				if err != nil {
 					return nil, err
 				}
-				key += v.Key() + "\x1f"
+				key += string(v.AppendKey(nil)) + "\x1f"
 			}
 			if _, ok := groups[key]; !ok {
 				order = append(order, key)
@@ -459,10 +459,10 @@ func (r *reference) aggregate(a *ast.Aggregate, rows []storage.Row, cols []exec.
 		if err != nil {
 			return types.Null, err
 		}
-		if v.IsNull() || (a.Distinct && seen[v.Key()]) {
+		if v.IsNull() || (a.Distinct && seen[string(v.AppendKey(nil))]) {
 			continue
 		}
-		seen[v.Key()] = true
+		seen[string(v.AppendKey(nil))] = true
 		vals = append(vals, v)
 	}
 	if a.Func == "COUNT" {

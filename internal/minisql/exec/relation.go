@@ -1,6 +1,7 @@
 // Package exec evaluates parsed SQL statements against storage. One
 // function decides how a stored table is read for a set of conjuncts —
-// a key set looked up in a hash index, or a snapshot scan — and one
+// a key set (literals, or the result of an uncorrelated IN subquery)
+// looked up in a hash index, or a snapshot scan — and one
 // iterator runs the decision for SELECT, for the indexed side of a join,
 // for the row gathering of UPDATE and DELETE, and (deciding without
 // reading) for EXPLAIN. One probe loop joins, drawing the right-hand
@@ -156,8 +157,8 @@ type Context struct {
 	// outer column.
 	SubqueryCache map[*ast.Select]*Relation
 
-	// inSetCache memoizes hash sets for cached IN-subqueries so that
-	// `x IN (SELECT ...)` probes are O(1) per outer row instead of a scan.
+	// inSetCache memoizes hash sets for cached IN-subqueries: the key set
+	// of an access path and the O(1) probe of `x IN (SELECT ...)` per row.
 	inSetCache map[*ast.Select]*inSet
 
 	// MaxRecursion bounds the number of semi-naive iterations of a
@@ -168,8 +169,10 @@ type Context struct {
 	// takes its decisions exactly as it would and records them under this
 	// node, and stored tables yield no rows — so the plan printed is the
 	// plan that runs, by construction. A recursive CTE's recursive
-	// branches are planned once; subqueries that only a row would reach
-	// appear in their FILTER line, unplanned.
+	// branches are planned once; a subquery whose result is a key set is
+	// planned under the access line it keys (one that only fails on data
+	// shows as a key set here and runs as a filter); subqueries that only
+	// a row would reach appear in their FILTER line, unplanned.
 	Plan *PlanNode
 
 	// aggValues holds precomputed aggregate results for the group whose

@@ -151,7 +151,7 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	// round evaluates a set of branches against the current binding and
 	// returns the rows they add to the fixpoint.
 	var cols []ColMeta // of the first branch, which every other must match in number
-	seen := map[string]bool{}
+	seen := rowSet{}
 	round := func(branches []*ast.SelectCore) ([]storage.Row, error) {
 		var added []storage.Row
 		for _, b := range branches {
@@ -166,14 +166,9 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 					cte.Name, len(rel.Cols), len(cols))
 			}
 			for _, row := range rel.Rows {
-				if dedup {
-					k := rowKey(row)
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
+				if !dedup || seen.add(row) {
+					added = append(added, row)
 				}
-				added = append(added, row)
 			}
 		}
 		return added, nil
@@ -328,7 +323,7 @@ func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unq
 			return nil, err
 		}
 		if ctx.Plan != nil {
-			ctx.note("%s", acc)
+			ctx.note("%s", acc).Kids = acc.sub
 		}
 		rel := &Relation{Cols: TableCols(table, aliasOf(r))}
 		err = ctx.read(acc, func(_ int, row storage.Row) error {
@@ -469,19 +464,20 @@ func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast
 	// Partition rows into groups, kept in first-seen order.
 	var groups [][]storage.Row
 	index := map[string]int{}
+	var key []byte
 	for _, row := range src.Rows {
 		env.row = row
-		key := ""
+		key = key[:0]
 		for _, ge := range core.GroupBy {
 			v, err := ctx.EvalExpr(ge, env)
 			if err != nil {
 				return nil, err
 			}
-			key += v.Key() + "\x1f"
+			key = append(v.AppendKey(key), 0x1f)
 		}
-		i, ok := index[key]
+		i, ok := index[string(key)]
 		if !ok {
-			i, index[key] = len(groups), len(groups)
+			i, index[string(key)] = len(groups), len(groups)
 			groups = append(groups, nil)
 		}
 		groups[i] = append(groups[i], row)
@@ -546,7 +542,7 @@ func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row,
 		anyFloat := false
 		nonNull := 0
 		var minV, maxV types.Value
-		seen := map[string]bool{}
+		seen := newInSet(0)
 		for _, row := range rows {
 			if agg.Star {
 				continue
@@ -559,12 +555,8 @@ func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row,
 			if v.IsNull() {
 				continue
 			}
-			if agg.Distinct {
-				k := v.Key()
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
+			if agg.Distinct && !seen.add(v) {
+				continue
 			}
 			nonNull++
 			switch agg.Func {
@@ -741,12 +733,11 @@ func resolvable(ref *ast.ColumnRef, cols []ColMeta, outer *Env) error {
 
 // distinctRows keeps the first of every set of equal rows, in order.
 func distinctRows(lists ...[]storage.Row) []storage.Row {
-	seen := map[string]bool{}
+	seen := rowSet{}
 	var out []storage.Row
 	for _, rows := range lists {
 		for _, row := range rows {
-			if k := rowKey(row); !seen[k] {
-				seen[k] = true
+			if seen.add(row) {
 				out = append(out, row)
 			}
 		}
@@ -754,13 +745,27 @@ func distinctRows(lists ...[]storage.Row) []storage.Row {
 	return out
 }
 
-func rowKey(row storage.Row) string {
-	var sb strings.Builder
+// rowSet is the set of rows seen so far, by the keys of their values.
+type rowSet struct {
+	keys map[string]struct{}
+	buf  []byte
+}
+
+// add puts the row into the set and reports whether it was new; a row
+// seen before costs no allocation.
+func (s *rowSet) add(row storage.Row) bool {
+	s.buf = s.buf[:0]
 	for _, v := range row {
-		sb.WriteString(v.Key())
-		sb.WriteByte('\x1e')
+		s.buf = append(v.AppendKey(s.buf), 0x1e)
 	}
-	return sb.String()
+	if _, seen := s.keys[string(s.buf)]; seen {
+		return false
+	}
+	if s.keys == nil {
+		s.keys = map[string]struct{}{}
+	}
+	s.keys[string(s.buf)] = struct{}{}
+	return true
 }
 
 // references reports whether the tree below n — FROM clauses, nested

@@ -146,10 +146,10 @@ func TestLookupAtFiltersStaleEntries(t *testing.T) {
 	}
 	now := vlog.Epoch()
 	idx := table.IndexOn("name")
-	if got := idx.LookupAt(now, types.NewText("old")); len(got) != 0 {
+	if got := idx.LookupAt(nil, now, types.NewText("old")); len(got) != 0 {
 		t.Errorf("stale entry surfaced: %v", got)
 	}
-	if got := idx.LookupAt(now, types.NewText("new")); len(got) != 1 {
+	if got := idx.LookupAt(nil, now, types.NewText("new")); len(got) != 1 {
 		t.Errorf("live entry missing: %v", got)
 	}
 	// An old snapshot still resolves the old value.
@@ -162,7 +162,7 @@ func TestLookupAtFiltersStaleEntries(t *testing.T) {
 	if oldEpoch == 0 {
 		t.Fatal("no epoch shows the old value")
 	}
-	if got := idx.LookupAt(oldEpoch, types.NewText("old")); len(got) != 1 {
+	if got := idx.LookupAt(nil, oldEpoch, types.NewText("old")); len(got) != 1 {
 		t.Errorf("old snapshot lookup = %v, want the original row", got)
 	}
 }
@@ -230,6 +230,56 @@ func TestConcurrentReadersNeverBlockOrTear(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Commit()
+		table.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+}
+
+// Lookups walk a bucket without copying it while a writer grows that
+// very bucket: every lookup at an epoch must return exactly the rows
+// committed by then — the bucket's prefix —, race-free.
+func TestConcurrentLookupsWhileBucketGrows(t *testing.T) {
+	table, vlog := newVersionedTable(t)
+	if err := table.CreateIndex("t_name", "name", false); err != nil {
+		t.Fatal(err)
+	}
+	idx := table.IndexOn("name")
+	const writes = 300
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ids []int
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				epoch := vlog.Epoch()
+				ids = idx.LookupAt(ids[:0], epoch, types.NewText("same"))
+				if uint64(len(ids)) != epoch { // one insert per epoch
+					errs <- fmt.Sprintf("lookup at epoch %d found %d rows", epoch, len(ids))
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= writes; i++ {
+		table.Lock()
+		if _, err := table.Insert(vrow(int64(i), "same")); err != nil {
+			table.Unlock()
+			t.Fatal(err)
+		}
 		table.Unlock()
 	}
 	close(stop)

@@ -274,7 +274,8 @@ func (c *Commit) Abort() {
 // superseded versions never leak out and no bucket maintenance is
 // needed when a version dies. The bucket map has its own small lock
 // (mutations run under the table's write latch, but lock-free readers
-// copy buckets concurrently).
+// look buckets up concurrently). A bucket only ever grows by append, so
+// a reader may walk the slice it found after releasing the lock.
 type Index struct {
 	Name   string
 	Column string
@@ -292,47 +293,42 @@ type Index struct {
 // is being built — which spares a bulk load the scan of its
 // low-cardinality buckets, quadratic in the rows loaded.
 func (ix *Index) add(v types.Value, id int, fresh bool) {
-	k := v.Key()
+	var buf types.KeyBuf
+	key := v.AppendKey(buf[:0])
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if !fresh && slices.Contains(ix.buckets[k], id) {
+	b := ix.buckets[string(key)]
+	if !fresh && slices.Contains(b, id) {
 		return
 	}
-	ix.buckets[k] = append(ix.buckets[k], id)
+	ix.buckets[string(key)] = append(b, id)
 }
 
-// candidates returns a copy of the bucket for the value's key.
+// candidates returns the bucket for the value's key: read it, never
+// write it.
 func (ix *Index) candidates(v types.Value) []int {
+	var buf types.KeyBuf
+	key := v.AppendKey(buf[:0])
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	b := ix.buckets[v.Key()]
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]int(nil), b...)
+	return ix.buckets[string(key)]
 }
 
 // Lookup returns the ids of rows whose indexed column equals v in the
 // latest committed state.
-func (ix *Index) Lookup(v types.Value) []int { return ix.LookupAt(Latest, v) }
+func (ix *Index) Lookup(v types.Value) []int { return ix.LookupAt(nil, Latest, v) }
 
-// LookupAt returns the ids of rows whose indexed column equals v in the
-// snapshot at the given epoch. Candidates come from the hash bucket and
-// are verified against the visible row, so entries left behind by old
-// versions are filtered here.
-func (ix *Index) LookupAt(epoch uint64, v types.Value) []int {
-	cand := ix.candidates(v)
-	if len(cand) == 0 {
-		return nil
-	}
-	key := v.Key()
-	out := cand[:0]
-	for _, id := range cand {
-		if row, ok := ix.t.GetAt(epoch, id); ok && row[ix.colPos].Key() == key {
-			out = append(out, id)
+// LookupAt appends to dst the ids of rows whose indexed column equals v
+// in the snapshot at the given epoch, and returns the extended slice.
+// Candidates come from the hash bucket and are verified against the
+// visible row, so entries left behind by old versions are filtered here.
+func (ix *Index) LookupAt(dst []int, epoch uint64, v types.Value) []int {
+	for _, id := range ix.candidates(v) {
+		if row, ok := ix.t.GetAt(epoch, id); ok && types.SameKey(row[ix.colPos], v) {
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // checkUnique reports a duplicate-key error when a row other than self
@@ -342,12 +338,11 @@ func (ix *Index) checkUnique(v types.Value, self int) error {
 	if !ix.Unique || v.IsNull() {
 		return nil
 	}
-	key := v.Key()
 	for _, id := range ix.candidates(v) {
 		if id == self {
 			continue
 		}
-		if row, ok := ix.t.currentRow(id); ok && row[ix.colPos].Key() == key {
+		if row, ok := ix.t.currentRow(id); ok && types.SameKey(row[ix.colPos], v) {
 			return fmt.Errorf("storage: duplicate key %s for unique index %s", v, ix.Name)
 		}
 	}

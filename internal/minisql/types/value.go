@@ -292,26 +292,46 @@ func sortRank(v Value) int {
 	return 4
 }
 
-// Key returns a map key identifying the value for hashing (GROUP BY,
-// DISTINCT, hash joins, hash indexes). Numerically equal int/float values
-// share a key.
-func (v Value) Key() string {
+// AppendKey appends to dst the bytes that identify the value for hashing
+// (GROUP BY, DISTINCT, hash joins, hash indexes, IN sets) and returns the
+// extended buffer. Numerically equal int/float values share a key. A
+// map[string]… is probed with m[string(key)], which Go compiles without
+// allocating, so only storing a new key costs a string.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0)
 	case KindInt:
-		return "n" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		if -1e6 < v.i && v.i < 1e6 { // what 'g' prints for these, without the float formatter
+			return strconv.AppendInt(append(dst, 'n'), v.i, 10)
+		}
+		return strconv.AppendFloat(append(dst, 'n'), float64(v.i), 'g', -1, 64)
 	case KindFloat:
-		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
 	case KindText:
-		return "t" + v.s
+		return append(append(dst, 't'), v.s...)
 	case KindBool:
 		if v.b {
-			return "b1"
+			return append(dst, 'b', '1')
 		}
-		return "b0"
+		return append(dst, 'b', '0')
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// KeyBuf is room, on the caller's stack, for the key of any number and of
+// short text: v.AppendKey(buf[:0]) then builds the key without allocating.
+type KeyBuf [32]byte
+
+// SameKey reports whether a and b hash to the same key, without building
+// either: numbers by their float value, everything else by kind and
+// payload. It is how a hash bucket's candidates are verified.
+func SameKey(a, b Value) bool {
+	if af, ok := a.AsFloat(); ok {
+		bf, ok := b.AsFloat()
+		return ok && af == bf
+	}
+	return a.kind == b.kind && a.s == b.s && a.b == b.b
 }
 
 // Truth interprets a value as a WHERE-clause condition result.

@@ -120,8 +120,8 @@ func TestComparableMirrorsCompare(t *testing.T) {
 			if Comparable(a.Kind(), b.Kind()) != (err == nil) {
 				t.Errorf("Comparable(%s, %s) = %v, Compare error %v", a.Kind(), b.Kind(), Comparable(a.Kind(), b.Kind()), err)
 			}
-			if err == nil && (c == 0) != (a.Key() == b.Key()) {
-				t.Errorf("%s vs %s: compare %d, keys %q %q", a, b, c, a.Key(), b.Key())
+			if err == nil && (c == 0) != (keyOf(a) == keyOf(b)) {
+				t.Errorf("%s vs %s: compare %d, keys %q %q", a, b, c, keyOf(a), keyOf(b))
 			}
 		}
 		if Comparable(KindNull, a.Kind()) || Comparable(a.Kind(), KindNull) {
@@ -169,20 +169,38 @@ func TestCompareForSortProperties(t *testing.T) {
 	}
 }
 
-// Property: Key() agrees with numeric equality across int/float.
+func keyOf(v Value) string { return string(v.AppendKey(nil)) }
+
+// Property: the hash key agrees with numeric equality across int/float —
+// also where the integer fast path hands over to the float formatter —
+// and its stored form is the one indexes have always held.
 func TestKeyConsistentWithEquality(t *testing.T) {
-	f := func(a int64) bool {
-		return NewInt(a).Key() == NewFloat(float64(a)).Key() ||
-			float64(a) != math.Trunc(float64(a)) // precision loss allowed
-	}
+	f := func(a int64) bool { return keyOf(NewInt(a)) == keyOf(NewFloat(float64(a))) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if NewText("1").Key() == NewInt(1).Key() {
+	for _, a := range []int64{0, 7, -7, 100000, 999999, -999999, 1000000, -1000000, 1000001, 1234567, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64} {
+		if !f(a) {
+			t.Errorf("int %d: key %q, as float %q", a, keyOf(NewInt(a)), keyOf(NewFloat(float64(a))))
+		}
+	}
+	for v, want := range map[Value]string{
+		NewInt(97656): "n97656", NewInt(1000000): "n1e+06", NewFloat(2.5): "n2.5", NewText("x"): "tx",
+		NewBool(true): "b1", NewBool(false): "b0", Null: "\x00",
+	} {
+		if got := keyOf(v); got != want {
+			t.Errorf("key of %s = %q, want %q", v, got, want)
+		}
+	}
+	if keyOf(NewText("1")) == keyOf(NewInt(1)) {
 		t.Error("text and int keys must differ")
 	}
-	if Null.Key() == NewText("").Key() {
+	if keyOf(Null) == keyOf(NewText("")) {
 		t.Error("NULL and empty string keys must differ")
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = NewInt(97656).AppendKey(NewText("abc").AppendKey(NewFloat(2.5).AppendKey(buf[:0]))) }); n != 0 {
+		t.Errorf("AppendKey into a buffer with room allocates %v times", n)
 	}
 }
 
