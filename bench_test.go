@@ -19,7 +19,9 @@ import (
 	"testing"
 
 	"pdmtune"
+	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
+	"pdmtune/internal/minisql/types"
 )
 
 // ---------------------------------------------------------------------------
@@ -371,6 +373,41 @@ func BenchmarkEngineRecursiveQuery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("d7_b5/level%d", level), run(f, root))
 	}
+}
+
+// BenchmarkEngineQueryAll measures the server side of the Query action
+// alone: the rule-modified statement, both `prod = ?` branches, executed
+// on the engine without wire, compression or client. Every row of the
+// product passes the rule filter, so this is the executor's per-row
+// cost: name binding, the filter's function calls, projection.
+func BenchmarkEngineQueryAll(b *testing.B) {
+	run := func(f *fixture) func(*testing.B) {
+		return func(b *testing.B) {
+			q := core.BuildQueryAll()
+			m := &core.Modifier{Rules: f.sys.Rules, User: pdmtune.DefaultUser("bench")}
+			if err := m.ModifyNavigational(q, core.ActionQuery); err != nil {
+				b.Fatal(err)
+			}
+			sql, prod := q.String(), types.NewInt(f.prod.Config.ProdID)
+			sess := f.sys.DB.NewSession()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sess.Exec(sql, prod, prod)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if want := 1 + f.prod.VisibleNodes(); len(res.Rows) != want { // the root is a node of the product too
+					b.Fatalf("Query returned %d rows, ground truth %d", len(res.Rows), want)
+				}
+			}
+		}
+	}
+	b.Run("d3_b9", run(getFixture(b, 0)))
+	if testing.Short() {
+		return
+	}
+	b.Run("d7_b5", run(getFixture(b, 2)))
 }
 
 // TestRecursiveMLECostFollowsSubtree states what the index probe of the

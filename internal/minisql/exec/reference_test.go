@@ -340,6 +340,9 @@ func (r *reference) core(c *ast.SelectCore, outer *exec.Env) (*rel, error) {
 			return nil, err
 		}
 	}
+	if err := r.resolves(c, src.cols, outer); err != nil {
+		return nil, err
+	}
 	var kept []storage.Row
 	for _, row := range src.rows {
 		ok, err := r.holds(c.Where, exec.NewEnv(src.cols, row, outer))
@@ -446,6 +449,33 @@ func (r *reference) core(c *ast.SelectCore, outer *exec.Env) (*rel, error) {
 		out.rows = distinct(out.rows)
 	}
 	return out, nil
+}
+
+// resolves is the static name check, made whether or not a row ever
+// asks: every column the core names directly (its subqueries and FROM
+// clause aside) must be exactly one column of its source or, failing
+// any there, be found in an enclosing scope. Each reference is looked
+// up on an all-NULL row, first in the source alone, then with the
+// enclosing scopes.
+func (r *reference) resolves(c *ast.SelectCore, cols []exec.ColMeta, outer *exec.Env) error {
+	nulls := make(storage.Row, len(cols))
+	var failed error
+	ast.Inspect(c, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Select, ast.TableRef:
+			return false
+		case *ast.ColumnRef:
+			_, err := r.scalar.EvalExpr(n, exec.NewEnv(cols, nulls, nil))
+			if err != nil && strings.Contains(err.Error(), "no such column") {
+				if _, err = r.scalar.EvalExpr(n, exec.NewEnv(cols, nulls, outer)); err != nil && !strings.Contains(err.Error(), "no such column") {
+					err = nil // ambiguous out there: only a row that asks fails
+				}
+			}
+			failed = err
+		}
+		return failed == nil
+	})
+	return failed
 }
 
 func (r *reference) aggregate(a *ast.Aggregate, rows []storage.Row, cols []exec.ColMeta, outer *exec.Env) (types.Value, error) {
@@ -1264,6 +1294,48 @@ func TestExecMatchesReference(t *testing.T) {
 			"DELETE FROM e WHERE dst IN (SELECT id, tid FROM u)",
 		} {
 			f.check(t, fmt.Sprintf("fixed row %d", i), sql, false)
+		}
+	})
+	// Name binding: where each column reference of a statement points is
+	// settled once per execution, so these pin what that decision must
+	// keep — which references fail, and which scope the others read.
+	t.Run("binding", func(t *testing.T) {
+		f := newFixture(t, rand.New(rand.NewSource(2)))
+		for i, sql := range []string{
+			// id is a column of t and of u: qualified it binds, bare it is
+			// ambiguous in every clause — over rows and over none.
+			"SELECT t.id, u.id, tid, label FROM t JOIN u ON t.id = u.tid WHERE grp > 0",
+			"SELECT id FROM t JOIN u ON t.id = u.tid",
+			"SELECT t.id FROM t JOIN u ON t.id = u.tid WHERE id > 2",
+			"SELECT t.id, u.id FROM t, u WHERE t.id = u.tid AND t.id = id",
+			"SELECT COUNT(id) FROM t JOIN u ON t.id = u.tid",
+			"SELECT t.grp FROM t JOIN u ON t.id = u.tid GROUP BY id",
+			"SELECT t.grp, COUNT(*) FROM t JOIN u ON t.id = u.tid GROUP BY t.grp HAVING MAX(id) > 3",
+			"SELECT t.id FROM t JOIN u ON t.id = u.tid WHERE t.id < 0 AND id = 1",
+			"SELECT a.id FROM t AS a, t AS b WHERE a.id = b.grp AND name = 'a'",
+			// Correlated two scopes up, qualified and bare, in WHERE, in
+			// the projection and in aggregate arguments.
+			"SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.tid = t.id AND EXISTS (SELECT 1 FROM e WHERE e.src = u.tid AND e.dst > t.grp))",
+			"SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE tid = grp + 1 AND EXISTS (SELECT 1 FROM e WHERE src = tid AND dst > grp))",
+			"SELECT t.id, (SELECT MAX(u.id) FROM u WHERE u.tid IN (SELECT e.src + t.grp - t.grp FROM e)) FROM t",
+			"SELECT t.id, (SELECT MAX((SELECT COUNT(*) + t.grp FROM e WHERE e.src = u.tid)) FROM u WHERE u.tid = t.id) FROM t",
+			"SELECT t.id FROM t WHERE t.grp <= (SELECT COUNT(*) FROM u WHERE u.tid = t.id AND u.id > (SELECT SUM(e.dst + t.grp) FROM e WHERE e.src = u.tid))",
+			"SELECT id, (SELECT COUNT(*) FROM u WHERE tid = grp AND label IN (SELECT MIN(name) FROM e WHERE src = tid)) FROM t",
+			"SELECT t.id FROM t WHERE 0 < (SELECT SUM((SELECT COUNT(*) FROM e WHERE e.src = t.id AND e.dst > u.id)) FROM u WHERE u.tid = t.grp)",
+			// GROUP BY over expressions of bound columns.
+			"SELECT grp * 2 + id % 3, COUNT(*), SUM(val) FROM t GROUP BY grp * 2 + id % 3",
+			"SELECT COALESCE(t.name, 'none'), MAX(u.id), COUNT(u.label) FROM t JOIN u ON t.id = u.tid GROUP BY COALESCE(t.name, 'none') HAVING COUNT(*) > 0",
+			"SELECT u.tid - t.grp, MIN(t.val) FROM u JOIN t ON u.tid = t.id WHERE t.val > 0.5 GROUP BY u.tid - t.grp",
+			// A misspelt column fails even where no row would ask.
+			"SELECT naem FROM t WHERE id IN (SELECT tid FROM u WHERE id < 0)",
+			"SELECT d.naem FROM (SELECT id FROM t WHERE id < 0) AS d",
+			"SELECT id FROM t WHERE id < 0 AND lable = 'a'",
+			"SELECT COUNT(*) FROM (SELECT tid FROM u WHERE id < 0) AS d GROUP BY d.tidd",
+			"SELECT SUM(vall) FROM t WHERE id IN (SELECT tid FROM u WHERE id < 0)",
+			"SELECT t.id FROM t JOIN u ON t.id = u.tid WHERE t.id < 0 AND u.lable = 'a'",
+			"SELECT d.id FROM (SELECT id FROM t WHERE id < 0) AS d WHERE EXISTS (SELECT 1 FROM u WHERE u.tid = d.idd)",
+		} {
+			f.check(t, fmt.Sprintf("binding row %d", i), sql, false)
 		}
 	})
 	for seed := int64(1); seed <= 40; seed++ {
