@@ -141,18 +141,33 @@ func registerBuiltins(db *DB) {
 		if args[0].IsNull() || args[1].IsNull() {
 			return types.Null, nil
 		}
-		a := splitSet(args[0].String())
-		b := splitSet(args[1].String())
-		if len(a) == 0 {
-			return types.NewBool(true), nil
+		return types.NewBool(setsOverlap(args[0].String(), args[1].String())), nil
+	}
+}
+
+// setsOverlap reports whether the comma lists a and b share an element,
+// or a has none. Elements are trimmed of spaces and blank ones ignored.
+// It runs once per row of a rule-filtered statement, so it walks both
+// lists where they lie instead of building sets: the lists are a
+// handful of options long.
+func setsOverlap(a, b string) bool {
+	empty := true
+	for a != "" {
+		var x string
+		x, a, _ = strings.Cut(a, ",")
+		if x = strings.TrimSpace(x); x == "" {
+			continue
 		}
-		for e := range a {
-			if b[e] {
-				return types.NewBool(true), nil
+		empty = false
+		for rest := b; rest != ""; {
+			var y string
+			y, rest, _ = strings.Cut(rest, ",")
+			if strings.TrimSpace(y) == x {
+				return true
 			}
 		}
-		return types.NewBool(false), nil
 	}
+	return empty
 }
 
 func stringFunc(name string, fn func(string) string) ScalarFunc {
@@ -172,15 +187,4 @@ func arity(name string, args []Value, n int) error {
 		return fmt.Errorf("sql: %s takes %d argument(s), got %d", name, n, len(args))
 	}
 	return nil
-}
-
-func splitSet(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		p := strings.TrimSpace(part)
-		if p != "" {
-			out[p] = true
-		}
-	}
-	return out
 }
