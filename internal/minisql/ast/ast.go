@@ -472,6 +472,11 @@ func (e *Param) String() string { return "?" }
 type ColumnRef struct {
 	Table  string
 	Column string
+	// Slot numbers the reference among the direct references of the
+	// SELECT core it belongs to (CoreRefs), from 1; 0 outside a core.
+	// The parser sets it; the executor binds each slot of a core to a
+	// column position once per execution of the core.
+	Slot int
 }
 
 func (e *ColumnRef) String() string {

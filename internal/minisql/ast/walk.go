@@ -105,6 +105,24 @@ func Inspect(n Node, fn func(Node) bool) {
 	}
 }
 
+// CoreRefs calls fn for each direct column reference of a SELECT core —
+// those of its items, WHERE, GROUP BY and HAVING, aggregate arguments
+// included — in the order Inspect visits them, until fn returns false.
+// The references of its FROM clause and of its subqueries are not its
+// own: other scopes evaluate them.
+func CoreRefs(core *SelectCore, fn func(*ColumnRef) bool) {
+	more := true
+	Inspect(core, func(n Node) bool {
+		switch n := n.(type) {
+		case *Select, TableRef:
+			return false
+		case *ColumnRef:
+			more = fn(n)
+		}
+		return more
+	})
+}
+
 // Rewrite rebuilds an expression top-down: where fn returns a node other
 // than the one it was given, that node takes its place as it is;
 // everywhere else the node is copied and its children rewritten, nested

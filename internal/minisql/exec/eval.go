@@ -21,7 +21,7 @@ func (ctx *Context) EvalExpr(e ast.Expr, env *Env) (types.Value, error) {
 		return ctx.Params[e.Index], nil
 
 	case *ast.ColumnRef:
-		return env.lookup(e.Table, e.Column) // a nil scope resolves nothing
+		return env.column(e) // a nil scope resolves nothing
 
 	case *ast.Binary:
 		return ctx.evalBinary(e, env)
@@ -147,15 +147,20 @@ func (ctx *Context) EvalExpr(e ast.Expr, env *Env) (types.Value, error) {
 		if !ok {
 			return types.Null, fmt.Errorf("sql: unknown function %s", e.Name)
 		}
-		args := make([]types.Value, len(e.Args))
-		for i, a := range e.Args {
+		// The arguments go on the context's stack, so that a call per row
+		// allocates nothing; a call nested in an argument stacks above.
+		base := len(ctx.args)
+		for _, a := range e.Args {
 			v, err := ctx.EvalExpr(a, env)
 			if err != nil {
+				ctx.args = ctx.args[:base]
 				return types.Null, err
 			}
-			args[i] = v
+			ctx.args = append(ctx.args, v)
 		}
-		return fn(args)
+		v, err := fn(ctx.args[base:len(ctx.args):len(ctx.args)])
+		ctx.args = ctx.args[:base]
+		return v, err
 
 	case *ast.Case:
 		return ctx.evalCase(e, env)

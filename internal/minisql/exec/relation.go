@@ -109,11 +109,49 @@ type Env struct {
 	row     storage.Row
 	parent  *Env
 	touched *bool // barrier marker; scope itself holds no columns then
+	// slots, in the scope of a SELECT core, is where the core's own
+	// column references point (see bindColumnRefs); nil elsewhere.
+	slots *slotTable
+}
+
+// slotTable maps the slots of a core's direct column references
+// (ast.ColumnRef.Slot) to what they read: unbound (0, resolve by name),
+// outerSlot (a column of an enclosing scope), or the position in the
+// core's row plus one.
+type slotTable [maxSlots]uint8
+
+const (
+	// maxSlots bounds the references a core binds; later ones, and
+	// positions past outerSlot-2, resolve by name as before.
+	maxSlots  = 64
+	outerSlot = 0xff
+)
+
+// coreScope is the one scope a SELECT core evaluates its clauses in,
+// allocated with its slot table so that binding costs no allocation.
+type coreScope struct {
+	Env
+	table slotTable
 }
 
 // NewEnv builds a scope over the given columns and row.
 func NewEnv(cols []ColMeta, row storage.Row, parent *Env) *Env {
 	return &Env{cols: cols, row: row, parent: parent}
+}
+
+// column reads a column reference in this scope: through the slot table
+// when this is the scope of the reference's own core, else by name.
+func (e *Env) column(ref *ast.ColumnRef) (types.Value, error) {
+	if e != nil && e.slots != nil && ref.Slot > 0 && ref.Slot <= maxSlots {
+		switch at := e.slots[ref.Slot-1]; at {
+		case 0:
+		case outerSlot:
+			return e.parent.lookup(ref.Table, ref.Column)
+		default:
+			return e.row[at-1], nil
+		}
+	}
+	return e.lookup(ref.Table, ref.Column)
 }
 
 // lookup resolves a column reference through the scope chain.
@@ -178,6 +216,9 @@ type Context struct {
 	// aggValues holds precomputed aggregate results for the group whose
 	// projection/HAVING is currently being evaluated; keyed by AST node.
 	aggValues map[*ast.Aggregate]types.Value
+
+	// args is the stack scalar function arguments are evaluated onto.
+	args []types.Value
 }
 
 // PlanNode is one line of an EXPLAIN plan and the lines nested under it.
@@ -202,7 +243,8 @@ func (ctx *Context) under(n *PlanNode) func() {
 }
 
 // ScalarFunc is a registered scalar function (a "stored function" in the
-// paper's SQL/PSM sense, implemented in Go at the server).
+// paper's SQL/PSM sense, implemented in Go at the server). The argument
+// slice is valid only for the call.
 type ScalarFunc func(args []types.Value) (types.Value, error)
 
 // snap maps the context's Epoch to a storage snapshot epoch (0 reads

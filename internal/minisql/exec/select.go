@@ -254,10 +254,12 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	}
 	ctx.noteFilter(conjs)
 
-	// Static reference check: even when the relation is empty, direct
-	// column references must resolve (row-driven evaluation alone would
-	// let typos pass silently on empty tables).
-	if err := validateColumnRefs(core, src.Cols, outer); err != nil {
+	// Every clause below evaluates in this one scope, its column
+	// references bound to positions before the first row.
+	scope := &coreScope{}
+	scope.Env = Env{cols: src.Cols, parent: outer, slots: &scope.table}
+	env := &scope.Env
+	if err := bindColumnRefs(core, env); err != nil {
 		return nil, err
 	}
 
@@ -265,7 +267,6 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	filtered := src.Rows
 	if slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used }) {
 		filtered = nil
-		env := &Env{cols: src.Cols, parent: outer}
 		for _, row := range src.Rows {
 			env.row = row
 			ok, err := ctx.allTrue(conjs, -1, env)
@@ -281,9 +282,9 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 
 	var err error
 	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
-		work, err = ctx.evalGrouped(core, work, aggs, outer)
+		work, err = ctx.evalGrouped(core, work, aggs, env)
 	} else {
-		work, err = ctx.project(core.Items, work, outer)
+		work, err = ctx.project(core.Items, work, env)
 	}
 	if err != nil {
 		return nil, err
@@ -364,13 +365,14 @@ func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unq
 // ---------------------------------------------------------------------------
 // projection
 
-func (ctx *Context) project(items []ast.SelectItem, src *Relation, outer *Env) (*Relation, error) {
+// project evaluates the items for every row of src, in the core's scope
+// env.
+func (ctx *Context) project(items []ast.SelectItem, src *Relation, env *Env) (*Relation, error) {
 	cols, plan, err := projectionPlan(items, src)
 	if err != nil {
 		return nil, err
 	}
 	out := &Relation{Cols: cols, Rows: make([]storage.Row, 0, len(src.Rows))}
-	env := &Env{cols: src.Cols, parent: outer}
 	for _, row := range src.Rows {
 		env.row = row
 		outRow, err := ctx.projectRow(plan, env)
@@ -458,9 +460,9 @@ func collectAggregates(core *ast.SelectCore) []*ast.Aggregate {
 	return aggs
 }
 
-func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast.Aggregate, outer *Env) (*Relation, error) {
-	env := &Env{cols: src.Cols, parent: outer}
-
+// evalGrouped groups src and projects one row per group, in the core's
+// scope env.
+func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast.Aggregate, env *Env) (*Relation, error) {
 	// Partition rows into groups, kept in first-seen order.
 	var groups [][]storage.Row
 	index := map[string]int{}
@@ -493,7 +495,7 @@ func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast
 	}
 	out := &Relation{Cols: cols}
 	for _, rows := range groups {
-		row, err := ctx.projectGroup(core.Having, plan, aggs, rows, src.Cols, outer)
+		row, err := ctx.projectGroup(core.Having, plan, aggs, rows, env)
 		if err != nil {
 			return nil, err
 		}
@@ -508,19 +510,18 @@ func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast
 // the group's aggregate values in scope; nil when HAVING rejects it.
 // Columns outside aggregates read the group's first row, or NULLs when
 // the group is the empty input of an ungrouped aggregate.
-func (ctx *Context) projectGroup(having ast.Expr, plan []projCol, aggs []*ast.Aggregate, rows []storage.Row, cols []ColMeta, outer *Env) (storage.Row, error) {
-	aggVals, err := ctx.computeAggregates(aggs, rows, cols, outer)
+func (ctx *Context) projectGroup(having ast.Expr, plan []projCol, aggs []*ast.Aggregate, rows []storage.Row, env *Env) (storage.Row, error) {
+	aggVals, err := ctx.computeAggregates(aggs, rows, env)
 	if err != nil {
 		return nil, err
 	}
 	saved := ctx.aggValues
 	ctx.aggValues = aggVals
 	defer func() { ctx.aggValues = saved }()
-	env := &Env{cols: cols, parent: outer}
 	if len(rows) > 0 {
 		env.row = rows[0]
 	} else {
-		env.row = make(storage.Row, len(cols))
+		env.row = make(storage.Row, len(env.cols))
 	}
 	if having != nil {
 		if t, err := ctx.EvalPredicate(having, env); err != nil || t != types.True {
@@ -530,9 +531,8 @@ func (ctx *Context) projectGroup(having ast.Expr, plan []projCol, aggs []*ast.Ag
 	return ctx.projectRow(plan, env)
 }
 
-func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row, cols []ColMeta, outer *Env) (map[*ast.Aggregate]types.Value, error) {
+func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row, env *Env) (map[*ast.Aggregate]types.Value, error) {
 	result := make(map[*ast.Aggregate]types.Value, len(aggs))
-	env := &Env{cols: cols, parent: outer}
 	for _, agg := range aggs {
 		if _, done := result[agg]; done {
 			continue
@@ -697,38 +697,53 @@ func (ctx *Context) applyLimit(rel *Relation, limit, offset ast.Expr, outer *Env
 // ---------------------------------------------------------------------------
 // helpers
 
-// validateColumnRefs checks that every direct column reference in the
-// core's items / WHERE / GROUP BY / HAVING resolves against the source
-// relation or an outer scope. Subqueries are skipped — they validate in
-// their own scope when (and if) they run.
-func validateColumnRefs(core *ast.SelectCore, cols []ColMeta, outer *Env) error {
+// bindColumnRefs resolves every direct column reference of the core
+// (ast.CoreRefs) once, before any row: into the slot table of the core's
+// scope env, as a position in its row or as a column of an enclosing
+// scope. It is also the static check — even when the relation is empty,
+// each reference must resolve, so that a typo does not pass silently on
+// an empty table. Subqueries bind in their own scope when (and if) they
+// run. Slots given twice in one core (a tree not made by the parser)
+// leave the core to resolve by name.
+func bindColumnRefs(core *ast.SelectCore, env *Env) error {
 	var failed error
-	ast.Inspect(core, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Select, ast.TableRef:
-			return false
-		case *ast.ColumnRef:
-			failed = resolvable(n, cols, outer)
+	ast.CoreRefs(core, func(ref *ast.ColumnRef) bool {
+		at, err := resolve(ref, env.cols, env.parent)
+		if failed = err; err != nil || env.slots == nil || ref.Slot <= 0 || ref.Slot > maxSlots {
+			return err == nil
 		}
-		return failed == nil
+		if env.slots[ref.Slot-1] != 0 {
+			env.slots = nil
+		} else {
+			env.slots[ref.Slot-1] = at
+		}
+		return true
 	})
 	return failed
 }
 
-// resolvable returns nil when ref names exactly one column of cols or,
-// failing any there, a column of some outer scope (which one, and
-// whether uniquely, the row-time lookup settles).
-func resolvable(ref *ast.ColumnRef, cols []ColMeta, outer *Env) error {
+// resolve settles ref against cols and the outer scopes: its position
+// plus one when it names exactly one column of cols, outerSlot when,
+// failing any there, it names a column of some outer scope (which one,
+// and whether uniquely, the row-time lookup settles), 0 when the position
+// does not fit a slot.
+func resolve(ref *ast.ColumnRef, cols []ColMeta, outer *Env) (uint8, error) {
 	pos, err := findCol(cols, ref.Table, ref.Column)
-	if err != nil || pos >= 0 {
-		return err
+	if err != nil {
+		return 0, err
+	}
+	if pos >= 0 {
+		if pos+1 >= outerSlot {
+			return 0, nil
+		}
+		return uint8(pos + 1), nil
 	}
 	for env := outer; env != nil; env = env.parent {
 		if at, err := findCol(env.cols, ref.Table, ref.Column); at >= 0 || err != nil {
-			return nil
+			return outerSlot, nil
 		}
 	}
-	return errNoColumn{table: ref.Table, name: ref.Column}
+	return 0, errNoColumn{table: ref.Table, name: ref.Column}
 }
 
 // distinctRows keeps the first of every set of equal rows, in order.

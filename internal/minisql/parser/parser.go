@@ -819,6 +819,12 @@ func (p *Parser) parseSelectCore() (*ast.SelectCore, error) {
 		}
 		core.Having = e
 	}
+	slot := 0
+	ast.CoreRefs(core, func(ref *ast.ColumnRef) bool {
+		slot++
+		ref.Slot = slot
+		return true
+	})
 	return core, nil
 }
 
