@@ -42,7 +42,7 @@ func TestModelFidelity(t *testing.T) {
 	}
 	chain, rows := ecProd.Nodes[part].Level, ecProd.AllNodes()+1
 	ecModel := costmodel.Model{Net: wan, Tree: costmodel.Tree{Depth: ecCfg.Depth, Branch: ecCfg.Branch, Sigma: ecCfg.Sigma},
-		Chain: chain, ReportRows: rows}
+		Chain: chain}
 	ecOpen := func(t *testing.T) *pdmtune.Session {
 		sess, err := ecSys.Open(pdmtune.WithLink(pdmtune.LinkOf(wan)), pdmtune.WithUser(pdmtune.DefaultUser("ec")))
 		if err != nil {
@@ -116,7 +116,7 @@ func TestModelFidelity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if res.Assemblies+res.Components != rows {
-					t.Errorf("report scanned %d nodes, want %d", res.Assemblies+res.Components, rows)
+					t.Errorf("report counted %d nodes, want %d", res.Assemblies+res.Components, rows)
 				}
 				return res.Metrics.TotalSec()
 			}},

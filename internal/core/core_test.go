@@ -503,6 +503,16 @@ func TestExplainPDMStatements(t *testing.T) {
 	if strings.Contains(recursive, "SCAN link") || strings.Contains(recursive, "FILTER") {
 		t.Errorf("recursive query: link is scanned or filtered row by row:\n%s", recursive)
 	}
+	// Report: each branch is one index lookup on prod, nothing scanned.
+	report := plan(core.BuildReportQuery().String(), one, one)
+	for _, table := range []string{"assy", "comp"} {
+		if want := "INDEX " + table + "_prod_idx ON " + table + " (prod): 1 key(s)\n"; !strings.Contains(report, want) {
+			t.Errorf("report: plan lacks %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "SCAN") || strings.Contains(report, "FILTER") {
+		t.Errorf("report: a table is scanned or filtered row by row:\n%s", report)
+	}
 	for sql, want := range map[string]string{
 		core.BuildExpandQuery().String():                                          "INDEX link_left_idx ON link (left): 1 key(s)\n  INNER INDEX JOIN assy USING assy_pk",
 		core.BuildWhereUsedLevelSQL([]int64{3, 4, 5}):                             "INDEX link_right_idx ON link (right): 3 key(s)\n",

@@ -83,6 +83,23 @@ SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.s
   WHERE comp.prod = ?`)
 }
 
+// BuildReportQuery returns the Report action's statement: one aggregate
+// row per node table over the product — the node count, the total weight
+// (NULL weights skipped; NULL when the table holds none of the product)
+// and the number of nodes checked out. The assy row comes first. The
+// product id is a `?` placeholder, once per UNION branch, keyed by the
+// tables' prod index.
+func BuildReportQuery() *ast.Select {
+	return mustParseSelect(`
+SELECT COUNT(*), SUM(weight), SUM(CASE WHEN checkedout THEN 1 ELSE 0 END)
+  FROM assy
+  WHERE prod = ?
+UNION ALL
+SELECT COUNT(*), SUM(weight), SUM(CASE WHEN checkedout THEN 1 ELSE 0 END)
+  FROM comp
+  WHERE prod = ?`)
+}
+
 // BuildRecursiveQuery returns the Section 5.2 recursive query: one
 // statement collecting the whole object tree under the root (the one `?`
 // placeholder) into the unified result type — node rows from the

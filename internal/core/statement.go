@@ -24,6 +24,7 @@ const (
 	stmtProbe                     // ∃structure probe of one candidate
 	stmtRecursive                 // the Section 5 recursive query
 	stmtQuery                     // the set-oriented Query action
+	stmtReport                    // the Report action's aggregate
 )
 
 // stmtKey identifies one cached statement text: the action scopes the
@@ -41,7 +42,7 @@ type preparedStmt struct {
 	nparams int
 	// byHandle marks the per-node statement kinds the prepared mode
 	// ships as handle + parameters. A one-statement action (recursive,
-	// Query) gains nothing from a prepare round trip of its own.
+	// Query, Report) gains nothing from a prepare round trip of its own.
 	byHandle bool
 }
 
@@ -75,6 +76,8 @@ func (c *Client) statement(k stmtKey) (preparedStmt, error) {
 	case stmtRecursive:
 		q, n = BuildRecursiveQuery(), 1
 		err = c.modifier().ModifyRecursive(q, k.action)
+	case stmtReport:
+		q, n = BuildReportQuery(), 2
 	case stmtProbe:
 		q, n, err = BuildProbeExists(k.cond, c.user, k.objType)
 	}

@@ -11,26 +11,23 @@ import (
 
 // The engineering-change workloads: where-used (the inverse traversal —
 // which assemblies use this part), ECO propagation (touch a part,
-// revalidate every assembly the change reaches) and the bulk reporting
-// scan. Where-used walks the structure upward, against the direction
-// the subscription closure guarantees, so on a partial replica these
-// traversals route wholly to the primary as fall-through reads; the
-// reporting scan stays site-local and aggregates what the site holds.
+// revalidate every assembly the change reaches) and the bulk report.
+// Where-used walks the structure upward, against the direction the
+// subscription closure guarantees, and the report aggregates over the
+// whole product, so on a partial replica both route wholly to the
+// primary as fall-through reads.
 
-// whereUsedExec picks the statement path of an upward traversal: the
-// site-local read connection normally, the primary (counted as
+// wholeStructureDo ships a read that needs the whole structure: over the
+// site-local read connection normally, to the primary (counted as
 // fall-through) when the replica is subscription-bounded — an ancestor
-// chain can leave the subscribed subtree at any level, so the whole
-// traversal runs where the full structure lives.
-func (c *Client) whereUsedExec() func(ctx context.Context, sql string) (*wire.Response, error) {
+// chain can leave the subscribed subtree at any level, and a product
+// aggregate spans every subtree, so such reads run where the full
+// structure lives.
+func (c *Client) wholeStructureDo(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if c.partialReplica() {
-		return func(ctx context.Context, sql string) (*wire.Response, error) {
-			return c.execFallThrough(ctx, &wire.Request{SQL: sql})
-		}
+		return c.execFallThrough(ctx, req)
 	}
-	return func(ctx context.Context, sql string) (*wire.Response, error) {
-		return c.sql.Exec(ctx, sql)
-	}
+	return c.sql.Do(ctx, req)
 }
 
 // whereUsedClosure walks the link structure upward from start and
@@ -39,13 +36,12 @@ func (c *Client) whereUsedExec() func(ctx context.Context, sql string) (*wire.Re
 // level's empty answer is what terminates the walk, as in the downward
 // navigational expand.
 func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, int, error) {
-	exec := c.whereUsedExec()
 	seen := map[int64]bool{start: true}
 	frontier := []int64{start}
 	var ancestors []int64
 	received := 0
 	for len(frontier) > 0 {
-		resp, err := exec(ctx, BuildWhereUsedLevelSQL(frontier))
+		resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildWhereUsedLevelSQL(frontier)})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -85,7 +81,7 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 	}
 	res := &ActionResult{}
 	if len(ancestors) > 0 {
-		resp, err := c.whereUsedExec()(ctx, BuildFetchNodesSQL(ancestors))
+		resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildFetchNodesSQL(ancestors)})
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +190,7 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 	return out, nil
 }
 
-// ReportResult is the bulk reporting scan's aggregate.
+// ReportResult is the bulk report's aggregate.
 type ReportResult struct {
 	// Assemblies and Components count the product's nodes by kind.
 	Assemblies, Components int
@@ -202,47 +198,51 @@ type ReportResult struct {
 	CheckedOut int
 	// TotalWeight sums the weight attribute over all nodes.
 	TotalWeight float64
-	// RowsReceived counts rows shipped for the scan.
+	// RowsReceived counts rows shipped: the two aggregate rows, one per
+	// node table.
 	RowsReceived int
 	// Metrics is the WAN cost of the whole action.
 	Metrics netsim.Metrics
 }
 
-// Report performs the bulk reporting scan: a full-structure aggregate
-// over one product — node counts, total weight, outstanding check-outs
-// — computed from two set-oriented scans shipped to the client. At a
-// replica site the scans run against the local replica (a
-// subscription-bounded site reports over what it holds, which is the
-// per-site view the paper's reporting clients want).
+// Report performs the bulk report: a full-structure aggregate over one
+// product — node counts, total weight, outstanding check-outs — computed
+// at the server by one statement (BuildReportQuery), which ships two
+// rows in one round trip. A full replica answers it site-locally; a
+// subscription-bounded one cannot count the subtrees it does not hold,
+// so there the statement runs at the primary as a fall-through read.
 func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) {
 	before := c.snapshot()
 	c.fetch.BeginAction()
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
 		return nil, err
 	}
-	out := &ReportResult{}
-	for _, table := range []string{"assy", "comp"} {
-		resp, err := c.sql.Exec(ctx, fmt.Sprintf(
-			"SELECT obid, weight, checkedout FROM %s WHERE prod = %d", table, prod))
-		if err != nil {
-			return nil, err
+	st, err := c.statement(stmtKey{kind: stmtReport})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.wholeStructureDo(ctx, c.request(st, prod))
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Rows) != 2 {
+		return nil, fmt.Errorf("core: report returned %d rows, want 2", len(resp.Rows))
+	}
+	out := &ReportResult{RowsReceived: len(resp.Rows)}
+	for i, row := range resp.Rows {
+		if len(row) != 3 || row[0].Kind() != types.KindInt {
+			return nil, fmt.Errorf("core: report row %d is not (count, weight, checked out): %v", i, row)
 		}
-		out.RowsReceived += len(resp.Rows)
-		for _, row := range resp.Rows {
-			if len(row) < 3 {
-				continue
-			}
-			if table == "assy" {
-				out.Assemblies++
-			} else {
-				out.Components++
-			}
-			if f, ok := row[1].AsFloat(); ok {
-				out.TotalWeight += f
-			}
-			if types.Truth(row[2]) == types.True {
-				out.CheckedOut++
-			}
+		if i == 0 {
+			out.Assemblies = int(row[0].Int())
+		} else {
+			out.Components = int(row[0].Int())
+		}
+		if w, ok := row[1].AsFloat(); ok { // NULL: no weight in this table
+			out.TotalWeight += w
+		}
+		if n, ok := row[2].AsFloat(); ok {
+			out.CheckedOut += int(n)
 		}
 	}
 	out.Metrics = c.delta(before)

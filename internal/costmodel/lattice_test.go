@@ -80,10 +80,10 @@ func TestLatticeGolden(t *testing.T) {
 				latticeLine(&b, fmt.Sprintf("%s  %-6v %v", tree.Name, a, p), pricePoint(net, tree, p, a))
 			}
 		}
-		chain, rows := tree.Depth, int(tree.AllNodes())+1
+		chain := tree.Depth
 		for _, a := range []Action{WhereUsed, ECO, Report} {
-			latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d rows=%d", tree.Name, a, chain, rows),
-				Model{Net: net, Tree: tree, Chain: chain, ReportRows: rows}.Price(Knobs{}, a))
+			latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d", tree.Name, a, chain),
+				Model{Net: net, Tree: tree, Chain: chain}.Price(Knobs{}, a))
 		}
 	}
 	const path = "testdata/lattice.golden"

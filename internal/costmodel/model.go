@@ -241,9 +241,8 @@ type Model struct {
 	LocalNet  Network
 	SyncBytes float64
 	// Chain is the ancestor-chain depth a WhereUsed or ECO action
-	// walks; ReportRows the node count a Report scans.
-	Chain      int
-	ReportRows int
+	// walks.
+	Chain int
 }
 
 // orDefault returns v when it was configured (> 0), else def.
@@ -275,11 +274,6 @@ const (
 	// DefaultValidateEntryBytes is one cache-validate entry: an 8-byte
 	// object id plus its 8-byte fetch-time version stamp.
 	DefaultValidateEntryBytes = 16
-	// DefaultReportRowBytes is one reporting-scan row: a tagged 8-byte
-	// object id, a tagged 8-byte weight and a 1-byte checked-out flag,
-	// plus value framing. NodeBytes does not apply — the scan projects
-	// three columns instead of shipping whole node records.
-	DefaultReportRowBytes = 20
 )
 
 // packets rounds a request of the given size up to whole packets (at
@@ -319,13 +313,13 @@ func packets(bytes, sizeP float64) float64 {
 // StalenessSec and Coverage describe how a replica's pulls amortize
 // over a stream of actions; PredictWorkload blends them.
 //
-// WhereUsed, ECO and Report are priced navigationally under every
-// strategy — the client walks them level by level whatever the knobs
-// say: where-used is one upward level query per ancestor level, the
-// empty level that ends the walk and one record fetch of the Chain
-// ancestors; ECO is the walk, the part's type lookup and two
-// conditional UPDATEs, ids and counts only; Report is two set-oriented
-// scans carrying one three-column row per node.
+// WhereUsed and ECO are priced navigationally under every strategy —
+// the client walks them level by level whatever the knobs say:
+// where-used is one upward level query per ancestor level, the empty
+// level that ends the walk and one record fetch of the Chain ancestors;
+// ECO is the walk, the part's type lookup and two conditional UPDATEs,
+// ids and counts only. Report is one aggregate statement whose two rows
+// fit the response's last packet.
 func (m Model) Price(k Knobs, a Action) Estimate {
 	net := m.Net
 	if k.Replica {
@@ -379,7 +373,7 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 	default:
 		// One exchange per statement (formulas (1)-(3)), or formula (6):
 		// q_r query packets, one result set, c = 2.
-		q, n, rowBytes := 0.0, 0.0, m.nodeBytes()
+		q, n := 0.0, 0.0
 		recursive := k.Strategy == Recursive && treeAction && a != Expand
 		switch {
 		case recursive:
@@ -393,14 +387,14 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 		case a == ECO:
 			q = float64(m.Chain) + 4
 		case a == Report:
-			q, n, rowBytes = 2, float64(m.ReportRows), DefaultReportRowBytes
+			q = 1
 		}
 		est.Queries, est.TransmittedNodes = q, n
 		est.Communications = 2 * q
 		if recursive {
 			est.Communications = 2
 		}
-		est.VolumeBytes = q*sizeP + n*rowBytes + q*sizeP/2
+		est.VolumeBytes = q*sizeP + n*m.nodeBytes() + q*sizeP/2
 	}
 	if ratio := orDefault(m.CompressionRatio, DefaultCompressionRatio); k.Compress && treeAction && ratio > 1 {
 		est.VolumeBytes -= est.TransmittedNodes * m.nodeBytes() * (1 - 1/ratio)

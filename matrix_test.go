@@ -131,6 +131,59 @@ func TestStatementModeMatrix(t *testing.T) {
 	if bytes.Equal(wantBelow[inSub], wantBelow[outSub]) {
 		t.Fatal("degenerate trees: both roots flatten alike")
 	}
+
+	// Report is one statement over the whole product: site-local at the
+	// primary and the full replica, one fall-through round trip at the
+	// partial replica, which cannot count what it does not hold. Every
+	// configuration must report the same aggregate.
+	var wantReport *pdmtune.ReportResult
+	for _, place := range []struct{ name, site string }{{"primary", ""}, {"full-replica", "full"}, {"partial-fallthrough", "partial"}} {
+		for _, strategy := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
+			for mode := 0; mode < 4; mode++ {
+				batching, prepared := mode&1 != 0, mode&2 != 0
+				name := fmt.Sprintf("report/%s/%v/batch=%t/prepared=%t", place.name, strategy, batching, prepared)
+				opts := []pdmtune.Option{
+					pdmtune.WithUser(pdmtune.DefaultUser("engineer")),
+					pdmtune.WithStrategy(strategy),
+					pdmtune.WithBatching(batching),
+					pdmtune.WithPreparedStatements(prepared),
+				}
+				var sess *pdmtune.Session
+				if place.site == "" {
+					sess, err = cl.Primary().Open(opts...)
+				} else {
+					sess, err = cl.OpenAt(ctx, place.site, opts...)
+				}
+				if err != nil {
+					t.Fatalf("%s: open: %v", name, err)
+				}
+				res, err := sess.Report(ctx, prod.Config.ProdID)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Assemblies+res.Components != prod.AllNodes()+1 {
+					t.Errorf("%s: report counts %d nodes, the product has %d", name, res.Assemblies+res.Components, prod.AllNodes()+1)
+				}
+				got := *res
+				got.Metrics = pdmtune.Metrics{}
+				if wantReport == nil {
+					wantReport = &got
+				} else if got != *wantReport {
+					t.Errorf("%s: report %+v, the first configuration's %+v", name, got, *wantReport)
+				}
+				wantFT := 0
+				if place.site == "partial" {
+					wantFT = 1
+				}
+				if ft := sess.WANMetrics().FallThroughRoundTrips; res.Metrics.RoundTrips != 1 || ft != wantFT {
+					t.Errorf("%s: %d round trips, %d fall-through; want 1, %d", name, res.Metrics.RoundTrips, ft, wantFT)
+				}
+				if err := sess.Close(); err != nil {
+					t.Errorf("%s: close: %v", name, err)
+				}
+			}
+		}
+	}
 }
 
 // fallThroughNavigational is the parent commit's fall-through count for
