@@ -70,18 +70,18 @@ func byExtra(key string) func(record) any {
 type env struct {
 	scenarios []costmodel.Tree
 
-	sites                   int
-	staleness               time.Duration
-	subscribe               float64
-	users, pool, ops, cores int
+	sites            int
+	staleness        time.Duration
+	subscribe        float64
+	users, pool, ops int
 }
 
 func (e *env) validate() error {
 	switch {
 	case e.subscribe < 0 || e.subscribe > 1:
 		return fmt.Errorf("-subscribe must be in [0, 1]")
-	case e.sites < 1 || e.users < 1 || e.ops < 1 || e.pool < 1 || e.cores < 1:
-		return fmt.Errorf("-sites, -users, -ops, -pool and -cores must be positive")
+	case e.sites < 1 || e.users < 1 || e.ops < 1 || e.pool < 1:
+		return fmt.Errorf("-sites, -users, -ops and -pool must be positive")
 	}
 	return nil
 }
@@ -105,8 +105,8 @@ var modes = []mode{
 	{"sites", "replica sites: LAN reads vs WAN sync volume, optionally partial", []string{"sites", "staleness", "subscribe"}, runSites, textSites},
 	{"whereused", "where-used inverse traversal vs the model", nil, runWhereUsed, textWhereUsed},
 	{"eco", "ECO propagation, incl. check-out conflicts, vs the model", nil, runECO, textECO},
-	{"report", "bulk reporting scan vs the model", nil, runReport, textReport},
-	{"users", "N concurrent sessions on the real engine + modeled fine-vs-coarse locking", []string{"users", "pool", "ops", "cores"}, runUsers, textUsers},
+	{"report", "bulk report, one aggregate statement, vs the model", nil, runReport, textReport},
+	{"users", "N concurrent sessions on the real engine, checked against a serial replay", []string{"users", "pool", "ops"}, runUsers, textUsers},
 	{"ablate", "packet-size / σ / accounting-mode ablations", nil, runAblate, textAblate},
 	{"advise", "auto-tuning advisor: observe, classify, pick, re-measure", nil, runAdvise, textAdvise},
 	{"failover", "kill the primary under write traffic, measure the promotion", nil, runFailover, textFailover},
@@ -127,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&e.users, "users", 20, "concurrent sessions")
 	fs.IntVar(&e.pool, "pool", 32, "connection-pool size shared by the sessions")
 	fs.IntVar(&e.ops, "ops", 20, "operations per user")
-	fs.IntVar(&e.cores, "cores", 8, "server cores of the modeled fine-vs-coarse comparison")
 	fs.Usage = func() { usage(stderr, fs) }
 
 	// Flags may stand before or after the mode; every non-flag argument

@@ -20,7 +20,7 @@ func TestEveryModeEmitsRecords(t *testing.T) {
 	e := &env{
 		scenarios: []costmodel.Tree{{Name: "δ=2, β=3, σ=1", Depth: 2, Branch: 3, Sigma: 1}},
 		sites:     2, staleness: -1, subscribe: 0.5,
-		users: 4, pool: 2, ops: 6, cores: 4,
+		users: 4, pool: 2, ops: 6,
 	}
 	if err := e.validate(); err != nil {
 		t.Fatal(err)

@@ -11,17 +11,13 @@ import (
 
 	"pdmtune"
 	"pdmtune/internal/minisql/types"
-	"pdmtune/internal/netsim"
 )
 
 // The users mode drives N concurrent sessions through a mixed workload
 // — multi-level expands, first-wins check-out/check-in races, small part
 // updates — over a shared connection pool against the real engine, and
 // checks the outcome: the final database must equal a serial replay of
-// the same mutations and no row may be left checked out. The
-// fine-vs-coarse locking comparison comes from the deterministic netsim
-// contention model at a configurable core count (a one-core CI box
-// cannot demonstrate an 8-core server's convoy).
+// the same mutations and no row may be left checked out.
 
 // userOp is one step of a user's scripted workload.
 type userOp struct {
@@ -49,8 +45,7 @@ var userUpdates = []struct{ table, sql string }{
 }
 
 // userScript returns user u's deterministic op sequence. Phases are
-// staggered by user index — real users are not lock-step — which is
-// also what exposes the coarse lock's writer convoy in the model.
+// staggered by user index: real users are not lock-step.
 func userScript(u, per int) []userOp {
 	ops := make([]userOp, 0, per)
 	for i := 0; i < per; i++ {
@@ -61,26 +56,6 @@ func userScript(u, per int) []userOp {
 			ops = append(ops, userOp{kind: opMLE})
 		default:
 			ops = append(ops, userOp{kind: opUpdate, table: (u + i) % len(userUpdates), row: u + i})
-		}
-	}
-	return ops
-}
-
-// modelOps translates a script into the contention model's terms:
-// check-out/check-in latches assy then comp (150 µs each), an MLE is a
-// lock-free 400 µs snapshot read, an update a 50 µs single-table write.
-func modelOps(script []userOp) []netsim.ContendOp {
-	var ops []netsim.ContendOp
-	for _, op := range script {
-		switch op.kind {
-		case opCheckPair:
-			ops = append(ops,
-				netsim.ContendOp{Table: 0, ServiceNanos: 150_000},
-				netsim.ContendOp{Table: 1, ServiceNanos: 150_000})
-		case opMLE:
-			ops = append(ops, netsim.ContendOp{Read: true, ServiceNanos: 400_000})
-		default:
-			ops = append(ops, netsim.ContendOp{Table: op.table, ServiceNanos: 50_000})
 		}
 	}
 	return ops
@@ -171,8 +146,7 @@ func driveUser(ctx context.Context, e *env, sys *pdmtune.System, prod *pdmtune.P
 	return sess.Metrics(), lat, wins, conflicts, nil
 }
 
-// runUsers executes the concurrent run, the serial replay, and the
-// contention model.
+// runUsers executes the concurrent run and the serial replay.
 func runUsers(e *env) ([]record, error) {
 	ctx := context.Background()
 	sys, prod, ids, err := usersSystem()
@@ -249,30 +223,11 @@ func runUsers(e *env) ([]record, error) {
 		return nil, err
 	}
 	extra["all_checkout_flags_clear"], extra["dump_equals_serial_replay"] = checkedOut == 0, got == want
-
-	// The modeled fine-vs-coarse comparison at the requested core count.
-	workloads := make([][]netsim.ContendOp, e.users)
-	for u := range workloads {
-		workloads[u] = modelOps(userScript(u, e.ops))
-	}
-	cfg := netsim.ContendConfig{Cores: e.cores, ThinkNanos: 2_000_000, Workloads: workloads}
-	fine := netsim.SimulateContention(cfg)
-	cfg.Coarse = true
-	coarse := netsim.SimulateContention(cfg)
-	for name, r := range map[string]netsim.ContendResult{"fine": fine, "coarse": coarse} {
-		extra["model_"+name+"_makespan_ms"] = ms(r.MakespanNanos)
-		extra["model_"+name+"_p50_ms"] = ms(r.P50Nanos)
-		extra["model_"+name+"_p99_ms"] = ms(r.P99Nanos)
-		extra["model_"+name+"_lock_wait_ms"] = ms(r.LockWaitNanos)
-	}
-	extra["model_cores"] = float64(e.cores)
-	extra["model_speedup"] = float64(coarse.MakespanNanos) / float64(fine.MakespanNanos)
 	return []record{{
 		Mode: "users", Scenario: treeName(usersProduct),
-		Config:       fmt.Sprintf("%d sessions over a %d-connection pool, %d ops each", e.users, e.pool, e.ops),
-		Metrics:      agg,
-		PredictedSec: float64(fine.MakespanNanos) / 1e9,
-		Extra:        extra,
+		Config:  fmt.Sprintf("%d sessions over a %d-connection pool, %d ops each", e.users, e.pool, e.ops),
+		Metrics: agg,
+		Extra:   extra,
 	}}, nil
 }
 
@@ -284,9 +239,6 @@ func textUsers(w io.Writer, recs []record) {
 	fmt.Fprintf(w, "  check-outs: %.0f won, %.0f lost the first-wins race\n", r.num("checkout_wins"), r.num("checkout_conflicts"))
 	fmt.Fprintf(w, "  contention: lock wait %.1f ms, %d snapshots, %d write conflicts\n",
 		float64(r.Metrics.LockWaitNanos)/1e6, r.Metrics.SnapshotsStarted, r.Metrics.WriteConflicts)
-	fmt.Fprintf(w, "  dump equals serial replay: %v   all check-out flags clear: %v\n",
+	fmt.Fprintf(w, "  dump equals serial replay: %v   all check-out flags clear: %v\n\n",
 		r.Extra["dump_equals_serial_replay"], r.Extra["all_checkout_flags_clear"])
-	fmt.Fprintf(w, "Modeled at %.0f cores: fine %.0f ms vs coarse %.0f ms — %.1fx speedup (p99 %.1f vs %.1f ms)\n\n",
-		r.num("model_cores"), r.num("model_fine_makespan_ms"), r.num("model_coarse_makespan_ms"), r.num("model_speedup"),
-		r.num("model_fine_p99_ms"), r.num("model_coarse_p99_ms"))
 }
