@@ -44,7 +44,7 @@ const (
 // The engineering-change workloads beyond Table 2: WhereUsed is the
 // inverse traversal (which assemblies use this part), ECO propagates an
 // engineering-change order along that closure, Report is the bulk
-// reporting scan over one product. They extend the action space without
+// aggregate over one product. They extend the action space without
 // entering the paper's table grid (Actions stays in table order).
 const (
 	WhereUsed Action = iota + 3

@@ -122,7 +122,7 @@ type slotTable [maxSlots]uint8
 
 const (
 	// maxSlots bounds the references a core binds; later ones, and
-	// positions past outerSlot-2, resolve by name as before.
+	// positions past outerSlot-2, resolve by name.
 	maxSlots  = 64
 	outerSlot = 0xff
 )

@@ -82,7 +82,7 @@ type (
 	CheckOutResult = core.CheckOutResult
 	// ECOResult reports an engineering-change-order propagation.
 	ECOResult = core.ECOResult
-	// ReportResult reports a bulk reporting scan's aggregates.
+	// ReportResult reports a bulk report's aggregates.
 	ReportResult = core.ReportResult
 	// ConflictError reports a check-out that lost a first-wins race
 	// against a concurrent writer (match with errors.As).
@@ -122,7 +122,7 @@ const (
 	MLE    = costmodel.MLE
 
 	// The partial-replication workloads: inverse traversal, engineering
-	// change order, bulk reporting scan.
+	// change order, bulk report.
 	WhereUsed = costmodel.WhereUsed
 	ECO       = costmodel.ECO
 	Report    = costmodel.Report

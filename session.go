@@ -741,10 +741,11 @@ func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string)
 	return res, err
 }
 
-// Report performs the bulk reporting scan: per-product aggregates
+// Report performs the bulk report: per-product aggregates
 // (assembly/component counts, checked-out count, total weight) computed
-// where the session reads — site-local at a replica. On a partial
-// replica the aggregate covers what the site holds.
+// at the server by one statement — site-local at a full replica, at the
+// primary as a fall-through read on a partial one, which does not hold
+// every subtree.
 func (s *Session) Report(ctx context.Context, prod int64) (*ReportResult, error) {
 	res, err := s.client.Report(ctx, prod)
 	s.afterAction(ctx, err)
