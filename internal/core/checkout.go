@@ -328,42 +328,34 @@ func checkProc(rules *RuleTable, out bool) minisql.Procedure {
 			})
 			expected := len(ids["assy"]) + len(ids["comp"])
 			// The rule check above ran against a lock-free snapshot; the
-			// updates below re-verify row by row (conditional WHERE) while
-			// holding both object tables' write latches, so between two
+			// updates below re-verify row by row (conditional WHERE) in
+			// one write unit over both object tables, so between two
 			// racing check-outs of overlapping subtrees exactly one sees
-			// all its conditions still true — first wins, the loser rolls
-			// back.
-			release, err := s.LockTables("assy", "comp")
-			if err != nil {
+			// all its conditions still true — first wins, and the loser's
+			// unit aborts without a trace.
+			if err := s.Begin("assy", "comp"); err != nil {
 				return nil, err
 			}
-			defer release()
-			if _, err := s.Exec("BEGIN"); err != nil {
-				return nil, err
-			}
+			defer s.Abort()
 			for _, table := range []string{"assy", "comp"} {
 				if len(ids[table]) == 0 {
 					continue
 				}
 				r, err := s.Exec(checkedOutListSQL(table, user.Name, ids[table], out))
 				if err != nil {
-					_, _ = s.Exec("ROLLBACK")
 					return nil, err
 				}
 				updated += r.RowsAffected
 			}
 			if out && updated < expected {
 				// A concurrent check-out committed part of this subtree
-				// after our snapshot: we are the loser. Undo our partial
-				// grab and report the conflict.
-				if _, err := s.Exec("ROLLBACK"); err != nil {
-					return nil, err
-				}
+				// after our snapshot: we are the loser.
+				s.Abort()
 				s.CountWriteConflict()
 				granted = false
 				updated = 0
 				conflict = true
-			} else if _, err := s.Exec("COMMIT"); err != nil {
+			} else if err := s.Commit(); err != nil {
 				return nil, err
 			}
 		}

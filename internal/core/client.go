@@ -72,9 +72,6 @@ type Client struct {
 
 	// local evaluates rule predicates client-side (late evaluation).
 	local *exec.Context
-	// scratch is the client's local workspace database used to evaluate
-	// tree-aggregate conditions over already-fetched trees.
-	scratch *minisql.DB
 	// batching groups the statements of one logical step (a BFS level of
 	// a structure expand, the probes of that level, the updates of a
 	// modify) into single wire batches, collapsing WAN round trips.
@@ -116,7 +113,6 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		user:        user,
 		strategy:    strategy,
 		local:       &exec.Context{Funcs: minisql.BuiltinFuncs()},
-		scratch:     minisql.NewDB(),
 		preparedSQL: map[stmtKey]preparedStmt{},
 		types:       cache.New(typeCacheSize),
 		seen:        cache.New(seenActionsSize),

@@ -13,7 +13,10 @@ import (
 
 // Two users racing a procedure check-out of the same subtree: exactly
 // one wins, the loser gets a ConflictError, and afterwards every
-// checked-out row belongs to the winner. Run with -race.
+// checked-out row belongs to the winner. A reader counting checked-out
+// rows throughout only ever sees none or the winner's whole subtree:
+// the procedure publishes its two UPDATEs as one unit, and the loser's
+// partial grab is never visible. Run with -race.
 func TestProcedureCheckOutFirstWins(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		srv := pdmServer(t)
@@ -28,6 +31,27 @@ func TestProcedureCheckOutFirstWins(t *testing.T) {
 		results := make(chan outcome, 2)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
+		stop := make(chan struct{})
+		seen := make(chan map[int64]bool, 1)
+		go func() {
+			counts := map[int64]bool{}
+			defer func() { seen <- counts }()
+			s := srv.DB().NewSession()
+			for {
+				res, err := s.Query(`SELECT (SELECT COUNT(*) FROM assy WHERE checkedout = TRUE)
+					+ (SELECT COUNT(*) FROM comp WHERE checkedout = TRUE)`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				counts[res.Rows[0][0].Int()] = true
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 		for _, name := range []string{"alice", "bob"} {
 			wg.Add(1)
 			go func(name string) {
@@ -40,6 +64,7 @@ func TestProcedureCheckOutFirstWins(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		close(stop)
 		close(results)
 
 		winners, losers := 0, 0
@@ -80,6 +105,11 @@ func TestProcedureCheckOutFirstWins(t *testing.T) {
 		}
 		if len(owners) == 0 {
 			t.Error("winner granted but no rows checked out")
+		}
+		for n := range <-seen {
+			if n != 0 && n != int64(len(owners)) {
+				t.Errorf("round %d: a reader saw %d checked-out rows, want 0 or the winner's %d", round, n, len(owners))
+			}
 		}
 	}
 }

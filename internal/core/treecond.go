@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pdmtune/internal/minisql/ast"
 	"pdmtune/internal/minisql/exec"
 	"pdmtune/internal/minisql/storage"
@@ -79,8 +77,8 @@ func (c *Client) clientTreeConditions(tree *Tree, action string) (bool, error) {
 		}
 	}
 
-	// Tree aggregates: rebuild the recursion table in the client's local
-	// workspace database and evaluate the condition as SQL.
+	// Tree aggregates: bind the fetched tree as the recursion table and
+	// evaluate the condition over it.
 	aggs := c.rules.Relevant(c.user.Name, actions, TreeObjType, KindTreeAggregate)
 	if len(aggs) > 0 {
 		ok, err := c.evalTreeAggregatesLocally(tree, aggs)
@@ -91,49 +89,26 @@ func (c *Client) clientTreeConditions(tree *Tree, action string) (bool, error) {
 	return true, nil
 }
 
-// evalTreeAggregatesLocally loads the fetched nodes into a local rtbl
-// and runs the aggregate conditions against it.
+// evalTreeAggregatesLocally binds the fetched nodes as rtbl, the
+// relation the aggregate conditions range over, and evaluates their
+// disjunction against it.
 func (c *Client) evalTreeAggregatesLocally(tree *Tree, rules []Rule) (bool, error) {
-	s := c.scratch.NewSession()
-	if _, err := s.Exec("DROP TABLE IF EXISTS " + RecTable); err != nil {
-		return false, err
-	}
-	ddl := `CREATE TABLE rtbl (type TEXT, obid INTEGER, name TEXT, dec TEXT,
-		make_or_buy TEXT, state TEXT, material TEXT, weight FLOAT,
-		checkedout BOOLEAN, data TEXT, path_opt TEXT, left INTEGER, right INTEGER,
-		eff_from INTEGER, eff_to INTEGER, strc_opt TEXT)`
-	if _, err := s.Exec(ddl); err != nil {
-		return false, err
-	}
-	var insertErr error
+	rtbl := &exec.Relation{Cols: unifiedColsFor(RecTable)}
 	tree.Walk(func(n *Node) {
-		if insertErr != nil {
-			return
-		}
-		row := nodeToUnifiedRow(n)
-		_, insertErr = s.Exec(
-			"INSERT INTO rtbl VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-			row...)
+		rtbl.Rows = append(rtbl.Rows, nodeToUnifiedRow(n))
 	})
-	if insertErr != nil {
-		return false, insertErr
-	}
 	pred, err := disjunction(rules, c.user)
 	if err != nil {
 		return false, err
 	}
-	check := &ast.Select{Body: &ast.SelectCore{
-		Items: []ast.SelectItem{{Expr: &ast.Case{
-			Whens: []ast.When{{Cond: pred, Result: &ast.Literal{Value: intValue(1)}}},
-			Else:  &ast.Literal{Value: intValue(0)},
-		}, Alias: "ok"}},
-	}}
-	res, err := s.Exec(check.String())
+	ctx := &exec.Context{
+		Funcs:         c.local.Funcs,
+		CTEs:          map[string]*exec.Relation{RecTable: rtbl},
+		SubqueryCache: map[*ast.Select]*exec.Relation{},
+	}
+	v, err := ctx.EvalExpr(pred, nil)
 	if err != nil {
 		return false, err
 	}
-	if len(res.Rows) != 1 {
-		return false, fmt.Errorf("core: tree-aggregate check returned %d rows", len(res.Rows))
-	}
-	return res.Rows[0][0].Int() == 1, nil
+	return boolValue(v), nil
 }

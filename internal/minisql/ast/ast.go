@@ -187,21 +187,6 @@ func (s *Delete) String() string {
 	return out
 }
 
-// Begin / Commit / Rollback control transactions.
-type Begin struct{}
-
-func (*Begin) String() string { return "BEGIN" }
-
-// Commit ends a transaction, making its effects durable.
-type Commit struct{}
-
-func (*Commit) String() string { return "COMMIT" }
-
-// Rollback ends a transaction, undoing its effects.
-type Rollback struct{}
-
-func (*Rollback) String() string { return "ROLLBACK" }
-
 // Call is CALL proc(arg, ...), invoking a server-side stored procedure.
 type Call struct {
 	Proc string
@@ -385,9 +370,6 @@ func (*Insert) stmt()      {}
 func (*Update) stmt()      {}
 func (*Delete) stmt()      {}
 func (*Select) stmt()      {}
-func (*Begin) stmt()       {}
-func (*Commit) stmt()      {}
-func (*Rollback) stmt()    {}
 func (*Call) stmt()        {}
 func (*Explain) stmt()     {}
 

@@ -49,9 +49,6 @@ func TestStatementPrinters(t *testing.T) {
 		stmt Statement
 		want string
 	}{
-		{&Begin{}, "BEGIN"},
-		{&Commit{}, "COMMIT"},
-		{&Rollback{}, "ROLLBACK"},
 		{&DropTable{Name: "t"}, "DROP TABLE t"},
 		{&DropTable{Name: "t", IfExists: true}, "DROP TABLE IF EXISTS t"},
 		{&Call{Proc: "p", Args: []Expr{lit(1), text("x")}}, "CALL p(1, 'x')"},
@@ -70,8 +67,8 @@ func TestStatementPrinters(t *testing.T) {
 }
 
 func TestExplainPrinter(t *testing.T) {
-	e := &Explain{Stmt: &Begin{}}
-	if e.String() != "EXPLAIN BEGIN" {
+	e := &Explain{Stmt: &DropTable{Name: "t"}}
+	if e.String() != "EXPLAIN DROP TABLE t" {
 		t.Errorf("explain = %s", e)
 	}
 }

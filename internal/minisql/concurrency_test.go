@@ -141,10 +141,10 @@ func TestConcurrentWritersSameTable(t *testing.T) {
 	}
 }
 
-// LockTables makes a read-check-write sequence atomic: two racing
-// sessions incrementing via explicit latches never lose an update, and
+// A write unit makes a read-check-write sequence atomic: racing
+// sessions incrementing inside Begin/Commit never lose an update, and
 // the loser of each race accumulates lock-wait time.
-func TestLockTablesAtomicSequence(t *testing.T) {
+func TestWriteUnitAtomicSequence(t *testing.T) {
 	db := newConcurrencyDB(t)
 	var wg sync.WaitGroup
 	const workers, per = 4, 25
@@ -157,8 +157,7 @@ func TestLockTablesAtomicSequence(t *testing.T) {
 			defer wg.Done()
 			s := db.NewSession()
 			for i := 0; i < per; i++ {
-				release, err := s.LockTables("kv")
-				if err != nil {
+				if err := s.Begin("kv"); err != nil {
 					errs <- err
 					return
 				}
@@ -166,7 +165,9 @@ func TestLockTablesAtomicSequence(t *testing.T) {
 				if err == nil {
 					_, err = s.Exec("UPDATE kv SET val = ? WHERE id = 3", types.NewInt(res.Rows[0][0].Int()+1))
 				}
-				release()
+				if err == nil {
+					err = s.Commit()
+				}
 				if err != nil {
 					errs <- err
 					return

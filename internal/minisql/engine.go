@@ -1,7 +1,7 @@
 // Package minisql is the engine facade of the from-scratch relational
 // database that substitutes for the commercial RDBMS underneath the
 // paper's PDM system. It wires the lexer/parser, executor and storage
-// into a DB with sessions, transactions, parameters, stored functions
+// into a DB with sessions, write units, parameters, stored functions
 // and stored procedures.
 //
 // The SQL dialect covers what the paper's workload requires: DDL, DML,
@@ -14,10 +14,8 @@ package minisql
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"pdmtune/internal/minisql/ast"
 	"pdmtune/internal/minisql/exec"
@@ -60,9 +58,11 @@ type Procedure func(s *Session, args []Value) (*Result, error)
 // Concurrency model (the MVCC redesign; see also storage's package
 // comment): a read statement captures the version-log epoch once and
 // evaluates entirely against that snapshot — it takes no locks and is
-// never blocked by writers. A write statement takes only its target
+// never blocked by writers. A write statement is a write unit
+// (storage.Commit) of its own over its target table: it takes only that
 // table's write latch, stages its mutations as pending row versions,
-// and publishes them atomically under one fresh epoch.
+// and publishes them atomically under one fresh epoch. Session.Begin
+// opens a unit over several tables that several statements stage into.
 type DB struct {
 	store *storage.DB
 
@@ -129,13 +129,12 @@ func (db *DB) ModifiedSince(since uint64) (map[int64]uint64, uint64) {
 	return db.store.Versions().ModifiedSince(since)
 }
 
-// ApplyDelta applies a replication delta pulled from a primary,
-// transactionally: on error the database is left as it was. The
-// version log is fast-forwarded to the primary's stamps instead of
-// bumping locally, so validate exchanges against this replica answer
-// exactly as the primary would. The apply latches every affected
-// table; replica readers see the delta atomically when the final epoch
-// fast-forward publishes it.
+// ApplyDelta applies a replication delta pulled from a primary as one
+// write unit over every affected table: on error the database is left
+// as it was. The unit publishes at the primary's epoch and copies its
+// stamps instead of bumping locally, so validate exchanges against this
+// replica answer exactly as the primary would, and replica readers see
+// the whole delta at once.
 func (db *DB) ApplyDelta(d *storage.Delta) error {
 	return db.ApplyDeltaCtx(context.Background(), d)
 }
@@ -243,14 +242,10 @@ func (c *ContentionStats) Add(o ContentionStats) {
 // connection pool multiplexes many client sessions over few engine
 // sessions, serializing statements per session).
 type Session struct {
-	db   *DB
-	inTx bool
-	undo []storage.Undo
+	db *DB
 
-	// held tracks latches acquired by an enclosing LockTables, so the
-	// statements of a multi-table procedure do not re-acquire (and
-	// deadlock on) latches the procedure already holds.
-	held map[*storage.Table]bool
+	// unit is the write unit Begin opened, nil between units.
+	unit *storage.Commit
 
 	stats ContentionStats
 }
@@ -270,22 +265,6 @@ func (s *Session) TakeContention() ContentionStats {
 // stored procedures that detect conflicts, e.g. pdm_check_out).
 func (s *Session) CountWriteConflict() { s.stats.WriteConflicts++ }
 
-// lockWrite acquires one table's write latch, measuring the time spent
-// blocked. The returned func releases it. A latch already held by an
-// enclosing LockTables is not re-acquired.
-func (s *Session) lockWrite(t *storage.Table) func() {
-	if s.held[t] {
-		return func() {}
-	}
-	if t.TryLock() {
-		return t.Unlock
-	}
-	start := time.Now()
-	t.Lock()
-	s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
-	return t.Unlock
-}
-
 // snapshotEpoch opens a read snapshot: the statement evaluates as of
 // this epoch regardless of concurrent commits.
 func (s *Session) snapshotEpoch() uint64 {
@@ -293,46 +272,84 @@ func (s *Session) snapshotEpoch() uint64 {
 	return s.db.store.Versions().Epoch()
 }
 
-// LockTables acquires the write latches of the named tables (in sorted
-// name order, the same order every multi-table writer uses, so
-// concurrent acquirers cannot deadlock) and holds them until the
-// returned release func runs. It is the engine's multi-statement write
-// unit: statements the session executes in between skip re-acquiring
-// the held latches, which is what lets a stored procedure make a
-// read-check-update sequence atomic against other writers (first-wins
+// Begin opens the session's write unit over the named tables: their
+// write latches are taken (storage.DB.Begin fixes the order) and held
+// until Commit or Abort. Statements executed in between stage into the
+// unit; each may write only the unit's tables, and reads of those
+// tables see the unit's staged rows. Nobody else sees them before
+// Commit publishes the whole unit at one epoch. This is how a stored
+// procedure makes a read-check-update sequence atomic (first-wins
 // check-out). Missing tables are skipped.
-func (s *Session) LockTables(names ...string) (func(), error) {
-	if s.held != nil {
-		return nil, fmt.Errorf("minisql: LockTables while table locks are already held")
+func (s *Session) Begin(tables ...string) error {
+	if s.unit != nil {
+		return fmt.Errorf("minisql: Begin while a write unit is open")
 	}
-	sorted := make([]string, len(names))
-	for i, n := range names {
-		sorted[i] = strings.ToLower(n)
-	}
-	sort.Strings(sorted)
-	var tabs []*storage.Table
-	seen := map[*storage.Table]bool{}
-	for _, n := range sorted {
-		if t, ok := s.db.store.Table(n); ok && !seen[t] {
-			seen[t] = true
+	tabs := make([]*storage.Table, 0, len(tables))
+	for _, n := range tables {
+		if t, ok := s.db.store.Table(n); ok {
 			tabs = append(tabs, t)
 		}
 	}
-	for _, t := range tabs {
-		if t.TryLock() {
-			continue
-		}
-		start := time.Now()
-		t.Lock()
-		s.stats.LockWaitNanos += time.Since(start).Nanoseconds()
+	s.unit = s.begin(tabs...)
+	return nil
+}
+
+// Commit publishes the open unit at one fresh epoch and releases its
+// latches.
+func (s *Session) Commit() error {
+	if s.unit == nil {
+		return fmt.Errorf("minisql: Commit without an open write unit")
 	}
-	s.held = seen
-	return func() {
-		s.held = nil
-		for i := len(tabs) - 1; i >= 0; i-- {
-			tabs[i].Unlock()
+	s.unit.Commit()
+	s.unit = nil
+	return nil
+}
+
+// Abort reverts the open unit, if any, and releases its latches: no
+// epoch, stamp or row of it remains.
+func (s *Session) Abort() {
+	if s.unit != nil {
+		s.unit.Abort()
+		s.unit = nil
+	}
+}
+
+// begin opens a storage unit, counting the time spent blocked on
+// latches.
+func (s *Session) begin(tabs ...*storage.Table) *storage.Commit {
+	c := s.db.store.Begin(tabs...)
+	s.stats.LockWaitNanos += c.LockWait().Nanoseconds()
+	return c
+}
+
+// writeUnit returns the unit a statement writing t stages into: the
+// open unit, which must hold t, or else a unit of the statement's own
+// (own == true).
+func (s *Session) writeUnit(t *storage.Table) (c *storage.Commit, own bool, err error) {
+	if s.unit == nil {
+		return s.begin(t), true, nil
+	}
+	if !s.unit.Holds(t) {
+		return nil, false, fmt.Errorf("sql: the open write unit does not hold table %s", t.Schema.Name)
+	}
+	return s.unit, false, nil
+}
+
+// endWrite ends a statement's write: an error aborts the unit the
+// statement staged into, the session's open one included; success
+// commits a unit of the statement's own and leaves an open one open.
+func (s *Session) endWrite(c *storage.Commit, own bool, err error) error {
+	if err != nil {
+		c.Abort()
+		if !own {
+			s.unit = nil
 		}
-	}, nil
+		return err
+	}
+	if own {
+		c.Commit()
+	}
+	return nil
 }
 
 // Exec parses and executes a single statement with optional positional
@@ -400,8 +417,8 @@ func (s *Session) Query(sql string, params ...Value) (*Result, error) {
 }
 
 // ExecStmt executes an already-parsed statement. Reads run against a
-// snapshot captured here; writes latch their target table for the
-// statement's duration and commit atomically.
+// snapshot captured here; writes stage into a write unit and publish
+// atomically.
 func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error) {
 	switch st := stmt.(type) {
 	case *ast.Select:
@@ -436,12 +453,14 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		if !ok {
 			return nil, fmt.Errorf("sql: no such table %s", st.Table)
 		}
-		unlock := s.lockWrite(t)
-		defer unlock()
-		if st.IfNotExists && t.HasIndex(st.Name) {
-			return &Result{}, nil
+		c, own, err := s.writeUnit(t)
+		if err != nil {
+			return nil, err
 		}
-		if err := t.CreateIndex(st.Name, st.Column, st.Unique); err != nil {
+		if !st.IfNotExists || !t.HasIndex(st.Name) {
+			err = t.CreateIndex(st.Name, st.Column, st.Unique)
+		}
+		if err := s.endWrite(c, own, err); err != nil {
 			return nil, err
 		}
 		s.db.plans.invalidateAll()
@@ -453,28 +472,6 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		}
 		s.db.plans.invalidateAll()
 		return &Result{}, nil
-
-	case *ast.Begin:
-		if s.inTx {
-			return nil, fmt.Errorf("sql: transaction already in progress")
-		}
-		s.inTx = true
-		s.undo = s.undo[:0]
-		return &Result{}, nil
-
-	case *ast.Commit:
-		if !s.inTx {
-			return nil, fmt.Errorf("sql: no transaction in progress")
-		}
-		s.inTx = false
-		s.undo = s.undo[:0]
-		return &Result{}, nil
-
-	case *ast.Rollback:
-		if !s.inTx {
-			return nil, fmt.Errorf("sql: no transaction in progress")
-		}
-		return s.execRollback()
 
 	case *ast.Call:
 		_, procs := s.db.registry()
@@ -496,59 +493,19 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
 
-// execRollback reverses the open transaction's undo log. The latches
-// of every touched table are taken (sorted) so the rollback is atomic
-// against concurrent writers; latches already held by an enclosing
-// LockTables are reused.
-func (s *Session) execRollback() (*Result, error) {
-	tables := map[*storage.Table]bool{}
-	for _, u := range s.undo {
-		tables[u.Table] = true
-	}
-	var order []*storage.Table
-	for t := range tables {
-		order = append(order, t)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return strings.ToLower(order[a].Schema.Name) < strings.ToLower(order[b].Schema.Name)
-	})
-	var unlocks []func()
-	for _, t := range order {
-		unlocks = append(unlocks, s.lockWrite(t))
-	}
-	defer func() {
-		for i := len(unlocks) - 1; i >= 0; i-- {
-			unlocks[i]()
-		}
-	}()
-	for i := len(s.undo) - 1; i >= 0; i-- {
-		if err := s.undo[i].Apply(); err != nil {
-			return nil, fmt.Errorf("sql: rollback failed: %v", err)
-		}
-	}
-	s.inTx = false
-	s.undo = s.undo[:0]
-	return &Result{}, nil
-}
-
 // newContext builds an evaluation context reading at the given snapshot
-// epoch (0 = latest committed state, the write statements' view).
+// epoch (0 = latest committed state, the write statements' view); the
+// tables of the session's open unit read with its staged rows.
 func (s *Session) newContext(params []Value, epoch uint64) *exec.Context {
 	funcs, _ := s.db.registry()
 	return &exec.Context{
 		DB:            s.db.store,
 		Epoch:         epoch,
+		Unit:          s.unit,
 		Params:        params,
 		Funcs:         funcs,
 		CTEs:          map[string]*exec.Relation{},
 		SubqueryCache: map[*ast.Select]*exec.Relation{},
-	}
-}
-
-// record appends an undo entry when a transaction is open.
-func (s *Session) record(u storage.Undo) {
-	if s.inTx {
-		s.undo = append(s.undo, u)
 	}
 }
 
@@ -583,9 +540,6 @@ func (s *Session) execInsert(st *ast.Insert, params []Value) (*Result, error) {
 		return nil, fmt.Errorf("sql: no such table %s", st.Table)
 	}
 	schema := table.Schema
-	ctx := s.newContext(params, 0)
-	unlock := s.lockWrite(table)
-	defer unlock()
 
 	// Map the provided column list (or the full schema) to positions.
 	positions := make([]int, 0, len(schema.Cols))
@@ -625,61 +579,53 @@ func (s *Session) execInsert(st *ast.Insert, params []Value) (*Result, error) {
 		return row, nil
 	}
 
-	// The statement's mutations stage as one commit batch: they publish
-	// under a single epoch, and an error aborts the whole statement.
-	c := storage.NewCommit(s.db.store.Versions())
-	var undos []storage.Undo
+	c, own, err := s.writeUnit(table)
+	if err != nil {
+		return nil, err
+	}
+	ctx := s.newContext(params, 0)
 	n := 0
-	insert := func(row storage.Row) error {
-		id, err := table.InsertC(c, row)
+	insert := func(values []Value) error {
+		r, err := buildRow(values)
 		if err != nil {
 			return err
 		}
-		undos = append(undos, storage.Undo{Kind: storage.UndoInsert, Table: table, RowID: id})
+		if _, err := table.InsertC(c, r); err != nil {
+			return err
+		}
 		n++
 		return nil
 	}
-	fail := func(err error) (*Result, error) {
-		c.Abort()
-		return nil, err
-	}
-
-	if st.Select != nil {
-		rel, err := ctx.EvalSelect(st.Select, nil)
-		if err != nil {
-			return fail(err)
-		}
-		for _, row := range rel.Rows {
-			r, err := buildRow(row)
+	stage := func() error {
+		if st.Select != nil {
+			rel, err := ctx.EvalSelect(st.Select, nil)
 			if err != nil {
-				return fail(err)
+				return err
 			}
-			if err := insert(r); err != nil {
-				return fail(err)
+			for _, row := range rel.Rows {
+				if err := insert(row); err != nil {
+					return err
+				}
 			}
+			return nil
 		}
-	} else {
 		for _, exprRow := range st.Rows {
 			values := make([]Value, len(exprRow))
 			for i, e := range exprRow {
 				v, err := ctx.EvalExpr(e, nil)
 				if err != nil {
-					return fail(err)
+					return err
 				}
 				values[i] = v
 			}
-			r, err := buildRow(values)
-			if err != nil {
-				return fail(err)
-			}
-			if err := insert(r); err != nil {
-				return fail(err)
+			if err := insert(values); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	c.Commit()
-	for _, u := range undos {
-		s.record(u)
+	if err := s.endWrite(c, own, stage()); err != nil {
+		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
 }
@@ -696,7 +642,7 @@ func (s *Session) execUpdate(st *ast.Update, params []Value) (*Result, error) {
 		}
 	}
 	cols := exec.TableCols(table, st.Table)
-	return s.execWrite(table, st.Where, params, storage.UndoUpdate, func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error {
+	return s.execWrite(table, st.Where, params, func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error {
 		newRow := append(storage.Row{}, old...)
 		env := exec.NewEnv(cols, old, nil)
 		for i, a := range st.Set {
@@ -715,42 +661,30 @@ func (s *Session) execDelete(st *ast.Delete, params []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: no such table %s", st.Table)
 	}
-	return s.execWrite(table, st.Where, params, storage.UndoDelete, func(_ *exec.Context, c *storage.Commit, id int, _ storage.Row) error {
+	return s.execWrite(table, st.Where, params, func(_ *exec.Context, c *storage.Commit, id int, _ storage.Row) error {
 		return table.DeleteC(c, id)
 	})
 }
 
-// execWrite is the skeleton UPDATE and DELETE share. Under the table's
-// write latch it is two-phase: first gather the ids of the rows WHERE
-// accepts — through the executor's access path, so a keyed write reads
-// only the rows its key selects — and only then mutate them, so the read
-// is never disturbed by the statement's own staged versions. The
-// mutations publish under one Commit; each leaves an undo record.
-func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value, kind storage.UndoKind,
+// execWrite is the skeleton UPDATE and DELETE share. In a write unit
+// holding the table it is two-phase: first gather the ids of the rows
+// WHERE accepts — through the executor's access path, so a keyed write
+// reads only the rows its key selects — and only then mutate them, so
+// the read is never disturbed by the statement's own staged versions.
+func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value,
 	mutate func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error) (*Result, error) {
-	ctx := s.newContext(params, 0)
-	unlock := s.lockWrite(table)
-	defer unlock()
-
-	ids, err := ctx.MatchIDs(table, where)
+	c, own, err := s.writeUnit(table)
 	if err != nil {
 		return nil, err
 	}
-	c := storage.NewCommit(s.db.store.Versions())
-	var undos []storage.Undo // kept only inside a transaction, like every undo record
-	for _, id := range ids {
-		old, _ := table.Get(id)
-		if s.inTx {
-			undos = append(undos, storage.Undo{Kind: kind, Table: table, RowID: id, Before: append(storage.Row{}, old...)})
-		}
-		if err := mutate(ctx, c, id, old); err != nil {
-			c.Abort()
-			return nil, err
-		}
+	ctx := s.newContext(params, 0)
+	ids, err := ctx.MatchIDs(table, where)
+	for i := 0; err == nil && i < len(ids); i++ {
+		old, _ := table.GetAt(storage.Current, ids[i])
+		err = mutate(ctx, c, ids[i], old)
 	}
-	c.Commit()
-	for _, u := range undos {
-		s.record(u)
+	if err := s.endWrite(c, own, err); err != nil {
+		return nil, err
 	}
 	return &Result{RowsAffected: len(ids)}, nil
 }

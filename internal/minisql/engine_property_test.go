@@ -232,49 +232,69 @@ func TestInsertSelectRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestRollbackRestoresStateProperty: a transaction with random DML
-// followed by ROLLBACK leaves the table exactly as before.
-func TestRollbackRestoresStateProperty(t *testing.T) {
+// TestWriteUnitProperty: random INSERT/UPDATE/DELETE statements on one
+// table inside a write unit, then Abort, restore both the table and the
+// epoch; the same statements followed by Commit equal running them one
+// by one, and publish at exactly one new epoch.
+func TestWriteUnitProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewDB().NewSession()
-		if _, err := s.Exec("CREATE TABLE t (a INTEGER, b INTEGER)"); err != nil {
-			return false
-		}
-		for i := 0; i < 20; i++ {
-			if _, err := s.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, rng.Intn(5))); err != nil {
-				return false
-			}
-		}
-		fingerprint := func() string {
-			res, err := s.Exec("SELECT a, b FROM t ORDER BY a, b")
-			if err != nil {
-				return "err"
-			}
-			out := ""
-			for _, r := range res.Rows {
-				out += r[0].String() + ":" + r[1].String() + ";"
-			}
-			return out
-		}
-		before := fingerprint()
-		if _, err := s.Exec("BEGIN"); err != nil {
-			return false
-		}
+		var stmts []string
 		for i := 0; i < 10; i++ {
 			switch rng.Intn(3) {
 			case 0:
-				s.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", 100+i, rng.Intn(5)))
+				stmts = append(stmts, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", 100+i, rng.Intn(5)))
 			case 1:
-				s.Exec(fmt.Sprintf("UPDATE t SET b = b + 1 WHERE a %% %d = 0", 1+rng.Intn(4)))
+				stmts = append(stmts, fmt.Sprintf("UPDATE t SET b = b + 1 WHERE a %% %d = 0", 1+rng.Intn(4)))
 			case 2:
-				s.Exec(fmt.Sprintf("DELETE FROM t WHERE b = %d", rng.Intn(5)))
+				stmts = append(stmts, fmt.Sprintf("DELETE FROM t WHERE b = %d", rng.Intn(5)))
 			}
 		}
-		if _, err := s.Exec("ROLLBACK"); err != nil {
+		load := func() (*DB, *Session) {
+			db := NewDB()
+			s := db.NewSession()
+			mustExec(t, s, "CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
+			for i := 0; i < 20; i++ {
+				mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i%5))
+			}
+			return db, s
+		}
+		unit := func(s *Session) {
+			if err := s.Begin("t"); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range stmts {
+				mustExec(t, s, q)
+			}
+		}
+
+		aborted, s := load()
+		before, epoch := dumpTable(t, s, "t"), aborted.Epoch()
+		unit(s)
+		s.Abort()
+		if dumpTable(t, s, "t") != before || aborted.Epoch() != epoch {
 			return false
 		}
-		return fingerprint() == before
+		for a := int64(0); a < 110; a++ {
+			if aborted.LastModified(a) > epoch {
+				return false
+			}
+		}
+
+		committed, s := load()
+		unit(s)
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		serial, s2 := load()
+		for _, q := range stmts {
+			mustExec(t, s2, q)
+		}
+		want := epoch // a unit that touched no row does not advance the epoch
+		if serial.Epoch() > epoch {
+			want++
+		}
+		return dumpTable(t, s, "t") == dumpTable(t, s2, "t") && committed.Epoch() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -356,37 +356,6 @@ func TestParameters(t *testing.T) {
 	}
 }
 
-func TestTransactionsRollback(t *testing.T) {
-	s := newTestSession(t)
-	mustExec(t, s, "CREATE TABLE t (id INTEGER, v TEXT)")
-	mustExec(t, s, "INSERT INTO t VALUES (1, 'keep')")
-	mustExec(t, s, "BEGIN")
-	mustExec(t, s, "INSERT INTO t VALUES (2, 'tx')")
-	mustExec(t, s, "UPDATE t SET v = 'changed' WHERE id = 1")
-	mustExec(t, s, "DELETE FROM t WHERE id = 1")
-	mustExec(t, s, "ROLLBACK")
-	res := mustExec(t, s, "SELECT id, v FROM t ORDER BY id")
-	got := rowsToStrings(res)
-	if len(got) != 1 || got[0] != "1|keep" {
-		t.Fatalf("after rollback = %v, want [1|keep]", got)
-	}
-}
-
-func TestTransactionsCommit(t *testing.T) {
-	s := newTestSession(t)
-	mustExec(t, s, "CREATE TABLE t (id INTEGER)")
-	mustExec(t, s, "BEGIN")
-	mustExec(t, s, "INSERT INTO t VALUES (1)")
-	mustExec(t, s, "COMMIT")
-	res := mustExec(t, s, "SELECT COUNT(*) FROM t")
-	if res.Rows[0][0].Int() != 1 {
-		t.Fatalf("after commit count = %s, want 1", res.Rows[0][0])
-	}
-	if _, err := s.Exec("COMMIT"); err == nil {
-		t.Fatal("COMMIT without BEGIN should fail")
-	}
-}
-
 func TestIndexUse(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "CREATE TABLE t (id INTEGER, v TEXT)")

@@ -276,7 +276,7 @@ func (ctx *Context) read(a *access, fn func(id int, row storage.Row) error) erro
 		}
 		return fn(id, row)
 	}
-	snap := ctx.snap()
+	snap := ctx.snap(a.table)
 	var err error
 	if a.index == nil {
 		a.table.ScanAt(snap, func(id int, row storage.Row) bool {

@@ -29,12 +29,14 @@ func TestLongKeyListIsHashed(t *testing.T) {
 	}
 	table, _ := db.Table("t")
 	items := make([]string, n)
+	load := db.Begin(table)
 	for i := 0; i < n; i++ {
-		if _, err := table.Insert(storage.Row{types.NewInt(int64(i)), types.NewInt(int64(i))}); err != nil {
+		if _, err := table.InsertC(load, storage.Row{types.NewInt(int64(i)), types.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 		items[i] = fmt.Sprint(2 * i) // every other one names a row
 	}
+	load.Commit()
 	where := func(cond string) []conjunct {
 		stmt, err := parser.Parse("SELECT * FROM t WHERE " + cond)
 		if err != nil {

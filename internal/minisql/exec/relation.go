@@ -188,6 +188,11 @@ type Context struct {
 	// use. The engine sets a captured epoch for SELECTs.
 	Epoch uint64
 
+	// Unit, when set, is the open write unit the evaluation runs in: the
+	// tables it holds are read with its staged rows (storage.Current),
+	// every other table at Epoch.
+	Unit *storage.Commit
+
 	// CTEs maps lower-cased CTE names to their (current) materialization.
 	CTEs map[string]*Relation
 
@@ -247,9 +252,13 @@ func (ctx *Context) under(n *PlanNode) func() {
 // slice is valid only for the call.
 type ScalarFunc func(args []types.Value) (types.Value, error)
 
-// snap maps the context's Epoch to a storage snapshot epoch (0 reads
+// snap is the storage epoch a read of t resolves at: the chain heads
+// when the context's unit holds t, else the context's Epoch (0 reads
 // the latest committed state).
-func (ctx *Context) snap() uint64 {
+func (ctx *Context) snap(t *storage.Table) uint64 {
+	if ctx.Unit.Holds(t) {
+		return storage.Current
+	}
 	if ctx.Epoch == 0 {
 		return storage.Latest
 	}

@@ -266,21 +266,8 @@ func (p *Parser) parseStatement() (ast.Statement, error) {
 		return p.parseCreate()
 	case p.atKeyword("DROP"):
 		return p.parseDrop()
-	case p.atKeyword("BEGIN"):
-		p.next()
-		p.acceptKeyword("TRANSACTION")
-		p.acceptKeyword("WORK")
-		return &ast.Begin{}, nil
-	case p.atKeyword("COMMIT"):
-		p.next()
-		p.acceptKeyword("TRANSACTION")
-		p.acceptKeyword("WORK")
-		return &ast.Commit{}, nil
-	case p.atKeyword("ROLLBACK"):
-		p.next()
-		p.acceptKeyword("TRANSACTION")
-		p.acceptKeyword("WORK")
-		return &ast.Rollback{}, nil
+	case p.atKeyword("BEGIN", "COMMIT", "ROLLBACK"):
+		return nil, p.errorf("%s: SQL has no transactions; a multi-statement write is a write unit, opened with Session.Begin", p.peek())
 	case p.atKeyword("CALL"):
 		return p.parseCall()
 	case p.atKeyword("EXPLAIN"):

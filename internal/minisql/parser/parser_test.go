@@ -54,9 +54,6 @@ func TestRoundTrip(t *testing.T) {
 		"CREATE INDEX i ON t (a)",
 		"CREATE UNIQUE INDEX i ON t (a)",
 		"DROP TABLE IF EXISTS t",
-		"BEGIN",
-		"COMMIT",
-		"ROLLBACK",
 		"CALL p(1, 'x')",
 		"SELECT lower(a) FROM t WHERE (f(a, b) = 1)",
 		"SELECT a FROM t WHERE ((SELECT MAX(b) FROM u) = 3)",

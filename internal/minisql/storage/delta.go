@@ -3,8 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"pdmtune/internal/minisql/types"
 )
@@ -30,12 +28,12 @@ import (
 // Concurrency: extraction is a lock-free snapshot read — the stamp set
 // and target epoch are captured atomically from the version log, then
 // rows are read at that snapshot, so concurrent writers on the primary
-// cannot tear a delta. Application pins every inserted or tombstoned
-// version directly at the delta's epoch, which is above the replica's
-// current epoch until the final SyncTo publishes it — so replica
-// readers switch from the old state to the fully applied delta
-// atomically, and a failed apply is invisible by construction (the
-// physical rollback merely reclaims storage).
+// cannot tear a delta. Application is one write unit like any other:
+// it stages its deletes and inserts as pending versions, invisible to
+// every replica reader, and publishes them with Commit.Replicate at the
+// primary's epoch — so replica readers switch from the old state to
+// the fully applied delta atomically, and a failed apply aborts the
+// unit and leaves nothing behind.
 
 // IndexSpec describes one secondary index for delta transfer.
 type IndexSpec struct {
@@ -119,30 +117,6 @@ func (v *VersionLog) ModifiedSince(since uint64) (map[int64]uint64, uint64) {
 	return out, v.epoch
 }
 
-// SyncTo fast-forwards the log to a primary's state: the epoch is
-// raised to at least epoch and every stamp is copied verbatim. It is
-// the replica-side counterpart of ModifiedSince — after a sync the
-// replica's log answers LastModified exactly as the primary's would
-// (for the synced keys), which keeps client-side cache validation
-// correct against a replica. Raising the epoch is also what publishes
-// an applied delta's rows to replica readers (their versions are
-// pinned at the delta epoch, invisible to any earlier snapshot).
-func (v *VersionLog) SyncTo(epoch uint64, stamps map[int64]uint64) {
-	if v == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if epoch > v.epoch {
-		v.epoch = epoch
-	}
-	for k, e := range stamps {
-		if e > v.modified[k] {
-			v.modified[k] = e
-		}
-	}
-}
-
 // ExtractDelta collects the replication delta above the given epoch:
 // every version-tracked table contributes its rows, as visible at the
 // capture epoch, whose version key was modified after since. No locks
@@ -211,69 +185,15 @@ func rowVersionKey(row Row, verPos int) (int64, bool) {
 	return 0, false
 }
 
-// insertAt stores a row as a version pinned directly at the given
-// epoch (no version-log commit — delta applies copy the primary's
-// stamps instead of minting local ones). Caller holds the write latch.
-// The returned closure physically reverts the insert.
-func (t *Table) insertAt(row Row, epoch uint64) (func(), error) {
-	r, err := t.checkRow(row)
-	if err != nil {
-		return nil, err
-	}
-	idxs, _, _ := t.meta()
-	for _, ix := range idxs {
-		if err := ix.checkUnique(r[ix.colPos], -1); err != nil {
-			return nil, err
-		}
-	}
-	v := &version{row: r}
-	v.begin.Store(epoch)
-	s := &slot{}
-	s.head.Store(v)
-	id := t.appendSlot(s)
-	for _, ix := range idxs {
-		ix.add(r[ix.colPos], id, true)
-	}
-	t.liveN.Add(1)
-	return func() {
-		s.head.Store(&version{}) // dead to every snapshot
-		t.liveN.Add(-1)
-	}, nil
-}
-
-// deleteAt tombstones the row with the given id at the given epoch
-// (see insertAt). Caller holds the write latch.
-func (t *Table) deleteAt(id int, epoch uint64) (func(), error) {
-	sl := *t.slots.Load()
-	if id < 0 || id >= len(sl) {
-		return nil, fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
-	}
-	s := sl[id]
-	if _, ok := currentOf(s); !ok {
-		return nil, fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
-	}
-	prev := s.head.Load()
-	v := &version{prev: prev}
-	v.begin.Store(epoch)
-	s.head.Store(v)
-	t.liveN.Add(-1)
-	return func() {
-		s.head.Store(prev)
-		t.liveN.Add(1)
-	}, nil
-}
-
 // ApplyDelta applies a replication delta: per table, every row whose
 // version key is in the delta's modified set is deleted and the
 // shipped rows are inserted in their place; missing tables and indexes
-// are created first. Row versions are pinned at the delta's epoch and
-// the primary's stamps are copied in via SyncTo, so the replica's log
-// mirrors the primary's rather than inventing local epochs — and the
-// whole delta becomes visible to replica readers atomically when
-// SyncTo raises the epoch. The apply is transactional: on any error
-// every mutation made so far is rolled back and the version log is
-// left untouched. The write latches of every affected table are held
-// (in sorted order) for the duration.
+// are created first. The row changes are one write unit over every
+// affected table, published with Replicate: the replica's log copies
+// the primary's stamps rather than inventing local epochs, and the
+// whole delta becomes visible to replica readers at once. On any error
+// the unit aborts, the catalog changes are undone and the version log
+// is left untouched.
 func (db *DB) ApplyDelta(d *Delta) error {
 	return db.ApplyDeltaCtx(context.Background(), d)
 }
@@ -294,65 +214,42 @@ func (db *DB) ApplyDeltaCtx(ctx context.Context, d *Delta) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var undo []func()
 	// catUndo reverses catalog changes (created tables and indexes,
-	// version-key redesignations) that the row undo closures cannot.
+	// version-key redesignations), which the unit does not cover.
 	var catUndo []func()
-	rollback := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
+	undoCatalog := func() {
 		for i := len(catUndo) - 1; i >= 0; i-- {
 			catUndo[i]()
 		}
 	}
-	// Catalog phase: resolve or create every target table, then latch
-	// them all in sorted name order (the same order every multi-table
-	// writer uses, so applies cannot deadlock against procedures).
 	targets := make([]*Table, len(d.Tables))
 	for i := range d.Tables {
 		t, err := db.ensureDeltaTable(&d.Tables[i], &catUndo)
 		if err != nil {
-			rollback()
+			undoCatalog()
 			return err
 		}
 		targets[i] = t
 	}
-	order := make([]int, len(targets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		// Case-insensitive, matching the engine's LockTables order.
-		return strings.ToLower(targets[order[a]].Schema.Name) < strings.ToLower(targets[order[b]].Schema.Name)
-	})
-	locked := make(map[*Table]bool, len(targets))
-	for _, i := range order {
-		if t := targets[i]; !locked[t] {
-			t.Lock()
-			locked[t] = true
-		}
-	}
-	defer func() {
-		for t := range locked {
-			t.Unlock()
-		}
-	}()
+	c := db.Begin(targets...)
+	var err error
 	for i := range d.Tables {
-		if err := ctx.Err(); err != nil {
-			rollback()
-			return err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if err := applyTableDelta(targets[i], &d.Tables[i], d.Stamps, d.Epoch, &undo); err != nil {
-			rollback()
-			return err
+		if err = applyTableDelta(c, targets[i], &d.Tables[i], d.Stamps); err != nil {
+			break
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		rollback()
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		c.Abort()
+		undoCatalog()
 		return err
 	}
-	db.vlog.SyncTo(d.Epoch, d.Stamps)
+	c.Replicate(d.Epoch, d.Stamps)
 	return nil
 }
 
@@ -431,16 +328,14 @@ func (db *DB) ensureDeltaTable(td *TableDelta, catUndo *[]func()) (*Table, error
 	return t, nil
 }
 
-// applyTableDelta replaces, in one table, every row keyed by a
-// modified version key with the delta's shipped rows, pinning all
-// versions at the delta epoch. Mutations are recorded into undo so a
-// failed apply can roll back. Caller holds the table's write latch.
-func applyTableDelta(t *Table, td *TableDelta, stamps map[int64]uint64, epoch uint64, undo *[]func()) error {
+// applyTableDelta stages, in one table, the replacement of every row
+// keyed by a modified version key with the delta's shipped rows.
+func applyTableDelta(c *Commit, t *Table, td *TableDelta, stamps map[int64]uint64) error {
 	_, verPos, _ := t.meta()
 	// Delete phase: collect ids first — the scan must not observe its
 	// own deletions.
 	var stale []int
-	t.Scan(func(id int, row Row) bool {
+	t.ScanAt(Current, func(id int, row Row) bool {
 		if k, ok := rowVersionKey(row, verPos); ok {
 			if _, mod := stamps[k]; mod {
 				stale = append(stale, id)
@@ -449,18 +344,14 @@ func applyTableDelta(t *Table, td *TableDelta, stamps map[int64]uint64, epoch ui
 		return true
 	})
 	for _, id := range stale {
-		revert, err := t.deleteAt(id, epoch)
-		if err != nil {
+		if err := t.DeleteC(c, id); err != nil {
 			return fmt.Errorf("storage: delta delete in %s: %v", t.Schema.Name, err)
 		}
-		*undo = append(*undo, revert)
 	}
 	for _, row := range td.Rows {
-		revert, err := t.insertAt(row, epoch)
-		if err != nil {
+		if _, err := t.InsertC(c, row); err != nil {
 			return fmt.Errorf("storage: delta insert into %s: %v", t.Schema.Name, err)
 		}
-		*undo = append(*undo, revert)
 	}
 	return nil
 }

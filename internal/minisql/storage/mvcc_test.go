@@ -90,7 +90,7 @@ func TestSnapshotInsertDelete(t *testing.T) {
 // snapshot can observe half the statement. Abort leaves no trace.
 func TestCommitBatchAtomicity(t *testing.T) {
 	table, vlog := newVersionedTable(t)
-	c := NewCommit(vlog)
+	c := unitOf(table)
 	if _, err := table.InsertC(c, vrow(1, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCommitBatchAtomicity(t *testing.T) {
 	}
 
 	// Abort: staged insert disappears, unique index entry is dead.
-	c2 := NewCommit(vlog)
+	c2 := unitOf(table)
 	if _, err := table.InsertC(c2, vrow(3, "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestUniqueWithDeadVersions(t *testing.T) {
 
 // Concurrent snapshot readers over a stream of single-row updates must
 // always see one of the committed names, never a torn or pending state.
-// Run with -race: readers are lock-free while the writer holds the
-// table latch.
+// Run with -race: readers are lock-free while the writer's unit holds
+// the table latch.
 func TestConcurrentReadersNeverBlockOrTear(t *testing.T) {
 	table, vlog := newVersionedTable(t)
 	id, _ := table.Insert(vrow(1, "v0"))
@@ -223,14 +223,12 @@ func TestConcurrentReadersNeverBlockOrTear(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= writes; i++ {
-		table.Lock()
-		c := NewCommit(vlog)
+		c := unitOf(table)
 		if err := table.UpdateC(c, id, vrow(1, fmt.Sprintf("v%d", i))); err != nil {
-			table.Unlock()
+			c.Abort()
 			t.Fatal(err)
 		}
 		c.Commit()
-		table.Unlock()
 	}
 	close(stop)
 	wg.Wait()
@@ -275,12 +273,9 @@ func TestConcurrentLookupsWhileBucketGrows(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= writes; i++ {
-		table.Lock()
 		if _, err := table.Insert(vrow(int64(i), "same")); err != nil {
-			table.Unlock()
 			t.Fatal(err)
 		}
-		table.Unlock()
 	}
 	close(stop)
 	wg.Wait()

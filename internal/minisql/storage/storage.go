@@ -1,29 +1,24 @@
 // Package storage implements the physical layer of the minisql engine:
-// table schemas (catalog), in-memory multi-version tables, hash indexes
-// maintained under DML, and undo records for transaction rollback. The
-// PDM database server holds one storage.DB per instance.
+// table schemas (catalog), in-memory multi-version tables and hash
+// indexes maintained under DML. The PDM database server holds one
+// storage.DB per instance.
 //
-// Concurrency contract (the MVCC redesign):
+// Concurrency contract (MVCC with one write unit):
 //
 //   - Every row lives in a slot holding an immutable version chain.
-//     A version's begin epoch is the VersionLog epoch of the statement
-//     that committed it; a deletion pushes a tombstone version. Readers
+//     A version's begin epoch is the VersionLog epoch of the unit that
+//     published it; a deletion pushes a tombstone version. Readers
 //     resolve a slot at a snapshot epoch by walking the chain to the
 //     newest version whose begin epoch is <= the snapshot — so reads
 //     take no locks at all and never block writers.
-//   - Writers (Insert/Update/Delete and their *C batch variants) must
-//     hold the table's write latch — Table.Lock/Unlock — for the whole
-//     statement. The latch is exposed rather than taken internally so
-//     the engine can cover a multi-mutation statement (or, via the
-//     engine's LockTables, a multi-statement procedure) with one
-//     acquisition. This replaces the old "mutations already run under
-//     the engine's writer lock" contract: there is no engine-wide
-//     writer lock any more.
-//   - A Commit batch groups all mutations of one statement under one
-//     VersionLog epoch, published atomically: versions are created
-//     pending (invisible to every snapshot) and stamped inside the
-//     log's critical section, so a concurrent snapshot sees either none
-//     or all of a statement's rows.
+//   - Every write goes through one mechanism, the Commit unit. DB.Begin
+//     latches the unit's tables in name order; InsertC/UpdateC/DeleteC
+//     stage pending versions, invisible to every snapshot; Commit stamps
+//     them all with one fresh epoch inside the log's critical section,
+//     so a concurrent snapshot sees either none or all of a unit's rows.
+//     A replica's delta apply is the same unit, published by Replicate
+//     at the primary's epoch. Abort reverts in place and leaves no
+//     epoch, stamp or version behind.
 //   - Catalog operations (CreateTable/DropTable/Table) synchronize on
 //     the DB's own catalog lock; index attachment and version-key
 //     changes on the table's metaMu.
@@ -36,6 +31,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pdmtune/internal/minisql/types"
 )
@@ -55,7 +51,7 @@ import (
 // the granularity a cached single-level expansion needs.
 //
 // Since the MVCC redesign the log is also the commit clock: a row
-// version's begin epoch is the epoch its statement committed at, and a
+// version's begin epoch is the epoch its unit committed at, and a
 // snapshot is simply "the state as of epoch E".
 
 // VersionLog records the last-modified epoch of every object key. It
@@ -75,17 +71,14 @@ func NewVersionLog() *VersionLog {
 
 // commit advances the epoch (when keys were touched), stamps the keys,
 // and runs publish inside the log's critical section. Publishing under
-// the lock is what makes a statement atomic to snapshots: Epoch() can
-// never return an epoch whose row versions are not yet visible, and a
-// snapshot taken before the commit can never observe a partial
-// statement. With no keys the epoch does not advance (preserving the
-// pre-MVCC rule that only version-tracked mutations move the clock) and
-// publish runs at the current epoch.
+// the lock is what makes a unit atomic to snapshots: Epoch() can never
+// return an epoch whose row versions are not yet visible, and a
+// snapshot taken before the commit can never observe a partial unit.
+// With no keys the epoch does not advance (only version-tracked
+// mutations move the clock) and publish runs at the current epoch.
 func (v *VersionLog) commit(keys []int64, publish func(epoch uint64)) uint64 {
 	if v == nil {
-		if publish != nil {
-			publish(0)
-		}
+		publish(0)
 		return 0
 	}
 	v.mu.Lock()
@@ -98,10 +91,31 @@ func (v *VersionLog) commit(keys []int64, publish func(epoch uint64)) uint64 {
 			v.modified[k] = e
 		}
 	}
-	if publish != nil {
-		publish(e)
-	}
+	publish(e)
 	return e
+}
+
+// syncTo is commit for a replica: it fast-forwards the log to a
+// primary's state — the epoch is raised to at least epoch and every
+// stamp is copied verbatim — and runs publish at the primary's epoch
+// inside the same critical section. After a sync the replica's log
+// answers LastModified exactly as the primary's would (for the synced
+// keys), which keeps client-side cache validation correct against a
+// replica.
+func (v *VersionLog) syncTo(epoch uint64, stamps map[int64]uint64, publish func(epoch uint64)) {
+	if v == nil {
+		publish(epoch)
+		return
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.epoch = max(v.epoch, epoch)
+	for k, e := range stamps {
+		if e > v.modified[k] {
+			v.modified[k] = e
+		}
+	}
+	publish(epoch)
 }
 
 // Epoch returns the current epoch (the stamp a fetch made now would
@@ -173,17 +187,21 @@ type Row = []types.Value
 // Version chains
 
 // Snapshot epochs. Latest reads the newest committed state; pending
-// marks a version created by a statement that has not committed yet
+// marks a version created by a unit that has not committed yet
 // (invisible to every snapshot, Latest included).
 const (
 	pendingEpoch = ^uint64(0)
 	// Latest is the snapshot epoch denoting the latest committed state.
 	Latest = ^uint64(0) - 1
+	// Current reads every chain's head: the committed state plus the
+	// pending versions of the unit that holds the table's latch. Only
+	// that unit may read a table at Current.
+	Current = pendingEpoch
 )
 
 // version is one immutable revision of a slot's row. row == nil marks a
 // deletion tombstone. begin is the commit epoch (pendingEpoch until the
-// owning statement's Commit stamps it); prev links to the superseded
+// owning unit's Commit stamps it); prev links to the superseded
 // version, giving snapshot readers the chain to walk.
 type version struct {
 	row   Row
@@ -210,58 +228,122 @@ func visibleVersion(head *version, epoch uint64) *version {
 }
 
 // ---------------------------------------------------------------------------
-// Commit batches
+// Write units
 
-// Commit groups the row mutations of one statement into a single
-// version-log epoch. Mutations performed through InsertC/UpdateC/
-// DeleteC create pending (invisible) versions; Commit stamps them all
-// with one freshly minted epoch inside the log's critical section, so
-// the statement becomes visible to snapshots atomically. Abort unwinds
-// the pending versions instead (the caller must still hold the write
-// latches it mutated under).
+// Commit is the one write unit. Every row mutation stages into one: a
+// statement, a multi-statement procedure and a replica's delta apply
+// alike. Begin takes the write latches of the unit's tables;
+// InsertC/UpdateC/DeleteC create pending versions, invisible to every
+// snapshot and to Latest; Commit stamps them all with one fresh epoch
+// inside the version log's critical section, Replicate stamps them with
+// a primary's epoch, and Abort physically reverts them. All three
+// release the latches; the unit must not be reused.
 type Commit struct {
-	vlog *VersionLog
-	keys []int64
-	pend []*version
-	undo []func()
-	done bool
+	vlog   *VersionLog
+	tables []*Table // latched, in name order
+	wait   time.Duration
+	keys   []int64
+	pend   []staged
+	done   bool
 }
 
-// NewCommit starts a commit batch against the given log (nil is
-// allowed: mutations then publish at epoch 0, for standalone tables).
-func NewCommit(vlog *VersionLog) *Commit { return &Commit{vlog: vlog} }
-
-// add records one pending mutation: the version to stamp, the version
-// keys it modified, and the closure that physically reverts it.
-func (c *Commit) add(v *version, keys []int64, revert func()) {
-	c.pend = append(c.pend, v)
-	c.keys = append(c.keys, keys...)
-	c.undo = append(c.undo, revert)
+// staged is one pending version and the slot it heads: reverting it
+// puts its predecessor back.
+type staged struct {
+	t *Table
+	s *slot
+	v *version
 }
 
-// Commit stamps every pending version with one new epoch and returns
-// it. The batch must not be reused.
+// Begin opens a write unit over the given tables. It takes each table's
+// write latch once, in case-insensitive name order: the one order every
+// writer latches in, so two units never deadlock.
+func (db *DB) Begin(tables ...*Table) *Commit { return begin(db.vlog, tables) }
+
+func begin(vlog *VersionLog, tables []*Table) *Commit {
+	tables = slices.Clone(tables)
+	slices.SortFunc(tables, func(a, b *Table) int {
+		return strings.Compare(strings.ToLower(a.Schema.Name), strings.ToLower(b.Schema.Name))
+	})
+	c := &Commit{vlog: vlog, tables: slices.Compact(tables)}
+	for _, t := range c.tables {
+		if !t.latch.TryLock() {
+			start := time.Now()
+			t.latch.Lock()
+			c.wait += time.Since(start)
+		}
+	}
+	return c
+}
+
+// LockWait is the time Begin spent blocked on latches other units held.
+func (c *Commit) LockWait() time.Duration { return c.wait }
+
+// Holds reports whether the open unit latched t (false for a nil unit).
+func (c *Commit) Holds(t *Table) bool {
+	return c != nil && !c.done && slices.Contains(c.tables, t)
+}
+
+// addKey records the version key of a row the unit touched.
+func (c *Commit) addKey(verPos int, row Row) {
+	if k, ok := rowVersionKey(row, verPos); ok {
+		c.keys = append(c.keys, k)
+	}
+}
+
+// Commit publishes the unit at one fresh epoch and returns it. A unit
+// that touched no version-tracked row publishes at the current epoch
+// without advancing it.
 func (c *Commit) Commit() uint64 {
 	if c.done {
 		return 0
 	}
-	c.done = true
-	return c.vlog.commit(c.keys, func(e uint64) {
-		for _, v := range c.pend {
-			v.begin.Store(e)
-		}
-	})
+	e := c.vlog.commit(c.keys, c.stamp)
+	c.release()
+	return e
 }
 
-// Abort physically reverts every pending mutation, newest first. The
-// caller must hold the same write latches the mutations ran under.
+// Replicate is a replica's publish: the pending versions are stamped at
+// the primary's epoch, and the log is raised to it and copies the
+// primary's per-key stamps instead of minting its own (see syncTo). The
+// keys the unit recorded are ignored.
+func (c *Commit) Replicate(epoch uint64, stamps map[int64]uint64) {
+	if c.done {
+		return
+	}
+	c.vlog.syncTo(epoch, stamps, c.stamp)
+	c.release()
+}
+
+// Abort reverts every pending version, newest first, and releases the
+// latches. The unit leaves no epoch, no stamp and no visible version.
 func (c *Commit) Abort() {
 	if c.done {
 		return
 	}
+	for i := len(c.pend) - 1; i >= 0; i-- {
+		p := c.pend[i]
+		p.s.head.Store(p.v.prev)
+		switch {
+		case p.v.prev == nil: // an insert: the slot is dead to every reader
+			p.t.liveN.Add(-1)
+		case p.v.row == nil: // a delete
+			p.t.liveN.Add(1)
+		}
+	}
+	c.release()
+}
+
+func (c *Commit) stamp(e uint64) {
+	for _, p := range c.pend {
+		p.v.begin.Store(e)
+	}
+}
+
+func (c *Commit) release() {
 	c.done = true
-	for i := len(c.undo) - 1; i >= 0; i-- {
-		c.undo[i]()
+	for i := len(c.tables) - 1; i >= 0; i-- {
+		c.tables[i].latch.Unlock()
 	}
 }
 
@@ -332,8 +414,8 @@ func (ix *Index) LookupAt(dst []int, epoch uint64, v types.Value) []int {
 }
 
 // checkUnique reports a duplicate-key error when a row other than self
-// currently carries the value (pending versions of the running
-// statement included — the statement sees its own effects).
+// currently carries the value (pending versions of the open unit
+// included — the unit sees its own effects).
 func (ix *Index) checkUnique(v types.Value, self int) error {
 	if !ix.Unique || v.IsNull() {
 		return nil
@@ -354,15 +436,13 @@ func (ix *Index) checkUnique(v types.Value, self int) error {
 
 // Table is a multi-version table: an append-only array of slots, each
 // owning a version chain. Snapshot readers (GetAt/ScanAt/LookupAt) are
-// lock-free; writers must hold the table's write latch (Lock/Unlock)
-// for the whole statement.
+// lock-free; writers stage into a unit that holds the table's write
+// latch.
 type Table struct {
 	Schema *Schema
 
-	// latch is the per-table write latch. It is exported as Lock/
-	// Unlock/TryLock so the engine can hold it across a whole statement
-	// (or across several, for multi-table procedures); the mutation
-	// methods themselves do not take it.
+	// latch is the per-table write latch. Only DB.Begin takes it, for the
+	// life of one unit; the mutation methods require it held.
 	latch sync.Mutex
 
 	// slots is the published slot array; appends store a fresh header so
@@ -401,17 +481,6 @@ func NewTable(schema *Schema) (*Table, error) {
 	return t, nil
 }
 
-// Lock acquires the table's write latch. Writers — the engine's DML
-// statements, delta applies, rollbacks — hold it for their whole
-// statement; snapshot readers never take it.
-func (t *Table) Lock() { t.latch.Lock() }
-
-// TryLock acquires the write latch without blocking, reporting success.
-func (t *Table) TryLock() bool { return t.latch.TryLock() }
-
-// Unlock releases the write latch.
-func (t *Table) Unlock() { t.latch.Unlock() }
-
 // SetVersionKey designates the column whose integer value identifies
 // the versioned object of each row (overriding the primary-key
 // default) and attaches the log the table reports bumps to.
@@ -436,28 +505,13 @@ func (t *Table) meta() ([]*Index, int, *VersionLog) {
 	return t.indexes, t.verPos, t.vlog
 }
 
-// versionKeys extracts the version keys of the given rows (non-integer
-// or NULL keys are skipped).
-func versionKeys(verPos int, rows ...Row) []int64 {
-	if verPos < 0 {
-		return nil
-	}
-	var keys []int64
-	for _, r := range rows {
-		if k, ok := rowVersionKey(r, verPos); ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 // NumRows reports the number of live rows (pending mutations of an
-// uncommitted statement included).
+// open unit included).
 func (t *Table) NumRows() int { return int(t.liveN.Load()) }
 
 // CreateIndex attaches a hash index on the named column and backfills
 // it from the current rows. Callers mutating concurrently must hold
-// the write latch (the engine does); snapshot readers only see the
+// the write latch (the engine's unit does); snapshot readers only see the
 // index after it is fully built.
 func (t *Table) CreateIndex(name, column string, unique bool) error {
 	pos := t.Schema.ColIndex(column)
@@ -566,8 +620,8 @@ func (t *Table) currentRow(id int) (Row, bool) {
 	return currentOf(sl[id])
 }
 
-// appendSlot publishes a new slot and returns its id. Caller holds the
-// write latch; the atomic header store releases the element write to
+// appendSlot publishes a new slot and returns its id. The caller's unit
+// holds the write latch; the atomic header store releases the element write to
 // concurrent readers.
 func (t *Table) appendSlot(s *slot) int {
 	old := t.slots.Load()
@@ -577,8 +631,8 @@ func (t *Table) appendSlot(s *slot) int {
 	return id
 }
 
-// InsertC validates and stores a row as a pending version in the
-// commit batch, returning its slot id. Caller holds the write latch.
+// InsertC validates a row and stages it in the unit as a pending
+// version, returning its slot id. The unit holds the table's latch.
 func (t *Table) InsertC(c *Commit, row Row) (int, error) {
 	r, err := t.checkRow(row)
 	if err != nil {
@@ -599,26 +653,17 @@ func (t *Table) InsertC(c *Commit, row Row) (int, error) {
 		ix.add(r[ix.colPos], id, true)
 	}
 	t.liveN.Add(1)
-	c.add(v, versionKeys(verPos, r), func() {
-		// Kill the slot: a tombstone at epoch 0 is dead to every snapshot.
-		dead := &version{}
-		s.head.Store(dead)
-		t.liveN.Add(-1)
-	})
+	c.pend = append(c.pend, staged{t, s, v})
+	c.addKey(verPos, r)
 	return id, nil
 }
 
-// UpdateC replaces the row with the given id as a pending version in
-// the commit batch. Caller holds the write latch.
+// UpdateC stages a replacement of the row with the given id in the unit
+// as a pending version. The unit holds the table's latch.
 func (t *Table) UpdateC(c *Commit, id int, row Row) error {
-	sl := *t.slots.Load()
-	if id < 0 || id >= len(sl) {
-		return fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
-	}
-	s := sl[id]
-	old, ok := currentOf(s)
-	if !ok {
-		return fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
+	s, old, err := t.liveSlot(id)
+	if err != nil {
+		return err
 	}
 	r, err := t.checkRow(row)
 	if err != nil {
@@ -633,8 +678,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 			return err
 		}
 	}
-	prev := s.head.Load()
-	v := &version{row: r, prev: prev}
+	v := &version{row: r, prev: s.head.Load()}
 	v.begin.Store(pendingEpoch)
 	s.head.Store(v)
 	for _, ix := range idxs {
@@ -642,109 +686,38 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 			ix.add(r[ix.colPos], id, false)
 		}
 	}
-	c.add(v, versionKeys(verPos, old, r), func() { s.head.Store(prev) })
+	c.pend = append(c.pend, staged{t, s, v})
+	c.addKey(verPos, old)
+	c.addKey(verPos, r)
 	return nil
 }
 
-// DeleteC tombstones the row with the given id as a pending version in
-// the commit batch. Caller holds the write latch.
+// DeleteC stages a tombstone for the row with the given id in the unit.
+// The unit holds the table's latch.
 func (t *Table) DeleteC(c *Commit, id int) error {
-	sl := *t.slots.Load()
-	if id < 0 || id >= len(sl) {
-		return fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
-	}
-	s := sl[id]
-	old, ok := currentOf(s)
-	if !ok {
-		return fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
+	s, old, err := t.liveSlot(id)
+	if err != nil {
+		return err
 	}
 	_, verPos, _ := t.meta()
-	prev := s.head.Load()
-	v := &version{prev: prev} // tombstone
+	v := &version{prev: s.head.Load()} // tombstone
 	v.begin.Store(pendingEpoch)
 	s.head.Store(v)
 	t.liveN.Add(-1)
-	c.add(v, versionKeys(verPos, old), func() {
-		s.head.Store(prev)
-		t.liveN.Add(1)
-	})
+	c.pend = append(c.pend, staged{t, s, v})
+	c.addKey(verPos, old)
 	return nil
 }
 
-// Insert validates and stores a row, committing it immediately under
-// its own epoch, and returns its slot id. (Single-mutation auto-commit;
-// the engine's statements use InsertC with a shared batch instead.)
-func (t *Table) Insert(row Row) (int, error) {
-	_, _, vlog := t.meta()
-	c := NewCommit(vlog)
-	id, err := t.InsertC(c, row)
-	if err != nil {
-		c.Abort()
-		return 0, err
-	}
-	c.Commit()
-	return id, nil
-}
-
-// Update replaces the row with the given id, committing immediately.
-func (t *Table) Update(id int, row Row) error {
-	_, _, vlog := t.meta()
-	c := NewCommit(vlog)
-	if err := t.UpdateC(c, id, row); err != nil {
-		c.Abort()
-		return err
-	}
-	c.Commit()
-	return nil
-}
-
-// Delete tombstones the row with the given id, committing immediately.
-func (t *Table) Delete(id int) error {
-	_, _, vlog := t.meta()
-	c := NewCommit(vlog)
-	if err := t.DeleteC(c, id); err != nil {
-		c.Abort()
-		return err
-	}
-	c.Commit()
-	return nil
-}
-
-// undelete revives a tombstoned row during rollback: a fresh version
-// carrying the deleted row is pushed onto the chain (the tombstone
-// stays visible to snapshots that saw the delete). Fails when another
-// row has taken a unique key in the meantime.
-func (t *Table) undelete(id int) error {
+// liveSlot resolves the slot of a row that is live at its chain head.
+func (t *Table) liveSlot(id int) (*slot, Row, error) {
 	sl := *t.slots.Load()
-	if id < 0 || id >= len(sl) {
-		return fmt.Errorf("storage: row %d of %s is not dead", id, t.Schema.Name)
-	}
-	s := sl[id]
-	h := s.head.Load()
-	if h == nil || h.row != nil || h.prev == nil || h.prev.row == nil {
-		return fmt.Errorf("storage: row %d of %s is not dead", id, t.Schema.Name)
-	}
-	row := h.prev.row
-	idxs, verPos, vlog := t.meta()
-	for _, ix := range idxs {
-		if err := ix.checkUnique(row[ix.colPos], id); err != nil {
-			return err
+	if id >= 0 && id < len(sl) {
+		if old, ok := currentOf(sl[id]); ok {
+			return sl[id], old, nil
 		}
 	}
-	c := NewCommit(vlog)
-	v := &version{row: row, prev: h}
-	v.begin.Store(pendingEpoch)
-	s.head.Store(v)
-	for _, ix := range idxs {
-		ix.add(row[ix.colPos], id, false)
-	}
-	t.liveN.Add(1)
-	c.add(v, versionKeys(verPos, row), func() {
-		s.head.Store(h)
-		t.liveN.Add(-1)
-	})
-	c.Commit()
-	return nil
+	return nil, nil, fmt.Errorf("storage: row %d of %s does not exist", id, t.Schema.Name)
 }
 
 // GetAt returns the row with the given id as visible at the snapshot
@@ -894,40 +867,4 @@ func (db *DB) DropTable(name string, ifExists bool) error {
 	}
 	delete(db.tables, key)
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Undo log
-
-// UndoKind discriminates undo records.
-type UndoKind uint8
-
-// Undo record kinds.
-const (
-	UndoInsert UndoKind = iota // row was inserted: delete it
-	UndoDelete                 // row was deleted: revive it
-	UndoUpdate                 // row was updated: restore Before
-)
-
-// Undo is one reversible mutation.
-type Undo struct {
-	Kind   UndoKind
-	Table  *Table
-	RowID  int
-	Before Row
-}
-
-// Apply reverses the recorded mutation as a fresh committed mutation
-// (rollback pushes new versions — it never rewrites history a snapshot
-// might be reading). The caller must hold the table's write latch.
-func (u Undo) Apply() error {
-	switch u.Kind {
-	case UndoInsert:
-		return u.Table.Delete(u.RowID)
-	case UndoDelete:
-		return u.Table.undelete(u.RowID)
-	case UndoUpdate:
-		return u.Table.Update(u.RowID, u.Before)
-	}
-	return fmt.Errorf("storage: unknown undo kind %d", u.Kind)
 }

@@ -128,9 +128,22 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	}
 }
 
-func TestDeleteAndUndelete(t *testing.T) {
+func TestDeleteAndAbortedDelete(t *testing.T) {
 	table := newTestTable(t)
 	id, _ := table.Insert(row(1, "a", 0))
+	// A delete staged in a unit that aborts leaves the row and its index
+	// entry as they were.
+	c := unitOf(table)
+	if err := table.DeleteC(c, id); err != nil {
+		t.Fatal(err)
+	}
+	c.Abort()
+	if _, ok := table.Get(id); !ok {
+		t.Error("aborted delete removed the row")
+	}
+	if got := table.IndexOn("id").Lookup(types.NewInt(1)); len(got) != 1 {
+		t.Errorf("aborted delete lost the index entry: %v", got)
+	}
 	if err := table.Delete(id); err != nil {
 		t.Fatal(err)
 	}
@@ -142,40 +155,6 @@ func TestDeleteAndUndelete(t *testing.T) {
 	}
 	if err := table.Delete(id); err == nil {
 		t.Error("double delete must fail")
-	}
-	// Undo via the undo record.
-	u := Undo{Kind: UndoDelete, Table: table, RowID: id}
-	if err := u.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := table.Get(id); !ok {
-		t.Error("undelete did not restore the row")
-	}
-	if got := table.IndexOn("id").Lookup(types.NewInt(1)); len(got) != 1 {
-		t.Errorf("undelete did not restore index: %v", got)
-	}
-}
-
-func TestUndoRecords(t *testing.T) {
-	table := newTestTable(t)
-	id, _ := table.Insert(row(1, "a", 0))
-	cur, _ := table.Get(id)
-	before := append(Row{}, cur...)
-	table.Update(id, row(1, "b", 1))
-	undo := Undo{Kind: UndoUpdate, Table: table, RowID: id, Before: before}
-	if err := undo.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := table.Get(id)
-	if r[1].Text() != "a" {
-		t.Errorf("undo update restored %v", r[1])
-	}
-	undoIns := Undo{Kind: UndoInsert, Table: table, RowID: id}
-	if err := undoIns.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	if table.NumRows() != 0 {
-		t.Error("undo insert did not delete")
 	}
 }
 

