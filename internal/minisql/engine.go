@@ -457,10 +457,10 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		if !st.IfNotExists || !t.HasIndex(st.Name) {
-			err = t.CreateIndex(st.Name, st.Column, st.Unique)
+		if st.IfNotExists && t.HasIndex(st.Name) {
+			return &Result{}, s.endWrite(c, own, nil)
 		}
-		if err := s.endWrite(c, own, err); err != nil {
+		if err := s.endWrite(c, own, t.CreateIndex(st.Name, st.Column, st.Unique)); err != nil {
 			return nil, err
 		}
 		s.db.plans.invalidateAll()
