@@ -41,7 +41,7 @@ type ActionResult struct {
 // could not detect newly inserted nodes.
 func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	// Query ships its one statement outside the fetcher, so the
 	// replica-staleness bound must be applied explicitly.
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
@@ -63,7 +63,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 		}
 		c.rememberType(n)
 		if c.strategy == costmodel.LateEval {
-			ok, err := c.localRowPermitted(n.Type, []string{ActionQuery, ActionAccess}, row)
+			ok, err := c.localRowPermitted(n.Type, ActionQuery, row)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +87,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 // object type is looked up (and cached), not assumed to be an assembly.
 func (c *Client) Expand(ctx context.Context, parent int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	rootType, err := c.fetch.LookupType(ctx, parent)
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func (c *Client) MultiLevelExpand(ctx context.Context, root int64) (*ActionResul
 
 func (c *Client) multiLevelExpand(ctx context.Context, root int64, action string) (*ActionResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	if c.strategy == costmodel.Recursive {
 		tree, received, _, err := c.fetch.FetchRecursive(ctx, root, action)
 		if err != nil {

@@ -83,6 +83,12 @@ type Client struct {
 	// preparedSQL holds the `?`-form (and rule-modified) text of every
 	// statement the client repeats; see statement.go.
 	preparedSQL map[stmtKey]preparedStmt
+	// predicates holds the compiled client-side rule predicates; see
+	// treecond.go.
+	predicates map[predKey]*predicate
+	// rulesGen is the rule table generation both tables were built
+	// from; beginAction recompiles when the table has moved on.
+	rulesGen uint64
 	// seen remembers the (action, target) pairs the client completed
 	// most recently, so countAction can flag repeats — the
 	// workload-shape signal that separates a repeat-heavy session (a
@@ -107,19 +113,38 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		rules = NewRuleTable()
 	}
 	c := &Client{
-		sql:         wire.NewClient(tr),
-		meter:       meter,
-		rules:       rules,
-		user:        user,
-		strategy:    strategy,
-		local:       &exec.Context{Funcs: minisql.BuiltinFuncs()},
-		preparedSQL: map[stmtKey]preparedStmt{},
-		types:       cache.New(typeCacheSize),
-		seen:        cache.New(seenActionsSize),
+		sql:      wire.NewClient(tr),
+		meter:    meter,
+		rules:    rules,
+		user:     user,
+		strategy: strategy,
+		local:    &exec.Context{Funcs: minisql.BuiltinFuncs()},
+		types:    cache.New(typeCacheSize),
+		seen:     cache.New(seenActionsSize),
 	}
 	c.writeSQL = c.sql
+	c.dropCompiled()
 	c.rebuildFetch()
 	return c
+}
+
+// dropCompiled empties the statement and predicate tables and records
+// the rule table generation they are rebuilt from.
+func (c *Client) dropCompiled() {
+	c.preparedSQL = map[stmtKey]preparedStmt{}
+	c.predicates = map[predKey]*predicate{}
+	c.rulesGen = c.rules.gen.Load()
+}
+
+// beginAction starts one user action. Rules added since the last action
+// take effect here: the compiled tables are dropped and the read path
+// rebuilt, since the structure cache keys its profile by generation.
+func (c *Client) beginAction() {
+	if c.rules.gen.Load() != c.rulesGen {
+		c.dropCompiled()
+		c.rebuildFetch()
+	}
+	c.fetch.BeginAction()
 }
 
 // rebuildFetch composes the client's read path from the configured
@@ -161,7 +186,7 @@ func (c *Client) SetStrategy(s costmodel.Strategy) {
 		return
 	}
 	c.strategy = s
-	c.preparedSQL = map[stmtKey]preparedStmt{}
+	c.dropCompiled()
 	c.rebuildFetch()
 }
 
@@ -387,13 +412,13 @@ func ruleTableID(rt *RuleTable) uint64 {
 }
 
 // cacheProfile fingerprints everything a cached read result depends on
-// besides its key: the user context, the rule table identity and the
-// strategy. Sessions sharing a store only share entries when their
-// profiles match, so differing rules or users can never leak results
-// to each other.
+// besides its key: the user context, the rule table identity and
+// generation, and the strategy. Sessions sharing a store only share
+// entries when their profiles match, so differing rules or users can
+// never leak results to each other.
 func (c *Client) cacheProfile() string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d",
-		c.cacheNS, c.user.Name, c.user.Options, c.user.EffFrom, c.user.EffTo, c.strategy, ruleTableID(c.rules))
+	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d\x00%d",
+		c.cacheNS, c.user.Name, c.user.Options, c.user.EffFrom, c.user.EffTo, c.strategy, ruleTableID(c.rules), c.rulesGen)
 }
 
 // invalidateCache drops every cached entry depending on the given

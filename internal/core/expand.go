@@ -30,6 +30,11 @@ func (c *Client) expandRequest(parent int64, action string) (*wire.Request, erro
 func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, []int64, error) {
 	var out []*Node
 	allIDs := make([]int64, 0, len(rows))
+	late := c.strategy == costmodel.LateEval
+	var link *predicate
+	if late {
+		link = c.predicate(KindRow, "link", action)
+	}
 	for _, row := range rows {
 		n, err := decodeNode(row)
 		if err != nil {
@@ -37,9 +42,9 @@ func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, [
 		}
 		allIDs = append(allIDs, n.ObID)
 		c.rememberType(n)
-		if c.strategy == costmodel.LateEval {
+		if late {
 			// Link traversal rules (structure options, effectivities).
-			ok, err := c.localRowPermitted("link", []string{action, ActionAccess}, row)
+			ok, err := c.permits(link, row)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -47,7 +52,7 @@ func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, [
 				continue
 			}
 			// Row conditions on the child's object type.
-			ok, err = c.localRowPermitted(n.Type, []string{action, ActionAccess}, row)
+			ok, err = c.localRowPermitted(n.Type, action, row)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -26,7 +26,7 @@ func (c *Client) probeRequest(r Rule, n *Node) (*wire.Request, error) {
 // navigational client cannot avoid.
 func (w *wireFetcher) probeExistsStructure(ctx context.Context, n *Node, action string) (bool, error) {
 	c := w.c
-	rules := c.rules.Relevant(c.user.Name, []string{action, ActionAccess}, n.Type, KindExistsStructure)
+	rules := c.predicate(KindExistsStructure, n.Type, action).rules
 	if len(rules) == 0 {
 		return true, nil
 	}
@@ -65,8 +65,7 @@ func (w *wireFetcher) probeExistsStructureBatched(ctx context.Context, children 
 	permit := map[nodeRef]bool{}
 	for i, ns := range children {
 		for j, n := range ns {
-			rules := c.rules.Relevant(c.user.Name, []string{action, ActionAccess}, n.Type, KindExistsStructure)
-			for _, r := range rules {
+			for _, r := range c.predicate(KindExistsStructure, n.Type, action).rules {
 				req, err := c.probeRequest(r, n)
 				if err != nil {
 					return nil, err

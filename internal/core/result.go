@@ -180,6 +180,13 @@ func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
 // conditions can be evaluated client-side against received objects.
 func nodeToUnifiedRow(n *Node) storage.Row {
 	row := make(storage.Row, len(UnifiedCols))
+	fillUnifiedRow(row, n)
+	return row
+}
+
+// fillUnifiedRow writes a Node's unified projection into row, which has
+// len(UnifiedCols) columns.
+func fillUnifiedRow(row storage.Row, n *Node) {
 	row[colType] = types.NewText(n.Type)
 	row[colObID] = types.NewInt(n.ObID)
 	row[colName] = types.NewText(n.Name)
@@ -204,5 +211,4 @@ func nodeToUnifiedRow(n *Node) storage.Row {
 		row[colEffTo] = types.Null
 		row[colStrcOpt] = types.Null
 	}
-	return row
 }

@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"pdmtune/internal/minisql/ast"
 	"pdmtune/internal/minisql/parser"
@@ -128,6 +129,10 @@ func sqlText(s string) string {
 // defining the rule — in ... a table ... at each client").
 type RuleTable struct {
 	rules []Rule
+	// gen counts the rules added. A client compiles the table into
+	// statement texts and predicates once, and recompiles at the start of
+	// the first action that sees gen move.
+	gen atomic.Uint64
 }
 
 // NewRuleTable returns an empty rule table.
@@ -145,6 +150,7 @@ func (rt *RuleTable) Add(r Rule) error {
 		return fmt.Errorf("core: rule condition does not translate to SQL: %v", err)
 	}
 	rt.rules = append(rt.rules, r)
+	rt.gen.Add(1)
 	return nil
 }
 
@@ -193,7 +199,8 @@ func (rt *RuleTable) Relevant(user string, actions []string, objType string, kin
 
 // disjunction parses and OR-combines the conditions of a rule group
 // after binding the user environment (Section 5.5: "form the disjunction
-// of all conditions found").
+// of all conditions found"). The query modificator calls it once per
+// statement text, the client once per compiled predicate (treecond.go).
 func disjunction(rules []Rule, u UserContext) (ast.Expr, error) {
 	var preds []ast.Expr
 	for _, r := range rules {

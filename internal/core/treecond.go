@@ -8,26 +8,73 @@ import (
 
 // Client-side rule evaluation: the row-condition filtering of the late
 // strategy and the tree conditions (∀rows, tree aggregates) no
-// navigational query can carry (Section 4.1).
+// navigational query can carry (Section 4.1). The paper's client keeps
+// its rules translated "only once"; this client keeps them compiled once
+// as well, in a table beside the statement table (statement.go): every
+// client-side rule lookup goes through predicate.
 
-// localRowPermitted evaluates the disjunction of the user's row
-// conditions for an object type against a received unified row — the
-// client-side ("late") rule evaluation the paper starts from.
-func (c *Client) localRowPermitted(objType string, actions []string, row storage.Row) (bool, error) {
-	rules := c.rules.Relevant(c.user.Name, actions, objType, KindRow)
-	if len(rules) == 0 {
+// predKey identifies one compiled predicate. The user is fixed per
+// client and the actions are always {action, access}.
+type predKey struct {
+	kind            Kind
+	objType, action string
+}
+
+// predicate is one entry of the client's compiled rule table: the
+// relevant rules and their disjunction, parsed with the user environment
+// bound and its column references bound to positions in UnifiedCols. A
+// disjunction that does not parse is kept as err and fails the first
+// evaluation, as it would have failed the first row parsed for it.
+type predicate struct {
+	rules []Rule
+	expr  ast.Expr
+	bound *exec.Bound
+	err   error
+}
+
+// predicate returns the compiled predicate of a (kind, object type,
+// action), building it on first use.
+func (c *Client) predicate(kind Kind, objType, action string) *predicate {
+	k := predKey{kind: kind, objType: objType, action: action}
+	if p, ok := c.predicates[k]; ok {
+		return p
+	}
+	p := &predicate{rules: c.rules.Relevant(c.user.Name, []string{action, ActionAccess}, objType, kind)}
+	if len(p.rules) > 0 {
+		if p.expr, p.err = disjunction(p.rules, c.user); p.err == nil {
+			// Tree conditions range over the unified recursion table.
+			alias := objType
+			if kind != KindRow {
+				alias = RecTable
+			}
+			p.bound = exec.Bind(p.expr, unifiedColsFor(alias))
+		}
+	}
+	c.predicates[k] = p
+	return p
+}
+
+// permits evaluates a predicate against one unified row in place. A
+// predicate without rules permits everything.
+func (c *Client) permits(p *predicate, row storage.Row) (bool, error) {
+	if len(p.rules) == 0 {
 		return true, nil
 	}
-	pred, err := disjunction(rules, c.user)
-	if err != nil {
-		return false, err
+	if p.err != nil {
+		return false, p.err
 	}
-	env := exec.NewEnv(unifiedColsFor(objType), row, nil)
-	v, err := c.local.EvalExpr(pred, env)
+	v, err := c.local.EvalBound(p.bound, row)
 	if err != nil {
 		return false, err
 	}
 	return boolValue(v), nil
+}
+
+// localRowPermitted evaluates the disjunction of the user's row
+// conditions for an object type against a received unified row — the
+// client-side ("late") rule evaluation the paper starts from.
+func (c *Client) localRowPermitted(objType, action string, row storage.Row) (bool, error) {
+	return c.permits(c.predicate(KindRow, objType, action), row)
 }
 
 // unifiedColsFor binds the unified columns under an object type's alias
@@ -44,30 +91,22 @@ func unifiedColsFor(objType string) []exec.ColMeta {
 // fetched tree (late/early navigational strategies). It reports whether
 // the tree survives.
 func (c *Client) clientTreeConditions(tree *Tree, action string) (bool, error) {
-	actions := []string{action, ActionAccess}
-
-	// ∀rows: every node must meet the row condition.
-	forall := c.rules.Relevant(c.user.Name, actions, TreeObjType, KindForAllRows)
-	if len(forall) > 0 {
-		pred, err := disjunction(forall, c.user)
-		if err != nil {
-			return false, err
+	// ∀rows: every node must meet the row condition, evaluated on each
+	// node re-projected into one reused row.
+	forall := c.predicate(KindForAllRows, TreeObjType, action)
+	if len(forall.rules) > 0 {
+		if forall.err != nil {
+			return false, forall.err
 		}
+		row := make(storage.Row, len(UnifiedCols))
 		holds := true
 		var evalErr error
 		tree.Walk(func(n *Node) {
 			if !holds || evalErr != nil {
 				return
 			}
-			env := exec.NewEnv(unifiedColsFor(RecTable), nodeToUnifiedRow(n), nil)
-			v, err := c.local.EvalExpr(pred, env)
-			if err != nil {
-				evalErr = err
-				return
-			}
-			if !boolValue(v) {
-				holds = false
-			}
+			fillUnifiedRow(row, n)
+			holds, evalErr = c.permits(forall, row)
 		})
 		if evalErr != nil {
 			return false, evalErr
@@ -79,9 +118,12 @@ func (c *Client) clientTreeConditions(tree *Tree, action string) (bool, error) {
 
 	// Tree aggregates: bind the fetched tree as the recursion table and
 	// evaluate the condition over it.
-	aggs := c.rules.Relevant(c.user.Name, actions, TreeObjType, KindTreeAggregate)
-	if len(aggs) > 0 {
-		ok, err := c.evalTreeAggregatesLocally(tree, aggs)
+	aggs := c.predicate(KindTreeAggregate, TreeObjType, action)
+	if len(aggs.rules) > 0 {
+		if aggs.err != nil {
+			return false, aggs.err
+		}
+		ok, err := c.evalTreeAggregatesLocally(tree, aggs.expr)
 		if err != nil || !ok {
 			return false, err
 		}
@@ -92,15 +134,11 @@ func (c *Client) clientTreeConditions(tree *Tree, action string) (bool, error) {
 // evalTreeAggregatesLocally binds the fetched nodes as rtbl, the
 // relation the aggregate conditions range over, and evaluates their
 // disjunction against it.
-func (c *Client) evalTreeAggregatesLocally(tree *Tree, rules []Rule) (bool, error) {
+func (c *Client) evalTreeAggregatesLocally(tree *Tree, pred ast.Expr) (bool, error) {
 	rtbl := &exec.Relation{Cols: unifiedColsFor(RecTable)}
 	tree.Walk(func(n *Node) {
 		rtbl.Rows = append(rtbl.Rows, nodeToUnifiedRow(n))
 	})
-	pred, err := disjunction(rules, c.user)
-	if err != nil {
-		return false, err
-	}
 	ctx := &exec.Context{
 		Funcs:         c.local.Funcs,
 		CTEs:          map[string]*exec.Relation{RecTable: rtbl},

@@ -71,7 +71,7 @@ func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, in
 // builder, so every strategy filters late here).
 func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 				return nil, err
 			}
 			c.rememberType(n)
-			ok, err := c.localRowPermitted(n.Type, []string{ActionWhereUsed, ActionAccess}, row)
+			ok, err := c.localRowPermitted(n.Type, ActionWhereUsed, row)
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +134,7 @@ type ECOResult struct {
 // structures covering the changed objects are invalidated locally.
 func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ type ReportResult struct {
 // so there the statement runs at the primary as a fall-through read.
 func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) {
 	before := c.snapshot()
-	c.fetch.BeginAction()
+	c.beginAction()
 	if err := c.fetch.EnsureFresh(ctx); err != nil {
 		return nil, err
 	}

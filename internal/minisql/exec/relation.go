@@ -139,6 +139,52 @@ func NewEnv(cols []ColMeta, row storage.Row, parent *Env) *Env {
 	return &Env{cols: cols, row: row, parent: parent}
 }
 
+// Bound is an expression bound once to the positions of a fixed column
+// list, to be evaluated against many rows of that layout (EvalBound) —
+// the scope of a SELECT core, without the core. It is not safe for
+// concurrent use.
+type Bound struct {
+	expr  ast.Expr
+	scope coreScope
+}
+
+// Bind numbers the direct column references of e (those outside its
+// subqueries, which bind in their own scope when they run) and binds
+// each to its position in cols. Bind writes the references' slots, so e
+// must not be shared with another binding. A reference that does not
+// name exactly one column of cols stays unbound: evaluation resolves it
+// by name and reports its error only when it reaches it.
+func Bind(e ast.Expr, cols []ColMeta) *Bound {
+	b := &Bound{expr: e}
+	b.scope.Env = Env{cols: cols, slots: &b.scope.table}
+	slot := 0
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Select:
+			return false
+		case *ast.ColumnRef:
+			slot++
+			n.Slot = slot
+			if slot <= maxSlots {
+				if at, err := resolve(n, cols, nil); err == nil {
+					b.scope.table[slot-1] = at
+				}
+			}
+		}
+		return true
+	})
+	return b
+}
+
+// EvalBound evaluates a bound expression against one row of its
+// columns. The binding itself costs no allocation per row.
+func (ctx *Context) EvalBound(b *Bound, row storage.Row) (types.Value, error) {
+	b.scope.row = row
+	v, err := ctx.EvalExpr(b.expr, &b.scope.Env)
+	b.scope.row = nil
+	return v, err
+}
+
 // column reads a column reference in this scope: through the slot table
 // when this is the scope of the reference's own core, else by name.
 func (e *Env) column(ref *ast.ColumnRef) (types.Value, error) {

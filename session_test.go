@@ -3,6 +3,7 @@ package pdmtune_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -121,6 +122,50 @@ func TestWithRulesOverridesClientRules(t *testing.T) {
 	for _, id := range treeIDs(t, res) {
 		if id == 3 {
 			t.Error("bought assembly 3 visible despite WithRules row condition")
+		}
+	}
+}
+
+// TestRuleAddedAfterFirstActionApplies: a rule added to a session's rule
+// table between two actions governs the second one, under every
+// strategy and with or without a structure cache — the rule-modified
+// statement texts, the compiled client-side predicates and the cache
+// profile all follow the table.
+func TestRuleAddedAfterFirstActionApplies(t *testing.T) {
+	sys := pdmtune.NewSystem(nil)
+	if err := sys.LoadPaperExample(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, strat := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
+		for _, cached := range []bool{false, true} {
+			rules := pdmtune.StandardRules()
+			opts := []pdmtune.Option{pdmtune.WithUser(pdmtune.DefaultUser("scott")),
+				pdmtune.WithStrategy(strat), pdmtune.WithRules(rules)}
+			if cached {
+				opts = append(opts, pdmtune.WithCache(1024))
+			}
+			sess, err := sys.Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visible3 := func() bool {
+				res, err := sess.MultiLevelExpand(ctx, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return slices.Contains(treeIDs(t, res), 3)
+			}
+			if !visible3() {
+				t.Fatalf("%v cached=%v: assembly 3 hidden before any rule hides it", strat, cached)
+			}
+			rules.MustAdd(pdmtune.Rule{
+				User: "scott", Action: "multi-level-expand", ObjType: "assy",
+				Kind: pdmtune.KindRow, Cond: "assy.make_or_buy <> 'buy'",
+			})
+			if visible3() {
+				t.Errorf("%v cached=%v: bought assembly 3 visible after the rule hiding it was added", strat, cached)
+			}
 		}
 	}
 }
