@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Micro-benchmarks for the CPU-vs-bandwidth tradeoff of the result
 // encodings: ns/op is what the server pays per frame, the wire_bytes
@@ -12,15 +15,23 @@ import "testing"
 
 func benchResult() *Response { return nodeShapedResult(1000) }
 
+// BenchmarkEncodeResultV1 also encodes a Query-sized result: 30,000 rows
+// make a frame past the pool's buffer cap, which is sized once and
+// allocated once.
 func BenchmarkEncodeResultV1(b *testing.B) {
-	resp := benchResult()
-	var body []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body = EncodeResponse(resp)
+	for _, rows := range []int{1000, 30000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			resp := nodeShapedResult(rows)
+			var body []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body = EncodeResponse(resp)
+				putFrame(body)
+			}
+			b.ReportMetric(float64(len(body)), "wire_bytes")
+		})
 	}
-	b.ReportMetric(float64(len(body)), "wire_bytes")
 }
 
 func BenchmarkEncodeResultV2(b *testing.B) {

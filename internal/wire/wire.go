@@ -257,13 +257,45 @@ func DecodeRequest(b []byte) (*Request, error) {
 	return req, nil
 }
 
-// EncodeResponse serializes a response frame body.
+// EncodeResponse serializes a response frame body. The frame is sized
+// exactly first and then filled into one buffer — pooled when one is
+// large enough, else allocated at that size — so a multi-megabyte
+// result is never grown by doubling.
 func EncodeResponse(resp *Response) []byte {
+	return appendResponse(getFrameN(responseSize(resp))[:0], resp)
+}
+
+// responseSize is the length of resp's v1 encoding.
+func responseSize(resp *Response) int {
 	if resp.Err != "" {
-		b := append(getFrame(), TypeError)
+		return 1 + 4 + len(resp.Err)
+	}
+	n := 1 + 8 + 4 + 4 + 4
+	for _, c := range resp.Cols {
+		n += 4 + len(c)
+	}
+	for _, row := range resp.Rows {
+		for j := range row {
+			switch v := &row[j]; v.Kind() {
+			case types.KindInt, types.KindFloat:
+				n += 9
+			case types.KindText:
+				n += 5 + len(v.Text())
+			default:
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// appendResponse appends resp's v1 encoding to b.
+func appendResponse(b []byte, resp *Response) []byte {
+	if resp.Err != "" {
+		b = append(b, TypeError)
 		return appendString(b, resp.Err)
 	}
-	b := append(getFrame(), TypeResult)
+	b = append(b, TypeResult)
 	b = appendUint64(b, resp.Epoch)
 	b = appendUint32(b, uint32(resp.RowsAffected))
 	b = appendUint32(b, uint32(len(resp.Cols)))
@@ -587,14 +619,19 @@ func DecodeBatch(b []byte) ([]*Request, error) {
 // Under stop-on-first-error semantics the slice holds one response per
 // executed statement; a trailing error response marks where execution
 // stopped.
+// Like EncodeResponse, it sizes the whole frame first and encodes every
+// sub-frame in place.
 func EncodeBatchResponse(resps []*Response) []byte {
-	b := append(getFrame(), TypeBatchResp)
+	n := 1 + 4
+	for _, resp := range resps {
+		n += 4 + responseSize(resp)
+	}
+	b := append(getFrameN(n)[:0], TypeBatchResp)
 	b = appendUint32(b, uint32(len(resps)))
 	for _, resp := range resps {
-		sub := EncodeResponse(resp)
-		b = appendUint32(b, uint32(len(sub)))
-		b = append(b, sub...)
-		putFrame(sub)
+		at := len(b)
+		b = appendResponse(appendUint32(b, 0), resp)
+		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
 	return b
 }

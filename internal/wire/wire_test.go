@@ -88,6 +88,43 @@ func TestErrorResponse(t *testing.T) {
 	}
 }
 
+// TestResponseFramesSizedExactly: the v1 encoders size a frame before
+// filling it, so every frame — an error, an empty result, every value
+// kind, a batch of them — is exactly as long as its sizing pass said,
+// and a frame too large for the pool is allocated at its length.
+func TestResponseFramesSizedExactly(t *testing.T) {
+	resps := []*Response{
+		{Err: "boom"},
+		{},
+		{Cols: []string{"a", "bb"}, Rows: []storage.Row{
+			{types.NewInt(1), types.NewText("x")}, {types.Null, types.NewBool(true)},
+			{types.NewFloat(0.5), types.NewText("")}, {types.NewBool(false), types.Null},
+		}, RowsAffected: 7, Epoch: 3},
+		nodeShapedResult(100),
+	}
+	for i, resp := range resps {
+		if got, want := len(EncodeResponse(resp)), responseSize(resp); got != want {
+			t.Errorf("response %d: encoded %d bytes, sized %d", i, got, want)
+		}
+	}
+	batch := EncodeBatchResponse(resps)
+	subs, err := DecodeBatchResponse(batch)
+	if err != nil || len(subs) != len(resps) {
+		t.Fatalf("batch round trip: %d responses, %v", len(subs), err)
+	}
+	if !reflect.DeepEqual(subs[3], resps[3]) || subs[0].Err != "boom" {
+		t.Errorf("batch sub-frames corrupted")
+	}
+	if want := 5 + 4*len(resps) + responseSize(resps[0]) + responseSize(resps[1]) +
+		responseSize(resps[2]) + responseSize(resps[3]); len(batch) != want {
+		t.Errorf("batch encoded %d bytes, want %d", len(batch), want)
+	}
+	big := EncodeResponse(nodeShapedResult(30000))
+	if len(big) <= maxPooledBuf || cap(big) != len(big) {
+		t.Errorf("30,000-row frame: len %d cap %d, want one exact allocation past %d", len(big), cap(big), maxPooledBuf)
+	}
+}
+
 func TestDecodeGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {0x99}, {TypeRequest}, {TypeResult, 1}} {
 		if _, err := DecodeResponse(b); err == nil && len(b) > 0 && b[0] == TypeResult {
