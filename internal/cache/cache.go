@@ -117,23 +117,30 @@ func (s *Store) Get(key Key) (Entry, bool) {
 }
 
 // Put stores an entry under the key, replacing any previous entry and
-// evicting the least recently used entries beyond the bound.
+// evicting the least recently used entry beyond the bound. At the bound
+// the evicted element is recycled for the new entry, so a store that
+// churns allocates nothing per eviction.
 func (s *Store) Put(key Key, e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	el, ok := s.items[key]
+	switch {
+	case ok:
 		s.unindex(key, el.Value.(*slot).entry)
-		el.Value.(*slot).entry = e
-		s.index(key, e)
-		s.ll.MoveToFront(el)
-		return
+	case s.ll.Len() < s.cap:
+		el = s.ll.PushFront(&slot{key: key})
+		s.items[key] = el
+	default:
+		el = s.ll.Back()
+		old := el.Value.(*slot)
+		delete(s.items, old.key)
+		s.unindex(old.key, old.entry)
+		old.key = key
+		s.items[key] = el
 	}
-	el := s.ll.PushFront(&slot{key: key, entry: e})
-	s.items[key] = el
+	el.Value.(*slot).entry = e
 	s.index(key, e)
-	for s.ll.Len() > s.cap {
-		s.removeElement(s.ll.Back())
-	}
+	s.ll.MoveToFront(el)
 }
 
 // Invalidate drops every entry (across all actions and profiles)

@@ -2,6 +2,9 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -93,6 +96,130 @@ func TestReplaceReindexes(t *testing.T) {
 	}
 	if n := s.Invalidate(20); n != 1 {
 		t.Errorf("Invalidate(20) dropped %d, want 1", n)
+	}
+}
+
+// refLRU is the naive reference store: a slice in recency order, most
+// recent first, searched linearly.
+type refLRU struct {
+	cap   int
+	slots []slot
+}
+
+func (r *refLRU) find(k Key) int {
+	return slices.IndexFunc(r.slots, func(s slot) bool { return s.key == k })
+}
+
+func (r *refLRU) get(k Key) (Entry, bool) {
+	i := r.find(k)
+	if i < 0 {
+		return Entry{}, false
+	}
+	s := r.slots[i]
+	r.slots = append([]slot{s}, slices.Delete(r.slots, i, i+1)...)
+	return s.entry, true
+}
+
+func (r *refLRU) put(k Key, e Entry) {
+	if i := r.find(k); i >= 0 {
+		r.slots = slices.Delete(r.slots, i, i+1)
+	}
+	r.slots = append([]slot{{key: k, entry: e}}, r.slots...)
+	if len(r.slots) > r.cap {
+		r.slots = r.slots[:r.cap]
+	}
+}
+
+func (r *refLRU) invalidate(ids ...int64) int {
+	kept := r.slots[:0:0]
+	for _, s := range r.slots {
+		if !slices.ContainsFunc(s.entry.InvalidateIDs, func(id int64) bool { return slices.Contains(ids, id) }) {
+			kept = append(kept, s)
+		}
+	}
+	dropped := len(r.slots) - len(kept)
+	r.slots = kept
+	return dropped
+}
+
+// TestStoreMatchesReferenceLRU: over random Put/Get/Invalidate
+// sequences the store holds the same entries in the same recency order
+// as the naive reference — so it evicts the same ones — with the same
+// Len, Get results, Invalidate counts and a reverse index naming
+// exactly the resident entries.
+func TestStoreMatchesReferenceLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		size := 1 + rng.Intn(6)
+		s, ref := New(size), &refLRU{cap: size}
+		randKey := func() Key { return Key{ID: int64(rng.Intn(12)), Action: []string{"mle", "expand"}[rng.Intn(2)]} }
+		for op := 0; op < 200; op++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				k := randKey()
+				ids := make([]int64, rng.Intn(3))
+				for i := range ids {
+					ids[i] = int64(rng.Intn(12))
+				}
+				e := Entry{Value: op, InvalidateIDs: ids}
+				s.Put(k, e)
+				ref.put(k, e)
+			case 2:
+				k := randKey()
+				got, ok := s.Get(k)
+				want, wantOK := ref.get(k)
+				if ok != wantOK || got.Value != want.Value {
+					t.Fatalf("round %d op %d: Get(%v) = %v, %v; reference %v, %v", round, op, k, got.Value, ok, want.Value, wantOK)
+				}
+			default:
+				ids := []int64{int64(rng.Intn(12)), int64(rng.Intn(12))}
+				if got, want := s.Invalidate(ids...), ref.invalidate(ids...); got != want {
+					t.Fatalf("round %d op %d: Invalidate(%v) = %d, reference %d", round, op, ids, got, want)
+				}
+			}
+			if s.Len() != len(ref.slots) {
+				t.Fatalf("round %d op %d: Len %d, reference %d", round, op, s.Len(), len(ref.slots))
+			}
+			var order []Key
+			for el := s.ll.Front(); el != nil; el = el.Next() {
+				order = append(order, el.Value.(*slot).key)
+			}
+			var want []Key
+			index := map[int64]map[Key]struct{}{}
+			for _, sl := range ref.slots {
+				want = append(want, sl.key)
+				for _, id := range sl.entry.InvalidateIDs {
+					if index[id] == nil {
+						index[id] = map[Key]struct{}{}
+					}
+					index[id][sl.key] = struct{}{}
+				}
+			}
+			if !slices.Equal(order, want) {
+				t.Fatalf("round %d op %d: recency order %v, reference %v", round, op, order, want)
+			}
+			if len(s.items) != len(want) || !reflect.DeepEqual(s.byID, index) {
+				t.Fatalf("round %d op %d: %d indexed keys, reverse index %v; reference %v", round, op, len(s.items), s.byID, index)
+			}
+		}
+	}
+}
+
+// TestEvictingPutAllocatesNothing: at the bound, Put recycles the
+// evicted element for the new entry.
+func TestEvictingPutAllocatesNothing(t *testing.T) {
+	s := New(64)
+	var v any = "assy"
+	id := int64(0)
+	put := func() {
+		id++
+		s.Put(Key{ID: id, Action: "\x00type"}, Entry{Value: v})
+	}
+	for i := 0; i < 64; i++ {
+		put()
+	}
+	if n := testing.AllocsPerRun(1000, put); n > 0.05 {
+		t.Errorf("an evicting Put allocates %.2f times, want 0", n)
 	}
 }
 
