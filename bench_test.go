@@ -410,6 +410,36 @@ func BenchmarkEngineQueryAll(b *testing.B) {
 	b.Run("d7_b5", run(getFixture(b, 2)))
 }
 
+// BenchmarkEngineReport measures the server side of the Report action
+// alone: one aggregate row per node table over the product (COUNT(*), a
+// float SUM and a SUM over CASE), keyed by the tables' prod index — every
+// node row of the product is read and folded into three accumulators.
+func BenchmarkEngineReport(b *testing.B) {
+	run := func(f *fixture) func(*testing.B) {
+		return func(b *testing.B) {
+			sql, prod := core.BuildReportQuery().String(), types.NewInt(f.prod.Config.ProdID)
+			sess := f.sys.DB.NewSession()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sess.Exec(sql, prod, prod)
+				if err != nil {
+					b.Fatal(err)
+				}
+				want := 1 + f.prod.AllNodes() // the root is a node of the product too
+				if n := res.Rows[0][0].Int() + res.Rows[1][0].Int(); n != int64(want) {
+					b.Fatalf("Report counted %d nodes, ground truth %d", n, want)
+				}
+			}
+		}
+	}
+	b.Run("d3_b9", run(getFixture(b, 0)))
+	if testing.Short() {
+		return
+	}
+	b.Run("d7_b5", run(getFixture(b, 2)))
+}
+
 // TestRecursiveMLECostFollowsSubtree states what the index probe of the
 // Section 5.2 statement's link branch is for: a recursive MLE of a small
 // product allocates the same — within 5 % — whether the product is alone

@@ -557,27 +557,17 @@ func (s *Session) execInsert(st *ast.Insert, params []Value) (*Result, error) {
 		}
 	}
 
-	buildRow := func(values []Value) (storage.Row, error) {
-		if len(values) != len(positions) {
-			return nil, fmt.Errorf("sql: INSERT expects %d values, got %d", len(positions), len(values))
+	// Every row starts as the template — the defaults, or NULLs, of the
+	// columns the statement does not name — in one scratch row that
+	// InsertC copies into the unit's slab.
+	tmpl := make(storage.Row, len(schema.Cols))
+	for i, col := range schema.Cols {
+		tmpl[i] = types.Null
+		if col.HasDefault {
+			tmpl[i] = col.Default
 		}
-		row := make(storage.Row, len(schema.Cols))
-		filled := make([]bool, len(schema.Cols))
-		for i, p := range positions {
-			row[p] = values[i]
-			filled[p] = true
-		}
-		for i := range row {
-			if !filled[i] {
-				if schema.Cols[i].HasDefault {
-					row[i] = schema.Cols[i].Default
-				} else {
-					row[i] = types.Null
-				}
-			}
-		}
-		return row, nil
 	}
+	row := make(storage.Row, len(schema.Cols))
 
 	c, own, err := s.writeUnit(table)
 	if err != nil {
@@ -586,11 +576,14 @@ func (s *Session) execInsert(st *ast.Insert, params []Value) (*Result, error) {
 	ctx := s.newContext(params, 0)
 	n := 0
 	insert := func(values []Value) error {
-		r, err := buildRow(values)
-		if err != nil {
-			return err
+		if len(values) != len(positions) {
+			return fmt.Errorf("sql: INSERT expects %d values, got %d", len(positions), len(values))
 		}
-		if _, err := table.InsertC(c, r); err != nil {
+		copy(row, tmpl)
+		for i, p := range positions {
+			row[p] = values[i]
+		}
+		if _, err := table.InsertC(c, row); err != nil {
 			return err
 		}
 		n++
@@ -602,21 +595,24 @@ func (s *Session) execInsert(st *ast.Insert, params []Value) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			for _, row := range rel.Rows {
-				if err := insert(row); err != nil {
+			c.ReserveInserts(table, len(rel.Rows))
+			for _, r := range rel.Rows {
+				if err := insert(r); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
+		c.ReserveInserts(table, len(st.Rows))
+		var values []Value
 		for _, exprRow := range st.Rows {
-			values := make([]Value, len(exprRow))
-			for i, e := range exprRow {
+			values = values[:0]
+			for _, e := range exprRow {
 				v, err := ctx.EvalExpr(e, nil)
 				if err != nil {
 					return err
 				}
-				values[i] = v
+				values = append(values, v)
 			}
 			if err := insert(values); err != nil {
 				return err
@@ -642,8 +638,9 @@ func (s *Session) execUpdate(st *ast.Update, params []Value) (*Result, error) {
 		}
 	}
 	cols := exec.TableCols(table, st.Table)
-	return s.execWrite(table, st.Where, params, func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error {
-		newRow := append(storage.Row{}, old...)
+	newRow := make(storage.Row, len(cols)) // UpdateC copies it into the unit's slab
+	return s.execWrite(table, st.Where, params, true, func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error {
+		copy(newRow, old)
 		env := exec.NewEnv(cols, old, nil)
 		for i, a := range st.Set {
 			v, err := ctx.EvalExpr(a.Value, env)
@@ -661,7 +658,7 @@ func (s *Session) execDelete(st *ast.Delete, params []Value) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: no such table %s", st.Table)
 	}
-	return s.execWrite(table, st.Where, params, func(_ *exec.Context, c *storage.Commit, id int, _ storage.Row) error {
+	return s.execWrite(table, st.Where, params, false, func(_ *exec.Context, c *storage.Commit, id int, _ storage.Row) error {
 		return table.DeleteC(c, id)
 	})
 }
@@ -671,7 +668,9 @@ func (s *Session) execDelete(st *ast.Delete, params []Value) (*Result, error) {
 // WHERE accepts — through the executor's access path, so a keyed write
 // reads only the rows its key selects — and only then mutate them, so
 // the read is never disturbed by the statement's own staged versions.
-func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value,
+// rows says every mutation stages a new row (UPDATE), which the unit
+// then reserves for the matched ids.
+func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value, rows bool,
 	mutate func(ctx *exec.Context, c *storage.Commit, id int, old storage.Row) error) (*Result, error) {
 	c, own, err := s.writeUnit(table)
 	if err != nil {
@@ -679,6 +678,9 @@ func (s *Session) execWrite(table *storage.Table, where ast.Expr, params []Value
 	}
 	ctx := s.newContext(params, 0)
 	ids, err := ctx.MatchIDs(table, where)
+	if err == nil && rows {
+		c.ReserveUpdates(table, len(ids))
+	}
 	for i := 0; err == nil && i < len(ids); i++ {
 		old, _ := table.GetAt(storage.Current, ids[i])
 		err = mutate(ctx, c, ids[i], old)

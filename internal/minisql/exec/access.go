@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -57,7 +58,13 @@ type access struct {
 	keys    keySet         // looked up in index
 	filters []keyFilter
 	sub     []*PlanNode // under EXPLAIN: the plans of the subqueries key sets come from
-	ids     []int       // lookup's scratch, reused from read to read
+	hits    []hit       // lookup's scratch, reused from read to read
+}
+
+// hit is a row an index lookup found, with its id.
+type hit struct {
+	id  int
+	row storage.Row
 }
 
 // keySet is the values a key conjunct admits for its column, NULLs
@@ -248,51 +255,55 @@ func (a *access) String() string {
 	return s
 }
 
-// lookup returns the ids of the rows whose indexed column equals one of
-// the keys, ascending. Ascending row id is scan order, so an index
+// lookup returns the rows whose indexed column equals one of several
+// keys, by ascending id. Ascending row id is scan order, so an index
 // returns exactly what the scan would, in the same order.
-func (a *access) lookup(snap uint64) []int {
-	ids := a.ids[:0]
+func (a *access) lookup(snap uint64) []hit {
+	hits := a.hits[:0]
 	for _, k := range a.keys.vals {
-		ids = a.index.LookupAt(ids, snap, k)
+		a.index.LookupAt(snap, k, func(id int, row storage.Row) bool {
+			hits = append(hits, hit{id, row})
+			return true
+		})
 	}
-	slices.Sort(ids)
-	a.ids = slices.Compact(ids) // a key written twice
-	return a.ids
+	slices.SortFunc(hits, func(x, y hit) int { return cmp.Compare(x.id, y.id) })
+	a.hits = slices.CompactFunc(hits, func(x, y hit) bool { return x.id == y.id }) // a key written twice
+	return a.hits
 }
 
 // read runs the decision: fn sees every row the access path selects, in
-// ascending row-id order, until it returns an error. Under EXPLAIN the
-// decision has been recorded and nothing is read.
+// ascending row-id order, until it returns an error. Each row is
+// resolved once, and one key streams straight from its index bucket.
+// Under EXPLAIN the decision has been recorded and nothing is read.
 func (ctx *Context) read(a *access, fn func(id int, row storage.Row) error) error {
 	if ctx.Plan != nil {
 		return nil
 	}
-	visit := func(id int, row storage.Row) error {
+	var err error
+	visit := func(id int, row storage.Row) bool {
 		for _, f := range a.filters {
-			if ok, err := f.admits(row[f.pos]); !ok {
-				return err
+			if ok, ferr := f.admits(row[f.pos]); !ok {
+				err = ferr
+				return ferr == nil
 			}
 		}
-		return fn(id, row)
+		err = fn(id, row)
+		return err == nil
 	}
 	snap := ctx.snap(a.table)
-	var err error
-	if a.index == nil {
-		a.table.ScanAt(snap, func(id int, row storage.Row) bool {
-			err = visit(id, row)
-			return err == nil
-		})
-		return err
-	}
-	for _, id := range a.lookup(snap) {
-		if row, ok := a.table.GetAt(snap, id); ok {
-			if err = visit(id, row); err != nil {
-				return err
+	switch {
+	case a.index == nil:
+		a.table.ScanAt(snap, visit)
+	case len(a.keys.vals) == 1:
+		a.index.LookupAt(snap, a.keys.vals[0], visit)
+	default:
+		for _, h := range a.lookup(snap) {
+			if !visit(h.id, h.row) {
+				break
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // MatchIDs gathers the ids of the rows of table that WHERE accepts — the

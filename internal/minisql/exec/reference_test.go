@@ -1147,11 +1147,25 @@ func (g *gen) statement() (sql string, ordered bool) {
 		arity = 2
 	case 10: // grouping and the five aggregates
 		agg := g.oneOf("COUNT(*)", "COUNT(t.val)", "COUNT(DISTINCT t.name)", "SUM(t.val)", "SUM(t.id)", "AVG(t.val)", "MIN(t.name)", "MAX(t.val)")
-		switch g.pick(3) {
+		// where is the statement's filter, now and then one that leaves no row.
+		where := func() string {
+			if g.pick(4) == 0 {
+				return " WHERE t.id < 0"
+			}
+			return g.where(t)
+		}
+		switch g.pick(5) {
 		case 0:
-			body, arity = "SELECT "+agg+", COUNT(*) FROM t"+g.where(t), 2
+			body, arity = "SELECT "+agg+", COUNT(*) FROM t"+where(), 2
 		case 1:
-			body, arity = "SELECT t.grp, "+agg+" FROM t"+g.where(t)+" GROUP BY t.grp", 2
+			body, arity = "SELECT t.grp, "+agg+" FROM t"+where()+" GROUP BY t.grp", 2
+		case 2: // the Report action's shape: a count, a float sum, a sum over CASE
+			body = "SELECT COUNT(*), SUM(t.val), SUM(CASE WHEN " + g.pred(t, 0) + " THEN 1 ELSE 0 END) FROM t" + where()
+			arity = 3
+		case 3: // HAVING without GROUP BY: the one group, kept or not
+			body = "SELECT " + agg + ", COUNT(*) FROM t" + where() +
+				" HAVING " + g.oneOf("COUNT(*)", "SUM(t.grp)", "MAX(t.id)") + g.oneOf(" > ", " <= ") + fmt.Sprint(g.pick(12))
+			arity = 2
 		default:
 			body = "SELECT t.grp, " + agg + " FROM t LEFT JOIN u ON t.id = u.tid" + g.where(t) +
 				" GROUP BY t.grp HAVING COUNT(*) " + g.oneOf(">", "<=") + " " + fmt.Sprint(1+g.pick(3))
@@ -1255,6 +1269,13 @@ func TestExecMatchesReference(t *testing.T) {
 			"SELECT * FROM u WHERE tid IN (4, 5)",
 			"DELETE FROM t WHERE id = 6",
 			"SELECT t.id, u.id FROM u LEFT JOIN t ON u.tid = t.id",
+			// Aggregates folded in the one pass over a filtered table: the
+			// Report shape, HAVING without GROUP BY, filters leaving no row.
+			"SELECT COUNT(*), SUM(val), SUM(CASE WHEN grp = 1 THEN 1 ELSE 0 END) FROM t WHERE grp IN (1, 2)",
+			"SELECT COUNT(*), SUM(val), SUM(CASE WHEN name IS NULL THEN 1 ELSE 0 END) FROM t WHERE id < 0",
+			"SELECT COUNT(*), MAX(val), COUNT(DISTINCT grp) FROM t HAVING COUNT(*) > 3",
+			"SELECT COUNT(*), MAX(val) FROM t WHERE id < 0 HAVING COUNT(*) > 0",
+			"SELECT grp, COUNT(*), AVG(val) FROM t WHERE id < 0 GROUP BY grp",
 			// A key set computed by a subquery: with NULLs and duplicates,
 			// empty, of a kind the column cannot be compared with, of mixed
 			// kinds; on indexed (id, tid, src, dst, name) and unindexed (val,

@@ -225,15 +225,20 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 		if len(left.Cols) != len(right.Cols) {
 			return nil, fmt.Errorf("sql: UNION operands have %d and %d columns", len(left.Cols), len(right.Cols))
 		}
-		if b.Op == "UNION ALL" {
-			return &Relation{Cols: left.Cols, Rows: append(append([]storage.Row{}, left.Rows...), right.Rows...)}, nil
+		if b.Op == "UNION ALL" { // left is this evaluation's own
+			left.Rows = append(left.Rows, right.Rows...)
+			return left, nil
 		}
 		return &Relation{Cols: left.Cols, Rows: distinctRows(left.Rows, right.Rows)}, nil
 	}
 	return nil, fmt.Errorf("sql: unknown select body %T", body)
 }
 
-// evalCore evaluates one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING.
+// evalCore evaluates one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING
+// in one pass over its rows: each row WHERE accepts is projected, or
+// accumulated into its group, as it is read. A stored table streams its
+// rows through its access path; a join, a CTE or a derived table is
+// materialized first and its rows go through the same loop.
 func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error) {
 	if ctx.Plan != nil {
 		line := "SELECT"
@@ -242,57 +247,85 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		}
 		defer ctx.under(ctx.note(line))()
 	}
-	src := &Relation{Rows: []storage.Row{{}}} // constant SELECT: one empty row
+	var acc *access           // a stored table's access path, or
+	rows := []storage.Row{{}} // the materialized rows (a constant SELECT: one empty row)
+	var cols []ColMeta
 	conjs := splitAnd(core.Where, nil)
 	if core.From != nil {
-		_, single := core.From.(*ast.BaseTable)
-		rel, err := ctx.evalFrom(core.From, outer, conjs, single, true)
+		var err error
+		if bt, ok := core.From.(*ast.BaseTable); ok && !ctx.isCTE(bt) {
+			acc, cols, err = ctx.tableAccess(bt, outer, conjs, true)
+		} else {
+			var rel *Relation
+			if rel, err = ctx.evalFrom(core.From, outer, conjs, false, true); err == nil {
+				rows, cols = rel.Rows, rel.Cols
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		src = rel
 	}
 	ctx.noteFilter(conjs)
 
 	// Every clause below evaluates in this one scope, its column
 	// references bound to positions before the first row.
 	scope := &coreScope{}
-	scope.Env = Env{cols: src.Cols, parent: outer, slots: &scope.table}
+	scope.Env = Env{cols: cols, parent: outer, slots: &scope.table}
 	env := &scope.Env
 	if err := bindColumnRefs(core, env); err != nil {
 		return nil, err
 	}
+	outCols, plan, err := projectionPlan(core.Items, cols)
+	if err != nil {
+		return nil, err
+	}
+	out := &Relation{Cols: outCols}
+	var groups *grouping
+	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
+		groups = newGrouping(core.GroupBy, aggs)
+	}
 
-	// Apply the WHERE conjuncts the FROM clause has not taken over.
-	filtered := src.Rows
-	if slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used }) {
-		filtered = nil
-		for _, row := range src.Rows {
-			env.row = row
-			ok, err := ctx.allTrue(conjs, -1, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, row)
+	// The one row loop: the WHERE conjuncts the FROM clause has not taken
+	// over, then the projection or the accumulation.
+	filter := slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used })
+	each := func(row storage.Row) error {
+		env.row = row
+		if filter {
+			if ok, err := ctx.allTrue(conjs, -1, env); !ok {
+				return err
 			}
 		}
+		if groups != nil {
+			return groups.add(ctx, env)
+		}
+		projected, err := ctx.projectRow(plan, env)
+		if err != nil {
+			return err
+		}
+		out.Rows = append(out.Rows, projected)
+		return nil
 	}
-	work := &Relation{Cols: src.Cols, Rows: filtered}
-
-	var err error
-	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
-		work, err = ctx.evalGrouped(core, work, aggs, env)
+	if acc != nil {
+		err = ctx.read(acc, func(_ int, row storage.Row) error { return each(row) })
 	} else {
-		work, err = ctx.project(core.Items, work, env)
+		for _, row := range rows {
+			if err = each(row); err != nil {
+				break
+			}
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if core.Distinct {
-		work.Rows = distinctRows(work.Rows)
+	if groups != nil {
+		if out.Rows, err = groups.project(ctx, core.Having, plan, env); err != nil {
+			return nil, err
+		}
 	}
-	return work, nil
+	if core.Distinct {
+		out.Rows = distinctRows(out.Rows)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -312,21 +345,14 @@ func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unq
 			}
 			return &Relation{Cols: rebind(rel.Cols, aliasOf(r)), Rows: rel.Rows}, nil
 		}
-		table, ok := ctx.DB.Table(r.Name)
-		if !ok {
-			return nil, fmt.Errorf("sql: no such table %s", r.Name)
-		}
 		if !pushable {
 			conjs = nil
 		}
-		acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
+		acc, cols, err := ctx.tableAccess(r, outer, conjs, unqualified)
 		if err != nil {
 			return nil, err
 		}
-		if ctx.Plan != nil {
-			ctx.note("%s", acc).Kids = acc.sub
-		}
-		rel := &Relation{Cols: TableCols(table, aliasOf(r))}
+		rel := &Relation{Cols: cols}
 		err = ctx.read(acc, func(_ int, row storage.Row) error {
 			rel.Rows = append(rel.Rows, row)
 			return nil
@@ -362,27 +388,34 @@ func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unq
 	return nil, fmt.Errorf("sql: unknown table reference %T", ref)
 }
 
+// isCTE reports whether a FROM clause's table name is bound to a CTE,
+// which takes precedence over a stored table of that name.
+func (ctx *Context) isCTE(r *ast.BaseTable) bool {
+	_, ok := ctx.CTEs[strings.ToLower(r.Name)]
+	return ok
+}
+
+// tableAccess resolves a stored table of a FROM clause and decides how
+// it is read for conjs (chooseAccess), noting the decision under
+// EXPLAIN; it returns the decision and the table's columns under its
+// alias.
+func (ctx *Context) tableAccess(r *ast.BaseTable, outer *Env, conjs []conjunct, unqualified bool) (*access, []ColMeta, error) {
+	table, ok := ctx.DB.Table(r.Name)
+	if !ok {
+		return nil, nil, fmt.Errorf("sql: no such table %s", r.Name)
+	}
+	acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ctx.Plan != nil {
+		ctx.note("%s", acc).Kids = acc.sub
+	}
+	return acc, TableCols(table, aliasOf(r)), nil
+}
+
 // ---------------------------------------------------------------------------
 // projection
-
-// project evaluates the items for every row of src, in the core's scope
-// env.
-func (ctx *Context) project(items []ast.SelectItem, src *Relation, env *Env) (*Relation, error) {
-	cols, plan, err := projectionPlan(items, src)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: cols, Rows: make([]storage.Row, 0, len(src.Rows))}
-	for _, row := range src.Rows {
-		env.row = row
-		outRow, err := ctx.projectRow(plan, env)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, outRow)
-	}
-	return out, nil
-}
 
 // projCol is one output column: the source column at pos or, with pos
 // negative, the value of expr.
@@ -391,7 +424,7 @@ type projCol struct {
 	expr ast.Expr
 }
 
-func projectionPlan(items []ast.SelectItem, src *Relation) ([]ColMeta, []projCol, error) {
+func projectionPlan(items []ast.SelectItem, src []ColMeta) ([]ColMeta, []projCol, error) {
 	var cols []ColMeta
 	var plan []projCol
 	for _, item := range items {
@@ -407,7 +440,7 @@ func projectionPlan(items []ast.SelectItem, src *Relation) ([]ColMeta, []projCol
 			continue
 		}
 		before := len(cols)
-		for i, c := range src.Cols {
+		for i, c := range src {
 			if item.StarTable == "" || strings.EqualFold(c.Table, item.StarTable) {
 				cols = append(cols, c)
 				plan = append(plan, projCol{pos: i})
@@ -439,14 +472,16 @@ func (ctx *Context) projectRow(plan []projCol, env *Env) (storage.Row, error) {
 // ---------------------------------------------------------------------------
 // grouping and aggregation
 
-// collectAggregates gathers the aggregate nodes of the core's own query
-// level; subqueries aggregate independently.
+// collectAggregates gathers the distinct aggregate nodes of the core's own
+// query level; subqueries aggregate independently.
 func collectAggregates(core *ast.SelectCore) []*ast.Aggregate {
 	var aggs []*ast.Aggregate
 	visit := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Aggregate:
-			aggs = append(aggs, n)
+			if !slices.Contains(aggs, n) {
+				aggs = append(aggs, n)
+			}
 			return false
 		case *ast.Select:
 			return false
@@ -460,161 +495,199 @@ func collectAggregates(core *ast.SelectCore) []*ast.Aggregate {
 	return aggs
 }
 
-// evalGrouped groups src and projects one row per group, in the core's
-// scope env.
-func (ctx *Context) evalGrouped(core *ast.SelectCore, src *Relation, aggs []*ast.Aggregate, env *Env) (*Relation, error) {
-	// Partition rows into groups, kept in first-seen order.
-	var groups [][]storage.Row
-	index := map[string]int{}
-	var key []byte
-	for _, row := range src.Rows {
-		env.row = row
-		key = key[:0]
-		for _, ge := range core.GroupBy {
+// grouping accumulates a core's rows into groups as they stream by,
+// keeping the groups in first-seen order. Without GROUP BY there is
+// exactly one group, even over no rows.
+type grouping struct {
+	by     []ast.Expr
+	aggs   []*ast.Aggregate
+	index  map[string]int
+	key    []byte
+	groups []group
+}
+
+// group is one group's first row and its aggregates' accumulators, one
+// per aggregate of the grouping, in its order.
+type group struct {
+	first storage.Row
+	seen  bool // first is set
+	accs  []accumulator
+}
+
+func newGrouping(by []ast.Expr, aggs []*ast.Aggregate) *grouping {
+	g := &grouping{by: by, aggs: aggs, index: map[string]int{}}
+	if len(by) == 0 {
+		g.groups = append(g.groups, g.newGroup())
+	}
+	return g
+}
+
+func (g *grouping) newGroup() group {
+	accs := make([]accumulator, len(g.aggs))
+	for i, a := range g.aggs {
+		accs[i].agg = a
+	}
+	return group{accs: accs}
+}
+
+// add accumulates the row in env into its group.
+func (g *grouping) add(ctx *Context, env *Env) error {
+	i := 0
+	if len(g.by) > 0 {
+		g.key = g.key[:0]
+		for _, ge := range g.by {
 			v, err := ctx.EvalExpr(ge, env)
+			if err != nil {
+				return err
+			}
+			g.key = append(v.AppendKey(g.key), 0x1f)
+		}
+		var ok bool
+		if i, ok = g.index[string(g.key)]; !ok {
+			i, g.index[string(g.key)] = len(g.groups), len(g.groups)
+			g.groups = append(g.groups, g.newGroup())
+		}
+	}
+	gr := &g.groups[i]
+	if !gr.seen {
+		gr.first, gr.seen = env.row, true
+	}
+	for j := range gr.accs {
+		if err := gr.accs[j].add(ctx, env); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// project evaluates HAVING and the projection once per group, with the
+// group's aggregate values in scope, and returns the rows HAVING keeps.
+// Columns outside aggregates read the group's first row, or NULLs when
+// the group is the empty input of an ungrouped aggregate.
+func (g *grouping) project(ctx *Context, having ast.Expr, plan []projCol, env *Env) ([]storage.Row, error) {
+	saved := ctx.aggValues
+	defer func() { ctx.aggValues = saved }()
+	vals := make(map[*ast.Aggregate]types.Value, len(g.aggs))
+	var out []storage.Row
+	for i := range g.groups {
+		gr := &g.groups[i]
+		for j := range gr.accs {
+			v, err := gr.accs[j].value()
 			if err != nil {
 				return nil, err
 			}
-			key = append(v.AppendKey(key), 0x1f)
+			vals[gr.accs[j].agg] = v
 		}
-		i, ok := index[string(key)]
-		if !ok {
-			i, index[string(key)] = len(groups), len(groups)
-			groups = append(groups, nil)
+		ctx.aggValues = vals
+		env.row = gr.first
+		if !gr.seen {
+			env.row = make(storage.Row, len(env.cols))
 		}
-		groups[i] = append(groups[i], row)
-	}
-	// Aggregates without GROUP BY always produce exactly one group.
-	if len(core.GroupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, nil)
-	}
-
-	cols, plan, err := projectionPlan(core.Items, src)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: cols}
-	for _, rows := range groups {
-		row, err := ctx.projectGroup(core.Having, plan, aggs, rows, env)
+		if having != nil {
+			t, err := ctx.EvalPredicate(having, env)
+			if err != nil {
+				return nil, err
+			}
+			if t != types.True {
+				continue
+			}
+		}
+		row, err := ctx.projectRow(plan, env)
 		if err != nil {
 			return nil, err
 		}
-		if row != nil {
-			out.Rows = append(out.Rows, row)
-		}
+		out = append(out, row)
 	}
 	return out, nil
 }
 
-// projectGroup evaluates HAVING and the projection for one group, with
-// the group's aggregate values in scope; nil when HAVING rejects it.
-// Columns outside aggregates read the group's first row, or NULLs when
-// the group is the empty input of an ungrouped aggregate.
-func (ctx *Context) projectGroup(having ast.Expr, plan []projCol, aggs []*ast.Aggregate, rows []storage.Row, env *Env) (storage.Row, error) {
-	aggVals, err := ctx.computeAggregates(aggs, rows, env)
-	if err != nil {
-		return nil, err
-	}
-	saved := ctx.aggValues
-	ctx.aggValues = aggVals
-	defer func() { ctx.aggValues = saved }()
-	if len(rows) > 0 {
-		env.row = rows[0]
-	} else {
-		env.row = make(storage.Row, len(env.cols))
-	}
-	if having != nil {
-		if t, err := ctx.EvalPredicate(having, env); err != nil || t != types.True {
-			return nil, err
-		}
-	}
-	return ctx.projectRow(plan, env)
+// accumulator folds one aggregate over the rows of a group, one row at a
+// time.
+type accumulator struct {
+	agg        *ast.Aggregate
+	rows       int64 // rows seen (COUNT(*))
+	n          int64 // non-NULL values admitted
+	sumF       float64
+	sumI       int64
+	anyFloat   bool
+	minV, maxV types.Value
+	distinct   *inSet // DISTINCT: the values admitted so far
 }
 
-func (ctx *Context) computeAggregates(aggs []*ast.Aggregate, rows []storage.Row, env *Env) (map[*ast.Aggregate]types.Value, error) {
-	result := make(map[*ast.Aggregate]types.Value, len(aggs))
-	for _, agg := range aggs {
-		if _, done := result[agg]; done {
-			continue
+func (a *accumulator) add(ctx *Context, env *Env) error {
+	agg := a.agg
+	if agg.Star {
+		a.rows++
+		return nil
+	}
+	v, err := ctx.EvalExpr(agg.Arg, env)
+	if err != nil || v.IsNull() {
+		return err
+	}
+	if agg.Distinct {
+		if a.distinct == nil {
+			a.distinct = newInSet(0)
 		}
-		var sumF float64
-		var sumI int64
-		anyFloat := false
-		nonNull := 0
-		var minV, maxV types.Value
-		seen := newInSet(0)
-		for _, row := range rows {
-			if agg.Star {
-				continue
-			}
-			env.row = row
-			v, err := ctx.EvalExpr(agg.Arg, env)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if agg.Distinct && !seen.add(v) {
-				continue
-			}
-			nonNull++
-			switch agg.Func {
-			case "SUM", "AVG":
-				f, ok := v.AsFloat()
-				if !ok {
-					return nil, fmt.Errorf("sql: %s requires numeric values, got %s", agg.Func, v.Kind())
-				}
-				sumF += f
-				if v.Kind() == types.KindFloat {
-					anyFloat = true
-				} else {
-					sumI += v.Int()
-				}
-			case "MIN":
-				if minV.IsNull() {
-					minV = v
-				} else if c, err := types.Compare(v, minV); err == nil && c < 0 {
-					minV = v
-				}
-			case "MAX":
-				if maxV.IsNull() {
-					maxV = v
-				} else if c, err := types.Compare(v, maxV); err == nil && c > 0 {
-					maxV = v
-				}
-			}
-		}
-		switch agg.Func {
-		case "COUNT":
-			if agg.Star {
-				result[agg] = types.NewInt(int64(len(rows)))
-			} else {
-				result[agg] = types.NewInt(int64(nonNull))
-			}
-		case "SUM":
-			if nonNull == 0 {
-				result[agg] = types.Null
-			} else if anyFloat {
-				result[agg] = types.NewFloat(sumF)
-			} else {
-				result[agg] = types.NewInt(sumI)
-			}
-		case "AVG":
-			if nonNull == 0 {
-				result[agg] = types.Null
-			} else {
-				result[agg] = types.NewFloat(sumF / float64(nonNull))
-			}
-		case "MIN":
-			result[agg] = minV
-		case "MAX":
-			result[agg] = maxV
-		default:
-			return nil, fmt.Errorf("sql: unknown aggregate %s", agg.Func)
+		if !a.distinct.add(v) {
+			return nil
 		}
 	}
-	return result, nil
+	a.n++
+	switch agg.Func {
+	case "SUM", "AVG":
+		f, ok := v.AsFloat()
+		if !ok {
+			return fmt.Errorf("sql: %s requires numeric values, got %s", agg.Func, v.Kind())
+		}
+		a.sumF += f
+		if v.Kind() == types.KindFloat {
+			a.anyFloat = true
+		} else {
+			a.sumI += v.Int()
+		}
+	case "MIN":
+		if a.minV.IsNull() {
+			a.minV = v
+		} else if c, err := types.Compare(v, a.minV); err == nil && c < 0 {
+			a.minV = v
+		}
+	case "MAX":
+		if a.maxV.IsNull() {
+			a.maxV = v
+		} else if c, err := types.Compare(v, a.maxV); err == nil && c > 0 {
+			a.maxV = v
+		}
+	}
+	return nil
+}
+
+// value is the aggregate over the rows accumulated.
+func (a *accumulator) value() (types.Value, error) {
+	switch a.agg.Func {
+	case "COUNT":
+		if a.agg.Star {
+			return types.NewInt(a.rows), nil
+		}
+		return types.NewInt(a.n), nil
+	case "SUM":
+		if a.n == 0 {
+			return types.Null, nil
+		}
+		if a.anyFloat {
+			return types.NewFloat(a.sumF), nil
+		}
+		return types.NewInt(a.sumI), nil
+	case "AVG":
+		if a.n == 0 {
+			return types.Null, nil
+		}
+		return types.NewFloat(a.sumF / float64(a.n)), nil
+	case "MIN":
+		return a.minV, nil
+	case "MAX":
+		return a.maxV, nil
+	}
+	return types.Null, fmt.Errorf("sql: unknown aggregate %s", a.agg.Func)
 }
 
 // ---------------------------------------------------------------------------

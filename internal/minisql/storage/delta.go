@@ -348,6 +348,7 @@ func applyTableDelta(c *Commit, t *Table, td *TableDelta, stamps map[int64]uint6
 			return fmt.Errorf("storage: delta delete in %s: %v", t.Schema.Name, err)
 		}
 	}
+	c.ReserveInserts(t, len(td.Rows))
 	for _, row := range td.Rows {
 		if _, err := t.InsertC(c, row); err != nil {
 			return fmt.Errorf("storage: delta insert into %s: %v", t.Schema.Name, err)

@@ -146,10 +146,10 @@ func TestLookupAtFiltersStaleEntries(t *testing.T) {
 	}
 	now := vlog.Epoch()
 	idx := table.IndexOn("name")
-	if got := idx.LookupAt(nil, now, types.NewText("old")); len(got) != 0 {
+	if got := lookupIDs(idx, now, types.NewText("old")); len(got) != 0 {
 		t.Errorf("stale entry surfaced: %v", got)
 	}
-	if got := idx.LookupAt(nil, now, types.NewText("new")); len(got) != 1 {
+	if got := lookupIDs(idx, now, types.NewText("new")); len(got) != 1 {
 		t.Errorf("live entry missing: %v", got)
 	}
 	// An old snapshot still resolves the old value.
@@ -162,8 +162,39 @@ func TestLookupAtFiltersStaleEntries(t *testing.T) {
 	if oldEpoch == 0 {
 		t.Fatal("no epoch shows the old value")
 	}
-	if got := idx.LookupAt(nil, oldEpoch, types.NewText("old")); len(got) != 1 {
+	if got := lookupIDs(idx, oldEpoch, types.NewText("old")); len(got) != 1 {
 		t.Errorf("old snapshot lookup = %v, want the original row", got)
+	}
+}
+
+// LookupAt visits rows in ascending id order — scan order — even when an
+// update has appended an older row to a bucket, and a snapshot from
+// before the update still finds only the rows it saw.
+func TestLookupAtAscendingAfterUpdate(t *testing.T) {
+	table, vlog := newVersionedTable(t)
+	if err := table.CreateIndex("t_name", "name", false); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for i, name := range []string{"a", "b", "b"} {
+		id, err := table.Insert(vrow(int64(i+1), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	before := vlog.Epoch()
+	if err := table.Update(ids[0], vrow(1, "b")); err != nil {
+		t.Fatal(err)
+	}
+	idx := table.IndexOn("name")
+	for range 2 { // the first lookup sorts the bucket, the second reads it sorted
+		if got := lookupIDs(idx, vlog.Epoch(), types.NewText("b")); fmt.Sprint(got) != fmt.Sprint(ids) {
+			t.Errorf("lookup after the update = %v, want %v", got, ids)
+		}
+	}
+	if got := lookupIDs(idx, before, types.NewText("b")); fmt.Sprint(got) != fmt.Sprint(ids[1:]) {
+		t.Errorf("lookup at the earlier snapshot = %v, want %v", got, ids[1:])
 	}
 }
 
@@ -256,7 +287,6 @@ func TestConcurrentLookupsWhileBucketGrows(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ids []int
 			for {
 				select {
 				case <-stop:
@@ -264,7 +294,7 @@ func TestConcurrentLookupsWhileBucketGrows(t *testing.T) {
 				default:
 				}
 				epoch := vlog.Epoch()
-				ids = idx.LookupAt(ids[:0], epoch, types.NewText("same"))
+				ids := lookupIDs(idx, epoch, types.NewText("same"))
 				if uint64(len(ids)) != epoch { // one insert per epoch
 					errs <- fmt.Sprintf("lookup at epoch %d found %d rows", epoch, len(ids))
 					return

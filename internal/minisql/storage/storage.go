@@ -244,7 +244,20 @@ type Commit struct {
 	wait   time.Duration
 	keys   []int64
 	pend   []staged
+	slab   slab
 	done   bool
+}
+
+// slab is what a unit carves the row arrays, versions and slots it
+// stages from, so that the rows of one statement lie in memory in
+// row-id order. ReserveInserts and ReserveUpdates size it exactly from
+// the statement, leaving no unused tail; a unit without a reservation
+// (or past it) allocates per row.
+type slab struct {
+	t     *Table
+	vals  []types.Value
+	vers  []version
+	slots []slot
 }
 
 // staged is one pending version and the slot it heads: reverting it
@@ -282,6 +295,64 @@ func (c *Commit) LockWait() time.Duration { return c.wait }
 // Holds reports whether the open unit latched t (false for a nil unit).
 func (c *Commit) Holds(t *Table) bool {
 	return c != nil && !c.done && slices.Contains(c.tables, t)
+}
+
+// ReserveInserts sizes the unit's slab for the next n InsertC calls into
+// t: their row arrays, versions and slots come from one allocation each,
+// and the slot array grows once. A reservation of fewer than two rows
+// is none — one row costs the same either way.
+func (c *Commit) ReserveInserts(t *Table, n int) { c.reserve(t, n, true) }
+
+// ReserveUpdates sizes the unit's slab for the next n UpdateC calls into
+// t: their row arrays and versions.
+func (c *Commit) ReserveUpdates(t *Table, n int) { c.reserve(t, n, false) }
+
+func (c *Commit) reserve(t *Table, n int, inserts bool) {
+	c.slab = slab{}
+	if n < 2 {
+		return
+	}
+	c.slab = slab{t: t, vals: make([]types.Value, n*len(t.Schema.Cols)), vers: make([]version, n)}
+	if inserts {
+		c.slab.slots = make([]slot, n)
+		t.growSlots(n)
+	}
+	c.pend = slices.Grow(c.pend, n)
+}
+
+// newRow carves a row array for t from the slab, or allocates one.
+func (c *Commit) newRow(t *Table) Row {
+	w := len(t.Schema.Cols)
+	if c.slab.t != t || len(c.slab.vals) < w {
+		return make(Row, w)
+	}
+	r := c.slab.vals[:w:w]
+	c.slab.vals = c.slab.vals[w:]
+	return r
+}
+
+// newVersion carves a pending version of row for t from the slab, or
+// allocates one.
+func (c *Commit) newVersion(t *Table, row Row, prev *version) *version {
+	var v *version
+	if c.slab.t == t && len(c.slab.vers) > 0 {
+		v, c.slab.vers = &c.slab.vers[0], c.slab.vers[1:]
+	} else {
+		v = &version{}
+	}
+	v.row, v.prev = row, prev
+	v.begin.Store(pendingEpoch)
+	return v
+}
+
+// newSlot carves a slot for t from the slab, or allocates one.
+func (c *Commit) newSlot(t *Table) *slot {
+	if c.slab.t == t && len(c.slab.slots) > 0 {
+		s := &c.slab.slots[0]
+		c.slab.slots = c.slab.slots[1:]
+		return s
+	}
+	return &slot{}
 }
 
 // addKey records the version key of a row the unit touched.
@@ -342,6 +413,7 @@ func (c *Commit) stamp(e uint64) {
 
 func (c *Commit) release() {
 	c.done = true
+	c.slab = slab{}
 	for i := len(c.tables) - 1; i >= 0; i-- {
 		c.tables[i].latch.Unlock()
 	}
@@ -356,8 +428,9 @@ func (c *Commit) release() {
 // superseded versions never leak out and no bucket maintenance is
 // needed when a version dies. The bucket map has its own small lock
 // (mutations run under the table's write latch, but lock-free readers
-// look buckets up concurrently). A bucket only ever grows by append, so
-// a reader may walk the slice it found after releasing the lock.
+// look buckets up concurrently). A bucket only ever grows by append, or
+// is replaced by a sorted copy, so a reader may walk the slice it found
+// after releasing the lock.
 type Index struct {
 	Name   string
 	Column string
@@ -396,21 +469,45 @@ func (ix *Index) candidates(v types.Value) []int {
 	return ix.buckets[string(key)]
 }
 
-// Lookup returns the ids of rows whose indexed column equals v in the
-// latest committed state.
-func (ix *Index) Lookup(v types.Value) []int { return ix.LookupAt(nil, Latest, v) }
+// ascending returns the bucket for the value's key in ascending id
+// order. Inserts append ascending ids, so only a bucket an update has
+// added an older row to is out of order; the first lookup after such an
+// update replaces it by a sorted copy, under the lock.
+func (ix *Index) ascending(v types.Value) []int {
+	b := ix.candidates(v)
+	if slices.IsSorted(b) {
+		return b
+	}
+	var buf types.KeyBuf
+	key := v.AppendKey(buf[:0])
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	b = slices.Clone(ix.buckets[string(key)])
+	slices.Sort(b)
+	ix.buckets[string(key)] = b
+	return b
+}
 
-// LookupAt appends to dst the ids of rows whose indexed column equals v
-// in the snapshot at the given epoch, and returns the extended slice.
-// Candidates come from the hash bucket and are verified against the
-// visible row, so entries left behind by old versions are filtered here.
-func (ix *Index) LookupAt(dst []int, epoch uint64, v types.Value) []int {
-	for _, id := range ix.candidates(v) {
-		if row, ok := ix.t.GetAt(epoch, id); ok && types.SameKey(row[ix.colPos], v) {
-			dst = append(dst, id)
+// LookupAt calls fn for every row whose indexed column equals v in the
+// snapshot at the given epoch, with its id, in ascending id order — the
+// order of a scan — until fn returns false. Candidates come from the
+// hash bucket and are verified against the visible row, so entries left
+// behind by old versions are filtered here; each is resolved once.
+func (ix *Index) LookupAt(epoch uint64, v types.Value, fn func(id int, row Row) bool) {
+	ids := ix.ascending(v)
+	sl := ix.t.published()
+	for _, id := range ids {
+		if id >= len(sl) {
+			continue
+		}
+		ver := visibleVersion(sl[id].head.Load(), epoch)
+		if ver == nil || ver.row == nil || !types.SameKey(ver.row[ix.colPos], v) {
+			continue
+		}
+		if !fn(id, ver.row) {
+			return
 		}
 	}
-	return dst
 }
 
 // checkUnique reports a duplicate-key error when a row other than self
@@ -445,10 +542,14 @@ type Table struct {
 	// life of one unit; the mutation methods require it held.
 	latch sync.Mutex
 
-	// slots is the published slot array; appends store a fresh header so
-	// concurrent readers iterate a consistent prefix.
-	slots atomic.Pointer[[]*slot]
-	liveN atomic.Int64
+	// slots is the slot array, of which the first nslots entries are
+	// published. A writer fills the entry past them and then raises
+	// nslots; a full array is replaced by a larger copy before that. A
+	// reader loads nslots first and the array second (published), so it
+	// sees every entry it counts.
+	slots  atomic.Pointer[[]*slot]
+	nslots atomic.Int64
+	liveN  atomic.Int64
 
 	// metaMu guards the index list and the version-key designation
 	// (mutated by DDL and delta bootstrap, read by every statement).
@@ -522,8 +623,7 @@ func (t *Table) CreateIndex(name, column string, unique bool) error {
 		return fmt.Errorf("storage: index %s already exists", name)
 	}
 	idx := &Index{Name: name, Column: column, colPos: pos, Unique: unique, t: t, buckets: map[string][]int{}}
-	sl := *t.slots.Load()
-	for id, s := range sl {
+	for id, s := range t.published() {
 		row, ok := currentOf(s)
 		if !ok {
 			continue
@@ -580,13 +680,14 @@ func (t *Table) dropIndex(name string) {
 	}
 }
 
-// checkRow validates arity, NOT NULL and coerces values to column types.
-func (t *Table) checkRow(row Row) (Row, error) {
+// checkRow validates arity, NOT NULL and coerces values to column types,
+// into a row array of the unit's: the caller's row is not retained.
+func (t *Table) checkRow(c *Commit, row Row) (Row, error) {
 	if len(row) != len(t.Schema.Cols) {
 		return nil, fmt.Errorf("storage: table %s expects %d values, got %d",
 			t.Schema.Name, len(t.Schema.Cols), len(row))
 	}
-	out := make(Row, len(row))
+	out := c.newRow(t)
 	for i, c := range t.Schema.Cols {
 		v, err := types.Coerce(row[i], c.Type)
 		if err != nil {
@@ -613,28 +714,47 @@ func currentOf(s *slot) (Row, bool) {
 
 // currentRow is currentOf by slot id.
 func (t *Table) currentRow(id int) (Row, bool) {
-	sl := *t.slots.Load()
+	sl := t.published()
 	if id < 0 || id >= len(sl) {
 		return nil, false
 	}
 	return currentOf(sl[id])
 }
 
+// published returns the published slots. Lock-free.
+func (t *Table) published() []*slot {
+	n := t.nslots.Load()
+	return (*t.slots.Load())[:n]
+}
+
+// growSlots makes room for extra slots past the published ones, moving
+// the array to a larger copy when it is too small. The caller's unit
+// holds the write latch.
+func (t *Table) growSlots(extra int) []*slot {
+	arr, n := *t.slots.Load(), int(t.nslots.Load())
+	if n+extra <= len(arr) {
+		return arr
+	}
+	next := make([]*slot, max(n+extra, 2*len(arr)))
+	copy(next, arr[:n])
+	t.slots.Store(&next)
+	return next
+}
+
 // appendSlot publishes a new slot and returns its id. The caller's unit
-// holds the write latch; the atomic header store releases the element write to
-// concurrent readers.
+// holds the write latch; the atomic count store releases the element
+// write to concurrent readers.
 func (t *Table) appendSlot(s *slot) int {
-	old := t.slots.Load()
-	id := len(*old)
-	ns := append(*old, s)
-	t.slots.Store(&ns)
+	id := int(t.nslots.Load())
+	t.growSlots(1)[id] = s
+	t.nslots.Store(int64(id + 1))
 	return id
 }
 
 // InsertC validates a row and stages it in the unit as a pending
 // version, returning its slot id. The unit holds the table's latch.
 func (t *Table) InsertC(c *Commit, row Row) (int, error) {
-	r, err := t.checkRow(row)
+	r, err := t.checkRow(c, row)
 	if err != nil {
 		return 0, err
 	}
@@ -644,9 +764,8 @@ func (t *Table) InsertC(c *Commit, row Row) (int, error) {
 			return 0, err
 		}
 	}
-	v := &version{row: r}
-	v.begin.Store(pendingEpoch)
-	s := &slot{}
+	v := c.newVersion(t, r, nil)
+	s := c.newSlot(t)
 	s.head.Store(v)
 	id := t.appendSlot(s)
 	for _, ix := range idxs {
@@ -665,7 +784,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 	if err != nil {
 		return err
 	}
-	r, err := t.checkRow(row)
+	r, err := t.checkRow(c, row)
 	if err != nil {
 		return err
 	}
@@ -678,8 +797,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 			return err
 		}
 	}
-	v := &version{row: r, prev: s.head.Load()}
-	v.begin.Store(pendingEpoch)
+	v := c.newVersion(t, r, s.head.Load())
 	s.head.Store(v)
 	for _, ix := range idxs {
 		if !old[ix.colPos].Equal(r[ix.colPos]) {
@@ -700,8 +818,7 @@ func (t *Table) DeleteC(c *Commit, id int) error {
 		return err
 	}
 	_, verPos, _ := t.meta()
-	v := &version{prev: s.head.Load()} // tombstone
-	v.begin.Store(pendingEpoch)
+	v := c.newVersion(t, nil, s.head.Load()) // tombstone
 	s.head.Store(v)
 	t.liveN.Add(-1)
 	c.pend = append(c.pend, staged{t, s, v})
@@ -711,7 +828,7 @@ func (t *Table) DeleteC(c *Commit, id int) error {
 
 // liveSlot resolves the slot of a row that is live at its chain head.
 func (t *Table) liveSlot(id int) (*slot, Row, error) {
-	sl := *t.slots.Load()
+	sl := t.published()
 	if id >= 0 && id < len(sl) {
 		if old, ok := currentOf(sl[id]); ok {
 			return sl[id], old, nil
@@ -723,7 +840,7 @@ func (t *Table) liveSlot(id int) (*slot, Row, error) {
 // GetAt returns the row with the given id as visible at the snapshot
 // epoch. Lock-free.
 func (t *Table) GetAt(epoch uint64, id int) (Row, bool) {
-	sl := *t.slots.Load()
+	sl := t.published()
 	if id < 0 || id >= len(sl) {
 		return nil, false
 	}
@@ -741,8 +858,7 @@ func (t *Table) Get(id int) (Row, bool) { return t.GetAt(Latest, id) }
 // insertion order, until fn returns false. Lock-free; the row must not
 // be mutated by fn.
 func (t *Table) ScanAt(epoch uint64, fn func(id int, row Row) bool) {
-	sl := *t.slots.Load()
-	for id, s := range sl {
+	for id, s := range t.published() {
 		v := visibleVersion(s.head.Load(), epoch)
 		if v == nil || v.row == nil {
 			continue

@@ -15,6 +15,19 @@ func unitOf(t *Table) *Commit {
 	return begin(vlog, []*Table{t})
 }
 
+// lookupIDs is LookupAt collected: the ids it visits, in its order.
+func lookupIDs(ix *Index, epoch uint64, v types.Value) []int {
+	var ids []int
+	ix.LookupAt(epoch, v, func(id int, _ Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
+}
+
+// Lookup is lookupIDs in the latest committed state.
+func (ix *Index) Lookup(v types.Value) []int { return lookupIDs(ix, Latest, v) }
+
 // Insert, Update and Delete are one-mutation units, the shape most of
 // these tests write in.
 func (t *Table) Insert(row Row) (int, error) {

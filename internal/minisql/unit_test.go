@@ -1,8 +1,11 @@
 package minisql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"pdmtune/internal/minisql/parser"
 )
 
 // dumpTable renders a table's rows in primary-key order.
@@ -128,5 +131,32 @@ func TestWriteUnitRules(t *testing.T) {
 		if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "Session.Begin") {
 			t.Errorf("%s: %v, want a parse error naming Session.Begin", q, err)
 		}
+	}
+}
+
+// TestWriteUnitBulkInsertAllocs: a multi-row INSERT reserves its rows
+// once, so its row arrays, versions and slots come from one allocation
+// each and its scratch row is reused: a 200-row and a 400-row statement
+// allocate the same.
+func TestWriteUnitBulkInsertAllocs(t *testing.T) {
+	cost := func(rows int) float64 {
+		tuples := make([]string, rows)
+		for i := range tuples {
+			tuples[i] = fmt.Sprintf("(%d, 'n%d', %d.5)", i, i%7, i)
+		}
+		stmt, err := parser.Parse("INSERT INTO t VALUES " + strings.Join(tuples, ", "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			s := NewDB().NewSession()
+			mustExec(t, s, "CREATE TABLE t (id INTEGER, name TEXT, w FLOAT)")
+			if res, err := s.ExecStmt(stmt); err != nil || res.RowsAffected != rows {
+				t.Fatalf("inserted %v, error %v; want %d rows", res, err, rows)
+			}
+		})
+	}
+	if few, many := cost(200), cost(400); few != many {
+		t.Errorf("a 200-row INSERT allocates %.0f times, a 400-row one %.0f: want the same", few, many)
 	}
 }
