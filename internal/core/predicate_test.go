@@ -104,8 +104,9 @@ func TestCompiledPredicatesMatchByName(t *testing.T) {
 		Cond: "rtbl.state = 'released' OR rtbl.weight BETWEEN {eff_from} AND {eff_to}"})
 	// Add refuses a condition that does not parse; one that slips past
 	// it fails the first row evaluated, compiled or not.
-	rt.rules = append(rt.rules, Rule{User: Wildcard, Action: ActionWhereUsed, ObjType: "assy", Kind: KindRow,
+	slipped := append(rt.All(), Rule{User: Wildcard, Action: ActionWhereUsed, ObjType: "assy", Kind: KindRow,
 		Cond: "assy.name ="})
+	rt.rules.Store(&slipped)
 
 	keys := []predKey{
 		{KindRow, "link", ActionMLE}, {KindRow, "assy", ActionMLE}, {KindRow, "comp", ActionMLE},

@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"pdmtune/internal/minisql/ast"
@@ -128,7 +129,10 @@ func sqlText(s string) string {
 // "translated conditions are stored — together with the four components
 // defining the rule — in ... a table ... at each client").
 type RuleTable struct {
-	rules []Rule
+	// rules is an immutable snapshot of the table: Add publishes a new
+	// one, so sessions read rules while another goroutine adds one.
+	rules atomic.Pointer[[]Rule]
+	addMu sync.Mutex // serializes Add
 	// gen counts the rules added. A client compiles the table into
 	// statement texts and predicates once, and recompiles at the start of
 	// the first action that sees gen move.
@@ -149,8 +153,20 @@ func (rt *RuleTable) Add(r Rule) error {
 	if _, err := parser.ParseExpr(probe.Expand(r.Cond)); err != nil {
 		return fmt.Errorf("core: rule condition does not translate to SQL: %v", err)
 	}
-	rt.rules = append(rt.rules, r)
+	rt.addMu.Lock()
+	defer rt.addMu.Unlock()
+	old := rt.snapshot()
+	next := append(old[:len(old):len(old)], r) // a new array: readers keep theirs
+	rt.rules.Store(&next)
 	rt.gen.Add(1)
+	return nil
+}
+
+// snapshot returns the rules as of now; the slice is never written.
+func (rt *RuleTable) snapshot() []Rule {
+	if p := rt.rules.Load(); p != nil {
+		return *p
+	}
 	return nil
 }
 
@@ -162,10 +178,10 @@ func (rt *RuleTable) MustAdd(r Rule) {
 }
 
 // Len reports the number of rules.
-func (rt *RuleTable) Len() int { return len(rt.rules) }
+func (rt *RuleTable) Len() int { return len(rt.snapshot()) }
 
 // All returns a copy of the stored rules.
-func (rt *RuleTable) All() []Rule { return append([]Rule{}, rt.rules...) }
+func (rt *RuleTable) All() []Rule { return append([]Rule{}, rt.snapshot()...) }
 
 // Relevant returns the rules matching the user, one of the actions, and
 // the object type, filtered by kind ("relevant" in the paper's footnote:
@@ -173,7 +189,7 @@ func (rt *RuleTable) All() []Rule { return append([]Rule{}, rt.rules...) }
 // under consideration).
 func (rt *RuleTable) Relevant(user string, actions []string, objType string, kind Kind) []Rule {
 	var out []Rule
-	for _, r := range rt.rules {
+	for _, r := range rt.snapshot() {
 		if r.Kind != kind {
 			continue
 		}

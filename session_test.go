@@ -3,6 +3,7 @@ package pdmtune_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -167,6 +168,65 @@ func TestRuleAddedAfterFirstActionApplies(t *testing.T) {
 				t.Errorf("%v cached=%v: bought assembly 3 visible after the rule hiding it was added", strat, cached)
 			}
 		}
+	}
+}
+
+// TestRuleAddedWhileSessionsRun: adding a rule while other goroutines run
+// actions is supported. One session expands, another checks out and in
+// through the server's procedure — both look rules up in the table the
+// main goroutine adds to — and under -race no access of the table may
+// race with Add.
+func TestRuleAddedWhileSessionsRun(t *testing.T) {
+	rules := pdmtune.StandardRules()
+	sys := pdmtune.NewSystem(rules)
+	if err := sys.LoadPaperExample(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	open := func(strat pdmtune.Strategy) *pdmtune.Session {
+		sess, err := sys.Open(pdmtune.WithUser(pdmtune.DefaultUser("scott")), pdmtune.WithStrategy(strat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	expander, checker := open(pdmtune.LateEval), open(pdmtune.Recursive)
+	const adds = 20
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < adds; i++ {
+			if _, err := expander.MultiLevelExpand(ctx, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < adds; i++ {
+			if _, err := checker.CheckOutViaProcedure(ctx, 1); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := checker.CheckInViaProcedure(ctx, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < adds; i++ {
+		for _, action := range []string{"multi-level-expand", "check-out"} {
+			rules.MustAdd(pdmtune.Rule{
+				User: "scott", Action: action, ObjType: "assy",
+				Kind: pdmtune.KindRow, Cond: fmt.Sprintf("assy.obid <> %d", -1-i),
+			})
+		}
+	}
+	wg.Wait()
+	if got, want := rules.Len(), pdmtune.StandardRules().Len()+2*adds; got != want {
+		t.Errorf("the table holds %d rules, want %d", got, want)
 	}
 }
 
