@@ -253,7 +253,7 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	conjs := splitAnd(core.Where, nil)
 	if core.From != nil {
 		var err error
-		if bt, ok := core.From.(*ast.BaseTable); ok && !ctx.isCTE(bt) {
+		if bt, ok := core.From.(*ast.BaseTable); ok && ctx.CTEs[strings.ToLower(bt.Name)] == nil { // a CTE binding takes precedence
 			acc, cols, err = ctx.tableAccess(bt, outer, conjs, true)
 		} else {
 			var rel *Relation
@@ -386,13 +386,6 @@ func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unq
 		return acc, err
 	}
 	return nil, fmt.Errorf("sql: unknown table reference %T", ref)
-}
-
-// isCTE reports whether a FROM clause's table name is bound to a CTE,
-// which takes precedence over a stored table of that name.
-func (ctx *Context) isCTE(r *ast.BaseTable) bool {
-	_, ok := ctx.CTEs[strings.ToLower(r.Name)]
-	return ok
 }
 
 // tableAccess resolves a stored table of a FROM clause and decides how

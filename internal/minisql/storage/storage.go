@@ -334,25 +334,21 @@ func (c *Commit) newRow(t *Table) Row {
 // newVersion carves a pending version of row for t from the slab, or
 // allocates one.
 func (c *Commit) newVersion(t *Table, row Row, prev *version) *version {
-	var v *version
-	if c.slab.t == t && len(c.slab.vers) > 0 {
-		v, c.slab.vers = &c.slab.vers[0], c.slab.vers[1:]
-	} else {
-		v = &version{}
-	}
+	v := carve(c, t, &c.slab.vers)
 	v.row, v.prev = row, prev
 	v.begin.Store(pendingEpoch)
 	return v
 }
 
-// newSlot carves a slot for t from the slab, or allocates one.
-func (c *Commit) newSlot(t *Table) *slot {
-	if c.slab.t == t && len(c.slab.slots) > 0 {
-		s := &c.slab.slots[0]
-		c.slab.slots = c.slab.slots[1:]
-		return s
+// carve takes the next element of one of the slab's parts when the slab
+// is t's, or allocates one.
+func carve[T any](c *Commit, t *Table, part *[]T) *T {
+	if c.slab.t != t || len(*part) == 0 {
+		return new(T)
 	}
-	return &slot{}
+	e := &(*part)[0]
+	*part = (*part)[1:]
+	return e
 }
 
 // addKey records the version key of a row the unit touched.
@@ -765,7 +761,7 @@ func (t *Table) InsertC(c *Commit, row Row) (int, error) {
 		}
 	}
 	v := c.newVersion(t, r, nil)
-	s := c.newSlot(t)
+	s := carve(c, t, &c.slab.slots)
 	s.head.Store(v)
 	id := t.appendSlot(s)
 	for _, ix := range idxs {
