@@ -416,6 +416,88 @@ func TestSplitBrainRejection(t *testing.T) {
 	}
 }
 
+// TestFailBackToRejoinedPrimary: the deposed original primary rejoins
+// and is promoted back. Sessions opened before the first failover follow
+// both promotions, their writes land in the original database again, and
+// every site converges on it.
+func TestFailBackToRejoinedPrimary(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"}, pdmtune.SiteConfig{Name: "tokyo"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 2, Sigma: 1, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	atPrimary, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithLink(pdmtune.LAN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer atPrimary.Close()
+	atTokyo, err := cl.OpenAt(ctx, "tokyo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer atTokyo.Close()
+
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote munich: %v", err)
+	}
+	if _, err := cl.Rejoin(ctx); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	if err := cl.Promote(ctx, pdmtune.DemotedPrimarySite); err != nil {
+		t.Fatalf("Promote %s: %v", pdmtune.DemotedPrimarySite, err)
+	}
+	if name, term := cl.PrimaryName(), cl.Term(); name != pdmtune.DemotedPrimarySite || term != 3 {
+		t.Fatalf("after fail-back: primary=%q term=%d, want %q at term 3", name, term, pdmtune.DemotedPrimarySite)
+	}
+
+	var subtrees []int64
+	for _, id := range prod.Nodes[prod.RootID].Children {
+		if prod.Nodes[id].Type == "assy" {
+			subtrees = append(subtrees, id)
+		}
+	}
+	if len(subtrees) < 2 {
+		t.Fatalf("product has %d level-1 assemblies, want 2", len(subtrees))
+	}
+	for i, sess := range []*pdmtune.Session{atPrimary, atTokyo} {
+		if res, err := sess.CheckOut(ctx, subtrees[i]); err != nil || !res.Granted {
+			t.Fatalf("check-out from the %s session after fail-back: %+v, %v", sess.Site(), res, err)
+		}
+	}
+	res, err := cl.Primary().DB.NewSession().Query("SELECT obid FROM assy WHERE checkedout = TRUE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := map[int64]bool{}
+	for _, row := range res.Rows {
+		landed[row[0].Int()] = true
+	}
+	for _, id := range subtrees[:2] {
+		if !landed[id] {
+			t.Errorf("check-out of %d did not land in the original primary's database", id)
+		}
+	}
+
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpVia(t, atPrimary)
+	for _, site := range cl.SiteNames() {
+		sess, err := cl.OpenAt(ctx, site)
+		if err != nil {
+			t.Fatalf("open at %s: %v", site, err)
+		}
+		if dumpVia(t, sess) != want {
+			t.Errorf("site %s diverged from the primary after fail-back", site)
+		}
+		sess.Close()
+	}
+}
+
 // TestNeverSyncedSiteBootstrapsFromNewPrimary: a site that never
 // synced before the failover bootstraps its full state from the new
 // primary.
