@@ -41,10 +41,7 @@ type ActionResult struct {
 // could not detect newly inserted nodes.
 func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.beginAction()
-	// Query ships its one statement outside the fetcher, so the
-	// replica-staleness bound must be applied explicitly.
-	if err := c.fetch.EnsureFresh(ctx); err != nil {
+	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
 	st, err := c.statement(stmtKey{kind: stmtQuery, action: ActionQuery})
@@ -87,7 +84,9 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 // object type is looked up (and cached), not assumed to be an assembly.
 func (c *Client) Expand(ctx context.Context, parent int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.beginAction()
+	if err := c.beginAction(ctx); err != nil {
+		return nil, err
+	}
 	rootType, err := c.fetch.LookupType(ctx, parent)
 	if err != nil {
 		return nil, err
@@ -126,7 +125,9 @@ func (c *Client) MultiLevelExpand(ctx context.Context, root int64) (*ActionResul
 
 func (c *Client) multiLevelExpand(ctx context.Context, root int64, action string) (*ActionResult, error) {
 	before := c.snapshot()
-	c.beginAction()
+	if err := c.beginAction(ctx); err != nil {
+		return nil, err
+	}
 	if c.strategy == costmodel.Recursive {
 		tree, received, _, err := c.fetch.FetchRecursive(ctx, root, action)
 		if err != nil {

@@ -51,7 +51,7 @@ type Client struct {
 	// write client SetPrimary creates.
 	term wire.TermSource
 	// site triggers replica syncs at read time (nil for single-server
-	// clients); see SetSiteSync and fetch_route.go.
+	// clients); see SetSiteSync and beginAction.
 	site *siteRouting
 
 	// fetch is the unified read path: wireFetcher, or cachedFetcher
@@ -139,35 +139,38 @@ func (c *Client) dropCompiled() {
 // beginAction starts one user action. Rules added since the last action
 // take effect here: the compiled tables are dropped and the read path
 // rebuilt, since the structure cache keys its profile by generation.
-func (c *Client) beginAction() {
+// A client at a replica site then applies its staleness bound: the
+// site is synced when it is stale beyond the bound, before the action
+// reads anything — cache validation included, or a bounded-staleness
+// session could validate a warm tree against a replica that is itself
+// beyond the bound. Unbounded sessions never sync here and read
+// whatever the site last pulled ("read your own site").
+func (c *Client) beginAction(ctx context.Context) error {
 	if c.rules.gen.Load() != c.rulesGen {
 		c.dropCompiled()
 		c.rebuildFetch()
 	}
 	c.fetch.BeginAction()
+	if c.site == nil || c.site.bound < 0 {
+		return nil
+	}
+	return c.site.syncer.SyncIfStale(ctx, c.site.bound)
 }
 
 // rebuildFetch composes the client's read path from the configured
 // layers: the wire fetcher at the bottom, the structure cache over it
-// when one is set, and the site router on top when the client reads
-// from a replica — the router's staleness sync must run before the
-// cache validates, or a bounded-staleness session could validate a
-// warm tree against a replica that is itself beyond the bound.
+// when one is set, and the partial-replication fall-through on top when
+// the client reads from a site that can be subscription-bounded.
 func (c *Client) rebuildFetch() {
 	var f fetcher = &wireFetcher{c: c}
 	if c.structs != nil {
 		f = &cachedFetcher{inner: f, c: c, store: c.structs, profile: c.cacheProfile()}
 	}
-	if c.site != nil {
-		if c.site.holds != nil {
-			// Partial-replication fall-through: reads outside the site's
-			// subscription re-issue against the primary. Below the router
-			// (the staleness sync also refreshes the holds set) and above
-			// the cache (a fallen-through page must not be validated
-			// against the replica, which does not hold it).
-			f = &fallThroughFetcher{inner: f, primary: &wireFetcher{c: c, primary: true}, holds: c.site.holds}
-		}
-		f = &routedFetcher{inner: f, site: c.site}
+	if c.site != nil && c.site.holds != nil {
+		// Reads outside the site's subscription re-issue against the
+		// primary. Above the cache: a fallen-through page must not be
+		// validated against the replica, which does not hold it.
+		f = &fallThroughFetcher{inner: f, primary: &wireFetcher{c: c, primary: true}, holds: c.site.holds}
 	}
 	c.fetch = f
 }
@@ -367,8 +370,8 @@ type siteRouting struct {
 	holds  HoldsSource
 }
 
-// SetSiteSync marks the client as reading from a replica site: before
-// the first fetch of every action, the site is synced when its last
+// SetSiteSync marks the client as reading from a replica site: at the
+// start of every action, the site is synced when its last
 // sync is older than bound (bound 0: before every action; bound < 0:
 // never — reads serve whatever the site last synced). The write path
 // is unaffected; combine with SetPrimary.

@@ -25,10 +25,6 @@ type fallThroughFetcher struct {
 
 func (f *fallThroughFetcher) BeginAction() { f.inner.BeginAction() }
 
-func (f *fallThroughFetcher) EnsureFresh(ctx context.Context) error {
-	return f.inner.EnsureFresh(ctx)
-}
-
 // lane picks the fetcher serving a read rooted at id: the inner chain
 // while the site replicates in full or holds the object, the primary
 // otherwise.

@@ -16,21 +16,13 @@ import (
 // one file each instead of threaded through every action.
 //
 // Implementations: wireFetcher (the real WAN paths), cachedFetcher
-// (the version-validated structure cache decorating a wireFetcher),
-// fallThroughFetcher (partial replicas) and routedFetcher (replica
-// staleness).
+// (the version-validated structure cache decorating a wireFetcher) and
+// fallThroughFetcher (partial replicas).
 type fetcher interface {
 	// BeginAction resets per-action state; every user action calls it
 	// once before its first fetch. The cached fetcher uses it to scope
 	// its validate-on-use exchange to one round trip per action.
 	BeginAction()
-
-	// EnsureFresh applies the session's replica-staleness bound before
-	// the action reads anything. The routed fetcher syncs a
-	// stale-beyond-bound site here; every fetch method calls it
-	// implicitly, so only actions that read outside the fetcher (the
-	// set-oriented Query) need to call it themselves.
-	EnsureFresh(ctx context.Context) error
 
 	// ExpandLevel fetches the visible children of every parent of one
 	// BFS level — the single-level expand queries plus the ∃structure
@@ -87,10 +79,6 @@ func (w *wireFetcher) exec(ctx context.Context, req *wire.Request) (*wire.Respon
 
 // BeginAction is a no-op: the wire fetcher keeps no per-action state.
 func (w *wireFetcher) BeginAction() {}
-
-// EnsureFresh is a no-op: the wire fetcher reads whatever its server
-// holds.
-func (w *wireFetcher) EnsureFresh(ctx context.Context) error { return nil }
 
 // ExpandLevel expands one BFS level: as a single batch round trip per
 // level when batching is enabled, one round trip per parent (the

@@ -55,10 +55,6 @@ func (f *cachedFetcher) BeginAction() {
 	f.inner.BeginAction()
 }
 
-// EnsureFresh delegates down: the cache has no freshness state of its
-// own beyond the per-action validation scope.
-func (f *cachedFetcher) EnsureFresh(ctx context.Context) error { return f.inner.EnsureFresh(ctx) }
-
 func (f *cachedFetcher) key(id int64, action string) cache.Key {
 	return cache.Key{ID: id, Action: action, Profile: f.profile}
 }

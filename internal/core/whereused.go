@@ -71,8 +71,7 @@ func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, in
 // builder, so every strategy filters late here).
 func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
 	before := c.snapshot()
-	c.beginAction()
-	if err := c.fetch.EnsureFresh(ctx); err != nil {
+	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
 	ancestors, received, err := c.whereUsedClosure(ctx, part)
@@ -134,8 +133,7 @@ type ECOResult struct {
 // structures covering the changed objects are invalidated locally.
 func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
 	before := c.snapshot()
-	c.beginAction()
-	if err := c.fetch.EnsureFresh(ctx); err != nil {
+	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
 	affected, received, err := c.whereUsedClosure(ctx, part)
@@ -213,8 +211,7 @@ type ReportResult struct {
 // so there the statement runs at the primary as a fall-through read.
 func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) {
 	before := c.snapshot()
-	c.beginAction()
-	if err := c.fetch.EnsureFresh(ctx); err != nil {
+	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
 	st, err := c.statement(stmtKey{kind: stmtReport})
