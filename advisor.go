@@ -95,10 +95,8 @@ func (a *Advisor) Observe(s *Session, window Metrics) Observation {
 		}
 		// Estimate the per-pull delta volume from the site's replication
 		// history, when there is one.
-		if site, ok := s.sys.cluster.sites[s.site]; ok {
-			if m := site.Metrics(); m.SyncRoundTrips > 0 {
-				obs.SyncBytes = m.ResponseBytes / float64(m.SyncRoundTrips)
-			}
+		if m := s.node.Metrics(); m.SyncRoundTrips > 0 {
+			obs.SyncBytes = m.ResponseBytes / float64(m.SyncRoundTrips)
 		}
 	} else if s.meter != nil {
 		obs.Link = s.meter.Link

@@ -7,7 +7,6 @@ import (
 	"pdmtune/internal/core"
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/netsim"
-	"pdmtune/internal/subscribe"
 	"pdmtune/internal/topology"
 	"pdmtune/internal/wire"
 	"pdmtune/internal/workload"
@@ -15,8 +14,8 @@ import (
 
 // PrimarySite is the reserved site name of the cluster's primary:
 // OpenAt(ctx, PrimarySite) opens a session directly against the
-// primary server, exactly like System.Open.
-const PrimarySite = "primary"
+// current primary server, exactly like System.Open.
+const PrimarySite = topology.PrimarySite
 
 // Site is one replica site of a Cluster: a named location holding a
 // synchronized copy of the primary's database behind its own wire
@@ -66,17 +65,14 @@ type SiteConfig struct {
 // WithMaxStaleness it syncs the site before serving whenever the last
 // sync is older than the bound.
 type Cluster struct {
-	sys   *System
-	sites map[string]*topology.Site
-	order []string
-	// ha is the failover control plane: fencing terms, the per-server
-	// fences, the session registry promotions re-route, and the
-	// fault-injection seam. See ha.go.
-	ha haState
-	// sub is the partial-replication subscription registry, created
-	// lazily by the first Subscribe and handed over to the new primary
-	// at promotion. Guarded by ha.mu.
-	sub *subscribe.Registry
+	sys *System
+	// topo is the control plane: the node registry, the fencing term,
+	// promotions and subscriptions (internal/topology).
+	topo *topology.Cluster
+	// sessions is the registry of open sessions a promotion re-routes
+	// (nil for site-less clusters, which never promote). It is only
+	// touched under the control-plane lock; see ha.go.
+	sessions map[*Session]struct{}
 }
 
 // NewCluster creates a PDM cluster: a primary system (rules may be nil
@@ -85,9 +81,11 @@ type Cluster struct {
 // cluster without site configs is exactly a single-server System —
 // which is how NewSystem is implemented.
 func NewCluster(rules *RuleTable, sites ...SiteConfig) (*Cluster, error) {
-	sys := newPrimarySystem(rules)
-	cl := &Cluster{sys: sys, sites: map[string]*topology.Site{}}
+	sys, primary := newPrimarySystem(rules)
+	cl := &Cluster{sys: sys}
 	sys.cluster = cl
+	var replicas []*topology.Site
+	seen := map[string]bool{}
 	for _, sc := range sites {
 		if sc.Name == "" {
 			return nil, fmt.Errorf("pdmtune: site with an empty name")
@@ -98,9 +96,10 @@ func NewCluster(rules *RuleTable, sites ...SiteConfig) (*Cluster, error) {
 		if sc.Name == DemotedPrimarySite {
 			return nil, fmt.Errorf("pdmtune: site name %q is reserved for a rejoining deposed primary", DemotedPrimarySite)
 		}
-		if _, dup := cl.sites[sc.Name]; dup {
+		if seen[sc.Name] {
 			return nil, fmt.Errorf("pdmtune: duplicate site %q", sc.Name)
 		}
+		seen[sc.Name] = true
 		link := sc.Link
 		if link == (Link{}) {
 			link = Intercontinental()
@@ -112,50 +111,48 @@ func NewCluster(rules *RuleTable, sites ...SiteConfig) (*Cluster, error) {
 		core.RegisterProcedures(rdb, sys.Rules)
 		meter := netsim.NewMeter(link)
 		pull := &wire.MeteredChannel{Conn: sys.Server.NewConn(), Meter: meter}
-		cl.sites[sc.Name] = topology.New(sc.Name, rdb, pull, meter, link)
-		cl.order = append(cl.order, sc.Name)
+		replicas = append(replicas, topology.New(sc.Name, rdb, pull, meter, link))
 	}
-	if len(cl.sites) > 0 {
-		// A cluster with replicas runs fenced: every server gets a fence,
-		// every pull a term stamp and a retry policy. Site-less systems
-		// keep the pre-HA wire format untouched.
-		cl.enableFencing()
+	cl.topo = topology.NewCluster(primary, replicas...)
+	if len(replicas) > 0 {
+		cl.sessions = map[*Session]struct{}{}
+		cl.topo.OnPromote(cl.rerouteAll)
 	}
 	return cl, nil
 }
 
-// Primary returns the cluster's primary system — the single database
-// every write lands in.
+// Primary returns the system the cluster was created around — the
+// original primary, whose DB and Server stay its own. Writes land in
+// that database until a promotion moves the primary role to a site
+// (PrimaryName tells which node holds it), and again once the original
+// rejoins and is promoted back.
 func (c *Cluster) Primary() *System { return c.sys }
 
 // LoadProduct generates a product structure into the current primary
 // (after a promotion, the promoted site) and returns its ground truth.
 // Replicas receive it on their next sync.
 func (c *Cluster) LoadProduct(cfg ProductConfig) (*Product, error) {
-	return workload.Generate(c.primaryDB().NewSession(), cfg)
+	return workload.Generate(c.topo.Primary().DB().NewSession(), cfg)
 }
 
 // LoadPaperExample loads the paper's Figure 2 example data into the
 // current primary.
 func (c *Cluster) LoadPaperExample() error {
-	return workload.LoadPaperExample(c.primaryDB().NewSession())
+	return workload.LoadPaperExample(c.topo.Primary().DB().NewSession())
 }
 
 // SiteNames lists the replica sites in declaration order (the primary
 // is not listed; it is always addressable as PrimarySite).
-func (c *Cluster) SiteNames() []string { return append([]string(nil), c.order...) }
+func (c *Cluster) SiteNames() []string { return c.topo.SiteNames() }
 
 // Site returns a replica site by name.
-func (c *Cluster) Site(name string) (*Site, bool) {
-	s, ok := c.sites[name]
-	return s, ok
-}
+func (c *Cluster) Site(name string) (*Site, bool) { return c.topo.Site(name) }
 
 // SyncSite pulls one site forward to the primary's current epoch: the
 // rows of every object modified since the site's last sync cross the
 // site's WAN link once and are applied transactionally to the replica.
 func (c *Cluster) SyncSite(ctx context.Context, name string) (SyncStats, error) {
-	site, ok := c.sites[name]
+	site, ok := c.topo.Site(name)
 	if !ok {
 		return SyncStats{}, fmt.Errorf("pdmtune: unknown site %q", name)
 	}
@@ -164,8 +161,8 @@ func (c *Cluster) SyncSite(ctx context.Context, name string) (SyncStats, error) 
 
 // SyncAll syncs every site, stopping at the first error.
 func (c *Cluster) SyncAll(ctx context.Context) error {
-	for _, name := range c.order {
-		if _, err := c.sites[name].Sync(ctx); err != nil {
+	for _, site := range c.topo.Sites() {
+		if _, err := site.Sync(ctx); err != nil {
 			return err
 		}
 	}
@@ -176,16 +173,13 @@ func (c *Cluster) SyncAll(ctx context.Context) error {
 // meter) — aggregate with Metrics.Add. The sessions' own traffic is on
 // the sessions' meters.
 func (c *Cluster) Metrics() []SiteMetrics {
-	out := make([]SiteMetrics, 0, len(c.order))
-	for _, name := range c.order {
-		s := c.sites[name]
-		out = append(out, SiteMetrics{Site: name, Link: s.Link(), Metrics: s.Metrics()})
+	sites := c.topo.Sites()
+	out := make([]SiteMetrics, 0, len(sites))
+	for _, s := range sites {
+		out = append(out, SiteMetrics{Site: s.Name(), Link: s.Link(), Metrics: s.Metrics()})
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// partial replication: per-site product subscriptions
 
 // Subscribe registers (or replaces) a site's partial-replication
 // subscription: from the next pull on, the site is shipped only the
@@ -195,85 +189,76 @@ func (c *Cluster) Metrics() []SiteMetrics {
 // re-issue reads outside the closure against the primary at WAN cost.
 // Subscribing the primary site is meaningless and rejected.
 func (c *Cluster) Subscribe(site string, roots ...int64) error {
-	if _, ok := c.sites[site]; !ok {
-		return fmt.Errorf("pdmtune: subscribe: unknown site %q", site)
-	}
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if site == c.primaryNameLocked() || c.sites[site].IsPrimary() {
-		return fmt.Errorf("pdmtune: subscribe: site %q is the primary and holds everything", site)
-	}
-	c.registryLocked().Subscribe(site, roots...)
-	return nil
+	return c.topo.Subscribe(site, roots...)
 }
 
 // Unsubscribe removes a site's subscription: its next pull ships the
 // full delta again and the site resumes full replication.
-func (c *Cluster) Unsubscribe(site string) error {
-	if _, ok := c.sites[site]; !ok {
-		return fmt.Errorf("pdmtune: unsubscribe: unknown site %q", site)
-	}
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if c.sub != nil {
-		c.sub.Unsubscribe(site)
-	}
-	return nil
-}
+func (c *Cluster) Unsubscribe(site string) error { return c.topo.Unsubscribe(site) }
 
 // SubscriptionRoots returns a site's subscribed subtree roots (nil when
 // the site replicates in full).
-func (c *Cluster) SubscriptionRoots(site string) []int64 {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if c.sub == nil {
-		return nil
-	}
-	return c.sub.Roots(site)
+func (c *Cluster) SubscriptionRoots(site string) []int64 { return c.topo.SubscriptionRoots(site) }
+
+// Term returns the cluster's current fencing term (0 for site-less
+// clusters, which run unfenced).
+func (c *Cluster) Term() uint64 { return c.topo.Term() }
+
+// PrimaryName returns the name of the current primary: PrimarySite
+// until a promotion, the promoted site's name after.
+func (c *Cluster) PrimaryName() string { return c.topo.PrimaryName() }
+
+// SetTransportWrapper installs a decorator applied to every transport
+// the cluster builds from now on — replication pulls, health/quorum
+// probes, and the default transports of sessions opened later. target
+// names the server the transport points at (PrimarySite or a site
+// name), so a test can kill every connection into one node at once.
+// Existing site pulls are re-built through the wrapper immediately;
+// already-open sessions keep their transports.
+func (c *Cluster) SetTransportWrapper(wrap func(target string, tr Transport) Transport) {
+	c.topo.SetTransportWrapper(wrap)
 }
 
-// registryLocked lazily creates the subscription registry against the
-// current primary's database and installs the sync filter on its
-// server. Must be called with ha.mu held.
-func (c *Cluster) registryLocked() *subscribe.Registry {
-	if c.sub == nil {
-		c.sub = subscribe.New(c.primaryDBLocked())
-		c.installSyncFilterLocked()
-	}
-	return c.sub
-}
+// SetPromoteConfig tunes the promotion prechecks (epoch-lag bound,
+// quorum size).
+func (c *Cluster) SetPromoteConfig(cfg PromoteConfig) { c.topo.SetPromoteConfig(cfg) }
 
-// primaryDB is primaryDBLocked for callers outside the control plane's
-// critical sections.
-func (c *Cluster) primaryDB() *minisql.DB {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.primaryDBLocked()
-}
+// HealthMetrics reports the control plane's probe traffic: health
+// probes and failures (HealthProbes / ProbeFailures), plus the quorum
+// probes of promotions.
+func (c *Cluster) HealthMetrics() Metrics { return c.topo.HealthMetrics() }
 
-// primaryDBLocked resolves the current primary's database.
-func (c *Cluster) primaryDBLocked() *minisql.DB {
-	name := c.primaryNameLocked()
-	if name == PrimarySite {
-		return c.sys.DB
-	}
-	return c.sites[name].DB()
-}
+// Promote performs a health-checked primary failover to the named
+// site: prechecks (quorum, no in-flight check-outs at the candidate,
+// full coverage), fencing of the old primary, a final catch-up pull,
+// the term bump, and the re-pointing of every other site and every
+// open session. In-flight writes the deposed primary fences are
+// re-issued against the new primary transparently. A refused
+// promotion returns a *PromoteError. See topology.Cluster.Promote.
+func (c *Cluster) Promote(ctx context.Context, name string) error { return c.topo.Promote(ctx, name) }
 
-// installSyncFilterLocked points the current primary's wire server at
-// the subscription registry: pulls that identify a subscribed site get
-// a filtered delta, everyone else the full one.
-func (c *Cluster) installSyncFilterLocked() {
-	server, _ := c.primaryServerLocked()
-	sub := c.sub
-	server.SetSyncFilter(func(site string) *wire.SyncFilter {
-		keep, holds, ok := sub.FilterFor(site)
-		if !ok {
-			return nil
-		}
-		return &wire.SyncFilter{Keep: keep, Holds: holds}
-	})
-}
+// PromoteBest promotes the most caught-up reachable replica site and
+// returns its name. It is what the health checker triggers when the
+// primary goes down.
+func (c *Cluster) PromoteBest(ctx context.Context) (string, error) { return c.topo.PromoteBest(ctx) }
+
+// WatchPrimary attaches a health checker to the cluster's primary. The
+// checker probes over the ordinary wire transport (through any
+// installed transport wrapper, so fault injection applies) and, once
+// Threshold consecutive probes fail, triggers PromoteBest. Drive it
+// deterministically with CheckNow, or Start its background loop (and
+// Stop it before discarding the cluster). Probe counts surface in
+// HealthMetrics.
+func (c *Cluster) WatchPrimary(cfg HealthConfig) *HealthChecker { return c.topo.WatchPrimary(cfg) }
+
+// Rejoin brings a deposed original primary back into the cluster as
+// the replica site DemotedPrimarySite: its divergent tail — writes it
+// accepted after the promotion base that never replicated — is
+// discarded, its fence is aligned with the cluster's current term (as
+// a replica), and it syncs forward from the promotion base off the new
+// primary. Sessions still attached to its server keep working as
+// replica-read sessions. Returns the stats of the initial sync.
+func (c *Cluster) Rejoin(ctx context.Context) (SyncStats, error) { return c.topo.Rejoin(ctx) }
 
 // OpenAt opens a session at a site: the same Session as System.Open,
 // with reads served by the site's replica over the session's local

@@ -67,8 +67,7 @@ func TestCompressedAcceptanceD7B5(t *testing.T) {
 		t.Fatalf("un-negotiated session reports compression: %+v", plain.Metrics)
 	}
 
-	zSess := open(pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true),
-		pdmtune.WithOpenContext(ctx))
+	zSess := open(pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true))
 	if caps := zSess.WireCaps(); !caps.ColumnarResults || !caps.Compression {
 		t.Fatalf("negotiated caps not surfaced: %+v", caps)
 	}
@@ -127,7 +126,7 @@ func TestCompressedAcceptanceD7B5(t *testing.T) {
 }
 
 // TestOpenContextCancelsNegotiation: the negotiation round trip Open
-// performs is bounded by WithOpenContext, so opening a compressed
+// performs is bounded by OpenAt's context, so opening a compressed
 // session over a dead transport cannot hang.
 func TestOpenContextCancelsNegotiation(t *testing.T) {
 	sys := pdmtune.NewSystem(nil)
@@ -136,15 +135,12 @@ func TestOpenContextCancelsNegotiation(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sys.Open(
-		pdmtune.WithCompression(true),
-		pdmtune.WithOpenContext(cancelled),
-	)
+	_, err := sys.Cluster().OpenAt(cancelled, pdmtune.PrimarySite, pdmtune.WithCompression(true))
 	if err == nil {
 		t.Fatal("Open with a cancelled negotiation context must fail")
 	}
 	// Without negotiation the context is unused and Open still succeeds.
-	if _, err := sys.Open(pdmtune.WithOpenContext(cancelled)); err != nil {
+	if _, err := sys.Cluster().OpenAt(cancelled, pdmtune.PrimarySite); err != nil {
 		t.Fatalf("un-negotiated Open must not touch the wire: %v", err)
 	}
 }

@@ -498,6 +498,57 @@ func TestFailBackToRejoinedPrimary(t *testing.T) {
 	}
 }
 
+// TestRejoinWhileSitesAreRead: the site registry is read — syncs, site
+// lookups, listings, metrics — while Rejoin adds the deposed primary to
+// it (run with -race).
+func TestRejoinWhileSitesAreRead(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"}, pdmtune.SiteConfig{Name: "tokyo"})
+	if _, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 2, Branch: 2, Sigma: 1, Seed: 19}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			if _, err := cl.SyncSite(ctx, "tokyo"); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = cl.SiteNames()
+			_, _ = cl.Site("tokyo")
+			_ = cl.Metrics()
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	if _, err := cl.Rejoin(ctx); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	names := cl.SiteNames()
+	if len(names) != 3 || names[2] != pdmtune.DemotedPrimarySite {
+		t.Fatalf("SiteNames after Rejoin = %v", names)
+	}
+}
+
 // TestNeverSyncedSiteBootstrapsFromNewPrimary: a site that never
 // synced before the failover bootstraps its full state from the new
 // primary.

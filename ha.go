@@ -1,11 +1,6 @@
 package pdmtune
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"pdmtune/internal/failover"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/topology"
@@ -15,7 +10,7 @@ import (
 // DemotedPrimarySite is the site name under which a deposed primary
 // rejoins the cluster as a replica (Cluster.Rejoin). It is reserved:
 // NewCluster rejects site configs using it.
-const DemotedPrimarySite = "old-primary"
+const DemotedPrimarySite = topology.DemotedPrimarySite
 
 // FencedError reports a write refused by the cluster's epoch-term
 // fencing: either the serving node is no longer the primary (Deposed)
@@ -37,594 +32,73 @@ type HealthConfig = failover.Config
 // HealthChecker probes the cluster's primary; see Cluster.WatchPrimary.
 type HealthChecker = failover.Checker
 
-// PromoteConfig tunes the promotion prechecks.
-type PromoteConfig struct {
-	// MaxEpochLag is the largest primary-epoch lag (last known primary
-	// epoch minus the candidate's synced epoch) a candidate may have
-	// when the old primary cannot be reached for a final catch-up pull.
-	// Default 0: an unreachable primary's unreplicated writes are never
-	// silently discarded unless the caller raised the bound.
-	MaxEpochLag uint64
-	// Quorum is the number of replica sites (candidate included) that
-	// must answer a status probe for the promotion to proceed. Default:
-	// a majority of the cluster's replica sites.
-	Quorum int
-}
+// PromoteConfig tunes the promotion prechecks: MaxEpochLag bounds the
+// epochs a promotion may discard when the old primary cannot be
+// reached for a final catch-up pull (default 0), Quorum the replica
+// sites that must answer a status probe (default a majority).
+type PromoteConfig = topology.PromoteConfig
 
-// PromoteError reports a promotion refused by a precheck.
-type PromoteError struct {
-	// Site is the candidate.
-	Site string
-	// Stage names the failed precheck: "unknown-site", "already-primary",
-	// "quorum", "epoch-lag", "inflight" or "subscription-coverage".
-	Stage string
-	// Reason is human-readable detail.
-	Reason string
-}
-
-func (e *PromoteError) Error() string {
-	return fmt.Sprintf("pdmtune: promote %s: %s: %s", e.Site, e.Stage, e.Reason)
-}
-
-// haState is the cluster's failover control plane: the fencing term,
-// the per-server fences, the session registry the promotion re-routes,
-// and the fault-injection seam. Everything mutates under one mutex —
-// a promotion is a single critical section, so a write that starts
-// after it observes the complete new topology.
-type haState struct {
-	mu sync.Mutex
-	// term is the cluster's current fencing term: 0 while fencing is
-	// disabled (site-less systems keep the pre-HA wire format and zero
-	// overhead), 1 once fences are installed, bumped at each promotion.
-	// Atomic — the term source reads it on every stamped frame, and a
-	// promotion's own catch-up sync must be able to read it while the
-	// promotion holds the control-plane lock.
-	term atomic.Uint64
-	// fences maps the owner name (PrimarySite or a site name) to the
-	// fence installed on that owner's wire server.
-	fences map[string]*wire.Fence
-	// primary is the owner name of the current primary (PrimarySite
-	// until the first promotion).
-	primary string
-	// baseEpoch is the promotion-base epoch of the last promotion — the
-	// epoch the deposed primary must rewind to before rejoining.
-	baseEpoch uint64
-	// lastPrimaryEpoch is the highest primary epoch the control plane
-	// has observed (via syncs and promotions) — the reference the
-	// epoch-lag precheck measures candidates against.
-	lastPrimaryEpoch uint64
-	// wrap decorates every transport the cluster builds, keyed by the
-	// target server's owner name — the fault-injection seam.
-	wrap func(target string, tr Transport) Transport
-	// sessions maps every open session to the site it was opened at, so
-	// a promotion can re-point their write paths.
-	sessions map[*Session]string
-	// inflight counts in-flight check-out/check-in actions per site
-	// name — the "no in-flight check-outs against the candidate"
-	// precheck.
-	inflight map[string]int
-	// cfg tunes the promotion prechecks.
-	cfg PromoteConfig
-	// healthMeter accounts health probes and quorum probes.
-	healthMeter *netsim.Meter
-	// checker is the active primary health checker (WatchPrimary).
-	checker *failover.Checker
-}
-
-// enableFencing installs term-1 fences on the primary and every site
-// server. Called by NewCluster when the cluster has replica sites.
-func (c *Cluster) enableFencing() {
-	c.ha.term.Store(1)
-	c.ha.primary = PrimarySite
-	c.ha.fences = map[string]*wire.Fence{PrimarySite: wire.NewFence(1, true)}
-	c.ha.sessions = map[*Session]string{}
-	c.ha.inflight = map[string]int{}
-	c.ha.healthMeter = netsim.NewMeter(netsim.LAN())
-	c.sys.Server.SetFence(c.ha.fences[PrimarySite])
-	for name, site := range c.sites {
-		f := wire.NewFence(1, false)
-		c.ha.fences[name] = f
-		site.Server().SetFence(f)
-		site.SetTermSource(c.termSource())
-		site.SetRetry(&wire.RetryPolicy{Meter: site.Meter()})
-	}
-}
-
-// fencingEnabled reports whether the cluster runs fenced (has sites).
-func (c *Cluster) fencingEnabled() bool {
-	return c.ha.term.Load() != 0
-}
-
-// termSource returns the fencing-term source clients stamp their write
-// and sync frames with. It is lock-free so a promotion's catch-up sync
-// can stamp frames while the promotion holds the control-plane lock.
-func (c *Cluster) termSource() wire.TermSource {
-	return func() (uint64, bool) {
-		t := c.ha.term.Load()
-		return t, t != 0
-	}
-}
-
-// Term returns the cluster's current fencing term (0 for site-less
-// clusters, which run unfenced).
-func (c *Cluster) Term() uint64 {
-	return c.ha.term.Load()
-}
-
-// PrimaryName returns the owner name of the current primary:
-// PrimarySite until a promotion, the promoted site's name after.
-func (c *Cluster) PrimaryName() string {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.primaryNameLocked()
-}
-
-func (c *Cluster) primaryNameLocked() string {
-	if c.ha.primary == "" {
-		return PrimarySite
-	}
-	return c.ha.primary
-}
-
-// primaryServer resolves the current primary's wire server and owner
-// name.
-func (c *Cluster) primaryServer() (*wire.Server, string) {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.primaryServerLocked()
-}
-
-func (c *Cluster) primaryServerLocked() (*wire.Server, string) {
-	name := c.primaryNameLocked()
-	if name == PrimarySite {
-		return c.sys.Server, name
-	}
-	return c.sites[name].Server(), name
-}
-
-// SetTransportWrapper installs a decorator applied to every transport
-// the cluster builds from now on — replication pulls, health/quorum
-// probes, and the default transports of sessions opened later. target
-// names the server the transport points at (PrimarySite or a site
-// name), so a test can kill every connection into one node at once.
-// Existing site pulls are re-built through the wrapper immediately;
-// already-open sessions keep their transports.
-func (c *Cluster) SetTransportWrapper(wrap func(target string, tr Transport) Transport) {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	c.ha.wrap = wrap
-	server, pname := c.primaryServerLocked()
-	for name, site := range c.sites {
-		if name == pname || site.IsPrimary() {
-			continue
-		}
-		site.Repoint(c.wrapLocked(pname, &wire.MeteredChannel{Conn: server.NewConn(), Meter: site.Meter()}))
-	}
-}
-
-func (c *Cluster) wrapTransport(target string, tr Transport) Transport {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	return c.wrapLocked(target, tr)
-}
-
-func (c *Cluster) wrapLocked(target string, tr Transport) Transport {
-	if c.ha.wrap == nil {
-		return tr
-	}
-	return c.ha.wrap(target, tr)
-}
+// PromoteError reports a promotion refused by a precheck; Stage names
+// it ("unknown-site", "already-primary", "quorum", "epoch-lag",
+// "inflight" or "subscription-coverage").
+type PromoteError = topology.PromoteError
 
 // registerSession enrolls an open session for re-routing at promotion
-// time. dialedPrimary names the primary the session's transports were
-// built against ("" for caller-supplied transports): if a promotion
-// slipped in between the session's dial and its registration, the
-// session is re-routed right here — otherwise it would keep writing
-// into the deposed primary with no promotion left to catch it.
-// Site-less clusters skip the registry entirely.
-func (c *Cluster) registerSession(s *Session, dialedPrimary string) {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if c.ha.sessions == nil {
+// time. dialed is the primary the session's transports were built
+// against (nil for caller-supplied transports): if a promotion slipped
+// in between the session's dial and its registration, the session is
+// re-routed right here — otherwise it would keep writing into the
+// deposed primary with no promotion left to catch it. Site-less
+// clusters skip the registry entirely.
+func (c *Cluster) registerSession(s *Session, dialed *topology.Site) {
+	if c.sessions == nil {
 		return
 	}
-	c.ha.sessions[s] = s.site
-	if dialedPrimary != "" && dialedPrimary != c.primaryNameLocked() {
-		c.rerouteSessionLocked(s)
-	}
-}
-
-// rerouteSessionLocked points one session at the current primary — the
-// per-session body of a promotion, also replayed at registration when
-// the session dialed a primary that was deposed while it was opening.
-// Sessions at the promoted site reunify their paths (their reads
-// already hit the new primary); other site sessions get a fresh write
-// transport while their reads stay on the (still syncing) site
-// replica. Sessions attached to a deposed primary's own server have no
-// replica database behind them — left alone, their reads would be
-// frozen at the fencing instant forever — so their whole path moves.
-func (c *Cluster) rerouteSessionLocked(sess *Session) {
-	name := c.primaryNameLocked()
-	candidate := c.sites[name]
-	if candidate == nil {
-		return // the original server is (still) the primary
-	}
-	if sess.site == name {
-		sess.client.SetPrimary(nil, nil)
-		return
-	}
-	if _, atSite := c.sites[sess.site]; !atSite {
-		m := sess.meter
-		if m == nil {
-			m = netsim.NewMeter(candidate.Link())
+	c.topo.WithPrimary(func(primary *topology.Site, dial topology.Dialer) {
+		c.sessions[s] = struct{}{}
+		if dialed != nil && dialed != primary {
+			reroute(s, primary, dial)
 		}
-		sess.client.Reroute(c.wrapLocked(name, &wire.MeteredChannel{
-			Conn: candidate.Server().NewConn(), Meter: m}))
-		return
-	}
-	wan := sess.wan
-	if wan == nil {
-		wan = netsim.NewMeter(candidate.Link())
-	}
-	sess.client.SetPrimary(c.wrapLocked(name, &wire.MeteredChannel{
-		Conn: candidate.Server().NewConn(), Meter: wan}), wan)
+	})
 }
 
 func (c *Cluster) deregisterSession(s *Session) {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if c.ha.sessions != nil {
-		delete(c.ha.sessions, s)
+	if c.sessions == nil {
+		return
+	}
+	c.topo.WithPrimary(func(*topology.Site, topology.Dialer) { delete(c.sessions, s) })
+}
+
+// rerouteAll is the promotion callback: every open session follows the
+// new primary.
+func (c *Cluster) rerouteAll(primary *topology.Site, dial topology.Dialer) {
+	for s := range c.sessions {
+		reroute(s, primary, dial)
 	}
 }
 
-// beginWrite counts one in-flight check-out/check-in at the given site
-// and returns the matching decrement. The count is what the promotion
-// precheck consults: a candidate with a write mid-flight cannot be
-// promoted out from under it.
-func (c *Cluster) beginWrite(site string) func() {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	if c.ha.inflight == nil {
-		return func() {}
-	}
-	c.ha.inflight[site]++
-	return func() {
-		c.ha.mu.Lock()
-		defer c.ha.mu.Unlock()
-		c.ha.inflight[site]--
-	}
-}
-
-// SetPromoteConfig tunes the promotion prechecks (epoch-lag bound,
-// quorum size).
-func (c *Cluster) SetPromoteConfig(cfg PromoteConfig) {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	c.ha.cfg = cfg
-}
-
-// HealthMetrics reports the control plane's probe traffic: health
-// probes and failures (HealthProbes / ProbeFailures), plus the quorum
-// probes of promotions.
-func (c *Cluster) HealthMetrics() Metrics {
-	c.ha.mu.Lock()
-	m := c.ha.healthMeter
-	c.ha.mu.Unlock()
-	if m == nil {
-		return Metrics{}
-	}
-	return m.Snapshot()
-}
-
-// probeSite asks one site's server for its status over a (possibly
-// fault-wrapped) control transport. Must be called with ha.mu held.
-func (c *Cluster) probeSiteLocked(ctx context.Context, name string) (wire.Status, error) {
-	site := c.sites[name]
-	tr := c.wrapLocked(name, &wire.MeteredChannel{Conn: site.Server().NewConn(), Meter: c.ha.healthMeter})
-	return wire.NewClient(tr).Status(ctx)
-}
-
-// Promote performs a health-checked primary failover to the named
-// site:
-//
-//  1. Prechecks — a quorum of replica sites answers a status probe
-//     (the candidate must be among them) and the candidate has no
-//     check-out/check-in in flight.
-//  2. The old primary is fenced: it keeps its old term with the
-//     primary flag cleared, so every write it still receives — fenced
-//     or not — is refused with a *FencedError instead of executing.
-//  3. A final catch-up pull drains the old primary's unreplicated tail
-//     into the candidate. If the old primary is unreachable (that is
-//     why failovers happen), the pull is skipped and the candidate's
-//     epoch lag must be within PromoteConfig.MaxEpochLag — otherwise
-//     the promotion aborts and the old primary is unfenced.
-//  4. The cluster's fencing term is bumped; the candidate's fence
-//     becomes (new term, primary), every other site's (new term,
-//     replica).
-//  5. Every other site's replication pull is re-pointed at the new
-//     primary, and every open session's write path is re-routed —
-//     in-flight writes that the deposed primary fences are re-issued
-//     against the new primary transparently.
-//
-// The whole promotion is one critical section of the cluster's control
-// plane: concurrent syncs and session writes observe either the old
-// topology (and get fenced, then re-routed) or the complete new one.
-func (c *Cluster) Promote(ctx context.Context, name string) error {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	candidate, ok := c.sites[name]
-	if !ok {
-		return &PromoteError{Site: name, Stage: "unknown-site",
-			Reason: fmt.Sprintf("no such site (have %v)", c.order)}
-	}
-	if !c.fencingEnabled() {
-		return &PromoteError{Site: name, Stage: "unknown-site", Reason: "cluster has no fencing (no sites)"}
-	}
-	if name == c.primaryNameLocked() || candidate.IsPrimary() {
-		return &PromoteError{Site: name, Stage: "already-primary", Reason: "site is already the primary"}
-	}
-	if n := c.ha.inflight[name]; n > 0 {
-		return &PromoteError{Site: name, Stage: "inflight",
-			Reason: fmt.Sprintf("%d check-out/check-in action(s) in flight at the candidate", n)}
-	}
-	if candidate.Partial() {
-		// A subscription-bounded replica holds only its closure — rows
-		// outside it would vanish from the cluster's history if it became
-		// the source of truth. Unsubscribe and sync to full before
-		// promoting.
-		return &PromoteError{Site: name, Stage: "subscription-coverage",
-			Reason: "candidate is a partial replica (subscription-bounded); unsubscribe and sync it to full coverage first"}
-	}
-
-	// Quorum: replica sites (candidate included) answering a status
-	// probe over their control transports.
-	replicas := 0
-	reachable := 0
-	candidateUp := false
-	for _, sn := range c.order {
-		if sn == c.primaryNameLocked() || c.sites[sn].IsPrimary() {
-			continue
+// reroute points one session at the current primary. Sessions at the
+// primary's own site reunify their paths (their reads already hit it);
+// other site sessions get a fresh write transport while their reads
+// stay on the (still syncing) site replica. Sessions opened at
+// PrimarySite have no replica database behind them — left alone, their
+// reads would be frozen at the fencing instant forever — so their whole
+// path moves.
+func reroute(s *Session, primary *topology.Site, dial topology.Dialer) {
+	switch s.node {
+	case primary:
+		s.client.SetPrimary(nil, nil)
+	case nil:
+		m := s.meter
+		if m == nil {
+			m = netsim.NewMeter(primary.Link())
 		}
-		replicas++
-		if _, err := c.probeSiteLocked(ctx, sn); err == nil {
-			reachable++
-			if sn == name {
-				candidateUp = true
-			}
+		s.client.Reroute(dial(m))
+	default:
+		wan := s.wan
+		if wan == nil {
+			wan = netsim.NewMeter(primary.Link())
 		}
+		s.client.SetPrimary(dial(wan), wan)
 	}
-	quorum := c.ha.cfg.Quorum
-	if quorum <= 0 {
-		quorum = replicas/2 + 1
-	}
-	if !candidateUp {
-		return &PromoteError{Site: name, Stage: "quorum", Reason: "candidate did not answer its status probe"}
-	}
-	if reachable < quorum {
-		return &PromoteError{Site: name, Stage: "quorum",
-			Reason: fmt.Sprintf("only %d of %d replica sites reachable, need %d", reachable, replicas, quorum)}
-	}
-
-	// Fence the old primary first: from this instant no write commits
-	// there, so everything the catch-up pull extracts is the complete
-	// acknowledged history.
-	oldTerm := c.ha.term.Load()
-	oldName := c.primaryNameLocked()
-	oldFence := c.ha.fences[oldName]
-	oldFence.Set(oldTerm, false)
-
-	// Final catch-up: drain the old primary's tail. Failure (killed
-	// primary) falls back to the epoch-lag bound.
-	if _, err := candidate.Sync(ctx); err != nil {
-		lastKnown := c.lastKnownPrimaryEpochLocked()
-		lag := uint64(0)
-		if e := candidate.Epoch(); lastKnown > e {
-			lag = lastKnown - e
-		}
-		if lag > c.ha.cfg.MaxEpochLag {
-			oldFence.Set(oldTerm, true) // roll the fence back; promotion off
-			return &PromoteError{Site: name, Stage: "epoch-lag",
-				Reason: fmt.Sprintf("old primary unreachable and candidate lags %d epochs (bound %d): %v",
-					lag, c.ha.cfg.MaxEpochLag, err)}
-		}
-	}
-
-	// Point of no return: bump the term, swap the fences, flip roles.
-	newTerm := oldTerm + 1
-	c.ha.term.Store(newTerm)
-	base := candidate.Epoch()
-	c.ha.baseEpoch = base
-	if base > c.ha.lastPrimaryEpoch {
-		c.ha.lastPrimaryEpoch = base
-	}
-	for sn, f := range c.ha.fences {
-		if sn == oldName {
-			continue // the deposed primary keeps its old term, deposed
-		}
-		f.Set(newTerm, sn == name)
-	}
-	// A rejoined deposed primary shares one Fence under two names
-	// (PrimarySite and DemotedPrimarySite); set the candidate's fence
-	// last so an alias iterated later can never overwrite its primary
-	// role.
-	c.ha.fences[name].Set(newTerm, true)
-	candidate.BecomePrimary(base)
-	c.ha.primary = name
-
-	// A deposed primary that is itself a site (a second failover)
-	// becomes an ordinary replica again: any tail it holds beyond the
-	// promotion base is divergent history the catch-up could not reach
-	// — discard it and resync from scratch, exactly like Rejoin does
-	// for the original primary.
-	if oldSite, ok := c.sites[oldName]; ok && oldSite.IsPrimary() {
-		from := base
-		if discarded, err := oldSite.DB().DiscardSince(base); err == nil && discarded {
-			from = 0
-		}
-		oldSite.BecomeReplica(from)
-	}
-
-	// Re-point every other replica's pull at the new primary.
-	for sn, site := range c.sites {
-		if sn == name {
-			continue
-		}
-		site.Repoint(c.wrapLocked(name, &wire.MeteredChannel{
-			Conn: candidate.Server().NewConn(), Meter: site.Meter()}))
-	}
-
-	// Hand the subscription registry over to the new primary: the old
-	// server stops filtering pulls, the registry re-targets the new
-	// primary's database (rebuilding its adjacency from scratch — the
-	// new version log numbers epochs differently), and the new server
-	// starts filtering. Sites keep their subscriptions across the
-	// failover.
-	if c.sub != nil {
-		var oldServer *wire.Server
-		if oldName == PrimarySite {
-			oldServer = c.sys.Server
-		} else if oldSite, ok := c.sites[oldName]; ok {
-			oldServer = oldSite.Server()
-		}
-		if oldServer != nil {
-			oldServer.SetSyncFilter(nil)
-		}
-		c.sub.Retarget(candidate.DB())
-		c.installSyncFilterLocked()
-	}
-
-	// Re-route every open session at the new primary.
-	for sess := range c.ha.sessions {
-		c.rerouteSessionLocked(sess)
-	}
-
-	// Re-aim the health checker, if one is running.
-	if c.ha.checker != nil {
-		c.ha.checker.Reset(c.primaryProberLocked())
-	}
-	return nil
-}
-
-// lastKnownPrimaryEpochLocked is the control plane's best knowledge of
-// how far the primary's history reached: the highest epoch any replica
-// synced to, the last promotion base, and the health checker's last
-// successful probe.
-func (c *Cluster) lastKnownPrimaryEpochLocked() uint64 {
-	last := c.ha.lastPrimaryEpoch
-	for _, site := range c.sites {
-		if e := site.Epoch(); e > last {
-			last = e
-		}
-	}
-	if c.ha.checker != nil {
-		if st := c.ha.checker.LastStatus(); st.Epoch > last {
-			last = st.Epoch
-		}
-	}
-	return last
-}
-
-// PromoteBest promotes the most caught-up reachable replica site and
-// returns its name. It is what the health checker triggers when the
-// primary goes down.
-func (c *Cluster) PromoteBest(ctx context.Context) (string, error) {
-	c.ha.mu.Lock()
-	best := ""
-	var bestEpoch uint64
-	pname := c.primaryNameLocked()
-	for _, sn := range c.order {
-		site := c.sites[sn]
-		if sn == pname || site.IsPrimary() {
-			continue
-		}
-		if site.Partial() {
-			// A subscription-bounded replica cannot become the source of
-			// truth (Promote would refuse it); prefer full-coverage sites.
-			continue
-		}
-		if _, err := c.probeSiteLocked(ctx, sn); err != nil {
-			continue
-		}
-		if e := site.Epoch(); best == "" || e > bestEpoch {
-			best, bestEpoch = sn, e
-		}
-	}
-	c.ha.mu.Unlock()
-	if best == "" {
-		return "", &PromoteError{Site: "", Stage: "quorum", Reason: "no reachable replica site to promote"}
-	}
-	return best, c.Promote(ctx, best)
-}
-
-// primaryProberLocked builds a status prober for the current primary
-// over a (possibly fault-wrapped) control transport.
-func (c *Cluster) primaryProberLocked() failover.Prober {
-	server, pname := c.primaryServerLocked()
-	tr := c.wrapLocked(pname, &wire.MeteredChannel{Conn: server.NewConn(), Meter: c.ha.healthMeter})
-	return wire.NewClient(tr)
-}
-
-// WatchPrimary attaches a health checker to the cluster's primary. The
-// checker probes over the ordinary wire transport (through any
-// installed transport wrapper, so fault injection applies) and, once
-// Threshold consecutive probes fail, triggers PromoteBest. Drive it
-// deterministically with CheckNow, or Start its background loop (and
-// Stop it before discarding the cluster). Probe counts surface in
-// HealthMetrics.
-func (c *Cluster) WatchPrimary(cfg HealthConfig) *HealthChecker {
-	c.ha.mu.Lock()
-	defer c.ha.mu.Unlock()
-	ck := failover.New(c.primaryProberLocked(), cfg, c.ha.healthMeter, func() {
-		_, _ = c.PromoteBest(context.Background())
-	})
-	c.ha.checker = ck
-	return ck
-}
-
-// Rejoin brings a deposed original primary back into the cluster as
-// the replica site DemotedPrimarySite: its divergent tail — writes it
-// accepted after the promotion base that never replicated — is
-// discarded, its fence is aligned with the cluster's current term (as
-// a replica), and it syncs forward from the promotion base off the new
-// primary. Sessions still attached to its server keep working as
-// replica-read sessions. Returns the stats of the initial sync.
-func (c *Cluster) Rejoin(ctx context.Context) (SyncStats, error) {
-	c.ha.mu.Lock()
-	if !c.fencingEnabled() || c.primaryNameLocked() == PrimarySite {
-		c.ha.mu.Unlock()
-		return SyncStats{}, fmt.Errorf("pdmtune: rejoin: the original primary was never deposed")
-	}
-	if _, dup := c.sites[DemotedPrimarySite]; dup {
-		c.ha.mu.Unlock()
-		return SyncStats{}, fmt.Errorf("pdmtune: rejoin: %q already rejoined", DemotedPrimarySite)
-	}
-	base := c.ha.baseEpoch
-	discarded, err := c.sys.DB.DiscardSince(base)
-	if err != nil {
-		c.ha.mu.Unlock()
-		return SyncStats{}, fmt.Errorf("pdmtune: rejoin: discard divergent tail: %w", err)
-	}
-	if discarded {
-		// Divergent keys were erased; the new primary never modified
-		// them, so only a full pull (since 0) re-ships their
-		// authoritative rows. A clean rejoin stays incremental.
-		base = 0
-	}
-	pserver, pname := c.primaryServerLocked()
-	link := c.sites[pname].Link()
-	meter := netsim.NewMeter(link)
-	pull := c.wrapLocked(pname, &wire.MeteredChannel{Conn: pserver.NewConn(), Meter: meter})
-	site := topology.NewWithServer(DemotedPrimarySite, c.sys.DB, c.sys.Server, pull, meter, link)
-	site.SetTermSource(c.termSource())
-	site.SetRetry(&wire.RetryPolicy{Meter: meter})
-	site.BecomeReplica(base)
-	// Align the old primary's fence with the cluster: a replica at the
-	// current term (still refusing writes, now as a plain replica).
-	c.ha.fences[PrimarySite].Set(c.ha.term.Load(), false)
-	c.ha.fences[DemotedPrimarySite] = c.ha.fences[PrimarySite]
-	c.sites[DemotedPrimarySite] = site
-	c.order = append(c.order, DemotedPrimarySite)
-	c.ha.mu.Unlock()
-	return site.Sync(ctx)
 }

@@ -3,9 +3,10 @@
 // wire transport and reports it down after a configurable number of
 // consecutive failures. The paper's worldwide deployment treats the
 // central server as a single point of failure; this package provides
-// the detection half of the remedy (the promotion half lives in the
-// cluster facade, which owns the sites and sessions the failover must
-// re-point).
+// the detection half of the remedy. The promotion half is
+// internal/topology's Cluster, which owns the nodes a failover must
+// re-point and hands the open sessions to the facade's re-route
+// callback.
 package failover
 
 import (

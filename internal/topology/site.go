@@ -1,11 +1,16 @@
-// Package topology implements the multi-site layer of the PDM system:
-// replica sites that hold a full copy of the primary's database and
-// pull it forward over the WAN by VersionLog epoch. A site fronts its
-// replica with its own wire server, so clients at the site read over
-// the LAN while only replication pulls (and the clients' writes, which
-// the core layer routes past the replica) cross the WAN — the paper's
-// worldwide deployment with the 256 kbit/s tax paid once per change
-// instead of once per read.
+// Package topology implements the multi-site layer of the PDM system
+// and its control plane. Every database server of a cluster is a node
+// (Site): the primary, and replica sites that hold a full copy of the
+// primary's database and pull it forward over the WAN by VersionLog
+// epoch. A node fronts its database with its own wire server, so
+// clients at a site read over the LAN while only replication pulls
+// (and the clients' writes, which the core layer routes past the
+// replica) cross the WAN — the paper's worldwide deployment with the
+// 256 kbit/s tax paid once per change instead of once per read.
+//
+// Cluster (cluster.go) is the control plane over the nodes: the
+// registry, the fencing term, and the promotions that move the primary
+// role between them (promote.go).
 package topology
 
 import (
@@ -20,33 +25,34 @@ import (
 	"pdmtune/internal/wire"
 )
 
-// Site is one replica site: a named location holding a synchronized
-// copy of the primary's database. All methods are safe for concurrent
-// use; syncs serialize against each other while readers proceed under
-// the replica engine's own locking.
+// Site is one node of a cluster: a named location holding a database
+// behind its own wire server. A node with an upstream is a replica
+// that pulls the primary's changes; a node without one pulls nothing —
+// the primary, or a deposed original primary waiting to rejoin. All
+// methods are safe for concurrent use; syncs serialize against each
+// other while readers proceed under the database's own locking.
 type Site struct {
 	name   string
 	db     *minisql.DB
 	server *wire.Server
-	// primary pulls deltas from the primary server across the site's
-	// WAN link; its transport charges the site meter.
+	// link is the node's WAN profile to the primary and meter the meter
+	// its pulls charge. Both are fixed before the node is registered as
+	// a site: the original primary gets them when it rejoins, under the
+	// control-plane lock, so every reader that found the node through
+	// the registry sees them.
 	meter *netsim.Meter
 	link  netsim.Link
 
 	mu sync.Mutex
-	// primary pulls deltas from the primary server across the site's
-	// WAN link; its transport charges the site meter. Repoint swaps it
-	// after a failover, so it lives under the site lock.
-	primary   *wire.Client
+	// upstream pulls deltas from the primary server across the site's
+	// WAN link (nil for a node that pulls nothing). A promotion clears
+	// it and re-points it, so it lives under the site lock.
+	upstream  *wire.Client
 	term      wire.TermSource
 	retry     *wire.RetryPolicy
 	lastEpoch uint64
 	lastSync  time.Time
 	synced    bool
-	// isPrimary marks a promoted site: its database is the cluster's
-	// write target, so pulls become no-ops (there is nothing upstream to
-	// pull from).
-	isPrimary bool
 	// partial marks the replica as subscription-bounded: holds is the
 	// closure of object ids the last pull shipped, replaced wholesale on
 	// every pull. A full replica has partial=false and holds=nil.
@@ -54,44 +60,37 @@ type Site struct {
 	holds   map[int64]bool
 }
 
-// New creates a site over an (empty, procedure-registered) replica
-// database and a transport to the primary. link is the site's WAN
-// profile and meter the meter that transport charges — both kept for
-// reporting.
-func New(name string, db *minisql.DB, primary wire.Transport, meter *netsim.Meter, link netsim.Link) *Site {
-	return NewWithServer(name, db, wire.NewServer(db), primary, meter, link)
+// New creates a node over a procedure-registered database, fronted by
+// a fresh wire server. upstream is the transport its pulls cross (nil
+// for a node that pulls nothing); link is the node's WAN profile and
+// meter the meter upstream charges — both kept for reporting.
+func New(name string, db *minisql.DB, upstream wire.Transport, meter *netsim.Meter, link netsim.Link) *Site {
+	s := &Site{name: name, db: db, server: wire.NewServer(db), meter: meter, link: link}
+	if upstream != nil {
+		s.upstream = wire.NewClient(upstream)
+	}
+	return s
 }
 
-// NewWithServer is New over an already-running wire server — how a
-// deposed primary rejoins the cluster as a replica without dropping
-// the sessions still connected to its server.
-func NewWithServer(name string, db *minisql.DB, server *wire.Server, primary wire.Transport, meter *netsim.Meter, link netsim.Link) *Site {
-	return &Site{
-		name:    name,
-		db:      db,
-		server:  server,
-		primary: wire.NewClient(primary),
-		meter:   meter,
-		link:    link,
-	}
+// NewPrimary creates the node a cluster starts around: no upstream, and
+// named DemotedPrimarySite — the site name it rejoins under once a
+// promotion has deposed it. Until then it is addressed as PrimarySite.
+func NewPrimary(db *minisql.DB) *Site {
+	return New(DemotedPrimarySite, db, nil, nil, netsim.Link{})
 }
 
 // Name returns the site's name.
 func (s *Site) Name() string { return s.name }
 
-// DB exposes the site's replica database.
+// DB exposes the node's database.
 func (s *Site) DB() *minisql.DB { return s.db }
 
-// Server returns the wire server fronting the replica — the server
+// Server returns the wire server fronting the database — the server
 // site-local sessions connect to.
 func (s *Site) Server() *wire.Server { return s.server }
 
 // Link returns the site's WAN profile to the primary.
 func (s *Site) Link() netsim.Link { return s.link }
-
-// Meter returns the site's WAN meter (replication pulls are charged to
-// it); nil for unmetered sites.
-func (s *Site) Meter() *netsim.Meter { return s.meter }
 
 // Metrics returns the site's accumulated WAN traffic — the replication
 // pulls charged to the site meter (zero value when the site has no
@@ -104,7 +103,7 @@ func (s *Site) Metrics() netsim.Metrics {
 }
 
 // Epoch returns the primary epoch the site last synced to (0 before
-// the first sync).
+// the first sync; the promotion base once promoted).
 func (s *Site) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -115,71 +114,59 @@ func (s *Site) Epoch() uint64 {
 func (s *Site) Synced() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.synced || s.isPrimary
+	return s.synced
 }
 
-// IsPrimary reports whether the site has been promoted to primary.
-func (s *Site) IsPrimary() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.isPrimary
-}
-
-// Repoint replaces the site's replication source: future pulls go over
-// the given transport (to the new primary after a failover). The term
-// source and retry policy of the old pull client carry over. The site's
+// repoint replaces the site's replication source: future pulls go over
+// the given transport (to the new primary after a failover), stamped
+// with the site's term source and retried under its policy. The site's
 // last-seen epoch is kept — epochs are comparable cluster-wide because
 // every replica mirrors the primary's version log, so the site resumes
 // pulling from where it was.
-func (s *Site) Repoint(primary wire.Transport) {
+func (s *Site) repoint(upstream wire.Transport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := wire.NewClient(primary)
+	c := wire.NewClient(upstream)
 	if s.term != nil {
 		c.SetTermSource(s.term)
 	}
 	if s.retry != nil {
 		c.SetRetry(s.retry)
 	}
-	s.primary = c
+	s.upstream = c
 }
 
-// SetTermSource installs the fencing-term source stamped onto the
-// site's sync pulls (and preserved across Repoint).
-func (s *Site) SetTermSource(ts wire.TermSource) {
+// fence installs the fencing-term source stamped onto the site's pulls
+// and a retry policy charging the site meter; both carry over to every
+// later repoint.
+func (s *Site) fence(ts wire.TermSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.term = ts
-	s.primary.SetTermSource(ts)
+	s.retry = &wire.RetryPolicy{Meter: s.meter}
+	if s.upstream != nil {
+		s.upstream.SetTermSource(ts)
+		s.upstream.SetRetry(s.retry)
+	}
 }
 
-// SetRetry installs the retry policy of the site's pull client (and
-// preserves it across Repoint).
-func (s *Site) SetRetry(p *wire.RetryPolicy) {
+// promote makes the site the primary: it pulls nothing from now on.
+// epoch is the promotion base, recorded as the site's last-seen epoch
+// for reporting.
+func (s *Site) promote(epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.retry = p
-	s.primary.SetRetry(p)
-}
-
-// BecomePrimary flips the site into the primary role: syncs become
-// no-ops and Synced is always true. epoch is the promotion-base epoch —
-// recorded as the site's last-seen epoch for reporting.
-func (s *Site) BecomePrimary(epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.isPrimary = true
+	s.upstream = nil
 	if epoch > s.lastEpoch {
 		s.lastEpoch = epoch
 	}
 }
 
-// BecomeReplica flips a (deposed) primary back into the replica role,
-// pulling from the given epoch onward.
-func (s *Site) BecomeReplica(fromEpoch uint64) {
+// rewind makes a deposed primary pull from the given epoch onward, as
+// a replica that has not synced yet. The caller re-points its upstream.
+func (s *Site) rewind(fromEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.isPrimary = false
 	s.lastEpoch = fromEpoch
 	s.synced = false
 }
@@ -218,7 +205,8 @@ type SyncStats struct {
 // primary and applies it transactionally to the replica. Readers at
 // the site block only for the apply (the replica engine's write lock),
 // not for the WAN transfer. Concurrent syncs serialize; each pulls
-// from the epoch the previous one established.
+// from the epoch the previous one established. A node without an
+// upstream has nothing to pull and reports an empty pull.
 func (s *Site) Sync(ctx context.Context) (SyncStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -226,11 +214,10 @@ func (s *Site) Sync(ctx context.Context) (SyncStats, error) {
 }
 
 func (s *Site) syncLocked(ctx context.Context) (SyncStats, error) {
-	if s.isPrimary {
-		// The promoted site is the source of truth; nothing to pull.
+	if s.upstream == nil {
 		return SyncStats{Since: s.lastEpoch, Epoch: s.lastEpoch}, nil
 	}
-	d, err := s.primary.SyncFrom(ctx, s.lastEpoch, s.name)
+	d, err := s.upstream.SyncFrom(ctx, s.lastEpoch, s.name)
 	if err != nil {
 		return SyncStats{}, fmt.Errorf("topology: site %s: pull: %w", s.name, err)
 	}
@@ -240,7 +227,7 @@ func (s *Site) syncLocked(ctx context.Context) (SyncStats, error) {
 		// and no incremental delta can contain them — they were not
 		// modified. Recover coverage with one snapshot pull from epoch
 		// zero; the apply below replaces the replica wholesale.
-		d, err = s.primary.SyncFrom(ctx, 0, s.name)
+		d, err = s.upstream.SyncFrom(ctx, 0, s.name)
 		if err != nil {
 			return SyncStats{}, fmt.Errorf("topology: site %s: backfill pull: %w", s.name, err)
 		}
@@ -287,8 +274,8 @@ func (s *Site) needsBackfillLocked(d *storage.Delta) bool {
 // SyncIfStale syncs when the site's last successful sync is older than
 // bound (and always when the site never synced, or when bound is 0).
 // It is the read-time hook of bounded-staleness sessions: a session
-// opened with a staleness bound calls this before every action's first
-// fetch, so no read is served from a replica more than bound behind
+// opened with a staleness bound calls this at the start of every
+// action, so no read is served from a replica more than bound behind
 // the last check.
 func (s *Site) SyncIfStale(ctx context.Context, bound time.Duration) error {
 	s.mu.Lock()

@@ -58,6 +58,7 @@ import (
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/netsim"
+	"pdmtune/internal/topology"
 	"pdmtune/internal/wire"
 	"pdmtune/internal/workload"
 )
@@ -160,10 +161,10 @@ func LinkOf(n costmodel.Network) Link {
 	return Link{Name: n.Name, LatencySec: n.LatencySec, RateKbps: n.RateKbps, PacketBytes: int(n.PacketBytes)}
 }
 
-// System bundles one PDM database server with its rule table. Since
-// the topology redesign a System is the primary of its Cluster: every
-// System belongs to exactly one cluster (a site-less one when created
-// via NewSystem), and System.Open is Cluster.OpenAt at the primary.
+// System bundles one PDM database server with its rule table. A
+// System is the original primary of its Cluster: every System belongs
+// to exactly one cluster (a site-less one when created via NewSystem),
+// and System.Open is Cluster.OpenAt at the current primary.
 type System struct {
 	DB     *minisql.DB
 	Server *wire.Server
@@ -172,7 +173,7 @@ type System struct {
 	// shared across systems must never answer one database's object
 	// ids with another's structures.
 	id string
-	// cluster is the topology this system is the primary of.
+	// cluster is the topology this system is the original primary of.
 	cluster *Cluster
 
 	// pools holds the shared connection pools of WithPool sessions, one
@@ -215,23 +216,24 @@ func NewSystem(rules *RuleTable) *System {
 	return cl.Primary()
 }
 
-// newPrimarySystem builds the primary's database, server and rule
-// table (the pre-cluster NewSystem body).
-func newPrimarySystem(rules *RuleTable) *System {
+// newPrimarySystem builds the primary's database and rule table, and
+// the cluster node fronting them; the system shares the node's server.
+func newPrimarySystem(rules *RuleTable) (*System, *topology.Site) {
 	if rules == nil {
 		rules = StandardRules()
 	}
 	db := minisql.NewDB()
 	core.RegisterProcedures(db, rules)
+	node := topology.NewPrimary(db)
 	return &System{
 		DB:     db,
-		Server: wire.NewServer(db),
+		Server: node.Server(),
 		Rules:  rules,
 		id:     fmt.Sprintf("sys%d", nextSystemID.Add(1)),
-	}
+	}, node
 }
 
-// Cluster returns the cluster this system is the primary of (a
+// Cluster returns the cluster this system is the original primary of (a
 // site-less cluster for NewSystem-created systems).
 func (s *System) Cluster() *Cluster { return s.cluster }
 

@@ -46,7 +46,6 @@ type sessionConfig struct {
 	rules     *RuleTable
 	// cache is the store of WithSharedCache.
 	cache         *Cache
-	openCtx       context.Context
 	site          string
 	poolMax       int
 	advisor       *Advisor
@@ -244,22 +243,6 @@ func WithCompression(on bool) Option {
 	return func(c *sessionConfig) error { c.knobs.Compress = on; return nil }
 }
 
-// WithOpenContext bounds the wire exchanges Open itself performs (the
-// capability negotiation of WithColumnarResults/WithCompression) by
-// the given context, so opening a session over a stalled real
-// transport can be cancelled or given a deadline. Default:
-// context.Background() — fine for the in-process simulation, which
-// cannot block.
-func WithOpenContext(ctx context.Context) Option {
-	return func(c *sessionConfig) error {
-		if ctx == nil {
-			return fmt.Errorf("pdmtune: WithOpenContext requires a non-nil context")
-		}
-		c.openCtx = ctx
-		return nil
-	}
-}
-
 // WithCache gives the session a private structure cache bounded to
 // size entries (NewCache(size) under the hood): fetched expand pages
 // and recursive trees are kept at the client, stamped with the
@@ -385,9 +368,11 @@ type Session struct {
 	meter  *Meter
 	caps   WireCaps
 	// site is the site the session was opened at (PrimarySite for
-	// direct primary sessions); wan is the session's meter on the
-	// site↔primary link (nil for primary sessions).
+	// direct primary sessions) and node that site's node (nil for
+	// primary sessions); wan is the session's meter on the site↔primary
+	// link (nil for primary sessions).
 	site string
+	node *topology.Site
 	wan  *Meter
 	// sys is the system the session was opened against — the cache
 	// namespace and replica topology ApplyConfig needs.
@@ -430,8 +415,7 @@ func (s *System) Open(opts ...Option) (*Session, error) {
 
 // open is the shared implementation of System.Open and Cluster.OpenAt.
 // ctx bounds the wire exchanges opening itself performs (bootstrap
-// sync of a never-synced site, capability negotiation); WithOpenContext
-// overrides it.
+// sync of a never-synced site, capability negotiation).
 func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	cfg := sessionConfig{
 		link:  Intercontinental(),
@@ -450,13 +434,10 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	openCtx := cfg.openCtx
-	if openCtx == nil {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		openCtx = ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	topo := s.cluster.topo
 
 	// Resolve the site. A replica session reads from the site's server
 	// over the local link (LAN unless WithLink overrides it) and routes
@@ -464,51 +445,52 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	var site *topology.Site
 	if cfg.site != "" && cfg.site != PrimarySite {
 		var ok bool
-		if site, ok = s.cluster.sites[cfg.site]; !ok {
+		if site, ok = topo.Site(cfg.site); !ok {
 			return nil, &OptionError{Option: "WithSite",
-				Reason: fmt.Sprintf("unknown site %q (have %v)", cfg.site, s.cluster.SiteNames())}
+				Reason: fmt.Sprintf("unknown site %q (have %v)", cfg.site, topo.SiteNames())}
 		}
 		if !cfg.linkSet {
 			cfg.link = LAN()
 		}
 	}
 
-	// dial builds the default transport to one of the cluster's servers:
+	// dial builds the default transport to one of the cluster's nodes:
 	// the in-process metered simulation — on the server's shared
 	// connection pool instead of an own connection with WithPool —
 	// routed through the cluster's transport wrapper (the fault
 	// injection seam, a no-op unless one is installed).
-	dial := func(server *wire.Server, name string, meter *Meter) Transport {
+	dial := func(n *topology.Site, meter *Meter) Transport {
 		if cfg.poolMax > 0 {
-			return s.cluster.wrapTransport(name, wire.Metered(s.pool(server, cfg.poolMax), meter))
+			return topo.Wrap(n, wire.Metered(s.pool(n.Server(), cfg.poolMax), meter))
 		}
-		return s.cluster.wrapTransport(name, &wire.MeteredChannel{Conn: server.NewConn(), Meter: meter})
+		return topo.Wrap(n, &wire.MeteredChannel{Conn: n.Server().NewConn(), Meter: meter})
 	}
+	primary := topo.Primary()
 	meter := cfg.meter
 	transport := cfg.transport
-	// dialedPrimary records which primary the cluster-built transports
-	// point at, so registration can re-route the session if a promotion
+	// dialed records which primary the cluster-built transports point
+	// at, so registration can re-route the session if a promotion
 	// slipped in while it was opening.
-	dialedPrimary := ""
+	var dialed *topology.Site
 	if transport == nil {
 		// Reads go to the site's replica server for replica sessions and
 		// to the current primary otherwise.
 		if meter == nil {
 			meter = netsim.NewMeter(cfg.link)
 		}
-		server, target := s.cluster.primaryServer()
-		dialedPrimary = target
+		read := primary
 		if site != nil {
-			server, target = site.Server(), cfg.site
+			read = site
 		}
-		transport = dial(server, target, meter)
+		transport = dial(read, meter)
+		dialed = primary
 	}
 	client := core.NewClient(transport, meter, cfg.rules, cfg.user, cfg.knobs.Strategy)
-	if s.cluster.fencingEnabled() {
+	if topo.Fenced() {
 		// Fenced cluster: stamp write/sync frames with the cluster term
 		// so a deposed primary refuses them, and retry idempotent reads
 		// over dead connections.
-		client.SetTermSource(s.cluster.termSource())
+		client.SetTermSource(topo.TermSource())
 	}
 	if cfg.transport == nil {
 		client.SetRetry(&wire.RetryPolicy{Meter: meter})
@@ -520,27 +502,22 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		knobs: TuneConfig{Strategy: cfg.knobs.Strategy, Replica: cfg.knobs.Replica, StalenessSec: -1}}
 	if site != nil {
 		// Write path: a connection to the cluster's current primary,
-		// metered on the site's WAN link. A session at the promoted site
-		// skips this: its default transport already is the primary.
+		// metered on the site's WAN link. A session at the primary's own
+		// site skips this: its default transport already is the primary.
 		wan := netsim.NewMeter(site.Link())
-		if !site.IsPrimary() {
-			pserver, pname := s.cluster.primaryServer()
-			dialedPrimary = pname
-			client.SetPrimary(dial(pserver, pname, wan), wan)
-		} else {
-			// The session's own site is the primary: if it gets deposed
-			// while the session is opening, registration must re-route.
-			dialedPrimary = cfg.site
+		if site != primary {
+			client.SetPrimary(dial(primary, wan), wan)
 		}
 		client.SetSiteSync(site, -1)
 		// A never-synced site has no catalog to read from yet:
 		// bootstrap it once, charged to the site's own meter.
 		if !site.Synced() {
-			if _, err := site.Sync(openCtx); err != nil {
+			if _, err := site.Sync(ctx); err != nil {
 				return nil, fmt.Errorf("pdmtune: bootstrap sync of site %q: %w", cfg.site, err)
 			}
 		}
 		sess.site = cfg.site
+		sess.node = site
 		sess.wan = wan
 	}
 	if cfg.cache != nil {
@@ -552,8 +529,8 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	// The one path that wires batching, prepared statements, a private
 	// cache, the staleness bound and the wire encodings — the latter
 	// costing one negotiation round trip, charged to the meter like any
-	// exchange and bounded by WithOpenContext.
-	if err := sess.ApplyConfig(openCtx, cfg.knobs); err != nil {
+	// exchange and bounded by ctx.
+	if err := sess.ApplyConfig(ctx, cfg.knobs); err != nil {
 		return nil, err
 	}
 	sess.advisor = cfg.advisor
@@ -568,7 +545,7 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	// Enroll the session with the failover control plane (a no-op for
 	// unfenced, site-less systems): a promotion re-points its write path
 	// at the new primary transparently.
-	s.cluster.registerSession(sess, dialedPrimary)
+	s.cluster.registerSession(sess, dialed)
 	return sess, nil
 }
 
@@ -658,7 +635,7 @@ func (s *Session) MultiLevelExpand(ctx context.Context, root int64) (*ActionResu
 
 // CheckOut checks out the subtree under root (expand + flag updates).
 func (s *Session) CheckOut(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.beginWrite(s.site)
+	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOut(ctx, root)
 	done()
 	s.afterAction(ctx, err)
@@ -667,7 +644,7 @@ func (s *Session) CheckOut(ctx context.Context, root int64) (*CheckOutResult, er
 
 // CheckIn releases a previously checked-out subtree.
 func (s *Session) CheckIn(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.beginWrite(s.site)
+	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckIn(ctx, root)
 	done()
 	s.afterAction(ctx, err)
@@ -677,7 +654,7 @@ func (s *Session) CheckIn(ctx context.Context, root int64) (*CheckOutResult, err
 // CheckOutViaProcedure performs the whole check-out in one round trip
 // via the server-side stored procedure (Section 6).
 func (s *Session) CheckOutViaProcedure(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.beginWrite(s.site)
+	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOutViaProcedure(ctx, root)
 	done()
 	s.afterAction(ctx, err)
@@ -686,7 +663,7 @@ func (s *Session) CheckOutViaProcedure(ctx context.Context, root int64) (*CheckO
 
 // CheckInViaProcedure is the single-round-trip check-in.
 func (s *Session) CheckInViaProcedure(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.beginWrite(s.site)
+	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckInViaProcedure(ctx, root)
 	done()
 	s.afterAction(ctx, err)
@@ -734,7 +711,7 @@ func (s *Session) WhereUsed(ctx context.Context, part int64) (*ActionResult, err
 // checked out keep their state and are reported as conflicts. Cached
 // structures containing affected objects are invalidated.
 func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
-	done := s.sys.cluster.beginWrite(s.site)
+	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.ECOPropagate(ctx, part, newState)
 	done()
 	s.afterAction(ctx, err)
