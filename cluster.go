@@ -214,7 +214,8 @@ func (c *Cluster) PrimaryName() string { return c.topo.PrimaryName() }
 // names the server the transport points at (PrimarySite or a site
 // name), so a test can kill every connection into one node at once.
 // Existing site pulls are re-built through the wrapper immediately;
-// already-open sessions keep their transports.
+// already-open sessions keep their transports. The wrapper runs under
+// the cluster's control-plane lock and must not call the Cluster.
 func (c *Cluster) SetTransportWrapper(wrap func(target string, tr Transport) Transport) {
 	c.topo.SetTransportWrapper(wrap)
 }

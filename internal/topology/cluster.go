@@ -91,7 +91,8 @@ func NewCluster(primary *Site, sites ...*Site) *Cluster {
 
 // OnPromote installs the callback every promotion invokes, inside its
 // critical section, once the new topology is complete: fn receives the
-// new primary and a dialer into it.
+// new primary and a dialer into it. fn runs under the control-plane
+// lock and must not call the Cluster.
 func (c *Cluster) OnPromote(fn func(primary *Site, dial Dialer)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -100,7 +101,7 @@ func (c *Cluster) OnPromote(fn func(primary *Site, dial Dialer)) {
 
 // WithPrimary runs fn under the control-plane lock with the current
 // primary and a dialer into it: no promotion starts or ends while fn
-// runs.
+// runs. fn must not call the Cluster.
 func (c *Cluster) WithPrimary(fn func(primary *Site, dial Dialer)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,9 +190,9 @@ func (c *Cluster) SiteNames() []string {
 }
 
 func (c *Cluster) siteNamesLocked() []string {
-	names := make([]string, len(c.sites))
-	for i, n := range c.sites {
-		names[i] = n.name
+	var names []string
+	for _, n := range c.sites {
+		names = append(names, n.name)
 	}
 	return names
 }
@@ -199,6 +200,8 @@ func (c *Cluster) siteNamesLocked() []string {
 // SetTransportWrapper installs a decorator applied to every transport
 // the cluster builds from now on, keyed by the target node's name.
 // Existing site pulls are re-built through the wrapper immediately.
+// The wrapper runs under the control-plane lock and must not call the
+// Cluster.
 func (c *Cluster) SetTransportWrapper(wrap func(target string, tr wire.Transport) wire.Transport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
