@@ -1179,7 +1179,7 @@ func (g *gen) statement() (sql string, ordered bool) {
 		}
 	default: // recursive CTEs over the DAG
 		seed := fmt.Sprint(1 + g.pick(numT))
-		switch g.pick(4) {
+		switch g.pick(5) {
 		case 0:
 			body, arity = "WITH RECURSIVE r (n) AS (SELECT "+seed+" UNION SELECT e.dst FROM r JOIN e ON r.n = e.src) SELECT r.n FROM r", 1
 		case 1:
@@ -1192,6 +1192,15 @@ func (g *gen) statement() (sql string, ordered bool) {
 			body = "WITH RECURSIVE r (n) AS (SELECT t.id FROM t WHERE t.id = " + seed +
 				" UNION SELECT t.id FROM r JOIN e ON r.n = e.src JOIN t ON e.dst = t.id)" +
 				" SELECT n, CAST(NULL AS INTEGER) FROM r UNION SELECT src, dst FROM e WHERE (src IN (SELECT n FROM r) AND dst IN (SELECT n FROM r))"
+			arity = 2
+		case 4: // the where-used shape: the upward closure seeded by one node's
+			// parents, then two tables' records, each keyed by the closure
+			body = "WITH RECURSIVE r (n) AS (SELECT e.src FROM e WHERE e.dst = " + g.constant(colsOf("e", "e")[1]) +
+				" UNION SELECT e.src FROM r JOIN e ON r.n = e.dst) SELECT t.id, t.name FROM t WHERE t.id IN (SELECT n FROM r)"
+			if g.pick(2) == 0 { // a row condition, as the Modifier adds one
+				body += " AND " + g.pred(t, 0)
+			}
+			body += " UNION ALL SELECT u.id, u.label FROM u WHERE u.id IN (SELECT n FROM r)"
 			arity = 2
 		}
 	}
