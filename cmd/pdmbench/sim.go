@@ -501,7 +501,7 @@ func (w *ecWorkload) record(mode string, measured pdmtune.Metrics, predicted cos
 	}
 	extra["error_pct"] = errPct
 	return []record{{
-		Mode: mode, Scenario: w.model.Tree.Name, Config: "late eval, 256 kbit/s / 150 ms",
+		Mode: mode, Scenario: w.model.Tree.Name, Config: fmt.Sprintf("%v, 256 kbit/s / 150 ms", w.sess.TuneConfig().Strategy),
 		Metrics: measured, PredictedSec: predicted.TotalSec, Extra: extra,
 	}}, nil
 }
@@ -539,8 +539,10 @@ func runWhereUsed(*env) ([]record, error) {
 
 var textWhereUsed = textEC(
 	func(r record) string { return fmt.Sprintf("chain=%.0f ancestors", r.num("chain")) },
-	"Where-used — inverse traversal from the deepest component: one upward level",
-	"query per ancestor level plus one set-oriented record fetch.")
+	"Where-used — inverse traversal from the deepest component: one recursive",
+	"statement, the upward closure and its members' records, under the recursive",
+	"strategy; the navigational ones walk one query per ancestor level and then",
+	"fetch the records.")
 
 func runECO(*env) ([]record, error) {
 	ctx := context.Background()
@@ -585,9 +587,10 @@ var textECO = textEC(
 		return fmt.Sprintf("chain=%.0f  updated=%.0f  (%.0f conflicts with a checked-out ancestor)",
 			r.num("chain"), r.num("updated"), r.num("contested_conflicts"))
 	},
-	"ECO propagation — touch the deepest component, revalidate its where-used",
-	"closure with check-out-conditional updates; an ancestor checked out by",
-	"another user keeps its state and is reported as a conflict.")
+	"ECO propagation — touch the deepest component and revalidate its where-used",
+	"closure in one call of the server's pdm_eco procedure: check-out-conditional",
+	"updates in one write unit; an ancestor checked out by another user keeps its",
+	"state and is reported as a conflict.")
 
 func runReport(*env) ([]record, error) {
 	w, err := newECWorkload()

@@ -272,7 +272,7 @@ func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*C
 }
 
 // RegisterProcedures installs the server-side stored procedures
-// pdm_check_out and pdm_check_in, and configures the PDM version-key
+// pdm_check_out, pdm_check_in and pdm_eco, and configures the PDM version-key
 // overrides of the object version log: link rows (and spec relations)
 // version their *parent* object via the left column, so attaching or
 // detaching a child bumps the parent — which is exactly when a cached
@@ -282,6 +282,7 @@ func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*C
 func RegisterProcedures(db *minisql.DB, rules *RuleTable) {
 	db.RegisterProc("pdm_check_out", checkProc(rules, true))
 	db.RegisterProc("pdm_check_in", checkProc(rules, false))
+	db.RegisterProc("pdm_eco", ecoProc)
 	// The overrides are remembered if the tables do not exist yet.
 	_ = db.SetVersionKey("link", "left")
 	_ = db.SetVersionKey("specified_by", "left")

@@ -3,12 +3,15 @@ package core_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/types"
+	"pdmtune/internal/workload"
 )
 
 // Two users racing a procedure check-out of the same subtree: exactly
@@ -193,4 +196,111 @@ func checkedOutOwners(t *testing.T, srv interface {
 		}
 	}
 	return owners
+}
+
+// ecoChain returns the smallest deepest component of a generated product
+// and its ancestors, root included.
+func ecoChain(t *testing.T, prod *workload.Product) (int64, []int64) {
+	t.Helper()
+	var part int64
+	for id, n := range prod.Nodes {
+		if n.Type == "comp" && n.Level == prod.Config.Depth && (part == 0 || id < part) {
+			part = id
+		}
+	}
+	if part == 0 {
+		t.Fatal("no deepest component")
+	}
+	var chain []int64
+	for id := prod.Nodes[part].Parent; id != 0; id = prod.Nodes[id].Parent {
+		chain = append(chain, id)
+	}
+	return part, chain
+}
+
+// The ECO procedure publishes the part's and the assemblies' new state as
+// one unit: a reader counting the rows in the new state only ever sees
+// none of the change or all of it, never the part revised under old
+// assemblies. Run with -race.
+func TestProcedureECONeverTorn(t *testing.T) {
+	srv, prod := generatedServer(t, workload.Config{Depth: 5, Branch: 3, Sigma: 1, Seed: 5})
+	part, chain := ecoChain(t, prod)
+	all := int64(len(chain) + 1)
+	stop := make(chan struct{})
+	seen := make(chan map[int64]bool, 1)
+	go func() {
+		counts := map[int64]bool{}
+		defer func() { seen <- counts }()
+		s := srv.DB().NewSession()
+		for {
+			res, err := s.Query(`SELECT (SELECT COUNT(*) FROM assy WHERE state = 'a')
+				+ (SELECT COUNT(*) FROM comp WHERE state = 'a')`)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			counts[res.Rows[0][0].Int()] = true
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	c, _ := pdmClient(srv, core.StandardRules(), core.DefaultUser("eco"), costmodel.Recursive)
+	for i := 0; i < 40; i++ {
+		res, err := c.ECOPropagate(context.Background(), part, []string{"a", "b"}[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Updated != int(all) || res.Conflicts != 0 || res.Metrics.RoundTrips != 1 {
+			t.Fatalf("ECO %d: updated %d, %d conflicts, %d round trips; want %d, none, 1",
+				i, res.Updated, res.Conflicts, res.Metrics.RoundTrips, all)
+		}
+	}
+	close(stop)
+	for n := range <-seen {
+		if n != 0 && n != all {
+			t.Errorf("a reader saw %d of the %d objects in the new state", n, all)
+		}
+	}
+}
+
+// An ancestor another user holds checked out keeps its state and counts
+// as the ECO's one conflict; the part and every other ancestor change in
+// the same unit. An unknown part is an error, not a conflict.
+func TestProcedureECOContested(t *testing.T) {
+	srv, prod := generatedServer(t, workload.Config{Depth: 4, Branch: 3, Sigma: 1, Seed: 5})
+	part, chain := ecoChain(t, prod)
+	held := chain[1]
+	s := srv.DB().NewSession()
+	if _, err := s.Exec("UPDATE assy SET checkedout = TRUE, checkedout_by = 'holder' WHERE obid = ?", types.NewInt(held)); err != nil {
+		t.Fatal(err)
+	}
+	c, meter := pdmClient(srv, core.StandardRules(), core.DefaultUser("eco"), costmodel.LateEval)
+	ctx := context.Background()
+	res, err := c.ECOPropagate(ctx, part, "frozen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Affected) != len(chain) || res.Affected[0] != chain[0] || res.Updated != len(chain) || res.Conflicts != 1 {
+		t.Errorf("contested ECO: affected %v, updated %d, %d conflicts; want %v (parent first), %d, 1",
+			res.Affected, res.Updated, res.Conflicts, chain, len(chain))
+	}
+	if meter.Metrics.WriteConflicts != 1 {
+		t.Errorf("%d write conflicts metered, want 1", meter.Metrics.WriteConflicts)
+	}
+	for _, id := range append([]int64{part}, chain...) {
+		r, err := s.Query("SELECT state FROM assy WHERE obid = ? UNION ALL SELECT state FROM comp WHERE obid = ?",
+			types.NewInt(id), types.NewInt(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Rows[0][0].Text(); (got == "frozen") == (id == held) {
+			t.Errorf("object %d is in state %q after the ECO (held: %t)", id, got, id == held)
+		}
+	}
+	if _, err := c.ECOPropagate(ctx, 999999, "frozen"); err == nil || !strings.Contains(err.Error(), "does not exist") {
+		t.Errorf("ECO of an unknown part: err = %v, want a does-not-exist error", err)
+	}
 }

@@ -513,6 +513,23 @@ func TestExplainPDMStatements(t *testing.T) {
 	if strings.Contains(report, "SCAN") || strings.Contains(report, "FILTER") {
 		t.Errorf("report: a table is scanned or filtered row by row:\n%s", report)
 	}
+	// Where-used: the closure probes link_right_idx level by level, and
+	// each record-fetch branch looks its table's keys up from the CTE.
+	whereUsed := plan(core.BuildWhereUsedQuery().String(), types.NewInt(8))
+	for _, want := range []string{
+		"RECURSIVE CTE (semi-naive fixpoint) wtbl:\n",
+		"INDEX link_right_idx ON link (right): 1 key(s)\n",
+		"INNER INDEX JOIN link USING link_right_idx ON (wtbl.obid = link.right)\n",
+		"INDEX assy_pk ON assy (obid): keys from (SELECT obid FROM wtbl)\n",
+		"INDEX comp_pk ON comp (obid): keys from (SELECT obid FROM wtbl)\n",
+	} {
+		if !strings.Contains(whereUsed, want) {
+			t.Errorf("where-used query: plan lacks %q:\n%s", want, whereUsed)
+		}
+	}
+	if strings.Contains(whereUsed, "SCAN link") || strings.Contains(whereUsed, "SCAN assy") || strings.Contains(whereUsed, "SCAN comp") {
+		t.Errorf("where-used query: a table is scanned:\n%s", whereUsed)
+	}
 	for sql, want := range map[string]string{
 		core.BuildExpandQuery().String():                                          "INDEX link_left_idx ON link (left): 1 key(s)\n  INNER INDEX JOIN assy USING assy_pk",
 		core.BuildWhereUsedLevelSQL([]int64{3, 4, 5}):                             "INDEX link_right_idx ON link (right): 3 key(s)\n",

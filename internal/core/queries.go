@@ -139,19 +139,44 @@ SELECT type, obid, '' AS "name", '' AS "dec", '' AS "make_or_buy", '' AS "state"
 ORDER BY 1, 2`)
 }
 
-// BuildWhereUsedLevelSQL returns one upward BFS level of a where-used
-// traversal: the parent assemblies of the given objects. The inverse of
-// the expand direction, so it walks link.right → link.left.
+// whereUsedClosure is the upward closure of one part (the `?`
+// placeholder): every assembly that uses it directly or transitively,
+// walked link.right → link.left — the inverse of the expand direction —
+// and seeded by the part's direct parents, so the part itself is not in
+// it. The where-used statement and the ECO procedure share it.
+const whereUsedClosure = `
+WITH RECURSIVE wtbl (obid) AS
+ (SELECT left FROM link WHERE right = ?
+  UNION
+  SELECT link.left FROM wtbl JOIN link ON wtbl.obid = link.right)`
+
+// BuildWhereUsedQuery returns the where-used action as one statement:
+// the part's upward closure (the one `?` placeholder) and the records of
+// its members, homogenized into the unified result type. No access rule
+// is applied to the walk; the Modifier injects the row conditions into
+// the two record-fetch SELECTs (ModifyNavigational).
+func BuildWhereUsedQuery() *ast.Select {
+	return mustParseSelect(whereUsedClosure + fetchNodesSQL("SELECT obid FROM wtbl"))
+}
+
+// BuildWhereUsedLevelSQL returns one upward BFS level of the
+// navigational where-used traversal: the parent assemblies of the given
+// objects.
 func BuildWhereUsedLevelSQL(ids []int64) string {
 	return "SELECT left FROM link WHERE right IN (" + idList(ids) + ")"
 }
 
-// BuildFetchNodesSQL returns the record-fetch statement of a where-used
-// result: the given objects (assemblies and components) homogenized
-// into the unified result type, without link columns — the ancestors
-// are a set, not a tree.
+// BuildFetchNodesSQL returns the record-fetch statement of a
+// navigational where-used result: the given objects.
 func BuildFetchNodesSQL(ids []int64) string {
-	in := idList(ids)
+	return fetchNodesSQL(idList(ids))
+}
+
+// fetchNodesSQL returns the records of the objects (assemblies and
+// components) whose ids the key set lists, homogenized into the unified
+// result type without link columns — where-used ancestors are a set,
+// not a tree.
+func fetchNodesSQL(keys string) string {
 	return fmt.Sprintf(`
 SELECT assy.type, assy.obid, assy.name, assy.dec, assy.make_or_buy, assy.state,
        '' AS "material", assy.weight, assy.checkedout, assy.data, assy.path_opt,
@@ -167,7 +192,7 @@ SELECT comp.type, comp.obid, comp.name, '' AS "dec", '' AS "make_or_buy", comp.s
        CAST(NULL AS INTEGER) AS "eff_from", CAST(NULL AS INTEGER) AS "eff_to",
        CAST(NULL AS TEXT) AS "strc_opt"
   FROM comp
-  WHERE comp.obid IN (%s)`, in, in)
+  WHERE comp.obid IN (%s)`, keys, keys)
 }
 
 // idList renders ids as a comma-separated SQL IN list.

@@ -25,11 +25,12 @@ const (
 	stmtRecursive                 // the Section 5 recursive query
 	stmtQuery                     // the set-oriented Query action
 	stmtReport                    // the Report action's aggregate
+	stmtWhereUsed                 // the recursive where-used statement
 )
 
 // stmtKey identifies one cached statement text: the action scopes the
-// rule modification of an expand, recursive or Query statement; the
-// object type and condition identify a probe.
+// rule modification of an expand, recursive, Query or where-used
+// statement; the object type and condition identify a probe.
 type stmtKey struct {
 	kind                  stmtKind
 	action, objType, cond string
@@ -42,7 +43,8 @@ type preparedStmt struct {
 	nparams int
 	// byHandle marks the per-node statement kinds the prepared mode
 	// ships as handle + parameters. A one-statement action (recursive,
-	// Query, Report) gains nothing from a prepare round trip of its own.
+	// Query, where-used, Report) gains nothing from a prepare round trip
+	// of its own.
 	byHandle bool
 }
 
@@ -76,6 +78,11 @@ func (c *Client) statement(k stmtKey) (preparedStmt, error) {
 	case stmtRecursive:
 		q, n = BuildRecursiveQuery(), 1
 		err = c.modifier().ModifyRecursive(q, k.action)
+	case stmtWhereUsed:
+		// Row conditions only, on the record fetch: the upward walk
+		// never applied the link access rule.
+		q, n = BuildWhereUsedQuery(), 1
+		err = c.modifyNavigational(q, k.action)
 	case stmtReport:
 		q, n = BuildReportQuery(), 2
 	case stmtProbe:

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"pdmtune/internal/costmodel"
+	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/storage"
 	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
@@ -12,10 +15,17 @@ import (
 // The engineering-change workloads: where-used (the inverse traversal —
 // which assemblies use this part), ECO propagation (touch a part,
 // revalidate every assembly the change reaches) and the bulk report.
-// Where-used walks the structure upward, against the direction the
-// subscription closure guarantees, and the report aggregates over the
-// whole product, so on a partial replica both route wholly to the
-// primary as fall-through reads.
+// Under the recursive strategy where-used is one statement
+// (BuildWhereUsedQuery) with the row conditions inside; the
+// navigational strategies walk upward one statement per level and
+// filter the fetched records at the client — the paper's baseline. ECO
+// is a write, so it does not follow the read strategy: it is one call of
+// the pdm_eco procedure, which walks the same closure at the server and
+// updates the part and its assemblies in one write unit. Where-used
+// walks the structure against the direction the subscription closure
+// guarantees, and the report aggregates over the whole product, so on a
+// partial replica both route wholly to the primary as fall-through
+// reads.
 
 // wholeStructureDo ships a read that needs the whole structure: over the
 // site-local read connection normally, to the primary (counted as
@@ -63,34 +73,55 @@ func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, in
 	return ancestors, received, nil
 }
 
+// whereUsedRows returns the unified rows of the part's ancestors and
+// the rows received on the way. Under the recursive strategy that is
+// one rule-modified statement; otherwise the level-wise walk and one
+// record fetch, whose rows the caller still has to filter.
+func (c *Client) whereUsedRows(ctx context.Context, part int64) ([]storage.Row, int, error) {
+	if c.strategy == costmodel.Recursive {
+		st, err := c.statement(stmtKey{kind: stmtWhereUsed, action: ActionWhereUsed})
+		if err != nil {
+			return nil, 0, err
+		}
+		resp, err := c.wholeStructureDo(ctx, c.request(st, part))
+		if err != nil {
+			return nil, 0, err
+		}
+		return resp.Rows, len(resp.Rows), nil
+	}
+	ancestors, received, err := c.whereUsedClosure(ctx, part)
+	if err != nil || len(ancestors) == 0 {
+		return nil, received, err
+	}
+	resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildFetchNodesSQL(ancestors)})
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp.Rows, received + len(resp.Rows), nil
+}
+
 // WhereUsed performs the where-used action: find every assembly that
-// (transitively) uses the given part, then fetch their records. The
-// traversal is navigational and upward — one statement per ancestor
-// level — followed by one set-oriented record fetch; row conditions are
-// evaluated at the client (the inverse traversal has no rule-modified
-// builder, so every strategy filters late here).
+// (transitively) uses the given part and fetch their records — in one
+// round trip under the recursive strategy, one per ancestor level plus
+// the record fetch otherwise, where the row conditions are evaluated at
+// the client.
 func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
 	before := c.snapshot()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
-	ancestors, received, err := c.whereUsedClosure(ctx, part)
+	rows, received, err := c.whereUsedRows(ctx, part)
 	if err != nil {
 		return nil, err
 	}
-	res := &ActionResult{}
-	if len(ancestors) > 0 {
-		resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildFetchNodesSQL(ancestors)})
+	res := &ActionResult{RowsReceived: received}
+	for _, row := range rows {
+		n, err := decodeNode(row)
 		if err != nil {
 			return nil, err
 		}
-		received += len(resp.Rows)
-		for _, row := range resp.Rows {
-			n, err := decodeNode(row)
-			if err != nil {
-				return nil, err
-			}
-			c.rememberType(n)
+		c.rememberType(n)
+		if c.strategy != costmodel.Recursive {
 			ok, err := c.localRowPermitted(n.Type, ActionWhereUsed, row)
 			if err != nil {
 				return nil, err
@@ -98,10 +129,9 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 			if !ok {
 				continue
 			}
-			res.Objects = append(res.Objects, n)
 		}
+		res.Objects = append(res.Objects, n)
 	}
-	res.RowsReceived = received
 	res.Visible = len(res.Objects)
 	res.Metrics = c.delta(before)
 	c.countAction(ActionWhereUsed, part, false)
@@ -119,15 +149,21 @@ type ECOResult struct {
 	// Conflicts counts the objects skipped because a user holds them
 	// checked out; the change owner must retry after check-in.
 	Conflicts int
-	// RowsReceived counts rows shipped during the traversal.
+	// RowsReceived counts the rows shipped back: one per affected
+	// assembly.
 	RowsReceived int
 	// Metrics is the WAN cost of the whole action.
 	Metrics netsim.Metrics
 }
 
+// ecoCall is the ECO's one statement: the part and the new state bind
+// to the two placeholders.
+const ecoCall = "CALL pdm_eco(?, ?)"
+
 // ECOPropagate performs an engineering-change order against one part:
-// walk its where-used closure, then flip the part and every affected
-// assembly into the new state. The updates are conditional on the
+// flip the part and every assembly of its where-used closure into the
+// new state, in one round trip to the primary's pdm_eco procedure,
+// whatever the read strategy. The updates are conditional on the
 // checked-out flag — an object someone holds checked out is not
 // revalidated under them and is reported as a conflict instead. Cached
 // structures covering the changed objects are invalidated locally.
@@ -136,44 +172,28 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
-	affected, received, err := c.whereUsedClosure(ctx, part)
-	if err != nil {
-		return nil, err
-	}
-	partType, err := c.fetch.LookupType(ctx, part)
-	if err != nil {
-		return nil, err
-	}
-	stmts := []string{fmt.Sprintf(
-		"UPDATE %s SET state = %s WHERE obid = %d AND checkedout <> TRUE",
-		partType, sqlText(newState), part)}
-	if len(affected) > 0 {
-		// Upward link traversal only ever reaches assemblies (only they
-		// parent links), so one table covers the whole closure.
-		stmts = append(stmts, fmt.Sprintf(
-			"UPDATE assy SET state = %s WHERE obid IN (%s) AND checkedout <> TRUE",
-			sqlText(newState), idList(affected)))
-	}
-	updated := 0
-	err = c.withWrite(func(w *wire.Client) error {
-		updated = 0
-		for _, sql := range stmts {
-			resp, err := w.Exec(ctx, sql)
-			if err != nil {
-				return err
-			}
-			updated += resp.RowsAffected
-		}
-		return nil
+	req := &wire.Request{SQL: ecoCall, Params: []types.Value{types.NewInt(part), types.NewText(newState)}}
+	var resp *wire.Response
+	err := c.withWrite(func(w *wire.Client) error {
+		var err error
+		resp, err = w.Do(ctx, req)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	affected := make([]int64, len(resp.Rows))
+	for i, row := range resp.Rows {
+		if len(row) != 1 || row[0].Kind() != types.KindInt {
+			return nil, fmt.Errorf("core: pdm_eco row %d is not an object id: %v", i, row)
+		}
+		affected[i] = row[0].Int()
+	}
 	out := &ECOResult{
 		Affected:     affected,
-		Updated:      updated,
-		Conflicts:    1 + len(affected) - updated,
-		RowsReceived: received,
+		Updated:      resp.RowsAffected,
+		Conflicts:    1 + len(affected) - resp.RowsAffected,
+		RowsReceived: len(resp.Rows),
 	}
 	if out.Conflicts > 0 {
 		if m := c.conflictMeter(); m != nil {
@@ -186,6 +206,57 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 	out.Metrics = c.delta(before)
 	c.countAction(ActionECO, part, true)
 	return out, nil
+}
+
+// ecoClosureSQL lists the part's where-used closure (the ids only).
+const ecoClosureSQL = whereUsedClosure + "\nSELECT obid FROM wtbl"
+
+// ecoProc is pdm_eco(part, state): the ECO at the server. It walks the
+// part's where-used closure locally, then sets the state of the part and
+// of every closure member that is not checked out, in one write unit
+// over both object tables — a reader sees the whole change or none of
+// it. It answers the closure's ids, one row each, with the number of
+// objects updated as RowsAffected. A part found in neither object table
+// is an error.
+func ecoProc(s *minisql.Session, args []minisql.Value) (*minisql.Result, error) {
+	if len(args) != 2 || args[0].Kind() != types.KindInt {
+		return nil, fmt.Errorf("pdm_eco: want 2 arguments (part, state), got %v", args)
+	}
+	part, state := args[0], args[1]
+	found, err := s.Exec(typeLookupStmt.sql, part, part)
+	if err != nil {
+		return nil, err
+	}
+	if len(found.Rows) == 0 {
+		return nil, fmt.Errorf("pdm_eco: object %d does not exist", part.Int())
+	}
+	closure, err := s.Exec(ecoClosureSQL, part)
+	if err != nil {
+		return nil, err
+	}
+	ids := []int64{part.Int()}
+	for _, row := range closure.Rows {
+		ids = append(ids, row[0].Int())
+	}
+	// Upward links only reach assemblies, but the part may be either
+	// kind, so both tables take the whole id list.
+	if err := s.Begin("assy", "comp"); err != nil {
+		return nil, err
+	}
+	defer s.Abort()
+	updated := 0
+	for _, table := range []string{"assy", "comp"} {
+		r, err := s.Exec(fmt.Sprintf("UPDATE %s SET state = ? WHERE obid IN (%s) AND checkedout <> TRUE",
+			table, idList(ids)), state)
+		if err != nil {
+			return nil, err
+		}
+		updated += r.RowsAffected
+	}
+	if err := s.Commit(); err != nil {
+		return nil, err
+	}
+	return &minisql.Result{Cols: []string{"affected"}, Rows: closure.Rows, RowsAffected: updated}, nil
 }
 
 // ReportResult is the bulk report's aggregate.

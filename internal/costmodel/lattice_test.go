@@ -80,11 +80,12 @@ func TestLatticeGolden(t *testing.T) {
 				latticeLine(&b, fmt.Sprintf("%s  %-6v %v", tree.Name, a, p), pricePoint(net, tree, p, a))
 			}
 		}
-		chain := tree.Depth
+		m := Model{Net: net, Tree: tree, Chain: tree.Depth}
 		for _, a := range []Action{WhereUsed, ECO, Report} {
-			latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d", tree.Name, a, chain),
-				Model{Net: net, Tree: tree, Chain: chain}.Price(Knobs{}, a))
+			latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d", tree.Name, a, m.Chain), m.Price(Knobs{}, a))
 		}
+		latticeLine(&b, fmt.Sprintf("%s  %-9v chain=%d  %v", tree.Name, WhereUsed, m.Chain, Recursive),
+			m.Price(Knobs{Strategy: Recursive}, WhereUsed))
 	}
 	const path = "testdata/lattice.golden"
 	if *updateGolden {

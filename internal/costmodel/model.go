@@ -313,13 +313,13 @@ func packets(bytes, sizeP float64) float64 {
 // StalenessSec and Coverage describe how a replica's pulls amortize
 // over a stream of actions; PredictWorkload blends them.
 //
-// WhereUsed and ECO are priced navigationally under every strategy —
-// the client walks them level by level whatever the knobs say:
-// where-used is one upward level query per ancestor level, the empty
-// level that ends the walk and one record fetch of the Chain ancestors;
-// ECO is the walk, the part's type lookup and two conditional UPDATEs,
-// ids and counts only. Report is one aggregate statement whose two rows
-// fit the response's last packet.
+// WhereUsed under Recursive is one exchange, the upward recursive
+// statement, carrying the records of the Chain ancestors; the
+// navigational strategies walk it level by level — one upward level
+// query per ancestor level, the empty level that ends the walk and one
+// record fetch of the Chain ancestors. ECO is one call of the server's
+// ECO procedure under every strategy and Report one aggregate
+// statement: ids and counts only, which fit the response's last packet.
 func (m Model) Price(k Knobs, a Action) Estimate {
 	net := m.Net
 	if k.Replica {
@@ -382,11 +382,11 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 			// A single-level expand is a single early-evaluated query
 			// under the recursive strategy too.
 			q, n = m.Tree.Queries(a), m.Tree.TransmittedNodes(a, min(k.Strategy, EarlyEval))
+		case a == WhereUsed && k.Strategy == Recursive:
+			q, n = 1, float64(m.Chain)
 		case a == WhereUsed:
 			q, n = float64(m.Chain)+2, float64(m.Chain)
-		case a == ECO:
-			q = float64(m.Chain) + 4
-		case a == Report:
+		case a == ECO, a == Report:
 			q = 1
 		}
 		est.Queries, est.TransmittedNodes = q, n
@@ -396,7 +396,7 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 		}
 		est.VolumeBytes = q*sizeP + n*m.nodeBytes() + q*sizeP/2
 	}
-	if ratio := orDefault(m.CompressionRatio, DefaultCompressionRatio); k.Compress && treeAction && ratio > 1 {
+	if ratio := orDefault(m.CompressionRatio, DefaultCompressionRatio); k.Compress && ratio > 1 {
 		est.VolumeBytes -= est.TransmittedNodes * m.nodeBytes() * (1 - 1/ratio)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"pdmtune"
@@ -29,6 +30,12 @@ func TestStatementModeMatrix(t *testing.T) {
 	rules.MustAdd(pdmtune.Rule{
 		User: "*", Action: "access", ObjType: "comp", Kind: pdmtune.KindExistsStructure,
 		Cond: "EXISTS (SELECT * FROM specified_by AS s JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
+	})
+	// A where-used row condition: the recursive statement evaluates it at
+	// the server, the level-wise walk at the client.
+	rules.MustAdd(pdmtune.Rule{
+		User: "*", Action: "where-used", ObjType: "assy", Kind: pdmtune.KindRow,
+		Cond: "sets_overlap(assy.path_opt, {options})",
 	})
 	cl, err := pdmtune.NewCluster(rules, pdmtune.SiteConfig{Name: "full"}, pdmtune.SiteConfig{Name: "partial"})
 	if err != nil {
@@ -82,12 +89,7 @@ func TestStatementModeMatrix(t *testing.T) {
 					pdmtune.WithBatching(batching),
 					pdmtune.WithPreparedStatements(prepared),
 				}
-				var sess *pdmtune.Session
-				if place.site == "" {
-					sess, err = cl.Primary().Open(opts...)
-				} else {
-					sess, err = cl.OpenAt(ctx, place.site, opts...)
-				}
+				sess, err := openAt(ctx, cl, place.site, opts...)
 				if err != nil {
 					t.Fatalf("%s: open: %v", name, err)
 				}
@@ -148,12 +150,7 @@ func TestStatementModeMatrix(t *testing.T) {
 					pdmtune.WithBatching(batching),
 					pdmtune.WithPreparedStatements(prepared),
 				}
-				var sess *pdmtune.Session
-				if place.site == "" {
-					sess, err = cl.Primary().Open(opts...)
-				} else {
-					sess, err = cl.OpenAt(ctx, place.site, opts...)
-				}
+				sess, err := openAt(ctx, cl, place.site, opts...)
 				if err != nil {
 					t.Fatalf("%s: open: %v", name, err)
 				}
@@ -184,6 +181,119 @@ func TestStatementModeMatrix(t *testing.T) {
 			}
 		}
 	}
+
+	// Where-used and ECO of one part: the smallest deepest component
+	// outside the subscription under a hidden parent, so the where-used
+	// row condition drops some of its ancestors but not all (the root is
+	// always visible). Where-used must return the ancestor set the
+	// level-wise LateEval walk finds, in exactly one round trip under
+	// Recursive — a fall-through one on the partial site — and ECO is one
+	// procedure call under every strategy, whatever the session's result
+	// encoding, compression and statement mode.
+	var part int64
+	for id, n := range prod.Nodes {
+		if n.Type == "comp" && n.Level == prod.Config.Depth && !n.Visible && !underNode(prod, id, inSub) &&
+			!prod.Nodes[n.Parent].Visible && (part == 0 || id < part) {
+			part = id
+		}
+	}
+	if part == 0 {
+		t.Fatal("no deepest component under a hidden parent")
+	}
+	var chain []int64 // every ancestor, root included
+	for id := prod.Nodes[part].Parent; id != 0; id = prod.Nodes[id].Parent {
+		chain = append(chain, id)
+	}
+	sort.Slice(chain, func(i, j int) bool { return chain[i] < chain[j] })
+
+	var wantAncestors []int64 // the level-wise LateEval walk's
+	for _, eco := range []bool{false, true} {
+		for _, place := range []struct{ name, site string }{{"primary", ""}, {"full-replica", "full"}, {"partial-fallthrough", "partial"}} {
+			for _, strategy := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
+				for mode := 0; mode < 8; mode++ {
+					columnar, compress, prepared := mode&1 != 0, mode&2 != 0, mode&4 != 0
+					name := fmt.Sprintf("%s/%v/columnar=%t/compress=%t/prepared=%t", place.name, strategy, columnar, compress, prepared)
+					sess, err := openAt(ctx, cl, place.site,
+						pdmtune.WithUser(pdmtune.DefaultUser("engineer")),
+						pdmtune.WithStrategy(strategy),
+						pdmtune.WithColumnarResults(columnar),
+						pdmtune.WithCompression(compress),
+						pdmtune.WithPreparedStatements(prepared))
+					if err != nil {
+						t.Fatalf("%s: open: %v", name, err)
+					}
+					if eco {
+						name = "eco/" + name
+						res, err := sess.ECOPropagate(ctx, part, fmt.Sprintf("rev%d", mode))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						affected := append([]int64(nil), res.Affected...)
+						sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+						if fmt.Sprint(affected) != fmt.Sprint(chain) || res.Updated != len(chain)+1 || res.Conflicts != 0 {
+							t.Errorf("%s: affected %v, updated %d, %d conflicts; want %v, %d, none",
+								name, affected, res.Updated, res.Conflicts, chain, len(chain)+1)
+						}
+						if rt, ft := res.Metrics.RoundTrips, sess.WANMetrics().FallThroughRoundTrips; rt != 1 || ft != 0 {
+							t.Errorf("%s: %d round trips, %d fall-through; want 1, none", name, rt, ft)
+						}
+					} else {
+						name = "where-used/" + name
+						res, err := sess.WhereUsed(ctx, part)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						var got []int64
+						for _, n := range res.Objects {
+							got = append(got, n.ObID)
+						}
+						sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+						if wantAncestors == nil {
+							if strategy != pdmtune.LateEval {
+								t.Fatal("the LateEval walk must run first")
+							}
+							if len(got) == 0 || len(got) >= len(chain) {
+								t.Fatalf("%s: %d of %d ancestors visible; the row condition must drop some, not all", name, len(got), len(chain))
+							}
+							wantAncestors = got
+						} else if fmt.Sprint(got) != fmt.Sprint(wantAncestors) {
+							t.Errorf("%s: ancestors %v, the LateEval walk's %v", name, got, wantAncestors)
+						}
+						if strategy == pdmtune.Recursive {
+							wantFT := 0
+							if place.site == "partial" {
+								wantFT = 1
+							}
+							if rt, ft := res.Metrics.RoundTrips, sess.WANMetrics().FallThroughRoundTrips; rt != 1 || ft != wantFT {
+								t.Errorf("%s: %d round trips, %d fall-through; want 1, %d", name, rt, ft, wantFT)
+							}
+						}
+					}
+					if err := sess.Close(); err != nil {
+						t.Errorf("%s: close: %v", name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// openAt opens a session at the primary (site "") or at a replica site.
+func openAt(ctx context.Context, cl *pdmtune.Cluster, site string, opts ...pdmtune.Option) (*pdmtune.Session, error) {
+	if site == "" {
+		return cl.Primary().Open(opts...)
+	}
+	return cl.OpenAt(ctx, site, opts...)
+}
+
+// underNode reports whether id lies in the subtree rooted at root.
+func underNode(prod *pdmtune.Product, id, root int64) bool {
+	for ; id != 0; id = prod.Nodes[id].Parent {
+		if id == root {
+			return true
+		}
+	}
+	return false
 }
 
 // fallThroughNavigational is the parent commit's fall-through count for

@@ -695,10 +695,12 @@ func (s *Session) Run(ctx context.Context, action Action, target int64) (*Action
 
 // WhereUsed performs the inverse traversal: every assembly that —
 // directly or transitively — uses the given part, walked upward over
-// the link relation level by level. On a partial replica the upward
-// direction does not respect the subscription closure (a subscribed
-// subtree's parts may be used by unsubscribed assemblies), so the
-// whole traversal falls through to the primary at WAN cost.
+// the link relation: one recursive statement under the Recursive
+// strategy, level by level under the navigational ones. On a partial
+// replica the upward direction does not respect the subscription
+// closure (a subscribed subtree's parts may be used by unsubscribed
+// assemblies), so the whole traversal falls through to the primary at
+// WAN cost.
 func (s *Session) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
 	res, err := s.client.WhereUsed(ctx, part)
 	s.afterAction(ctx, err)
@@ -707,9 +709,11 @@ func (s *Session) WhereUsed(ctx context.Context, part int64) (*ActionResult, err
 
 // ECOPropagate performs an engineering-change-order touch: the part's
 // state is updated and every assembly affected by it (its where-used
-// closure) is revalidated to the same state. Assemblies currently
-// checked out keep their state and are reported as conflicts. Cached
-// structures containing affected objects are invalidated.
+// closure) is revalidated to the same state, by one stored-procedure
+// call at the primary that commits the whole change as one unit.
+// Assemblies currently checked out keep their state and are reported
+// as conflicts. Cached structures containing affected objects are
+// invalidated.
 func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.ECOPropagate(ctx, part, newState)
