@@ -156,10 +156,6 @@ type ECOResult struct {
 	Metrics netsim.Metrics
 }
 
-// ecoCall is the ECO's one statement: the part and the new state bind
-// to the two placeholders.
-const ecoCall = "CALL pdm_eco(?, ?)"
-
 // ECOPropagate performs an engineering-change order against one part:
 // flip the part and every assembly of its where-used closure into the
 // new state, in one round trip to the primary's pdm_eco procedure,
@@ -172,7 +168,7 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
-	req := &wire.Request{SQL: ecoCall, Params: []types.Value{types.NewInt(part), types.NewText(newState)}}
+	req := &wire.Request{SQL: "CALL pdm_eco(?, ?)", Params: []types.Value{types.NewInt(part), types.NewText(newState)}}
 	var resp *wire.Response
 	err := c.withWrite(func(w *wire.Client) error {
 		var err error
@@ -238,6 +234,7 @@ func ecoProc(s *minisql.Session, args []minisql.Value) (*minisql.Result, error) 
 	for _, row := range closure.Rows {
 		ids = append(ids, row[0].Int())
 	}
+	list := idList(ids)
 	// Upward links only reach assemblies, but the part may be either
 	// kind, so both tables take the whole id list.
 	if err := s.Begin("assy", "comp"); err != nil {
@@ -246,8 +243,7 @@ func ecoProc(s *minisql.Session, args []minisql.Value) (*minisql.Result, error) 
 	defer s.Abort()
 	updated := 0
 	for _, table := range []string{"assy", "comp"} {
-		r, err := s.Exec(fmt.Sprintf("UPDATE %s SET state = ? WHERE obid IN (%s) AND checkedout <> TRUE",
-			table, idList(ids)), state)
+		r, err := s.Exec(fmt.Sprintf("UPDATE %s SET state = ? WHERE obid IN (%s) AND checkedout <> TRUE", table, list), state)
 		if err != nil {
 			return nil, err
 		}
