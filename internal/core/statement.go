@@ -79,8 +79,8 @@ func (c *Client) statement(k stmtKey) (preparedStmt, error) {
 		q, n = BuildRecursiveQuery(), 1
 		err = c.modifier().ModifyRecursive(q, k.action)
 	case stmtWhereUsed:
-		// Row conditions only, on the record fetch: the upward walk
-		// never applied the link access rule.
+		// Row conditions only, on the record fetch: the walk takes no
+		// link access rule, so the ancestor set is the level-wise walk's.
 		q, n = BuildWhereUsedQuery(), 1
 		err = c.modifyNavigational(q, k.action)
 	case stmtReport:
