@@ -967,11 +967,38 @@ func (g *gen) pred(cols []gcol, depth int) string {
 	}
 	switch c.kind {
 	case types.KindText:
+		if g.pick(2) == 0 {
+			return g.fnPred(c.ref, false)
+		}
 		return c.ref + g.oneOf(" LIKE 'a%'", " LIKE '_'", " NOT LIKE '%b'")
 	case types.KindInt:
 		return c.ref + " + 1 = " + g.constant(c)
 	}
 	return c.ref + " * 2 > " + g.constant(c)
+}
+
+// fnPred is a predicate that calls functions of one text column and
+// reads nothing else — on an indexed column, the shape a key set is
+// derived from: true for some values, for NULL, or (failing) an error on
+// some values.
+func (g *gen) fnPred(col string, failing bool) string {
+	n := 5
+	if failing {
+		n = 6
+	}
+	switch g.pick(n) {
+	case 0:
+		return "sets_overlap(" + col + ", " + g.oneOf("'a,b'", "'c'", "'b, ab'", "''") + ")"
+	case 1:
+		return "lower(" + col + ") = " + g.constant(gcol{ref: col, kind: types.KindText})
+	case 2:
+		return "length(" + col + ") " + g.oneOf(">", "<=") + " " + fmt.Sprint(g.pick(3))
+	case 3:
+		return "coalesce(" + col + ", 'z') = " + g.oneOf("'z'", "'a'")
+	case 4:
+		return "NOT (" + g.fnPred(col, false) + ")"
+	}
+	return "CASE WHEN " + col + " = 'ab' THEN abs(" + col + ") > 0 ELSE " + col + " <> 'c' END"
 }
 
 func (g *gen) where(cols []gcol) string {
@@ -1068,7 +1095,20 @@ func (g *gen) statement() (sql string, ordered bool) {
 	tu := append(append([]gcol{}, t...), u...)
 	var body string
 	arity := 0
-	switch g.pick(16) {
+	switch g.pick(17) {
+	case 16: // a one-column function predicate on the indexed t.name, alone
+		// or after an equality key conjunct (never before one: which of
+		// two conjuncts a row reaches first is the engine's choice), or
+		// next to a predicate on the indexed grp, whose set may be the
+		// lookup and make the name's a per-row filter
+		body, arity = "SELECT * FROM t WHERE "+g.fnPred("name", true), 4
+		switch g.pick(3) {
+		case 0:
+			key := colsOf("t", "")[g.pick(2)] // id or grp
+			body = "SELECT * FROM t WHERE " + key.ref + " = " + g.constant(key) + " AND " + g.fnPred("name", false)
+		case 1:
+			body = "SELECT * FROM t WHERE " + g.fnPred("name", false) + " AND grp " + g.oneOf("<", ">", "<>") + " " + fmt.Sprint(g.pick(4))
+		}
 	case 14: // two computed key sets on one table, indexed or not
 		table := g.oneOf("t", "u", "e")
 		cols := colsOf(table, "")
@@ -1221,7 +1261,10 @@ func (g *gen) mutation() string {
 			g.oneOf("", " AND label IN (SELECT kt.name FROM t AS kt)")
 	case 0:
 		t := colsOf("t", "")
-		set := g.oneOf("grp = grp + 1", "grp = NULL", "name = 'ab'", "val = val + 0.5", "grp = 2, name = 'c'", "val = 1")
+		set := g.oneOf("grp = grp + 1", "grp = NULL", "name = 'ab'", "val = val + 0.5", "grp = 2, name = 'c'", "val = 1", "name = NULL", "name = 'B'")
+		if g.pick(3) == 0 { // a key set derived while the write holds the table
+			return "UPDATE t SET " + set + " WHERE " + g.fnPred("name", false)
+		}
 		return "UPDATE t SET " + set + g.where(t)
 	case 1:
 		set := g.oneOf("tid = tid + 1", "tid = 3", "label = 'a'", "tid = NULL")
@@ -1324,6 +1367,32 @@ func TestExecMatchesReference(t *testing.T) {
 			"DELETE FROM e WHERE dst IN (SELECT id, tid FROM u)",
 		} {
 			f.check(t, fmt.Sprintf("fixed row %d", i), sql, false)
+		}
+	})
+	// A predicate over the indexed name alone is a key set derived from
+	// the index's keys: true for some keys, for NULL (seed 1 has a NULL
+	// name in grp 3), failing on one; after updates leave stale ids in the
+	// buckets; next to a key conjunct or a second derived set, which may
+	// make it a per-row filter; in an UPDATE's or a DELETE's WHERE.
+	t.Run("derived", func(t *testing.T) {
+		f := newFixture(t, rand.New(rand.NewSource(1)))
+		for i, sql := range []string{
+			"SELECT * FROM t WHERE coalesce(name, 'z') IN ('z', 'a', 'b', 'c') AND grp > 2",
+			"SELECT * FROM t WHERE sets_overlap(name, 'a,b')",
+			"SELECT * FROM t WHERE coalesce(name, 'z') = 'z'",
+			"SELECT * FROM t WHERE NOT (length(name) > 1)",
+			"SELECT * FROM t WHERE CASE WHEN name = 'ab' THEN abs(name) > 0 ELSE name <> 'c' END",
+			"UPDATE t SET name = 'B' WHERE lower(name) = 'b'",
+			"UPDATE t SET name = 'c' WHERE name = 'ab'",
+			"SELECT * FROM t WHERE lower(name) = 'b'",
+			"SELECT * FROM t WHERE CASE WHEN name = 'ab' THEN abs(name) > 0 ELSE name <> 'c' END",
+			"SELECT * FROM t WHERE grp = 1 AND sets_overlap(name, 'c')",
+			"SELECT * FROM t WHERE id = 4 AND length(name) <= 1",
+			"SELECT t.id, u.id FROM t JOIN u ON t.id = u.tid WHERE lower(t.name) = 'c'",
+			"DELETE FROM t WHERE coalesce(name, 'z') = 'c'",
+			"SELECT * FROM t WHERE sets_overlap(name, 'c')",
+		} {
+			f.check(t, fmt.Sprintf("derived row %d", i), sql, false)
 		}
 	})
 	// Name binding: where each column reference of a statement points is
