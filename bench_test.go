@@ -377,9 +377,11 @@ func BenchmarkEngineRecursiveQuery(b *testing.B) {
 
 // BenchmarkEngineQueryAll measures the server side of the Query action
 // alone: the rule-modified statement, both `prod = ?` branches, executed
-// on the engine without wire, compression or client. Every row of the
-// product passes the rule filter, so this is the executor's per-row
-// cost: name binding, the filter's function calls, projection.
+// on the engine without wire, compression or client. Only the visible
+// nodes pass the rule filter (3,281 of the 97,656 rows on δ=7/β=5, the
+// root included); the rule's sets_overlap conjunct becomes the keys of
+// the path_opt index, so each branch reads just the rows it returns,
+// checks prod on each and projects it.
 func BenchmarkEngineQueryAll(b *testing.B) {
 	run := func(f *fixture) func(*testing.B) {
 		return func(b *testing.B) {

@@ -468,10 +468,21 @@ func TestGeneratorGroundTruth(t *testing.T) {
 // recursive branches probe link_left_idx per delta row, every IN
 // (id-list) statement is a key-set lookup, and the link branch of the
 // Section 5.2 query probes link_left_idx with the recursion table as its
-// key set and hashes it again for `right`: no statement scans link.
+// key set and hashes it again for `right`: no statement scans link. The
+// rule-modified Query reads each table through its path_opt index, the
+// keys the rule admits derived from the index's keys.
 func TestExplainPDMStatements(t *testing.T) {
 	s := minisql.NewDB().NewSession()
 	if err := workload.LoadPaperExample(s); err != nil {
+		t.Fatal(err)
+	}
+	// One node per table that the rule hides, so that the rule admits
+	// fewer of the product's rows than prod = ? does.
+	if _, err := s.ExecScript(`
+INSERT INTO assy (type, obid, prod, name, dec, make_or_buy, state, weight, checkedout, checkedout_by, path_opt, data) VALUES
+  ('assy', 9, 1, 'Assy9', '+', 'make', 'released', 1.0, FALSE, NULL, 'opt17', '');
+INSERT INTO comp (type, obid, prod, name, material, state, weight, checkedout, checkedout_by, path_opt, data) VALUES
+  ('comp', 108, 1, 'Comp8', 'steel', 'released', 0.1, FALSE, NULL, 'opt17', '');`); err != nil {
 		t.Fatal(err)
 	}
 	plan := func(sql string, params ...minisql.Value) string {
@@ -530,6 +541,24 @@ func TestExplainPDMStatements(t *testing.T) {
 	if strings.Contains(whereUsed, "SCAN link") || strings.Contains(whereUsed, "SCAN assy") || strings.Contains(whereUsed, "SCAN comp") {
 		t.Errorf("where-used query: a table is scanned:\n%s", whereUsed)
 	}
+	// Query: the rule's sets_overlap conjunct becomes the path_opt index's
+	// keys, prod a filter, and no row is scanned or filtered by the rule.
+	q := core.BuildQueryAll()
+	m := &core.Modifier{Rules: core.StandardRules(), User: core.DefaultUser("u")}
+	if err := m.ModifyNavigational(q, core.ActionQuery); err != nil {
+		t.Fatal(err)
+	}
+	query := plan(q.String(), one, one)
+	for _, table := range []string{"assy", "comp"} {
+		want := "INDEX " + table + "_path_opt_idx ON " + table + " (path_opt): 1 key(s) where sets_overlap(" +
+			table + ".path_opt, 'base'), prod among 1 key(s)\n"
+		if !strings.Contains(query, want) {
+			t.Errorf("query: plan lacks %q:\n%s", want, query)
+		}
+	}
+	if strings.Contains(query, "SCAN") || strings.Contains(query, "FILTER") {
+		t.Errorf("query: a table is scanned or filtered row by row:\n%s", query)
+	}
 	for sql, want := range map[string]string{
 		core.BuildExpandQuery().String():                                          "INDEX link_left_idx ON link (left): 1 key(s)\n  INNER INDEX JOIN assy USING assy_pk",
 		core.BuildWhereUsedLevelSQL([]int64{3, 4, 5}):                             "INDEX link_right_idx ON link (right): 3 key(s)\n",
@@ -539,5 +568,90 @@ func TestExplainPDMStatements(t *testing.T) {
 		if got := plan(sql, one, one); !strings.Contains(got, want) {
 			t.Errorf("%s: plan lacks %q:\n%s", sql, want, got)
 		}
+	}
+}
+
+// TestQueryFollowsUpdatesAndSnapshots: the rule-modified Query reads
+// through the path_opt index, its keys derived from the index's keys per
+// statement, so an UPDATE of path_opt moves a node in and out of the
+// answer, and a key first written by a commit after the statement pinned
+// its epoch shows no row to that statement — only to the next one.
+func TestQueryFollowsUpdatesAndSnapshots(t *testing.T) {
+	db := minisql.NewDB()
+	s := db.NewSession()
+	if err := workload.LoadPaperExample(s); err != nil {
+		t.Fatal(err)
+	}
+	rules := core.StandardRules()
+	core.RegisterProcedures(db, rules)
+	srv := wire.NewServer(db)
+	c, _ := pdmClient(srv, rules, core.DefaultUser("scott"), costmodel.Recursive)
+	query := func() map[int64]bool {
+		t.Helper()
+		res, err := c.QueryAll(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int64]bool{}
+		for _, n := range res.Objects {
+			got[n.ObID] = true
+		}
+		return got
+	}
+	exec := func(sql string) {
+		t.Helper()
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	exec(`INSERT INTO assy (type, obid, prod, name, dec, make_or_buy, state, weight, checkedout, checkedout_by, path_opt, data)
+  VALUES ('assy', 9, 1, 'Assy9', '+', 'make', 'released', 1.0, FALSE, NULL, 'opt17', '')`)
+	if got := query(); len(got) != 15 || got[9] {
+		t.Fatalf("query before the updates: %d nodes %v, want the example's 15", len(got), got)
+	}
+	exec("UPDATE assy SET path_opt = 'base' WHERE obid = 9")
+	if got := query(); len(got) != 16 || !got[9] {
+		t.Errorf("after path_opt 'opt17' -> 'base': %v, want node 9 in", got)
+	}
+	exec("UPDATE assy SET path_opt = 'opt17' WHERE obid = 9")
+	if got := query(); len(got) != 15 || got[9] {
+		t.Errorf("after path_opt 'base' -> 'opt17': %v, want node 9 out", got)
+	}
+
+	// A reader pins its epoch; while its assy branch runs, another
+	// session commits a comp node under a path_opt value no row had —
+	// before the comp branch reads the index's keys.
+	other := db.NewSession()
+	committed := false
+	db.RegisterFunc("commit_once", func([]minisql.Value) (minisql.Value, error) {
+		if !committed {
+			committed = true
+			if _, err := other.Exec(`INSERT INTO comp (type, obid, prod, name, material, state, weight, checkedout, checkedout_by, path_opt, data)
+  VALUES ('comp', 109, 1, 'Comp9', 'steel', 'released', 0.1, FALSE, NULL, 'base,opt3', '')`); err != nil {
+				return types.Null, err
+			}
+		}
+		return types.NewBool(true), nil
+	})
+	q := core.BuildQueryAll()
+	m := &core.Modifier{Rules: rules, User: core.DefaultUser("scott")}
+	if err := m.ModifyNavigational(q, core.ActionQuery); err != nil {
+		t.Fatal(err)
+	}
+	sql := strings.Replace(q.String(), "assy.prod = ?", "assy.prod = ? AND commit_once()", 1)
+	res, err := s.Exec(sql, types.NewInt(1), types.NewInt(1))
+	if err != nil || !committed {
+		t.Fatalf("pinned reader: %v, committed %v\n%s", err, committed, sql)
+	}
+	for _, row := range res.Rows {
+		if row[1].Int() == 109 {
+			t.Errorf("a reader pinned before the commit sees node 109")
+		}
+	}
+	if len(res.Rows) != 15 {
+		t.Errorf("pinned reader: %d rows, want 15", len(res.Rows))
+	}
+	if got := query(); len(got) != 16 || !got[109] {
+		t.Errorf("the next statement: %v, want node 109 too", got)
 	}
 }

@@ -158,7 +158,8 @@ func (db *DB) DiscardSince(since uint64) (bool, error) {
 // with the given version key (0 when never mutated).
 func (db *DB) LastModified(key int64) uint64 { return db.store.Versions().LastModified(key) }
 
-// RegisterFunc installs a stored scalar function callable from SQL.
+// RegisterFunc installs a stored scalar function callable from SQL. fn
+// must be deterministic (see exec.ScalarFunc).
 func (db *DB) RegisterFunc(name string, fn ScalarFunc) {
 	db.regMu.Lock()
 	defer db.regMu.Unlock()

@@ -74,6 +74,7 @@ type keySet struct {
 	vals []types.Value
 	set  *inSet      // nil: compare with vals
 	from *ast.Select // the subquery a computed set comes from
+	pred ast.Expr    // the predicate a derived set comes from (keysWhere)
 }
 
 // linearKeys is the handful: up to here a comparison per key is cheaper
@@ -96,16 +97,33 @@ func (k keySet) admits(v types.Value) (bool, error) {
 }
 
 func (k keySet) String() string {
-	if k.from != nil {
+	switch {
+	case k.from != nil:
 		return "keys from (" + k.from.String() + ")"
+	case k.pred != nil:
+		return fmt.Sprintf("%d key(s) where %s", len(k.vals), k.pred)
 	}
 	return fmt.Sprintf("%d key(s)", len(k.vals))
 }
 
-// keyFilter keeps the rows whose column at pos is among the keys.
+// hash hashes a set of more than a handful of keys.
+func (k *keySet) hash() {
+	if len(k.vals) > linearKeys && k.set == nil {
+		k.set = newInSet(len(k.vals))
+		for _, v := range k.vals {
+			k.set.add(v)
+		}
+	}
+}
+
+// keyFilter keeps the rows whose column at pos is among the keys. An index
+// that answers the keys exactly may read them instead; n is then the ids
+// its buckets list, once counted.
 type keyFilter struct {
 	pos int
 	keySet
+	index *storage.Index
+	n     int
 }
 
 // keyConjunct matches the conjuncts that say which values a column may
@@ -154,9 +172,11 @@ func isConstExpr(e ast.Expr) bool {
 // chooseAccess decides how table, bound as alias, is read for conjs. It
 // takes over every key conjunct on one of the table's columns
 // (unqualified column names count only when the table is alone in its
-// FROM clause): the first whose column has an index and whose keys that
-// index answers exactly becomes the lookup, the others become per-row
-// filters. Everything else stays with the caller as residual.
+// FROM clause), and every other conjunct that keysWhere can turn into a
+// key set. Of the key sets an index answers exactly, the one whose
+// buckets list the fewest ids becomes the lookup (the first on a tie);
+// the others become per-row filters. Everything else stays with the
+// caller as residual.
 //
 // "Exactly" is what keeps the choice of path out of a statement's
 // outcome. NULL keys are dropped — `col = NULL` and a NULL item of an IN
@@ -168,35 +188,42 @@ func isConstExpr(e ast.Expr) bool {
 // there. And a subquery is a key set only if keySubquery says so.
 func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified bool, conjs []conjunct, outer *Env) (*access, error) {
 	acc := &access{table: table}
+	colOf := func(col *ast.ColumnRef) int {
+		if (col.Table == "" && !unqualified) || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
+			return -1
+		}
+		return table.Schema.ColIndex(col.Column)
+	}
+	var buf [8]keyFilter // the key sets in conjunct order
+	sets, indexed := buf[:0], 0
 	for i := range conjs {
 		c := &conjs[i]
 		if c.used {
 			continue
 		}
 		col, key, list, sub := keyConjunct(c.expr)
-		if col == nil || (col.Table == "" && !unqualified) || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
+		if col == nil {
 			continue
 		}
-		pos := table.Schema.ColIndex(col.Column)
-		if pos < 0 {
+		f := keyFilter{pos: colOf(col)}
+		if f.pos < 0 {
 			continue
 		}
-		var keys keySet
 		exact := true
 		if sub != nil {
 			set, plan, ok := ctx.keySubquery(sub)
 			if !ok {
 				continue
 			}
-			keys = keySet{vals: set.vals, set: set, from: sub}
+			f.keySet = keySet{vals: set.vals, set: set, from: sub}
 			acc.sub = append(acc.sub, plan...)
 		} else {
 			in, one := list != nil, [1]ast.Expr{key}
 			if !in {
 				list = one[:]
 			}
-			kind := table.Schema.Cols[pos].Type.Kind
-			keys.vals = make([]types.Value, 0, len(list))
+			kind := table.Schema.Cols[f.pos].Type.Kind
+			f.vals = make([]types.Value, 0, len(list))
 			for _, ke := range list {
 				k, err := ctx.EvalExpr(ke, outer)
 				if err != nil {
@@ -207,23 +234,105 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 					continue
 				}
 				exact = exact && fits
-				keys.vals = append(keys.vals, k)
+				f.vals = append(f.vals, k)
 			}
-			if len(keys.vals) > linearKeys {
-				keys.set = newInSet(len(keys.vals))
-				for _, k := range keys.vals {
-					keys.set.add(k)
-				}
-			}
+			f.hash()
 		}
 		c.used = true
-		if idx := table.IndexOn(col.Column); idx != nil && exact && acc.index == nil {
-			acc.index, acc.keys = idx, keys
-		} else {
-			acc.filters = append(acc.filters, keyFilter{pos: pos, keySet: keys})
+		if index := table.IndexOn(col.Column); exact && index != nil {
+			f.index = index
+			indexed++
+		}
+		sets = append(sets, f)
+	}
+	// Counting candidates costs a bucket probe per key: only a choice
+	// pays it. Keys are derived only at a pinned epoch (keysWhere), which
+	// Latest is not.
+	derive := ctx.snap(table) != storage.Latest && slices.ContainsFunc(conjs, func(c conjunct) bool {
+		_, index := indexedColumn(c, table, colOf)
+		return index != nil
+	})
+	cheapest := table.NumRows()
+	for i := range sets {
+		if f := &sets[i]; f.index != nil && (derive || indexed > 1) {
+			f.n = f.index.Count(f.vals)
+			cheapest = min(cheapest, f.n)
 		}
 	}
+	for i := 0; derive && i < len(conjs); i++ {
+		if f, ok := ctx.keysWhere(&conjs[i], table, alias, colOf, cheapest); ok {
+			sets = append(sets, f)
+			cheapest = f.n
+		}
+	}
+	best := -1
+	for i, f := range sets {
+		if f.index != nil && (best < 0 || f.n < sets[best].n) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		acc.index, acc.keys = sets[best].index, sets[best].keySet
+		sets = slices.Delete(sets, best, best+1)
+	}
+	acc.filters = append(acc.filters, sets...)
 	return acc, nil
+}
+
+// indexedColumn returns the one column of table that c reads, by colOf,
+// and the column's index (nil if none): c must not be taken over, and
+// read no other column, subquery or aggregate.
+func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) int) (int, *storage.Index) {
+	pos, ok := -1, !c.used
+	ast.Inspect(c.expr, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Select, *ast.Aggregate:
+			ok = false
+		case *ast.ColumnRef:
+			p := colOf(n)
+			ok = p >= 0 && (pos < 0 || p == pos)
+			pos = p
+		}
+		return ok
+	})
+	if !ok || pos < 0 {
+		return -1, nil
+	}
+	return pos, table.IndexOn(table.Schema.Cols[pos].Name)
+}
+
+// keysWhere takes over a conjunct that reads only an indexed column as
+// the key set of the index's keys for which it holds: it runs once per
+// key instead of once per row. Stored functions are deterministic by
+// contract, and a row visible at a pinned epoch carries one of the keys
+// (storage.Index.Keys). It declines unless the set lists fewer ids than
+// limit, the cheapest path so far, and declines a conjunct that fails on
+// a key or holds for NULL, which no key set admits.
+func (ctx *Context) keysWhere(c *conjunct, table *storage.Table, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
+	f.pos, f.index = indexedColumn(*c, table, colOf)
+	if f.index == nil {
+		return f, false
+	}
+	keys, ok := f.index.Keys(limit - 1)
+	if !ok {
+		return f, false
+	}
+	f.pred = c.expr
+	env := NewEnv(TableCols(table, alias), make(storage.Row, len(table.Schema.Cols)), nil)
+	for _, k := range append(keys, storage.Key{}) { // NULL last
+		env.row[f.pos] = k.Value
+		t, err := ctx.EvalPredicate(c.expr, env)
+		if err != nil || (t == types.True && k.Value.IsNull()) {
+			return f, false
+		}
+		if t == types.True {
+			f.vals = append(f.vals, k.Value)
+			f.n += k.N
+		}
+	}
+	f.hash()
+	c.used = f.n < limit
+	return f, c.used
 }
 
 // keySubquery evaluates an IN subquery before the table is read and

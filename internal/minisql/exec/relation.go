@@ -295,7 +295,9 @@ func (ctx *Context) under(n *PlanNode) func() {
 
 // ScalarFunc is a registered scalar function (a "stored function" in the
 // paper's SQL/PSM sense, implemented in Go at the server). The argument
-// slice is valid only for the call.
+// slice is valid only for the call. It must be deterministic — the same
+// arguments give the same result or error, whenever it is called — as a
+// predicate over one indexed column runs once per index key, not per row.
 type ScalarFunc func(args []types.Value) (types.Value, error)
 
 // snap is the storage epoch a read of t resolves at: the chain heads

@@ -14,10 +14,12 @@ import (
 // with Context.Plan set — taking every access-path and join decision as
 // it would, reading no row — and this file only lays the recorded tree
 // out as indented lines. A write is planned by the gathering half of
-// UPDATE / DELETE; no latch is taken and nothing is mutated.
+// UPDATE / DELETE; no latch is taken and nothing is mutated. The plan is
+// taken at the epoch a read would pin, as key sets derived from an
+// index's keys are (exec.Context.chooseAccess).
 func (s *Session) explain(stmt ast.Statement, params []Value) (*Result, error) {
 	root := &exec.PlanNode{}
-	ctx := s.newContext(params, 0)
+	ctx := s.newContext(params, s.db.Epoch())
 	ctx.Plan = root
 	write := func(name string, where ast.Expr) error {
 		table, ok := s.db.store.Table(name)

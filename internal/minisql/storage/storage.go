@@ -465,6 +465,42 @@ func (ix *Index) candidates(v types.Value) []int {
 	return ix.buckets[string(key)]
 }
 
+// Key is a distinct key of an index, as a value of the column's kind, and
+// the number of ids its bucket lists, stale ones included.
+type Key struct {
+	Value types.Value
+	N     int
+}
+
+// Keys returns the index's keys, or ok false when there are more than
+// max or one names more than one value. A row is indexed before it is
+// published, so they include the value of every row visible at an epoch
+// taken before the call.
+func (ix *Index) Keys(max int) (keys []Key, ok bool) {
+	kind := ix.t.Schema.Cols[ix.colPos].Type.Kind
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.buckets) > max {
+		return nil, false
+	}
+	for key, ids := range ix.buckets {
+		v, ok := types.KeyValue(key, kind)
+		if !ok {
+			return nil, false
+		}
+		keys = append(keys, Key{v, len(ids)})
+	}
+	return keys, true
+}
+
+// Count returns how many ids the buckets of vals list together.
+func (ix *Index) Count(vals []types.Value) (n int) {
+	for _, v := range vals {
+		n += len(ix.candidates(v))
+	}
+	return n
+}
+
 // ascending returns the bucket for the value's key in ascending id
 // order. Inserts append ascending ids, so only a bucket an update has
 // added an older row to is out of order; the first lookup after such an

@@ -334,6 +334,26 @@ func SameKey(a, b Value) bool {
 	return a.kind == b.kind && a.s == b.s && a.b == b.b
 }
 
+// KeyValue inverts AppendKey for a value of the given kind; ok is false
+// where the key names no single such value (an integer beyond ±2^53).
+func KeyValue(key string, kind Kind) (Value, bool) {
+	f, err := strconv.ParseFloat(key[1:], 64)
+	switch {
+	case key == "\x00":
+		return Null, true
+	case kind == KindText && key[0] == 't':
+		return NewText(key[1:]), true
+	case kind == KindBool && (key == "b0" || key == "b1"):
+		return NewBool(key == "b1"), true
+	case key[0] != 'n' || err != nil:
+	case kind == KindFloat:
+		return NewFloat(f), true
+	case kind == KindInt && f == math.Trunc(f) && math.Abs(f) <= 1<<53:
+		return NewInt(int64(f)), true
+	}
+	return Null, false
+}
+
 // Truth interprets a value as a WHERE-clause condition result.
 func Truth(v Value) Tristate {
 	switch v.kind {

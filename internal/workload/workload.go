@@ -167,6 +167,8 @@ CREATE INDEX IF NOT EXISTS link_right_idx ON link (right);
 CREATE INDEX IF NOT EXISTS specified_by_left_idx ON specified_by (left);
 CREATE INDEX IF NOT EXISTS assy_prod_idx ON assy (prod);
 CREATE INDEX IF NOT EXISTS comp_prod_idx ON comp (prod);
+CREATE INDEX IF NOT EXISTS assy_path_opt_idx ON assy (path_opt);
+CREATE INDEX IF NOT EXISTS comp_path_opt_idx ON comp (path_opt);
 `
 }
 
