@@ -194,7 +194,7 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 		}
 		return table.Schema.ColIndex(col.Column)
 	}
-	var buf [8]keyFilter // the key sets in conjunct order
+	var buf [8]keyFilter // the key sets in conjunct order, on the stack: most statements have one
 	sets, indexed := buf[:0], 0
 	for i := range conjs {
 		c := &conjs[i]
