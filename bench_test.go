@@ -150,7 +150,7 @@ func simulatedBench(b *testing.B, scenIdx, netIdx int, action pdmtune.Action, st
 	model := costmodel.Model{
 		Net:  costmodel.PaperNetworks()[netIdx],
 		Tree: costmodel.PaperScenarios()[scenIdx],
-	}.Predict(costmodel.Action(action), costmodel.Strategy(strat))
+	}.Price(costmodel.Knobs{Strategy: costmodel.Strategy(strat)}, costmodel.Action(action))
 	b.ReportMetric(model.TotalSec, "model_s")
 }
 

@@ -5,6 +5,6 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 lines() { find . -name '*.go' -not -path './.bench_build/*' "$@" -print0 | xargs -0 cat | wc -l; }
-echo "non-test Go lines outside benchmark/: $(lines -not -path './benchmark/*' -not -name '*_test.go')"
+echo "non-test Go lines outside benchmark/: $(lines -not -path './benchmark/*' -not -name '*_test.go') (item 7 target: <= 21800)"
 echo "test Go lines outside benchmark/:     $(lines -not -path './benchmark/*' -name '*_test.go')"
 echo "Go lines in benchmark/:               $(lines -path './benchmark/*')"

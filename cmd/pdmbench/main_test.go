@@ -7,28 +7,18 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"pdmtune/internal/costmodel"
 )
 
-// TestEveryModeEmitsRecords runs the whole registry on a small tree and
-// checks the contract between modes and dispatcher: at least one record,
-// labelled with the mode, unchanged by a JSON round trip (so Extra holds
-// only float64/string/bool), and rendering to the same non-empty text
-// before and after it.
+// TestEveryModeEmitsRecords runs the whole registry and checks the
+// contract between modes and dispatcher: at least one record, labelled
+// with the mode, unchanged by a JSON round trip (so Extra holds only
+// float64/string/bool), and rendering to the same non-empty text before
+// and after it.
 func TestEveryModeEmitsRecords(t *testing.T) {
-	e := &env{
-		scenarios: []costmodel.Tree{{Name: "δ=2, β=3, σ=1", Depth: 2, Branch: 3, Sigma: 1}},
-		sites:     2, staleness: -1, subscribe: 0.5,
-		users: 4, pool: 2, ops: 6,
-	}
-	if err := e.validate(); err != nil {
-		t.Fatal(err)
-	}
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			recs, err := m.run(e)
+			recs, err := m.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,13 +51,13 @@ func TestEveryModeEmitsRecords(t *testing.T) {
 	}
 }
 
-// TestExactlyOneMode: zero modes, two modes, an unknown mode and a flag
-// the mode does not read are usage errors for every mode, reported on
-// stderr with nothing on stdout.
+// TestExactlyOneMode: zero modes, two modes, an unknown mode and an
+// unknown flag are usage errors, reported on stderr with nothing on
+// stdout.
 func TestExactlyOneMode(t *testing.T) {
 	for _, args := range [][]string{
-		{}, {"-json"}, {"users", "sites"}, {"-users", "5", "sites", "-sites", "3", "users"},
-		{"bogus"}, {"all", "tables"}, {"tables", "-users", "5"}, {"sites", "-subscribe", "2"}, {"-nosuchflag", "tables"},
+		{}, {"-json"}, {"tables", "figure"}, {"checkout", "-users", "5"},
+		{"bogus"}, {"all", "tables"}, {"-nosuchflag", "tables"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"pdmtune"
@@ -28,7 +27,7 @@ var tableRows = []struct{ label, key string }{
 
 // runTables emits one record per table cell: (network, scenario, action)
 // under the table's strategy. Table 4 has the MLE column only.
-func runTables(*env) ([]record, error) {
+func runTables() ([]record, error) {
 	nets, scens := costmodel.PaperNetworks(), costmodel.PaperScenarios()
 	late := costmodel.TableCells(costmodel.LateEval)
 	var recs []record
@@ -118,7 +117,7 @@ var figureTitles = map[int]string{
 	5: "Figure 5 — response times for δ=7, β=5, σ=0.6, T_Lat=150ms, dtr=256 kbit/s",
 }
 
-func runFigures(*env) ([]record, error) {
+func runFigures() ([]record, error) {
 	var recs []record
 	for _, n := range []int{4, 5} {
 		totals, scen := costmodel.Figure4(), costmodel.PaperScenarios()[1]
@@ -163,150 +162,53 @@ func textFigures(w io.Writer, recs []record) {
 }
 
 // ---------------------------------------------------------------------------
-// ablate: packet size, σ, and packet-vs-exact accounting
+// checkout: the Section 6 comparison
 
-func runAblate(*env) ([]record, error) {
-	var recs []record
-	tree := costmodel.PaperScenarios()[1]
-	for _, packet := range []float64{512, 1024, 4096, 16384} {
-		m := costmodel.Model{Net: costmodel.Network{PacketBytes: packet, LatencySec: 0.15, RateKbps: 256}, Tree: tree}
-		late, rec := m.Predict(costmodel.MLE, costmodel.LateEval), m.Predict(costmodel.MLE, costmodel.Recursive)
-		recs = append(recs, record{
-			Mode: "ablate", Scenario: tree.Name, Config: fmt.Sprintf("packet=%.0fB, late eval", packet),
-			PredictedSec: late.TotalSec,
-			Extra: kv{"ablation": "packet", "packet_bytes": packet,
-				"recursive_sec": rec.TotalSec, "recursive_saving_pct": costmodel.SavingPct(late, rec)},
-		})
-	}
-	for _, sigma := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		t := costmodel.Tree{Name: fmt.Sprintf("δ=9, β=3, σ=%.1f", sigma), Depth: 9, Branch: 3, Sigma: sigma}
-		m := costmodel.Model{Net: costmodel.PaperNetworks()[0], Tree: t}
-		late := m.Predict(costmodel.MLE, costmodel.LateEval)
-		early, rec := m.Predict(costmodel.MLE, costmodel.EarlyEval), m.Predict(costmodel.MLE, costmodel.Recursive)
-		recs = append(recs, record{
-			Mode: "ablate", Scenario: t.Name, Config: "late eval", PredictedSec: late.TotalSec,
-			Extra: kv{"ablation": "sigma", "sigma": sigma,
-				"early_sec": early.TotalSec, "early_saving_pct": costmodel.SavingPct(late, early),
-				"recursive_sec": rec.TotalSec, "recursive_saving_pct": costmodel.SavingPct(late, rec)},
-		})
-	}
+func runCheckout() ([]record, error) {
+	ctx := context.Background()
 	sys := pdmtune.NewSystem(nil)
-	scen := costmodel.PaperScenarios()[0]
-	prod, err := loadScenario(sys, scen, 1)
+	cfg := pdmtune.ProductConfig{Depth: 4, Branch: 4, Sigma: 0.5, Seed: 3}
+	prod, err := sys.LoadProduct(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, exact := range []bool{false, true} {
-		link, name := pdmtune.Intercontinental(), "paper-packets"
-		if exact {
-			link.ExactBytes, name = true, "exact-bytes"
+	var recs []record
+	for i, m := range []struct {
+		name     string
+		strat    pdmtune.Strategy
+		checkOut func(*pdmtune.Session, context.Context, int64) (*pdmtune.CheckOutResult, error)
+	}{
+		{"navigational (early eval)", pdmtune.EarlyEval, (*pdmtune.Session).CheckOut},
+		{"recursive + updates", pdmtune.Recursive, (*pdmtune.Session).CheckOut},
+		{"stored procedure", pdmtune.Recursive, (*pdmtune.Session).CheckOutViaProcedure},
+	} {
+		sess, err := sys.Open(pdmtune.WithLink(pdmtune.Intercontinental()),
+			pdmtune.WithUser(pdmtune.DefaultUser(fmt.Sprintf("user%d", i))), pdmtune.WithStrategy(m.strat))
+		if err != nil {
+			return nil, err
 		}
-		for _, strat := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.Recursive} {
-			res, err := runAction(sys, link, pdmtune.MLE, prod.RootID, pdmtune.WithStrategy(strat))
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, record{
-				Mode: "ablate", Scenario: scen.Name, Config: name + ", " + strat.String(), Metrics: res.Metrics,
-				Extra: kv{"ablation": "accounting", "accounting": name, "strategy": strat.String()},
-			})
+		defer sess.Close()
+		res, err := m.checkOut(sess, ctx, prod.RootID)
+		if err != nil {
+			return nil, err
 		}
+		if _, err := sess.CheckInViaProcedure(ctx, prod.RootID); err != nil {
+			return nil, err
+		}
+		recs = append(recs, record{
+			Mode: "checkout", Scenario: fmt.Sprintf("δ=%d, β=%d, σ=%g", cfg.Depth, cfg.Branch, cfg.Sigma),
+			Config: m.name, Metrics: res.Metrics,
+			Extra: kv{"granted": res.Granted, "updated": float64(res.Updated)},
+		})
 	}
 	return recs, nil
 }
 
-func textAblate(w io.Writer, recs []record) {
-	for len(recs) > 0 {
-		var part []record
-		part, recs = cut(recs, byExtra("ablation"))
-		switch part[0].str("ablation") {
-		case "packet":
-			fmt.Fprintln(w, "Ablation 1 — packet size sweep (δ=9, β=3, σ=0.6, 256 kbit/s / 150 ms, MLE)")
-			for _, r := range part {
-				fmt.Fprintf(w, "  packet=%6.0fB  late=%8.2fs  recursive=%6.2fs  saving=%.2f%%\n",
-					r.num("packet_bytes"), r.PredictedSec, r.num("recursive_sec"), r.num("recursive_saving_pct"))
-			}
-		case "sigma":
-			fmt.Fprintln(w, "Ablation 2 — σ sweep (δ=9, β=3, 256 kbit/s / 150 ms, MLE savings)")
-			for _, r := range part {
-				fmt.Fprintf(w, "  σ=%.1f  late=%9.2fs  early=%9.2fs (%5.2f%%)  recursive=%7.2fs (%5.2f%%)\n",
-					r.num("sigma"), r.PredictedSec, r.num("early_sec"), r.num("early_saving_pct"),
-					r.num("recursive_sec"), r.num("recursive_saving_pct"))
-			}
-		case "accounting":
-			fmt.Fprintln(w, "Ablation 3 — paper packet accounting vs exact bytes (simulated, δ=3, β=9, MLE)")
-			for _, r := range part {
-				fmt.Fprintf(w, "  %-14s %-10s T=%8.2fs vol=%8.0f KiB\n",
-					r.str("accounting"), r.str("strategy"), r.Metrics.TotalSec(), r.Metrics.VolumeBytes()/1024)
-			}
-		}
-		fmt.Fprintln(w)
+func textCheckout(w io.Writer, recs []record) {
+	fmt.Fprintf(w, "Check-out comparison (Section 6) — %s, 256 kbit/s / 150 ms\n", recs[0].Scenario)
+	for _, r := range recs {
+		fmt.Fprintf(w, "  %-28s granted=%-5v updated=%-5.0f rt=%-5d T=%8.2fs\n",
+			r.Config, r.Extra["granted"], r.num("updated"), r.Metrics.RoundTrips, r.Metrics.TotalSec())
 	}
-}
-
-// ---------------------------------------------------------------------------
-// shared by the simulated modes
-
-// treeName labels a generated product the way costmodel names the
-// paper's scenarios.
-func treeName(cfg pdmtune.ProductConfig) string {
-	return fmt.Sprintf("δ=%d, β=%d, σ=%g", cfg.Depth, cfg.Branch, cfg.Sigma)
-}
-
-// loadScenario generates the product for one scenario into a fresh
-// system; scenarios with fractional σβ use random visibility.
-func loadScenario(sys *pdmtune.System, scen costmodel.Tree, seed int64) (*pdmtune.Product, error) {
-	sigmaBeta := scen.Sigma * float64(scen.Branch)
-	return sys.LoadProduct(pdmtune.ProductConfig{
-		Depth: scen.Depth, Branch: scen.Branch, Sigma: scen.Sigma,
-		Seed:             seed,
-		RandomVisibility: sigmaBeta != float64(int(sigmaBeta)),
-	})
-}
-
-// open opens a session for the named default user across the link.
-func open(sys *pdmtune.System, link pdmtune.Link, user string, opts ...pdmtune.Option) (*pdmtune.Session, error) {
-	return sys.Open(append([]pdmtune.Option{
-		pdmtune.WithLink(link), pdmtune.WithUser(pdmtune.DefaultUser(user)),
-	}, opts...)...)
-}
-
-// runAction opens a session with the options, runs one action and
-// closes the session again.
-func runAction(sys *pdmtune.System, link pdmtune.Link, action pdmtune.Action, target int64, opts ...pdmtune.Option) (*pdmtune.ActionResult, error) {
-	sess, err := open(sys, link, "sim", opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	return sess.Run(context.Background(), action, target)
-}
-
-// tableState reads the named tables through a session into one
-// canonical dump (sorted "table|value|…" lines) and counts the assy and
-// comp rows still flagged checked out.
-func tableState(ctx context.Context, s *pdmtune.Session, tables ...string) (dump string, checkedOut int, err error) {
-	var lines []string
-	for _, table := range tables {
-		resp, err := s.Exec(ctx, "SELECT * FROM "+table)
-		if err != nil {
-			return "", 0, err
-		}
-		for _, row := range resp.Rows {
-			parts := []string{table}
-			for _, v := range row {
-				parts = append(parts, v.String())
-			}
-			lines = append(lines, strings.Join(parts, "|"))
-		}
-	}
-	sort.Strings(lines)
-	for _, table := range []string{"assy", "comp"} {
-		resp, err := s.Exec(ctx, "SELECT obid FROM "+table+" WHERE checkedout = TRUE")
-		if err != nil {
-			return "", 0, err
-		}
-		checkedOut += len(resp.Rows)
-	}
-	return strings.Join(lines, "\n"), checkedOut, nil
+	fmt.Fprintln(w)
 }

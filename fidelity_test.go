@@ -103,8 +103,9 @@ func TestModelFidelity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Conflicts != 0 || res.Updated != chain+1 {
-					t.Errorf("ECO updated %d with %d conflicts, want a clean %d", res.Updated, res.Conflicts, chain+1)
+				if len(res.Affected) != chain || res.Conflicts != 0 || res.Updated != chain+1 {
+					t.Errorf("ECO updated %d with %d conflicts over %d affected assemblies, want a clean %d over %d",
+						res.Updated, res.Conflicts, len(res.Affected), chain+1, chain)
 				}
 				return res.Metrics.TotalSec()
 			}},

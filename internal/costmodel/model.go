@@ -416,15 +416,19 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 	return est
 }
 
-// The four signatures below predate Price and are kept for callers
-// pinned to them (the frozen benchmark module); each names one lattice
-// point.
+// The four signatures below predate Price; each names one lattice point.
 
 // Predict prices the paper's own configuration: strategy s, no lever.
+//
+// Deprecated: kept for benchmark/, its only caller; use
+// Price(Knobs{Strategy: s}, a).
 func (m Model) Predict(a Action, s Strategy) Estimate { return m.Price(Knobs{Strategy: s}, a) }
 
 // PredictCompressed prices a batched action at a measured response
 // compression ratio (<= 1: nothing negotiated).
+//
+// Deprecated: kept for benchmark/, its only caller; use Price with
+// Model.CompressionRatio set.
 func (m Model) PredictCompressed(a Action, s Strategy, ratio float64) Estimate {
 	m.CompressionRatio = ratio
 	return m.Price(Knobs{Strategy: s, Batching: true, Compress: ratio > 1}, a)
@@ -432,6 +436,9 @@ func (m Model) PredictCompressed(a Action, s Strategy, ratio float64) Estimate {
 
 // PredictCached prices a batched action through the structure cache,
 // cold or as a warm repeat.
+//
+// Deprecated: kept for benchmark/, its only caller; use Price with
+// Model.Warm set.
 func (m Model) PredictCached(a Action, s Strategy, warm bool) Estimate {
 	m.Warm = warm
 	return m.Price(Knobs{Strategy: s, Batching: true, CacheEntries: 1}, a)
@@ -439,6 +446,9 @@ func (m Model) PredictCached(a Action, s Strategy, warm bool) Estimate {
 
 // PredictReplicated prices a read at a replica site on the local
 // network after a pull of syncBytes across m.Net.
+//
+// Deprecated: kept for benchmark/, its only caller; use Price with
+// Model.LocalNet and Model.SyncBytes set.
 func (m Model) PredictReplicated(a Action, s Strategy, local Network, syncBytes float64) Estimate {
 	m.LocalNet, m.SyncBytes = local, syncBytes
 	return m.Price(Knobs{Strategy: s, Replica: true}, a)
@@ -488,7 +498,7 @@ func TableCells(s Strategy) [][][]Estimate {
 		for si, tree := range scens {
 			row := make([]Estimate, len(Actions))
 			for ai, a := range Actions {
-				row[ai] = Model{Net: net, Tree: tree}.Predict(a, s)
+				row[ai] = Model{Net: net, Tree: tree}.Price(Knobs{Strategy: s}, a)
 			}
 			out[ni][si] = row
 		}
@@ -502,7 +512,7 @@ func FigureTotals(net Network, tree Tree) [3][3]float64 {
 	var out [3][3]float64
 	for si, s := range Strategies {
 		for ai, a := range Actions {
-			out[si][ai] = Model{Net: net, Tree: tree}.Predict(a, s).TotalSec
+			out[si][ai] = Model{Net: net, Tree: tree}.Price(Knobs{Strategy: s}, a).TotalSec
 		}
 	}
 	return out

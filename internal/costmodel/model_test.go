@@ -128,13 +128,13 @@ func TestMonotonicity(t *testing.T) {
 	fast := Model{Net: Network{PacketBytes: 4096, LatencySec: 0.15, RateKbps: 1024}, Tree: tree}
 	for _, a := range Actions {
 		for _, s := range Strategies {
-			if slow.Predict(a, s).TotalSec < fast.Predict(a, s).TotalSec {
+			if slow.Price(Knobs{Strategy: s}, a).TotalSec < fast.Price(Knobs{Strategy: s}, a).TotalSec {
 				t.Errorf("%v/%v: slower link must not be faster", a, s)
 			}
 		}
 	}
 	shallow := Model{Net: slow.Net, Tree: Tree{Depth: 3, Branch: 4, Sigma: 0.6}}
-	if shallow.Predict(MLE, LateEval).TotalSec > slow.Predict(MLE, LateEval).TotalSec {
+	if shallow.Price(Knobs{Strategy: LateEval}, MLE).TotalSec > slow.Price(Knobs{Strategy: LateEval}, MLE).TotalSec {
 		t.Error("shallower tree must not be slower")
 	}
 }
@@ -144,8 +144,8 @@ func TestMonotonicity(t *testing.T) {
 func TestRecursiveQueryPackets(t *testing.T) {
 	tree := Tree{Depth: 5, Branch: 4, Sigma: 0.6}
 	net := Network{PacketBytes: 4096, LatencySec: 0.15, RateKbps: 256}
-	one := Model{Net: net, Tree: tree, RecursiveQueryPackets: 1}.Predict(MLE, Recursive)
-	three := Model{Net: net, Tree: tree, RecursiveQueryPackets: 3}.Predict(MLE, Recursive)
+	one := Model{Net: net, Tree: tree, RecursiveQueryPackets: 1}.Price(Knobs{Strategy: Recursive}, MLE)
+	three := Model{Net: net, Tree: tree, RecursiveQueryPackets: 3}.Price(Knobs{Strategy: Recursive}, MLE)
 	if three.Communications != one.Communications {
 		t.Errorf("communications changed: %v vs %v", three.Communications, one.Communications)
 	}

@@ -140,10 +140,10 @@ func TestPredictMonotoneInDepthAndBranch(t *testing.T) {
 	for _, s := range Strategies {
 		for _, a := range Actions {
 			assertMonotone(t, fmt.Sprintf("%v/%v depth", s, a), []float64{1, 3, 5, 9}, func(x float64) float64 {
-				return Model{Net: net, Tree: Tree{Depth: int(x), Branch: 4, Sigma: 0.6}}.Predict(a, s).TotalSec
+				return Model{Net: net, Tree: Tree{Depth: int(x), Branch: 4, Sigma: 0.6}}.Price(Knobs{Strategy: s}, a).TotalSec
 			}, true)
 			assertMonotone(t, fmt.Sprintf("%v/%v branch", s, a), []float64{2, 4, 6, 9}, func(x float64) float64 {
-				return Model{Net: net, Tree: Tree{Depth: 5, Branch: int(x), Sigma: 0.6}}.Predict(a, s).TotalSec
+				return Model{Net: net, Tree: Tree{Depth: 5, Branch: int(x), Sigma: 0.6}}.Price(Knobs{Strategy: s}, a).TotalSec
 			}, true)
 		}
 	}
