@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -53,19 +54,40 @@ func TestEveryModeEmitsRecords(t *testing.T) {
 
 // TestExactlyOneMode: zero modes, two modes, an unknown mode and an
 // unknown flag are usage errors, reported on stderr with nothing on
-// stdout.
+// stdout. The modes and flags that pdmbench no longer has are cases too:
+// a script that still names one must fail, not run something else.
 func TestExactlyOneMode(t *testing.T) {
-	for _, args := range [][]string{
+	cases := [][]string{
 		{}, {"-json"}, {"tables", "figure"}, {"checkout", "-users", "5"},
 		{"bogus"}, {"all", "tables"}, {"-nosuchflag", "tables"},
+	}
+	for _, gone := range []string{
+		"simulate", "levers", "sites", "whereused", "eco",
+		"report", "users", "ablate", "advise", "failover",
 	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("pdmbench %v: exit %d, want 2", args, code)
+		cases = append(cases, []string{gone})
+	}
+	for _, gone := range []string{"-sites", "-staleness", "-subscribe", "-pool", "-ops"} {
+		cases = append(cases, []string{"checkout", gone, "2"})
+	}
+	for _, args := range cases {
+		args := args
+		name := strings.Join(args, " ")
+		if name == "" {
+			name = "no-args"
 		}
-		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "usage: pdmbench <mode>") {
-			t.Errorf("pdmbench %v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
-		}
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("pdmbench %v: exit %d, want 2", args, code)
+			}
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "usage: pdmbench <mode>") {
+				t.Errorf("pdmbench %v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
+			}
+			if len(args) == 1 && args[0][0] != '-' && !strings.Contains(stderr.String(), fmt.Sprintf("unknown mode %q", args[0])) {
+				t.Errorf("pdmbench %v: stderr does not name the unknown mode: %q", args, stderr.String())
+			}
+		})
 	}
 }
 
