@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -309,5 +310,119 @@ func TestCompareOpNullIsUnknown(t *testing.T) {
 	tr, err := CompareOp("<=", NewInt(3), NewInt(3))
 	if err != nil || tr != True {
 		t.Errorf("3 <= 3 = %v, %v", tr, err)
+	}
+}
+
+// TestValueRoundTrip pins, for each edge of every kind, what the
+// constructors and accessors return and what every function over a
+// value answers, so that a change of the representation shows up here
+// as a changed answer.
+func TestValueRoundTrip(t *testing.T) {
+	type want struct {
+		kind                   Kind
+		i                      int64
+		fbits                  uint64
+		b                      bool
+		s                      string
+		str, key               string
+		truth                  Tristate
+		equal, sameKey         bool   // with itself
+		cmp, cmpZero           string // Compare with itself, with INTEGER 0
+		sort, sortZero         int    // CompareForSort with itself, with INTEGER 0
+		toInt, toFloat, toText string // Coerce: kind and String, or "error"
+		toBool                 string
+	}
+	subnormal := math.SmallestNonzeroFloat64
+	cases := []struct {
+		name string
+		v    Value
+		want want
+	}{
+		{"MinInt64", NewInt(math.MinInt64), want{kind: KindInt, i: math.MinInt64,
+			str: "-9223372036854775808", key: "n-9.223372036854776e+18", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
+			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -9.223372036854776e+18", toText: "TEXT -9223372036854775808", toBool: "BOOLEAN TRUE"}},
+		{"MaxInt64", NewInt(math.MaxInt64), want{kind: KindInt, i: math.MaxInt64,
+			str: "9223372036854775807", key: "n9.223372036854776e+18", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
+			toInt: "INTEGER 9223372036854775807", toFloat: "FLOAT 9.223372036854776e+18", toText: "TEXT 9223372036854775807", toBool: "BOOLEAN TRUE"}},
+		{"int 0", NewInt(0), want{kind: KindInt,
+			str: "0", key: "n0", truth: False, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
+			toInt: "INTEGER 0", toFloat: "FLOAT 0", toText: "TEXT 0", toBool: "BOOLEAN FALSE"}},
+		{"-0.0", NewFloat(math.Copysign(0, -1)), want{kind: KindFloat, fbits: 1 << 63,
+			str: "-0", key: "n-0", truth: False, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
+			toInt: "INTEGER 0", toFloat: "FLOAT -0", toText: "TEXT -0", toBool: "error"}},
+		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
+			str: "NaN", key: "nNaN", truth: True, equal: false, sameKey: false,
+			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
+			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
+		{"+Inf", NewFloat(math.Inf(1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(1)),
+			str: "+Inf", key: "n+Inf", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
+			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT +Inf", toText: "TEXT +Inf", toBool: "error"}},
+		{"-Inf", NewFloat(math.Inf(-1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(-1)),
+			str: "-Inf", key: "n-Inf", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
+			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -Inf", toText: "TEXT -Inf", toBool: "error"}},
+		{"subnormal", NewFloat(subnormal), want{kind: KindFloat, fbits: 1,
+			str: "5e-324", key: "n5e-324", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
+			toInt: "INTEGER 0", toFloat: "FLOAT 5e-324", toText: "TEXT 5e-324", toBool: "error"}},
+		{"empty text", NewText(""), want{kind: KindText,
+			str: "", key: "t", truth: Unknown, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
+			toInt: "error", toFloat: "error", toText: "TEXT ", toBool: "error"}},
+		{"text", NewText("42"), want{kind: KindText, s: "42",
+			str: "42", key: "t42", truth: Unknown, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
+			toInt: "INTEGER 42", toFloat: "FLOAT 42", toText: "TEXT 42", toBool: "error"}},
+		{"TRUE", NewBool(true), want{kind: KindBool, b: true,
+			str: "TRUE", key: "b1", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
+			toInt: "INTEGER 1", toFloat: "error", toText: "TEXT TRUE", toBool: "BOOLEAN TRUE"}},
+		{"FALSE", NewBool(false), want{kind: KindBool,
+			str: "FALSE", key: "b0", truth: False, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
+			toInt: "INTEGER 0", toFloat: "error", toText: "TEXT FALSE", toBool: "BOOLEAN FALSE"}},
+		{"NULL", Null, want{kind: KindNull,
+			str: "NULL", key: "\x00", truth: Unknown, equal: true, sameKey: true,
+			cmp: "error", cmpZero: "error", sort: 0, sortZero: -1,
+			toInt: "NULL NULL", toFloat: "NULL NULL", toText: "NULL NULL", toBool: "NULL NULL"}},
+	}
+	cmpString := func(c int, err error) string {
+		if err != nil {
+			return "error"
+		}
+		return strconv.Itoa(c)
+	}
+	coerce := func(v Value, k Kind) string {
+		c, err := Coerce(v, ColumnType{Kind: k})
+		if err != nil {
+			return "error"
+		}
+		return c.Kind().String() + " " + c.String()
+	}
+	zero := NewInt(0)
+	for _, c := range cases {
+		v, w := c.v, c.want
+		got := want{
+			kind: v.Kind(), i: v.Int(), fbits: math.Float64bits(v.Float()), b: v.Bool(), s: v.Text(),
+			str: v.String(), key: keyOf(v), truth: Truth(v),
+			equal: v.Equal(v), sameKey: SameKey(v, v),
+			cmp: cmpString(Compare(v, v)), cmpZero: cmpString(Compare(v, zero)),
+			sort: CompareForSort(v, v), sortZero: CompareForSort(v, zero),
+			toInt: coerce(v, KindInt), toFloat: coerce(v, KindFloat), toText: coerce(v, KindText), toBool: coerce(v, KindBool),
+		}
+		if got != w {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, w)
+		}
+		if v.IsNull() != (w.kind == KindNull) {
+			t.Errorf("%s: IsNull = %v", c.name, v.IsNull())
+		}
+		if back, ok := KeyValue(w.key, w.kind); ok && !SameKey(back, v) && w.sameKey {
+			t.Errorf("%s: KeyValue(%q) = %s, not the same key", c.name, w.key, back)
+		}
 	}
 }
