@@ -40,29 +40,38 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a single SQL value. The zero Value is NULL.
+// Value is a single SQL value. The zero Value is NULL. It is 32 bytes:
+// TEXT keeps its string in s, and the other kinds keep one word in n,
+// whose meaning depends on kind — an INTEGER's two's complement, a
+// FLOAT's IEEE 754 bits, a BOOLEAN's 0 or 1. Only the constructors and
+// the accessors read or write n. So == and reflect.DeepEqual compare
+// FLOAT values by their bits (-0.0 differs from 0.0, NaN equals the
+// same NaN); Equal and Compare compare them as numbers.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{kind: KindText, s: v} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the runtime kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -70,26 +79,36 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Int returns the int64 payload; valid only when Kind is KindInt.
-func (v Value) Int() int64 { return v.i }
+// Int returns the int64 payload of an INTEGER, and 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
-// Float returns the float64 payload; valid only when Kind is KindFloat.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float64 payload of a FLOAT, and 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
 
-// Text returns the string payload; valid only when Kind is KindText.
+// Text returns the string payload of a TEXT, and "" for any other kind.
 func (v Value) Text() string { return v.s }
 
-// Bool returns the bool payload; valid only when Kind is KindBool.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the payload of a BOOLEAN, and false for any other kind.
+func (v Value) Bool() bool { return v.kind == KindBool && v.n != 0 }
 
 // AsFloat converts a numeric value to float64. It reports false for
 // non-numeric values.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.Int()), true
 	case KindFloat:
-		return v.f, true
+		return v.Float(), true
 	}
 	return 0, false
 }
@@ -100,13 +119,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -140,13 +159,13 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindInt:
-		return v.i == o.i
+		return v.Int() == o.Int()
 	case KindFloat:
-		return v.f == o.f
+		return v.Float() == o.Float()
 	case KindText:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.Bool() == o.Bool()
 	}
 	return false
 }
@@ -237,9 +256,9 @@ func Compare(a, b Value) (int, error) {
 	}
 	if a.kind == KindBool && b.kind == KindBool {
 		switch {
-		case a.b == b.b:
+		case a.Bool() == b.Bool():
 			return 0, nil
-		case b.b:
+		case b.Bool():
 			return -1, nil
 		}
 		return 1, nil
@@ -302,16 +321,17 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindNull:
 		return append(dst, 0)
 	case KindInt:
-		if -1e6 < v.i && v.i < 1e6 { // what 'g' prints for these, without the float formatter
-			return strconv.AppendInt(append(dst, 'n'), v.i, 10)
+		i := v.Int()
+		if -1e6 < i && i < 1e6 { // what 'g' prints for these, without the float formatter
+			return strconv.AppendInt(append(dst, 'n'), i, 10)
 		}
-		return strconv.AppendFloat(append(dst, 'n'), float64(v.i), 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), float64(i), 'g', -1, 64)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), v.Float(), 'g', -1, 64)
 	case KindText:
 		return append(append(dst, 't'), v.s...)
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return append(dst, 'b', '1')
 		}
 		return append(dst, 'b', '0')
@@ -331,7 +351,7 @@ func SameKey(a, b Value) bool {
 		bf, ok := b.AsFloat()
 		return ok && af == bf
 	}
-	return a.kind == b.kind && a.s == b.s && a.b == b.b
+	return a.kind == b.kind && a.s == b.s && a.Bool() == b.Bool()
 }
 
 // KeyValue inverts AppendKey for a value of the given kind; ok is false
@@ -360,11 +380,11 @@ func Truth(v Value) Tristate {
 	case KindNull:
 		return Unknown
 	case KindBool:
-		return TristateOf(v.b)
+		return TristateOf(v.Bool())
 	case KindInt:
-		return TristateOf(v.i != 0)
+		return TristateOf(v.Int() != 0)
 	case KindFloat:
-		return TristateOf(v.f != 0)
+		return TristateOf(v.Float() != 0)
 	}
 	return Unknown
 }
@@ -411,10 +431,10 @@ func Coerce(v Value, t ColumnType) (Value, error) {
 		case KindInt:
 			return v, nil
 		case KindFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return NewInt(int64(v.f)), nil
+			if v.Float() == math.Trunc(v.Float()) && !math.IsInf(v.Float(), 0) {
+				return NewInt(int64(v.Float())), nil
 			}
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.Float())), nil
 		case KindText:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
@@ -422,7 +442,7 @@ func Coerce(v Value, t ColumnType) (Value, error) {
 			}
 			return NewInt(i), nil
 		case KindBool:
-			if v.b {
+			if v.Bool() {
 				return NewInt(1), nil
 			}
 			return NewInt(0), nil
@@ -432,7 +452,7 @@ func Coerce(v Value, t ColumnType) (Value, error) {
 		case KindFloat:
 			return v, nil
 		case KindInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(v.Int())), nil
 		case KindText:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -451,7 +471,7 @@ func Coerce(v Value, t ColumnType) (Value, error) {
 		case KindBool:
 			return v, nil
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.Int() != 0), nil
 		case KindText:
 			switch strings.ToUpper(strings.TrimSpace(v.s)) {
 			case "TRUE", "T", "1":
@@ -483,25 +503,25 @@ func Arith(op string, a, b Value) (Value, error) {
 	switch op {
 	case "+":
 		if bothInt {
-			return NewInt(a.i + b.i), nil
+			return NewInt(a.Int() + b.Int()), nil
 		}
 		return NewFloat(af + bf), nil
 	case "-":
 		if bothInt {
-			return NewInt(a.i - b.i), nil
+			return NewInt(a.Int() - b.Int()), nil
 		}
 		return NewFloat(af - bf), nil
 	case "*":
 		if bothInt {
-			return NewInt(a.i * b.i), nil
+			return NewInt(a.Int() * b.Int()), nil
 		}
 		return NewFloat(af * bf), nil
 	case "/":
 		if bothInt {
-			if b.i == 0 {
+			if b.Int() == 0 {
 				return Null, fmt.Errorf("types: division by zero")
 			}
-			return NewInt(a.i / b.i), nil
+			return NewInt(a.Int() / b.Int()), nil
 		}
 		if bf == 0 {
 			return Null, fmt.Errorf("types: division by zero")
@@ -511,10 +531,10 @@ func Arith(op string, a, b Value) (Value, error) {
 		if !bothInt {
 			return Null, fmt.Errorf("types: %% requires integer operands")
 		}
-		if b.i == 0 {
+		if b.Int() == 0 {
 			return Null, fmt.Errorf("types: division by zero")
 		}
-		return NewInt(a.i % b.i), nil
+		return NewInt(a.Int() % b.Int()), nil
 	}
 	return Null, fmt.Errorf("types: unknown operator %q", op)
 }

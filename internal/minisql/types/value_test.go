@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -22,6 +23,14 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	}
 	if v := NewBool(true); !v.Bool() || v.Kind() != KindBool {
 		t.Error("NewBool roundtrip failed")
+	}
+}
+
+// Every stored, joined, projected and decoded row is an array of values,
+// so a field added to Value grows all of them.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Errorf("a Value is %d bytes, want 32", n)
 	}
 }
 
