@@ -123,6 +123,22 @@ func TestErrorTypeMismatches(t *testing.T) {
 	if _, err := s.Exec("SELECT CAST('nope' AS INTEGER)"); err == nil {
 		t.Error("bad cast must fail")
 	}
+	// A float no INTEGER can hold — beyond int64, +Inf, NaN — does not
+	// cast, nor is it stored in an INTEGER column.
+	for _, q := range []string{
+		"SELECT CAST(1e300 AS INTEGER)",
+		"SELECT CAST(-1e300 AS INTEGER)",
+		"SELECT CAST(1e300 * 1e300 AS INTEGER)",
+		"SELECT CAST(1e300 * 1e300 - 1e300 * 1e300 AS INTEGER)",
+		"INSERT INTO t VALUES (1e300, 'y')",
+	} {
+		if res, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "to INTEGER") {
+			t.Errorf("%s = %v, %v; want a cannot-cast error", q, res, err)
+		}
+	}
+	if res := mustExec(t, s, "SELECT CAST(-2.9 AS INTEGER), CAST(2.9 AS INTEGER), COUNT(*) FROM t"); res.Rows[0][0].Int() != -2 || res.Rows[0][1].Int() != 2 || res.Rows[0][2].Int() != 1 {
+		t.Errorf("CAST(-2.9), CAST(2.9), rows = %v; want -2, 2, 1", res.Rows[0])
+	}
 }
 
 // TestOnePredicateOneOutcome: whether a comparison between incomparable

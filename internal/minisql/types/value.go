@@ -419,8 +419,9 @@ func ParseColumnType(name string, size int) (ColumnType, error) {
 }
 
 // Coerce converts v to the column type t following SQL assignment rules:
-// NULL passes through, ints widen to float, floats truncate to int when
-// integral, anything casts to text, text parses to numerics/bools.
+// NULL passes through, ints widen to float, floats truncate toward zero
+// to int (NaN, ±Inf and floats beyond int64's range are an error),
+// anything casts to text, text parses to numerics/bools.
 func Coerce(v Value, t ColumnType) (Value, error) {
 	if v.IsNull() {
 		return Null, nil
@@ -431,10 +432,10 @@ func Coerce(v Value, t ColumnType) (Value, error) {
 		case KindInt:
 			return v, nil
 		case KindFloat:
-			if v.Float() == math.Trunc(v.Float()) && !math.IsInf(v.Float(), 0) {
-				return NewInt(int64(v.Float())), nil
+			if f := v.Float(); -(1<<63) <= f && f < 1<<63 {
+				return NewInt(int64(f)), nil
 			}
-			return NewInt(int64(v.Float())), nil
+			return Null, fmt.Errorf("types: cannot cast %s to INTEGER", v)
 		case KindText:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {

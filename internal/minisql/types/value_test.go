@@ -276,6 +276,18 @@ func TestCoerce(t *testing.T) {
 	if v, err := Coerce(Null, intT); err != nil || !v.IsNull() {
 		t.Errorf("NULL passthrough: %v %v", v, err)
 	}
+	// FLOAT to INTEGER truncates toward zero; a float no int64 can hold
+	// is an error, not MinInt64.
+	for f, want := range map[float64]int64{2.9: 2, -2.9: -2, 0.5: 0, -(1 << 63): math.MinInt64, 1<<63 - 1024: 1<<63 - 1024} {
+		if v, err := Coerce(NewFloat(f), intT); err != nil || v.Int() != want {
+			t.Errorf("float %g -> int: %v %v, want %d", f, v, err, want)
+		}
+	}
+	for _, f := range []float64{1e300, -1e300, 1 << 63, math.Nextafter(-(1 << 63), math.Inf(-1)), math.Inf(1), math.Inf(-1), math.NaN()} {
+		if v, err := Coerce(NewFloat(f), intT); err == nil || err.Error() != "types: cannot cast "+NewFloat(f).String()+" to INTEGER" {
+			t.Errorf("float %g -> int: %v %v, want the cannot-cast error", f, v, err)
+		}
+	}
 	// VARCHAR(n) truncates.
 	if v, err := Coerce(NewText("abcdef"), ColumnType{Kind: KindText, Size: 3}); err != nil || v.Text() != "abc" {
 		t.Errorf("varchar truncation: %v %v", v, err)
@@ -366,15 +378,15 @@ func TestValueRoundTrip(t *testing.T) {
 		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
 			str: "NaN", key: "nNaN", truth: True, equal: false, sameKey: false,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
-			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
+			toInt: "error", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
 		{"+Inf", NewFloat(math.Inf(1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(1)),
 			str: "+Inf", key: "n+Inf", truth: True, equal: true, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
-			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT +Inf", toText: "TEXT +Inf", toBool: "error"}},
+			toInt: "error", toFloat: "FLOAT +Inf", toText: "TEXT +Inf", toBool: "error"}},
 		{"-Inf", NewFloat(math.Inf(-1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(-1)),
 			str: "-Inf", key: "n-Inf", truth: True, equal: true, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
-			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -Inf", toText: "TEXT -Inf", toBool: "error"}},
+			toInt: "error", toFloat: "FLOAT -Inf", toText: "TEXT -Inf", toBool: "error"}},
 		{"subnormal", NewFloat(subnormal), want{kind: KindFloat, fbits: 1,
 			str: "5e-324", key: "n5e-324", truth: True, equal: true, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
