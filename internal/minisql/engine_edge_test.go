@@ -417,3 +417,57 @@ func TestSelfJoinWithAliases(t *testing.T) {
 		t.Fatalf("self join count = %s", res.Rows[0][0])
 	}
 }
+
+// TestIntegersBeyondFloatPrecision: 2^53 and 2^53+1 are one float64 but
+// two integers, and every path that compares or hashes integers keeps
+// them apart — a scan, a hashed IN list or subquery, DISTINCT, GROUP BY,
+// an index lookup, a hash join, an index join and a unique index.
+func TestIntegersBeyondFloatPrecision(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE a (x INTEGER)")
+	mustExec(t, s, "CREATE TABLE b (x INTEGER)")
+	mustExec(t, s, "CREATE INDEX b_x ON b (x)")
+	for _, table := range []string{"a", "b"} {
+		mustExec(t, s, "INSERT INTO "+table+" VALUES (9007199254740992), (9007199254740993), (9007199254740993)")
+	}
+	for stmt, want := range map[string]string{
+		"SELECT COUNT(*) FROM a WHERE x = 9007199254740993":                                     "2",
+		"SELECT x FROM a WHERE x < 9007199254740993":                                            "9007199254740992",
+		"SELECT COUNT(*) FROM a WHERE x IN (9007199254740993, 1, 2, 3, 4, 5, 6, 7, 8)":          "2",
+		"SELECT COUNT(*) FROM a WHERE x IN (SELECT x FROM a AS s WHERE s.x < 9007199254740993)": "1",
+		"SELECT DISTINCT x FROM a ORDER BY x":                                                   "9007199254740992;9007199254740993",
+		"SELECT x, COUNT(*) FROM a GROUP BY x ORDER BY x":                                       "9007199254740992,1;9007199254740993,2",
+		"SELECT COUNT(*) FROM b WHERE x = 9007199254740992":                                     "1",
+		"SELECT COUNT(*) FROM b WHERE x = 9007199254740993":                                     "2",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x":                                       "5",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":                                            "5",
+	} {
+		var rows []string
+		for _, r := range mustExec(t, s, stmt).Rows {
+			var cells []string
+			for _, v := range r {
+				cells = append(cells, v.String())
+			}
+			rows = append(rows, strings.Join(cells, ","))
+		}
+		if got := strings.Join(rows, ";"); got != want {
+			t.Errorf("%s = %s, want %s", stmt, got, want)
+		}
+	}
+	for stmt, want := range map[string]string{
+		"SELECT COUNT(*) FROM a WHERE x IN (9007199254740993, 1, 2, 3, 4, 5, 6, 7, 8)": "SCAN a (3 rows), x among 9 key(s)",
+		"SELECT COUNT(*) FROM b WHERE x = 9007199254740993":                            "INDEX b_x ON b (x): 1 key(s)",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x":                              "INNER HASH JOIN",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":                                   "INNER INDEX JOIN b USING b_x",
+	} {
+		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)
+		}
+	}
+	mustExec(t, s, "CREATE TABLE p (id INTEGER PRIMARY KEY)")
+	mustExec(t, s, "INSERT INTO p VALUES (9007199254740992)")
+	mustExec(t, s, "INSERT INTO p VALUES (9007199254740993)")
+	if _, err := s.Exec("INSERT INTO p VALUES (9007199254740993)"); err == nil {
+		t.Error("a second 2^53+1 must violate the primary key")
+	}
+}

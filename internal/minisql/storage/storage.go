@@ -473,7 +473,7 @@ type Key struct {
 }
 
 // Keys returns the index's keys, or ok false when there are more than
-// max or one names more than one value. A row is indexed before it is
+// max or one does not decode to a value of the column's kind. A row is indexed before it is
 // published, so they include the value of every row visible at an epoch
 // taken before the call.
 func (ix *Index) Keys(max int) (keys []Key, ok bool) {

@@ -5,6 +5,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -232,13 +233,17 @@ func TristateOf(b bool) Tristate {
 	return False
 }
 
-// Compare compares two non-NULL values, returning -1, 0 or +1. Numeric
-// values compare across int/float; text compares lexicographically; bool
-// orders FALSE < TRUE. Comparing incompatible kinds returns an error.
-// If either side is NULL the caller must handle it (SQL: Unknown).
+// Compare compares two non-NULL values, returning -1, 0 or +1. Two
+// integers compare exactly; an integer and a float compare as float64s;
+// text compares lexicographically; bool orders FALSE < TRUE. Comparing
+// incompatible kinds returns an error. If either side is NULL the caller
+// must handle it (SQL: Unknown).
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		return 0, fmt.Errorf("types: cannot compare NULL")
+	}
+	if a.kind == KindInt && b.kind == KindInt {
+		return cmp.Compare(a.Int(), b.Int()), nil
 	}
 	if af, ok := a.AsFloat(); ok {
 		if bf, ok2 := b.AsFloat(); ok2 {
@@ -313,17 +318,23 @@ func sortRank(v Value) int {
 
 // AppendKey appends to dst the bytes that identify the value for hashing
 // (GROUP BY, DISTINCT, hash joins, hash indexes, IN sets) and returns the
-// extended buffer. Numerically equal int/float values share a key. A
-// map[string]… is probed with m[string(key)], which Go compiles without
-// allocating, so only storing a new key costs a string.
+// extended buffer. Numerically equal int/float values share a key, but
+// an integer whose float64 image rounds (some beyond ±2^53) is keyed by
+// its digits: no other integer and no float shares that key, although a
+// float equal to its image compares equal to it. A map[string]… is
+// probed with m[string(key)], which Go compiles without allocating, so
+// only storing a new key costs a string.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, 0)
 	case KindInt:
 		i := v.Int()
-		if -1e6 < i && i < 1e6 { // what 'g' prints for these, without the float formatter
+		switch {
+		case -1e6 < i && i < 1e6: // what 'g' prints for these, without the float formatter
 			return strconv.AppendInt(append(dst, 'n'), i, 10)
+		case !floatExact(i):
+			return strconv.AppendInt(append(dst, 'i'), i, 10)
 		}
 		return strconv.AppendFloat(append(dst, 'n'), float64(i), 'g', -1, 64)
 	case KindFloat:
@@ -343,19 +354,30 @@ func (v Value) AppendKey(dst []byte) []byte {
 // short text: v.AppendKey(buf[:0]) then builds the key without allocating.
 type KeyBuf [32]byte
 
+// floatExact reports whether float64(i) converts back to i.
+func floatExact(i int64) bool {
+	f := float64(i)
+	return f < 1<<63 && int64(f) == i
+}
+
 // SameKey reports whether a and b hash to the same key, without building
-// either: numbers by their float value, everything else by kind and
-// payload. It is how a hash bucket's candidates are verified.
+// either: two integers by their value, other numbers by their float
+// value (an integer keyed by its digits matching no float), everything
+// else by kind and payload. It is how a hash bucket's candidates are
+// verified.
 func SameKey(a, b Value) bool {
+	if a.kind == KindInt && b.kind == KindInt {
+		return a.Int() == b.Int()
+	}
 	if af, ok := a.AsFloat(); ok {
-		bf, ok := b.AsFloat()
-		return ok && af == bf
+		bf, ok := b.AsFloat() // Int() of the float side is 0, which is exact
+		return ok && af == bf && floatExact(a.Int()) && floatExact(b.Int())
 	}
 	return a.kind == b.kind && a.s == b.s && a.Bool() == b.Bool()
 }
 
 // KeyValue inverts AppendKey for a value of the given kind; ok is false
-// where the key names no single such value (an integer beyond ±2^53).
+// where the key names no such value.
 func KeyValue(key string, kind Kind) (Value, bool) {
 	f, err := strconv.ParseFloat(key[1:], 64)
 	switch {
@@ -365,10 +387,13 @@ func KeyValue(key string, kind Kind) (Value, bool) {
 		return NewText(key[1:]), true
 	case kind == KindBool && (key == "b0" || key == "b1"):
 		return NewBool(key == "b1"), true
+	case kind == KindInt && key[0] == 'i':
+		i, err := strconv.ParseInt(key[1:], 10, 64)
+		return NewInt(i), err == nil
 	case key[0] != 'n' || err != nil:
 	case kind == KindFloat:
 		return NewFloat(f), true
-	case kind == KindInt && f == math.Trunc(f) && math.Abs(f) <= 1<<53:
+	case kind == KindInt && f == math.Trunc(f) && -(1<<63) <= f && f < 1<<63:
 		return NewInt(int64(f)), true
 	}
 	return Null, false

@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"math/big"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -181,15 +182,30 @@ func TestCompareForSortProperties(t *testing.T) {
 
 func keyOf(v Value) string { return string(v.AppendKey(nil)) }
 
-// Property: the hash key agrees with numeric equality across int/float —
-// also where the integer fast path hands over to the float formatter —
-// and its stored form is the one indexes have always held.
+// Property: an integer shares its key with its float64 image exactly when
+// that image converts back to it — also where the integer fast path
+// hands over to the float formatter — and SameKey agrees. Within ±2^53,
+// where every image converts back, the stored form is the one indexes
+// have always held.
 func TestKeyConsistentWithEquality(t *testing.T) {
-	f := func(a int64) bool { return keyOf(NewInt(a)) == keyOf(NewFloat(float64(a))) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	exact := func(a int64) bool {
+		i, acc := new(big.Float).SetFloat64(float64(a)).Int64()
+		return acc == big.Exact && i == a
 	}
-	for _, a := range []int64{0, 7, -7, 100000, 999999, -999999, 1000000, -1000000, 1000001, 1234567, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64} {
+	f := func(a int64) bool {
+		shared := keyOf(NewInt(a)) == keyOf(NewFloat(float64(a)))
+		return shared == exact(a) && SameKey(NewInt(a), NewFloat(float64(a))) == shared
+	}
+	within := func(a int64) bool {
+		a %= 1<<53 + 1
+		return keyOf(NewInt(a)) == keyOf(NewFloat(float64(a)))
+	}
+	for _, p := range []func(int64) bool{f, within} {
+		if err := quick.Check(p, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, a := range []int64{0, 7, -7, 100000, 999999, -999999, 1000000, -1000000, 1000001, 1234567, 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1), 1 << 60, math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
 		if !f(a) {
 			t.Errorf("int %d: key %q, as float %q", a, keyOf(NewInt(a)), keyOf(NewFloat(float64(a))))
 		}
@@ -211,6 +227,38 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() { buf = NewInt(97656).AppendKey(NewText("abc").AppendKey(NewFloat(2.5).AppendKey(buf[:0]))) }); n != 0 {
 		t.Errorf("AppendKey into a buffer with room allocates %v times", n)
+	}
+}
+
+// Two integers compare, key and decode exactly, also where their float64
+// images are equal; an integer and a float still compare as float64s.
+func TestIntegersCompareExactly(t *testing.T) {
+	for _, p := range [][2]int64{{1 << 53, 1<<53 + 1}, {-(1<<53 + 1), -(1 << 53)}, {1 << 60, 1<<60 + 1}, {math.MaxInt64 - 1, math.MaxInt64}, {math.MinInt64, math.MinInt64 + 1}} {
+		a, b := NewInt(p[0]), NewInt(p[1])
+		if c, err := Compare(a, b); err != nil || c != -1 {
+			t.Errorf("Compare(%s, %s) = %d, %v; want -1", a, b, c, err)
+		}
+		if c, err := Compare(b, a); err != nil || c != 1 {
+			t.Errorf("Compare(%s, %s) = %d, %v; want 1", b, a, c, err)
+		}
+		if CompareForSort(a, b) != -1 || a.Equal(b) || SameKey(a, b) || keyOf(a) == keyOf(b) {
+			t.Errorf("%s and %s: sort %d, Equal %v, SameKey %v, keys %q %q", a, b, CompareForSort(a, b), a.Equal(b), SameKey(a, b), keyOf(a), keyOf(b))
+		}
+		for _, v := range []Value{a, b} {
+			if back, ok := KeyValue(keyOf(v), KindInt); !ok || back != v {
+				t.Errorf("KeyValue(%q) = %s, %v; want %s", keyOf(v), back, ok, v)
+			}
+		}
+	}
+	i, f := NewInt(1<<53+1), NewFloat(1<<53)
+	if c, err := Compare(i, f); err != nil || c != 0 {
+		t.Errorf("Compare(%s, FLOAT %s) = %d, %v; want 0", i, f, c, err)
+	}
+	if SameKey(i, f) || keyOf(i) == keyOf(f) {
+		t.Errorf("an integer keyed by its digits must match no float: %q %q", keyOf(i), keyOf(f))
+	}
+	if v, ok := KeyValue(keyOf(i), KindFloat); ok {
+		t.Errorf("KeyValue(%q, FLOAT) = %s, want none", keyOf(i), v)
 	}
 }
 
@@ -364,7 +412,7 @@ func TestValueRoundTrip(t *testing.T) {
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -9.223372036854776e+18", toText: "TEXT -9223372036854775808", toBool: "BOOLEAN TRUE"}},
 		{"MaxInt64", NewInt(math.MaxInt64), want{kind: KindInt, i: math.MaxInt64,
-			str: "9223372036854775807", key: "n9.223372036854776e+18", truth: True, equal: true, sameKey: true,
+			str: "9223372036854775807", key: "i9223372036854775807", truth: True, equal: true, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "INTEGER 9223372036854775807", toFloat: "FLOAT 9.223372036854776e+18", toText: "TEXT 9223372036854775807", toBool: "BOOLEAN TRUE"}},
 		{"int 0", NewInt(0), want{kind: KindInt,
