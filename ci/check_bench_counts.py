@@ -8,8 +8,9 @@ workloads they must repeat exactly; replica-write interleaves two clients
 and may move by its tolerance. Allocations per action are a function of
 the op lists and the Go toolchain: they are compared, within ALLOCS'
 tolerance, when the run's toolchain is the one the baseline was recorded
-with, and printed otherwise. Wall-clock metrics and allocated KiB (which
-swings 10 % with the collector's timing) are only printed.
+with, and printed otherwise. Wall-clock metrics, allocated KiB (which
+swings 10 % with the collector's timing) and the live heap are only
+printed.
 
 usage: check_bench_counts.py RUN.json            compare (exit 1 on a difference)
        check_bench_counts.py RUN.json --update   rewrite the baseline from RUN.json
@@ -21,7 +22,7 @@ import sys
 BASELINE = pathlib.Path(__file__).with_name("bench-counts.json")
 COUNTS = ["round_trips_per_action", "wire_kib_per_action", "sim_s_per_action"]
 ALLOCS = "allocs_per_action"
-PRINTED = ["actions_per_s", "mle_p50_ms", "expand_p50_ms", "alloc_kib_per_action"]
+PRINTED = ["actions_per_s", "mle_p50_ms", "expand_p50_ms", "alloc_kib_per_action", "heap_live_mib"]
 TOLERANCE = {"replica-write": 0.005}  # its two clients interleave; observed 0.03 %
 ALLOCS_TOLERANCE = {"replica-write": 0.04}  # six runs of one commit spread 1.9 % there, under 0.3 % elsewhere
 
