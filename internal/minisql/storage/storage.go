@@ -473,9 +473,9 @@ type Key struct {
 }
 
 // Keys returns the index's keys, or ok false when there are more than
-// max or one does not decode to a value of the column's kind. A row is indexed before it is
-// published, so they include the value of every row visible at an epoch
-// taken before the call.
+// max or one does not decode to a value of the column's kind. A row is
+// indexed before it is published, so they include the value of every row
+// visible at an epoch taken before the call.
 func (ix *Index) Keys(max int) (keys []Key, ok bool) {
 	kind := ix.t.Schema.Cols[ix.colPos].Type.Kind
 	ix.mu.RLock()
