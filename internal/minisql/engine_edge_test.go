@@ -421,7 +421,8 @@ func TestSelfJoinWithAliases(t *testing.T) {
 // TestIntegersBeyondFloatPrecision: 2^53 and 2^53+1 are one float64 but
 // two integers, and every path that compares or hashes integers keeps
 // them apart — a scan, a hashed IN list or subquery, DISTINCT, GROUP BY,
-// an index lookup, a hash join, an index join and a unique index.
+// an index lookup, a hash join, an index join and a unique index. The
+// float 2^53 equals only the first, through an index as in a scan.
 func TestIntegersBeyondFloatPrecision(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "CREATE TABLE a (x INTEGER)")
@@ -439,6 +440,9 @@ func TestIntegersBeyondFloatPrecision(t *testing.T) {
 		"SELECT x, COUNT(*) FROM a GROUP BY x ORDER BY x":                                       "9007199254740992,1;9007199254740993,2",
 		"SELECT COUNT(*) FROM b WHERE x = 9007199254740992":                                     "1",
 		"SELECT COUNT(*) FROM b WHERE x = 9007199254740993":                                     "2",
+		"SELECT COUNT(*) FROM a WHERE x = 9007199254740992.0":                                   "1",
+		"SELECT COUNT(*) FROM b WHERE x = 9007199254740992.0":                                   "1",
+		"SELECT COUNT(*) FROM a WHERE x <= 9007199254740992.0":                                  "1",
 		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x":                                       "5",
 		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":                                            "5",
 	} {

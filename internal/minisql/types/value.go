@@ -151,7 +151,7 @@ func (v Value) Equal(o Value) bool {
 		// int/float cross-kind numeric equality for dedup purposes.
 		if a, ok := v.AsFloat(); ok {
 			if b, ok2 := o.AsFloat(); ok2 {
-				return a == b
+				return a == b && roundoff(v) == roundoff(o)
 			}
 		}
 		return false
@@ -233,11 +233,12 @@ func TristateOf(b bool) Tristate {
 	return False
 }
 
-// Compare compares two non-NULL values, returning -1, 0 or +1. Two
-// integers compare exactly; an integer and a float compare as float64s;
-// text compares lexicographically; bool orders FALSE < TRUE. Comparing
-// incompatible kinds returns an error. If either side is NULL the caller
-// must handle it (SQL: Unknown).
+// Compare compares two non-NULL values, returning -1, 0 or +1. Numbers
+// compare exactly across int/float, so an integer beyond ±2^53 is not
+// equal to the float64 it rounds to; text compares lexicographically;
+// bool orders FALSE < TRUE. Comparing incompatible kinds returns an
+// error. If either side is NULL the caller must handle it (SQL:
+// Unknown).
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		return 0, fmt.Errorf("types: cannot compare NULL")
@@ -252,6 +253,8 @@ func Compare(a, b Value) (int, error) {
 				return -1, nil
 			case af > bf:
 				return 1, nil
+			case af == bf: // one image: an integer's rounding decides
+				return cmp.Compare(roundoff(a), roundoff(b)), nil
 			}
 			return 0, nil
 		}
@@ -318,12 +321,11 @@ func sortRank(v Value) int {
 
 // AppendKey appends to dst the bytes that identify the value for hashing
 // (GROUP BY, DISTINCT, hash joins, hash indexes, IN sets) and returns the
-// extended buffer. Numerically equal int/float values share a key, but
-// an integer whose float64 image rounds (some beyond ±2^53) is keyed by
-// its digits: no other integer and no float shares that key, although a
-// float equal to its image compares equal to it. A map[string]… is
-// probed with m[string(key)], which Go compiles without allocating, so
-// only storing a new key costs a string.
+// extended buffer. Numerically equal int/float values share a key; an
+// integer whose float64 image rounds (some beyond ±2^53) equals no float
+// and is keyed by its digits. A map[string]… is probed with
+// m[string(key)], which Go compiles without allocating, so only storing
+// a new key costs a string.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -333,7 +335,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 		switch {
 		case -1e6 < i && i < 1e6: // what 'g' prints for these, without the float formatter
 			return strconv.AppendInt(append(dst, 'n'), i, 10)
-		case !floatExact(i):
+		case roundoff(v) != 0:
 			return strconv.AppendInt(append(dst, 'i'), i, 10)
 		}
 		return strconv.AppendFloat(append(dst, 'n'), float64(i), 'g', -1, 64)
@@ -354,24 +356,29 @@ func (v Value) AppendKey(dst []byte) []byte {
 // short text: v.AppendKey(buf[:0]) then builds the key without allocating.
 type KeyBuf [32]byte
 
-// floatExact reports whether float64(i) converts back to i.
-func floatExact(i int64) bool {
-	f := float64(i)
-	return f < 1<<63 && int64(f) == i
+// roundoff reports where an INTEGER lies against its float64 image: -1
+// below it, +1 above it, 0 on it. A FLOAT is on its own image.
+func roundoff(v Value) int {
+	if v.kind != KindInt {
+		return 0
+	}
+	f := float64(v.Int())
+	if f == 1<<63 { // above every int64
+		return -1
+	}
+	return cmp.Compare(v.Int(), int64(f))
 }
 
 // SameKey reports whether a and b hash to the same key, without building
-// either: two integers by their value, other numbers by their float
-// value (an integer keyed by its digits matching no float), everything
-// else by kind and payload. It is how a hash bucket's candidates are
-// verified.
+// either: numbers by their exact value, everything else by kind and
+// payload. It is how a hash bucket's candidates are verified.
 func SameKey(a, b Value) bool {
 	if a.kind == KindInt && b.kind == KindInt {
 		return a.Int() == b.Int()
 	}
 	if af, ok := a.AsFloat(); ok {
-		bf, ok := b.AsFloat() // Int() of the float side is 0, which is exact
-		return ok && af == bf && floatExact(a.Int()) && floatExact(b.Int())
+		bf, ok := b.AsFloat()
+		return ok && af == bf && roundoff(a) == roundoff(b)
 	}
 	return a.kind == b.kind && a.s == b.s && a.Bool() == b.Bool()
 }

@@ -124,7 +124,8 @@ func TestCompareNumericCrossKind(t *testing.T) {
 // Comparable must say exactly when Compare succeeds, and comparable
 // values must be equal exactly when their keys are.
 func TestComparableMirrorsCompare(t *testing.T) {
-	vals := []Value{NewInt(1), NewFloat(1), NewFloat(1.5), NewText("1"), NewText("x"), NewBool(true), NewBool(false)}
+	vals := []Value{NewInt(1), NewFloat(1), NewFloat(1.5), NewText("1"), NewText("x"), NewBool(true), NewBool(false),
+		NewInt(1 << 53), NewInt(1<<53 + 1), NewFloat(1 << 53), NewInt(math.MaxInt64), NewFloat(1 << 63)}
 	for _, a := range vals {
 		for _, b := range vals {
 			c, err := Compare(a, b)
@@ -231,7 +232,7 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 }
 
 // Two integers compare, key and decode exactly, also where their float64
-// images are equal; an integer and a float still compare as float64s.
+// images are equal, and an integer and a float compare exactly too.
 func TestIntegersCompareExactly(t *testing.T) {
 	for _, p := range [][2]int64{{1 << 53, 1<<53 + 1}, {-(1<<53 + 1), -(1 << 53)}, {1 << 60, 1<<60 + 1}, {math.MaxInt64 - 1, math.MaxInt64}, {math.MinInt64, math.MinInt64 + 1}} {
 		a, b := NewInt(p[0]), NewInt(p[1])
@@ -250,15 +251,17 @@ func TestIntegersCompareExactly(t *testing.T) {
 			}
 		}
 	}
-	i, f := NewInt(1<<53+1), NewFloat(1<<53)
-	if c, err := Compare(i, f); err != nil || c != 0 {
-		t.Errorf("Compare(%s, FLOAT %s) = %d, %v; want 0", i, f, c, err)
-	}
-	if SameKey(i, f) || keyOf(i) == keyOf(f) {
-		t.Errorf("an integer keyed by its digits must match no float: %q %q", keyOf(i), keyOf(f))
-	}
-	if v, ok := KeyValue(keyOf(i), KindFloat); ok {
-		t.Errorf("KeyValue(%q, FLOAT) = %s, want none", keyOf(i), v)
+	// Each integer against the float64 it rounds to.
+	for i, want := range map[int64]int{1 << 53: 0, 1<<53 + 1: 1, -(1<<53 + 1): -1, 1<<60 + 1: 1, math.MaxInt64: -1, math.MinInt64: 0, math.MinInt64 + 1: 1} {
+		iv, fv := NewInt(i), NewFloat(float64(i))
+		c, err := Compare(iv, fv)
+		r, _ := Compare(fv, iv)
+		if err != nil || c != want || r != -want || iv.Equal(fv) != (want == 0) || SameKey(iv, fv) != (want == 0) {
+			t.Errorf("%s vs FLOAT %s: Compare %d / %d, Equal %v, SameKey %v; want %d", iv, fv, c, r, iv.Equal(fv), SameKey(iv, fv), want)
+		}
+		if v, ok := KeyValue(keyOf(iv), KindFloat); ok != (want == 0) {
+			t.Errorf("KeyValue(%q, FLOAT) = %s, %v", keyOf(iv), v, ok)
+		}
 	}
 }
 
