@@ -493,8 +493,8 @@ func TestValueRoundTrip(t *testing.T) {
 		if v.IsNull() != (w.kind == KindNull) {
 			t.Errorf("%s: IsNull = %v", c.name, v.IsNull())
 		}
-		if back, ok := KeyValue(w.key, w.kind); ok && !SameKey(back, v) && w.sameKey {
-			t.Errorf("%s: KeyValue(%q) = %s, not the same key", c.name, w.key, back)
+		if back, ok := KeyValue(w.key, w.kind); !ok || w.sameKey && !SameKey(back, v) {
+			t.Errorf("%s: KeyValue(%q) = %s, %v; want the same key", c.name, w.key, back, ok)
 		}
 	}
 }
