@@ -31,13 +31,14 @@ func getFrame() []byte {
 	return (*frameBufs.Get().(*[]byte))[:0]
 }
 
-// getFrameN returns a length-n buffer for a decode-side read.
+// getFrameN returns a length-n buffer for a decode-side read. A pooled
+// buffer too small for the read is dropped, not put back: re-pooled, it
+// would be handed out again to the next caller, which would then grow it
+// by allocating.
 func getFrameN(n int) []byte {
-	b := getFrame()
-	if cap(b) >= n {
+	if b := getFrame(); cap(b) >= n {
 		return b[:n]
 	}
-	putFrame(b)
 	return make([]byte, n)
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/storage"
@@ -139,4 +140,27 @@ func TestPooledBuffersStreamPath(t *testing.T) {
 	if !reflect.DeepEqual(resp, snapshot) {
 		t.Fatal("stream-path response changed after pool churn + poisoning: a pooled buffer is aliased")
 	}
+}
+
+// TestGetFrameNDropsSmallBuffer: a pooled buffer too small for the read
+// leaves the pool for good. The pool is drained first, so the small
+// buffer is the one getFrameN is handed; a collection in between could
+// only empty the pool, never put the buffer back.
+func TestGetFrameNDropsSmallBuffer(t *testing.T) {
+	drain := func(visit func([]byte)) {
+		for b := getFrame(); cap(b) > 0; b = getFrame() {
+			visit(b)
+		}
+	}
+	drain(func([]byte) {})
+	small := make([]byte, 0, 8)
+	putFrame(small)
+	if b := getFrameN(64); len(b) != 64 {
+		t.Fatalf("getFrameN(64) returned %d bytes", len(b))
+	}
+	drain(func(b []byte) {
+		if unsafe.SliceData(b) == unsafe.SliceData(small) {
+			t.Fatal("buffer too small for the read went back into the pool")
+		}
+	})
 }
