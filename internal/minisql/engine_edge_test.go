@@ -1,6 +1,7 @@
 package minisql
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -473,5 +474,45 @@ func TestIntegersBeyondFloatPrecision(t *testing.T) {
 	mustExec(t, s, "INSERT INTO p VALUES (9007199254740993)")
 	if _, err := s.Exec("INSERT INTO p VALUES (9007199254740993)"); err == nil {
 		t.Error("a second 2^53+1 must violate the primary key")
+	}
+}
+
+// TestNegativeZeroIsZero: -0.0 equals 0.0, so every path that hashes a
+// float keys them alike — DISTINCT and GROUP BY keep one row, an index
+// lookup of 0.0 finds the -0.0 row as a scan does, and a hash join
+// matches the two.
+func TestNegativeZeroIsZero(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE a (x FLOAT)")
+	mustExec(t, s, "CREATE TABLE b (x FLOAT)")
+	mustExec(t, s, "CREATE INDEX b_x ON b (x)")
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	mustExec(t, s, "INSERT INTO a VALUES (0.0), (?)", negZero)
+	mustExec(t, s, "INSERT INTO b VALUES (?)", negZero)
+	for stmt, want := range map[string]string{
+		"SELECT COUNT(*) FROM a WHERE x = 0.0":            "2",
+		"SELECT COUNT(DISTINCT x) FROM a":                 "1",
+		"SELECT DISTINCT x FROM a":                        "0",
+		"SELECT COUNT(*) FROM a GROUP BY x":               "2",
+		"SELECT COUNT(*) FROM b WHERE x = 0.0":            "1",
+		"SELECT COUNT(*) FROM b WHERE x = 0":              "1",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x": "4",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":      "2",
+	} {
+		var rows []string
+		for _, r := range mustExec(t, s, stmt).Rows {
+			rows = append(rows, r[0].String())
+		}
+		if got := strings.Join(rows, ";"); got != want {
+			t.Errorf("%s = %s, want %s", stmt, got, want)
+		}
+	}
+	for stmt, want := range map[string]string{
+		"SELECT COUNT(*) FROM b WHERE x = 0.0":            "INDEX b_x ON b (x): 1 key(s)",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x": "INNER HASH JOIN",
+	} {
+		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)
+		}
 	}
 }

@@ -340,7 +340,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		}
 		return strconv.AppendFloat(append(dst, 'n'), float64(i), 'g', -1, 64)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'n'), v.Float(), 'g', -1, 64)
+		f := v.Float()
+		if f == 0 {
+			f = 0 // -0.0 equals 0.0, so it keys as 0.0
+		}
+		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
 	case KindText:
 		return append(append(dst, 't'), v.s...)
 	case KindBool:

@@ -219,6 +219,13 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 			t.Errorf("key of %s = %q, want %q", v, got, want)
 		}
 	}
+	negZero := NewFloat(math.Copysign(0, -1))
+	if keyOf(negZero) != keyOf(NewFloat(0)) || keyOf(negZero) != keyOf(NewInt(0)) {
+		t.Errorf("-0.0 keys as %q, 0.0 as %q: they are equal, so their keys must be", keyOf(negZero), keyOf(NewFloat(0)))
+	}
+	if back, ok := KeyValue(keyOf(negZero), KindFloat); !ok || math.Float64bits(back.Float()) != 0 {
+		t.Errorf("KeyValue of -0.0's key = %s, %v; want +0.0", back, ok)
+	}
 	if keyOf(NewText("1")) == keyOf(NewInt(1)) {
 		t.Error("text and int keys must differ")
 	}
@@ -423,7 +430,7 @@ func TestValueRoundTrip(t *testing.T) {
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT 0", toText: "TEXT 0", toBool: "BOOLEAN FALSE"}},
 		{"-0.0", NewFloat(math.Copysign(0, -1)), want{kind: KindFloat, fbits: 1 << 63,
-			str: "-0", key: "n-0", truth: False, equal: true, sameKey: true,
+			str: "-0", key: "n0", truth: False, equal: true, sameKey: true,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT -0", toText: "TEXT -0", toBool: "error"}},
 		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
