@@ -9,10 +9,16 @@ package wire
 //   - a null bitmap per column replaces per-value NULL tags,
 //   - integer columns ship zigzag-varint deltas (ids assigned by a
 //     sequence are near-monotone, so deltas are 1-2 bytes),
-//   - text columns ship a dictionary of distinct strings plus a varint
-//     dictionary index per value (type names and states repeat
-//     thousands of times but travel once),
-//   - float and bool columns drop their per-value tags,
+//   - a text column with at most maxDictLen distinct values, at most
+//     half its non-null values, ships a dictionary plus a varint index
+//     per value (type names and states travel once); any other is
+//     front-coded: per value, the length of the prefix it shares with
+//     the previous one, the suffix length and the suffix,
+//   - a float column whose values are all m / 10^e, for one e in 0..8
+//     and integers |m| <= 2^53, ships e once and each m as a zigzag
+//     varint (2-3 bytes for a weight with 2-3 decimals); any other
+//     ships raw IEEE 754 bits,
+//   - bool columns drop their per-value tags,
 //   - columns mixing kinds fall back to the v1 per-value encoding.
 //
 // Decoding reproduces the exact same Response — same Values, same row
@@ -24,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"pdmtune/internal/minisql/storage"
@@ -32,20 +39,29 @@ import (
 
 // Column encodings of the v2 frame.
 const (
-	colEncMixed = 0 // v1 per-value tagged encoding (kind varies or unknown)
-	colEncInt   = 1 // zigzag varint deltas
-	colEncText  = 2 // dictionary + varint indexes
-	colEncFloat = 3 // raw 8-byte IEEE 754 bits
-	colEncBool  = 4 // value bitmap
+	colEncMixed   = 0 // v1 per-value tagged encoding (kind varies or unknown)
+	colEncInt     = 1 // zigzag varint deltas
+	colEncText    = 2 // dictionary + varint indexes
+	colEncFloat   = 3 // raw 8-byte IEEE 754 bits
+	colEncBool    = 4 // value bitmap
+	colEncFront   = 5 // text: shared-prefix length, suffix length, suffix
+	colEncDecimal = 6 // float: exponent e, then each value times 10^e as a zigzag varint
 )
 
+// maxDictLen is the most distinct values a text dictionary holds.
+const maxDictLen = 256
+
+// pow10 holds the scales colEncDecimal may use, 10^e for e in 0..8.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
 // colBuilder is the scratch state of one text-column encode: the
-// distinct-string dictionary and its insertion order. Both recycle via
+// dictionary, its order and each non-null row's index. All recycle via
 // colBuilders — a busy columnar server builds one per text column per
 // response, and the map alone is several allocations to rebuild.
 type colBuilder struct {
 	dict  map[string]uint64
 	order []string
+	idx   []uint64
 }
 
 var colBuilders = sync.Pool{
@@ -58,7 +74,59 @@ func (cb *colBuilder) release() {
 	clear(cb.dict)
 	clear(cb.order)
 	cb.order = cb.order[:0]
+	cb.idx = cb.idx[:0]
 	colBuilders.Put(cb)
+}
+
+// build fills the dictionary and the row indexes and reports whether the
+// dictionary pays. It stops at the first value past maxDictLen.
+func (cb *colBuilder) build(rows []storage.Row, col int) bool {
+	prev := ""
+	for _, row := range rows {
+		if row[col].IsNull() {
+			continue
+		}
+		s := row[col].Text()
+		if len(cb.idx) > 0 && s == prev {
+			cb.idx = append(cb.idx, cb.idx[len(cb.idx)-1])
+			continue
+		}
+		i, ok := cb.dict[s]
+		if !ok {
+			if len(cb.order) == maxDictLen {
+				return false
+			}
+			i = uint64(len(cb.order))
+			cb.dict[s] = i
+			cb.order = append(cb.order, s)
+		}
+		cb.idx = append(cb.idx, i)
+		prev = s
+	}
+	return 2*len(cb.order) <= len(cb.idx)
+}
+
+// decimalMantissa returns the m with m / 10^e == v bit for bit and
+// |m| <= 2^53, if any. NaN, ±Inf, -0.0 and subnormals have none.
+func decimalMantissa(v float64, e int) (int64, bool) {
+	x := math.Round(v * pow10[e])
+	m := int64(x) // any value when x is NaN or beyond int64; the test below fails then
+	return m, math.Abs(x) <= 1<<53 && math.Float64bits(float64(m)/pow10[e]) == math.Float64bits(v)
+}
+
+// decimalExponent returns the smallest e in 0..8 at which every value
+// of the float column has a decimal mantissa (NULL reads as 0), if any.
+func decimalExponent(rows []storage.Row, col int) (int, bool) {
+next:
+	for e := range pow10 {
+		for _, row := range rows {
+			if _, ok := decimalMantissa(row[col].Float(), e); !ok {
+				continue next
+			}
+		}
+		return e, true
+	}
+	return 0, false
 }
 
 // zigzag maps signed deltas to unsigned varint-friendly space.
@@ -116,6 +184,20 @@ func appendNullBitmap(b []byte, rows []storage.Row, col int) []byte {
 // then the non-null values under the chosen encoding.
 func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 	enc := colEncodingFor(rows, col)
+	var cb *colBuilder
+	exp := 0
+	switch enc {
+	case colEncText:
+		cb = colBuilders.Get().(*colBuilder)
+		defer cb.release()
+		if !cb.build(rows, col) {
+			enc = colEncFront
+		}
+	case colEncFloat:
+		if e, ok := decimalExponent(rows, col); ok {
+			enc, exp = colEncDecimal, e
+		}
+	}
 	b = append(b, enc)
 	b = appendNullBitmap(b, rows, col)
 	switch enc {
@@ -131,31 +213,39 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 			prev = v
 		}
 	case colEncText:
-		cb := colBuilders.Get().(*colBuilder)
-		dict, order := cb.dict, cb.order
+		b = binary.AppendUvarint(b, uint64(len(cb.order)))
+		for _, s := range cb.order {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+		for _, i := range cb.idx {
+			b = binary.AppendUvarint(b, i)
+		}
+	case colEncFront:
+		prev := ""
 		for _, row := range rows {
 			if row[col].IsNull() {
 				continue
 			}
 			s := row[col].Text()
-			if _, ok := dict[s]; !ok {
-				dict[s] = uint64(len(order))
-				order = append(order, s)
+			p := 0
+			for p < len(prev) && p < len(s) && prev[p] == s[p] {
+				p++
 			}
+			b = binary.AppendUvarint(b, uint64(p))
+			b = binary.AppendUvarint(b, uint64(len(s)-p))
+			b = append(b, s[p:]...)
+			prev = s
 		}
-		b = binary.AppendUvarint(b, uint64(len(order)))
-		for _, s := range order {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		}
+	case colEncDecimal:
+		b = append(b, byte(exp))
 		for _, row := range rows {
 			if row[col].IsNull() {
 				continue
 			}
-			b = binary.AppendUvarint(b, dict[row[col].Text()])
+			m, _ := decimalMantissa(row[col].Float(), exp)
+			b = binary.AppendUvarint(b, zigzag(m))
 		}
-		cb.order = order
-		cb.release()
 	case colEncFloat:
 		for _, row := range rows {
 			if row[col].IsNull() {
@@ -223,6 +313,67 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
 	return v, b[n:], nil
+}
+
+// readFront reads one front-coded value's prefix length, checked
+// against the previous value's length, and its suffix.
+func readFront(b []byte, prevLen int) (prefix int, suffix, rest []byte, err error) {
+	p, b, err := readUvarint(b)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if p > uint64(prevLen) {
+		return 0, nil, nil, fmt.Errorf("wire: front-coded prefix of %d bytes exceeds the previous value's %d", p, prevLen)
+	}
+	if n > uint64(len(b)) {
+		return 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	return int(p), b[:n], b[n:], nil
+}
+
+// decodeFront decodes a front-coded text column. The first pass checks
+// it and sums its text, refusing more than MaxFrameSize before any
+// allocation; the second builds the values in one string, where a value
+// without a suffix shares the previous one's bytes.
+func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool) ([]byte, error) {
+	rest, prevLen, total := b, 0, 0
+	for i := range rows {
+		if isNull(i) {
+			continue
+		}
+		p, suffix, r, err := readFront(rest, prevLen)
+		if err != nil {
+			return nil, err
+		}
+		if rest, prevLen = r, p+len(suffix); len(suffix) > 0 {
+			if total += prevLen; total > MaxFrameSize {
+				return nil, fmt.Errorf("wire: front-coded column of more than %d bytes", MaxFrameSize)
+			}
+		}
+	}
+	var arena strings.Builder
+	arena.Grow(total)
+	prev := ""
+	for i := range rows {
+		if isNull(i) {
+			rows[i][col] = types.Null
+			continue
+		}
+		p, suffix, r, _ := readFront(b, len(prev))
+		b, prev = r, prev[:p]
+		if len(suffix) > 0 {
+			from := arena.Len()
+			arena.WriteString(prev)
+			arena.Write(suffix)
+			prev = arena.String()[from:]
+		}
+		rows[i][col] = types.NewText(prev)
+	}
+	return rest, nil
 }
 
 // decodeColumn parses one column body into the corresponding cells of
@@ -295,6 +446,26 @@ func decodeColumn(b []byte, rows []storage.Row, col int) ([]byte, error) {
 				return nil, fmt.Errorf("wire: columnar dictionary index %d out of range", idx)
 			}
 			rows[i][col] = dict[idx]
+		}
+	case colEncFront:
+		return decodeFront(b, rows, col, isNull)
+	case colEncDecimal:
+		if len(b) == 0 || int(b[0]) >= len(pow10) {
+			return nil, fmt.Errorf("wire: decimal column without an exponent in 0..%d", len(pow10)-1)
+		}
+		scale := pow10[b[0]]
+		b = b[1:]
+		for i := range rows {
+			if isNull(i) {
+				rows[i][col] = types.Null
+				continue
+			}
+			u, rest, err := readUvarint(b)
+			if err != nil {
+				return nil, err
+			}
+			b = rest
+			rows[i][col] = types.NewFloat(float64(unzigzag(u)) / scale)
 		}
 	case colEncFloat:
 		for i := range rows {

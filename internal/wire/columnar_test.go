@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,6 +157,10 @@ func TestColumnarRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
+// tenth is a variable so that tenth+0.2 is float64 arithmetic,
+// 0.30000000000000004, not the exact constant 0.3.
+var tenth = 0.1
+
 // columnEdgeCases are single columns on the edges of the text and float
 // encodings: names that share prefixes or repeat, and floats that do or
 // do not hold a short decimal.
@@ -203,7 +210,7 @@ func columnEdgeCases() map[string][]types.Value {
 		"float -Inf":                        floats(math.Inf(-1)),
 		"float smallest subnormal":          floats(math.SmallestNonzeroFloat64),
 		"float MaxFloat64":                  floats(math.MaxFloat64),
-		"float 0.1+0.2":                     floats(0.1 + 0.2),
+		"float 0.1+0.2":                     floats(tenth + 0.2),
 		"float decimal weights":             floats(7.06, 0.502, 12.5, -3.25, 0, 100, 7.06),
 		"float mixed exponents":             floats(7.06, 1e-8, 0.502, -42),
 		"float one value needs e=9":         floats(7.06, 0.502, 1.000000001, 3),
@@ -377,6 +384,11 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(CompressBody(EncodeResponseV2(nodeShapedResult(64)), 1))
 	f.Add([]byte{TypeResultV2, 0, 0, 0})
 	f.Add([]byte{TypeCompressed, 200, 1, 2, 3})
+	f.Add(EncodeResponseV2(queryShapedResult(40)))
+	f.Add(CompressBody(EncodeResponseV2(queryShapedResult(300)), 1))
+	for _, frame := range hostileColumnFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := MaybeDecompress(data)
 		if err != nil {
@@ -443,4 +455,199 @@ func TestBatchResponseColumnarSubFrames(t *testing.T) {
 	}
 	respEqual(t, got[0], resps[0])
 	respEqual(t, got[1], resps[1])
+}
+
+// queryShapedResult builds n rows shaped like the Query action's answer
+// on a generated product (core.BuildQueryAll): ascending unique
+// Assy1NNNNN names, weights with 2 or 3 decimals, five low-cardinality
+// text columns, a constant 512-B pad, a constant path option and five
+// all-NULL link columns.
+func queryShapedResult(n int) *Response {
+	rng := rand.New(rand.NewSource(7))
+	pad := types.NewText(strings.Repeat("x", 512))
+	null := types.Null
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		typ, dec, mob, material := "assy", "+", "make", ""
+		weight := fmt.Sprintf("%.2f", 0.5+rng.Float64()*10)
+		if i%2 == 1 {
+			typ, dec, mob = "comp", "", ""
+			material = []string{"steel", "aluminium", "plastic", "rubber"}[rng.Intn(4)]
+			weight = fmt.Sprintf("%.3f", 0.01+rng.Float64())
+		} else if rng.Intn(5) == 0 {
+			mob = "buy"
+		}
+		w, err := strconv.ParseFloat(weight, 64)
+		if err != nil {
+			panic(err)
+		}
+		rows[i] = storage.Row{
+			types.NewText(typ), types.NewInt(int64(100_001 + i)), types.NewText(fmt.Sprintf("Assy1%05d", i+1)),
+			types.NewText(dec), types.NewText(mob), types.NewText("released"), types.NewText(material),
+			types.NewFloat(w), types.NewBool(false), pad, types.NewText("base"),
+			null, null, null, null, null,
+		}
+	}
+	return &Response{
+		Cols: []string{"type", "obid", "name", "dec", "make_or_buy", "state", "material", "weight",
+			"checkedout", "data", "path_opt", "left", "right", "eff_from", "eff_to", "strc_opt"},
+		Rows:  rows,
+		Epoch: 3,
+	}
+}
+
+// columnEncodings decodes a v2 frame column by column and returns the
+// encoding byte each column was shipped with.
+func columnEncodings(t *testing.T, body []byte) []byte {
+	t.Helper()
+	b := body[1+8+4:]
+	ncols, b, err := readUint32(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < ncols; i++ {
+		if _, b, err = readString(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nrows, b, err := readUint32(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]storage.Row, nrows)
+	for i := range rows {
+		rows[i] = make(storage.Row, ncols)
+	}
+	var encs []byte
+	for col := 0; col < int(ncols); col++ {
+		encs = append(encs, b[0])
+		if b, err = decodeColumn(b, rows, col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes after the last column", len(b))
+	}
+	return encs
+}
+
+// TestColumnEncodingChoice pins the encoding each column of a
+// Query-sized frame takes (3,280 rows, the visible nodes of the δ=7/β=5
+// product): the unique names front-coded, the weights as decimals, the
+// repeated strings and the pad as dictionaries.
+func TestColumnEncodingChoice(t *testing.T) {
+	resp := queryShapedResult(3280)
+	want := map[string]byte{
+		"type": colEncText, "obid": colEncInt, "name": colEncFront, "dec": colEncText,
+		"make_or_buy": colEncText, "state": colEncText, "material": colEncText, "weight": colEncDecimal,
+		"checkedout": colEncBool, "data": colEncText, "path_opt": colEncText,
+		"left": colEncMixed, "right": colEncMixed, "eff_from": colEncMixed, "eff_to": colEncMixed, "strc_opt": colEncMixed,
+	}
+	body := EncodeResponseV2(resp)
+	for i, enc := range columnEncodings(t, body) {
+		if enc != want[resp.Cols[i]] {
+			t.Errorf("column %s shipped with encoding %d, want %d", resp.Cols[i], enc, want[resp.Cols[i]])
+		}
+	}
+	// The dictionary rule's edges: 256 distinct values stay a dictionary
+	// and 257 do not; half the values distinct stays one, more does not.
+	texts := func(n, distinct int) *Response {
+		rows := make([]storage.Row, n)
+		for i := range rows {
+			rows[i] = storage.Row{types.NewText(fmt.Sprintf("s%d", i%distinct))}
+		}
+		return &Response{Cols: []string{"v"}, Rows: rows}
+	}
+	floats := func(fs ...float64) *Response {
+		rows := make([]storage.Row, len(fs))
+		for i, f := range fs {
+			rows[i] = storage.Row{types.NewFloat(f)}
+		}
+		return &Response{Cols: []string{"v"}, Rows: rows}
+	}
+	for name, c := range map[string]struct {
+		resp *Response
+		want byte
+	}{
+		"256 distinct":           {texts(1024, 256), colEncText},
+		"257 distinct":           {texts(1024, 257), colEncFront},
+		"half distinct":          {texts(8, 4), colEncText},
+		"over half distinct":     {texts(7, 4), colEncFront},
+		"one value":              {texts(1, 1), colEncFront},
+		"integral floats":        {floats(1, -2, 1<<53), colEncDecimal},
+		"e=8":                    {floats(7.06, 1e-8), colEncDecimal},
+		"e=9":                    {floats(7.06, 1.000000001), colEncFloat},
+		"beyond 2^53":            {floats(1<<53 + 2), colEncFloat},
+		"2^53 needs e=1 for 0.5": {floats(1<<53, 0.5), colEncFloat},
+		"-0.0":                   {floats(1, math.Copysign(0, -1)), colEncFloat},
+		"NaN":                    {floats(math.NaN()), colEncFloat},
+		"Inf":                    {floats(math.Inf(-1)), colEncFloat},
+		"subnormal":              {floats(math.SmallestNonzeroFloat64), colEncFloat},
+		"0.1+0.2":                {floats(tenth + 0.2), colEncFloat},
+	} {
+		if got := columnEncodings(t, EncodeResponseV2(c.resp))[0]; got != c.want {
+			t.Errorf("%s: encoding %d, want %d", name, got, c.want)
+		}
+	}
+}
+
+// TestColumnarShrinksQueryFrame: on the Query frame the front-coded
+// names and decimal weights halve the bytes deflate reads.
+func TestColumnarShrinksQueryFrame(t *testing.T) {
+	body := EncodeResponseV2(queryShapedResult(3280))
+	if len(body) > 60_000 {
+		t.Errorf("Query-shaped v2 frame is %d B, want at most 60,000", len(body))
+	}
+}
+
+// hostileColumnFrames are v2 frames with one column whose front-coded
+// or decimal body lies: each must be refused.
+func hostileColumnFrames() map[string][]byte {
+	frame := func(nrows uint32, enc byte, body ...byte) []byte {
+		b := append(hostileResult(TypeResultV2, 1, []string{"a"}, nrows), enc)
+		b = append(b, make([]byte, (nrows+7)/8)...)
+		return append(b, body...)
+	}
+	return map[string][]byte{
+		"prefix longer than the previous value": frame(2, colEncFront, 0, 3, 'a', 'b', 'c', 4, 0),
+		"prefix on the first value":             frame(1, colEncFront, 1, 0),
+		"suffix past the frame":                 frame(1, colEncFront, 0, 100, 'a', 'b'),
+		"suffix length truncated":               frame(1, colEncFront, 0),
+		"exponent 9":                            frame(1, colEncDecimal, 9, 2),
+		"exponent 255":                          frame(1, colEncDecimal, 255, 2),
+		"no exponent":                           frame(1, colEncDecimal),
+		"mantissa truncated":                    frame(2, colEncDecimal, 2, 4),
+	}
+}
+
+// TestColumnarDecodeHostileColumns: every lying field of the new column
+// encodings gets an error, and a front-coded column claiming more than
+// MaxFrameSize of text is refused before its text is allocated.
+func TestColumnarDecodeHostileColumns(t *testing.T) {
+	for name, frame := range hostileColumnFrames() {
+		if _, err := DecodeResponse(frame); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// A 1 MiB first value, then 1,100 values that each repeat all of
+	// the previous one and add a byte: 1.1 GiB of text from a 1 MiB
+	// frame.
+	const first, rows = 1 << 20, 1100
+	body := binary.AppendUvarint([]byte{0}, first)
+	body = append(body, make([]byte, first)...)
+	for i := 1; i < rows; i++ {
+		body = binary.AppendUvarint(body, uint64(first+i-1))
+		body = append(body, 1, 'x')
+	}
+	frame := append(hostileResult(TypeResultV2, 1, []string{"a"}, rows), colEncFront)
+	frame = append(append(frame, make([]byte, (rows+7)/8)...), body...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeResponse(frame); err == nil {
+		t.Fatal("1.1 GiB front-coded column decoded without error")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the column allocated %d bytes", grew)
+	}
 }
