@@ -15,6 +15,20 @@ import (
 
 func benchResult() *Response { return nodeShapedResult(1000) }
 
+// v2Results are the frames the v2 benchmarks encode and decode: 1,000
+// node-shaped rows, whose columns all stay dictionaries and raw floats,
+// and a Query-sized frame, whose names are front-coded and weights
+// decimal.
+func v2Results() []struct {
+	name string
+	resp *Response
+} {
+	return []struct {
+		name string
+		resp *Response
+	}{{"node", benchResult()}, {"query", queryShapedResult(3280)}}
+}
+
 // BenchmarkEncodeResultV1 also encodes a Query-sized result: 30,000 rows
 // make a frame past the pool's buffer cap, which is sized once and
 // allocated once.
@@ -34,15 +48,22 @@ func BenchmarkEncodeResultV1(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeResultV2 reports the frame's bytes before and after
+// deflate at the default level.
 func BenchmarkEncodeResultV2(b *testing.B) {
-	resp := benchResult()
-	var body []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body = EncodeResponseV2(resp)
+	for _, r := range v2Results() {
+		b.Run(r.name, func(b *testing.B) {
+			var body []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				putFrame(body)
+				body = EncodeResponseV2(r.resp)
+			}
+			b.ReportMetric(float64(len(body)), "wire_bytes")
+			b.ReportMetric(float64(len(CompressBody(body, 0))), "deflated_bytes")
+		})
 	}
-	b.ReportMetric(float64(len(body)), "wire_bytes")
 }
 
 func BenchmarkEncodeResultV2Compressed(b *testing.B) {
@@ -68,13 +89,18 @@ func BenchmarkDecodeResultV1(b *testing.B) {
 }
 
 func BenchmarkDecodeResultV2(b *testing.B) {
-	body := EncodeResponseV2(benchResult())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeResponse(body); err != nil {
-			b.Fatal(err)
-		}
+	for _, r := range v2Results() {
+		b.Run(r.name, func(b *testing.B) {
+			body := EncodeResponseV2(r.resp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeResponse(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "wire_bytes")
+		})
 	}
 }
 
