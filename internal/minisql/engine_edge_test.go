@@ -479,8 +479,8 @@ func TestIntegersBeyondFloatPrecision(t *testing.T) {
 
 // TestNegativeZeroIsZero: -0.0 equals 0.0, so every path that hashes a
 // float keys them alike — DISTINCT and GROUP BY keep one row, an index
-// lookup of 0.0 finds the -0.0 row as a scan does, and a hash join
-// matches the two.
+// lookup of 0.0 finds the -0.0 row as a scan does, and a hash join and
+// an index join match the two.
 func TestNegativeZeroIsZero(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "CREATE TABLE a (x FLOAT)")
@@ -510,6 +510,7 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	for stmt, want := range map[string]string{
 		"SELECT COUNT(*) FROM b WHERE x = 0.0":            "INDEX b_x ON b (x): 1 key(s)",
 		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x": "INNER HASH JOIN",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":      "INNER INDEX JOIN b USING b_x",
 	} {
 		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
 			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)

@@ -534,7 +534,7 @@ func columnEncodings(t *testing.T, body []byte) []byte {
 // TestColumnEncodingChoice pins the encoding each column of a
 // Query-sized frame takes (3,280 rows, the visible nodes of the δ=7/β=5
 // product): the unique names front-coded, the weights as decimals, the
-// repeated strings and the pad as dictionaries.
+// repeated strings and the pad as dictionaries. That halves the frame.
 func TestColumnEncodingChoice(t *testing.T) {
 	resp := queryShapedResult(3280)
 	want := map[string]byte{
@@ -548,6 +548,9 @@ func TestColumnEncodingChoice(t *testing.T) {
 		if enc != want[resp.Cols[i]] {
 			t.Errorf("column %s shipped with encoding %d, want %d", resp.Cols[i], enc, want[resp.Cols[i]])
 		}
+	}
+	if len(body) > 60_000 {
+		t.Errorf("Query-shaped v2 frame is %d B, want at most 60,000", len(body))
 	}
 	// The dictionary rule's edges: 256 distinct values stay a dictionary
 	// and 257 do not; half the values distinct stays one, more does not.
@@ -588,15 +591,6 @@ func TestColumnEncodingChoice(t *testing.T) {
 		if got := columnEncodings(t, EncodeResponseV2(c.resp))[0]; got != c.want {
 			t.Errorf("%s: encoding %d, want %d", name, got, c.want)
 		}
-	}
-}
-
-// TestColumnarShrinksQueryFrame: on the Query frame the front-coded
-// names and decimal weights halve the bytes deflate reads.
-func TestColumnarShrinksQueryFrame(t *testing.T) {
-	body := EncodeResponseV2(queryShapedResult(3280))
-	if len(body) > 60_000 {
-		t.Errorf("Query-shaped v2 frame is %d B, want at most 60,000", len(body))
 	}
 }
 

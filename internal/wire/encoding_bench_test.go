@@ -57,7 +57,6 @@ func BenchmarkEncodeResultV2(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				putFrame(body)
 				body = EncodeResponseV2(r.resp)
 			}
 			b.ReportMetric(float64(len(body)), "wire_bytes")
