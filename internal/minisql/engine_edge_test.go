@@ -480,24 +480,29 @@ func TestIntegersBeyondFloatPrecision(t *testing.T) {
 // TestNegativeZeroIsZero: -0.0 equals 0.0, so every path that hashes a
 // float keys them alike — DISTINCT and GROUP BY keep one row, an index
 // lookup of 0.0 finds the -0.0 row as a scan does, and a hash join and
-// an index join match the two.
+// an index join match the two. A conjunct that tells them apart reads
+// no key set built from the shared key, so it finds what a scan finds.
 func TestNegativeZeroIsZero(t *testing.T) {
 	s := newTestSession(t)
 	mustExec(t, s, "CREATE TABLE a (x FLOAT)")
-	mustExec(t, s, "CREATE TABLE b (x FLOAT)")
+	mustExec(t, s, "CREATE TABLE b (id INTEGER PRIMARY KEY, x FLOAT)") // its writes advance the epoch
 	mustExec(t, s, "CREATE INDEX b_x ON b (x)")
 	negZero := types.NewFloat(math.Copysign(0, -1))
 	mustExec(t, s, "INSERT INTO a VALUES (0.0), (?)", negZero)
-	mustExec(t, s, "INSERT INTO b VALUES (?)", negZero)
+	mustExec(t, s, "INSERT INTO b VALUES (1, ?), (2, 1.5), (3, 1.5), (4, 2.5), (5, 2.5)", negZero)
 	for stmt, want := range map[string]string{
-		"SELECT COUNT(*) FROM a WHERE x = 0.0":            "2",
-		"SELECT COUNT(DISTINCT x) FROM a":                 "1",
-		"SELECT DISTINCT x FROM a":                        "0",
-		"SELECT COUNT(*) FROM a GROUP BY x":               "2",
-		"SELECT COUNT(*) FROM b WHERE x = 0.0":            "1",
-		"SELECT COUNT(*) FROM b WHERE x = 0":              "1",
-		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x": "4",
-		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":      "2",
+		"SELECT COUNT(*) FROM a WHERE x = 0.0":                "2",
+		"SELECT COUNT(DISTINCT x) FROM a":                     "1",
+		"SELECT DISTINCT x FROM a":                            "0",
+		"SELECT COUNT(*) FROM a GROUP BY x":                   "2",
+		"SELECT COUNT(*) FROM b WHERE x = 0.0":                "1",
+		"SELECT COUNT(*) FROM b WHERE x = 0":                  "1",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x":     "4",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":          "2",
+		"SELECT COUNT(*) FROM a WHERE CAST(x AS TEXT) = '-0'": "1",
+		"SELECT COUNT(*) FROM b WHERE CAST(x AS TEXT) = '-0'": "1",
+		"SELECT COUNT(*) FROM b WHERE CAST(x AS TEXT) = '0'":  "0",
+		"SELECT COUNT(*) FROM b WHERE x + 1 = 1":              "1",
 	} {
 		var rows []string
 		for _, r := range mustExec(t, s, stmt).Rows {
@@ -508,9 +513,11 @@ func TestNegativeZeroIsZero(t *testing.T) {
 		}
 	}
 	for stmt, want := range map[string]string{
-		"SELECT COUNT(*) FROM b WHERE x = 0.0":            "INDEX b_x ON b (x): 1 key(s)",
-		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x": "INNER HASH JOIN",
-		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":      "INNER INDEX JOIN b USING b_x",
+		"SELECT COUNT(*) FROM b WHERE x = 0.0":                "INDEX b_x ON b (x): 1 key(s)",
+		"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x":     "INNER HASH JOIN",
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x":          "INNER INDEX JOIN b USING b_x",
+		"SELECT COUNT(*) FROM b WHERE CAST(x AS TEXT) = '-0'": "SCAN b (5 rows)",
+		"SELECT COUNT(*) FROM b WHERE x + 1 = 1":              "INDEX b_x ON b (x): 1 key(s) where",
 	} {
 		if plan := planOf(t, s, stmt); !strings.Contains(plan, want) {
 			t.Errorf("%s: plan lacks %q:\n%s", stmt, want, plan)

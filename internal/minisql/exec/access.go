@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -307,7 +308,9 @@ func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) 
 // contract, and a row visible at a pinned epoch carries one of the keys
 // (storage.Index.Keys). It declines unless the set lists fewer ids than
 // limit, the cheapest path so far, and declines a conjunct that fails on
-// a key or holds for NULL, which no key set admits.
+// a key or holds for NULL, which no key set admits. The key 0.0 also
+// lists the rows holding -0.0 (types.Value.AppendKey), so a conjunct
+// that tells the two apart, such as CAST(x AS TEXT) = '-0', is declined.
 func (ctx *Context) keysWhere(c *conjunct, table *storage.Table, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
 	f.pos, f.index = indexedColumn(*c, table, colOf)
 	if f.index == nil {
@@ -324,6 +327,12 @@ func (ctx *Context) keysWhere(c *conjunct, table *storage.Table, alias string, c
 		t, err := ctx.EvalPredicate(c.expr, env)
 		if err != nil || (t == types.True && k.Value.IsNull()) {
 			return f, false
+		}
+		if k.Value.Kind() == types.KindFloat && k.Value.Float() == 0 {
+			env.row[f.pos] = types.NewFloat(math.Copysign(0, -1))
+			if neg, err := ctx.EvalPredicate(c.expr, env); err != nil || neg != t {
+				return f, false
+			}
 		}
 		if t == types.True {
 			f.vals = append(f.vals, k.Value)

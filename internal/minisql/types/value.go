@@ -388,7 +388,8 @@ func SameKey(a, b Value) bool {
 }
 
 // KeyValue inverts AppendKey for a value of the given kind; ok is false
-// where the key names no such value.
+// where the key names no such value. The key -0.0 shares with 0.0
+// decodes to 0.0.
 func KeyValue(key string, kind Kind) (Value, bool) {
 	f, err := strconv.ParseFloat(key[1:], 64)
 	switch {
