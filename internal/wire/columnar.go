@@ -13,7 +13,9 @@ package wire
 //     half its non-null values, ships a dictionary plus a varint index
 //     per value (type names and states travel once); any other is
 //     front-coded: per value, the length of the prefix it shares with
-//     the previous one, the suffix length and the suffix,
+//     the previous one, the suffix length and the suffix — unless its
+//     text is more than maxFrontGrowth times those bytes, when each
+//     value ships whole (colEncMixed),
 //   - a float column whose values are all m / 10^e, for one e in 0..8
 //     and integers |m| <= 2^53, ships e once and each m as a zigzag
 //     varint (2-3 bytes for a weight with 2-3 decimals); any other
@@ -50,6 +52,11 @@ const (
 
 // maxDictLen is the most distinct values a text dictionary holds.
 const maxDictLen = 256
+
+// maxFrontGrowth bounds the text a frame's front-coded columns decode
+// to, as a multiple of the frame's length: a decoder refuses more, so
+// a small frame cannot make it allocate much.
+const maxFrontGrowth = 32
 
 // pow10 holds the scales colEncDecimal may use, 10^e for e in 0..8.
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
@@ -198,6 +205,7 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 			enc, exp = colEncDecimal, e
 		}
 	}
+	at := len(b)
 	b = append(b, enc)
 	b = appendNullBitmap(b, rows, col)
 	switch enc {
@@ -222,7 +230,7 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 			b = binary.AppendUvarint(b, i)
 		}
 	case colEncFront:
-		prev := ""
+		start, text, prev := len(b), 0, ""
 		for _, row := range rows {
 			if row[col].IsNull() {
 				continue
@@ -232,10 +240,17 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 			for p < len(prev) && p < len(s) && prev[p] == s[p] {
 				p++
 			}
+			if p < len(s) { // a decoder builds the value anew
+				text += len(s)
+			}
 			b = binary.AppendUvarint(b, uint64(p))
 			b = binary.AppendUvarint(b, uint64(len(s)-p))
 			b = append(b, s[p:]...)
 			prev = s
+		}
+		if text > maxFrontGrowth*(len(b)-start) {
+			b[at] = colEncMixed
+			b = appendTagged(b[:start], rows, col)
 		}
 	case colEncDecimal:
 		b = append(b, byte(exp))
@@ -273,10 +288,16 @@ func appendColumn(b []byte, rows []storage.Row, col int) []byte {
 			k++
 		}
 	default: // colEncMixed
-		for _, row := range rows {
-			if row[col].IsNull() {
-				continue
-			}
+		b = appendTagged(b, rows, col)
+	}
+	return b
+}
+
+// appendTagged appends the column's non-null values in the v1 per-value
+// encoding.
+func appendTagged(b []byte, rows []storage.Row, col int) []byte {
+	for _, row := range rows {
+		if !row[col].IsNull() {
 			b = AppendValue(b, row[col])
 		}
 	}
@@ -336,10 +357,11 @@ func readFront(b []byte, prevLen int) (prefix int, suffix, rest []byte, err erro
 }
 
 // decodeFront decodes a front-coded text column. The first pass checks
-// it and sums its text, refusing more than MaxFrameSize before any
-// allocation; the second builds the values in one string, where a value
-// without a suffix shares the previous one's bytes.
-func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool) ([]byte, error) {
+// it and charges its text to budget, what the frame's columns have left,
+// refusing more before any allocation; the second builds the values in
+// one string of that size, where a value without a suffix shares the
+// previous one's bytes.
+func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool, budget *int) ([]byte, error) {
 	rest, prevLen, total := b, 0, 0
 	for i := range rows {
 		if isNull(i) {
@@ -350,11 +372,12 @@ func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool) (
 			return nil, err
 		}
 		if rest, prevLen = r, p+len(suffix); len(suffix) > 0 {
-			if total += prevLen; total > MaxFrameSize {
-				return nil, fmt.Errorf("wire: front-coded column of more than %d bytes", MaxFrameSize)
+			if total += prevLen; total > *budget {
+				return nil, fmt.Errorf("wire: front-coded text of more than %d times its frame", maxFrontGrowth)
 			}
 		}
 	}
+	*budget -= total
 	var arena strings.Builder
 	arena.Grow(total)
 	prev := ""
@@ -377,8 +400,9 @@ func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool) (
 }
 
 // decodeColumn parses one column body into the corresponding cells of
-// the pre-allocated rows.
-func decodeColumn(b []byte, rows []storage.Row, col int) ([]byte, error) {
+// the pre-allocated rows; a front-coded column's text is charged to
+// budget.
+func decodeColumn(b []byte, rows []storage.Row, col int, budget *int) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -448,7 +472,7 @@ func decodeColumn(b []byte, rows []storage.Row, col int) ([]byte, error) {
 			rows[i][col] = dict[idx]
 		}
 	case colEncFront:
-		return decodeFront(b, rows, col, isNull)
+		return decodeFront(b, rows, col, isNull, budget)
 	case colEncDecimal:
 		if len(b) == 0 || int(b[0]) >= len(pow10) {
 			return nil, fmt.Errorf("wire: decimal column without an exponent in 0..%d", len(pow10)-1)
@@ -523,6 +547,7 @@ func decodeColumn(b []byte, rows []storage.Row, col int) ([]byte, error) {
 // decodeResponseV2 parses a columnar result frame body (caller has
 // checked the tag).
 func decodeResponseV2(b []byte) (*Response, error) {
+	budget := maxFrontGrowth * len(b)
 	b = b[1:]
 	epoch, b, err := readUint64(b)
 	if err != nil {
@@ -567,7 +592,7 @@ func decodeResponseV2(b []byte) (*Response, error) {
 		rows[i] = make(storage.Row, ncols)
 	}
 	for col := 0; col < int(ncols); col++ {
-		b, err = decodeColumn(b, rows, col)
+		b, err = decodeColumn(b, rows, col, &budget)
 		if err != nil {
 			return nil, err
 		}

@@ -185,6 +185,10 @@ func columnEdgeCases() map[string][]types.Value {
 		half = append(half, fmt.Sprintf("Part%d", i/2))
 	}
 	long := strings.Repeat("x", 511)
+	var grown []string // each value adds 3 bytes to a 1 KiB prefix: too much text to front-code
+	for i := 0; i < 300; i++ {
+		grown = append(grown, fmt.Sprintf("%s%03d", long+long, i))
+	}
 	nullRuns := text("a", "b")
 	nullRuns = append([]types.Value{types.Null, types.Null}, nullRuns...)
 	nullRuns = append(nullRuns, types.Null, types.Null, types.Null, types.NewText("b"), types.Null)
@@ -197,6 +201,7 @@ func columnEdgeCases() map[string][]types.Value {
 		"text empty between values":         text("Assy10", "", "Assy11", "", "", "Assy12"),
 		"text prefix of previous":           text("Assy10", "Assy1", "Assy", "Assy1", "Assy10", "Assy100"),
 		"text 512-byte values":              text(long+"a", long+"b", long+"b", "x"+long, long+"c"),
+		"text past maxFrontGrowth":          text(grown...),
 		"text utf8 split at prefix":         text("aΩb", "aΨb", "aΨ", "a", "Ω", "Ψ"),
 		"text null runs":                    nullRuns,
 		"float 7.06":                        floats(7.06),
@@ -519,9 +524,10 @@ func columnEncodings(t *testing.T, body []byte) []byte {
 		rows[i] = make(storage.Row, ncols)
 	}
 	var encs []byte
+	budget := maxFrontGrowth * len(body)
 	for col := 0; col < int(ncols); col++ {
 		encs = append(encs, b[0])
-		if b, err = decodeColumn(b, rows, col); err != nil {
+		if b, err = decodeColumn(b, rows, col, &budget); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -561,6 +567,15 @@ func TestColumnEncodingChoice(t *testing.T) {
 		}
 		return &Response{Cols: []string{"v"}, Rows: rows}
 	}
+	// 300 distinct values that share a prefix of the given length: past
+	// maxFrontGrowth times its bytes, the column ships each value whole.
+	prefixed := func(prefix int) *Response {
+		rows := make([]storage.Row, 300)
+		for i := range rows {
+			rows[i] = storage.Row{types.NewText(fmt.Sprintf("%s%03d", strings.Repeat("x", prefix), i))}
+		}
+		return &Response{Cols: []string{"v"}, Rows: rows}
+	}
 	floats := func(fs ...float64) *Response {
 		rows := make([]storage.Row, len(fs))
 		for i, f := range fs {
@@ -577,6 +592,8 @@ func TestColumnEncodingChoice(t *testing.T) {
 		"half distinct":          {texts(8, 4), colEncText},
 		"over half distinct":     {texts(7, 4), colEncFront},
 		"one value":              {texts(1, 1), colEncFront},
+		"50-byte shared prefix":  {prefixed(50), colEncFront},
+		"1 KiB shared prefix":    {prefixed(1024), colEncMixed},
 		"integral floats":        {floats(1, -2, 1<<53), colEncDecimal},
 		"e=8":                    {floats(7.06, 1e-8), colEncDecimal},
 		"e=9":                    {floats(7.06, 1.000000001), colEncFloat},
@@ -614,34 +631,63 @@ func hostileColumnFrames() map[string][]byte {
 	}
 }
 
+// growingColumn is a front-coded column body of rows values: a first
+// value of first bytes, then values that each repeat all of the previous
+// one and add a byte. It returns the text the values decode to.
+func growingColumn(first, rows int) (body []byte, text int) {
+	body = append([]byte{colEncFront}, make([]byte, (rows+7)/8)...)
+	body = binary.AppendUvarint(append(body, 0), uint64(first))
+	body = append(body, make([]byte, first)...)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			body = binary.AppendUvarint(body, uint64(first+i-1))
+			body = append(body, 1, 'x')
+		}
+		text += first + i
+	}
+	return body, text
+}
+
 // TestColumnarDecodeHostileColumns: every lying field of the new column
-// encodings gets an error, and a front-coded column claiming more than
-// MaxFrameSize of text is refused before its text is allocated.
+// encodings gets an error, and front-coded columns whose text together
+// exceeds maxFrontGrowth times the frame are refused, having allocated
+// no more than that beside the cells.
 func TestColumnarDecodeHostileColumns(t *testing.T) {
 	for name, frame := range hostileColumnFrames() {
 		if _, err := DecodeResponse(frame); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	// A 1 MiB first value, then 1,100 values that each repeat all of
-	// the previous one and add a byte: 1.1 GiB of text from a 1 MiB
-	// frame.
-	const first, rows = 1 << 20, 1100
-	body := binary.AppendUvarint([]byte{0}, first)
-	body = append(body, make([]byte, first)...)
-	for i := 1; i < rows; i++ {
-		body = binary.AppendUvarint(body, uint64(first+i-1))
-		body = append(body, 1, 'x')
+	frame := func(ncols, first, rows int) (frame []byte, colText int) {
+		frame = hostileResult(TypeResultV2, uint32(ncols), make([]string, ncols), uint32(rows))
+		for range ncols {
+			col, text := growingColumn(first, rows)
+			frame, colText = append(frame, col...), text
+		}
+		return frame, colText
 	}
-	frame := append(hostileResult(TypeResultV2, 1, []string{"a"}, rows), colEncFront)
-	frame = append(append(frame, make([]byte, (rows+7)/8)...), body...)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := DecodeResponse(frame); err == nil {
-		t.Fatal("1.1 GiB front-coded column decoded without error")
+	refused := func(name string, frame []byte, ncols, rows int) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := DecodeResponse(frame); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		runtime.ReadMemStats(&after)
+		cells := rows * (24 + 32*ncols) // a row's slice header and its values
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxFrontGrowth*len(frame)+cells); grew > limit {
+			t.Errorf("%s: refusing the frame allocated %d bytes, over %d", name, grew, limit)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("refusing the column allocated %d bytes", grew)
+	// 64 KiB, then 1,100 values that each add a byte: 70 MiB of text
+	// from a 70 KiB frame.
+	one, _ := frame(1, 64<<10, 1100)
+	refused("one growing column", one, 1, 1100)
+	// Four columns, each with text under what the frame may decode to,
+	// that together exceed it.
+	four, text := frame(4, 1<<10, 60)
+	if budget := maxFrontGrowth * len(four); text >= budget || 4*text <= budget {
+		t.Fatalf("each column decodes to %d bytes: want under %d, and over it together", text, budget)
 	}
+	refused("four columns", four, 4, 60)
 }
