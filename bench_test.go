@@ -15,6 +15,7 @@ package pdmtune_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -341,21 +342,32 @@ func BenchmarkCheckOut(b *testing.B) {
 // cost; this bench quantifies it for our engine: for the whole δ=3, β=9
 // tree, and on the δ=7, β=5 tree (97,656 objects) for subtrees rooted at
 // levels 0 to 4, whose cost must follow the subtree, not the database.
+// wan/d7_b5/level2 runs the level-2 root under the wan-recursive
+// benchmark workload's session options (v2 results, deflate, prepared
+// statements, batching). Each case reports its allocations per visible
+// node.
 func BenchmarkEngineRecursiveQuery(b *testing.B) {
-	run := func(f *fixture, root int64) func(*testing.B) {
+	run := func(f *fixture, root int64, opts ...pdmtune.Option) func(*testing.B) {
 		return func(b *testing.B) {
-			sess, err := f.sys.Open(pdmtune.WithLink(pdmtune.LAN()),
-				pdmtune.WithUser(pdmtune.DefaultUser("bench")), pdmtune.WithStrategy(pdmtune.Recursive))
+			sess, err := f.sys.Open(append([]pdmtune.Option{pdmtune.WithLink(pdmtune.LAN()),
+				pdmtune.WithUser(pdmtune.DefaultUser("bench")), pdmtune.WithStrategy(pdmtune.Recursive)}, opts...)...)
 			if err != nil {
 				b.Fatal(err)
 			}
+			visible := 0
+			var before, after runtime.MemStats
 			b.ReportAllocs()
 			b.ResetTimer()
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.MultiLevelExpand(context.Background(), root); err != nil {
+				res, err := sess.MultiLevelExpand(context.Background(), root)
+				if err != nil {
 					b.Fatal(err)
 				}
+				visible = res.Visible
 			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(max(visible, 1)), "allocs/node")
 		}
 	}
 	f := getFixture(b, 0) // δ=3, β=9
@@ -364,15 +376,17 @@ func BenchmarkEngineRecursiveQuery(b *testing.B) {
 		return
 	}
 	f = getFixture(b, 2) // δ=7, β=5
-	for level := 0; level <= 4; level++ {
-		root := int64(0)
+	roots := make([]int64, 5)
+	for level := range roots {
 		for id, n := range f.prod.Nodes { // the first visible assembly of the level
-			if n.Level == level && n.Visible && n.Type == "assy" && (root == 0 || id < root) {
-				root = id
+			if n.Level == level && n.Visible && n.Type == "assy" && (roots[level] == 0 || id < roots[level]) {
+				roots[level] = id
 			}
 		}
-		b.Run(fmt.Sprintf("d7_b5/level%d", level), run(f, root))
+		b.Run(fmt.Sprintf("d7_b5/level%d", level), run(f, roots[level]))
 	}
+	b.Run("wan/d7_b5/level2", run(f, roots[2], pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true),
+		pdmtune.WithPreparedStatements(true), pdmtune.WithBatching(true)))
 }
 
 // BenchmarkEngineQueryAll measures the server side of the Query action

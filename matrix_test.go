@@ -134,6 +134,53 @@ func TestStatementModeMatrix(t *testing.T) {
 		t.Fatal("degenerate trees: both roots flatten alike")
 	}
 
+	// Query and Expand through every result encoding — v1 or v2, deflated
+	// or not — under every strategy, at the primary and the full replica
+	// (a partial replica's Query reads what it holds): the objects and the
+	// expanded level must be byte-identical to the first configuration's.
+	var wantQuery, wantExpand []byte
+	for _, place := range []struct{ name, site string }{{"primary", ""}, {"full-replica", "full"}} {
+		for _, strategy := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
+			for mode := 0; mode < 4; mode++ {
+				columnar, compress := mode&1 != 0, mode&2 != 0
+				name := fmt.Sprintf("%s/%v/columnar=%t/compress=%t", place.name, strategy, columnar, compress)
+				sess, err := openAt(ctx, cl, place.site,
+					pdmtune.WithUser(pdmtune.DefaultUser("engineer")),
+					pdmtune.WithStrategy(strategy),
+					pdmtune.WithColumnarResults(columnar),
+					pdmtune.WithCompression(compress))
+				if err != nil {
+					t.Fatalf("%s: open: %v", name, err)
+				}
+				query, err := sess.Query(ctx, prod.Config.ProdID)
+				if err != nil {
+					t.Fatalf("query/%s: %v", name, err)
+				}
+				var got bytes.Buffer
+				for _, n := range query.Objects {
+					got.Write(flattenTree(&pdmtune.Tree{Root: n}))
+				}
+				expand, err := sess.Expand(ctx, outSub)
+				if err != nil {
+					t.Fatalf("expand/%s: %v", name, err)
+				}
+				switch {
+				case query.Visible < 10 || expand.Visible < 2:
+					t.Fatalf("%s: degenerate results: %d objects, %d nodes expanded", name, query.Visible, expand.Visible)
+				case wantQuery == nil:
+					wantQuery, wantExpand = got.Bytes(), flattenTree(expand.Tree)
+				case !bytes.Equal(got.Bytes(), wantQuery):
+					t.Errorf("query/%s: objects differ from the first configuration's", name)
+				case !bytes.Equal(flattenTree(expand.Tree), wantExpand):
+					t.Errorf("expand/%s: tree differs from the first configuration's", name)
+				}
+				if err := sess.Close(); err != nil {
+					t.Errorf("%s: close: %v", name, err)
+				}
+			}
+		}
+	}
+
 	// Report is one statement over the whole product: site-local at the
 	// primary and the full replica, one fall-through round trip at the
 	// partial replica, which cannot count what it does not hold. Every
