@@ -474,7 +474,7 @@ func conjString(conjs []conjunct) string {
 }
 
 // ---------------------------------------------------------------------------
-// the join loop
+// join candidates
 
 // probe yields the right-hand rows that can match a non-NULL join key.
 // exact says the equi-conjunct holds for every one of them; otherwise
@@ -483,26 +483,28 @@ func conjString(conjs []conjunct) string {
 type probe func(key types.Value) (rows []storage.Row, exact bool)
 
 // indexProbe draws candidates from a stored table's index on the join
-// column: per key, a one-key read of the table. A key of a kind the
-// column cannot be compared with is not the index's to answer: the read
-// is a scan then, every row a candidate, and the equi-conjunct raises the
-// error a nested loop would.
+// column: per key, the rows a one-key lookup finds. A key of a kind the
+// column cannot be compared with is not the index's to answer: every row
+// is a candidate then, and the equi-conjunct raises the error a nested
+// loop would. Under EXPLAIN no row is read.
 func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe {
 	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
-	keyed := &access{table: table, index: index, keys: keySet{vals: make([]types.Value, 1)}}
-	scan := &access{table: table}
+	snap := ctx.snap(table)
 	var buf []storage.Row
-	collect := func(_ int, row storage.Row) error {
+	collect := func(_ int, row storage.Row) bool {
 		buf = append(buf, row)
-		return nil
+		return true
 	}
 	return func(key types.Value) ([]storage.Row, bool) {
 		buf = buf[:0]
-		path, exact := scan, types.Comparable(kind, key.Kind())
-		if exact {
-			path, keyed.keys.vals[0] = keyed, key
+		exact := types.Comparable(kind, key.Kind())
+		switch {
+		case ctx.Plan != nil:
+		case exact:
+			index.LookupAt(snap, key, collect)
+		default:
+			table.ScanAt(snap, collect)
 		}
-		_ = ctx.read(path, collect) // read only fails through its filters and its callback; neither can here
 		return buf, exact
 	}
 }
@@ -571,111 +573,6 @@ func equiPair(pool []conjunct, left, right []ColMeta, accept func(rightPos int) 
 		}
 	}
 	return -1, -1, -1
-}
-
-// join joins left with the table reference ref in the one probe loop.
-// pool holds the conjuncts an equi-pair may come from: for JOIN … ON the
-// ON clause, all of which every emitted row must satisfy (whole); for a
-// comma list the WHERE clause, of which the join takes over only the
-// equi-conjunct it finds. conjs and pushable are the WHERE pushdown
-// context for evaluating ref.
-//
-// The loop is parameterized only by where the right-hand candidates for
-// a key come from: an index of a stored table on the join column, a hash
-// of the materialized right side, or — without an equi-pair — all its
-// rows. Output order is the same for all three: left rows in order, each
-// with its matches in the right side's order.
-//
-// Under EXPLAIN the join's line follows the left side's, with the right
-// side nested under it when the join had to materialize it.
-func (ctx *Context) join(left *Relation, ref ast.TableRef, joinType string, pool []conjunct, whole bool,
-	outer *Env, conjs []conjunct, pushable bool) (*Relation, error) {
-	if ctx.Plan != nil {
-		defer ctx.under(ctx.note(""))()
-	}
-	var candidates probe
-	var all []storage.Row
-	var rightCols []ColMeta
-	at, leftPos, method := -1, -1, "NESTED LOOP"
-
-	if bt, ok := ref.(*ast.BaseTable); ok {
-		if _, isCTE := ctx.CTEs[strings.ToLower(bt.Name)]; !isCTE {
-			if table, ok := ctx.DB.Table(bt.Name); ok {
-				cols := TableCols(table, aliasOf(bt))
-				indexed := func(rp int) bool { return table.IndexOn(cols[rp].Name) != nil }
-				if i, lp, rp := equiPair(pool, left.Cols, cols, indexed); i >= 0 {
-					index := table.IndexOn(cols[rp].Name)
-					at, leftPos, rightCols, candidates = i, lp, cols, ctx.indexProbe(table, index)
-					if ctx.Plan != nil {
-						method = "INDEX JOIN " + bt.String() + " USING " + index.Name
-					}
-				}
-			}
-		}
-	}
-	if candidates == nil {
-		right, err := ctx.evalFrom(ref, outer, conjs, false, pushable)
-		if err != nil {
-			return nil, err
-		}
-		rightCols, all = right.Cols, right.Rows
-		if i, lp, rp := equiPair(pool, left.Cols, right.Cols, nil); i >= 0 {
-			at, leftPos, candidates, method = i, lp, hashProbe(right.Rows, rp), "HASH JOIN"
-		}
-	}
-	// on is what every emitted row must satisfy; on[skipAt] is the
-	// equi-conjunct, which a probe that answers exactly has settled.
-	on, skipAt := pool, at
-	if !whole {
-		on, skipAt = nil, 0
-		if at >= 0 {
-			on = pool[at : at+1]
-		}
-	}
-	if ctx.Plan != nil {
-		ctx.Plan.Text = joinType + " " + method
-		if terms := conjString(on); terms != "" {
-			ctx.Plan.Text += " ON " + terms
-		}
-	}
-
-	out := &Relation{Cols: append(append(make([]ColMeta, 0, len(left.Cols)+len(rightCols)), left.Cols...), rightCols...)}
-	env := &Env{cols: out.Cols, parent: outer}
-	combine := func(lrow, rrow storage.Row) storage.Row {
-		return append(append(make(storage.Row, 0, len(lrow)+len(rrow)), lrow...), rrow...)
-	}
-	nullRight := make(storage.Row, len(rightCols))
-	for _, lrow := range left.Rows {
-		rows, skip := all, -1
-		if candidates != nil {
-			rows = nil
-			if key := lrow[leftPos]; !key.IsNull() {
-				var exact bool
-				if rows, exact = candidates(key); exact {
-					skip = skipAt
-				}
-			}
-		}
-		matched := false
-		for _, rrow := range rows {
-			env.row = combine(lrow, rrow)
-			ok, err := ctx.allTrue(on, skip, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.Rows = append(out.Rows, env.row)
-				matched = true
-			}
-		}
-		if !matched && joinType == "LEFT" {
-			out.Rows = append(out.Rows, combine(lrow, nullRight))
-		}
-	}
-	if !whole && at >= 0 {
-		pool[at].used = true // only now: the loop above still evaluated it where a probe was inexact
-	}
-	return out, nil
 }
 
 func aliasOf(bt *ast.BaseTable) string {

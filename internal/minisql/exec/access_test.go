@@ -50,7 +50,7 @@ func TestLongKeyListIsHashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.index != nil || len(acc.filters) != 1 || acc.filters[0].set == nil || len(acc.filters[0].set.keys) != n {
+	if acc.index != nil || len(acc.filters) != 1 || acc.filters[0].set == nil || len(acc.filters[0].set.vals) != n {
 		t.Fatalf("want a scan with one hashed filter of %d keys, got %s (%+v)", n, acc, acc.filters)
 	}
 	visited := 0

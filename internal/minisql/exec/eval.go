@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"pdmtune/internal/minisql/ast"
@@ -266,17 +267,18 @@ func (ctx *Context) evalInList(e *ast.InList, env *Env) (types.Value, error) {
 	return types.NewBool(e.Not), nil
 }
 
-// inSet is a set of values hashed by key, for O(1) membership probes:
-// the result of an IN subquery — the one structure behind the per-row
-// test and a key set of chooseAccess — or a long literal key list.
+// inSet is a set of values for O(1) membership probes: the result of an
+// IN subquery — the one structure behind the per-row test and a key set
+// of chooseAccess — or a long literal key list.
 type inSet struct {
-	keys    map[string]struct{}
+	index   keyTable      // of the members, each a tuple in vals
 	vals    []types.Value // the distinct non-NULL members, in first-seen order
 	sawNull bool
 }
 
 func newInSet(room int) *inSet {
-	return &inSet{keys: make(map[string]struct{}, room), vals: make([]types.Value, 0, room)}
+	index := keyTable{heads: make(map[uint64]int32, room), seed: maphash.MakeSeed()}
+	return &inSet{index: index, vals: make([]types.Value, 0, room)}
 }
 
 // add puts v into the set and reports whether it is a new member, which
@@ -286,22 +288,19 @@ func (s *inSet) add(v types.Value) bool {
 		s.sawNull = true
 		return false
 	}
-	var buf types.KeyBuf
-	key := v.AppendKey(buf[:0])
-	if _, ok := s.keys[string(key)]; ok {
+	s.vals = append(s.vals, v)
+	if _, added := s.index.add(s.vals[len(s.vals)-1:]); !added {
+		s.vals = s.vals[:len(s.vals)-1]
 		return false
 	}
-	s.keys[string(key)] = struct{}{}
-	s.vals = append(s.vals, v)
 	return true
 }
 
 // has reports whether a member equals v; a NULL and a value no member can
 // be compared with find nothing.
 func (s *inSet) has(v types.Value) bool {
-	var buf types.KeyBuf
-	_, ok := s.keys[string(v.AppendKey(buf[:0]))]
-	return ok
+	i, _ := s.index.find([]types.Value{v})
+	return i >= 0
 }
 
 // subquerySet evaluates an IN subquery to the set of its values. The set

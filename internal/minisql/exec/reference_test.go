@@ -7,8 +7,11 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -67,13 +70,36 @@ func tableByName(name string) *tableDef {
 type fixture struct {
 	plain, indexed *minisql.Session
 	data           map[string][]storage.Row
+	domains
 }
 
 const numT = 12 // ids of t are 1..numT
 
+// domains are the values a fixture's rows and a generator's constants
+// are drawn from.
+type domains struct {
+	names  []string
+	floats []float64
+	ints   []int64 // of t.grp
+}
+
 var (
-	nameDomain  = []string{"a", "b", "c", "ab"}
-	floatDomain = []float64{0.5, 1, 1.5, 2, 2.5}
+	plainDomains = domains{
+		names:  []string{"a", "b", "c", "ab"},
+		floats: []float64{0.5, 1, 1.5, 2, 2.5},
+		ints:   []int64{0, 1, 2, 3},
+	}
+	// hostileDomains add what concatenated key bytes could not keep
+	// apart — the separators 0x1e and 0x1f, NUL, fragments that read as
+	// a text key's 't' tag — and the numbers whose keys are special:
+	// NaN, -0.0, and ±2^53 as INTEGER and as FLOAT.
+	hostileDomains = domains{
+		names: append(append([]string{}, plainDomains.names...),
+			"a\x1etb", "b\x1etc", "a\x1ftb", "b\x1ftc", "t", "\x00", "tb\x00"),
+		floats: append(append([]float64{}, plainDomains.floats...),
+			math.NaN(), math.Copysign(0, -1), 1<<53, -(1 << 53)),
+		ints: append(append([]int64{}, plainDomains.ints...), 1<<53, -(1 << 53)),
+	}
 )
 
 func maybeNull(rng *rand.Rand, v types.Value) types.Value {
@@ -83,22 +109,22 @@ func maybeNull(rng *rand.Rand, v types.Value) types.Value {
 	return v
 }
 
-func newFixture(t testing.TB, rng *rand.Rand) *fixture {
+func newFixture(t testing.TB, rng *rand.Rand, d domains) *fixture {
 	t.Helper()
-	f := &fixture{data: map[string][]storage.Row{}}
+	f := &fixture{data: map[string][]storage.Row{}, domains: d}
 	for id := 1; id <= numT; id++ {
 		f.data["t"] = append(f.data["t"], storage.Row{
 			types.NewInt(int64(id)),
-			maybeNull(rng, types.NewInt(int64(rng.Intn(4)))),
-			maybeNull(rng, types.NewText(nameDomain[rng.Intn(len(nameDomain))])),
-			maybeNull(rng, types.NewFloat(floatDomain[rng.Intn(len(floatDomain))])),
+			maybeNull(rng, types.NewInt(d.ints[rng.Intn(len(d.ints))])),
+			maybeNull(rng, types.NewText(d.names[rng.Intn(len(d.names))])),
+			maybeNull(rng, types.NewFloat(d.floats[rng.Intn(len(d.floats))])),
 		})
 	}
 	for id := 1; id <= numT+4; id++ {
 		f.data["u"] = append(f.data["u"], storage.Row{
 			types.NewInt(int64(id)),
 			maybeNull(rng, types.NewInt(int64(rng.Intn(numT+2)))), // 0 and numT+1 dangle
-			maybeNull(rng, types.NewText(nameDomain[rng.Intn(len(nameDomain))])),
+			maybeNull(rng, types.NewText(d.names[rng.Intn(len(d.names))])),
 		})
 	}
 	for src := 1; src <= numT; src++ {
@@ -311,25 +337,60 @@ func (r *reference) body(b ast.SelectBody, outer *exec.Env) (*rel, error) {
 	return out, nil
 }
 
-func rowKey(row storage.Row) string {
-	var sb strings.Builder
-	for _, v := range row {
-		sb.Write(v.AppendKey(nil))
-		sb.WriteByte(0x1e)
+// sameValue is the reference's equality of DISTINCT, UNION, GROUP BY and
+// COUNT(DISTINCT): NULL is NULL, and any other two values are one when
+// SQL compares them equal.
+func sameValue(a, b types.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() && b.IsNull()
 	}
-	return sb.String()
+	c, err := types.Compare(a, b)
+	return err == nil && c == 0
+}
+
+func sameRow(a, b storage.Row) bool {
+	for i := range a {
+		if !sameValue(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// indexOf is the position of the first row of rows equal to row, or -1:
+// pairwise, value by value, with no key bytes.
+func indexOf(rows []storage.Row, row storage.Row) int {
+	for i, r := range rows {
+		if sameRow(r, row) {
+			return i
+		}
+	}
+	return -1
 }
 
 func distinct(rows []storage.Row) []storage.Row {
-	seen := map[string]bool{}
 	var out []storage.Row
 	for _, row := range rows {
-		if k := rowKey(row); !seen[k] {
-			seen[k] = true
+		if indexOf(out, row) < 0 {
 			out = append(out, row)
 		}
 	}
 	return out
+}
+
+// rowKey renders a row for the comparison of results: numbers by their
+// keys, so that INTEGER 2 and FLOAT 2.0 read alike, and text quoted.
+func rowKey(row storage.Row) string {
+	var sb strings.Builder
+	for _, v := range row {
+		if v.Kind() == types.KindText {
+			sb.WriteString(strconv.Quote(v.Text()))
+		} else {
+			sb.Write(v.AppendKey(nil))
+		}
+		sb.WriteByte(',')
+	}
+	return sb.String()
 }
 
 func (r *reference) core(c *ast.SelectCore, outer *exec.Env) (*rel, error) {
@@ -412,27 +473,27 @@ func (r *reference) core(c *ast.SelectCore, outer *exec.Env) (*rel, error) {
 			}
 		}
 	} else {
-		var order []string
-		groups := map[string][]storage.Row{}
+		var keys []storage.Row     // each group's GROUP BY values, in first-seen order
+		var groups [][]storage.Row // and its rows
 		for _, row := range kept {
-			key := ""
+			var key storage.Row
 			for _, ge := range c.GroupBy {
 				v, err := r.eval(ge, exec.NewEnv(src.cols, row, outer), nil)
 				if err != nil {
 					return nil, err
 				}
-				key += string(v.AppendKey(nil)) + "\x1f"
+				key = append(key, v)
 			}
-			if _, ok := groups[key]; !ok {
-				order = append(order, key)
+			i := indexOf(keys, key)
+			if i < 0 {
+				i, keys, groups = len(keys), append(keys, key), append(groups, nil)
 			}
-			groups[key] = append(groups[key], row)
+			groups[i] = append(groups[i], row)
 		}
-		if len(c.GroupBy) == 0 && len(order) == 0 {
-			order = []string{""} // aggregates over nothing still make one row
+		if len(c.GroupBy) == 0 && len(groups) == 0 {
+			groups = [][]storage.Row{nil} // aggregates over nothing still make one row
 		}
-		for _, key := range order {
-			rows := groups[key]
+		for _, rows := range groups {
 			rep := make(storage.Row, len(src.cols))
 			if len(rows) > 0 {
 				rep = rows[0]
@@ -483,16 +544,14 @@ func (r *reference) aggregate(a *ast.Aggregate, rows []storage.Row, cols []exec.
 		return types.NewInt(int64(len(rows))), nil
 	}
 	var vals []types.Value
-	seen := map[string]bool{}
 	for _, row := range rows {
 		v, err := r.eval(a.Arg, exec.NewEnv(cols, row, outer), nil)
 		if err != nil {
 			return types.Null, err
 		}
-		if v.IsNull() || (a.Distinct && seen[string(v.AppendKey(nil))]) {
+		if v.IsNull() || (a.Distinct && slices.ContainsFunc(vals, func(w types.Value) bool { return sameValue(v, w) })) {
 			continue
 		}
-		seen[string(v.AppendKey(nil))] = true
 		vals = append(vals, v)
 	}
 	if a.Func == "COUNT" {
@@ -503,20 +562,21 @@ func (r *reference) aggregate(a *ast.Aggregate, rows []storage.Row, cols []exec.
 	}
 	switch a.Func {
 	case "SUM", "AVG":
-		sum, allInt := 0.0, true
+		sum, sumInt, allInt := 0.0, int64(0), true
 		for _, v := range vals {
 			f, ok := v.AsFloat()
 			if !ok {
 				return types.Null, fmt.Errorf("reference: %s over %s", a.Func, v.Kind())
 			}
 			sum += f
+			sumInt += v.Int()
 			allInt = allInt && v.Kind() == types.KindInt
 		}
 		if a.Func == "AVG" {
 			return types.NewFloat(sum / float64(len(vals))), nil
 		}
 		if allInt {
-			return types.NewInt(int64(sum)), nil
+			return types.NewInt(sumInt), nil
 		}
 		return types.NewFloat(sum), nil
 	case "MIN", "MAX":
@@ -878,6 +938,7 @@ func colsOf(table, alias string) []gcol {
 type gen struct {
 	rng    *rand.Rand
 	params []types.Value
+	domains
 }
 
 func (g *gen) pick(n int) int { return g.rng.Intn(n) }
@@ -896,11 +957,11 @@ func (g *gen) constant(c gcol) string {
 			v = types.NewInt(int64(g.pick(5)))
 		}
 	case types.KindText:
-		v = types.NewText(nameDomain[g.pick(len(nameDomain))])
+		v = types.NewText(g.names[g.pick(len(g.names))])
 	default:
-		v = types.NewFloat(floatDomain[g.pick(len(floatDomain))])
+		v = types.NewFloat(g.floats[g.pick(len(g.floats))])
 	}
-	if g.pick(6) == 0 {
+	if g.pick(6) == 0 || math.IsNaN(v.Float()) { // NaN has no literal
 		g.params = append(g.params, v)
 		return "?"
 	}
@@ -1095,19 +1156,21 @@ func (g *gen) statement() (sql string, ordered bool) {
 	tu := append(append([]gcol{}, t...), u...)
 	var body string
 	arity := 0
-	switch g.pick(17) {
+	switch g.pick(19) {
 	case 16: // a one-column function predicate on the indexed t.name, alone
 		// or after an equality key conjunct (never before one: which of
 		// two conjuncts a row reaches first is the engine's choice), or
 		// next to a predicate on the indexed grp, whose set may be the
 		// lookup and make the name's a per-row filter
-		body, arity = "SELECT * FROM t WHERE "+g.fnPred("name", true), 4
-		switch g.pick(3) {
+		arity = 4
+		switch g.pick(3) { // each body built only when chosen: its predicates may bind parameters
 		case 0:
 			key := colsOf("t", "")[g.pick(2)] // id or grp
 			body = "SELECT * FROM t WHERE " + key.ref + " = " + g.constant(key) + " AND " + g.fnPred("name", false)
 		case 1:
 			body = "SELECT * FROM t WHERE " + g.fnPred("name", false) + " AND grp " + g.oneOf("<", ">", "<>") + " " + fmt.Sprint(g.pick(4))
+		default:
+			body = "SELECT * FROM t WHERE " + g.fnPred("name", true)
 		}
 	case 14: // two computed key sets on one table, indexed or not
 		table := g.oneOf("t", "u", "e")
@@ -1211,6 +1274,31 @@ func (g *gen) statement() (sql string, ordered bool) {
 				" GROUP BY t.grp HAVING COUNT(*) " + g.oneOf(">", "<=") + " " + fmt.Sprint(1+g.pick(3))
 			arity = 2
 		}
+	case 17: // join chains run over one scratch row
+		tue := append(append([]gcol{}, tu...), e...)
+		arity = 3
+		switch g.pick(5) {
+		case 0: // a column outside GROUP BY and aggregates reads the group's first row
+			body, arity = "SELECT t.grp, u.label, COUNT(*), MAX(e.dst) FROM t JOIN u ON t.id = u.tid JOIN e ON e.src = t.id"+g.where(tue)+" GROUP BY t.grp", 4
+		case 1: // a LEFT JOIN in the middle, the next level keyed on either side of it
+			body = "SELECT t.id, u.id, e.dst FROM t LEFT JOIN u ON t.id = u.tid JOIN e ON e.src = " + g.oneOf("t.id", "u.tid") + g.where(tue)
+		case 2: // a comma list after a JOIN chain
+			body = "SELECT t.id, u.id, e.dst FROM t JOIN u ON t.id = u.tid, e WHERE e.src = u.tid AND " + g.pred(tue, 1)
+		case 3: // a JOIN chain after a comma
+			body = "SELECT e.src, t.id, u.id FROM e, t JOIN u ON t.id = u.tid WHERE e.dst = t.id AND " + g.pred(tue, 1)
+		default: // a correlated scalar subquery in the projection over a join
+			body = "SELECT t.id, u.id, (SELECT COUNT(*) FROM e WHERE e.src = t.id AND e.dst " + g.oneOf(">", "<>") + " u.id) FROM t " +
+				g.oneOf("JOIN", "LEFT JOIN") + " u ON t.id = u.tid" + g.where(tu)
+		}
+	case 18: // two text columns side by side: DISTINCT, UNION and GROUP BY over pairs
+		switch g.pick(3) {
+		case 0:
+			body, arity = "SELECT DISTINCT a.name, b.name FROM t AS a, t AS b", 2
+		case 1:
+			body, arity = "SELECT a.name, b.label FROM t AS a, u AS b WHERE a.id = b.tid UNION SELECT b.label, a.name FROM t AS a, u AS b WHERE a.grp = b.id", 2
+		default:
+			body, arity = "SELECT a.name, b.name, COUNT(*), MIN(a.val) FROM t AS a, t AS b GROUP BY a.name, b.name", 4
+		}
 	case 11: // derived table and a plain CTE
 		if g.pick(2) == 0 {
 			body, arity = "SELECT d.k, d.n FROM (SELECT u.tid AS k, COUNT(*) AS n FROM u GROUP BY u.tid) AS d JOIN t ON t.id = d.k"+g.where(t), 2
@@ -1281,8 +1369,8 @@ func (g *gen) mutation() string {
 // been maintained through updates and deletes.
 func runSeed(t testing.TB, seed int64, statements int) {
 	rng := rand.New(rand.NewSource(seed))
-	f := newFixture(t, rng)
-	g := &gen{rng: rng}
+	f := newFixture(t, rng, hostileDomains)
+	g := &gen{rng: rng, domains: f.domains}
 	for i := 0; i < statements; i++ {
 		g.params = nil
 		label := fmt.Sprintf("seed %d, statement %d", seed, i)
@@ -1298,7 +1386,7 @@ func runSeed(t testing.TB, seed int64, statements int) {
 // TestExecMatchesReference runs the fixed rows and the fixed seed set.
 func TestExecMatchesReference(t *testing.T) {
 	t.Run("fixed", func(t *testing.T) {
-		f := newFixture(t, rand.New(rand.NewSource(1)))
+		f := newFixture(t, rand.New(rand.NewSource(1)), plainDomains)
 		for i, sql := range []string{
 			// Index transparency: the five queries of the former
 			// TestIndexTransparency, on this schema.
@@ -1368,6 +1456,27 @@ func TestExecMatchesReference(t *testing.T) {
 		} {
 			f.check(t, fmt.Sprintf("fixed row %d", i), sql, false)
 		}
+		// Four distinct rows, two of which differ only in where one value
+		// ends and the next begins: as key bytes — each value's key and
+		// then 0x1e in a row, 0x1f in a group — they were one row.
+		text := func(s ...string) []types.Value {
+			out := make([]types.Value, len(s))
+			for i, x := range s {
+				out[i] = types.NewText(x)
+			}
+			return out
+		}
+		const four = "SELECT ? AS x, ? AS y UNION ALL SELECT ?, ? UNION ALL SELECT 'a', 'c' UNION ALL SELECT ?, ?"
+		for i, c := range []struct {
+			sql    string
+			params []types.Value
+		}{
+			{"SELECT DISTINCT d.x, d.y FROM (" + four + ") AS d", text("a\x1etb", "c", "a", "b\x1etc", "a\x1etb", "b\x1etc")},
+			{"SELECT ?, ? UNION SELECT ?, ? UNION SELECT 'a', 'c' UNION SELECT ?, ?", text("a\x1etb", "c", "a", "b\x1etc", "a\x1etb", "b\x1etc")},
+			{"SELECT d.x, d.y, COUNT(*) FROM (" + four + ") AS d GROUP BY d.x, d.y", text("a\x1ftb", "c", "a", "b\x1ftc", "a\x1ftb", "b\x1ftc")},
+		} {
+			f.check(t, fmt.Sprintf("separator row %d", i), c.sql, false, c.params...)
+		}
 	})
 	// A predicate over the indexed name alone is a key set derived from
 	// the index's keys: true for some keys, for NULL (seed 1 has a NULL
@@ -1375,7 +1484,7 @@ func TestExecMatchesReference(t *testing.T) {
 	// buckets; next to a key conjunct or a second derived set, which may
 	// make it a per-row filter; in an UPDATE's or a DELETE's WHERE.
 	t.Run("derived", func(t *testing.T) {
-		f := newFixture(t, rand.New(rand.NewSource(1)))
+		f := newFixture(t, rand.New(rand.NewSource(1)), plainDomains)
 		for i, sql := range []string{
 			"SELECT * FROM t WHERE coalesce(name, 'z') IN ('z', 'a', 'b', 'c') AND grp > 2",
 			"SELECT * FROM t WHERE sets_overlap(name, 'a,b')",
@@ -1399,7 +1508,7 @@ func TestExecMatchesReference(t *testing.T) {
 	// settled once per execution, so these pin what that decision must
 	// keep — which references fail, and which scope the others read.
 	t.Run("binding", func(t *testing.T) {
-		f := newFixture(t, rand.New(rand.NewSource(2)))
+		f := newFixture(t, rand.New(rand.NewSource(2)), plainDomains)
 		for i, sql := range []string{
 			// id is a column of t and of u: qualified it binds, bare it is
 			// ambiguous in every clause — over rows and over none.

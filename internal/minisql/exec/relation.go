@@ -1,17 +1,19 @@
 // Package exec evaluates parsed SQL statements against storage. One
-// function decides how a stored table is read for a set of conjuncts —
-// a key set (literals, or the result of an uncorrelated IN subquery)
-// looked up in a hash index, or a snapshot scan — and one
-// iterator runs the decision for SELECT, for the indexed side of a join,
-// for the row gathering of UPDATE and DELETE, and (deciding without
-// reading) for EXPLAIN. One probe loop joins, drawing the right-hand
-// candidates for a key from an index, from a hash of a materialized
-// relation, or from all its rows. Around them: set operations, grouping
-// and aggregation, ordering, correlated subqueries with automatic caching
-// of uncorrelated ones, and SQL:1999 recursive common table expressions
-// (semi-naive evaluation) — everything the paper's PDM queries require.
-// Searches over the syntax tree are visitors over ast.Inspect; EvalExpr
-// is the package's only switch over the expression node kinds.
+// function decides how a stored table is read for a set of conjuncts — a
+// key set (literals, or the result of an uncorrelated IN subquery) looked
+// up in a hash index, or a snapshot scan — for SELECT, UPDATE, DELETE and
+// (deciding without reading) EXPLAIN. A SELECT core's FROM clause runs as
+// one nested loop over its table factors, which write their candidates in
+// turn into one scratch row: the first factor streams from its access
+// path, each further one draws the candidates for its join key from an
+// index, from a hash of its materialized rows, or takes all of them. Rows
+// are told apart by value (keyTable), never by key bytes. Around them:
+// set operations, grouping and aggregation, ordering, correlated
+// subqueries with automatic caching of uncorrelated ones, and SQL:1999
+// recursive common table expressions (semi-naive evaluation) — everything
+// the paper's PDM queries require. Searches over the syntax tree are
+// visitors over ast.Inspect; EvalExpr is the package's only switch over
+// the expression node kinds.
 package exec
 
 import (
@@ -270,6 +272,9 @@ type Context struct {
 
 	// args is the stack scalar function arguments are evaluated onto.
 	args []types.Value
+
+	// slab is where the statement's projected rows are cut from.
+	slab slab
 }
 
 // PlanNode is one line of an EXPLAIN plan and the lines nested under it.

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"pdmtune/internal/minisql/ast"
@@ -151,7 +151,7 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	// round evaluates a set of branches against the current binding and
 	// returns the rows they add to the fixpoint.
 	var cols []ColMeta // of the first branch, which every other must match in number
-	seen := rowSet{}
+	var seen keyTable
 	round := func(branches []*ast.SelectCore) ([]storage.Row, error) {
 		var added []storage.Row
 		for _, b := range branches {
@@ -166,7 +166,7 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 					cte.Name, len(rel.Cols), len(cols))
 			}
 			for _, row := range rel.Rows {
-				if !dedup || seen.add(row) {
+				if _, fresh := seen.add(row); fresh || !dedup {
 					added = append(added, row)
 				}
 			}
@@ -235,10 +235,10 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 }
 
 // evalCore evaluates one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING
-// in one pass over its rows: each row WHERE accepts is projected, or
-// accumulated into its group, as it is read. A stored table streams its
-// rows through its access path; a join, a CTE or a derived table is
-// materialized first and its rows go through the same loop.
+// in one pass over its rows: the FROM clause runs as one nested loop
+// (fromLoop), and each complete row WHERE accepts is projected, or
+// accumulated into its group, as the loop reaches it. No combined row of
+// a join is allocated.
 func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error) {
 	if ctx.Plan != nil {
 		line := "SELECT"
@@ -247,21 +247,11 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		}
 		defer ctx.under(ctx.note(line))()
 	}
-	var acc *access           // a stored table's access path, or
-	rows := []storage.Row{{}} // the materialized rows (a constant SELECT: one empty row)
-	var cols []ColMeta
+	var from fromLoop // without FROM: no level, one empty row
 	conjs := splitAnd(core.Where, nil)
 	if core.From != nil {
-		var err error
-		if bt, ok := core.From.(*ast.BaseTable); ok && ctx.CTEs[strings.ToLower(bt.Name)] == nil { // a CTE binding takes precedence
-			acc, cols, err = ctx.tableAccess(bt, outer, conjs, true)
-		} else {
-			var rel *Relation
-			if rel, err = ctx.evalFrom(core.From, outer, conjs, false, true); err == nil {
-				rows, cols = rel.Rows, rel.Cols
-			}
-		}
-		if err != nil {
+		from.levels = make([]level, 0, factors(core.From))
+		if err := ctx.planFrom(&from, core.From, outer, conjs, true, true); err != nil {
 			return nil, err
 		}
 	}
@@ -270,25 +260,25 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	// Every clause below evaluates in this one scope, its column
 	// references bound to positions before the first row.
 	scope := &coreScope{}
-	scope.Env = Env{cols: cols, parent: outer, slots: &scope.table}
+	scope.Env = Env{cols: from.cols, parent: outer, slots: &scope.table}
 	env := &scope.Env
 	if err := bindColumnRefs(core, env); err != nil {
 		return nil, err
 	}
-	outCols, plan, err := projectionPlan(core.Items, cols)
+	outCols, plan, err := projectionPlan(core.Items, from.cols)
 	if err != nil {
 		return nil, err
 	}
 	out := &Relation{Cols: outCols}
 	var groups *grouping
 	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
-		groups = newGrouping(core.GroupBy, aggs)
+		groups = newGrouping(core.GroupBy, aggs, len(from.levels) > 1)
 	}
 
 	// The one row loop: the WHERE conjuncts the FROM clause has not taken
 	// over, then the projection or the accumulation.
 	filter := slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used })
-	each := func(row storage.Row) error {
+	err = ctx.run(&from, 0, func(row storage.Row) error {
 		env.row = row
 		if filter {
 			if ok, err := ctx.allTrue(conjs, -1, env); !ok {
@@ -299,21 +289,9 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 			return groups.add(ctx, env)
 		}
 		projected, err := ctx.projectRow(plan, env)
-		if err != nil {
-			return err
-		}
-		out.Rows = append(out.Rows, projected)
-		return nil
-	}
-	if acc != nil {
-		err = ctx.read(acc, func(_ int, row storage.Row) error { return each(row) })
-	} else {
-		for _, row := range rows {
-			if err = each(row); err != nil {
-				break
-			}
-		}
-	}
+		out.Rows = append(out.Rows, projected) // an error fails the statement
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -329,63 +307,241 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 }
 
 // ---------------------------------------------------------------------------
-// FROM evaluation
+// FROM evaluation: the one nested loop
 
-// evalFrom materializes a table reference. conjs are WHERE conjuncts
-// available for pushdown; unqualified says ref is the only FROM table, so
-// unqualified column names are its own; pushable disables pushdown under
-// the right side of LEFT JOINs where it would change semantics.
-func (ctx *Context) evalFrom(ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable bool) (*Relation, error) {
+// fromLoop is a FROM clause planned as one nested loop over its table
+// factors, the levels, which write their candidates into one scratch row.
+type fromLoop struct {
+	cols   []ColMeta
+	levels []level
+	row    storage.Row
+}
+
+// level is one table factor of a fromLoop. Its candidates come from acc
+// (the first level's access path), from probe (for the key at row[key])
+// or are all its rows. A candidate's columns go to row[at:end] and must
+// pass the ON conjuncts there, but for on[skip], which an exact probe
+// settles. A LEFT JOIN goes on with NULLs when no candidate matches.
+type level struct {
+	acc          *access
+	probe        probe
+	rows         []storage.Row
+	at, end, key int
+	on           []conjunct
+	skip         int
+	left         bool
+	env          Env // the scope of on: the columns up to this level's
+}
+
+// planFrom plans a table reference into the loop: a join chain as its
+// left side's levels and then its right factor's, a comma list as its
+// items' in order, a table factor as one level. conjs are the WHERE
+// conjuncts available for pushdown; unqualified says ref is the only FROM
+// table, so unqualified column names are its own; pushable is false under
+// the right side of a LEFT JOIN, where pushdown would change the result.
+func (ctx *Context) planFrom(l *fromLoop, ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable bool) error {
+	switch r := ref.(type) {
+	case *ast.Join:
+		if err := ctx.planFrom(l, r.Left, outer, conjs, false, pushable); err != nil {
+			return err
+		}
+		return ctx.planJoin(l, r.Right, r.Type, splitAnd(r.On, nil), true, outer, conjs, pushable && r.Type != "LEFT")
+	case *ast.CrossList:
+		// FROM a, b WHERE a.x = b.y: each further item joins on a WHERE
+		// equi-conjunct when there is one, and is a cross product otherwise.
+		err := ctx.planFrom(l, r.Items[0], outer, conjs, false, pushable)
+		for _, item := range r.Items[1:] {
+			if err != nil {
+				return err
+			}
+			err = ctx.planJoin(l, item, "INNER", conjs, false, outer, conjs, pushable)
+		}
+		return err
+	}
+	cols, lv, err := ctx.factor(ref, outer, conjs, unqualified, pushable, true)
+	if err == nil {
+		l.add(cols, lv)
+	}
+	return err
+}
+
+// planJoin plans ref as the next level. pool holds the conjuncts an
+// equi-pair may come from: for JOIN … ON the ON clause, all of which a
+// row must satisfy (whole); for a comma list the WHERE clause, of which
+// the join takes over only the equi-conjunct. A key's candidates come
+// from an index on the join column or a hash of the materialized right
+// side, or are all its rows. Under EXPLAIN the join's line follows its
+// left side's, with the right side nested under it when materialized.
+func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, pool []conjunct, whole bool,
+	outer *Env, conjs []conjunct, pushable bool) error {
+	if ctx.Plan != nil {
+		defer ctx.under(ctx.note(""))()
+	}
+	var lv level
+	var cols []ColMeta
+	var index *storage.Index
+	at, method := -1, "NESTED LOOP"
+	if bt, ok := ref.(*ast.BaseTable); ok && ctx.CTEs[strings.ToLower(bt.Name)] == nil {
+		if table, ok := ctx.DB.Table(bt.Name); ok {
+			tcols := TableCols(table, aliasOf(bt))
+			indexed := func(rp int) bool { return table.IndexOn(tcols[rp].Name) != nil }
+			if i, lp, rp := equiPair(pool, l.cols, tcols, indexed); i >= 0 {
+				index = table.IndexOn(tcols[rp].Name)
+				at, lv.key, cols, lv.probe, method = i, lp, tcols, ctx.indexProbe(table, index), "INDEX JOIN"
+			}
+		}
+	}
+	if lv.probe == nil {
+		var err error
+		if cols, lv, err = ctx.factor(ref, outer, conjs, false, pushable, false); err != nil {
+			return err
+		}
+		if i, lp, rp := equiPair(pool, l.cols, cols, nil); i >= 0 {
+			at, lv.key, lv.probe, method = i, lp, hashProbe(lv.rows, rp), "HASH JOIN"
+		}
+	}
+	lv.on, lv.skip, lv.left, lv.env.parent = pool, at, joinType == "LEFT", outer
+	if !whole {
+		lv.on, lv.skip = nil, 0
+		if at >= 0 { // the level checks a copy where a probe is inexact
+			lv.on = []conjunct{{expr: pool[at].expr}}
+			pool[at].used = true
+		}
+	}
+	if ctx.Plan != nil {
+		if ctx.Plan.Text = joinType + " " + method; index != nil {
+			ctx.Plan.Text += " " + ref.String() + " USING " + index.Name
+		}
+		if terms := conjString(lv.on); terms != "" {
+			ctx.Plan.Text += " ON " + terms
+		}
+	}
+	l.add(cols, lv)
+	return nil
+}
+
+// add appends a level of the given columns to the loop.
+func (l *fromLoop) add(cols []ColMeta, lv level) {
+	lv.at, lv.end = len(l.cols), len(l.cols)+len(cols)
+	if lv.at == 0 {
+		l.cols = cols
+	} else { // earlier levels' scopes hold prefixes of l.cols: never append in place
+		l.cols = append(l.cols[:lv.at:lv.at], cols...)
+	}
+	l.levels = append(l.levels, lv)
+}
+
+// factors counts the levels planFrom makes of a table reference.
+func factors(ref ast.TableRef) int {
+	switch r := ref.(type) {
+	case *ast.Join:
+		return factors(r.Left) + 1
+	case *ast.CrossList:
+		return factors(r.Items[0]) + len(r.Items) - 1
+	}
+	return 1
+}
+
+// factor plans ref as one level: a stored table through its access path,
+// streamed (stream) or materialized; a CTE's or a derived table's rows;
+// a join chain right of a comma as its own loop's rows, copied.
+func (ctx *Context) factor(ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable, stream bool) ([]ColMeta, level, error) {
+	var rows []storage.Row // what a materialized level collects
 	switch r := ref.(type) {
 	case *ast.BaseTable:
-		// CTE binding takes precedence over stored tables.
-		if rel, ok := ctx.CTEs[strings.ToLower(r.Name)]; ok {
+		if rel, ok := ctx.CTEs[strings.ToLower(r.Name)]; ok { // a CTE binding takes precedence
 			if ctx.Plan != nil {
 				ctx.note("CTE SCAN %s", r)
 			}
-			return &Relation{Cols: rebind(rel.Cols, aliasOf(r)), Rows: rel.Rows}, nil
+			return rebind(rel.Cols, aliasOf(r)), level{rows: rel.Rows}, nil
 		}
 		if !pushable {
 			conjs = nil
 		}
 		acc, cols, err := ctx.tableAccess(r, outer, conjs, unqualified)
-		if err != nil {
-			return nil, err
+		if err != nil || stream {
+			return cols, level{acc: acc}, err
 		}
-		rel := &Relation{Cols: cols}
-		err = ctx.read(acc, func(_ int, row storage.Row) error {
-			rel.Rows = append(rel.Rows, row)
-			return nil
-		})
-		return rel, err
+		err = ctx.read(acc, func(_ int, row storage.Row) error { rows = append(rows, row); return nil })
+		return cols, level{rows: rows}, err
 	case *ast.SubqueryTable:
 		if ctx.Plan != nil {
 			defer ctx.under(ctx.note("DERIVED TABLE %s:", r.Alias))()
 		}
 		rel, err := ctx.evalSubquery(r.Select, outer)
 		if err != nil {
-			return nil, err
+			return nil, level{}, err
 		}
-		return &Relation{Cols: rebind(rel.Cols, r.Alias), Rows: rel.Rows}, nil
-	case *ast.Join:
-		left, err := ctx.evalFrom(r.Left, outer, conjs, false, pushable)
-		if err != nil {
-			return nil, err
+		return rebind(rel.Cols, r.Alias), level{rows: rel.Rows}, nil
+	case *ast.Join, *ast.CrossList:
+		var sub fromLoop
+		err := ctx.planFrom(&sub, ref, outer, conjs, false, pushable)
+		if err == nil {
+			err = ctx.run(&sub, 0, func(row storage.Row) error { rows = append(rows, slices.Clone(row)); return nil })
 		}
-		return ctx.join(left, r.Right, r.Type, splitAnd(r.On, nil), true, outer, conjs, pushable && r.Type != "LEFT")
-	case *ast.CrossList:
-		// FROM a, b WHERE a.x = b.y: each further item joins on a WHERE
-		// equi-conjunct when there is one, and is a cross product otherwise.
-		acc, err := ctx.evalFrom(r.Items[0], outer, conjs, false, pushable)
-		for _, item := range r.Items[1:] {
-			if err != nil {
-				return nil, err
-			}
-			acc, err = ctx.join(acc, item, "INNER", conjs, false, outer, conjs, pushable)
-		}
-		return acc, err
+		return sub.cols, level{rows: rows}, err
 	}
-	return nil, fmt.Errorf("sql: unknown table reference %T", ref)
+	return nil, level{}, fmt.Errorf("sql: unknown table reference %T", ref)
+}
+
+// run calls emit with every row of the loop from level i on, in order:
+// the level's candidates in their order, each followed by its matches at
+// the next level in theirs. Without levels, emit sees one empty row.
+func (ctx *Context) run(l *fromLoop, i int, emit func(storage.Row) error) error {
+	if i == len(l.levels) {
+		return emit(l.row)
+	}
+	lv := &l.levels[i]
+	if lv.acc != nil {
+		return ctx.read(lv.acc, func(_ int, row storage.Row) error {
+			l.put(lv, row)
+			return ctx.run(l, 1, emit)
+		})
+	}
+	rows, skip := lv.rows, -1
+	if lv.probe != nil {
+		rows = nil
+		if key := l.row[lv.key]; !key.IsNull() {
+			var exact bool
+			if rows, exact = lv.probe(key); exact {
+				skip = lv.skip
+			}
+		}
+	}
+	matched := false
+	for _, row := range rows {
+		l.put(lv, row)
+		ok, err := ctx.allTrue(lv.on, skip, &lv.env)
+		if ok {
+			matched = true
+			err = ctx.run(l, i+1, emit)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if !matched && lv.left {
+		clear(l.row[lv.at:lv.end])
+		return ctx.run(l, i+1, emit)
+	}
+	return nil
+}
+
+// put makes row the level's candidate: the loop's row in a loop of one
+// level, else copied into the scratch row, made at the first candidate.
+func (l *fromLoop) put(lv *level, row storage.Row) {
+	switch {
+	case len(l.levels) == 1:
+		l.row = row
+		return
+	case l.row == nil:
+		l.row = make(storage.Row, len(l.cols))
+		for i := range l.levels {
+			lv := &l.levels[i]
+			lv.env.cols, lv.env.row = l.cols[:lv.end], l.row[:lv.end]
+		}
+	}
+	copy(l.row[lv.at:], row)
 }
 
 // tableAccess resolves a stored table of a FROM clause and decides how
@@ -447,7 +603,7 @@ func projectionPlan(items []ast.SelectItem, src []ColMeta) ([]ColMeta, []projCol
 }
 
 func (ctx *Context) projectRow(plan []projCol, env *Env) (storage.Row, error) {
-	out := make(storage.Row, len(plan))
+	out := ctx.slab.row(len(plan))
 	for i, p := range plan {
 		if p.pos >= 0 {
 			out[i] = env.row[p.pos]
@@ -490,13 +646,14 @@ func collectAggregates(core *ast.SelectCore) []*ast.Aggregate {
 
 // grouping accumulates a core's rows into groups as they stream by,
 // keeping the groups in first-seen order. Without GROUP BY there is
-// exactly one group, even over no rows.
+// exactly one group, even over no rows. A scratch row is copied as first.
 type grouping struct {
-	by     []ast.Expr
-	aggs   []*ast.Aggregate
-	index  map[string]int
-	key    []byte
-	groups []group
+	by      []ast.Expr
+	aggs    []*ast.Aggregate
+	index   keyTable // of the groups' GROUP BY values, in keys
+	keys    []types.Value
+	groups  []group
+	scratch bool
 }
 
 // group is one group's first row and its aggregates' accumulators, one
@@ -507,8 +664,8 @@ type group struct {
 	accs  []accumulator
 }
 
-func newGrouping(by []ast.Expr, aggs []*ast.Aggregate) *grouping {
-	g := &grouping{by: by, aggs: aggs, index: map[string]int{}}
+func newGrouping(by []ast.Expr, aggs []*ast.Aggregate, scratch bool) *grouping {
+	g := &grouping{by: by, aggs: aggs, scratch: scratch}
 	if len(by) == 0 {
 		g.groups = append(g.groups, g.newGroup())
 	}
@@ -527,23 +684,28 @@ func (g *grouping) newGroup() group {
 func (g *grouping) add(ctx *Context, env *Env) error {
 	i := 0
 	if len(g.by) > 0 {
-		g.key = g.key[:0]
+		at := len(g.keys) // the row's values go after the last group's
 		for _, ge := range g.by {
 			v, err := ctx.EvalExpr(ge, env)
 			if err != nil {
+				g.keys = g.keys[:at]
 				return err
 			}
-			g.key = append(v.AppendKey(g.key), 0x1f)
+			g.keys = append(g.keys, v)
 		}
-		var ok bool
-		if i, ok = g.index[string(g.key)]; !ok {
-			i, g.index[string(g.key)] = len(g.groups), len(g.groups)
+		var added bool
+		if i, added = g.index.add(g.keys[at:]); added {
 			g.groups = append(g.groups, g.newGroup())
+		} else {
+			g.keys = g.keys[:at]
 		}
 	}
 	gr := &g.groups[i]
 	if !gr.seen {
 		gr.first, gr.seen = env.row, true
+		if g.scratch {
+			gr.first = slices.Clone(env.row)
+		}
 	}
 	for j := range gr.accs {
 		if err := gr.accs[j].add(ctx, env); err != nil {
@@ -686,6 +848,8 @@ func (a *accumulator) value() (types.Value, error) {
 // ---------------------------------------------------------------------------
 // ordering and limits
 
+// orderRelation sorts the rows stably by the ORDER BY items, whose keys
+// are computed once per row into one array.
 func (ctx *Context) orderRelation(rel *Relation, items []ast.OrderItem, outer *Env) error {
 	for _, item := range items {
 		if item.Position > len(rel.Cols) {
@@ -696,13 +860,14 @@ func (ctx *Context) orderRelation(rel *Relation, items []ast.OrderItem, outer *E
 		row  storage.Row
 		keys []types.Value
 	}
-	rows := make([]keyed, len(rel.Rows))
+	n := len(items)
+	rows, keys := make([]keyed, len(rel.Rows)), make([]types.Value, len(rel.Rows)*n)
 	env := &Env{cols: rel.Cols, parent: outer}
 	for i, row := range rel.Rows {
-		keys := make([]types.Value, len(items))
+		rows[i] = keyed{row: row, keys: keys[i*n : i*n+n]}
 		for j, item := range items {
 			if item.Position > 0 {
-				keys[j] = row[item.Position-1]
+				rows[i].keys[j] = row[item.Position-1]
 				continue
 			}
 			env.row = row
@@ -710,22 +875,19 @@ func (ctx *Context) orderRelation(rel *Relation, items []ast.OrderItem, outer *E
 			if err != nil {
 				return err
 			}
-			keys[j] = v
+			rows[i].keys[j] = v
 		}
-		rows[i] = keyed{row: row, keys: keys}
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b keyed) int {
 		for j, item := range items {
-			c := types.CompareForSort(rows[a].keys[j], rows[b].keys[j])
-			if c == 0 {
-				continue
+			if c := types.CompareForSort(a.keys[j], b.keys[j]); c != 0 {
+				if item.Desc {
+					return -c
+				}
+				return c
 			}
-			if item.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
 	for i := range rows {
 		rel.Rows[i] = rows[i].row
@@ -814,39 +976,88 @@ func resolve(ref *ast.ColumnRef, cols []ColMeta, outer *Env) (uint8, error) {
 
 // distinctRows keeps the first of every set of equal rows, in order.
 func distinctRows(lists ...[]storage.Row) []storage.Row {
-	seen := rowSet{}
-	var out []storage.Row
+	var seen keyTable
 	for _, rows := range lists {
 		for _, row := range rows {
-			if seen.add(row) {
-				out = append(out, row)
-			}
+			seen.add(row)
 		}
 	}
-	return out
+	return seen.rows
 }
 
-// rowSet is the set of rows seen so far, by the keys of their values.
-type rowSet struct {
-	keys map[string]struct{}
-	buf  []byte
+// keyTable is the set of tuples behind DISTINCT, UNION, GROUP BY and IN
+// sets, numbered in first-added order. A tuple is found by its maphash
+// (types.Value.WriteHash) and confirmed value by value (types.SameKey):
+// no key bytes are built or kept.
+type keyTable struct {
+	seed  maphash.Seed
+	heads map[uint64]int32 // a hash → its newest entry, plus one
+	chain []int32          // an entry → the next older entry with its hash, plus one; 0 ends
+	rows  []storage.Row    // the entries' tuples, as added
 }
 
-// add puts the row into the set and reports whether it was new; a row
-// seen before costs no allocation.
-func (s *rowSet) add(row storage.Row) bool {
-	s.buf = s.buf[:0]
-	for _, v := range row {
-		s.buf = append(v.AppendKey(s.buf), 0x1e)
+// find returns the entry equal to vals, or -1, and the hash of vals.
+func (t *keyTable) find(vals []types.Value) (int, uint64) {
+	if t.heads == nil {
+		t.heads, t.seed = map[uint64]int32{}, maphash.MakeSeed()
 	}
-	if _, seen := s.keys[string(s.buf)]; seen {
-		return false
+	var h maphash.Hash
+	h.SetSeed(t.seed)
+	for _, v := range vals {
+		v.WriteHash(&h)
 	}
-	if s.keys == nil {
-		s.keys = map[string]struct{}{}
+	sum := h.Sum64()
+	for e := t.heads[sum]; e > 0; e = t.chain[e-1] {
+		if sameRow(t.rows[e-1], vals) {
+			return int(e - 1), sum
+		}
 	}
-	s.keys[string(s.buf)] = struct{}{}
+	return -1, sum
+}
+
+// add returns the entry equal to vals, or adds vals itself (no copy) as
+// the next one; added says which.
+func (t *keyTable) add(vals []types.Value) (entry int, added bool) {
+	entry, sum := t.find(vals)
+	if entry >= 0 {
+		return entry, false
+	}
+	t.chain = append(t.chain, t.heads[sum])
+	t.rows = append(t.rows, vals)
+	t.heads[sum] = int32(len(t.rows))
+	return len(t.rows) - 1, true
+}
+
+// sameRow reports whether two tuples are one key, value by value.
+func sameRow(a, b []types.Value) bool {
+	for i := range a {
+		if !types.SameKey(a[i], b[i]) {
+			return false
+		}
+	}
 	return true
+}
+
+// slab cuts the rows a statement projects from shared chunks. A chunk
+// holds as many values as were cut before it (at least a row's, at most
+// slabValues), so the first rows cost an allocation each, as rows of
+// their own would, and a long result an allocation per doubling.
+type slab struct {
+	free []types.Value
+	cut  int // values
+}
+
+const slabValues = 4096
+
+// row returns a row of n values, its capacity n: an append to it copies.
+func (s *slab) row(n int) storage.Row {
+	if len(s.free) < n {
+		s.free = make([]types.Value, max(n, min(s.cut, slabValues)))
+	}
+	s.cut += n
+	row := s.free[:n:n]
+	s.free = s.free[n:]
+	return row
 }
 
 // references reports whether the tree below n — FROM clauses, nested

@@ -7,6 +7,7 @@ package types
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -47,7 +48,7 @@ func (k Kind) String() string {
 // FLOAT's IEEE 754 bits, a BOOLEAN's 0 or 1. Only the constructors and
 // the accessors read or write n. So == and reflect.DeepEqual compare
 // FLOAT values by their bits (-0.0 differs from 0.0, NaN equals the
-// same NaN); Equal and Compare compare them as numbers.
+// same NaN); Equal, SameKey and Compare compare them as numbers.
 type Value struct {
 	s    string
 	n    uint64
@@ -144,32 +145,8 @@ func (v Value) SQLLiteral() string {
 	}
 }
 
-// Equal reports strict equality: same kind and same payload. NULL equals
-// NULL under this relation (used by DISTINCT/UNION dedup, not by SQL `=`).
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		// int/float cross-kind numeric equality for dedup purposes.
-		if a, ok := v.AsFloat(); ok {
-			if b, ok2 := o.AsFloat(); ok2 {
-				return a == b && roundoff(v) == roundoff(o)
-			}
-		}
-		return false
-	}
-	switch v.kind {
-	case KindNull:
-		return true
-	case KindInt:
-		return v.Int() == o.Int()
-	case KindFloat:
-		return v.Float() == o.Float()
-	case KindText:
-		return v.s == o.s
-	case KindBool:
-		return v.Bool() == o.Bool()
-	}
-	return false
-}
+// Equal is SameKey: NULL equals NULL here, unlike under SQL `=`.
+func (v Value) Equal(o Value) bool { return SameKey(v, o) }
 
 // Tristate is SQL's three-valued logic value.
 type Tristate uint8
@@ -235,10 +212,11 @@ func TristateOf(b bool) Tristate {
 
 // Compare compares two non-NULL values, returning -1, 0 or +1. Numbers
 // compare exactly across int/float, so an integer beyond ±2^53 is not
-// equal to the float64 it rounds to; text compares lexicographically;
-// bool orders FALSE < TRUE. Comparing incompatible kinds returns an
-// error. If either side is NULL the caller must handle it (SQL:
-// Unknown).
+// equal to the float64 it rounds to, and a NaN equals every NaN and is
+// less than every other number (as cmp.Compare orders floats); text
+// compares lexicographically; bool orders FALSE < TRUE. Comparing
+// incompatible kinds returns an error. If either side is NULL the caller
+// must handle it (SQL: Unknown).
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		return 0, fmt.Errorf("types: cannot compare NULL")
@@ -248,15 +226,10 @@ func Compare(a, b Value) (int, error) {
 	}
 	if af, ok := a.AsFloat(); ok {
 		if bf, ok2 := b.AsFloat(); ok2 {
-			switch {
-			case af < bf:
-				return -1, nil
-			case af > bf:
-				return 1, nil
-			case af == bf: // one image: an integer's rounding decides
-				return cmp.Compare(roundoff(a), roundoff(b)), nil
+			if c := cmp.Compare(af, bf); c != 0 {
+				return c, nil
 			}
-			return 0, nil
+			return cmp.Compare(roundoff(a), roundoff(b)), nil // one image: an integer's rounding decides
 		}
 	}
 	if a.kind == KindText && b.kind == KindText {
@@ -320,10 +293,10 @@ func sortRank(v Value) int {
 }
 
 // AppendKey appends to dst the bytes that identify the value for hashing
-// (GROUP BY, DISTINCT, hash joins, hash indexes, IN sets) and returns the
-// extended buffer. Numerically equal int/float values share a key; an
-// integer whose float64 image rounds (some beyond ±2^53) equals no float
-// and is keyed by its digits. A map[string]… is probed with
+// (hash indexes, hash joins) and returns the extended buffer: values
+// share a key exactly when SameKey holds. An integer whose float64 image
+// rounds (some beyond ±2^53) equals no float and is keyed by its digits;
+// every NaN keys alike. A map[string]… is probed with
 // m[string(key)], which Go compiles without allocating, so only storing
 // a new key costs a string.
 func (v Value) AppendKey(dst []byte) []byte {
@@ -374,17 +347,32 @@ func roundoff(v Value) int {
 }
 
 // SameKey reports whether a and b hash to the same key, without building
-// either: numbers by their exact value, everything else by kind and
-// payload. It is how a hash bucket's candidates are verified.
+// either: numbers by their exact value (every NaN is one, as in Compare),
+// everything else by kind and payload. It is how a hash bucket's
+// candidates are verified, and what DISTINCT, GROUP BY and IN compare.
 func SameKey(a, b Value) bool {
 	if a.kind == KindInt && b.kind == KindInt {
 		return a.Int() == b.Int()
 	}
 	if af, ok := a.AsFloat(); ok {
 		bf, ok := b.AsFloat()
-		return ok && af == bf && roundoff(a) == roundoff(b)
+		return ok && cmp.Compare(af, bf) == 0 && roundoff(a) == roundoff(b)
 	}
 	return a.kind == b.kind && a.s == b.s && a.Bool() == b.Bool()
+}
+
+// WriteHash writes the value to h so that values SameKey holds for write
+// the same: a number as its float64 image (-0.0 as 0.0, every NaN alike)
+// unless an INTEGER's image rounds, anything else by kind and payload.
+func (v Value) WriteHash(h *maphash.Hash) {
+	switch f, num := v.AsFloat(); {
+	case !num || roundoff(v) != 0:
+		maphash.WriteComparable(h, v)
+	case f != f:
+		h.WriteString("NaN")
+	default:
+		maphash.WriteComparable(h, f)
+	}
 }
 
 // KeyValue inverts AppendKey for a value of the given kind; ok is false

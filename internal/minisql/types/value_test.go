@@ -1,6 +1,7 @@
 package types
 
 import (
+	"hash/maphash"
 	"math"
 	"math/big"
 	"strconv"
@@ -183,6 +184,15 @@ func TestCompareForSortProperties(t *testing.T) {
 
 func keyOf(v Value) string { return string(v.AppendKey(nil)) }
 
+var hashSeed = maphash.MakeSeed()
+
+func hashOf(v Value) uint64 {
+	var h maphash.Hash
+	h.SetSeed(hashSeed)
+	v.WriteHash(&h)
+	return h.Sum64()
+}
+
 // Property: an integer shares its key with its float64 image exactly when
 // that image converts back to it — also where the integer fast path
 // hands over to the float formatter — and SameKey agrees. Within ±2^53,
@@ -195,7 +205,8 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 	}
 	f := func(a int64) bool {
 		shared := keyOf(NewInt(a)) == keyOf(NewFloat(float64(a)))
-		return shared == exact(a) && SameKey(NewInt(a), NewFloat(float64(a))) == shared
+		return shared == exact(a) && SameKey(NewInt(a), NewFloat(float64(a))) == shared &&
+			(hashOf(NewInt(a)) == hashOf(NewFloat(float64(a)))) == shared
 	}
 	within := func(a int64) bool {
 		a %= 1<<53 + 1
@@ -235,6 +246,10 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() { buf = NewInt(97656).AppendKey(NewText("abc").AppendKey(NewFloat(2.5).AppendKey(buf[:0]))) }); n != 0 {
 		t.Errorf("AppendKey into a buffer with room allocates %v times", n)
+	}
+	var h maphash.Hash
+	if n := testing.AllocsPerRun(100, func() { NewInt(97656).WriteHash(&h); NewText("abc").WriteHash(&h); NewFloat(2.5).WriteHash(&h) }); n != 0 {
+		t.Errorf("WriteHash allocates %v times", n)
 	}
 }
 
@@ -412,6 +427,12 @@ func TestValueRoundTrip(t *testing.T) {
 		toBool                 string
 	}
 	subnormal := math.SmallestNonzeroFloat64
+	// twins are the values each case is one key with (SameKey, AppendKey
+	// and WriteHash agree), besides itself.
+	twins := map[string]Value{
+		"MinInt64": NewFloat(math.MinInt64), "int 0": NewFloat(0), "-0.0": NewInt(0),
+		"NaN": NewFloat(math.Float64frombits(0xfff8000000000001)), "+Inf": NewFloat(math.Inf(1)),
+	}
 	cases := []struct {
 		name string
 		v    Value
@@ -434,8 +455,8 @@ func TestValueRoundTrip(t *testing.T) {
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT -0", toText: "TEXT -0", toBool: "error"}},
 		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
-			str: "NaN", key: "nNaN", truth: True, equal: false, sameKey: false,
-			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
+			str: "NaN", key: "nNaN", truth: True, equal: true, sameKey: true,
+			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "error", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
 		{"+Inf", NewFloat(math.Inf(1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(1)),
 			str: "+Inf", key: "n+Inf", truth: True, equal: true, sameKey: true,
@@ -502,6 +523,15 @@ func TestValueRoundTrip(t *testing.T) {
 		}
 		if back, ok := KeyValue(w.key, w.kind); !ok || w.sameKey && !SameKey(back, v) {
 			t.Errorf("%s: KeyValue(%q) = %s, %v; want the same key", c.name, w.key, back, ok)
+		}
+		for _, twin := range []Value{v, twins[c.name]} {
+			if twin.IsNull() && !v.IsNull() {
+				continue
+			}
+			if !SameKey(v, twin) || keyOf(v) != keyOf(twin) || hashOf(v) != hashOf(twin) {
+				t.Errorf("%s and %s: SameKey %v, keys %q %q, hashes %x %x; want one key", v, twin,
+					SameKey(v, twin), keyOf(v), keyOf(twin), hashOf(v), hashOf(twin))
+			}
 		}
 	}
 }
