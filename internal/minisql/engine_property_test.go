@@ -168,7 +168,7 @@ func TestUnionIdempotenceProperty(t *testing.T) {
 			return false
 		}
 		for i := range u.Rows {
-			if !u.Rows[i][0].Equal(d.Rows[i][0]) {
+			if !types.SameKey(u.Rows[i][0], d.Rows[i][0]) {
 				return false
 			}
 		}
@@ -224,8 +224,8 @@ func TestInsertSelectRoundTripProperty(t *testing.T) {
 			return false
 		}
 		row := res.Rows[0]
-		return row[0].Equal(types.NewInt(i)) && row[1].Equal(types.NewFloat(fl)) &&
-			row[2].Equal(types.NewText(s)) && row[3].Equal(types.NewBool(b))
+		return types.SameKey(row[0], types.NewInt(i)) && types.SameKey(row[1], types.NewFloat(fl)) &&
+			types.SameKey(row[2], types.NewText(s)) && types.SameKey(row[3], types.NewBool(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

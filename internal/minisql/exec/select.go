@@ -165,8 +165,12 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 				return nil, fmt.Errorf("sql: recursive CTE %s branches disagree on column count (%d vs %d)",
 					cte.Name, len(rel.Cols), len(cols))
 			}
+			if !dedup {
+				added = append(added, rel.Rows...)
+				continue
+			}
 			for _, row := range rel.Rows {
-				if _, fresh := seen.add(row); fresh || !dedup {
+				if _, fresh := seen.add(row); fresh {
 					added = append(added, row)
 				}
 			}
@@ -688,7 +692,6 @@ func (g *grouping) add(ctx *Context, env *Env) error {
 		for _, ge := range g.by {
 			v, err := ctx.EvalExpr(ge, env)
 			if err != nil {
-				g.keys = g.keys[:at]
 				return err
 			}
 			g.keys = append(g.keys, v)

@@ -822,7 +822,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 	}
 	idxs, verPos, _ := t.meta()
 	for _, ix := range idxs {
-		if old[ix.colPos].Equal(r[ix.colPos]) {
+		if types.SameKey(old[ix.colPos], r[ix.colPos]) {
 			continue
 		}
 		if err := ix.checkUnique(r[ix.colPos], id); err != nil {
@@ -832,7 +832,7 @@ func (t *Table) UpdateC(c *Commit, id int, row Row) error {
 	v := c.newVersion(t, r, s.head.Load())
 	s.head.Store(v)
 	for _, ix := range idxs {
-		if !old[ix.colPos].Equal(r[ix.colPos]) {
+		if !types.SameKey(old[ix.colPos], r[ix.colPos]) {
 			ix.add(r[ix.colPos], id, false)
 		}
 	}

@@ -48,7 +48,7 @@ func (k Kind) String() string {
 // FLOAT's IEEE 754 bits, a BOOLEAN's 0 or 1. Only the constructors and
 // the accessors read or write n. So == and reflect.DeepEqual compare
 // FLOAT values by their bits (-0.0 differs from 0.0, NaN equals the
-// same NaN); Equal, SameKey and Compare compare them as numbers.
+// same NaN); SameKey and Compare compare them as numbers.
 type Value struct {
 	s    string
 	n    uint64
@@ -144,9 +144,6 @@ func (v Value) SQLLiteral() string {
 		return v.String()
 	}
 }
-
-// Equal is SameKey: NULL equals NULL here, unlike under SQL `=`.
-func (v Value) Equal(o Value) bool { return SameKey(v, o) }
 
 // Tristate is SQL's three-valued logic value.
 type Tristate uint8

@@ -264,8 +264,8 @@ func TestIntegersCompareExactly(t *testing.T) {
 		if c, err := Compare(b, a); err != nil || c != 1 {
 			t.Errorf("Compare(%s, %s) = %d, %v; want 1", b, a, c, err)
 		}
-		if CompareForSort(a, b) != -1 || a.Equal(b) || SameKey(a, b) || keyOf(a) == keyOf(b) {
-			t.Errorf("%s and %s: sort %d, Equal %v, SameKey %v, keys %q %q", a, b, CompareForSort(a, b), a.Equal(b), SameKey(a, b), keyOf(a), keyOf(b))
+		if CompareForSort(a, b) != -1 || SameKey(a, b) || keyOf(a) == keyOf(b) {
+			t.Errorf("%s and %s: sort %d, SameKey %v, keys %q %q", a, b, CompareForSort(a, b), SameKey(a, b), keyOf(a), keyOf(b))
 		}
 		for _, v := range []Value{a, b} {
 			if back, ok := KeyValue(keyOf(v), KindInt); !ok || back != v {
@@ -278,8 +278,8 @@ func TestIntegersCompareExactly(t *testing.T) {
 		iv, fv := NewInt(i), NewFloat(float64(i))
 		c, err := Compare(iv, fv)
 		r, _ := Compare(fv, iv)
-		if err != nil || c != want || r != -want || iv.Equal(fv) != (want == 0) || SameKey(iv, fv) != (want == 0) {
-			t.Errorf("%s vs FLOAT %s: Compare %d / %d, Equal %v, SameKey %v; want %d", iv, fv, c, r, iv.Equal(fv), SameKey(iv, fv), want)
+		if err != nil || c != want || r != -want || SameKey(iv, fv) != (want == 0) {
+			t.Errorf("%s vs FLOAT %s: Compare %d / %d, SameKey %v; want %d", iv, fv, c, r, SameKey(iv, fv), want)
 		}
 		if v, ok := KeyValue(keyOf(iv), KindFloat); ok != (want == 0) {
 			t.Errorf("KeyValue(%q, FLOAT) = %s, %v", keyOf(iv), v, ok)
@@ -420,7 +420,7 @@ func TestValueRoundTrip(t *testing.T) {
 		s                      string
 		str, key               string
 		truth                  Tristate
-		equal, sameKey         bool   // with itself
+		sameKey                bool   // with itself
 		cmp, cmpZero           string // Compare with itself, with INTEGER 0
 		sort, sortZero         int    // CompareForSort with itself, with INTEGER 0
 		toInt, toFloat, toText string // Coerce: kind and String, or "error"
@@ -439,55 +439,55 @@ func TestValueRoundTrip(t *testing.T) {
 		want want
 	}{
 		{"MinInt64", NewInt(math.MinInt64), want{kind: KindInt, i: math.MinInt64,
-			str: "-9223372036854775808", key: "n-9.223372036854776e+18", truth: True, equal: true, sameKey: true,
+			str: "-9223372036854775808", key: "n-9.223372036854776e+18", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -9.223372036854776e+18", toText: "TEXT -9223372036854775808", toBool: "BOOLEAN TRUE"}},
 		{"MaxInt64", NewInt(math.MaxInt64), want{kind: KindInt, i: math.MaxInt64,
-			str: "9223372036854775807", key: "i9223372036854775807", truth: True, equal: true, sameKey: true,
+			str: "9223372036854775807", key: "i9223372036854775807", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "INTEGER 9223372036854775807", toFloat: "FLOAT 9.223372036854776e+18", toText: "TEXT 9223372036854775807", toBool: "BOOLEAN TRUE"}},
 		{"int 0", NewInt(0), want{kind: KindInt,
-			str: "0", key: "n0", truth: False, equal: true, sameKey: true,
+			str: "0", key: "n0", truth: False, sameKey: true,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT 0", toText: "TEXT 0", toBool: "BOOLEAN FALSE"}},
 		{"-0.0", NewFloat(math.Copysign(0, -1)), want{kind: KindFloat, fbits: 1 << 63,
-			str: "-0", key: "n0", truth: False, equal: true, sameKey: true,
+			str: "-0", key: "n0", truth: False, sameKey: true,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT -0", toText: "TEXT -0", toBool: "error"}},
 		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
-			str: "NaN", key: "nNaN", truth: True, equal: true, sameKey: true,
+			str: "NaN", key: "nNaN", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "error", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
 		{"+Inf", NewFloat(math.Inf(1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(1)),
-			str: "+Inf", key: "n+Inf", truth: True, equal: true, sameKey: true,
+			str: "+Inf", key: "n+Inf", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "error", toFloat: "FLOAT +Inf", toText: "TEXT +Inf", toBool: "error"}},
 		{"-Inf", NewFloat(math.Inf(-1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(-1)),
-			str: "-Inf", key: "n-Inf", truth: True, equal: true, sameKey: true,
+			str: "-Inf", key: "n-Inf", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "error", toFloat: "FLOAT -Inf", toText: "TEXT -Inf", toBool: "error"}},
 		{"subnormal", NewFloat(subnormal), want{kind: KindFloat, fbits: 1,
-			str: "5e-324", key: "n5e-324", truth: True, equal: true, sameKey: true,
+			str: "5e-324", key: "n5e-324", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "INTEGER 0", toFloat: "FLOAT 5e-324", toText: "TEXT 5e-324", toBool: "error"}},
 		{"empty text", NewText(""), want{kind: KindText,
-			str: "", key: "t", truth: Unknown, equal: true, sameKey: true,
+			str: "", key: "t", truth: Unknown, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
 			toInt: "error", toFloat: "error", toText: "TEXT ", toBool: "error"}},
 		{"text", NewText("42"), want{kind: KindText, s: "42",
-			str: "42", key: "t42", truth: Unknown, equal: true, sameKey: true,
+			str: "42", key: "t42", truth: Unknown, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
 			toInt: "INTEGER 42", toFloat: "FLOAT 42", toText: "TEXT 42", toBool: "error"}},
 		{"TRUE", NewBool(true), want{kind: KindBool, b: true,
-			str: "TRUE", key: "b1", truth: True, equal: true, sameKey: true,
+			str: "TRUE", key: "b1", truth: True, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "INTEGER 1", toFloat: "error", toText: "TEXT TRUE", toBool: "BOOLEAN TRUE"}},
 		{"FALSE", NewBool(false), want{kind: KindBool,
-			str: "FALSE", key: "b0", truth: False, equal: true, sameKey: true,
+			str: "FALSE", key: "b0", truth: False, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "INTEGER 0", toFloat: "error", toText: "TEXT FALSE", toBool: "BOOLEAN FALSE"}},
 		{"NULL", Null, want{kind: KindNull,
-			str: "NULL", key: "\x00", truth: Unknown, equal: true, sameKey: true,
+			str: "NULL", key: "\x00", truth: Unknown, sameKey: true,
 			cmp: "error", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "NULL NULL", toFloat: "NULL NULL", toText: "NULL NULL", toBool: "NULL NULL"}},
 	}
@@ -510,8 +510,8 @@ func TestValueRoundTrip(t *testing.T) {
 		got := want{
 			kind: v.Kind(), i: v.Int(), fbits: math.Float64bits(v.Float()), b: v.Bool(), s: v.Text(),
 			str: v.String(), key: keyOf(v), truth: Truth(v),
-			equal: v.Equal(v), sameKey: SameKey(v, v),
-			cmp: cmpString(Compare(v, v)), cmpZero: cmpString(Compare(v, zero)),
+			sameKey: SameKey(v, v),
+			cmp:     cmpString(Compare(v, v)), cmpZero: cmpString(Compare(v, zero)),
 			sort: CompareForSort(v, v), sortZero: CompareForSort(v, zero),
 			toInt: coerce(v, KindInt), toFloat: coerce(v, KindFloat), toText: coerce(v, KindText), toBool: coerce(v, KindBool),
 		}

@@ -30,7 +30,7 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("request %d: %+v != %+v", i, got[i], reqs[i])
 		}
 		for j := range reqs[i].Params {
-			if !got[i].Params[j].Equal(reqs[i].Params[j]) {
+			if !types.SameKey(got[i].Params[j], reqs[i].Params[j]) {
 				t.Errorf("request %d param %d mismatch", i, j)
 			}
 		}

@@ -48,7 +48,7 @@ func respEqual(t *testing.T, got, want *Response) {
 				}
 				continue
 			}
-			if !g.Equal(w) {
+			if !types.SameKey(g, w) {
 				t.Fatalf("row %d col %d: got %v, want %v", i, j, g, w)
 			}
 		}

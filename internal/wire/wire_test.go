@@ -28,7 +28,7 @@ func TestValueRoundTrip(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("ReadValue(%s): %v, %d trailing", v, err, len(rest))
 		}
-		if !got.Equal(v) {
+		if !types.SameKey(got, v) {
 			t.Errorf("round trip %s -> %s", v, got)
 		}
 	}
@@ -52,7 +52,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i := range req.Params {
-			if !got.Params[i].Equal(req.Params[i]) {
+			if !types.SameKey(got.Params[i], req.Params[i]) {
 				return false
 			}
 		}
@@ -76,7 +76,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Cols, resp.Cols) || got.RowsAffected != 7 || len(got.Rows) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if !got.Rows[1][1].Equal(types.NewBool(true)) {
+	if !types.SameKey(got.Rows[1][1], types.NewBool(true)) {
 		t.Error("row values corrupted")
 	}
 }
