@@ -1011,7 +1011,7 @@ func (t *keyTable) find(vals []types.Value) (int, uint64) {
 	}
 	sum := h.Sum64()
 	for e := t.heads[sum]; e > 0; e = t.chain[e-1] {
-		if sameRow(t.rows[e-1], vals) {
+		if slices.EqualFunc(t.rows[e-1], vals, types.SameKey) {
 			return int(e - 1), sum
 		}
 	}
@@ -1031,20 +1031,13 @@ func (t *keyTable) add(vals []types.Value) (entry int, added bool) {
 	return len(t.rows) - 1, true
 }
 
-// sameRow reports whether two tuples are one key, value by value.
-func sameRow(a, b []types.Value) bool {
-	for i := range a {
-		if !types.SameKey(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // slab cuts the rows a statement projects from shared chunks. A chunk
 // holds as many values as were cut before it (at least a row's, at most
 // slabValues), so the first rows cost an allocation each, as rows of
-// their own would, and a long result an allocation per doubling.
+// their own would, and a long result an allocation per doubling. A chunk
+// lives while any row cut from it does, so rows the statement discards
+// (a correlated subquery's per-row results, a recursion's duplicates)
+// can live as long as its result.
 type slab struct {
 	free []types.Value
 	cut  int // values

@@ -6,6 +6,7 @@ package types
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -362,14 +363,19 @@ func SameKey(a, b Value) bool {
 // the same: a number as its float64 image (-0.0 as 0.0, every NaN alike)
 // unless an INTEGER's image rounds, anything else by kind and payload.
 func (v Value) WriteHash(h *maphash.Hash) {
-	switch f, num := v.AsFloat(); {
+	f, num := v.AsFloat()
+	tag, bits := byte(v.kind), v.n
+	switch {
 	case !num || roundoff(v) != 0:
-		maphash.WriteComparable(h, v)
+		h.WriteString(v.s)
 	case f != f:
-		h.WriteString("NaN")
+		tag, bits = 0xff, 0
 	default:
-		maphash.WriteComparable(h, f)
+		tag, bits = 0xfe, math.Float64bits(f+0) // -0.0 + 0 is 0.0
 	}
+	b := [9]byte{tag}
+	binary.LittleEndian.PutUint64(b[1:], bits)
+	h.Write(b[:])
 }
 
 // KeyValue inverts AppendKey for a value of the given kind; ok is false
