@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -403,6 +404,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil || resp.Err != "" {
 			return
 		}
+		if err := rowsCapped(resp); err != nil {
+			t.Fatal(err)
+		}
 		again, err := DecodeResponse(EncodeResponseV2(resp))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
@@ -436,6 +440,53 @@ func nodeShapedResult(n int) *Response {
 		Cols:  []string{"ob_id", "parent", "ob_type", "state", "qty", "doc"},
 		Rows:  rows,
 		Epoch: 99,
+	}
+}
+
+// rowsCapped reports a decoded row whose length or capacity is not its
+// response's column count.
+func rowsCapped(resp *Response) error {
+	for i, row := range resp.Rows {
+		if len(row) != len(resp.Cols) || cap(row) != len(resp.Cols) {
+			return fmt.Errorf("row %d has len %d, cap %d; want both %d", i, len(row), cap(row), len(resp.Cols))
+		}
+	}
+	return nil
+}
+
+// TestDecodedRowsStayCapped: whatever the rows of a decoded result
+// share, each is capped at its columns, so appending to one row cannot
+// write into the next — in v1 and v2 frames and in both kinds of batch
+// sub-frame.
+func TestDecodedRowsStayCapped(t *testing.T) {
+	want := nodeShapedResult(10)
+	decoded := map[string]*Response{}
+	for name, frame := range map[string][]byte{"v1": EncodeResponse(want), "v2": EncodeResponseV2(want)} {
+		resp, err := DecodeResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[name] = resp
+	}
+	for _, columnar := range []bool{false, true} {
+		resps, err := DecodeBatchResponse(EncodeBatchResponseWith([]*Response{want, want}, columnar))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, resp := range resps {
+			decoded[fmt.Sprintf("batch(columnar=%v)[%d]", columnar, i)] = resp
+		}
+	}
+	for name, resp := range decoded {
+		respEqual(t, resp, want)
+		if err := rowsCapped(resp); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		next := slices.Clone(resp.Rows[1])
+		_ = append(resp.Rows[0], types.NewInt(-1))
+		if !slices.Equal(resp.Rows[1], next) {
+			t.Errorf("%s: appending to row 0 changed row 1 to %v", name, resp.Rows[1])
+		}
 	}
 }
 
