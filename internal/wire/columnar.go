@@ -401,8 +401,8 @@ func decodeFront(b []byte, rows []storage.Row, col int, isNull func(int) bool, b
 
 // decodeColumn parses one column body into the corresponding cells of
 // the pre-allocated rows; a front-coded column's text is charged to
-// budget.
-func decodeColumn(b []byte, rows []storage.Row, col int, budget *int) ([]byte, error) {
+// budget, a mixed column's text is cut from text.
+func decodeColumn(b []byte, rows []storage.Row, col int, budget *int, text *frameText) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -531,7 +531,7 @@ func decodeColumn(b []byte, rows []storage.Row, col int, budget *int) ([]byte, e
 				rows[i][col] = types.Null
 				continue
 			}
-			v, rest, err := ReadValue(b)
+			v, rest, err := readValue(b, text)
 			if err != nil {
 				return nil, err
 			}
@@ -587,12 +587,10 @@ func decodeResponseV2(b []byte) (*Response, error) {
 			return nil, fmt.Errorf("wire: columnar frame of %d rows x %d cols exceeds frame size", nrows, ncols)
 		}
 	}
-	rows := make([]storage.Row, nrows)
-	for i := range rows {
-		rows[i] = make(storage.Row, ncols)
-	}
+	rows := cutRows(int(nrows), int(ncols))
+	var text frameText
 	for col := 0; col < int(ncols); col++ {
-		b, err = decodeColumn(b, rows, col, &budget)
+		b, err = decodeColumn(b, rows, col, &budget, &text)
 		if err != nil {
 			return nil, err
 		}

@@ -570,15 +570,12 @@ func columnEncodings(t *testing.T, body []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]storage.Row, nrows)
-	for i := range rows {
-		rows[i] = make(storage.Row, ncols)
-	}
+	rows := cutRows(int(nrows), int(ncols))
 	var encs []byte
 	budget := maxFrontGrowth * len(body)
 	for col := 0; col < int(ncols); col++ {
 		encs = append(encs, b[0])
-		if b, err = decodeColumn(b, rows, col, &budget); err != nil {
+		if b, err = decodeColumn(b, rows, col, &budget, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -182,8 +182,35 @@ func AppendValue(b []byte, v types.Value) []byte {
 	return append(b, tagNull)
 }
 
+// frameText hands out the text cells of one result frame as substrings
+// of one copy of the frame, made at its first non-empty text cell: the
+// frame buffer itself is recycled once decoded. A nil *frameText copies
+// each cell on its own.
+type frameText struct{ s string }
+
+// cut returns the n bytes at the head of b as a string. Every b passed
+// to one frameText is a suffix of the same frame.
+func (t *frameText) cut(b []byte, n int) string {
+	if t == nil {
+		return string(b[:n])
+	}
+	if n == 0 {
+		return "" // points at no frame
+	}
+	if t.s == "" {
+		t.s = string(b)
+	}
+	at := len(t.s) - len(b)
+	return t.s[at : at+n]
+}
+
 // ReadValue decodes one SQL value.
 func ReadValue(b []byte) (types.Value, []byte, error) {
+	return readValue(b, nil)
+}
+
+// readValue decodes one SQL value, cutting its text from text.
+func readValue(b []byte, text *frameText) (types.Value, []byte, error) {
 	if len(b) < 1 {
 		return types.Null, nil, io.ErrUnexpectedEOF
 	}
@@ -203,11 +230,14 @@ func ReadValue(b []byte) (types.Value, []byte, error) {
 		}
 		return types.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
 	case tagText:
-		s, rest, err := readString(b)
+		n, rest, err := readUint32(b)
 		if err != nil {
 			return types.Null, nil, err
 		}
-		return types.NewText(s), rest, nil
+		if uint32(len(rest)) < n {
+			return types.Null, nil, io.ErrUnexpectedEOF
+		}
+		return types.NewText(text.cut(rest, int(n))), rest[n:], nil
 	case tagTrue:
 		return types.NewBool(true), b, nil
 	case tagFalse:
@@ -311,7 +341,10 @@ func appendResponse(b []byte, resp *Response) []byte {
 	return b
 }
 
-// DecodeResponse parses a response frame body.
+// DecodeResponse parses a response frame body. Its rows share one
+// backing array, each capped at its columns, so appending to a row
+// copies it. The text cells of a v1 frame are substrings of one copy of
+// the frame: a text cell retained past the response retains that copy.
 func DecodeResponse(b []byte) (*Response, error) {
 	if len(b) < 1 {
 		return nil, io.ErrUnexpectedEOF
@@ -368,19 +401,28 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if uint64(nrows)*uint64(ncols) > uint64(len(b)) {
 		return nil, fmt.Errorf("wire: result frame of %d rows x %d cols exceeds frame size", nrows, ncols)
 	}
-	for i := uint32(0); i < nrows; i++ {
-		row := make(storage.Row, ncols)
-		for j := uint32(0); j < ncols; j++ {
-			var v types.Value
-			v, b, err = ReadValue(b)
+	resp.Rows = cutRows(int(nrows), int(ncols))
+	var text frameText
+	for _, row := range resp.Rows {
+		for j := range row {
+			row[j], b, err = readValue(b, &text)
 			if err != nil {
 				return nil, err
 			}
-			row[j] = v
 		}
-		resp.Rows = append(resp.Rows, row)
 	}
 	return resp, nil
+}
+
+// cutRows returns nrows rows of ncols cells cut from one array, each
+// with len == cap == ncols.
+func cutRows(nrows, ncols int) []storage.Row {
+	rows := make([]storage.Row, nrows)
+	cells := make([]types.Value, nrows*ncols)
+	for i := range rows {
+		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	return rows
 }
 
 // ---------------------------------------------------------------------------
