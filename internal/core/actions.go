@@ -52,10 +52,11 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 	if err != nil {
 		return nil, err
 	}
-	res := &ActionResult{RowsReceived: len(resp.Rows)}
-	for _, row := range resp.Rows {
-		n, err := decodeNode(row)
-		if err != nil {
+	res := &ActionResult{RowsReceived: len(resp.Rows), Objects: make([]*Node, 0, len(resp.Rows))}
+	nodes := make([]Node, len(resp.Rows))
+	for i, row := range resp.Rows {
+		n := &nodes[i]
+		if err := decodeNode(row, n); err != nil {
 			return nil, err
 		}
 		c.rememberType(n)

@@ -258,33 +258,39 @@ func (f *cachedFetcher) countCache(hits, misses int) {
 // clone helpers — cached values are owned by the store; both puts and
 // gets deep-copy so no session can mutate another's view.
 
-// cloneNodes copies expand-page children: per-node copies without
-// Children links (the BFS loop re-attaches them per action).
+// cloneNodes copies expand-page children into one array, without
+// Children links (the BFS loop re-attaches them per action). The copies
+// share their text with the originals, so a cached page keeps the
+// frame its nodes were decoded from.
 func cloneNodes(ns []*Node) []*Node {
 	out := make([]*Node, len(ns))
+	cps := make([]Node, len(ns))
 	for i, n := range ns {
-		cp := *n
-		cp.Children = nil
-		out[i] = &cp
+		cps[i] = *n
+		cps[i].Children = nil
+		out[i] = &cps[i]
 	}
 	return out
 }
 
-// cloneTree deep-copies a reassembled tree, index included.
+// cloneTree deep-copies a reassembled tree, index included, into one
+// node array.
 func cloneTree(t *Tree) *Tree {
-	out := &Tree{Index: map[int64]*Node{}}
 	if t == nil || t.Root == nil {
-		return out
+		return &Tree{Index: map[int64]*Node{}}
 	}
+	out := &Tree{Index: make(map[int64]*Node, len(t.Index))}
+	nodes := make([]Node, 0, len(t.Index))
 	var rec func(n *Node) *Node
 	rec = func(n *Node) *Node {
-		cp := *n
+		nodes = append(nodes, *n)
+		cp := &nodes[len(nodes)-1]
 		cp.Children = make([]*Node, len(n.Children))
 		for i, ch := range n.Children {
 			cp.Children[i] = rec(ch)
 		}
-		out.Index[cp.ObID] = &cp
-		return &cp
+		out.Index[cp.ObID] = cp
+		return cp
 	}
 	out.Root = rec(t.Root)
 	return out

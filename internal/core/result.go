@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"pdmtune/internal/minisql/storage"
 	"pdmtune/internal/minisql/types"
@@ -26,6 +27,31 @@ const (
 	colEffTo
 	colStrcOpt
 )
+
+// The schema's object types, as the unified rows' type column holds
+// them.
+const (
+	typeAssy = "assy"
+	typeComp = "comp"
+	typeLink = "link"
+)
+
+// internType returns a received object type as the schema's constant,
+// and boxed for the type cache. Neither then points into the frame the
+// type was decoded from, so a map keyed on it cannot retain the frame,
+// and boxing a constant allocates nothing.
+func internType(s string) (string, any) {
+	switch s {
+	case typeAssy:
+		return typeAssy, typeAssy
+	case typeComp:
+		return typeComp, typeComp
+	case typeLink:
+		return typeLink, typeLink
+	}
+	s = strings.Clone(s)
+	return s, s
+}
 
 // Node is one reassembled product object as the PDM client presents it
 // to the user, with the link that attached it to its parent.
@@ -95,14 +121,16 @@ func floatOf(v types.Value) float64 {
 	return f
 }
 
-// decodeNode converts one unified row into a Node (link columns included
-// when the row carries them, as navigational expand rows do).
-func decodeNode(row storage.Row) (*Node, error) {
+// decodeNode converts one unified row into the Node n (link columns
+// included when the row carries them, as navigational expand rows do).
+// Callers decode a frame's rows into one []Node.
+func decodeNode(row storage.Row, n *Node) error {
 	if len(row) != len(UnifiedCols) {
-		return nil, fmt.Errorf("core: unified row has %d columns, want %d", len(row), len(UnifiedCols))
+		return fmt.Errorf("core: unified row has %d columns, want %d", len(row), len(UnifiedCols))
 	}
-	n := &Node{
-		Type:       row[colType].String(),
+	typ, _ := internType(row[colType].String())
+	*n = Node{
+		Type:       typ,
 		ObID:       intOf(row[colObID]),
 		Name:       row[colName].String(),
 		Dec:        row[colDec].String(),
@@ -119,35 +147,32 @@ func decodeNode(row storage.Row) (*Node, error) {
 		n.EffTo = intOf(row[colEffTo])
 		n.StrcOpt = row[colStrcOpt].String()
 	}
-	return n, nil
+	return nil
 }
 
 // AssembleRecursive rebuilds the product tree from the rows of a
 // Section 5.2 recursive query: node rows (type assy/comp) plus link rows
-// (type link) that carry the structure information.
+// (type link) that carry the structure information. The nodes share one
+// array.
 func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
-	tree := &Tree{Index: map[int64]*Node{}}
-	type linkRow struct {
-		left, right, effFrom, effTo int64
-		opt                         string
-	}
-	var links []linkRow
+	links := 0
 	for _, row := range rows {
 		if len(row) != len(UnifiedCols) {
 			return nil, fmt.Errorf("core: unified row has %d columns, want %d", len(row), len(UnifiedCols))
 		}
-		if row[colType].String() == "link" {
-			links = append(links, linkRow{
-				left:    intOf(row[colLeft]),
-				right:   intOf(row[colRight]),
-				effFrom: intOf(row[colEffFrom]),
-				effTo:   intOf(row[colEffTo]),
-				opt:     row[colStrcOpt].String(),
-			})
+		if row[colType].String() == typeLink {
+			links++
+		}
+	}
+	nodes := make([]Node, 0, len(rows)-links)
+	tree := &Tree{Index: make(map[int64]*Node, cap(nodes))}
+	for _, row := range rows {
+		if row[colType].String() == typeLink {
 			continue
 		}
-		n, err := decodeNode(row)
-		if err != nil {
+		nodes = append(nodes, Node{})
+		n := &nodes[len(nodes)-1]
+		if err := decodeNode(row, n); err != nil {
 			return nil, err
 		}
 		tree.Index[n.ObID] = n
@@ -160,17 +185,21 @@ func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
 		return nil, fmt.Errorf("core: recursive result does not contain the root %d", rootID)
 	}
 	tree.Root = root
-	for _, l := range links {
-		parent, ok := tree.Index[l.left]
+	for _, row := range rows {
+		if row[colType].String() != typeLink {
+			continue
+		}
+		parent, ok := tree.Index[intOf(row[colLeft])]
 		if !ok {
 			continue
 		}
-		child, ok := tree.Index[l.right]
+		child, ok := tree.Index[intOf(row[colRight])]
 		if !ok {
 			continue
 		}
-		child.Parent = l.left
-		child.EffFrom, child.EffTo, child.StrcOpt = l.effFrom, l.effTo, l.opt
+		child.Parent = parent.ObID
+		child.EffFrom, child.EffTo = intOf(row[colEffFrom]), intOf(row[colEffTo])
+		child.StrcOpt = row[colStrcOpt].String()
 		parent.Children = append(parent.Children, child)
 	}
 	return tree, nil

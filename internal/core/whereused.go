@@ -114,10 +114,11 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 	if err != nil {
 		return nil, err
 	}
-	res := &ActionResult{RowsReceived: received}
-	for _, row := range rows {
-		n, err := decodeNode(row)
-		if err != nil {
+	res := &ActionResult{RowsReceived: received, Objects: make([]*Node, 0, len(rows))}
+	nodes := make([]Node, len(rows))
+	for i, row := range rows {
+		n := &nodes[i]
+		if err := decodeNode(row, n); err != nil {
 			return nil, err
 		}
 		c.rememberType(n)
