@@ -13,8 +13,12 @@ package pdmtune_test
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,6 +27,7 @@ import (
 	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql/types"
+	"pdmtune/internal/wire"
 )
 
 // ---------------------------------------------------------------------------
@@ -499,6 +504,98 @@ func TestRecursiveMLECostFollowsSubtree(t *testing.T) {
 	t.Logf("allocations per recursive MLE: %.0f alone, %.0f beside the large product", alone, beside)
 	if diff := beside - alone; diff > 0.05*alone || diff < -0.05*alone {
 		t.Errorf("recursive MLE of the small product: %.0f allocations alone, %.0f beside a large product (want within 5 %%)", alone, beside)
+	}
+}
+
+// replayTransport answers each request with a copy of the server's
+// answer the first time it saw that request, so that allocations
+// measured over it are the client's own. misses counts the requests
+// that reached the server; last is the latest answer.
+type replayTransport struct {
+	conn   *wire.ServerConn
+	seen   map[string][]byte
+	misses int
+	last   []byte
+}
+
+func (r *replayTransport) RoundTrip(_ context.Context, req []byte) ([]byte, error) {
+	resp, ok := r.seen[string(req)]
+	if !ok {
+		resp = bytes.Clone(r.conn.Handle(req))
+		r.seen[string(req)] = resp
+		r.misses++
+	}
+	r.last = resp
+	return bytes.Clone(resp), nil // the client recycles the body it decodes
+}
+
+// inflateAllocs counts the allocations of inflating a compressed
+// frame's deflate stream on its own: compress/flate builds its code
+// tables anew for every block, so they follow the stream's blocks.
+func inflateAllocs(frame []byte) float64 {
+	if len(frame) == 0 || frame[0] != wire.TypeCompressed {
+		return 0
+	}
+	_, n := binary.Uvarint(frame[1:])
+	stream := frame[1+n:]
+	return testing.AllocsPerRun(20, func() {
+		_, _ = io.Copy(io.Discard, flate.NewReader(bytes.NewReader(stream)))
+	})
+}
+
+// TestQueryAllocsFollowFrames states what decoding a result frame into
+// one cell array, one text copy and one node array is for: the client
+// allocates the same — within 5 % — for a Query of a small product and
+// for one that ships over ten times its rows, both under late
+// evaluation (v1 frames, every row filtered at the client) and under
+// the wan-recursive benchmark workload's session options (v2 frames,
+// deflate). With a row and a node per received row, the count grew with
+// the product. The server's answers are replayed, so the count is the
+// client's alone, and the inflater's per-block tables are taken out.
+func TestQueryAllocsFollowFrames(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []pdmtune.Option
+	}{
+		{"late", []pdmtune.Option{pdmtune.WithStrategy(pdmtune.LateEval)}},
+		{"wan-recursive", []pdmtune.Option{pdmtune.WithStrategy(pdmtune.Recursive), pdmtune.WithColumnarResults(true),
+			pdmtune.WithCompression(true), pdmtune.WithPreparedStatements(true), pdmtune.WithBatching(true)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			allocs := func(cfg pdmtune.ProductConfig) (float64, int) {
+				sys := pdmtune.NewSystem(nil)
+				if _, err := sys.LoadProduct(cfg); err != nil {
+					t.Fatal(err)
+				}
+				tr := &replayTransport{conn: sys.Server.NewConn(), seen: map[string][]byte{}}
+				sess, err := sys.Open(append([]pdmtune.Option{pdmtune.WithTransport(tr),
+					pdmtune.WithUser(pdmtune.DefaultUser("scale"))}, mode.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				n := testing.AllocsPerRun(20, func() {
+					res, err := sess.Run(context.Background(), pdmtune.Query, cfg.ProdID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows = res.RowsReceived
+				})
+				if tr.misses > 2 {
+					t.Fatalf("%d requests reached the server, want the session's hello and one Query", tr.misses)
+				}
+				return n - inflateAllocs(tr.last), rows
+			}
+			small, smallRows := allocs(pdmtune.ProductConfig{ProdID: 1, Depth: 3, Branch: 3, Sigma: 0.8, Seed: 1})
+			large, largeRows := allocs(pdmtune.ProductConfig{ProdID: 1, Depth: 5, Branch: 4, Sigma: 0.8, Seed: 1})
+			if largeRows < 10*smallRows {
+				t.Fatalf("the large product ships %d rows, want at least 10 × %d", largeRows, smallRows)
+			}
+			t.Logf("client allocations per Query: %.0f for %d rows, %.0f for %d rows", small, smallRows, large, largeRows)
+			if diff := large - small; diff > 0.05*small || diff < -0.05*small {
+				t.Errorf("Query: %.0f client allocations for %d rows, %.0f for %d rows (want within 5 %%)", small, smallRows, large, largeRows)
+			}
+		})
 	}
 }
 
