@@ -21,15 +21,16 @@ func (c *Client) expandRequest(parent int64, action string) (*wire.Request, erro
 	return c.request(st, parent), nil
 }
 
-// filterExpandRows decodes the rows of one expand answer into nodes,
-// one slot per row, and applies the client-side rule filters. It
-// returns the surviving candidate children and the object ids of every
-// received row (the filtered ones included — the cache layer validates
-// against all of them, so a modification that makes a filtered child
-// visible is detected). ∃structure conditions are not checked here —
-// they need server probes.
-func (c *Client) filterExpandRows(rows []storage.Row, nodes []Node, action string) ([]*Node, []int64, error) {
+// filterExpandRows applies the client-side rule filters to the rows of
+// one expand answer, decoded into one node array. It returns the
+// surviving candidate children and the object ids of every received row
+// (the filtered ones included — the cache layer validates against all
+// of them, so a modification that makes a filtered child visible is
+// detected). ∃structure conditions are not checked here — they need
+// server probes.
+func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, []int64, error) {
 	out := make([]*Node, 0, len(rows))
+	nodes := make([]Node, len(rows))
 	allIDs := make([]int64, 0, len(rows))
 	late := c.strategy == costmodel.LateEval
 	var link *predicate
@@ -82,7 +83,7 @@ func (w *wireFetcher) expandOnce(ctx context.Context, parent int64, action strin
 	if err != nil {
 		return expandPage{}, err
 	}
-	cands, allIDs, err := c.filterExpandRows(resp.Rows, make([]Node, len(resp.Rows)), action)
+	cands, allIDs, err := c.filterExpandRows(resp.Rows, action)
 	if err != nil {
 		return expandPage{}, err
 	}
@@ -118,15 +119,11 @@ func (w *wireFetcher) expandLevelBatched(ctx context.Context, parents []*Node, a
 		return nil, 0, err
 	}
 	received := 0
-	for _, resp := range resps {
-		received += len(resp.Rows)
-	}
-	nodes := make([]Node, received) // one array for the whole batch frame
 	pages := make([]expandPage, len(parents))
 	children := make([][]*Node, len(parents))
 	for i, resp := range resps {
-		ns, allIDs, err := c.filterExpandRows(resp.Rows, nodes[:len(resp.Rows)], action)
-		nodes = nodes[len(resp.Rows):]
+		received += len(resp.Rows)
+		ns, allIDs, err := c.filterExpandRows(resp.Rows, action)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -273,24 +273,21 @@ func cloneNodes(ns []*Node) []*Node {
 	return out
 }
 
-// cloneTree deep-copies a reassembled tree, index included, into one
-// node array.
+// cloneTree deep-copies a reassembled tree, index included.
 func cloneTree(t *Tree) *Tree {
+	out := &Tree{Index: map[int64]*Node{}}
 	if t == nil || t.Root == nil {
-		return &Tree{Index: map[int64]*Node{}}
+		return out
 	}
-	out := &Tree{Index: make(map[int64]*Node, len(t.Index))}
-	nodes := make([]Node, 0, len(t.Index))
 	var rec func(n *Node) *Node
 	rec = func(n *Node) *Node {
-		nodes = append(nodes, *n)
-		cp := &nodes[len(nodes)-1]
+		cp := *n
 		cp.Children = make([]*Node, len(n.Children))
 		for i, ch := range n.Children {
 			cp.Children[i] = rec(ch)
 		}
-		out.Index[cp.ObID] = cp
-		return cp
+		out.Index[cp.ObID] = &cp
+		return &cp
 	}
 	out.Root = rec(t.Root)
 	return out

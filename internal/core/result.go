@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"pdmtune/internal/minisql/storage"
 	"pdmtune/internal/minisql/types"
@@ -28,29 +27,27 @@ const (
 	colStrcOpt
 )
 
-// The schema's object types, as the unified rows' type column holds
-// them.
+// The schema's object types, as the unified rows' type column holds them.
 const (
 	typeAssy = "assy"
 	typeComp = "comp"
 	typeLink = "link"
 )
 
-// internType returns a received object type as the schema's constant,
-// and boxed for the type cache. Neither then points into the frame the
-// type was decoded from, so a map keyed on it cannot retain the frame,
-// and boxing a constant allocates nothing.
-func internType(s string) (string, any) {
+// internType returns a received object type boxed: the schema's three
+// types as their constants, which allocates nothing and points into no
+// frame, so a map keyed on a node's type cannot retain the frame the
+// type arrived in.
+func internType(s string) any {
 	switch s {
 	case typeAssy:
-		return typeAssy, typeAssy
+		return typeAssy
 	case typeComp:
-		return typeComp, typeComp
+		return typeComp
 	case typeLink:
-		return typeLink, typeLink
+		return typeLink
 	}
-	s = strings.Clone(s)
-	return s, s
+	return s
 }
 
 // Node is one reassembled product object as the PDM client presents it
@@ -121,16 +118,14 @@ func floatOf(v types.Value) float64 {
 	return f
 }
 
-// decodeNode converts one unified row into the Node n (link columns
-// included when the row carries them, as navigational expand rows do).
-// Callers decode a frame's rows into one []Node.
+// decodeNode converts one unified row into *n (link columns included
+// when the row carries them, as navigational expand rows do).
 func decodeNode(row storage.Row, n *Node) error {
 	if len(row) != len(UnifiedCols) {
 		return fmt.Errorf("core: unified row has %d columns, want %d", len(row), len(UnifiedCols))
 	}
-	typ, _ := internType(row[colType].String())
 	*n = Node{
-		Type:       typ,
+		Type:       internType(row[colType].String()).(string),
 		ObID:       intOf(row[colObID]),
 		Name:       row[colName].String(),
 		Dec:        row[colDec].String(),
@@ -155,23 +150,21 @@ func decodeNode(row storage.Row, n *Node) error {
 // (type link) that carry the structure information. The nodes share one
 // array.
 func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
+	isLink := func(row storage.Row) bool { return len(row) == len(UnifiedCols) && row[colType].String() == typeLink }
 	links := 0
 	for _, row := range rows {
-		if len(row) != len(UnifiedCols) {
-			return nil, fmt.Errorf("core: unified row has %d columns, want %d", len(row), len(UnifiedCols))
-		}
-		if row[colType].String() == typeLink {
+		if isLink(row) {
 			links++
 		}
 	}
-	nodes := make([]Node, 0, len(rows)-links)
-	tree := &Tree{Index: make(map[int64]*Node, cap(nodes))}
+	nodes := make([]Node, len(rows)-links)
+	tree := &Tree{Index: make(map[int64]*Node, len(nodes))}
 	for _, row := range rows {
-		if row[colType].String() == typeLink {
+		if isLink(row) {
 			continue
 		}
-		nodes = append(nodes, Node{})
-		n := &nodes[len(nodes)-1]
+		n := &nodes[0]
+		nodes = nodes[1:]
 		if err := decodeNode(row, n); err != nil {
 			return nil, err
 		}
@@ -186,15 +179,12 @@ func AssembleRecursive(rootID int64, rows []storage.Row) (*Tree, error) {
 	}
 	tree.Root = root
 	for _, row := range rows {
-		if row[colType].String() != typeLink {
+		if !isLink(row) {
 			continue
 		}
-		parent, ok := tree.Index[intOf(row[colLeft])]
-		if !ok {
-			continue
-		}
-		child, ok := tree.Index[intOf(row[colRight])]
-		if !ok {
+		parent, okParent := tree.Index[intOf(row[colLeft])]
+		child, okChild := tree.Index[intOf(row[colRight])]
+		if !okParent || !okChild {
 			continue
 		}
 		child.Parent = parent.ObID

@@ -42,15 +42,14 @@ func (w *wireFetcher) LookupType(ctx context.Context, obid int64) (string, error
 	if len(resp.Rows) == 0 || len(resp.Rows[0]) == 0 {
 		return "", fmt.Errorf("core: object %d does not exist", obid)
 	}
-	t, boxed := internType(resp.Rows[0][0].String())
-	c.types.Put(c.typeKey(obid), cache.Entry{Value: boxed})
-	return t, nil
+	t := internType(resp.Rows[0][0].String())
+	c.types.Put(c.typeKey(obid), cache.Entry{Value: t})
+	return t.(string), nil
 }
 
 // rememberType caches an object's type learned from a received row.
 func (c *Client) rememberType(n *Node) {
 	if n != nil && n.Type != "" {
-		_, boxed := internType(n.Type)
-		c.types.Put(c.typeKey(n.ObID), cache.Entry{Value: boxed})
+		c.types.Put(c.typeKey(n.ObID), cache.Entry{Value: internType(n.Type)})
 	}
 }

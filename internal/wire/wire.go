@@ -182,22 +182,19 @@ func AppendValue(b []byte, v types.Value) []byte {
 	return append(b, tagNull)
 }
 
-// frameText hands out the text cells of one result frame as substrings
-// of one copy of the frame, made at its first non-empty text cell: the
-// frame buffer itself is recycled once decoded. A nil *frameText copies
-// each cell on its own.
+// frameText cuts the text cells of one result frame from one copy of
+// the frame, made at its first non-empty text cell (the frame buffer is
+// recycled once decoded); a nil *frameText copies each cell alone.
 type frameText struct{ s string }
 
-// cut returns the n bytes at the head of b as a string. Every b passed
-// to one frameText is a suffix of the same frame.
+// cut returns the n bytes at the head of b, a suffix of the frame.
 func (t *frameText) cut(b []byte, n int) string {
-	if t == nil {
+	switch {
+	case t == nil:
 		return string(b[:n])
-	}
-	if n == 0 {
+	case n == 0:
 		return "" // points at no frame
-	}
-	if t.s == "" {
+	case t.s == "":
 		t.s = string(b)
 	}
 	at := len(t.s) - len(b)
@@ -205,9 +202,7 @@ func (t *frameText) cut(b []byte, n int) string {
 }
 
 // ReadValue decodes one SQL value.
-func ReadValue(b []byte) (types.Value, []byte, error) {
-	return readValue(b, nil)
-}
+func ReadValue(b []byte) (types.Value, []byte, error) { return readValue(b, nil) }
 
 // readValue decodes one SQL value, cutting its text from text.
 func readValue(b []byte, text *frameText) (types.Value, []byte, error) {
@@ -342,9 +337,8 @@ func appendResponse(b []byte, resp *Response) []byte {
 }
 
 // DecodeResponse parses a response frame body. Its rows share one
-// backing array, each capped at its columns, so appending to a row
-// copies it. The text cells of a v1 frame are substrings of one copy of
-// the frame: a text cell retained past the response retains that copy.
+// backing array, each capped at its columns; the text cells of a v1
+// frame share one copy of the frame, which a retained cell keeps alive.
 func DecodeResponse(b []byte) (*Response, error) {
 	if len(b) < 1 {
 		return nil, io.ErrUnexpectedEOF
