@@ -370,3 +370,84 @@ func TestAutoTuneOnSharedCacheSession(t *testing.T) {
 		t.Fatal("auto-tune never applied on a shared-cache session")
 	}
 }
+
+// TestApplyConfigRefusals: the two changes ApplyConfig refuses — a new
+// read location, and a resize or drop of a shared cache (or a private
+// one turned shared) — fail before anything moves: the configuration,
+// the negotiated encodings and the meter stay as they were. Changed
+// wire encodings cost one renegotiation round trip each way.
+func TestApplyConfigRefusals(t *testing.T) {
+	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "munich"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.LoadProduct(advisorProduct); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	site, err := cl.OpenAt(ctx, "munich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
+	shared, err := cl.Primary().Open(pdmtune.WithSharedCache(pdmtune.NewCache(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+	private, err := cl.Primary().Open(pdmtune.WithCache(64), pdmtune.WithColumnarResults(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer private.Close()
+
+	refusals := []struct {
+		name   string
+		sess   *pdmtune.Session
+		change func(*pdmtune.TuneConfig)
+	}{
+		{"site session leaves its site", site, func(k *pdmtune.TuneConfig) { k.Replica = false }},
+		{"shared cache dropped", shared, func(k *pdmtune.TuneConfig) { k.CacheEntries = 0 }},
+		{"shared cache resized", shared, func(k *pdmtune.TuneConfig) { k.CacheEntries = 512 }},
+		{"private cache turned shared", private, func(k *pdmtune.TuneConfig) { k.CacheEntries = -1 }},
+	}
+	for _, r := range refusals {
+		before, caps, rts := r.sess.TuneConfig(), r.sess.WireCaps(), r.sess.Metrics().RoundTrips
+		k := before
+		r.change(&k)
+		// Flip the encodings too: a refusal must come before the
+		// renegotiation round trip.
+		k.Columnar, k.Compress = !k.Columnar, !k.Compress
+		if err := r.sess.ApplyConfig(ctx, k); err == nil {
+			t.Errorf("%s: ApplyConfig(%s) accepted", r.name, k)
+			continue
+		}
+		if got := r.sess.TuneConfig(); got != before {
+			t.Errorf("%s: refused change moved TuneConfig to %s, want %s", r.name, got, before)
+		}
+		if got := r.sess.WireCaps(); got != caps {
+			t.Errorf("%s: refused change moved WireCaps to %+v, want %+v", r.name, got, caps)
+		}
+		if got := r.sess.Metrics().RoundTrips; got != rts {
+			t.Errorf("%s: refused change cost %d round trips", r.name, got-rts)
+		}
+	}
+
+	for _, on := range []bool{true, false} {
+		k := shared.TuneConfig()
+		k.Columnar, k.Compress = on, on
+		rts := shared.Metrics().RoundTrips
+		if err := shared.ApplyConfig(ctx, k); err != nil {
+			t.Fatalf("encodings %v: %v", on, err)
+		}
+		if got := shared.Metrics().RoundTrips - rts; got != 1 {
+			t.Errorf("encodings %v: %d round trips, want 1", on, got)
+		}
+		if caps := shared.WireCaps(); caps.ColumnarResults != on || caps.Compression != on {
+			t.Errorf("encodings %v: WireCaps %+v", on, caps)
+		}
+		if got := shared.TuneConfig(); got != k {
+			t.Errorf("encodings %v: TuneConfig %s, want %s", on, got, k)
+		}
+	}
+}
