@@ -754,3 +754,55 @@ func TestPromoteEpochLagBound(t *testing.T) {
 		t.Fatalf("primary=%q term=%d", cl.PrimaryName(), cl.Term())
 	}
 }
+
+// TestRerouteKeepsWireEncodings: a session at the primary that a
+// promotion re-routes keeps the encodings it negotiated. The new
+// primary's connection has never seen the session's hello, so the
+// client re-requests the encodings before its first exchange there —
+// one round trip — and the next MLE ships compressed columnar frames
+// as before instead of v1 rows.
+func TestRerouteKeepsWireEncodings(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 4, Sigma: 0.9, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite,
+		pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	caps := sess.WireCaps()
+	before, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Metrics.CompressedFrames == 0 {
+		t.Fatalf("MLE before the promotion shipped no compressed frame: %+v", before.Metrics)
+	}
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	after, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the promotion: %v", err)
+	}
+	if treeBytes(t, after) != treeBytes(t, before) {
+		t.Fatal("the re-routed session reads a different tree")
+	}
+	if got := sess.WireCaps(); got != caps {
+		t.Errorf("WireCaps after the re-route = %+v, want %+v", got, caps)
+	}
+	b, a := before.Metrics, after.Metrics
+	if a.CompressedFrames != b.CompressedFrames {
+		t.Errorf("MLE after the re-route: %d compressed frames, want %d", a.CompressedFrames, b.CompressedFrames)
+	}
+	if a.RoundTrips != b.RoundTrips+1 {
+		t.Errorf("MLE after the re-route: %d round trips, want %d + 1 hello", a.RoundTrips, b.RoundTrips)
+	}
+	if a.ResponseBytes > 2*b.ResponseBytes {
+		t.Errorf("MLE after the re-route: %.0f response bytes, before %.0f", a.ResponseBytes, b.ResponseBytes)
+	}
+}

@@ -53,6 +53,13 @@ type Client struct {
 	// failover lands on a different server, so the registry lives and
 	// dies with the transport generation that prepared it.
 	handles map[string]uint32
+	// want is the capability set the client last negotiated, caps the
+	// set the server accepted and helloGen the transport generation the
+	// hello went out on. A failover swaps in a connection that has never
+	// seen the hello, so the first round trip on a new generation
+	// re-requests want (see roundTrip).
+	want, caps Caps
+	helloGen   uint64
 }
 
 // textOnly is the registry entry of a statement the server refused to
@@ -132,6 +139,15 @@ func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool, pi
 	if err := CheckFrameSize(body); err != nil {
 		putFrame(body)
 		return nil, err
+	}
+	c.mu.Lock()
+	want, rehello := c.want, c.want != (Caps{}) && c.helloGen != c.trGen && body[0] != TypeHello
+	c.mu.Unlock()
+	if rehello {
+		if _, err := c.Negotiate(ctx, want); err != nil {
+			putFrame(body)
+			return nil, err
+		}
 	}
 	respBody, err := c.send(ctx, body, idempotent, pin)
 	// The request frame is dead once the round trip returns: every
@@ -269,19 +285,40 @@ func (c *Client) fenceWrite(body []byte) []byte {
 // capabilities travel up, the server's accepted set comes back. A
 // server that predates the hello frame answers with an error frame;
 // that degrades gracefully to the zero capability set (v1 results,
-// no compression) instead of failing the session.
+// no compression) instead of failing the session. The client keeps
+// asking for want on every connection a failover routes it to.
 func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
-	respBody, err := c.roundTrip(ctx, EncodeHello(want), true, unpinned)
-	if err != nil {
-		return Caps{}, err
+	for {
+		gen := c.TransportGen()
+		respBody, err := c.roundTrip(ctx, EncodeHello(want), true, gen)
+		if err == errTransportSwapped {
+			continue
+		}
+		if err != nil {
+			return Caps{}, err
+		}
+		var caps Caps
+		if len(respBody) == 0 || respBody[0] != TypeError {
+			caps, err = DecodeHelloResp(respBody)
+		}
+		// Decoding copies what it keeps, so the body recycles here.
+		putFrame(respBody)
+		if err != nil {
+			return Caps{}, err
+		}
+		c.mu.Lock()
+		c.want, c.caps, c.helloGen = want, caps, gen
+		c.mu.Unlock()
+		return caps, nil
 	}
-	// Decoding copies every string and value it keeps, so the response
-	// body recycles once this call returns.
-	defer putFrame(respBody)
-	if len(respBody) > 0 && respBody[0] == TypeError {
-		return Caps{}, nil
-	}
-	return DecodeHelloResp(respBody)
+}
+
+// Caps reports the capability set the server accepted at the client's
+// last hello (the zero set before one).
+func (c *Client) Caps() Caps {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.caps
 }
 
 // Do ships one request — text, or a prepared execution when the
