@@ -72,8 +72,8 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 		res.Objects = append(res.Objects, n)
 	}
 	res.Visible = len(res.Objects)
-	res.Metrics = c.delta(before)
 	c.countAction(ActionQuery, prod, false)
+	res.Metrics = c.delta(before)
 	return res, nil
 }
 

@@ -80,7 +80,7 @@ func (c *Client) CheckOut(ctx context.Context, root int64) (*CheckOutResult, err
 		if _, err := c.setCheckedOut(ctx, res.Tree, false); err != nil {
 			return nil, fmt.Errorf("pdm: compensating lost check-out race: %w", err)
 		}
-		if m := c.conflictMeter(); m != nil {
+		if m := c.primaryMeter(); m != nil {
 			m.Add(netsim.Metrics{WriteConflicts: 1})
 		}
 		out.Granted = false
@@ -103,19 +103,6 @@ func checkableNodes(tree *Tree) int {
 		}
 	})
 	return n
-}
-
-// conflictMeter picks the meter write conflicts are charged to: the
-// write path's WAN meter when the session has one, the session meter
-// otherwise.
-func (c *Client) conflictMeter() *netsim.Meter {
-	c.writeMu.RLock()
-	wm := c.writeMeter
-	c.writeMu.RUnlock()
-	if wm != nil {
-		return wm
-	}
-	return c.meter
 }
 
 // CheckIn releases a previously checked-out subtree owned by the user.

@@ -513,11 +513,7 @@ func (c *Client) countAction(action string, target int64, write bool) {
 	c.seen.Put(key, cache.Entry{})
 	m := c.meter
 	if write {
-		c.writeMu.RLock()
-		if c.writeMeter != nil {
-			m = c.writeMeter
-		}
-		c.writeMu.RUnlock()
+		m = c.primaryMeter()
 	}
 	if m == nil {
 		return
@@ -530,4 +526,16 @@ func (c *Client) countAction(action string, target int64, write bool) {
 		done.RepeatActions = 1
 	}
 	m.Add(done)
+}
+
+// primaryMeter is the meter of the link to the primary, which writes,
+// fall-through reads and write conflicts are charged to: the write
+// path's own meter when it has one, the session meter otherwise.
+func (c *Client) primaryMeter() *netsim.Meter {
+	c.writeMu.RLock()
+	defer c.writeMu.RUnlock()
+	if c.writeMeter != nil {
+		return c.writeMeter
+	}
+	return c.meter
 }

@@ -98,7 +98,9 @@ func (c *Client) execFallThrough(ctx context.Context, req *wire.Request) (*wire.
 	if err != nil {
 		return nil, err
 	}
-	c.countFallThrough(1)
+	if m := c.primaryMeter(); m != nil {
+		m.Add(netsim.Metrics{FallThroughRoundTrips: 1})
+	}
 	return resp, nil
 }
 
@@ -108,19 +110,4 @@ func (c *Client) execFallThrough(ctx context.Context, req *wire.Request) (*wire.
 // the primary when it does.
 func (c *Client) partialReplica() bool {
 	return c.site != nil && c.site.holds != nil && c.site.holds.Partial()
-}
-
-// countFallThrough charges fall-through round trips to the meter of the
-// link they crossed (the primary/WAN meter when the write path has its
-// own).
-func (c *Client) countFallThrough(n int) {
-	c.writeMu.RLock()
-	m := c.writeMeter
-	c.writeMu.RUnlock()
-	if m == nil {
-		m = c.meter
-	}
-	if m != nil {
-		m.Add(netsim.Metrics{FallThroughRoundTrips: n})
-	}
 }

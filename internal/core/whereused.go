@@ -134,8 +134,8 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 		res.Objects = append(res.Objects, n)
 	}
 	res.Visible = len(res.Objects)
-	res.Metrics = c.delta(before)
 	c.countAction(ActionWhereUsed, part, false)
+	res.Metrics = c.delta(before)
 	return res, nil
 }
 
@@ -193,15 +193,15 @@ func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) 
 		RowsReceived: len(resp.Rows),
 	}
 	if out.Conflicts > 0 {
-		if m := c.conflictMeter(); m != nil {
+		if m := c.primaryMeter(); m != nil {
 			m.Add(netsim.Metrics{WriteConflicts: int64(out.Conflicts)})
 		}
 	}
 	// The states just changed under every cached entry covering these
 	// objects — retire them locally, without a round trip.
 	c.invalidateCache(append(append([]int64(nil), affected...), part))
-	out.Metrics = c.delta(before)
 	c.countAction(ActionECO, part, true)
+	out.Metrics = c.delta(before)
 	return out, nil
 }
 
@@ -310,7 +310,7 @@ func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) 
 			out.CheckedOut += int(n)
 		}
 	}
-	out.Metrics = c.delta(before)
 	c.countAction(ActionReport, prod, false)
+	out.Metrics = c.delta(before)
 	return out, nil
 }

@@ -392,3 +392,68 @@ func TestSessionCancellation(t *testing.T) {
 		t.Errorf("cancelled session charged %d round trips", m.RoundTrips)
 	}
 }
+
+// TestEveryActionCountsItself: each of the session's user actions
+// reports itself in its own Metrics — one action, read or write — at
+// the primary and at a replica site, where writes are charged to the
+// WAN meter.
+func TestEveryActionCountsItself(t *testing.T) {
+	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "munich"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 3, Sigma: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var part int64
+	for id, n := range prod.Nodes {
+		if n.Type == "comp" && (part == 0 || id < part) {
+			part = id
+		}
+	}
+	ctx := context.Background()
+	for _, site := range []string{pdmtune.PrimarySite, "munich"} {
+		sess, err := cl.OpenAt(ctx, site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actions := []struct {
+			name string
+			run  func() (pdmtune.Metrics, error)
+		}{
+			{"Query", func() (pdmtune.Metrics, error) { r, err := sess.Query(ctx, prod.Config.ProdID); return r.Metrics, err }},
+			{"Expand", func() (pdmtune.Metrics, error) { r, err := sess.Expand(ctx, prod.RootID); return r.Metrics, err }},
+			{"MultiLevelExpand", func() (pdmtune.Metrics, error) {
+				r, err := sess.MultiLevelExpand(ctx, prod.RootID)
+				return r.Metrics, err
+			}},
+			{"WhereUsed", func() (pdmtune.Metrics, error) { r, err := sess.WhereUsed(ctx, part); return r.Metrics, err }},
+			{"Report", func() (pdmtune.Metrics, error) { r, err := sess.Report(ctx, prod.Config.ProdID); return r.Metrics, err }},
+			{"CheckOut", func() (pdmtune.Metrics, error) { r, err := sess.CheckOut(ctx, prod.RootID); return r.Metrics, err }},
+			{"CheckIn", func() (pdmtune.Metrics, error) { r, err := sess.CheckIn(ctx, prod.RootID); return r.Metrics, err }},
+			{"CheckOutViaProcedure", func() (pdmtune.Metrics, error) {
+				r, err := sess.CheckOutViaProcedure(ctx, prod.RootID)
+				return r.Metrics, err
+			}},
+			{"CheckInViaProcedure", func() (pdmtune.Metrics, error) {
+				r, err := sess.CheckInViaProcedure(ctx, prod.RootID)
+				return r.Metrics, err
+			}},
+			{"ECOPropagate", func() (pdmtune.Metrics, error) {
+				r, err := sess.ECOPropagate(ctx, part, "revised")
+				return r.Metrics, err
+			}},
+		}
+		for _, a := range actions {
+			m, err := a.run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", site, a.name, err)
+			}
+			if m.Actions() != 1 {
+				t.Errorf("%s/%s: Metrics count %d actions, want 1", site, a.name, m.Actions())
+			}
+		}
+		sess.Close()
+	}
+}
