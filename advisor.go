@@ -2,11 +2,8 @@ package pdmtune
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"pdmtune/internal/advisor"
-	"pdmtune/internal/cache"
 	"pdmtune/internal/costmodel"
 )
 
@@ -156,62 +153,18 @@ func (s *Session) PlanTune() *ChangeSet {
 // Session as a Tunable
 
 // TuneConfig returns the session's tunable configuration: the knob set
-// the last ApplyConfig (open's included) brought it to. Wire encodings
-// report what the session requested (WireCaps holds what the server
-// accepted); Replica reports whether the session reads at a site.
-func (s *Session) TuneConfig() TuneConfig { return s.knobs }
+// its client runs (core.Client.Knobs). Wire encodings report what the
+// session requested (WireCaps holds what the server accepted); Replica
+// reports whether the session reads at a site.
+func (s *Session) TuneConfig() TuneConfig { return s.client.Knobs() }
 
-// ApplyConfig reconfigures the live session to k: strategy, batching,
-// prepared statements and a private cache flip locally; changed wire
-// encodings cost one renegotiation round trip; the staleness bound
-// re-times a replica session's read-time syncs. The knobs a session
-// cannot act on are recorded so that TuneConfig echoes k and a change
-// set rolls back wherever it was applied: Coverage is cluster-level
-// advice (Cluster.Subscribe), and at the primary there is no replica to
-// bound. Two changes are refused before anything is modified: a shared
-// cache is not the session's to resize or drop, and a session reads
-// where it was opened.
+// ApplyConfig reconfigures the live session to k through its client
+// (core.Client.Apply): everything flips locally except changed wire
+// encodings, which cost one renegotiation round trip. A new read
+// location and a resize or drop of a shared cache are refused before
+// anything changes.
 func (s *Session) ApplyConfig(ctx context.Context, k TuneConfig) error {
-	cur := s.knobs
-	if k.Replica != cur.Replica {
-		return fmt.Errorf("pdmtune: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
-	}
-	if k.CacheEntries != cur.CacheEntries && (cur.CacheEntries < 0 || k.CacheEntries < 0) {
-		return fmt.Errorf("pdmtune: a shared structure cache is not owned by the session; open a new session to change it")
-	}
-	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
-		caps, err := s.client.RenegotiateWire(ctx, k.Columnar, k.Compress)
-		if err != nil {
-			return fmt.Errorf("pdmtune: negotiating wire encodings: %w", err)
-		}
-		s.caps = WireCaps{
-			ColumnarResults:   caps.Columnar,
-			Compression:       caps.Compress,
-			CompressThreshold: caps.CompressThreshold,
-		}
-	}
-	s.client.SetStrategy(k.Strategy)
-	s.client.SetBatching(k.Batching)
-	s.client.SetPrepared(k.Prepared)
-	if k.CacheEntries != cur.CacheEntries {
-		if k.CacheEntries == 0 {
-			s.client.SetCache(nil, "")
-		} else {
-			// Replica reads validate against the site's mirrored version
-			// log, so entries are interchangeable across the cluster's
-			// sites — one namespace per system, not per site.
-			s.client.SetCache(cache.New(k.CacheEntries), s.sys.id)
-		}
-	}
-	if k.StalenessSec != cur.StalenessSec {
-		bound := time.Duration(-1)
-		if k.StalenessSec >= 0 {
-			bound = time.Duration(k.StalenessSec * float64(time.Second))
-		}
-		s.client.SetStalenessBound(bound) // a no-op without a replica to bound
-	}
-	s.knobs = k
-	return nil
+	return s.client.Apply(ctx, k)
 }
 
 // ---------------------------------------------------------------------------

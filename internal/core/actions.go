@@ -60,7 +60,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 			return nil, err
 		}
 		c.rememberType(n)
-		if c.strategy == costmodel.LateEval {
+		if c.knobs.Strategy == costmodel.LateEval {
 			ok, err := c.localRowPermitted(n.Type, ActionQuery, row)
 			if err != nil {
 				return nil, err
@@ -129,7 +129,7 @@ func (c *Client) multiLevelExpand(ctx context.Context, root int64, action string
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
-	if c.strategy == costmodel.Recursive {
+	if c.knobs.Strategy == costmodel.Recursive {
 		tree, received, _, err := c.fetch.FetchRecursive(ctx, root, action)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 // batchedClient connects a metered client with statement batching on.
 func batchedClient(srv *wire.Server, rules *core.RuleTable, user core.UserContext, s costmodel.Strategy) (*core.Client, *netsim.Meter) {
 	c, m := pdmClient(srv, rules, user, s)
-	c.SetBatching(true)
+	tune(c, func(k *costmodel.Knobs) { k.Batching = true })
 	return c, m
 }
 

@@ -23,8 +23,7 @@ func TestCachedMLEAllWireModes(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			for _, prepared := range []bool{false, true} {
 				c, meter := pdmClient(srv, core.StandardRules(), core.DefaultUser("scott"), strat)
-				c.SetBatching(batched)
-				c.SetPrepared(prepared)
+				tune(c, func(k *costmodel.Knobs) { k.Batching, k.Prepared = batched, prepared })
 				c.SetCache(cache.New(1<<12), "test")
 				cold, err := c.MultiLevelExpand(ctx, prod.RootID)
 				if err != nil {

@@ -164,7 +164,7 @@ func (c *Client) setCheckedOut(ctx context.Context, tree *Tree, out bool) (int, 
 	tree.Walk(func(n *Node) {
 		ids[n.Type] = append(ids[n.Type], n.ObID)
 	})
-	perNode := c.prepared && c.batching
+	perNode := c.knobs.Prepared && c.knobs.Batching
 	var reqs []*wire.Request
 	for _, table := range []string{"assy", "comp"} {
 		if len(ids[table]) == 0 {
@@ -188,7 +188,7 @@ func (c *Client) setCheckedOut(ctx context.Context, tree *Tree, out bool) (int, 
 	// new primary (whose wire client re-prepares there).
 	err := c.withWrite(func(w *wire.Client) error {
 		updated = 0
-		if perNode || (c.batching && len(reqs) > 1) {
+		if perNode || (c.knobs.Batching && len(reqs) > 1) {
 			resps, err := w.ExecBatch(ctx, reqs)
 			for _, resp := range resps {
 				updated += resp.RowsAffected

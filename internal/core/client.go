@@ -27,11 +27,14 @@ import (
 // by default the plain wire fetcher, optionally decorated with the
 // version-validated structure cache (SetCache).
 type Client struct {
-	sql      *wire.Client
-	meter    *netsim.Meter
-	rules    *RuleTable
-	user     UserContext
-	strategy costmodel.Strategy
+	sql   *wire.Client
+	meter *netsim.Meter
+	rules *RuleTable
+	user  UserContext
+	// knobs is the client's configuration: read by every action, changed
+	// only by Apply (and, for the location and a shared cache, by
+	// SetSiteSync and SetCache).
+	knobs costmodel.Knobs
 
 	// writeMu guards the write path's identity: a failover re-points
 	// writeSQL at the new primary from the cluster's goroutine while the
@@ -72,14 +75,6 @@ type Client struct {
 
 	// local evaluates rule predicates client-side (late evaluation).
 	local *exec.Context
-	// batching groups the statements of one logical step (a BFS level of
-	// a structure expand, the probes of that level, the updates of a
-	// modify) into single wire batches, collapsing WAN round trips.
-	batching bool
-	// prepared ships the per-node statements (expand, probes, type
-	// lookup, modify) as prepared executions: the SQL text travels once
-	// per connection, every repetition is handle + parameters.
-	prepared bool
 	// preparedSQL holds the `?`-form (and rule-modified) text of every
 	// statement the client repeats; see statement.go.
 	preparedSQL map[stmtKey]preparedStmt
@@ -113,14 +108,14 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		rules = NewRuleTable()
 	}
 	c := &Client{
-		sql:      wire.NewClient(tr),
-		meter:    meter,
-		rules:    rules,
-		user:     user,
-		strategy: strategy,
-		local:    &exec.Context{Funcs: minisql.BuiltinFuncs()},
-		types:    cache.New(typeCacheSize),
-		seen:     cache.New(seenActionsSize),
+		sql:   wire.NewClient(tr),
+		meter: meter,
+		rules: rules,
+		user:  user,
+		knobs: costmodel.Knobs{Strategy: strategy, StalenessSec: -1},
+		local: &exec.Context{Funcs: minisql.BuiltinFuncs()},
+		types: cache.New(typeCacheSize),
+		seen:  cache.New(seenActionsSize),
 	}
 	c.writeSQL = c.sql
 	c.dropCompiled()
@@ -151,10 +146,10 @@ func (c *Client) beginAction(ctx context.Context) error {
 		c.rebuildFetch()
 	}
 	c.fetch.BeginAction()
-	if c.site == nil || c.site.bound < 0 {
+	if c.site == nil || c.knobs.StalenessSec < 0 {
 		return nil
 	}
-	return c.site.syncer.SyncIfStale(ctx, c.site.bound)
+	return c.site.syncer.SyncIfStale(ctx, time.Duration(c.knobs.StalenessSec*float64(time.Second)))
 }
 
 // rebuildFetch composes the client's read path from the configured
@@ -175,57 +170,67 @@ func (c *Client) rebuildFetch() {
 	c.fetch = f
 }
 
+// Knobs reports the configuration the client runs: the open-time
+// defaults (its strategy, its location, no staleness bound), a shared
+// cache attached with SetCache as CacheEntries -1, and otherwise what
+// the last Apply brought it to. The wire encodings are the requested
+// ones; WireCaps reports what the server accepted.
+func (c *Client) Knobs() costmodel.Knobs { return c.knobs }
+
 // Strategy reports the client's access strategy.
-func (c *Client) Strategy() costmodel.Strategy { return c.strategy }
+func (c *Client) Strategy() costmodel.Strategy { return c.knobs.Strategy }
 
-// SetStrategy switches the client's access strategy at runtime (the
-// advisor's lever). The cached statement texts embed the strategy's
-// rule modification, so they are dropped — already-prepared server-side
-// handles stay valid and are simply not reused — and the read path is
-// rebuilt because the structure cache keys its profile by
-// strategy.
-func (c *Client) SetStrategy(s costmodel.Strategy) {
-	if s == c.strategy {
-		return
+// WireCaps reports the wire encodings the server accepted at the
+// client's last capability handshake.
+func (c *Client) WireCaps() wire.Caps { return c.sql.Caps() }
+
+// Apply reconfigures the live client to k. Strategy, batching, prepared
+// statements and a private cache flip locally; changed wire encodings
+// cost one renegotiation round trip, and an all-false renegotiation
+// turns them off again; the staleness bound re-times a replica
+// client's read-time syncs. The knobs the client cannot act on are
+// recorded, so that Knobs echoes k and a change set rolls back
+// wherever it was applied: Coverage is cluster-level advice, and
+// without a replica there is nothing to bound. Two changes are refused
+// before anything is modified: a shared cache is not the client's to
+// resize or drop, and a client reads where it was opened.
+//
+// A new strategy drops the compiled statement texts, which embed its
+// rule modification (server-side handles stay valid and are simply
+// not reused), and rebuilds the read path, since the structure cache
+// keys its profile by strategy. The decoded trees of every action are
+// identical under any encodings; they change only what crosses the
+// WAN, which is what the meter reports.
+func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
+	cur := c.knobs
+	if k.Replica != cur.Replica {
+		return errors.New("core: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
 	}
-	c.strategy = s
-	c.dropCompiled()
-	c.rebuildFetch()
+	if k.CacheEntries != cur.CacheEntries && (cur.CacheEntries < 0 || k.CacheEntries < 0) {
+		return errors.New("core: a shared structure cache is not owned by the session; open a new session to change it")
+	}
+	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
+		if _, err := c.sql.Negotiate(ctx, wire.Caps{Columnar: k.Columnar, Compress: k.Compress}); err != nil {
+			return fmt.Errorf("core: negotiating wire encodings: %w", err)
+		}
+	}
+	if k.CacheEntries != cur.CacheEntries {
+		c.structs = nil
+		if k.CacheEntries > 0 {
+			c.structs = cache.New(k.CacheEntries)
+		}
+	}
+	c.knobs = k
+	if k.Strategy != cur.Strategy {
+		c.dropCompiled()
+	}
+	if k.Strategy != cur.Strategy || k.CacheEntries != cur.CacheEntries {
+		c.rebuildFetch()
+	}
+	return nil
 }
 
-// SetBatching switches statement batching on or off. Off (the default)
-// reproduces the paper's one-round-trip-per-statement behavior; on, the
-// client ships each BFS level of a structure expand and each
-// multi-statement modify as one wire batch.
-func (c *Client) SetBatching(on bool) { c.batching = on }
-
-// Batching reports whether statement batching is enabled.
-func (c *Client) Batching() bool { return c.batching }
-
-// SetPrepared selects the frame encoding of the per-node statements.
-// Off (the default) ships the `?`-form SQL text plus parameters per
-// statement, as the paper's system ships text; on, each text is
-// prepared once per connection and executed by handle, shrinking every
-// repeated request to a few dozen bytes.
-func (c *Client) SetPrepared(on bool) { c.prepared = on }
-
-// Prepared reports whether prepared-statement execution is enabled.
-func (c *Client) Prepared() bool { return c.prepared }
-
-// RenegotiateWire runs the connection's capability handshake: columnar
-// v2 result frames and/or whole-body response compression (above the
-// wire's default size threshold). One round trip, at session open or
-// mid-session — the advisor's lever for flipping the negotiated
-// encodings on a live connection; an all-false renegotiation is how an
-// applied change set (or its rollback) turns the capabilities off
-// again. The decoded trees of every action are identical either way —
-// the negotiated encodings change only what crosses the WAN, which is
-// what the meter reports.
-func (c *Client) RenegotiateWire(ctx context.Context, columnar, compress bool) (wire.Caps, error) {
-	return c.sql.Negotiate(ctx, wire.Caps{Columnar: columnar, Compress: compress})
-}
-
-// SetCache layers the structure cache over the client's read path:
+// SetCache attaches a structure cache store over the client's read path:
 // fetched expand pages and recursive trees are kept (version-stamped)
 // in the store, warm actions revalidate them in one wire exchange
 // instead of re-fetching, and the client's own write actions
@@ -233,15 +238,22 @@ func (c *Client) RenegotiateWire(ctx context.Context, columnar, compress bool) (
 // shared between sessions (it is safe for concurrent use); nil
 // removes the cache. The store's bound counts structure entries only
 // — the object-type cache stays in its own bounded store, so type
-// entries cannot evict structure pages.
+// entries cannot evict structure pages. An attached store is not the
+// client's own: Knobs reports it as CacheEntries -1, which Apply
+// refuses to resize or drop.
 //
-// namespace identifies the server/system the client talks to; clients
-// of different servers sharing one store MUST pass different
-// namespaces, or one database's cached structures could answer for
-// another's ids (the facade derives it from the System).
+// namespace identifies the server/system the client talks to, and
+// keys the private stores Apply creates as well; clients of different
+// servers sharing one store MUST pass different namespaces, or one
+// database's cached structures could answer for another's ids (the
+// facade derives it from the System).
 func (c *Client) SetCache(store *cache.Store, namespace string) {
 	c.cacheNS = namespace
 	c.structs = store
+	c.knobs.CacheEntries = 0
+	if store != nil {
+		c.knobs.CacheEntries = -1
+	}
 	c.rebuildFetch()
 }
 
@@ -359,41 +371,28 @@ type HoldsSource interface {
 	Holds(id int64) bool
 }
 
-// siteRouting is the client's view of its replica site: the syncer and
-// the session's staleness bound (negative: never sync at read time —
-// the paper-faithful "read your own site" semantics). holds is non-nil
-// when the site can be subscription-bounded, enabling the fall-through
-// read layer.
+// siteRouting is the client's view of its replica site: the syncer,
+// and holds when the site can be subscription-bounded, enabling the
+// fall-through read layer.
 type siteRouting struct {
 	syncer Syncer
-	bound  time.Duration
 	holds  HoldsSource
 }
 
-// SetSiteSync marks the client as reading from a replica site: at the
-// start of every action, the site is synced when its last
-// sync is older than bound (bound 0: before every action; bound < 0:
-// never — reads serve whatever the site last synced). The write path
-// is unaffected; combine with SetPrimary.
-func (c *Client) SetSiteSync(s Syncer, bound time.Duration) {
-	if s == nil {
-		c.site = nil
-	} else {
-		c.site = &siteRouting{syncer: s, bound: bound}
-		if hs, ok := s.(HoldsSource); ok {
-			c.site.holds = hs
-		}
+// SetSiteSync marks the client as reading from a replica site (Knobs
+// reports Replica). At the start of every action the site is synced
+// when its last sync is older than the StalenessSec knob (0: before
+// every action; negative, the default: never — reads serve whatever
+// the site last synced, the paper-faithful "read your own site"
+// semantics). The write path is unaffected; combine with SetPrimary.
+func (c *Client) SetSiteSync(s Syncer) {
+	c.site = nil
+	if s != nil {
+		c.site = &siteRouting{syncer: s}
+		c.site.holds, _ = s.(HoldsSource)
 	}
+	c.knobs.Replica = s != nil
 	c.rebuildFetch()
-}
-
-// SetStalenessBound changes the replica-read staleness bound of a
-// site-reading client at runtime (no-op for single-server clients —
-// there is no replica to bound).
-func (c *Client) SetStalenessBound(bound time.Duration) {
-	if c.site != nil {
-		c.site.bound = bound
-	}
 }
 
 // ruleTableIDs assigns every rule table a process-unique id the first
@@ -421,7 +420,7 @@ func ruleTableID(rt *RuleTable) uint64 {
 // never leak results to each other.
 func (c *Client) cacheProfile() string {
 	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d\x00%d",
-		c.cacheNS, c.user.Name, c.user.Options, c.user.EffFrom, c.user.EffTo, c.strategy, ruleTableID(c.rules), c.rulesGen)
+		c.cacheNS, c.user.Name, c.user.Options, c.user.EffFrom, c.user.EffTo, c.knobs.Strategy, ruleTableID(c.rules), c.rulesGen)
 }
 
 // invalidateCache drops every cached entry depending on the given

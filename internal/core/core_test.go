@@ -38,6 +38,17 @@ func pdmClient(srv *wire.Server, rules *core.RuleTable, user core.UserContext, s
 	return core.NewClient(ch, meter, rules, user, s), meter
 }
 
+// tune applies one change to a client's configuration. A change of
+// batching, prepared statements or strategy takes no round trip and
+// cannot be refused, so an error is a broken client.
+func tune(c *core.Client, change func(*costmodel.Knobs)) {
+	k := c.Knobs()
+	change(&k)
+	if err := c.Apply(context.Background(), k); err != nil {
+		panic(err)
+	}
+}
+
 // generatedServer builds a server with a generated β-ary product.
 func generatedServer(t *testing.T, cfg workload.Config) (*wire.Server, *workload.Product) {
 	t.Helper()

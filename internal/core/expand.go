@@ -32,7 +32,7 @@ func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, [
 	out := make([]*Node, 0, len(rows))
 	nodes := make([]Node, len(rows))
 	allIDs := make([]int64, 0, len(rows))
-	late := c.strategy == costmodel.LateEval
+	late := c.knobs.Strategy == costmodel.LateEval
 	var link *predicate
 	if late {
 		link = c.predicate(KindRow, typeLink, action)

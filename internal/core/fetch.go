@@ -84,7 +84,7 @@ func (w *wireFetcher) BeginAction() {}
 // level when batching is enabled, one round trip per parent (the
 // paper's behavior) otherwise.
 func (w *wireFetcher) ExpandLevel(ctx context.Context, parents []*Node, action string) ([]expandPage, int, error) {
-	if w.c.batching && !w.primary {
+	if w.c.knobs.Batching && !w.primary {
 		return w.expandLevelBatched(ctx, parents, action)
 	}
 	pages := make([]expandPage, len(parents))

@@ -245,7 +245,7 @@ func (f *cachedFetcher) countCache(hits, misses int) {
 		return
 	}
 	saved := hits
-	if f.c.batching {
+	if f.c.knobs.Batching {
 		saved = 0
 		if hits > 0 && misses == 0 {
 			saved = 1

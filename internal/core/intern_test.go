@@ -65,7 +65,7 @@ func TestInternedTypesPinNoFrame(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		ch := &wire.MeteredChannel{Conn: srv.NewConn(), Meter: netsim.NewMeter(netsim.Intercontinental())}
 		c := NewClient(ch, nil, nil, DefaultUser("scott"), costmodel.Recursive)
-		if _, err := c.RenegotiateWire(ctx, columnar, false); err != nil {
+		if err := c.Apply(ctx, costmodel.Knobs{Strategy: costmodel.Recursive, Columnar: columnar, StalenessSec: -1}); err != nil {
 			t.Fatal(err)
 		}
 		w := &wireFetcher{c: c}

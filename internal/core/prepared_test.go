@@ -16,8 +16,7 @@ import (
 // (and optionally batching).
 func preparedClient(srv *wire.Server, rules *core.RuleTable, user core.UserContext, s costmodel.Strategy, batched bool) (*core.Client, *netsim.Meter) {
 	c, m := pdmClient(srv, rules, user, s)
-	c.SetPrepared(true)
-	c.SetBatching(batched)
+	tune(c, func(k *costmodel.Knobs) { k.Prepared, k.Batching = true, batched })
 	return c, m
 }
 
@@ -33,7 +32,7 @@ func TestPreparedMLEMatchesText(t *testing.T) {
 	for _, strat := range []costmodel.Strategy{costmodel.LateEval, costmodel.EarlyEval} {
 		for _, batched := range []bool{false, true} {
 			text, _ := pdmClient(srv, core.StandardRules(), core.DefaultUser("scott"), strat)
-			text.SetBatching(batched)
+			tune(text, func(k *costmodel.Knobs) { k.Batching = batched })
 			resT, err := text.MultiLevelExpand(ctx, prod.RootID)
 			if err != nil {
 				t.Fatalf("%v batched=%v: text MLE: %v", strat, batched, err)

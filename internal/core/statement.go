@@ -58,7 +58,7 @@ var typeLookupStmt = preparedStmt{
 
 // statement returns the text of one repeated statement, building and
 // rule-modifying it on first use. The texts embed the strategy's rule
-// modification, so SetStrategy drops the table.
+// modification, so a new strategy (Apply) drops the table.
 func (c *Client) statement(k stmtKey) (preparedStmt, error) {
 	if st, ok := c.preparedSQL[k]; ok {
 		return st, nil
@@ -99,7 +99,7 @@ func (c *Client) statement(k stmtKey) (preparedStmt, error) {
 // modifyNavigational injects the row conditions into a navigational
 // query — unless the strategy evaluates them late, at the client.
 func (c *Client) modifyNavigational(q *ast.Select, action string) error {
-	if c.strategy == costmodel.LateEval {
+	if c.knobs.Strategy == costmodel.LateEval {
 		return nil
 	}
 	return c.modifier().ModifyNavigational(q, action)
@@ -114,5 +114,5 @@ func (c *Client) request(st preparedStmt, id int64) *wire.Request {
 	for i := range params {
 		params[i] = types.NewInt(id)
 	}
-	return &wire.Request{SQL: st.sql, Params: params, Prepared: c.prepared && st.byHandle}
+	return &wire.Request{SQL: st.sql, Params: params, Prepared: c.knobs.Prepared && st.byHandle}
 }

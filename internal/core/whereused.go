@@ -78,7 +78,7 @@ func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, in
 // one rule-modified statement; otherwise the level-wise walk and one
 // record fetch, whose rows the caller still has to filter.
 func (c *Client) whereUsedRows(ctx context.Context, part int64) ([]storage.Row, int, error) {
-	if c.strategy == costmodel.Recursive {
+	if c.knobs.Strategy == costmodel.Recursive {
 		st, err := c.statement(stmtKey{kind: stmtWhereUsed, action: ActionWhereUsed})
 		if err != nil {
 			return nil, 0, err
@@ -122,7 +122,7 @@ func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, erro
 			return nil, err
 		}
 		c.rememberType(n)
-		if c.strategy != costmodel.Recursive {
+		if c.knobs.Strategy != costmodel.Recursive {
 			ok, err := c.localRowPermitted(n.Type, ActionWhereUsed, row)
 			if err != nil {
 				return nil, err

@@ -39,7 +39,7 @@ type sessionConfig struct {
 	link Link
 	user UserContext
 	// knobs is the tunable configuration the options ask for; open
-	// brings the fresh client to it through Session.ApplyConfig.
+	// brings the fresh client to it through core.Client.Apply.
 	knobs     TuneConfig
 	transport Transport
 	meter     *Meter
@@ -366,7 +366,6 @@ func WithRules(rt *RuleTable) Option {
 type Session struct {
 	client *Client
 	meter  *Meter
-	caps   WireCaps
 	// site is the site the session was opened at (PrimarySite for
 	// direct primary sessions) and node that site's node (nil for
 	// primary sessions); wan is the session's meter on the site↔primary
@@ -374,13 +373,9 @@ type Session struct {
 	site string
 	node *topology.Site
 	wan  *Meter
-	// sys is the system the session was opened against — the cache
-	// namespace and replica topology ApplyConfig needs.
+	// sys is the system the session was opened against: its cluster
+	// fences the session's writes and re-routes it on promotion.
 	sys *System
-	// knobs is the configuration ApplyConfig last brought the client to
-	// and TuneConfig reports. The wire encodings are the requested ones
-	// (caps holds what the server accepted).
-	knobs TuneConfig
 	// advisor/auto close the tuning loop (WithAdvisor / WithAutoTune).
 	advisor *Advisor
 	auto    *autoTuner
@@ -495,11 +490,7 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	if cfg.transport == nil {
 		client.SetRetry(&wire.RetryPolicy{Meter: meter})
 	}
-	// The fresh client runs the zero configuration of its strategy and
-	// location; everything else the options asked for is applied below.
-	cfg.knobs.Replica = site != nil
-	sess := &Session{client: client, meter: meter, site: PrimarySite, sys: s,
-		knobs: TuneConfig{Strategy: cfg.knobs.Strategy, Replica: cfg.knobs.Replica, StalenessSec: -1}}
+	sess := &Session{client: client, meter: meter, site: PrimarySite, sys: s}
 	if site != nil {
 		// Write path: a connection to the cluster's current primary,
 		// metered on the site's WAN link. A session at the primary's own
@@ -508,7 +499,7 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		if site != primary {
 			client.SetPrimary(dial(primary, wan), wan)
 		}
-		client.SetSiteSync(site, -1)
+		client.SetSiteSync(site)
 		// A never-synced site has no catalog to read from yet:
 		// bootstrap it once, charged to the site's own meter.
 		if !site.Synced() {
@@ -520,17 +511,23 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		sess.node = site
 		sess.wan = wan
 	}
+	// Cache entries are namespaced by system, not by site: replica reads
+	// validate against the site's mirrored version log, so entries are
+	// interchangeable across the cluster's sites. A shared store is
+	// attached, not applied: the client does not own it, so no Apply may
+	// resize or drop it.
+	client.SetCache(cfg.cache, s.id)
+	// The fresh client runs the zero configuration of its strategy and
+	// location; Apply wires the rest — batching, prepared statements, a
+	// private cache, the staleness bound and the wire encodings, the
+	// latter costing one negotiation round trip charged to the meter
+	// like any exchange and bounded by ctx.
+	k := cfg.knobs
+	k.Replica = site != nil
 	if cfg.cache != nil {
-		// A shared store is attached, not applied: the session does not
-		// own it, so no later ApplyConfig may resize or drop it.
-		client.SetCache(cfg.cache, s.id)
-		sess.knobs.CacheEntries, cfg.knobs.CacheEntries = -1, -1
+		k.CacheEntries = -1 // the attached store, as SetCache records it
 	}
-	// The one path that wires batching, prepared statements, a private
-	// cache, the staleness bound and the wire encodings — the latter
-	// costing one negotiation round trip, charged to the meter like any
-	// exchange and bounded by ctx.
-	if err := sess.ApplyConfig(ctx, cfg.knobs); err != nil {
+	if err := client.Apply(ctx, k); err != nil {
 		return nil, err
 	}
 	sess.advisor = cfg.advisor
@@ -560,10 +557,16 @@ func (s *Session) Meter() *Meter { return s.meter }
 // was opened without WithCache/WithSharedCache).
 func (s *Session) Cache() *Cache { return s.client.Cache() }
 
-// WireCaps reports the wire capabilities the session negotiated at
-// open (the zero value when nothing was requested — or when the server
-// declined and the session silently degraded to the v1 encodings).
-func (s *Session) WireCaps() WireCaps { return s.caps }
+// WireCaps reports the wire capabilities the session's connection
+// negotiated at its last hello — at open, at an ApplyConfig that
+// changed the encodings, or on the first exchange after a promotion
+// re-routed the session (the zero value when nothing was requested, or
+// when the server declined and the session silently degraded to the v1
+// encodings).
+func (s *Session) WireCaps() WireCaps {
+	caps := s.client.WireCaps()
+	return WireCaps{ColumnarResults: caps.Columnar, Compression: caps.Compress, CompressThreshold: caps.CompressThreshold}
+}
 
 // Metrics returns the traffic accumulated so far (zero when the
 // session has no meter): for a primary session its single meter, for a

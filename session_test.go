@@ -58,9 +58,8 @@ func TestOpenDefaultsAndOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sess2.Client()
-	if c.Strategy() != pdmtune.EarlyEval || !c.Batching() || !c.Prepared() || c.User().Name != "scott" {
-		t.Errorf("options not applied: strategy=%v batching=%v prepared=%v user=%q",
-			c.Strategy(), c.Batching(), c.Prepared(), c.User().Name)
+	if k := c.Knobs(); k.Strategy != pdmtune.EarlyEval || !k.Batching || !k.Prepared || c.User().Name != "scott" {
+		t.Errorf("options not applied: knobs %s, user %q", k, c.User().Name)
 	}
 	if sess2.Meter().Link.Name != pdmtune.LAN().Name {
 		t.Errorf("link = %q, want LAN", sess2.Meter().Link.Name)
