@@ -185,22 +185,14 @@ func (c *Client) Strategy() costmodel.Strategy { return c.knobs.Strategy }
 func (c *Client) WireCaps() wire.Caps { return c.sql.Caps() }
 
 // Apply reconfigures the live client to k. Strategy, batching, prepared
-// statements and a private cache flip locally; changed wire encodings
-// cost one renegotiation round trip, and an all-false renegotiation
-// turns them off again; the staleness bound re-times a replica
-// client's read-time syncs. The knobs the client cannot act on are
-// recorded, so that Knobs echoes k and a change set rolls back
-// wherever it was applied: Coverage is cluster-level advice, and
-// without a replica there is nothing to bound. Two changes are refused
-// before anything is modified: a shared cache is not the client's to
-// resize or drop, and a client reads where it was opened.
-//
-// A new strategy drops the compiled statement texts, which embed its
-// rule modification (server-side handles stay valid and are simply
-// not reused), and rebuilds the read path, since the structure cache
-// keys its profile by strategy. The decoded trees of every action are
-// identical under any encodings; they change only what crosses the
-// WAN, which is what the meter reports.
+// statements and a private cache flip locally (a new strategy drops the
+// compiled statements, which embed its rule modification); changed wire
+// encodings cost one renegotiation round trip; the staleness bound
+// re-times a replica client's read-time syncs. Knobs the client cannot
+// act on (Coverage, a bound without a replica) are recorded, so Knobs
+// echoes k and a change set rolls back wherever it applied. A new read
+// location, and a resize or drop of a shared cache, are refused before
+// anything changes.
 func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 	cur := c.knobs
 	if k.Replica != cur.Replica {

@@ -288,29 +288,25 @@ func (c *Client) fenceWrite(body []byte) []byte {
 // no compression) instead of failing the session. The client keeps
 // asking for want on every connection a failover routes it to.
 func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
-	for {
-		gen := c.TransportGen()
-		respBody, err := c.roundTrip(ctx, EncodeHello(want), true, gen)
-		if err == errTransportSwapped {
-			continue
-		}
-		if err != nil {
-			return Caps{}, err
-		}
-		var caps Caps
-		if len(respBody) == 0 || respBody[0] != TypeError {
-			caps, err = DecodeHelloResp(respBody)
-		}
-		// Decoding copies what it keeps, so the body recycles here.
-		putFrame(respBody)
-		if err != nil {
-			return Caps{}, err
-		}
-		c.mu.Lock()
-		c.want, c.caps, c.helloGen = want, caps, gen
-		c.mu.Unlock()
-		return caps, nil
+	gen := c.TransportGen()
+	respBody, err := c.roundTrip(ctx, EncodeHello(want), true, unpinned)
+	if err != nil {
+		return Caps{}, err
 	}
+	// Decoding copies every string and value it keeps, so the response
+	// body recycles once this call returns.
+	defer putFrame(respBody)
+	var caps Caps
+	if len(respBody) == 0 || respBody[0] != TypeError {
+		if caps, err = DecodeHelloResp(respBody); err != nil {
+			return Caps{}, err
+		}
+	}
+	// A swap since gen was read only re-sends the hello once more.
+	c.mu.Lock()
+	c.want, c.caps, c.helloGen = want, caps, gen
+	c.mu.Unlock()
+	return caps, nil
 }
 
 // Caps reports the capability set the server accepted at the client's

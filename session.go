@@ -511,17 +511,10 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 		sess.node = site
 		sess.wan = wan
 	}
-	// Cache entries are namespaced by system, not by site: replica reads
-	// validate against the site's mirrored version log, so entries are
-	// interchangeable across the cluster's sites. A shared store is
-	// attached, not applied: the client does not own it, so no Apply may
-	// resize or drop it.
+	// Caches are namespaced by system, not site: replica reads validate
+	// against the site's mirrored version log. Apply wires the rest of
+	// the options; changed encodings cost one round trip, bounded by ctx.
 	client.SetCache(cfg.cache, s.id)
-	// The fresh client runs the zero configuration of its strategy and
-	// location; Apply wires the rest — batching, prepared statements, a
-	// private cache, the staleness bound and the wire encodings, the
-	// latter costing one negotiation round trip charged to the meter
-	// like any exchange and bounded by ctx.
 	k := cfg.knobs
 	k.Replica = site != nil
 	if cfg.cache != nil {
@@ -558,11 +551,9 @@ func (s *Session) Meter() *Meter { return s.meter }
 func (s *Session) Cache() *Cache { return s.client.Cache() }
 
 // WireCaps reports the wire capabilities the session's connection
-// negotiated at its last hello — at open, at an ApplyConfig that
-// changed the encodings, or on the first exchange after a promotion
-// re-routed the session (the zero value when nothing was requested, or
-// when the server declined and the session silently degraded to the v1
-// encodings).
+// negotiated at its last hello: at open, at ApplyConfig, or after a
+// promotion re-routed it (zero when nothing was requested, or when the
+// server declined and the session degraded to the v1 encodings).
 func (s *Session) WireCaps() WireCaps {
 	caps := s.client.WireCaps()
 	return WireCaps{ColumnarResults: caps.Columnar, Compression: caps.Compress, CompressThreshold: caps.CompressThreshold}
