@@ -131,7 +131,7 @@ func getFixture(b *testing.B, idx int) *fixture {
 
 func simulatedBench(b *testing.B, scenIdx, netIdx int, action pdmtune.Action, strat pdmtune.Strategy) {
 	f := getFixture(b, scenIdx)
-	link := pdmtune.LinkOf(costmodel.PaperNetworks()[netIdx])
+	link := costmodel.PaperNetworks()[netIdx]
 	user := pdmtune.DefaultUser("bench")
 	target := f.prod.RootID
 	if action == pdmtune.Query {
@@ -210,7 +210,7 @@ func BenchmarkSimulatedBatched(b *testing.B) {
 
 func simulatedBatchedBench(b *testing.B, scenIdx, netIdx int, strat pdmtune.Strategy) {
 	f := getFixture(b, scenIdx)
-	link := pdmtune.LinkOf(costmodel.PaperNetworks()[netIdx])
+	link := costmodel.PaperNetworks()[netIdx]
 	user := pdmtune.DefaultUser("bench")
 	plainSess, err := f.sys.Open(pdmtune.WithLink(link), pdmtune.WithUser(user), pdmtune.WithStrategy(strat))
 	if err != nil {
@@ -609,7 +609,7 @@ func BenchmarkSimulatedCachedMLE(b *testing.B) {
 		name := fmt.Sprintf("d%d_b%d/MLE/early", scen.Depth, scen.Branch)
 		b.Run(name, func(b *testing.B) {
 			f := getFixture(b, scenIdx)
-			link := pdmtune.LinkOf(costmodel.PaperNetworks()[0])
+			link := costmodel.PaperNetworks()[0]
 			sess, err := f.sys.Open(pdmtune.WithLink(link),
 				pdmtune.WithUser(pdmtune.DefaultUser("bench")),
 				pdmtune.WithStrategy(pdmtune.EarlyEval),

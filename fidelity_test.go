@@ -44,7 +44,7 @@ func TestModelFidelity(t *testing.T) {
 	ecModel := costmodel.Model{Net: wan, Tree: costmodel.Tree{Depth: ecCfg.Depth, Branch: ecCfg.Branch, Sigma: ecCfg.Sigma},
 		Chain: chain}
 	ecOpen := func(t *testing.T) *pdmtune.Session {
-		sess, err := ecSys.Open(pdmtune.WithLink(pdmtune.LinkOf(wan)), pdmtune.WithUser(pdmtune.DefaultUser("ec")))
+		sess, err := ecSys.Open(pdmtune.WithLink(wan), pdmtune.WithUser(pdmtune.DefaultUser("ec")))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,16 +89,6 @@ type WorkloadProfile struct {
 	costmodel.Workload
 }
 
-// networkOf converts a simulator link into an analytic profile.
-func networkOf(l netsim.Link) costmodel.Network {
-	return costmodel.Network{
-		Name:        l.Name,
-		PacketBytes: float64(l.PacketBytes),
-		LatencySec:  l.LatencySec,
-		RateKbps:    l.RateKbps,
-	}
-}
-
 // Classification thresholds: a window is write-heavy when at least
 // writeHeavyFrac of its actions are writes, and repeat-heavy when at
 // least repeatHeavyFrac of its reads hit an already-traversed target.
@@ -141,8 +131,8 @@ func Classify(o Observation) WorkloadProfile {
 
 	w := costmodel.Workload{
 		Model: costmodel.Model{
-			Net:       networkOf(o.Link),
-			LocalNet:  networkOf(o.LocalLink),
+			Net:       o.Link,
+			LocalNet:  o.LocalLink,
 			Tree:      o.Tree,
 			SyncBytes: o.SyncBytes,
 		},

@@ -26,6 +26,8 @@ package costmodel
 import (
 	"fmt"
 	"math"
+
+	"pdmtune/internal/netsim"
 )
 
 // Action is one of the paper's three structure-oriented user actions.
@@ -101,13 +103,11 @@ func (s Strategy) String() string {
 // Strategies lists all strategies in figure order.
 var Strategies = []Strategy{LateEval, EarlyEval, Recursive}
 
-// Network describes one WAN profile (Table 2's rows).
-type Network struct {
-	Name        string
-	PacketBytes float64 // size_p
-	LatencySec  float64 // T_Lat, one-way
-	RateKbps    float64 // dtr in kbit/s, 1 kbit = 1024 bits
-}
+// Network describes one WAN profile (Table 2's rows): the simulator's
+// link, so a measured session and its prediction share one profile.
+// PacketBytes is size_p, LatencySec the one-way T_Lat and RateKbps dtr
+// in kbit/s (1 kbit = 1024 bits).
+type Network = netsim.Link
 
 // Tree describes one product structure scenario (Table 2's columns):
 // a complete β-ary tree of depth δ where each branch is visible to the
@@ -327,7 +327,7 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 			net = LANNetwork()
 		}
 	}
-	sizeP := net.PacketBytes
+	sizeP := float64(net.PacketBytes)
 	sigmaBeta := m.Tree.Sigma * float64(m.Tree.Branch)
 	treeAction := a == Query || a == Expand || a == MLE
 
@@ -406,7 +406,8 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 		// One sync round trip on the WAN: a one-packet request up, the
 		// delta volume (plus the half-filled last packet) down.
 		wan := m.Net
-		vol := wan.PacketBytes + m.SyncBytes + wan.PacketBytes/2
+		p := float64(wan.PacketBytes)
+		vol := p + m.SyncBytes + p/2
 		est.Communications += 2
 		est.VolumeBytes += vol
 		est.LatencySec += 2 * wan.LatencySec

@@ -200,7 +200,7 @@ func TestPriceReplicaSyncCost(t *testing.T) {
 	if math.Abs(got.LatencySec-wantLat) > 1e-9 {
 		t.Errorf("latency = %v, want %v", got.LatencySec, wantLat)
 	}
-	wantVol := base.VolumeBytes + m.Net.PacketBytes*1.5 + m.SyncBytes
+	wantVol := base.VolumeBytes + float64(m.Net.PacketBytes)*1.5 + m.SyncBytes
 	if math.Abs(got.VolumeBytes-wantVol) > 1e-6 {
 		t.Errorf("volume = %v, want %v", got.VolumeBytes, wantVol)
 	}

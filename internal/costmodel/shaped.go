@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"pdmtune/internal/netsim"
 )
 
 // This file is the advisor's entry point into the model: Price prices
@@ -132,12 +134,9 @@ type Workload struct {
 	ActionsPerSec float64
 }
 
-// LANNetwork is the analytic twin of netsim.LAN — the site-local
-// profile replica reads are priced against when the workload does not
-// measure its own.
-func LANNetwork() Network {
-	return Network{Name: "LAN 100 Mbit/s, 0.5 ms", PacketBytes: 4096, LatencySec: 0.0005, RateKbps: 100 * 1024}
-}
+// LANNetwork is netsim.LAN — the site-local profile replica reads are
+// priced against when the workload does not measure its own.
+func LANNetwork() Network { return netsim.LAN() }
 
 // WorkloadEstimate is the priced expectation of one action under a
 // candidate configuration.
@@ -211,7 +210,7 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	// A subscription shrinks the pulled row volume to its coverage.
 	var syncSec float64
 	if k.Replica && k.StalenessSec >= 0 {
-		vol := wan.PacketBytes*1.5 + w.SyncBytes*cov
+		vol := float64(wan.PacketBytes)*1.5 + w.SyncBytes*cov
 		pull := 2*wan.LatencySec + vol*8/(wan.RateKbps*1024)*users
 		actionsPerPull := 1 + k.StalenessSec*math.Max(w.ActionsPerSec, 0)
 		syncSec = pull / actionsPerPull
@@ -230,7 +229,8 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	if k.Batching && k.Prepared {
 		stmtBytes = DefaultPreparedStatementBytes * nodes // per-node handle + params
 	}
-	updVol := packets(stmtBytes, wan.PacketBytes)*wan.PacketBytes + wan.PacketBytes/2
+	p := float64(wan.PacketBytes)
+	updVol := packets(stmtBytes, p)*p + p/2
 	update := 2*updateRTs*wan.LatencySec + updVol*8/(wan.RateKbps*1024)*users
 	lockWait := w.LockWaitSec * users
 	writeSec := wanCold + update + lockWait

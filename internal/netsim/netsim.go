@@ -11,8 +11,9 @@
 //     response is charged its payload plus half a packet ("in the average
 //     we expect the last package of each response to be filled only
 //     half"), matching formulas (3) and (5).
-//   - Exact mode: both directions are charged their exact byte payloads;
-//     the difference quantifies the model's packetization error.
+//   - Exact mode (PacketBytes <= 0): both directions are charged their
+//     exact byte payloads; the difference quantifies the model's
+//     packetization error.
 package netsim
 
 import (
@@ -31,11 +32,9 @@ type Link struct {
 	// RateKbps is the data transfer rate dtr in kbit/s (1 kbit = 1024
 	// bits, the paper's convention).
 	RateKbps float64
-	// PacketBytes is the packet size size_p in bytes.
+	// PacketBytes is the packet size size_p in bytes; <= 0 switches from
+	// the paper's packet accounting to exact payload accounting.
 	PacketBytes int
-	// ExactBytes switches from the paper's packet accounting to exact
-	// payload accounting (ablation knob).
-	ExactBytes bool
 }
 
 // LAN returns a local-area profile for comparison runs: 0.5 ms latency,
@@ -61,7 +60,7 @@ func (l Link) bitsPerSec() float64 { return l.RateKbps * 1024 }
 // RequestVolume returns the bytes charged on the wire for a client→server
 // message of the given payload size.
 func (l Link) RequestVolume(payload int) float64 {
-	if l.ExactBytes || l.PacketBytes <= 0 {
+	if l.PacketBytes <= 0 {
 		return float64(payload)
 	}
 	packets := (payload + l.PacketBytes - 1) / l.PacketBytes
@@ -74,7 +73,7 @@ func (l Link) RequestVolume(payload int) float64 {
 // ResponseVolume returns the bytes charged for a server→client message:
 // payload plus the half-empty final packet of the paper's model.
 func (l Link) ResponseVolume(payload int) float64 {
-	if l.ExactBytes || l.PacketBytes <= 0 {
+	if l.PacketBytes <= 0 {
 		return float64(payload)
 	}
 	return float64(payload) + float64(l.PacketBytes)/2

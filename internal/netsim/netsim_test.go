@@ -36,7 +36,7 @@ func TestResponseVolumeHalfPacketCorrection(t *testing.T) {
 
 func TestExactBytesMode(t *testing.T) {
 	l := paperLink()
-	l.ExactBytes = true
+	l.PacketBytes = 0
 	if l.RequestVolume(123) != 123 || l.ResponseVolume(123) != 123 {
 		t.Error("exact mode must charge exact payloads")
 	}

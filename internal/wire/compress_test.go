@@ -112,7 +112,7 @@ func newTestConn(t *testing.T, rows int) (*ServerConn, *Client, *netsim.Meter) {
 	t.Helper()
 	db := minisql.NewDB()
 	conn := NewServer(db).NewConn()
-	meter := netsim.NewMeter(netsim.Link{LatencySec: 0.1, RateKbps: 256, PacketBytes: 4096, ExactBytes: true})
+	meter := netsim.NewMeter(netsim.Link{LatencySec: 0.1, RateKbps: 256, PacketBytes: 0})
 	client := NewClient(&MeteredChannel{Conn: conn, Meter: meter})
 	ctx := context.Background()
 	if _, err := client.Exec(ctx, "CREATE TABLE obj (id INTEGER, typ TEXT, state TEXT)"); err != nil {

@@ -156,11 +156,6 @@ func Intercontinental() Link { return netsim.Intercontinental() }
 // LAN returns a local-area profile for before/after comparisons.
 func LAN() Link { return netsim.LAN() }
 
-// LinkOf converts an analytic network profile into a simulator link.
-func LinkOf(n costmodel.Network) Link {
-	return Link{Name: n.Name, LatencySec: n.LatencySec, RateKbps: n.RateKbps, PacketBytes: int(n.PacketBytes)}
-}
-
 // System bundles one PDM database server with its rule table. A
 // System is the original primary of its Cluster: every System belongs
 // to exactly one cluster (a site-less one when created via NewSystem),

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pdmtune"
-	"pdmtune/internal/costmodel"
 )
 
 // TestFacadeEndToEnd drives the public API exactly like the README
@@ -109,12 +108,5 @@ func TestFacadePaperExample(t *testing.T) {
 	ci, err := client.CheckInViaProcedure(context.Background(), 1)
 	if err != nil || ci.Updated != co.Updated {
 		t.Fatalf("check-in: %+v, %v", ci, err)
-	}
-}
-
-func TestLinkOfConversion(t *testing.T) {
-	n := pdmtune.LinkOf(costmodel.PaperNetworks()[0])
-	if n.LatencySec != 0.15 || n.RateKbps != 256 || n.PacketBytes != 4096 {
-		t.Fatalf("LinkOf = %+v", n)
 	}
 }
