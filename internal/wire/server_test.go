@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/types"
+	"pdmtune/internal/netsim"
 )
 
 // TestFrameTagsAreDistinct: the protocol has 20 frame types and no two
@@ -108,4 +112,79 @@ func FuzzServerHandle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConcurrentConnsNoLostUpdate: clients on connections of their own
+// to one server race read-modify-write UPDATEs on one row; the engine
+// serializes them and no increment is lost. Run with -race.
+func TestConcurrentConnsNoLostUpdate(t *testing.T) {
+	srv := NewServer(newPoolDB(t))
+	const clients, per = 16, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		client := NewClient(&MeteredChannel{Conn: srv.NewConn()})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				if _, err := client.Exec(context.Background(), "UPDATE kv SET val = val + 1 WHERE id = 1"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	resp, err := NewClient(&MeteredChannel{Conn: srv.NewConn()}).Exec(context.Background(), "SELECT val FROM kv WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Rows[0][0].Int(); got != clients*per {
+		t.Errorf("val = %d, want %d (lost update)", got, clients*per)
+	}
+}
+
+// contentionConn is an in-process transport that also reports its
+// connection's contention, as a decorator forwarding TakeContention does.
+type contentionConn struct{ conn *ServerConn }
+
+func (c contentionConn) RoundTrip(_ context.Context, request []byte) ([]byte, error) {
+	return c.conn.Handle(request), nil
+}
+
+func (c contentionConn) TakeContention() minisql.ContentionStats { return c.conn.TakeContention() }
+
+// TestMeteredTransportDrainsContention: the engine's per-statement
+// counters reach the meter after every round trip, both over a
+// MeteredChannel and through Metered around a ContentionSource.
+func TestMeteredTransportDrainsContention(t *testing.T) {
+	const n = 12
+	srv := NewServer(newPoolDB(t))
+	for _, tc := range []struct {
+		name string
+		tr   func(*netsim.Meter) Transport
+	}{
+		{"MeteredChannel", func(m *netsim.Meter) Transport { return &MeteredChannel{Conn: srv.NewConn(), Meter: m} }},
+		{"Metered", func(m *netsim.Meter) Transport { return Metered(contentionConn{conn: srv.NewConn()}, m) }},
+	} {
+		meter := netsim.NewMeter(netsim.Link{})
+		client := NewClient(tc.tr(meter))
+		for i := 0; i < n; i++ {
+			if _, err := client.Exec(context.Background(), "SELECT val FROM kv WHERE id = 1"); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		m := meter.Snapshot()
+		if m.SnapshotsStarted != n {
+			t.Errorf("%s: SnapshotsStarted = %d, want %d", tc.name, m.SnapshotsStarted, n)
+		}
+		if got := m.PlanHits + m.PlanMisses; got != n {
+			t.Errorf("%s: PlanHits + PlanMisses = %d, want %d", tc.name, got, n)
+		}
+	}
 }
