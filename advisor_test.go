@@ -48,12 +48,6 @@ func TestAdvisorOptionConflicts(t *testing.T) {
 		{"WithTransport+WithAutoTune", func() (*pdmtune.Session, error) {
 			return sys.Open(pdmtune.WithTransport(tr()), pdmtune.WithAutoTune(4))
 		}},
-		{"WithAutoTune+WithPool", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithAutoTune(4), pdmtune.WithPool(2))
-		}},
-		{"WithPool+WithAutoTune", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithPool(2), pdmtune.WithAutoTune(4))
-		}},
 		{"WithAdvisor+unmetered WithTransport", func() (*pdmtune.Session, error) {
 			return sys.Open(pdmtune.WithAdvisor(&pdmtune.Advisor{}), pdmtune.WithTransport(tr()))
 		}},
@@ -76,9 +70,6 @@ func TestAdvisorOptionConflicts(t *testing.T) {
 	// The non-conflicting spellings still work.
 	if _, err := sys.Open(pdmtune.WithAutoTune(8)); err != nil {
 		t.Errorf("WithAutoTune alone: %v", err)
-	}
-	if _, err := sys.Open(pdmtune.WithAdvisor(&pdmtune.Advisor{}), pdmtune.WithPool(2)); err != nil {
-		t.Errorf("WithAdvisor+WithPool: %v", err)
 	}
 	if _, err := sys.Open(pdmtune.WithAdvisor(&pdmtune.Advisor{}),
 		pdmtune.WithTransport(tr()), pdmtune.WithMeter(netsim.NewMeter(pdmtune.LAN()))); err != nil {

@@ -273,7 +273,13 @@ func (c *Cluster) Rejoin(ctx context.Context) (SyncStats, error) { return c.topo
 // client↔replica link (the site↔primary link is fixed by the cluster
 // topology); WithMaxStaleness selects bounded-staleness reads;
 // WithTransport is rejected — a custom transport would bypass the
-// site's replica.
+// site's replica. An empty or unknown site name fails with an
+// *OptionError: a typo must not silently open a full-WAN primary
+// session.
 func (c *Cluster) OpenAt(ctx context.Context, site string, opts ...Option) (*Session, error) {
-	return c.sys.open(ctx, append([]Option{WithSite(site)}, opts...))
+	if site == "" {
+		return nil, &OptionError{Option: "OpenAt",
+			Reason: "empty site name; use PrimarySite to address the primary explicitly"}
+	}
+	return c.sys.open(ctx, site, opts)
 }

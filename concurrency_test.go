@@ -12,7 +12,7 @@ import (
 	"pdmtune/internal/core"
 )
 
-// The whole stack under concurrency: pooled writer sessions racing
+// The whole stack under concurrency: writer sessions racing
 // first-wins check-outs at the primary, cached readers at a replica
 // site, and a replication sync loop — all interleaved freely. After
 // quiescing and a final sync, the replica's dump must equal the
@@ -32,7 +32,7 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writers: pooled primary sessions race check-out/check-in of the
+	// Writers: primary sessions, each on its own connection, race check-out/check-in of the
 	// same root. First wins; losers see ConflictError (procedure path)
 	// or an ungranted result — both fine, never an inconsistent grab.
 	shared := pdmtune.NewCache(0)
@@ -42,7 +42,6 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 			defer wg.Done()
 			sess, err := cl.Primary().Open(
 				pdmtune.WithLink(pdmtune.LAN()),
-				pdmtune.WithPool(2),
 				pdmtune.WithUser(pdmtune.DefaultUser(fmt.Sprintf("w%d", w))))
 			if err != nil {
 				t.Error(err)

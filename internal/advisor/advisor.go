@@ -188,8 +188,8 @@ func (a Advisor) cacheEntries() int {
 // the negotiated wire encodings, and — at a replica — a spread of
 // staleness bounds. What a running session cannot change, or does not
 // read, is kept as it is: the location (Replica), a shared cache store,
-// the replica knobs at the primary. Pooling and transport are open-time
-// decisions and no knobs at all.
+// the replica knobs at the primary. The transport is an open-time
+// decision and no knob at all.
 func (a Advisor) candidates(current costmodel.Knobs) []costmodel.Knobs {
 	stalenesses := []float64{current.StalenessSec}
 	coverages := []float64{current.Coverage}

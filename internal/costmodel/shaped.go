@@ -23,8 +23,8 @@ import (
 // and ApplyConfig changes on the live connection, what the advisor
 // enumerates and a ChangeSet fingerprints, and what Model.Price prices.
 // The zero value is the paper's unoptimized baseline (late evaluation,
-// text statements, no cache, v1 wire, primary reads). Open-time
-// decisions a running session cannot change (pooling, transport) are
+// text statements, no cache, v1 wire, primary reads). An open-time
+// decision a running session cannot change (its transport) is
 // deliberately not here.
 type Knobs struct {
 	// Strategy selects late/early evaluation or the recursive query.

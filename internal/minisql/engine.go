@@ -206,9 +206,9 @@ func (db *DB) TableNames() []string {
 }
 
 // ContentionStats counts a session's brushes with the engine's
-// concurrency machinery: time spent waiting for write latches (or a
-// pooled connection), snapshots opened for read
-// statements, and first-wins write conflicts lost. The wire layer
+// concurrency machinery: time spent waiting for write latches,
+// snapshots opened for read statements, and first-wins write
+// conflicts lost. The wire layer
 // drains them per round trip into the netsim meters, which is how
 // contention becomes observable per session and per site.
 type ContentionStats struct {
@@ -239,9 +239,9 @@ func (c *ContentionStats) Add(o ContentionStats) {
 }
 
 // Session is one client connection to the database. Sessions are not
-// safe for concurrent use; create one per goroutine (the wire layer's
-// connection pool multiplexes many client sessions over few engine
-// sessions, serializing statements per session).
+// safe for concurrent use; create one per goroutine (the wire layer
+// gives each client connection an engine session of its own and
+// serializes that connection's statements).
 type Session struct {
 	db *DB
 

@@ -22,7 +22,7 @@ type Transport interface {
 // FaultPlan is a shared kill switch for one simulated process: every
 // FaultInjector attached to the plan fails while the plan is down.
 // Killing the plan is the test's way to crash a primary — all its
-// connections (session transports, pooled members, replication pulls)
+// connections (session transports, write paths, replication pulls)
 // die at once, and Revive brings them back without re-dialing.
 type FaultPlan struct {
 	mu   sync.Mutex

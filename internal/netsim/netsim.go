@@ -139,10 +139,9 @@ type Metrics struct {
 	LatencySec         float64 `json:"latency_sec"`
 	TransferSec        float64 `json:"transfer_sec"`
 	// LockWaitNanos is server-side contention observed by this client's
-	// statements: time its sessions spent blocked on write latches (or
-	// waiting for a pooled connection). Reported by the wire server per
-	// round trip and drained into the meter, so contention is
-	// attributable per session and per site.
+	// statements: time its sessions spent blocked on write latches.
+	// Reported by the wire server per round trip and drained into the
+	// meter, so contention is attributable per session and per site.
 	LockWaitNanos int64 `json:"lock_wait_nanos"`
 	// SnapshotsStarted counts read statements that opened an MVCC
 	// snapshot on behalf of this client.

@@ -252,42 +252,6 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// A pool member that dies is evicted — not recycled into the free list —
-// and the caller sees *ConnClosedError.
-func TestPoolEvictsDeadConns(t *testing.T) {
-	srv := NewServer(newFenceDB(t))
-	pool := NewPool(srv, 2)
-	plan := &netsim.FaultPlan{}
-	pool.SetMemberWrapper(func(tr Transport) Transport {
-		// The interfaces are structurally identical, so the injector
-		// slots straight in.
-		return netsim.NewFaultInjector(tr, plan)
-	})
-	ctx := context.Background()
-	client := NewClient(pool)
-	if _, err := client.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if pool.Size() != 1 {
-		t.Fatalf("pool size = %d, want 1", pool.Size())
-	}
-	plan.Kill()
-	var cce *ConnClosedError
-	if _, err := client.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); !errors.As(err, &cce) {
-		t.Fatalf("round trip through killed pool: %v, want *ConnClosedError", err)
-	}
-	if pool.Size() != 0 {
-		t.Fatalf("pool kept %d dead conns, want 0 (evicted)", pool.Size())
-	}
-	plan.Revive()
-	if _, err := client.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); err != nil {
-		t.Fatalf("after revive: %v", err)
-	}
-	if pool.Size() != 1 {
-		t.Fatalf("pool size after revive = %d, want 1 fresh member", pool.Size())
-	}
-}
-
 // TestReadOnlySQL: the one read/write classifier — the client routes
 // raw statements by it and the server's fence refuses by it. Anything
 // it does not recognise is a write, the safe direction.

@@ -150,8 +150,8 @@ func (s *Server) NewConn() *ServerConn {
 //
 // Handle is safe for concurrent callers: requests racing onto one
 // connection serialize on an internal mutex (the engine session it owns
-// is single-threaded by contract). Concurrency across connections is
-// the pool's job — see Pool.
+// is single-threaded by contract). Concurrent clients each open a
+// connection of their own.
 type ServerConn struct {
 	server  *Server
 	session *minisql.Session
@@ -177,15 +177,6 @@ func (c *ServerConn) Caps() Caps {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.caps
-}
-
-// SetCaps installs negotiated capabilities directly, bypassing the hello
-// exchange — the pool uses it to stamp freshly created member
-// connections with the capability set its first hello negotiated.
-func (c *ServerConn) SetCaps(caps Caps) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.caps = caps
 }
 
 // TakeContention drains the contention counters of the connection's

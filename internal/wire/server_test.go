@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -118,7 +119,7 @@ func FuzzServerHandle(f *testing.F) {
 // to one server race read-modify-write UPDATEs on one row; the engine
 // serializes them and no increment is lost. Run with -race.
 func TestConcurrentConnsNoLostUpdate(t *testing.T) {
-	srv := NewServer(newPoolDB(t))
+	srv := NewServer(newKVDB(t))
 	const clients, per = 16, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -164,7 +165,7 @@ func (c contentionConn) TakeContention() minisql.ContentionStats { return c.conn
 // MeteredChannel and through Metered around a ContentionSource.
 func TestMeteredTransportDrainsContention(t *testing.T) {
 	const n = 12
-	srv := NewServer(newPoolDB(t))
+	srv := NewServer(newKVDB(t))
 	for _, tc := range []struct {
 		name string
 		tr   func(*netsim.Meter) Transport
@@ -187,4 +188,39 @@ func TestMeteredTransportDrainsContention(t *testing.T) {
 			t.Errorf("%s: PlanHits + PlanMisses = %d, want %d", tc.name, got, n)
 		}
 	}
+}
+
+// newKVDB returns a database holding one counter row, kv(1, 0).
+func newKVDB(t *testing.T) *minisql.DB {
+	t.Helper()
+	db := minisql.NewDB()
+	s := db.NewSession()
+	if _, err := s.ExecScript(`
+CREATE TABLE kv (id INTEGER PRIMARY KEY, val INTEGER NOT NULL);
+INSERT INTO kv VALUES (1, 0);`); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// Handle tolerates concurrent callers on one ServerConn: they
+// serialize, and every request gets its own answer.
+func TestServerConnConcurrentHandle(t *testing.T) {
+	db := newKVDB(t)
+	conn := NewServer(db).NewConn()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				resp := conn.Handle(EncodeExec(&Request{SQL: fmt.Sprintf("SELECT %d", i)}))
+				if r, err := DecodeResponse(resp); err != nil || r.Err != "" {
+					t.Errorf("handle: %v %v", err, r)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

@@ -50,7 +50,6 @@ package pdmtune
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"pdmtune/internal/cache"
@@ -170,28 +169,6 @@ type System struct {
 	id string
 	// cluster is the topology this system is the original primary of.
 	cluster *Cluster
-
-	// pools holds the shared connection pools of WithPool sessions, one
-	// per wire server (the primary and each replica site), created on
-	// first use. The first session's pool size wins.
-	poolMu sync.Mutex
-	pools  map[*wire.Server]*wire.Pool
-}
-
-// pool returns the system's shared connection pool for the given
-// server, creating it (with the given cap) on first use.
-func (s *System) pool(server *wire.Server, max int) *wire.Pool {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.pools == nil {
-		s.pools = map[*wire.Server]*wire.Pool{}
-	}
-	p, ok := s.pools[server]
-	if !ok {
-		p = wire.NewPool(server, max)
-		s.pools[server] = p
-	}
-	return p
 }
 
 // nextSystemID numbers systems within the process.

@@ -34,7 +34,7 @@ func MeteredTransport(inner Transport, meter *Meter) Transport { return wire.Met
 // with an *OptionError instead of one option silently shadowing the
 // other; an option whose value cannot be its zero needs no flag for
 // that (a transport, a shared cache, an advisor are non-nil, a private
-// cache size, a pool size and an auto-tune window are >= 1).
+// cache size and an auto-tune window are >= 1).
 type sessionConfig struct {
 	link Link
 	user UserContext
@@ -45,9 +45,10 @@ type sessionConfig struct {
 	meter     *Meter
 	rules     *RuleTable
 	// cache is the store of WithSharedCache.
-	cache         *Cache
+	cache *Cache
+	// site is the site the session opens at (PrimarySite for
+	// System.Open), never empty.
 	site          string
-	poolMax       int
 	advisor       *Advisor
 	autoTuneEvery int
 
@@ -91,26 +92,18 @@ func (c *sessionConfig) validate() error {
 		return &OptionError{Option: "WithLink", Conflict: "WithTransport",
 			Reason: "a custom transport carries its own network; meter it with MeteredTransport/WithMeter instead"}
 	}
-	replica := c.site != "" && c.site != PrimarySite
+	replica := c.site != PrimarySite
 	if c.knobs.StalenessSec >= 0 && !replica {
 		return &OptionError{Option: "WithMaxStaleness",
-			Reason: "a staleness bound applies to replica reads; open the session at a site (Cluster.OpenAt / WithSite)"}
+			Reason: "a staleness bound applies to replica reads; open the session at a site (Cluster.OpenAt)"}
 	}
 	if c.transport != nil && replica {
-		return &OptionError{Option: "WithTransport", Conflict: "WithSite",
+		return &OptionError{Option: "WithTransport", Conflict: "OpenAt",
 			Reason: "a custom transport would bypass the site's replica; sessions at a site use the site's server"}
-	}
-	if c.poolMax > 0 && c.transport != nil {
-		return &OptionError{Option: "WithPool", Conflict: "WithTransport",
-			Reason: "pooling multiplexes the default in-process transport; a custom transport manages its own connections"}
 	}
 	if c.autoTuneEvery > 0 && c.transport != nil {
 		return &OptionError{Option: "WithAutoTune", Conflict: "WithTransport",
 			Reason: "auto-applied change sets renegotiate the wire encodings mid-session; a custom transport owns its connection and cannot be reconfigured behind the caller's back"}
-	}
-	if c.autoTuneEvery > 0 && c.poolMax > 0 {
-		return &OptionError{Option: "WithAutoTune", Conflict: "WithPool",
-			Reason: "pooled sessions share one first-hello-wins capability set; a per-session renegotiation would flip the encodings for every session of the pool"}
 	}
 	if c.advisor != nil && c.transport != nil && c.meter == nil {
 		return &OptionError{Option: "WithAdvisor", Conflict: "WithTransport",
@@ -129,24 +122,6 @@ func WithLink(l Link) Option {
 	return func(c *sessionConfig) error { c.link = l; c.linkSet = true; return nil }
 }
 
-// WithSite opens the session at a named replica site of the system's
-// cluster: reads are served by the site's replica over the local link,
-// writes cross the site's WAN link to the primary. Cluster.OpenAt is
-// the usual spelling; the option exists so site selection composes
-// with everything else. The name PrimarySite selects the primary
-// itself; an empty or unknown name fails Open with an *OptionError —
-// a typo must not silently open a full-WAN primary session.
-func WithSite(name string) Option {
-	return func(c *sessionConfig) error {
-		if name == "" {
-			return &OptionError{Option: "WithSite",
-				Reason: "empty site name; use PrimarySite to address the primary explicitly"}
-		}
-		c.site = name
-		return nil
-	}
-}
-
 // WithMaxStaleness bounds how stale the session's replica reads may
 // be: before an action's first fetch, the site is synced when its last
 // sync is older than d (d = 0: sync before every action). Without this
@@ -160,28 +135,6 @@ func WithMaxStaleness(d time.Duration) Option {
 			return &OptionError{Option: "WithMaxStaleness", Reason: "the bound must be >= 0"}
 		}
 		c.knobs.StalenessSec = d.Seconds()
-		return nil
-	}
-}
-
-// WithPool routes the session through the server's shared connection
-// pool of at most max member connections (max < 1 means 1) instead of
-// a dedicated connection — the lever for "thousands of concurrent
-// sessions": engine sessions are the scarce resource, so N client
-// sessions multiplex over M = max of them, pgbouncer-style. All pooled
-// sessions of one System (per server — the primary and each replica
-// site have their own pool) share one negotiated capability set; the
-// first WithPool size wins, later sizes are ignored. Time spent waiting
-// for a free connection is reported in the session's
-// Metrics.LockWaitNanos. Pooled sessions must not rely on server
-// session state across round trips (the client's actions do not).
-// Conflicts with WithTransport.
-func WithPool(max int) Option {
-	return func(c *sessionConfig) error {
-		if max < 1 {
-			max = 1
-		}
-		c.poolMax = max
 		return nil
 	}
 }
@@ -333,8 +286,7 @@ func WithAdvisor(a *Advisor) Option {
 // plan, and applies the resulting change set to itself. The last
 // applied set is available via Session.LastAutoTune and can be rolled
 // back. Conflicts with WithTransport (an auto-applied set renegotiates
-// the wire encodings mid-session) and WithPool (pooled sessions share
-// one capability set).
+// the wire encodings mid-session).
 func WithAutoTune(every int) Option {
 	return func(c *sessionConfig) error {
 		if every < 1 {
@@ -405,14 +357,16 @@ type WireCaps struct {
 //	    pdmtune.WithPreparedStatements(true),
 //	)
 func (s *System) Open(opts ...Option) (*Session, error) {
-	return s.open(context.Background(), opts)
+	return s.open(context.Background(), PrimarySite, opts)
 }
 
-// open is the shared implementation of System.Open and Cluster.OpenAt.
+// open is the shared implementation of System.Open and Cluster.OpenAt:
+// it opens the session at the named site (PrimarySite: the primary).
 // ctx bounds the wire exchanges opening itself performs (bootstrap
 // sync of a never-synced site, capability negotiation).
-func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
+func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Session, error) {
 	cfg := sessionConfig{
+		site:  siteName,
 		link:  Intercontinental(),
 		user:  DefaultUser("user"),
 		knobs: TuneConfig{Strategy: Recursive, StalenessSec: -1}, // -1: read your own site
@@ -438,10 +392,10 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	// over the local link (LAN unless WithLink overrides it) and routes
 	// writes to the primary over the site's WAN link.
 	var site *topology.Site
-	if cfg.site != "" && cfg.site != PrimarySite {
+	if cfg.site != PrimarySite {
 		var ok bool
 		if site, ok = topo.Site(cfg.site); !ok {
-			return nil, &OptionError{Option: "WithSite",
+			return nil, &OptionError{Option: "OpenAt",
 				Reason: fmt.Sprintf("unknown site %q (have %v)", cfg.site, topo.SiteNames())}
 		}
 		if !cfg.linkSet {
@@ -450,14 +404,10 @@ func (s *System) open(ctx context.Context, opts []Option) (*Session, error) {
 	}
 
 	// dial builds the default transport to one of the cluster's nodes:
-	// the in-process metered simulation — on the server's shared
-	// connection pool instead of an own connection with WithPool —
+	// the in-process metered simulation on a connection of its own,
 	// routed through the cluster's transport wrapper (the fault
 	// injection seam, a no-op unless one is installed).
 	dial := func(n *topology.Site, meter *Meter) Transport {
-		if cfg.poolMax > 0 {
-			return topo.Wrap(n, wire.Metered(s.pool(n.Server(), cfg.poolMax), meter))
-		}
 		return topo.Wrap(n, &wire.MeteredChannel{Conn: n.Server().NewConn(), Meter: meter})
 	}
 	primary := topo.Primary()
