@@ -32,9 +32,10 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writers: primary sessions, each on its own connection, race check-out/check-in of the
-	// same root. First wins; losers see ConflictError (procedure path)
-	// or an ungranted result — both fine, never an inconsistent grab.
+	// Writers: primary sessions, each on its own connection, race
+	// check-out/check-in of the same root. First wins; losers see
+	// ConflictError (procedure path) or an ungranted result — both
+	// fine, never an inconsistent grab.
 	shared := pdmtune.NewCache(0)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
