@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -223,4 +225,161 @@ func TestServerConnConcurrentHandle(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestCapsNegotiatedPerConn: each connection's hello fixes its own
+// encodings. A later plain hello on a second connection to the same
+// server neither inherits nor changes the first one's columnar results,
+// and both read the same rows.
+func TestCapsNegotiatedPerConn(t *testing.T) {
+	srv := NewServer(newKVDB(t))
+	ctx := context.Background()
+	colConn, plainConn := srv.NewConn(), srv.NewConn()
+	colCaps, err := NewClient(&MeteredChannel{Conn: colConn}).Negotiate(ctx, Caps{Columnar: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !colCaps.Columnar {
+		t.Fatal("hello did not negotiate columnar")
+	}
+	plainCaps, err := NewClient(&MeteredChannel{Conn: plainConn}).Negotiate(ctx, Caps{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainCaps.Columnar {
+		t.Errorf("plain hello got %+v, inherited the other connection's caps", plainCaps)
+	}
+	if !colConn.Caps().Columnar || plainConn.Caps().Columnar {
+		t.Fatalf("server caps: columnar conn %+v, plain conn %+v", colConn.Caps(), plainConn.Caps())
+	}
+	query := EncodeExec(&Request{SQL: "SELECT id, val FROM kv"})
+	for _, tc := range []struct {
+		name string
+		conn *ServerConn
+		tag  byte
+	}{{"columnar", colConn, TypeResultV2}, {"plain", plainConn, TypeResult}} {
+		body := tc.conn.Handle(query)
+		if len(body) == 0 || body[0] != tc.tag {
+			t.Fatalf("%s conn answered tag %x, want %x", tc.name, body[:1], tc.tag)
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(resp.Rows) != 1 || resp.Rows[0][0].Int() != 1 || resp.Rows[0][1].Int() != 0 {
+			t.Errorf("%s conn rows = %v, want [[1 0]]", tc.name, resp.Rows)
+		}
+	}
+}
+
+// frameRecorder keeps a copy of every response frame its inner transport
+// answers, in order.
+type frameRecorder struct {
+	inner  Transport
+	frames [][]byte
+}
+
+func (r *frameRecorder) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
+	resp, err := r.inner.RoundTrip(ctx, request)
+	r.frames = append(r.frames, append([]byte(nil), resp...))
+	return resp, err
+}
+
+// TestConcurrentConnsMatchSoloRun: sessions running at once on
+// connections of their own to one server read exactly the response
+// bytes one session reads alone on a fresh server — prepare answers,
+// prepared executions alone and inside batches, a prepare-time syntax
+// error and an unknown handle included. Prepared handles live in the
+// server's shared table, so this is what keeps them from leaking
+// between connections. Run with -race.
+func TestConcurrentConnsMatchSoloRun(t *testing.T) {
+	const sessions, rounds = 8, 20
+	const (
+		byID  = "SELECT val FROM kv WHERE id = ?"
+		above = "SELECT id, val FROM kv WHERE id > ? ORDER BY id"
+	)
+	newServer := func() *Server {
+		db := newKVDB(t)
+		mustExec(t, db.NewSession(), "INSERT INTO kv VALUES (2, 20), (3, 30)")
+		return NewServer(db)
+	}
+	script := func(conn *ServerConn) [][]byte {
+		rec := &frameRecorder{inner: &MeteredChannel{Conn: conn}}
+		client := NewClient(rec)
+		ctx := context.Background()
+		for i := int64(0); i < rounds; i++ {
+			if _, err := client.Do(ctx, prep(byID, types.NewInt(i%4))); err != nil {
+				t.Error(err)
+			}
+			if _, err := client.ExecBatch(ctx, []*Request{
+				prep(above, types.NewInt(i%3)),
+				{SQL: "SELECT COUNT(*) FROM kv"},
+				prep(byID, types.NewInt(1)),
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+		if _, err := client.Do(ctx, prep("SELEC nope")); err == nil {
+			t.Error("prepare accepted invalid SQL")
+		}
+		if _, err := client.Do(ctx, &Request{Prepared: true, Handle: 9999}); err == nil {
+			t.Error("unknown handle executed")
+		}
+		return rec.frames
+	}
+	solo := script(newServer().NewConn())
+	srv := newServer()
+	frames := make([][][]byte, sessions)
+	var wg sync.WaitGroup
+	for i := range frames {
+		conn := srv.NewConn()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			frames[i] = script(conn)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range frames {
+		if len(got) != len(solo) {
+			t.Fatalf("session %d: %d round trips, %d alone", i, len(got), len(solo))
+		}
+		for j := range solo {
+			if !bytes.Equal(got[j], solo[j]) {
+				t.Fatalf("session %d, round trip %d: concurrent response\n%x\nsolo response\n%x",
+					i, j, got[j], solo[j])
+			}
+		}
+	}
+}
+
+// TestKilledConnLeavesOthersServing: a connection that dies fails its
+// own client with *ConnClosedError and nobody else's. The other
+// connection to the same server keeps reading and writing, and once the
+// dead one is back it sees those writes.
+func TestKilledConnLeavesOthersServing(t *testing.T) {
+	srv := NewServer(newKVDB(t))
+	ctx := context.Background()
+	fault := netsim.NewFaultInjector(&MeteredChannel{Conn: srv.NewConn()}, nil)
+	victim := NewClient(fault)
+	other := NewClient(&MeteredChannel{Conn: srv.NewConn()})
+	if _, err := victim.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	fault.Kill()
+	var cce *ConnClosedError
+	if _, err := victim.Exec(ctx, "SELECT val FROM kv WHERE id = 1"); !errors.As(err, &cce) {
+		t.Fatalf("round trip over killed conn: %v, want *ConnClosedError", err)
+	}
+	if _, err := other.Exec(ctx, "UPDATE kv SET val = 7 WHERE id = 1"); err != nil {
+		t.Fatalf("other conn while one is dead: %v", err)
+	}
+	fault.Revive()
+	resp, err := victim.Exec(ctx, "SELECT val FROM kv WHERE id = 1")
+	if err != nil {
+		t.Fatalf("after revive: %v", err)
+	}
+	if got := resp.Rows[0][0].Int(); got != 7 {
+		t.Errorf("val after revive = %d, want 7 (the other conn's write)", got)
+	}
 }
