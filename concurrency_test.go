@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	pdmtune "pdmtune"
 	"pdmtune/internal/core"
+	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/ast"
+	"pdmtune/internal/minisql/types"
+	"pdmtune/internal/workload"
 )
 
 // The whole stack under concurrency: writer sessions racing
@@ -155,6 +160,61 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 		}
 		if n := resp.Rows[0][0].Int(); n != 0 {
 			t.Errorf("%d rows of %s left checked out", n, table)
+		}
+	}
+}
+
+// TestConcurrentFirstExecution: 16 sessions run one never-executed
+// SELECT at the same moment, so every one of them may be its first
+// execution, and each must read exactly the rows a solo run of the same
+// text reads. The statements cover a join under UNION ALL (Expand), a
+// recursive CTE joined twice per branch (the recursive MLE) and an
+// aggregate per branch (Report). Run with -race.
+func TestConcurrentFirstExecution(t *testing.T) {
+	db := minisql.NewDB()
+	if err := workload.LoadPaperExample(db.NewSession()); err != nil {
+		t.Fatal(err)
+	}
+	render := func(res *minisql.Result) string {
+		return fmt.Sprint(res.Cols, res.Rows)
+	}
+	for _, build := range []func() *ast.Select{core.BuildExpandQuery, core.BuildRecursiveQuery, core.BuildReportQuery} {
+		text := build().String()
+		params := make([]minisql.Value, strings.Count(text, "?"))
+		for i := range params {
+			params[i] = types.NewInt(1)
+		}
+		solo, err := db.NewSession().ExecStmt(build(), params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := render(solo)
+
+		const sessions = 16
+		held := build() // never executed before the sessions start
+		got := make([]string, sessions)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s := db.NewSession()
+				<-start
+				res, err := s.ExecStmt(held, params...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = render(res)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Errorf("%.40s…: session %d read %s, want %s", text, i, g, want)
+			}
 		}
 	}
 }

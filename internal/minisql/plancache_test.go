@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"pdmtune/internal/minisql/ast"
+	"pdmtune/internal/minisql/parser"
 	"pdmtune/internal/minisql/types"
 )
 
@@ -237,5 +239,71 @@ func TestPlanCacheParameterizedReuse(t *testing.T) {
 	}
 	if st := s.TakeContention(); st.PlanMisses != 1 || st.PlanHits != 2 {
 		t.Fatalf("parameterized reuse: hits=%d misses=%d, want 2/1", st.PlanHits, st.PlanMisses)
+	}
+}
+
+// TestHeldSelectFollowsCatalog: a statement held as an AST — a prepared
+// handle, a stored procedure's query — is executed again after DDL
+// without a parse, and must answer for the catalog of the moment it
+// runs. A table dropped and re-created with other columns gives the
+// held SELECT the new columns, and an index created between two runs of
+// a held join is used by the next one (EXPLAIN of the same held text
+// shows the index join).
+func TestHeldSelectFollowsCatalog(t *testing.T) {
+	s := newTestSession(t)
+	hold := func(sql string) ast.Statement {
+		t.Helper()
+		stmt, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stmt
+	}
+	run := func(stmt ast.Statement, params ...Value) *Result {
+		t.Helper()
+		res, err := s.ExecStmt(stmt, params...)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		return res
+	}
+	check := func(res *Result, cols, rows string) {
+		t.Helper()
+		if got := strings.Join(res.Cols, ","); got != cols {
+			t.Errorf("columns %s, want %s", got, cols)
+		}
+		if got := strings.Join(rowsToStrings(res), ";"); got != rows {
+			t.Errorf("rows %s, want %s", got, rows)
+		}
+	}
+
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+	star := hold("SELECT * FROM t WHERE id = ?")
+	one := types.NewInt(1)
+	check(run(star, one), "id,name", "1|a")
+	check(run(star, one), "id,name", "1|a")
+
+	mustExec(t, s, "DROP TABLE t")
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, w FLOAT, label TEXT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 2.5, 'x'), (2, 0.5, 'y')")
+	check(run(star, one), "id,w,label", "1|2.5|x")
+
+	mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+	mustExec(t, s, "INSERT INTO u VALUES (10, 1), (11, 2), (12, 1)")
+	const join = "SELECT u.id, t.label FROM t JOIN u ON u.t_id = t.id ORDER BY 1"
+	held, explain := hold(join), hold("EXPLAIN "+join)
+	plan := func() string {
+		t.Helper()
+		return strings.Join(rowsToStrings(run(explain)), "\n")
+	}
+	check(run(held), "id,label", "10|x;11|y;12|x")
+	if p := plan(); !strings.Contains(p, "HASH JOIN") {
+		t.Errorf("before the index the join hashes; plan:\n%s", p)
+	}
+	mustExec(t, s, "CREATE INDEX u_t ON u (t_id)")
+	check(run(held), "id,label", "10|x;11|y;12|x")
+	if p := plan(); !strings.Contains(p, "INDEX JOIN u USING u_t") {
+		t.Errorf("after CREATE INDEX the held join must use it; plan:\n%s", p)
 	}
 }
