@@ -8,6 +8,7 @@ package ast
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"pdmtune/internal/minisql/types"
 )
@@ -257,6 +258,12 @@ type SelectCore struct {
 	Where    Expr
 	GroupBy  []Expr
 	Having   Expr
+
+	// Plan is the executor's plan of the core: what its executions
+	// derive from its text and the catalog alone, published by its first
+	// execution and read-only afterwards, so one core runs on any number
+	// of sessions at once. A core is not edited once it has run.
+	Plan atomic.Value
 }
 
 // SelectItem is one projection: expression with optional alias, or a star.

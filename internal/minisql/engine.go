@@ -33,7 +33,8 @@ type Row = storage.Row
 
 // Result is the outcome of one statement.
 type Result struct {
-	// Cols are the output column names (empty for non-queries).
+	// Cols are the output column names (empty for non-queries). A
+	// SELECT's are its plan's, shared by every execution: read-only.
 	Cols []string
 	// Rows are the output tuples (nil for non-queries).
 	Rows []storage.Row
@@ -500,13 +501,11 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 func (s *Session) newContext(params []Value, epoch uint64) *exec.Context {
 	funcs, _ := s.db.registry()
 	return &exec.Context{
-		DB:            s.db.store,
-		Epoch:         epoch,
-		Unit:          s.unit,
-		Params:        params,
-		Funcs:         funcs,
-		CTEs:          map[string]*exec.Relation{},
-		SubqueryCache: map[*ast.Select]*exec.Relation{},
+		DB:     s.db.store,
+		Epoch:  epoch,
+		Unit:   s.unit,
+		Params: params,
+		Funcs:  funcs,
 	}
 }
 

@@ -75,18 +75,14 @@ func findCol(cols []ColMeta, table, name string) (int, error) {
 
 // Relation is a materialized intermediate result.
 type Relation struct {
-	Cols []ColMeta
-	Rows []storage.Row
+	Cols  []ColMeta
+	Rows  []storage.Row
+	names []string // of Cols, the plan's, in the result of a SELECT
 }
 
-// ColNames returns the output column names.
-func (r *Relation) ColNames() []string {
-	out := make([]string, len(r.Cols))
-	for i, c := range r.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
+// ColNames returns the output column names of a SELECT's result
+// (EvalSelect).
+func (r *Relation) ColNames() []string { return r.names }
 
 type errNoColumn struct{ table, name string }
 
@@ -241,11 +237,12 @@ type Context struct {
 	// every other table at Epoch.
 	Unit *storage.Commit
 
-	// CTEs maps lower-cased CTE names to their (current) materialization.
+	// CTEs maps lower-cased CTE names to their (current) materialization;
+	// nil until a WITH clause binds one.
 	CTEs map[string]*Relation
 
 	// SubqueryCache memoizes results of subqueries that did not read any
-	// outer column.
+	// outer column; nil until the first is cached.
 	SubqueryCache map[*ast.Select]*Relation
 
 	// inSetCache memoizes hash sets for cached IN-subqueries: the key set

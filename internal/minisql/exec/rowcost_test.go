@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"pdmtune/internal/core"
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/types"
+	"pdmtune/internal/workload"
 )
 
 // TestRowsCostOnlyTheirOutput: a filtered, projecting, function-calling
@@ -84,5 +86,30 @@ func TestRowsCostOnlyTheirOutput(t *testing.T) {
 	if all, allBytes := cost(agg, 2*n, 1); all != aggFew || !same(allBytes, aggFewBytes) {
 		t.Errorf("aggregating 20 rows: %.0f allocations, %.0f B; %d rows: %.0f, %.0f B — accumulating must cost nothing per row",
 			aggFew, aggFewBytes, 2*n, all, allBytes)
+	}
+}
+
+// TestExpandHitCostsItsPlanOnce: a plan-cache hit of the Expand
+// statement reuses what its first execution derived from the text and
+// the catalog — the conjunct splits, the tables' columns, the loop's
+// columns, the projection and its output names — so an Expand of a
+// parent with two children on the paper's example costs the rows, the
+// access paths and the snapshot, and no re-planning.
+func TestExpandHitCostsItsPlanOnce(t *testing.T) {
+	s := minisql.NewDB().NewSession()
+	if err := workload.LoadPaperExample(s); err != nil {
+		t.Fatal(err)
+	}
+	sql := core.BuildExpandQuery().String()
+	parent := types.NewInt(2) // children 4 and 5
+	run := func() {
+		res, err := s.Exec(sql, parent, parent)
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("Expand(2): %d rows, error %v; want 2", len(res.Rows), err)
+		}
+	}
+	run() // the miss: parse and plan
+	if allocs := testing.AllocsPerRun(20, run); allocs > 30 {
+		t.Errorf("a plan-cache hit of Expand costs %.0f allocations, want at most 30", allocs)
 	}
 }

@@ -233,7 +233,7 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 			left.Rows = append(left.Rows, right.Rows...)
 			return left, nil
 		}
-		return &Relation{Cols: left.Cols, Rows: distinctRows(left.Rows, right.Rows)}, nil
+		return &Relation{Cols: left.Cols, Rows: distinctRows(left.Rows, right.Rows), names: left.names}, nil
 	}
 	return nil, fmt.Errorf("sql: unknown select body %T", body)
 }
@@ -251,13 +251,23 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		}
 		defer ctx.under(ctx.note(line))()
 	}
-	var from fromLoop // without FROM: no level, one empty row
-	conjs := splitAnd(core.Where, nil)
+	p, _ := core.Plan.Load().(*corePlan)
+	if p == nil || p.core != core { // unplanned, or a struct copy of a planned core
+		p = &corePlan{where: splitAnd(core.Where, nil)} // no factors: planFrom derives
+	}
+	from := fromLoop{plan: p, levels: make([]level, 0, len(p.factors))} // without FROM: no level, one empty row
+	conjs := slices.Clone(p.where)
 	if core.From != nil {
-		from.levels = make([]level, 0, factors(core.From))
 		if err := ctx.planFrom(&from, core.From, outer, conjs, true, true); err != nil {
 			return nil, err
 		}
+	}
+	if from.plan != p || p.core == nil {
+		var err error
+		if p, err = planCore(core, p.where, &from); err != nil {
+			return nil, err
+		}
+		core.Plan.Store(p)
 	}
 	ctx.noteFilter(conjs)
 
@@ -269,20 +279,16 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	if err := bindColumnRefs(core, env); err != nil {
 		return nil, err
 	}
-	outCols, plan, err := projectionPlan(core.Items, from.cols)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: outCols}
+	out := &Relation{Cols: p.out, names: p.names}
 	var groups *grouping
-	if aggs := collectAggregates(core); len(aggs) > 0 || len(core.GroupBy) > 0 {
-		groups = newGrouping(core.GroupBy, aggs, len(from.levels) > 1)
+	if len(p.aggs) > 0 || len(core.GroupBy) > 0 {
+		groups = newGrouping(core.GroupBy, p.aggs, len(from.levels) > 1)
 	}
 
 	// The one row loop: the WHERE conjuncts the FROM clause has not taken
 	// over, then the projection or the accumulation.
 	filter := slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used })
-	err = ctx.run(&from, 0, func(row storage.Row) error {
+	err := ctx.run(&from, 0, func(row storage.Row) error {
 		env.row = row
 		if filter {
 			if ok, err := ctx.allTrue(conjs, -1, env); !ok {
@@ -292,7 +298,7 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		if groups != nil {
 			return groups.add(ctx, env)
 		}
-		projected, err := ctx.projectRow(plan, env)
+		projected, err := ctx.projectRow(p.proj, env)
 		out.Rows = append(out.Rows, projected) // an error fails the statement
 		return err
 	})
@@ -300,7 +306,7 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		return nil, err
 	}
 	if groups != nil {
-		if out.Rows, err = groups.project(ctx, core.Having, plan, env); err != nil {
+		if out.Rows, err = groups.project(ctx, core.Having, p.proj, env); err != nil {
 			return nil, err
 		}
 	}
@@ -310,15 +316,62 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	return out, nil
 }
 
+// corePlan is what evalCore derives from a SELECT core's text and the
+// catalog alone, published on the core (ast.SelectCore.Plan) by its first
+// execution and read-only from then on. An execution whose FROM factors
+// were not derived from what the plan's were (a table dropped and created
+// again, a CTE binding of other columns) publishes a new one. What the
+// snapshot or the parameters decide (access paths, key sets, probes, which
+// conjuncts they take over) stays with each execution.
+type corePlan struct {
+	core    *ast.SelectCore
+	where   []conjunct   // the WHERE conjuncts, none taken over
+	factors []factorPlan // the FROM clause's levels, in loop order
+	cols    []ColMeta    // the loop's columns
+	proj    []projCol
+	out     []ColMeta // the output columns, and their names
+	names   []string
+	aggs    []*ast.Aggregate
+}
+
+// factorPlan is what a level's columns were derived from, a stored table
+// or (table nil) the columns src of a CTE binding, a derived table or a
+// join chain; where they end in the loop's; and a JOIN's ON conjuncts.
+type factorPlan struct {
+	table *storage.Table
+	src   []ColMeta
+	end   int
+	on    []conjunct
+}
+
+// planCore builds the plan of a core whose FROM clause from has planned.
+func planCore(core *ast.SelectCore, where []conjunct, from *fromLoop) (*corePlan, error) {
+	out, proj, err := projectionPlan(core.Items, from.cols)
+	if err != nil {
+		return nil, err
+	}
+	p := &corePlan{core: core, where: where, factors: make([]factorPlan, len(from.levels)), cols: from.cols,
+		proj: proj, out: out, names: make([]string, len(out)), aggs: collectAggregates(core)}
+	for i := range from.levels {
+		p.factors[i] = from.levels[i].made
+	}
+	for i, c := range out {
+		p.names[i] = c.Name
+	}
+	return p, nil
+}
+
 // ---------------------------------------------------------------------------
 // FROM evaluation: the one nested loop
 
 // fromLoop is a FROM clause planned as one nested loop over its table
 // factors, the levels, which write their candidates into one scratch row.
+// plan is the core's plan while its levels match the loop's.
 type fromLoop struct {
 	cols   []ColMeta
 	levels []level
 	row    storage.Row
+	plan   *corePlan
 }
 
 // level is one table factor of a fromLoop. Its candidates come from acc
@@ -334,7 +387,8 @@ type level struct {
 	on           []conjunct
 	skip         int
 	left         bool
-	env          Env // the scope of on: the columns up to this level's
+	env          Env        // the scope of on: the columns up to this level's
+	made         factorPlan // what the level's columns were derived from
 }
 
 // planFrom plans a table reference into the loop: a join chain as its
@@ -349,7 +403,7 @@ func (ctx *Context) planFrom(l *fromLoop, ref ast.TableRef, outer *Env, conjs []
 		if err := ctx.planFrom(l, r.Left, outer, conjs, false, pushable); err != nil {
 			return err
 		}
-		return ctx.planJoin(l, r.Right, r.Type, splitAnd(r.On, nil), true, outer, conjs, pushable && r.Type != "LEFT")
+		return ctx.planJoin(l, r.Right, r.Type, l.onOf(r.On), true, outer, conjs, pushable && r.Type != "LEFT")
 	case *ast.CrossList:
 		// FROM a, b WHERE a.x = b.y: each further item joins on a WHERE
 		// equi-conjunct when there is one, and is a cross product otherwise.
@@ -362,7 +416,7 @@ func (ctx *Context) planFrom(l *fromLoop, ref ast.TableRef, outer *Env, conjs []
 		}
 		return err
 	}
-	cols, lv, err := ctx.factor(ref, outer, conjs, unqualified, pushable, true)
+	cols, lv, err := ctx.factor(l, ref, outer, conjs, unqualified, pushable, true)
 	if err == nil {
 		l.add(cols, lv)
 	}
@@ -387,7 +441,7 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 	at, method := -1, "NESTED LOOP"
 	if bt, ok := ref.(*ast.BaseTable); ok && ctx.CTEs[strings.ToLower(bt.Name)] == nil {
 		if table, ok := ctx.DB.Table(bt.Name); ok {
-			tcols := TableCols(table, aliasOf(bt))
+			tcols := l.colsOf(&lv, table, nil, func() []ColMeta { return TableCols(table, aliasOf(bt)) })
 			indexed := func(rp int) bool { return table.IndexOn(tcols[rp].Name) != nil }
 			if i, lp, rp := equiPair(pool, l.cols, tcols, indexed); i >= 0 {
 				index = table.IndexOn(tcols[rp].Name)
@@ -397,7 +451,7 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 	}
 	if lv.probe == nil {
 		var err error
-		if cols, lv, err = ctx.factor(ref, outer, conjs, false, pushable, false); err != nil {
+		if cols, lv, err = ctx.factor(l, ref, outer, conjs, false, pushable, false); err != nil {
 			return err
 		}
 		if i, lp, rp := equiPair(pool, l.cols, cols, nil); i >= 0 {
@@ -405,7 +459,9 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 		}
 	}
 	lv.on, lv.skip, lv.left, lv.env.parent = pool, at, joinType == "LEFT", outer
-	if !whole {
+	if whole {
+		lv.made.on = pool
+	} else {
 		lv.on, lv.skip = nil, 0
 		if at >= 0 { // the level checks a copy where a probe is inexact
 			lv.on = []conjunct{{expr: pool[at].expr}}
@@ -427,65 +483,94 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 // add appends a level of the given columns to the loop.
 func (l *fromLoop) add(cols []ColMeta, lv level) {
 	lv.at, lv.end = len(l.cols), len(l.cols)+len(cols)
-	if lv.at == 0 {
+	lv.made.end = lv.end
+	switch {
+	case l.plan != nil:
+		l.cols = l.plan.cols[:lv.end]
+	case lv.at == 0:
 		l.cols = cols
-	} else { // earlier levels' scopes hold prefixes of l.cols: never append in place
+	default: // earlier levels' scopes hold prefixes of l.cols: never append in place
 		l.cols = append(l.cols[:lv.at:lv.at], cols...)
 	}
 	l.levels = append(l.levels, lv)
 }
 
-// factors counts the levels planFrom makes of a table reference.
-func factors(ref ast.TableRef) int {
-	switch r := ref.(type) {
-	case *ast.Join:
-		return factors(r.Left) + 1
-	case *ast.CrossList:
-		return factors(r.Items[0]) + len(r.Items) - 1
+// colsOf returns the columns of the loop's next level, lv, derived from a
+// stored table or (table nil) from the columns src: the plan's when the
+// plan's level was derived from the same table or from equal columns,
+// else — dropping the plan — what derive returns.
+func (l *fromLoop) colsOf(lv *level, table *storage.Table, src []ColMeta, derive func() []ColMeta) []ColMeta {
+	lv.made.table, lv.made.src = table, src
+	if p, i := l.plan, len(l.levels); p != nil {
+		if i < len(p.factors) && p.factors[i].table == table && slices.Equal(p.factors[i].src, src) {
+			return p.cols[len(l.cols):p.factors[i].end]
+		}
+		l.plan = nil
 	}
-	return 1
+	return derive()
 }
 
-// factor plans ref as one level: a stored table through its access path,
-// streamed (stream) or materialized; a CTE's or a derived table's rows;
-// a join chain right of a comma as its own loop's rows, copied.
-func (ctx *Context) factor(ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable, stream bool) ([]ColMeta, level, error) {
-	var rows []storage.Row // what a materialized level collects
+// onOf returns the ON conjuncts of the loop's next level: the plan's, or
+// on split.
+func (l *fromLoop) onOf(on ast.Expr) []conjunct {
+	if p, i := l.plan, len(l.levels); p != nil && i < len(p.factors) {
+		return p.factors[i].on
+	}
+	return splitAnd(on, nil)
+}
+
+// factor plans ref as l's next level: a stored table through its access
+// path (chooseAccess, noted under EXPLAIN), streamed (stream) or
+// materialized; a CTE's or a derived table's rows; a join chain right of
+// a comma as its own loop's rows, copied.
+func (ctx *Context) factor(l *fromLoop, ref ast.TableRef, outer *Env, conjs []conjunct, unqualified, pushable, stream bool) ([]ColMeta, level, error) {
+	var lv level
 	switch r := ref.(type) {
 	case *ast.BaseTable:
 		if rel, ok := ctx.CTEs[strings.ToLower(r.Name)]; ok { // a CTE binding takes precedence
 			if ctx.Plan != nil {
 				ctx.note("CTE SCAN %s", r)
 			}
-			return rebind(rel.Cols, aliasOf(r)), level{rows: rel.Rows}, nil
+			lv.rows = rel.Rows
+			return l.colsOf(&lv, nil, rel.Cols, func() []ColMeta { return rebind(rel.Cols, aliasOf(r)) }), lv, nil
 		}
 		if !pushable {
 			conjs = nil
 		}
-		acc, cols, err := ctx.tableAccess(r, outer, conjs, unqualified)
-		if err != nil || stream {
-			return cols, level{acc: acc}, err
+		table, ok := ctx.DB.Table(r.Name)
+		if !ok {
+			return nil, lv, fmt.Errorf("sql: no such table %s", r.Name)
 		}
-		err = ctx.read(acc, func(_ int, row storage.Row) error { rows = append(rows, row); return nil })
-		return cols, level{rows: rows}, err
+		cols := l.colsOf(&lv, table, nil, func() []ColMeta { return TableCols(table, aliasOf(r)) })
+		acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
+		if err == nil && ctx.Plan != nil {
+			ctx.note("%s", acc).Kids = acc.sub
+		}
+		if err != nil || stream {
+			lv.acc = acc
+			return cols, lv, err
+		}
+		err = ctx.read(acc, func(_ int, row storage.Row) error { lv.rows = append(lv.rows, row); return nil })
+		return cols, lv, err
 	case *ast.SubqueryTable:
 		if ctx.Plan != nil {
 			defer ctx.under(ctx.note("DERIVED TABLE %s:", r.Alias))()
 		}
 		rel, err := ctx.evalSubquery(r.Select, outer)
 		if err != nil {
-			return nil, level{}, err
+			return nil, lv, err
 		}
-		return rebind(rel.Cols, r.Alias), level{rows: rel.Rows}, nil
+		lv.rows = rel.Rows
+		return l.colsOf(&lv, nil, rel.Cols, func() []ColMeta { return rebind(rel.Cols, r.Alias) }), lv, nil
 	case *ast.Join, *ast.CrossList:
 		var sub fromLoop
 		err := ctx.planFrom(&sub, ref, outer, conjs, false, pushable)
 		if err == nil {
-			err = ctx.run(&sub, 0, func(row storage.Row) error { rows = append(rows, slices.Clone(row)); return nil })
+			err = ctx.run(&sub, 0, func(row storage.Row) error { lv.rows = append(lv.rows, slices.Clone(row)); return nil })
 		}
-		return sub.cols, level{rows: rows}, err
+		return l.colsOf(&lv, nil, sub.cols, func() []ColMeta { return sub.cols }), lv, err
 	}
-	return nil, level{}, fmt.Errorf("sql: unknown table reference %T", ref)
+	return nil, lv, fmt.Errorf("sql: unknown table reference %T", ref)
 }
 
 // run calls emit with every row of the loop from level i on, in order:
@@ -546,25 +631,6 @@ func (l *fromLoop) put(lv *level, row storage.Row) {
 		}
 	}
 	copy(l.row[lv.at:], row)
-}
-
-// tableAccess resolves a stored table of a FROM clause and decides how
-// it is read for conjs (chooseAccess), noting the decision under
-// EXPLAIN; it returns the decision and the table's columns under its
-// alias.
-func (ctx *Context) tableAccess(r *ast.BaseTable, outer *Env, conjs []conjunct, unqualified bool) (*access, []ColMeta, error) {
-	table, ok := ctx.DB.Table(r.Name)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: no such table %s", r.Name)
-	}
-	acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ctx.Plan != nil {
-		ctx.note("%s", acc).Kids = acc.sub
-	}
-	return acc, TableCols(table, aliasOf(r)), nil
 }
 
 // ---------------------------------------------------------------------------
