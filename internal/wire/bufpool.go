@@ -16,19 +16,40 @@ package wire
 // Callers outside this package that hold on to an encoded frame are
 // unaffected — an unrecycled buffer is just garbage-collected.
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // maxPooledBuf caps the capacity of a recycled buffer. The occasional
 // huge frame (a full-tree expand, a bootstrap sync delta) should not
 // pin megabytes in the pool forever.
 const maxPooledBuf = 1 << 20
 
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+// frameBufs holds recycled buffers behind a *[]byte each, so pooling one
+// boxes nothing; hotFrame the last one, out of reach of a collection,
+// after which the pool's first use allocates; spareRefs the emptied
+// *[]byte of buffers handed out, for putFrame to carry one back in.
+var (
+	frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+	hotFrame  atomic.Pointer[[]byte]
+	spareRefs = make(chan *[]byte, 64) // a few per connection's exchange in flight; past that a pool miss makes one
+)
 
 // getFrame returns an empty buffer with recycled capacity to append a
 // frame into.
 func getFrame() []byte {
-	return (*frameBufs.Get().(*[]byte))[:0]
+	ref := hotFrame.Swap(nil)
+	if ref == nil {
+		ref = frameBufs.Get().(*[]byte)
+	}
+	b := (*ref)[:0]
+	*ref = nil
+	select {
+	case spareRefs <- ref:
+	default:
+	}
+	return b
 }
 
 // getFrameN returns a length-n buffer for a decode-side read. A pooled
@@ -48,8 +69,13 @@ func putFrame(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	frameBufs.Put(&b)
+	select {
+	case ref := <-spareRefs:
+		if *ref = b[:0]; !hotFrame.CompareAndSwap(nil, ref) {
+			frameBufs.Put(ref)
+		}
+	default: // more buffers come back than went out: this one is garbage
+	}
 }
 
 // sameBuf reports whether two non-empty slices share a backing array

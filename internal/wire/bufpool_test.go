@@ -164,3 +164,23 @@ func TestGetFrameNDropsSmallBuffer(t *testing.T) {
 		}
 	})
 }
+
+// TestFrameRecycleAllocatesNothing: recycling a frame buffer and writing
+// a frame's length prefix cost no allocation in the steady state — the
+// pool carries each buffer back behind a pointer it already has, and
+// the prefix is written from a recycled array.
+func TestFrameRecycleAllocatesNothing(t *testing.T) {
+	body := []byte("a frame body")
+	cycle := func() { putFrame(append(getFrame(), body...)) }
+	write := func() {
+		if err := WriteFrame(io.Discard, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, fn := range map[string]func(){"getFrame/putFrame": cycle, "WriteFrame": write} {
+		fn()
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per call, want 0", name, allocs)
+		}
+	}
+}

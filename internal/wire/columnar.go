@@ -561,14 +561,14 @@ func decodeResponseV2(b []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every column name carries a 4-byte length prefix.
+	if ncols > uint32(len(b))/4 {
+		return nil, fmt.Errorf("wire: columnar frame of %d columns exceeds frame size", ncols)
+	}
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
-	for i := uint32(0); i < ncols; i++ {
-		var c string
-		c, b, err = readString(b)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cols = append(resp.Cols, c)
+	var text frameText // the names and the text columns are cut from one copy
+	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {
+		return nil, err
 	}
 	nrows, b, err := readUint32(b)
 	if err != nil {
@@ -588,7 +588,6 @@ func decodeResponseV2(b []byte) (*Response, error) {
 		}
 	}
 	rows := cutRows(int(nrows), int(ncols))
-	var text frameText
 	for col := 0; col < int(ncols); col++ {
 		b, err = decodeColumn(b, rows, col, &budget, &text)
 		if err != nil {

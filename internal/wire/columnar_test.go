@@ -739,3 +739,46 @@ func TestColumnarDecodeHostileColumns(t *testing.T) {
 	}
 	refused("four columns", four, 4, 60)
 }
+
+// TestResultHeaderDecodesInOnePiece: a result header's column names
+// cost two allocations however many there are — their slice, sized from
+// the column count, and one copy of the header they are cut from — in
+// v1 and v2 frames and in a batch's sub-frames alike.
+func TestResultHeaderDecodesInOnePiece(t *testing.T) {
+	cols := make([]string, 16)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("column_%d", i)
+	}
+	cost := func(frame []byte, decode func([]byte) (int, error)) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if n, err := decode(frame); err != nil || n != len(cols) {
+				t.Fatalf("decoded %d columns, error %v; want %d", n, err, len(cols))
+			}
+		})
+	}
+	one := func(b []byte) (int, error) {
+		resp, err := DecodeResponse(b)
+		if err != nil {
+			return 0, err
+		}
+		return len(resp.Cols), nil
+	}
+	batch := func(b []byte) (int, error) {
+		resps, err := DecodeBatchResponse(b)
+		if err != nil || len(resps) != 1 {
+			return 0, err
+		}
+		return len(resps[0].Cols), nil
+	}
+	// A frame without rows costs its Response and its header; a batch of
+	// one adds the slice of responses.
+	for _, columnar := range []bool{false, true} {
+		resp := &Response{Cols: cols}
+		if got := cost(EncodeResponseWith(resp, columnar), one); got > 1+2 {
+			t.Errorf("columnar=%v: %.0f allocations for a 16-column header, want at most 2 beyond the Response", columnar, got)
+		}
+		if got := cost(EncodeBatchResponseWith([]*Response{resp}, columnar), batch); got > 2+2 {
+			t.Errorf("columnar=%v batch: %.0f allocations for a 16-column sub-frame header, want at most 2 beyond the Responses", columnar, got)
+		}
+	}
+}

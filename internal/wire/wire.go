@@ -7,10 +7,12 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"pdmtune/internal/minisql/storage"
 	"pdmtune/internal/minisql/types"
@@ -147,6 +149,23 @@ func readString(b []byte) (string, []byte, error) {
 		return "", nil, io.ErrUnexpectedEOF
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// readNames decodes a result header's n length-prefixed column names,
+// n bounded by the frame, into one slice, cutting them from text.
+func readNames(b []byte, n uint32, text *frameText) ([]string, []byte, error) {
+	if n == 0 {
+		return nil, b, nil
+	}
+	names := make([]string, n)
+	for i := range names {
+		size, rest, err := readUint32(b)
+		if err != nil || uint32(len(rest)) < size {
+			return nil, nil, cmp.Or(err, io.ErrUnexpectedEOF)
+		}
+		names[i], b = text.cut(rest, int(size)), rest[size:]
+	}
+	return names, b, nil
 }
 
 // value tags on the wire
@@ -376,13 +395,9 @@ func DecodeResponse(b []byte) (*Response, error) {
 		return nil, fmt.Errorf("wire: result frame of %d columns exceeds frame size", ncols)
 	}
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
-	for i := uint32(0); i < ncols; i++ {
-		var c string
-		c, b, err = readString(b)
-		if err != nil {
-			return nil, err
-		}
-		resp.Cols = append(resp.Cols, c)
+	var text frameText // the names and the text cells are cut from one copy
+	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {
+		return nil, err
 	}
 	nrows, b, err := readUint32(b)
 	if err != nil {
@@ -396,7 +411,6 @@ func DecodeResponse(b []byte) (*Response, error) {
 		return nil, fmt.Errorf("wire: result frame of %d rows x %d cols exceeds frame size", nrows, ncols)
 	}
 	resp.Rows = cutRows(int(nrows), int(ncols))
-	var text frameText
 	for _, row := range resp.Rows {
 		for j := range row {
 			row[j], b, err = readValue(b, &text)
@@ -757,6 +771,9 @@ func ScanFrame(body []byte, sqlLen map[uint32]int) FrameStats {
 // ---------------------------------------------------------------------------
 // stream framing (for real connections)
 
+// frameHeaders recycles WriteFrame's length prefixes, which escape.
+var frameHeaders = sync.Pool{New: func() any { return new([4]byte) }}
+
 // WriteFrame writes a length-prefixed frame body to a stream. Bodies
 // beyond MaxFrameSize are rejected with *FrameTooLargeError before any
 // bytes hit the wire.
@@ -764,12 +781,14 @@ func WriteFrame(w io.Writer, body []byte) error {
 	if err := CheckFrameSize(body); err != nil {
 		return err
 	}
-	var hdr [4]byte
+	hdr := frameHeaders.Get().(*[4]byte)
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	_, err := w.Write(hdr[:])
+	frameHeaders.Put(hdr)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	_, err = w.Write(body)
 	return err
 }
 
