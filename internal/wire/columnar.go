@@ -561,10 +561,6 @@ func decodeResponseV2(b []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every column name carries a 4-byte length prefix.
-	if ncols > uint32(len(b))/4 {
-		return nil, fmt.Errorf("wire: columnar frame of %d columns exceeds frame size", ncols)
-	}
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
 	var text frameText // the names and the text columns are cut from one copy
 	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {

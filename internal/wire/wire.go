@@ -151,9 +151,13 @@ func readString(b []byte) (string, []byte, error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// readNames decodes a result header's n length-prefixed column names,
-// n bounded by the frame, into one slice, cutting them from text.
+// readNames decodes a result header's n length-prefixed column names
+// into one slice, cutting them from text. n comes from the peer: it is
+// bounded by the bytes there before the slice is sized by it.
 func readNames(b []byte, n uint32, text *frameText) ([]string, []byte, error) {
+	if n > uint32(len(b))/4 { // every name carries a 4-byte length prefix
+		return nil, nil, fmt.Errorf("wire: result frame of %d columns exceeds frame size", n)
+	}
 	if n == 0 {
 		return nil, b, nil
 	}
@@ -388,12 +392,8 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The counts come from the peer: bound them by the bytes that are
-	// actually there before allocating anything sized by them. Every
-	// column name carries a 4-byte length prefix.
-	if ncols > uint32(len(b))/4 {
-		return nil, fmt.Errorf("wire: result frame of %d columns exceeds frame size", ncols)
-	}
+	// The counts come from the peer: each is bounded by the bytes that are
+	// actually there before anything is sized by it.
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
 	var text frameText // the names and the text cells are cut from one copy
 	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {
