@@ -104,8 +104,11 @@ func TestExpandHitCostsItsPlanOnce(t *testing.T) {
 	parent := types.NewInt(2) // children 4 and 5
 	run := func() {
 		res, err := s.Exec(sql, parent, parent)
-		if err != nil || len(res.Rows) != 2 {
-			t.Fatalf("Expand(2): %d rows, error %v; want 2", len(res.Rows), err)
+		if err != nil {
+			t.Fatalf("Expand(2): %v", err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("Expand(2): %d rows, want 2", len(res.Rows))
 		}
 	}
 	run() // the miss: parse and plan

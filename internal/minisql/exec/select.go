@@ -334,14 +334,15 @@ type corePlan struct {
 	aggs    []*ast.Aggregate
 }
 
-// factorPlan is what a level's columns were derived from, a stored table
-// or (table nil) the columns src of a CTE binding, a derived table or a
+// factorPlan is what a level's columns were derived from, a stored
+// table's schema (new on every CREATE; a plan holds no table, so no rows)
+// or (schema nil) the columns src of a CTE binding, a derived table or a
 // join chain; where they end in the loop's; and a JOIN's ON conjuncts.
 type factorPlan struct {
-	table *storage.Table
-	src   []ColMeta
-	end   int
-	on    []conjunct
+	schema *storage.Schema
+	src    []ColMeta
+	end    int
+	on     []conjunct
 }
 
 // planCore builds the plan of a core whose FROM clause from has planned.
@@ -497,12 +498,15 @@ func (l *fromLoop) add(cols []ColMeta, lv level) {
 
 // colsOf returns the columns of the loop's next level, lv, derived from a
 // stored table or (table nil) from the columns src: the plan's when the
-// plan's level was derived from the same table or from equal columns,
+// plan's level was derived from the same schema or from equal columns,
 // else — dropping the plan — what derive returns.
 func (l *fromLoop) colsOf(lv *level, table *storage.Table, src []ColMeta, derive func() []ColMeta) []ColMeta {
-	lv.made.table, lv.made.src = table, src
+	lv.made.src = src
+	if table != nil {
+		lv.made.schema = table.Schema
+	}
 	if p, i := l.plan, len(l.levels); p != nil {
-		if i < len(p.factors) && p.factors[i].table == table && slices.Equal(p.factors[i].src, src) {
+		if i < len(p.factors) && p.factors[i].schema == lv.made.schema && slices.Equal(p.factors[i].src, src) {
 			return p.cols[len(l.cols):p.factors[i].end]
 		}
 		l.plan = nil
