@@ -562,8 +562,7 @@ func decodeResponseV2(b []byte) (*Response, error) {
 		return nil, err
 	}
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
-	var text frameText // the names and the text columns are cut from one copy
-	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {
+	if resp.Cols, b, err = readNames(b, ncols); err != nil {
 		return nil, err
 	}
 	nrows, b, err := readUint32(b)
@@ -584,6 +583,7 @@ func decodeResponseV2(b []byte) (*Response, error) {
 		}
 	}
 	rows := cutRows(int(nrows), int(ncols))
+	var text frameText // the text columns are cut from one copy
 	for col := 0; col < int(ncols); col++ {
 		b, err = decodeColumn(b, rows, col, &budget, &text)
 		if err != nil {

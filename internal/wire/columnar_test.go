@@ -782,3 +782,42 @@ func TestResultHeaderDecodesInOnePiece(t *testing.T) {
 		}
 	}
 }
+
+var rowsSink []storage.Row
+
+// TestIntegerFrameCopiesNoCells: a frame without text decodes into its
+// rows and one copy of its header; keeping the column names copies none
+// of the cells, in v1 and v2 frames alike.
+func TestIntegerFrameCopiesNoCells(t *testing.T) {
+	const nrows = 4096
+	resp := &Response{Cols: []string{"id", "parent"}}
+	for i := range nrows {
+		resp.Rows = append(resp.Rows, storage.Row{types.NewInt(int64(i) << 20), types.NewInt(int64(i / 2))})
+	}
+	bytesPerRun := func(f func()) uint64 {
+		const runs = 20
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	rows := bytesPerRun(func() { rowsSink = cutRows(nrows, len(resp.Cols)) })
+	for _, columnar := range []bool{false, true} {
+		frame := EncodeResponseWith(resp, columnar)
+		got := bytesPerRun(func() {
+			out, err := DecodeResponse(frame)
+			if err != nil || len(out.Rows) != nrows {
+				t.Fatalf("columnar=%v: decode error %v", columnar, err)
+			}
+			rowsSink = out.Rows
+		})
+		// The Response, the names and their header: a few hundred bytes.
+		if got > rows+512 {
+			t.Errorf("columnar=%v: decoding a %d-byte integer frame allocates %d bytes, its rows %d", columnar, len(frame), got, rows)
+		}
+	}
+}

@@ -152,24 +152,31 @@ func readString(b []byte) (string, []byte, error) {
 }
 
 // readNames decodes a result header's n length-prefixed column names
-// into one slice, cutting them from text. n comes from the peer: it is
-// bounded by the bytes there before the slice is sized by it.
-func readNames(b []byte, n uint32, text *frameText) ([]string, []byte, error) {
+// into one slice, cutting them from one copy of the header alone: the
+// cells copy their text apart, so a frame without text copies no more.
+// n comes from the peer: it is bounded by the bytes there before the
+// slice is sized by it.
+func readNames(b []byte, n uint32) ([]string, []byte, error) {
 	if n > uint32(len(b))/4 { // every name carries a 4-byte length prefix
 		return nil, nil, fmt.Errorf("wire: result frame of %d columns exceeds frame size", n)
 	}
 	if n == 0 {
 		return nil, b, nil
 	}
-	names := make([]string, n)
-	for i := range names {
-		size, rest, err := readUint32(b)
+	end := 0
+	for range n {
+		size, rest, err := readUint32(b[end:])
 		if err != nil || uint32(len(rest)) < size {
 			return nil, nil, cmp.Or(err, io.ErrUnexpectedEOF)
 		}
-		names[i], b = text.cut(rest, int(size)), rest[size:]
+		end += 4 + int(size)
 	}
-	return names, b, nil
+	hdr, names := string(b[:end]), make([]string, n)
+	for i, at := 0, 0; i < len(names); i++ {
+		size := int(binary.BigEndian.Uint32(b[at:]))
+		names[i], at = hdr[at+4:at+4+size], at+4+size
+	}
+	return names, b[end:], nil
 }
 
 // value tags on the wire
@@ -395,8 +402,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 	// The counts come from the peer: each is bounded by the bytes that are
 	// actually there before anything is sized by it.
 	resp := &Response{RowsAffected: int(affected), Epoch: epoch}
-	var text frameText // the names and the text cells are cut from one copy
-	if resp.Cols, b, err = readNames(b, ncols, &text); err != nil {
+	if resp.Cols, b, err = readNames(b, ncols); err != nil {
 		return nil, err
 	}
 	nrows, b, err := readUint32(b)
@@ -411,6 +417,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 		return nil, fmt.Errorf("wire: result frame of %d rows x %d cols exceeds frame size", nrows, ncols)
 	}
 	resp.Rows = cutRows(int(nrows), int(ncols))
+	var text frameText // the text cells are cut from one copy
 	for _, row := range resp.Rows {
 		for j := range row {
 			row[j], b, err = readValue(b, &text)
