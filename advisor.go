@@ -44,24 +44,12 @@ const (
 // windowed metrics delta, classify the workload shape, rank candidate
 // configurations with the analytic cost model, and either report
 // (Diagnose) or act (Plan → ChangeSet.Apply / Rollback). The zero value
-// assumes the paper's δ=7, β=5, σ=0.6 scenario and a single user;
-// populate the fields to match the deployment being tuned.
+// assumes the paper's δ=7, β=5, σ=0.6 scenario; set Product to match
+// the deployment being tuned.
 type Advisor struct {
 	// Product is the product shape under traversal (the paper's
 	// worldwide scenario when zero).
 	Product ProductConfig
-	// Users is the number of concurrent users sharing the link (1 when
-	// 0) — the contention multiplier of the ranking.
-	Users int
-	// TopK bounds Recommend's answer (3 when 0).
-	TopK int
-	// CacheEntries is the cache bound candidate configurations propose
-	// (256 when 0).
-	CacheEntries int
-}
-
-func (a *Advisor) inner() advisor.Advisor {
-	return advisor.Advisor{TopK: a.TopK, CacheEntries: a.CacheEntries}
 }
 
 func (a *Advisor) tree() costmodel.Tree {
@@ -74,13 +62,15 @@ func (a *Advisor) tree() costmodel.Tree {
 
 // Observe assembles the advisor's observation of a session from a
 // windowed metrics delta (snapshot the session's Metrics before and
-// after the window and pass window.Delta(prev) — or the full Metrics
-// for an everything-so-far window).
+// after the window and pass window.Sub(prev) — or the full Metrics
+// for an everything-so-far window). At a partial site, the
+// subscription coverage is measured from the site meter: the share of
+// pulled rows the subscription kept. A full replica's is 0, whatever
+// its meter kept from an earlier subscription.
 func (a *Advisor) Observe(s *Session, window Metrics) Observation {
 	obs := Observation{
 		Window: window,
 		Tree:   a.tree(),
-		Users:  a.Users,
 	}
 	if s.site != PrimarySite {
 		obs.Site = s.site
@@ -92,8 +82,12 @@ func (a *Advisor) Observe(s *Session, window Metrics) Observation {
 		}
 		// Estimate the per-pull delta volume from the site's replication
 		// history, when there is one.
-		if m := s.node.Metrics(); m.SyncRoundTrips > 0 {
+		m := s.node.Metrics()
+		if m.SyncRoundTrips > 0 {
 			obs.SyncBytes = m.ResponseBytes / float64(m.SyncRoundTrips)
+		}
+		if pulled := m.SubscribedRows + m.SkippedRows; pulled > 0 && s.node.Partial() {
+			obs.Coverage = float64(m.SubscribedRows) / float64(pulled)
 		}
 	} else if s.meter != nil {
 		obs.Link = s.meter.Link
@@ -104,7 +98,7 @@ func (a *Advisor) Observe(s *Session, window Metrics) Observation {
 // Recommend ranks candidate configurations for the session under the
 // observed window and returns the top-k with predicted deltas.
 func (a *Advisor) Recommend(s *Session, window Metrics) []Recommendation {
-	return a.inner().Recommend(a.Observe(s, window), s.TuneConfig())
+	return advisor.Recommend(a.Observe(s, window), s.TuneConfig())
 }
 
 // Diagnose returns the read-only report for the session under the
@@ -112,7 +106,7 @@ func (a *Advisor) Recommend(s *Session, window Metrics) []Recommendation {
 // recommendations. Sections degrade independently — an empty window
 // still reports the configuration.
 func (a *Advisor) Diagnose(s *Session, window Metrics) *DiagSnapshot {
-	return a.inner().Diagnose(a.Observe(s, window), s.TuneConfig())
+	return advisor.Diagnose(a.Observe(s, window), s.TuneConfig())
 }
 
 // Plan builds the change set turning the session's current
@@ -121,7 +115,7 @@ func (a *Advisor) Diagnose(s *Session, window Metrics) *DiagSnapshot {
 // against the current configuration; apply it with ChangeSet.Apply and
 // revert with ChangeSet.Rollback.
 func (a *Advisor) Plan(s *Session, window Metrics) *ChangeSet {
-	return a.inner().Plan(a.Observe(s, window), s.TuneConfig())
+	return advisor.Plan(a.Observe(s, window), s.TuneConfig())
 }
 
 // Classify exposes the advisor's workload classification.
@@ -194,7 +188,7 @@ func (s *Session) afterAction(ctx context.Context, actionErr error) {
 	}
 	s.auto.n = 0
 	now := s.Metrics()
-	window := now.Delta(s.auto.prev)
+	window := now.Sub(s.auto.prev)
 	s.auto.prev = now
 	cs := s.advisor.Plan(s, window)
 	if cs == nil {

@@ -178,7 +178,7 @@ func TestAdvisorWithinTwoOfHandPicked(t *testing.T) {
 				t.Fatal(err)
 			}
 			shape.drive(t, obs, prod)
-			adv := pdmtune.Advisor{Product: prod.Config, Users: 1}
+			adv := pdmtune.Advisor{Product: prod.Config}
 			recs := adv.Recommend(obs, obs.Metrics())
 			obs.Close()
 			if len(recs) == 0 {

@@ -26,7 +26,7 @@ type FencedError = wire.FencedError
 type ConnClosedError = wire.ConnClosedError
 
 // HealthConfig tunes the primary health checker (probe interval,
-// per-probe timeout, consecutive-failure threshold).
+// consecutive-failure threshold); each probe is bounded by 250ms.
 type HealthConfig = failover.Config
 
 // HealthChecker probes the cluster's primary; see Cluster.WatchPrimary.
@@ -34,8 +34,8 @@ type HealthChecker = failover.Checker
 
 // PromoteConfig tunes the promotion prechecks: MaxEpochLag bounds the
 // epochs a promotion may discard when the old primary cannot be
-// reached for a final catch-up pull (default 0), Quorum the replica
-// sites that must answer a status probe (default a majority).
+// reached for a final catch-up pull (default 0). A majority of the
+// replica sites must answer a status probe.
 type PromoteConfig = topology.PromoteConfig
 
 // PromoteError reports a promotion refused by a precheck; Stage names

@@ -72,11 +72,12 @@ type Observation struct {
 	// Tree is the product shape under traversal (a paper scenario or a
 	// measured estimate).
 	Tree costmodel.Tree
-	// Users is the number of concurrent users sharing the link.
-	Users int
 	// SyncBytes is the observed row-delta volume of one replication
 	// pull (replica sessions only).
 	SyncBytes float64
+	// Coverage is the measured subscription coverage of the site: the
+	// share of pulled rows its subscription kept (0: a full replica).
+	Coverage float64
 }
 
 func (o Observation) replica() bool { return o.Site != "" && o.Site != "primary" }
@@ -139,9 +140,9 @@ func Classify(o Observation) WorkloadProfile {
 		Action:        costmodel.MLE, // the one action the knobs disagree on
 		WriteFrac:     writeFrac,
 		RepeatFrac:    repeatFrac,
-		Users:         o.Users,
 		LockWaitSec:   lockWaitSec,
 		ActionsPerSec: actionsPerSec,
+		Coverage:      o.Coverage,
 	}
 	return WorkloadProfile{Shape: shape, Workload: w}
 }
@@ -158,30 +159,12 @@ type Recommendation struct {
 	DeltaPct   float64
 }
 
-// Advisor ranks candidate configurations for observed workloads. The
-// zero value is ready to use.
-type Advisor struct {
-	// TopK bounds how many recommendations Recommend returns (3 when
-	// 0).
-	TopK int
-	// CacheEntries is the cache bound candidate configurations propose
-	// (256 when 0).
-	CacheEntries int
-}
-
-func (a Advisor) topK() int {
-	if a.TopK > 0 {
-		return a.TopK
-	}
-	return 3
-}
-
-func (a Advisor) cacheEntries() int {
-	if a.CacheEntries > 0 {
-		return a.CacheEntries
-	}
-	return 256
-}
+// The ranking's fixed bounds: how many recommendations Recommend
+// returns, and the cache bound candidate configurations propose.
+const (
+	topK         = 3
+	cacheEntries = 256
+)
 
 // candidates enumerates the knob lattice around the current
 // configuration: every strategy, batching, prepared and cache choice,
@@ -189,19 +172,14 @@ func (a Advisor) cacheEntries() int {
 // staleness bounds. What a running session cannot change, or does not
 // read, is kept as it is: the location (Replica), a shared cache store,
 // the replica knobs at the primary. The transport is an open-time
-// decision and no knob at all.
-func (a Advisor) candidates(current costmodel.Knobs) []costmodel.Knobs {
+// decision and no knob at all, and the site's subscription is measured
+// (Observation.Coverage), not proposed.
+func candidates(current costmodel.Knobs) []costmodel.Knobs {
 	stalenesses := []float64{current.StalenessSec}
-	coverages := []float64{current.Coverage}
 	if current.Replica {
 		stalenesses = []float64{0, 5, 30, 300}
-		// Subscription coverage spans its own lattice dimension at a
-		// replica: full replication (0 ⇒ 1) vs a half-tree subscription
-		// that halves the pull volume but makes the other half of the
-		// reads fall through to the primary.
-		coverages = []float64{0, 0.5}
 	}
-	caches := []int{0, a.cacheEntries()}
+	caches := []int{0, cacheEntries}
 	if current.CacheEntries < 0 {
 		caches = []int{current.CacheEntries}
 	}
@@ -215,22 +193,19 @@ func (a Advisor) candidates(current costmodel.Knobs) []costmodel.Knobs {
 					// adds the prepare round trip.
 					continue
 				}
-				for _, cacheEntries := range caches {
+				for _, cache := range caches {
 					for _, compress := range []bool{false, true} {
 						for _, st := range stalenesses {
-							for _, cov := range coverages {
-								out = append(out, costmodel.Knobs{
-									Strategy:     strat,
-									Batching:     batching,
-									Prepared:     prepared,
-									CacheEntries: cacheEntries,
-									Columnar:     compress,
-									Compress:     compress,
-									Replica:      current.Replica,
-									StalenessSec: st,
-									Coverage:     cov,
-								})
-							}
+							out = append(out, costmodel.Knobs{
+								Strategy:     strat,
+								Batching:     batching,
+								Prepared:     prepared,
+								CacheEntries: cache,
+								Columnar:     compress,
+								Compress:     compress,
+								Replica:      current.Replica,
+								StalenessSec: st,
+							})
 						}
 					}
 				}
@@ -243,13 +218,13 @@ func (a Advisor) candidates(current costmodel.Knobs) []costmodel.Knobs {
 // Recommend ranks every candidate configuration for the observed
 // workload and returns the top-k, each with its predicted per-action
 // cost and the predicted saving against the current configuration.
-func (a Advisor) Recommend(o Observation, current costmodel.Knobs) []Recommendation {
-	return a.recommend(Classify(o), current)
+func Recommend(o Observation, current costmodel.Knobs) []Recommendation {
+	return recommend(Classify(o), current)
 }
 
-func (a Advisor) recommend(p WorkloadProfile, current costmodel.Knobs) []Recommendation {
+func recommend(p WorkloadProfile, current costmodel.Knobs) []Recommendation {
 	currentSec := costmodel.PredictWorkload(current, p.Workload).PerActionSec
-	cands := a.candidates(current)
+	cands := candidates(current)
 	recs := make([]Recommendation, 0, len(cands))
 	for _, c := range cands {
 		sec := costmodel.PredictWorkload(c, p.Workload).PerActionSec
@@ -260,8 +235,8 @@ func (a Advisor) recommend(p WorkloadProfile, current costmodel.Knobs) []Recomme
 		recs = append(recs, Recommendation{Config: c, PredictedSec: sec, CurrentSec: currentSec, DeltaPct: delta})
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].PredictedSec < recs[j].PredictedSec })
-	if len(recs) > a.topK() {
-		recs = recs[:a.topK()]
+	if len(recs) > topK {
+		recs = recs[:topK]
 	}
 	return recs
 }

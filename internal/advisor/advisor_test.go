@@ -72,10 +72,10 @@ func TestClassifyShapes(t *testing.T) {
 
 func TestClassifyDistillsWorkload(t *testing.T) {
 	obs := Observation{
-		Window: window(10, 5, 10, 2e9), // 0.2s lock wait per write
-		Link:   netsim.Intercontinental(),
-		Tree:   paperTree(),
-		Users:  8,
+		Window:   window(10, 5, 10, 2e9), // 0.2s lock wait per write
+		Link:     netsim.Intercontinental(),
+		Tree:     paperTree(),
+		Coverage: 0.4,
 	}
 	p := Classify(obs)
 	if p.Workload.WriteFrac != 0.5 {
@@ -87,7 +87,7 @@ func TestClassifyDistillsWorkload(t *testing.T) {
 	if p.Workload.LockWaitSec != 0.2 {
 		t.Errorf("lock wait = %v sec/write, want 0.2", p.Workload.LockWaitSec)
 	}
-	if p.Workload.Users != 8 || p.Workload.Net.LatencySec != 0.15 {
+	if p.Workload.Coverage != 0.4 || p.Workload.Net.LatencySec != 0.15 {
 		t.Errorf("environment not carried over: %+v", p.Workload)
 	}
 	if p.Workload.ActionsPerSec <= 0 {
@@ -102,7 +102,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// (recursion, or batching) — never plain late evaluation.
 	cold := base
 	cold.Window = window(20, 0, 0, 0)
-	best := Advisor{}.Recommend(cold, Config{})[0].Config
+	best := Recommend(cold, Config{})[0].Config
 	if !best.Batching && best.Strategy != costmodel.Recursive {
 		t.Errorf("cold scan winner neither batches nor recurses: %s", best)
 	}
@@ -110,7 +110,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// Repeat-heavy: the winner must run a cache.
 	warm := base
 	warm.Window = window(20, 18, 0, 0)
-	best = Advisor{}.Recommend(warm, Config{})[0].Config
+	best = Recommend(warm, Config{})[0].Config
 	if best.CacheEntries == 0 {
 		t.Errorf("repeat-heavy winner has no cache: %s", best)
 	}
@@ -118,7 +118,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// Write-heavy: the winner must batch its modifies.
 	storm := base
 	storm.Window = window(5, 0, 20, 1e9)
-	best = Advisor{}.Recommend(storm, Config{})[0].Config
+	best = Recommend(storm, Config{})[0].Config
 	if !best.Batching {
 		t.Errorf("write-heavy winner does not batch: %s", best)
 	}
@@ -128,7 +128,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	replica.Site = "tokyo"
 	replica.Window = window(30, 10, 1, 0)
 	replica.SyncBytes = 64 * 1024
-	best = Advisor{}.Recommend(replica, Config{Replica: true})[0].Config
+	best = Recommend(replica, Config{Replica: true})[0].Config
 	if !best.Replica {
 		t.Errorf("replica winner moved the session off its site: %s", best)
 	}
@@ -139,9 +139,9 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 
 func TestRecommendRanksAndReportsDelta(t *testing.T) {
 	obs := Observation{Window: window(20, 0, 0, 0), Link: netsim.Intercontinental(), Tree: paperTree()}
-	recs := Advisor{TopK: 5}.Recommend(obs, Config{})
-	if len(recs) != 5 {
-		t.Fatalf("got %d recommendations, want 5", len(recs))
+	recs := Recommend(obs, Config{})
+	if len(recs) != topK {
+		t.Fatalf("got %d recommendations, want %d", len(recs), topK)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].PredictedSec < recs[i-1].PredictedSec {
@@ -176,7 +176,7 @@ func TestCandidatesKeepWhatTheSessionCannotChange(t *testing.T) {
 		{CacheEntries: -1, StalenessSec: -1},
 		{Replica: true, CacheEntries: -1},
 	} {
-		cands := Advisor{}.candidates(current)
+		cands := candidates(current)
 		if len(cands) == 0 {
 			t.Fatalf("%s: no candidates", current)
 		}
@@ -184,7 +184,7 @@ func TestCandidatesKeepWhatTheSessionCannotChange(t *testing.T) {
 			if c.CacheEntries != current.CacheEntries || c.Replica != current.Replica {
 				t.Fatalf("from %s: candidate %s changes the shared cache or the location", current, c)
 			}
-			if !current.Replica && (c.StalenessSec != current.StalenessSec || c.Coverage != current.Coverage) {
+			if !current.Replica && c.StalenessSec != current.StalenessSec {
 				t.Fatalf("from %s: candidate %s enumerates replica knobs at the primary", current, c)
 			}
 		}
@@ -280,20 +280,19 @@ func TestChangeSetRefusesDriftedSession(t *testing.T) {
 
 func TestPlanReturnsNilWhenAlreadyOptimal(t *testing.T) {
 	obs := Observation{Window: window(20, 0, 0, 0), Link: netsim.Intercontinental(), Tree: paperTree()}
-	best := Advisor{}.Recommend(obs, Config{})[0].Config
-	if cs := (Advisor{}).Plan(obs, best); cs != nil {
+	best := Recommend(obs, Config{})[0].Config
+	if cs := Plan(obs, best); cs != nil {
 		t.Errorf("planning from the optimum produced a change set: %+v", cs.Changes)
 	}
-	if cs := (Advisor{}).Plan(obs, Config{}); cs == nil {
+	if cs := Plan(obs, Config{}); cs == nil {
 		t.Error("planning from the baseline produced nothing")
 	}
 }
 
 func TestDiagnoseDegrades(t *testing.T) {
-	a := Advisor{}
 	// Full observation: every section available.
 	obs := Observation{Window: window(20, 10, 2, 1e8), Link: netsim.Intercontinental(), Tree: paperTree()}
-	d := a.Diagnose(obs, Config{})
+	d := Diagnose(obs, Config{})
 	for _, name := range []string{"config", "window", "profile", "recommendations"} {
 		if s, ok := d.Sections[name]; !ok || !s.Available {
 			t.Errorf("section %q unavailable in a full diagnosis: %+v", name, s)
@@ -304,7 +303,7 @@ func TestDiagnoseDegrades(t *testing.T) {
 	}
 
 	// Empty window: degraded but not gone.
-	d = a.Diagnose(Observation{Tree: paperTree()}, Config{})
+	d = Diagnose(Observation{Tree: paperTree()}, Config{})
 	if s := d.Sections["config"]; !s.Available {
 		t.Error("config section must survive an empty window")
 	}

@@ -48,8 +48,8 @@ type ChangeSet struct {
 // Plan builds the change set turning `current` into the advisor's top
 // recommendation for the observation. It returns nil when the best
 // candidate is the current configuration itself — nothing to change.
-func (a Advisor) Plan(o Observation, current costmodel.Knobs) *ChangeSet {
-	recs := a.Recommend(o, current)
+func Plan(o Observation, current costmodel.Knobs) *ChangeSet {
+	recs := Recommend(o, current)
 	if len(recs) == 0 {
 		return nil
 	}

@@ -33,7 +33,7 @@ func section(data map[string]string) Section { return Section{Available: true, D
 // the window's traffic, the classified profile, and the ranked
 // recommendations against the current configuration. Sections degrade
 // independently — an empty window still yields a config section.
-func (a Advisor) Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot {
+func Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot {
 	d := &DiagSnapshot{Sections: map[string]Section{}}
 
 	d.Sections["config"] = section(map[string]string{
@@ -66,10 +66,10 @@ func (a Advisor) Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot 
 		"write_frac":  fmt.Sprintf("%.2f", p.WriteFrac),
 		"repeat_frac": fmt.Sprintf("%.2f", p.RepeatFrac),
 		"site":        displaySite(o.Site),
-		"users":       fmt.Sprint(p.Workload.Users),
+		"coverage":    fmt.Sprintf("%.2f", p.Workload.Coverage),
 	})
 
-	recs := a.recommend(p, current)
+	recs := recommend(p, current)
 	if len(recs) == 0 {
 		d.Sections["recommendations"] = failed("no candidates enumerated")
 		return d

@@ -188,11 +188,10 @@ func (c *Client) WireCaps() wire.Caps { return c.sql.Caps() }
 // statements and a private cache flip locally (a new strategy drops the
 // compiled statements, which embed its rule modification); changed wire
 // encodings cost one renegotiation round trip; the staleness bound
-// re-times a replica client's read-time syncs. Knobs the client cannot
-// act on (Coverage, a bound without a replica) are recorded, so Knobs
-// echoes k and a change set rolls back wherever it applied. A new read
-// location, and a resize or drop of a shared cache, are refused before
-// anything changes.
+// re-times a replica client's read-time syncs. A bound without a
+// replica is recorded, so Knobs echoes k and a change set rolls back
+// wherever it applied. A new read location, and a resize or drop of a
+// shared cache, are refused before anything changes.
 func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 	cur := c.knobs
 	if k.Replica != cur.Replica {

@@ -213,8 +213,6 @@ type Estimate struct {
 type Model struct {
 	Net  Network
 	Tree Tree
-	// NodeBytes is the average node size (DefaultNodeBytes when 0).
-	NodeBytes float64
 	// CompressionRatio is the measured response shrink factor of the
 	// columnar v2 encoding plus deflate (DefaultCompressionRatio when
 	// 0; <= 1 prices a session that negotiated nothing). Only read
@@ -227,10 +225,6 @@ type Model struct {
 	// frame (DefaultStatementBytes when 0); only read under
 	// Knobs.Batching.
 	StatementBytes float64
-	// PreparedStatementBytes is the assumed size of one prepared
-	// execution inside a batch frame (DefaultPreparedStatementBytes
-	// when 0); only read under Knobs.Batching + Knobs.Prepared.
-	PreparedStatementBytes float64
 	// Warm prices the repeat of an action whose structure is already in
 	// the client cache; only read when the knobs run a cache.
 	Warm bool
@@ -252,8 +246,6 @@ func orDefault(v, def float64) float64 {
 	}
 	return def
 }
-
-func (m Model) nodeBytes() float64 { return orDefault(m.NodeBytes, DefaultNodeBytes) }
 
 // Assumed sizes of the exchanges the paper's model does not itemize.
 const (
@@ -310,8 +302,9 @@ func packets(bytes, sizeP float64) float64 {
 //     SyncBytes that preceded it to Net. Writes are not priced here: a
 //     write crosses the WAN exactly as at the primary.
 //
-// StalenessSec and Coverage describe how a replica's pulls amortize
-// over a stream of actions; PredictWorkload blends them.
+// StalenessSec and the site's measured Workload.Coverage describe how a
+// replica's pulls amortize over a stream of actions; PredictWorkload
+// blends them.
 //
 // WhereUsed under Recursive is one exchange, the upward recursive
 // statement, carrying the records of the Chain ancestors; the
@@ -348,7 +341,7 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 		// outright — a configured StatementBytes describes text mode.
 		stmtBytes := orDefault(m.StatementBytes, DefaultStatementBytes)
 		if k.Prepared {
-			stmtBytes = orDefault(m.PreparedStatementBytes, DefaultPreparedStatementBytes)
+			stmtBytes = DefaultPreparedStatementBytes
 		}
 		// Parents expanded per BFS level: 1 root at depth 0, then the
 		// visible (σβ)^i nodes of depths 1..δ (leaves included — the
@@ -361,7 +354,7 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 			levelParents *= sigmaBeta
 		}
 		est.TransmittedNodes = m.Tree.TransmittedNodes(a, k.Strategy)
-		est.VolumeBytes += est.TransmittedNodes * m.nodeBytes()
+		est.VolumeBytes += est.TransmittedNodes * DefaultNodeBytes
 		if k.Prepared {
 			// The prepare exchange: the statement text up (one packet),
 			// the handle back (the half-filled response packet).
@@ -394,10 +387,10 @@ func (m Model) Price(k Knobs, a Action) Estimate {
 		if recursive {
 			est.Communications = 2
 		}
-		est.VolumeBytes = q*sizeP + n*m.nodeBytes() + q*sizeP/2
+		est.VolumeBytes = q*sizeP + n*DefaultNodeBytes + q*sizeP/2
 	}
 	if ratio := orDefault(m.CompressionRatio, DefaultCompressionRatio); k.Compress && ratio > 1 {
-		est.VolumeBytes -= est.TransmittedNodes * m.nodeBytes() * (1 - 1/ratio)
+		est.VolumeBytes -= est.TransmittedNodes * DefaultNodeBytes * (1 - 1/ratio)
 	}
 
 	est.LatencySec = est.Communications * net.LatencySec

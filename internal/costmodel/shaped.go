@@ -50,15 +50,6 @@ type Knobs struct {
 	// before every action, larger bounds amortize the sync, negative
 	// never syncs at read time. Only read when Replica is set.
 	StalenessSec float64
-	// Coverage is the site's subscription coverage in (0, 1]: the
-	// fraction of the product structure the replica holds. Reads inside
-	// the coverage run site-local; the rest fall through to the primary
-	// at cold WAN cost, while replication pulls shrink proportionally.
-	// 0 means full replication (coverage 1). It is cluster-level
-	// advice — changing it means Cluster.Subscribe, which a single
-	// session cannot do — so a session only records it. Only read when
-	// Replica is set.
-	Coverage float64
 }
 
 // Field is one knob under its canonical name.
@@ -80,7 +71,6 @@ func (k Knobs) Fields() []Field {
 		{"compress", k.Compress},
 		{"replica", k.Replica},
 		{"staleness_sec", k.StalenessSec},
-		{"coverage", k.Coverage},
 	}
 }
 
@@ -123,15 +113,17 @@ type Workload struct {
 	// RepeatFrac is the fraction of read actions whose (action, target)
 	// had been executed before — the cache-hit opportunity, in [0, 1].
 	RepeatFrac float64
-	// Users is the number of concurrent users sharing the link (and the
-	// write latches); 0 and 1 both mean a single user.
-	Users int
 	// LockWaitSec is the observed lock wait per write action, the PR 6
 	// contention counter distilled to seconds.
 	LockWaitSec float64
 	// ActionsPerSec is the observed action rate (simulated time). It
 	// amortizes replica syncs over the actions between two bounds.
 	ActionsPerSec float64
+	// Coverage is the site's measured subscription coverage: the share
+	// of pulled rows its subscription kept. Replica reads inside it run
+	// site-local, the rest fall through to the primary at cold WAN
+	// cost, and the pulls shrink to it. 0 (or 1) is a full replica.
+	Coverage float64
 }
 
 // LANNetwork is netsim.LAN — the site-local profile replica reads are
@@ -162,11 +154,10 @@ type WorkloadEstimate struct {
 // over the workload's read/write and cold/repeat mix, with replica
 // syncs amortized over the staleness bound and the observed lock wait
 // charged to every write. Monotone in the environment: deeper or wider
-// trees, more users, more lock wait and more sync volume never get
-// cheaper; a larger compression ratio and a larger staleness bound
-// never get more expensive.
+// trees, more lock wait and more sync volume never get cheaper; a
+// larger compression ratio, a larger staleness bound and a wider
+// subscription never get more expensive.
 func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
-	users := math.Max(float64(w.Users), 1)
 	// The pull is amortized over the staleness window below, not
 	// charged to every read.
 	m := w.Model
@@ -175,12 +166,7 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 		m.Net = PaperNetworks()[0]
 	}
 	wan := m.Net
-	// Latency is per connection, but the link's bandwidth is shared by
-	// every concurrent user: the transfer share stretches with the fleet.
-	price := func(m Model, k Knobs) float64 {
-		est := m.Price(k, w.Action)
-		return est.LatencySec + est.TransferSec*users
-	}
+	price := func(m Model, k Knobs) float64 { return m.Price(k, w.Action).TotalSec }
 	// The same wire knobs priced across the WAN: what a fall-through
 	// read and every write's fetch phase pay, wherever the session sits.
 	atPrimary := k
@@ -199,9 +185,9 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	// ---- partial replication: reads outside the subscription fall
 	// through to the primary at cold WAN cost (never cached — the
 	// replica does not hold them to validate against).
-	cov := 1.0 // everything held locally, unless the candidate is a partial replica
-	if k.Replica && k.Coverage > 0 && k.Coverage < 1 {
-		cov = k.Coverage
+	cov := 1.0 // everything held locally, unless the site is a partial replica
+	if k.Replica && w.Coverage > 0 && w.Coverage < 1 {
+		cov = w.Coverage
 		readSec = cov*readSec + (1-cov)*wanCold
 	}
 
@@ -211,7 +197,7 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	var syncSec float64
 	if k.Replica && k.StalenessSec >= 0 {
 		vol := float64(wan.PacketBytes)*1.5 + w.SyncBytes*cov
-		pull := 2*wan.LatencySec + vol*8/(wan.RateKbps*1024)*users
+		pull := 2*wan.LatencySec + vol*8/(wan.RateKbps*1024)
 		actionsPerPull := 1 + k.StalenessSec*math.Max(w.ActionsPerSec, 0)
 		syncSec = pull / actionsPerPull
 		readSec += syncSec
@@ -231,8 +217,8 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	}
 	p := float64(wan.PacketBytes)
 	updVol := packets(stmtBytes, p)*p + p/2
-	update := 2*updateRTs*wan.LatencySec + updVol*8/(wan.RateKbps*1024)*users
-	lockWait := w.LockWaitSec * users
+	update := 2*updateRTs*wan.LatencySec + updVol*8/(wan.RateKbps*1024)
+	lockWait := w.LockWaitSec
 	writeSec := wanCold + update + lockWait
 
 	wf := math.Min(math.Max(w.WriteFrac, 0), 1)

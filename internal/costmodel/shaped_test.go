@@ -7,9 +7,9 @@ import (
 
 // The advisor ranks configurations by these predictions, so the model
 // must move the right direction as the environment degrades: deeper and
-// wider trees, more users, more contention and more sync volume must
-// never get cheaper, while a better compression ratio and a looser
-// staleness bound must never get more expensive. A silent sign flip
+// wider trees, more contention and more sync volume must never get
+// cheaper, while a better compression ratio, a looser staleness bound
+// and a wider subscription must never get more expensive. A silent sign flip
 // here would invert the advisor's ranking without failing any
 // table-reproduction test.
 
@@ -34,7 +34,6 @@ func baseWorkload() Workload {
 		Action:        MLE,
 		WriteFrac:     0.2,
 		RepeatFrac:    0.5,
-		Users:         4,
 		LockWaitSec:   0.01,
 		ActionsPerSec: 0.5,
 	}
@@ -82,14 +81,19 @@ func TestPredictWorkloadMonotoneInBranch(t *testing.T) {
 	}
 }
 
-func TestPredictWorkloadMonotoneInUsers(t *testing.T) {
+// TestPredictWorkloadMonotoneInCoverage: the wider a site's measured
+// subscription, the more of its reads run site-local instead of falling
+// through to the primary, so a replica read never gets dearer. The
+// bound -1 keeps the pull, which shrinks with coverage, out of it.
+func TestPredictWorkloadMonotoneInCoverage(t *testing.T) {
 	for _, k := range knobGrid() {
+		k.Replica, k.StalenessSec = true, -1
 		t.Run(fmt.Sprintf("%+v", k), func(t *testing.T) {
-			assertMonotone(t, "users", []float64{1, 2, 4, 8, 16, 64}, func(x float64) float64 {
+			assertMonotone(t, "coverage", []float64{0.25, 0.5, 0.75, 1}, func(x float64) float64 {
 				w := baseWorkload()
-				w.Users = int(x)
-				return PredictWorkload(k, w).PerActionSec
-			}, true)
+				w.Coverage = x
+				return PredictWorkload(k, w).ReadSec
+			}, false)
 		})
 	}
 }

@@ -25,13 +25,14 @@ type Prober interface {
 	Status(ctx context.Context) (wire.Status, error)
 }
 
+// probeTimeout bounds each health probe.
+const probeTimeout = 250 * time.Millisecond
+
 // Config tunes the health checker.
 type Config struct {
 	// Interval is the probe period of the background loop (default
 	// 500ms). CheckNow ignores it.
 	Interval time.Duration
-	// Timeout bounds each probe (default 250ms).
-	Timeout time.Duration
 	// Threshold is the number of consecutive failed probes after which
 	// the primary is declared down (default 3). One slow probe must not
 	// trigger a failover.
@@ -43,13 +44,6 @@ func (c Config) interval() time.Duration {
 		return 500 * time.Millisecond
 	}
 	return c.Interval
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.Timeout
 }
 
 func (c Config) threshold() int {
@@ -92,7 +86,7 @@ func New(prober Prober, cfg Config, meter *netsim.Meter, onDown func()) *Checker
 // primary answered, along with the checker's down verdict after this
 // probe (true once Threshold consecutive probes have failed).
 func (c *Checker) CheckNow(ctx context.Context) (ok, down bool) {
-	probeCtx, cancel := context.WithTimeout(ctx, c.cfg.timeout())
+	probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 	st, err := c.prober.Status(probeCtx)
 	cancel()
 	ok = err == nil

@@ -444,11 +444,7 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		return s.execDelete(st, params)
 
 	case *ast.CreateTable:
-		res, err := s.execCreateTable(st)
-		if err == nil {
-			s.db.plans.invalidateAll()
-		}
-		return res, err
+		return s.execCreateTable(st)
 
 	case *ast.CreateIndex:
 		t, ok := s.db.store.Table(st.Table)
@@ -465,14 +461,12 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 		if err := s.endWrite(c, own, t.CreateIndex(st.Name, st.Column, st.Unique)); err != nil {
 			return nil, err
 		}
-		s.db.plans.invalidateAll()
 		return &Result{}, nil
 
 	case *ast.DropTable:
 		if err := s.db.store.DropTable(st.Name, st.IfExists); err != nil {
 			return nil, err
 		}
-		s.db.plans.invalidateAll()
 		return &Result{}, nil
 
 	case *ast.Call:

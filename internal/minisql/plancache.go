@@ -19,7 +19,9 @@ const planCacheBytes = 256 << 10
 // planCache is a concurrency-safe LRU of parsed statements keyed by SQL
 // text and bounded by the bytes of text it holds. The executor treats
 // ASTs as read-only, so one cached statement may run on any number of
-// sessions concurrently. DDL execution invalidates the whole cache.
+// sessions concurrently. DDL leaves the entries in place: a SELECT
+// core's plan is checked against the schemas it reads on every
+// execution and re-planned when they changed.
 type planCache struct {
 	mu     sync.Mutex
 	budget int
@@ -75,15 +77,6 @@ func (c *planCache) put(sql string, stmt ast.Statement) {
 	}
 }
 
-// invalidateAll empties the cache — called after any DDL statement.
-func (c *planCache) invalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.m)
-	c.lru.Init()
-	c.bytes = 0
-}
-
 // pinned reports the bytes of SQL text the cache currently holds.
 func (c *planCache) pinned() int {
 	c.mu.Lock()
@@ -91,8 +84,8 @@ func (c *planCache) pinned() int {
 	return c.bytes
 }
 
-// cacheablePlan excludes DDL from the cache: executing DDL invalidates
-// every entry anyway, and schema statements run once.
+// cacheablePlan excludes DDL from the cache: a schema statement runs
+// once, so its text would only pin budget the hot set needs.
 func cacheablePlan(st ast.Statement) bool {
 	switch st.(type) {
 	case *ast.CreateTable, *ast.CreateIndex, *ast.DropTable:

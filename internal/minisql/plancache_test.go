@@ -68,41 +68,76 @@ func TestPlanCacheHitDoesNoParserWork(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDDLInvalidation checks that every DDL statement empties
-// the cache — a cached plan must never survive a schema change — and
-// that DDL itself is never cached.
-func TestPlanCacheDDLInvalidation(t *testing.T) {
+// TestPlanCacheSurvivesDDL checks that DDL leaves cached statements in
+// place and that they follow the new catalog: a cached SELECT * is a hit
+// after its table is dropped and re-created with other columns, and
+// returns them; a cached EXPLAIN of a join shows the index join once the
+// index exists, still as a hit. DDL itself is never cached.
+func TestPlanCacheSurvivesDDL(t *testing.T) {
 	db := planTestDB(t)
 	s := db.NewSession()
-	const q = "SELECT COUNT(*) FROM obj"
-
-	ddl := []string{
-		"CREATE TABLE aux (id INTEGER)",
-		"CREATE INDEX obj_state ON obj (state)",
-		"DROP TABLE aux",
+	query := func(sql string) *Result {
+		t.Helper()
+		res, err := s.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
 	}
-	for _, stmt := range ddl {
-		if _, err := s.Query(q); err != nil {
-			t.Fatal(err)
+	ddl := func(sql string) {
+		t.Helper()
+		pinned := db.plans.pinned()
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if db.plans.pinned() == 0 {
-			t.Fatalf("query %q did not populate the cache", q)
+		if st := s.TakeContention(); st.PlanHits != 0 {
+			t.Fatalf("%s: plan hits=%d, want 0 (DDL is never cached)", sql, st.PlanHits)
 		}
-		if _, err := s.Exec(stmt); err != nil {
-			t.Fatal(err)
+		if n := db.plans.pinned(); n != pinned {
+			t.Fatalf("%s: cache pins %d bytes, want %d (DDL neither cached nor flushing)", sql, n, pinned)
 		}
-		if n := db.plans.pinned(); n != 0 {
-			t.Fatalf("%d cached plans survived %q, want 0", n, stmt)
+	}
+	hit := func(what string) {
+		t.Helper()
+		if st := s.TakeContention(); st.PlanHits != 1 || st.PlanMisses != 0 {
+			t.Fatalf("%s: hits=%d misses=%d, want 1/0", what, st.PlanHits, st.PlanMisses)
 		}
 	}
 
+	ddl("CREATE TABLE aux (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "INSERT INTO aux VALUES (1, 'a')")
+	const star = "SELECT * FROM aux"
+	query(star)
 	s.TakeContention()
-	if _, err := s.Query(q); err != nil {
-		t.Fatal(err)
+	ddl("DROP TABLE aux")
+	ddl("CREATE TABLE aux (id INTEGER PRIMARY KEY, w FLOAT, label TEXT)")
+	mustExec(t, s, "INSERT INTO aux VALUES (1, 2.5, 'x')")
+	s.TakeContention()
+	res := query(star)
+	hit("SELECT * after DROP and CREATE")
+	if got := strings.Join(res.Cols, ","); got != "id,w,label" {
+		t.Errorf("columns after re-create: %s, want id,w,label", got)
 	}
-	if st := s.TakeContention(); st.PlanMisses != 1 {
-		t.Fatalf("post-DDL exec misses=%d, want 1 (invalidated entry must re-parse)", st.PlanMisses)
+	if got := strings.Join(rowsToStrings(res), ";"); got != "1|2.5|x" {
+		t.Errorf("rows after re-create: %s, want 1|2.5|x", got)
 	}
+
+	ddl("CREATE TABLE lnk (id INTEGER PRIMARY KEY, obj_id INTEGER)")
+	mustExec(t, s, "INSERT INTO lnk VALUES (10, 1), (11, 2)")
+	const explain = "EXPLAIN SELECT lnk.id, obj.typ FROM obj JOIN lnk ON lnk.obj_id = obj.id"
+	plan := func() string { return strings.Join(rowsToStrings(query(explain)), "\n") }
+	if p := plan(); !strings.Contains(p, "HASH JOIN") {
+		t.Fatalf("before the index the join hashes; plan:\n%s", p)
+	}
+	s.TakeContention()
+	ddl("CREATE INDEX lnk_obj ON lnk (obj_id)")
+	if p := plan(); !strings.Contains(p, "INDEX JOIN lnk USING lnk_obj") {
+		t.Errorf("after CREATE INDEX the cached join must use it; plan:\n%s", p)
+	}
+	hit("EXPLAIN after CREATE INDEX")
+	// The same DDL text run twice is no hit the second time.
+	ddl("CREATE INDEX IF NOT EXISTS lnk_obj ON lnk (obj_id)")
+	ddl("CREATE INDEX IF NOT EXISTS lnk_obj ON lnk (obj_id)")
 }
 
 // bulkInsert renders a one-shot multi-row INSERT of about 40 KB — the

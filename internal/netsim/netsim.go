@@ -238,21 +238,18 @@ func (m *Metrics) combine(b *Metrics, sign int) {
 	m.ProbeFailures += sign * b.ProbeFailures
 }
 
-// Sub returns the field-wise difference m - b, for per-action deltas of
-// a shared meter.
+// Sub returns the field-wise difference m - b: the per-action delta of
+// a shared meter, or the traffic of an observation window that starts
+// at a previous snapshot b and ends at m. Pair it with Meter.Snapshot
+// to watch a live meter in windows:
+//
+//	prev := meter.Snapshot()
+//	...                       // the session keeps working
+//	window := meter.Snapshot().Sub(prev)
 func (m Metrics) Sub(b Metrics) Metrics {
 	m.combine(&b, -1)
 	return m
 }
-
-// Delta returns the traffic of the observation window that starts at a
-// previous snapshot and ends at m: the field-wise difference m - prev.
-// Pair it with Meter.Snapshot to watch a live meter in windows:
-//
-//	prev := meter.Snapshot()
-//	...                       // the session keeps working
-//	window := meter.Snapshot().Delta(prev)
-func (m Metrics) Delta(prev Metrics) Metrics { return m.Sub(prev) }
 
 // Add returns the field-wise sum m + b — the aggregation of traffic
 // charged to different links (e.g. a session's site-local reads plus
@@ -296,7 +293,7 @@ func NewMeter(link Link) *Meter { return &Meter{Link: link} }
 
 // Snapshot returns a consistent copy of the accumulated metrics, taken
 // under the meter's lock — the way to window a live meter from another
-// goroutine (see Metrics.Delta) without racing its round trips.
+// goroutine (see Metrics.Sub) without racing its round trips.
 func (m *Meter) Snapshot() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()

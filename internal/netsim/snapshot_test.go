@@ -6,7 +6,7 @@ import (
 )
 
 // TestSnapshotDeltaWindow charges a meter in known chunks and checks
-// that Snapshot/Delta windows see exactly the traffic between them.
+// that Snapshot/Sub windows see exactly the traffic between them.
 func TestSnapshotDeltaWindow(t *testing.T) {
 	m := NewMeter(LAN())
 	m.Charge(100, 1000, Metrics{Statements: 1})
@@ -20,7 +20,7 @@ func TestSnapshotDeltaWindow(t *testing.T) {
 	m.Add(Metrics{CacheHits: 3, CacheMisses: 1, SavedRoundTrips: 2})
 	m.Add(Metrics{ReadActions: 1, RepeatActions: 1})
 	m.Add(Metrics{WriteActions: 1})
-	d := m.Snapshot().Delta(w0)
+	d := m.Snapshot().Sub(w0)
 	if d.RoundTrips != 1 {
 		t.Errorf("window delta: %d round trips, want 1", d.RoundTrips)
 	}
@@ -36,7 +36,7 @@ func TestSnapshotDeltaWindow(t *testing.T) {
 	}
 
 	// A window over an idle meter is empty.
-	if d := m.Snapshot().Delta(m.Snapshot()); d != (Metrics{}) {
+	if d := m.Snapshot().Sub(m.Snapshot()); d != (Metrics{}) {
 		t.Errorf("idle window is not empty: %+v", d)
 	}
 }
@@ -65,7 +65,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			default:
 			}
 			cur := m.Snapshot()
-			if d := cur.Delta(prev); d.RoundTrips < 0 {
+			if d := cur.Sub(prev); d.RoundTrips < 0 {
 				t.Error("window went backwards")
 				return
 			}

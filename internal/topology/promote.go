@@ -17,10 +17,6 @@ type PromoteConfig struct {
 	// Default 0: an unreachable primary's unreplicated writes are never
 	// silently discarded unless the caller raised the bound.
 	MaxEpochLag uint64
-	// Quorum is the number of replica sites (candidate included) that
-	// must answer a status probe for the promotion to proceed. Default:
-	// a majority of the cluster's replica sites.
-	Quorum int
 }
 
 // PromoteError reports a promotion refused by a precheck.
@@ -93,8 +89,8 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 			Reason: "candidate is a partial replica (subscription-bounded); unsubscribe and sync it to full coverage first"}
 	}
 
-	// Quorum: replica sites (candidate included) answering a status
-	// probe over their control transports.
+	// Quorum: a majority of the replica sites (candidate included)
+	// answering a status probe over their control transports.
 	replicas, reachable := 0, 0
 	candidateUp := false
 	for _, n := range c.sites {
@@ -107,10 +103,7 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 			candidateUp = candidateUp || n == candidate
 		}
 	}
-	quorum := c.cfg.Quorum
-	if quorum <= 0 {
-		quorum = replicas/2 + 1
-	}
+	quorum := replicas/2 + 1
 	if !candidateUp {
 		return &PromoteError{Site: name, Stage: "quorum", Reason: "candidate did not answer its status probe"}
 	}

@@ -18,10 +18,6 @@ type RetryPolicy struct {
 	// MaxAttempts bounds total attempts including the first (<= 1
 	// disables retries; 0 selects the default of 4).
 	MaxAttempts int
-	// BaseDelay is the first retry's backoff (default 5ms); MaxDelay
-	// caps the exponential growth (default 100ms).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Seed drives the deterministic jitter sequence.
 	Seed uint64
 	// Sleep replaces time.Sleep (tests inject a no-op or a recorder).
@@ -51,20 +47,17 @@ func (p *RetryPolicy) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// backoff returns the delay before retry number n (1-based): base·2ⁿ⁻¹
-// capped at MaxDelay, plus jitter in [0, delay/2).
+const (
+	baseDelay = 5 * time.Millisecond
+	maxDelay  = 100 * time.Millisecond
+)
+
+// backoff returns the delay before retry number n (1-based):
+// baseDelay·2ⁿ⁻¹ capped at maxDelay, plus jitter in [0, delay/2).
 func (p *RetryPolicy) backoff(n int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 100 * time.Millisecond
-	}
-	d := base << uint(n-1)
-	if d <= 0 || d > maxd {
-		d = maxd
+	d := baseDelay << uint(n-1)
+	if d <= 0 || d > maxDelay {
+		d = maxDelay
 	}
 	if half := d / 2; half > 0 {
 		d += time.Duration(p.next() % uint64(half))

@@ -279,3 +279,66 @@ func TestPromoteRefusesPartialReplica(t *testing.T) {
 		t.Fatalf("promoting after unsubscribe+sync: %v", err)
 	}
 }
+
+// TestObserveMeasuresSubscriptionCoverage: the advisor reads a site's
+// subscription coverage from its meter instead of proposing one — a
+// session at a half-subscribed site observes the share of pulled rows
+// the subscription kept, strictly between 0 and 1, and a session at a
+// full replica observes 0, also once the half site has unsubscribed and
+// synced to full.
+func TestObserveMeasuresSubscriptionCoverage(t *testing.T) {
+	ctx := context.Background()
+	cl, err := pdmtune.NewCluster(nil,
+		pdmtune.SiteConfig{Name: "half"},
+		pdmtune.SiteConfig{Name: "full"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 4, Sigma: 0.6, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	children := prod.Nodes[prod.RootID].Children
+	if err := cl.Subscribe("half", children[0], children[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	adv := pdmtune.Advisor{Product: prod.Config}
+	observe := func(site string) float64 {
+		t.Helper()
+		sess, err := cl.OpenAt(ctx, site, pdmtune.WithStrategy(pdmtune.Recursive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
+			t.Fatal(err)
+		}
+		return adv.Observe(sess, sess.Metrics()).Coverage
+	}
+
+	half, _ := cl.Site("half")
+	m := half.Metrics()
+	want := float64(m.SubscribedRows) / float64(m.SubscribedRows+m.SkippedRows)
+	if got := observe("half"); got != want || got <= 0 || got >= 1 {
+		t.Errorf("half-subscribed site: observed coverage %v, want the site meter's %v in (0, 1) (shipped %d, skipped %d)",
+			got, want, m.SubscribedRows, m.SkippedRows)
+	}
+	if got := observe("full"); got != 0 {
+		t.Errorf("full replica: observed coverage %v, want 0", got)
+	}
+
+	if err := cl.Unsubscribe("half"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SyncSite(ctx, "half"); err != nil {
+		t.Fatal(err)
+	}
+	if got := observe("half"); got != 0 {
+		t.Errorf("unsubscribed site synced to full: observed coverage %v, want 0", got)
+	}
+}
