@@ -3,10 +3,12 @@ package pdmtune_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"pdmtune"
 	"pdmtune/internal/advisor"
+	"pdmtune/internal/costmodel"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/wire"
 )
@@ -43,16 +45,10 @@ func TestAdvisorOptionConflicts(t *testing.T) {
 		open func() (*pdmtune.Session, error)
 	}{
 		{"WithAutoTune+WithTransport", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithAutoTune(4), pdmtune.WithTransport(tr()))
+			return sys.Open(pdmtune.WithAutoTune(4, pdmtune.Advisor{}), pdmtune.WithTransport(tr()))
 		}},
 		{"WithTransport+WithAutoTune", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithTransport(tr()), pdmtune.WithAutoTune(4))
-		}},
-		{"WithAdvisor+unmetered WithTransport", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithAdvisor(&pdmtune.Advisor{}), pdmtune.WithTransport(tr()))
-		}},
-		{"unmetered WithTransport+WithAdvisor", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithTransport(tr()), pdmtune.WithAdvisor(&pdmtune.Advisor{}))
+			return sys.Open(pdmtune.WithTransport(tr()), pdmtune.WithAutoTune(4, pdmtune.Advisor{}))
 		}},
 	}
 	for _, tc := range cases {
@@ -67,13 +63,45 @@ func TestAdvisorOptionConflicts(t *testing.T) {
 		}
 	}
 
-	// The non-conflicting spellings still work.
-	if _, err := sys.Open(pdmtune.WithAutoTune(8)); err != nil {
+	// The non-conflicting spelling still works.
+	if _, err := sys.Open(pdmtune.WithAutoTune(8, pdmtune.Advisor{})); err != nil {
 		t.Errorf("WithAutoTune alone: %v", err)
 	}
-	if _, err := sys.Open(pdmtune.WithAdvisor(&pdmtune.Advisor{}),
-		pdmtune.WithTransport(tr()), pdmtune.WithMeter(netsim.NewMeter(pdmtune.LAN()))); err != nil {
-		t.Errorf("WithAdvisor+metered WithTransport: %v", err)
+}
+
+// TestAdvisorOnCustomTransports: the advisor runs on any session. On a
+// bare custom transport, which has no meter, the diagnosis reports its
+// window as unavailable instead of failing; on a metered one it plans
+// from the window like on the default transport.
+func TestAdvisorOnCustomTransports(t *testing.T) {
+	sys, prod := newAdvisorSystem(t)
+	adv := pdmtune.Advisor{Product: prod.Config}
+	conn := func() pdmtune.Transport { return &wire.MeteredChannel{Conn: sys.Server.NewConn()} }
+
+	bare, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval), pdmtune.WithTransport(conn()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	coldScan(t, bare, prod)
+	d := adv.Diagnose(bare, bare.Metrics())
+	if s := d.Sections["window"]; s.Available || s.Error == "" {
+		t.Errorf("unmetered session: window section %+v, want unavailable with a reason", s)
+	}
+	if s := d.Sections["config"]; !s.Available {
+		t.Errorf("unmetered session: config section unavailable: %+v", s)
+	}
+
+	meter := netsim.NewMeter(pdmtune.Intercontinental())
+	metered, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval),
+		pdmtune.WithTransport(pdmtune.MeteredTransport(conn(), meter)), pdmtune.WithMeter(meter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metered.Close()
+	coldScan(t, metered, prod)
+	if cs := adv.Plan(metered, metered.Metrics()); cs == nil {
+		t.Error("metered custom transport: no plan after an untuned cold scan")
 	}
 }
 
@@ -211,8 +239,7 @@ func TestSessionChangeSetApplyRollback(t *testing.T) {
 	sys, prod := newAdvisorSystem(t)
 	ctx := context.Background()
 
-	sess, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval),
-		pdmtune.WithAdvisor(&pdmtune.Advisor{Product: prod.Config}))
+	sess, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +247,7 @@ func TestSessionChangeSetApplyRollback(t *testing.T) {
 	coldScan(t, sess, prod)
 
 	before := sess.TuneConfig()
-	cs := sess.PlanTune()
+	cs := pdmtune.Advisor{Product: prod.Config}.Plan(sess, sess.Metrics())
 	if cs == nil {
 		t.Fatal("no plan for an untuned cold scan")
 	}
@@ -260,8 +287,7 @@ func TestAutoTuneClosedLoop(t *testing.T) {
 	ctx := context.Background()
 
 	sess, err := sys.Open(pdmtune.WithStrategy(pdmtune.LateEval),
-		pdmtune.WithAdvisor(&pdmtune.Advisor{Product: prod.Config}),
-		pdmtune.WithAutoTune(3))
+		pdmtune.WithAutoTune(3, pdmtune.Advisor{Product: prod.Config}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +349,10 @@ func TestChangeSetRollbackAtPrimaryWithReplicaKnob(t *testing.T) {
 func TestAutoTuneOnSharedCacheSession(t *testing.T) {
 	sys, prod := newAdvisorSystem(t)
 	ctx := context.Background()
+	adv := pdmtune.Advisor{Product: prod.Config}
 	open := func(extra ...pdmtune.Option) *pdmtune.Session {
 		sess, err := sys.Open(append([]pdmtune.Option{pdmtune.WithStrategy(pdmtune.LateEval),
-			pdmtune.WithSharedCache(pdmtune.NewCache(256)),
-			pdmtune.WithAdvisor(&pdmtune.Advisor{Product: prod.Config})}, extra...)...)
+			pdmtune.WithSharedCache(pdmtune.NewCache(256))}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +369,7 @@ func TestAutoTuneOnSharedCacheSession(t *testing.T) {
 	manual := open()
 	defer manual.Close()
 	threeMLEs(manual)
-	cs := manual.PlanTune()
+	cs := adv.Plan(manual, manual.Metrics())
 	if cs == nil {
 		t.Fatal("no plan for an untuned shared-cache session")
 	}
@@ -354,7 +380,7 @@ func TestAutoTuneOnSharedCacheSession(t *testing.T) {
 		t.Fatalf("session runs %s after applying %s", got, cs.Target)
 	}
 
-	auto := open(pdmtune.WithAutoTune(1))
+	auto := open(pdmtune.WithAutoTune(1, adv))
 	defer auto.Close()
 	threeMLEs(auto)
 	if auto.LastAutoTune() == nil {
@@ -440,5 +466,52 @@ func TestApplyConfigRefusals(t *testing.T) {
 		if got := shared.TuneConfig(); got != k {
 			t.Errorf("encodings %v: TuneConfig %s, want %s", on, got, k)
 		}
+	}
+}
+
+// TestPredictedPullMatchesSiteMeter: the advisor prices a partial
+// site's replication pull as the site meter charged it. The observed
+// SyncBytes is the payload of one pull, already filtered by the
+// subscription, so the prediction at bound 0 (one pull per action)
+// equals the meter's seconds per pull.
+func TestPredictedPullMatchesSiteMeter(t *testing.T) {
+	ctx := context.Background()
+	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "half"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 4, Sigma: 0.6, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	children := prod.Nodes[prod.RootID].Children
+	if err := cl.Subscribe("half", children[0], children[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := cl.OpenAt(ctx, "half")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	obs := sess.Observe()
+	if obs.Coverage <= 0 || obs.Coverage >= 1 {
+		t.Fatalf("coverage %v, want a partial site", obs.Coverage)
+	}
+	half, _ := cl.Site("half")
+	m := half.Metrics()
+	want := m.TotalSec() / float64(m.SyncRoundTrips)
+	w := costmodel.Workload{
+		Model:    costmodel.Model{Net: obs.Link, SyncBytes: obs.SyncBytes},
+		Action:   costmodel.MLE,
+		Coverage: obs.Coverage,
+	}
+	got := costmodel.PredictWorkload(pdmtune.TuneConfig{Replica: true, StalenessSec: 0}, w).SyncSec
+	if math.Abs(got-want) > 1e-9 {
+		t.Errorf("predicted pull %.6f s at coverage %.3f, the site meter charged %.6f s per pull over %d pulls",
+			got, obs.Coverage, want, m.SyncRoundTrips)
 	}
 }

@@ -87,7 +87,6 @@ func main() {
 		pdmtune.WithLink(pdmtune.Intercontinental()),
 		pdmtune.WithStrategy(pdmtune.LateEval),
 		pdmtune.WithUser(user),
-		pdmtune.WithAdvisor(&adv),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -95,7 +94,7 @@ func main() {
 	if _, err := untuned.MultiLevelExpand(ctx, prod.RootID); err != nil {
 		log.Fatal(err)
 	}
-	if cs := untuned.PlanTune(); cs != nil {
+	if cs := adv.Plan(untuned, untuned.Metrics()); cs != nil {
 		fmt.Printf("\n  advisor's pick after watching the untuned session: %s\n", cs.Target)
 		fmt.Printf("    (model: %.1f s -> %.1f s per MLE; ChangeSet %s applies it live, Rollback reverts)\n",
 			cs.CurrentSec, cs.PredictedSec, cs.ID)

@@ -13,6 +13,7 @@ import (
 
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/netsim"
+	"pdmtune/internal/workload"
 )
 
 // Shape is the advisor's coarse workload classification. Each shape
@@ -53,10 +54,10 @@ func (s Shape) String() string {
 	return fmt.Sprintf("Shape(%d)", int(s))
 }
 
-// Observation is one windowed look at a live session or fleet —
-// everything the advisor may use. Window is a Metrics delta between two
-// Meter.Snapshot calls; the remaining fields describe the environment
-// the window was taken in.
+// Observation is one windowed look at a live session — everything the
+// advisor may use. Window is a Metrics delta between two Meter.Snapshot
+// calls; the remaining fields describe the environment the window was
+// taken in.
 type Observation struct {
 	// Window is the metered traffic of the observation window.
 	Window netsim.Metrics
@@ -69,11 +70,12 @@ type Observation struct {
 	// LocalLink is the site-local profile of replica reads (ignored at
 	// the primary).
 	LocalLink netsim.Link
-	// Tree is the product shape under traversal (a paper scenario or a
-	// measured estimate).
+	// Tree is the product shape under traversal, set by the Advisor
+	// from its Product.
 	Tree costmodel.Tree
-	// SyncBytes is the observed row-delta volume of one replication
-	// pull (replica sessions only).
+	// SyncBytes is the observed payload of one replication pull
+	// (replica sessions only): the charged response volume per pull
+	// less the half-filled last packet, as Model.SyncBytes counts it.
 	SyncBytes float64
 	// Coverage is the measured subscription coverage of the site: the
 	// share of pulled rows its subscription kept (0: a full replica).
@@ -215,11 +217,36 @@ func candidates(current costmodel.Knobs) []costmodel.Knobs {
 	return out
 }
 
-// Recommend ranks every candidate configuration for the observed
-// workload and returns the top-k, each with its predicted per-action
-// cost and the predicted saving against the current configuration.
-func Recommend(o Observation, current costmodel.Knobs) []Recommendation {
-	return recommend(Classify(o), current)
+// Advisor closes the paper's tuning loop for one product shape: it
+// observes a Tunable over a metrics window, classifies the workload,
+// ranks candidate configurations with the analytic cost model, and
+// either reports (Diagnose) or plans (Plan → ChangeSet.Apply /
+// Rollback). A window is a Metrics delta (snapshot the session's
+// Metrics before and after and pass after.Sub(before)), or the full
+// Metrics for everything so far.
+type Advisor struct {
+	// Product is the product shape under traversal (the paper's
+	// worldwide scenario, δ=7 β=5 σ=0.6, when zero).
+	Product workload.Config
+}
+
+// observe is t's observation over window, on the advisor's tree.
+func (a Advisor) observe(t Tunable, window netsim.Metrics) Observation {
+	o := t.Observe()
+	o.Window = window
+	p := a.Product
+	if p.Depth == 0 {
+		p = workload.Config{Depth: 7, Branch: 5, Sigma: 0.6}
+	}
+	o.Tree = costmodel.Tree{Depth: p.Depth, Branch: p.Branch, Sigma: p.Sigma}
+	return o
+}
+
+// Recommend ranks every candidate configuration for t's workload over
+// window and returns the top-k, each with its predicted per-action cost
+// and the predicted saving against t's current configuration.
+func (a Advisor) Recommend(t Tunable, window netsim.Metrics) []Recommendation {
+	return recommend(Classify(a.observe(t, window)), t.TuneConfig())
 }
 
 func recommend(p WorkloadProfile, current costmodel.Knobs) []Recommendation {

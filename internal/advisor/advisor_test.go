@@ -15,6 +15,11 @@ type Config = costmodel.Knobs
 
 func paperTree() costmodel.Tree { return costmodel.Tree{Depth: 7, Branch: 5, Sigma: 0.6} }
 
+// rank is Recommend for a session that runs cur and observes o.
+func rank(o Observation, cur Config) []Recommendation {
+	return Advisor{}.Recommend(&fakeTunable{cfg: cur, obs: o}, o.Window)
+}
+
 // window builds an observation window with the given action mix.
 func window(reads, repeats, writes int, lockWaitNanos int64) netsim.Metrics {
 	return netsim.Metrics{
@@ -102,7 +107,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// (recursion, or batching) — never plain late evaluation.
 	cold := base
 	cold.Window = window(20, 0, 0, 0)
-	best := Recommend(cold, Config{})[0].Config
+	best := rank(cold, Config{})[0].Config
 	if !best.Batching && best.Strategy != costmodel.Recursive {
 		t.Errorf("cold scan winner neither batches nor recurses: %s", best)
 	}
@@ -110,7 +115,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// Repeat-heavy: the winner must run a cache.
 	warm := base
 	warm.Window = window(20, 18, 0, 0)
-	best = Recommend(warm, Config{})[0].Config
+	best = rank(warm, Config{})[0].Config
 	if best.CacheEntries == 0 {
 		t.Errorf("repeat-heavy winner has no cache: %s", best)
 	}
@@ -118,7 +123,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	// Write-heavy: the winner must batch its modifies.
 	storm := base
 	storm.Window = window(5, 0, 20, 1e9)
-	best = Recommend(storm, Config{})[0].Config
+	best = rank(storm, Config{})[0].Config
 	if !best.Batching {
 		t.Errorf("write-heavy winner does not batch: %s", best)
 	}
@@ -128,7 +133,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 	replica.Site = "tokyo"
 	replica.Window = window(30, 10, 1, 0)
 	replica.SyncBytes = 64 * 1024
-	best = Recommend(replica, Config{Replica: true})[0].Config
+	best = rank(replica, Config{Replica: true})[0].Config
 	if !best.Replica {
 		t.Errorf("replica winner moved the session off its site: %s", best)
 	}
@@ -139,7 +144,7 @@ func TestRecommendPrefersShapeKnobs(t *testing.T) {
 
 func TestRecommendRanksAndReportsDelta(t *testing.T) {
 	obs := Observation{Window: window(20, 0, 0, 0), Link: netsim.Intercontinental(), Tree: paperTree()}
-	recs := Recommend(obs, Config{})
+	recs := rank(obs, Config{})
 	if len(recs) != topK {
 		t.Fatalf("got %d recommendations, want %d", len(recs), topK)
 	}
@@ -203,14 +208,25 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// fakeTunable is an in-memory Tunable for change-set tests.
+// fakeTunable is an in-memory Tunable: it runs cfg and observes obs,
+// whose Window is its metered history so far. driftTo, when set, is
+// the configuration a second tuner moves it to right after each read.
 type fakeTunable struct {
 	cfg     Config
+	obs     Observation
 	applies int
 	fail    bool
+	driftTo *Config
 }
 
-func (f *fakeTunable) TuneConfig() Config { return f.cfg }
+func (f *fakeTunable) Observe() Observation { return f.obs }
+func (f *fakeTunable) TuneConfig() Config {
+	cfg := f.cfg
+	if f.driftTo != nil {
+		f.cfg = *f.driftTo
+	}
+	return cfg
+}
 func (f *fakeTunable) ApplyConfig(_ context.Context, c Config) error {
 	if f.fail {
 		return context.DeadlineExceeded
@@ -280,11 +296,11 @@ func TestChangeSetRefusesDriftedSession(t *testing.T) {
 
 func TestPlanReturnsNilWhenAlreadyOptimal(t *testing.T) {
 	obs := Observation{Window: window(20, 0, 0, 0), Link: netsim.Intercontinental(), Tree: paperTree()}
-	best := Recommend(obs, Config{})[0].Config
-	if cs := Plan(obs, best); cs != nil {
+	best := rank(obs, Config{})[0].Config
+	if cs := (Advisor{}).Plan(&fakeTunable{cfg: best, obs: obs}, obs.Window); cs != nil {
 		t.Errorf("planning from the optimum produced a change set: %+v", cs.Changes)
 	}
-	if cs := Plan(obs, Config{}); cs == nil {
+	if cs := (Advisor{}).Plan(&fakeTunable{obs: obs}, obs.Window); cs == nil {
 		t.Error("planning from the baseline produced nothing")
 	}
 }
@@ -292,7 +308,7 @@ func TestPlanReturnsNilWhenAlreadyOptimal(t *testing.T) {
 func TestDiagnoseDegrades(t *testing.T) {
 	// Full observation: every section available.
 	obs := Observation{Window: window(20, 10, 2, 1e8), Link: netsim.Intercontinental(), Tree: paperTree()}
-	d := Diagnose(obs, Config{})
+	d := Advisor{}.Diagnose(&fakeTunable{obs: obs}, obs.Window)
 	for _, name := range []string{"config", "window", "profile", "recommendations"} {
 		if s, ok := d.Sections[name]; !ok || !s.Available {
 			t.Errorf("section %q unavailable in a full diagnosis: %+v", name, s)
@@ -303,7 +319,7 @@ func TestDiagnoseDegrades(t *testing.T) {
 	}
 
 	// Empty window: degraded but not gone.
-	d = Diagnose(Observation{Tree: paperTree()}, Config{})
+	d = Advisor{}.Diagnose(&fakeTunable{}, netsim.Metrics{})
 	if s := d.Sections["config"]; !s.Available {
 		t.Error("config section must survive an empty window")
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"pdmtune/internal/costmodel"
+	"pdmtune/internal/netsim"
 )
 
 // ParamChange is one knob flip inside a ChangeSet, recorded as strings
@@ -40,20 +41,19 @@ type ChangeSet struct {
 	PredictedSec float64
 	CurrentSec   float64
 
-	// pre is the configuration captured at Apply time, for Rollback.
-	pre     *costmodel.Knobs
-	applied bool
+	// pre is the configuration captured at Apply time, for Rollback
+	// (nil while the set is not applied).
+	pre *costmodel.Knobs
 }
 
-// Plan builds the change set turning `current` into the advisor's top
-// recommendation for the observation. It returns nil when the best
-// candidate is the current configuration itself — nothing to change.
-func Plan(o Observation, current costmodel.Knobs) *ChangeSet {
-	recs := Recommend(o, current)
-	if len(recs) == 0 {
-		return nil
-	}
-	best := recs[0]
+// Plan builds the change set turning t's current configuration into
+// the top recommendation for its workload over window. It returns nil
+// when the best candidate is the current configuration itself — nothing
+// to change. The set is fingerprinted against the current
+// configuration; apply it with ChangeSet.Apply, revert with Rollback.
+func (a Advisor) Plan(t Tunable, window netsim.Metrics) *ChangeSet {
+	current := t.TuneConfig()
+	best := recommend(Classify(a.observe(t, window)), current)[0]
 	if best.Config == current {
 		return nil
 	}
@@ -80,7 +80,7 @@ func NewChangeSet(current, target costmodel.Knobs, predictedSec, currentSec floa
 // and applies the target configuration. Applying an already-applied set
 // is an error.
 func (cs *ChangeSet) Apply(ctx context.Context, t Tunable) error {
-	if cs.applied {
+	if cs.pre != nil {
 		return fmt.Errorf("advisor: change set %s already applied", cs.ID)
 	}
 	cur := t.TuneConfig()
@@ -92,7 +92,6 @@ func (cs *ChangeSet) Apply(ctx context.Context, t Tunable) error {
 		return fmt.Errorf("advisor: applying change set %s: %w", cs.ID, err)
 	}
 	cs.pre = &cur
-	cs.applied = true
 	return nil
 }
 
@@ -100,7 +99,7 @@ func (cs *ChangeSet) Apply(ctx context.Context, t Tunable) error {
 // verifies the session still runs the set's target (no second tuner
 // interfered), applies the pre-apply configuration and re-arms the set.
 func (cs *ChangeSet) Rollback(ctx context.Context, t Tunable) error {
-	if !cs.applied || cs.pre == nil {
+	if cs.pre == nil {
 		return fmt.Errorf("advisor: change set %s is not applied", cs.ID)
 	}
 	if got := t.TuneConfig().Fingerprint(); got != cs.Target.Fingerprint() {
@@ -110,7 +109,6 @@ func (cs *ChangeSet) Rollback(ctx context.Context, t Tunable) error {
 	if err := t.ApplyConfig(ctx, *cs.pre); err != nil {
 		return fmt.Errorf("advisor: rolling back change set %s: %w", cs.ID, err)
 	}
-	cs.applied = false
 	cs.pre = nil
 	return nil
 }
@@ -129,11 +127,14 @@ func Diff(from, to costmodel.Knobs) []ParamChange {
 	return out
 }
 
-// Tunable is the advisor's handle on a running session: read the live
-// configuration, apply a new one. *pdmtune.Session implements it; the
-// indirection keeps the advisor free of the facade package (which
-// imports it back).
+// Tunable is the advisor's handle on a running session: observe it,
+// read the live configuration, apply a new one. *pdmtune.Session
+// implements it; the indirection keeps the advisor free of the facade
+// package (which imports it back).
 type Tunable interface {
+	// Observe returns the session's observation over its whole metered
+	// history: Window is its Metrics, Tree is left zero.
+	Observe() Observation
 	// TuneConfig returns the session's current runtime configuration.
 	TuneConfig() costmodel.Knobs
 	// ApplyConfig reconfigures the live session to k. Implementations

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"pdmtune/internal/costmodel"
+	"pdmtune/internal/netsim"
 )
 
 // Section is one degradable part of a DiagSnapshot: either its data or
@@ -29,11 +29,12 @@ func failed(reason string) Section { return Section{Error: reason} }
 
 func section(data map[string]string) Section { return Section{Available: true, Data: data} }
 
-// Diagnose assembles the full read-only report for an observation:
-// the window's traffic, the classified profile, and the ranked
-// recommendations against the current configuration. Sections degrade
+// Diagnose assembles the full read-only report for t over window: the
+// window's traffic, the classified profile, and the ranked
+// recommendations against t's current configuration. Sections degrade
 // independently — an empty window still yields a config section.
-func Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot {
+func (a Advisor) Diagnose(t Tunable, window netsim.Metrics) *DiagSnapshot {
+	o, current := a.observe(t, window), t.TuneConfig()
 	d := &DiagSnapshot{Sections: map[string]Section{}}
 
 	d.Sections["config"] = section(map[string]string{
@@ -65,29 +66,17 @@ func Diagnose(o Observation, current costmodel.Knobs) *DiagSnapshot {
 		"shape":       p.Shape.String(),
 		"write_frac":  fmt.Sprintf("%.2f", p.WriteFrac),
 		"repeat_frac": fmt.Sprintf("%.2f", p.RepeatFrac),
-		"site":        displaySite(o.Site),
+		"site":        o.Site,
 		"coverage":    fmt.Sprintf("%.2f", p.Workload.Coverage),
 	})
 
-	recs := recommend(p, current)
-	if len(recs) == 0 {
-		d.Sections["recommendations"] = failed("no candidates enumerated")
-		return d
-	}
 	data := map[string]string{}
-	for i, r := range recs {
+	for i, r := range recommend(p, current) {
 		data[fmt.Sprintf("rank%d", i+1)] = fmt.Sprintf("%s (predicted %.3fs/action, %+.0f%%)",
 			r.Config, r.PredictedSec, r.DeltaPct)
 	}
 	d.Sections["recommendations"] = section(data)
 	return d
-}
-
-func displaySite(site string) string {
-	if site == "" {
-		return "primary"
-	}
-	return site
 }
 
 // String renders the snapshot section by section, missing parts

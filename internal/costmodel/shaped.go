@@ -122,7 +122,8 @@ type Workload struct {
 	// Coverage is the site's measured subscription coverage: the share
 	// of pulled rows its subscription kept. Replica reads inside it run
 	// site-local, the rest fall through to the primary at cold WAN
-	// cost, and the pulls shrink to it. 0 (or 1) is a full replica.
+	// cost (the pulls are priced on the measured SyncBytes, which the
+	// subscription already shrank). 0 (or 1) is a full replica.
 	Coverage float64
 }
 
@@ -185,18 +186,18 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	// ---- partial replication: reads outside the subscription fall
 	// through to the primary at cold WAN cost (never cached — the
 	// replica does not hold them to validate against).
-	cov := 1.0 // everything held locally, unless the site is a partial replica
-	if k.Replica && w.Coverage > 0 && w.Coverage < 1 {
-		cov = w.Coverage
+	if cov := w.Coverage; k.Replica && cov > 0 && cov < 1 {
 		readSec = cov*readSec + (1-cov)*wanCold
 	}
 
 	// ---- replication: one WAN pull per staleness window, amortized
 	// over the actions that share it (bound 0: every action pays one).
-	// A subscription shrinks the pulled row volume to its coverage.
+	// SyncBytes is the payload a pull was measured to ship, already
+	// filtered by the site's subscription: a one-packet request up, the
+	// payload and a half-filled last packet down.
 	var syncSec float64
 	if k.Replica && k.StalenessSec >= 0 {
-		vol := float64(wan.PacketBytes)*1.5 + w.SyncBytes*cov
+		vol := float64(wan.PacketBytes)*1.5 + w.SyncBytes
 		pull := 2*wan.LatencySec + vol*8/(wan.RateKbps*1024)
 		actionsPerPull := 1 + k.StalenessSec*math.Max(w.ActionsPerSec, 0)
 		syncSec = pull / actionsPerPull

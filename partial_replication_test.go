@@ -307,7 +307,6 @@ func TestObserveMeasuresSubscriptionCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adv := pdmtune.Advisor{Product: prod.Config}
 	observe := func(site string) float64 {
 		t.Helper()
 		sess, err := cl.OpenAt(ctx, site, pdmtune.WithStrategy(pdmtune.Recursive))
@@ -318,7 +317,7 @@ func TestObserveMeasuresSubscriptionCoverage(t *testing.T) {
 		if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
 			t.Fatal(err)
 		}
-		return adv.Observe(sess, sess.Metrics()).Coverage
+		return sess.Observe().Coverage
 	}
 
 	half, _ := cl.Site("half")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"pdmtune/internal/advisor"
 	"pdmtune/internal/cache"
 	"pdmtune/internal/core"
 	"pdmtune/internal/netsim"
@@ -33,8 +34,8 @@ func MeteredTransport(inner Transport, meter *Meter) Transport { return wire.Met
 // the caller gave explicitly, so an invalid combination fails at Open
 // with an *OptionError instead of one option silently shadowing the
 // other; an option whose value cannot be its zero needs no flag for
-// that (a transport, a shared cache, an advisor are non-nil, a private
-// cache size and an auto-tune window are >= 1).
+// that (a transport, a shared cache and an auto-tune loop are non-nil,
+// a private cache size is >= 1).
 type sessionConfig struct {
 	link Link
 	user UserContext
@@ -48,9 +49,9 @@ type sessionConfig struct {
 	cache *Cache
 	// site is the site the session opens at (PrimarySite for
 	// System.Open), never empty.
-	site          string
-	advisor       *Advisor
-	autoTuneEvery int
+	site string
+	// autoTune starts WithAutoTune's loop over the opened session.
+	autoTune func(advisor.Tunable) *advisor.AutoTuner
 
 	linkSet bool
 }
@@ -101,13 +102,9 @@ func (c *sessionConfig) validate() error {
 		return &OptionError{Option: "WithTransport", Conflict: "OpenAt",
 			Reason: "a custom transport would bypass the site's replica; sessions at a site use the site's server"}
 	}
-	if c.autoTuneEvery > 0 && c.transport != nil {
+	if c.autoTune != nil && c.transport != nil {
 		return &OptionError{Option: "WithAutoTune", Conflict: "WithTransport",
 			Reason: "auto-applied change sets renegotiate the wire encodings mid-session; a custom transport owns its connection and cannot be reconfigured behind the caller's back"}
-	}
-	if c.advisor != nil && c.transport != nil && c.meter == nil {
-		return &OptionError{Option: "WithAdvisor", Conflict: "WithTransport",
-			Reason: "the advisor observes the session's meter and a bare custom transport has none; meter it with MeteredTransport + WithMeter"}
 	}
 	return nil
 }
@@ -264,35 +261,17 @@ func WithMeter(m *Meter) Option {
 	}
 }
 
-// WithAdvisor attaches an auto-tuning advisor to the session, enabling
-// Session.Diagnose and Session.PlanTune (and configuring the advisor
-// WithAutoTune uses). The advisor observes the session's meter, so a
-// custom transport must be metered (MeteredTransport + WithMeter) —
-// WithAdvisor plus an unmetered WithTransport fails Open with an
-// *OptionError.
-func WithAdvisor(a *Advisor) Option {
-	return func(c *sessionConfig) error {
-		if a == nil {
-			return fmt.Errorf("pdmtune: WithAdvisor requires a non-nil advisor")
-		}
-		c.advisor = a
-		return nil
-	}
-}
-
 // WithAutoTune closes the tuning loop: after every `every` completed
 // user actions (every < 1 means 1) the session re-observes its metrics
-// window, asks the advisor (WithAdvisor's, or a default one) for a
-// plan, and applies the resulting change set to itself. The last
-// applied set is available via Session.LastAutoTune and can be rolled
-// back. Conflicts with WithTransport (an auto-applied set renegotiates
-// the wire encodings mid-session).
-func WithAutoTune(every int) Option {
+// window, asks a for a plan (a's Product is the shape it prices; the
+// zero Advisor assumes the paper's scenario), and applies the resulting
+// change set to itself. The last applied set is available via
+// Session.LastAutoTune and can be rolled back. Conflicts with
+// WithTransport (an auto-applied set renegotiates the wire encodings
+// mid-session).
+func WithAutoTune(every int, a Advisor) Option {
 	return func(c *sessionConfig) error {
-		if every < 1 {
-			every = 1
-		}
-		c.autoTuneEvery = every
+		c.autoTune = func(t advisor.Tunable) *advisor.AutoTuner { return advisor.NewAutoTuner(t, every, a) }
 		return nil
 	}
 }
@@ -328,9 +307,8 @@ type Session struct {
 	// sys is the system the session was opened against: its cluster
 	// fences the session's writes and re-routes it on promotion.
 	sys *System
-	// advisor/auto close the tuning loop (WithAdvisor / WithAutoTune).
-	advisor *Advisor
-	auto    *autoTuner
+	// auto is WithAutoTune's loop (nil without it).
+	auto *advisor.AutoTuner
 }
 
 // WireCaps are the wire capabilities a session actually negotiated —
@@ -473,14 +451,8 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 	if err := client.Apply(ctx, k); err != nil {
 		return nil, err
 	}
-	sess.advisor = cfg.advisor
-	if cfg.autoTuneEvery > 0 {
-		adv := cfg.advisor
-		if adv == nil {
-			adv = &Advisor{}
-		}
-		sess.advisor = adv
-		sess.auto = &autoTuner{every: cfg.autoTuneEvery, prev: sess.Metrics()}
+	if cfg.autoTune != nil {
+		sess.auto = cfg.autoTune(sess)
 	}
 	// Enroll the session with the failover control plane (a no-op for
 	// unfenced, site-less systems): a promotion re-points its write path
@@ -559,21 +531,21 @@ func (s *Session) Close() error {
 // in one statement.
 func (s *Session) Query(ctx context.Context, prod int64) (*ActionResult, error) {
 	res, err := s.client.QueryAll(ctx, prod)
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
 // Expand performs a single-level expand of one object.
 func (s *Session) Expand(ctx context.Context, root int64) (*ActionResult, error) {
 	res, err := s.client.Expand(ctx, root)
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
 // MultiLevelExpand retrieves the entire structure under root.
 func (s *Session) MultiLevelExpand(ctx context.Context, root int64) (*ActionResult, error) {
 	res, err := s.client.MultiLevelExpand(ctx, root)
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -582,7 +554,7 @@ func (s *Session) CheckOut(ctx context.Context, root int64) (*CheckOutResult, er
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOut(ctx, root)
 	done()
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -591,7 +563,7 @@ func (s *Session) CheckIn(ctx context.Context, root int64) (*CheckOutResult, err
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckIn(ctx, root)
 	done()
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -601,7 +573,7 @@ func (s *Session) CheckOutViaProcedure(ctx context.Context, root int64) (*CheckO
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOutViaProcedure(ctx, root)
 	done()
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -610,7 +582,7 @@ func (s *Session) CheckInViaProcedure(ctx context.Context, root int64) (*CheckOu
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckInViaProcedure(ctx, root)
 	done()
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -647,7 +619,7 @@ func (s *Session) Run(ctx context.Context, action Action, target int64) (*Action
 // WAN cost.
 func (s *Session) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
 	res, err := s.client.WhereUsed(ctx, part)
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -662,7 +634,7 @@ func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string)
 	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.ECOPropagate(ctx, part, newState)
 	done()
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
 
@@ -673,6 +645,6 @@ func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string)
 // every subtree.
 func (s *Session) Report(ctx context.Context, prod int64) (*ReportResult, error) {
 	res, err := s.client.Report(ctx, prod)
-	s.afterAction(ctx, err)
+	s.auto.Step(ctx, err)
 	return res, err
 }
