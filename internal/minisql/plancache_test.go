@@ -277,6 +277,44 @@ func TestPlanCacheParameterizedReuse(t *testing.T) {
 	}
 }
 
+// TestHeldCorrelatedSubqueryChecksOuterColumns: a held statement whose
+// subquery reads a column of the enclosing query's table runs, then the
+// table is dropped and re-created without that column. The subquery
+// reads no row (its own table is empty), yet its next run must fail
+// with the unknown column, as a fresh parse of the same text does: what
+// the subquery's references resolved to depends on the enclosing
+// scopes as much as on its own tables.
+func TestHeldCorrelatedSubqueryChecksOuterColumns(t *testing.T) {
+	for _, ref := range []string{"t.ref", "ref"} {
+		s := newTestSession(t)
+		mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, ref INTEGER)")
+		mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+		mustExec(t, s, "INSERT INTO t VALUES (1, 10), (2, 20)")
+		sql := "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.t_id = " + ref + ") ORDER BY id"
+		held, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if res, err := s.ExecStmt(held); err != nil || len(res.Rows) != 0 {
+				t.Fatalf("%s: %v, %v; want no rows", sql, res, err)
+			}
+		}
+		mustExec(t, s, "DROP TABLE t")
+		mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, other INTEGER)")
+		mustExec(t, s, "INSERT INTO t VALUES (1, 10)")
+		want := "sql: no such column " + ref
+		if _, err := s.Exec(sql + " "); err == nil || err.Error() != want {
+			t.Fatalf("%s, parsed afresh: %v, want %q", sql, err, want)
+		}
+		for range 2 {
+			if _, err := s.ExecStmt(held); err == nil || err.Error() != want {
+				t.Errorf("%s, held: %v, want %q", sql, err, want)
+			}
+		}
+	}
+}
+
 // TestHeldSelectFollowsCatalog: a statement held as an AST — a prepared
 // handle, a stored procedure's query — is executed again after DDL
 // without a parse, and must answer for the catalog of the moment it
