@@ -250,6 +250,12 @@ type Session struct {
 	unit *storage.Commit
 
 	stats ContentionStats
+
+	// ctx is the evaluation context of the statement running, reset
+	// for each (newContext) with the scaffolding its executions reuse;
+	// params holds that statement's parameters.
+	ctx    exec.Context
+	params []Value
 }
 
 // NewSession opens a session.
@@ -489,18 +495,17 @@ func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error)
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
 
-// newContext builds an evaluation context reading at the given snapshot
-// epoch (0 = latest committed state, the write statements' view); the
-// tables of the session's open unit read with its staged rows.
+// newContext readies the session's evaluation context for a statement
+// reading at the given snapshot epoch (0 = latest committed state, the
+// write statements' view); the tables of the session's open unit read
+// with its staged rows. The statement before it is done with the
+// context: nothing it returned is the context's.
 func (s *Session) newContext(params []Value, epoch uint64) *exec.Context {
 	funcs, _ := s.db.registry()
-	return &exec.Context{
-		DB:     s.db.store,
-		Epoch:  epoch,
-		Unit:   s.unit,
-		Params: params,
-		Funcs:  funcs,
-	}
+	s.params = append(s.params[:0], params...)
+	s.ctx.Reset()
+	s.ctx.DB, s.ctx.Epoch, s.ctx.Unit, s.ctx.Params, s.ctx.Funcs = s.db.store, epoch, s.unit, s.params, funcs
+	return &s.ctx
 }
 
 func (s *Session) execCreateTable(st *ast.CreateTable) (*Result, error) {

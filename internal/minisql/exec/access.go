@@ -52,14 +52,30 @@ func (ctx *Context) allTrue(conjs []conjunct, skip int, env *Env) (bool, error) 
 // access is the decision how one stored table is read for a set of
 // conjuncts: through index for the key set it answers exactly, or by a
 // snapshot scan; filters are the key conjuncts left to check per row.
-// chooseAccess takes the decision, read runs it.
+// chooseAccess takes the decision, read runs it. An access is a frame's,
+// and its buffers serve the frame's next execution (reset).
 type access struct {
 	table   *storage.Table
 	index   *storage.Index // nil: snapshot scan
 	keys    keySet         // looked up in index
 	filters []keyFilter
-	sub     []*PlanNode // under EXPLAIN: the plans of the subqueries key sets come from
-	hits    []hit       // lookup's scratch, reused from read to read
+	sub     []*PlanNode   // under EXPLAIN: the plans of the subqueries key sets come from
+	hits    []hit         // lookup's scratch, reused from read to read
+	vals    []types.Value // where the key sets' values are cut from
+}
+
+// reset clears the access of its decision, keeping its buffers.
+func (a *access) reset() {
+	clear(a.filters)
+	clear(a.hits)
+	clear(a.vals)
+	*a = access{filters: capped(a.filters), hits: capped(a.hits), vals: capped(a.vals)}
+}
+
+// cut returns the key values appended to a.vals since from, capped so
+// that the next key set's values are never appended into them.
+func (a *access) cut(from int) []types.Value {
+	return a.vals[from:len(a.vals):len(a.vals)]
 }
 
 // hit is a row an index lookup found, with its id.
@@ -187,8 +203,8 @@ func isConstExpr(e ast.Expr) bool {
 // But `col = k` with such a k is an error on the first non-NULL row, so
 // that k goes to no index; the filter raises the error if a row gets
 // there. And a subquery is a key set only if keySubquery says so.
-func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified bool, conjs []conjunct, outer *Env) (*access, error) {
-	acc := &access{table: table}
+func (ctx *Context) chooseAccess(acc *access, alias string, unqualified bool, conjs []conjunct, outer *Env) error {
+	table := acc.table
 	colOf := func(col *ast.ColumnRef) int {
 		if (col.Table == "" && !unqualified) || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
 			return -1
@@ -223,20 +239,20 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 			if !in {
 				list = one[:]
 			}
-			kind := table.Schema.Cols[f.pos].Type.Kind
-			f.vals = make([]types.Value, 0, len(list))
+			kind, from := table.Schema.Cols[f.pos].Type.Kind, len(acc.vals)
 			for _, ke := range list {
 				k, err := ctx.EvalExpr(ke, outer)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				fits := types.Comparable(kind, k.Kind())
 				if k.IsNull() || (in && !fits) {
 					continue
 				}
 				exact = exact && fits
-				f.vals = append(f.vals, k)
+				acc.vals = append(acc.vals, k)
 			}
+			f.vals = acc.cut(from)
 			f.hash()
 		}
 		c.used = true
@@ -261,7 +277,7 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 		}
 	}
 	for i := 0; derive && i < len(conjs); i++ {
-		if f, ok := ctx.keysWhere(&conjs[i], table, alias, colOf, cheapest); ok {
+		if f, ok := ctx.keysWhere(&conjs[i], acc, alias, colOf, cheapest); ok {
 			sets = append(sets, f)
 			cheapest = f.n
 		}
@@ -277,7 +293,7 @@ func (ctx *Context) chooseAccess(table *storage.Table, alias string, unqualified
 		sets = slices.Delete(sets, best, best+1)
 	}
 	acc.filters = append(acc.filters, sets...)
-	return acc, nil
+	return nil
 }
 
 // indexedColumn returns the one column of table that c reads, by colOf,
@@ -304,14 +320,15 @@ func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) 
 
 // keysWhere takes over a conjunct that reads only an indexed column as
 // the key set of the index's keys for which it holds: it runs once per
-// key instead of once per row. Stored functions are deterministic by
+// key instead of once per row. The set's values are cut from acc's. Stored functions are deterministic by
 // contract, and a row visible at a pinned epoch carries one of the keys
 // (storage.Index.Keys). It declines unless the set lists fewer ids than
 // limit, the cheapest path so far, and declines a conjunct that fails on
 // a key or holds for NULL, which no key set admits. The key 0.0 also
 // lists the rows holding -0.0 (types.Value.AppendKey), so a conjunct
 // that tells the two apart, such as CAST(x AS TEXT) = '-0', is declined.
-func (ctx *Context) keysWhere(c *conjunct, table *storage.Table, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
+func (ctx *Context) keysWhere(c *conjunct, acc *access, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
+	table, from := acc.table, len(acc.vals)
 	f.pos, f.index = indexedColumn(*c, table, colOf)
 	if f.index == nil {
 		return f, false
@@ -335,10 +352,11 @@ func (ctx *Context) keysWhere(c *conjunct, table *storage.Table, alias string, c
 			}
 		}
 		if t == types.True {
-			f.vals = append(f.vals, k.Value)
+			acc.vals = append(acc.vals, k.Value)
 			f.n += k.N
 		}
 	}
+	f.vals = acc.cut(from)
 	f.hash()
 	c.used = f.n < limit
 	return f, c.used
@@ -429,9 +447,11 @@ func (ctx *Context) read(a *access, fn func(id int, row storage.Row) error) erro
 // of the table would take. It finishes before it returns, so the caller
 // mutates rows only after the last one has been read.
 func (ctx *Context) MatchIDs(table *storage.Table, where ast.Expr) ([]int, error) {
-	conjs := splitAnd(where, nil)
-	acc, err := ctx.chooseAccess(table, table.Schema.Name, true, conjs, nil)
-	if err != nil {
+	f := ctx.takeFrame()
+	defer ctx.putFrame(f)
+	f.conjs = splitAnd(where, f.conjs)
+	conjs, acc := f.conjs, f.access(table)
+	if err := ctx.chooseAccess(acc, table.Schema.Name, true, conjs, nil); err != nil {
 		return nil, err
 	}
 	if ctx.Plan != nil {
@@ -440,7 +460,7 @@ func (ctx *Context) MatchIDs(table *storage.Table, where ast.Expr) ([]int, error
 	ctx.noteFilter(conjs)
 	env := &Env{cols: TableCols(table, table.Schema.Name)}
 	var ids []int
-	err = ctx.read(acc, func(id int, row storage.Row) error {
+	err := ctx.read(acc, func(id int, row storage.Row) error {
 		env.row = row
 		ok, err := ctx.allTrue(conjs, -1, env)
 		if ok {
@@ -480,71 +500,95 @@ func conjString(conjs []conjunct) string {
 // exact says the equi-conjunct holds for every one of them; otherwise
 // the loop still has to evaluate it. The rows are valid until the next
 // call.
-type probe func(key types.Value) (rows []storage.Row, exact bool)
+type probe interface {
+	candidates(key types.Value) (rows []storage.Row, exact bool)
+}
 
 // indexProbe draws candidates from a stored table's index on the join
 // column: per key, the rows a one-key lookup finds. A key of a kind the
 // column cannot be compared with is not the index's to answer: every row
 // is a candidate then, and the equi-conjunct raises the error a nested
-// loop would. Under EXPLAIN no row is read.
-func (ctx *Context) indexProbe(table *storage.Table, index *storage.Index) probe {
-	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
-	snap := ctx.snap(table)
-	var buf []storage.Row
+// loop would. Under EXPLAIN no row is read. A probe is a frame's
+// (frame.indexProbe), and its row buffer serves every key of every
+// execution.
+type indexProbe struct {
+	ctx   *Context
+	table *storage.Table
+	index *storage.Index
+	kind  types.Kind // the join column's
+	snap  uint64
+	rows  []storage.Row
+}
+
+func (p *indexProbe) candidates(key types.Value) ([]storage.Row, bool) {
+	p.rows = p.rows[:0]
 	collect := func(_ int, row storage.Row) bool {
-		buf = append(buf, row)
+		p.rows = append(p.rows, row)
 		return true
 	}
-	return func(key types.Value) ([]storage.Row, bool) {
-		buf = buf[:0]
-		exact := types.Comparable(kind, key.Kind())
-		switch {
-		case ctx.Plan != nil:
-		case exact:
-			index.LookupAt(snap, key, collect)
-		default:
-			table.ScanAt(snap, collect)
-		}
-		return buf, exact
+	exact := types.Comparable(p.kind, key.Kind())
+	switch {
+	case p.ctx.Plan != nil:
+	case exact:
+		p.index.LookupAt(p.snap, key, collect)
+	default:
+		p.table.ScanAt(p.snap, collect)
 	}
+	return p.rows, exact
+}
+
+// reset clears the probe, keeping its row buffer.
+func (p *indexProbe) reset() {
+	clear(p.rows[:cap(p.rows)])
+	*p = indexProbe{rows: capped(p.rows)}
 }
 
 // hashProbe draws candidates from a hash of a materialized relation on
 // its join column. The hash answers a key exactly only when every value
 // it holds can be compared with the key; otherwise all rows are
 // candidates.
-func hashProbe(rows []storage.Row, pos int) probe {
-	buckets := make(map[string][]storage.Row, len(rows))
-	var kinds []types.Kind
-	var buf types.KeyBuf
+type hashProbe struct {
+	rows    []storage.Row
+	buckets map[string][]storage.Row
+	kinds   []types.Kind
+	buf     types.KeyBuf
+}
+
+func newHashProbe(rows []storage.Row, pos int) *hashProbe {
+	h := &hashProbe{rows: rows, buckets: make(map[string][]storage.Row, len(rows))}
 	for _, row := range rows {
 		v := row[pos]
 		if v.IsNull() {
 			continue
 		}
-		if !slices.Contains(kinds, v.Kind()) {
-			kinds = append(kinds, v.Kind())
+		if !slices.Contains(h.kinds, v.Kind()) {
+			h.kinds = append(h.kinds, v.Kind())
 		}
-		key := v.AppendKey(buf[:0])
-		buckets[string(key)] = append(buckets[string(key)], row)
+		key := v.AppendKey(h.buf[:0])
+		h.buckets[string(key)] = append(h.buckets[string(key)], row)
 	}
-	return func(key types.Value) ([]storage.Row, bool) {
-		for _, k := range kinds {
-			if !types.Comparable(k, key.Kind()) {
-				return rows, false
-			}
-		}
-		return buckets[string(key.AppendKey(buf[:0]))], true
-	}
+	return h
 }
 
-// equiPair finds the first conjunct in pool not yet taken over that
-// equates a column of left with a column of right — each reference
-// resolving to exactly one column of the two sides together, as it will
-// on the joined row — and that accept (when non-nil) agrees to for the
-// right-hand position. It returns the conjunct's position in pool and
-// the two column positions, or -1.
-func equiPair(pool []conjunct, left, right []ColMeta, accept func(rightPos int) bool) (at, leftPos, rightPos int) {
+func (h *hashProbe) candidates(key types.Value) ([]storage.Row, bool) {
+	for _, k := range h.kinds {
+		if !types.Comparable(k, key.Kind()) {
+			return h.rows, false
+		}
+	}
+	return h.buckets[string(key.AppendKey(h.buf[:0]))], true
+}
+
+// equiPair is a conjunct of a join's pool, at, that equates the column
+// at left of the left side with the column at right of the right side.
+type equiPair struct{ at, left, right int }
+
+// equiPairs lists, in pool order, the conjuncts of pool that equate a
+// column of left with a column of right — each reference resolving to
+// exactly one column of the two sides together, as it will on the joined
+// row. They derive from the text and the columns alone, so a plan keeps
+// them (factorPlan.pairs).
+func equiPairs(pool []conjunct, left, right []ColMeta) []equiPair {
 	side := func(ref *ast.ColumnRef) (l, r int) {
 		l, lerr := findCol(left, ref.Table, ref.Column)
 		r, rerr := findCol(right, ref.Table, ref.Column)
@@ -553,9 +597,10 @@ func equiPair(pool []conjunct, left, right []ColMeta, accept func(rightPos int) 
 		}
 		return l, r
 	}
+	var pairs []equiPair
 	for i := range pool {
 		b, ok := pool[i].expr.(*ast.Binary)
-		if !ok || b.Op != "=" || pool[i].used {
+		if !ok || b.Op != "=" {
 			continue
 		}
 		x, xok := b.Left.(*ast.ColumnRef)
@@ -566,10 +611,22 @@ func equiPair(pool []conjunct, left, right []ColMeta, accept func(rightPos int) 
 		xl, xr := side(x)
 		yl, yr := side(y)
 		switch {
-		case xl >= 0 && yr >= 0 && (accept == nil || accept(yr)):
-			return i, xl, yr
-		case yl >= 0 && xr >= 0 && (accept == nil || accept(xr)):
-			return i, yl, xr
+		case xl >= 0 && yr >= 0:
+			pairs = append(pairs, equiPair{i, xl, yr})
+		case yl >= 0 && xr >= 0:
+			pairs = append(pairs, equiPair{i, yl, xr})
+		}
+	}
+	return pairs
+}
+
+// pickPair returns the first of pairs whose conjunct in pool is not yet
+// taken over and that accept (when non-nil) agrees to for the right-hand
+// position, or at = -1.
+func pickPair(pairs []equiPair, pool []conjunct, accept func(rightPos int) bool) (at, leftPos, rightPos int) {
+	for _, p := range pairs {
+		if !pool[p.at].used && (accept == nil || accept(p.right)) {
+			return p.at, p.left, p.right
 		}
 	}
 	return -1, -1, -1

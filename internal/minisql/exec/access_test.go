@@ -45,8 +45,12 @@ func TestLongKeyListIsHashed(t *testing.T) {
 		return splitAnd(stmt.(*ast.Select).Body.(*ast.SelectCore).Where, nil)
 	}
 	ctx := &Context{DB: db}
+	choose := func(conjs []conjunct) (*access, error) {
+		acc := &access{table: table}
+		return acc, ctx.chooseAccess(acc, "t", true, conjs, nil)
+	}
 
-	acc, err := ctx.chooseAccess(table, "t", true, where("v IN ("+strings.Join(items, ", ")+", 4, NULL)"), nil)
+	acc, err := choose(where("v IN (" + strings.Join(items, ", ") + ", 4, NULL)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +66,11 @@ func TestLongKeyListIsHashed(t *testing.T) {
 		t.Errorf("filtering %d rows against %d keys allocates %v times, want 0", n, n, allocs)
 	}
 
-	acc, err = ctx.chooseAccess(table, "t", true, where("v IN (1, 2, 3)"), nil)
+	acc, err = choose(where("v IN (1, 2, 3)"))
 	if err != nil || acc.filters[0].set != nil {
 		t.Errorf("a handful of keys needs no hash: %s, %v", acc, err)
 	}
-	acc, err = ctx.chooseAccess(table, "t", true, where("v = 'abc'"), nil)
+	acc, err = choose(where("v = 'abc'"))
 	if err != nil {
 		t.Fatal(err)
 	}

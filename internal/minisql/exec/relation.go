@@ -108,7 +108,8 @@ type Env struct {
 	parent  *Env
 	touched *bool // barrier marker; scope itself holds no columns then
 	// slots, in the scope of a SELECT core, is where the core's own
-	// column references point (see bindColumnRefs); nil elsewhere.
+	// column references point: its plan's table (see bindColumnRefs),
+	// read-only; nil elsewhere.
 	slots *slotTable
 }
 
@@ -125,13 +126,6 @@ const (
 	outerSlot = 0xff
 )
 
-// coreScope is the one scope a SELECT core evaluates its clauses in,
-// allocated with its slot table so that binding costs no allocation.
-type coreScope struct {
-	Env
-	table slotTable
-}
-
 // NewEnv builds a scope over the given columns and row.
 func NewEnv(cols []ColMeta, row storage.Row, parent *Env) *Env {
 	return &Env{cols: cols, row: row, parent: parent}
@@ -143,7 +137,8 @@ func NewEnv(cols []ColMeta, row storage.Row, parent *Env) *Env {
 // concurrent use.
 type Bound struct {
 	expr  ast.Expr
-	scope coreScope
+	env   Env
+	table slotTable
 }
 
 // Bind numbers the direct column references of e (those outside its
@@ -154,7 +149,7 @@ type Bound struct {
 // by name and reports its error only when it reaches it.
 func Bind(e ast.Expr, cols []ColMeta) *Bound {
 	b := &Bound{expr: e}
-	b.scope.Env = Env{cols: cols, slots: &b.scope.table}
+	b.env = Env{cols: cols, slots: &b.table}
 	slot := 0
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -165,7 +160,7 @@ func Bind(e ast.Expr, cols []ColMeta) *Bound {
 			n.Slot = slot
 			if slot <= maxSlots {
 				if at, err := resolve(n, cols, nil); err == nil {
-					b.scope.table[slot-1] = at
+					b.table[slot-1] = at
 				}
 			}
 		}
@@ -177,9 +172,9 @@ func Bind(e ast.Expr, cols []ColMeta) *Bound {
 // EvalBound evaluates a bound expression against one row of its
 // columns. The binding itself costs no allocation per row.
 func (ctx *Context) EvalBound(b *Bound, row storage.Row) (types.Value, error) {
-	b.scope.row = row
-	v, err := ctx.EvalExpr(b.expr, &b.scope.Env)
-	b.scope.row = nil
+	b.env.row = row
+	v, err := ctx.EvalExpr(b.expr, &b.env)
+	b.env.row = nil
 	return v, err
 }
 
@@ -272,6 +267,19 @@ type Context struct {
 
 	// slab is where the statement's projected rows are cut from.
 	slab slab
+
+	// frames are the scaffolding of the core executions that have
+	// returned, for the next ones to reuse (takeFrame).
+	frames []*frame
+}
+
+// Reset readies the context for another statement: it keeps the memory
+// its executions reuse and clears everything else. A context that runs
+// statement after statement, as a session's does, then builds no
+// scaffolding once it has run each shape.
+func (ctx *Context) Reset() {
+	clear(ctx.args[:cap(ctx.args)])
+	*ctx = Context{args: ctx.args[:0], frames: ctx.frames}
 }
 
 // PlanNode is one line of an EXPLAIN plan and the lines nested under it.

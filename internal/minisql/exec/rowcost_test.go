@@ -92,9 +92,11 @@ func TestRowsCostOnlyTheirOutput(t *testing.T) {
 // TestExpandHitCostsItsPlanOnce: a plan-cache hit of the Expand
 // statement reuses what its first execution derived from the text and
 // the catalog — the conjunct splits, the tables' columns, the loop's
-// columns, the projection and its output names — so an Expand of a
-// parent with two children on the paper's example costs the rows, the
-// access paths and the snapshot, and no re-planning.
+// columns, the join pairs, the projection and its output names, the
+// column references' slots — and the session's scaffolding of the
+// execution before, so an Expand of a parent with two children on the
+// paper's example allocates its result and nothing else: the result,
+// its relation, its rows and the values they are cut from.
 func TestExpandHitCostsItsPlanOnce(t *testing.T) {
 	s := minisql.NewDB().NewSession()
 	if err := workload.LoadPaperExample(s); err != nil {
@@ -112,7 +114,73 @@ func TestExpandHitCostsItsPlanOnce(t *testing.T) {
 		}
 	}
 	run() // the miss: parse and plan
-	if allocs := testing.AllocsPerRun(20, run); allocs > 30 {
-		t.Errorf("a plan-cache hit of Expand costs %.0f allocations, want at most 30", allocs)
+	if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
+		t.Errorf("a plan-cache hit of Expand costs %.0f allocations, want at most 8", allocs)
+	}
+}
+
+// TestRecursiveHitCostFollowsOutput: a plan-cache hit of the recursive
+// MLE re-runs its recursive branches once per level of the tree, and an
+// iteration builds no scaffolding of its own: on a chain of assemblies,
+// rooting the MLE 195 levels higher costs at most one allocation per
+// extra row returned.
+func TestRecursiveHitCostFollowsOutput(t *testing.T) {
+	s := minisql.NewDB().NewSession()
+	if _, err := s.ExecScript(workload.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200 // assemblies 1 … n, each the only child of the one before
+	for i := int64(1); i <= n; i++ {
+		if _, err := s.Exec("INSERT INTO assy VALUES ('assy', ?, 1, 'a', '+', 'make', 'released', 1.0, FALSE, NULL, 'base', '')",
+			types.NewInt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i < n; i++ {
+		if _, err := s.Exec("INSERT INTO link VALUES ('link', ?, ?, ?, 1, 10, 'base')",
+			types.NewInt(1000+i), types.NewInt(i), types.NewInt(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sql := core.BuildRecursiveQuery().String()
+	cost := func(root int64) (allocs float64, rows int) {
+		run := func() {
+			res, err := s.Exec(sql, types.NewInt(root))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = len(res.Rows)
+		}
+		run() // the first root's run is the miss
+		return testing.AllocsPerRun(10, run), rows
+	}
+	shallow, few := cost(n - 4)
+	deep, many := cost(1)
+	if few != 9 || many != 2*n-1 {
+		t.Fatalf("the MLE of a chain returns its nodes and links: %d and %d rows, want 9 and %d", few, many, 2*n-1)
+	}
+	if extra := deep - shallow; extra > float64(many-few) {
+		t.Errorf("%d rows cost %.0f allocations, %d rows %.0f: %.0f for %d more rows, want at most one each",
+			few, shallow, many, deep, extra, many-few)
+	}
+}
+
+// BenchmarkExpandHit is one plan-cache hit of the Expand statement on
+// the paper's example: a parent with two children.
+func BenchmarkExpandHit(b *testing.B) {
+	s := minisql.NewDB().NewSession()
+	if err := workload.LoadPaperExample(s); err != nil {
+		b.Fatal(err)
+	}
+	sql := core.BuildExpandQuery().String()
+	parent := types.NewInt(2)
+	if _, err := s.Exec(sql, parent, parent); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.Exec(sql, parent, parent); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

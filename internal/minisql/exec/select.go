@@ -31,16 +31,16 @@ func (ctx *Context) EvalSelect(sel *ast.Select, outer *Env) (*Relation, error) {
 		if ctx.Plan != nil {
 			ctx.note("SORT (%d key(s))", len(sel.OrderBy))
 		}
-		if err := ctx.orderRelation(rel, sel.OrderBy, outer); err != nil {
+		if err := ctx.orderRelation(&rel, sel.OrderBy, outer); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Offset != nil || sel.Limit != nil {
-		if err := ctx.applyLimit(rel, sel.Limit, sel.Offset, outer); err != nil {
+		if err := ctx.applyLimit(&rel, sel.Limit, sel.Offset, outer); err != nil {
 			return nil, err
 		}
 	}
-	return rel, nil
+	return &rel, nil
 }
 
 // bindCTEs evaluates WITH clauses and binds them in the context, in a
@@ -85,7 +85,7 @@ func (ctx *Context) evalCTE(cte *ast.CTE, recursive bool, outer *Env) (*Relation
 	if err != nil {
 		return nil, err
 	}
-	return renameCTE(rel, cte)
+	return renameCTE(*rel, cte)
 }
 
 // setCTE binds (or rebinds) a CTE materialization. Rebinding invalidates
@@ -97,7 +97,7 @@ func (ctx *Context) setCTE(key string, rel *Relation) {
 	ctx.inSetCache = nil
 }
 
-func renameCTE(rel *Relation, cte *ast.CTE) (*Relation, error) {
+func renameCTE(rel Relation, cte *ast.CTE) (*Relation, error) {
 	cols := rebind(rel.Cols, cte.Name)
 	if len(cte.Cols) > 0 {
 		if len(cte.Cols) != len(rel.Cols) {
@@ -149,11 +149,10 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	}
 
 	// round evaluates a set of branches against the current binding and
-	// returns the rows they add to the fixpoint.
+	// returns the rows they add to the fixpoint, appended to added.
 	var cols []ColMeta // of the first branch, which every other must match in number
 	var seen keyTable
-	round := func(branches []*ast.SelectCore) ([]storage.Row, error) {
-		var added []storage.Row
+	round := func(branches []*ast.SelectCore, added []storage.Row) ([]storage.Row, error) {
 		for _, b := range branches {
 			rel, err := ctx.evalCore(b, outer)
 			if err != nil {
@@ -177,11 +176,8 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 		}
 		return added, nil
 	}
-	bound := func(rows []storage.Row) (*Relation, error) {
-		return renameCTE(&Relation{Cols: cols, Rows: rows}, cte)
-	}
 
-	delta, err := round(seeds)
+	delta, err := round(seeds, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -190,52 +186,60 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	if maxIter <= 0 {
 		maxIter = defaultMaxRecursion
 	}
+	// Each iteration binds the CTE to the last delta, in one relation
+	// renamed once, and collects the next into the array of the delta
+	// before, which all has copied.
+	bound, err := renameCTE(Relation{Cols: cols}, cte)
+	if err != nil {
+		return nil, err
+	}
+	var spare []storage.Row
 	// Under EXPLAIN no table yields a row, so the seed is empty; the
 	// recursive branches are still planned, once.
 	for iter := 0; len(delta) > 0 || (ctx.Plan != nil && iter == 0); iter++ {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("sql: recursive CTE %s exceeded %d iterations", cte.Name, maxIter)
 		}
-		deltaRel, err := bound(delta)
+		bound.Rows = delta
+		ctx.setCTE(strings.ToLower(cte.Name), bound)
+		next, err := round(recs, spare[:0])
 		if err != nil {
 			return nil, err
 		}
-		ctx.setCTE(strings.ToLower(cte.Name), deltaRel)
-		if delta, err = round(recs); err != nil {
-			return nil, err
-		}
+		spare, delta = delta, next
 		all = append(all, delta...)
 	}
-	return bound(all)
+	return renameCTE(Relation{Cols: cols, Rows: all}, cte)
 }
 
 // evalBody evaluates a set-operation tree.
-func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error) {
+func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (Relation, error) {
 	switch b := body.(type) {
 	case *ast.SelectCore:
 		return ctx.evalCore(b, outer)
 	case *ast.SetOp:
 		left, err := ctx.evalBody(b.Left, outer)
 		if err != nil {
-			return nil, err
+			return Relation{}, err
 		}
 		if ctx.Plan != nil {
 			ctx.note("%s", b.Op)
 		}
 		right, err := ctx.evalBody(b.Right, outer)
 		if err != nil {
-			return nil, err
+			return Relation{}, err
 		}
 		if len(left.Cols) != len(right.Cols) {
-			return nil, fmt.Errorf("sql: UNION operands have %d and %d columns", len(left.Cols), len(right.Cols))
+			return Relation{}, fmt.Errorf("sql: UNION operands have %d and %d columns", len(left.Cols), len(right.Cols))
 		}
 		if b.Op == "UNION ALL" { // left is this evaluation's own
 			left.Rows = append(left.Rows, right.Rows...)
 			return left, nil
 		}
-		return &Relation{Cols: left.Cols, Rows: distinctRows(left.Rows, right.Rows), names: left.names}, nil
+		left.Rows = distinctRows(left.Rows, right.Rows)
+		return left, nil
 	}
-	return nil, fmt.Errorf("sql: unknown select body %T", body)
+	return Relation{}, fmt.Errorf("sql: unknown select body %T", body)
 }
 
 // evalCore evaluates one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING
@@ -243,7 +247,7 @@ func (ctx *Context) evalBody(body ast.SelectBody, outer *Env) (*Relation, error)
 // (fromLoop), and each complete row WHERE accepts is projected, or
 // accumulated into its group, as the loop reaches it. No combined row of
 // a join is allocated.
-func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error) {
+func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (Relation, error) {
 	if ctx.Plan != nil {
 		line := "SELECT"
 		if len(core.GroupBy) > 0 {
@@ -255,31 +259,31 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	if p == nil || p.core != core { // unplanned, or a struct copy of a planned core
 		p = &corePlan{where: splitAnd(core.Where, nil)} // no factors: planFrom derives
 	}
-	from := fromLoop{plan: p, levels: make([]level, 0, len(p.factors))} // without FROM: no level, one empty row
-	conjs := slices.Clone(p.where)
+	f := ctx.takeFrame()
+	defer ctx.putFrame(f)
+	from := &f.from // without FROM: no level, one empty row
+	from.plan = p
+	f.conjs = append(f.conjs[:0], p.where...)
+	conjs := f.conjs
 	if core.From != nil {
-		if err := ctx.planFrom(&from, core.From, outer, conjs, true, true); err != nil {
-			return nil, err
+		if err := ctx.planFrom(from, core.From, outer, conjs, true, true); err != nil {
+			return Relation{}, err
 		}
 	}
-	if from.plan != p || p.core == nil {
+	if from.plan != p || p.core == nil || !p.boundUnder(outer) {
 		var err error
-		if p, err = planCore(core, p.where, &from); err != nil {
-			return nil, err
+		if p, err = planCore(core, p.where, from, outer); err != nil {
+			return Relation{}, err
 		}
 		core.Plan.Store(p)
 	}
 	ctx.noteFilter(conjs)
 
 	// Every clause below evaluates in this one scope, its column
-	// references bound to positions before the first row.
-	scope := &coreScope{}
-	scope.Env = Env{cols: from.cols, parent: outer, slots: &scope.table}
-	env := &scope.Env
-	if err := bindColumnRefs(core, env); err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: p.out, names: p.names}
+	// references bound to positions by the plan.
+	f.scope = Env{cols: from.cols, parent: outer, slots: p.slots}
+	env := &f.scope
+	out := Relation{Cols: p.out, names: p.names}
 	var groups *grouping
 	if len(p.aggs) > 0 || len(core.GroupBy) > 0 {
 		groups = newGrouping(core.GroupBy, p.aggs, len(from.levels) > 1)
@@ -288,7 +292,7 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 	// The one row loop: the WHERE conjuncts the FROM clause has not taken
 	// over, then the projection or the accumulation.
 	filter := slices.ContainsFunc(conjs, func(c conjunct) bool { return !c.used })
-	err := ctx.run(&from, 0, func(row storage.Row) error {
+	err := ctx.run(from, 0, func(row storage.Row) error {
 		env.row = row
 		if filter {
 			if ok, err := ctx.allTrue(conjs, -1, env); !ok {
@@ -303,11 +307,11 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return Relation{}, err
 	}
 	if groups != nil {
 		if out.Rows, err = groups.project(ctx, core.Having, p.proj, env); err != nil {
-			return nil, err
+			return Relation{}, err
 		}
 	}
 	if core.Distinct {
@@ -320,9 +324,10 @@ func (ctx *Context) evalCore(core *ast.SelectCore, outer *Env) (*Relation, error
 // catalog alone, published on the core (ast.SelectCore.Plan) by its first
 // execution and read-only from then on. An execution whose FROM factors
 // were not derived from what the plan's were (a table dropped and created
-// again, a CTE binding of other columns) publishes a new one. What the
-// snapshot or the parameters decide (access paths, key sets, probes, which
-// conjuncts they take over) stays with each execution.
+// again, a CTE binding of other columns), or whose enclosing scopes are
+// not those its column references were bound under, publishes a new one.
+// What the snapshot or the parameters decide (access paths, key sets,
+// probes, which conjuncts they take over) stays with each execution.
 type corePlan struct {
 	core    *ast.SelectCore
 	where   []conjunct   // the WHERE conjuncts, none taken over
@@ -332,27 +337,35 @@ type corePlan struct {
 	out     []ColMeta // the output columns, and their names
 	names   []string
 	aggs    []*ast.Aggregate
+	slots   *slotTable  // where the core's column references point; nil: by name
+	outer   [][]ColMeta // the enclosing scopes' columns, when a reference reads one
 }
 
 // factorPlan is what a level's columns were derived from, a stored
 // table's schema (new on every CREATE; a plan holds no table, so no rows)
 // or (schema nil) the columns src of a CTE binding, a derived table or a
-// join chain; where they end in the loop's; and a JOIN's ON conjuncts.
+// join chain; where they end in the loop's; a JOIN's ON conjuncts; and
+// the equi-pairs of the conjuncts the level joins on.
 type factorPlan struct {
 	schema *storage.Schema
 	src    []ColMeta
 	end    int
 	on     []conjunct
+	pairs  []equiPair
 }
 
-// planCore builds the plan of a core whose FROM clause from has planned.
-func planCore(core *ast.SelectCore, where []conjunct, from *fromLoop) (*corePlan, error) {
+// planCore builds the plan of a core whose FROM clause from has planned,
+// its column references bound in the scopes outer.
+func planCore(core *ast.SelectCore, where []conjunct, from *fromLoop, outer *Env) (*corePlan, error) {
 	out, proj, err := projectionPlan(core.Items, from.cols)
 	if err != nil {
 		return nil, err
 	}
 	p := &corePlan{core: core, where: where, factors: make([]factorPlan, len(from.levels)), cols: from.cols,
 		proj: proj, out: out, names: make([]string, len(out)), aggs: collectAggregates(core)}
+	if p.slots, p.outer, err = bindColumnRefs(core, from.cols, outer); err != nil {
+		return nil, err
+	}
 	for i := range from.levels {
 		p.factors[i] = from.levels[i].made
 	}
@@ -362,17 +375,38 @@ func planCore(core *ast.SelectCore, where []conjunct, from *fromLoop) (*corePlan
 	return p, nil
 }
 
+// boundUnder reports whether the plan's column references resolve as
+// bound in the scopes outer: always, if none reads an enclosing scope;
+// else when the enclosing scopes have the columns they were bound under.
+func (p *corePlan) boundUnder(outer *Env) bool {
+	i := 0
+	for env := outer; env != nil && p.outer != nil; env = env.parent {
+		if env.touched != nil {
+			continue
+		}
+		if i == len(p.outer) || !slices.Equal(p.outer[i], env.cols) {
+			return false
+		}
+		i++
+	}
+	return i == len(p.outer)
+}
+
 // ---------------------------------------------------------------------------
 // FROM evaluation: the one nested loop
 
 // fromLoop is a FROM clause planned as one nested loop over its table
 // factors, the levels, which write their candidates into one scratch row.
-// plan is the core's plan while its levels match the loop's.
+// plan is the core's plan while its levels match the loop's. The access
+// paths and index probes of the levels come from frame, and the scratch
+// row from buf.
 type fromLoop struct {
 	cols   []ColMeta
 	levels []level
 	row    storage.Row
+	buf    storage.Row
 	plan   *corePlan
+	frame  *frame
 }
 
 // level is one table factor of a fromLoop. Its candidates come from acc
@@ -444,9 +478,9 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 		if table, ok := ctx.DB.Table(bt.Name); ok {
 			tcols := l.colsOf(&lv, table, nil, func() []ColMeta { return TableCols(table, aliasOf(bt)) })
 			indexed := func(rp int) bool { return table.IndexOn(tcols[rp].Name) != nil }
-			if i, lp, rp := equiPair(pool, l.cols, tcols, indexed); i >= 0 {
+			if i, lp, rp := pickPair(l.pairsOf(&lv, pool, tcols), pool, indexed); i >= 0 {
 				index = table.IndexOn(tcols[rp].Name)
-				at, lv.key, cols, lv.probe, method = i, lp, tcols, ctx.indexProbe(table, index), "INDEX JOIN"
+				at, lv.key, cols, lv.probe, method = i, lp, tcols, l.frame.indexProbe(ctx, table, index), "INDEX JOIN"
 			}
 		}
 	}
@@ -455,8 +489,8 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 		if cols, lv, err = ctx.factor(l, ref, outer, conjs, false, pushable, false); err != nil {
 			return err
 		}
-		if i, lp, rp := equiPair(pool, l.cols, cols, nil); i >= 0 {
-			at, lv.key, lv.probe, method = i, lp, hashProbe(lv.rows, rp), "HASH JOIN"
+		if i, lp, rp := pickPair(l.pairsOf(&lv, pool, cols), pool, nil); i >= 0 {
+			at, lv.key, lv.probe, method = i, lp, newHashProbe(lv.rows, rp), "HASH JOIN"
 		}
 	}
 	lv.on, lv.skip, lv.left, lv.env.parent = pool, at, joinType == "LEFT", outer
@@ -514,6 +548,17 @@ func (l *fromLoop) colsOf(lv *level, table *storage.Table, src []ColMeta, derive
 	return derive()
 }
 
+// pairsOf returns the equi-pairs of pool between the loop's columns and
+// right, the columns of its next level, lv, which colsOf has given: the
+// plan's while the plan holds, else derived.
+func (l *fromLoop) pairsOf(lv *level, pool []conjunct, right []ColMeta) []equiPair {
+	if l.plan != nil {
+		return l.plan.factors[len(l.levels)].pairs
+	}
+	lv.made.pairs = equiPairs(pool, l.cols, right)
+	return lv.made.pairs
+}
+
 // onOf returns the ON conjuncts of the loop's next level: the plan's, or
 // on split.
 func (l *fromLoop) onOf(on ast.Expr) []conjunct {
@@ -546,7 +591,8 @@ func (ctx *Context) factor(l *fromLoop, ref ast.TableRef, outer *Env, conjs []co
 			return nil, lv, fmt.Errorf("sql: no such table %s", r.Name)
 		}
 		cols := l.colsOf(&lv, table, nil, func() []ColMeta { return TableCols(table, aliasOf(r)) })
-		acc, err := ctx.chooseAccess(table, aliasOf(r), unqualified, conjs, outer)
+		acc := l.frame.access(table)
+		err := ctx.chooseAccess(acc, aliasOf(r), unqualified, conjs, outer)
 		if err == nil && ctx.Plan != nil {
 			ctx.note("%s", acc).Kids = acc.sub
 		}
@@ -567,7 +613,7 @@ func (ctx *Context) factor(l *fromLoop, ref ast.TableRef, outer *Env, conjs []co
 		lv.rows = rel.Rows
 		return l.colsOf(&lv, nil, rel.Cols, func() []ColMeta { return rebind(rel.Cols, r.Alias) }), lv, nil
 	case *ast.Join, *ast.CrossList:
-		var sub fromLoop
+		sub := fromLoop{frame: l.frame}
 		err := ctx.planFrom(&sub, ref, outer, conjs, false, pushable)
 		if err == nil {
 			err = ctx.run(&sub, 0, func(row storage.Row) error { lv.rows = append(lv.rows, slices.Clone(row)); return nil })
@@ -596,7 +642,7 @@ func (ctx *Context) run(l *fromLoop, i int, emit func(storage.Row) error) error 
 		rows = nil
 		if key := l.row[lv.key]; !key.IsNull() {
 			var exact bool
-			if rows, exact = lv.probe(key); exact {
+			if rows, exact = lv.probe.candidates(key); exact {
 				skip = lv.skip
 			}
 		}
@@ -621,20 +667,114 @@ func (ctx *Context) run(l *fromLoop, i int, emit func(storage.Row) error) error 
 }
 
 // put makes row the level's candidate: the loop's row in a loop of one
-// level, else copied into the scratch row, made at the first candidate.
+// level, else copied into the scratch row, set up at the first candidate.
 func (l *fromLoop) put(lv *level, row storage.Row) {
 	switch {
 	case len(l.levels) == 1:
 		l.row = row
 		return
 	case l.row == nil:
-		l.row = make(storage.Row, len(l.cols))
+		if cap(l.buf) < len(l.cols) {
+			l.buf = make(storage.Row, len(l.cols))
+		}
+		l.row = l.buf[:len(l.cols)]
 		for i := range l.levels {
 			lv := &l.levels[i]
 			lv.env.cols, lv.env.row = l.cols[:lv.end], l.row[:lv.end]
 		}
 	}
 	copy(l.row[lv.at:], row)
+}
+
+// ---------------------------------------------------------------------------
+// the scaffolding of an execution
+
+// frame is the scaffolding one execution of a SELECT core builds before
+// its first row: the loop with its levels and scratch row, the WHERE
+// conjuncts' marks, the scope, the stored tables' access paths with
+// their key values, and the index probes of its joins. A context keeps
+// the frames of the executions that have returned, and an execution
+// takes the last one kept, so the cores nested in it (subqueries, CTE
+// bodies, UNION branches, the iterations of a recursive CTE) take and
+// return theirs in LIFO order. Only the memory is reused: every decision
+// is taken again. No result row and no relation comes from a frame.
+type frame struct {
+	from   fromLoop
+	conjs  []conjunct
+	scope  Env
+	accs   []*access // the first nacc in use
+	probes []*indexProbe
+	nacc   int
+	nprobe int
+}
+
+// frameCap bounds, in elements, a buffer a frame keeps for the next
+// execution, so that one large read pins nothing.
+const frameCap = 1024
+
+// takeFrame returns a frame for one core execution, which returns it
+// through putFrame.
+func (ctx *Context) takeFrame() *frame {
+	n := len(ctx.frames)
+	if n == 0 {
+		f := &frame{}
+		f.from.frame = f
+		return f
+	}
+	f := ctx.frames[n-1]
+	ctx.frames = ctx.frames[:n-1]
+	return f
+}
+
+// putFrame clears a frame of everything its execution referenced and
+// keeps it for the next.
+func (ctx *Context) putFrame(f *frame) {
+	clear(f.from.levels)
+	clear(f.from.buf[:cap(f.from.buf)])
+	f.from = fromLoop{levels: capped(f.from.levels), buf: capped(f.from.buf), frame: f}
+	clear(f.conjs)
+	f.conjs = capped(f.conjs)
+	f.scope = Env{}
+	for _, a := range f.accs[:f.nacc] {
+		a.reset()
+	}
+	for _, p := range f.probes[:f.nprobe] {
+		p.reset()
+	}
+	f.nacc, f.nprobe = 0, 0
+	ctx.frames = append(ctx.frames, f)
+}
+
+// capped empties a buffer, or drops it when it has grown past frameCap.
+func capped[S ~[]E, E any](s S) S {
+	if cap(s) > frameCap {
+		return nil
+	}
+	return s[:0]
+}
+
+// access returns the frame's next access path, for table.
+func (f *frame) access(table *storage.Table) *access {
+	if f.nacc == len(f.accs) {
+		f.accs = append(f.accs, &access{})
+	}
+	a := f.accs[f.nacc]
+	f.nacc++
+	a.table = table
+	return a
+}
+
+// indexProbe returns the frame's next index probe, drawing candidates
+// from index on table.
+func (f *frame) indexProbe(ctx *Context, table *storage.Table, index *storage.Index) *indexProbe {
+	if f.nprobe == len(f.probes) {
+		f.probes = append(f.probes, &indexProbe{})
+	}
+	p := f.probes[f.nprobe]
+	f.nprobe++
+	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
+	p.ctx, p.table, p.index, p.kind, p.snap = ctx, table, index, kind, ctx.snap(table)
+	return p
 }
 
 // ---------------------------------------------------------------------------
@@ -999,28 +1139,43 @@ func (ctx *Context) applyLimit(rel *Relation, limit, offset ast.Expr, outer *Env
 // helpers
 
 // bindColumnRefs resolves every direct column reference of the core
-// (ast.CoreRefs) once, before any row: into the slot table of the core's
-// scope env, as a position in its row or as a column of an enclosing
-// scope. It is also the static check — even when the relation is empty,
-// each reference must resolve, so that a typo does not pass silently on
-// an empty table. Subqueries bind in their own scope when (and if) they
-// run. Slots given twice in one core (a tree not made by the parser)
-// leave the core to resolve by name.
-func bindColumnRefs(core *ast.SelectCore, env *Env) error {
+// (ast.CoreRefs) against the loop's columns cols and the scopes outer,
+// once per plan: into a slot table, as a position in the core's row or
+// as a column of an enclosing scope. It returns the enclosing scopes'
+// columns when a reference reads one, as the binding holds only under
+// them (corePlan.boundUnder). It is also the static check — even when the
+// relation is empty, each reference must resolve, so that a typo does not
+// pass silently on an empty table. Subqueries bind in their own scope
+// when (and if) they run. Slots given twice in one core (a tree not made
+// by the parser) leave the core to resolve by name (a nil table).
+func bindColumnRefs(core *ast.SelectCore, cols []ColMeta, outer *Env) (*slotTable, [][]ColMeta, error) {
+	slots, reads := new(slotTable), false
 	var failed error
 	ast.CoreRefs(core, func(ref *ast.ColumnRef) bool {
-		at, err := resolve(ref, env.cols, env.parent)
-		if failed = err; err != nil || env.slots == nil || ref.Slot <= 0 || ref.Slot > maxSlots {
-			return err == nil
+		at, err := resolve(ref, cols, outer)
+		if failed = err; err != nil {
+			return false
 		}
-		if env.slots[ref.Slot-1] != 0 {
-			env.slots = nil
-		} else {
-			env.slots[ref.Slot-1] = at
+		reads = reads || at == outerSlot
+		switch {
+		case slots == nil || ref.Slot <= 0 || ref.Slot > maxSlots:
+		case slots[ref.Slot-1] != 0:
+			slots = nil
+		default:
+			slots[ref.Slot-1] = at
 		}
 		return true
 	})
-	return failed
+	if failed != nil || !reads {
+		return slots, nil, failed
+	}
+	var scopes [][]ColMeta
+	for env := outer; env != nil; env = env.parent {
+		if env.touched == nil {
+			scopes = append(scopes, env.cols)
+		}
+	}
+	return slots, scopes, nil
 }
 
 // resolve settles ref against cols and the outer scopes: its position
