@@ -21,6 +21,6 @@ func (w *wireFetcher) FetchRecursive(ctx context.Context, root int64, action str
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	tree.Walk(func(n *Node) { c.rememberType(n) })
+	c.rememberTypes(len(tree.Index), tree.Walk)
 	return tree, len(resp.Rows), resp.Epoch, nil
 }

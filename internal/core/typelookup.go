@@ -53,3 +53,33 @@ func (c *Client) rememberType(n *Node) {
 		c.types.Put(c.typeKey(n.ObID), cache.Entry{Value: internType(n.Type)})
 	}
 }
+
+// rememberTypes caches the types of the nodes one result carried, which
+// walk visits (at most n of them), and leaves the store as rememberType
+// of each in turn would. Past the store's bound only the last Cap()
+// distinct ids survive those puts, so of more nodes only they are put,
+// oldest first.
+func (c *Client) rememberTypes(n int, walk func(func(*Node))) {
+	limit := c.types.Cap()
+	if n <= limit {
+		walk(c.rememberType)
+		return
+	}
+	nodes := make([]*Node, 0, n)
+	walk(func(nd *Node) {
+		if nd != nil && nd.Type != "" {
+			nodes = append(nodes, nd)
+		}
+	})
+	last := make([]*Node, 0, limit) // newest first
+	seen := make(map[int64]struct{}, limit)
+	for i := len(nodes) - 1; i >= 0 && len(last) < limit; i-- {
+		if _, ok := seen[nodes[i].ObID]; !ok {
+			seen[nodes[i].ObID] = struct{}{}
+			last = append(last, nodes[i])
+		}
+	}
+	for i := len(last) - 1; i >= 0; i-- {
+		c.rememberType(last[i])
+	}
+}

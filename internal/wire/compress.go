@@ -121,9 +121,8 @@ var flateWriters = sync.Pool{
 }
 
 // sliceWriter is an io.Writer appending into a recycled frame buffer —
-// what CompressBody and MaybeDecompress hand the flate codec so their
-// output rides pool-backed memory instead of a fresh bytes.Buffer per
-// frame.
+// what CompressBody hands the flate codec so its output rides
+// pool-backed memory instead of a fresh bytes.Buffer per frame.
 type sliceWriter struct{ b []byte }
 
 func (w *sliceWriter) Write(p []byte) (int, error) {
@@ -169,7 +168,10 @@ func CompressedOriginalSize(body []byte) (int, bool) {
 // MaybeDecompress inflates a TypeCompressed frame body back to the
 // frame it wraps; any other body passes through unchanged. The recorded
 // original size bounds the inflation, so a corrupt or hostile frame
-// cannot balloon past MaxFrameSize.
+// cannot balloon past MaxFrameSize. The output is reserved from the
+// recorded size, but never past what the frame's deflate stream could
+// inflate to, so a tiny frame claiming 1 GB reserves kilobytes; it is
+// read straight from a reused inflater.
 func MaybeDecompress(body []byte) ([]byte, error) {
 	if len(body) < 1 || body[0] != TypeCompressed {
 		return body, nil
@@ -183,21 +185,85 @@ func MaybeDecompress(body []byte) ([]byte, error) {
 		return nil, &FrameTooLargeError{Size: int(orig)}
 	}
 	rest = rest[n:]
-	r := flate.NewReader(bytes.NewReader(rest))
-	defer r.Close()
-	// The recorded size is attacker-controlled: start from a recycled
-	// buffer and let it grow with the bytes that actually inflate, so a
-	// tiny frame claiming 1 GB cannot OOM the client. The io.Copy bound
-	// is one past the recorded size to detect over-long streams.
-	sw := &sliceWriter{b: getFrame()}
-	if _, err := io.Copy(sw, io.LimitReader(r, int64(orig)+1)); err != nil {
-		putFrame(sw.b)
+	out := getFrame()
+	if reserve := min(int(orig), maxInflateRatio*len(rest)); cap(out) < reserve {
+		out = make([]byte, 0, reserve)
+	}
+	inf := getInflater(rest)
+	out, err := inf.readAll(out, int(orig))
+	putInflater(inf)
+	if err != nil {
+		putFrame(out)
 		return nil, fmt.Errorf("wire: inflate: %w", err)
 	}
-	if uint64(len(sw.b)) != orig {
-		n := len(sw.b)
-		putFrame(sw.b)
+	if uint64(len(out)) != orig {
+		n := len(out)
+		putFrame(out)
 		return nil, fmt.Errorf("wire: compressed frame inflates to %d bytes, header says %d", n, orig)
 	}
-	return sw.b, nil
+	return out, nil
+}
+
+// maxInflateRatio bounds what one byte of a deflate stream inflates to
+// (a 258-byte match in about two bits).
+const maxInflateRatio = 1032
+
+// inflater is a deflate reader over a frame's stream, reset for each
+// frame (flate.Resetter): its window and tables are made once.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+// inflaters is the inflaters' free list, bounded like frames: a
+// receiving client takes one per compressed frame. Each pins a 32 KiB
+// window; a return past the bound drops its inflater.
+var inflaters = make(chan *inflater, pooledInflaters)
+
+const pooledInflaters = 4
+
+// getInflater returns an inflater reading stream.
+func getInflater(stream []byte) *inflater {
+	select {
+	case inf := <-inflaters:
+		inf.src.Reset(stream)
+		if err := inf.r.(flate.Resetter).Reset(&inf.src, nil); err == nil {
+			return inf
+		}
+	default:
+	}
+	inf := &inflater{}
+	inf.src.Reset(stream)
+	inf.r = flate.NewReader(&inf.src)
+	return inf
+}
+
+// putInflater recycles an inflater, which no longer reads its frame.
+func putInflater(inf *inflater) {
+	inf.src.Reset(nil)
+	select {
+	case inflaters <- inf:
+	default:
+	}
+}
+
+// readAll appends the inflated stream to b, stopping one byte past
+// limit, so that an over-long stream shows as such.
+func (inf *inflater) readAll(b []byte, limit int) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			if len(b) > limit {
+				return b, nil
+			}
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := inf.r.Read(b[len(b):min(cap(b), limit+1)])
+		b = b[:len(b)+n]
+		if err == io.EOF || len(b) > limit {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }

@@ -300,16 +300,30 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{SQL: sql}
-	for i := uint32(0); i < n; i++ {
-		var v types.Value
-		v, b, err = ReadValue(b)
+	params, err := readParams(b, n)
+	if err != nil {
+		return nil, err
+	}
+	return &Request{SQL: sql, Params: params}, nil
+}
+
+// readParams reads a request's n parameter values into one slice, made
+// at once: every value takes at least its tag byte, so the count it is
+// sized from is capped by the bytes left, and a hostile count allocates
+// no more than the frame holds. No parameters read as nil.
+func readParams(b []byte, n uint32) ([]types.Value, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	params := make([]types.Value, 0, min(int(n), len(b)))
+	for range n {
+		v, rest, err := ReadValue(b)
 		if err != nil {
 			return nil, err
 		}
-		req.Params = append(req.Params, v)
+		params, b = append(params, v), rest
 	}
-	return req, nil
+	return params, nil
 }
 
 // EncodeResponse serializes a response frame body. The frame is sized
@@ -503,16 +517,11 @@ func DecodeExecPrepared(b []byte) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{Prepared: true, Handle: handle}
-	for i := uint32(0); i < n; i++ {
-		var v types.Value
-		v, b, err = ReadValue(b)
-		if err != nil {
-			return nil, err
-		}
-		req.Params = append(req.Params, v)
+	params, err := readParams(b, n)
+	if err != nil {
+		return nil, err
 	}
-	return req, nil
+	return &Request{Prepared: true, Handle: handle, Params: params}, nil
 }
 
 // ---------------------------------------------------------------------------
