@@ -464,7 +464,7 @@ type ColumnRef struct {
 	// Slot numbers the reference among the direct references of the
 	// SELECT core it belongs to (CoreRefs), from 1; 0 outside a core.
 	// The parser sets it; the executor binds each slot of a core to a
-	// column position once per execution of the core.
+	// column position once per plan of the core.
 	Slot int
 }
 

@@ -318,15 +318,16 @@ func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) 
 	return pos, table.IndexOn(table.Schema.Cols[pos].Name)
 }
 
-// keysWhere takes over a conjunct that reads only an indexed column as
-// the key set of the index's keys for which it holds: it runs once per
-// key instead of once per row. The set's values are cut from acc's. Stored functions are deterministic by
-// contract, and a row visible at a pinned epoch carries one of the keys
-// (storage.Index.Keys). It declines unless the set lists fewer ids than
-// limit, the cheapest path so far, and declines a conjunct that fails on
-// a key or holds for NULL, which no key set admits. The key 0.0 also
-// lists the rows holding -0.0 (types.Value.AppendKey), so a conjunct
-// that tells the two apart, such as CAST(x AS TEXT) = '-0', is declined.
+// keysWhere takes over a conjunct that reads only an indexed column of
+// acc's table as the key set of the index's keys for which it holds (its
+// values cut from acc's): it runs once per key instead of once per row.
+// Stored functions are deterministic by contract, and a row visible at a
+// pinned epoch carries one of the keys (storage.Index.Keys). It declines
+// unless the set lists fewer ids than limit, the cheapest path so far,
+// and declines a conjunct that fails on a key or holds for NULL, which no
+// key set admits. The key 0.0 also lists the rows holding -0.0
+// (types.Value.AppendKey), so a conjunct that tells the two apart, such
+// as CAST(x AS TEXT) = '-0', is declined.
 func (ctx *Context) keysWhere(c *conjunct, acc *access, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
 	table, from := acc.table, len(acc.vals)
 	f.pos, f.index = indexedColumn(*c, table, colOf)
@@ -539,8 +540,9 @@ func (p *indexProbe) candidates(key types.Value) ([]storage.Row, bool) {
 
 // reset clears the probe, keeping its row buffer.
 func (p *indexProbe) reset() {
-	clear(p.rows[:cap(p.rows)])
-	*p = indexProbe{rows: capped(p.rows)}
+	rows := capped(p.rows) // filled by earlier keys past its length
+	clear(rows[:cap(rows)])
+	*p = indexProbe{rows: rows}
 }
 
 // hashProbe draws candidates from a hash of a materialized relation on

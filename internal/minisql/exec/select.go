@@ -550,12 +550,14 @@ func (l *fromLoop) colsOf(lv *level, table *storage.Table, src []ColMeta, derive
 
 // pairsOf returns the equi-pairs of pool between the loop's columns and
 // right, the columns of its next level, lv, which colsOf has given: the
-// plan's while the plan holds, else derived.
+// plan's while the plan holds, else derived. A plan published by this
+// execution keeps them either way.
 func (l *fromLoop) pairsOf(lv *level, pool []conjunct, right []ColMeta) []equiPair {
 	if l.plan != nil {
-		return l.plan.factors[len(l.levels)].pairs
+		lv.made.pairs = l.plan.factors[len(l.levels)].pairs
+	} else {
+		lv.made.pairs = equiPairs(pool, l.cols, right)
 	}
-	lv.made.pairs = equiPairs(pool, l.cols, right)
 	return lv.made.pairs
 }
 
@@ -730,8 +732,9 @@ func (ctx *Context) takeFrame() *frame {
 // keeps it for the next.
 func (ctx *Context) putFrame(f *frame) {
 	clear(f.from.levels)
-	clear(f.from.buf[:cap(f.from.buf)])
-	f.from = fromLoop{levels: capped(f.from.levels), buf: capped(f.from.buf), frame: f}
+	buf := capped(f.from.buf)
+	clear(buf[:cap(buf)])
+	f.from = fromLoop{levels: capped(f.from.levels), buf: buf, frame: f}
 	clear(f.conjs)
 	f.conjs = capped(f.conjs)
 	f.scope = Env{}

@@ -315,6 +315,47 @@ func TestHeldCorrelatedSubqueryChecksOuterColumns(t *testing.T) {
 	}
 }
 
+// TestHeldJoinReplansOneLevel: a held EXPLAIN of a join keeps its join
+// method run after run when only the joined table is dropped and created
+// again. The first level still has the schema planned and the second has
+// not, so each later run goes through a plan published by an execution
+// that took half its levels from the plan before.
+func TestHeldJoinReplansOneLevel(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+	create := func() {
+		mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+		mustExec(t, s, "INSERT INTO u VALUES (10, 1), (11, 2), (12, 1)")
+	}
+	create()
+	held, err := parser.Parse("EXPLAIN SELECT u.id, t2.name FROM t JOIN t AS t2 ON t2.name = t.name JOIN u ON u.t_id = t.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func() string {
+		t.Helper()
+		res, err := s.ExecStmt(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(rowsToStrings(res), "\n")
+	}
+	want := plan()
+	if strings.Count(want, "INNER HASH JOIN") != 2 {
+		t.Fatalf("want two hash joins; plan:\n%s", want)
+	}
+	for i := range 3 {
+		mustExec(t, s, "DROP TABLE u")
+		create()
+		for j := range 2 {
+			if got := plan(); got != want {
+				t.Fatalf("re-create %d, run %d: plan\n%s\nwant\n%s", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestHeldSelectFollowsCatalog: a statement held as an AST — a prepared
 // handle, a stored procedure's query — is executed again after DDL
 // without a parse, and must answer for the catalog of the moment it
