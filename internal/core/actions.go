@@ -55,13 +55,11 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 	res := &ActionResult{RowsReceived: len(resp.Rows), Objects: make([]*Node, 0, len(resp.Rows))}
 	nodes := make([]Node, len(resp.Rows))
 	decoded := 0 // the nodes whose types are learned, even when a later row fails
-	defer func() {
-		c.rememberTypes(decoded, func(yield func(*Node)) {
-			for i := range nodes[:decoded] {
-				yield(&nodes[i])
-			}
-		})
-	}()
+	defer c.rememberTypes(len(nodes), func(yield func(*Node)) {
+		for i := range nodes[:decoded] {
+			yield(&nodes[i])
+		}
+	})
 	for i, row := range resp.Rows {
 		n := &nodes[i]
 		if err := decodeNode(row, n); err != nil {

@@ -54,11 +54,10 @@ func (c *Client) rememberType(n *Node) {
 	}
 }
 
-// rememberTypes caches the types of the nodes one result carried, which
-// walk visits (at most n of them), and leaves the store as rememberType
-// of each in turn would. Past the store's bound only the last Cap()
-// distinct ids survive those puts, so of more nodes only they are put,
-// oldest first.
+// rememberTypes caches the types of the nodes walk visits (at most n),
+// leaving the store as rememberType of each in turn would: past the
+// store's bound only the last Cap() distinct ids survive those puts, so
+// of more nodes only they are put, oldest first.
 func (c *Client) rememberTypes(n int, walk func(func(*Node))) {
 	limit := c.types.Cap()
 	if n <= limit {
@@ -66,17 +65,12 @@ func (c *Client) rememberTypes(n int, walk func(func(*Node))) {
 		return
 	}
 	nodes := make([]*Node, 0, n)
-	walk(func(nd *Node) {
-		if nd != nil && nd.Type != "" {
-			nodes = append(nodes, nd)
-		}
-	})
-	last := make([]*Node, 0, limit) // newest first
-	seen := make(map[int64]struct{}, limit)
+	walk(func(nd *Node) { nodes = append(nodes, nd) })
+	last, seen := make([]*Node, 0, limit), make(map[int64]bool, limit) // newest first
 	for i := len(nodes) - 1; i >= 0 && len(last) < limit; i-- {
-		if _, ok := seen[nodes[i].ObID]; !ok {
-			seen[nodes[i].ObID] = struct{}{}
-			last = append(last, nodes[i])
+		if nd := nodes[i]; nd != nil && nd.Type != "" && !seen[nd.ObID] {
+			seen[nd.ObID] = true
+			last = append(last, nd)
 		}
 	}
 	for i := len(last) - 1; i >= 0; i-- {

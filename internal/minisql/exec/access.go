@@ -52,30 +52,16 @@ func (ctx *Context) allTrue(conjs []conjunct, skip int, env *Env) (bool, error) 
 // access is the decision how one stored table is read for a set of
 // conjuncts: through index for the key set it answers exactly, or by a
 // snapshot scan; filters are the key conjuncts left to check per row.
-// chooseAccess takes the decision, read runs it. An access is a frame's,
-// and its buffers serve the frame's next execution (reset).
+// chooseAccess takes the decision, read runs it. An access is a frame's:
+// its buffers serve the next execution, and vals holds its key sets'.
 type access struct {
 	table   *storage.Table
 	index   *storage.Index // nil: snapshot scan
 	keys    keySet         // looked up in index
 	filters []keyFilter
-	sub     []*PlanNode   // under EXPLAIN: the plans of the subqueries key sets come from
-	hits    []hit         // lookup's scratch, reused from read to read
-	vals    []types.Value // where the key sets' values are cut from
-}
-
-// reset clears the access of its decision, keeping its buffers.
-func (a *access) reset() {
-	clear(a.filters)
-	clear(a.hits)
-	clear(a.vals)
-	*a = access{filters: capped(a.filters), hits: capped(a.hits), vals: capped(a.vals)}
-}
-
-// cut returns the key values appended to a.vals since from, capped so
-// that the next key set's values are never appended into them.
-func (a *access) cut(from int) []types.Value {
-	return a.vals[from:len(a.vals):len(a.vals)]
+	sub     []*PlanNode // under EXPLAIN: the plans of the subqueries key sets come from
+	hits    []hit       // lookup's scratch, reused from read to read
+	vals    []types.Value
 }
 
 // hit is a row an index lookup found, with its id.
@@ -252,7 +238,7 @@ func (ctx *Context) chooseAccess(acc *access, alias string, unqualified bool, co
 				exact = exact && fits
 				acc.vals = append(acc.vals, k)
 			}
-			f.vals = acc.cut(from)
+			f.vals = acc.vals[from:len(acc.vals):len(acc.vals)] // capped: the next set appends past it
 			f.hash()
 		}
 		c.used = true
@@ -318,16 +304,15 @@ func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) 
 	return pos, table.IndexOn(table.Schema.Cols[pos].Name)
 }
 
-// keysWhere takes over a conjunct that reads only an indexed column of
-// acc's table as the key set of the index's keys for which it holds (its
-// values cut from acc's): it runs once per key instead of once per row.
-// Stored functions are deterministic by contract, and a row visible at a
-// pinned epoch carries one of the keys (storage.Index.Keys). It declines
-// unless the set lists fewer ids than limit, the cheapest path so far,
-// and declines a conjunct that fails on a key or holds for NULL, which no
-// key set admits. The key 0.0 also lists the rows holding -0.0
-// (types.Value.AppendKey), so a conjunct that tells the two apart, such
-// as CAST(x AS TEXT) = '-0', is declined.
+// keysWhere takes over a conjunct that reads only an indexed column as
+// the key set of the index's keys for which it holds: it runs once per
+// key instead of once per row. Stored functions are deterministic by
+// contract, and a row visible at a pinned epoch carries one of the keys
+// (storage.Index.Keys). It declines unless the set lists fewer ids than
+// limit, the cheapest path so far, and declines a conjunct that fails on
+// a key or holds for NULL, which no key set admits. The key 0.0 also
+// lists the rows holding -0.0 (types.Value.AppendKey), so a conjunct
+// that tells the two apart, such as CAST(x AS TEXT) = '-0', is declined.
 func (ctx *Context) keysWhere(c *conjunct, acc *access, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
 	table, from := acc.table, len(acc.vals)
 	f.pos, f.index = indexedColumn(*c, table, colOf)
@@ -357,7 +342,7 @@ func (ctx *Context) keysWhere(c *conjunct, acc *access, alias string, colOf func
 			f.n += k.N
 		}
 	}
-	f.vals = acc.cut(from)
+	f.vals = acc.vals[from:len(acc.vals):len(acc.vals)]
 	f.hash()
 	c.used = f.n < limit
 	return f, c.used
@@ -505,13 +490,16 @@ type probe interface {
 	candidates(key types.Value) (rows []storage.Row, exact bool)
 }
 
+type probeFunc func(key types.Value) ([]storage.Row, bool)
+
+func (f probeFunc) candidates(key types.Value) ([]storage.Row, bool) { return f(key) }
+
 // indexProbe draws candidates from a stored table's index on the join
 // column: per key, the rows a one-key lookup finds. A key of a kind the
 // column cannot be compared with is not the index's to answer: every row
 // is a candidate then, and the equi-conjunct raises the error a nested
-// loop would. Under EXPLAIN no row is read. A probe is a frame's
-// (frame.indexProbe), and its row buffer serves every key of every
-// execution.
+// loop would. Under EXPLAIN no row is read. A probe is a frame's: its
+// row buffer serves every key of every execution.
 type indexProbe struct {
 	ctx   *Context
 	table *storage.Table
@@ -538,58 +526,43 @@ func (p *indexProbe) candidates(key types.Value) ([]storage.Row, bool) {
 	return p.rows, exact
 }
 
-// reset clears the probe, keeping its row buffer.
-func (p *indexProbe) reset() {
-	rows := capped(p.rows) // filled by earlier keys past its length
-	clear(rows[:cap(rows)])
-	*p = indexProbe{rows: rows}
-}
-
 // hashProbe draws candidates from a hash of a materialized relation on
 // its join column. The hash answers a key exactly only when every value
 // it holds can be compared with the key; otherwise all rows are
 // candidates.
-type hashProbe struct {
-	rows    []storage.Row
-	buckets map[string][]storage.Row
-	kinds   []types.Kind
-	buf     types.KeyBuf
-}
-
-func newHashProbe(rows []storage.Row, pos int) *hashProbe {
-	h := &hashProbe{rows: rows, buckets: make(map[string][]storage.Row, len(rows))}
+func hashProbe(rows []storage.Row, pos int) probe {
+	buckets := make(map[string][]storage.Row, len(rows))
+	var kinds []types.Kind
+	var buf types.KeyBuf
 	for _, row := range rows {
 		v := row[pos]
 		if v.IsNull() {
 			continue
 		}
-		if !slices.Contains(h.kinds, v.Kind()) {
-			h.kinds = append(h.kinds, v.Kind())
+		if !slices.Contains(kinds, v.Kind()) {
+			kinds = append(kinds, v.Kind())
 		}
-		key := v.AppendKey(h.buf[:0])
-		h.buckets[string(key)] = append(h.buckets[string(key)], row)
+		key := v.AppendKey(buf[:0])
+		buckets[string(key)] = append(buckets[string(key)], row)
 	}
-	return h
+	return probeFunc(func(key types.Value) ([]storage.Row, bool) {
+		for _, k := range kinds {
+			if !types.Comparable(k, key.Kind()) {
+				return rows, false
+			}
+		}
+		return buckets[string(key.AppendKey(buf[:0]))], true
+	})
 }
 
-func (h *hashProbe) candidates(key types.Value) ([]storage.Row, bool) {
-	for _, k := range h.kinds {
-		if !types.Comparable(k, key.Kind()) {
-			return h.rows, false
-		}
-	}
-	return h.buckets[string(key.AppendKey(h.buf[:0]))], true
-}
-
-// equiPair is a conjunct of a join's pool, at, that equates the column
-// at left of the left side with the column at right of the right side.
+// equiPair is the conjunct at of a join's pool, which equates the
+// column left of the left side with the column right of the right side.
 type equiPair struct{ at, left, right int }
 
 // equiPairs lists, in pool order, the conjuncts of pool that equate a
 // column of left with a column of right — each reference resolving to
 // exactly one column of the two sides together, as it will on the joined
-// row. They derive from the text and the columns alone, so a plan keeps
-// them (factorPlan.pairs).
+// row. They derive from the text and the columns alone (factorPlan).
 func equiPairs(pool []conjunct, left, right []ColMeta) []equiPair {
 	side := func(ref *ast.ColumnRef) (l, r int) {
 		l, lerr := findCol(left, ref.Table, ref.Column)

@@ -268,15 +268,12 @@ type Context struct {
 	// slab is where the statement's projected rows are cut from.
 	slab slab
 
-	// frames are the scaffolding of the core executions that have
-	// returned, for the next ones to reuse (takeFrame).
+	// frames are the scaffolding of finished core executions (frame).
 	frames []*frame
 }
 
 // Reset readies the context for another statement: it keeps the memory
-// its executions reuse and clears everything else. A context that runs
-// statement after statement, as a session's does, then builds no
-// scaffolding once it has run each shape.
+// its executions reuse (frame) and clears everything else.
 func (ctx *Context) Reset() {
 	clear(ctx.args[:cap(ctx.args)])
 	*ctx = Context{args: ctx.args[:0], frames: ctx.frames}

@@ -186,9 +186,8 @@ func (ctx *Context) evalRecursiveCTE(cte *ast.CTE, outer *Env) (*Relation, error
 	if maxIter <= 0 {
 		maxIter = defaultMaxRecursion
 	}
-	// Each iteration binds the CTE to the last delta, in one relation
-	// renamed once, and collects the next into the array of the delta
-	// before, which all has copied.
+	// Each iteration binds the last delta in one relation, and collects
+	// the next into the array of the delta before, which all has copied.
 	bound, err := renameCTE(Relation{Cols: cols}, cte)
 	if err != nil {
 		return nil, err
@@ -381,13 +380,12 @@ func planCore(core *ast.SelectCore, where []conjunct, from *fromLoop, outer *Env
 func (p *corePlan) boundUnder(outer *Env) bool {
 	i := 0
 	for env := outer; env != nil && p.outer != nil; env = env.parent {
-		if env.touched != nil {
-			continue
+		if env.touched == nil {
+			if i == len(p.outer) || !slices.Equal(p.outer[i], env.cols) {
+				return false
+			}
+			i++
 		}
-		if i == len(p.outer) || !slices.Equal(p.outer[i], env.cols) {
-			return false
-		}
-		i++
 	}
 	return i == len(p.outer)
 }
@@ -397,9 +395,8 @@ func (p *corePlan) boundUnder(outer *Env) bool {
 
 // fromLoop is a FROM clause planned as one nested loop over its table
 // factors, the levels, which write their candidates into one scratch row.
-// plan is the core's plan while its levels match the loop's. The access
-// paths and index probes of the levels come from frame, and the scratch
-// row from buf.
+// plan is the core's plan while its levels match the loop's. buf holds
+// the scratch row, and frame what the levels read through.
 type fromLoop struct {
 	cols   []ColMeta
 	levels []level
@@ -490,7 +487,7 @@ func (ctx *Context) planJoin(l *fromLoop, ref ast.TableRef, joinType string, poo
 			return err
 		}
 		if i, lp, rp := pickPair(l.pairsOf(&lv, pool, cols), pool, nil); i >= 0 {
-			at, lv.key, lv.probe, method = i, lp, newHashProbe(lv.rows, rp), "HASH JOIN"
+			at, lv.key, lv.probe, method = i, lp, hashProbe(lv.rows, rp), "HASH JOIN"
 		}
 	}
 	lv.on, lv.skip, lv.left, lv.env.parent = pool, at, joinType == "LEFT", outer
@@ -549,9 +546,8 @@ func (l *fromLoop) colsOf(lv *level, table *storage.Table, src []ColMeta, derive
 }
 
 // pairsOf returns the equi-pairs of pool between the loop's columns and
-// right, the columns of its next level, lv, which colsOf has given: the
-// plan's while the plan holds, else derived. A plan published by this
-// execution keeps them either way.
+// right, the columns of its next level lv that colsOf gave: the plan's
+// while the plan holds, else derived; lv records them either way.
 func (l *fromLoop) pairsOf(lv *level, pool []conjunct, right []ColMeta) []equiPair {
 	if l.plan != nil {
 		lv.made.pairs = l.plan.factors[len(l.levels)].pairs
@@ -695,74 +691,62 @@ func (l *fromLoop) put(lv *level, row storage.Row) {
 // its first row: the loop with its levels and scratch row, the WHERE
 // conjuncts' marks, the scope, the stored tables' access paths with
 // their key values, and the index probes of its joins. A context keeps
-// the frames of the executions that have returned, and an execution
-// takes the last one kept, so the cores nested in it (subqueries, CTE
-// bodies, UNION branches, the iterations of a recursive CTE) take and
-// return theirs in LIFO order. Only the memory is reused: every decision
-// is taken again. No result row and no relation comes from a frame.
+// the frames of finished executions, and an execution takes the last
+// one kept, so the cores nested in it (subqueries, CTE bodies, UNION
+// branches, a recursive CTE's iterations) take and return theirs in LIFO
+// order. Only memory is reused, never a decision, and no result row or
+// relation comes from a frame.
 type frame struct {
 	from   fromLoop
 	conjs  []conjunct
 	scope  Env
-	accs   []*access // the first nacc in use
-	probes []*indexProbe
-	nacc   int
-	nprobe int
+	accs   []access // past their length, with the buffers of executions before
+	probes []indexProbe
 }
 
-// frameCap bounds, in elements, a buffer a frame keeps for the next
-// execution, so that one large read pins nothing.
-const frameCap = 1024
-
-// takeFrame returns a frame for one core execution, which returns it
-// through putFrame.
 func (ctx *Context) takeFrame() *frame {
-	n := len(ctx.frames)
-	if n == 0 {
-		f := &frame{}
-		f.from.frame = f
-		return f
+	if len(ctx.frames) == 0 {
+		ctx.putFrame(&frame{})
 	}
-	f := ctx.frames[n-1]
-	ctx.frames = ctx.frames[:n-1]
+	f := ctx.frames[len(ctx.frames)-1]
+	ctx.frames = ctx.frames[:len(ctx.frames)-1]
 	return f
 }
 
-// putFrame clears a frame of everything its execution referenced and
+// putFrame empties a frame of everything its execution referenced and
 // keeps it for the next.
 func (ctx *Context) putFrame(f *frame) {
-	clear(f.from.levels)
-	buf := capped(f.from.buf)
-	clear(buf[:cap(buf)])
-	f.from = fromLoop{levels: capped(f.from.levels), buf: buf, frame: f}
-	clear(f.conjs)
-	f.conjs = capped(f.conjs)
-	f.scope = Env{}
-	for _, a := range f.accs[:f.nacc] {
-		a.reset()
+	f.from = fromLoop{levels: reuse(f.from.levels), buf: reuse(f.from.buf), frame: f}
+	f.conjs, f.scope = reuse(f.conjs), Env{}
+	for i := range f.accs {
+		a := &f.accs[i]
+		*a = access{filters: reuse(a.filters), hits: reuse(a.hits), vals: reuse(a.vals)}
 	}
-	for _, p := range f.probes[:f.nprobe] {
-		p.reset()
+	for i := range f.probes {
+		f.probes[i] = indexProbe{rows: reuse(f.probes[i].rows)}
 	}
-	f.nacc, f.nprobe = 0, 0
+	f.accs, f.probes = f.accs[:0], f.probes[:0]
 	ctx.frames = append(ctx.frames, f)
 }
 
-// capped empties a buffer, or drops it when it has grown past frameCap.
-func capped[S ~[]E, E any](s S) S {
+// reuse empties a buffer for the next execution, cleared to its capacity
+// so that it pins nothing, or drops it past frameCap elements, so that
+// one large read is not kept.
+func reuse[S ~[]E, E any](s S) S {
 	if cap(s) > frameCap {
 		return nil
 	}
+	clear(s[:cap(s)])
 	return s[:0]
 }
 
-// access returns the frame's next access path, for table.
+const frameCap = 1024
+
+// access returns the frame's next access path, for table. Growing the
+// frame's array leaves the paths handed out before where they are.
 func (f *frame) access(table *storage.Table) *access {
-	if f.nacc == len(f.accs) {
-		f.accs = append(f.accs, &access{})
-	}
-	a := f.accs[f.nacc]
-	f.nacc++
+	f.accs = slices.Grow(f.accs, 1)[:len(f.accs)+1]
+	a := &f.accs[len(f.accs)-1]
 	a.table = table
 	return a
 }
@@ -770,11 +754,8 @@ func (f *frame) access(table *storage.Table) *access {
 // indexProbe returns the frame's next index probe, drawing candidates
 // from index on table.
 func (f *frame) indexProbe(ctx *Context, table *storage.Table, index *storage.Index) *indexProbe {
-	if f.nprobe == len(f.probes) {
-		f.probes = append(f.probes, &indexProbe{})
-	}
-	p := f.probes[f.nprobe]
-	f.nprobe++
+	f.probes = slices.Grow(f.probes, 1)[:len(f.probes)+1]
+	p := &f.probes[len(f.probes)-1]
 	kind := table.Schema.Cols[table.Schema.ColIndex(index.Column)].Type.Kind
 	p.ctx, p.table, p.index, p.kind, p.snap = ctx, table, index, kind, ctx.snap(table)
 	return p
@@ -1144,13 +1125,12 @@ func (ctx *Context) applyLimit(rel *Relation, limit, offset ast.Expr, outer *Env
 // bindColumnRefs resolves every direct column reference of the core
 // (ast.CoreRefs) against the loop's columns cols and the scopes outer,
 // once per plan: into a slot table, as a position in the core's row or
-// as a column of an enclosing scope. It returns the enclosing scopes'
-// columns when a reference reads one, as the binding holds only under
-// them (corePlan.boundUnder). It is also the static check — even when the
-// relation is empty, each reference must resolve, so that a typo does not
-// pass silently on an empty table. Subqueries bind in their own scope
-// when (and if) they run. Slots given twice in one core (a tree not made
-// by the parser) leave the core to resolve by name (a nil table).
+// as a column of an enclosing scope — and then it returns those scopes'
+// columns, which the binding holds under. It is also the static check —
+// even when the relation is empty, each reference must resolve, so that
+// a typo does not pass silently on an empty table. Subqueries bind in
+// their own scope when (and if) they run. Slots given twice in one core
+// (a tree not made by the parser) leave it to resolve by name (no table).
 func bindColumnRefs(core *ast.SelectCore, cols []ColMeta, outer *Env) (*slotTable, [][]ColMeta, error) {
 	slots, reads := new(slotTable), false
 	var failed error

@@ -168,10 +168,9 @@ func CompressedOriginalSize(body []byte) (int, bool) {
 // MaybeDecompress inflates a TypeCompressed frame body back to the
 // frame it wraps; any other body passes through unchanged. The recorded
 // original size bounds the inflation, so a corrupt or hostile frame
-// cannot balloon past MaxFrameSize. The output is reserved from the
-// recorded size, but never past what the frame's deflate stream could
-// inflate to, so a tiny frame claiming 1 GB reserves kilobytes; it is
-// read straight from a reused inflater.
+// cannot balloon past MaxFrameSize. The output is reserved from it, but
+// never past what the stream could inflate to (a 258-byte match per two
+// bits), so a tiny frame claiming 1 GB reserves kilobytes.
 func MaybeDecompress(body []byte) ([]byte, error) {
 	if len(body) < 1 || body[0] != TypeCompressed {
 		return body, nil
@@ -186,13 +185,31 @@ func MaybeDecompress(body []byte) ([]byte, error) {
 	}
 	rest = rest[n:]
 	out := getFrame()
-	if reserve := min(int(orig), maxInflateRatio*len(rest)); cap(out) < reserve {
+	if reserve := min(int(orig), 1032*len(rest)); cap(out) < reserve {
 		out = make([]byte, 0, reserve)
 	}
-	inf := getInflater(rest)
-	out, err := inf.readAll(out, int(orig))
-	putInflater(inf)
-	if err != nil {
+	var inf *inflater
+	select {
+	case inf = <-inflaters:
+	default:
+		inf = &inflater{}
+		inf.r = flate.NewReader(&inf.src)
+	}
+	inf.src.Reset(rest)
+	err := inf.r.(flate.Resetter).Reset(&inf.src, nil)
+	for err == nil && len(out) <= int(orig) { // one byte past orig shows an over-long stream
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err = inf.r.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+	}
+	inf.src.Reset(nil)
+	select {
+	case inflaters <- inf:
+	default:
+	}
+	if err != nil && err != io.EOF {
 		putFrame(out)
 		return nil, fmt.Errorf("wire: inflate: %w", err)
 	}
@@ -204,66 +221,12 @@ func MaybeDecompress(body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// maxInflateRatio bounds what one byte of a deflate stream inflates to
-// (a 258-byte match in about two bits).
-const maxInflateRatio = 1032
-
 // inflater is a deflate reader over a frame's stream, reset for each
-// frame (flate.Resetter): its window and tables are made once.
+// frame. inflaters is their free list, bounded like frames: each pins a
+// 32 KiB window, and one returned past the bound is dropped.
 type inflater struct {
 	src bytes.Reader
 	r   io.ReadCloser
 }
 
-// inflaters is the inflaters' free list, bounded like frames: a
-// receiving client takes one per compressed frame. Each pins a 32 KiB
-// window; a return past the bound drops its inflater.
-var inflaters = make(chan *inflater, pooledInflaters)
-
-const pooledInflaters = 4
-
-// getInflater returns an inflater reading stream.
-func getInflater(stream []byte) *inflater {
-	select {
-	case inf := <-inflaters:
-		inf.src.Reset(stream)
-		if err := inf.r.(flate.Resetter).Reset(&inf.src, nil); err == nil {
-			return inf
-		}
-	default:
-	}
-	inf := &inflater{}
-	inf.src.Reset(stream)
-	inf.r = flate.NewReader(&inf.src)
-	return inf
-}
-
-// putInflater recycles an inflater, which no longer reads its frame.
-func putInflater(inf *inflater) {
-	inf.src.Reset(nil)
-	select {
-	case inflaters <- inf:
-	default:
-	}
-}
-
-// readAll appends the inflated stream to b, stopping one byte past
-// limit, so that an over-long stream shows as such.
-func (inf *inflater) readAll(b []byte, limit int) ([]byte, error) {
-	for {
-		if len(b) == cap(b) {
-			if len(b) > limit {
-				return b, nil
-			}
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := inf.r.Read(b[len(b):min(cap(b), limit+1)])
-		b = b[:len(b)+n]
-		if err == io.EOF || len(b) > limit {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
+var inflaters = make(chan *inflater, 4)
