@@ -490,6 +490,7 @@ type probe interface {
 	candidates(key types.Value) (rows []storage.Row, exact bool)
 }
 
+// probeFunc is a probe made of a closure (hashProbe's).
 type probeFunc func(key types.Value) ([]storage.Row, bool)
 
 func (f probeFunc) candidates(key types.Value) ([]storage.Row, bool) { return f(key) }

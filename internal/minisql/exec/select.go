@@ -704,6 +704,7 @@ type frame struct {
 	probes []indexProbe
 }
 
+// takeFrame returns the frame last kept, or a new one.
 func (ctx *Context) takeFrame() *frame {
 	if len(ctx.frames) == 0 {
 		ctx.putFrame(&frame{})
