@@ -524,3 +524,72 @@ func TestNegativeZeroIsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNIsOneKey: every NaN equals every NaN, whatever its payload, so
+// every path that hashes a float keys them alike — DISTINCT and GROUP BY
+// keep one NaN, an index lookup of a third NaN finds both NaN rows as a
+// scan does, and a hash join, an index join and an IN set match them. A
+// FLOAT that is an integer is that INTEGER: a UNION of the two keeps one 3.
+func TestNaNIsOneKey(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, "CREATE TABLE a (x FLOAT)")
+	mustExec(t, s, "CREATE TABLE b (id INTEGER PRIMARY KEY, x FLOAT)")
+	mustExec(t, s, "CREATE INDEX b_x ON b (x)")
+	mustExec(t, s, "CREATE TABLE c (i INTEGER)")
+	nan1 := types.NewFloat(math.NaN())
+	nan2 := types.NewFloat(math.Float64frombits(0xfff8000000000001))
+	probe := types.NewFloat(math.Float64frombits(0x7ff8000000000002))
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	mustExec(t, s, "INSERT INTO a VALUES (?), (?), (3.0), (?)", nan1, nan2, negZero)
+	mustExec(t, s, "INSERT INTO b VALUES (1, ?), (2, ?), (3, 3.0), (4, ?)", nan1, nan2, negZero)
+	mustExec(t, s, "INSERT INTO c VALUES (3)")
+	for _, c := range []struct {
+		stmt   string
+		params []Value
+		want   string
+	}{
+		{"SELECT COUNT(DISTINCT x) FROM a", nil, "3"},
+		{"SELECT COUNT(DISTINCT x) FROM b", nil, "3"},
+		{"SELECT DISTINCT x FROM a ORDER BY x", nil, "NaN;-0;3"},
+		{"SELECT x, COUNT(*) FROM a GROUP BY x ORDER BY 1", nil, "NaN,2;-0,1;3,1"},
+		{"SELECT x, COUNT(*) FROM b GROUP BY x ORDER BY 1", nil, "NaN,2;-0,1;3,1"},
+		{"SELECT COUNT(*) FROM a WHERE x = ?", []Value{probe}, "2"},
+		{"SELECT COUNT(*) FROM b WHERE x = ?", []Value{probe}, "2"},
+		{"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x", nil, "6"},
+		{"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x", nil, "6"},
+		{"SELECT COUNT(*) FROM a WHERE x IN (SELECT x FROM b)", nil, "4"},
+		{"SELECT COUNT(*) FROM b WHERE x IN (SELECT x FROM a)", nil, "4"},
+		{"SELECT COUNT(*) FROM c JOIN b ON c.i = b.x", nil, "1"},
+		{"SELECT COUNT(*) FROM c JOIN a ON c.i = a.x", nil, "1"},
+		{"SELECT i FROM c UNION SELECT x FROM a WHERE x > 0", nil, "3"},
+		{"SELECT i FROM c UNION SELECT x FROM b WHERE x > 0", nil, "3"},
+		{"SELECT COUNT(*) FROM (SELECT i FROM c UNION SELECT x FROM a) AS d", nil, "3"},
+	} {
+		var rows []string
+		for _, r := range mustExec(t, s, c.stmt, c.params...).Rows {
+			var cells []string
+			for _, v := range r {
+				cells = append(cells, v.String())
+			}
+			rows = append(rows, strings.Join(cells, ","))
+		}
+		if got := strings.Join(rows, ";"); got != c.want {
+			t.Errorf("%s = %s, want %s", c.stmt, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		stmt   string
+		params []Value
+		want   string
+	}{
+		{"SELECT COUNT(*) FROM b WHERE x = ?", []Value{probe}, "INDEX b_x ON b (x): 1 key(s)"},
+		{"SELECT COUNT(*) FROM a JOIN a AS y ON a.x = y.x", nil, "INNER HASH JOIN"},
+		{"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x", nil, "INNER INDEX JOIN b USING b_x"},
+		{"SELECT COUNT(*) FROM b WHERE x IN (SELECT x FROM a)", nil, "INDEX b_x ON b (x): keys from"},
+		{"SELECT COUNT(*) FROM c JOIN b ON c.i = b.x", nil, "INNER INDEX JOIN b USING b_x"},
+	} {
+		if plan := planOf(t, s, c.stmt, c.params...); !strings.Contains(plan, c.want) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.stmt, c.want, plan)
+		}
+	}
+}

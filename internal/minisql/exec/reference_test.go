@@ -48,7 +48,7 @@ var (
 // (u.tid references t.id, with dangling and NULL references), e holds the
 // edges of a random DAG over t's ids.
 var refSchema = []tableDef{
-	{name: "t", pk: "id", indexes: []string{"grp", "name"},
+	{name: "t", pk: "id", indexes: []string{"grp", "name", "val"},
 		cols: []colDef{{"id", intT}, {"grp", intT}, {"name", textT}, {"val", floatT}}},
 	{name: "u", pk: "id", indexes: []string{"tid"},
 		cols: []colDef{{"id", intT}, {"tid", intT}, {"label", textT}}},
@@ -1156,7 +1156,24 @@ func (g *gen) statement() (sql string, ordered bool) {
 	tu := append(append([]gcol{}, t...), u...)
 	var body string
 	arity := 0
-	switch g.pick(19) {
+	switch g.pick(20) {
+	case 19: // INTEGER meets FLOAT: t.grp against the indexed t.val
+		a := colsOf("t", "a")
+		switch g.pick(5) { // each where built only when chosen: it may bind parameters
+		case 0: // a hash join, or an index join on b.val
+			body, arity = "SELECT a.id, b.id FROM t AS a "+g.oneOf("JOIN", "LEFT JOIN")+" t AS b ON a.grp = b.val"+g.where(a), 2
+		case 1:
+			body, arity = "SELECT a.grp FROM t AS a"+g.where(a)+g.oneOf(" UNION ", " UNION ALL ")+"SELECT b.val FROM t AS b", 1
+		case 2:
+			body, arity = "SELECT a.id, a.val FROM t AS a WHERE a.val "+g.oneOf("IN", "IN", "NOT IN")+" (SELECT kt.grp FROM t AS kt"+g.where(colsOf("t", "kt"))+")", 2
+		case 3:
+			body, arity = "SELECT a.val, COUNT(*), MIN(a.grp) FROM t AS a"+g.where(a)+" GROUP BY a.val", 3
+		default: // a key set derived from val's index keys, alone or beside another conjunct
+			body, arity = "SELECT * FROM t AS a WHERE a.val "+g.oneOf("* 2 = 3", "* 2 = 1", "- 1 = 0", "+ 0 = a.val", "* 0 = 0"), 4
+			if g.pick(2) == 0 {
+				body += " AND " + g.pred(a, 1)
+			}
+		}
 	case 16: // a one-column function predicate on the indexed t.name, alone
 		// or after an equality key conjunct (never before one: which of
 		// two conjuncts a row reaches first is the engine's choice), or
