@@ -311,7 +311,7 @@ func indexedColumn(c conjunct, table *storage.Table, colOf func(*ast.ColumnRef) 
 // (storage.Index.Keys). It declines unless the set lists fewer ids than
 // limit, the cheapest path so far, and declines a conjunct that fails on
 // a key or holds for NULL, which no key set admits. The key 0.0 also
-// lists the rows holding -0.0 (types.Value.AppendKey), so a conjunct
+// lists the rows holding -0.0 (types.Value.Key), so a conjunct
 // that tells the two apart, such as CAST(x AS TEXT) = '-0', is declined.
 func (ctx *Context) keysWhere(c *conjunct, acc *access, alias string, colOf func(*ast.ColumnRef) int, limit int) (f keyFilter, ok bool) {
 	table, from := acc.table, len(acc.vals)
@@ -532,9 +532,8 @@ func (p *indexProbe) candidates(key types.Value) ([]storage.Row, bool) {
 // it holds can be compared with the key; otherwise all rows are
 // candidates.
 func hashProbe(rows []storage.Row, pos int) probe {
-	buckets := make(map[string][]storage.Row, len(rows))
+	buckets := make(map[types.Value][]storage.Row, len(rows))
 	var kinds []types.Kind
-	var buf types.KeyBuf
 	for _, row := range rows {
 		v := row[pos]
 		if v.IsNull() {
@@ -543,8 +542,7 @@ func hashProbe(rows []storage.Row, pos int) probe {
 		if !slices.Contains(kinds, v.Kind()) {
 			kinds = append(kinds, v.Kind())
 		}
-		key := v.AppendKey(buf[:0])
-		buckets[string(key)] = append(buckets[string(key)], row)
+		buckets[v.Key()] = append(buckets[v.Key()], row)
 	}
 	return probeFunc(func(key types.Value) ([]storage.Row, bool) {
 		for _, k := range kinds {
@@ -552,7 +550,7 @@ func hashProbe(rows []storage.Row, pos int) probe {
 				return rows, false
 			}
 		}
-		return buckets[string(key.AppendKey(buf[:0]))], true
+		return buckets[key.Key()], true
 	})
 }
 

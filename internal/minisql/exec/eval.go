@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"hash/maphash"
 	"strings"
 
 	"pdmtune/internal/minisql/ast"
@@ -271,14 +270,13 @@ func (ctx *Context) evalInList(e *ast.InList, env *Env) (types.Value, error) {
 // IN subquery — the one structure behind the per-row test and a key set
 // of chooseAccess — or a long literal key list.
 type inSet struct {
-	index   keyTable      // of the members, each a tuple in vals
-	vals    []types.Value // the distinct non-NULL members, in first-seen order
+	keys    map[types.Value]struct{} // the members' keys (types.Value.Key)
+	vals    []types.Value            // the distinct non-NULL members, in first-seen order
 	sawNull bool
 }
 
 func newInSet(room int) *inSet {
-	index := keyTable{heads: make(map[uint64]int32, room), seed: maphash.MakeSeed()}
-	return &inSet{index: index, vals: make([]types.Value, 0, room)}
+	return &inSet{keys: make(map[types.Value]struct{}, room), vals: make([]types.Value, 0, room)}
 }
 
 // add puts v into the set and reports whether it is a new member, which
@@ -288,19 +286,19 @@ func (s *inSet) add(v types.Value) bool {
 		s.sawNull = true
 		return false
 	}
-	s.vals = append(s.vals, v)
-	if _, added := s.index.add(s.vals[len(s.vals)-1:]); !added {
-		s.vals = s.vals[:len(s.vals)-1]
+	if s.has(v) {
 		return false
 	}
+	s.keys[v.Key()] = struct{}{}
+	s.vals = append(s.vals, v)
 	return true
 }
 
 // has reports whether a member equals v; a NULL and a value no member can
 // be compared with find nothing.
 func (s *inSet) has(v types.Value) bool {
-	i, _ := s.index.find([]types.Value{v})
-	return i >= 0
+	_, ok := s.keys[v.Key()]
+	return ok
 }
 
 // subquerySet evaluates an IN subquery to the set of its values. The set

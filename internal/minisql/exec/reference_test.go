@@ -378,15 +378,21 @@ func distinct(rows []storage.Row) []storage.Row {
 	return out
 }
 
-// rowKey renders a row for the comparison of results: numbers by their
-// keys, so that INTEGER 2 and FLOAT 2.0 read alike, and text quoted.
+// rowKey renders a row for the comparison of results: a FLOAT holding an
+// int64 exactly as that integer's digits, so that INTEGER 2 and FLOAT 2.0
+// (and -0.0 and 0) read alike while 2^53+1 and the float 2^53 do not,
+// every NaN as NaN, text quoted.
 func rowKey(row storage.Row) string {
 	var sb strings.Builder
 	for _, v := range row {
-		if v.Kind() == types.KindText {
+		f := v.Float()
+		switch {
+		case v.Kind() == types.KindText:
 			sb.WriteString(strconv.Quote(v.Text()))
-		} else {
-			sb.Write(v.AppendKey(nil))
+		case v.Kind() == types.KindFloat && f == math.Trunc(f) && -(1<<63) <= f && f < 1<<63:
+			sb.WriteString(strconv.FormatInt(int64(f), 10))
+		default:
+			sb.WriteString(v.String())
 		}
 		sb.WriteByte(',')
 	}

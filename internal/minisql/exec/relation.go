@@ -6,8 +6,9 @@
 // one nested loop over its table factors, which write their candidates in
 // turn into one scratch row: the first factor streams from its access
 // path, each further one draws the candidates for its join key from an
-// index, from a hash of its materialized rows, or takes all of them. Rows
-// are told apart by value (keyTable), never by key bytes. Around them:
+// index, from a hash of its materialized rows, or takes all of them. Every
+// hash keys a value by types.Value.Key, and rows are told apart value by
+// value (keyTable). Around them:
 // set operations, grouping and aggregation, ordering, correlated
 // subqueries with automatic caching of uncorrelated ones, and SQL:1999
 // recursive common table expressions (semi-naive evaluation) — everything

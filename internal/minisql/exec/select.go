@@ -1197,10 +1197,10 @@ func distinctRows(lists ...[]storage.Row) []storage.Row {
 	return seen.rows
 }
 
-// keyTable is the set of tuples behind DISTINCT, UNION, GROUP BY and IN
-// sets, numbered in first-added order. A tuple is found by its maphash
-// (types.Value.WriteHash) and confirmed value by value (types.SameKey):
-// no key bytes are built or kept.
+// keyTable is the set of tuples behind DISTINCT, UNION and GROUP BY,
+// numbered in first-added order. A tuple is found by the maphash of its
+// values' keys (types.Value.Key) and confirmed value by value
+// (types.SameKey).
 type keyTable struct {
 	seed  maphash.Seed
 	heads map[uint64]int32 // a hash → its newest entry, plus one
@@ -1216,7 +1216,7 @@ func (t *keyTable) find(vals []types.Value) (int, uint64) {
 	var h maphash.Hash
 	h.SetSeed(t.seed)
 	for _, v := range vals {
-		v.WriteHash(&h)
+		maphash.WriteComparable(&h, v.Key())
 	}
 	sum := h.Sum64()
 	for e := t.heads[sum]; e > 0; e = t.chain[e-1] {

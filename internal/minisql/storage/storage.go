@@ -418,8 +418,8 @@ func (c *Commit) release() {
 // ---------------------------------------------------------------------------
 // Indexes
 
-// Index is a hash index over a single column. Buckets map a value key
-// to the slot ids that ever carried the value; lookups filter the
+// Index is a hash index over a single column. Buckets map a value's key
+// (types.Value.Key) to the slot ids that ever carried the value; lookups filter the
 // candidates against the rows visible at the requested snapshot, so
 // superseded versions never leak out and no bucket maintenance is
 // needed when a version dies. The bucket map has its own small lock
@@ -435,7 +435,7 @@ type Index struct {
 
 	t       *Table
 	mu      sync.RWMutex
-	buckets map[string][]int
+	buckets map[types.Value][]int
 }
 
 // add registers a slot id under the value's key (idempotent: a slot
@@ -444,25 +444,22 @@ type Index struct {
 // is being built — which spares a bulk load the scan of its
 // low-cardinality buckets, quadratic in the rows loaded.
 func (ix *Index) add(v types.Value, id int, fresh bool) {
-	var buf types.KeyBuf
-	key := v.AppendKey(buf[:0])
+	key := v.Key()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	b := ix.buckets[string(key)]
+	b := ix.buckets[key]
 	if !fresh && slices.Contains(b, id) {
 		return
 	}
-	ix.buckets[string(key)] = append(b, id)
+	ix.buckets[key] = append(b, id)
 }
 
 // candidates returns the bucket for the value's key: read it, never
 // write it.
 func (ix *Index) candidates(v types.Value) []int {
-	var buf types.KeyBuf
-	key := v.AppendKey(buf[:0])
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.buckets[string(key)]
+	return ix.buckets[v.Key()]
 }
 
 // Key is a distinct key of an index, as a value of the column's kind, and
@@ -473,20 +470,20 @@ type Key struct {
 }
 
 // Keys returns the index's keys, or ok false when there are more than
-// max or one does not decode to a value of the column's kind. A row is
-// indexed before it is published, so they include the value of every row
-// visible at an epoch taken before the call.
+// max. A FLOAT column's integral keys are INTEGERs, so they are turned
+// back into FLOATs (-0.0 into 0.0). A row is indexed before it is
+// published, so they include the value of every row visible at an epoch
+// taken before the call.
 func (ix *Index) Keys(max int) (keys []Key, ok bool) {
-	kind := ix.t.Schema.Cols[ix.colPos].Type.Kind
+	float := ix.t.Schema.Cols[ix.colPos].Type.Kind == types.KindFloat
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.buckets) > max {
 		return nil, false
 	}
-	for key, ids := range ix.buckets {
-		v, ok := types.KeyValue(key, kind)
-		if !ok {
-			return nil, false
+	for v, ids := range ix.buckets {
+		if float && v.Kind() == types.KindInt {
+			v = types.NewFloat(float64(v.Int()))
 		}
 		keys = append(keys, Key{v, len(ids)})
 	}
@@ -510,13 +507,12 @@ func (ix *Index) ascending(v types.Value) []int {
 	if slices.IsSorted(b) {
 		return b
 	}
-	var buf types.KeyBuf
-	key := v.AppendKey(buf[:0])
+	key := v.Key()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	b = slices.Clone(ix.buckets[string(key)])
+	b = slices.Clone(ix.buckets[key])
 	slices.Sort(b)
-	ix.buckets[string(key)] = b
+	ix.buckets[key] = b
 	return b
 }
 
@@ -605,7 +601,7 @@ func NewTable(schema *Schema) (*Table, error) {
 				colPos:  i,
 				Unique:  true,
 				t:       t,
-				buckets: map[string][]int{},
+				buckets: map[types.Value][]int{},
 			}
 			t.indexes = append(t.indexes, idx)
 			t.verPos = i // objects version by their primary key by default
@@ -654,7 +650,7 @@ func (t *Table) CreateIndex(name, column string, unique bool) error {
 	if t.HasIndex(name) {
 		return fmt.Errorf("storage: index %s already exists", name)
 	}
-	idx := &Index{Name: name, Column: column, colPos: pos, Unique: unique, t: t, buckets: map[string][]int{}}
+	idx := &Index{Name: name, Column: column, colPos: pos, Unique: unique, t: t, buckets: map[types.Value][]int{}}
 	for id, s := range t.published() {
 		row, ok := currentOf(s)
 		if !ok {

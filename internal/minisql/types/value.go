@@ -6,9 +6,7 @@ package types
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -49,7 +47,7 @@ func (k Kind) String() string {
 // FLOAT's IEEE 754 bits, a BOOLEAN's 0 or 1. Only the constructors and
 // the accessors read or write n. So == and reflect.DeepEqual compare
 // FLOAT values by their bits (-0.0 differs from 0.0, NaN equals the
-// same NaN); SameKey and Compare compare them as numbers.
+// same NaN); == on their Keys, and Compare, compare them as numbers.
 type Value struct {
 	s    string
 	n    uint64
@@ -290,47 +288,6 @@ func sortRank(v Value) int {
 	return 4
 }
 
-// AppendKey appends to dst the bytes that identify the value for hashing
-// (hash indexes, hash joins) and returns the extended buffer: values
-// share a key exactly when SameKey holds. An integer whose float64 image
-// rounds (some beyond ±2^53) equals no float and is keyed by its digits;
-// every NaN keys alike. A map[string]… is probed with
-// m[string(key)], which Go compiles without allocating, so only storing
-// a new key costs a string.
-func (v Value) AppendKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 0)
-	case KindInt:
-		i := v.Int()
-		switch {
-		case -1e6 < i && i < 1e6: // what 'g' prints for these, without the float formatter
-			return strconv.AppendInt(append(dst, 'n'), i, 10)
-		case roundoff(v) != 0:
-			return strconv.AppendInt(append(dst, 'i'), i, 10)
-		}
-		return strconv.AppendFloat(append(dst, 'n'), float64(i), 'g', -1, 64)
-	case KindFloat:
-		f := v.Float()
-		if f == 0 {
-			f = 0 // -0.0 equals 0.0, so it keys as 0.0
-		}
-		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
-	case KindText:
-		return append(append(dst, 't'), v.s...)
-	case KindBool:
-		if v.Bool() {
-			return append(dst, 'b', '1')
-		}
-		return append(dst, 'b', '0')
-	}
-	return append(dst, '?')
-}
-
-// KeyBuf is room, on the caller's stack, for the key of any number and of
-// short text: v.AppendKey(buf[:0]) then builds the key without allocating.
-type KeyBuf [32]byte
-
 // roundoff reports where an INTEGER lies against its float64 image: -1
 // below it, +1 above it, 0 on it. A FLOAT is on its own image.
 func roundoff(v Value) int {
@@ -344,63 +301,30 @@ func roundoff(v Value) int {
 	return cmp.Compare(v.Int(), int64(f))
 }
 
-// SameKey reports whether a and b hash to the same key, without building
-// either: numbers by their exact value (every NaN is one, as in Compare),
-// everything else by kind and payload. It is how a hash bucket's
-// candidates are verified, and what DISTINCT, GROUP BY and IN compare.
-func SameKey(a, b Value) bool {
-	if a.kind == KindInt && b.kind == KindInt {
-		return a.Int() == b.Int()
+// Key returns the value that stands for v in every hash — index buckets,
+// hash joins, IN sets, DISTINCT, UNION and GROUP BY: two values are one
+// key exactly when their keys are ==. A FLOAT that is an int64 keys as
+// that INTEGER (3.0 as 3, -0.0 as 0) and every NaN as one NaN; any other
+// value is its own key, so an INTEGER whose float64 image rounds equals
+// no FLOAT. Only the constructors set a Value's fields, so == on keys
+// compares nothing else.
+func (v Value) Key() Value {
+	if v.kind != KindFloat {
+		return v
 	}
-	if af, ok := a.AsFloat(); ok {
-		bf, ok := b.AsFloat()
-		return ok && cmp.Compare(af, bf) == 0 && roundoff(a) == roundoff(b)
-	}
-	return a.kind == b.kind && a.s == b.s && a.Bool() == b.Bool()
-}
-
-// WriteHash writes the value to h so that values SameKey holds for write
-// the same: a number as its float64 image (-0.0 as 0.0, every NaN alike)
-// unless an INTEGER's image rounds, anything else by kind and payload.
-func (v Value) WriteHash(h *maphash.Hash) {
-	f, num := v.AsFloat()
-	tag, bits := byte(v.kind), v.n
-	switch {
-	case !num || roundoff(v) != 0:
-		h.WriteString(v.s)
+	switch f := v.Float(); {
 	case f != f:
-		tag, bits = 0xff, 0
-	default:
-		tag, bits = 0xfe, math.Float64bits(f+0) // -0.0 + 0 is 0.0
+		return NewFloat(math.NaN())
+	case f == math.Trunc(f) && -(1<<63) <= f && f < 1<<63:
+		return NewInt(int64(f))
 	}
-	b := [9]byte{tag}
-	binary.LittleEndian.PutUint64(b[1:], bits)
-	h.Write(b[:])
+	return v
 }
 
-// KeyValue inverts AppendKey for a value of the given kind; ok is false
-// where the key names no such value. The key -0.0 shares with 0.0
-// decodes to 0.0.
-func KeyValue(key string, kind Kind) (Value, bool) {
-	f, err := strconv.ParseFloat(key[1:], 64)
-	switch {
-	case key == "\x00":
-		return Null, true
-	case kind == KindText && key[0] == 't':
-		return NewText(key[1:]), true
-	case kind == KindBool && (key == "b0" || key == "b1"):
-		return NewBool(key == "b1"), true
-	case kind == KindInt && key[0] == 'i':
-		i, err := strconv.ParseInt(key[1:], 10, 64)
-		return NewInt(i), err == nil
-	case key[0] != 'n' || err != nil:
-	case kind == KindFloat:
-		return NewFloat(f), true
-	case kind == KindInt && f == math.Trunc(f) && -(1<<63) <= f && f < 1<<63:
-		return NewInt(int64(f)), true
-	}
-	return Null, false
-}
+// SameKey reports whether a and b are one key: numbers by their exact
+// value (every NaN is one, as in Compare), everything else by kind and
+// payload. It is how a hash bucket's candidates are verified.
+func SameKey(a, b Value) bool { return a.Key() == b.Key() }
 
 // Truth interprets a value as a WHERE-clause condition result.
 func Truth(v Value) Tristate {

@@ -133,8 +133,8 @@ func TestComparableMirrorsCompare(t *testing.T) {
 			if Comparable(a.Kind(), b.Kind()) != (err == nil) {
 				t.Errorf("Comparable(%s, %s) = %v, Compare error %v", a.Kind(), b.Kind(), Comparable(a.Kind(), b.Kind()), err)
 			}
-			if err == nil && (c == 0) != (keyOf(a) == keyOf(b)) {
-				t.Errorf("%s vs %s: compare %d, keys %q %q", a, b, c, keyOf(a), keyOf(b))
+			if err == nil && (c == 0) != (a.Key() == b.Key()) {
+				t.Errorf("%s vs %s: compare %d, keys %#v %#v", a, b, c, a.Key(), b.Key())
 			}
 		}
 		if Comparable(KindNull, a.Kind()) || Comparable(a.Kind(), KindNull) {
@@ -182,35 +182,28 @@ func TestCompareForSortProperties(t *testing.T) {
 	}
 }
 
-func keyOf(v Value) string { return string(v.AppendKey(nil)) }
-
 var hashSeed = maphash.MakeSeed()
 
-func hashOf(v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	v.WriteHash(&h)
-	return h.Sum64()
-}
+func hashOf(v Value) uint64 { return maphash.Comparable(hashSeed, v.Key()) }
 
 // Property: an integer shares its key with its float64 image exactly when
-// that image converts back to it — also where the integer fast path
-// hands over to the float formatter — and SameKey agrees. Within ±2^53,
-// where every image converts back, the stored form is the one indexes
-// have always held.
+// that image converts back to it, and SameKey and the keys' hashes agree.
+// A FLOAT that is an int64 keys as that INTEGER, any other value as
+// itself; -0.0 keys as 0, text "1" is not INTEGER 1, NULL is not "", and
+// hashing a key allocates nothing.
 func TestKeyConsistentWithEquality(t *testing.T) {
 	exact := func(a int64) bool {
 		i, acc := new(big.Float).SetFloat64(float64(a)).Int64()
 		return acc == big.Exact && i == a
 	}
 	f := func(a int64) bool {
-		shared := keyOf(NewInt(a)) == keyOf(NewFloat(float64(a)))
+		shared := NewInt(a).Key() == NewFloat(float64(a)).Key()
 		return shared == exact(a) && SameKey(NewInt(a), NewFloat(float64(a))) == shared &&
 			(hashOf(NewInt(a)) == hashOf(NewFloat(float64(a)))) == shared
 	}
 	within := func(a int64) bool {
 		a %= 1<<53 + 1
-		return keyOf(NewInt(a)) == keyOf(NewFloat(float64(a)))
+		return NewInt(a).Key() == NewFloat(float64(a)).Key()
 	}
 	for _, p := range []func(int64) bool{f, within} {
 		if err := quick.Check(p, nil); err != nil {
@@ -219,42 +212,41 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 	}
 	for _, a := range []int64{0, 7, -7, 100000, 999999, -999999, 1000000, -1000000, 1000001, 1234567, 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1), 1 << 60, math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
 		if !f(a) {
-			t.Errorf("int %d: key %q, as float %q", a, keyOf(NewInt(a)), keyOf(NewFloat(float64(a))))
+			t.Errorf("int %d: key %#v, as float %#v", a, NewInt(a).Key(), NewFloat(float64(a)).Key())
 		}
 	}
-	for v, want := range map[Value]string{
-		NewInt(97656): "n97656", NewInt(1000000): "n1e+06", NewFloat(2.5): "n2.5", NewText("x"): "tx",
-		NewBool(true): "b1", NewBool(false): "b0", Null: "\x00",
+	for v, want := range map[Value]Value{
+		NewFloat(3): NewInt(3), NewFloat(-(1 << 63)): NewInt(math.MinInt64), NewFloat(1 << 63): NewFloat(1 << 63),
+		NewFloat(2.5): NewFloat(2.5), NewInt(97656): NewInt(97656), NewText("x"): NewText("x"),
+		NewBool(true): NewBool(true), Null: Null,
 	} {
-		if got := keyOf(v); got != want {
-			t.Errorf("key of %s = %q, want %q", v, got, want)
+		if got := v.Key(); got != want {
+			t.Errorf("key of %s = %#v, want %#v", v, got, want)
 		}
 	}
 	negZero := NewFloat(math.Copysign(0, -1))
-	if keyOf(negZero) != keyOf(NewFloat(0)) || keyOf(negZero) != keyOf(NewInt(0)) {
-		t.Errorf("-0.0 keys as %q, 0.0 as %q: they are equal, so their keys must be", keyOf(negZero), keyOf(NewFloat(0)))
+	if negZero.Key() != NewFloat(0).Key() || negZero.Key() != NewInt(0) {
+		t.Errorf("-0.0 keys as %#v, 0.0 as %#v: they are equal, so their keys must be", negZero.Key(), NewFloat(0).Key())
 	}
-	if back, ok := KeyValue(keyOf(negZero), KindFloat); !ok || math.Float64bits(back.Float()) != 0 {
-		t.Errorf("KeyValue of -0.0's key = %s, %v; want +0.0", back, ok)
-	}
-	if keyOf(NewText("1")) == keyOf(NewInt(1)) {
+	if NewText("1").Key() == NewInt(1).Key() || SameKey(NewText("1"), NewInt(1)) {
 		t.Error("text and int keys must differ")
 	}
-	if keyOf(Null) == keyOf(NewText("")) {
+	if Null.Key() == NewText("").Key() || SameKey(Null, NewText("")) {
 		t.Error("NULL and empty string keys must differ")
 	}
-	buf := make([]byte, 0, 64)
-	if n := testing.AllocsPerRun(100, func() { buf = NewInt(97656).AppendKey(NewText("abc").AppendKey(NewFloat(2.5).AppendKey(buf[:0]))) }); n != 0 {
-		t.Errorf("AppendKey into a buffer with room allocates %v times", n)
-	}
 	var h maphash.Hash
-	if n := testing.AllocsPerRun(100, func() { NewInt(97656).WriteHash(&h); NewText("abc").WriteHash(&h); NewFloat(2.5).WriteHash(&h) }); n != 0 {
-		t.Errorf("WriteHash allocates %v times", n)
+	text := NewText(strconv.Itoa(97656))
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range []Value{NewInt(97656), text, NewFloat(2.5), NewFloat(3), NewFloat(math.NaN())} {
+			maphash.WriteComparable(&h, v.Key())
+		}
+	}); n != 0 {
+		t.Errorf("hashing keys allocates %v times", n)
 	}
 }
 
-// Two integers compare, key and decode exactly, also where their float64
-// images are equal, and an integer and a float compare exactly too.
+// Two integers compare and key exactly, also where their float64 images
+// are equal, and an integer and a float compare exactly too.
 func TestIntegersCompareExactly(t *testing.T) {
 	for _, p := range [][2]int64{{1 << 53, 1<<53 + 1}, {-(1<<53 + 1), -(1 << 53)}, {1 << 60, 1<<60 + 1}, {math.MaxInt64 - 1, math.MaxInt64}, {math.MinInt64, math.MinInt64 + 1}} {
 		a, b := NewInt(p[0]), NewInt(p[1])
@@ -264,12 +256,12 @@ func TestIntegersCompareExactly(t *testing.T) {
 		if c, err := Compare(b, a); err != nil || c != 1 {
 			t.Errorf("Compare(%s, %s) = %d, %v; want 1", b, a, c, err)
 		}
-		if CompareForSort(a, b) != -1 || SameKey(a, b) || keyOf(a) == keyOf(b) {
-			t.Errorf("%s and %s: sort %d, SameKey %v, keys %q %q", a, b, CompareForSort(a, b), SameKey(a, b), keyOf(a), keyOf(b))
+		if CompareForSort(a, b) != -1 || SameKey(a, b) || a.Key() == b.Key() {
+			t.Errorf("%s and %s: sort %d, SameKey %v, keys %#v %#v", a, b, CompareForSort(a, b), SameKey(a, b), a.Key(), b.Key())
 		}
 		for _, v := range []Value{a, b} {
-			if back, ok := KeyValue(keyOf(v), KindInt); !ok || back != v {
-				t.Errorf("KeyValue(%q) = %s, %v; want %s", keyOf(v), back, ok, v)
+			if v.Key() != v {
+				t.Errorf("key of %s = %#v; an INTEGER is its own key", v, v.Key())
 			}
 		}
 	}
@@ -278,11 +270,8 @@ func TestIntegersCompareExactly(t *testing.T) {
 		iv, fv := NewInt(i), NewFloat(float64(i))
 		c, err := Compare(iv, fv)
 		r, _ := Compare(fv, iv)
-		if err != nil || c != want || r != -want || SameKey(iv, fv) != (want == 0) {
-			t.Errorf("%s vs FLOAT %s: Compare %d / %d, SameKey %v; want %d", iv, fv, c, r, SameKey(iv, fv), want)
-		}
-		if v, ok := KeyValue(keyOf(iv), KindFloat); ok != (want == 0) {
-			t.Errorf("KeyValue(%q, FLOAT) = %s, %v", keyOf(iv), v, ok)
+		if err != nil || c != want || r != -want || SameKey(iv, fv) != (want == 0) || (iv.Key() == fv.Key()) != (want == 0) {
+			t.Errorf("%s vs FLOAT %s: Compare %d / %d, SameKey %v, keys %#v %#v; want %d", iv, fv, c, r, SameKey(iv, fv), iv.Key(), fv.Key(), want)
 		}
 	}
 }
@@ -418,7 +407,8 @@ func TestValueRoundTrip(t *testing.T) {
 		fbits                  uint64
 		b                      bool
 		s                      string
-		str, key               string
+		str                    string
+		key                    Value
 		truth                  Tristate
 		sameKey                bool   // with itself
 		cmp, cmpZero           string // Compare with itself, with INTEGER 0
@@ -427,8 +417,8 @@ func TestValueRoundTrip(t *testing.T) {
 		toBool                 string
 	}
 	subnormal := math.SmallestNonzeroFloat64
-	// twins are the values each case is one key with (SameKey, AppendKey
-	// and WriteHash agree), besides itself.
+	// twins are the values each case is one key with (SameKey, Key and the
+	// key's hash agree), besides itself.
 	twins := map[string]Value{
 		"MinInt64": NewFloat(math.MinInt64), "int 0": NewFloat(0), "-0.0": NewInt(0),
 		"NaN": NewFloat(math.Float64frombits(0xfff8000000000001)), "+Inf": NewFloat(math.Inf(1)),
@@ -439,55 +429,55 @@ func TestValueRoundTrip(t *testing.T) {
 		want want
 	}{
 		{"MinInt64", NewInt(math.MinInt64), want{kind: KindInt, i: math.MinInt64,
-			str: "-9223372036854775808", key: "n-9.223372036854776e+18", truth: True, sameKey: true,
+			str: "-9223372036854775808", key: NewInt(math.MinInt64), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "INTEGER -9223372036854775808", toFloat: "FLOAT -9.223372036854776e+18", toText: "TEXT -9223372036854775808", toBool: "BOOLEAN TRUE"}},
 		{"MaxInt64", NewInt(math.MaxInt64), want{kind: KindInt, i: math.MaxInt64,
-			str: "9223372036854775807", key: "i9223372036854775807", truth: True, sameKey: true,
+			str: "9223372036854775807", key: NewInt(math.MaxInt64), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "INTEGER 9223372036854775807", toFloat: "FLOAT 9.223372036854776e+18", toText: "TEXT 9223372036854775807", toBool: "BOOLEAN TRUE"}},
 		{"int 0", NewInt(0), want{kind: KindInt,
-			str: "0", key: "n0", truth: False, sameKey: true,
+			str: "0", key: NewInt(0), truth: False, sameKey: true,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT 0", toText: "TEXT 0", toBool: "BOOLEAN FALSE"}},
 		{"-0.0", NewFloat(math.Copysign(0, -1)), want{kind: KindFloat, fbits: 1 << 63,
-			str: "-0", key: "n0", truth: False, sameKey: true,
+			str: "-0", key: NewInt(0), truth: False, sameKey: true,
 			cmp: "0", cmpZero: "0", sort: 0, sortZero: 0,
 			toInt: "INTEGER 0", toFloat: "FLOAT -0", toText: "TEXT -0", toBool: "error"}},
 		{"NaN", NewFloat(math.NaN()), want{kind: KindFloat, fbits: math.Float64bits(math.NaN()),
-			str: "NaN", key: "nNaN", truth: True, sameKey: true,
+			str: "NaN", key: NewFloat(math.NaN()), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "error", toFloat: "FLOAT NaN", toText: "TEXT NaN", toBool: "error"}},
 		{"+Inf", NewFloat(math.Inf(1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(1)),
-			str: "+Inf", key: "n+Inf", truth: True, sameKey: true,
+			str: "+Inf", key: NewFloat(math.Inf(1)), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "error", toFloat: "FLOAT +Inf", toText: "TEXT +Inf", toBool: "error"}},
 		{"-Inf", NewFloat(math.Inf(-1)), want{kind: KindFloat, fbits: math.Float64bits(math.Inf(-1)),
-			str: "-Inf", key: "n-Inf", truth: True, sameKey: true,
+			str: "-Inf", key: NewFloat(math.Inf(-1)), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "-1", sort: 0, sortZero: -1,
 			toInt: "error", toFloat: "FLOAT -Inf", toText: "TEXT -Inf", toBool: "error"}},
 		{"subnormal", NewFloat(subnormal), want{kind: KindFloat, fbits: 1,
-			str: "5e-324", key: "n5e-324", truth: True, sameKey: true,
+			str: "5e-324", key: NewFloat(subnormal), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "1", sort: 0, sortZero: 1,
 			toInt: "INTEGER 0", toFloat: "FLOAT 5e-324", toText: "TEXT 5e-324", toBool: "error"}},
 		{"empty text", NewText(""), want{kind: KindText,
-			str: "", key: "t", truth: Unknown, sameKey: true,
+			str: "", key: NewText(""), truth: Unknown, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
 			toInt: "error", toFloat: "error", toText: "TEXT ", toBool: "error"}},
 		{"text", NewText("42"), want{kind: KindText, s: "42",
-			str: "42", key: "t42", truth: Unknown, sameKey: true,
+			str: "42", key: NewText("42"), truth: Unknown, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: 1,
 			toInt: "INTEGER 42", toFloat: "FLOAT 42", toText: "TEXT 42", toBool: "error"}},
 		{"TRUE", NewBool(true), want{kind: KindBool, b: true,
-			str: "TRUE", key: "b1", truth: True, sameKey: true,
+			str: "TRUE", key: NewBool(true), truth: True, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "INTEGER 1", toFloat: "error", toText: "TEXT TRUE", toBool: "BOOLEAN TRUE"}},
 		{"FALSE", NewBool(false), want{kind: KindBool,
-			str: "FALSE", key: "b0", truth: False, sameKey: true,
+			str: "FALSE", key: NewBool(false), truth: False, sameKey: true,
 			cmp: "0", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "INTEGER 0", toFloat: "error", toText: "TEXT FALSE", toBool: "BOOLEAN FALSE"}},
 		{"NULL", Null, want{kind: KindNull,
-			str: "NULL", key: "\x00", truth: Unknown, sameKey: true,
+			str: "NULL", key: Null, truth: Unknown, sameKey: true,
 			cmp: "error", cmpZero: "error", sort: 0, sortZero: -1,
 			toInt: "NULL NULL", toFloat: "NULL NULL", toText: "NULL NULL", toBool: "NULL NULL"}},
 	}
@@ -509,7 +499,7 @@ func TestValueRoundTrip(t *testing.T) {
 		v, w := c.v, c.want
 		got := want{
 			kind: v.Kind(), i: v.Int(), fbits: math.Float64bits(v.Float()), b: v.Bool(), s: v.Text(),
-			str: v.String(), key: keyOf(v), truth: Truth(v),
+			str: v.String(), key: v.Key(), truth: Truth(v),
 			sameKey: SameKey(v, v),
 			cmp:     cmpString(Compare(v, v)), cmpZero: cmpString(Compare(v, zero)),
 			sort: CompareForSort(v, v), sortZero: CompareForSort(v, zero),
@@ -521,16 +511,16 @@ func TestValueRoundTrip(t *testing.T) {
 		if v.IsNull() != (w.kind == KindNull) {
 			t.Errorf("%s: IsNull = %v", c.name, v.IsNull())
 		}
-		if back, ok := KeyValue(w.key, w.kind); !ok || w.sameKey && !SameKey(back, v) {
-			t.Errorf("%s: KeyValue(%q) = %s, %v; want the same key", c.name, w.key, back, ok)
+		if w.key.Key() != w.key {
+			t.Errorf("%s: the key %#v keys as %#v; want itself", c.name, w.key, w.key.Key())
 		}
 		for _, twin := range []Value{v, twins[c.name]} {
 			if twin.IsNull() && !v.IsNull() {
 				continue
 			}
-			if !SameKey(v, twin) || keyOf(v) != keyOf(twin) || hashOf(v) != hashOf(twin) {
-				t.Errorf("%s and %s: SameKey %v, keys %q %q, hashes %x %x; want one key", v, twin,
-					SameKey(v, twin), keyOf(v), keyOf(twin), hashOf(v), hashOf(twin))
+			if !SameKey(v, twin) || v.Key() != twin.Key() || hashOf(v) != hashOf(twin) {
+				t.Errorf("%s and %s: SameKey %v, keys %#v %#v, hashes %x %x; want one key", v, twin,
+					SameKey(v, twin), v.Key(), twin.Key(), hashOf(v), hashOf(twin))
 			}
 		}
 	}
