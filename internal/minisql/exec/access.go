@@ -542,7 +542,8 @@ func hashProbe(rows []storage.Row, pos int) probe {
 		if !slices.Contains(kinds, v.Kind()) {
 			kinds = append(kinds, v.Kind())
 		}
-		buckets[v.Key()] = append(buckets[v.Key()], row)
+		k := v.Key()
+		buckets[k] = append(buckets[k], row)
 	}
 	return probeFunc(func(key types.Value) ([]storage.Row, bool) {
 		for _, k := range kinds {

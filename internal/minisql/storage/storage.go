@@ -419,14 +419,14 @@ func (c *Commit) release() {
 // Indexes
 
 // Index is a hash index over a single column. Buckets map a value's key
-// (types.Value.Key) to the slot ids that ever carried the value; lookups filter the
-// candidates against the rows visible at the requested snapshot, so
-// superseded versions never leak out and no bucket maintenance is
-// needed when a version dies. The bucket map has its own small lock
-// (mutations run under the table's write latch, but lock-free readers
-// look buckets up concurrently). A bucket only ever grows by append, or
-// is replaced by a sorted copy, so a reader may walk the slice it found
-// after releasing the lock.
+// (types.Value.Key) to the slot ids that ever carried the value; lookups
+// filter the candidates against the rows visible at the requested
+// snapshot, so superseded versions never leak out and no bucket
+// maintenance is needed when a version dies. The bucket map has its own
+// small lock (mutations run under the table's write latch, but lock-free
+// readers look buckets up concurrently). A bucket only ever grows by
+// append, or is replaced by a sorted copy, so a reader may walk the
+// slice it found after releasing the lock.
 type Index struct {
 	Name   string
 	Column string
