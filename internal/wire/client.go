@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -675,19 +676,29 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 		}
 	}
 	if err := WriteFrame(sc.Stream, request); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
+		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
 	body, err := ReadFrame(sc.Stream)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
+		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, fmt.Errorf("wire: receive: %w", err)
 	}
 	return body, nil
+}
+
+// contextEnded returns ctx.Err() for an exchange that failed with err.
+// The stream's deadline is the context's, but its timeout can fire a
+// moment before the context's own timer; then the context is awaited.
+func contextEnded(ctx context.Context, err error) error {
+	if _, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) {
+		<-ctx.Done()
+	}
+	return ctx.Err()
 }
 
 // Metered wraps any transport so its exchanges are charged to a WAN

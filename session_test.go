@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -367,6 +369,108 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 		if visible[i] != visible[0] {
 			t.Errorf("session %d sees %d nodes, session 0 sees %d", i, visible[i], visible[0])
+		}
+	}
+}
+
+// TestConcurrentStreamSessions: sessions on loopback TCP connections of
+// their own to one server, each expanding, multi-level expanding and
+// querying at once, read exactly the answers an in-process session of
+// the same options reads alone. Run with -race.
+func TestConcurrentStreamSessions(t *testing.T) {
+	sys := pdmtune.NewSystem(nil)
+	prod, err := sys.LoadProduct(pdmtune.ProductConfig{
+		ProdID: 1, Depth: 4, Branch: 4, Sigma: 0.6, Seed: 5, PadBytes: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served sync.WaitGroup
+	defer served.Wait()
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				defer c.Close()
+				_ = sys.Server.NewConn().Serve(c)
+			}()
+		}
+	}()
+
+	ctx := context.Background()
+	strategies := []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive}
+	options := func(i int) []pdmtune.Option {
+		return []pdmtune.Option{pdmtune.WithUser(pdmtune.DefaultUser("scott")),
+			pdmtune.WithStrategy(strategies[i%len(strategies)]), pdmtune.WithBatching(i%2 == 0)}
+	}
+	actions := []pdmtune.Action{pdmtune.Expand, pdmtune.MLE, pdmtune.Query}
+	targets := []int64{prod.RootID, prod.RootID, prod.Config.ProdID}
+	run := func(sess *pdmtune.Session) ([]*pdmtune.ActionResult, error) {
+		results := make([]*pdmtune.ActionResult, len(actions))
+		for j, a := range actions {
+			res, err := sess.Run(ctx, a, targets[j])
+			if err != nil {
+				return nil, fmt.Errorf("%v: %w", a, err)
+			}
+			res.Metrics = pdmtune.Metrics{} // the in-process run is metered, the TCP one not
+			results[j] = res
+		}
+		return results, nil
+	}
+
+	const sessions = 8
+	solo := make([][]*pdmtune.ActionResult, sessions)
+	for i := range solo {
+		sess, err := sys.Open(options(i)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo[i], err = run(sess); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+	}
+	got := make([][]*pdmtune.ActionResult, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := range got {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sess, err := sys.Open(append(options(i), pdmtune.WithTransport(pdmtune.StreamTransport(c)))...)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer sess.Close()
+			got[i], errs[i] = run(sess)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		for j, a := range actions {
+			if !reflect.DeepEqual(got[i][j], solo[i][j]) {
+				t.Errorf("session %d, %v over TCP: %d rows, %d visible; alone in-process: %d rows, %d visible",
+					i, a, got[i][j].RowsReceived, got[i][j].Visible, solo[i][j].RowsReceived, solo[i][j].Visible)
+			}
 		}
 	}
 }
