@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -647,9 +648,14 @@ func (mc *MeteredChannel) RoundTrip(ctx context.Context, request []byte) ([]byte
 }
 
 // StreamChannel speaks the framed protocol over a real stream (TCP or
-// net.Pipe), for the interactive demo binaries.
+// net.Pipe), for the interactive demo binaries. Its round trips read
+// Stream through one buffer of streamBuf bytes, made by the first; the
+// Stream does not change after that.
 type StreamChannel struct {
 	Stream io.ReadWriter
+
+	in       *bufio.Reader
+	deadline time.Time // the deadline last set on Stream
 }
 
 // deadliner is the optional deadline surface of net.Conn streams.
@@ -660,8 +666,9 @@ type deadliner interface {
 // RoundTrip writes one frame and reads one frame. A context deadline is
 // forwarded to the stream when it supports one (net.Conn does) — and
 // cleared again when the context carries none, so a deadline armed by
-// an earlier call cannot leak into later exchanges. A context cancelled
-// or expired during the exchange surfaces as ctx.Err().
+// an earlier call cannot leak into later exchanges; a deadline equal to
+// the one last set is not set again. A context cancelled or expired
+// during the exchange surfaces as ctx.Err().
 func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -671,9 +678,15 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 	}
 	if d, ok := sc.Stream.(deadliner); ok {
 		deadline, _ := ctx.Deadline() // zero time when none: clears any previous deadline
-		if err := d.SetDeadline(deadline); err != nil {
-			return nil, fmt.Errorf("wire: set deadline: %w", err)
+		if !deadline.Equal(sc.deadline) {
+			if err := d.SetDeadline(deadline); err != nil {
+				return nil, fmt.Errorf("wire: set deadline: %w", err)
+			}
+			sc.deadline = deadline
 		}
+	}
+	if sc.in == nil {
+		sc.in = bufio.NewReaderSize(sc.Stream, streamBuf)
 	}
 	if err := WriteFrame(sc.Stream, request); err != nil {
 		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
@@ -681,7 +694,7 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 		}
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
-	body, err := ReadFrame(sc.Stream)
+	body, err := ReadFrame(sc.in)
 	if err != nil {
 		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
 			return nil, ctxErr

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -453,10 +454,12 @@ func (c *ServerConn) execOne(req *Request) (resp *Response) {
 	return &Response{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, Epoch: epoch}
 }
 
-// Serve runs a framed request/response loop over a stream until EOF.
+// Serve runs a framed request/response loop over a stream until EOF,
+// reading it through one buffer of streamBuf bytes.
 func (c *ServerConn) Serve(stream io.ReadWriter) error {
+	in := bufio.NewReaderSize(stream, streamBuf)
 	for {
-		body, err := ReadFrame(stream)
+		body, err := ReadFrame(in)
 		if err != nil {
 			if err == io.EOF {
 				return nil

@@ -18,10 +18,6 @@ import (
 	"pdmtune/internal/minisql/types"
 )
 
-// streamReadBuf is the frame size the stream tests probe around: the
-// read buffer of StreamChannel and Serve.
-const streamReadBuf = 64 << 10
-
 // listenLoopback serves every connection accepted on a loopback TCP
 // listener with serve, which gets the accepted connection, and returns
 // the listener's address. The listener and the accepted connections
@@ -160,8 +156,8 @@ func TestFramedStreamOverTCP(t *testing.T) {
 			{"0 rows", EncodeRequest(&Request{SQL: "SELECT s FROM big WHERE id < 0"})},
 			{"query-sized", EncodeRequest(&Request{SQL: "SELECT id, s FROM big"})},
 		}
-		for _, n := range []int{streamReadBuf - 5, streamReadBuf - 4, streamReadBuf - 3,
-			streamReadBuf - 1, streamReadBuf, streamReadBuf + 1, maxPooledBuf + 1} {
+		for _, n := range []int{streamBuf - 5, streamBuf - 4, streamBuf - 3,
+			streamBuf - 1, streamBuf, streamBuf + 1, maxPooledBuf + 1} {
 			exchanges = append(exchanges, exchange{fmt.Sprintf("%d-byte frame", n), sizedRequest(t, sizing, n)})
 		}
 		for _, x := range exchanges {

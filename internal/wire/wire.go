@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 
 	"pdmtune/internal/minisql/storage"
@@ -787,24 +788,46 @@ func ScanFrame(body []byte, sqlLen map[uint32]int) FrameStats {
 // ---------------------------------------------------------------------------
 // stream framing (for real connections)
 
-// frameHeaders recycles WriteFrame's length prefixes, which escape.
-var frameHeaders = sync.Pool{New: func() any { return new([4]byte) }}
+// streamBuf is the size of a stream's read buffer and the largest body
+// WriteFrame copies behind its prefix: such a frame leaves in one write
+// and arrives in one read. A larger body is written from where it lies
+// and read straight into its frame.
+const streamBuf = 64 << 10
 
-// WriteFrame writes a length-prefixed frame body to a stream. Bodies
-// beyond MaxFrameSize are rejected with *FrameTooLargeError before any
-// bytes hit the wire.
+// vectoredFrame is a large frame's prefix and buffer list, recycled
+// because both escape to the writer.
+type vectoredFrame struct {
+	hdr  [4]byte
+	list [2][]byte
+	bufs net.Buffers
+}
+
+var vectoredFrames = sync.Pool{New: func() any { return new(vectoredFrame) }}
+
+// WriteFrame writes a length-prefixed frame body to a stream in one
+// write: a body of up to streamBuf bytes is copied behind its prefix in
+// a recycled frame buffer, a larger one goes out as net.Buffers{prefix,
+// body}, one writev on a TCP connection (a writer that is not a socket
+// sees one write per buffer). Bodies beyond MaxFrameSize are rejected
+// with *FrameTooLargeError before any bytes hit the wire.
 func WriteFrame(w io.Writer, body []byte) error {
 	if err := CheckFrameSize(body); err != nil {
 		return err
 	}
-	hdr := frameHeaders.Get().(*[4]byte)
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	_, err := w.Write(hdr[:])
-	frameHeaders.Put(hdr)
-	if err != nil {
+	if len(body) <= streamBuf {
+		b := binary.BigEndian.AppendUint32(getFrameN(4 + len(body))[:0], uint32(len(body)))
+		b = append(b, body...)
+		_, err := w.Write(b)
+		putFrame(b)
 		return err
 	}
-	_, err = w.Write(body)
+	v := vectoredFrames.Get().(*vectoredFrame)
+	binary.BigEndian.PutUint32(v.hdr[:], uint32(len(body)))
+	v.list = [2][]byte{v.hdr[:], body}
+	v.bufs = v.list[:]
+	_, err := v.bufs.WriteTo(w)
+	v.list[1] = nil
+	vectoredFrames.Put(v)
 	return err
 }
 

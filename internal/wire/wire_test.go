@@ -157,6 +157,36 @@ func TestFraming(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls a frame takes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: a frame of up to 64 KiB reaches its writer
+// in one Write call, so a link that charges its latency per write (the
+// demo client's netsim.DelayedConn) charges it once per frame.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 12, 64 << 10} {
+		body := bytes.Repeat([]byte{'w'}, n)
+		var w countingWriter
+		if err := WriteFrame(&w, body); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d-byte body: %d writes, want 1", n, w.writes)
+		}
+		if got, err := ReadFrame(&w.Buffer); err != nil || !bytes.Equal(got, body) {
+			t.Errorf("%d-byte body read back as %d bytes, %v", n, len(got), err)
+		}
+	}
+}
+
 func TestServerHandlesRequests(t *testing.T) {
 	db := minisql.NewDB()
 	srv := NewServer(db)
