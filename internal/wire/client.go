@@ -648,9 +648,8 @@ func (mc *MeteredChannel) RoundTrip(ctx context.Context, request []byte) ([]byte
 }
 
 // StreamChannel speaks the framed protocol over a real stream (TCP or
-// net.Pipe), for the interactive demo binaries. Its round trips read
-// Stream through one buffer of streamBuf bytes, made by the first; the
-// Stream does not change after that.
+// net.Pipe), for the interactive demo binaries. It reads Stream through
+// one buffer of streamBuf bytes, made by its first round trip.
 type StreamChannel struct {
 	Stream io.ReadWriter
 
@@ -658,17 +657,12 @@ type StreamChannel struct {
 	deadline time.Time // the deadline last set on Stream
 }
 
-// deadliner is the optional deadline surface of net.Conn streams.
-type deadliner interface {
-	SetDeadline(t time.Time) error
-}
-
 // RoundTrip writes one frame and reads one frame. A context deadline is
 // forwarded to the stream when it supports one (net.Conn does) — and
 // cleared again when the context carries none, so a deadline armed by
-// an earlier call cannot leak into later exchanges; a deadline equal to
-// the one last set is not set again. A context cancelled or expired
-// during the exchange surfaces as ctx.Err().
+// an earlier call cannot leak into later exchanges; an unchanged one is
+// not set again. A context cancelled or expired during the exchange
+// surfaces as ctx.Err().
 func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -676,7 +670,7 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if d, ok := sc.Stream.(deadliner); ok {
+	if d, ok := sc.Stream.(interface{ SetDeadline(time.Time) error }); ok {
 		deadline, _ := ctx.Deadline() // zero time when none: clears any previous deadline
 		if !deadline.Equal(sc.deadline) {
 			if err := d.SetDeadline(deadline); err != nil {
@@ -689,29 +683,26 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 		sc.in = bufio.NewReaderSize(sc.Stream, streamBuf)
 	}
 	if err := WriteFrame(sc.Stream, request); err != nil {
-		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("wire: send: %w", err)
+		return nil, exchangeFailed(ctx, "send", err)
 	}
 	body, err := ReadFrame(sc.in)
 	if err != nil {
-		if ctxErr := contextEnded(ctx, err); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("wire: receive: %w", err)
+		return nil, exchangeFailed(ctx, "receive", err)
 	}
 	return body, nil
 }
 
-// contextEnded returns ctx.Err() for an exchange that failed with err.
-// The stream's deadline is the context's, but its timeout can fire a
-// moment before the context's own timer; then the context is awaited.
-func contextEnded(ctx context.Context, err error) error {
+// exchangeFailed reports a failed send or receive, as ctx.Err() once the
+// context has ended. The stream's deadline is the context's, but its
+// timeout can fire a moment before the context's own timer.
+func exchangeFailed(ctx context.Context, op string, err error) error {
 	if _, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) {
 		<-ctx.Done()
 	}
-	return ctx.Err()
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return fmt.Errorf("wire: %s: %w", op, err)
 }
 
 // Metered wraps any transport so its exchanges are charged to a WAN

@@ -193,7 +193,7 @@ func TestMeteredTransportDrainsContention(t *testing.T) {
 }
 
 // newKVDB returns a database holding one counter row, kv(1, 0).
-func newKVDB(t *testing.T) *minisql.DB {
+func newKVDB(t testing.TB) *minisql.DB {
 	t.Helper()
 	db := minisql.NewDB()
 	s := db.NewSession()

@@ -789,9 +789,8 @@ func ScanFrame(body []byte, sqlLen map[uint32]int) FrameStats {
 // stream framing (for real connections)
 
 // streamBuf is the size of a stream's read buffer and the largest body
-// WriteFrame copies behind its prefix: such a frame leaves in one write
-// and arrives in one read. A larger body is written from where it lies
-// and read straight into its frame.
+// WriteFrame copies behind its prefix; a larger body is written from
+// where it lies and read straight into its frame.
 const streamBuf = 64 << 10
 
 // vectoredFrame is a large frame's prefix and buffer list, recycled
@@ -804,12 +803,11 @@ type vectoredFrame struct {
 
 var vectoredFrames = sync.Pool{New: func() any { return new(vectoredFrame) }}
 
-// WriteFrame writes a length-prefixed frame body to a stream in one
-// write: a body of up to streamBuf bytes is copied behind its prefix in
-// a recycled frame buffer, a larger one goes out as net.Buffers{prefix,
-// body}, one writev on a TCP connection (a writer that is not a socket
-// sees one write per buffer). Bodies beyond MaxFrameSize are rejected
-// with *FrameTooLargeError before any bytes hit the wire.
+// WriteFrame writes a length-prefixed frame body to a stream: a body of
+// up to streamBuf bytes in one write, copied behind its prefix in a
+// recycled frame buffer, a larger one as net.Buffers (one writev on a
+// socket, a write per buffer elsewhere). Bodies beyond MaxFrameSize are
+// rejected with *FrameTooLargeError before any bytes hit the wire.
 func WriteFrame(w io.Writer, body []byte) error {
 	if err := CheckFrameSize(body); err != nil {
 		return err

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -184,6 +185,21 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 		if got, err := ReadFrame(&w.Buffer); err != nil || !bytes.Equal(got, body) {
 			t.Errorf("%d-byte body read back as %d bytes, %v", n, len(got), err)
 		}
+	}
+}
+
+// TestVectoredFrameAllocatesNothing: a frame past the copy bound goes
+// out from where it lies, through a recycled prefix and buffer list.
+func TestVectoredFrameAllocatesNothing(t *testing.T) {
+	body := make([]byte, streamBuf+1)
+	write := func() {
+		if err := WriteFrame(io.Discard, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("WriteFrame of a %d-byte body: %.0f allocations per call, want 0", len(body), allocs)
 	}
 }
 
