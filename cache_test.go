@@ -399,3 +399,76 @@ func TestCacheProfilesDoNotLeak(t *testing.T) {
 		t.Errorf("restricted session sees %d nodes, unrestricted %d", limRes.Visible, fullRes.Visible)
 	}
 }
+
+// TestPrivateCacheFollowsStrategyAndRules: a private store holds
+// entries of one strategy and one rule-table generation. After the
+// session switches strategy, and again after a restricting rule is
+// added mid-session, the next MLE serves nothing from the store and
+// its tree is byte-identical to an uncached session's at the same
+// configuration.
+func TestPrivateCacheFollowsStrategyAndRules(t *testing.T) {
+	sys := pdmtune.NewSystem(nil)
+	if err := sys.LoadPaperExample(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rules := pdmtune.StandardRules()
+	opts := func(s pdmtune.Strategy) []pdmtune.Option {
+		return []pdmtune.Option{pdmtune.WithUser(pdmtune.DefaultUser("scott")),
+			pdmtune.WithStrategy(s), pdmtune.WithBatching(true), pdmtune.WithRules(rules)}
+	}
+	sess, err := sys.Open(append(opts(pdmtune.EarlyEval), pdmtune.WithCache(1<<10))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mle := func(s *pdmtune.Session) *pdmtune.ActionResult {
+		t.Helper()
+		res, err := s.MultiLevelExpand(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	warmUp := func(step string) {
+		t.Helper()
+		mle(sess)
+		if hits := mle(sess).Metrics.CacheHits; hits == 0 {
+			t.Fatalf("%s: the repeated MLE had no cache hits", step)
+		}
+	}
+	// matchesUncached checks the cached session's next MLE against an
+	// uncached session opened at the same strategy and rules.
+	matchesUncached := func(step string, s pdmtune.Strategy) *pdmtune.ActionResult {
+		t.Helper()
+		got := mle(sess)
+		if got.Metrics.CacheHits != 0 {
+			t.Errorf("%s: first MLE served %d cache hits", step, got.Metrics.CacheHits)
+		}
+		ref, err := sys.Open(opts(s)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := treeBytes(t, got), treeBytes(t, mle(ref)); g != w {
+			t.Errorf("%s: cached tree\n%s\nuncached tree\n%s", step, g, w)
+		}
+		return got
+	}
+
+	warmUp("early evaluation")
+	k := sess.TuneConfig()
+	k.Strategy = pdmtune.LateEval
+	if err := sess.ApplyConfig(ctx, k); err != nil {
+		t.Fatal(err)
+	}
+	full := matchesUncached("after ApplyConfig", pdmtune.LateEval)
+
+	warmUp("late evaluation")
+	sess.Client().Rules().MustAdd(pdmtune.Rule{
+		User: "scott", Action: "multi-level-expand", ObjType: "assy",
+		Kind: pdmtune.KindRow, Cond: "assy.make_or_buy <> 'buy'",
+	})
+	lim := matchesUncached("after a rule was added", pdmtune.LateEval)
+	if lim.Visible >= full.Visible {
+		t.Errorf("the added rule hid nothing: %d nodes visible, %d before", lim.Visible, full.Visible)
+	}
+}
