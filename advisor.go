@@ -73,8 +73,7 @@ func (s *Session) TuneConfig() TuneConfig { return s.client.Knobs() }
 // ApplyConfig reconfigures the live session to k through its client
 // (core.Client.Apply): everything flips locally except changed wire
 // encodings, which cost one renegotiation round trip. A new read
-// location and a resize or drop of a shared cache are refused before
-// anything changes.
+// location is refused before anything changes.
 func (s *Session) ApplyConfig(ctx context.Context, k TuneConfig) error {
 	return s.client.Apply(ctx, k)
 }

@@ -343,56 +343,10 @@ func TestChangeSetRollbackAtPrimaryWithReplicaKnob(t *testing.T) {
 	}
 }
 
-// TestAutoTuneOnSharedCacheSession: a session on a shared cache store is
-// tunable like any other — plans keep the store as it is instead of
-// proposing a cache change ApplyConfig must refuse.
-func TestAutoTuneOnSharedCacheSession(t *testing.T) {
-	sys, prod := newAdvisorSystem(t)
-	ctx := context.Background()
-	adv := pdmtune.Advisor{Product: prod.Config}
-	open := func(extra ...pdmtune.Option) *pdmtune.Session {
-		sess, err := sys.Open(append([]pdmtune.Option{pdmtune.WithStrategy(pdmtune.LateEval),
-			pdmtune.WithSharedCache(pdmtune.NewCache(256))}, extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	threeMLEs := func(sess *pdmtune.Session) {
-		for i := 0; i < 3; i++ {
-			if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	manual := open()
-	defer manual.Close()
-	threeMLEs(manual)
-	cs := adv.Plan(manual, manual.Metrics())
-	if cs == nil {
-		t.Fatal("no plan for an untuned shared-cache session")
-	}
-	if err := cs.Apply(ctx, manual); err != nil {
-		t.Fatalf("applying %v: %v", cs.Changes, err)
-	}
-	if got := manual.TuneConfig(); got.CacheEntries != -1 || got != cs.Target {
-		t.Fatalf("session runs %s after applying %s", got, cs.Target)
-	}
-
-	auto := open(pdmtune.WithAutoTune(1, adv))
-	defer auto.Close()
-	threeMLEs(auto)
-	if auto.LastAutoTune() == nil {
-		t.Fatal("auto-tune never applied on a shared-cache session")
-	}
-}
-
-// TestApplyConfigRefusals: the two changes ApplyConfig refuses — a new
-// read location, and a resize or drop of a shared cache (or a private
-// one turned shared) — fail before anything moves: the configuration,
-// the negotiated encodings and the meter stay as they were. Changed
-// wire encodings cost one renegotiation round trip each way.
+// TestApplyConfigRefusals: the change ApplyConfig refuses — a new read
+// location, either way — fails before anything moves: the configuration, the
+// negotiated encodings and the meter stay as they were. Changed wire
+// encodings cost one renegotiation round trip each way.
 func TestApplyConfigRefusals(t *testing.T) {
 	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "munich"})
 	if err != nil {
@@ -407,11 +361,6 @@ func TestApplyConfigRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	shared, err := cl.Primary().Open(pdmtune.WithSharedCache(pdmtune.NewCache(64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Close()
 	private, err := cl.Primary().Open(pdmtune.WithCache(64), pdmtune.WithColumnarResults(true))
 	if err != nil {
 		t.Fatal(err)
@@ -424,9 +373,7 @@ func TestApplyConfigRefusals(t *testing.T) {
 		change func(*pdmtune.TuneConfig)
 	}{
 		{"site session leaves its site", site, func(k *pdmtune.TuneConfig) { k.Replica = false }},
-		{"shared cache dropped", shared, func(k *pdmtune.TuneConfig) { k.CacheEntries = 0 }},
-		{"shared cache resized", shared, func(k *pdmtune.TuneConfig) { k.CacheEntries = 512 }},
-		{"private cache turned shared", private, func(k *pdmtune.TuneConfig) { k.CacheEntries = -1 }},
+		{"primary session moves to a site", private, func(k *pdmtune.TuneConfig) { k.Replica = true }},
 	}
 	for _, r := range refusals {
 		before, caps, rts := r.sess.TuneConfig(), r.sess.WireCaps(), r.sess.Metrics().RoundTrips
@@ -451,19 +398,19 @@ func TestApplyConfigRefusals(t *testing.T) {
 	}
 
 	for _, on := range []bool{true, false} {
-		k := shared.TuneConfig()
+		k := private.TuneConfig()
 		k.Columnar, k.Compress = on, on
-		rts := shared.Metrics().RoundTrips
-		if err := shared.ApplyConfig(ctx, k); err != nil {
+		rts := private.Metrics().RoundTrips
+		if err := private.ApplyConfig(ctx, k); err != nil {
 			t.Fatalf("encodings %v: %v", on, err)
 		}
-		if got := shared.Metrics().RoundTrips - rts; got != 1 {
+		if got := private.Metrics().RoundTrips - rts; got != 1 {
 			t.Errorf("encodings %v: %d round trips, want 1", on, got)
 		}
-		if caps := shared.WireCaps(); caps.ColumnarResults != on || caps.Compression != on {
+		if caps := private.WireCaps(); caps.ColumnarResults != on || caps.Compression != on {
 			t.Errorf("encodings %v: WireCaps %+v", on, caps)
 		}
-		if got := shared.TuneConfig(); got != k {
+		if got := private.TuneConfig(); got != k {
 			t.Errorf("encodings %v: TuneConfig %s, want %s", on, got, k)
 		}
 	}

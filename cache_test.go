@@ -2,7 +2,6 @@ package pdmtune_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"pdmtune"
@@ -113,12 +112,11 @@ func TestCachedMLEAcceptanceD7B5(t *testing.T) {
 	}
 }
 
-// TestSharedCacheCheckInInvalidates: a check-in from one session
-// invalidates another session's cached subtree through the shared
-// store — locally, without a validate round trip — so the next MLE
-// re-fetches and sees the released flags. Exercised concurrently
-// under -race in CI.
-func TestSharedCacheCheckInInvalidates(t *testing.T) {
+// TestOwnCheckOutAndCheckInRetireCachedPages: a session's own
+// check-out and check-in retire its cached pages locally, so its next
+// MLE re-fetches them — with no validate round trip for the retired
+// pages — and reflects the flags.
+func TestOwnCheckOutAndCheckInRetireCachedPages(t *testing.T) {
 	sys := pdmtune.NewSystem(nil)
 	prod, err := sys.LoadProduct(pdmtune.ProductConfig{
 		Depth: 3, Branch: 3, Sigma: 1, Seed: 11, PadBytes: 16,
@@ -127,104 +125,64 @@ func TestSharedCacheCheckInInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	shared := pdmtune.NewCache(1 << 16)
-	open := func(name string) *pdmtune.Session {
-		s, err := sys.Open(
-			pdmtune.WithLink(pdmtune.Intercontinental()),
-			pdmtune.WithUser(pdmtune.DefaultUser(name)),
-			pdmtune.WithStrategy(pdmtune.EarlyEval),
-			pdmtune.WithBatching(true),
-			pdmtune.WithSharedCache(shared),
-		)
+	sess, err := sys.Open(
+		pdmtune.WithLink(pdmtune.Intercontinental()),
+		pdmtune.WithUser(pdmtune.DefaultUser("engineer")),
+		pdmtune.WithStrategy(pdmtune.EarlyEval),
+		pdmtune.WithBatching(true),
+		pdmtune.WithCache(1<<16),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// refetched runs a warm MLE after a write and checks that it served
+	// nothing from the store and validated nothing.
+	refetched := func(step string) *pdmtune.ActionResult {
+		t.Helper()
+		res, err := sess.MultiLevelExpand(ctx, prod.RootID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		if m := res.Metrics; m.CacheHits != 0 || m.CacheMisses == 0 || m.ValidateRoundTrips != 0 {
+			t.Errorf("MLE after %s: hits=%d misses=%d validate round trips=%d, want every page retired locally",
+				step, m.CacheHits, m.CacheMisses, m.ValidateRoundTrips)
+		}
+		return res
 	}
-	reader := open("reader")
-	writer := open("writer")
+	flagged := func(res *pdmtune.ActionResult) int {
+		n := 0
+		res.Tree.Walk(func(nd *pdmtune.Node) {
+			if nd.CheckedOut {
+				n++
+			}
+		})
+		return n
+	}
 
-	if _, err := reader.MultiLevelExpand(ctx, prod.RootID); err != nil {
+	if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil {
 		t.Fatal(err)
 	}
-	co, err := writer.CheckOut(ctx, prod.RootID)
+	co, err := sess.CheckOut(ctx, prod.RootID)
 	if err != nil || !co.Granted || co.Updated == 0 {
-		t.Fatalf("writer check-out: %+v, %v", co, err)
+		t.Fatalf("check-out: %+v, %v", co, err)
 	}
-	// The writer's modify invalidated the shared entries: the reader's
-	// next MLE re-fetches (cache misses) and reflects the flags.
-	res, err := reader.MultiLevelExpand(ctx, prod.RootID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := 0
-	res.Tree.Walk(func(n *pdmtune.Node) {
-		if n.CheckedOut {
-			flagged++
-		}
-	})
 	// The navigational root node carries no fetched flags (the paper
-	// treats the root as already at the client), so the reader sees
-	// every checked-out node except the root.
-	if flagged != co.Updated-1 {
-		t.Fatalf("reader sees %d checked-out nodes after shared invalidation, want %d", flagged, co.Updated-1)
-	}
-	if res.Metrics.CacheMisses == 0 {
-		t.Error("reader's post-write MLE recorded no cache misses — entries were not invalidated")
+	// treats the root as already at the client), so the MLE sees every
+	// checked-out node except the root.
+	if n := flagged(refetched("check-out")); n != co.Updated-1 {
+		t.Fatalf("MLE sees %d checked-out nodes after the check-out, want %d", n, co.Updated-1)
 	}
 
-	// Check-in invalidates the re-cached subtree the same way.
-	if _, err := reader.MultiLevelExpand(ctx, prod.RootID); err != nil { // warm again
+	if _, err := sess.MultiLevelExpand(ctx, prod.RootID); err != nil { // warm again
 		t.Fatal(err)
 	}
-	ci, err := writer.CheckIn(ctx, prod.RootID)
+	ci, err := sess.CheckIn(ctx, prod.RootID)
 	if err != nil || ci.Updated == 0 {
-		t.Fatalf("writer check-in: %+v, %v", ci, err)
+		t.Fatalf("check-in: %+v, %v", ci, err)
 	}
-	res2, err := reader.MultiLevelExpand(ctx, prod.RootID)
-	if err != nil {
-		t.Fatal(err)
+	if n := flagged(refetched("check-in")); n != 0 {
+		t.Errorf("MLE sees %d checked-out nodes after the check-in", n)
 	}
-	res2.Tree.Walk(func(n *pdmtune.Node) {
-		if n.CheckedOut {
-			t.Errorf("node %d still checked out in reader's view after check-in", n.ObID)
-		}
-	})
-
-	// Concurrent readers and writer on the shared store (-race).
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s := open("reader") // one session per goroutine, shared store
-			for i := 0; i < 5; i++ {
-				if _, err := s.MultiLevelExpand(ctx, prod.RootID); err != nil {
-					t.Errorf("concurrent reader %d: %v", g, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w := open("writer2")
-		for i := 0; i < 3; i++ {
-			co, err := w.CheckOut(ctx, prod.RootID)
-			if err != nil {
-				t.Errorf("concurrent writer: %v", err)
-				return
-			}
-			if co.Granted {
-				if _, err := w.CheckIn(ctx, prod.RootID); err != nil {
-					t.Errorf("concurrent writer check-in: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
 }
 
 // TestCacheLRUEvictionBound: the cache never holds more entries than
@@ -313,90 +271,6 @@ func TestCachedRecursiveMLE(t *testing.T) {
 		if idsCold[i] != idsWarm[i] {
 			t.Fatalf("tree differs at %d: %d != %d", i, idsWarm[i], idsCold[i])
 		}
-	}
-}
-
-// TestSharedCacheAcrossSystemsDoesNotLeak: a cache shared between
-// sessions of two different Systems never crosses databases — entries
-// (type lookups included) are namespaced per system, so the same obid
-// in two systems resolves independently.
-func TestSharedCacheAcrossSystemsDoesNotLeak(t *testing.T) {
-	shared := pdmtune.NewCache(1 << 10)
-	ctx := context.Background()
-	open := func(sys *pdmtune.System) *pdmtune.Session {
-		s, err := sys.Open(pdmtune.WithUser(pdmtune.DefaultUser("scott")),
-			pdmtune.WithStrategy(pdmtune.EarlyEval), pdmtune.WithSharedCache(shared))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// System 1: the paper example (obid 1 is an assembly with children).
-	sys1 := pdmtune.NewSystem(nil)
-	if err := sys1.LoadPaperExample(); err != nil {
-		t.Fatal(err)
-	}
-	// System 2: a different product where obid 1 does not exist at all.
-	sys2 := pdmtune.NewSystem(nil)
-	if _, err := sys2.LoadProduct(pdmtune.ProductConfig{
-		ProdID: 9, Depth: 2, Branch: 2, Sigma: 1, Seed: 3, PadBytes: 16,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s1 := open(sys1)
-	if _, err := s1.MultiLevelExpand(ctx, 1); err != nil { // fills the shared store for sys1
-		t.Fatal(err)
-	}
-	s2 := open(sys2)
-	if _, err := s2.MultiLevelExpand(ctx, 1); err == nil {
-		t.Fatal("system 2 resolved system 1's object 1 — cached entries crossed systems")
-	}
-}
-
-// TestCacheProfilesDoNotLeak: sessions with different rules sharing a
-// store never see each other's results — the entries are keyed by the
-// evaluation profile.
-func TestCacheProfilesDoNotLeak(t *testing.T) {
-	sys := pdmtune.NewSystem(nil)
-	if err := sys.LoadPaperExample(); err != nil {
-		t.Fatal(err)
-	}
-	shared := pdmtune.NewCache(1 << 10)
-	restricted := pdmtune.StandardRules()
-	restricted.MustAdd(pdmtune.Rule{
-		User: "scott", Action: "multi-level-expand", ObjType: "assy",
-		Kind: pdmtune.KindRow, Cond: "assy.make_or_buy <> 'buy'",
-	})
-	full, err := sys.Open(pdmtune.WithUser(pdmtune.DefaultUser("scott")),
-		pdmtune.WithSharedCache(shared), pdmtune.WithStrategy(pdmtune.EarlyEval), pdmtune.WithBatching(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim, err := sys.Open(pdmtune.WithUser(pdmtune.DefaultUser("scott")),
-		pdmtune.WithSharedCache(shared), pdmtune.WithStrategy(pdmtune.EarlyEval), pdmtune.WithBatching(true),
-		pdmtune.WithRules(restricted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	fullRes, err := full.MultiLevelExpand(ctx, 1) // fills the shared store
-	if err != nil {
-		t.Fatal(err)
-	}
-	limRes, err := lim.MultiLevelExpand(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limRes.Metrics.CacheHits != 0 {
-		t.Errorf("restricted session got %d cache hits from the unrestricted profile", limRes.Metrics.CacheHits)
-	}
-	for _, id := range treeIDs(t, limRes) {
-		if id == 3 {
-			t.Error("bought assembly 3 visible to the restricted session")
-		}
-	}
-	if limRes.Visible >= fullRes.Visible {
-		t.Errorf("restricted session sees %d nodes, unrestricted %d", limRes.Visible, fullRes.Visible)
 	}
 }
 

@@ -52,7 +52,6 @@ func TestOpenOptionConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	shared := pdmtune.NewCache(0)
 	tr := pdmtune.MeteredTransport(
 		&wire.MeteredChannel{Conn: sys.Server.NewConn()}, netsim.NewMeter(pdmtune.LAN()))
 
@@ -60,12 +59,6 @@ func TestOpenOptionConflicts(t *testing.T) {
 		name string
 		open func() (*pdmtune.Session, error)
 	}{
-		{"WithCache+WithSharedCache", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithCache(16), pdmtune.WithSharedCache(shared))
-		}},
-		{"WithSharedCache+WithCache", func() (*pdmtune.Session, error) {
-			return sys.Open(pdmtune.WithSharedCache(shared), pdmtune.WithCache(16))
-		}},
 		{"WithTransport+WithLink", func() (*pdmtune.Session, error) {
 			return sys.Open(pdmtune.WithTransport(tr), pdmtune.WithLink(pdmtune.LAN()))
 		}},
@@ -101,8 +94,8 @@ func TestOpenOptionConflicts(t *testing.T) {
 	}
 
 	// The non-conflicting spellings still work.
-	if _, err := sys.Open(pdmtune.WithSharedCache(shared)); err != nil {
-		t.Errorf("WithSharedCache alone: %v", err)
+	if _, err := sys.Open(pdmtune.WithCache(16)); err != nil {
+		t.Errorf("WithCache alone: %v", err)
 	}
 	if _, err := sys.Open(pdmtune.WithTransport(tr), pdmtune.WithMeter(netsim.NewMeter(pdmtune.LAN()))); err != nil {
 		t.Errorf("WithTransport+WithMeter: %v", err)

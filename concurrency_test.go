@@ -41,7 +41,6 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 	// check-out/check-in of the same root. First wins; losers see
 	// ConflictError (procedure path) or an ungranted result — both
 	// fine, never an inconsistent grab.
-	shared := pdmtune.NewCache(0)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -75,13 +74,14 @@ func TestConcurrentWritersSyncAndCachedReaders(t *testing.T) {
 		}(w)
 	}
 
-	// Cached readers at the site, sharing one structure cache.
+	// Cached readers at the site, each with a structure cache of its
+	// own at the default bound.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			sess, err := cl.OpenAt(ctx, "munich",
-				pdmtune.WithSharedCache(shared),
+				pdmtune.WithCache(0),
 				pdmtune.WithUser(pdmtune.DefaultUser(fmt.Sprintf("r%d", r))))
 			if err != nil {
 				t.Error(err)

@@ -172,18 +172,14 @@ const (
 // configuration: every strategy, batching, prepared and cache choice,
 // the negotiated wire encodings, and — at a replica — a spread of
 // staleness bounds. What a running session cannot change, or does not
-// read, is kept as it is: the location (Replica), a shared cache store,
-// the replica knobs at the primary. The transport is an open-time
+// read, is kept as it is: the location (Replica) and the replica knobs
+// at the primary. The transport is an open-time
 // decision and no knob at all, and the site's subscription is measured
 // (Observation.Coverage), not proposed.
 func candidates(current costmodel.Knobs) []costmodel.Knobs {
 	stalenesses := []float64{current.StalenessSec}
 	if current.Replica {
 		stalenesses = []float64{0, 5, 30, 300}
-	}
-	caches := []int{0, cacheEntries}
-	if current.CacheEntries < 0 {
-		caches = []int{current.CacheEntries}
 	}
 	var out []costmodel.Knobs
 	for _, strat := range costmodel.Strategies {
@@ -195,7 +191,7 @@ func candidates(current costmodel.Knobs) []costmodel.Knobs {
 					// adds the prepare round trip.
 					continue
 				}
-				for _, cache := range caches {
+				for _, cache := range []int{0, cacheEntries} {
 					for _, compress := range []bool{false, true} {
 						for _, st := range stalenesses {
 							out = append(out, costmodel.Knobs{

@@ -172,22 +172,22 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 }
 
-// TestCandidatesKeepWhatTheSessionCannotChange: a shared cache store
-// and the read location are not the session's to flip, and the replica
-// knobs mean nothing at the primary — every candidate carries them
-// unchanged, so a plan never contains a change ApplyConfig must refuse.
+// TestCandidatesKeepWhatTheSessionCannotChange: the read location is
+// not the session's to flip, and the replica knobs mean nothing at the
+// primary — every candidate carries them unchanged, so a plan never
+// contains a change ApplyConfig must refuse.
 func TestCandidatesKeepWhatTheSessionCannotChange(t *testing.T) {
 	for _, current := range []Config{
-		{CacheEntries: -1, StalenessSec: -1},
-		{Replica: true, CacheEntries: -1},
+		{StalenessSec: -1},
+		{Replica: true},
 	} {
 		cands := candidates(current)
 		if len(cands) == 0 {
 			t.Fatalf("%s: no candidates", current)
 		}
 		for _, c := range cands {
-			if c.CacheEntries != current.CacheEntries || c.Replica != current.Replica {
-				t.Fatalf("from %s: candidate %s changes the shared cache or the location", current, c)
+			if c.Replica != current.Replica {
+				t.Fatalf("from %s: candidate %s changes the location", current, c)
 			}
 			if !current.Replica && c.StalenessSec != current.StalenessSec {
 				t.Fatalf("from %s: candidate %s enumerates replica knobs at the primary", current, c)

@@ -23,20 +23,17 @@ import (
 	"sync"
 )
 
-// Key identifies one cached read: the object the read was rooted at,
-// the PDM action that produced it, and the evaluation profile (user,
-// rules, strategy) the result is only valid under.
+// Key identifies one cached read: the object the read was rooted at
+// and the PDM action that produced it. Everything else the result
+// depends on (user, rules, strategy) is fixed for the store's
+// lifetime: its owner starts an empty store when that changes.
 type Key struct {
 	// ID is the root object id of the cached read (the expanded
 	// parent, the recursive root, the looked-up object).
 	ID int64
-	// Action is the PDM action (plus an internal discriminator for
-	// non-action reads such as type lookups).
+	// Action is the PDM action (empty for reads outside one, such as
+	// type lookups).
 	Action string
-	// Profile fingerprints everything else the result depends on —
-	// user context, rule table, strategy — so sessions sharing a cache
-	// can never serve each other results their rules would not permit.
-	Profile string
 }
 
 // Entry is one cached read result.
@@ -56,8 +53,8 @@ type Entry struct {
 	InvalidateIDs []int64
 }
 
-// Store is a bounded LRU of versioned entries, safe for concurrent
-// use by many sessions.
+// Store is a bounded LRU of versioned entries. One session owns it;
+// it is safe for concurrent use, so another goroutine may read it.
 type Store struct {
 	mu    sync.Mutex
 	cap   int
@@ -143,7 +140,7 @@ func (s *Store) Put(key Key, e Entry) {
 	s.ll.MoveToFront(el)
 }
 
-// Invalidate drops every entry (across all actions and profiles)
+// Invalidate drops every entry (across all actions)
 // whose InvalidateIDs contain any of the given object ids, returning
 // the number of entries dropped. This is the no-round-trip path a
 // writer uses on its own modifications.

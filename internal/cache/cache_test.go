@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func key(id int64) Key { return Key{ID: id, Action: "mle", Profile: "u"} }
+func key(id int64) Key { return Key{ID: id, Action: "mle"} }
 
 func TestLRUBound(t *testing.T) {
 	s := New(3)
@@ -73,14 +73,14 @@ func TestInvalidateByID(t *testing.T) {
 	}
 }
 
-func TestInvalidateCrossesProfiles(t *testing.T) {
+func TestInvalidateCrossesActions(t *testing.T) {
 	s := New(10)
-	a := Key{ID: 1, Action: "mle", Profile: "alice"}
-	b := Key{ID: 1, Action: "mle", Profile: "bob"}
+	a := Key{ID: 1, Action: "mle"}
+	b := Key{ID: 1, Action: "expand"}
 	s.Put(a, Entry{Value: "a", InvalidateIDs: []int64{1}})
 	s.Put(b, Entry{Value: "b", InvalidateIDs: []int64{1}})
 	if n := s.Invalidate(1); n != 2 {
-		t.Fatalf("Invalidate dropped %d entries, want both profiles", n)
+		t.Fatalf("Invalidate dropped %d entries, want both actions", n)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := int64(i % 100)
-				k := Key{ID: id, Action: "mle", Profile: fmt.Sprintf("u%d", g%2)}
+				k := Key{ID: id, Action: fmt.Sprintf("a%d", g%2)}
 				switch i % 3 {
 				case 0:
 					s.Put(k, Entry{Value: i, InvalidateIDs: []int64{id, id + 1000}})

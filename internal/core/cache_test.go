@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"pdmtune/internal/cache"
 	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/workload"
@@ -23,8 +22,7 @@ func TestCachedMLEAllWireModes(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			for _, prepared := range []bool{false, true} {
 				c, meter := pdmClient(srv, core.StandardRules(), core.DefaultUser("scott"), strat)
-				tune(c, func(k *costmodel.Knobs) { k.Batching, k.Prepared = batched, prepared })
-				c.SetCache(cache.New(1<<12), "test")
+				tune(c, func(k *costmodel.Knobs) { k.Batching, k.Prepared, k.CacheEntries = batched, prepared, 1<<12 })
 				cold, err := c.MultiLevelExpand(ctx, prod.RootID)
 				if err != nil {
 					t.Fatalf("%v b=%v p=%v: cold MLE: %v", strat, batched, prepared, err)
@@ -66,7 +64,7 @@ func TestCachedExpandAfterRawWrite(t *testing.T) {
 	srv := pdmServer(t)
 	ctx := context.Background()
 	c, meter := pdmClient(srv, core.StandardRules(), core.DefaultUser("scott"), costmodel.EarlyEval)
-	c.SetCache(cache.New(256), "test")
+	tune(c, func(k *costmodel.Knobs) { k.CacheEntries = 256 })
 	if _, err := c.Expand(ctx, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pdmtune/internal/cache"
@@ -25,15 +24,14 @@ import (
 //
 // All read traffic flows through the client's fetcher (see fetch.go):
 // by default the plain wire fetcher, optionally decorated with the
-// version-validated structure cache (SetCache).
+// version-validated structure cache (Apply with CacheEntries > 0).
 type Client struct {
 	sql   *wire.Client
 	meter *netsim.Meter
 	rules *RuleTable
 	user  UserContext
 	// knobs is the client's configuration: read by every action, changed
-	// only by Apply (and, for the location and a shared cache, by
-	// SetSiteSync and SetCache).
+	// only by Apply (and, for the location, by SetSiteSync).
 	knobs costmodel.Knobs
 
 	// writeMu guards the write path's identity: a failover re-points
@@ -65,13 +63,11 @@ type Client struct {
 	// per received row and would otherwise crowd whole structure pages
 	// out of the configured bound.
 	types *cache.Store
-	// structs is the structure cache store, nil unless SetCache was
-	// called. Write actions invalidate their objects here.
+	// structs is the client's own structure cache store, nil unless
+	// CacheEntries > 0. It holds entries of one strategy and one rule
+	// table generation: dropCompiled empties it when either changes.
+	// Write actions invalidate their objects here.
 	structs *cache.Store
-	// cacheNS namespaces this client's cache keys by the server the
-	// entries came from, so a store shared across systems can never
-	// serve one database's structures (or types) for another's ids.
-	cacheNS string
 
 	// local evaluates rule predicates client-side (late evaluation).
 	local *exec.Context
@@ -123,17 +119,21 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 	return c
 }
 
-// dropCompiled empties the statement and predicate tables and records
-// the rule table generation they are rebuilt from.
+// dropCompiled empties the statement and predicate tables and the
+// structure cache, and records the rule table generation they are
+// rebuilt from.
 func (c *Client) dropCompiled() {
 	c.preparedSQL = map[stmtKey]preparedStmt{}
 	c.predicates = map[predKey]*predicate{}
 	c.rulesGen = c.rules.gen.Load()
+	if c.structs != nil {
+		c.structs = cache.New(c.structs.Cap())
+	}
 }
 
 // beginAction starts one user action. Rules added since the last action
-// take effect here: the compiled tables are dropped and the read path
-// rebuilt, since the structure cache keys its profile by generation.
+// take effect here: the compiled tables and the cached structures are
+// dropped and the read path rebuilt over the emptied store.
 // A client at a replica site then applies its staleness bound: the
 // site is synced when it is stale beyond the bound, before the action
 // reads anything — cache validation included, or a bounded-staleness
@@ -159,7 +159,7 @@ func (c *Client) beginAction(ctx context.Context) error {
 func (c *Client) rebuildFetch() {
 	var f fetcher = &wireFetcher{c: c}
 	if c.structs != nil {
-		f = &cachedFetcher{inner: f, c: c, store: c.structs, profile: c.cacheProfile()}
+		f = &cachedFetcher{inner: f, c: c, store: c.structs}
 	}
 	if c.site != nil && c.site.holds != nil {
 		// Reads outside the site's subscription re-issue against the
@@ -171,9 +171,8 @@ func (c *Client) rebuildFetch() {
 }
 
 // Knobs reports the configuration the client runs: the open-time
-// defaults (its strategy, its location, no staleness bound), a shared
-// cache attached with SetCache as CacheEntries -1, and otherwise what
-// the last Apply brought it to. The wire encodings are the requested
+// defaults (its strategy, its location, no staleness bound), and
+// otherwise what the last Apply brought it to. The wire encodings are the requested
 // ones; WireCaps reports what the server accepted.
 func (c *Client) Knobs() costmodel.Knobs { return c.knobs }
 
@@ -185,20 +184,17 @@ func (c *Client) Strategy() costmodel.Strategy { return c.knobs.Strategy }
 func (c *Client) WireCaps() wire.Caps { return c.sql.Caps() }
 
 // Apply reconfigures the live client to k. Strategy, batching, prepared
-// statements and a private cache flip locally (a new strategy drops the
-// compiled statements, which embed its rule modification); changed wire
-// encodings cost one renegotiation round trip; the staleness bound
-// re-times a replica client's read-time syncs. A bound without a
-// replica is recorded, so Knobs echoes k and a change set rolls back
-// wherever it applied. A new read location, and a resize or drop of a
-// shared cache, are refused before anything changes.
+// statements and the cache flip locally (a new strategy drops the
+// compiled statements, which embed its rule modification, and the
+// structures cached under it); changed wire encodings cost one
+// renegotiation round trip; the staleness bound re-times a replica
+// client's read-time syncs. A bound without a replica is recorded, so
+// Knobs echoes k and a change set rolls back wherever it applied. A new
+// read location is refused before anything changes.
 func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 	cur := c.knobs
 	if k.Replica != cur.Replica {
 		return errors.New("core: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
-	}
-	if k.CacheEntries != cur.CacheEntries && (cur.CacheEntries < 0 || k.CacheEntries < 0) {
-		return errors.New("core: a shared structure cache is not owned by the session; open a new session to change it")
 	}
 	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
 		if _, err := c.sql.Negotiate(ctx, wire.Caps{Columnar: k.Columnar, Compress: k.Compress}); err != nil {
@@ -219,33 +215,6 @@ func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 		c.rebuildFetch()
 	}
 	return nil
-}
-
-// SetCache attaches a structure cache store over the client's read path:
-// fetched expand pages and recursive trees are kept (version-stamped)
-// in the store, warm actions revalidate them in one wire exchange
-// instead of re-fetching, and the client's own write actions
-// invalidate affected entries locally. The store may be private or
-// shared between sessions (it is safe for concurrent use); nil
-// removes the cache. The store's bound counts structure entries only
-// — the object-type cache stays in its own bounded store, so type
-// entries cannot evict structure pages. An attached store is not the
-// client's own: Knobs reports it as CacheEntries -1, which Apply
-// refuses to resize or drop.
-//
-// namespace identifies the server/system the client talks to, and
-// keys the private stores Apply creates as well; clients of different
-// servers sharing one store MUST pass different namespaces, or one
-// database's cached structures could answer for another's ids (the
-// facade derives it from the System).
-func (c *Client) SetCache(store *cache.Store, namespace string) {
-	c.cacheNS = namespace
-	c.structs = store
-	c.knobs.CacheEntries = 0
-	if store != nil {
-		c.knobs.CacheEntries = -1
-	}
-	c.rebuildFetch()
 }
 
 // Cache returns the client's structure cache store (nil when none is
@@ -386,38 +355,9 @@ func (c *Client) SetSiteSync(s Syncer) {
 	c.rebuildFetch()
 }
 
-// ruleTableIDs assigns every rule table a process-unique id the first
-// time it keys a cache profile. A pointer formatted with %p would not
-// do: a freed table's address can be reused by a different table,
-// colliding two profiles. The registry pins profiled tables for the
-// process lifetime, which is the price of collision-free identity.
-var (
-	ruleTableIDs  sync.Map // *RuleTable -> uint64
-	nextRuleTblID atomic.Uint64
-)
-
-func ruleTableID(rt *RuleTable) uint64 {
-	if id, ok := ruleTableIDs.Load(rt); ok {
-		return id.(uint64)
-	}
-	id, _ := ruleTableIDs.LoadOrStore(rt, nextRuleTblID.Add(1))
-	return id.(uint64)
-}
-
-// cacheProfile fingerprints everything a cached read result depends on
-// besides its key: the user context, the rule table identity and
-// generation, and the strategy. Sessions sharing a store only share
-// entries when their profiles match, so differing rules or users can
-// never leak results to each other.
-func (c *Client) cacheProfile() string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d\x00%d",
-		c.cacheNS, c.user.Name, c.user.Options, c.user.EffFrom, c.user.EffTo, c.knobs.Strategy, ruleTableID(c.rules), c.rulesGen)
-}
-
 // invalidateCache drops every cached entry depending on the given
 // objects — the no-round-trip invalidation a write action performs on
-// its own modifications. Shared stores propagate it to every session
-// immediately.
+// its own modifications.
 func (c *Client) invalidateCache(ids []int64) {
 	if c.structs != nil && len(ids) > 0 {
 		c.structs.Invalidate(ids...)

@@ -39,8 +39,8 @@ func pdmClient(srv *wire.Server, rules *core.RuleTable, user core.UserContext, s
 }
 
 // tune applies one change to a client's configuration. A change of
-// batching, prepared statements or strategy takes no round trip and
-// cannot be refused, so an error is a broken client.
+// batching, prepared statements, strategy or cache takes no round trip
+// and cannot be refused, so an error is a broken client.
 func tune(c *core.Client, change func(*costmodel.Knobs)) {
 	k := c.Knobs()
 	change(&k)

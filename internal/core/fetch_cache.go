@@ -20,16 +20,14 @@ import (
 //     whose objects the server reports stale are dropped and re-fetched,
 //     everything else is served locally for the rest of the action.
 //   - invalidate-on-write: the client's own write actions (check-out,
-//     check-in) drop affected entries directly — no round trip, and
-//     sessions sharing the store see the drop immediately.
+//     check-in) drop affected entries directly — no round trip.
 //
 // The wire fetcher underneath is unchanged: a cold action costs
 // exactly what an uncached session pays.
 type cachedFetcher struct {
-	inner   fetcher
-	c       *Client
-	store   *cache.Store
-	profile string
+	inner fetcher
+	c     *Client
+	store *cache.Store
 	// validated marks the store keys this action already revalidated
 	// (or just fetched); reset by BeginAction.
 	validated map[cache.Key]bool
@@ -56,7 +54,7 @@ func (f *cachedFetcher) BeginAction() {
 }
 
 func (f *cachedFetcher) key(id int64, action string) cache.Key {
-	return cache.Key{ID: id, Action: action, Profile: f.profile}
+	return cache.Key{ID: id, Action: action}
 }
 
 // ensureValidated revalidates, in at most one round trip, every
@@ -256,7 +254,7 @@ func (f *cachedFetcher) countCache(hits, misses int) {
 
 // ---------------------------------------------------------------------------
 // clone helpers — cached values are owned by the store; both puts and
-// gets deep-copy so no session can mutate another's view.
+// gets deep-copy so no action can mutate what a later one is served.
 
 // cloneNodes copies expand-page children into one array, without
 // Children links (the BFS loop re-attaches them per action). The copies

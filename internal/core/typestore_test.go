@@ -30,7 +30,7 @@ func TestRememberTypesMatchesOneByOne(t *testing.T) {
 			batch[i] = node()
 		}
 		build := func(helper bool) *Client {
-			c := &Client{types: cache.New(bound), cacheNS: "test"}
+			c := &Client{types: cache.New(bound)}
 			for i := range before {
 				c.rememberType(&before[i])
 			}
@@ -51,7 +51,7 @@ func TestRememberTypesMatchesOneByOne(t *testing.T) {
 		held := func(c *Client) string {
 			var s string
 			for id := int64(1); id <= domain; id++ {
-				if e, ok := c.types.Get(c.typeKey(id)); ok {
+				if e, ok := c.types.Get(typeKey(id)); ok {
 					s += fmt.Sprintf("%d:%v ", id, e.Value)
 				}
 			}

@@ -294,7 +294,7 @@ func packets(bytes, sizeP float64) float64 {
 //   - Compress (with or without Columnar — the model prices their joint
 //     measured ratio) shrinks the response node records to
 //     1/CompressionRatio; requests and latency are untouched.
-//   - A cache (CacheEntries != 0) costs nothing cold; on a Warm repeat a
+//   - A cache (CacheEntries > 0) costs nothing cold; on a Warm repeat a
 //     structure action collapses to one validate exchange carrying the
 //     (id, version) pairs of every cached object and no node records.
 //     The set-oriented Query is not cached.

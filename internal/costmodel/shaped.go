@@ -34,9 +34,8 @@ type Knobs struct {
 	Batching bool
 	// Prepared ships per-node statements as handle + parameters.
 	Prepared bool
-	// CacheEntries sizes the client structure cache: 0 none, > 0 a
-	// private bound, -1 a shared store — priced like a private one, and
-	// not the session's to resize or drop.
+	// CacheEntries bounds the session's structure cache: 0 none, > 0
+	// a bound.
 	CacheEntries int
 	// Columnar negotiates the v2 columnar result encoding.
 	Columnar bool
@@ -95,7 +94,7 @@ func (k Knobs) Fingerprint() string {
 }
 
 // Cached reports whether the configuration runs a structure cache.
-func (k Knobs) Cached() bool { return k.CacheEntries != 0 }
+func (k Knobs) Cached() bool { return k.CacheEntries > 0 }
 
 // Workload is the observed shape of a live session or fleet — what the
 // advisor distills out of a windowed metrics delta: the Model of the

@@ -42,16 +42,13 @@
 // trip, WithPreparedStatements(true) ships the per-node SQL text once
 // and a handle + parameters afterwards, WithCache(size) keeps
 // validated structures at the client so a repeated traversal costs one
-// version-check round trip instead of a re-fetch (WithSharedCache
-// shares one cache between sessions), and WithTransport substitutes a
-// real (e.g. TCP) transport for the simulation. Every action takes a
-// context.Context and can be cancelled between WAN round trips.
+// version-check round trip instead of a re-fetch, and WithTransport
+// substitutes a real (e.g. TCP) transport for the simulation. Every
+// action takes a context.Context and can be cancelled between WAN round
+// trips.
 package pdmtune
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"pdmtune/internal/cache"
 	"pdmtune/internal/core"
 	"pdmtune/internal/costmodel"
@@ -105,9 +102,9 @@ type (
 	Value = minisql.Value
 	// Response is the server's answer to a raw Exec.
 	Response = wire.Response
-	// Cache is the client-side structure cache: an LRU-bounded store of
-	// version-stamped expand pages and recursive trees, shareable
-	// between sessions (WithCache / WithSharedCache).
+	// Cache is a session's client-side structure cache (WithCache): an
+	// LRU-bounded store of version-stamped expand pages and recursive
+	// trees.
 	Cache = cache.Store
 )
 
@@ -163,16 +160,9 @@ type System struct {
 	DB     *minisql.DB
 	Server *wire.Server
 	Rules  *RuleTable
-	// id namespaces this system's entries in shared caches: a cache
-	// shared across systems must never answer one database's object
-	// ids with another's structures.
-	id string
 	// cluster is the topology this system is the original primary of.
 	cluster *Cluster
 }
-
-// nextSystemID numbers systems within the process.
-var nextSystemID atomic.Uint64
 
 // NewSystem creates an empty single-server PDM system. rules may be
 // nil for the standard set; the server-side procedures enforce the
@@ -201,7 +191,6 @@ func newPrimarySystem(rules *RuleTable) (*System, *topology.Site) {
 		DB:     db,
 		Server: node.Server(),
 		Rules:  rules,
-		id:     fmt.Sprintf("sys%d", nextSystemID.Add(1)),
 	}, node
 }
 
@@ -219,8 +208,3 @@ func (s *System) LoadProduct(cfg ProductConfig) (*Product, error) {
 func (s *System) LoadPaperExample() error {
 	return workload.LoadPaperExample(s.DB.NewSession())
 }
-
-// NewCache creates a structure cache bounded to the given number of
-// entries (a default bound when size <= 0), for sharing between
-// sessions via WithSharedCache. The cache is safe for concurrent use.
-func NewCache(size int) *Cache { return cache.New(size) }

@@ -34,8 +34,7 @@ func MeteredTransport(inner Transport, meter *Meter) Transport { return wire.Met
 // the caller gave explicitly, so an invalid combination fails at Open
 // with an *OptionError instead of one option silently shadowing the
 // other; an option whose value cannot be its zero needs no flag for
-// that (a transport, a shared cache and an auto-tune loop are non-nil,
-// a private cache size is >= 1).
+// that (a transport and an auto-tune loop are non-nil).
 type sessionConfig struct {
 	link Link
 	user UserContext
@@ -45,8 +44,6 @@ type sessionConfig struct {
 	transport Transport
 	meter     *Meter
 	rules     *RuleTable
-	// cache is the store of WithSharedCache.
-	cache *Cache
 	// site is the site the session opens at (PrimarySite for
 	// System.Open), never empty.
 	site string
@@ -85,10 +82,6 @@ func (e *OptionError) Error() string {
 // options applied, so the check sees the full configuration regardless
 // of option order.
 func (c *sessionConfig) validate() error {
-	if c.knobs.CacheEntries > 0 && c.cache != nil {
-		return &OptionError{Option: "WithSharedCache", Conflict: "WithCache",
-			Reason: "a session has exactly one structure cache; pass either a private size or a shared store"}
-	}
 	if c.transport != nil && c.linkSet {
 		return &OptionError{Option: "WithLink", Conflict: "WithTransport",
 			Reason: "a custom transport carries its own network; meter it with MeteredTransport/WithMeter instead"}
@@ -193,40 +186,22 @@ func WithCompression(on bool) Option {
 	return func(c *sessionConfig) error { c.knobs.Compress = on; return nil }
 }
 
-// WithCache gives the session a private structure cache bounded to
-// size entries (NewCache(size) under the hood): fetched expand pages
-// and recursive trees are kept at the client, stamped with the
-// server's per-object version counters, and a repeated Expand/MLE
-// revalidates the whole cached tree in one small TypeValidate round
-// trip instead of re-fetching it. The session's own check-out/
-// check-in actions invalidate affected entries locally. A size <= 0
-// selects the default bound. The bound counts structure entries only
-// (type lookups live in their own bounded store). WithCache and
-// WithSharedCache are mutually exclusive: passing both fails Open
-// with an *OptionError.
+// WithCache gives the session its own structure cache bounded to size
+// entries: fetched expand pages and recursive trees are kept at the
+// client, stamped with the server's per-object version counters, and a
+// repeated Expand/MLE revalidates the whole cached tree in one small
+// TypeValidate round trip instead of re-fetching it. The session's own
+// check-out/check-in actions invalidate affected entries locally. A
+// size <= 0 selects the default bound. The bound counts structure
+// entries only (type lookups live in their own bounded store). The
+// store holds entries of one strategy and one rule table generation: a
+// strategy change or an added rule empties it.
 func WithCache(size int) Option {
 	return func(c *sessionConfig) error {
 		if size <= 0 {
 			size = cache.DefaultSize
 		}
 		c.knobs.CacheEntries = size
-		return nil
-	}
-}
-
-// WithSharedCache attaches an existing structure cache, so many
-// sessions (one per goroutine, as usual) share warm entries and each
-// other's write invalidations. Entries are keyed by system, user,
-// rules and strategy in addition to the object, so sessions can never
-// see results their own rules (or another system's database) would
-// not produce. Mutually exclusive with WithCache: passing both fails
-// Open with an *OptionError.
-func WithSharedCache(store *Cache) Option {
-	return func(c *sessionConfig) error {
-		if store == nil {
-			return fmt.Errorf("pdmtune: WithSharedCache requires a non-nil cache")
-		}
-		c.cache = store
 		return nil
 	}
 }
@@ -439,15 +414,11 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 		sess.node = site
 		sess.wan = wan
 	}
-	// Caches are namespaced by system, not site: replica reads validate
-	// against the site's mirrored version log. Apply wires the rest of
-	// the options; changed encodings cost one round trip, bounded by ctx.
-	client.SetCache(cfg.cache, s.id)
+	// Apply wires the rest of the options; changed encodings cost one
+	// round trip, bounded by ctx. A replica session's cache validates
+	// against the site's mirrored version log.
 	k := cfg.knobs
 	k.Replica = site != nil
-	if cfg.cache != nil {
-		k.CacheEntries = -1 // the attached store, as SetCache records it
-	}
 	if err := client.Apply(ctx, k); err != nil {
 		return nil, err
 	}
@@ -469,7 +440,7 @@ func (s *Session) Client() *Client { return s.client }
 func (s *Session) Meter() *Meter { return s.meter }
 
 // Cache returns the session's structure cache (nil when the session
-// was opened without WithCache/WithSharedCache).
+// has none, as without WithCache).
 func (s *Session) Cache() *Cache { return s.client.Cache() }
 
 // WireCaps reports the wire capabilities the session's connection
