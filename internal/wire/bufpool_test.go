@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"io"
@@ -163,6 +164,50 @@ func TestGetFrameNDropsSmallBuffer(t *testing.T) {
 			t.Fatal("buffer too small for the read went back into the pool")
 		}
 	})
+}
+
+// TestReadFrameAllocatesOnlyItsBody: reading a frame into a recycled
+// buffer allocates nothing — the length prefix lands in the buffer the
+// body then fills — and a pooled buffer too small for the body leaves
+// the pool, as getFrameN's does.
+func TestReadFrameAllocatesOnlyItsBody(t *testing.T) {
+	body := []byte("a frame body")
+	var stream bytes.Buffer
+	for i := 0; i < 128; i++ {
+		if err := WriteFrame(&stream, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReader(&stream)
+	read := func() {
+		got, err := ReadFrame(r)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("ReadFrame = %q, %v", got, err)
+		}
+		putFrame(got)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("%.0f allocations per frame read into a recycled buffer, want 0", allocs)
+	}
+
+	stream.Reset()
+	if err := WriteFrame(&stream, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset(&stream)
+	for b := getFrame(); cap(b) > 0; b = getFrame() {
+	}
+	small := make([]byte, 0, 8)
+	putFrame(small)
+	if got, err := ReadFrame(r); err != nil || len(got) != 64 {
+		t.Fatalf("ReadFrame = %d bytes, %v", len(got), err)
+	}
+	for b := getFrame(); cap(b) > 0; b = getFrame() {
+		if unsafe.SliceData(b) == unsafe.SliceData(small) {
+			t.Fatal("buffer too small for the body went back into the pool")
+		}
+	}
 }
 
 // TestFrameRecycleAllocatesNothing: recycling a frame buffer and writing

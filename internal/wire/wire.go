@@ -829,17 +829,26 @@ func WriteFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame body from a stream.
+// ReadFrame reads one length-prefixed frame body from a stream. The
+// prefix is read into the free-list buffer the body then fills (a
+// prefix array of its own would escape through r), so reading into a
+// recycled frame allocates nothing. A buffer too small for the body is
+// dropped, as getFrameN drops it.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := getFrameN(4)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		putFrame(buf)
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrameSize {
+		putFrame(buf)
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := getFrameN(int(n))
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
