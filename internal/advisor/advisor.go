@@ -173,9 +173,9 @@ const (
 // the negotiated wire encodings, and — at a replica — a spread of
 // staleness bounds. What a running session cannot change, or does not
 // read, is kept as it is: the location (Replica) and the replica knobs
-// at the primary. The transport is an open-time
-// decision and no knob at all, and the site's subscription is measured
-// (Observation.Coverage), not proposed.
+// at the primary. The transport is an open-time decision and no knob at
+// all, and the site's subscription is measured (Observation.Coverage),
+// not proposed.
 func candidates(current costmodel.Knobs) []costmodel.Knobs {
 	stalenesses := []float64{current.StalenessSec}
 	if current.Replica {

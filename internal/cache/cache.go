@@ -140,9 +140,9 @@ func (s *Store) Put(key Key, e Entry) {
 	s.ll.MoveToFront(el)
 }
 
-// Invalidate drops every entry (across all actions)
-// whose InvalidateIDs contain any of the given object ids, returning
-// the number of entries dropped. This is the no-round-trip path a
+// Invalidate drops every entry (across all actions) whose
+// InvalidateIDs contain any of the given object ids, returning the
+// number of entries dropped. This is the no-round-trip path a
 // writer uses on its own modifications.
 func (s *Store) Invalidate(ids ...int64) int {
 	s.mu.Lock()

@@ -172,8 +172,8 @@ func (c *Client) rebuildFetch() {
 
 // Knobs reports the configuration the client runs: the open-time
 // defaults (its strategy, its location, no staleness bound), and
-// otherwise what the last Apply brought it to. The wire encodings are the requested
-// ones; WireCaps reports what the server accepted.
+// otherwise what the last Apply brought it to. The wire encodings are
+// the requested ones; WireCaps reports what the server accepted.
 func (c *Client) Knobs() costmodel.Knobs { return c.knobs }
 
 // Strategy reports the client's access strategy.

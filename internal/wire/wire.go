@@ -837,20 +837,18 @@ func WriteFrame(w io.Writer, body []byte) error {
 func ReadFrame(r io.Reader) ([]byte, error) {
 	buf := getFrameN(4)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		putFrame(buf)
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrameSize {
-		putFrame(buf)
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return body, nil
+	return buf, nil
 }
