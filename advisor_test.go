@@ -344,9 +344,10 @@ func TestChangeSetRollbackAtPrimaryWithReplicaKnob(t *testing.T) {
 }
 
 // TestApplyConfigRefusals: the change ApplyConfig refuses — a new read
-// location, either way — fails before anything moves: the configuration, the
-// negotiated encodings and the meter stay as they were. Changed wire
-// encodings cost one renegotiation round trip each way.
+// location, either way — fails before anything moves: the
+// configuration, the negotiated encodings and the meter stay as they
+// were. Changed wire encodings cost one renegotiation round trip each
+// way.
 func TestApplyConfigRefusals(t *testing.T) {
 	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "munich"})
 	if err != nil {
