@@ -2,6 +2,8 @@ package pdmtune_test
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"pdmtune"
@@ -182,6 +184,126 @@ func TestOwnCheckOutAndCheckInRetireCachedPages(t *testing.T) {
 	}
 	if n := flagged(refetched("check-in")); n != 0 {
 		t.Errorf("MLE sees %d checked-out nodes after the check-in", n)
+	}
+}
+
+// TestOtherSessionsWritesReachPrivateCaches: a check-out or check-in
+// by another session never retires a reader's private pages locally;
+// the reader's next MLE finds the staleness through its one validate
+// exchange, re-fetches and reflects the flags. Concurrent readers,
+// each on its own store, and a writer then interleave freely (run with
+// -race); once they quiesce, every reader's next MLE matches an
+// uncached session's tree.
+func TestOtherSessionsWritesReachPrivateCaches(t *testing.T) {
+	sys := pdmtune.NewSystem(nil)
+	prod, err := sys.LoadProduct(pdmtune.ProductConfig{
+		Depth: 3, Branch: 3, Sigma: 1, Seed: 11, PadBytes: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	open := func(name string, extra ...pdmtune.Option) *pdmtune.Session {
+		t.Helper()
+		s, err := sys.Open(append([]pdmtune.Option{
+			pdmtune.WithLink(pdmtune.Intercontinental()),
+			pdmtune.WithUser(pdmtune.DefaultUser(name)),
+			pdmtune.WithStrategy(pdmtune.EarlyEval),
+			pdmtune.WithBatching(true),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	reader := open("reader", pdmtune.WithCache(1<<16))
+	writer := open("writer")
+	mle := func(s *pdmtune.Session) *pdmtune.ActionResult {
+		t.Helper()
+		res, err := s.MultiLevelExpand(ctx, prod.RootID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// revalidated runs the reader's MLE after the writer's change and
+	// checks that the staleness was found by the validate exchange.
+	revalidated := func(step string) int {
+		t.Helper()
+		res := mle(reader)
+		if m := res.Metrics; m.ValidateRoundTrips != 1 || m.CacheMisses == 0 {
+			t.Errorf("reader's MLE after the writer's %s: validate round trips=%d misses=%d, want 1 and some",
+				step, m.ValidateRoundTrips, m.CacheMisses)
+		}
+		n := 0
+		res.Tree.Walk(func(nd *pdmtune.Node) {
+			if nd.CheckedOut {
+				n++
+			}
+		})
+		return n
+	}
+
+	mle(reader)
+	co, err := writer.CheckOut(ctx, prod.RootID)
+	if err != nil || !co.Granted || co.Updated == 0 {
+		t.Fatalf("writer check-out: %+v, %v", co, err)
+	}
+	// The navigational root node carries no fetched flags, so the
+	// reader sees every checked-out node except the root.
+	if n := revalidated("check-out"); n != co.Updated-1 {
+		t.Fatalf("reader sees %d checked-out nodes after the writer's check-out, want %d", n, co.Updated-1)
+	}
+	mle(reader) // warm again
+	ci, err := writer.CheckIn(ctx, prod.RootID)
+	if err != nil || ci.Updated == 0 {
+		t.Fatalf("writer check-in: %+v, %v", ci, err)
+	}
+	if n := revalidated("check-in"); n != 0 {
+		t.Errorf("reader sees %d checked-out nodes after the writer's check-in", n)
+	}
+
+	readers := make([]*pdmtune.Session, 4)
+	for i := range readers {
+		readers[i] = open(fmt.Sprintf("reader%d", i), pdmtune.WithCache(1<<16))
+	}
+	var wg sync.WaitGroup
+	for i, s := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				if _, err := s.MultiLevelExpand(ctx, prod.RootID); err != nil {
+					t.Errorf("concurrent reader %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 3; j++ {
+			co, err := writer.CheckOut(ctx, prod.RootID)
+			if err != nil {
+				t.Errorf("concurrent writer check-out: %v", err)
+				return
+			}
+			if co.Granted {
+				if _, err := writer.CheckIn(ctx, prod.RootID); err != nil {
+					t.Errorf("concurrent writer check-in: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	want := treeBytes(t, mle(open("reference")))
+	for i, s := range readers {
+		if got := treeBytes(t, mle(s)); got != want {
+			t.Errorf("reader %d after quiescing:\n%s\nuncached tree\n%s", i, got, want)
+		}
 	}
 }
 
