@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/netsim"
 )
 
@@ -284,5 +285,57 @@ func TestReadOnlySQL(t *testing.T) {
 		if got := ReadOnlySQL(tc.sql); got != tc.read {
 			t.Errorf("ReadOnlySQL(%q) = %v, want %v", tc.sql, got, tc.read)
 		}
+	}
+}
+
+// TestDeposedServerRefusesPreparedAndBatchedWrites: at a deposed server
+// a prepared write is refused with *FencedError whether or not it comes
+// in a fencing envelope, and does not execute; a batch holding one write
+// among reads is refused whole, with nothing executed; prepared reads
+// and batches of reads are served.
+func TestDeposedServerRefusesPreparedAndBatchedWrites(t *testing.T) {
+	srv := NewServer(newFenceDB(t))
+	srv.SetFence(NewFence(1, false))
+	conn := srv.NewConn()
+	update := prepareOn(t, conn, "UPDATE kv SET val = ? WHERE id = 1")
+	read := prepareOn(t, conn, "SELECT val FROM kv WHERE id = ?")
+	seven, one := []types.Value{types.NewInt(7)}, []types.Value{types.NewInt(1)}
+	refused := func(what string, frame []byte) {
+		t.Helper()
+		conn.TakeContention()
+		fe, err := DecodeFencedResp(conn.Handle(frame))
+		if err != nil {
+			t.Fatalf("%s at a deposed server: %v, want a fence refusal", what, err)
+		}
+		if !fe.Deposed {
+			t.Errorf("%s: %+v, want Deposed", what, fe)
+		}
+		if st := conn.TakeContention(); st.SnapshotsStarted != 0 || st.LockWaitNanos != 0 {
+			t.Errorf("%s: refused, but %d statements read (%d ns waited on latches)", what, st.SnapshotsStarted, st.LockWaitNanos)
+		}
+	}
+	refused("prepared UPDATE", EncodeExecPrepared(update, seven))
+	refused("fenced prepared UPDATE", EncodeFenced(1, EncodeExecPrepared(update, seven)))
+	refused("batch [SELECT, UPDATE]", EncodeBatch([]*Request{
+		{SQL: "SELECT val FROM kv WHERE id = 1"},
+		{SQL: "UPDATE kv SET val = 8 WHERE id = 1"},
+	}))
+	refused("fenced batch [prepared SELECT, prepared UPDATE]", EncodeFenced(1, EncodeBatch([]*Request{
+		{Prepared: true, Handle: read, Params: one},
+		{Prepared: true, Handle: update, Params: seven},
+	})))
+
+	if resp := execOn(t, conn, EncodeExecPrepared(read, one)); resp.Rows[0][0].Int() != 0 {
+		t.Fatalf("val = %d: a refused write executed", resp.Rows[0][0].Int())
+	}
+	resps, err := DecodeBatchResponse(conn.Handle(EncodeBatch([]*Request{
+		{Prepared: true, Handle: read, Params: one},
+		{SQL: "SELECT COUNT(*) FROM kv"},
+	})))
+	if err != nil || len(resps) != 2 || resps[0].Err != "" || resps[1].Err != "" {
+		t.Fatalf("batch of reads at a deposed server: %v, %+v", err, resps)
+	}
+	if resps[0].Rows[0][0].Int() != 0 || resps[1].Rows[0][0].Int() != 1 {
+		t.Errorf("batch of reads answered %v, %v", resps[0].Rows, resps[1].Rows)
 	}
 }

@@ -428,3 +428,222 @@ func TestPreparedRebindsAcrossSetTransport(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// prepareOn prepares sql on a server connection and returns its handle.
+func prepareOn(t *testing.T, conn *ServerConn, sql string) uint32 {
+	t.Helper()
+	body := conn.Handle(EncodePrepare(sql))
+	h, err := DecodePrepareResp(body)
+	if err != nil {
+		resp, _ := DecodeResponse(body)
+		t.Fatalf("prepare %.40q: %v (%+v)", sql, err, resp)
+	}
+	return h
+}
+
+// execOn runs one request frame on a server connection and fails unless
+// it answers a result.
+func execOn(t *testing.T, conn *ServerConn, frame []byte) *Response {
+	t.Helper()
+	resp, err := DecodeResponse(conn.Handle(frame))
+	if err != nil || resp.Err != "" {
+		t.Fatalf("exec: %v, %+v", err, resp)
+	}
+	return resp
+}
+
+// TestPreparedHandleSurvivesTextChurn: 300 distinct one-shot texts of
+// 4 KiB each, several times what the server caches of unprepared
+// statements, pass through a server after a statement was prepared; its
+// handle still executes, on the connection that prepared it and on
+// another.
+func TestPreparedHandleSurvivesTextChurn(t *testing.T) {
+	db := minisql.NewDB()
+	mustExec(t, db.NewSession(), "CREATE TABLE t (a INTEGER, b TEXT)")
+	mustExec(t, db.NewSession(), "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+	srv := NewServer(db)
+	conn := srv.NewConn()
+	h := prepareOn(t, conn, "SELECT b FROM t WHERE a = ?")
+	pad := strings.Repeat("x", 4<<10)
+	for i := 0; i < 300; i++ {
+		execOn(t, conn, EncodeRequest(&Request{SQL: fmt.Sprintf("SELECT b, '%s', %d FROM t WHERE a = 1", pad, i)}))
+	}
+	for _, c := range []*ServerConn{conn, srv.NewConn()} {
+		resp := execOn(t, c, EncodeExecPrepared(h, []types.Value{types.NewInt(2)}))
+		if len(resp.Rows) != 1 || resp.Rows[0][0].Text() != "two" {
+			t.Fatalf("handle %d after the churn: %v", h, resp.Rows)
+		}
+	}
+}
+
+// TestHotTextSurvivesPrepareFlood: distinct prepares flood the server's
+// statement table until it refuses them with ErrStatementTableFull,
+// while a hot text statement keeps running beside them (once every
+// eight prepares). The hot statement is still a plan hit afterwards:
+// what prepared statements pin does not crowd out the text hot set.
+func TestHotTextSurvivesPrepareFlood(t *testing.T) {
+	db := minisql.NewDB()
+	mustExec(t, db.NewSession(), "CREATE TABLE t (a INTEGER, b TEXT)")
+	mustExec(t, db.NewSession(), "INSERT INTO t VALUES (1, 'one')")
+	conn := NewServer(db).NewConn()
+	hot := EncodeRequest(&Request{SQL: "SELECT b FROM t WHERE a = ?", Params: []types.Value{types.NewInt(1)}})
+	pad := strings.Repeat("x", 4<<10)
+	refused := 0
+	for i := 0; i < 100; i++ {
+		if i%8 == 0 {
+			execOn(t, conn, hot)
+		}
+		resp, err := DecodeResponse(conn.Handle(EncodePrepare(fmt.Sprintf("SELECT b, '%s', %d FROM t WHERE a = ?", pad, i))))
+		if err == nil && resp.Err != "" {
+			if !errors.Is(&ServerError{Msg: resp.Err}, ErrStatementTableFull) {
+				t.Fatalf("prepare %d refused with %q", i, resp.Err)
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("the flood never filled the statement table")
+	}
+	conn.TakeContention()
+	resp := execOn(t, conn, hot)
+	if len(resp.Rows) != 1 || resp.Rows[0][0].Text() != "one" {
+		t.Fatalf("hot statement after the flood: %v", resp.Rows)
+	}
+	if st := conn.TakeContention(); st.PlanHits != 1 || st.PlanMisses != 0 {
+		t.Errorf("hot statement after the flood: hits=%d misses=%d, want 1/0", st.PlanHits, st.PlanMisses)
+	}
+}
+
+// TestHeldHandleFollowsCatalog is TestHeldSelectFollowsCatalog through
+// prepared handles: a handle executed after its table was dropped and
+// re-created with other columns answers with the new columns, and an
+// index created between two executions of a prepared EXPLAIN of a join
+// shows in the next one.
+func TestHeldHandleFollowsCatalog(t *testing.T) {
+	db := minisql.NewDB()
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+	srv := NewServer(db)
+	conn := srv.NewConn()
+	one := []types.Value{types.NewInt(1)}
+	check := func(resp *Response, cols, rows string) {
+		t.Helper()
+		if got := strings.Join(resp.Cols, ","); got != cols {
+			t.Errorf("columns %s, want %s", got, cols)
+		}
+		var lines []string
+		for _, r := range resp.Rows {
+			var cells []string
+			for _, v := range r {
+				cells = append(cells, v.String())
+			}
+			lines = append(lines, strings.Join(cells, "|"))
+		}
+		if got := strings.Join(lines, ";"); got != rows {
+			t.Errorf("rows %s, want %s", got, rows)
+		}
+	}
+	star := prepareOn(t, conn, "SELECT * FROM t WHERE id = ?")
+	check(execOn(t, conn, EncodeExecPrepared(star, one)), "id,name", "1|a")
+
+	execOn(t, conn, EncodeRequest(&Request{SQL: "DROP TABLE t"}))
+	execOn(t, conn, EncodeRequest(&Request{SQL: "CREATE TABLE t (id INTEGER PRIMARY KEY, w FLOAT, label TEXT)"}))
+	execOn(t, conn, EncodeRequest(&Request{SQL: "INSERT INTO t VALUES (1, 2.5, 'x'), (2, 0.5, 'y')"}))
+	check(execOn(t, srv.NewConn(), EncodeExecPrepared(star, one)), "id,w,label", "1|2.5|x")
+
+	mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+	mustExec(t, s, "INSERT INTO u VALUES (10, 1), (11, 2), (12, 1)")
+	const join = "SELECT u.id, t.label FROM t JOIN u ON u.t_id = t.id ORDER BY 1"
+	held, explain := prepareOn(t, conn, join), prepareOn(t, conn, "EXPLAIN "+join)
+	plan := func() string {
+		t.Helper()
+		var lines []string
+		for _, r := range execOn(t, conn, EncodeExecPrepared(explain, nil)).Rows {
+			lines = append(lines, r[0].Text())
+		}
+		return strings.Join(lines, "\n")
+	}
+	check(execOn(t, conn, EncodeExecPrepared(held, nil)), "id,label", "10|x;11|y;12|x")
+	if p := plan(); !strings.Contains(p, "HASH JOIN") {
+		t.Errorf("before the index the join hashes; plan:\n%s", p)
+	}
+	execOn(t, conn, EncodeRequest(&Request{SQL: "CREATE INDEX u_t ON u (t_id)"}))
+	check(execOn(t, conn, EncodeExecPrepared(held, nil)), "id,label", "10|x;11|y;12|x")
+	if p := plan(); !strings.Contains(p, "INDEX JOIN u USING u_t") {
+		t.Errorf("after CREATE INDEX the prepared join must use it; plan:\n%s", p)
+	}
+}
+
+// TestConcurrentPreparesAgainstTextChurn: connections of one server race
+// prepares of shared and private texts, executions of their handles
+// alone and in batches, prepared writes to rows of their own, and
+// one-shot texts that churn what the server caches. Every handle keeps
+// answering its own statement. Run with -race.
+func TestConcurrentPreparesAgainstTextChurn(t *testing.T) {
+	const conns, rounds = 6, 40
+	db := newKVDB(t)
+	for g := 0; g < conns; g++ {
+		mustExec(t, db.NewSession(), fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", 100+g))
+	}
+	srv := NewServer(db)
+	pad := strings.Repeat("y", 2<<10)
+	var wg sync.WaitGroup
+	for g := 0; g < conns; g++ {
+		conn := srv.NewConn()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fail := func(format string, args ...any) {
+				t.Errorf("conn %d: "+format, append([]any{g}, args...)...)
+			}
+			ask := func(frame []byte) *Response {
+				resp, err := DecodeResponse(conn.Handle(frame))
+				if err != nil || resp.Err != "" {
+					fail("%v, %+v", err, resp)
+					return nil
+				}
+				return resp
+			}
+			prepare := func(sql string) uint32 {
+				h, err := DecodePrepareResp(conn.Handle(EncodePrepare(sql)))
+				if err != nil {
+					fail("prepare %q: %v", sql, err)
+				}
+				return h
+			}
+			own := types.NewInt(int64(100 + g))
+			shared := prepare("SELECT id FROM kv WHERE id = ?")
+			bump := prepare("UPDATE kv SET val = val + 1 WHERE id = ?")
+			for i := 0; i < rounds; i++ {
+				mine := prepare(fmt.Sprintf("SELECT val, %d, %d FROM kv WHERE id = ?", g, i))
+				if resp := ask(EncodeExecPrepared(bump, []types.Value{own})); resp == nil || resp.RowsAffected != 1 {
+					return
+				}
+				resp := ask(EncodeExecPrepared(mine, []types.Value{own}))
+				if resp == nil {
+					return
+				}
+				if r := resp.Rows[0]; r[0].Int() != int64(i+1) || r[1].Int() != int64(g) || r[2].Int() != int64(i) {
+					fail("round %d: handle %d answered %v", i, mine, r)
+					return
+				}
+				ask(EncodeRequest(&Request{SQL: fmt.Sprintf("SELECT '%s', %d, %d FROM kv WHERE id = 1", pad, g, i)}))
+				body := conn.Handle(EncodeBatch([]*Request{
+					{Prepared: true, Handle: shared, Params: []types.Value{own}},
+					{Prepared: true, Handle: mine, Params: []types.Value{own}},
+				}))
+				resps, err := DecodeBatchResponse(body)
+				if err != nil || len(resps) != 2 || resps[0].Err != "" || resps[1].Err != "" {
+					fail("round %d: batch %v, %+v", i, err, resps)
+					return
+				}
+				if resps[0].Rows[0][0].Int() != int64(100+g) || resps[1].Rows[0][2].Int() != int64(i) {
+					fail("round %d: batch answered %v, %v", i, resps[0].Rows, resps[1].Rows)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
