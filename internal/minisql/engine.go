@@ -74,9 +74,10 @@ type DB struct {
 	funcs map[string]ScalarFunc
 	procs map[string]Procedure
 
-	// plans caches parsed statements by SQL text so repeated Execs skip
-	// lexing and parsing entirely (see plancache.go). Invalidated by DDL.
-	plans *planCache
+	// plans is the statement table: parsed statements by SQL text, so
+	// repeated Execs skip lexing and parsing entirely, and prepared
+	// statements by handle (see stmttable.go).
+	plans *stmtTable
 }
 
 // NewDB creates an empty database with the built-in function library.
@@ -85,7 +86,7 @@ func NewDB() *DB {
 		store: storage.NewDB(),
 		funcs: map[string]ScalarFunc{},
 		procs: map[string]Procedure{},
-		plans: newPlanCache(planCacheBytes),
+		plans: &stmtTable{m: map[string]*stmtEntry{}},
 	}
 	registerBuiltins(db)
 	return db
@@ -220,9 +221,10 @@ type ContentionStats struct {
 	SnapshotsStarted int64
 	// WriteConflicts counts first-wins races lost (check-out conflicts).
 	WriteConflicts int64
-	// PlanHits / PlanMisses count plan-cache outcomes: hits executed a
-	// cached AST without any lexing or parsing, misses paid a full
-	// parse (and populated the cache when the statement is cacheable).
+	// PlanHits / PlanMisses count statement-table outcomes: hits took a
+	// table's AST, by text or by handle, without any lexing or parsing;
+	// misses paid a full parse (and populated the table when the
+	// statement is cacheable).
 	PlanHits   int64
 	PlanMisses int64
 }
@@ -362,7 +364,7 @@ func (s *Session) endWrite(c *storage.Commit, own bool, err error) error {
 
 // Exec parses and executes a single statement with optional positional
 // parameters bound to '?' placeholders. Parsing goes through the DB's
-// plan cache, so repeated statements skip the parser entirely.
+// statement table, so repeated statements skip the parser entirely.
 func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
 	stmt, err := s.Parse(sql)
 	if err != nil {
@@ -371,9 +373,9 @@ func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
 	return s.ExecStmt(stmt, params...)
 }
 
-// Parse returns the AST for sql, consulting the DB's shared plan cache.
+// Parse returns the AST for sql, consulting the DB's statement table.
 // A hit performs no lexing or parsing; a miss parses and populates the
-// cache for cacheable (non-DDL) statements. Hit/miss counts land in the
+// table for cacheable (non-DDL) statements. Hit/miss counts land in the
 // session's contention stats, which the wire layer drains into netsim
 // metrics.
 func (s *Session) Parse(sql string) (ast.Statement, error) {
@@ -387,8 +389,31 @@ func (s *Session) Parse(sql string) (ast.Statement, error) {
 	}
 	s.stats.PlanMisses++
 	if cacheablePlan(stmt) {
-		s.db.plans.put(sql, stmt)
+		stmt = s.db.plans.put(sql, stmt)
 	}
+	return stmt, nil
+}
+
+// Prepare parses sql and pins it in the statement table under a handle
+// that means the same statement to every session of the DB; the same
+// text always gets the same handle. Past the prepared statements' byte
+// budget it refuses with ErrStatementTableFull.
+func (s *Session) Prepare(sql string) (uint32, error) {
+	stmt, err := s.Parse(sql)
+	if err != nil {
+		return 0, err
+	}
+	return s.db.plans.prepare(sql, stmt)
+}
+
+// Prepared returns the statement a handle was prepared for, counted as
+// a plan hit.
+func (s *Session) Prepared(h uint32) (ast.Statement, error) {
+	stmt, ok := s.db.plans.byHandle(h)
+	if !ok {
+		return nil, fmt.Errorf("no prepared statement with handle %d", h)
+	}
+	s.stats.PlanHits++
 	return stmt, nil
 }
 

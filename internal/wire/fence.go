@@ -3,8 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
-	"unsafe"
 )
 
 // This file implements the high-availability surface of the wire
@@ -196,11 +196,14 @@ func DecodeStatusResp(b []byte) (Status, error) {
 }
 
 // ---------------------------------------------------------------------------
-// read/write frame classification
+// client-side read/write classification
 
 // ReadOnlySQL reports whether a statement is a pure read by leading
-// keyword — one a replica (or a deposed primary) may serve. Anything
-// unrecognized classifies as a write, the safe direction.
+// keyword — one a replica (or a deposed primary) may serve. Clients
+// decide by it, before anything is parsed, which statements they may
+// retry, ship unfenced or route to a replica; a server decides on the
+// parsed statement (minisql.ReadOnly). Anything unrecognized classifies
+// as a write, the safe direction.
 func ReadOnlySQL(sql string) bool {
 	i := 0
 	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
@@ -217,113 +220,9 @@ func isASCIILetter(c byte) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-// readKeyword matches the leading keyword case-insensitively without
-// allocating — this runs on every unwrapped frame a fenced replica
-// serves, so it must not cost the read path anything.
+// readKeyword matches the leading keyword, ASCII letters only, case-
+// insensitively and without allocating — this runs on every statement a
+// client ships.
 func readKeyword(kw string) bool {
-	switch len(kw) {
-	case 4:
-		return eqFold(kw, "WITH")
-	case 6:
-		return eqFold(kw, "SELECT")
-	case 7:
-		return eqFold(kw, "EXPLAIN")
-	}
-	return false
-}
-
-func eqFold(s, upper string) bool {
-	if len(s) != len(upper) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if c != upper[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// isWriteFrame classifies an (unwrapped) frame body as one that
-// mutates the database — the frames a non-primary fence refuses.
-// Classification is a byte-level peek, no decoding: the read frames of
-// every replica session pass through here.
-func (c *ServerConn) isWriteFrame(b []byte) bool {
-	if len(b) == 0 {
-		return false
-	}
-	switch b[0] {
-	case TypeSync:
-		// Serving a replication pull is the primary's job: a replica
-		// answering syncs would fork the replication topology.
-		return true
-	case TypeRequest:
-		sql, ok := peekRequestSQL(b)
-		return !ok || !ReadOnlySQL(sql)
-	case TypeExecPrepared:
-		if len(b) < 5 {
-			return true
-		}
-		sql, ok := c.server.stmts.text(binary.BigEndian.Uint32(b[1:5]))
-		// An unknown handle is not a write — dispatch answers the usual
-		// "no prepared statement" error.
-		return ok && !ReadOnlySQL(sql)
-	case TypeBatch:
-		return c.batchHasWrite(b)
-	}
-	// Prepare, Validate, Hello, Status: session plumbing and
-	// reads, always allowed.
-	return false
-}
-
-// peekRequestSQL extracts the SQL text of a TypeRequest frame without
-// decoding parameters (zero-copy: the returned string aliases b only
-// for the duration of the classification).
-func peekRequestSQL(b []byte) (string, bool) {
-	if len(b) < 5 {
-		return "", false
-	}
-	n := binary.BigEndian.Uint32(b[1:5])
-	if uint32(len(b)-5) < n {
-		return "", false
-	}
-	return unsafeString(b[5 : 5+n]), true
-}
-
-// unsafeString is a copy-free view; callers must not retain the result
-// beyond the life of b. A plain conversion would allocate per frame on
-// the replica read path.
-func unsafeString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
-
-// batchHasWrite walks a batch frame's length-prefixed sub-frames and
-// reports whether any of them is a write.
-func (c *ServerConn) batchHasWrite(b []byte) bool {
-	if len(b) < 5 {
-		return true
-	}
-	n := binary.BigEndian.Uint32(b[1:5])
-	rest := b[5:]
-	for i := uint32(0); i < n; i++ {
-		if len(rest) < 4 {
-			return true // malformed: classify conservatively
-		}
-		sz := binary.BigEndian.Uint32(rest[:4])
-		if uint32(len(rest)-4) < sz {
-			return true
-		}
-		if c.isWriteFrame(rest[4 : 4+sz]) {
-			return true
-		}
-		rest = rest[4+sz:]
-	}
-	return false
+	return strings.EqualFold(kw, "SELECT") || strings.EqualFold(kw, "WITH") || strings.EqualFold(kw, "EXPLAIN")
 }

@@ -3,10 +3,12 @@ package wire
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/parser"
 	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/netsim"
 )
@@ -253,37 +255,64 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestReadOnlySQL: the one read/write classifier — the client routes
-// raw statements by it and the server's fence refuses by it. Anything
-// it does not recognise is a write, the safe direction.
+// readOnlySQLCases are ReadOnlySQL's verdicts on leading keywords,
+// whitespace, case, lookalikes and comments.
+var readOnlySQLCases = []struct {
+	sql  string
+	read bool
+}{
+	{"SELECT 1", true},
+	{" \t\r\n select 1", true},
+	{"SeLeCt 1", true},
+	{"WITH RECURSIVE r (n) AS (SELECT 1) SELECT n FROM r", true},
+	{"with r (n) AS (SELECT 1) SELECT n FROM r", true},
+	{"EXPLAIN UPDATE kv SET val = 1", true},
+	{"explain SELECT 1", true},
+	{"SELECT", true},
+	{"(SELECT 1)", false},
+	{"", false},
+	{"   ", false},
+	{"SELECTED 1", false},
+	{"WITHOUT", false},
+	{"UPDATE kv SET val = 1", false},
+	{"INSERT INTO kv SELECT 1, 2", false},
+	{"CALL pdm_check_out(1)", false},
+	{"-- SELECT\nDELETE FROM kv", false},
+	{"-- a read\nSELECT 1", false},
+	{"/* a read */ SELECT 1", false},
+	{"éSELECT 1", false},
+	{"\u00a0SELECT 1", false},
+	{"ＳＥＬＥＣＴ 1", false},
+}
+
+// TestReadOnlySQL: the clients' read/write classifier — they retry,
+// leave unfenced and route to replicas by it. Anything it does not
+// recognise is a write, the safe direction.
 func TestReadOnlySQL(t *testing.T) {
-	for _, tc := range []struct {
-		sql  string
-		read bool
-	}{
-		{"SELECT 1", true},
-		{" \t\r\n select 1", true},
-		{"SeLeCt 1", true},
-		{"WITH RECURSIVE r (n) AS (SELECT 1) SELECT n FROM r", true},
-		{"with r (n) AS (SELECT 1) SELECT n FROM r", true},
-		{"EXPLAIN UPDATE kv SET val = 1", true},
-		{"explain SELECT 1", true},
-		{"SELECT", true},
-		{"(SELECT 1)", false},
-		{"", false},
-		{"   ", false},
-		{"SELECTED 1", false},
-		{"WITHOUT", false},
-		{"UPDATE kv SET val = 1", false},
-		{"INSERT INTO kv SELECT 1, 2", false},
-		{"CALL pdm_check_out(1)", false},
-		{"-- SELECT\nDELETE FROM kv", false},
-		{"éSELECT 1", false},
-		{"\u00a0SELECT 1", false},
-		{"ＳＥＬＥＣＴ 1", false},
-	} {
+	for _, tc := range readOnlySQLCases {
 		if got := ReadOnlySQL(tc.sql); got != tc.read {
 			t.Errorf("ReadOnlySQL(%q) = %v, want %v", tc.sql, got, tc.read)
+		}
+	}
+}
+
+// TestReadOnlyAgreesWithReadOnlySQL: the server's classifier, which
+// reads the parsed statement, agrees with the clients' keyword peek on
+// every case of TestReadOnlySQL that parses, except a text led by a
+// comment: the peek calls it a write, the safe direction, where the
+// parser reads past the comment. (A text led by a parenthesis does not
+// parse as a statement.)
+func TestReadOnlyAgreesWithReadOnlySQL(t *testing.T) {
+	for _, tc := range readOnlySQLCases {
+		stmt, err := parser.Parse(tc.sql)
+		if err != nil {
+			continue
+		}
+		got := minisql.ReadOnly(stmt)
+		lead := strings.TrimLeft(tc.sql, " \t\r\n")
+		commentLed := strings.HasPrefix(lead, "--") || strings.HasPrefix(lead, "/*")
+		if got != tc.read && !(commentLed && got && !tc.read) {
+			t.Errorf("minisql.ReadOnly(%q) = %v, ReadOnlySQL %v", tc.sql, got, tc.read)
 		}
 	}
 }

@@ -170,14 +170,14 @@ func TestPreparedHandlesAreServerScoped(t *testing.T) {
 }
 
 // TestPrepareFloodIsBounded: distinct texts past the table's budget are
-// refused with ErrStatementTableFull, the table never holds more than
-// its budget, and a client answers the refusal by shipping the statement
-// as text, with the same result as everything prepared before.
+// refused with ErrStatementTableFull, and a client answers the refusal
+// by shipping the statement as text, with the same result as everything
+// prepared before. (minisql's TestPreparedStatementsBoundedByBytes
+// checks the bytes the table pins.)
 func TestPrepareFloodIsBounded(t *testing.T) {
 	client, meter := preparedTestClient(t)
 	ctx := context.Background()
 	conn := client.tr.(*MeteredChannel).Conn
-	table := &conn.server.stmts
 
 	// ~4 KiB per text: the budget fills after some 64 of them.
 	pad := strings.Repeat("x", 4<<10)
@@ -197,12 +197,9 @@ func TestPrepareFloodIsBounded(t *testing.T) {
 		} else if refusedAt >= 0 {
 			t.Fatalf("prepare %d accepted after prepare %d was refused", i, refusedAt)
 		}
-		if table.bytes > stmtTableBytes {
-			t.Fatalf("after %d prepares the table pins %d bytes, budget %d", i+1, table.bytes, stmtTableBytes)
-		}
 	}
 	if refusedAt < 0 {
-		t.Fatalf("100 prepares of %d bytes each were all accepted (table: %d bytes)", len(flood(0)), table.bytes)
+		t.Fatalf("100 prepares of %d bytes each were all accepted", len(flood(0)))
 	}
 	// A text already in the table still answers its handle.
 	if _, err := DecodePrepareResp(conn.Handle(EncodePrepare(flood(0)))); err != nil {
@@ -225,9 +222,6 @@ func TestPrepareFloodIsBounded(t *testing.T) {
 	if d := meter.Metrics.Sub(before); d.RoundTrips != 4 || d.PreparedExecs != 0 {
 		t.Errorf("round trips/prepared execs = %d/%d, want 4/0 (one refused prepare, three text executions)",
 			d.RoundTrips, d.PreparedExecs)
-	}
-	if table.bytes > stmtTableBytes {
-		t.Errorf("the table pins %d bytes, budget %d", table.bytes, stmtTableBytes)
 	}
 }
 

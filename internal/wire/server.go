@@ -2,21 +2,20 @@ package wire
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 
 	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/ast"
 )
 
 // Server fronts a minisql database with the wire protocol. One Server
 // serves many connections; each connection owns a database session (and
 // thus its own transaction state). Prepared statements belong to the
-// server, not to a connection: see stmtTable.
+// database's statement table, not to a connection (Session.Prepare).
 type Server struct {
-	db    *minisql.DB
-	stmts stmtTable
+	db *minisql.DB
 
 	// fence is the server's cluster fencing state (nil for a server
 	// outside any fenced cluster — the fence-free fast path behaves
@@ -87,59 +86,11 @@ func (s *Server) currentSyncFilter(site string) *SyncFilter {
 	return f(site)
 }
 
-// stmtTableBytes bounds the SQL text one server's statement table pins:
-// the same 256 KiB the engine's plan cache holds. The PDM clients'
-// parameterized statement shapes total under 30 KiB, so only a prepare
-// flood reaches it.
-const stmtTableBytes = 256 << 10
-
 // ErrStatementTableFull is the refusal of a prepare that would take the
-// server's statement table past its budget. It crosses the wire as an
-// error frame; the client matches it with errors.Is and ships that
+// database's prepared statements past their budget. It crosses the wire
+// as an error frame; the client matches it with errors.Is and ships that
 // statement as text from then on.
-var ErrStatementTableFull = errors.New("wire: statement table full")
-
-// stmtTable is a server's one registry of prepared statements: SQL
-// text to handle and back, de-duplicated by text, so a handle means the
-// same statement on every connection of the server. Entries are pinned
-// for the server's life; the byte budget is what bounds them.
-type stmtTable struct {
-	mu      sync.RWMutex
-	handles map[string]uint32 // SQL text → handle
-	texts   []string          // texts[h-1] is the text of handle h
-	bytes   int               // sum of len over texts
-}
-
-// register returns the handle of sql, assigning the next one on first
-// sight.
-func (t *stmtTable) register(sql string) (uint32, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if h, ok := t.handles[sql]; ok {
-		return h, nil
-	}
-	if t.bytes+len(sql) > stmtTableBytes {
-		return 0, ErrStatementTableFull
-	}
-	if t.handles == nil {
-		t.handles = map[string]uint32{}
-	}
-	t.texts = append(t.texts, sql)
-	t.bytes += len(sql)
-	h := uint32(len(t.texts))
-	t.handles[sql] = h
-	return h, nil
-}
-
-// text resolves a handle to its SQL text.
-func (t *stmtTable) text(h uint32) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if h == 0 || uint64(h) > uint64(len(t.texts)) {
-		return "", false
-	}
-	return t.texts[h-1], true
-}
+var ErrStatementTableFull = minisql.ErrStatementTableFull
 
 // NewConn opens a server-side connection with a fresh session.
 func (s *Server) NewConn() *ServerConn {
@@ -147,7 +98,8 @@ func (s *Server) NewConn() *ServerConn {
 }
 
 // ServerConn is the server side of one client connection. It holds no
-// statement state: prepared handles resolve through the server's table.
+// statement state: prepared handles resolve through the database's
+// statement table.
 //
 // Handle is safe for concurrent callers: requests racing onto one
 // connection serialize on an internal mutex (the engine session it owns
@@ -159,6 +111,10 @@ type ServerConn struct {
 
 	// mu serializes Handle and guards the per-connection state below.
 	mu sync.Mutex
+
+	// stmts holds a batch's resolved statements while it runs, reused
+	// from batch to batch.
+	stmts []ast.Statement
 
 	// caps are the capabilities negotiated by the connection's hello
 	// exchange; the zero value — no columnar results, no compression —
@@ -216,60 +172,57 @@ func (c *ServerConn) Handle(reqBody []byte) []byte {
 // envelope is still accepted (served as its inner frame), so a fenced
 // client degrades gracefully against an unfenced server.
 func (c *ServerConn) dispatch(reqBody []byte) []byte {
-	if f := c.server.CurrentFence(); f != nil {
-		term, primary := f.State()
-		if len(reqBody) > 0 && reqBody[0] == TypeFenced {
-			frameTerm, inner, err := DecodeFenced(reqBody)
-			if err != nil {
-				return EncodeResponse(&Response{Err: fmt.Sprintf("bad fenced frame: %v", err)})
-			}
-			if frameTerm != term {
-				// A frame from another term: refuse. This is what cuts
-				// off a site still pulling from a deposed primary after
-				// the cluster moved on.
-				return EncodeFencedResp(term, frameTerm, !primary)
-			}
-			if !primary && len(inner) > 0 && inner[0] != TypeSync && c.isWriteFrame(inner) {
-				// Same term but this server is not the primary: writes
-				// are refused (split-brain protection). Syncs at the
-				// matching term pass — they only extract, and the final
-				// catch-up pull of a planned failover reads the freshly
-				// deposed primary at exactly this point.
-				return EncodeFencedResp(term, frameTerm, true)
-			}
-			return c.dispatchFrame(inner)
-		}
-		// An unwrapped frame: a non-primary refuses writes and syncs
-		// (split-brain protection for legacy/unfenced writers too);
-		// reads always pass — a replica's job is serving them.
-		if !primary && c.isWriteFrame(reqBody) {
-			return EncodeFencedResp(term, 0, true)
-		}
-		return c.dispatchFrame(reqBody)
-	}
-	if len(reqBody) > 0 && reqBody[0] == TypeFenced {
-		_, inner, err := DecodeFenced(reqBody)
-		if err != nil {
+	var frameTerm uint64
+	fenced := len(reqBody) > 0 && reqBody[0] == TypeFenced
+	if fenced {
+		var err error
+		if frameTerm, reqBody, err = DecodeFenced(reqBody); err != nil {
 			return EncodeResponse(&Response{Err: fmt.Sprintf("bad fenced frame: %v", err)})
 		}
-		return c.dispatchFrame(inner)
 	}
-	return c.dispatchFrame(reqBody)
+	var g fenceGuard
+	if f := c.server.CurrentFence(); f != nil {
+		term, primary := f.State()
+		switch {
+		case fenced && frameTerm != term:
+			// A frame from another term: refuse. This is what cuts off a
+			// site still pulling from a deposed primary after the cluster
+			// moved on.
+			return EncodeFencedResp(term, frameTerm, !primary)
+		case !primary && !fenced && len(reqBody) > 0 && reqBody[0] == TypeSync:
+			// Not the primary (split-brain protection): a replica
+			// answering syncs would fork the replication topology. A
+			// same-term sync passes — it only extracts, and the final
+			// catch-up pull of a planned failover reads the freshly
+			// deposed primary at exactly this point.
+			return EncodeFencedResp(term, 0, true)
+		case !primary:
+			// Statements that write are refused once resolved; reads
+			// pass — a replica's job is serving them.
+			g = fenceGuard{deposed: true, term: term, frameTerm: frameTerm}
+		}
+	}
+	return c.dispatchFrame(reqBody, g)
 }
 
-func (c *ServerConn) dispatchFrame(reqBody []byte) []byte {
+// fenceGuard is the fence's rule for the statements of one frame: at a
+// server that is not the primary (deposed), a statement that is not
+// minisql.ReadOnly is refused, with the server's term and the frame's
+// (0 for an unwrapped frame). The zero guard refuses nothing.
+type fenceGuard struct {
+	deposed         bool
+	term, frameTerm uint64
+}
+
+func (g fenceGuard) refuses(stmt ast.Statement) bool { return g.deposed && !minisql.ReadOnly(stmt) }
+
+func (c *ServerConn) dispatchFrame(reqBody []byte, g fenceGuard) []byte {
 	if len(reqBody) > 0 {
 		switch reqBody[0] {
 		case TypeBatch:
-			return c.handleBatch(reqBody)
+			return c.handleBatch(reqBody, g)
 		case TypePrepare:
 			return c.handlePrepare(reqBody)
-		case TypeExecPrepared:
-			req, err := DecodeExecPrepared(reqBody)
-			if err != nil {
-				return EncodeResponse(&Response{Err: fmt.Sprintf("bad request: %v", err)})
-			}
-			return c.encodeResult(c.execOne(req))
 		case TypeValidate:
 			return c.handleValidate(reqBody)
 		case TypeHello:
@@ -280,11 +233,18 @@ func (c *ServerConn) dispatchFrame(reqBody []byte) []byte {
 			return c.handleStatus(reqBody)
 		}
 	}
-	req, err := DecodeRequest(reqBody)
+	req, err := DecodeExec(reqBody)
 	if err != nil {
 		return EncodeResponse(&Response{Err: fmt.Sprintf("bad request: %v", err)})
 	}
-	return c.encodeResult(c.execOne(req))
+	stmt, fail := c.resolve(req)
+	if fail != nil {
+		return c.encodeResult(fail)
+	}
+	if g.refuses(stmt) {
+		return EncodeFencedResp(g.term, g.frameTerm, true)
+	}
+	return c.encodeResult(c.execOne(stmt, req.Params))
 }
 
 // encodeResult serializes one statement response in the negotiated
@@ -334,20 +294,16 @@ func (c *ServerConn) handleHello(reqBody []byte) []byte {
 	return EncodeHelloResp(caps)
 }
 
-// handlePrepare registers the statement in the server's table and
-// answers its handle. Parse errors surface at prepare time, not at
-// execution; the parse goes through the plan cache, so the first
-// execution is already a hit. A table at its budget refuses with
-// ErrStatementTableFull.
+// handlePrepare pins the statement in the database's statement table
+// and answers its handle. Parse errors surface at prepare time, not at
+// execution, and the first execution is already a plan hit. A table at
+// its budget refuses with ErrStatementTableFull.
 func (c *ServerConn) handlePrepare(reqBody []byte) []byte {
 	sql, err := DecodePrepare(reqBody)
 	if err != nil {
 		return EncodeResponse(&Response{Err: fmt.Sprintf("bad prepare: %v", err)})
 	}
-	if _, err := c.session.Parse(sql); err != nil {
-		return EncodeResponse(&Response{Err: err.Error()})
-	}
-	h, err := c.server.stmts.register(sql)
+	h, err := c.session.Prepare(sql)
 	if err != nil {
 		return EncodeResponse(&Response{Err: err.Error()})
 	}
@@ -409,49 +365,76 @@ func (c *ServerConn) handleStatus(reqBody []byte) []byte {
 
 // handleBatch executes a batch frame: per-statement results in order,
 // stopping at the first failing statement (its error response is the
-// last element of the batch response).
-func (c *ServerConn) handleBatch(reqBody []byte) []byte {
+// last element of the batch response). Every statement is resolved, and
+// checked against the fence, before any runs, so a batch holding a write
+// is refused whole at a server that is not the primary.
+func (c *ServerConn) handleBatch(reqBody []byte, g fenceGuard) []byte {
 	reqs, err := DecodeBatch(reqBody)
 	if err != nil {
 		return EncodeResponse(&Response{Err: fmt.Sprintf("bad batch: %v", err)})
 	}
-	resps := make([]*Response, 0, len(reqs))
+	c.stmts = c.stmts[:0]
+	var fail *Response // the first statement that did not resolve
 	for _, req := range reqs {
-		resp := c.execOne(req)
-		resps = append(resps, resp)
-		if resp.Err != "" {
+		var stmt ast.Statement
+		if stmt, fail = c.resolve(req); fail != nil {
 			break
 		}
+		if g.refuses(stmt) {
+			return EncodeFencedResp(g.term, g.frameTerm, true)
+		}
+		c.stmts = append(c.stmts, stmt)
+	}
+	resps := make([]*Response, 0, len(reqs))
+	for i, stmt := range c.stmts {
+		if resps = append(resps, c.execOne(stmt, reqs[i].Params)); resps[i].Err != "" {
+			return EncodeBatchResponseWith(resps, c.caps.Columnar)
+		}
+	}
+	if fail != nil {
+		resps = append(resps, fail)
 	}
 	return EncodeBatchResponseWith(resps, c.caps.Columnar)
 }
 
-// execOne runs a single statement in the connection's session,
-// converting execution errors (and panics) into error responses. A
-// prepared handle is resolved to its SQL text and then takes the path a
-// text frame takes, plan-cache hit included.
-func (c *ServerConn) execOne(req *Request) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp = &Response{Err: fmt.Sprintf("panic executing statement: %v", r)}
-		}
-	}()
+// resolve returns the statement a request names — by handle from the
+// database's statement table, or by text through it — or the error
+// response of one it cannot.
+func (c *ServerConn) resolve(req *Request) (stmt ast.Statement, fail *Response) {
+	defer recovered(&fail)
+	var err error
+	if req.Prepared {
+		stmt, err = c.session.Prepared(req.Handle)
+	} else {
+		stmt, err = c.session.Parse(req.SQL)
+	}
+	if err != nil {
+		return nil, &Response{Err: err.Error()}
+	}
+	return stmt, nil
+}
+
+// execOne runs a resolved statement in the connection's session,
+// converting execution errors into error responses.
+func (c *ServerConn) execOne(stmt ast.Statement, params []minisql.Value) (resp *Response) {
+	defer recovered(&resp)
 	// The epoch is captured before execution: any mutation committed
 	// after this point has a later LastModified stamp, so a cache entry
 	// stamped with this epoch can only err on the side of staleness.
 	epoch := c.server.db.Epoch()
-	sql := req.SQL
-	if req.Prepared {
-		var ok bool
-		if sql, ok = c.server.stmts.text(req.Handle); !ok {
-			return &Response{Err: fmt.Sprintf("no prepared statement with handle %d", req.Handle)}
-		}
-	}
-	res, err := c.session.Exec(sql, req.Params...)
+	res, err := c.session.ExecStmt(stmt, params...)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
 	return &Response{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, Epoch: epoch}
+}
+
+// recovered, deferred, turns a panic in the engine — the parser's or the
+// executor's — into an error response.
+func recovered(resp **Response) {
+	if r := recover(); r != nil {
+		*resp = &Response{Err: fmt.Sprintf("panic executing statement: %v", r)}
+	}
 }
 
 // Serve runs a framed request/response loop over a stream until EOF,

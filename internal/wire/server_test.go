@@ -81,11 +81,24 @@ func FuzzServerHandle(f *testing.F) {
 	const (
 		read  = "SELECT val FROM kv WHERE id = ?"
 		write = "UPDATE kv SET val = ? WHERE id = ?"
+		// tableBytes is the budget of the database's prepared statements.
+		tableBytes = 256 << 10
 	)
 	one := []types.Value{types.NewInt(1)}
+	five := []types.Value{types.NewInt(5), types.NewInt(1)}
 	f.Add(EncodePrepare(read), EncodeExecPrepared(2, one), true)
-	f.Add(EncodePrepare(write), EncodeFenced(2, EncodeExecPrepared(2, []types.Value{types.NewInt(5), types.NewInt(1)})), true)
-	f.Add(EncodePrepare(write), EncodeExecPrepared(2, []types.Value{types.NewInt(5), types.NewInt(1)}), false)
+	for _, primary := range []bool{true, false} {
+		f.Add(EncodePrepare(write), EncodeFenced(2, EncodeExecPrepared(2, five)), primary)
+		f.Add(EncodePrepare(write), EncodeExecPrepared(2, five), primary)
+		f.Add(EncodePrepare(write), EncodeBatch([]*Request{
+			{SQL: "SELECT COUNT(*) FROM kv"},
+			{Prepared: true, Handle: 2, Params: five},
+		}), primary)
+		f.Add(EncodePrepare("/* a read */ "+read), EncodeFenced(2, EncodeBatch([]*Request{
+			{Prepared: true, Handle: 2, Params: one},
+			{SQL: "-- a read\nSELECT val FROM kv"},
+		})), primary)
+	}
 	f.Add(EncodePrepare(read), EncodeBatch([]*Request{
 		{Prepared: true, Handle: 2, Params: one},
 		{SQL: "SELECT COUNT(*) FROM kv"},
@@ -101,7 +114,8 @@ func FuzzServerHandle(f *testing.F) {
 		srv.SetFence(NewFence(2, primary))
 		// Handle 1 fills the table to 128 bytes below its budget: short
 		// texts still register, longer ones are refused.
-		if _, err := srv.stmts.register(strings.Repeat("x", stmtTableBytes-128)); err != nil {
+		filler := "SELECT '" + strings.Repeat("x", tableBytes-128-len("SELECT ''")) + "'"
+		if _, err := db.NewSession().Prepare(filler); err != nil {
 			t.Fatal(err)
 		}
 		a, b := srv.NewConn(), srv.NewConn()
@@ -110,9 +124,11 @@ func FuzzServerHandle(f *testing.F) {
 			frame []byte
 		}{{a, first}, {b, second}, {b, first}, {a, second}} {
 			checkResponseFrame(t, step.conn.Handle(step.frame))
-			if srv.stmts.bytes > stmtTableBytes {
-				t.Fatalf("statement table pins %d bytes, budget %d", srv.stmts.bytes, stmtTableBytes)
-			}
+		}
+		// No prepare took the table past its budget: a new text of more
+		// than 128 bytes is still refused.
+		if _, err := db.NewSession().Prepare(read + strings.Repeat(" ", 129)); !errors.Is(err, ErrStatementTableFull) {
+			t.Fatalf("a %d-byte prepare on a table 128 bytes short of its budget: %v", len(read)+129, err)
 		}
 	})
 }

@@ -5,9 +5,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"pdmtune"
+	"pdmtune/internal/minisql"
+	"pdmtune/internal/minisql/parser"
+	"pdmtune/internal/wire"
 )
 
 // TestStatementModeMatrix is the metamorphic matrix of the statement
@@ -323,6 +327,113 @@ func TestStatementModeMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMatrixTextsClassifyAlike: every SQL text the sessions of
+// TestStatementModeMatrix ship — its MLE, Query, Expand, Report,
+// where-used and ECO under every strategy, batched or not, prepared or
+// not — gets one verdict from the server's classifier, which reads the
+// parsed statement (minisql.ReadOnly), and from the clients' keyword
+// peek (wire.ReadOnlySQL). The only difference allowed is a text led by
+// a comment, which the peek calls a write, the safe direction.
+func TestMatrixTextsClassifyAlike(t *testing.T) {
+	ctx := context.Background()
+	rules := pdmtune.StandardRules()
+	rules.MustAdd(pdmtune.Rule{
+		User: "*", Action: "access", ObjType: "comp", Kind: pdmtune.KindExistsStructure,
+		Cond: "EXISTS (SELECT * FROM specified_by AS s JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
+	})
+	rules.MustAdd(pdmtune.Rule{
+		User: "*", Action: "where-used", ObjType: "assy", Kind: pdmtune.KindRow,
+		Cond: "sets_overlap(assy.path_opt, {options})",
+	})
+	sys := pdmtune.NewSystem(rules)
+	prod, err := sys.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 3, Sigma: 0.8, Seed: 11, PadBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var part int64
+	for id, n := range prod.Nodes {
+		if n.Type == "comp" && n.Level == prod.Config.Depth && (part == 0 || id < part) {
+			part = id
+		}
+	}
+	rec := &sqlRecorder{inner: &wire.MeteredChannel{Conn: sys.Server.NewConn()}, texts: map[string]bool{}}
+	for _, strategy := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
+		for mode := 0; mode < 4; mode++ {
+			sess, err := sys.Open(pdmtune.WithTransport(rec),
+				pdmtune.WithUser(pdmtune.DefaultUser("engineer")),
+				pdmtune.WithStrategy(strategy),
+				pdmtune.WithBatching(mode&1 != 0),
+				pdmtune.WithPreparedStatements(mode&2 != 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			children := prod.Nodes[prod.RootID].Children
+			for _, action := range []func() error{
+				func() error { _, err := sess.MultiLevelExpand(ctx, children[2]); return err },
+				func() error { _, err := sess.Query(ctx, prod.Config.ProdID); return err },
+				func() error { _, err := sess.Expand(ctx, children[2]); return err },
+				func() error { _, err := sess.Report(ctx, prod.Config.ProdID); return err },
+				func() error { _, err := sess.WhereUsed(ctx, part); return err },
+				func() error { _, err := sess.ECOPropagate(ctx, part, fmt.Sprintf("rev%d", mode)); return err },
+			} {
+				if err := action(); err != nil {
+					t.Fatalf("%v/mode %d: %v", strategy, mode, err)
+				}
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(rec.texts) < 10 {
+		t.Fatalf("the matrix's sessions shipped %d texts", len(rec.texts))
+	}
+	for sql := range rec.texts {
+		stmt, err := parser.Parse(sql)
+		if err != nil {
+			t.Errorf("shipped text does not parse: %v\n%s", err, sql)
+			continue
+		}
+		ast, peek := minisql.ReadOnly(stmt), wire.ReadOnlySQL(sql)
+		lead := strings.TrimLeft(sql, " \t\r\n")
+		commentLed := strings.HasPrefix(lead, "--") || strings.HasPrefix(lead, "/*")
+		if ast != peek && !(commentLed && ast && !peek) {
+			t.Errorf("minisql.ReadOnly %v, wire.ReadOnlySQL %v:\n%s", ast, peek, sql)
+		}
+	}
+}
+
+// sqlRecorder is a transport that keeps the SQL text of every statement
+// and prepare its requests carry.
+type sqlRecorder struct {
+	inner wire.Transport
+	texts map[string]bool
+}
+
+func (r *sqlRecorder) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
+	body := wire.FencedInner(request)
+	if len(body) > 0 {
+		switch body[0] {
+		case wire.TypePrepare:
+			if sql, err := wire.DecodePrepare(body); err == nil {
+				r.texts[sql] = true
+			}
+		case wire.TypeRequest:
+			if req, err := wire.DecodeRequest(body); err == nil {
+				r.texts[req.SQL] = true
+			}
+		case wire.TypeBatch:
+			reqs, _ := wire.DecodeBatch(body)
+			for _, req := range reqs {
+				if !req.Prepared {
+					r.texts[req.SQL] = true
+				}
+			}
+		}
+	}
+	return r.inner.RoundTrip(ctx, request)
 }
 
 // openAt opens a session at the primary (site "") or at a replica site.
