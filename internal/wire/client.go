@@ -655,6 +655,10 @@ type StreamChannel struct {
 
 	in       *bufio.Reader
 	deadline time.Time // the deadline last set on Stream
+	// broken is the send or receive failure that retired the stream: it
+	// may still hold a late response or part of a frame, which a later
+	// exchange would read as its own.
+	broken error
 }
 
 // RoundTrip writes one frame and reads one frame. A context deadline is
@@ -662,13 +666,17 @@ type StreamChannel struct {
 // cleared again when the context carries none, so a deadline armed by
 // an earlier call cannot leak into later exchanges; an unchanged one is
 // not set again. A context cancelled or expired during the exchange
-// surfaces as ctx.Err().
+// surfaces as ctx.Err(). After a failed send or receive every later
+// round trip returns *ConnClosedError without touching the stream.
 func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if sc.broken != nil {
+		return nil, &ConnClosedError{Err: sc.broken}
 	}
 	if d, ok := sc.Stream.(interface{ SetDeadline(time.Time) error }); ok {
 		deadline, _ := ctx.Deadline() // zero time when none: clears any previous deadline
@@ -683,26 +691,28 @@ func (sc *StreamChannel) RoundTrip(ctx context.Context, request []byte) ([]byte,
 		sc.in = bufio.NewReaderSize(sc.Stream, streamBuf)
 	}
 	if err := WriteFrame(sc.Stream, request); err != nil {
-		return nil, exchangeFailed(ctx, "send", err)
+		return nil, sc.fail(ctx, "send", err)
 	}
 	body, err := ReadFrame(sc.in)
 	if err != nil {
-		return nil, exchangeFailed(ctx, "receive", err)
+		return nil, sc.fail(ctx, "receive", err)
 	}
 	return body, nil
 }
 
-// exchangeFailed reports a failed send or receive, as ctx.Err() once the
-// context has ended. The stream's deadline is the context's, but its
-// timeout can fire a moment before the context's own timer.
-func exchangeFailed(ctx context.Context, op string, err error) error {
+// fail retires the stream after a failed send or receive and reports
+// the failure, as ctx.Err() once the context has ended. The stream's
+// deadline is the context's, but its timeout can fire a moment before
+// the context's own timer.
+func (sc *StreamChannel) fail(ctx context.Context, op string, err error) error {
+	sc.broken = fmt.Errorf("wire: %s: %w", op, err)
 	if _, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) {
 		<-ctx.Done()
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
 	}
-	return fmt.Errorf("wire: %s: %w", op, err)
+	return sc.broken
 }
 
 // Metered wraps any transport so its exchanges are charged to a WAN

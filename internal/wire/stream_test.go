@@ -310,6 +310,60 @@ func TestStreamDeadlineDoesNotLeak(t *testing.T) {
 	})
 }
 
+// countingConn counts the writes made to a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestFailedExchangeRetiresStream: a round trip whose deadline fires
+// while the server is still answering leaves that answer in the stream.
+// The stream is retired: the next round trip returns *ConnClosedError
+// without writing anything, where it used to read the late answer as
+// its own ("echo:first" for "second").
+func TestFailedExchangeRetiresStream(t *testing.T) {
+	var delay atomic.Int64
+	addr := listenLoopback(t, func(c net.Conn) {
+		for {
+			body, err := ReadFrame(c)
+			if err != nil {
+				return
+			}
+			time.Sleep(time.Duration(delay.Load()))
+			if WriteFrame(c, append([]byte("echo:"), body...)) != nil {
+				return
+			}
+		}
+	})
+	conn := &countingConn{Conn: dialLoopback(t, addr)}
+	stream := &StreamChannel{Stream: conn}
+	delay.Store(int64(200 * time.Millisecond))
+	expiring, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	within(t, "round trip past its deadline", func() {
+		if _, err := stream.RoundTrip(expiring, []byte("first")); err != expiring.Err() {
+			t.Errorf("round trip past its deadline: %v, want ctx.Err()", err)
+		}
+	})
+	delay.Store(0)
+	writes := conn.writes.Load()
+	within(t, "round trip after a failed one", func() {
+		got, err := stream.RoundTrip(context.Background(), []byte("second"))
+		var cce *ConnClosedError
+		if !errors.As(err, &cce) {
+			t.Errorf("round trip after a failed one: %q, %v; want *ConnClosedError", got, err)
+		}
+	})
+	if n := conn.writes.Load() - writes; n != 0 {
+		t.Errorf("a retired stream was written %d times", n)
+	}
+}
+
 // BenchmarkStreamRoundTrip times one small exchange over loopback TCP,
 // StreamChannel to ServerConn.Serve: the transport of each round trip
 // of the navigational workloads. With -cpuprofile it shows the share

@@ -9,7 +9,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdmtune"
 	"pdmtune/internal/netsim"
@@ -558,5 +560,80 @@ func TestEveryActionCountsItself(t *testing.T) {
 			}
 		}
 		sess.Close()
+	}
+}
+
+// slowConn delays every write by its current delay: a server that takes
+// that long to answer.
+type slowConn struct {
+	net.Conn
+	delay *atomic.Int64 // nanoseconds
+}
+
+func (s slowConn) Write(p []byte) (int, error) {
+	time.Sleep(time.Duration(s.delay.Load()))
+	return s.Conn.Write(p)
+}
+
+// TestActionAfterExpiredOneOverStream: a LateEval session over
+// StreamTransport whose Query outlives its deadline while the server is
+// still answering fails that Query with the context's error, and its
+// next action fails with *ConnClosedError instead of taking the Query's
+// late answer for its own.
+func TestActionAfterExpiredOneOverStream(t *testing.T) {
+	sys := pdmtune.NewSystem(nil)
+	prod, err := sys.LoadProduct(pdmtune.ProductConfig{ProdID: 1, Depth: 3, Branch: 4, Sigma: 0.8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served sync.WaitGroup
+	defer served.Wait()
+	defer ln.Close()
+	var delay atomic.Int64
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_ = sys.Server.NewConn().Serve(slowConn{Conn: c, delay: &delay})
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := sys.Open(pdmtune.WithUser(pdmtune.DefaultUser("scott")),
+		pdmtune.WithStrategy(pdmtune.LateEval), pdmtune.WithTransport(pdmtune.StreamTransport(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	if _, err := sess.Expand(ctx, prod.RootID); err != nil {
+		t.Fatal(err)
+	}
+
+	delay.Store(int64(200 * time.Millisecond))
+	expiring, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := sess.Query(expiring, prod.Config.ProdID); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	delay.Store(0)
+	res, err := sess.Expand(ctx, prod.RootID)
+	var cce *pdmtune.ConnClosedError
+	if !errors.As(err, &cce) {
+		rows := 0
+		if res != nil {
+			rows = res.RowsReceived
+		}
+		t.Fatalf("Expand after the expired Query: %d rows, %v; want *ConnClosedError", rows, err)
 	}
 }
