@@ -803,16 +803,20 @@ type vectoredFrame struct {
 
 var vectoredFrames = sync.Pool{New: func() any { return new(vectoredFrame) }}
 
-// WriteFrame writes a length-prefixed frame body to a stream: a body of
-// up to streamBuf bytes in one write, copied behind its prefix in a
-// recycled frame buffer, a larger one as net.Buffers (one writev on a
-// socket, a write per buffer elsewhere). Bodies beyond MaxFrameSize are
-// rejected with *FrameTooLargeError before any bytes hit the wire.
+// WriteFrame writes a length-prefixed frame body to a stream in one
+// write: copied behind its prefix in a recycled frame buffer, or, for a
+// body past streamBuf bytes to a socket, as net.Buffers (one writev).
+// net.Buffers reaches any other writer as one write per buffer, which a
+// link charging its latency per write would charge twice. Bodies beyond
+// MaxFrameSize are rejected with *FrameTooLargeError before any bytes
+// hit the wire.
 func WriteFrame(w io.Writer, body []byte) error {
 	if err := CheckFrameSize(body); err != nil {
 		return err
 	}
-	if len(body) <= streamBuf {
+	_, tcp := w.(*net.TCPConn)
+	_, unix := w.(*net.UnixConn)
+	if len(body) <= streamBuf || !tcp && !unix {
 		b := binary.BigEndian.AppendUint32(getFrameN(4 + len(body))[:0], uint32(len(body)))
 		b = append(b, body...)
 		_, err := w.Write(b)

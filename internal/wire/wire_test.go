@@ -169,11 +169,12 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestWriteFrameIsOneWrite: a frame of up to 64 KiB reaches its writer
-// in one Write call, so a link that charges its latency per write (the
-// demo client's netsim.DelayedConn) charges it once per frame.
+// TestWriteFrameIsOneWrite: a frame reaches a writer that is not a
+// socket in one Write call, past 64 KiB too, so a link that charges its
+// latency per write (the demo client's netsim.DelayedConn) charges it
+// once per frame.
 func TestWriteFrameIsOneWrite(t *testing.T) {
-	for _, n := range []int{0, 12, 64 << 10} {
+	for _, n := range []int{0, 12, 64 << 10, 64<<10 + 1} {
 		body := bytes.Repeat([]byte{'w'}, n)
 		var w countingWriter
 		if err := WriteFrame(&w, body); err != nil {
@@ -189,11 +190,14 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 }
 
 // TestVectoredFrameAllocatesNothing: a frame past the copy bound goes
-// out from where it lies, through a recycled prefix and buffer list.
+// out to a socket from where it lies, through a recycled prefix and
+// buffer list.
 func TestVectoredFrameAllocatesNothing(t *testing.T) {
+	addr := listenLoopback(t, func(c net.Conn) { _, _ = io.Copy(io.Discard, c) })
+	conn := dialLoopback(t, addr)
 	body := make([]byte, streamBuf+1)
 	write := func() {
-		if err := WriteFrame(io.Discard, body); err != nil {
+		if err := WriteFrame(conn, body); err != nil {
 			t.Fatal(err)
 		}
 	}
