@@ -136,7 +136,7 @@ func TestPriceCompressed(t *testing.T) {
 	at := func(ratio float64) Model { m := m; m.CompressionRatio = ratio; return m }
 
 	batched := m.Price(batchedKnobs(EarlyEval), MLE)
-	z := at(10).Price(compressedKnobs(EarlyEval), MLE)
+	z := at(DefaultCompressionRatio).Price(compressedKnobs(EarlyEval), MLE)
 	if z != m.Price(compressedKnobs(EarlyEval), MLE) {
 		t.Error("an unset ratio must price at DefaultCompressionRatio")
 	}
@@ -144,11 +144,11 @@ func TestPriceCompressed(t *testing.T) {
 		t.Error("compression must not change latency or round trips")
 	}
 	if z.VolumeBytes >= batched.VolumeBytes || z.TotalSec >= batched.TotalSec {
-		t.Errorf("ratio 10: volume %.0f / T %.2f not below batched %.0f / %.2f",
-			z.VolumeBytes, z.TotalSec, batched.VolumeBytes, batched.TotalSec)
+		t.Errorf("ratio %v: volume %.0f / T %.2f not below batched %.0f / %.2f",
+			float64(DefaultCompressionRatio), z.VolumeBytes, z.TotalSec, batched.VolumeBytes, batched.TotalSec)
 	}
 	// The node-record share shrinks to 1/ratio exactly.
-	wantVol := batched.VolumeBytes - batched.TransmittedNodes*DefaultNodeBytes*(1-1.0/10)
+	wantVol := batched.VolumeBytes - batched.TransmittedNodes*DefaultNodeBytes*(1-1.0/DefaultCompressionRatio)
 	if math.Abs(z.VolumeBytes-wantVol) > 1e-6 {
 		t.Errorf("volume = %.2f, want %.2f", z.VolumeBytes, wantVol)
 	}
