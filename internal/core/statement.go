@@ -13,7 +13,7 @@ import (
 // once per (kind, action) in its `?` form, kept in the one preparedSQL
 // table, and turned into a wire request by the one constructor below.
 // The object id travels as a bound parameter, so the server sees the
-// same few texts for every node (its plan cache needs one entry per
+// same few texts for every node (its statement table needs one entry per
 // statement shape) and the statement mode is only a frame encoding.
 
 // stmtKind names the statements the client repeats.

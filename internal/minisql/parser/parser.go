@@ -5,7 +5,7 @@
 // subqueries, aggregates, CAST, CASE, DDL, DML, transactions and CALL.
 //
 // AST nodes are ordinary heap values: a parsed statement stays valid for
-// as long as something references it (the engine's plan cache does) and
+// as long as something references it (the engine's statement table does) and
 // is never written after Parse returns.
 package parser
 

@@ -387,7 +387,8 @@ func (c *ServerConn) handleBatch(reqBody []byte, g fenceGuard) []byte {
 	}
 	resps := make([]*Response, 0, len(reqs))
 	for i, stmt := range c.stmts {
-		if resps = append(resps, c.execOne(stmt, reqs[i].Params)); resps[i].Err != "" {
+		resp := c.execOne(stmt, reqs[i].Params)
+		if resps = append(resps, resp); resp.Err != "" {
 			return EncodeBatchResponseWith(resps, c.caps.Columnar)
 		}
 	}
