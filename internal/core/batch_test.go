@@ -89,30 +89,54 @@ func TestBatchedMLERoundTripsPerLevel(t *testing.T) {
 	}
 }
 
-// TestBatchedExistsStructureRule: the probe batch preserves the
-// ∃structure verdicts of the per-node probing path.
+// TestBatchedExistsStructureRule: the batched client ships the
+// unbatched client's ∃structure probes and reaches its verdicts: the
+// same visible nodes, rows received and statements shipped.
 func TestBatchedExistsStructureRule(t *testing.T) {
 	srv := pdmServer(t)
-	rules := core.StandardRules()
-	rules.MustAdd(core.Rule{
+	specRule := core.Rule{
 		User: core.Wildcard, Action: core.ActionAccess, ObjType: "comp",
 		Kind: core.KindExistsStructure,
 		Cond: "EXISTS (SELECT * FROM specified_by AS s JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
-	})
-	want := []int64{2, 3, 4, 5, 101, 103}
-	for _, strat := range []costmodel.Strategy{costmodel.LateEval, costmodel.EarlyEval} {
-		c, _ := batchedClient(srv, rules, core.DefaultUser("scott"), strat)
-		res, err := c.MultiLevelExpand(context.Background(), 1)
-		if err != nil {
-			t.Fatalf("%v: batched MLE: %v", strat, err)
-		}
-		ids := visibleIDs(res.Tree)
-		if len(ids) != len(want) {
-			t.Fatalf("%v: batched MLE = %v, want %v", strat, ids, want)
-		}
-		for i := range want {
-			if ids[i] != want[i] {
-				t.Errorf("%v: node %d = %d, want %d", strat, i, ids[i], want[i])
+	}
+	oneRule := core.StandardRules()
+	oneRule.MustAdd(specRule)
+	cases := []struct {
+		name  string
+		rules *core.RuleTable
+		want  []int64
+	}{
+		{"one rule", oneRule, []int64{2, 3, 4, 5, 101, 103}},
+	}
+	for _, tc := range cases {
+		for _, strat := range []costmodel.Strategy{costmodel.LateEval, costmodel.EarlyEval} {
+			plain, pm := pdmClient(srv, tc.rules, core.DefaultUser("scott"), strat)
+			resP, err := plain.MultiLevelExpand(context.Background(), 1)
+			if err != nil {
+				t.Fatalf("%s, %v: unbatched MLE: %v", tc.name, strat, err)
+			}
+			c, bm := batchedClient(srv, tc.rules, core.DefaultUser("scott"), strat)
+			res, err := c.MultiLevelExpand(context.Background(), 1)
+			if err != nil {
+				t.Fatalf("%s, %v: batched MLE: %v", tc.name, strat, err)
+			}
+			for _, got := range [][]int64{visibleIDs(resP.Tree), visibleIDs(res.Tree)} {
+				if len(got) != len(tc.want) {
+					t.Fatalf("%s, %v: MLE = %v, want %v", tc.name, strat, got, tc.want)
+				}
+				for i := range tc.want {
+					if got[i] != tc.want[i] {
+						t.Errorf("%s, %v: node %d = %d, want %d", tc.name, strat, i, got[i], tc.want[i])
+					}
+				}
+			}
+			if res.RowsReceived != resP.RowsReceived {
+				t.Errorf("%s, %v: batched received %d rows, unbatched %d",
+					tc.name, strat, res.RowsReceived, resP.RowsReceived)
+			}
+			if bm.Metrics.Statements != pm.Metrics.Statements {
+				t.Errorf("%s, %v: batched shipped %d statements, unbatched %d",
+					tc.name, strat, bm.Metrics.Statements, pm.Metrics.Statements)
 			}
 		}
 	}
