@@ -3,8 +3,9 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
+
+	"pdmtune/internal/minisql/token"
 )
 
 // This file implements the high-availability surface of the wire
@@ -198,31 +199,22 @@ func DecodeStatusResp(b []byte) (Status, error) {
 // ---------------------------------------------------------------------------
 // client-side read/write classification
 
-// ReadOnlySQL reports whether a statement is a pure read by leading
-// keyword — one a replica (or a deposed primary) may serve. Clients
-// decide by it, before anything is parsed, which statements they may
-// retry, ship unfenced or route to a replica; a server decides on the
-// parsed statement (minisql.ReadOnly). Anything unrecognized classifies
-// as a write, the safe direction.
+// ReadOnlySQL reports whether a statement is a pure read by its first
+// token, read past whitespace and comments by the parser's own lexer —
+// one a replica (or a deposed primary) may serve. Clients decide by it,
+// before anything is parsed, which statements they may retry, ship
+// unfenced or route to a replica; a server decides on the parsed
+// statement (minisql.ReadOnly). Anything unrecognized classifies as a
+// write, the safe direction.
 func ReadOnlySQL(sql string) bool {
-	i := 0
-	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
-		i++
+	l := token.NewLexer(sql)
+	t, err := l.Next()
+	if err != nil || t.Type != token.Keyword {
+		return false
 	}
-	j := i
-	for j < len(sql) && isASCIILetter(sql[j]) {
-		j++
+	switch t.Text {
+	case "SELECT", "WITH", "EXPLAIN":
+		return true
 	}
-	return readKeyword(sql[i:j])
-}
-
-func isASCIILetter(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-// readKeyword matches the leading keyword, ASCII letters only, case-
-// insensitively and without allocating — this runs on every statement a
-// client ships.
-func readKeyword(kw string) bool {
-	return strings.EqualFold(kw, "SELECT") || strings.EqualFold(kw, "WITH") || strings.EqualFold(kw, "EXPLAIN")
+	return false
 }
