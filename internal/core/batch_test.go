@@ -91,7 +91,9 @@ func TestBatchedMLERoundTripsPerLevel(t *testing.T) {
 
 // TestBatchedExistsStructureRule: the batched client ships the
 // unbatched client's ∃structure probes and reaches its verdicts: the
-// same visible nodes, rows received and statements shipped.
+// same visible nodes, rows received and statements shipped. With two
+// rules, a component the first rule permits is not probed again, and
+// the batched client ships each rule's round of probes as one batch.
 func TestBatchedExistsStructureRule(t *testing.T) {
 	srv := pdmServer(t)
 	specRule := core.Rule{
@@ -101,12 +103,22 @@ func TestBatchedExistsStructureRule(t *testing.T) {
 	}
 	oneRule := core.StandardRules()
 	oneRule.MustAdd(specRule)
+	twoRules := core.StandardRules()
+	twoRules.MustAdd(specRule)
+	twoRules.MustAdd(core.Rule{
+		User: core.Wildcard, Action: core.ActionAccess, ObjType: "comp",
+		Kind: core.KindExistsStructure,
+		Cond: "EXISTS (SELECT * FROM comp AS c2 WHERE c2.obid = comp.obid)",
+	})
 	cases := []struct {
 		name  string
 		rules *core.RuleTable
 		want  []int64
+		// statements and batchedRoundTrips are checked when set.
+		statements, batchedRoundTrips int
 	}{
-		{"one rule", oneRule, []int64{2, 3, 4, 5, 101, 103}},
+		{"one rule", oneRule, []int64{2, 3, 4, 5, 101, 103}, 0, 0},
+		{"two rules", twoRules, []int64{2, 3, 4, 5, 101, 102, 103, 104}, 16, 7},
 	}
 	for _, tc := range cases {
 		for _, strat := range []costmodel.Strategy{costmodel.LateEval, costmodel.EarlyEval} {
@@ -137,6 +149,13 @@ func TestBatchedExistsStructureRule(t *testing.T) {
 			if bm.Metrics.Statements != pm.Metrics.Statements {
 				t.Errorf("%s, %v: batched shipped %d statements, unbatched %d",
 					tc.name, strat, bm.Metrics.Statements, pm.Metrics.Statements)
+			}
+			if tc.statements > 0 && pm.Metrics.Statements != tc.statements {
+				t.Errorf("%s, %v: shipped %d statements, want %d", tc.name, strat, pm.Metrics.Statements, tc.statements)
+			}
+			if tc.batchedRoundTrips > 0 && bm.Metrics.RoundTrips != tc.batchedRoundTrips {
+				t.Errorf("%s, %v: batched took %d round trips, want %d",
+					tc.name, strat, bm.Metrics.RoundTrips, tc.batchedRoundTrips)
 			}
 		}
 	}

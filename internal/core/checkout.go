@@ -126,17 +126,6 @@ func (c *Client) CheckIn(ctx context.Context, root int64) (*CheckOutResult, erro
 	return out, nil
 }
 
-// checkedOutUpdateSQL is the parameterized per-node flag update the
-// prepared+batched modify prepares once per table and direction.
-func checkedOutUpdateSQL(table string, out bool) string {
-	if out {
-		return fmt.Sprintf(
-			"UPDATE %s SET checkedout = TRUE, checkedout_by = ? WHERE obid = ? AND checkedout <> TRUE", table)
-	}
-	return fmt.Sprintf(
-		"UPDATE %s SET checkedout = FALSE, checkedout_by = NULL WHERE obid = ? AND checkedout_by = ?", table)
-}
-
 // checkedOutListSQL is the flag update of one object table over an id
 // list. Both directions are conditional — a check-out flips only
 // still-checked-in rows, a check-in only the user's own — which is what
@@ -154,41 +143,25 @@ func checkedOutListSQL(table, user string, ids []int64, out bool) string {
 
 // setCheckedOut ships the UPDATE statements flipping the flag for every
 // node in the tree — one WAN round trip per object table, or a single
-// batch round trip for the whole modify when batching is enabled. With
-// prepared statements AND batching, the modify becomes one batch of
-// per-node prepared executions: two prepares per connection, then
-// handle + (user, obid) pairs on the wire. Node types without an object
-// table are skipped.
+// batch round trip for the whole modify when batching is enabled. Node
+// types without an object table are skipped.
 func (c *Client) setCheckedOut(ctx context.Context, tree *Tree, out bool) (int, error) {
 	ids := map[string][]int64{}
 	tree.Walk(func(n *Node) {
 		ids[n.Type] = append(ids[n.Type], n.ObID)
 	})
-	perNode := c.knobs.Prepared && c.knobs.Batching
 	var reqs []*wire.Request
 	for _, table := range []string{"assy", "comp"} {
-		if len(ids[table]) == 0 {
-			continue
-		}
-		if !perNode {
+		if len(ids[table]) > 0 {
 			reqs = append(reqs, &wire.Request{SQL: checkedOutListSQL(table, c.user.Name, ids[table], out)})
-			continue
-		}
-		sql := checkedOutUpdateSQL(table, out)
-		for _, obid := range ids[table] {
-			params := []types.Value{types.NewText(c.user.Name), types.NewInt(obid)}
-			if !out {
-				params = []types.Value{types.NewInt(obid), types.NewText(c.user.Name)}
-			}
-			reqs = append(reqs, &wire.Request{SQL: sql, Params: params, Prepared: true})
 		}
 	}
 	updated := 0
 	// A fenced re-issue after failover runs the whole op again on the
-	// new primary (whose wire client re-prepares there).
+	// new primary.
 	err := c.withWrite(func(w *wire.Client) error {
 		updated = 0
-		if perNode || (c.knobs.Batching && len(reqs) > 1) {
+		if c.knobs.Batching && len(reqs) > 1 {
 			resps, err := w.ExecBatch(ctx, reqs)
 			for _, resp := range resps {
 				updated += resp.RowsAffected

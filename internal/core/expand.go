@@ -1,16 +1,13 @@
 package core
 
 import (
-	"context"
-
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/minisql/storage"
 	"pdmtune/internal/wire"
 )
 
-// This file is the wire fetcher's single-level expand strategy: how
-// the children of one parent (or one whole BFS level) are pulled
-// across the WAN under the client's configured statement mode.
+// This file builds the wire fetcher's single-level expand statement and
+// filters its answer; ExpandLevel (fetch.go) ships a level of them.
 
 // expandRequest builds the wire request expanding one parent.
 func (c *Client) expandRequest(parent int64, action string) (*wire.Request, error) {
@@ -65,77 +62,4 @@ func (c *Client) filterExpandRows(rows []storage.Row, action string) ([]*Node, [
 		out = append(out, n)
 	}
 	return out, allIDs, nil
-}
-
-// expandOnce ships one navigational expand query and returns the
-// permitted children of one parent. Under late evaluation the client
-// filters the received rows against its rule table; ∃structure
-// conditions require extra probe round trips under every navigational
-// strategy because the related objects live only in the server's
-// database.
-func (w *wireFetcher) expandOnce(ctx context.Context, parent int64, action string) (expandPage, error) {
-	c := w.c
-	req, err := c.expandRequest(parent, action)
-	if err != nil {
-		return expandPage{}, err
-	}
-	resp, err := w.exec(ctx, req)
-	if err != nil {
-		return expandPage{}, err
-	}
-	cands, allIDs, err := c.filterExpandRows(resp.Rows, action)
-	if err != nil {
-		return expandPage{}, err
-	}
-	var out []*Node
-	for _, n := range cands {
-		keep, err := w.probeExistsStructure(ctx, n, action)
-		if err != nil {
-			return expandPage{}, err
-		}
-		if keep {
-			out = append(out, n)
-		}
-	}
-	return expandPage{Children: out, AllIDs: allIDs, Epoch: resp.Epoch}, nil
-}
-
-// expandLevelBatched expands every parent of one BFS level in a single
-// batch round trip — the paper's statement-per-node loop collapsed into
-// one WAN communication per tree level. A second batch carries all
-// ∃structure probes of the level, when any apply.
-func (w *wireFetcher) expandLevelBatched(ctx context.Context, parents []*Node, action string) ([]expandPage, int, error) {
-	c := w.c
-	reqs := make([]*wire.Request, len(parents))
-	for i, p := range parents {
-		req, err := c.expandRequest(p.ObID, action)
-		if err != nil {
-			return nil, 0, err
-		}
-		reqs[i] = req
-	}
-	resps, err := c.sql.ExecBatch(ctx, reqs)
-	if err != nil {
-		return nil, 0, err
-	}
-	received := 0
-	pages := make([]expandPage, len(parents))
-	children := make([][]*Node, len(parents))
-	for i, resp := range resps {
-		received += len(resp.Rows)
-		ns, allIDs, err := c.filterExpandRows(resp.Rows, action)
-		if err != nil {
-			return nil, 0, err
-		}
-		children[i] = ns
-		pages[i] = expandPage{AllIDs: allIDs, Epoch: resp.Epoch}
-	}
-	children, err = w.probeExistsStructureBatched(ctx, children, action)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := range pages {
-		pages[i].Children = children[i]
-	}
-	return pages, received, nil
 }

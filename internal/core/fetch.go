@@ -80,22 +80,70 @@ func (w *wireFetcher) exec(ctx context.Context, req *wire.Request) (*wire.Respon
 // BeginAction is a no-op: the wire fetcher keeps no per-action state.
 func (w *wireFetcher) BeginAction() {}
 
-// ExpandLevel expands one BFS level: as a single batch round trip per
-// level when batching is enabled, one round trip per parent (the
-// paper's behavior) otherwise.
-func (w *wireFetcher) ExpandLevel(ctx context.Context, parents []*Node, action string) ([]expandPage, int, error) {
+// execLevel ships one level's n statements: in one batch frame when
+// batching is on (never on the fall-through lane), one round trip each
+// otherwise. The statements are the same either way; req builds
+// statement i and got receives its answer, in order, as it arrives.
+func (w *wireFetcher) execLevel(ctx context.Context, n int, req func(i int) (*wire.Request, error), got func(i int, resp *wire.Response) error) error {
 	if w.c.knobs.Batching && !w.primary {
-		return w.expandLevelBatched(ctx, parents, action)
+		reqs := make([]*wire.Request, n)
+		for i := range reqs {
+			r, err := req(i)
+			if err != nil {
+				return err
+			}
+			reqs[i] = r
+		}
+		resps, err := w.c.sql.ExecBatch(ctx, reqs)
+		if err != nil {
+			return err
+		}
+		for i, resp := range resps {
+			if err := got(i, resp); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	for i := 0; i < n; i++ {
+		r, err := req(i)
+		if err != nil {
+			return err
+		}
+		resp, err := w.exec(ctx, r)
+		if err != nil {
+			return err
+		}
+		if err := got(i, resp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ExpandLevel expands one BFS level: one expand statement per parent
+// (the paper's statement-per-node loop), then the ∃structure probes its
+// candidates need, each shipped through execLevel.
+func (w *wireFetcher) ExpandLevel(ctx context.Context, parents []*Node, action string) ([]expandPage, int, error) {
+	c := w.c
 	pages := make([]expandPage, len(parents))
 	received := 0
-	for i, parent := range parents {
-		page, err := w.expandOnce(ctx, parent.ObID, action)
+	err := w.execLevel(ctx, len(parents), func(i int) (*wire.Request, error) {
+		return c.expandRequest(parents[i].ObID, action)
+	}, func(i int, resp *wire.Response) error {
+		ns, allIDs, err := c.filterExpandRows(resp.Rows, action)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		received += len(page.AllIDs)
-		pages[i] = page
+		received += len(resp.Rows)
+		pages[i] = expandPage{Children: ns, AllIDs: allIDs, Epoch: resp.Epoch}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := w.probeLevel(ctx, pages, action); err != nil {
+		return nil, 0, err
 	}
 	return pages, received, nil
 }

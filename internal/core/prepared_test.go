@@ -99,8 +99,9 @@ func TestPreparedProbesMatchText(t *testing.T) {
 	}
 }
 
-// TestPreparedBatchedCheckOut: the prepared+batched modify flips the
-// same flags as the text path, in one batch of per-node executions.
+// TestPreparedBatchedCheckOut: the prepared+batched check-out ships
+// what the batched text client ships — the recursive fetch, then one
+// batch of the two IN-list UPDATEs — and flips the same flags.
 func TestPreparedBatchedCheckOut(t *testing.T) {
 	srv := pdmServer(t)
 	rules := core.StandardRules()
@@ -114,8 +115,9 @@ func TestPreparedBatchedCheckOut(t *testing.T) {
 	if !res.Granted || res.Updated != 9 {
 		t.Fatalf("prepared check-out granted=%v updated=%d, want true/9", res.Granted, res.Updated)
 	}
-	if meter.Metrics.PreparedExecs < 9 {
-		t.Errorf("PreparedExecs = %d, want >= 9 (one per node)", meter.Metrics.PreparedExecs)
+	if meter.Metrics.PreparedExecs != 0 || meter.Metrics.Statements != 3 {
+		t.Errorf("PreparedExecs = %d, Statements = %d, want 0 and 3 (recursive fetch + one batch of two UPDATEs)",
+			meter.Metrics.PreparedExecs, meter.Metrics.Statements)
 	}
 	// A second check-out is denied; check-in restores.
 	c2, _ := preparedClient(srv, rules, core.DefaultUser("erich"), costmodel.Recursive, true)

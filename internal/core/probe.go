@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"pdmtune/internal/wire"
 )
@@ -21,106 +20,62 @@ func (c *Client) probeRequest(r Rule, n *Node) (*wire.Request, error) {
 	return c.request(st, n.ObID), nil
 }
 
-// probeExistsStructure checks ∃structure rules for one candidate object
-// by shipping a probe query per rule group — the round trips a
-// navigational client cannot avoid.
-func (w *wireFetcher) probeExistsStructure(ctx context.Context, n *Node, action string) (bool, error) {
+// probeLevel applies the ∃structure rules to the candidate children of
+// one level's pages, in place. Permissions are OR-combined, so round k
+// probes rule k only for the candidates no earlier rule permitted —
+// the probes the per-node client ships, each round shipped through
+// execLevel — and a candidate is dropped once its last rule comes back
+// empty. Every probe shipped is one the per-node client would ship too,
+// so any probe error fails the action.
+func (w *wireFetcher) probeLevel(ctx context.Context, pages []expandPage, action string) error {
 	c := w.c
-	rules := c.predicate(KindExistsStructure, n.Type, action).rules
-	if len(rules) == 0 {
-		return true, nil
+	type candidate struct {
+		page, child int
+		rules       []Rule
+		permitted   bool
 	}
-	for _, r := range rules {
-		req, err := c.probeRequest(r, n)
+	var open []candidate
+	for i := range pages {
+		for j, n := range pages[i].Children {
+			if rules := c.predicate(KindExistsStructure, n.Type, action).rules; len(rules) > 0 {
+				open = append(open, candidate{page: i, child: j, rules: rules})
+			}
+		}
+	}
+	if len(open) == 0 {
+		return nil
+	}
+	for k := 0; len(open) > 0; k++ {
+		err := w.execLevel(ctx, len(open), func(i int) (*wire.Request, error) {
+			cd := open[i]
+			return c.probeRequest(cd.rules[k], pages[cd.page].Children[cd.child])
+		}, func(i int, resp *wire.Response) error {
+			open[i].permitted = len(resp.Rows) > 0
+			return nil
+		})
 		if err != nil {
-			return false, err
+			return err
 		}
-		resp, err := w.exec(ctx, req)
-		if err != nil {
-			return false, err
-		}
-		if len(resp.Rows) > 0 {
-			return true, nil // permissions are OR-combined
-		}
-	}
-	return false, nil
-}
-
-// probeExistsStructureBatched checks ∃structure rules for all candidates
-// of one BFS level with a single batch of probe queries instead of one
-// round trip per (node, rule) pair. The per-node verdict is unchanged:
-// a node survives when any of its rules' probes returns a row, and — as
-// in the unbatched OR short-circuit — a probe that errors only fails the
-// action when no earlier rule already permitted its node; otherwise the
-// surviving probes are re-batched past the failure.
-func (w *wireFetcher) probeExistsStructureBatched(ctx context.Context, children [][]*Node, action string) ([][]*Node, error) {
-	c := w.c
-	type nodeRef struct{ level, child int }
-	type probe struct {
-		node nodeRef
-		req  *wire.Request
-	}
-	var pending []probe
-	probed := map[nodeRef]bool{}
-	permit := map[nodeRef]bool{}
-	for i, ns := range children {
-		for j, n := range ns {
-			for _, r := range c.predicate(KindExistsStructure, n.Type, action).rules {
-				req, err := c.probeRequest(r, n)
-				if err != nil {
-					return nil, err
-				}
-				ref := nodeRef{level: i, child: j}
-				pending = append(pending, probe{node: ref, req: req})
-				probed[ref] = true
+		rest := open[:0]
+		for _, cd := range open {
+			switch {
+			case cd.permitted:
+			case k+1 < len(cd.rules):
+				rest = append(rest, cd)
+			default:
+				pages[cd.page].Children[cd.child] = nil // denied
 			}
 		}
+		open = rest
 	}
-	for len(pending) > 0 {
-		// Short-circuit: a node permitted by an earlier rule needs no
-		// further probes (permissions are OR-combined).
-		var rest []probe
-		for _, p := range pending {
-			if !permit[p.node] {
-				rest = append(rest, p)
+	for i := range pages {
+		kept := pages[i].Children[:0]
+		for _, n := range pages[i].Children {
+			if n != nil {
+				kept = append(kept, n)
 			}
 		}
-		pending = rest
-		if len(pending) == 0 {
-			break
-		}
-		reqs := make([]*wire.Request, len(pending))
-		for i, p := range pending {
-			reqs[i] = p.req
-		}
-		resps, err := c.sql.ExecBatch(ctx, reqs)
-		for i, resp := range resps {
-			if len(resp.Rows) > 0 {
-				permit[pending[i].node] = true
-			}
-		}
-		if err == nil {
-			break
-		}
-		var be *wire.BatchError
-		if !errors.As(err, &be) {
-			return nil, err
-		}
-		// The unbatched client would only reach this probe if no earlier
-		// rule had permitted the node — in that case the error is real.
-		if !permit[pending[be.Index].node] {
-			return nil, err
-		}
-		pending = pending[be.Index+1:]
+		pages[i].Children = kept
 	}
-	out := make([][]*Node, len(children))
-	for i, ns := range children {
-		for j, n := range ns {
-			ref := nodeRef{level: i, child: j}
-			if !probed[ref] || permit[ref] {
-				out[i] = append(out[i], n)
-			}
-		}
-	}
-	return out, nil
+	return nil
 }

@@ -206,17 +206,12 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 	// ---- writes: the check actions always cross the WAN to the
 	// primary — a fetch phase (the rule check walks the subtree) plus
 	// the flag updates, plus the observed contention.
-	nodes := 1 + w.Tree.VisibleNodes()
-	stmtBytes := float64(DefaultStatementBytes)
 	updateRTs := 2.0 // one UPDATE ... WHERE obid IN (...) per object table
 	if k.Batching {
 		updateRTs = 1 // the whole modify ships as one wire batch
 	}
-	if k.Batching && k.Prepared {
-		stmtBytes = DefaultPreparedStatementBytes * nodes // per-node handle + params
-	}
 	p := float64(wan.PacketBytes)
-	updVol := packets(stmtBytes, p)*p + p/2
+	updVol := packets(DefaultStatementBytes, p)*p + p/2
 	update := 2*updateRTs*wan.LatencySec + updVol*8/(wan.RateKbps*1024)
 	lockWait := w.LockWaitSec
 	writeSec := wanCold + update + lockWait
