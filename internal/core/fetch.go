@@ -12,8 +12,9 @@ import (
 // type lookup, and the Section 5 recursive fetch. Unifying the four
 // formerly hand-woven code paths behind one interface is what lets
 // the structure cache decorate all read traffic in one place — and
-// what keeps the wire strategies (batching, prepared statements) in
-// one file each instead of threaded through every action.
+// what keeps the statement modes in one place each instead of threaded
+// through every action: batching in execLevel, prepared statements in
+// the request constructor (statement.go).
 //
 // Implementations: wireFetcher (the real WAN paths), cachedFetcher
 // (the version-validated structure cache decorating a wireFetcher) and
