@@ -207,8 +207,7 @@ func DecodeStatusResp(b []byte) (Status, error) {
 // statement (minisql.ReadOnly). Anything unrecognized classifies as a
 // write, the safe direction.
 func ReadOnlySQL(sql string) bool {
-	l := token.NewLexer(sql)
-	t, err := l.Next()
+	t, err := token.NewLexer(sql).Next()
 	if err != nil || t.Type != token.Keyword {
 		return false
 	}
