@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pdmtune"
@@ -804,5 +805,160 @@ func TestRerouteKeepsWireEncodings(t *testing.T) {
 	}
 	if a.ResponseBytes > 2*b.ResponseBytes {
 		t.Errorf("MLE after the re-route: %.0f response bytes, before %.0f", a.ResponseBytes, b.ResponseBytes)
+	}
+}
+
+// transportFunc adapts a function to the Transport interface, for
+// wrappers that act from inside an exchange.
+type transportFunc func(ctx context.Context, req []byte) ([]byte, error)
+
+func (f transportFunc) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	return f(ctx, req)
+}
+
+// TestRerouteKeepsPreparedHandlesOnTheirServer: a prepared handle
+// names a statement of the server that issued it. A LateEval session
+// at munich prepares first, so munich numbers its handles differently
+// from the primary and a handle carried across the re-route would name
+// another statement there. MLEs of a prepared, batched EarlyEval
+// session at the primary run on their own goroutine while munich is
+// promoted: every tree is byte-identical, and after the promotion the
+// session still executes prepared statements, re-prepared at munich.
+func TestRerouteKeepsPreparedHandlesOnTheirServer(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 3, Sigma: 0.7, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	late, err := cl.OpenAt(ctx, "munich", pdmtune.WithStrategy(pdmtune.LateEval),
+		pdmtune.WithPreparedStatements(true), pdmtune.WithBatching(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.MultiLevelExpand(ctx, prod.RootID); err != nil {
+		t.Fatal(err)
+	}
+	late.Close()
+
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithStrategy(pdmtune.EarlyEval),
+		pdmtune.WithPreparedStatements(true), pdmtune.WithBatching(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := treeBytes(t, before)
+
+	started, promoted := make(chan struct{}), make(chan struct{})
+	errCh := make(chan error, 1)
+	var mles atomic.Int64
+	go func() {
+		defer close(errCh)
+		for {
+			res, err := sess.MultiLevelExpand(ctx, prod.RootID)
+			if err != nil {
+				errCh <- fmt.Errorf("MLE during the promotion: %w", err)
+				return
+			}
+			if res.Tree == nil || string(flattenTree(res.Tree)) != want {
+				errCh <- errors.New("MLE during the promotion read a different tree")
+				return
+			}
+			if mles.Add(1) == 1 {
+				close(started)
+			}
+			select {
+			case <-promoted:
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-started:
+	case err := <-errCh:
+		t.Fatal(err)
+	}
+	promoteErr := cl.Promote(ctx, "munich")
+	close(promoted)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	t.Logf("%d MLEs ran beside the promotion", mles.Load())
+	if promoteErr != nil {
+		t.Fatalf("Promote: %v", promoteErr)
+	}
+	after, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the promotion: %v", err)
+	}
+	if treeBytes(t, after) != want {
+		t.Fatal("the re-routed session reads a different tree")
+	}
+	if after.Metrics.PreparedExecs == 0 {
+		t.Fatalf("MLE after the promotion executed no prepared statement: %+v", after.Metrics)
+	}
+}
+
+// TestRerouteDuringHelloKeepsRequestedEncodings: a promotion that
+// re-routes the session while its hello is on the wire must not leave
+// it on the old encodings. The wrapper promotes munich from inside the
+// first hello exchange of ApplyConfig; the next MLE still ships
+// compressed frames and WireCaps reports both requested encodings.
+func TestRerouteDuringHelloKeepsRequestedEncodings(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 4, Sigma: 0.9, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var fired atomic.Bool
+	var promoteErr error
+	cl.SetTransportWrapper(func(target string, tr pdmtune.Transport) pdmtune.Transport {
+		if target != pdmtune.PrimarySite {
+			return tr
+		}
+		return transportFunc(func(rctx context.Context, req []byte) ([]byte, error) {
+			if len(req) > 0 && req[0] == wire.TypeHello && fired.CompareAndSwap(false, true) {
+				promoteErr = cl.Promote(ctx, "munich")
+			}
+			return tr.RoundTrip(rctx, req)
+		})
+	})
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	k := sess.TuneConfig()
+	k.Columnar, k.Compress = true, true
+	if err := sess.ApplyConfig(ctx, k); err != nil {
+		t.Fatalf("ApplyConfig: %v", err)
+	}
+	if !fired.Load() {
+		t.Fatal("ApplyConfig sent no hello")
+	}
+	if promoteErr != nil || cl.PrimaryName() != "munich" {
+		t.Fatalf("promotion from inside the hello: primary=%q, %v", cl.PrimaryName(), promoteErr)
+	}
+	res, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the re-route: %v", err)
+	}
+	if res.Metrics.CompressedFrames == 0 {
+		t.Errorf("MLE after the re-route shipped no compressed frame: %+v", res.Metrics)
+	}
+	if caps := sess.WireCaps(); !caps.ColumnarResults || !caps.Compression {
+		t.Errorf("WireCaps after the re-route = %+v, want columnar and compression", caps)
 	}
 }
