@@ -962,3 +962,74 @@ func TestRerouteDuringHelloKeepsRequestedEncodings(t *testing.T) {
 		t.Errorf("WireCaps after the re-route = %+v, want columnar and compression", caps)
 	}
 }
+
+// TestRerouteMidReadAnswersOrFailsStructurally: the primary dies under
+// a PrimarySite session and munich is promoted from inside the first
+// exchange that fails. The MLE in flight either answers the pre-outage
+// tree or fails with *ConnClosedError — never another tree — and the
+// session's next MLE reads the tree at munich. The promotion probes the
+// dead primary through the same wrapper, so it fires on a
+// CompareAndSwap: a re-entrant sync.Once would deadlock.
+func TestRerouteMidReadAnswersOrFailsStructurally(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 4, Branch: 3, Sigma: 0.7, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	plan := &netsim.FaultPlan{}
+	var fired atomic.Bool
+	var promoteErr error
+	cl.SetTransportWrapper(func(target string, tr pdmtune.Transport) pdmtune.Transport {
+		if target != pdmtune.PrimarySite {
+			return tr
+		}
+		fi := netsim.NewFaultInjector(tr, plan)
+		return transportFunc(func(rctx context.Context, req []byte) ([]byte, error) {
+			resp, err := fi.RoundTrip(rctx, req)
+			if err != nil && fired.CompareAndSwap(false, true) {
+				promoteErr = cl.Promote(ctx, "munich")
+			}
+			return resp, err
+		})
+	})
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithLink(pdmtune.LAN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := treeBytes(t, before)
+
+	plan.Kill()
+	res, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	var cce *pdmtune.ConnClosedError
+	switch {
+	case err == nil:
+		if treeBytes(t, res) != want {
+			t.Fatal("the MLE in flight across the re-route answered a different tree")
+		}
+		t.Logf("the MLE in flight answered the tree after %d retries", res.Metrics.Retries)
+	case errors.As(err, &cce):
+		t.Logf("the MLE in flight failed structurally: %v", err)
+	default:
+		t.Fatalf("the MLE in flight across the re-route: %v, want the tree or *ConnClosedError", err)
+	}
+	if !fired.Load() || promoteErr != nil || cl.PrimaryName() != "munich" {
+		t.Fatalf("promotion from inside the failed exchange: fired=%v primary=%q, %v",
+			fired.Load(), cl.PrimaryName(), promoteErr)
+	}
+	after, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the re-route: %v", err)
+	}
+	if treeBytes(t, after) != want {
+		t.Fatal("the re-routed session reads a different tree")
+	}
+}

@@ -48,7 +48,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.sql.Do(ctx, c.request(st, prod))
+	resp, err := c.sql.Load().Do(ctx, c.request(st, prod))
 	if err != nil {
 		return nil, err
 	}

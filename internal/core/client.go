@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pdmtune/internal/cache"
@@ -26,7 +27,9 @@ import (
 // by default the plain wire fetcher, optionally decorated with the
 // version-validated structure cache (Apply with CacheEntries > 0).
 type Client struct {
-	sql   *wire.Client
+	// sql is the read path. A failover installs a redialed client from
+	// the cluster's goroutine (Reroute), so every exchange loads it.
+	sql   atomic.Pointer[wire.Client]
 	meter *netsim.Meter
 	rules *RuleTable
 	user  UserContext
@@ -35,9 +38,9 @@ type Client struct {
 	knobs costmodel.Knobs
 
 	// writeMu guards the write path's identity: a failover re-points
-	// writeSQL at the new primary from the cluster's goroutine while the
-	// session's own goroutine may be mid-action. Ops snapshot the write
-	// client under the read lock.
+	// writeSQL (and, under Reroute, sql) at the new primary from the
+	// cluster's goroutine while the session's own goroutine may be
+	// mid-action. Ops snapshot the write client under the read lock.
 	writeMu sync.RWMutex
 	// writeSQL is the write path: check-out/check-in updates, CALLs and
 	// raw DML. It equals sql for a single-server client; a client at a
@@ -104,7 +107,6 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		rules = NewRuleTable()
 	}
 	c := &Client{
-		sql:   wire.NewClient(tr),
 		meter: meter,
 		rules: rules,
 		user:  user,
@@ -113,7 +115,8 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		types: cache.New(typeCacheSize),
 		seen:  cache.New(seenActionsSize),
 	}
-	c.writeSQL = c.sql
+	c.sql.Store(wire.NewClient(tr))
+	c.writeSQL = c.sql.Load()
 	c.dropCompiled()
 	c.rebuildFetch()
 	return c
@@ -181,7 +184,7 @@ func (c *Client) Strategy() costmodel.Strategy { return c.knobs.Strategy }
 
 // WireCaps reports the wire encodings the server accepted at the
 // client's last capability handshake.
-func (c *Client) WireCaps() wire.Caps { return c.sql.Caps() }
+func (c *Client) WireCaps() wire.Caps { return c.sql.Load().Caps() }
 
 // Apply reconfigures the live client to k. Strategy, batching, prepared
 // statements and the cache flip locally (a new strategy drops the
@@ -197,8 +200,16 @@ func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 		return errors.New("core: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
 	}
 	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
-		if _, err := c.sql.Negotiate(ctx, wire.Caps{Columnar: k.Columnar, Compress: k.Compress}); err != nil {
-			return fmt.Errorf("core: negotiating wire encodings: %w", err)
+		// A re-route during the hello installs a client redialed with the
+		// capabilities from before it: ask again there.
+		want := wire.Caps{Columnar: k.Columnar, Compress: k.Compress}
+		for sql := c.sql.Load(); ; sql = c.sql.Load() {
+			if _, err := sql.Negotiate(ctx, want); err != nil {
+				return fmt.Errorf("core: negotiating wire encodings: %w", err)
+			}
+			if c.sql.Load() == sql {
+				break
+			}
 		}
 	}
 	if k.CacheEntries != cur.CacheEntries {
@@ -233,7 +244,7 @@ func (c *Client) SetPrimary(tr wire.Transport, meter *netsim.Meter) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if tr == nil {
-		c.writeSQL = c.sql
+		c.writeSQL = c.sql.Load()
 		c.writeMeter = nil
 		return
 	}
@@ -253,8 +264,8 @@ func (c *Client) SetTermSource(ts wire.TermSource) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.term = ts
-	c.sql.SetTermSource(ts)
-	if c.writeSQL != c.sql {
+	c.sql.Load().SetTermSource(ts)
+	if c.writeSQL != c.sql.Load() {
 		c.writeSQL.SetTermSource(ts)
 	}
 }
@@ -263,7 +274,7 @@ func (c *Client) SetTermSource(ts wire.TermSource) {
 // (fetches, probes, validates) ride out transient connection loss with
 // capped backoff. The write path never retries at the wire layer.
 func (c *Client) SetRetry(p *wire.RetryPolicy) {
-	c.sql.SetRetry(p)
+	c.sql.Load().SetRetry(p)
 }
 
 // writePath snapshots the write client under the lock.
@@ -276,37 +287,36 @@ func (c *Client) writePath() *wire.Client {
 // withWrite runs one write operation against the current write path.
 // When the op comes back fenced — the primary was deposed mid-flight —
 // the fenced frame provably never executed, so if a failover has
-// re-pointed the write path in the meantime (a new write client, or
-// the same client re-routed onto a new transport) the op is re-issued
+// installed a new write client in the meantime the op is re-issued
 // once against the new primary; a fenced error with nowhere new to go
 // is returned to the caller.
 func (c *Client) withWrite(op func(w *wire.Client) error) error {
 	w := c.writePath()
-	gen := w.TransportGen()
 	err := op(w)
 	var fe *wire.FencedError
 	if err == nil || !errors.As(err, &fe) {
 		return err
 	}
-	w2 := c.writePath()
-	if w2 == w && w2.TransportGen() == gen {
-		return err
+	if w2 := c.writePath(); w2 != w {
+		return op(w2)
 	}
-	return op(w2)
+	return err
 }
 
-// Reroute swaps the client's entire path — reads and writes — onto tr.
+// Reroute moves the client's entire path — reads and writes — onto tr.
 // The cluster calls it during a failover for sessions attached to the
 // deposed primary's own server: unlike a replica-site session there is
 // no local database behind such a session, so after the promotion its
-// reads would be frozen at the fencing instant forever. The installed
-// term source and retry policy carry over; the wire client drops the
-// old server's prepared handles with its transport.
+// reads would be frozen at the fencing instant forever. Both paths
+// become one client redialed over tr (wire.Client.Redial): the term
+// source, retry policy and encodings carry over, the old server's
+// prepared handles do not. In-flight exchanges finish on the old one.
 func (c *Client) Reroute(tr wire.Transport) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.sql.SetTransport(tr)
-	c.writeSQL = c.sql
+	w := c.sql.Load().Redial(tr)
+	c.sql.Store(w)
+	c.writeSQL = w
 	c.writeMeter = nil
 }
 
@@ -403,7 +413,7 @@ func (c *Client) ResetMetrics() {
 // CALL, transaction control) goes to the primary.
 func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) (*wire.Response, error) {
 	if wire.ReadOnlySQL(sql) {
-		return c.sql.Exec(ctx, sql, params...)
+		return c.sql.Load().Exec(ctx, sql, params...)
 	}
 	var resp *wire.Response
 	err := c.withWrite(func(w *wire.Client) error {

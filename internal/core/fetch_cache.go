@@ -109,7 +109,7 @@ func (f *cachedFetcher) ensureValidated(ctx context.Context, roots []int64, acti
 	for id, s := range since {
 		checks = append(checks, wire.StaleCheck{ID: id, Since: s})
 	}
-	stale, err := f.c.sql.Validate(ctx, checks)
+	stale, err := f.c.sql.Load().Validate(ctx, checks)
 	if err != nil {
 		return err
 	}

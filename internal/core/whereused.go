@@ -37,7 +37,7 @@ func (c *Client) wholeStructureDo(ctx context.Context, req *wire.Request) (*wire
 	if c.partialReplica() {
 		return c.execFallThrough(ctx, req)
 	}
-	return c.sql.Do(ctx, req)
+	return c.sql.Load().Do(ctx, req)
 }
 
 // whereUsedClosure walks the link structure upward from start and

@@ -28,9 +28,10 @@ type Transport interface {
 	RoundTrip(ctx context.Context, request []byte) (response []byte, err error)
 }
 
-// Client issues SQL over a transport. A Request marked Prepared names
-// its statement by SQL text and the client resolves it to the handle of
-// the server its current transport reaches (see bind).
+// Client issues SQL over one transport for its whole life: following a
+// new server takes a new client (Redial). A Request marked Prepared
+// names its statement by SQL text and the client resolves it to the
+// handle of the server its transport reaches (see bind).
 type Client struct {
 	// term stamps write and sync frames with the cluster fencing term
 	// (nil/ok=false: no envelope — the site-less wire format is
@@ -39,43 +40,31 @@ type Client struct {
 	// retry transparently retries idempotent exchanges on connection
 	// loss (nil: no retries).
 	retry *RetryPolicy
+	tr    Transport
 
-	// mu guards the transport, its generation and the handle registry
-	// (a client is normally single-goroutine, but site pull clients are
-	// shared by every session syncing through the site, and a failover
-	// swaps transports from the cluster's goroutine).
+	// mu guards the handle registry and the capabilities (a client is
+	// normally single-goroutine, but site pull clients are shared by
+	// every session syncing through the site, and a failover redials
+	// from the cluster's goroutine).
 	mu sync.Mutex
-	tr Transport
-	// trGen counts SetTransport swaps, so a caller that snapshotted the
-	// client before a failover can tell "same client, new destination".
-	trGen uint64
 	// handles is the prepared-statement registry: SQL text → server
 	// handle, or textOnly for a statement the server's table refused. A
-	// handle means something only at the server that issued it, and a
-	// failover lands on a different server, so the registry lives and
-	// dies with the transport generation that prepared it.
+	// handle means something only at the server that issued it, so a
+	// redialed client starts without one.
 	handles map[string]uint32
 	// want is the capability set the client last negotiated, caps the
-	// set the server accepted and helloGen the transport generation the
-	// hello went out on. A failover swaps in a connection that has never
-	// seen the hello, so the first round trip on a new generation
-	// re-requests want (see roundTrip).
+	// set the server accepted and helloed whether the hello went out on
+	// this client's transport. A redialed client inherits want and caps
+	// but has not said hello, so its first round trip re-requests want
+	// (see roundTrip).
 	want, caps Caps
-	helloGen   uint64
+	helloed    bool
 }
 
 // textOnly is the registry entry of a statement the server refused to
 // prepare (ErrStatementTableFull): it ships as text. Server handles
 // start at 1.
 const textOnly = 0
-
-// unpinned is the pin of an exchange that carries no handles and may
-// therefore go out on whatever transport is current.
-const unpinned = ^uint64(0)
-
-// errTransportSwapped aborts an exchange pinned to a transport
-// generation that is gone; exchange re-binds and re-sends.
-var errTransportSwapped = errors.New("wire: transport swapped under a pinned exchange")
 
 // NewClient wraps a transport.
 func NewClient(tr Transport) *Client { return &Client{tr: tr} }
@@ -88,35 +77,16 @@ func (c *Client) SetTermSource(ts TermSource) { c.term = ts }
 // disables retries). Call before the client is in use.
 func (c *Client) SetRetry(p *RetryPolicy) { c.retry = p }
 
-// SetTransport swaps the transport under the client — a failover
-// re-routes a deposed primary's sessions this way. Safe to call from
-// another goroutine: in-flight round trips finish on the transport
-// they started with; the next exchange uses the new one. Prepared
-// handles are server-scoped, so the registry is dropped here and
-// statements re-prepare on first use at the new server.
-func (c *Client) SetTransport(tr Transport) {
-	c.mu.Lock()
-	c.tr = tr
-	c.trGen++
-	c.handles = nil
-	c.mu.Unlock()
-}
-
-// TransportGen reports how many times the transport has been swapped.
-// Comparing generations across a write attempt tells a caller whether
-// a fenced frame now has somewhere new to go.
-func (c *Client) TransportGen() uint64 {
+// Redial returns a client over tr with this client's term source,
+// retry policy and capabilities — a failover re-routes a deposed
+// primary's sessions this way. Caps reports the accepted set until the
+// new server answers the hello the redialed client sends on its first
+// round trip. Prepared handles stay behind: they name statements of
+// this client's server only.
+func (c *Client) Redial(tr Transport) *Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.trGen
-}
-
-// transport snapshots the current transport and its generation for one
-// round-trip attempt.
-func (c *Client) transport() (Transport, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tr, c.trGen
+	return &Client{term: c.term, retry: c.retry, tr: tr, want: c.want, caps: c.caps}
 }
 
 // Exec ships one statement as text and decodes the server's answer.
@@ -134,16 +104,14 @@ func (c *Client) Exec(ctx context.Context, sql string, params ...types.Value) (*
 // connection loss (reads, validates, syncs, prepares, handshakes);
 // with a retry policy installed those are retried with capped backoff.
 // Transport failures surface as *ConnClosedError, fence refusals as
-// *FencedError. pin is the transport generation the frame's handles
-// were prepared on (unpinned when it carries none): a pinned frame is
-// never sent on another generation, it fails with errTransportSwapped.
-func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
+// *FencedError.
+func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
 	if err := CheckFrameSize(body); err != nil {
 		putFrame(body)
 		return nil, err
 	}
 	c.mu.Lock()
-	want, rehello := c.want, c.want != (Caps{}) && c.helloGen != c.trGen && body[0] != TypeHello
+	want, rehello := c.want, c.want != (Caps{}) && !c.helloed && body[0] != TypeHello
 	c.mu.Unlock()
 	if rehello {
 		if _, err := c.Negotiate(ctx, want); err != nil {
@@ -151,7 +119,7 @@ func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool, pi
 			return nil, err
 		}
 	}
-	respBody, err := c.send(ctx, body, idempotent, pin)
+	respBody, err := c.send(ctx, body, idempotent)
 	// The request frame is dead once the round trip returns: every
 	// transport in this package hands it off synchronously (in-process
 	// dispatch copies what it keeps; streams write it out).
@@ -182,8 +150,8 @@ func (c *Client) roundTrip(ctx context.Context, body []byte, idempotent bool, pi
 // error frame (a server that could not decode or serve the request at
 // all). On success the caller owns the body and recycles it with
 // putFrame.
-func (c *Client) call(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
-	respBody, err := c.roundTrip(ctx, body, idempotent, pin)
+func (c *Client) call(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
+	respBody, err := c.roundTrip(ctx, body, idempotent)
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +176,9 @@ func errorFrame(respBody []byte) ([]byte, error) {
 // send performs the transport round trip, wraps raw transport failures
 // in *ConnClosedError, and — for idempotent exchanges under a retry
 // policy — re-sends on connection loss with capped backoff.
-func (c *Client) send(ctx context.Context, body []byte, idempotent bool, pin uint64) ([]byte, error) {
+func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte, error) {
 	try := func() ([]byte, error) {
-		tr, gen := c.transport()
-		if pin != unpinned && gen != pin {
-			return nil, errTransportSwapped
-		}
-		respBody, err := tr.RoundTrip(ctx, body)
+		respBody, err := c.tr.RoundTrip(ctx, body)
 		return respBody, wrapTransportErr(ctx, err)
 	}
 	respBody, err := try()
@@ -287,11 +251,10 @@ func (c *Client) fenceWrite(body []byte) []byte {
 // capabilities travel up, the server's accepted set comes back. A
 // server that predates the hello frame answers with an error frame;
 // that degrades gracefully to the zero capability set (v1 results,
-// no compression) instead of failing the session. The client keeps
-// asking for want on every connection a failover routes it to.
+// no compression) instead of failing the session. A client redialed
+// from this one keeps asking for want.
 func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
-	gen := c.TransportGen()
-	respBody, err := c.roundTrip(ctx, EncodeHello(want), true, unpinned)
+	respBody, err := c.roundTrip(ctx, EncodeHello(want), true)
 	if err != nil {
 		return Caps{}, err
 	}
@@ -304,9 +267,8 @@ func (c *Client) Negotiate(ctx context.Context, want Caps) (Caps, error) {
 			return Caps{}, err
 		}
 	}
-	// A swap since gen was read only re-sends the hello once more.
 	c.mu.Lock()
-	c.want, c.caps, c.helloGen = want, caps, gen
+	c.want, c.caps, c.helloed = want, caps, true
 	c.mu.Unlock()
 	return caps, nil
 }
@@ -339,12 +301,8 @@ func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 
 // exchange ships the requests of one round trip — a single statement,
 // or a batch frame — with every Prepared request bound to the server's
-// handles. The frame is pinned to the transport generation
-// that prepared them; when a failover swaps the transport in between,
-// the handles are gone with it, so the requests are re-bound (and
-// re-prepared) on the new connection instead of executing a stale
-// handle there. Writes carry the fencing envelope and are never
-// retried; pure reads are.
+// handles. Writes carry the fencing envelope and are never retried;
+// pure reads are.
 func (c *Client) exchange(ctx context.Context, reqs []*Request, batch bool) ([]byte, error) {
 	readOnly := true
 	for _, req := range reqs {
@@ -355,65 +313,51 @@ func (c *Client) exchange(ctx context.Context, reqs []*Request, batch bool) ([]b
 			break
 		}
 	}
-	for {
-		gen, err := c.bind(ctx, reqs)
-		if err == nil {
-			var body []byte
-			if batch {
-				body = EncodeBatch(reqs)
-			} else {
-				body = EncodeExec(reqs[0])
-			}
-			if !readOnly {
-				body = c.fenceWrite(body)
-			}
-			var respBody []byte
-			if respBody, err = c.roundTrip(ctx, body, readOnly, gen); err == nil {
-				return respBody, nil
-			}
-		}
-		if err != errTransportSwapped {
-			return nil, err
-		}
+	if err := c.bind(ctx, reqs); err != nil {
+		return nil, err
 	}
+	var body []byte
+	if batch {
+		body = EncodeBatch(reqs)
+	} else {
+		body = EncodeExec(reqs[0])
+	}
+	if !readOnly {
+		body = c.fenceWrite(body)
+	}
+	return c.roundTrip(ctx, body, readOnly)
 }
 
 // bind resolves every Prepared request that names its statement by SQL
 // text to the server's handle, preparing on first use (one extra round
-// trip per transport generation and text), and returns the transport
-// generation the handles belong to. A statement the server's table
-// refused loses its Prepared mark and ships as text. A Prepared request
-// without text carries a caller-supplied handle and is shipped as is.
-func (c *Client) bind(ctx context.Context, reqs []*Request) (uint64, error) {
-	_, gen := c.transport()
+// trip per text). A statement the server's table refused loses its
+// Prepared mark and ships as text. A Prepared request without text
+// carries a caller-supplied handle and is shipped as is.
+func (c *Client) bind(ctx context.Context, reqs []*Request) error {
 	for _, req := range reqs {
 		if !req.Prepared || req.SQL == "" {
 			continue
 		}
 		c.mu.Lock()
 		h, ok := c.handles[req.SQL]
-		swapped := c.trGen != gen
 		c.mu.Unlock()
-		if swapped {
-			return 0, errTransportSwapped
-		}
 		if !ok {
 			var err error
-			if h, err = c.prepare(ctx, req.SQL, gen); err != nil {
-				return 0, err
+			if h, err = c.prepare(ctx, req.SQL); err != nil {
+				return err
 			}
 		}
 		req.Handle, req.Prepared = h, h != textOnly
 	}
-	return gen, nil
+	return nil
 }
 
-// prepare ships a statement's SQL text once on transport generation gen
-// and records the server's handle — or, when the server's statement
-// table is full, textOnly — in the registry.
-func (c *Client) prepare(ctx context.Context, sql string, gen uint64) (uint32, error) {
+// prepare ships a statement's SQL text once and records the server's
+// handle — or, when the server's statement table is full, textOnly — in
+// the registry.
+func (c *Client) prepare(ctx context.Context, sql string) (uint32, error) {
 	var h uint32
-	respBody, err := c.call(ctx, EncodePrepare(sql), true, gen)
+	respBody, err := c.call(ctx, EncodePrepare(sql), true)
 	switch {
 	case errors.Is(err, ErrStatementTableFull):
 		h = textOnly
@@ -428,9 +372,6 @@ func (c *Client) prepare(ctx context.Context, sql string, gen uint64) (uint32, e
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.trGen != gen {
-		return 0, errTransportSwapped
-	}
 	if c.handles == nil {
 		c.handles = map[string]uint32{}
 	}
@@ -446,7 +387,7 @@ func (c *Client) Validate(ctx context.Context, checks []StaleCheck) ([]int64, er
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	respBody, err := c.call(ctx, EncodeValidate(checks), true, unpinned)
+	respBody, err := c.call(ctx, EncodeValidate(checks), true)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +410,7 @@ func (c *Client) Sync(ctx context.Context, since uint64) (*storage.Delta, error)
 func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*storage.Delta, error) {
 	// A sync is fenced like a write — only the current primary may
 	// serve it — but re-pulling a delta is idempotent, so it retries.
-	respBody, err := c.call(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true, unpinned)
+	respBody, err := c.call(ctx, c.fenceWrite(EncodeSyncFrom(since, site)), true)
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +451,7 @@ func (c *Client) ExecBatch(ctx context.Context, reqs []*Request) ([]*Response, e
 // its fencing term, role and database epoch. The probe is idempotent
 // and retried like any read.
 func (c *Client) Status(ctx context.Context) (Status, error) {
-	respBody, err := c.call(ctx, EncodeStatus(), true, unpinned)
+	respBody, err := c.call(ctx, EncodeStatus(), true)
 	if err != nil {
 		return Status{}, err
 	}

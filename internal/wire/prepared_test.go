@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pdmtune/internal/minisql"
@@ -290,137 +288,6 @@ func TestMeteredChannelHonorsContext(t *testing.T) {
 	if d := meter.Metrics.Sub(before); d.RoundTrips != 0 {
 		t.Errorf("cancelled round trip was charged: %+v", d)
 	}
-}
-
-// genConn is one transport generation of the re-prepare test: a fresh
-// server connection that records which handles were prepared through it
-// and flags the execution of any other.
-type genConn struct {
-	t    *testing.T
-	conn *ServerConn
-
-	mu       sync.Mutex
-	prepared map[uint32]bool
-	prepares int
-}
-
-// newGenConn opens a connection whose registry already holds decoys
-// decoy statements, so the handle numbers of successive generations
-// differ and a stale handle would name the wrong statement, not none.
-func newGenConn(t *testing.T, srv *Server, decoys int) *genConn {
-	g := &genConn{t: t, conn: srv.NewConn(), prepared: map[uint32]bool{}}
-	for i := 0; i < decoys; i++ {
-		g.conn.Handle(EncodePrepare("SELECT 'decoy' FROM t WHERE a = ?"))
-	}
-	return g
-}
-
-func (g *genConn) RoundTrip(_ context.Context, request []byte) ([]byte, error) {
-	reqs := []*Request{}
-	switch request[0] {
-	case TypeExecPrepared:
-		req, err := DecodeExecPrepared(request)
-		if err != nil {
-			g.t.Error(err)
-		}
-		reqs = append(reqs, req)
-	case TypeBatch:
-		var err error
-		if reqs, err = DecodeBatch(request); err != nil {
-			g.t.Error(err)
-		}
-	}
-	g.mu.Lock()
-	for _, req := range reqs {
-		if req.Prepared && !g.prepared[req.Handle] {
-			g.t.Errorf("handle %d executed on a connection that did not prepare it", req.Handle)
-		}
-	}
-	g.mu.Unlock()
-	response := g.conn.Handle(request)
-	if request[0] == TypePrepare {
-		if h, err := DecodePrepareResp(response); err == nil {
-			g.mu.Lock()
-			g.prepared[h] = true
-			g.prepares++
-			g.mu.Unlock()
-		}
-	}
-	return response, nil
-}
-
-// TestPreparedRebindsAcrossSetTransport: the client's handles belong to
-// the server its transport reaches, so a transport swap drops them — the next Prepared
-// request re-prepares on the new connection — and a request in flight
-// across the swap never executes a handle on a transport generation
-// that did not prepare it. Run under -race: the swaps come from another
-// goroutine, as a failover's do.
-func TestPreparedRebindsAcrossSetTransport(t *testing.T) {
-	db := minisql.NewDB()
-	mustExec(t, db.NewSession(), "CREATE TABLE t (a INTEGER, b TEXT)")
-	mustExec(t, db.NewSession(), "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
-	srv := NewServer(db)
-	ctx := context.Background()
-	const sql = "SELECT b FROM t WHERE a = ?"
-	check := func(resp *Response, err error, want string) {
-		t.Helper()
-		if err != nil {
-			t.Error(err)
-		} else if len(resp.Rows) != 1 || resp.Rows[0][0].Text() != want {
-			t.Errorf("prepared exec answered %v, want %q", resp.Rows, want)
-		}
-	}
-
-	first := newGenConn(t, srv, 0)
-	client := NewClient(first)
-	for i := 0; i < 3; i++ {
-		resp, err := client.Do(ctx, prep(sql, types.NewInt(2)))
-		check(resp, err, "two")
-	}
-	second := newGenConn(t, srv, 2)
-	client.SetTransport(second)
-	resp, err := client.Do(ctx, prep(sql, types.NewInt(3)))
-	check(resp, err, "three")
-	if first.prepares != 1 || second.prepares != 1 {
-		t.Fatalf("prepares per generation = %d, %d; want 1 each (on first use, again after the swap)",
-			first.prepares, second.prepares)
-	}
-
-	// Swap under a running client: every generation serves at least one
-	// exchange before the next swap.
-	var ops atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := client.Do(ctx, prep(sql, types.NewInt(1)))
-			check(resp, err, "one")
-			resps, err := client.ExecBatch(ctx, []*Request{prep(sql, types.NewInt(2)), prep(sql, types.NewInt(3))})
-			if err != nil || len(resps) != 2 {
-				t.Errorf("batch: %d responses, %v", len(resps), err)
-			} else {
-				check(resps[0], nil, "two")
-				check(resps[1], nil, "three")
-			}
-			ops.Add(1)
-		}
-	}()
-	for swap := 0; swap < 200; swap++ {
-		seen := ops.Load()
-		client.SetTransport(newGenConn(t, srv, swap%3))
-		for ops.Load() == seen {
-			runtime.Gosched()
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // prepareOn prepares sql on a server connection and returns its handle.
