@@ -15,7 +15,7 @@
 //     exchange) and drops entries whose objects changed;
 //   - invalidate-on-write: a client that itself modifies objects drops
 //     every entry depending on them, locally and immediately, via the
-//     reverse index over InvalidateIDs.
+//     reverse index over IDs.
 package cache
 
 import (
@@ -43,14 +43,11 @@ type Entry struct {
 	Value any
 	// Stamp is the server's modification epoch at fetch time.
 	Stamp uint64
-	// ValidateIDs are the object ids whose server-side versions govern
-	// this entry's freshness; the reader sends (id, Stamp) pairs over
-	// the validate exchange.
-	ValidateIDs []int64
-	// InvalidateIDs are the object ids that retire this entry when a
-	// local write touches them (a superset of ValidateIDs is fine; an
-	// empty slice opts out of write invalidation).
-	InvalidateIDs []int64
+	// IDs are the object ids the entry depends on: their server-side
+	// versions govern its freshness (the reader sends (id, Stamp) pairs
+	// over the validate exchange), and a local write touching one
+	// retires it (an empty slice opts out of both).
+	IDs []int64
 }
 
 // Store is a bounded LRU of versioned entries. One session owns it;
@@ -141,7 +138,7 @@ func (s *Store) Put(key Key, e Entry) {
 }
 
 // Invalidate drops every entry (across all actions) whose
-// InvalidateIDs contain any of the given object ids, returning the
+// IDs contain any of the given object ids, returning the
 // number of entries dropped. This is the no-round-trip path a
 // writer uses on its own modifications.
 func (s *Store) Invalidate(ids ...int64) int {
@@ -162,7 +159,7 @@ func (s *Store) Invalidate(ids ...int64) int {
 // index/unindex maintain the id → keys reverse map; both run under mu.
 
 func (s *Store) index(key Key, e Entry) {
-	for _, id := range e.InvalidateIDs {
+	for _, id := range e.IDs {
 		set := s.byID[id]
 		if set == nil {
 			set = map[Key]struct{}{}
@@ -173,7 +170,7 @@ func (s *Store) index(key Key, e Entry) {
 }
 
 func (s *Store) unindex(key Key, e Entry) {
-	for _, id := range e.InvalidateIDs {
+	for _, id := range e.IDs {
 		if set := s.byID[id]; set != nil {
 			delete(set, key)
 			if len(set) == 0 {

@@ -14,7 +14,7 @@ func key(id int64) Key { return Key{ID: id, Action: "mle"} }
 func TestLRUBound(t *testing.T) {
 	s := New(3)
 	for i := int64(1); i <= 10; i++ {
-		s.Put(key(i), Entry{Value: i, InvalidateIDs: []int64{i}})
+		s.Put(key(i), Entry{Value: i, IDs: []int64{i}})
 		if s.Len() > 3 {
 			t.Fatalf("after %d puts: len = %d, want <= 3", i, s.Len())
 		}
@@ -51,9 +51,9 @@ func TestInvalidateByID(t *testing.T) {
 	s := New(10)
 	// Entry for parent 1 depends on children 10, 11; entry for parent 2
 	// depends on child 11 only; entry 3 is independent.
-	s.Put(key(1), Entry{Value: "a", InvalidateIDs: []int64{1, 10, 11}})
-	s.Put(key(2), Entry{Value: "b", InvalidateIDs: []int64{2, 11}})
-	s.Put(key(3), Entry{Value: "c", InvalidateIDs: []int64{3}})
+	s.Put(key(1), Entry{Value: "a", IDs: []int64{1, 10, 11}})
+	s.Put(key(2), Entry{Value: "b", IDs: []int64{2, 11}})
+	s.Put(key(3), Entry{Value: "c", IDs: []int64{3}})
 	if n := s.Invalidate(11); n != 2 {
 		t.Fatalf("Invalidate(11) dropped %d entries, want 2", n)
 	}
@@ -77,8 +77,8 @@ func TestInvalidateCrossesActions(t *testing.T) {
 	s := New(10)
 	a := Key{ID: 1, Action: "mle"}
 	b := Key{ID: 1, Action: "expand"}
-	s.Put(a, Entry{Value: "a", InvalidateIDs: []int64{1}})
-	s.Put(b, Entry{Value: "b", InvalidateIDs: []int64{1}})
+	s.Put(a, Entry{Value: "a", IDs: []int64{1}})
+	s.Put(b, Entry{Value: "b", IDs: []int64{1}})
 	if n := s.Invalidate(1); n != 2 {
 		t.Fatalf("Invalidate dropped %d entries, want both actions", n)
 	}
@@ -86,8 +86,8 @@ func TestInvalidateCrossesActions(t *testing.T) {
 
 func TestReplaceReindexes(t *testing.T) {
 	s := New(10)
-	s.Put(key(1), Entry{Value: "old", InvalidateIDs: []int64{1, 10}})
-	s.Put(key(1), Entry{Value: "new", InvalidateIDs: []int64{1, 20}})
+	s.Put(key(1), Entry{Value: "old", IDs: []int64{1, 10}})
+	s.Put(key(1), Entry{Value: "new", IDs: []int64{1, 20}})
 	if s.Len() != 1 {
 		t.Fatalf("len = %d, want 1 after replace", s.Len())
 	}
@@ -133,7 +133,7 @@ func (r *refLRU) put(k Key, e Entry) {
 func (r *refLRU) invalidate(ids ...int64) int {
 	kept := r.slots[:0:0]
 	for _, s := range r.slots {
-		if !slices.ContainsFunc(s.entry.InvalidateIDs, func(id int64) bool { return slices.Contains(ids, id) }) {
+		if !slices.ContainsFunc(s.entry.IDs, func(id int64) bool { return slices.Contains(ids, id) }) {
 			kept = append(kept, s)
 		}
 	}
@@ -161,7 +161,7 @@ func TestStoreMatchesReferenceLRU(t *testing.T) {
 				for i := range ids {
 					ids[i] = int64(rng.Intn(12))
 				}
-				e := Entry{Value: op, InvalidateIDs: ids}
+				e := Entry{Value: op, IDs: ids}
 				s.Put(k, e)
 				ref.put(k, e)
 			case 2:
@@ -188,7 +188,7 @@ func TestStoreMatchesReferenceLRU(t *testing.T) {
 			index := map[int64]map[Key]struct{}{}
 			for _, sl := range ref.slots {
 				want = append(want, sl.key)
-				for _, id := range sl.entry.InvalidateIDs {
+				for _, id := range sl.entry.IDs {
 					if index[id] == nil {
 						index[id] = map[Key]struct{}{}
 					}
@@ -235,7 +235,7 @@ func TestConcurrentAccess(t *testing.T) {
 				k := Key{ID: id, Action: fmt.Sprintf("a%d", g%2)}
 				switch i % 3 {
 				case 0:
-					s.Put(k, Entry{Value: i, InvalidateIDs: []int64{id, id + 1000}})
+					s.Put(k, Entry{Value: i, IDs: []int64{id, id + 1000}})
 				case 1:
 					s.Get(k)
 				default:

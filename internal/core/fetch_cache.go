@@ -91,7 +91,7 @@ func (f *cachedFetcher) ensureValidated(ctx context.Context, roots []int64, acti
 			continue
 		}
 		keys = append(keys, k)
-		for _, vid := range e.ValidateIDs {
+		for _, vid := range e.IDs {
 			if s, ok := since[vid]; !ok || e.Stamp < s {
 				since[vid] = e.Stamp
 			}
@@ -186,10 +186,9 @@ func (f *cachedFetcher) putPage(parent int64, action string, page expandPage) {
 	ids = append(ids, page.AllIDs...)
 	k := f.key(parent, action)
 	f.store.Put(k, cache.Entry{
-		Value:         cachedPage{children: cloneNodes(page.Children)},
-		Stamp:         page.Epoch,
-		ValidateIDs:   ids,
-		InvalidateIDs: ids,
+		Value: cachedPage{children: cloneNodes(page.Children)},
+		Stamp: page.Epoch,
+		IDs:   ids,
 	})
 	f.validated[k] = true
 }
@@ -225,10 +224,9 @@ func (f *cachedFetcher) FetchRecursive(ctx context.Context, root int64, action s
 	if epoch > 0 && tree != nil && tree.Root != nil {
 		ids := treeIDs(tree)
 		f.store.Put(k, cache.Entry{
-			Value:         cachedTree{tree: cloneTree(tree)},
-			Stamp:         epoch,
-			ValidateIDs:   ids,
-			InvalidateIDs: ids,
+			Value: cachedTree{tree: cloneTree(tree)},
+			Stamp: epoch,
+			IDs:   ids,
 		})
 		f.validated[k] = true
 	}
