@@ -395,18 +395,14 @@ func (c *Client) Validate(ctx context.Context, checks []StaleCheck) ([]int64, er
 	return DecodeValidateResp(respBody)
 }
 
-// Sync pulls the replication delta above the given epoch: the primary
-// answers with every row modified after it (full rows keyed by version
-// key) plus the version stamps the replica's log needs to mirror the
-// primary's. One round trip regardless of delta size.
-func (c *Client) Sync(ctx context.Context, since uint64) (*storage.Delta, error) {
-	return c.SyncFrom(ctx, since, "")
-}
-
-// SyncFrom is Sync with a site identity: a primary with a subscription
-// filter for the named site answers a partial, subscription-bounded
-// delta (Delta.Partial) instead of the full one. An empty site — or a
-// server without a filter — pulls the full delta exactly as before.
+// SyncFrom pulls the replication delta above the given epoch: the
+// primary answers with every row modified after it (full rows keyed by
+// version key) plus the version stamps the replica's log needs to
+// mirror the primary's. One round trip regardless of delta size. A
+// primary with a subscription filter for the named site answers a
+// partial, subscription-bounded delta (Delta.Partial) instead of the
+// full one; an empty site — or a server without a filter — pulls the
+// full delta.
 func (c *Client) SyncFrom(ctx context.Context, since uint64, site string) (*storage.Delta, error) {
 	// A sync is fenced like a write — only the current primary may
 	// serve it — but re-pulling a delta is idempotent, so it retries.

@@ -110,14 +110,14 @@ func TestDeposedServerServesSameTermSync(t *testing.T) {
 
 	same := NewClient(&MeteredChannel{Conn: srv.NewConn()})
 	same.SetTermSource(staticTerm(3))
-	if _, err := same.Sync(ctx, 0); err != nil {
+	if _, err := same.SyncFrom(ctx, 0, ""); err != nil {
 		t.Fatalf("same-term sync at deposed primary: %v", err)
 	}
 
 	future := NewClient(&MeteredChannel{Conn: srv.NewConn()})
 	future.SetTermSource(staticTerm(4))
 	var fe *FencedError
-	if _, err := future.Sync(ctx, 0); !errors.As(err, &fe) {
+	if _, err := future.SyncFrom(ctx, 0, ""); !errors.As(err, &fe) {
 		t.Fatalf("future-term sync at deposed primary: %v, want *FencedError", err)
 	}
 }

@@ -101,7 +101,7 @@ func TestServerSyncAndApply(t *testing.T) {
 	meter := netsim.NewMeter(netsim.LAN())
 	client := NewClient(&MeteredChannel{Conn: server.NewConn(), Meter: meter})
 
-	d, err := client.Sync(context.Background(), 0)
+	d, err := client.SyncFrom(context.Background(), 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestServerSyncAndApply(t *testing.T) {
 		t.Fatalf("replica query: %v %+v", err, res)
 	}
 
-	empty, err := client.Sync(context.Background(), d.Epoch)
+	empty, err := client.SyncFrom(context.Background(), d.Epoch, "")
 	if err != nil {
 		t.Fatal(err)
 	}
