@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"pdmtune"
@@ -334,8 +333,7 @@ func TestStatementModeMatrix(t *testing.T) {
 // where-used and ECO under every strategy, batched or not, prepared or
 // not — gets one verdict from the server's classifier, which reads the
 // parsed statement (minisql.ReadOnly), and from the clients' keyword
-// peek (wire.ReadOnlySQL). The only difference allowed is a text led by
-// a comment, which the peek calls a write, the safe direction.
+// peek (wire.ReadOnlySQL), which reads past comments as the lexer does.
 func TestMatrixTextsClassifyAlike(t *testing.T) {
 	ctx := context.Background()
 	rules := pdmtune.StandardRules()
@@ -397,9 +395,7 @@ func TestMatrixTextsClassifyAlike(t *testing.T) {
 			continue
 		}
 		ast, peek := minisql.ReadOnly(stmt), wire.ReadOnlySQL(sql)
-		lead := strings.TrimLeft(sql, " \t\r\n")
-		commentLed := strings.HasPrefix(lead, "--") || strings.HasPrefix(lead, "/*")
-		if ast != peek && !(commentLed && ast && !peek) {
+		if ast != peek {
 			t.Errorf("minisql.ReadOnly %v, wire.ReadOnlySQL %v:\n%s", ast, peek, sql)
 		}
 	}
