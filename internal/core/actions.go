@@ -38,7 +38,9 @@ type ActionResult struct {
 // nothing from preparation, so the prepared mode does not change it.
 // The result is not structure-cached: rows join the product by a
 // `prod` attribute the version log does not key, so a cached answer
-// could not detect newly inserted nodes.
+// could not detect newly inserted nodes. A product spans every subtree,
+// so at a subscription-bounded replica the statement runs at the
+// primary as a fall-through read.
 func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error) {
 	before := c.snapshot()
 	if err := c.beginAction(ctx); err != nil {
@@ -48,7 +50,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.sql.Load().Do(ctx, c.request(st, prod))
+	resp, err := c.fetch.Exec(ctx, c.request(st, prod))
 	if err != nil {
 		return nil, err
 	}

@@ -162,7 +162,7 @@ func (c *Client) beginAction(ctx context.Context) error {
 func (c *Client) rebuildFetch() {
 	var f fetcher = &wireFetcher{c: c}
 	if c.structs != nil {
-		f = &cachedFetcher{inner: f, c: c, store: c.structs}
+		f = &cachedFetcher{fetcher: f, c: c, store: c.structs}
 	}
 	if c.site != nil && c.site.holds != nil {
 		// Reads outside the site's subscription re-issue against the
@@ -408,12 +408,13 @@ func (c *Client) ResetMetrics() {
 // Exec ships one raw SQL statement over the WAN (administration, DDL,
 // loading). Rule machinery is not applied, and the structure cache is
 // not invalidated — a raw write is caught by the next validate-on-use
-// exchange instead. At a replica site the statement is routed by kind:
-// queries run against the local replica, everything else (DML, DDL,
+// exchange instead. A read goes through the fetcher like any action's:
+// at a full replica it runs against the site, at a subscription-bounded
+// one at the primary as a fall-through read. Everything else (DML, DDL,
 // CALL, transaction control) goes to the primary.
 func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) (*wire.Response, error) {
 	if wire.ReadOnlySQL(sql) {
-		return c.sql.Load().Exec(ctx, sql, params...)
+		return c.fetch.Exec(ctx, &wire.Request{SQL: sql, Params: params})
 	}
 	var resp *wire.Response
 	err := c.withWrite(func(w *wire.Client) error {

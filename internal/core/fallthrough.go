@@ -7,8 +7,9 @@ import (
 	"pdmtune/internal/wire"
 )
 
-// fallThroughFetcher is the partial-replication read layer: a client at
-// a subscription-bounded replica serves in-subscription reads from the
+// fallThroughFetcher is the partial-replication read layer and the one
+// place that decides where a read runs: a client at a
+// subscription-bounded replica serves in-subscription reads from the
 // site (the inner chain — cache over the site-local wire path) and
 // transparently re-issues everything else against the primary, at WAN
 // cost, through a second wire fetcher bound to the primary connection.
@@ -16,7 +17,11 @@ import (
 // recursive fetch routes whole-call by its root; the navigational
 // expand partitions each BFS level parent-by-parent (a level can mix
 // held and fallen-through parents when the action's root itself was
-// out of subscription).
+// out of subscription). A whole-structure statement (Exec: Query,
+// where-used, the report, raw reads) cannot respect the closure — an
+// ancestor chain leaves the subscribed subtree at any level, a product
+// spans every subtree — so it runs at the primary while the site is
+// partial.
 type fallThroughFetcher struct {
 	inner   fetcher
 	primary fetcher
@@ -37,6 +42,13 @@ func (f *fallThroughFetcher) lane(id int64) fetcher {
 
 func (f *fallThroughFetcher) LookupType(ctx context.Context, obid int64) (string, error) {
 	return f.lane(obid).LookupType(ctx, obid)
+}
+
+func (f *fallThroughFetcher) Exec(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	if f.holds.Partial() {
+		return f.primary.Exec(ctx, req)
+	}
+	return f.inner.Exec(ctx, req)
 }
 
 func (f *fallThroughFetcher) FetchRecursive(ctx context.Context, root int64, action string) (*Tree, int, uint64, error) {
@@ -102,12 +114,4 @@ func (c *Client) execFallThrough(ctx context.Context, req *wire.Request) (*wire.
 		m.Add(netsim.Metrics{FallThroughRoundTrips: 1})
 	}
 	return resp, nil
-}
-
-// partialReplica reports whether the client currently reads from a
-// subscription-bounded replica — the actions that cannot respect the
-// downward closure (where-used walks upward) route themselves wholly to
-// the primary when it does.
-func (c *Client) partialReplica() bool {
-	return c.site != nil && c.site.holds != nil && c.site.holds.Partial()
 }

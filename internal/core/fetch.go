@@ -6,13 +6,14 @@ import (
 	"pdmtune/internal/wire"
 )
 
-// fetcher is the unified read path of the PDM client. Every byte a
-// read action pulls across the WAN flows through one of its methods:
-// the per-level navigational expand (probes included), the object
-// type lookup, and the Section 5 recursive fetch. Unifying the four
-// formerly hand-woven code paths behind one interface is what lets
-// the structure cache decorate all read traffic in one place — and
-// what keeps the statement modes in one place each instead of threaded
+// fetcher is the one read path of the PDM client. Every byte a read
+// pulls across the WAN flows through one of its methods: the per-level
+// navigational expand (probes included), the object type lookup, the
+// Section 5 recursive fetch, and the statements that need the whole
+// structure (Query, where-used, the report, raw reads). One interface
+// lets the structure cache decorate the structure reads in one place,
+// lets a partial replica decide in one place where each read runs, and
+// keeps the statement modes in one place each instead of threaded
 // through every action: batching in execLevel, prepared statements in
 // the request constructor (statement.go).
 //
@@ -39,6 +40,11 @@ type fetcher interface {
 	// returns the reassembled tree, the rows received and the server
 	// epoch of the fetch.
 	FetchRecursive(ctx context.Context, root int64, action string) (*Tree, int, uint64, error)
+
+	// Exec ships one read statement where the whole structure lives:
+	// the client's read connection, or the primary while the client
+	// reads at a subscription-bounded replica.
+	Exec(ctx context.Context, req *wire.Request) (*wire.Response, error)
 }
 
 // expandPage is the result of expanding one parent: the children the
@@ -70,8 +76,8 @@ type wireFetcher struct {
 	primary bool
 }
 
-// exec ships one statement on the fetcher's connection.
-func (w *wireFetcher) exec(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// Exec ships one statement on the fetcher's connection.
+func (w *wireFetcher) Exec(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if w.primary {
 		return w.c.execFallThrough(ctx, req)
 	}
@@ -111,7 +117,7 @@ func (w *wireFetcher) execLevel(ctx context.Context, n int, req func(i int) (*wi
 		if err != nil {
 			return err
 		}
-		resp, err := w.exec(ctx, r)
+		resp, err := w.Exec(ctx, r)
 		if err != nil {
 			return err
 		}

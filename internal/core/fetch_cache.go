@@ -23,9 +23,11 @@ import (
 //     check-in) drop affected entries directly — no round trip.
 //
 // The wire fetcher underneath is unchanged: a cold action costs
-// exactly what an uncached session pays.
+// exactly what an uncached session pays. Type lookups (object types are
+// immutable and have their own bounded cache) and whole-structure
+// statements pass through to it.
 type cachedFetcher struct {
-	inner fetcher
+	fetcher
 	c     *Client
 	store *cache.Store
 	// validated marks the store keys this action already revalidated
@@ -50,7 +52,7 @@ type cachedTree struct {
 // revalidates the cached closure it touches in one exchange.
 func (f *cachedFetcher) BeginAction() {
 	f.validated = map[cache.Key]bool{}
-	f.inner.BeginAction()
+	f.fetcher.BeginAction()
 }
 
 func (f *cachedFetcher) key(id int64, action string) cache.Key {
@@ -153,7 +155,7 @@ func (f *cachedFetcher) ExpandLevel(ctx context.Context, parents []*Node, action
 	}
 	received := 0
 	if len(missParents) > 0 {
-		fetched, got, err := f.inner.ExpandLevel(ctx, missParents, action)
+		fetched, got, err := f.fetcher.ExpandLevel(ctx, missParents, action)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -193,13 +195,6 @@ func (f *cachedFetcher) putPage(parent int64, action string, page expandPage) {
 	f.validated[k] = true
 }
 
-// LookupType delegates to the wire fetcher, which already consults the
-// (bounded) type cache: object types are immutable, so they need no
-// version validation.
-func (f *cachedFetcher) LookupType(ctx context.Context, obid int64) (string, error) {
-	return f.inner.LookupType(ctx, obid)
-}
-
 // FetchRecursive serves a validated cached tree locally, or fetches
 // and caches it. A warm recursive MLE costs one validate exchange
 // instead of re-shipping every node record — the latency is the same
@@ -216,7 +211,7 @@ func (f *cachedFetcher) FetchRecursive(ctx context.Context, root int64, action s
 			return cloneTree(ct.tree), 0, e.Stamp, nil
 		}
 	}
-	tree, received, epoch, err := f.inner.FetchRecursive(ctx, root, action)
+	tree, received, epoch, err := f.fetcher.FetchRecursive(ctx, root, action)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -13,7 +13,7 @@ func (w *wireFetcher) FetchRecursive(ctx context.Context, root int64, action str
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	resp, err := w.exec(ctx, c.request(st, root))
+	resp, err := w.Exec(ctx, c.request(st, root))
 	if err != nil {
 		return nil, 0, 0, err
 	}

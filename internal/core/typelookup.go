@@ -28,7 +28,7 @@ func (w *wireFetcher) LookupType(ctx context.Context, obid int64) (string, error
 	if e, ok := c.types.Get(typeKey(obid)); ok {
 		return e.Value.(string), nil
 	}
-	resp, err := w.exec(ctx, c.request(typeLookupStmt, obid))
+	resp, err := w.Exec(ctx, c.request(typeLookupStmt, obid))
 	if err != nil {
 		return "", err
 	}

@@ -22,23 +22,10 @@ import (
 // is a write, so it does not follow the read strategy: it is one call of
 // the pdm_eco procedure, which walks the same closure at the server and
 // updates the part and its assemblies in one write unit. Where-used
-// walks the structure against the direction the subscription closure
-// guarantees, and the report aggregates over the whole product, so on a
-// partial replica both route wholly to the primary as fall-through
-// reads.
-
-// wholeStructureDo ships a read that needs the whole structure: over the
-// site-local read connection normally, to the primary (counted as
-// fall-through) when the replica is subscription-bounded — an ancestor
-// chain can leave the subscribed subtree at any level, and a product
-// aggregate spans every subtree, so such reads run where the full
-// structure lives.
-func (c *Client) wholeStructureDo(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if c.partialReplica() {
-		return c.execFallThrough(ctx, req)
-	}
-	return c.sql.Load().Do(ctx, req)
-}
+// and the report read through the fetcher's Exec: where-used walks the
+// structure against the direction the subscription closure guarantees,
+// and the report aggregates over the whole product, so on a partial
+// replica both run wholly at the primary as fall-through reads.
 
 // whereUsedClosure walks the link structure upward from start and
 // returns every transitive ancestor (start excluded) in BFS order,
@@ -51,7 +38,7 @@ func (c *Client) whereUsedClosure(ctx context.Context, start int64) ([]int64, in
 	var ancestors []int64
 	received := 0
 	for len(frontier) > 0 {
-		resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildWhereUsedLevelSQL(frontier)})
+		resp, err := c.fetch.Exec(ctx, &wire.Request{SQL: BuildWhereUsedLevelSQL(frontier)})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -83,7 +70,7 @@ func (c *Client) whereUsedRows(ctx context.Context, part int64) ([]storage.Row, 
 		if err != nil {
 			return nil, 0, err
 		}
-		resp, err := c.wholeStructureDo(ctx, c.request(st, part))
+		resp, err := c.fetch.Exec(ctx, c.request(st, part))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -93,7 +80,7 @@ func (c *Client) whereUsedRows(ctx context.Context, part int64) ([]storage.Row, 
 	if err != nil || len(ancestors) == 0 {
 		return nil, received, err
 	}
-	resp, err := c.wholeStructureDo(ctx, &wire.Request{SQL: BuildFetchNodesSQL(ancestors)})
+	resp, err := c.fetch.Exec(ctx, &wire.Request{SQL: BuildFetchNodesSQL(ancestors)})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -286,7 +273,7 @@ func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.wholeStructureDo(ctx, c.request(st, prod))
+	resp, err := c.fetch.Exec(ctx, c.request(st, prod))
 	if err != nil {
 		return nil, err
 	}

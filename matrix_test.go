@@ -10,6 +10,7 @@ import (
 	"pdmtune"
 	"pdmtune/internal/minisql"
 	"pdmtune/internal/minisql/parser"
+	"pdmtune/internal/minisql/types"
 	"pdmtune/internal/wire"
 )
 
@@ -138,11 +139,14 @@ func TestStatementModeMatrix(t *testing.T) {
 	}
 
 	// Query and Expand through every result encoding — v1 or v2, deflated
-	// or not — under every strategy, at the primary and the full replica
-	// (a partial replica's Query reads what it holds): the objects and the
-	// expanded level must be byte-identical to the first configuration's.
+	// or not — under every strategy, at the primary and both replicas:
+	// the objects and the expanded level must be byte-identical to the
+	// first configuration's. A product spans every subtree, so the partial
+	// replica's Query is one fall-through read of the whole product, and
+	// so is a raw SELECT there, which must count what the primary counts.
 	var wantQuery, wantExpand []byte
-	for _, place := range []struct{ name, site string }{{"primary", ""}, {"full-replica", "full"}} {
+	wantCount := int64(-1) // the primary's assemblies of the product
+	for _, place := range []struct{ name, site string }{{"primary", ""}, {"full-replica", "full"}, {"partial", "partial"}} {
 		for _, strategy := range []pdmtune.Strategy{pdmtune.LateEval, pdmtune.EarlyEval, pdmtune.Recursive} {
 			for mode := 0; mode < 4; mode++ {
 				columnar, compress := mode&1 != 0, mode&2 != 0
@@ -162,6 +166,27 @@ func TestStatementModeMatrix(t *testing.T) {
 				var got bytes.Buffer
 				for _, n := range query.Objects {
 					got.Write(flattenTree(&pdmtune.Tree{Root: n}))
+				}
+				wantFT := 0
+				if place.site == "partial" {
+					wantFT = 1
+				}
+				if ft := sess.WANMetrics().FallThroughRoundTrips; ft != wantFT {
+					t.Errorf("query/%s: %d fall-through round trips, want %d", name, ft, wantFT)
+				}
+				if strategy == pdmtune.LateEval && mode == 0 {
+					count, err := sess.Exec(ctx, "SELECT COUNT(*) FROM assy WHERE prod = ?", types.NewInt(prod.Config.ProdID))
+					if err != nil {
+						t.Fatalf("count/%s: %v", name, err)
+					}
+					if len(count.Rows) != 1 || len(count.Rows[0]) != 1 || count.Rows[0][0].Kind() != types.KindInt {
+						t.Fatalf("count/%s: answer %v is not one integer", name, count.Rows)
+					}
+					if n := count.Rows[0][0].Int(); wantCount < 0 {
+						wantCount = n
+					} else if n != wantCount {
+						t.Errorf("count/%s: %d assemblies, the primary counts %d", name, n, wantCount)
+					}
 				}
 				expand, err := sess.Expand(ctx, outSub)
 				if err != nil {

@@ -161,9 +161,11 @@ func TestPartialReplicationD7B5(t *testing.T) {
 	}
 }
 
-// TestFallThroughConcurrent drives in- and out-of-subscription reads
-// from many goroutines at once (one session each) — the fall-through
-// layer and the holds bookkeeping must be race-free (run with -race).
+// TestFallThroughConcurrent drives in- and out-of-subscription reads,
+// and Queries of the whole product, from many goroutines at once (one
+// session each) — the fall-through layer and the holds bookkeeping must
+// be race-free (run with -race), and every Query must see what the
+// primary sees.
 func TestFallThroughConcurrent(t *testing.T) {
 	ctx := context.Background()
 	cl, err := pdmtune.NewCluster(nil, pdmtune.SiteConfig{Name: "munich"})
@@ -179,6 +181,15 @@ func TestFallThroughConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cl.SyncSite(ctx, "munich"); err != nil {
+		t.Fatal(err)
+	}
+	primary, err := cl.Primary().Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	whole, err := primary.Query(ctx, prod.Config.ProdID)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -201,6 +212,15 @@ func TestFallThroughConcurrent(t *testing.T) {
 				}
 				if _, err := sess.WhereUsed(ctx, target); err != nil {
 					errs <- fmt.Errorf("where-used %d: %w", target, err)
+					return
+				}
+				q, err := sess.Query(ctx, prod.Config.ProdID)
+				if err != nil {
+					errs <- fmt.Errorf("query: %w", err)
+					return
+				}
+				if q.Visible != whole.Visible {
+					errs <- fmt.Errorf("query: %d objects visible, the primary sees %d", q.Visible, whole.Visible)
 					return
 				}
 			}
