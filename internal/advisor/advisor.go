@@ -1,58 +1,20 @@
 // Package advisor closes the tuning loop the paper leaves to the DBA:
 // it observes the windowed WAN metrics of a live session or fleet,
-// classifies the workload shape, ranks candidate configurations over
-// the client's tuning knobs with the analytic cost model, and emits
+// distills them into a costmodel workload, ranks candidate
+// configurations over the client's tuning knobs with the analytic cost
+// model, and emits
 // either a read-only diagnosis (DiagSnapshot) or a fingerprinted,
 // rollback-capable change set (ChangeSet) — tuning as an output of the
 // system instead of an input.
 package advisor
 
 import (
-	"fmt"
 	"sort"
 
 	"pdmtune/internal/costmodel"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/workload"
 )
-
-// Shape is the advisor's coarse workload classification. Each shape
-// names the dominant traffic pattern of an observation window and has a
-// known best-knob family the ranking should (and, per the acceptance
-// tests, does) rediscover from the cost model alone.
-type Shape int
-
-const (
-	// ColdRead is a cold structure scan: deep traversals, no repeats,
-	// few writes. Round trips dominate — recursion and batching win.
-	ColdRead Shape = iota
-	// RepeatRead is a warm, repeat-heavy read workload: the same
-	// structures are traversed again and again — a structure cache
-	// collapses repeats to one validate exchange.
-	RepeatRead
-	// WriteHeavy is a check-in/check-out storm: the write path and its
-	// lock waits dominate — batched, prepared modifies and fewer fetch
-	// round trips win.
-	WriteHeavy
-	// ReplicaRead is a read-dominant workload at a replica site: reads
-	// are already local, the tuning question is the staleness bound
-	// that amortizes the WAN pulls.
-	ReplicaRead
-)
-
-func (s Shape) String() string {
-	switch s {
-	case ColdRead:
-		return "cold-read"
-	case RepeatRead:
-		return "repeat-read"
-	case WriteHeavy:
-		return "write-heavy"
-	case ReplicaRead:
-		return "replica-read"
-	}
-	return fmt.Sprintf("Shape(%d)", int(s))
-}
 
 // Observation is one windowed look at a live session — everything the
 // advisor may use. Window is a Metrics delta between two Meter.Snapshot
@@ -82,28 +44,11 @@ type Observation struct {
 	Coverage float64
 }
 
-func (o Observation) replica() bool { return o.Site != "" && o.Site != "primary" }
-
-// WorkloadProfile is the classified shape of an observation plus the
-// costmodel workload distilled from it — the input the ranking prices
-// every candidate against.
-type WorkloadProfile struct {
-	Shape Shape
-	costmodel.Workload
-}
-
-// Classification thresholds: a window is write-heavy when at least
-// writeHeavyFrac of its actions are writes, and repeat-heavy when at
-// least repeatHeavyFrac of its reads hit an already-traversed target.
-const (
-	writeHeavyFrac  = 0.4
-	repeatHeavyFrac = 0.5
-)
-
-// Classify distills an observation window into a workload profile. It
-// never fails: an empty window classifies as a cold read at the
-// observed site — the advisor's no-information default.
-func Classify(o Observation) WorkloadProfile {
+// Classify distills an observation window into the costmodel workload
+// the ranking prices every candidate against. It never fails: an empty
+// window distills to a cold read at the observed site — the advisor's
+// no-information default.
+func Classify(o Observation) costmodel.Workload {
 	m := o.Window
 	actions := m.Actions()
 	var writeFrac, repeatFrac float64
@@ -122,17 +67,7 @@ func Classify(o Observation) WorkloadProfile {
 		actionsPerSec = float64(actions) / sec
 	}
 
-	shape := ColdRead
-	switch {
-	case writeFrac >= writeHeavyFrac:
-		shape = WriteHeavy
-	case o.replica():
-		shape = ReplicaRead
-	case repeatFrac >= repeatHeavyFrac:
-		shape = RepeatRead
-	}
-
-	w := costmodel.Workload{
+	return costmodel.Workload{
 		Model: costmodel.Model{
 			Net:       o.Link,
 			LocalNet:  o.LocalLink,
@@ -146,7 +81,6 @@ func Classify(o Observation) WorkloadProfile {
 		ActionsPerSec: actionsPerSec,
 		Coverage:      o.Coverage,
 	}
-	return WorkloadProfile{Shape: shape, Workload: w}
 }
 
 // Recommendation is one ranked candidate configuration.
@@ -214,7 +148,7 @@ func candidates(current costmodel.Knobs) []costmodel.Knobs {
 }
 
 // Advisor closes the paper's tuning loop for one product shape: it
-// observes a Tunable over a metrics window, classifies the workload,
+// observes a Tunable over a metrics window, distills the workload,
 // ranks candidate configurations with the analytic cost model, and
 // either reports (Diagnose) or plans (Plan → ChangeSet.Apply /
 // Rollback). A window is a Metrics delta (snapshot the session's
@@ -245,12 +179,12 @@ func (a Advisor) Recommend(t Tunable, window netsim.Metrics) []Recommendation {
 	return recommend(Classify(a.observe(t, window)), t.TuneConfig())
 }
 
-func recommend(p WorkloadProfile, current costmodel.Knobs) []Recommendation {
-	currentSec := costmodel.PredictWorkload(current, p.Workload).PerActionSec
+func recommend(w costmodel.Workload, current costmodel.Knobs) []Recommendation {
+	currentSec := costmodel.PredictWorkload(current, w).PerActionSec
 	cands := candidates(current)
 	recs := make([]Recommendation, 0, len(cands))
 	for _, c := range cands {
-		sec := costmodel.PredictWorkload(c, p.Workload).PerActionSec
+		sec := costmodel.PredictWorkload(c, w).PerActionSec
 		var delta float64
 		if currentSec > 0 {
 			delta = (1 - sec/currentSec) * 100

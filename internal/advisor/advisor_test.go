@@ -32,49 +32,6 @@ func window(reads, repeats, writes int, lockWaitNanos int64) netsim.Metrics {
 	}
 }
 
-func TestClassifyShapes(t *testing.T) {
-	tests := []struct {
-		name string
-		obs  Observation
-		want Shape
-	}{
-		{
-			name: "cold deep scan",
-			obs:  Observation{Window: window(20, 0, 0, 0), Tree: paperTree()},
-			want: ColdRead,
-		},
-		{
-			name: "warm repeat-heavy",
-			obs:  Observation{Window: window(20, 15, 1, 0), Tree: paperTree()},
-			want: RepeatRead,
-		},
-		{
-			name: "check-in storm",
-			obs:  Observation{Window: window(10, 2, 12, 5e8), Tree: paperTree()},
-			want: WriteHeavy,
-		},
-		{
-			name: "replica readers",
-			obs:  Observation{Window: window(20, 4, 1, 0), Site: "hamburg", Tree: paperTree()},
-			want: ReplicaRead,
-		},
-		{
-			name: "empty window defaults cold",
-			obs:  Observation{Tree: paperTree()},
-			want: ColdRead,
-		},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			p := Classify(tc.obs)
-			if p.Shape != tc.want {
-				t.Errorf("shape = %v, want %v (write_frac=%.2f repeat_frac=%.2f)",
-					p.Shape, tc.want, p.WriteFrac, p.RepeatFrac)
-			}
-		})
-	}
-}
-
 func TestClassifyDistillsWorkload(t *testing.T) {
 	obs := Observation{
 		Window:   window(10, 5, 10, 2e9), // 0.2s lock wait per write
@@ -83,20 +40,20 @@ func TestClassifyDistillsWorkload(t *testing.T) {
 		Coverage: 0.4,
 	}
 	p := Classify(obs)
-	if p.Workload.WriteFrac != 0.5 {
-		t.Errorf("write frac = %v, want 0.5", p.Workload.WriteFrac)
+	if p.WriteFrac != 0.5 {
+		t.Errorf("write frac = %v, want 0.5", p.WriteFrac)
 	}
-	if p.Workload.RepeatFrac != 0.5 {
-		t.Errorf("repeat frac = %v, want 0.5", p.Workload.RepeatFrac)
+	if p.RepeatFrac != 0.5 {
+		t.Errorf("repeat frac = %v, want 0.5", p.RepeatFrac)
 	}
-	if p.Workload.LockWaitSec != 0.2 {
-		t.Errorf("lock wait = %v sec/write, want 0.2", p.Workload.LockWaitSec)
+	if p.LockWaitSec != 0.2 {
+		t.Errorf("lock wait = %v sec/write, want 0.2", p.LockWaitSec)
 	}
-	if p.Workload.Coverage != 0.4 || p.Workload.Net.LatencySec != 0.15 {
-		t.Errorf("environment not carried over: %+v", p.Workload)
+	if p.Coverage != 0.4 || p.Net.LatencySec != 0.15 {
+		t.Errorf("environment not carried over: %+v", p)
 	}
-	if p.Workload.ActionsPerSec <= 0 {
-		t.Errorf("action rate not derived from the window: %+v", p.Workload)
+	if p.ActionsPerSec <= 0 {
+		t.Errorf("action rate not derived from the window: %+v", p)
 	}
 }
 

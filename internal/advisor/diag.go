@@ -30,7 +30,7 @@ func failed(reason string) Section { return Section{Error: reason} }
 func section(data map[string]string) Section { return Section{Available: true, Data: data} }
 
 // Diagnose assembles the full read-only report for t over window: the
-// window's traffic, the classified profile, and the ranked
+// window's traffic, the distilled profile, and the ranked
 // recommendations against t's current configuration. Sections degrade
 // independently — an empty window still yields a config section.
 func (a Advisor) Diagnose(t Tunable, window netsim.Metrics) *DiagSnapshot {
@@ -61,17 +61,16 @@ func (a Advisor) Diagnose(t Tunable, window netsim.Metrics) *DiagSnapshot {
 		"write_conflict": fmt.Sprint(m.WriteConflicts),
 	})
 
-	p := Classify(o)
+	w := Classify(o)
 	d.Sections["profile"] = section(map[string]string{
-		"shape":       p.Shape.String(),
-		"write_frac":  fmt.Sprintf("%.2f", p.WriteFrac),
-		"repeat_frac": fmt.Sprintf("%.2f", p.RepeatFrac),
+		"write_frac":  fmt.Sprintf("%.2f", w.WriteFrac),
+		"repeat_frac": fmt.Sprintf("%.2f", w.RepeatFrac),
 		"site":        o.Site,
-		"coverage":    fmt.Sprintf("%.2f", p.Workload.Coverage),
+		"coverage":    fmt.Sprintf("%.2f", w.Coverage),
 	})
 
 	data := map[string]string{}
-	for i, r := range recommend(p, current) {
+	for i, r := range recommend(w, current) {
 		data[fmt.Sprintf("rank%d", i+1)] = fmt.Sprintf("%s (predicted %.3fs/action, %+.0f%%)",
 			r.Config, r.PredictedSec, r.DeltaPct)
 	}
