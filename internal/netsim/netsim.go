@@ -90,8 +90,7 @@ func (l Link) TransferSec(volumeBytes float64) float64 {
 // Metrics accumulates the traffic of a sequence of round trips under a
 // virtual clock.
 type Metrics struct {
-	RoundTrips     int `json:"round_trips"`
-	Communications int `json:"communications"`
+	RoundTrips int `json:"round_trips"`
 	// Statements counts the SQL statements shipped; batch frames carry
 	// several per round trip, so Statements - RoundTrips is the number
 	// of WAN round trips that batching saved.
@@ -205,7 +204,6 @@ func (m Metrics) VolumeBytes() float64 { return m.RequestBytes + m.ResponseBytes
 func (m *Metrics) combine(b *Metrics, sign int) {
 	n, f := int64(sign), float64(sign)
 	m.RoundTrips += sign * b.RoundTrips
-	m.Communications += sign * b.Communications
 	m.Statements += sign * b.Statements
 	m.Batches += sign * b.Batches
 	m.PreparedExecs += sign * b.PreparedExecs
@@ -318,7 +316,6 @@ func (m *Meter) Charge(requestPayload, responsePayload int, extra Metrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Metrics.RoundTrips++
-	m.Metrics.Communications += 2
 	m.Metrics.RequestBytes += up
 	m.Metrics.ResponseBytes += down
 	m.Metrics.LatencySec += 2 * m.Link.LatencySec
