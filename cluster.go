@@ -58,8 +58,12 @@ type SiteConfig struct {
 //	res, _ := sess.MultiLevelExpand(ctx, prod.RootID)
 //
 // A session opened at a site routes every read (expand, probes, type
-// lookups, recursive fetches, raw SELECTs) to the site's replica and
-// every write (check-out/check-in, CALLs, raw DML) to the primary.
+// lookups, recursive fetches, Query, raw SELECTs) to the site's replica
+// and every write (check-out/check-in, CALLs, raw DML) to the primary.
+// At a subscription-bounded site (Subscribe) a read the replica cannot
+// answer in full runs at the primary as a fall-through read: a
+// structure read rooted outside the subscription, and every read of
+// the whole structure (Query, where-used, the report, raw SELECTs).
 // Freshness is the session's choice: by default a site session reads
 // whatever its site last synced ("read your own site"); with
 // WithMaxStaleness it syncs the site before serving whenever the last

@@ -79,9 +79,9 @@ func main() {
 	}
 
 	// The advisor reaches the tuned configuration automatically: it
-	// watches the untuned session's own metrics window, classifies the
-	// workload shape, and ranks the whole knob lattice with the cost
-	// model — no hand-picking.
+	// watches the untuned session's own metrics window, distills its
+	// workload, and ranks the whole knob lattice with the cost model —
+	// no hand-picking.
 	adv := pdmtune.Advisor{Product: prod.Config}
 	untuned, err := sys.Open(
 		pdmtune.WithLink(pdmtune.Intercontinental()),

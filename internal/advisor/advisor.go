@@ -2,10 +2,9 @@
 // it observes the windowed WAN metrics of a live session or fleet,
 // distills them into a costmodel workload, ranks candidate
 // configurations over the client's tuning knobs with the analytic cost
-// model, and emits
-// either a read-only diagnosis (DiagSnapshot) or a fingerprinted,
-// rollback-capable change set (ChangeSet) — tuning as an output of the
-// system instead of an input.
+// model, and emits either a read-only diagnosis (DiagSnapshot) or a
+// fingerprinted, rollback-capable change set (ChangeSet) — tuning as an
+// output of the system instead of an input.
 package advisor
 
 import (

@@ -447,7 +447,7 @@ func (c *Client) delta(before netsim.Metrics) netsim.Metrics {
 
 // countAction charges one completed user action to the meter that
 // carried it, flagging repeats of the same (action, target) pair —
-// the per-kind counters the advisor classifies workload shape from.
+// the per-kind counters the advisor distills its workload from.
 func (c *Client) countAction(action string, target int64, write bool) {
 	key := cache.Key{ID: target, Action: action}
 	_, repeat := c.seen.Get(key)

@@ -156,7 +156,7 @@ type Metrics struct {
 	PlanMisses int64 `json:"plan_misses"`
 	// ReadActions / WriteActions count completed user actions by kind:
 	// Query/Expand/MLE are reads, check-out/check-in (client-driven or
-	// via procedure) are writes. The advisor classifies workload shape
+	// via procedure) are writes. The advisor distills its workload
 	// from these, so they are part of the metered window like any other
 	// counter.
 	ReadActions  int `json:"read_actions"`

@@ -499,7 +499,9 @@ func (s *Session) Close() error {
 }
 
 // Query performs the set-oriented Query action: all nodes of a product
-// in one statement.
+// in one statement. At a subscription-bounded site it runs at the
+// primary as one fall-through read, since a product spans every
+// subtree.
 func (s *Session) Query(ctx context.Context, prod int64) (*ActionResult, error) {
 	res, err := s.client.QueryAll(ctx, prod)
 	s.auto.Step(ctx, err)
@@ -557,7 +559,10 @@ func (s *Session) CheckInViaProcedure(ctx context.Context, root int64) (*CheckOu
 	return res, err
 }
 
-// Exec ships one raw SQL statement (administration, DDL, loading).
+// Exec ships one raw SQL statement (administration, DDL, loading). A
+// read runs where the session reads — at a subscription-bounded site,
+// at the primary as one fall-through read; everything else runs at the
+// primary.
 func (s *Session) Exec(ctx context.Context, sql string, params ...Value) (*Response, error) {
 	return s.client.Exec(ctx, sql, params...)
 }
