@@ -32,6 +32,61 @@ func window(reads, repeats, writes int, lockWaitNanos int64) netsim.Metrics {
 	}
 }
 
+// TestClassifyShapes distills the windows of five typical sessions and
+// checks the mix each one hands the ranking: no label, only the
+// fractions the candidates are priced on.
+func TestClassifyShapes(t *testing.T) {
+	tests := []struct {
+		name                            string
+		obs                             Observation
+		writeFrac, repeatFrac, lockWait float64
+	}{
+		{
+			name: "cold deep scan",
+			obs:  Observation{Window: window(20, 0, 0, 0), Tree: paperTree()},
+		},
+		{
+			name:       "warm repeat-heavy",
+			obs:        Observation{Window: window(20, 15, 1, 0), Tree: paperTree()},
+			writeFrac:  1.0 / 21,
+			repeatFrac: 0.75,
+		},
+		{
+			name:       "check-in storm",
+			obs:        Observation{Window: window(10, 2, 12, 5e8), Tree: paperTree()},
+			writeFrac:  12.0 / 22,
+			repeatFrac: 0.2,
+			lockWait:   0.5 / 12,
+		},
+		{
+			name: "replica readers",
+			obs: Observation{Window: window(20, 4, 1, 0), Site: "hamburg",
+				LocalLink: netsim.LAN(), Tree: paperTree()},
+			writeFrac:  1.0 / 21,
+			repeatFrac: 0.2,
+		},
+		{
+			name: "empty window defaults cold",
+			obs:  Observation{Tree: paperTree()},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Classify(tc.obs)
+			if p.WriteFrac != tc.writeFrac || p.RepeatFrac != tc.repeatFrac || p.LockWaitSec != tc.lockWait {
+				t.Errorf("write_frac=%v repeat_frac=%v lock_wait=%v, want %v %v %v",
+					p.WriteFrac, p.RepeatFrac, p.LockWaitSec, tc.writeFrac, tc.repeatFrac, tc.lockWait)
+			}
+			if p.Action != costmodel.MLE {
+				t.Errorf("action = %v, want MLE", p.Action)
+			}
+			if p.Tree != tc.obs.Tree || p.LocalNet != tc.obs.LocalLink {
+				t.Errorf("model not carried over: %+v", p.Model)
+			}
+		})
+	}
+}
+
 func TestClassifyDistillsWorkload(t *testing.T) {
 	obs := Observation{
 		Window:   window(10, 5, 10, 2e9), // 0.2s lock wait per write
