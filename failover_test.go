@@ -1033,3 +1033,71 @@ func TestRerouteMidReadAnswersOrFailsStructurally(t *testing.T) {
 		t.Fatal("the re-routed session reads a different tree")
 	}
 }
+
+// TestRerouteSiteSessionThroughItsOwnPromotion: a munich session that
+// negotiated compressed columnar results checks the root out and back
+// in before any promotion, while munich itself is the primary, and
+// after tokyo takes over. Its reads stay on munich's local link
+// throughout; its writes cross the WAN whenever munich is not the
+// primary, over a write client of their own that carries no encodings
+// (so no hello and no compressed frame on the WAN) and no retry
+// policy. While munich is primary the two paths are one and the WAN
+// meter takes nothing.
+func TestRerouteSiteSessionThroughItsOwnPromotion(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"}, pdmtune.SiteConfig{Name: "tokyo"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 2, Sigma: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := cl.OpenAt(ctx, "munich",
+		pdmtune.WithColumnarResults(true), pdmtune.WithCompression(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	// checkOutIn checks the root out and in and returns what each meter
+	// took for the pair.
+	checkOutIn := func(stage string) (wan, local pdmtune.Metrics) {
+		t.Helper()
+		wan0, local0 := sess.WANMetrics(), sess.LocalMetrics()
+		if res, err := sess.CheckOut(ctx, prod.RootID); err != nil || !res.Granted {
+			t.Fatalf("%s: check-out: %+v, %v", stage, res, err)
+		}
+		if _, err := sess.CheckIn(ctx, prod.RootID); err != nil {
+			t.Fatalf("%s: check-in: %v", stage, err)
+		}
+		return sess.WANMetrics().Sub(wan0), sess.LocalMetrics().Sub(local0)
+	}
+	split := func(stage string) {
+		t.Helper()
+		wan, local := checkOutIn(stage)
+		if wan.RoundTrips != 4 || wan.CompressedFrames != 0 || wan.Retries != 0 {
+			t.Errorf("%s: WAN took %d round trips, %d compressed frames, %d retries; want 4, 0, 0",
+				stage, wan.RoundTrips, wan.CompressedFrames, wan.Retries)
+		}
+		if local.RoundTrips != 2 {
+			t.Errorf("%s: local link took %d round trips, want 2", stage, local.RoundTrips)
+		}
+	}
+
+	split("before any promotion")
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote munich: %v", err)
+	}
+	wan, local := checkOutIn("munich primary")
+	if wan != (pdmtune.Metrics{}) {
+		t.Errorf("munich primary: WAN took %+v, want nothing", wan)
+	}
+	if local.RoundTrips != 6 {
+		t.Errorf("munich primary: local link took %d round trips, want 6", local.RoundTrips)
+	}
+	if err := cl.Promote(ctx, "tokyo"); err != nil {
+		t.Fatalf("Promote tokyo: %v", err)
+	}
+	split("tokyo primary")
+}
