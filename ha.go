@@ -1,6 +1,7 @@
 package pdmtune
 
 import (
+	"pdmtune/internal/core"
 	"pdmtune/internal/failover"
 	"pdmtune/internal/netsim"
 	"pdmtune/internal/topology"
@@ -77,28 +78,46 @@ func (c *Cluster) rerouteAll(primary *topology.Site, dial topology.Dialer) {
 	}
 }
 
-// reroute points one session at the current primary. Sessions at the
-// primary's own site reunify their paths (their reads already hit it);
-// other site sessions get a fresh write transport while their reads
-// stay on the (still syncing) site replica. Sessions opened at
-// PrimarySite have no replica database behind them — left alone, their
-// reads would be frozen at the fencing instant forever — so their whole
-// path moves.
+// reroute points one session at the current primary (see connect).
 func reroute(s *Session, primary *topology.Site, dial topology.Dialer) {
-	switch s.node {
-	case primary:
-		s.client.SetPrimary(nil, nil)
-	case nil:
+	s.client.SetRoute(s.connect(nil, nil, primary, dial))
+}
+
+// connect builds session s's connections against primary, reached
+// through dial: the one place a session's wire clients are made. At
+// open, read is the transport of the session's new read client, which
+// stamps write frames with the cluster term and retries idempotent
+// exchanges under retry. At a re-route read is nil: a site session keeps
+// reading at its site, and a session opened at PrimarySite, which has
+// no replica database behind it, has its read client redialed to
+// primary (term, retry policy and encodings carry over) so its reads do
+// not stay frozen at the fencing instant. A session at a site other
+// than the primary writes over a client of its own to primary, charged
+// to its WAN meter and carrying the term alone: no retry policy, as the
+// write path never re-sends at the wire layer, and no encodings. Every
+// other session writes over its read client.
+func (s *Session) connect(read Transport, retry *wire.RetryPolicy, primary *topology.Site, dial topology.Dialer) core.Route {
+	term := s.sys.cluster.topo.TermSource()
+	var r core.Route
+	switch {
+	case read != nil:
+		r.Read = wire.NewClient(read)
+		r.Read.SetTermSource(term)
+		r.Read.SetRetry(retry)
+	case s.node == nil:
 		m := s.meter
 		if m == nil {
 			m = netsim.NewMeter(primary.Link())
 		}
-		s.client.Reroute(dial(m))
+		r.Read = s.client.Route().Read.Redial(dial(m))
 	default:
-		wan := s.wan
-		if wan == nil {
-			wan = netsim.NewMeter(primary.Link())
-		}
-		s.client.SetPrimary(dial(wan), wan)
+		r.Read = s.client.Route().Read
 	}
+	r.Write = r.Read
+	if s.node != nil && s.node != primary {
+		r.Write = wire.NewClient(dial(s.wan))
+		r.Write.SetTermSource(term)
+		r.WriteMeter = s.wan
+	}
+	return r
 }

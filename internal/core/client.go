@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,10 +25,17 @@ import (
 // All read traffic flows through the client's fetcher (see fetch.go):
 // by default the plain wire fetcher, optionally decorated with the
 // version-validated structure cache (Apply with CacheEntries > 0).
+// The connections it runs over are one Route: a read client, and a
+// write client to the primary when the client reads at a replica site.
+// A failover replaces the route whole (SetRoute).
 type Client struct {
-	// sql is the read path. A failover installs a redialed client from
-	// the cluster's goroutine (Reroute), so every exchange loads it.
-	sql   atomic.Pointer[wire.Client]
+	// route is the client's connections, loaded by every exchange and
+	// replaced whole by SetRoute. Its writers must not overlap, so that
+	// one Route, change and SetRoute needs no second lock: the facade
+	// writes it only at open, before the session is registered with the
+	// control plane, and from the promotion callback, under the
+	// control-plane lock.
+	route atomic.Pointer[Route]
 	meter *netsim.Meter
 	rules *RuleTable
 	user  UserContext
@@ -37,23 +43,6 @@ type Client struct {
 	// only by Apply (and, for the location, by SetSiteSync).
 	knobs costmodel.Knobs
 
-	// writeMu guards the write path's identity: a failover re-points
-	// writeSQL (and, under Reroute, sql) at the new primary from the
-	// cluster's goroutine while the session's own goroutine may be
-	// mid-action. Ops snapshot the write client under the read lock.
-	writeMu sync.RWMutex
-	// writeSQL is the write path: check-out/check-in updates, CALLs and
-	// raw DML. It equals sql for a single-server client; a client at a
-	// replica site points it at the primary (SetPrimary), so reads stay
-	// on the site-local link while writes cross the WAN.
-	writeSQL *wire.Client
-	// writeMeter accounts the write path's traffic when it runs over
-	// its own link (nil when writeSQL == sql and everything is charged
-	// to meter).
-	writeMeter *netsim.Meter
-	// term is the cluster fencing-term source, re-applied to every
-	// write client SetPrimary creates.
-	term wire.TermSource
 	// site triggers replica syncs at read time (nil for single-server
 	// clients); see SetSiteSync and beginAction.
 	site *siteRouting
@@ -115,8 +104,8 @@ func NewClient(tr wire.Transport, meter *netsim.Meter, rules *RuleTable, user Us
 		types: cache.New(typeCacheSize),
 		seen:  cache.New(seenActionsSize),
 	}
-	c.sql.Store(wire.NewClient(tr))
-	c.writeSQL = c.sql.Load()
+	w := wire.NewClient(tr)
+	c.route.Store(&Route{Read: w, Write: w})
 	c.dropCompiled()
 	c.rebuildFetch()
 	return c
@@ -184,7 +173,7 @@ func (c *Client) Strategy() costmodel.Strategy { return c.knobs.Strategy }
 
 // WireCaps reports the wire encodings the server accepted at the
 // client's last capability handshake.
-func (c *Client) WireCaps() wire.Caps { return c.sql.Load().Caps() }
+func (c *Client) WireCaps() wire.Caps { return c.route.Load().Read.Caps() }
 
 // Apply reconfigures the live client to k. Strategy, batching, prepared
 // statements and the cache flip locally (a new strategy drops the
@@ -203,11 +192,11 @@ func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 		// A re-route during the hello installs a client redialed with the
 		// capabilities from before it: ask again there.
 		want := wire.Caps{Columnar: k.Columnar, Compress: k.Compress}
-		for sql := c.sql.Load(); ; sql = c.sql.Load() {
-			if _, err := sql.Negotiate(ctx, want); err != nil {
+		for r := c.route.Load(); ; r = c.route.Load() {
+			if _, err := r.Read.Negotiate(ctx, want); err != nil {
 				return fmt.Errorf("core: negotiating wire encodings: %w", err)
 			}
-			if c.sql.Load() == sql {
+			if c.route.Load().Read == r.Read {
 				break
 			}
 		}
@@ -232,57 +221,25 @@ func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
 // configured).
 func (c *Client) Cache() *cache.Store { return c.structs }
 
-// SetPrimary splits the client's write path off to a second transport
-// — the cluster's primary server — while reads keep flowing over the
-// client's own (site-local) transport. meter accounts the primary
-// path's traffic and may be nil. Passing a nil transport reunifies the
-// paths. Safe to call from another goroutine (a failover re-points
-// open sessions' writes); in-flight write ops finish against the old
-// path and are transparently re-issued when the old primary fences
-// them (see withWrite).
-func (c *Client) SetPrimary(tr wire.Transport, meter *netsim.Meter) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if tr == nil {
-		c.writeSQL = c.sql.Load()
-		c.writeMeter = nil
-		return
-	}
-	w := wire.NewClient(tr)
-	if c.term != nil {
-		w.SetTermSource(c.term)
-	}
-	c.writeSQL = w
-	c.writeMeter = meter
+// Route is a client's connections. Read carries the reads; Write
+// carries check-out/check-in updates, CALLs and raw DML, and is Read
+// unless the client reads at a replica site other than the primary, in
+// which case it reaches the primary and WriteMeter (nil otherwise)
+// charges its link. A Route is never modified once installed: a
+// failover installs a whole new one with SetRoute.
+type Route struct {
+	Read, Write *wire.Client
+	WriteMeter  *netsim.Meter
 }
 
-// SetTermSource installs the cluster fencing-term source: write frames
-// carry the term, so a deposed primary refuses them instead of
-// accepting a write the cluster has moved past. Applied to both paths
-// and re-applied to every future write client.
-func (c *Client) SetTermSource(ts wire.TermSource) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.term = ts
-	c.sql.Load().SetTermSource(ts)
-	if c.writeSQL != c.sql.Load() {
-		c.writeSQL.SetTermSource(ts)
-	}
-}
+// Route returns the client's current connections.
+func (c *Client) Route() Route { return *c.route.Load() }
 
-// SetRetry installs the read path's retry policy: idempotent exchanges
-// (fetches, probes, validates) ride out transient connection loss with
-// capped backoff. The write path never retries at the wire layer.
-func (c *Client) SetRetry(p *wire.RetryPolicy) {
-	c.sql.Load().SetRetry(p)
-}
-
-// writePath snapshots the write client under the lock.
-func (c *Client) writePath() *wire.Client {
-	c.writeMu.RLock()
-	defer c.writeMu.RUnlock()
-	return c.writeSQL
-}
+// SetRoute installs the client's connections, whole; its callers must
+// not overlap (see Client.route). Exchanges in flight finish on the
+// connections they started on; a write fenced by a deposed primary is
+// re-issued on the new Write (see withWrite).
+func (c *Client) SetRoute(r Route) { c.route.Store(&r) }
 
 // withWrite runs one write operation against the current write path.
 // When the op comes back fenced — the primary was deposed mid-flight —
@@ -291,33 +248,16 @@ func (c *Client) writePath() *wire.Client {
 // once against the new primary; a fenced error with nowhere new to go
 // is returned to the caller.
 func (c *Client) withWrite(op func(w *wire.Client) error) error {
-	w := c.writePath()
+	w := c.route.Load().Write
 	err := op(w)
 	var fe *wire.FencedError
 	if err == nil || !errors.As(err, &fe) {
 		return err
 	}
-	if w2 := c.writePath(); w2 != w {
+	if w2 := c.route.Load().Write; w2 != w {
 		return op(w2)
 	}
 	return err
-}
-
-// Reroute moves the client's entire path — reads and writes — onto tr.
-// The cluster calls it during a failover for sessions attached to the
-// deposed primary's own server: unlike a replica-site session there is
-// no local database behind such a session, so after the promotion its
-// reads would be frozen at the fencing instant forever. Both paths
-// become one client redialed over tr (wire.Client.Redial): the term
-// source, retry policy and encodings carry over, the old server's
-// prepared handles do not. In-flight exchanges finish on the old one.
-func (c *Client) Reroute(tr wire.Transport) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	w := c.sql.Load().Redial(tr)
-	c.sql.Store(w)
-	c.writeSQL = w
-	c.writeMeter = nil
 }
 
 // Syncer pulls a replica site forward from its primary. It is
@@ -354,7 +294,7 @@ type siteRouting struct {
 // when its last sync is older than the StalenessSec knob (0: before
 // every action; negative, the default: never — reads serve whatever
 // the site last synced, the paper-faithful "read your own site"
-// semantics). The write path is unaffected; combine with SetPrimary.
+// semantics). The write path is unaffected (see Route).
 func (c *Client) SetSiteSync(s Syncer) {
 	c.site = nil
 	if s != nil {
@@ -397,10 +337,7 @@ func (c *Client) ResetMetrics() {
 	if c.meter != nil {
 		c.meter.Reset()
 	}
-	c.writeMu.RLock()
-	wm := c.writeMeter
-	c.writeMu.RUnlock()
-	if wm != nil && wm != c.meter {
+	if wm := c.route.Load().WriteMeter; wm != nil && wm != c.meter {
 		wm.Reset()
 	}
 }
@@ -432,10 +369,7 @@ func (c *Client) snapshot() netsim.Metrics {
 	if c.meter != nil {
 		m = c.meter.Snapshot()
 	}
-	c.writeMu.RLock()
-	wm := c.writeMeter
-	c.writeMu.RUnlock()
-	if wm != nil && wm != c.meter {
+	if wm := c.route.Load().WriteMeter; wm != nil && wm != c.meter {
 		m = m.Add(wm.Snapshot())
 	}
 	return m
@@ -473,10 +407,8 @@ func (c *Client) countAction(action string, target int64, write bool) {
 // fall-through reads and write conflicts are charged to: the write
 // path's own meter when it has one, the session meter otherwise.
 func (c *Client) primaryMeter() *netsim.Meter {
-	c.writeMu.RLock()
-	defer c.writeMu.RUnlock()
-	if c.writeMeter != nil {
-		return c.writeMeter
+	if wm := c.route.Load().WriteMeter; wm != nil {
+		return wm
 	}
 	return c.meter
 }

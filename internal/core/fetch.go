@@ -81,7 +81,7 @@ func (w *wireFetcher) Exec(ctx context.Context, req *wire.Request) (*wire.Respon
 	if w.primary {
 		return w.c.execFallThrough(ctx, req)
 	}
-	return w.c.sql.Load().Do(ctx, req)
+	return w.c.route.Load().Read.Do(ctx, req)
 }
 
 // BeginAction is a no-op: the wire fetcher keeps no per-action state.
@@ -101,7 +101,7 @@ func (w *wireFetcher) execLevel(ctx context.Context, n int, req func(i int) (*wi
 			}
 			reqs[i] = r
 		}
-		resps, err := w.c.sql.Load().ExecBatch(ctx, reqs)
+		resps, err := w.c.route.Load().Read.ExecBatch(ctx, reqs)
 		if err != nil {
 			return err
 		}

@@ -111,7 +111,7 @@ func (f *cachedFetcher) ensureValidated(ctx context.Context, roots []int64, acti
 	for id, s := range since {
 		checks = append(checks, wire.StaleCheck{ID: id, Since: s})
 	}
-	stale, err := f.c.sql.Load().Validate(ctx, checks)
+	stale, err := f.c.route.Load().Read.Validate(ctx, checks)
 	if err != nil {
 		return err
 	}

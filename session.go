@@ -365,43 +365,39 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 	}
 	primary := topo.Primary()
 	meter := cfg.meter
-	transport := cfg.transport
-	// dialed records which primary the cluster-built transports point
-	// at, so registration can re-route the session if a promotion
-	// slipped in while it was opening.
+	read := cfg.transport
+	// retry lets the reads over a cluster-built transport ride out a
+	// dead connection. dialed records which primary that transport's
+	// route was built against, so registration can re-route the session
+	// if a promotion slipped in while it was opening.
+	var retry *wire.RetryPolicy
 	var dialed *topology.Site
-	if transport == nil {
+	if read == nil {
 		// Reads go to the site's replica server for replica sessions and
 		// to the current primary otherwise.
 		if meter == nil {
 			meter = netsim.NewMeter(cfg.link)
 		}
-		read := primary
+		node := primary
 		if site != nil {
-			read = site
+			node = site
 		}
-		transport = dial(read, meter)
+		read = dial(node, meter)
+		retry = &wire.RetryPolicy{Meter: meter}
 		dialed = primary
 	}
-	client := core.NewClient(transport, meter, cfg.rules, cfg.user, cfg.knobs.Strategy)
-	if topo.Fenced() {
-		// Fenced cluster: stamp write/sync frames with the cluster term
-		// so a deposed primary refuses them, and retry idempotent reads
-		// over dead connections.
-		client.SetTermSource(topo.TermSource())
-	}
-	if cfg.transport == nil {
-		client.SetRetry(&wire.RetryPolicy{Meter: meter})
-	}
-	sess := &Session{client: client, meter: meter, site: PrimarySite, sys: s}
+	sess := &Session{meter: meter, site: PrimarySite, sys: s}
 	if site != nil {
-		// Write path: a connection to the cluster's current primary,
-		// metered on the site's WAN link. A session at the primary's own
-		// site skips this: its default transport already is the primary.
-		wan := netsim.NewMeter(site.Link())
-		if site != primary {
-			client.SetPrimary(dial(primary, wan), wan)
-		}
+		// A replica session's writes cross the site's WAN link to the
+		// primary, metered on a meter of their own.
+		sess.site = cfg.site
+		sess.node = site
+		sess.wan = netsim.NewMeter(site.Link())
+	}
+	client := core.NewClient(nil, meter, cfg.rules, cfg.user, cfg.knobs.Strategy)
+	sess.client = client
+	client.SetRoute(sess.connect(read, retry, primary, func(m *Meter) Transport { return dial(primary, m) }))
+	if site != nil {
 		client.SetSiteSync(site)
 		// A never-synced site has no catalog to read from yet:
 		// bootstrap it once, charged to the site's own meter.
@@ -410,9 +406,6 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 				return nil, fmt.Errorf("pdmtune: bootstrap sync of site %q: %w", cfg.site, err)
 			}
 		}
-		sess.site = cfg.site
-		sess.node = site
-		sess.wan = wan
 	}
 	// Apply wires the rest of the options; changed encodings cost one
 	// round trip, bounded by ctx. A replica session's cache validates
