@@ -119,9 +119,10 @@ type Workload struct {
 	// amortizes replica syncs over the actions between two bounds.
 	ActionsPerSec float64
 	// Coverage is the site's measured subscription coverage: the share
-	// of pulled rows its subscription kept. Replica reads inside it run
-	// site-local, the rest fall through to the primary at cold WAN
-	// cost (the pulls are priced on the measured SyncBytes, which the
+	// of pulled rows its subscription kept. Expand and MLE reads inside
+	// it run site-local, the rest fall through to the primary at cold
+	// WAN cost, and a Query, where-used or report always falls through
+	// (the pulls are priced on the measured SyncBytes, which the
 	// subscription already shrank). 0 (or 1) is a full replica.
 	Coverage float64
 }
@@ -184,9 +185,16 @@ func PredictWorkload(k Knobs, w Workload) WorkloadEstimate {
 
 	// ---- partial replication: reads outside the subscription fall
 	// through to the primary at cold WAN cost (never cached — the
-	// replica does not hold them to validate against).
+	// replica does not hold them to validate against). A Query,
+	// where-used or report spans the whole product, so it always falls
+	// through as one read.
 	if cov := w.Coverage; k.Replica && cov > 0 && cov < 1 {
-		readSec = cov*readSec + (1-cov)*wanCold
+		switch w.Action {
+		case Query, WhereUsed, Report:
+			readSec = wanCold
+		default:
+			readSec = cov*readSec + (1-cov)*wanCold
+		}
 	}
 
 	// ---- replication: one WAN pull per staleness window, amortized

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -95,6 +96,32 @@ func TestPredictWorkloadMonotoneInCoverage(t *testing.T) {
 				return PredictWorkload(k, w).ReadSec
 			}, false)
 		})
+	}
+}
+
+// TestPredictWorkloadWholeProductReadsFallThrough: at a
+// subscription-bounded site a Query, where-used or report runs at the
+// primary as one fall-through read whatever the coverage, so it prices
+// as the same read at the primary plus the site's sync share.
+func TestPredictWorkloadWholeProductReadsFallThrough(t *testing.T) {
+	for _, a := range []Action{Query, WhereUsed, Report} {
+		for _, k := range knobGrid() {
+			for _, bound := range []float64{-1, 30} {
+				w := baseWorkload()
+				w.Action = a
+				atPrimary := k
+				atPrimary.Replica, atPrimary.StalenessSec = false, -1
+				want := PredictWorkload(atPrimary, w).ReadSec
+				k.Replica, k.StalenessSec = true, bound
+				for _, cov := range []float64{0.25, 0.5, 0.75} {
+					w.Coverage = cov
+					est := PredictWorkload(k, w)
+					if got := est.ReadSec - est.SyncSec; math.Abs(got-want) > 1e-12 {
+						t.Errorf("%v %+v coverage %v: %.6f s besides the sync share, want %.6f as at the primary", a, k, cov, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
