@@ -13,9 +13,6 @@ func TestChargeStatementsAccounting(t *testing.T) {
 	if m.Metrics.Statements != 27 {
 		t.Errorf("statements = %d, want 27", m.Metrics.Statements)
 	}
-	if m.Metrics.Batches != 1 {
-		t.Errorf("batches = %d, want 1", m.Metrics.Batches)
-	}
 	if m.Metrics.SavedRoundTrips != 24 {
 		t.Errorf("saved = %d, want 24", m.Metrics.SavedRoundTrips)
 	}
@@ -29,8 +26,8 @@ func TestChargeStatementsAccounting(t *testing.T) {
 	before := m.Metrics
 	m.Charge(10, 10, Metrics{Statements: 5})
 	d := m.Metrics.Sub(before)
-	if d.RoundTrips != 1 || d.Statements != 5 || d.Batches != 1 {
-		t.Errorf("delta = %+v, want 1 round trip / 5 statements / 1 batch", d)
+	if d.RoundTrips != 1 || d.Statements != 5 {
+		t.Errorf("delta = %+v, want 1 round trip / 5 statements", d)
 	}
 }
 
@@ -44,9 +41,9 @@ func TestChargePreparedAccounting(t *testing.T) {
 	if m.Metrics.SavedRequestBytes != 570 {
 		t.Errorf("SavedRequestBytes = %.0f, want 570", m.Metrics.SavedRequestBytes)
 	}
-	if m.Metrics.Statements != 6 || m.Metrics.RoundTrips != 2 || m.Metrics.Batches != 1 {
-		t.Errorf("stmts/rt/batches = %d/%d/%d, want 6/2/1",
-			m.Metrics.Statements, m.Metrics.RoundTrips, m.Metrics.Batches)
+	if m.Metrics.Statements != 6 || m.Metrics.RoundTrips != 2 {
+		t.Errorf("stmts/rt = %d/%d, want 6/2",
+			m.Metrics.Statements, m.Metrics.RoundTrips)
 	}
 	// Sub carries the new fields.
 	d := m.Metrics.Sub(Metrics{PreparedExecs: 1, SavedRequestBytes: 70})

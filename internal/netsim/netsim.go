@@ -95,8 +95,6 @@ type Metrics struct {
 	// several per round trip, so Statements - RoundTrips is the number
 	// of WAN round trips that batching saved.
 	Statements int `json:"statements"`
-	// Batches counts round trips that carried a multi-statement batch.
-	Batches int `json:"batches"`
 	// PreparedExecs counts statements shipped as prepared executions
 	// (handle + parameters) instead of SQL text.
 	PreparedExecs int `json:"prepared_execs"`
@@ -205,7 +203,6 @@ func (m *Metrics) combine(b *Metrics, sign int) {
 	n, f := int64(sign), float64(sign)
 	m.RoundTrips += sign * b.RoundTrips
 	m.Statements += sign * b.Statements
-	m.Batches += sign * b.Batches
 	m.PreparedExecs += sign * b.PreparedExecs
 	m.SavedRoundTrips += sign * b.SavedRoundTrips
 	m.CacheHits += sign * b.CacheHits
@@ -310,7 +307,6 @@ func (m *Meter) Charge(requestPayload, responsePayload int, extra Metrics) {
 	up := m.Link.RequestVolume(requestPayload)
 	down := m.Link.ResponseVolume(responsePayload)
 	if extra.Statements > 1 {
-		extra.Batches++
 		extra.SavedRoundTrips += extra.Statements - 1
 	}
 	m.mu.Lock()
