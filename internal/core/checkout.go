@@ -207,17 +207,14 @@ func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*C
 	if err != nil {
 		return nil, err
 	}
-	out := &CheckOutResult{Metrics: c.delta(before)}
-	conflict := false
-	if len(resp.Rows) == 1 && len(resp.Rows[0]) >= 2 {
-		out.Granted = types.Truth(resp.Rows[0][0]) == types.True
-		out.Updated = int(resp.Rows[0][1].Int())
-		// Servers since the MVCC redesign add a third column flagging a
-		// lost first-wins race; two-column answers (older servers) never
-		// report conflicts.
-		if len(resp.Rows[0]) >= 3 {
-			conflict = types.Truth(resp.Rows[0][2]) == types.True
-		}
+	if len(resp.Rows) != 1 || len(resp.Rows[0]) != 3 {
+		return nil, fmt.Errorf("core: %s answered %d rows of %d columns, want one row of (granted, updated, conflict)", proc, len(resp.Rows), len(resp.Cols))
+	}
+	row := resp.Rows[0]
+	out := &CheckOutResult{
+		Metrics: c.delta(before),
+		Granted: types.Truth(row[0]) == types.True,
+		Updated: int(row[1].Int()),
 	}
 	// The procedure modified a subtree the client never fetched: retire
 	// the root's entries locally; deeper cached entries are caught by
@@ -225,7 +222,7 @@ func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*C
 	if out.Granted && out.Updated > 0 {
 		c.invalidateCache([]int64{root})
 	}
-	if conflict {
+	if types.Truth(row[2]) == types.True {
 		return out, &ConflictError{Action: "check-out", Root: root}
 	}
 	return out, nil

@@ -315,6 +315,32 @@ func TestCheckOutProcedureOneRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckProcedureAnswerShape: a check procedure answers one row of
+// (granted, updated, conflict). Any other answer, such as a
+// procedure that answers two columns or no row, is an error, not a
+// check-out the client half reads.
+func TestCheckProcedureAnswerShape(t *testing.T) {
+	for name, row := range map[string][]minisql.Row{
+		"two columns": {{types.NewBool(true), types.NewInt(9)}},
+		"no row":      nil,
+	} {
+		db := minisql.NewDB()
+		if err := workload.LoadPaperExample(db.NewSession()); err != nil {
+			t.Fatal(err)
+		}
+		core.RegisterProcedures(db, core.StandardRules())
+		cols := []string{"granted", "updated"}
+		db.RegisterProc("pdm_check_out", func(*minisql.Session, []minisql.Value) (*minisql.Result, error) {
+			return &minisql.Result{Cols: cols, Rows: row}, nil
+		})
+		c, _ := pdmClient(wire.NewServer(db), nil, core.DefaultUser("scott"), costmodel.Recursive)
+		res, err := c.CheckOutViaProcedure(context.Background(), 1)
+		if err == nil || !strings.Contains(err.Error(), "pdm_check_out") {
+			t.Errorf("%s: check-out answered %+v, %v; want an error naming pdm_check_out", name, res, err)
+		}
+	}
+}
+
 func TestStrategiesAgreeOnGeneratedTree(t *testing.T) {
 	srv, prod := generatedServer(t, workload.Config{
 		Depth: 3, Branch: 4, Sigma: 0.5, Seed: 7, PadBytes: 16,

@@ -70,7 +70,6 @@ type Checker struct {
 	mu       sync.Mutex
 	failures int
 	down     bool
-	lastTerm uint64
 	lastSeen wire.Status
 	cancel   context.CancelFunc
 	loopDone chan struct{}
@@ -103,7 +102,6 @@ func (c *Checker) CheckNow(ctx context.Context) (ok, down bool) {
 		c.failures = 0
 		c.down = false
 		c.lastSeen = st
-		c.lastTerm = st.Term
 	} else {
 		c.failures++
 		if c.failures >= c.cfg.threshold() && !c.down {
