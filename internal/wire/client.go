@@ -186,7 +186,7 @@ func (c *Client) send(ctx context.Context, body []byte, idempotent bool) ([]byte
 		return respBody, err
 	}
 	p := c.retry
-	for attempt := 1; attempt < p.maxAttempts(); attempt++ {
+	for attempt := 1; attempt < maxAttempts; attempt++ {
 		p.count(netsim.Metrics{Retries: 1})
 		p.sleep(p.backoff(attempt))
 		if ctx != nil {

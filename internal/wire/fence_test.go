@@ -180,9 +180,8 @@ func TestRetryIdempotentReads(t *testing.T) {
 	m := netsim.NewMeter(netsim.LAN())
 	var slept []time.Duration
 	client.SetRetry(&RetryPolicy{
-		MaxAttempts: 4,
-		Meter:       m,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+		Meter: m,
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	resp, err := client.Exec(context.Background(), "SELECT val FROM kv WHERE id = 1")
 	if err != nil {
@@ -223,23 +222,24 @@ func TestRetryGiveUp(t *testing.T) {
 	tr := &flakyTransport{inner: &MeteredChannel{Conn: srv.NewConn()}, fails: 100}
 	client := NewClient(tr)
 	m := netsim.NewMeter(netsim.LAN())
-	client.SetRetry(&RetryPolicy{MaxAttempts: 3, Meter: m, Sleep: func(time.Duration) {}})
+	client.SetRetry(&RetryPolicy{Meter: m, Sleep: func(time.Duration) {}})
 	var cce *ConnClosedError
 	if _, err := client.Exec(context.Background(), "SELECT val FROM kv WHERE id = 1"); !errors.As(err, &cce) {
 		t.Fatalf("exhausted retries: %v, want *ConnClosedError", err)
 	}
-	if tr.calls != 3 {
-		t.Fatalf("transport saw %d calls, want MaxAttempts=3", tr.calls)
+	if tr.calls != 4 {
+		t.Fatalf("transport saw %d calls, want 4 attempts", tr.calls)
 	}
-	if got := m.Snapshot(); got.Retries != 2 || got.RetryGiveUps != 1 {
-		t.Fatalf("metered = %d/%d, want 2 retries, 1 give-up", got.Retries, got.RetryGiveUps)
+	if got := m.Snapshot(); got.Retries != 3 || got.RetryGiveUps != 1 {
+		t.Fatalf("metered = %d/%d, want 3 retries, 1 give-up", got.Retries, got.RetryGiveUps)
 	}
 }
 
-// The backoff jitter is deterministic for a fixed seed.
+// The backoff jitter is deterministic: every policy draws the same
+// schedule.
 func TestRetryBackoffDeterministic(t *testing.T) {
 	sched := func() []time.Duration {
-		p := &RetryPolicy{Seed: 42}
+		p := &RetryPolicy{}
 		var out []time.Duration
 		for n := 1; n <= 5; n++ {
 			out = append(out, p.backoff(n))

@@ -13,13 +13,9 @@ import (
 // dead connection cannot tell "the write never arrived" from "the ack
 // got lost", and a re-sent check-out could double-apply. Backoff is
 // capped exponential with deterministic jitter, so a simulated test
-// replays the exact same schedule every run.
+// replays the exact same schedule every run. An exchange is tried at
+// most maxAttempts times.
 type RetryPolicy struct {
-	// MaxAttempts bounds total attempts including the first (<= 1
-	// disables retries; 0 selects the default of 4).
-	MaxAttempts int
-	// Seed drives the deterministic jitter sequence.
-	Seed uint64
 	// Sleep replaces time.Sleep (tests inject a no-op or a recorder).
 	Sleep func(time.Duration)
 	// Meter receives the Retries / RetryGiveUps counters (may be nil).
@@ -29,17 +25,7 @@ type RetryPolicy struct {
 	rng uint64
 }
 
-func (p *RetryPolicy) maxAttempts() int {
-	if p.MaxAttempts == 0 {
-		return 4
-	}
-	return p.MaxAttempts
-}
-
 func (p *RetryPolicy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
 	if p.Sleep != nil {
 		p.Sleep(d)
 		return
@@ -48,8 +34,11 @@ func (p *RetryPolicy) sleep(d time.Duration) {
 }
 
 const (
-	baseDelay = 5 * time.Millisecond
-	maxDelay  = 100 * time.Millisecond
+	maxAttempts = 4
+	baseDelay   = 5 * time.Millisecond
+	maxDelay    = 100 * time.Millisecond
+	// jitterSeed starts every policy's jitter sequence.
+	jitterSeed = 0x9e3779b97f4a7c15
 )
 
 // backoff returns the delay before retry number n (1-based):
@@ -65,13 +54,13 @@ func (p *RetryPolicy) backoff(n int) time.Duration {
 	return d
 }
 
-// next steps the policy's xorshift jitter sequence — deterministic for
-// a given Seed, independent of the global math/rand state.
+// next steps the policy's xorshift jitter sequence — the same for every
+// policy, independent of the global math/rand state.
 func (p *RetryPolicy) next() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rng == 0 {
-		p.rng = p.Seed | 0x9e3779b97f4a7c15
+		p.rng = jitterSeed
 	}
 	x := p.rng
 	x ^= x << 13
