@@ -40,6 +40,9 @@ type Result struct {
 	Rows []storage.Row
 	// RowsAffected counts rows written by INSERT/UPDATE/DELETE.
 	RowsAffected int
+	// Epoch is the version-log epoch the statement read: a SELECT's
+	// snapshot, and for any other statement the epoch it started at.
+	Epoch uint64
 }
 
 // ScalarFunc is a server-registered scalar function, the engine's
@@ -450,18 +453,29 @@ func (s *Session) Query(sql string, params ...Value) (*Result, error) {
 }
 
 // ExecStmt executes an already-parsed statement. Reads run against a
-// snapshot captured here; writes stage into a write unit and publish
-// atomically.
+// snapshot captured here, which is the result's Epoch; writes stage
+// into a write unit and publish atomically, and their result's Epoch is
+// the database's epoch when they started.
 func (s *Session) ExecStmt(stmt ast.Statement, params ...Value) (*Result, error) {
-	switch st := stmt.(type) {
-	case *ast.Select:
-		ctx := s.newContext(params, s.snapshotEpoch())
-		rel, err := ctx.EvalSelect(st, nil)
+	if st, ok := stmt.(*ast.Select); ok {
+		epoch := s.snapshotEpoch()
+		rel, err := s.newContext(params, epoch).EvalSelect(st, nil)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Cols: rel.ColNames(), Rows: rel.Rows}, nil
+		return &Result{Cols: rel.ColNames(), Rows: rel.Rows, Epoch: epoch}, nil
+	}
+	epoch := s.db.Epoch()
+	res, err := s.execStmt(stmt, params)
+	if res != nil {
+		res.Epoch = epoch
+	}
+	return res, err
+}
 
+// execStmt executes a statement other than a SELECT.
+func (s *Session) execStmt(stmt ast.Statement, params []Value) (*Result, error) {
+	switch st := stmt.(type) {
 	case *ast.Explain:
 		return s.explain(st.Stmt, params)
 

@@ -419,15 +419,11 @@ func (c *ServerConn) resolve(req *Request) (stmt ast.Statement, fail *Response) 
 // converting execution errors into error responses.
 func (c *ServerConn) execOne(stmt ast.Statement, params []minisql.Value) (resp *Response) {
 	defer recovered(&resp)
-	// The epoch is captured before execution: any mutation committed
-	// after this point has a later LastModified stamp, so a cache entry
-	// stamped with this epoch can only err on the side of staleness.
-	epoch := c.server.db.Epoch()
 	res, err := c.session.ExecStmt(stmt, params...)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	return &Response{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, Epoch: epoch}
+	return &Response{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, Epoch: res.Epoch}
 }
 
 // recovered, deferred, turns a panic in the engine — the parser's or the

@@ -399,3 +399,45 @@ func TestKilledConnLeavesOthersServing(t *testing.T) {
 		t.Errorf("val after revive = %d, want 7 (the other conn's write)", got)
 	}
 }
+
+// TestResponseEpochIsTheSnapshotRead: a SELECT's response epoch is the
+// snapshot it read, not a bound taken before it. A writer bumps a
+// one-row counter once per commit, each commit advancing the epoch by
+// one, while a reader selects the counter over the wire: every answer's
+// epoch minus the counter it returned is the offset the counter started
+// at.
+func TestResponseEpochIsTheSnapshotRead(t *testing.T) {
+	db := newFenceDB(t)
+	offset := db.Epoch() // val is 0 at this epoch
+	client := NewClient(&MeteredChannel{Conn: NewServer(db).NewConn()})
+	const commits = 2000
+	done := make(chan error, 1)
+	go func() {
+		s := db.NewSession()
+		for i := 0; i < commits; i++ {
+			if _, err := s.Exec("UPDATE kv SET val = val + 1 WHERE id = 1"); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d reads beside %d commits", reads, commits)
+			return
+		default:
+		}
+		resp, err := client.Exec(context.Background(), "SELECT val FROM kv WHERE id = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if val := uint64(resp.Rows[0][0].Int()); resp.Epoch != offset+val {
+			t.Fatalf("read %d: epoch %d answered val %d, want epoch %d", reads, resp.Epoch, val, offset+val)
+		}
+	}
+}

@@ -104,10 +104,10 @@ type Response struct {
 	Cols         []string
 	Rows         []storage.Row
 	RowsAffected int
-	// Epoch is the server database's modification epoch as of this
-	// statement's execution — the version stamp a client-side cache
-	// attaches to entries built from this result (0 when the server
-	// does not version its data).
+	// Epoch is the server database's modification epoch the statement
+	// read (minisql.Result.Epoch) — the version stamp a client-side
+	// cache attaches to entries built from this result (0 when the
+	// server does not version its data).
 	Epoch uint64
 }
 
