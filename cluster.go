@@ -73,10 +73,6 @@ type Cluster struct {
 	// topo is the control plane: the node registry, the fencing term,
 	// promotions and subscriptions (internal/topology).
 	topo *topology.Cluster
-	// sessions is the registry of open sessions a promotion re-routes
-	// (nil for site-less clusters, which never promote). It is only
-	// touched under the control-plane lock; see ha.go.
-	sessions map[*Session]struct{}
 }
 
 // NewCluster creates a PDM cluster: a primary system (rules may be nil
@@ -118,10 +114,6 @@ func NewCluster(rules *RuleTable, sites ...SiteConfig) (*Cluster, error) {
 		replicas = append(replicas, topology.New(sc.Name, rdb, pull, meter, link))
 	}
 	cl.topo = topology.NewCluster(primary, replicas...)
-	if len(replicas) > 0 {
-		cl.sessions = map[*Session]struct{}{}
-		cl.topo.OnPromote(cl.rerouteAll)
-	}
 	return cl, nil
 }
 
@@ -236,10 +228,12 @@ func (c *Cluster) HealthMetrics() Metrics { return c.topo.HealthMetrics() }
 // Promote performs a health-checked primary failover to the named
 // site: prechecks (quorum, no in-flight check-outs at the candidate,
 // full coverage), fencing of the old primary, a final catch-up pull,
-// the term bump, and the re-pointing of every other site and every
-// open session. In-flight writes the deposed primary fences are
-// re-issued against the new primary transparently. A refused
-// promotion returns a *PromoteError. See topology.Cluster.Promote.
+// the term bump, and the re-pointing of every other site. Open sessions
+// follow at their next action, which finds the term moved and runs at
+// the new primary; an action in flight finishes where it started, and
+// a write of it that the deposed primary fences is re-issued once at
+// the new primary. A refused promotion returns a *PromoteError. See
+// topology.Cluster.Promote.
 func (c *Cluster) Promote(ctx context.Context, name string) error { return c.topo.Promote(ctx, name) }
 
 // PromoteBest promotes the most caught-up reachable replica site and

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdmtune"
 	"pdmtune/internal/netsim"
@@ -1100,4 +1101,254 @@ func TestRerouteSiteSessionThroughItsOwnPromotion(t *testing.T) {
 		t.Fatalf("Promote tokyo: %v", err)
 	}
 	split("tokyo primary")
+}
+
+// TestRerouteLeavesCallerTransportInPlace: a session opened over the
+// caller's own transport stays on it across a promotion. After munich
+// is promoted, the session's next MLE still goes through the caller's
+// transport to the deposed primary and answers the same tree, and a
+// check-out there is refused with *FencedError and changes nothing.
+func TestRerouteLeavesCallerTransportInPlace(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 2, Sigma: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	meter := netsim.NewMeter(pdmtune.LAN())
+	primary := pdmtune.MeteredTransport(&wire.MeteredChannel{Conn: cl.Primary().Server.NewConn()}, meter)
+	var calls atomic.Int64
+	counting := transportFunc(func(rctx context.Context, req []byte) ([]byte, error) {
+		calls.Add(1)
+		return primary.RoundTrip(rctx, req)
+	})
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithTransport(counting), pdmtune.WithMeter(meter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+
+	calls.Store(0)
+	after, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the promotion: %v", err)
+	}
+	if got := calls.Load(); got != int64(after.Metrics.RoundTrips) || got == 0 {
+		t.Errorf("the caller's transport carried %d of the MLE's %d round trips", got, after.Metrics.RoundTrips)
+	}
+	if treeBytes(t, after) != treeBytes(t, before) {
+		t.Error("the MLE over the caller's transport read a different tree")
+	}
+
+	var fe *pdmtune.FencedError
+	if _, err := sess.CheckOut(ctx, prod.RootID); !errors.As(err, &fe) {
+		t.Fatalf("check-out at the deposed primary: %v, want *FencedError", err)
+	}
+	fresh, err := cl.OpenAt(ctx, pdmtune.PrimarySite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for name, s := range map[string]*pdmtune.Session{"deposed primary": sess, "munich": fresh} {
+		resp, err := s.Exec(ctx, "SELECT obid FROM assy WHERE checkedout = TRUE")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != 0 {
+			t.Errorf("%s: the refused check-out left %d assemblies checked out", name, len(resp.Rows))
+		}
+	}
+}
+
+// TestRerouteLeavesActionInFlightOnItsServer: a promotion during an
+// action does not move it. The wrapper promotes munich from inside the
+// third exchange of a LateEval MLE at PrimarySite: every round trip of
+// that MLE reaches the old primary, so its tree comes from one server,
+// and the session's next MLE runs at munich. The promotion's own
+// probes and catch-up pull are not counted.
+func TestRerouteLeavesActionInFlightOnItsServer(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 2, Sigma: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu         sync.Mutex
+		counts     = map[string]int{}
+		armed      bool
+		promoting  atomic.Bool
+		promoteErr error
+	)
+	cl.SetTransportWrapper(func(target string, tr pdmtune.Transport) pdmtune.Transport {
+		return transportFunc(func(rctx context.Context, req []byte) ([]byte, error) {
+			if !promoting.Load() {
+				mu.Lock()
+				counts[target]++
+				fire := armed && target == pdmtune.PrimarySite && counts[target] == 3
+				mu.Unlock()
+				if fire {
+					promoting.Store(true)
+					promoteErr = cl.Promote(ctx, "munich")
+					promoting.Store(false)
+				}
+			}
+			return tr.RoundTrip(rctx, req)
+		})
+	})
+	// take returns the exchanges counted per target since the last call.
+	take := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		got := counts
+		counts = map[string]int{}
+		return got
+	}
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithStrategy(pdmtune.LateEval))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	take()
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+	during, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE across the promotion: %v", err)
+	}
+	if promoteErr != nil || cl.PrimaryName() != "munich" {
+		t.Fatalf("promotion from inside the MLE: primary=%q, %v", cl.PrimaryName(), promoteErr)
+	}
+	mu.Lock()
+	armed = false
+	mu.Unlock()
+	rts := during.Metrics.RoundTrips
+	if got := take(); got[pdmtune.PrimarySite] != rts || got["munich"] != 0 {
+		t.Errorf("the MLE in flight sent %d of its %d round trips to primary and %d to munich",
+			got[pdmtune.PrimarySite], rts, got["munich"])
+	}
+	if treeBytes(t, during) != treeBytes(t, before) {
+		t.Error("the MLE in flight read a different tree")
+	}
+
+	after, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the promotion: %v", err)
+	}
+	if got := take(); got["munich"] != after.Metrics.RoundTrips || got[pdmtune.PrimarySite] != 0 {
+		t.Errorf("the next MLE sent %d of its %d round trips to munich and %d to primary",
+			got["munich"], after.Metrics.RoundTrips, got[pdmtune.PrimarySite])
+	}
+	if treeBytes(t, after) != treeBytes(t, before) {
+		t.Error("the MLE at munich read a different tree")
+	}
+}
+
+// TestRerouteFencedWriteWaitsForThePromotion: a raw write fenced while
+// a promotion is still running waits for it and is re-issued once at
+// the new primary. The wrapper holds munich's catch-up pull, so the old
+// primary is fenced and the term not yet moved when the write runs;
+// the pull is released 50 ms later.
+func TestRerouteFencedWriteWaitsForThePromotion(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 2, Branch: 2, Sigma: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	catchUp, release := make(chan struct{}), make(chan struct{})
+	cl.SetTransportWrapper(func(target string, tr pdmtune.Transport) pdmtune.Transport {
+		return transportFunc(func(rctx context.Context, req []byte) ([]byte, error) {
+			if _, inner, err := wire.DecodeFenced(req); err == nil && len(inner) > 0 &&
+				inner[0] == wire.TypeSync && armed.CompareAndSwap(true, false) {
+				close(catchUp)
+				<-release
+			}
+			return tr.RoundTrip(rctx, req)
+		})
+	})
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithLink(pdmtune.LAN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	armed.Store(true)
+	promoted := make(chan error, 1)
+	go func() { promoted <- cl.Promote(ctx, "munich") }()
+	<-catchUp
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(release)
+	}()
+	resp, err := sess.Exec(ctx, fmt.Sprintf("UPDATE assy SET checkedout = FALSE WHERE obid = %d", prod.RootID))
+	if err := <-promoted; err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if err != nil {
+		t.Fatalf("write fenced during the promotion: %v, want it re-issued at munich", err)
+	}
+	if resp.RowsAffected != 1 {
+		t.Fatalf("re-issued write affected %d rows, want 1", resp.RowsAffected)
+	}
+}
+
+// TestRerouteApplyConfigAfterPrimaryDied: a session that has not acted
+// since a promotion renegotiates its encodings at the new primary, not
+// over its connection to the dead old one.
+func TestRerouteApplyConfigAfterPrimaryDied(t *testing.T) {
+	cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+	prod, err := cl.LoadProduct(pdmtune.ProductConfig{Depth: 3, Branch: 2, Sigma: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cl.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	plan := killPlanWrapper(cl, pdmtune.PrimarySite)
+	sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	plan.Kill()
+	if err := cl.Promote(ctx, "munich"); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	k := sess.TuneConfig()
+	k.Columnar, k.Compress = true, true
+	if err := sess.ApplyConfig(ctx, k); err != nil {
+		t.Fatalf("ApplyConfig after the promotion: %v", err)
+	}
+	res, err := sess.MultiLevelExpand(ctx, prod.RootID)
+	if err != nil {
+		t.Fatalf("MLE after the promotion: %v", err)
+	}
+	if caps := sess.WireCaps(); !caps.ColumnarResults || !caps.Compression || res.Metrics.Retries != 0 {
+		t.Errorf("after ApplyConfig at munich: WireCaps %+v, %d retries", caps, res.Metrics.Retries)
+	}
 }

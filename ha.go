@@ -3,7 +3,6 @@ package pdmtune
 import (
 	"pdmtune/internal/core"
 	"pdmtune/internal/failover"
-	"pdmtune/internal/netsim"
 	"pdmtune/internal/topology"
 	"pdmtune/internal/wire"
 )
@@ -17,7 +16,9 @@ const DemotedPrimarySite = topology.DemotedPrimarySite
 // fencing: either the serving node is no longer the primary (Deposed)
 // or the frame carried a stale term. Match with errors.As. A fenced
 // write provably never executed, so re-issuing it against the current
-// primary is safe — open Sessions do that transparently.
+// primary is safe: a Session re-issues it once when the cluster term
+// has moved on, and returns the error otherwise — as a session over
+// the caller's own transport (WithTransport) always does.
 type FencedError = wire.FencedError
 
 // ConnClosedError reports a request lost to connection failure (the
@@ -44,72 +45,51 @@ type PromoteConfig = topology.PromoteConfig
 // "inflight" or "subscription-coverage").
 type PromoteError = topology.PromoteError
 
-// registerSession enrolls an open session for re-routing at promotion
-// time. dialed is the primary the session's transports were built
-// against (nil for caller-supplied transports): if a promotion slipped
-// in between the session's dial and its registration, the session is
-// re-routed right here — otherwise it would keep writing into the
-// deposed primary with no promotion left to catch it. Site-less
-// clusters skip the registry entirely.
-func (c *Cluster) registerSession(s *Session, dialed *topology.Site) {
-	if c.sessions == nil {
-		return
-	}
-	c.topo.WithPrimary(func(primary *topology.Site, dial topology.Dialer) {
-		c.sessions[s] = struct{}{}
-		if dialed != nil && dialed != primary {
-			reroute(s, primary, dial)
+// follow is the Follow hook of a session route built at fencing term
+// term: once a promotion has moved the term on, it rebuilds the
+// session's connections against the new primary, under the
+// control-plane lock, which a promotion holds until its topology is
+// complete; after a fenced write the hook takes that lock even before
+// the term moved, which waits out the promotion that fenced it.
+func (s *Session) follow(term uint64) func(fenced bool) *core.Route {
+	topo := s.sys.cluster.topo
+	return func(fenced bool) (r *core.Route) {
+		if !fenced && topo.Term() == term {
+			return nil
 		}
-	})
-}
-
-func (c *Cluster) deregisterSession(s *Session) {
-	if c.sessions == nil {
-		return
+		topo.WithPrimary(func(primary *topology.Site, dial topology.Dialer) {
+			if topo.Term() != term {
+				r = s.connect(nil, nil, primary, dial)
+				r.Follow = s.follow(topo.Term())
+			}
+		})
+		return r
 	}
-	c.topo.WithPrimary(func(*topology.Site, topology.Dialer) { delete(c.sessions, s) })
-}
-
-// rerouteAll is the promotion callback: every open session follows the
-// new primary.
-func (c *Cluster) rerouteAll(primary *topology.Site, dial topology.Dialer) {
-	for s := range c.sessions {
-		reroute(s, primary, dial)
-	}
-}
-
-// reroute points one session at the current primary (see connect).
-func reroute(s *Session, primary *topology.Site, dial topology.Dialer) {
-	s.client.SetRoute(s.connect(nil, nil, primary, dial))
 }
 
 // connect builds session s's connections against primary, reached
 // through dial: the one place a session's wire clients are made. At
 // open, read is the transport of the session's new read client, which
 // stamps write frames with the cluster term and retries idempotent
-// exchanges under retry. At a re-route read is nil: a site session keeps
-// reading at its site, and a session opened at PrimarySite, which has
-// no replica database behind it, has its read client redialed to
-// primary (term, retry policy and encodings carry over) so its reads do
-// not stay frozen at the fencing instant. A session at a site other
-// than the primary writes over a client of its own to primary, charged
-// to its WAN meter and carrying the term alone: no retry policy, as the
-// write path never re-sends at the wire layer, and no encodings. Every
-// other session writes over its read client.
-func (s *Session) connect(read Transport, retry *wire.RetryPolicy, primary *topology.Site, dial topology.Dialer) core.Route {
+// exchanges under retry. When following a promotion read is nil: a site
+// session keeps reading at its site, and a session opened at
+// PrimarySite, which has no replica database behind it, has its read
+// client redialed to primary (term, retry policy and encodings carry
+// over) so its reads do not stay frozen at the fencing instant. A
+// session at a site other than the primary writes over a client of its
+// own to primary, charged to its WAN meter and carrying the term alone:
+// no retry policy, as the write path never re-sends at the wire layer,
+// and no encodings. Every other session writes over its read client.
+func (s *Session) connect(read Transport, retry *wire.RetryPolicy, primary *topology.Site, dial topology.Dialer) *core.Route {
 	term := s.sys.cluster.topo.TermSource()
-	var r core.Route
+	r := &core.Route{}
 	switch {
 	case read != nil:
 		r.Read = wire.NewClient(read)
 		r.Read.SetTermSource(term)
 		r.Read.SetRetry(retry)
 	case s.node == nil:
-		m := s.meter
-		if m == nil {
-			m = netsim.NewMeter(primary.Link())
-		}
-		r.Read = s.client.Route().Read.Redial(dial(m))
+		r.Read = s.client.Route().Read.Redial(dial(s.meter))
 	default:
 		r.Read = s.client.Route().Read
 	}

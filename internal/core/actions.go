@@ -42,7 +42,7 @@ type ActionResult struct {
 // so at a subscription-bounded replica the statement runs at the
 // primary as a fall-through read.
 func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (c *Client) QueryAll(ctx context.Context, prod int64) (*ActionResult, error
 // one object together with the connecting links. The root's actual
 // object type is looked up (and cached), not assumed to be an assembly.
 func (c *Client) Expand(ctx context.Context, parent int64) (*ActionResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
@@ -129,9 +129,12 @@ func (c *Client) Expand(ctx context.Context, parent int64) (*ActionResult, error
 // surviving objects are then expanded recursively"); under the Recursive
 // strategy it ships one recursive query with all rules embedded.
 func (c *Client) MultiLevelExpand(ctx context.Context, root int64) (*ActionResult, error) {
+	c.follow(false)
 	return c.multiLevelExpand(ctx, root, ActionMLE)
 }
 
+// multiLevelExpand is the MLE of an action that followed its route at
+// entry (MultiLevelExpand, CheckOut, CheckIn).
 func (c *Client) multiLevelExpand(ctx context.Context, root int64, action string) (*ActionResult, error) {
 	before := c.snapshot()
 	if err := c.beginAction(ctx); err != nil {

@@ -53,7 +53,7 @@ func CheckOutRule() Rule {
 // "cannot be represented in one single query": even with the recursive
 // strategy, the flag updates are separate WAN communications.
 func (c *Client) CheckOut(ctx context.Context, root int64) (*CheckOutResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	c.countAction(ActionCheck, root, true)
 	res, err := c.multiLevelExpand(ctx, root, ActionCheck)
 	if err != nil {
@@ -107,7 +107,7 @@ func checkableNodes(tree *Tree) int {
 
 // CheckIn releases a previously checked-out subtree owned by the user.
 func (c *Client) CheckIn(ctx context.Context, root int64) (*CheckOutResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	c.countAction(ActionCheck+"-in", root, true)
 	res, err := c.multiLevelExpand(ctx, root, ActionCheck+"-in")
 	if err != nil {
@@ -194,7 +194,7 @@ func (c *Client) CheckInViaProcedure(ctx context.Context, root int64) (*CheckOut
 }
 
 func (c *Client) callCheckProc(ctx context.Context, proc string, root int64) (*CheckOutResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	c.countAction(proc, root, true)
 	call := fmt.Sprintf("CALL %s(%d, %s, %s, %d, %d)",
 		proc, root, sqlText(c.user.Name), sqlText(c.user.Options), c.user.EffFrom, c.user.EffTo)

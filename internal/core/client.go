@@ -27,14 +27,11 @@ import (
 // version-validated structure cache (Apply with CacheEntries > 0).
 // The connections it runs over are one Route: a read client, and a
 // write client to the primary when the client reads at a replica site.
-// A failover replaces the route whole (SetRoute).
+// The client replaces its route whole, on its own goroutine, when the
+// route's Follow hook reports a newer one.
 type Client struct {
 	// route is the client's connections, loaded by every exchange and
-	// replaced whole by SetRoute. Its writers must not overlap, so that
-	// one Route, change and SetRoute needs no second lock: the facade
-	// writes it only at open, before the session is registered with the
-	// control plane, and from the promotion callback, under the
-	// control-plane lock.
+	// replaced whole by SetRoute and follow.
 	route atomic.Pointer[Route]
 	meter *netsim.Meter
 	rules *RuleTable
@@ -184,21 +181,14 @@ func (c *Client) WireCaps() wire.Caps { return c.route.Load().Read.Caps() }
 // Knobs echoes k and a change set rolls back wherever it applied. A new
 // read location is refused before anything changes.
 func (c *Client) Apply(ctx context.Context, k costmodel.Knobs) error {
+	c.follow(false)
 	cur := c.knobs
 	if k.Replica != cur.Replica {
 		return errors.New("core: a session reads where it was opened; open a new session (Cluster.OpenAt) to change its site")
 	}
 	if k.Columnar != cur.Columnar || k.Compress != cur.Compress {
-		// A re-route during the hello installs a client redialed with the
-		// capabilities from before it: ask again there.
-		want := wire.Caps{Columnar: k.Columnar, Compress: k.Compress}
-		for r := c.route.Load(); ; r = c.route.Load() {
-			if _, err := r.Read.Negotiate(ctx, want); err != nil {
-				return fmt.Errorf("core: negotiating wire encodings: %w", err)
-			}
-			if c.route.Load().Read == r.Read {
-				break
-			}
+		if _, err := c.route.Load().Read.Negotiate(ctx, wire.Caps{Columnar: k.Columnar, Compress: k.Compress}); err != nil {
+			return fmt.Errorf("core: negotiating wire encodings: %w", err)
 		}
 	}
 	if k.CacheEntries != cur.CacheEntries {
@@ -225,28 +215,49 @@ func (c *Client) Cache() *cache.Store { return c.structs }
 // carries check-out/check-in updates, CALLs and raw DML, and is Read
 // unless the client reads at a replica site other than the primary, in
 // which case it reaches the primary and WriteMeter (nil otherwise)
-// charges its link. A Route is never modified once installed: a
-// failover installs a whole new one with SetRoute.
+// charges its link. A Route is never modified once installed.
+//
+// Follow, when set, reports the route the client should run over
+// instead (nil: this one is current). The client asks it at the
+// entry of every action, raw Exec and Apply, and with fenced set after
+// a write a fence refused, and installs the answer whole; an action in
+// flight finishes on the route it started on. Nil for a route the caller built
+// over its own transport, which never moves.
 type Route struct {
 	Read, Write *wire.Client
 	WriteMeter  *netsim.Meter
+	Follow      func(fenced bool) *Route
 }
 
 // Route returns the client's current connections.
 func (c *Client) Route() Route { return *c.route.Load() }
 
-// SetRoute installs the client's connections, whole; its callers must
-// not overlap (see Client.route). Exchanges in flight finish on the
-// connections they started on; a write fenced by a deposed primary is
-// re-issued on the new Write (see withWrite).
-func (c *Client) SetRoute(r Route) { c.route.Store(&r) }
+// SetRoute installs the client's connections, whole.
+func (c *Client) SetRoute(r *Route) { c.route.Store(r) }
+
+// follow installs the route the current one's Follow hook reports.
+func (c *Client) follow(fenced bool) {
+	if f := c.route.Load().Follow; f != nil {
+		if r := f(fenced); r != nil {
+			c.route.Store(r)
+		}
+	}
+}
+
+// start opens one action: the client follows its route first, so the
+// action is counted and metered on the route it runs over, and the
+// meters are snapshot for the action's delta.
+func (c *Client) start() netsim.Metrics {
+	c.follow(false)
+	return c.snapshot()
+}
 
 // withWrite runs one write operation against the current write path.
 // When the op comes back fenced — the primary was deposed mid-flight —
-// the fenced frame provably never executed, so if a failover has
-// installed a new write client in the meantime the op is re-issued
-// once against the new primary; a fenced error with nowhere new to go
-// is returned to the caller.
+// the fenced frame provably never executed, so once the promotion that
+// fenced it is done and has moved the client to a new write client the
+// op is re-issued once against the new primary; a fenced error with
+// nowhere new to go is returned to the caller.
 func (c *Client) withWrite(op func(w *wire.Client) error) error {
 	w := c.route.Load().Write
 	err := op(w)
@@ -254,6 +265,7 @@ func (c *Client) withWrite(op func(w *wire.Client) error) error {
 	if err == nil || !errors.As(err, &fe) {
 		return err
 	}
+	c.follow(true)
 	if w2 := c.route.Load().Write; w2 != w {
 		return op(w2)
 	}
@@ -350,6 +362,7 @@ func (c *Client) ResetMetrics() {
 // one at the primary as a fall-through read. Everything else (DML, DDL,
 // CALL, transaction control) goes to the primary.
 func (c *Client) Exec(ctx context.Context, sql string, params ...minisql.Value) (*wire.Response, error) {
+	c.follow(false)
 	if wire.ReadOnlySQL(sql) {
 		return c.fetch.Exec(ctx, &wire.Request{SQL: sql, Params: params})
 	}

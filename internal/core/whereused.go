@@ -93,7 +93,7 @@ func (c *Client) whereUsedRows(ctx context.Context, part int64) ([]storage.Row, 
 // the record fetch otherwise, where the row conditions are evaluated at
 // the client.
 func (c *Client) WhereUsed(ctx context.Context, part int64) (*ActionResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ type ECOResult struct {
 // revalidated under them and is reported as a conflict instead. Cached
 // structures covering the changed objects are invalidated locally.
 func (c *Client) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ type ReportResult struct {
 // subscription-bounded one cannot count the subtrees it does not hold,
 // so there the statement runs at the primary as a fall-through read.
 func (c *Client) Report(ctx context.Context, prod int64) (*ReportResult, error) {
-	before := c.snapshot()
+	before := c.start()
 	if err := c.beginAction(ctx); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@
 // central server as a single point of failure; this package provides
 // the detection half of the remedy. The promotion half is
 // internal/topology's Cluster, which owns the nodes a failover must
-// re-point and hands the open sessions to the facade's re-route
-// callback.
+// re-point; sessions are not among them, as each follows the new term
+// by itself.
 package failover
 
 import (

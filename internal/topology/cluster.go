@@ -65,8 +65,6 @@ type Cluster struct {
 	// sub is the subscription registry, created by the first Subscribe
 	// and handed over to each new primary.
 	sub *subscribe.Registry
-	// onPromote re-routes the facade's sessions inside each promotion.
-	onPromote func(primary *Site, dial Dialer)
 }
 
 // NewCluster registers the original primary and its replica sites,
@@ -87,16 +85,6 @@ func NewCluster(primary *Site, sites ...*Site) *Cluster {
 		n.fence(c.TermSource())
 	}
 	return c
-}
-
-// OnPromote installs the callback every promotion invokes, inside its
-// critical section, once the new topology is complete: fn receives the
-// new primary and a dialer into it. fn runs under the control-plane
-// lock and must not call the Cluster.
-func (c *Cluster) OnPromote(fn func(primary *Site, dial Dialer)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onPromote = fn
 }
 
 // WithPrimary runs fn under the control-plane lock with the current

@@ -59,12 +59,13 @@ func (c *Cluster) probeLocked(ctx context.Context, n *Site) error {
 //  4. The fencing term is bumped; the candidate's fence becomes (new
 //     term, primary), every other node's (new term, replica).
 //  5. Every other site's replication pull is re-pointed at the new
-//     primary, the subscription registry follows it, and the OnPromote
-//     callback re-routes the open sessions.
+//     primary and the subscription registry follows it. Sessions are
+//     not touched: each sees the new term at its next action and
+//     rebuilds its own connections (see WithPrimary).
 //
 // The whole promotion is one critical section of the control plane:
 // concurrent syncs and session writes observe either the old topology
-// (and get fenced, then re-routed) or the complete new one.
+// (and get fenced) or the complete new one.
 func (c *Cluster) Promote(ctx context.Context, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,9 +184,6 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 		c.installSyncFilterLocked()
 	}
 
-	if c.onPromote != nil {
-		c.onPromote(candidate, c.dialerLocked(candidate))
-	}
 	if c.checker != nil {
 		c.checker.Reset(c.primaryProberLocked())
 	}

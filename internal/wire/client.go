@@ -44,8 +44,7 @@ type Client struct {
 
 	// mu guards the handle registry and the capabilities (a client is
 	// normally single-goroutine, but site pull clients are shared by
-	// every session syncing through the site, and a failover redials
-	// from the cluster's goroutine).
+	// every session syncing through the site).
 	mu sync.Mutex
 	// handles is the prepared-statement registry: SQL text → server
 	// handle, or textOnly for a statement the server's table refused. A
@@ -78,8 +77,8 @@ func (c *Client) SetTermSource(ts TermSource) { c.term = ts }
 func (c *Client) SetRetry(p *RetryPolicy) { c.retry = p }
 
 // Redial returns a client over tr with this client's term source,
-// retry policy and capabilities — a failover re-routes a deposed
-// primary's sessions this way. Caps reports the accepted set until the
+// retry policy and capabilities — a session at a deposed primary
+// follows the new one this way. Caps reports the accepted set until the
 // new server answers the hello the redialed client sends on its first
 // round trip. Prepared handles stay behind: they name statements of
 // this client's server only.

@@ -280,7 +280,8 @@ type Session struct {
 	node *topology.Site
 	wan  *Meter
 	// sys is the system the session was opened against: its cluster
-	// fences the session's writes and re-routes it on promotion.
+	// fences the session's writes and tells the session's route when a
+	// promotion moved the primary.
 	sys *System
 	// auto is WithAutoTune's loop (nil without it).
 	auto *advisor.AutoTuner
@@ -363,15 +364,15 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 	dial := func(n *topology.Site, meter *Meter) Transport {
 		return topo.Wrap(n, &wire.MeteredChannel{Conn: n.Server().NewConn(), Meter: meter})
 	}
+	// The term is taken before the primary is read and dialed: a
+	// promotion after this point moves the session at its first action.
+	term := topo.Term()
 	primary := topo.Primary()
 	meter := cfg.meter
 	read := cfg.transport
 	// retry lets the reads over a cluster-built transport ride out a
-	// dead connection. dialed records which primary that transport's
-	// route was built against, so registration can re-route the session
-	// if a promotion slipped in while it was opening.
+	// dead connection.
 	var retry *wire.RetryPolicy
-	var dialed *topology.Site
 	if read == nil {
 		// Reads go to the site's replica server for replica sessions and
 		// to the current primary otherwise.
@@ -384,7 +385,6 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 		}
 		read = dial(node, meter)
 		retry = &wire.RetryPolicy{Meter: meter}
-		dialed = primary
 	}
 	sess := &Session{meter: meter, site: PrimarySite, sys: s}
 	if site != nil {
@@ -396,7 +396,11 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 	}
 	client := core.NewClient(nil, meter, cfg.rules, cfg.user, cfg.knobs.Strategy)
 	sess.client = client
-	client.SetRoute(sess.connect(read, retry, primary, func(m *Meter) Transport { return dial(primary, m) }))
+	route := sess.connect(read, retry, primary, func(m *Meter) Transport { return dial(primary, m) })
+	if cfg.transport == nil { // a route over the caller's transport never moves
+		route.Follow = sess.follow(term)
+	}
+	client.SetRoute(route)
 	if site != nil {
 		client.SetSiteSync(site)
 		// A never-synced site has no catalog to read from yet:
@@ -418,10 +422,6 @@ func (s *System) open(ctx context.Context, siteName string, opts []Option) (*Ses
 	if cfg.autoTune != nil {
 		sess.auto = cfg.autoTune(sess)
 	}
-	// Enroll the session with the failover control plane (a no-op for
-	// unfenced, site-less systems): a promotion re-points its write path
-	// at the new primary transparently.
-	s.cluster.registerSession(sess, dialed)
 	return sess, nil
 }
 
@@ -438,7 +438,7 @@ func (s *Session) Cache() *Cache { return s.client.Cache() }
 
 // WireCaps reports the wire capabilities the session's connection
 // negotiated at its last hello: at open, at ApplyConfig, or after a
-// promotion re-routed it (zero when nothing was requested, or when the
+// promotion moved it (zero when nothing was requested, or when the
 // server declined and the session degraded to the v1 encodings).
 func (s *Session) WireCaps() WireCaps {
 	caps := s.client.WireCaps()
@@ -481,15 +481,13 @@ func (s *Session) WANMetrics() Metrics {
 // ResetMetrics clears the session's meters (between actions).
 func (s *Session) ResetMetrics() { s.client.ResetMetrics() }
 
-// Close takes the session out of the cluster's control plane: a later
-// promotion no longer re-routes it. It costs no round trip — sessions
-// hold no server-side state; the statements they prepared belong to
-// the server. The session remains usable afterwards, so Close is safe
-// to defer right after Open.
-func (s *Session) Close() error {
-	s.sys.cluster.deregisterSession(s)
-	return nil
-}
+// Close ends the session. It releases nothing and costs no round trip:
+// sessions hold no server-side state (the statements they prepared
+// belong to the server), and the control plane keeps no record of them
+// — a session follows a promotion by itself at its next action. The
+// session remains usable afterwards, so Close is safe to defer right
+// after Open.
+func (s *Session) Close() error { return nil }
 
 // Query performs the set-oriented Query action: all nodes of a product
 // in one statement. At a subscription-bounded site it runs at the
