@@ -235,15 +235,6 @@ type ContentionStats struct {
 // IsZero reports whether the stats count nothing.
 func (c ContentionStats) IsZero() bool { return c == ContentionStats{} }
 
-// Add accumulates other into c.
-func (c *ContentionStats) Add(o ContentionStats) {
-	c.LockWaitNanos += o.LockWaitNanos
-	c.SnapshotsStarted += o.SnapshotsStarted
-	c.WriteConflicts += o.WriteConflicts
-	c.PlanHits += o.PlanHits
-	c.PlanMisses += o.PlanMisses
-}
-
 // Session is one client connection to the database. Sessions are not
 // safe for concurrent use; create one per goroutine (the wire layer
 // gives each client connection an engine session of its own and

@@ -170,15 +170,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames returns the column names in declaration order.
-func (s *Schema) ColNames() []string {
-	out := make([]string, len(s.Cols))
-	for i := range s.Cols {
-		out[i] = s.Cols[i].Name
-	}
-	return out
-}
-
 // Row is one tuple; len(Row) == len(Schema.Cols). Rows are immutable
 // once stored: an update creates a new version with a new row slice.
 type Row = []types.Value
@@ -687,12 +678,6 @@ func (t *Table) IndexOn(column string) *Index {
 		}
 	}
 	return nil
-}
-
-// Indexes returns all attached indexes.
-func (t *Table) Indexes() []*Index {
-	idxs, _, _ := t.meta()
-	return idxs
 }
 
 // dropIndex detaches an index by name (the catalog rollback of a
