@@ -226,8 +226,8 @@ func (c *Cluster) SetPromoteConfig(cfg PromoteConfig) { c.topo.SetPromoteConfig(
 func (c *Cluster) HealthMetrics() Metrics { return c.topo.HealthMetrics() }
 
 // Promote performs a health-checked primary failover to the named
-// site: prechecks (quorum, no in-flight check-outs at the candidate,
-// full coverage), fencing of the old primary, a final catch-up pull,
+// site: prechecks (quorum, full coverage), fencing of the old primary
+// once the writes it admitted have committed, a final catch-up pull,
 // the term bump, and the re-pointing of every other site. Open sessions
 // follow at their next action, which finds the term moved and runs at
 // the new primary; an action in flight finishes where it started, and

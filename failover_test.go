@@ -256,19 +256,9 @@ func TestPromoteUnderConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 
-	// Promote mid-traffic; in-flight candidate writes make the precheck
-	// refuse, so spin until the window opens.
-	var promoteErr error
-	for {
-		promoteErr = cl.Promote(ctx, "tokyo")
-		var pe *pdmtune.PromoteError
-		if errors.As(promoteErr, &pe) && pe.Stage == "inflight" {
-			continue
-		}
-		break
-	}
-	if promoteErr != nil {
-		t.Fatalf("Promote under writers: %v", promoteErr)
+	// Promote mid-traffic.
+	if err := cl.Promote(ctx, "tokyo"); err != nil {
+		t.Fatalf("Promote under writers: %v", err)
 	}
 	wg.Wait()
 	close(errCh)
@@ -310,6 +300,88 @@ func TestPromoteUnderConcurrentWriters(t *testing.T) {
 	}
 	if len(resp.Rows) != 0 {
 		t.Fatalf("%d assemblies left checked out — an acknowledged check-in was lost", len(resp.Rows))
+	}
+}
+
+// TestPromoteKeepsEveryAcknowledgedWrite: four writers at the primary
+// increment one counter row while munich is promoted. A write either
+// commits before the catch-up pull reads the old primary or is refused
+// there and re-issued at munich, so in every round munich's counter
+// equals the number of acknowledged increments.
+func TestPromoteKeepsEveryAcknowledgedWrite(t *testing.T) {
+	const rounds, writers = 20, 4
+	ctx := context.Background()
+	for round := 0; round < rounds; round++ {
+		cl := newTestCluster(t, pdmtune.SiteConfig{Name: "munich"})
+		setup, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithLink(pdmtune.LAN()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"CREATE TABLE ctr (id INTEGER PRIMARY KEY, n INTEGER NOT NULL)",
+			"INSERT INTO ctr VALUES (1, 0)",
+		} {
+			if _, err := setup.Exec(ctx, sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		setup.Close()
+		if err := cl.SyncAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		var acked atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		errCh := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			sess, err := cl.OpenAt(ctx, pdmtune.PrimarySite, pdmtune.WithLink(pdmtune.LAN()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer sess.Close()
+				for !stop.Load() {
+					_, err := sess.Exec(ctx, "UPDATE ctr SET n = n + 1 WHERE id = 1")
+					var fe *pdmtune.FencedError
+					switch {
+					case err == nil:
+						acked.Add(1)
+					case !errors.As(err, &fe): // a refused write never ran
+						errCh <- err
+						return
+					}
+				}
+			}()
+		}
+		// Promote after 50 acknowledged increments and stop the writers
+		// after 50 more, unless a writer failed.
+		for acked.Load() < 50 && len(errCh) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if err := cl.Promote(ctx, "munich"); err != nil {
+			t.Fatalf("round %d: Promote: %v", round, err)
+		}
+		for after := acked.Load(); acked.Load() < after+50 && len(errCh) == 0; {
+			time.Sleep(time.Millisecond)
+		}
+		stop.Store(true)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatalf("round %d: write: %v", round, err)
+		}
+
+		munich, _ := cl.Site("munich")
+		res, err := munich.DB().NewSession().Query("SELECT n FROM ctr WHERE id = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rows[0][0].Int(), acked.Load(); got != want {
+			t.Fatalf("round %d: munich counts %d increments, %d were acknowledged", round, got, want)
+		}
 	}
 }
 

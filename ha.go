@@ -41,8 +41,8 @@ type HealthChecker = failover.Checker
 type PromoteConfig = topology.PromoteConfig
 
 // PromoteError reports a promotion refused by a precheck; Stage names
-// it ("unknown-site", "already-primary", "quorum", "epoch-lag",
-// "inflight" or "subscription-coverage").
+// it ("unknown-site", "already-primary", "quorum", "epoch-lag" or
+// "subscription-coverage").
 type PromoteError = topology.PromoteError
 
 // follow is the Follow hook of a session route built at fencing term

@@ -27,11 +27,12 @@ const (
 type Dialer func(meter *netsim.Meter) wire.Transport
 
 // Cluster is the control plane of a replicated deployment: the node
-// registry, the fencing term, the transport wrapper, the in-flight
-// write counts, the subscription registry and the health checker.
-// Everything mutates under one mutex — a promotion is a single critical
-// section, so a write that starts after it observes the complete new
-// topology.
+// registry, the fencing term, the transport wrapper, the subscription
+// registry and the health checker. Everything mutates under one mutex
+// — a promotion is a single critical section, so a write that starts
+// after it observes the complete new topology. Whether a write may
+// commit is decided by the serving node's fence alone (wire.Fence),
+// which a promotion flips.
 type Cluster struct {
 	mu sync.Mutex
 	// primary is the one node without an upstream pull: the cluster's
@@ -55,10 +56,7 @@ type Cluster struct {
 	baseEpoch, lastPrimaryEpoch uint64
 	// wrap decorates every transport the cluster builds, keyed by the
 	// target node's name — the fault-injection seam.
-	wrap func(target string, tr wire.Transport) wire.Transport
-	// inflight counts check-out/check-in actions in flight per node
-	// (nil key: sessions at the primary) for the promotion precheck.
-	inflight    map[*Site]int
+	wrap        func(target string, tr wire.Transport) wire.Transport
 	cfg         PromoteConfig
 	healthMeter *netsim.Meter // health and quorum probes
 	checker     *failover.Checker
@@ -78,10 +76,9 @@ func NewCluster(primary *Site, sites ...*Site) *Cluster {
 		return c
 	}
 	c.term.Store(1)
-	c.inflight = map[*Site]int{}
 	c.healthMeter = netsim.NewMeter(netsim.LAN())
 	for _, n := range c.nodesLocked() {
-		n.server.SetFence(wire.NewFence(1, n == primary))
+		n.server.Fence().Set(1, n == primary)
 		n.fence(c.TermSource())
 	}
 	return c
@@ -224,24 +221,6 @@ func (c *Cluster) dialLocked(n *Site, meter *netsim.Meter) wire.Transport {
 // the lock.
 func (c *Cluster) dialerLocked(n *Site) Dialer {
 	return func(meter *netsim.Meter) wire.Transport { return c.dialLocked(n, meter) }
-}
-
-// BeginWrite counts one in-flight check-out/check-in by a session at
-// node n (nil for sessions at the primary) and returns the matching
-// decrement. A candidate with a write mid-flight cannot be promoted
-// out from under it.
-func (c *Cluster) BeginWrite(n *Site) func() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inflight == nil {
-		return func() {}
-	}
-	c.inflight[n]++
-	return func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.inflight[n]--
-	}
 }
 
 // SetPromoteConfig tunes the promotion prechecks.

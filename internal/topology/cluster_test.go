@@ -24,7 +24,7 @@ func newTestCluster(t *testing.T, names ...string) (*Cluster, *Site) {
 	return NewCluster(origin, sites...), origin
 }
 
-func fenceOf(n *Site) (term uint64, primary bool) { return n.Server().CurrentFence().State() }
+func fenceOf(n *Site) (term uint64, primary bool) { return n.Server().Fence().State() }
 
 // TestPromoteAndFailBackWithoutFacade drives promotion, rejoin and
 // fail-back on bare nodes: the primary role, the fences and the pulls
@@ -137,7 +137,7 @@ func TestPromoteWrapsTransportsByNodeName(t *testing.T) {
 func TestSiteLessClusterIsUnfenced(t *testing.T) {
 	origin := NewPrimary(minisql.NewDB())
 	cl := NewCluster(origin)
-	if cl.Fenced() || cl.Term() != 0 || origin.Server().CurrentFence() != nil {
+	if term, _ := origin.Server().Fence().State(); cl.Fenced() || cl.Term() != 0 || term != 0 {
 		t.Fatal("a site-less cluster installed fences")
 	}
 	var pe *PromoteError

@@ -24,7 +24,7 @@ type PromoteError struct {
 	// Site is the candidate.
 	Site string
 	// Stage names the failed precheck: "unknown-site", "already-primary",
-	// "quorum", "epoch-lag", "inflight" or "subscription-coverage".
+	// "quorum", "epoch-lag" or "subscription-coverage".
 	Stage string
 	// Reason is human-readable detail.
 	Reason string
@@ -44,12 +44,13 @@ func (c *Cluster) probeLocked(ctx context.Context, n *Site) error {
 // Promote performs a health-checked primary failover to the named
 // site:
 //
-//  1. Prechecks — a quorum of replica sites answers a status probe
-//     (the candidate must be among them) and the candidate has no
-//     check-out/check-in in flight.
+//  1. Prechecks — the candidate is a full replica, and a quorum of
+//     replica sites answers a status probe (the candidate must be
+//     among them).
 //  2. The old primary is fenced: it keeps its old term with the
-//     primary flag cleared, so every write it still receives — fenced
-//     or not — is refused with a *wire.FencedError instead of
+//     primary flag cleared. The flip waits for the frames its fence
+//     already admitted to execute; every write it receives after —
+//     fenced or not — is refused with a *wire.FencedError instead of
 //     executing.
 //  3. A final catch-up pull drains the old primary's unreplicated tail
 //     into the candidate. If the old primary is unreachable (that is
@@ -76,10 +77,6 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 	}
 	if candidate == c.primary {
 		return &PromoteError{Site: name, Stage: "already-primary", Reason: "site is already the primary"}
-	}
-	if n := c.inflight[candidate]; n > 0 {
-		return &PromoteError{Site: name, Stage: "inflight",
-			Reason: fmt.Sprintf("%d check-out/check-in action(s) in flight at the candidate", n)}
 	}
 	if candidate.Partial() {
 		// A subscription-bounded replica holds only its closure — rows
@@ -113,12 +110,12 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 			Reason: fmt.Sprintf("only %d of %d replica sites reachable, need %d", reachable, replicas, quorum)}
 	}
 
-	// Fence the old primary first: from this instant no write commits
-	// there, so everything the catch-up pull extracts is the complete
-	// acknowledged history.
+	// Fence the old primary first: once Set returns, every write its
+	// fence admitted has committed and no other will, so everything the
+	// catch-up pull extracts is the complete acknowledged history.
 	old := c.primary
 	oldTerm := c.term.Load()
-	oldFence := old.server.CurrentFence()
+	oldFence := old.server.Fence()
 	oldFence.Set(oldTerm, false)
 
 	// Final catch-up: drain the old primary's tail. Failure (killed
@@ -146,7 +143,7 @@ func (c *Cluster) Promote(ctx context.Context, name string) error {
 	c.lastPrimaryEpoch = max(c.lastPrimaryEpoch, base)
 	for _, n := range c.nodesLocked() {
 		if n != old { // the deposed primary keeps its old term, deposed
-			n.server.CurrentFence().Set(newTerm, n == candidate)
+			n.server.Fence().Set(newTerm, n == candidate)
 		}
 	}
 	candidate.promote(base)
@@ -287,7 +284,7 @@ func (c *Cluster) Rejoin(ctx context.Context) (SyncStats, error) {
 	o.repoint(c.dialLocked(c.primary, o.meter))
 	// Align the origin's fence with the cluster: a replica at the
 	// current term (still refusing writes, now as a plain replica).
-	o.server.CurrentFence().Set(c.term.Load(), false)
+	o.server.Fence().Set(c.term.Load(), false)
 	c.rejoined = true
 	c.sites = append(c.sites, o)
 	c.mu.Unlock()

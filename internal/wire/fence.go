@@ -24,21 +24,21 @@ import (
 // silently writing to the wrong database. Read frames are never
 // fenced — replicas (including a deposed primary) keep serving reads.
 
-// Fence is one server's view of the cluster fencing state. The cluster
-// control plane shares one Fence per server and flips it atomically at
-// promotion time; the server consults it on every dispatched frame.
+// Fence is one server's view of the cluster fencing state; term 0 (the
+// zero Fence) is a server outside any fenced cluster. The server holds
+// the fence's read lock from a frame's term/role check until the frame
+// has executed, and Set takes the write lock: a flip waits for the
+// frames already admitted, so once it returns no write commits under
+// the state it replaced. A frame's statements (stored procedures
+// included) must therefore not flip their own server's fence.
 type Fence struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	term    uint64
 	primary bool
 }
 
-// NewFence returns a fence at the given term and role.
-func NewFence(term uint64, primary bool) *Fence {
-	return &Fence{term: term, primary: primary}
-}
-
-// Set replaces the fence's term and role.
+// Set replaces the fence's term and role, once every frame admitted
+// under the old state has executed.
 func (f *Fence) Set(term uint64, primary bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -48,8 +48,8 @@ func (f *Fence) Set(term uint64, primary bool) {
 
 // State returns the fence's current term and role.
 func (f *Fence) State() (term uint64, primary bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	return f.term, f.primary
 }
 

@@ -51,7 +51,7 @@ func TestFencedEnvelopeRoundTrip(t *testing.T) {
 // *FencedError, while reads keep flowing.
 func TestDeposedServerRefusesWrites(t *testing.T) {
 	srv := NewServer(newFenceDB(t))
-	srv.SetFence(NewFence(1, false))
+	srv.Fence().Set(1, false)
 	ctx := context.Background()
 
 	fenced := NewClient(&MeteredChannel{Conn: srv.NewConn()})
@@ -81,7 +81,7 @@ func TestDeposedServerRefusesWrites(t *testing.T) {
 // the promotion) but keeps serving current-term writes.
 func TestPrimaryRefusesStaleTerm(t *testing.T) {
 	srv := NewServer(newFenceDB(t))
-	srv.SetFence(NewFence(2, true))
+	srv.Fence().Set(2, true)
 	ctx := context.Background()
 
 	stale := NewClient(&MeteredChannel{Conn: srv.NewConn()})
@@ -105,7 +105,7 @@ func TestPrimaryRefusesStaleTerm(t *testing.T) {
 // ones.
 func TestDeposedServerServesSameTermSync(t *testing.T) {
 	srv := NewServer(newFenceDB(t))
-	srv.SetFence(NewFence(3, false))
+	srv.Fence().Set(3, false)
 	ctx := context.Background()
 
 	same := NewClient(&MeteredChannel{Conn: srv.NewConn()})
@@ -144,13 +144,62 @@ func TestStatusExchange(t *testing.T) {
 	if st.Term != 0 || !st.Primary {
 		t.Fatalf("unfenced status = %+v, want term 0 primary", st)
 	}
-	srv.SetFence(NewFence(5, false))
+	srv.Fence().Set(5, false)
 	st, err = client.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Term != 5 || st.Primary {
 		t.Fatalf("fenced status = %+v, want term 5 replica", st)
+	}
+}
+
+// TestFenceFlipWaitsForAdmittedFrame: a write the primary's fence has
+// admitted commits before a flip of that fence returns, so the delta a
+// catch-up pull extracts right after the flip holds it. The procedure
+// is released once the flip returns, or after 50 ms when it waits.
+func TestFenceFlipWaitsForAdmittedFrame(t *testing.T) {
+	db := newFenceDB(t)
+	srv := NewServer(db)
+	srv.Fence().Set(1, true)
+	since := db.Epoch()
+	entered, release := make(chan struct{}), make(chan struct{})
+	db.RegisterProc("slow_bump", func(s *minisql.Session, _ []minisql.Value) (*minisql.Result, error) {
+		close(entered)
+		<-release
+		return s.Exec("UPDATE kv SET val = val + 1 WHERE id = 1")
+	})
+	client := NewClient(&MeteredChannel{Conn: srv.NewConn()})
+	client.SetTermSource(staticTerm(1))
+	called := make(chan error, 1)
+	go func() {
+		_, err := client.Exec(context.Background(), "CALL slow_bump()")
+		called <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-called:
+		t.Fatalf("CALL answered before its procedure ran: %v", err)
+	}
+
+	extracted := make(chan int, 1)
+	go func() {
+		srv.Fence().Set(1, false)
+		extracted <- db.ExtractDelta(since).RowCount()
+	}()
+	var rows int
+	select {
+	case rows = <-extracted:
+		close(release)
+	case <-time.After(50 * time.Millisecond):
+		close(release)
+		rows = <-extracted
+	}
+	if err := <-called; err != nil {
+		t.Fatalf("admitted write: %v", err)
+	}
+	if rows != 1 {
+		t.Fatalf("delta extracted after the fence flip ships %d rows, want the admitted UPDATE's 1", rows)
 	}
 }
 
@@ -325,7 +374,7 @@ func TestReadOnlyAgreesWithReadOnlySQL(t *testing.T) {
 // and batches of reads are served.
 func TestDeposedServerRefusesPreparedAndBatchedWrites(t *testing.T) {
 	srv := NewServer(newFenceDB(t))
-	srv.SetFence(NewFence(1, false))
+	srv.Fence().Set(1, false)
 	conn := srv.NewConn()
 	update := prepareOn(t, conn, "UPDATE kv SET val = ? WHERE id = 1")
 	read := prepareOn(t, conn, "SELECT val FROM kv WHERE id = ?")

@@ -17,12 +17,10 @@ import (
 type Server struct {
 	db *minisql.DB
 
-	// fence is the server's cluster fencing state (nil for a server
-	// outside any fenced cluster — the fence-free fast path behaves
-	// byte for byte as before). The pointer is set once at cluster
-	// creation; the Fence's own lock covers later term flips.
-	fenceMu sync.RWMutex
-	fence   *Fence
+	// fence is the server's cluster fencing state (term 0 for a server
+	// outside any fenced cluster — the fence-free path behaves byte for
+	// byte as before). dispatch holds its read lock across each frame.
+	fence Fence
 
 	// syncFilter resolves a pulling site's subscription filter (nil
 	// resolver, or a nil result for a site, means full deltas — the
@@ -46,21 +44,9 @@ func NewServer(db *minisql.DB) *Server { return &Server{db: db} }
 // DB exposes the underlying database (e.g. for registering procedures).
 func (s *Server) DB() *minisql.DB { return s.db }
 
-// SetFence installs (or clears) the server's fencing state. The
-// cluster control plane shares the Fence with the server and flips its
-// contents at promotion time.
-func (s *Server) SetFence(f *Fence) {
-	s.fenceMu.Lock()
-	defer s.fenceMu.Unlock()
-	s.fence = f
-}
-
-// CurrentFence returns the server's fencing state (nil when unfenced).
-func (s *Server) CurrentFence() *Fence {
-	s.fenceMu.RLock()
-	defer s.fenceMu.RUnlock()
-	return s.fence
-}
+// Fence returns the server's fencing state, which the cluster control
+// plane flips at promotion time.
+func (s *Server) Fence() *Fence { return &s.fence }
 
 // SetSyncFilter installs (or clears, with nil) the resolver mapping a
 // pulling site to its subscription filter. The cluster control plane
@@ -168,9 +154,12 @@ func (c *ServerConn) Handle(reqBody []byte) []byte {
 }
 
 // dispatch enforces the server's fence, unwraps fencing envelopes and
-// routes the frame to its handler. With no fence installed the
-// envelope is still accepted (served as its inner frame), so a fenced
-// client degrades gracefully against an unfenced server.
+// routes the frame to its handler. It holds the fence's read lock until
+// the frame has executed, so a fence flip waits for the frames admitted
+// under the old state; nothing below may take that lock again. With no
+// fence installed the envelope is still accepted (served as its inner
+// frame), so a fenced client degrades gracefully against an unfenced
+// server.
 func (c *ServerConn) dispatch(reqBody []byte) []byte {
 	var frameTerm uint64
 	fenced := len(reqBody) > 0 && reqBody[0] == TypeFenced
@@ -180,35 +169,33 @@ func (c *ServerConn) dispatch(reqBody []byte) []byte {
 			return EncodeResponse(&Response{Err: fmt.Sprintf("bad fenced frame: %v", err)})
 		}
 	}
-	var g fenceGuard
-	if f := c.server.CurrentFence(); f != nil {
-		term, primary := f.State()
-		switch {
-		case fenced && frameTerm != term:
-			// A frame from another term: refuse. This is what cuts off a
-			// site still pulling from a deposed primary after the cluster
-			// moved on.
-			return EncodeFencedResp(term, frameTerm, !primary)
-		case !primary && !fenced && len(reqBody) > 0 && reqBody[0] == TypeSync:
-			// Not the primary (split-brain protection): a replica
-			// answering syncs would fork the replication topology. A
-			// same-term sync passes — it only extracts, and the final
-			// catch-up pull of a planned failover reads the freshly
-			// deposed primary at exactly this point.
-			return EncodeFencedResp(term, 0, true)
-		case !primary:
-			// Statements that write are refused once resolved; reads
-			// pass — a replica's job is serving them.
-			g = fenceGuard{deposed: true, term: term, frameTerm: frameTerm}
-		}
+	f := &c.server.fence
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	g := fenceGuard{deposed: f.term != 0 && !f.primary, term: f.term, frameTerm: frameTerm}
+	switch {
+	case fenced && f.term != 0 && frameTerm != f.term:
+		// A frame from another term: refuse. This is what cuts off a
+		// site still pulling from a deposed primary after the cluster
+		// moved on.
+		return EncodeFencedResp(f.term, frameTerm, g.deposed)
+	case g.deposed && !fenced && len(reqBody) > 0 && reqBody[0] == TypeSync:
+		// Not the primary (split-brain protection): a replica answering
+		// syncs would fork the replication topology. A same-term sync
+		// passes — it only extracts, and the final catch-up pull of a
+		// planned failover reads the freshly deposed primary at exactly
+		// this point.
+		return EncodeFencedResp(f.term, 0, true)
 	}
 	return c.dispatchFrame(reqBody, g)
 }
 
-// fenceGuard is the fence's rule for the statements of one frame: at a
-// server that is not the primary (deposed), a statement that is not
-// minisql.ReadOnly is refused, with the server's term and the frame's
-// (0 for an unwrapped frame). The zero guard refuses nothing.
+// fenceGuard is the fence's state as one frame was admitted under it:
+// at a server that is not the primary (deposed), a statement that is
+// not minisql.ReadOnly is refused — reads pass, a replica's job is
+// serving them — with the server's term and the frame's (0 for an
+// unwrapped frame). A primary's guard, or an unfenced server's (term
+// 0), refuses nothing.
 type fenceGuard struct {
 	deposed         bool
 	term, frameTerm uint64
@@ -230,7 +217,7 @@ func (c *ServerConn) dispatchFrame(reqBody []byte, g fenceGuard) []byte {
 		case TypeSync:
 			return c.handleSync(reqBody)
 		case TypeStatus:
-			return c.handleStatus(reqBody)
+			return c.handleStatus(reqBody, g)
 		}
 	}
 	req, err := DecodeExec(reqBody)
@@ -349,18 +336,15 @@ func (c *ServerConn) handleSync(reqBody []byte) []byte {
 	return EncodeSyncResp(c.server.db.ExtractDelta(since))
 }
 
-// handleStatus answers a health probe with the server's fencing state
-// and database epoch. An unfenced server reports term 0, primary true
-// — exactly the single-server world before clusters.
-func (c *ServerConn) handleStatus(reqBody []byte) []byte {
+// handleStatus answers a health probe with the fencing state the frame
+// was admitted under and the database epoch. An unfenced server reports
+// term 0, primary true — exactly the single-server world before
+// clusters.
+func (c *ServerConn) handleStatus(reqBody []byte, g fenceGuard) []byte {
 	if err := DecodeStatus(reqBody); err != nil {
 		return EncodeResponse(&Response{Err: fmt.Sprintf("bad status: %v", err)})
 	}
-	st := Status{Primary: true, Epoch: c.server.db.Epoch()}
-	if f := c.server.CurrentFence(); f != nil {
-		st.Term, st.Primary = f.State()
-	}
-	return EncodeStatusResp(st)
+	return EncodeStatusResp(Status{Term: g.term, Primary: !g.deposed, Epoch: c.server.db.Epoch()})
 }
 
 // handleBatch executes a batch frame: per-statement results in order,

@@ -111,7 +111,7 @@ func FuzzServerHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, first, second []byte, primary bool) {
 		db := newFenceDB(t)
 		srv := NewServer(db)
-		srv.SetFence(NewFence(2, primary))
+		srv.Fence().Set(2, primary)
 		// Handle 1 fills the table to 128 bytes below its budget: short
 		// texts still register, longer ones are refused.
 		filler := "SELECT '" + strings.Repeat("x", tableBytes-128-len("SELECT ''")) + "'"

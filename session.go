@@ -515,18 +515,14 @@ func (s *Session) MultiLevelExpand(ctx context.Context, root int64) (*ActionResu
 
 // CheckOut checks out the subtree under root (expand + flag updates).
 func (s *Session) CheckOut(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOut(ctx, root)
-	done()
 	s.auto.Step(ctx, err)
 	return res, err
 }
 
 // CheckIn releases a previously checked-out subtree.
 func (s *Session) CheckIn(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckIn(ctx, root)
-	done()
 	s.auto.Step(ctx, err)
 	return res, err
 }
@@ -534,18 +530,14 @@ func (s *Session) CheckIn(ctx context.Context, root int64) (*CheckOutResult, err
 // CheckOutViaProcedure performs the whole check-out in one round trip
 // via the server-side stored procedure (Section 6).
 func (s *Session) CheckOutViaProcedure(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckOutViaProcedure(ctx, root)
-	done()
 	s.auto.Step(ctx, err)
 	return res, err
 }
 
 // CheckInViaProcedure is the single-round-trip check-in.
 func (s *Session) CheckInViaProcedure(ctx context.Context, root int64) (*CheckOutResult, error) {
-	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.CheckInViaProcedure(ctx, root)
-	done()
 	s.auto.Step(ctx, err)
 	return res, err
 }
@@ -598,9 +590,7 @@ func (s *Session) WhereUsed(ctx context.Context, part int64) (*ActionResult, err
 // as conflicts. Cached structures containing affected objects are
 // invalidated.
 func (s *Session) ECOPropagate(ctx context.Context, part int64, newState string) (*ECOResult, error) {
-	done := s.sys.cluster.topo.BeginWrite(s.node)
 	res, err := s.client.ECOPropagate(ctx, part, newState)
-	done()
 	s.auto.Step(ctx, err)
 	return res, err
 }
